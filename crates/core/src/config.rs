@@ -226,6 +226,13 @@ pub struct ProtocolConfig {
     pub packing: Packing,
     /// Control-traffic dissemination topology (Flat by default).
     pub overlay: OverlayPolicy,
+    /// Horizon on demand (DESIGN.md §4): a quiet member that finds itself
+    /// holding back the head of the ordering queue heartbeats at once
+    /// (at most one extra per `heartbeat_interval / 2`) instead of waiting
+    /// for the timer. On by default; `false` is the paper's timer-only
+    /// heartbeat, kept for E1's baseline column and the historical golden
+    /// trace.
+    pub prompt_horizon: bool,
 }
 
 impl Default for ProtocolConfig {
@@ -247,6 +254,7 @@ impl Default for ProtocolConfig {
             flow_control: FlowControl::default(),
             packing: Packing::default(),
             overlay: OverlayPolicy::Flat,
+            prompt_horizon: true,
         }
     }
 }
@@ -343,6 +351,12 @@ impl ProtocolConfig {
         self.overlay = o;
         self
     }
+
+    /// Builder-style horizon-on-demand override.
+    pub fn prompt_horizon(mut self, on: bool) -> Self {
+        self.prompt_horizon = on;
+        self
+    }
 }
 
 #[cfg(test)]
@@ -388,8 +402,10 @@ mod tests {
                 512,
                 PackPolicy::Deadline(SimDuration::from_micros(300)),
             ))
-            .overlay(OverlayPolicy::Tree { arity: 4 });
+            .overlay(OverlayPolicy::Tree { arity: 4 })
+            .prompt_horizon(false);
         assert_eq!(c.seed, 7);
+        assert!(ProtocolConfig::default().prompt_horizon && !c.prompt_horizon);
         assert_eq!(c.heartbeat_interval.as_millis(), 3);
         assert_eq!(c.suspect_quorum, Quorum::Fixed(1));
         assert_eq!(c.nack_delay.as_millis(), 1);

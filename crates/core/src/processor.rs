@@ -151,6 +151,15 @@ struct GroupState {
     overlay: Option<OverlayState>,
 }
 
+/// Why [`Processor::heartbeat_due`] says a Heartbeat is due: the ordinary
+/// `heartbeat_interval` timer ran out, or this member is holding back
+/// delivery and answers ahead of it (horizon on demand, DESIGN.md §4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HeartbeatDue {
+    Timer,
+    Prompted,
+}
+
 /// Where an [`FtmpBody::OverlayDigest`] is bound (DESIGN.md §13): the
 /// steady-state neighborhood beacon, or the group-address solicitation
 /// fallback (the starving node's request and a member's answer to one).
@@ -464,6 +473,7 @@ impl Processor {
             retention_bytes: g.rmp.retention().bytes(),
             ordering_queue: g.romp.ordering().queue_len(),
             rx_buffered: g.rmp.buffered_total(),
+            head_blocked_on: g.romp.ordering().head_blockers().collect(),
         })
     }
 
@@ -749,7 +759,9 @@ impl Processor {
         if wire::is_packed(&pkt.payload) {
             self.handle_packed(now, &pkt.payload);
         } else if let Ok(msg) = FtmpMessage::decode_shared(&pkt.payload) {
+            let gid = msg.group;
             self.process_message(now, msg, pkt.payload.clone(), false);
+            self.prompt_heartbeat(now, gid);
         }
         // not FTMP or corrupt: ignored above
         self.flush_window(now);
@@ -792,8 +804,76 @@ impl Processor {
                 }
             }
         }
+        // A container is one destination's queue, so nearly always one
+        // group's: the prompt rule runs once per run of same-group messages.
+        let mut run: Option<GroupId> = None;
         for (msg, s) in msgs.into_iter().zip(slices) {
+            let gid = msg.group;
+            if let Some(done) = run.replace(gid).filter(|&prev| prev != gid) {
+                self.prompt_heartbeat(now, done);
+            }
             self.process_message(now, msg, s, false);
+        }
+        if let Some(gid) = run {
+            self.prompt_heartbeat(now, gid);
+        }
+    }
+
+    /// The group after `after` in id order (`None`: the first). Timer and
+    /// per-packet duties walk `groups` with this cursor, so a walk allocates
+    /// nothing and its body is free to send, deliver and leave groups.
+    fn next_group(&self, after: Option<GroupId>) -> Option<GroupId> {
+        use std::ops::Bound::{Excluded, Unbounded};
+        let from = after.map_or(Unbounded, Excluded);
+        self.groups
+            .range((from, Unbounded))
+            .next()
+            .map(|(&gid, _)| gid)
+    }
+
+    /// True while this member is itself holding back the head of `g`'s
+    /// ordering queue. No peer's horizon for us can be ahead of our own, so
+    /// we are then a blocker at every other member too, and only a message
+    /// from us — a Heartbeat, if we have nothing else to say — lets anyone
+    /// deliver (DESIGN.md §4). Never true during a reconfiguration (ordered
+    /// delivery is paused) or in tree mode (liveness travels as per-tick
+    /// aggregated digests; per-message prompts would undo that).
+    fn blocking_self(&self, g: &GroupState) -> bool {
+        self.cfg.prompt_horizon
+            && self.cfg.overlay == OverlayPolicy::Flat
+            && g.pgmp.reconfig.is_none()
+            && g.romp.ordering().blocks_head(self.id)
+    }
+
+    /// The one heartbeat rule, shared by the timer and by the end of
+    /// [`handle_packet`](Self::handle_packet): due once nothing was sent for
+    /// `heartbeat_interval`, or — *prompted* ahead of the timer — for more
+    /// than half of it while [`blocking_self`](Self::blocking_self) holds.
+    /// The half interval bounds a quiet member at twice its idle heartbeat
+    /// rate and means a member that keeps sending never pays.
+    fn heartbeat_due(&self, g: &GroupState, now: SimTime) -> Option<HeartbeatDue> {
+        let elapsed = now.saturating_since(g.last_sent);
+        let interval = self.cfg.heartbeat_interval;
+        if elapsed >= interval {
+            Some(HeartbeatDue::Timer)
+        } else if elapsed.as_micros() > interval.as_micros() / 2 && self.blocking_self(g) {
+            Some(HeartbeatDue::Prompted)
+        } else {
+            None
+        }
+    }
+
+    /// Horizon on demand: having just processed a packet for `gid`,
+    /// heartbeat at once if that group's delivery now waits on us. When the
+    /// half-interval gap has not passed yet nothing is sent here and the
+    /// timer fires the same rule later.
+    fn prompt_heartbeat(&mut self, now: SimTime, gid: GroupId) {
+        let Some(g) = self.groups.get(&gid) else {
+            return;
+        };
+        if self.heartbeat_due(g, now) == Some(HeartbeatDue::Prompted) {
+            self.stats.heartbeats_prompted += 1;
+            self.send_unreliable(now, gid, FtmpBody::Heartbeat);
         }
     }
 
@@ -822,8 +902,9 @@ impl Processor {
         let OverlayPolicy::Tree { arity } = self.cfg.overlay else {
             return;
         };
-        let gids: Vec<GroupId> = self.groups.keys().copied().collect();
-        for gid in gids {
+        let mut cur = None;
+        while let Some(gid) = self.next_group(cur) {
+            cur = Some(gid);
             let g = self.groups.get_mut(&gid).expect("listed");
             let stale = g.overlay.as_ref().is_none_or(|o| {
                 o.view_ts != g.pgmp.membership_ts || o.members != g.pgmp.membership
@@ -1653,6 +1734,7 @@ impl Processor {
                     t.on_window_reopened(now, gid);
                 }
                 self.sink.push(Action::SendReady(gid));
+                self.flush_pending(now, gid);
             }
             None => {}
         }

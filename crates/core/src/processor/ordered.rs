@@ -222,12 +222,17 @@ impl Processor {
         }
     }
 
+    /// Transmit the sends queued behind a Connect gate or a reconfiguration,
+    /// in order, for as long as the group is unblocked and the send window
+    /// open. A closed window parks the rest (`multicast_request` would
+    /// refuse them, and a refused pop is a lost message); the window's
+    /// reopening flushes again.
     pub(super) fn flush_pending(&mut self, now: SimTime, gid: GroupId) {
         loop {
             let Some(g) = self.groups.get_mut(&gid) else {
                 return;
             };
-            if g.blocked() {
+            if g.blocked() || !g.romp.window().is_open() {
                 return;
             }
             let Some((conn, request_num, giop)) = g.pending_ordered.pop_front() else {

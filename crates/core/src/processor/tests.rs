@@ -480,6 +480,39 @@ fn queued_sends_flush_after_reconfiguration() {
 }
 
 #[test]
+fn sends_queued_behind_a_gate_survive_a_closed_send_window() {
+    use crate::config::FlowControl;
+
+    // Five sends queue behind a Connect gate; the window admits two. The
+    // gate's release used to pop all five and drop the three refused ones.
+    let gid = GroupId(1);
+    let cfg = ProtocolConfig::with_seed(42).flow_control(FlowControl::window(2, 1));
+    let mut net = MiniNet::new(2, cfg);
+    net.bootstrap_group(gid, McastAddr(100));
+    net.p(1).groups.get_mut(&gid).unwrap().pgmp.gate = Some(Timestamp(1));
+    for k in 1..=5u64 {
+        let out = net
+            .p(1)
+            .multicast_request(SimTime(1_000), conn_ab(), RequestNum(k), Bytes::new())
+            .unwrap();
+        assert_eq!(out, SendOutcome::Queued);
+    }
+    // Heartbeats lift every horizon past the gate, then carry the acks
+    // that reopen the window as often as it takes.
+    for t in (10_000..=200_000).step_by(10_000) {
+        net.tick_all(SimTime(t));
+    }
+    for id in 1..=2u32 {
+        let got: Vec<u64> = net.deliveries(id).iter().map(|d| d.request_num.0).collect();
+        assert_eq!(got, vec![1, 2, 3, 4, 5], "P{id}");
+    }
+    assert!(
+        net.p(1).stats().backpressure_closes >= 1,
+        "the window did close"
+    );
+}
+
+#[test]
 fn packed_ack_vector_reflects_mid_stream_join() {
     use crate::config::{PackPolicy, Packing};
 
@@ -688,5 +721,254 @@ mod rebind_tests {
         // P3 sees only G1 traffic.
         let g3: Vec<GroupId> = net.deliveries(3).iter().map(|d| d.group).collect();
         assert_eq!(g3, vec![g1]);
+    }
+}
+
+/// Horizon on demand (DESIGN.md §4): the heartbeat rule's two call sites.
+mod prompt_tests {
+    use super::*;
+    use crate::config::OverlayPolicy;
+    use crate::pgmp::Reconfig;
+
+    /// Drain `p`'s actions, returning the datagrams it sent and whether it
+    /// delivered anything.
+    fn drain(p: &mut Processor) -> (Vec<(McastAddr, Bytes)>, bool) {
+        let mut sent = Vec::new();
+        let mut delivered = false;
+        for a in p.drain_actions() {
+            match a {
+                Action::Send { addr, payload } => sent.push((addr, payload)),
+                Action::Deliver(_) => delivered = true,
+                _ => {}
+            }
+        }
+        (sent, delivered)
+    }
+
+    /// The timestamps of the Heartbeats among `sent`.
+    fn heartbeats(sent: &[(McastAddr, Bytes)]) -> Vec<Timestamp> {
+        sent.iter()
+            .filter_map(|(_, b)| FtmpMessage::decode_shared(b).ok())
+            .filter(|m| m.msg_type() == FtmpMsgType::Heartbeat)
+            .map(|m| m.ts)
+            .collect()
+    }
+
+    /// P1 multicasts one Regular at `now`; returns its datagram and stamp.
+    fn regular_from_p1(net: &mut MiniNet, now: SimTime, n: u64) -> (Packet, Timestamp) {
+        net.p(1)
+            .multicast_request(now, conn_ab(), RequestNum(n), Bytes::from_static(b"x"))
+            .unwrap();
+        let (sent, _) = drain(net.p(1));
+        assert_eq!(sent.len(), 1, "P1 is not quiet: it sends only the Regular");
+        let (addr, payload) = sent.into_iter().next().unwrap();
+        let ts = FtmpMessage::decode_shared(&payload).unwrap().ts;
+        (Packet::new(1, addr, payload), ts)
+    }
+
+    #[test]
+    fn quiet_blocker_heartbeats_inside_handle_packet() {
+        let (mut net, gid) = pair();
+        // (i) 6 ms of silence: past the half interval, short of the timer.
+        let (pkt, regular_ts) = regular_from_p1(&mut net, SimTime(6_000), 1);
+        net.p(2).handle_packet(SimTime(6_300), &pkt);
+        let (sent, delivered) = drain(net.p(2));
+        let hb = heartbeats(&sent);
+        assert_eq!(hb.len(), 1, "exactly one prompted Heartbeat: {sent:?}");
+        assert_eq!(sent.len(), 1, "and nothing else");
+        assert!(hb[0] > regular_ts, "stamped above the Regular it unblocks");
+        assert!(delivered, "its own horizon was the last one missing");
+        assert_eq!(net.p(2).stats().heartbeats_prompted, 1);
+        assert!(net
+            .p(2)
+            .group_metrics(gid)
+            .unwrap()
+            .head_blocked_on
+            .is_empty());
+        for (addr, payload) in sent {
+            net.p(1)
+                .handle_packet(SimTime(6_600), &Packet::new(2, addr, payload));
+        }
+        assert!(drain(net.p(1)).1, "the sender delivers one round trip on");
+
+        // (ii) A second Regular inside the half interval: nothing now …
+        let (pkt, _) = regular_from_p1(&mut net, SimTime(7_000), 2);
+        net.p(2).handle_packet(SimTime(7_300), &pkt);
+        let (sent, delivered) = drain(net.p(2));
+        assert!(sent.is_empty() && !delivered, "rate-limited: {sent:?}");
+        assert_eq!(
+            net.p(2).group_metrics(gid).unwrap().head_blocked_on,
+            vec![ProcessorId(2)],
+            "the hold is attributed to the quiet member"
+        );
+        // … and the timer fires the same rule once the gap has passed
+        // (strictly: at exactly half an interval it is not yet due).
+        net.p(2).tick(SimTime(6_300 + 5_000));
+        assert!(drain(net.p(2)).0.is_empty());
+        net.p(2).tick(SimTime(6_300 + 5_001));
+        let (sent, delivered) = drain(net.p(2));
+        assert_eq!(heartbeats(&sent).len(), 1, "{sent:?}");
+        assert!(delivered);
+        assert_eq!(net.p(2).stats().heartbeats_prompted, 2);
+        net.p(2).tick(SimTime(6_300 + 5_002));
+        assert!(
+            drain(net.p(2)).0.is_empty(),
+            "one heartbeat, not one per tick"
+        );
+    }
+
+    #[test]
+    fn a_packet_prompts_only_in_its_own_group() {
+        // P2 holds back the head of two groups, both past the half interval;
+        // the datagram it has just handled was for one of them. The other's
+        // Heartbeat is the timer's to send, by the same rule.
+        let (mut net, g1) = pair();
+        let g2 = GroupId(2);
+        let c2 = ConnectionId::new(ObjectGroupId::new(9, 1), ObjectGroupId::new(9, 2));
+        for i in 1..=2u32 {
+            net.p(i).create_group(
+                SimTime(0),
+                g2,
+                McastAddr(101),
+                [ProcessorId(1), ProcessorId(2)],
+            );
+            net.p(i).bind_connection(c2, g2);
+        }
+        net.p(1)
+            .multicast_request(SimTime(3_000), c2, RequestNum(1), Bytes::from_static(b"y"))
+            .unwrap();
+        let (sent, _) = drain(net.p(1));
+        let (addr, payload) = sent.into_iter().next().unwrap();
+        net.p(2)
+            .handle_packet(SimTime(3_300), &Packet::new(1, addr, payload));
+        assert!(drain(net.p(2)).0.is_empty(), "inside G2's half interval");
+
+        let (pkt, _) = regular_from_p1(&mut net, SimTime(6_000), 2);
+        net.p(2).handle_packet(SimTime(6_300), &pkt);
+        let (sent, _) = drain(net.p(2));
+        let groups: Vec<GroupId> = sent
+            .iter()
+            .map(|(_, b)| FtmpMessage::decode_shared(b).unwrap().group)
+            .collect();
+        assert_eq!(heartbeats(&sent).len(), 1);
+        assert_eq!(groups, vec![g1], "the datagram's group and no other");
+
+        net.p(2).tick(SimTime(6_300));
+        let (sent, delivered) = drain(net.p(2));
+        let groups: Vec<GroupId> = sent
+            .iter()
+            .map(|(_, b)| FtmpMessage::decode_shared(b).unwrap().group)
+            .collect();
+        assert_eq!(heartbeats(&sent).len(), 1);
+        assert_eq!(groups, vec![g2], "the timer answers for the other group");
+        assert!(delivered);
+        assert_eq!(net.p(2).stats().heartbeats_prompted, 2);
+    }
+
+    #[test]
+    fn recent_sender_is_not_prompted() {
+        // (iii) P2 sent 2 ms ago; P1's clock runs ahead, so its Regular is
+        // stamped above P2's own horizon and P2 does hold it back.
+        let (mut net, gid) = pair();
+        net.p(2)
+            .multicast_request(SimTime(20_000), conn_ab(), RequestNum(1), Bytes::new())
+            .unwrap();
+        drain(net.p(2));
+        net.p(1).clock.observe(Timestamp(1_000));
+        let (pkt, _) = regular_from_p1(&mut net, SimTime(22_000), 2);
+        net.p(2).handle_packet(SimTime(22_000), &pkt);
+        assert!(drain(net.p(2)).0.is_empty());
+        assert_eq!(net.p(2).stats().heartbeats_prompted, 0);
+        assert!(net
+            .p(2)
+            .group_metrics(gid)
+            .unwrap()
+            .head_blocked_on
+            .contains(&ProcessorId(2)));
+    }
+
+    #[test]
+    fn survivors_do_not_prompt_for_a_crashed_member() {
+        // (iv) The group counts three members; P3 never speaks.
+        let gid = GroupId(1);
+        let mut net = MiniNet::new(2, ProtocolConfig::with_seed(42));
+        let members = [ProcessorId(1), ProcessorId(2), ProcessorId(3)];
+        for i in 1..=2u32 {
+            net.p(i)
+                .create_group(SimTime(0), gid, McastAddr(100), members);
+            net.p(i).bind_connection(conn_ab(), gid);
+        }
+        net.flush(SimTime(0));
+        net.p(1)
+            .multicast_request(SimTime(6_000), conn_ab(), RequestNum(1), Bytes::new())
+            .unwrap();
+        net.flush(SimTime(6_000));
+        // P2 answered for itself, once; from here the head waits on P3 only.
+        assert_eq!(net.p(2).stats().heartbeats_prompted, 1);
+        for i in 1..=2u32 {
+            assert_eq!(
+                net.p(i).group_metrics(gid).unwrap().head_blocked_on,
+                vec![ProcessorId(3)]
+            );
+        }
+        let fail_timeout = ProtocolConfig::default().fail_timeout.as_micros();
+        for t in (7_000..=fail_timeout).step_by(1_000) {
+            net.tick_all(SimTime(t));
+        }
+        assert!(net.deliveries(1).is_empty() && net.deliveries(2).is_empty());
+        assert_eq!(net.p(1).stats().heartbeats_prompted, 0);
+        assert_eq!(net.p(2).stats().heartbeats_prompted, 1);
+        let timer_beats = net.p(1).stats().sent[&FtmpMsgType::Heartbeat];
+        assert!(
+            timer_beats <= fail_timeout / 10_000,
+            "P1 kept to the heartbeat interval: {timer_beats}"
+        );
+    }
+
+    #[test]
+    fn no_prompt_during_reconfiguration_or_in_tree_mode() {
+        // (v) Reconfiguration: P2 has convicted P3 and waits for P1's
+        // proposal, which we withhold.
+        let gid = GroupId(1);
+        let mut net = MiniNet::new(3, ProtocolConfig::with_seed(42));
+        net.bootstrap_group(gid, McastAddr(100));
+        net.p(2)
+            .begin_or_extend_reconfig(SimTime(1_000), gid, [ProcessorId(3)].into());
+        drain(net.p(2));
+        assert!(net.p(2).is_reconfiguring(gid));
+        net.p(1).clock.observe(Timestamp(1_000));
+        let (pkt, _) = regular_from_p1(&mut net, SimTime(7_500), 1);
+        net.p(2).handle_packet(SimTime(7_500), &pkt);
+        assert!(drain(net.p(2)).0.is_empty());
+        net.p(2).tick(SimTime(8_000));
+        assert!(heartbeats(&drain(net.p(2)).0).is_empty());
+        assert_eq!(net.p(2).stats().heartbeats_prompted, 0);
+        assert!(net
+            .p(2)
+            .group_metrics(gid)
+            .unwrap()
+            .head_blocked_on
+            .contains(&ProcessorId(2)));
+        // The same state outside a reconfiguration does prompt.
+        let g = net.p(2).groups.get_mut(&gid).unwrap();
+        assert!(matches!(g.pgmp.reconfig.take(), Some(Reconfig { .. })));
+        net.p(2).tick(SimTime(8_001));
+        assert_eq!(heartbeats(&drain(net.p(2)).0).len(), 1);
+
+        // Tree mode: liveness travels as per-tick digests, never prompted.
+        let cfg = ProtocolConfig::with_seed(42).overlay(OverlayPolicy::Tree { arity: 2 });
+        let mut net = MiniNet::new(2, cfg);
+        net.bootstrap_group(gid, McastAddr(100));
+        let (pkt, _) = regular_from_p1(&mut net, SimTime(6_000), 1);
+        net.p(2).handle_packet(SimTime(6_300), &pkt);
+        assert!(drain(net.p(2)).0.is_empty());
+        net.p(2).tick(SimTime(7_000));
+        let (sent, _) = drain(net.p(2));
+        assert!(heartbeats(&sent).is_empty(), "{sent:?}");
+        assert_eq!(net.p(2).stats().heartbeats_prompted, 0);
+        assert_eq!(
+            net.p(2).group_metrics(gid).unwrap().head_blocked_on,
+            vec![ProcessorId(2)]
+        );
     }
 }

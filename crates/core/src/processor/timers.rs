@@ -10,12 +10,6 @@ use crate::adaptive;
 
 impl Processor {
     pub(super) fn tick_heartbeats(&mut self, now: SimTime) {
-        let due: Vec<GroupId> = self
-            .groups
-            .iter()
-            .filter(|(_, g)| now.saturating_since(g.last_sent) >= self.cfg.heartbeat_interval)
-            .map(|(gid, _)| *gid)
-            .collect();
         // With packing on, a heartbeat that would carry no news is deferred
         // (DESIGN.md §5). Every condition below is a safety gate: the
         // ordering queue must be empty and the retention store drained —
@@ -27,7 +21,12 @@ impl Processor {
         // us beaconing. The deferral never exceeds half the fault-detector
         // timeout, so liveness and suspicion behaviour are untouched.
         let hold_flat = SimDuration::from_micros(self.cfg.fail_timeout.as_micros() / 2);
-        for gid in due {
+        let mut cur = None;
+        while let Some(gid) = self.next_group(cur) {
+            cur = Some(gid);
+            let Some(due) = self.heartbeat_due(&self.groups[&gid], now) else {
+                continue;
+            };
             // Tree mode divides the cap by the worst-case relay distance: a
             // quiet leaf's liveness reaches a leaf in another subtree only
             // through relayed digests (leaf → root → leaf, 2 × depth hops),
@@ -66,6 +65,9 @@ impl Processor {
             } else if tree_depth.is_some() {
                 self.send_overlay_digest(now, gid, DigestDest::Neighborhood);
             } else {
+                if due == HeartbeatDue::Prompted {
+                    self.stats.heartbeats_prompted += 1;
+                }
                 self.send_unreliable(now, gid, FtmpBody::Heartbeat);
             }
         }
@@ -120,8 +122,9 @@ impl Processor {
 
     pub(super) fn tick_nacks(&mut self, now: SimTime) {
         let max_span = self.cfg.max_nack_span;
-        let gids: Vec<GroupId> = self.groups.keys().copied().collect();
-        for gid in gids {
+        let mut cur = None;
+        while let Some(gid) = self.next_group(cur) {
+            cur = Some(gid);
             let requests = {
                 let g = self.groups.get_mut(&gid).expect("listed");
                 // Under adaptive timers the jitter window tracks SRTT and
@@ -176,8 +179,9 @@ impl Processor {
     }
 
     pub(super) fn tick_fault_detector(&mut self, now: SimTime) {
-        let gids: Vec<GroupId> = self.groups.keys().copied().collect();
-        for gid in gids {
+        let mut cur = None;
+        while let Some(gid) = self.next_group(cur) {
+            cur = Some(gid);
             // Ack-progress detector: a member still heartbeating (so the
             // silence timeout below never fires) whose reported ack sits
             // below our own reception frontier and has not moved for
@@ -188,10 +192,8 @@ impl Processor {
             let stalled: Vec<ProcessorId> = {
                 let g = self.groups.get_mut(&gid).expect("listed");
                 let own_ack = g.romp.ordering().ack_ts();
-                let acks: Vec<(ProcessorId, Timestamp)> =
-                    g.romp.ordering().reported_acks().collect();
                 let mut out = Vec::new();
-                for (p, ack) in acks {
+                for (p, ack) in g.romp.ordering().reported_acks() {
                     if p == self.id {
                         continue;
                     }
@@ -288,8 +290,9 @@ impl Processor {
             self.send_connect_request(now, conn, &procs, addr);
         }
         // Sponsor AddProcessor retransmissions until the joiner is heard.
-        let gids: Vec<GroupId> = self.groups.keys().copied().collect();
-        for gid in gids {
+        let mut cur = None;
+        while let Some(gid) = self.next_group(cur) {
+            cur = Some(gid);
             let g = self.groups.get_mut(&gid).expect("listed");
             let mut resend: Vec<(McastAddr, Bytes)> = Vec::new();
             let heard: Vec<ProcessorId> = g

@@ -221,6 +221,28 @@ impl Ordering {
         out
     }
 
+    /// Timestamp of the head of the queue, the next message to deliver.
+    fn head_ts(&self) -> Option<Timestamp> {
+        self.queue.first_key_value().map(|(&(ts, _), _)| ts)
+    }
+
+    /// The members holding back the head of the queue: those whose horizon
+    /// is still below its timestamp. Empty exactly when
+    /// [`deliverable`](Self::deliverable) would pop (or the queue is empty).
+    pub fn head_blockers(&self) -> impl Iterator<Item = ProcessorId> + '_ {
+        let head = self.head_ts();
+        self.horizon
+            .iter()
+            .filter(move |&(_, &h)| head.is_some_and(|ts| h < ts))
+            .map(|(&p, _)| p)
+    }
+
+    /// Is `p` one of the [`head_blockers`](Self::head_blockers)? Two
+    /// lookups, for the per-packet prompt rule.
+    pub fn blocks_head(&self, p: ProcessorId) -> bool {
+        matches!((self.head_ts(), self.horizon_of(p)), (Some(ts), Some(h)) if h < ts)
+    }
+
     /// Membership-change flush (§7.2): after reconciliation every survivor
     /// holds the identical message set up to the agreed per-source targets,
     /// so deliver everything queued with `seq ≤ target[source]` in order.
@@ -644,6 +666,58 @@ mod tests {
         assert!(ord.deliverable().is_empty(), "blocked by silent P3");
         ord.remove_member(ProcessorId(3));
         assert_eq!(ord.deliverable().len(), 1);
+    }
+
+    #[test]
+    fn head_blockers_name_the_members_below_the_queue_head() {
+        let mut ord = Ordering::new(members(3), Timestamp(0));
+        assert_eq!(ord.head_blockers().count(), 0, "empty queue: nobody blocks");
+        ord.enqueue(m(1, 1, 10));
+        ord.enqueue(m(1, 2, 30));
+        ord.advance_horizon(ProcessorId(1), Timestamp(30));
+        ord.advance_horizon(ProcessorId(2), Timestamp(9));
+        let blockers: Vec<ProcessorId> = ord.head_blockers().collect();
+        assert_eq!(blockers, vec![ProcessorId(2), ProcessorId(3)]);
+        // Only the head counts: P2 at 10 is below the second message (30)
+        // but no longer holds the first.
+        ord.advance_horizon(ProcessorId(2), Timestamp(10));
+        let blockers: Vec<ProcessorId> = ord.head_blockers().collect();
+        assert_eq!(blockers, vec![ProcessorId(3)]);
+        ord.remove_member(ProcessorId(3));
+        assert_eq!(ord.head_blockers().count(), 0);
+        assert_eq!(ord.deliverable().len(), 1);
+        let blockers: Vec<ProcessorId> = ord.head_blockers().collect();
+        assert_eq!(blockers, vec![ProcessorId(2)], "the new head is at 30");
+    }
+
+    proptest! {
+        /// `head_blockers` is the delivery rule read backwards: with a
+        /// message queued it is empty exactly when `deliverable` pops.
+        #[test]
+        fn prop_head_blockers_empty_iff_deliverable_pops(
+            ops in proptest::collection::vec((0u8..3, 1u32..=4, 1u64..60), 1..60),
+        ) {
+            let mut ord = Ordering::new(members(4), Timestamp(0));
+            let mut seq = 0u64;
+            for (op, p, t) in ops {
+                match op {
+                    0 => {
+                        seq += 1;
+                        ord.enqueue(m(p, seq, t));
+                    }
+                    1 => ord.advance_horizon(ProcessorId(p), Timestamp(t)),
+                    _ => ord.remove_member(ProcessorId(p)),
+                }
+                let queued = ord.queue_len() > 0;
+                for q in 1..=5u32 {
+                    let q = ProcessorId(q);
+                    prop_assert_eq!(ord.blocks_head(q), ord.head_blockers().any(|b| b == q));
+                }
+                let unblocked = ord.head_blockers().next().is_none();
+                let popped = !ord.deliverable().is_empty();
+                prop_assert_eq!(queued && unblocked, popped);
+            }
+        }
     }
 
     #[test]

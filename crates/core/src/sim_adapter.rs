@@ -400,13 +400,42 @@ mod tests {
         net
     }
 
-    /// With packing off (the default), the wire trace is pinned: no packed
-    /// containers ever appear, and the exact event sequence matches the
-    /// golden hash recorded from the pre-packing protocol. Reproducibility
-    /// of the existing experiments is byte-for-byte.
+    /// The hash of [`traced_run`] recorded from the pre-packing protocol.
+    /// Every member bursts in the same instant there, so nobody is a quiet
+    /// blocker and horizon on demand never fires: the default configuration
+    /// and the paper's timer-only heartbeat both reproduce it.
+    const GOLDEN: u64 = 0x40E7_EDBA_EE0B_E021;
+
+    /// The hash of [`traced_paced_run`] under the default configuration,
+    /// where every message draws one prompted Heartbeat from each quiet
+    /// member (DESIGN.md §4).
+    const GOLDEN_PROMPTED: u64 = 0xB486_CABB_BC5F_89A5;
+
+    /// A second fixed scenario, the one horizon on demand exists for: only
+    /// member 1 multicasts, once every 7 ms for 98 ms, among quiet members.
+    fn traced_paced_run(cfg: ProtocolConfig) -> SimNet<SimProcessor> {
+        let mut net = build_net(3, SimConfig::with_seed(7), cfg);
+        net.enable_trace(1 << 16);
+        for k in 0..14u64 {
+            net.with_node(1, |n, now, out| {
+                n.engine_mut()
+                    .multicast_request(now, conn(), RequestNum(k), Bytes::from(vec![1u8; 32]))
+                    .unwrap();
+                n.pump(out);
+            });
+            net.run_for(SimDuration::from_millis(7));
+        }
+        net
+    }
+
+    /// With packing off (the default) and the paper's timer-only heartbeat,
+    /// the wire trace is pinned: no packed containers ever appear, and the
+    /// exact event sequence matches the golden hash recorded from the
+    /// pre-packing protocol — horizon on demand is the only thing the
+    /// default adds to the historical wire behaviour.
     #[test]
     fn default_config_wire_trace_is_container_free_and_pinned() {
-        let net = traced_run(ProtocolConfig::with_seed(7));
+        let net = traced_run(ProtocolConfig::with_seed(7).prompt_horizon(false));
         assert!(
             !ProtocolConfig::with_seed(7).packing.enabled,
             "packing defaults to off"
@@ -424,8 +453,33 @@ mod tests {
         );
         assert_eq!(
             trace_hash(&net),
-            0x40E7_EDBA_EE0B_E021,
+            GOLDEN,
             "default-config wire trace drifted from the pre-packing protocol"
+        );
+    }
+
+    /// The default's own pin: in the paced scenario every quiet member
+    /// answers each message with one prompted Heartbeat, the sender with
+    /// none, and the trace is fixed bit for bit.
+    #[test]
+    fn prompted_heartbeat_wire_trace_is_pinned() {
+        let mut net = traced_paced_run(ProtocolConfig::with_seed(7));
+        let prompted = |net: &SimNet<SimProcessor>, id: u32| {
+            net.node(id).unwrap().engine().stats().heartbeats_prompted
+        };
+        assert_eq!(prompted(&net, 1), 0, "the sender is never quiet");
+        // The first message arrives inside the half interval and is
+        // answered from the timer; every later one inside `handle_packet`.
+        assert_eq!(prompted(&net, 2), 14, "one per message");
+        assert_eq!(prompted(&net, 3), 14);
+        for id in 1..=3u32 {
+            let d = net.node_mut(id).unwrap().take_deliveries();
+            assert_eq!(d.len(), 14, "P{id} delivered every message");
+        }
+        assert_eq!(
+            trace_hash(&net),
+            GOLDEN_PROMPTED,
+            "the default wire behaviour (horizon on demand) drifted"
         );
     }
 
@@ -437,7 +491,7 @@ mod tests {
         let net = traced_run_with(ProtocolConfig::with_seed(7), true);
         assert_eq!(
             trace_hash(&net),
-            0x40E7_EDBA_EE0B_E021,
+            GOLDEN,
             "enabling telemetry perturbed the wire traffic"
         );
         let snap = net
@@ -513,7 +567,7 @@ mod tests {
         net.run_for(SimDuration::from_millis(100));
         assert_eq!(
             trace_hash(&net),
-            0x40E7_EDBA_EE0B_E021,
+            GOLDEN,
             "attaching a delivery log perturbed the wire traffic"
         );
         assert_eq!(

@@ -1,6 +1,7 @@
 //! Protocol counters: per-processor totals, per-group buffer snapshots and
 //! the per-layer counters each sub-state-machine maintains for itself.
 
+use crate::ids::ProcessorId;
 use crate::pgmp::PgmpCounters;
 use crate::rmp::RmpCounters;
 use crate::romp::RompCounters;
@@ -44,6 +45,10 @@ pub struct ProcessorStats {
     /// Standalone heartbeats skipped because their ack information already
     /// rode out piggybacked on recent traffic (DESIGN.md §5).
     pub heartbeats_suppressed: u64,
+    /// Heartbeats sent ahead of the interval because this member was holding
+    /// back the head of its own ordering queue (horizon on demand,
+    /// DESIGN.md §4).
+    pub heartbeats_prompted: u64,
     /// Incoming packed containers rejected whole (framing or inner decode
     /// error; no partial delivery).
     pub packed_rejects: u64,
@@ -71,10 +76,11 @@ impl ProcessorStats {
     /// telemetry registry so FTMP_METRICS_DIR snapshots include them
     /// (mirrors `ShardSet::register_metrics` for the ORB shard counters).
     pub fn register_metrics(&self, reg: &mut ftmp_telemetry::Registry) {
-        let pairs: [(&str, u64); 7] = [
+        let pairs: [(&str, u64); 8] = [
             ("ftmp_packed_datagrams_sent", self.packed_datagrams_sent),
             ("ftmp_messages_packed", self.messages_packed),
             ("ftmp_heartbeats_suppressed", self.heartbeats_suppressed),
+            ("ftmp_heartbeats_prompted", self.heartbeats_prompted),
             ("ftmp_packed_rejects", self.packed_rejects),
             ("ftmp_control_received", self.control_received()),
             (
@@ -91,7 +97,7 @@ impl ProcessorStats {
 }
 
 /// Point-in-time buffer metrics for one group (experiment E6).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct GroupMetrics {
     /// Messages held for any-holder retransmission.
     pub retention_msgs: usize,
@@ -101,6 +107,9 @@ pub struct GroupMetrics {
     pub ordering_queue: usize,
     /// Out-of-order messages buffered in receive windows.
     pub rx_buffered: usize,
+    /// The members the head of the ordering queue is waiting on (their
+    /// horizon is below its timestamp); empty when nothing is held.
+    pub head_blocked_on: Vec<ProcessorId>,
 }
 
 /// The three layers' own counters for one group (or summed across groups by

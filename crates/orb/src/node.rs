@@ -478,6 +478,10 @@ mod tests {
             .flow_control(ftmp_core::FlowControl::window(4, 1));
         let mut net = build_with(31, LossModel::None, cfg);
         wait_connected(&mut net);
+        // Let the Connect gate lift (§7: no ordered send until every member
+        // was heard past the Connect): sends behind it queue in the engine
+        // without touching the window this test is about.
+        net.run_for(SimDuration::from_millis(10));
         // Flood far past the send window and the deferred queue from one
         // client in a single instant.
         const FLOOD: usize = 100;
@@ -512,6 +516,65 @@ mod tests {
                 .any(|c| matches!(&c.result, InvocationResult::Ok(_))),
             "non-shed invocations completed normally"
         );
+    }
+
+    /// The flood that lands *behind* the Connect gate, which is where a
+    /// client that invokes the moment it is connected now finds itself
+    /// (connections establish before the gate lifts). The engine queues
+    /// gated sends without charging the window, so nothing is refused up
+    /// front; what matters is that the gate's lifting drains that queue
+    /// through the window — closing it, parking the rest, resuming on every
+    /// reopening — and loses none of it.
+    #[test]
+    fn flood_behind_the_connect_gate_drains_through_the_window() {
+        let cfg = ftmp_core::ProtocolConfig::with_seed(31)
+            .flow_control(ftmp_core::FlowControl::window(4, 1));
+        let mut net = build_with(31, LossModel::None, cfg);
+        wait_connected(&mut net);
+        const FLOOD: usize = 100;
+        net.with_node(1, |n, now, out| {
+            for _ in 0..FLOOD {
+                n.invoke(now, conn(), b"bank", "deposit", &encode_i64_arg(1), out);
+            }
+        });
+        let node = net.node(1).unwrap();
+        assert!(
+            !node.is_backpressured() && node.deferred_len() == 0 && node.shed_count() == 0,
+            "gated sends queue in the engine, ahead of flow control"
+        );
+        assert_eq!(node.proc().stats().backpressure_closes, 0);
+        net.run_for(SimDuration::from_millis(5_000));
+        let node = net.node_mut(1).unwrap();
+        let stats = node.proc().stats();
+        assert!(
+            stats.backpressure_closes >= 1 && stats.backpressure_opens >= 1,
+            "the drain ran into the window and was resumed by its reopening"
+        );
+        assert!(!node.is_backpressured(), "window open again once drained");
+        let done = node.take_completions();
+        assert_eq!(done.len(), FLOOD, "nothing queued behind the gate is lost");
+        assert!(
+            done.iter()
+                .all(|c| matches!(&c.result, InvocationResult::Ok(_))),
+            "accepted sends are never shed"
+        );
+        for id in 3..=5u32 {
+            let snap = net
+                .node(id)
+                .unwrap()
+                .orb()
+                .servant(og_server())
+                .unwrap()
+                .snapshot();
+            let balance = ftmp_cdr::CdrReader::new(&snap, ftmp_cdr::ByteOrder::Big)
+                .read_i64()
+                .unwrap();
+            assert_eq!(
+                balance,
+                1_000 + FLOOD as i64,
+                "server P{id} applied each once"
+            );
+        }
     }
 
     #[test]

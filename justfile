@@ -26,9 +26,12 @@ test-all:
 # The full CI gate.
 ci: fmt clippy test
 
-# Wide chaos sweep, release mode (CHAOS_SEEDS seeds per test).
+# Wide chaos sweep, release mode (CHAOS_SEEDS seeds per test) plus the
+# 1000-seed sweep that pins the known onset convictions, then the long
+# closed-loop ORB run (35 s virtual) that pins the two-interval lock.
 chaos:
-    CHAOS_SEEDS=32 cargo test --release --test chaos
+    CHAOS_SEEDS=32 cargo test --release --test chaos -- --include-ignored
+    cargo test --release --test orb_invocations -- --ignored
 
 # Conformance sweep: the oracle suite over the full fault matrix, release
 # mode (CONFORMANCE_SEEDS seeds per scenario); writes CONFORMANCE_verdicts.json.
@@ -48,6 +51,15 @@ metrics:
 bench:
     cargo bench -p ftmp-bench
     cargo run --release -p ftmp-bench --bin pack_snapshot
+
+# The benchmark BENCHMARK.json describes (benchmark/BENCHMARK.md): six
+# workloads, both passes. The package is outside the root workspace.
+benchmark:
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run all
+
+# Every benchmark workload at 1/200 scale, both passes, correctness gate on.
+benchmark-smoke:
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # Engine-saturation snapshot: sustained throughput and p99 e2e latency at
 # 3/5/7 replicas plus the 10k-connection soak (BENCH_e2e.json).

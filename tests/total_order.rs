@@ -121,3 +121,45 @@ fn large_payloads_survive() {
     w.run_ms(500);
     assert_order_properties(&mut w, &checker, 10);
 }
+
+/// Horizon on demand (DESIGN.md §4): one paced sender among quiet members.
+/// Each quiet member answers a message it is holding back with a Heartbeat
+/// at once, so the ordering hold is a round trip, not the 10 ms heartbeat
+/// interval the timer alone gives (median 5 ms).
+#[test]
+fn paced_sender_orders_within_a_round_trip_at_every_member() {
+    const MSGS: usize = 100;
+    for n in [3u32, 5, 7] {
+        let seed = 70 + u64::from(n);
+        let mut w = FtmpWorld::new(
+            n,
+            SimConfig::with_seed(seed),
+            ProtocolConfig::with_seed(seed),
+            ClockMode::Lamport,
+        );
+        let checker = w.attach_checker();
+        let mut sent_at = Vec::new();
+        for _ in 0..MSGS {
+            sent_at.push(w.net.now().as_micros());
+            w.send(1, 64);
+            w.run_ms(7); // coprime to the heartbeat interval
+        }
+        w.run_ms(100);
+        for id in 1..=n {
+            let delivered = w.net.node_mut(id).unwrap().take_deliveries();
+            assert_eq!(delivered.len(), MSGS, "P{id} of {n} delivered everything");
+            // One sender: the k-th delivery is the k-th send.
+            let mut latency: Vec<u64> = delivered
+                .iter()
+                .zip(&sent_at)
+                .map(|((at, _), sent)| at.as_micros() - sent)
+                .collect();
+            latency.sort_unstable();
+            let p50 = latency[MSGS / 2];
+            assert!(p50 < 1_000, "P{id} of {n}: order latency p50 {p50} us");
+        }
+        checker.finish(w.live());
+        checker.assert_clean("paced sender, horizon on demand");
+        assert_eq!(checker.delivered(), MSGS as u64 * u64::from(n));
+    }
+}
