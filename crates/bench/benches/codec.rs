@@ -1,7 +1,7 @@
 //! Marshalling microbenches: CDR, GIOP, FTMP wire codecs (the per-message
 //! CPU cost of the Fig. 2 encapsulation).
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ftmp_cdr::{ByteOrder, CdrReader, CdrWriter};
 use ftmp_core::wire::{self, classify, AckVector, FtmpBody, FtmpMessage};
@@ -174,13 +174,9 @@ fn bench_packed_container(c: &mut Criterion) {
     }
     // Buffer-reusing encode vs the allocating one.
     let msg = ftmp_regular(256);
-    g.bench_function("encode_into_reused_buf", |b| {
-        let mut buf = BytesMut::with_capacity(1024);
-        b.iter(|| {
-            buf.clear();
-            msg.encode_into(ByteOrder::native(), &mut buf);
-            black_box(buf.len())
-        })
+    g.bench_function("encode_reused_scratch", |b| {
+        let mut scratch = CdrWriter::new(ByteOrder::native());
+        b.iter(|| black_box(msg.encode_with_scratch(ByteOrder::native(), &mut scratch)))
     });
     g.bench_function("decode_shared_regular", |b| {
         let bytes = msg.encode(ByteOrder::native());

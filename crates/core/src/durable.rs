@@ -2,11 +2,12 @@
 //!
 //! A [`DeliveryLog`] receives exactly what the Action spine hands the
 //! application — ordered deliveries and installed membership views — at the
-//! moment they are emitted. Like the observation and telemetry sinks, it is
-//! `None` by default, each hook is a single `is_some` branch, and nothing a
-//! log implementation does can feed back into the protocol: the trait has
-//! no outputs. The golden trace-hash tests pin that wire traffic is
-//! bit-identical with the sink attached and detached.
+//! moment they are emitted. It is one of the three readers of the shell's
+//! instrumentation tap (DESIGN.md §9), beside observations and telemetry:
+//! absent by default, fed from the `Delivered` and `ViewInstalled` events,
+//! and nothing a log implementation does can feed back into the protocol —
+//! the trait has no outputs. The golden trace-hash tests pin that wire
+//! traffic is bit-identical with the log attached and detached.
 //!
 //! The on-disk implementation lives in `ftmp-store` (which depends on this
 //! crate, not the other way around); anything implementing the two hooks —

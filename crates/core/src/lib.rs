@@ -30,12 +30,13 @@
 //! buffer; [`adaptive`] the RTT/interarrival estimators and the derived
 //! adaptive-timer policy; [`pack`] the datagram packer coalescing outgoing
 //! messages into MTU-sized containers with piggybacked ack vectors;
-//! [`observe`] the typed observation stream the `ftmp-check` conformance
-//! oracles consume (off by default, zero-cost when off); [`telemetry`] the
-//! per-processor metrics hooks and flight recorder (DESIGN.md §10, same
-//! off-by-default contract); [`durable`] the delivery-log sink trait the
-//! `ftmp-store` on-disk log implements (DESIGN.md §12, same contract);
-//! [`stats`]
+//! the shell reports what it does as one event stream through a private
+//! tap (`tap.rs`, DESIGN.md §9) with three readers, all off by default and
+//! one branch per site when off: [`observe`] the typed observation stream
+//! the `ftmp-check` conformance oracles consume; [`telemetry`] the
+//! per-processor metrics and flight recorder (DESIGN.md §10); [`durable`]
+//! the delivery-log trait the `ftmp-store` on-disk log implements
+//! (DESIGN.md §12); [`stats`]
 //! the counter types, including the per-layer
 //! [`LayerCounters`](stats::LayerCounters); [`processor`] the composition
 //! shell tying the three layers into one endpoint; [`sim_adapter`] plugs an
@@ -63,6 +64,7 @@ pub mod rmp;
 pub mod romp;
 pub mod sim_adapter;
 pub mod stats;
+mod tap;
 pub mod telemetry;
 pub mod wire;
 

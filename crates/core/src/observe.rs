@@ -10,15 +10,17 @@
 //! source/causal/total order, virtual synchrony, duplicate suppression,
 //! buffer-reclamation safety).
 //!
-//! Recording is **off by default and zero-cost when off**: the buffer is an
-//! `Option` and every emission site guards on it with a single branch. No
-//! observation value is even constructed unless recording was enabled, so
-//! the default wire behaviour (pinned by the golden trace-hash test) and
-//! the hot-path allocation profile are untouched.
+//! Recording is **off by default and zero-cost when off**. The shell never
+//! builds an observation: it reports borrowed events to its
+//! instrumentation tap (`tap.rs`, DESIGN.md §9), and only when recording is
+//! enabled is an event projected into the owned value kept here. The
+//! default wire behaviour (pinned by the golden trace-hash test) and the
+//! hot-path allocation profile are untouched.
 
 use crate::ids::{
     ConnectionId, GroupId, ObjectGroupId, ProcessorId, RequestNum, SeqNum, Timestamp,
 };
+use crate::tap::Event;
 use std::fmt::Write as _;
 
 /// One externally meaningful protocol event, as seen by a single processor.
@@ -119,6 +121,64 @@ pub enum Observation {
 }
 
 impl Observation {
+    /// Append `ev`'s observable projection to `out`: one observation for
+    /// most events, one per entry for a piggybacked ack vector, none for
+    /// the events only telemetry reads. Order of emission is order of
+    /// recording.
+    pub(crate) fn project(ev: &Event<'_>, out: &mut Vec<Observation>) {
+        out.push(match *ev {
+            Event::Delivered(d) => Observation::Delivered {
+                group: d.group,
+                conn: d.conn,
+                request: d.request_num,
+                source: d.source,
+                seq: d.seq,
+                ts: d.ts,
+            },
+            Event::ViewInstalled { group, members, ts } => Observation::ViewInstalled {
+                group,
+                members: members.iter().copied().collect(),
+                ts,
+            },
+            Event::Sent { group, seq, ts, .. } => Observation::Sent { group, seq, ts },
+            Event::Acked { group, member, ts } => Observation::Acked { group, member, ts },
+            Event::AckVector(v) => {
+                out.extend(v.entries.iter().map(|&(member, ts)| Observation::Acked {
+                    group: v.group,
+                    member,
+                    ts,
+                }));
+                return;
+            }
+            Event::Retained {
+                group,
+                source,
+                seq,
+                ts,
+            } => Observation::Retained {
+                group,
+                source,
+                seq,
+                ts,
+            },
+            Event::Stable {
+                group,
+                stable_ts,
+                reclaimed,
+            } if reclaimed > 0 => Observation::Reclaimed {
+                group,
+                stable_ts,
+                count: reclaimed,
+            },
+            Event::Suspected { group, suspect } => Observation::Suspected { group, suspect },
+            Event::Convicted { group, processor } => Observation::Convicted {
+                group,
+                convicted: processor,
+            },
+            _ => return,
+        });
+    }
+
     /// The group this observation belongs to.
     pub fn group(&self) -> GroupId {
         match self {

@@ -63,6 +63,7 @@ use crate::pgmp::{
 use crate::rmp::{RmpInput, RmpLayer, RmpOutput};
 use crate::romp::{RompInput, RompLayer, RompOutput, WindowEdge};
 pub use crate::stats::{GroupMetrics, LayerCounters, ProcessorStats};
+use crate::tap::{Event, Tap};
 use crate::telemetry::Telemetry;
 use crate::wire::{self, AckVector, FtmpBody, FtmpMessage, FtmpMsgType};
 use bytes::Bytes;
@@ -273,18 +274,11 @@ pub struct Processor {
     /// `cfg.packing.enabled` is false.
     packer: Packer,
     stats: ProcessorStats,
-    /// Conformance observation buffer (DESIGN.md §9). `None` (the default)
-    /// disables recording entirely: every emission site is a single
-    /// `is_some` branch and never constructs an [`Observation`].
-    obs: Option<Vec<Observation>>,
-    /// Telemetry state (DESIGN.md §10): latency histograms, protocol
-    /// counters, flight recorder. Same contract as `obs`: `None` (the
-    /// default) makes every hook a single `is_some` branch.
-    tel: Option<Box<Telemetry>>,
-    /// Durable delivery-log sink (DESIGN.md §12). Same contract again:
-    /// `None` by default, one branch per hook, and the trait has no outputs
-    /// so a log can never perturb the protocol.
-    dlog: Option<Box<dyn crate::durable::DeliveryLog>>,
+    /// The instrumentation tap (DESIGN.md §9): every instrumented site
+    /// emits one borrowed [`Event`] here, and the conformance observations,
+    /// telemetry and the durable delivery log each read that one stream.
+    /// All three are off by default; an emit is then a single branch.
+    tap: Tap,
     /// Reusable body-encode scratch: every outgoing message's CDR body is
     /// written into this one buffer, so steady-state sends pay a single
     /// exact-size output allocation (the [`Bytes`] that the Send action,
@@ -301,19 +295,36 @@ pub struct Processor {
 fn emit_wire(
     sink: &mut ActionSink,
     stats: &mut ProcessorStats,
-    tel: &mut Option<Box<Telemetry>>,
+    tap: &mut Tap,
+    now: SimTime,
     addr: McastAddr,
     payload: Bytes,
 ) {
     if wire::is_packed(&payload) {
         stats.packed_datagrams_sent += 1;
-        let count = wire::message_count(&payload);
-        stats.messages_packed += u64::from(count);
-        if let Some(t) = tel.as_mut() {
-            t.on_packed_sent(count);
-        }
+        let msgs = wire::message_count(&payload);
+        stats.messages_packed += u64::from(msgs);
+        tap.emit(now, Event::PackedSent { msgs });
     }
     sink.send(addr, payload);
+}
+
+/// `members` just took effect as `group`'s view: tell the tap, then the
+/// application.
+fn install_view(
+    tap: &mut Tap,
+    sink: &mut ActionSink,
+    now: SimTime,
+    group: GroupId,
+    members: &BTreeSet<ProcessorId>,
+    ts: Timestamp,
+) {
+    tap.emit(now, Event::ViewInstalled { group, members, ts });
+    sink.event(ProtocolEvent::MembershipChange {
+        group,
+        members: members.iter().copied().collect(),
+        ts,
+    });
 }
 
 impl Processor {
@@ -334,9 +345,7 @@ impl Processor {
             sink: ActionSink::default(),
             packer,
             stats: ProcessorStats::default(),
-            obs: None,
-            tel: None,
-            dlog: None,
+            tap: Tap::default(),
             enc_body: CdrWriter::new(ByteOrder::native()),
             batch_depth: 0,
         }
@@ -346,21 +355,14 @@ impl Processor {
     /// accumulate until drained with [`Processor::drain_observations_into`];
     /// protocol behaviour is unaffected.
     pub fn enable_observations(&mut self) {
-        if self.obs.is_none() {
-            self.obs = Some(Vec::new());
-        }
-    }
-
-    /// Whether observation recording is enabled.
-    pub fn observations_enabled(&self) -> bool {
-        self.obs.is_some()
+        self.tap.obs.get_or_insert_with(Vec::new);
     }
 
     /// Move all recorded observations into `out` (cleared first). Both
     /// buffers keep their capacity; a no-op when recording is disabled.
     pub fn drain_observations_into(&mut self, out: &mut Vec<Observation>) {
         out.clear();
-        if let Some(buf) = self.obs.as_mut() {
+        if let Some(buf) = &mut self.tap.obs {
             std::mem::swap(buf, out);
         }
     }
@@ -370,20 +372,14 @@ impl Processor {
     /// Protocol behaviour — and wire traffic — is unaffected (the golden
     /// trace-hash test pins this).
     pub fn enable_telemetry(&mut self) {
-        if self.tel.is_none() {
-            self.tel = Some(Box::new(Telemetry::new(self.id)));
-        }
-    }
-
-    /// Whether telemetry is enabled.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.tel.is_some()
+        let tel = &mut self.tap.tel;
+        tel.get_or_insert_with(|| Box::new(Telemetry::new(self.id)));
     }
 
     /// The telemetry state, when enabled (snapshots, registry aggregation,
     /// flight-recorder access).
     pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.tel.as_deref()
+        self.tap.tel.as_deref()
     }
 
     /// Attach a durable delivery log (DESIGN.md §12). From this point every
@@ -391,62 +387,24 @@ impl Processor {
     /// behaviour — and wire traffic — is unaffected (the golden trace-hash
     /// test pins this).
     pub fn set_delivery_log(&mut self, log: Box<dyn crate::durable::DeliveryLog>) {
-        self.dlog = Some(log);
+        self.tap.dlog = Some(log);
     }
 
     /// Whether a durable delivery log is attached.
     pub fn delivery_log_enabled(&self) -> bool {
-        self.dlog.is_some()
-    }
-
-    /// Detach and return the delivery log, e.g. to sync or inspect it at
-    /// shutdown.
-    pub fn take_delivery_log(&mut self) -> Option<Box<dyn crate::durable::DeliveryLog>> {
-        self.dlog.take()
+        self.tap.dlog.is_some()
     }
 
     /// Render the current flight-recorder ring, when telemetry is enabled.
     pub fn flight_dump(&self) -> Option<String> {
-        self.tel.as_deref().map(Telemetry::render_flight)
+        self.telemetry().map(Telemetry::render_flight)
     }
 
     /// The flight dump frozen at the first conviction, if telemetry is
     /// enabled and a conviction fired.
     pub fn conviction_dump(&self) -> Option<String> {
-        self.tel
-            .as_deref()
+        self.telemetry()
             .and_then(|t| t.conviction_dump().map(str::to_owned))
-    }
-
-    /// Record `e`'s observable projection (if any), then push it to the sink.
-    /// MembershipChange and FaultReport are the view-installation and
-    /// conviction observations; a joiner's committed join additionally emits
-    /// its first view at the JoinedGroup site, where the membership is known.
-    pub(crate) fn emit_event(&mut self, e: ProtocolEvent) {
-        if let Some(log) = self.dlog.as_deref_mut() {
-            if let ProtocolEvent::MembershipChange { group, members, ts } = &e {
-                log.on_view_change(*group, members, *ts);
-            }
-        }
-        if let Some(obs) = &mut self.obs {
-            match &e {
-                ProtocolEvent::MembershipChange { group, members, ts } => {
-                    obs.push(Observation::ViewInstalled {
-                        group: *group,
-                        members: members.clone(),
-                        ts: *ts,
-                    });
-                }
-                ProtocolEvent::FaultReport { group, processor } => {
-                    obs.push(Observation::Convicted {
-                        group: *group,
-                        convicted: *processor,
-                    });
-                }
-                _ => {}
-            }
-        }
-        self.sink.event(e);
     }
 
     /// This endpoint's id.
@@ -793,15 +751,7 @@ impl Processor {
                     g.romp.ordering_mut().record_ack(p, ack);
                 }
                 g.vector_seen_at = Some(now);
-                if let Some(buf) = self.obs.as_mut() {
-                    for (p, ack) in v.entries {
-                        buf.push(Observation::Acked {
-                            group: v.group,
-                            member: p,
-                            ts: ack,
-                        });
-                    }
-                }
+                self.tap.emit(now, Event::AckVector(&v));
             }
         }
         // A container is one destination's queue, so nearly always one
@@ -898,7 +848,7 @@ impl Processor {
     /// outsider), so the overlay is reconciled lazily here — at most one
     /// tick behind, and during that window the stale tree still only routes
     /// control traffic, never reliable data.
-    fn ensure_overlay(&mut self, _now: SimTime) {
+    fn ensure_overlay(&mut self, now: SimTime) {
         let OverlayPolicy::Tree { arity } = self.cfg.overlay else {
             return;
         };
@@ -933,9 +883,7 @@ impl Processor {
                 self_addr: overlay_addr(gid, self.id),
                 subscribed: want,
             });
-            if let Some(t) = self.tel.as_mut() {
-                t.on_overlay_rebuilt(depth);
-            }
+            self.tap.emit(now, Event::OverlayRebuilt { depth });
         }
     }
 
@@ -973,7 +921,6 @@ impl Processor {
                 (p, g.rmp.contiguous_of(p), horizon, ack)
             })
             .collect();
-        let count = entries.len();
         self.send_unreliable_to(
             now,
             gid,
@@ -983,14 +930,7 @@ impl Processor {
                 entries,
             },
         );
-        if let Some(t) = self.tel.as_mut() {
-            t.on_overlay_digest_sent(count);
-            match dest {
-                DigestDest::Neighborhood => {}
-                DigestDest::Solicit => t.on_overlay_solicit(false),
-                DigestDest::Answer => t.on_overlay_solicit(true),
-            }
-        }
+        self.tap.emit(now, Event::OverlayDigestSent(dest));
     }
 
     /// Merge a neighbor's digest: each entry is processed exactly like that
@@ -1044,18 +984,16 @@ impl Processor {
                 g.pgmp.note_heard(p, now, true);
                 merged += 1;
             }
-            if let Some(buf) = self.obs.as_mut() {
-                buf.push(Observation::Acked {
-                    group: gid,
-                    member: p,
-                    ts: ack,
-                });
-            }
+            let acked = Event::Acked {
+                group: gid,
+                member: p,
+                ts: ack,
+            };
+            self.tap.emit(now, acked);
         }
         if merged > 0 {
-            if let Some(t) = self.tel.as_mut() {
-                t.on_overlay_entries_merged(merged);
-            }
+            self.tap
+                .emit(now, Event::OverlayEntriesMerged { n: merged });
         }
         self.try_deliver(now, gid);
         // A solicit is a starvation beacon: answer with our own digest on
@@ -1083,6 +1021,7 @@ impl Processor {
     /// persistent gaps escalate to the whole group. `None` = group address.
     pub(super) fn overlay_nack_dest(
         &mut self,
+        now: SimTime,
         gid: GroupId,
         src: ProcessorId,
     ) -> Option<McastAddr> {
@@ -1093,11 +1032,9 @@ impl Processor {
         let o = g.overlay.as_ref()?;
         // nack_requests has already bumped the attempt counter, so this is
         // the episode ordinal (1 = first request).
-        let escalate = g.rmp.nack_attempts_of(src) > 2;
-        let dest = if escalate { None } else { Some(o.self_addr) };
-        if let Some(t) = self.tel.as_mut() {
-            t.on_overlay_repair(escalate);
-        }
+        let escalated = g.rmp.nack_attempts_of(src) > 2;
+        let dest = (!escalated).then_some(o.self_addr);
+        self.tap.emit(now, Event::OverlayRepair { escalated });
         dest
     }
 
@@ -1115,11 +1052,11 @@ impl Processor {
             packer,
             sink,
             stats,
-            tel,
+            tap,
             ..
         } = self;
         packer.push(now, addr, payload, &mut |a, b| {
-            emit_wire(sink, stats, tel, a, b)
+            emit_wire(sink, stats, tap, now, a, b)
         });
     }
 
@@ -1141,11 +1078,11 @@ impl Processor {
                 packer,
                 sink,
                 stats,
-                tel,
+                tap,
                 ..
             } = self;
             packer.flush_addr(addr, trailer.as_deref(), &mut |a, b| {
-                emit_wire(sink, stats, tel, a, b)
+                emit_wire(sink, stats, tap, now, a, b)
             });
         }
     }
@@ -1205,17 +1142,13 @@ impl Processor {
         };
         let encoded = self.encode_wire(&msg);
         *self.stats.sent.entry(msg.msg_type()).or_insert(0) += 1;
-        if let Some(buf) = self.obs.as_mut() {
-            buf.push(Observation::Sent {
-                group,
-                seq: msg.seq,
-                ts: msg.ts,
-            });
-        }
-        if let Some(t) = self.tel.as_mut() {
-            let regular = matches!(msg.body, FtmpBody::Regular { .. });
-            t.on_sent(now, group, msg.seq.0, msg.ts.0, regular);
-        }
+        let sent = Event::Sent {
+            group,
+            seq: msg.seq,
+            ts: msg.ts,
+            regular: matches!(msg.body, FtmpBody::Regular { .. }),
+        };
+        self.tap.emit(now, sent);
         // Both handles below are refcounted views of the same arena bytes:
         // the Send action, the retention store and the self-processed copy
         // all share one buffer, no payload is duplicated.
@@ -1352,13 +1285,12 @@ impl Processor {
             ack_ts: msg.ack_ts,
             advance: contiguous >= msg.seq.0,
         });
-        if let Some(buf) = self.obs.as_mut() {
-            buf.push(Observation::Acked {
-                group: msg.group,
-                member: msg.source,
-                ts: msg.ack_ts,
-            });
-        }
+        let acked = Event::Acked {
+            group: msg.group,
+            member: msg.source,
+            ts: msg.ack_ts,
+        };
+        self.tap.emit(now, acked);
         if !own {
             self.maybe_send_exclusion_notice(now, msg.group, msg.source);
         }
@@ -1439,7 +1371,7 @@ impl Processor {
             // Near-miss signal: how much of this peer's failure timeout had
             // elapsed when it finally spoke again? 1000‰ would have been a
             // suspicion; only notable silences (≥250‰) are recorded.
-            if self.tel.is_some() && !msg.retransmission && msg.source != self.id {
+            if self.tap.measuring() && !msg.retransmission && msg.source != self.id {
                 let permille = self.groups.get(&gid).and_then(|g| {
                     let last = *g.pgmp.last_heard.get(&msg.source)?;
                     let timeout = crate::adaptive::fail_timeout_for(
@@ -1450,10 +1382,8 @@ impl Processor {
                     .max(1);
                     Some(now.saturating_since(last).as_micros().saturating_mul(1000) / timeout)
                 });
-                if let Some(p) = permille.filter(|&p| p >= 250) {
-                    if let Some(t) = self.tel.as_mut() {
-                        t.on_peer_silence(p);
-                    }
+                if let Some(permille) = permille.filter(|&p| p >= 250) {
+                    self.tap.emit(now, Event::PeerSilence { permille });
                 }
             }
             let g = self.groups.get_mut(&gid).expect("checked");
@@ -1461,27 +1391,20 @@ impl Processor {
             self.maybe_send_exclusion_notice(now, gid, msg.source);
         }
         let from_self = msg.source == self.id;
-        if self.obs.is_some() {
-            // RMP retains first and idempotently: an arrival not yet in the
-            // store is the one that retains it.
-            let newly = self
-                .groups
-                .get(&gid)
-                .is_some_and(|g| g.rmp.retention().get(msg.source, msg.seq.0).is_none());
-            if newly {
-                if let Some(obs) = &mut self.obs {
-                    obs.push(Observation::Retained {
-                        group: gid,
-                        source: msg.source,
-                        seq: msg.seq,
-                        ts: msg.ts,
-                    });
-                }
-            }
-        }
         let rx_src = msg.source;
         let rx_seq = msg.seq.0;
         let g = self.groups.get_mut(&gid).expect("checked");
+        // RMP retains first and idempotently: an arrival not yet in the
+        // store is the one that retains it.
+        if self.tap.observing() && g.rmp.retention().get(rx_src, rx_seq).is_none() {
+            let retained = Event::Retained {
+                group: gid,
+                source: rx_src,
+                seq: msg.seq,
+                ts: msg.ts,
+            };
+            self.tap.emit(now, retained);
+        }
         // A retransmission answering our own single outstanding NACK is an
         // RTT sample (Karn's rule enforced by the receive window).
         if msg.retransmission && !own && !from_self {
@@ -1490,9 +1413,8 @@ impl Processor {
                 self.stats.rtt_samples += 1;
                 self.stats.srtt_us = g.rtt.srtt().map(|d| d.as_micros()).unwrap_or(0);
                 self.stats.rttvar_us = g.rtt.rttvar().map(|d| d.as_micros()).unwrap_or(0);
-                if let Some(t) = self.tel.as_mut() {
-                    t.on_rtt_sample(self.stats.srtt_us, self.stats.rttvar_us);
-                }
+                let (srtt_us, rttvar_us) = (self.stats.srtt_us, self.stats.rttvar_us);
+                self.tap.emit(now, Event::RttSample { srtt_us, rttvar_us });
             }
         }
         match g.rmp.handle(RmpInput::Reliable { msg, wire, own }) {
@@ -1504,23 +1426,25 @@ impl Processor {
                 }
             }
             RmpOutput::Buffered => {
-                let depth = self
-                    .groups
-                    .get(&gid)
-                    .map_or(0, |g| g.rmp.buffered_total() as u64);
-                if let Some(t) = self.tel.as_mut() {
-                    t.on_buffered(now, gid, rx_src, rx_seq);
-                    t.on_gap_depth(depth);
-                }
+                let buffered = Event::Buffered {
+                    group: gid,
+                    source: rx_src,
+                    seq: rx_seq,
+                    depth: g.rmp.buffered_total() as u64,
+                };
+                self.tap.emit(now, buffered);
             }
             RmpOutput::Released(run) => {
                 for m in run {
                     if !self.groups.contains_key(&gid) {
                         break; // an earlier message in the run made us leave
                     }
-                    if let Some(t) = self.tel.as_mut() {
-                        t.on_released(now, gid, m.source, m.seq.0);
-                    }
+                    let released = Event::Released {
+                        group: gid,
+                        source: m.source,
+                        seq: m.seq.0,
+                    };
+                    self.tap.emit(now, released);
                     self.source_ordered(now, gid, m);
                 }
             }
@@ -1535,22 +1459,17 @@ impl Processor {
         let Some(g) = self.groups.get_mut(&gid) else {
             return;
         };
-        if let Some(buf) = self.obs.as_mut() {
-            // ROMP records the carried ack timestamp for every
-            // source-ordered message (§6).
-            buf.push(Observation::Acked {
-                group: gid,
-                member: m.source,
-                ts: m.ack_ts,
-            });
-        }
+        // ROMP records the carried ack timestamp for every source-ordered
+        // message (§6).
+        let acked = Event::Acked {
+            group: gid,
+            member: m.source,
+            ts: m.ack_ts,
+        };
+        self.tap.emit(now, acked);
         let key = (m.ts, m.source);
         match g.romp.handle(RompInput::SourceOrdered(m)) {
-            RompOutput::Enqueued => {
-                if let Some(t) = self.tel.as_mut() {
-                    t.on_enqueued(now, gid, key);
-                }
-            }
+            RompOutput::Enqueued => self.tap.emit(now, Event::Enqueued { group: gid, key }),
             RompOutput::Control(m) => match m.body {
                 FtmpBody::Suspect { ref suspects, .. } => {
                     let set: BTreeSet<ProcessorId> = suspects.iter().copied().collect();
@@ -1639,9 +1558,7 @@ impl Processor {
                 entries,
             },
         );
-        if let Some(t) = self.tel.as_mut() {
-            t.on_overlay_rescue();
-        }
+        self.tap.emit(now, Event::OverlayRescue);
     }
 
     /// Run the ROMP delivery rule to exhaustion, then housekeeping: buffer
@@ -1668,9 +1585,6 @@ impl Processor {
             }
             delivered_any = true;
             for m in batch {
-                if let Some(t) = self.tel.as_mut() {
-                    t.on_ordered(now, gid, (m.ts, m.source), m.seq.0);
-                }
                 self.handle_ordered(now, gid, m);
             }
         }
@@ -1684,20 +1598,14 @@ impl Processor {
             g.last_progress = now;
         }
         if !g.pgmp.reclaim_pinned() {
-            let stable = g.romp.ordering().stable_ts();
-            let reclaimed = g.rmp.retention_mut().reclaim_stable(stable);
-            if let Some(t) = self.tel.as_mut() {
-                t.on_stable(now, gid, stable);
-            }
-            if reclaimed > 0 {
-                if let Some(buf) = self.obs.as_mut() {
-                    buf.push(Observation::Reclaimed {
-                        group: gid,
-                        stable_ts: stable,
-                        count: reclaimed,
-                    });
-                }
-            }
+            let stable_ts = g.romp.ordering().stable_ts();
+            let reclaimed = g.rmp.retention_mut().reclaim_stable(stable_ts);
+            let stable = Event::Stable {
+                group: gid,
+                stable_ts,
+                reclaimed,
+            };
+            self.tap.emit(now, stable);
         }
         if let Some(gate) = g.pgmp.gate {
             if g.romp.ordering().gate_released(gate) {
@@ -1723,16 +1631,12 @@ impl Processor {
         match g.romp.update_window(occupancy) {
             Some(WindowEdge::Closed) => {
                 self.stats.backpressure_closes += 1;
-                if let Some(t) = self.tel.as_mut() {
-                    t.on_window_closed(now, gid);
-                }
+                self.tap.emit(now, Event::WindowClosed { group: gid });
                 self.sink.push(Action::Backpressure(gid));
             }
             Some(WindowEdge::Reopened) => {
                 self.stats.backpressure_opens += 1;
-                if let Some(t) = self.tel.as_mut() {
-                    t.on_window_reopened(now, gid);
-                }
+                self.tap.emit(now, Event::WindowReopened { group: gid });
                 self.sink.push(Action::SendReady(gid));
                 self.flush_pending(now, gid);
             }
@@ -1814,9 +1718,12 @@ impl Processor {
                     neighborhood.unwrap_or(g.addr)
                 };
                 self.stats.retransmissions_sent += 1;
-                if let Some(t) = self.tel.as_mut() {
-                    t.on_retransmit_answered(now, gid, missing_from, seq);
-                }
+                let answered = Event::RetransmitAnswered {
+                    group: gid,
+                    source: missing_from,
+                    seq,
+                };
+                self.tap.emit(now, answered);
                 self.send_wire(now, addr, payload);
             }
         }

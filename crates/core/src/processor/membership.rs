@@ -17,31 +17,27 @@ impl Processor {
         reporter: ProcessorId,
         suspects: BTreeSet<ProcessorId>,
     ) {
-        let (out, margin) = {
-            let g = self.groups.get_mut(&gid).expect("group exists");
-            let required = self.cfg.suspect_quorum.required(g.pgmp.membership.len());
-            let out = g.pgmp.handle(PgmpInput::SuspectReport {
-                reporter,
-                suspects,
-                required,
-            });
+        let g = self.groups.get_mut(&gid).expect("group exists");
+        let required = self.cfg.suspect_quorum.required(g.pgmp.membership.len());
+        let out = g.pgmp.handle(PgmpInput::SuspectReport {
+            reporter,
+            suspects,
+            required,
+        });
+        if self.tap.measuring() && required > 0 {
             // Near-miss signal: the unconvicted member closest to the
             // conviction quorum, in permille (1000‰ = convicted).
-            let margin = if self.tel.is_some() && required > 0 {
-                g.pgmp
-                    .membership
-                    .iter()
-                    .map(|&q| g.pgmp.suspicion.suspicion_count(q, &g.pgmp.membership))
-                    .filter(|&votes| votes < required)
-                    .map(|votes| (votes * 1000 / required) as i64)
-                    .max()
-            } else {
-                None
-            };
-            (out, margin)
-        };
-        if let (Some(m), Some(t)) = (margin, self.tel.as_mut()) {
-            t.on_conviction_margin(m);
+            let margin = g
+                .pgmp
+                .membership
+                .iter()
+                .map(|&q| g.pgmp.suspicion.suspicion_count(q, &g.pgmp.membership))
+                .filter(|&votes| votes < required)
+                .map(|votes| (votes * 1000 / required) as i64)
+                .max();
+            if let Some(permille) = margin {
+                self.tap.emit(now, Event::ConvictionMargin { permille });
+            }
         }
         if let PgmpOutput::Convicted(convicted) = out {
             self.convict(now, &convicted);
@@ -76,14 +72,13 @@ impl Processor {
         gid: GroupId,
         removals: BTreeSet<ProcessorId>,
     ) {
-        {
-            let removal_count = removals.len();
-            let g = self.groups.get_mut(&gid).expect("group exists");
-            g.pgmp.begin_or_extend_reconfig(removals, now);
-            if let Some(t) = self.tel.as_mut() {
-                t.on_reconfig_started(now, gid, removal_count);
-            }
-        }
+        let started = Event::ReconfigStarted {
+            group: gid,
+            removals: removals.len(),
+        };
+        let g = self.groups.get_mut(&gid).expect("group exists");
+        g.pgmp.begin_or_extend_reconfig(removals, now);
+        self.tap.emit(now, started);
         self.announce_membership(now, gid);
         self.maybe_complete_reconfig(now, gid);
     }
@@ -166,7 +161,7 @@ impl Processor {
             (proposed, rc.targets())
         };
         // Virtual synchrony established: flush, install, resume.
-        let (delivered, events) = {
+        let (removed, delivered, membership, membership_ts) = {
             let g = self.groups.get_mut(&gid).expect("group exists");
             let rc = g.pgmp.reconfig.take().expect("checked");
             let (delivered, discarded) = g.romp.flush_with_targets(&targets, &rc.removed);
@@ -203,19 +198,7 @@ impl Processor {
             }
             g.pgmp.counters.reconfigurations += 1;
             self.stats.reconfigurations += 1;
-            let mut events = Vec::new();
-            for r in removed {
-                events.push(ProtocolEvent::FaultReport {
-                    group: gid,
-                    processor: r,
-                });
-            }
-            events.push(ProtocolEvent::MembershipChange {
-                group: gid,
-                members: membership.iter().copied().collect(),
-                ts: g.pgmp.membership_ts,
-            });
-            (delivered, events)
+            (removed, delivered, membership, g.pgmp.membership_ts)
         };
         // Emission order matters to the conformance oracles: convictions
         // are *decided* before the flush (the flush is their consequence),
@@ -223,28 +206,23 @@ impl Processor {
         // before it sees the survivors deliver past the removed members'
         // discarded tails. The flush deliveries still precede the
         // MembershipChange: they belong to the old view (§7.2).
-        let (faults, views): (Vec<_>, Vec<_>) = events
-            .into_iter()
-            .partition(|e| matches!(e, ProtocolEvent::FaultReport { .. }));
-        for e in faults {
-            if let ProtocolEvent::FaultReport { group, processor } = &e {
-                if let Some(t) = self.tel.as_mut() {
-                    t.on_convicted(now, *group, *processor);
-                }
-            }
-            self.emit_event(e);
+        for processor in removed {
+            let group = gid;
+            self.tap.emit(now, Event::Convicted { group, processor });
+            self.sink
+                .event(ProtocolEvent::FaultReport { group, processor });
         }
         for m in delivered {
             self.handle_ordered(now, gid, m);
         }
-        for e in views {
-            if let ProtocolEvent::MembershipChange { group, members, ts } = &e {
-                if let Some(t) = self.tel.as_mut() {
-                    t.on_view_installed(now, *group, members.len(), ts.0);
-                }
-            }
-            self.emit_event(e);
-        }
+        install_view(
+            &mut self.tap,
+            &mut self.sink,
+            now,
+            gid,
+            &membership,
+            membership_ts,
+        );
         self.flush_pending(now, gid);
         self.try_deliver(now, gid);
     }

@@ -8,6 +8,14 @@ use super::*;
 impl Processor {
     /// A message reached its total-order position.
     pub(super) fn handle_ordered(&mut self, now: SimTime, gid: GroupId, m: FtmpMessage) {
+        // The delivery rule and the membership-change flush both end here,
+        // so this is the one place that sees every ordered message.
+        let ordered = Event::Ordered {
+            group: gid,
+            key: (m.ts, m.source),
+            seq: m.seq.0,
+        };
+        self.tap.emit(now, ordered);
         match m.body {
             FtmpBody::Regular {
                 conn,
@@ -24,16 +32,6 @@ impl Processor {
                     // snapshot, ordered here only to reach the join point.
                 } else if self.conns.group_of(conn) == Some(gid) {
                     self.stats.deliveries += 1;
-                    if let Some(buf) = self.obs.as_mut() {
-                        buf.push(Observation::Delivered {
-                            group: gid,
-                            conn,
-                            request: request_num,
-                            source: m.source,
-                            seq: m.seq,
-                            ts: m.ts,
-                        });
-                    }
                     let d = Delivery {
                         group: gid,
                         conn,
@@ -43,9 +41,7 @@ impl Processor {
                         ts: m.ts,
                         giop: giop.clone(),
                     };
-                    if let Some(log) = self.dlog.as_deref_mut() {
-                        log.on_delivery(&d);
-                    }
+                    self.tap.emit(now, Event::Delivered(&d));
                     self.sink.deliver(d);
                 } else if m.source == self.id {
                     // The connection was re-addressed under this message
@@ -99,39 +95,19 @@ impl Processor {
                 let Some(g) = self.groups.get_mut(&gid) else {
                     return;
                 };
-                if let Some(t) = self.tel.as_mut() {
-                    // Both commit paths below install a view; record before
-                    // the branches so the joiner's own commit is covered too.
-                    if new_member == self.id && g.pgmp.provisional_since.is_some() {
-                        t.on_view_installed(
-                            now,
-                            gid,
-                            g.pgmp.membership.len(),
-                            g.pgmp.membership_ts.0,
-                        );
-                    }
-                }
                 if new_member == self.id && g.pgmp.provisional_since.take().is_some() {
                     // Our own AddProcessor reached its total-order position:
                     // the group committed the join. The membership timestamp
                     // is the AddProcessor's `ts`, so this view's identity
                     // matches the MembershipChange the existing members
                     // install for the same operation.
-                    if self.obs.is_some() || self.dlog.is_some() {
-                        let members: Vec<ProcessorId> = g.pgmp.membership.iter().copied().collect();
-                        let ts = g.pgmp.membership_ts;
-                        if let Some(log) = self.dlog.as_deref_mut() {
-                            log.on_view_change(gid, &members, ts);
-                        }
-                        if let Some(obs) = &mut self.obs {
-                            obs.push(Observation::ViewInstalled {
-                                group: gid,
-                                members,
-                                ts,
-                            });
-                        }
-                    }
-                    self.emit_event(ProtocolEvent::JoinedGroup { group: gid });
+                    let installed = Event::ViewInstalled {
+                        group: gid,
+                        members: &g.pgmp.membership,
+                        ts: g.pgmp.membership_ts,
+                    };
+                    self.tap.emit(now, installed);
+                    self.sink.event(ProtocolEvent::JoinedGroup { group: gid });
                     self.flush_pending(now, gid);
                     return;
                 }
@@ -148,16 +124,8 @@ impl Processor {
                     g.rmp.retention_mut().drop_beyond(new_member, 0);
                     g.romp.ordering_mut().add_member(new_member, m.ts);
                     g.pgmp.last_heard.insert(new_member, now);
-                    let members: Vec<ProcessorId> = g.pgmp.membership.iter().copied().collect();
-                    let ts = g.pgmp.membership_ts;
-                    if let Some(t) = self.tel.as_mut() {
-                        t.on_view_installed(now, gid, members.len(), ts.0);
-                    }
-                    self.emit_event(ProtocolEvent::MembershipChange {
-                        group: gid,
-                        members,
-                        ts,
-                    });
+                    let (members, ts) = (&g.pgmp.membership, g.pgmp.membership_ts);
+                    install_view(&mut self.tap, &mut self.sink, now, gid, members, ts);
                 }
             }
             FtmpBody::RemoveProcessor { member } => {
@@ -191,18 +159,9 @@ impl Processor {
                         g.pgmp.last_heard.remove(&member);
                         g.pgmp.my_suspects.remove(&member);
                         g.pgmp.arrivals.remove(&member);
-                        let membership = g.pgmp.membership.clone();
-                        g.pgmp.suspicion.retain_members(&membership);
-                        let members: Vec<ProcessorId> = membership.iter().copied().collect();
-                        let ts = g.pgmp.membership_ts;
-                        if let Some(t) = self.tel.as_mut() {
-                            t.on_view_installed(now, gid, members.len(), ts.0);
-                        }
-                        self.emit_event(ProtocolEvent::MembershipChange {
-                            group: gid,
-                            members,
-                            ts,
-                        });
+                        g.pgmp.suspicion.retain_members(&g.pgmp.membership);
+                        let (members, ts) = (&g.pgmp.membership, g.pgmp.membership_ts);
+                        install_view(&mut self.tap, &mut self.sink, now, gid, members, ts);
                     }
                 }
             }

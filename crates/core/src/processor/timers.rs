@@ -146,23 +146,27 @@ impl Processor {
             for (src, ranges) in requests {
                 for (a, b) in ranges {
                     self.stats.nacks_sent += 1;
-                    if self.tel.is_some() {
+                    if self.tap.measuring() {
                         // The window just incremented its attempt counter
                         // for this issue, so reading it back reports the
                         // episode's ordinal (1 = first request).
                         let attempts = self
                             .groups
                             .get(&gid)
-                            .map(|g| g.rmp.nack_attempts_of(src))
-                            .unwrap_or(0);
-                        if let Some(t) = self.tel.as_mut() {
-                            t.on_nack(now, gid, src, a, b, attempts);
-                        }
+                            .map_or(0, |g| g.rmp.nack_attempts_of(src));
+                        let nack = Event::Nack {
+                            group: gid,
+                            source: src,
+                            start: a,
+                            stop: b,
+                            attempts,
+                        };
+                        self.tap.emit(now, nack);
                     }
                     // Tree mode routes the first attempts at the overlay
                     // neighborhood and escalates persistent gaps to the
                     // whole group; flat mode always multicasts group-wide.
-                    let dest = self.overlay_nack_dest(gid, src);
+                    let dest = self.overlay_nack_dest(now, gid, src);
                     self.send_unreliable_to(
                         now,
                         gid,
@@ -255,18 +259,9 @@ impl Processor {
                     suspects: g.pgmp.my_suspects.iter().copied().collect(),
                 }
             };
-            if let Some(buf) = self.obs.as_mut() {
-                for &s in &newly {
-                    buf.push(Observation::Suspected {
-                        group: gid,
-                        suspect: s,
-                    });
-                }
-            }
-            if let Some(t) = self.tel.as_mut() {
-                for &s in &newly {
-                    t.on_suspected(now, gid, s);
-                }
+            for &suspect in &newly {
+                let group = gid;
+                self.tap.emit(now, Event::Suspected { group, suspect });
             }
             // Reliable: occupies a sequence slot and reaches everyone; our
             // own copy feeds the suspicion matrix via self-delivery.

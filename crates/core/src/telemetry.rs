@@ -1,12 +1,12 @@
 //! Per-processor telemetry: latency histograms, protocol counters and the
 //! bounded flight recorder (DESIGN.md §10).
 //!
-//! The shell owns a `tel: Option<Box<Telemetry>>` with the same contract as
-//! the observation buffer in [`crate::observe`]: `None` (the default) makes
-//! every hook site a single `is_some` branch that constructs nothing — the
-//! golden trace-hash test in [`crate::sim_adapter`] proves wire traffic is
-//! bit-identical either way. When enabled, the hooks correlate protocol
-//! moments into latency series:
+//! [`Telemetry`] is one of the three consumers behind the shell's
+//! instrumentation tap (`tap.rs`, DESIGN.md §9), absent by default like the
+//! observation buffer in [`crate::observe`] — the golden trace-hash test in
+//! [`crate::sim_adapter`] proves wire traffic is bit-identical either way.
+//! When enabled, `on_event` correlates the shell's events into latency
+//! series:
 //!
 //! * `rmp_recovery_us` — first out-of-order reception → source-order
 //!   release (how long RMP's NACK machinery takes to repair a gap).
@@ -23,7 +23,9 @@
 //! `ftmp-check` splices dumps into oracle counterexample reports.
 
 use crate::ids::{GroupId, ProcessorId, Timestamp};
+use crate::processor::DigestDest;
 use crate::romp::OrderKey;
+use crate::tap::Event;
 use ftmp_net::SimTime;
 use ftmp_telemetry::{CounterId, GaugeId, HistId, Registry, Ring, Snapshot};
 use std::collections::{BTreeMap, VecDeque};
@@ -219,7 +221,7 @@ pub struct FlightEntry {
 }
 
 /// The registered metric handles (registration happens once, in
-/// [`Telemetry::new`]; every hook records through these indices).
+/// [`Telemetry::new`]; `on_event` records through these indices).
 #[derive(Debug)]
 struct Ids {
     rmp_recovery_us: HistId,
@@ -279,7 +281,7 @@ fn corr_insert<K: Ord>(map: &mut BTreeMap<K, SimTime>, k: K, v: SimTime) {
 }
 
 /// The per-processor telemetry state: registry, correlation maps, flight
-/// recorder. Lives behind `Option<Box<_>>` on the shell — absent by
+/// recorder. Lives behind `Option<Box<_>>` on the shell's tap — absent by
 /// default, so the record path costs one branch when disabled.
 #[derive(Debug)]
 pub struct Telemetry {
@@ -352,313 +354,196 @@ impl Telemetry {
         self.flight.push(FlightEntry { at, event });
     }
 
-    /// A reliable message left this processor.
-    pub fn on_sent(&mut self, now: SimTime, gid: GroupId, seq: u64, ts: u64, regular: bool) {
-        if regular {
-            corr_insert(&mut self.corr(gid).own_sent, seq, now);
-        }
-        self.record_event(
-            now,
-            FlightEvent::Sent {
-                group: gid,
+    /// Fold one tap event into the metrics, the correlation maps and the
+    /// flight recorder. Events only the observation stream or the delivery
+    /// log read fall through.
+    pub(crate) fn on_event(&mut self, now: SimTime, ev: &Event<'_>) {
+        let since = |at: SimTime| now.saturating_since(at).as_micros();
+        match *ev {
+            Event::Sent {
+                group,
                 seq,
                 ts,
-            },
-        );
-    }
-
-    /// An out-of-order arrival was buffered behind a gap.
-    pub fn on_buffered(&mut self, now: SimTime, gid: GroupId, source: ProcessorId, seq: u64) {
-        corr_insert(&mut self.corr(gid).buffered_at, (source, seq), now);
-        self.record_event(
-            now,
-            FlightEvent::Buffered {
-                group: gid,
+                regular,
+            } => {
+                if regular {
+                    corr_insert(&mut self.corr(group).own_sent, seq.0, now);
+                }
+                let (seq, ts) = (seq.0, ts.0);
+                self.record_event(now, FlightEvent::Sent { group, seq, ts });
+            }
+            Event::Buffered {
+                group,
                 source,
                 seq,
-            },
-        );
-    }
-
-    /// The out-of-order buffer holds `depth` messages after a new arrival
-    /// was parked behind a gap. The peak depth is a near-miss signal for
-    /// the coverage-guided explorer: schedules that stack deeper gaps are
-    /// closer to reliability/ordering trouble even when every oracle stays
-    /// green (DESIGN.md §15).
-    pub fn on_gap_depth(&mut self, depth: u64) {
-        if depth > self.gap_depth_peak {
-            self.gap_depth_peak = depth;
-            self.reg.set(self.ids.gap_depth_peak, depth as i64);
-        }
-    }
-
-    /// A fresh message arrived from a peer that had been silent for
-    /// `permille` thousandths of its failure timeout — i.e. the peer came
-    /// this close (1000‰ = conviction) to being suspected. Near-miss
-    /// signal for schedules that almost break liveness.
-    pub fn on_peer_silence(&mut self, permille: u64) {
-        self.reg
-            .record(self.ids.suspicion_margin_permille, permille);
-    }
-
-    /// A suspect report left a still-unconvicted member at `permille`
-    /// thousandths of the conviction quorum (1000‰ = convicted). Tracks
-    /// the peak: how close the suspicion matrix came to excluding a
-    /// member that survived.
-    pub fn on_conviction_margin(&mut self, permille: i64) {
-        if permille > self.conviction_margin_peak {
-            self.conviction_margin_peak = permille;
-            self.reg.set(self.ids.conviction_margin_permille, permille);
-        }
-    }
-
-    /// RMP released a message in source order; if it had been buffered, the
-    /// elapsed time is the gap-repair latency.
-    pub fn on_released(&mut self, now: SimTime, gid: GroupId, source: ProcessorId, seq: u64) {
-        if let Some(at) = self.corr(gid).buffered_at.remove(&(source, seq)) {
-            let us = now.saturating_since(at).as_micros();
-            self.reg.record(self.ids.rmp_recovery_us, us);
-            self.record_event(
-                now,
-                FlightEvent::Recovered {
-                    group: gid,
-                    source,
-                    seq,
-                    us,
-                },
-            );
-        }
-    }
-
-    /// A message was enqueued at its total-order position.
-    pub fn on_enqueued(&mut self, now: SimTime, gid: GroupId, key: OrderKey) {
-        corr_insert(&mut self.corr(gid).enqueued, key, now);
-    }
-
-    /// A message reached its total-order delivery position.
-    pub fn on_ordered(&mut self, now: SimTime, gid: GroupId, key: OrderKey, seq: u64) {
-        self.reg.inc(self.ids.deliveries, 1);
-        let own = key.1 == self.owner;
-        let c = self.corr(gid);
-        if let Some(at) = c.enqueued.remove(&key) {
-            let us = now.saturating_since(at).as_micros();
-            self.reg.record(self.ids.ordering_delay_us, us);
-        }
-        let c = self.corr(gid);
-        if own {
-            if let Some(at) = c.own_sent.remove(&seq) {
-                let us = now.saturating_since(at).as_micros();
-                self.reg.record(self.ids.e2e_self_us, us);
-            }
-        }
-        let c = self.corr(gid);
-        if c.stab_fifo.len() < CORR_CAP {
-            c.stab_fifo.push_back((key.0, now));
-        }
-        self.record_event(
-            now,
-            FlightEvent::Delivered {
-                group: gid,
-                source: key.1,
-                ts: key.0 .0,
-            },
-        );
-    }
-
-    /// The stability point advanced: everything delivered at or below
-    /// `stable` can leave retention; its wait is the stability lag.
-    pub fn on_stable(&mut self, now: SimTime, gid: GroupId, stable: Timestamp) {
-        loop {
-            let c = self.corr(gid);
-            match c.stab_fifo.front() {
-                Some(&(ts, at)) if ts <= stable => {
-                    c.stab_fifo.pop_front();
-                    let us = now.saturating_since(at).as_micros();
-                    self.reg.record(self.ids.stability_lag_us, us);
+                depth,
+            } => {
+                corr_insert(&mut self.corr(group).buffered_at, (source, seq), now);
+                self.record_event(now, FlightEvent::Buffered { group, source, seq });
+                if depth > self.gap_depth_peak {
+                    self.gap_depth_peak = depth;
+                    self.reg.set(self.ids.gap_depth_peak, depth as i64);
                 }
-                _ => break,
             }
-        }
-    }
-
-    /// The flow-control send window closed.
-    pub fn on_window_closed(&mut self, now: SimTime, gid: GroupId) {
-        self.reg.inc(self.ids.window_closes, 1);
-        self.corr(gid).window_closed_at = Some(now);
-        self.record_event(now, FlightEvent::WindowClosed { group: gid });
-    }
-
-    /// The flow-control send window reopened.
-    pub fn on_window_reopened(&mut self, now: SimTime, gid: GroupId) {
-        if let Some(at) = self.corr(gid).window_closed_at.take() {
-            let us = now.saturating_since(at).as_micros();
-            self.reg.record(self.ids.flow_stall_us, us);
-            self.record_event(now, FlightEvent::WindowReopened { group: gid, us });
-        }
-    }
-
-    /// A RetransmitRequest was sent for a gap in `source`'s stream.
-    pub fn on_nack(
-        &mut self,
-        now: SimTime,
-        gid: GroupId,
-        source: ProcessorId,
-        start: u64,
-        stop: u64,
-        attempts: u32,
-    ) {
-        self.reg.inc(self.ids.nacks_sent, 1);
-        self.reg.record(self.ids.nack_attempts, u64::from(attempts));
-        self.record_event(
-            now,
-            FlightEvent::NackSent {
-                group: gid,
+            Event::Released { group, source, seq } => {
+                // Only a message that had been buffered has a gap-repair
+                // latency.
+                if let Some(at) = self.corr(group).buffered_at.remove(&(source, seq)) {
+                    let us = since(at);
+                    self.reg.record(self.ids.rmp_recovery_us, us);
+                    let event = FlightEvent::Recovered {
+                        group,
+                        source,
+                        seq,
+                        us,
+                    };
+                    self.record_event(now, event);
+                }
+            }
+            Event::Nack {
+                group,
                 source,
                 start,
                 stop,
                 attempts,
-            },
-        );
-    }
-
-    /// A peer's RetransmitRequest was answered from retention.
-    pub fn on_retransmit_answered(
-        &mut self,
-        now: SimTime,
-        gid: GroupId,
-        source: ProcessorId,
-        seq: u64,
-    ) {
-        self.reg.inc(self.ids.retransmissions_answered, 1);
-        self.record_event(
-            now,
-            FlightEvent::RetransmitAnswered {
-                group: gid,
-                source,
-                seq,
-            },
-        );
-    }
-
-    /// A Karn-filtered NACK round-trip sample was folded into the estimator.
-    pub fn on_rtt_sample(&mut self, srtt_us: u64, rttvar_us: u64) {
-        self.reg.inc(self.ids.rtt_samples, 1);
-        self.reg.set(self.ids.srtt_us, srtt_us as i64);
-        self.reg.set(self.ids.rttvar_us, rttvar_us as i64);
-    }
-
-    /// The local fault detector started suspecting `suspect`.
-    pub fn on_suspected(&mut self, now: SimTime, gid: GroupId, suspect: ProcessorId) {
-        self.record_event(
-            now,
-            FlightEvent::Suspected {
-                group: gid,
-                suspect,
-            },
-        );
-    }
-
-    /// A membership reconfiguration began (§7.2).
-    pub fn on_reconfig_started(&mut self, now: SimTime, gid: GroupId, removals: usize) {
-        let c = self.corr(gid);
-        if c.reconfig_started.is_none() {
-            c.reconfig_started = Some(now);
-        }
-        self.record_event(
-            now,
-            FlightEvent::ReconfigStarted {
-                group: gid,
-                removals,
-            },
-        );
-    }
-
-    /// A processor was convicted; freezes the flight recorder into the
-    /// conviction dump (first conviction wins — it has the richest context).
-    pub fn on_convicted(&mut self, now: SimTime, gid: GroupId, processor: ProcessorId) {
-        self.reg.inc(self.ids.convictions, 1);
-        self.record_event(
-            now,
-            FlightEvent::Convicted {
-                group: gid,
-                processor,
-            },
-        );
-        if self.conviction_dump.is_none() {
-            self.conviction_dump = Some(self.render_flight());
-        }
-    }
-
-    /// A new membership view was installed.
-    pub fn on_view_installed(&mut self, now: SimTime, gid: GroupId, members: usize, ts: u64) {
-        self.reg.inc(self.ids.view_changes, 1);
-        let us = self
-            .corr(gid)
-            .reconfig_started
-            .take()
-            .map(|at| now.saturating_since(at).as_micros())
-            .unwrap_or(0);
-        if us > 0 {
-            self.reg.record(self.ids.view_change_us, us);
-        }
-        self.record_event(
-            now,
-            FlightEvent::ViewInstalled {
-                group: gid,
-                members,
-                ts,
-                us,
-            },
-        );
-    }
-
-    /// A packed container left the wire with `msgs` messages inside.
-    pub fn on_packed_sent(&mut self, msgs: u32) {
-        self.reg.inc(self.ids.packed_datagrams, 1);
-        self.reg
-            .record(self.ids.pack_msgs_per_datagram, u64::from(msgs));
-    }
-
-    /// The dissemination tree was (re)built for a view; `depth` is its
-    /// height (DESIGN.md §13).
-    pub fn on_overlay_rebuilt(&mut self, depth: usize) {
-        self.reg.inc(self.ids.overlay_rebuilds, 1);
-        self.reg.set(self.ids.overlay_depth, depth as i64);
-    }
-
-    /// An aggregated overlay digest left this processor.
-    pub fn on_overlay_digest_sent(&mut self, _entries: usize) {
-        self.reg.inc(self.ids.overlay_digests_sent, 1);
-    }
-
-    /// A neighbor's digest advanced `n` relayed members' horizons here.
-    pub fn on_overlay_entries_merged(&mut self, n: usize) {
-        self.reg.inc(self.ids.overlay_entries_merged, n as u64);
-    }
-
-    /// A starving node broadcast a solicit digest on the group address
-    /// (`answer` false), or this node answered one (`answer` true).
-    pub fn on_overlay_solicit(&mut self, answer: bool) {
-        if answer {
-            self.reg.inc(self.ids.overlay_solicit_answers, 1);
-        } else {
-            self.reg.inc(self.ids.overlay_solicits, 1);
-        }
-    }
-
-    /// This node answered a laggard's Suspect of an already-departed member
-    /// with tombstoned horizon evidence (the voluntary-leave race repair).
-    pub fn on_overlay_rescue(&mut self) {
-        self.reg.inc(self.ids.overlay_rescues, 1);
-    }
-
-    /// A NACK repair was routed over the overlay: to the tree neighborhood
-    /// first, escalated to the whole group after repeated failures.
-    pub fn on_overlay_repair(&mut self, escalated: bool) {
-        if escalated {
-            self.reg.inc(self.ids.overlay_repairs_escalated, 1);
-        } else {
-            self.reg.inc(self.ids.overlay_repairs_neighborhood, 1);
+            } => {
+                self.reg.inc(self.ids.nacks_sent, 1);
+                self.reg.record(self.ids.nack_attempts, u64::from(attempts));
+                let event = FlightEvent::NackSent {
+                    group,
+                    source,
+                    start,
+                    stop,
+                    attempts,
+                };
+                self.record_event(now, event);
+            }
+            Event::RetransmitAnswered { group, source, seq } => {
+                self.reg.inc(self.ids.retransmissions_answered, 1);
+                self.record_event(now, FlightEvent::RetransmitAnswered { group, source, seq });
+            }
+            Event::RttSample { srtt_us, rttvar_us } => {
+                self.reg.inc(self.ids.rtt_samples, 1);
+                self.reg.set(self.ids.srtt_us, srtt_us as i64);
+                self.reg.set(self.ids.rttvar_us, rttvar_us as i64);
+            }
+            Event::Enqueued { group, key } => {
+                corr_insert(&mut self.corr(group).enqueued, key, now);
+            }
+            Event::Ordered { group, key, seq } => {
+                self.reg.inc(self.ids.deliveries, 1);
+                let own = key.1 == self.owner;
+                let c = self.groups.entry(group).or_default();
+                if let Some(at) = c.enqueued.remove(&key) {
+                    self.reg.record(self.ids.ordering_delay_us, since(at));
+                }
+                if let Some(at) = own.then(|| c.own_sent.remove(&seq)).flatten() {
+                    self.reg.record(self.ids.e2e_self_us, since(at));
+                }
+                if c.stab_fifo.len() < CORR_CAP {
+                    c.stab_fifo.push_back((key.0, now));
+                }
+                let (ts, source) = (key.0 .0, key.1);
+                self.record_event(now, FlightEvent::Delivered { group, source, ts });
+            }
+            Event::Stable {
+                group, stable_ts, ..
+            } => {
+                // Everything delivered at or below the stability point can
+                // leave retention; its wait is the stability lag.
+                let c = self.groups.entry(group).or_default();
+                while let Some(&(_, at)) = c.stab_fifo.front().filter(|(ts, _)| *ts <= stable_ts) {
+                    c.stab_fifo.pop_front();
+                    self.reg.record(self.ids.stability_lag_us, since(at));
+                }
+            }
+            Event::WindowClosed { group } => {
+                self.reg.inc(self.ids.window_closes, 1);
+                self.corr(group).window_closed_at = Some(now);
+                self.record_event(now, FlightEvent::WindowClosed { group });
+            }
+            Event::WindowReopened { group } => {
+                if let Some(at) = self.corr(group).window_closed_at.take() {
+                    let us = since(at);
+                    self.reg.record(self.ids.flow_stall_us, us);
+                    self.record_event(now, FlightEvent::WindowReopened { group, us });
+                }
+            }
+            Event::PeerSilence { permille } => {
+                self.reg
+                    .record(self.ids.suspicion_margin_permille, permille);
+            }
+            Event::Suspected { group, suspect } => {
+                self.record_event(now, FlightEvent::Suspected { group, suspect });
+            }
+            Event::ConvictionMargin { permille } => {
+                // The peak: how close the suspicion matrix came to excluding
+                // a member that survived.
+                if permille > self.conviction_margin_peak {
+                    self.conviction_margin_peak = permille;
+                    self.reg.set(self.ids.conviction_margin_permille, permille);
+                }
+            }
+            Event::ReconfigStarted { group, removals } => {
+                // An extension must not reset the interval's origin.
+                self.corr(group).reconfig_started.get_or_insert(now);
+                self.record_event(now, FlightEvent::ReconfigStarted { group, removals });
+            }
+            Event::Convicted { group, processor } => {
+                self.reg.inc(self.ids.convictions, 1);
+                self.record_event(now, FlightEvent::Convicted { group, processor });
+                // The first conviction freezes the flight recorder: it has
+                // the richest context.
+                if self.conviction_dump.is_none() {
+                    self.conviction_dump = Some(self.render_flight());
+                }
+            }
+            Event::ViewInstalled { group, members, ts } => {
+                self.reg.inc(self.ids.view_changes, 1);
+                // 0 when no local reconfiguration preceded it (e.g. a join).
+                let us = self.corr(group).reconfig_started.take().map_or(0, since);
+                if us > 0 {
+                    self.reg.record(self.ids.view_change_us, us);
+                }
+                let event = FlightEvent::ViewInstalled {
+                    group,
+                    members: members.len(),
+                    ts: ts.0,
+                    us,
+                };
+                self.record_event(now, event);
+            }
+            Event::PackedSent { msgs } => {
+                self.reg.inc(self.ids.packed_datagrams, 1);
+                self.reg
+                    .record(self.ids.pack_msgs_per_datagram, u64::from(msgs));
+            }
+            Event::OverlayRebuilt { depth } => {
+                self.reg.inc(self.ids.overlay_rebuilds, 1);
+                self.reg.set(self.ids.overlay_depth, depth as i64);
+            }
+            Event::OverlayDigestSent(dest) => {
+                self.reg.inc(self.ids.overlay_digests_sent, 1);
+                match dest {
+                    DigestDest::Neighborhood => {}
+                    DigestDest::Solicit => self.reg.inc(self.ids.overlay_solicits, 1),
+                    DigestDest::Answer => self.reg.inc(self.ids.overlay_solicit_answers, 1),
+                }
+            }
+            Event::OverlayEntriesMerged { n } => {
+                self.reg.inc(self.ids.overlay_entries_merged, n as u64);
+            }
+            Event::OverlayRepair { escalated: true } => {
+                self.reg.inc(self.ids.overlay_repairs_escalated, 1);
+            }
+            Event::OverlayRepair { escalated: false } => {
+                self.reg.inc(self.ids.overlay_repairs_neighborhood, 1);
+            }
+            Event::OverlayRescue => self.reg.inc(self.ids.overlay_rescues, 1),
+            Event::Retained { .. }
+            | Event::Acked { .. }
+            | Event::AckVector(_)
+            | Event::Delivered(_) => {}
         }
     }
 
@@ -701,24 +586,60 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::SeqNum;
+    use std::collections::BTreeSet;
 
-    fn t(us: u64) -> SimTime {
-        SimTime(us)
+    const G: GroupId = GroupId(1);
+    const P2: ProcessorId = ProcessorId(2);
+
+    fn tel(owner: u32) -> Telemetry {
+        Telemetry::new(ProcessorId(owner))
+    }
+
+    /// Feed one event at virtual time `us`.
+    fn at(tel: &mut Telemetry, us: u64, ev: Event<'_>) {
+        tel.on_event(SimTime(us), &ev);
+    }
+
+    fn buffered(seq: u64) -> Event<'static> {
+        Event::Buffered {
+            group: G,
+            source: P2,
+            seq,
+            depth: 1,
+        }
+    }
+
+    fn ordered(ts: u64, source: u32, seq: u64) -> Event<'static> {
+        Event::Ordered {
+            group: G,
+            key: (Timestamp(ts), ProcessorId(source)),
+            seq,
+        }
     }
 
     #[test]
     fn latency_series_correlate_open_and_close() {
-        let mut tel = Telemetry::new(ProcessorId(1));
-        let gid = GroupId(1);
+        let mut tel = tel(1);
         // RMP recovery: buffered at 100, released at 700.
-        tel.on_buffered(t(100), gid, ProcessorId(2), 5);
-        tel.on_released(t(700), gid, ProcessorId(2), 5);
+        at(&mut tel, 100, buffered(5));
+        let released = Event::Released {
+            group: G,
+            source: P2,
+            seq: 5,
+        };
+        at(&mut tel, 700, released);
         // Ordering delay: enqueued at 700, ordered at 1_000.
-        let key = (Timestamp(9), ProcessorId(2));
-        tel.on_enqueued(t(700), gid, key);
-        tel.on_ordered(t(1_000), gid, key, 5);
+        let key = (Timestamp(9), P2);
+        at(&mut tel, 700, Event::Enqueued { group: G, key });
+        at(&mut tel, 1_000, ordered(9, 2, 5));
         // Stability lag: stable point passes ts 9 at 5_000.
-        tel.on_stable(t(5_000), gid, Timestamp(9));
+        let stable = Event::Stable {
+            group: G,
+            stable_ts: Timestamp(9),
+            reclaimed: 0,
+        };
+        at(&mut tel, 5_000, stable);
         let s = tel.snapshot();
         assert_eq!(s.histogram("rmp_recovery_us").unwrap().max, 600);
         assert_eq!(s.histogram("ordering_delay_us").unwrap().max, 300);
@@ -728,60 +649,91 @@ mod tests {
 
     #[test]
     fn own_send_to_self_delivery_yields_e2e() {
-        let mut tel = Telemetry::new(ProcessorId(1));
-        let gid = GroupId(1);
-        tel.on_sent(t(50), gid, 7, 12, true);
-        tel.on_ordered(t(450), gid, (Timestamp(12), ProcessorId(1)), 7);
+        let mut tel = tel(1);
+        let sent = |seq, ts| Event::Sent {
+            group: G,
+            seq: SeqNum(seq),
+            ts: Timestamp(ts),
+            regular: true,
+        };
+        at(&mut tel, 50, sent(7, 12));
+        at(&mut tel, 450, ordered(12, 1, 7));
         let s = tel.snapshot();
         assert_eq!(s.histogram("e2e_self_us").unwrap().count, 1);
         assert_eq!(s.histogram("e2e_self_us").unwrap().max, 400);
-        // A peer's delivery does not count toward e2e_self.
-        tel.on_ordered(t(500), gid, (Timestamp(13), ProcessorId(2)), 1);
+        // A peer's delivery does not count toward e2e_self, and does not
+        // consume the pending own send that happens to share its seq.
+        at(&mut tel, 460, sent(1, 13));
+        at(&mut tel, 500, ordered(14, 2, 1));
         assert_eq!(tel.snapshot().histogram("e2e_self_us").unwrap().count, 1);
+        at(&mut tel, 560, ordered(13, 1, 1));
+        assert_eq!(tel.snapshot().histogram("e2e_self_us").unwrap().count, 2);
     }
 
     #[test]
     fn stall_and_view_change_intervals() {
-        let mut tel = Telemetry::new(ProcessorId(1));
-        let gid = GroupId(1);
-        tel.on_window_closed(t(1_000), gid);
-        tel.on_window_reopened(t(3_500), gid);
-        tel.on_reconfig_started(t(10_000), gid, 1);
+        let mut tel = tel(1);
+        at(&mut tel, 1_000, Event::WindowClosed { group: G });
+        at(&mut tel, 3_500, Event::WindowReopened { group: G });
+        let started = |removals| Event::ReconfigStarted { group: G, removals };
+        at(&mut tel, 10_000, started(1));
         // A second start must not reset the interval origin.
-        tel.on_reconfig_started(t(12_000), gid, 2);
-        tel.on_view_installed(t(30_000), gid, 3, 99);
+        at(&mut tel, 12_000, started(2));
+        let members: BTreeSet<ProcessorId> = (1..=3).map(ProcessorId).collect();
+        let installed = Event::ViewInstalled {
+            group: G,
+            members: &members,
+            ts: Timestamp(99),
+        };
+        at(&mut tel, 30_000, installed);
         let s = tel.snapshot();
         assert_eq!(s.histogram("flow_stall_us").unwrap().max, 2_500);
         assert_eq!(s.histogram("view_change_us").unwrap().max, 20_000);
         assert_eq!(s.counter("window_closes"), Some(1));
         assert_eq!(s.counter("view_changes"), Some(1));
+        assert!(tel
+            .render_flight()
+            .contains("view-installed g1 members=3 ts=99 after 20000us"));
     }
 
     #[test]
     fn conviction_freezes_flight_dump() {
-        let mut tel = Telemetry::new(ProcessorId(3));
-        let gid = GroupId(1);
-        tel.on_nack(t(100), gid, ProcessorId(2), 4, 6, 1);
-        tel.on_suspected(t(200), gid, ProcessorId(2));
+        let mut tel = tel(3);
+        let nack = Event::Nack {
+            group: G,
+            source: P2,
+            start: 4,
+            stop: 6,
+            attempts: 1,
+        };
+        at(&mut tel, 100, nack);
+        let suspected = Event::Suspected {
+            group: G,
+            suspect: P2,
+        };
+        at(&mut tel, 200, suspected);
         assert!(tel.conviction_dump().is_none());
-        tel.on_convicted(t(300), gid, ProcessorId(2));
+        let convicted = |p| Event::Convicted {
+            group: G,
+            processor: ProcessorId(p),
+        };
+        at(&mut tel, 300, convicted(2));
         let dump = tel.conviction_dump().expect("frozen at conviction");
         assert!(dump.contains("flight recorder P3"));
         assert!(dump.contains("nack g1 for P2 [4,6] attempt=1"));
         assert!(dump.contains("suspected g1 P2"));
         assert!(dump.contains("convicted g1 P2"));
         // Later events do not mutate the frozen dump.
-        tel.on_convicted(t(400), gid, ProcessorId(4));
+        at(&mut tel, 400, convicted(4));
         assert!(!tel.conviction_dump().unwrap().contains("P4"));
     }
 
     #[test]
     fn correlation_maps_are_bounded() {
-        let mut tel = Telemetry::new(ProcessorId(1));
-        let gid = GroupId(1);
+        let mut tel = tel(1);
         for i in 0..2 * CORR_CAP as u64 {
-            tel.on_buffered(t(i), gid, ProcessorId(2), i);
+            at(&mut tel, i, buffered(i));
         }
-        assert!(tel.groups[&gid].buffered_at.len() <= CORR_CAP);
+        assert!(tel.groups[&G].buffered_at.len() <= CORR_CAP);
     }
 }

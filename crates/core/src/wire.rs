@@ -730,13 +730,7 @@ impl FtmpMessage {
 
     /// Encode as header + body in the given byte order.
     pub fn encode(&self, order: ByteOrder) -> Bytes {
-        self.encode_with_flag(order, self.retransmission)
-    }
-
-    /// Append the encoded header + body to `out` (the form the Packer and
-    /// the round-trip tests use: no intermediate allocation per message).
-    pub fn encode_into(&self, order: ByteOrder, out: &mut BytesMut) {
-        self.encode_into_with_flag(order, self.retransmission, out);
+        self.encode_flagged(order, self.retransmission, &mut self.body_writer(order))
     }
 
     /// Encode using a caller-owned body scratch writer, returning the wire
@@ -747,12 +741,28 @@ impl FtmpMessage {
     /// action, retention store and self-delivery all then share) instead of
     /// a body buffer plus a growing output buffer.
     pub fn encode_with_scratch(&self, order: ByteOrder, scratch: &mut CdrWriter) -> Bytes {
+        self.encode_flagged(order, self.retransmission, scratch)
+    }
+
+    /// A one-shot body writer for the entry points without a scratch.
+    fn body_writer(&self, order: ByteOrder) -> CdrWriter {
+        CdrWriter::with_capacity(order, self.body.size_hint())
+    }
+
+    /// The one encode routine: body into `scratch`, then header + body into
+    /// an exact-size output.
+    fn encode_flagged(
+        &self,
+        order: ByteOrder,
+        retransmission: bool,
+        scratch: &mut CdrWriter,
+    ) -> Bytes {
         scratch.reset(order);
         self.body.encode(scratch);
         let body = scratch.as_bytes();
         let header = FtmpHeader {
             order,
-            retransmission: self.retransmission,
+            retransmission,
             msg_type: self.msg_type(),
             size: (FTMP_HEADER_LEN + body.len()) as u32,
             source: self.source,
@@ -767,30 +777,17 @@ impl FtmpMessage {
         out.freeze()
     }
 
-    fn encode_into_with_flag(&self, order: ByteOrder, retransmission: bool, out: &mut BytesMut) {
-        let mut body_w = CdrWriter::with_capacity(order, self.body.size_hint());
-        self.body.encode(&mut body_w);
-        let body = body_w.as_bytes();
-        let header = FtmpHeader {
-            order,
-            retransmission,
-            msg_type: self.msg_type(),
-            size: (FTMP_HEADER_LEN + body.len()) as u32,
-            source: self.source,
-            group: self.group,
-            seq: self.seq,
-            ts: self.ts,
-            ack_ts: self.ack_ts,
-        };
-        out.reserve(FTMP_HEADER_LEN + body.len());
-        out.extend_from_slice(&header.encode());
-        out.extend_from_slice(body);
-    }
-
-    fn encode_with_flag(&self, order: ByteOrder, retransmission: bool) -> Bytes {
-        let mut out = BytesMut::with_capacity(FTMP_HEADER_LEN + self.body.size_hint());
-        self.encode_into_with_flag(order, retransmission, &mut out);
-        out.freeze()
+    /// The message a decoded header and body make up.
+    fn from_parts(h: &FtmpHeader, body: FtmpBody) -> FtmpMessage {
+        FtmpMessage {
+            retransmission: h.retransmission,
+            source: h.source,
+            group: h.group,
+            seq: h.seq,
+            ts: h.ts,
+            ack_ts: h.ack_ts,
+            body,
+        }
     }
 
     /// Decode a complete message.
@@ -799,15 +796,7 @@ impl FtmpMessage {
         let mut r = CdrReader::new(body, h.order);
         let body = FtmpBody::decode(h.msg_type, &mut r)?;
         r.expect_exhausted()?;
-        Ok(FtmpMessage {
-            retransmission: h.retransmission,
-            source: h.source,
-            group: h.group,
-            seq: h.seq,
-            ts: h.ts,
-            ack_ts: h.ack_ts,
-            body,
-        })
+        Ok(Self::from_parts(&h, body))
     }
 
     /// Decode from a shared buffer. Identical to [`FtmpMessage::decode`]
@@ -826,19 +815,12 @@ impl FtmpMessage {
         let start = FTMP_HEADER_LEN + r.position();
         r.read_bytes(len)?;
         r.expect_exhausted()?;
-        Ok(FtmpMessage {
-            retransmission: h.retransmission,
-            source: h.source,
-            group: h.group,
-            seq: h.seq,
-            ts: h.ts,
-            ack_ts: h.ack_ts,
-            body: FtmpBody::Regular {
-                conn,
-                request_num,
-                giop: bytes.slice(start..start + len),
-            },
-        })
+        let body = FtmpBody::Regular {
+            conn,
+            request_num,
+            giop: bytes.slice(start..start + len),
+        };
+        Ok(Self::from_parts(&h, body))
     }
 
     /// Re-encode as a retransmission: identical message, retransmission
@@ -848,7 +830,7 @@ impl FtmpMessage {
     /// [`crate::rmp::RetentionStore::retx_bytes`], which flips the flag on a
     /// shared copy of the received buffer instead of re-encoding at all.
     pub fn as_retransmission(&self, order: ByteOrder) -> Bytes {
-        self.encode_with_flag(order, true)
+        self.encode_flagged(order, true, &mut self.body_writer(order))
     }
 }
 
@@ -1227,12 +1209,9 @@ mod tests {
         assert_eq!(classify(&[]), None);
     }
 
-    /// Encode into a caller-owned buffer (no copy, unlike `encode().to_vec()`)
-    /// for tests that corrupt bytes in place.
+    /// A mutable copy of the encoding, for tests that corrupt bytes in place.
     fn encode_mut(m: &FtmpMessage, order: ByteOrder) -> BytesMut {
-        let mut out = BytesMut::new();
-        m.encode_into(order, &mut out);
-        out
+        BytesMut::from(&m.encode(order)[..])
     }
 
     #[test]
@@ -1278,18 +1257,22 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_matches_encode() {
+    fn encode_with_scratch_matches_encode() {
         let m = msg(FtmpBody::Regular {
             conn: conn(),
             request_num: RequestNum(5),
             giop: Bytes::from_static(b"GIOP....payload"),
         });
-        for order in [ByteOrder::Big, ByteOrder::Little] {
-            let a = m.encode(order);
-            let mut b = BytesMut::new();
-            b.extend_from_slice(b"prefix__"); // appends, never truncates
-            m.encode_into(order, &mut b);
-            assert_eq!(&b[8..], &a[..]);
+        // One scratch across messages and byte orders: whatever the last
+        // encode left in it never leaks into the next.
+        let mut scratch = CdrWriter::new(ByteOrder::Big);
+        for order in [ByteOrder::Big, ByteOrder::Little, ByteOrder::Big] {
+            let hb = msg(FtmpBody::Heartbeat);
+            assert_eq!(
+                hb.encode_with_scratch(order, &mut scratch),
+                hb.encode(order)
+            );
+            assert_eq!(m.encode_with_scratch(order, &mut scratch), m.encode(order));
         }
     }
 

@@ -1,5 +1,7 @@
-# Developer entry points. `just` runs `check`; `just ci` is what the
-# GitHub Actions workflow runs.
+# Developer entry points. `just` runs `check`; `just ci` is the workflow's
+# `lint` and `test` jobs (fmt, clippy, tier-1 and workspace tests). Its other
+# jobs have their own recipes: `chaos`, `conformance`, `metrics`, `bench`,
+# `benchmark-smoke`.
 
 default: check
 
@@ -23,8 +25,9 @@ test:
 test-all:
     cargo test --workspace -q
 
-# The full CI gate.
-ci: fmt clippy test
+# The CI gate. `test-all` is what runs the golden trace-hash pins: they are
+# unit tests of ftmp-core and ftmp-check, which the root `cargo test` skips.
+ci: fmt clippy test test-all
 
 # Wide chaos sweep, release mode (CHAOS_SEEDS seeds per test) plus the
 # 1000-seed sweep that pins the known onset convictions, then the long
