@@ -13,8 +13,9 @@
 //!   loopback, one `SO_REUSEPORT`-shared port) and [`TcpMeshTransport`]
 //!   (full-mesh fallback for multicast-less containers), behind one
 //!   [`Transport`] trait with probe-based [`open_transport`] selection.
-//! - [`node`] — the engine thread: `recv_timeout`-driven event loop,
-//!   batched packet pumps, fixed-cadence ticks, peer lifecycle (founders,
+//! - [`node`] — the engine thread: one inbox that datagrams and commands
+//!   both wake, worked off in turns (one batch window, one pump and one
+//!   `send_batch` each), fixed-cadence ticks, peer lifecycle (founders,
 //!   joiners, sponsored adds with retry, crash-restart with an ftmp-store
 //!   delivery log attached), and runtime telemetry counters.
 //! - [`trace`] — the on-disk observation recorder whose files

@@ -1,16 +1,23 @@
 //! The runtime event loop: one thread owning one `Processor`, fed by a
-//! real transport.
+//! real transport, working in **turns**.
 //!
 //! Thread model per node (DESIGN.md §14): the transport owns its reader
-//! thread(s) which parse frames, filter by subscription, and push into an
-//! unbounded crossbeam channel; this module's **engine thread** owns the
-//! `Processor` and loops on `recv_timeout(next_tick_deadline)` — so it
-//! wakes for whichever comes first, a datagram or the timer. A burst of
-//! datagrams is drained under one `begin_batch`/`end_batch` window so the
-//! Packer coalesces the replies exactly as the simulator's batched pump
-//! does. Ticks fire on a fixed cadence (default 1 ms of real time = the
-//! simulator's tick quantum) and their scheduling lag is recorded in the
-//! `runtime_timer_lag_us` histogram.
+//! thread(s), which parse frames, filter by subscription and push what each
+//! socket read completed into the inbox as one entry; the node's handle
+//! pushes [`Command`]s into the same queue. This module's **engine thread**
+//! owns the `Processor` and parks on that one queue until the next tick is
+//! due, so anything that gives it work — a datagram, a publish, a `Stop` —
+//! wakes it at once. A turn takes what the inbox holds (up to a bound),
+//! feeds datagrams and commands to the engine under one
+//! `begin_batch`/`end_batch` window so the Packer coalesces everything the
+//! turn sends, ticks if the tick is due, and pumps once: every
+//! `Action::Send` of the turn goes to the transport in one
+//! [`Transport::send_batch`](crate::transport::Transport::send_batch), which
+//! on the TCP mesh is one `write` per peer. Ticks fire on a fixed cadence
+//! (default 1 ms of real time = the simulator's tick quantum) and their
+//! scheduling lag is recorded in the `runtime_timer_lag_us` histogram;
+//! `runtime_engine_turns`, `runtime_turn_datagrams` and
+//! `runtime_socket_writes` say how much each wake-up and each write carried.
 //!
 //! Time: the engine feeds the `Processor` `SimTime` values derived from a
 //! monotonic clock, optionally anchored to a cluster-wide epoch
@@ -18,7 +25,7 @@
 //! OS processes merge into one approximate global order. Oracle soundness
 //! needs only per-node event order, which is exact by construction.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use bytes::Bytes;
 use ftmp_core::actions::{Action, Delivery, ProtocolEvent};
@@ -33,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::trace::TraceWriter;
-use crate::transport::{RxReceiver, Selected, TransportKind};
+use crate::transport::{Inbox, RxReceiver, Selected, Transport, TransportKind};
 
 /// Monotonic `SimTime` source, optionally anchored to a shared epoch.
 #[derive(Debug, Clone)]
@@ -192,7 +199,7 @@ pub struct RuntimeReport {
 
 /// Handle to a spawned node.
 pub struct RuntimeHandle {
-    commands: Sender<Command>,
+    inbox: Sender<Inbox>,
     /// Ordered deliveries, as they happen.
     pub deliveries: Receiver<(SimTime, Delivery)>,
     /// Protocol events (membership changes, fault reports, ...).
@@ -203,7 +210,7 @@ pub struct RuntimeHandle {
 impl RuntimeHandle {
     /// Send a control command. Ignores send failure after the node exited.
     pub fn command(&self, cmd: Command) {
-        let _ = self.commands.send(cmd);
+        let _ = self.inbox.send(Inbox::Command(cmd));
     }
 
     /// Multicast an ordered request.
@@ -217,7 +224,7 @@ impl RuntimeHandle {
 
     /// Stop the node and collect its report.
     pub fn stop(self) -> RuntimeReport {
-        let _ = self.commands.send(Command::Stop);
+        self.command(Command::Stop);
         self.join()
     }
 
@@ -241,16 +248,16 @@ pub struct NodeParts {
 
 /// Spawn the engine thread for one node.
 pub fn spawn(cfg: NodeConfig, parts: NodeParts) -> RuntimeHandle {
-    let (cmd_tx, cmd_rx) = unbounded();
+    let inbox = parts.rx.command_sender();
     let (dlv_tx, dlv_rx) = unbounded();
     let (evt_tx, evt_rx) = unbounded();
     let name = format!("ftmp-node-P{}", cfg.id.0);
     let thread = std::thread::Builder::new()
         .name(name)
-        .spawn(move || run_node(cfg, parts, cmd_rx, dlv_tx, evt_tx))
+        .spawn(move || run_node(cfg, parts, dlv_tx, evt_tx))
         .expect("spawn runtime node");
     RuntimeHandle {
-        commands: cmd_tx,
+        inbox,
         deliveries: dlv_rx,
         events: evt_rx,
         thread,
@@ -283,6 +290,9 @@ struct Counters {
     reg: ftmp_telemetry::Registry,
     recv: ftmp_telemetry::CounterId,
     sent: ftmp_telemetry::CounterId,
+    writes: ftmp_telemetry::CounterId,
+    turns: ftmp_telemetry::CounterId,
+    turn_datagrams: ftmp_telemetry::HistId,
     depth: ftmp_telemetry::GaugeId,
     lag: ftmp_telemetry::HistId,
     fallback: ftmp_telemetry::CounterId,
@@ -295,6 +305,9 @@ impl Counters {
         let mut reg = ftmp_telemetry::Registry::new();
         let recv = reg.counter("runtime_socket_recv_datagrams");
         let sent = reg.counter("runtime_socket_sent_datagrams");
+        let writes = reg.counter("runtime_socket_writes");
+        let turns = reg.counter("runtime_engine_turns");
+        let turn_datagrams = reg.histogram("runtime_turn_datagrams");
         let depth = reg.gauge("runtime_recv_queue_depth");
         let lag = reg.histogram("runtime_timer_lag_us");
         let fallback = reg.counter("runtime_tcp_fallback_activations");
@@ -304,6 +317,9 @@ impl Counters {
             reg,
             recv,
             sent,
+            writes,
+            turns,
+            turn_datagrams,
             depth,
             lag,
             fallback,
@@ -313,11 +329,20 @@ impl Counters {
     }
 }
 
+/// Hand the turn's sends so far to the transport; returns its socket writes.
+fn flush(transport: &mut dyn Transport, outbox: &mut Vec<(McastAddr, Bytes)>) -> u64 {
+    if outbox.is_empty() {
+        return 0;
+    }
+    let writes = transport.send_batch(outbox);
+    outbox.clear();
+    writes
+}
+
 #[allow(clippy::too_many_lines)]
 fn run_node(
     cfg: NodeConfig,
     parts: NodeParts,
-    cmd_rx: Receiver<Command>,
     dlv_tx: Sender<(SimTime, Delivery)>,
     evt_tx: Sender<(SimTime, ProtocolEvent)>,
 ) -> RuntimeReport {
@@ -358,11 +383,15 @@ fn run_node(
         engine.bind_connection(conn, group);
     }
 
+    let mut intake: Vec<Inbox> = Vec::with_capacity(64);
     let mut actions: Vec<Action> = Vec::with_capacity(256);
+    let mut outbox: Vec<(McastAddr, Bytes)> = Vec::with_capacity(64);
     let mut observations: Vec<Observation> = Vec::with_capacity(256);
     let mut delivered = 0u64;
     let mut publish_rejected = 0u64;
     let mut ticks = 0u64;
+    let mut writes = 0u64;
+    let mut depth_peak = 0u64;
     let mut pending_adds: Vec<(ProcessorId, Instant)> = Vec::new();
     let mut stop_at: Option<Instant> = None;
     let mut next_tick = Instant::now() + cfg.tick;
@@ -374,9 +403,17 @@ fn run_node(
             engine.drain_actions_into(&mut actions);
             for a in actions.drain(..) {
                 match a {
-                    Action::Send { addr, payload } => transport.send(addr, &payload),
-                    Action::Join(addr) => transport.join(addr),
-                    Action::Leave(addr) => transport.leave(addr),
+                    Action::Send { addr, payload } => outbox.push((addr, payload)),
+                    // A subscription change takes effect between the sends
+                    // around it, as it would one action at a time.
+                    Action::Join(addr) => {
+                        writes += flush(transport.as_mut(), &mut outbox);
+                        transport.join(addr);
+                    }
+                    Action::Leave(addr) => {
+                        writes += flush(transport.as_mut(), &mut outbox);
+                        transport.leave(addr);
+                    }
                     Action::Deliver(d) => {
                         delivered += 1;
                         let _ = dlv_tx.send((SimTime(now.0.max(ts_floor)), d));
@@ -387,6 +424,7 @@ fn run_node(
                     _ => {}
                 }
             }
+            writes += flush(transport.as_mut(), &mut outbox);
             if let Some(tr) = trace.as_mut() {
                 engine.drain_observations_into(&mut observations);
                 for obs in observations.drain(..) {
@@ -401,40 +439,60 @@ fn run_node(
         }};
     }
 
+    // What founding the group queued (its subscription above all) takes
+    // effect now, not at the first wake-up.
+    pump!(now0);
+
     loop {
-        let now_i = Instant::now();
-        let wait = next_tick.saturating_duration_since(now_i);
-        match rx.recv_timeout(wait) {
-            Ok(first) => {
-                let now = cfg.clock.now();
-                engine.begin_batch();
-                engine.handle_packet(now, &Packet::new(cfg.id.0, first.addr, first.payload));
-                // Drain the burst under the same Packer batch window.
-                let mut budget = 64;
-                while budget > 0 {
-                    match rx.try_recv() {
-                        Some(d) => {
-                            engine.handle_packet(now, &Packet::new(cfg.id.0, d.addr, d.payload))
-                        }
-                        None => break,
+        // Park until the inbox has something, the tick is due or the stop
+        // grace has run out.
+        let wake = stop_at.map_or(next_tick, |at| at.min(next_tick));
+        let wait = wake.saturating_duration_since(Instant::now());
+        let Ok(datagrams) = rx.take_turn(wait, &mut intake) else {
+            break;
+        };
+        ctr.reg.inc(ctr.turns, 1);
+        ctr.reg.record(ctr.turn_datagrams, datagrams);
+        depth_peak = depth_peak.max(datagrams + rx.depth());
+
+        let now = cfg.clock.now();
+        engine.begin_batch();
+        for entry in intake.drain(..) {
+            match entry {
+                Inbox::Datagrams(batch) => {
+                    for d in batch {
+                        engine.handle_packet(now, &Packet::new(cfg.id.0, d.addr, d.payload));
                     }
-                    budget -= 1;
                 }
-                engine.end_batch(now);
-                pump!(now);
+                Inbox::Command(Command::Publish {
+                    conn,
+                    request,
+                    giop,
+                }) => {
+                    if engine.multicast_request(now, conn, request, giop).is_err() {
+                        publish_rejected += 1;
+                    }
+                }
+                Inbox::Command(Command::AddMember(p)) => {
+                    engine.add_processor(now, cfg.group, p);
+                    pending_adds.push((p, Instant::now()));
+                }
+                Inbox::Command(Command::RemoveMember(p)) => {
+                    engine.remove_processor(now, cfg.group, p);
+                }
+                Inbox::Command(Command::Stop) => {
+                    stop_at.get_or_insert_with(|| Instant::now() + cfg.stop_grace);
+                }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
         }
+        engine.end_batch(now);
 
         let now_i = Instant::now();
         if now_i >= next_tick {
             let lag = now_i.saturating_duration_since(next_tick);
             ctr.reg.record(ctr.lag, lag.as_micros() as u64);
-            let now = cfg.clock.now();
             engine.tick(now);
             ticks += 1;
-            pump!(now);
             next_tick += cfg.tick;
             if now_i > next_tick + cfg.tick * 50 {
                 // Way behind (debugger pause, CPU stall): resynchronize
@@ -450,50 +508,19 @@ fn run_node(
                     return false;
                 }
                 if last_try.elapsed() >= ADD_RETRY && !engine.is_reconfiguring(cfg.group) {
-                    engine.add_processor(cfg.clock.now(), cfg.group, *member);
-                    *last_try = Instant::now();
+                    engine.add_processor(now, cfg.group, *member);
+                    *last_try = now_i;
                 }
                 true
             });
-            if !pending_adds.is_empty() {
-                pump!(cfg.clock.now());
-            }
-            ctr.reg.set(ctr.depth, rx.depth() as i64);
         }
 
-        while let Ok(cmd) = cmd_rx.try_recv() {
-            let now = cfg.clock.now();
-            match cmd {
-                Command::Publish {
-                    conn,
-                    request,
-                    giop,
-                } => {
-                    if engine.multicast_request(now, conn, request, giop).is_err() {
-                        publish_rejected += 1;
-                    }
-                    pump!(now);
-                }
-                Command::AddMember(p) => {
-                    engine.add_processor(now, cfg.group, p);
-                    pending_adds.push((p, Instant::now()));
-                    pump!(now);
-                }
-                Command::RemoveMember(p) => {
-                    engine.remove_processor(now, cfg.group, p);
-                    pump!(now);
-                }
-                Command::Stop => {
-                    if stop_at.is_none() {
-                        stop_at = Some(Instant::now() + cfg.stop_grace);
-                    }
-                }
-            }
-        }
-        if let Some(at) = stop_at {
-            if Instant::now() >= at {
-                break;
-            }
+        // The turn's one pump: one `send_batch` carries everything the
+        // datagrams, the commands and the tick made the engine send.
+        pump!(now);
+
+        if stop_at.is_some_and(|at| now_i >= at) {
+            break;
         }
     }
 
@@ -502,9 +529,11 @@ fn run_node(
     transport.shutdown();
     ctr.reg.inc(ctr.recv, rx.received());
     ctr.reg.inc(ctr.sent, transport.sent());
+    ctr.reg.inc(ctr.writes, writes);
     ctr.reg.inc(ctr.ticks, ticks);
     ctr.reg.inc(ctr.deliveries, delivered);
-    ctr.reg.set(ctr.depth, rx.depth() as i64);
+    // The deepest backlog any turn found waiting, its own intake included.
+    ctr.reg.set(ctr.depth, depth_peak as i64);
     let trace_path = trace.and_then(|t| t.finish(SimTime(now.0.max(ts_floor))).ok());
     RuntimeReport {
         transport: kind,

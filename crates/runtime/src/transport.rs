@@ -1,4 +1,6 @@
-//! The two real transports behind the runtime event loop.
+//! The two real transports behind the runtime event loop, and the one
+//! queue — the **inbox** — through which everything reaches the engine
+//! thread.
 //!
 //! The sans-io `Processor` addresses everything by [`McastAddr`] — an
 //! opaque 32-bit multicast group. A [`Transport`] maps that address space
@@ -10,8 +12,12 @@
 //!   subscribed socket — true multicast semantics, one send per datagram.
 //! - [`TcpMeshTransport`] is the fallback for environments without working
 //!   loopback multicast (most containers): a full mesh of TCP streams, one
-//!   listener per member, where each logical multicast is written to every
-//!   peer plus a local self-copy.
+//!   listener per member. The engine hands it one turn's frames at a time
+//!   ([`Transport::send_batch`]); they are laid into one buffer — every
+//!   peer gets the same bytes — and written with one `write` per peer per
+//!   [`WRITE_CAP`] bytes, and the local self-copies go to the inbox as one
+//!   entry. Each stream's reader thread splits what one `read` returned
+//!   into frames ([`split_frames`]) and pushes them as one inbox entry.
 //!
 //! Both transports frame each datagram with the destination `McastAddr`,
 //! and the **receiver** filters against its local subscription set. That
@@ -20,6 +26,12 @@
 //! job (the kernel alone can't do it — the shared multicast port delivers
 //! every joined group's traffic to every socket, and a TCP stream carries
 //! all groups).
+//!
+//! The inbox ([`rx_channel`]) carries received datagrams, in the batches
+//! the readers found them in, and — once a node runs on it — the node's
+//! control commands, so that a publish wakes a parked engine exactly as a
+//! datagram does. [`RxReceiver`]'s public accessors hand out datagrams one
+//! at a time for callers that drive a transport bare.
 //!
 //! Selection is probe-based: [`open_transport`] in `Auto` mode stands up
 //! the UDP path and sends itself a probe datagram; only if the probe comes
@@ -30,14 +42,15 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ftmp_net::McastAddr;
 
 use bytes::Bytes;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::node::Command;
 use crate::sys;
 
 /// Reserved `McastAddr` used by the multicast availability probe. Never
@@ -56,25 +69,42 @@ pub struct RxDatagram {
     pub payload: Bytes,
 }
 
-/// Producer half of the receive queue (held by transport reader threads).
+/// One entry of the inbox.
+pub(crate) enum Inbox {
+    /// The subscribed frames of one socket read, or one send's self-copies.
+    Datagrams(Vec<RxDatagram>),
+    /// A control command from the node's handle.
+    Command(Command),
+}
+
+/// Producer half of the inbox (held by transport reader threads).
 #[derive(Clone)]
 pub struct RxQueue {
-    tx: Sender<RxDatagram>,
+    tx: Sender<Inbox>,
     depth: Arc<AtomicU64>,
     received: Arc<AtomicU64>,
 }
 
 impl RxQueue {
-    fn push(&self, d: RxDatagram) {
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        self.received.fetch_add(1, Ordering::Relaxed);
-        let _ = self.tx.send(d);
+    /// Enqueue `batch` as one entry: one lock, one wake-up of the engine.
+    fn push(&self, batch: Vec<RxDatagram>) {
+        if batch.is_empty() {
+            return;
+        }
+        let n = batch.len() as u64;
+        self.depth.fetch_add(n, Ordering::Relaxed);
+        self.received.fetch_add(n, Ordering::Relaxed);
+        let _ = self.tx.send(Inbox::Datagrams(batch));
     }
 }
 
-/// Consumer half of the receive queue (held by the event loop).
+/// Consumer half of the inbox (held by the event loop).
 pub struct RxReceiver {
-    rx: Receiver<RxDatagram>,
+    rx: Receiver<Inbox>,
+    /// Producer handle for the node's commands.
+    tx: Sender<Inbox>,
+    /// The rest of a batch the one-at-a-time accessors have begun.
+    open: Mutex<VecDeque<RxDatagram>>,
     depth: Arc<AtomicU64>,
     received: Arc<AtomicU64>,
 }
@@ -82,16 +112,25 @@ pub struct RxReceiver {
 impl RxReceiver {
     /// Block up to `timeout` for the next datagram.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<RxDatagram, RecvTimeoutError> {
-        let d = self.rx.recv_timeout(timeout)?;
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-        Ok(d)
+        let deadline = Instant::now() + timeout;
+        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(d) = open.pop_front() {
+                self.depth.fetch_sub(1, Ordering::Relaxed);
+                return Ok(d);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.rx.recv_timeout(left)? {
+                Inbox::Datagrams(batch) => open.extend(batch),
+                // Only a node sends commands, and it took this receiver.
+                Inbox::Command(_) => {}
+            }
+        }
     }
 
     /// Non-blocking pop.
     pub fn try_recv(&self) -> Option<RxDatagram> {
-        let d = self.rx.try_recv().ok()?;
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-        Some(d)
+        self.recv_timeout(Duration::ZERO).ok()
     }
 
     /// Current queue depth (datagrams received but not yet consumed).
@@ -103,21 +142,70 @@ impl RxReceiver {
     pub fn received(&self) -> u64 {
         self.received.load(Ordering::Relaxed)
     }
+
+    /// The handle a node's owner sends [`Command`]s through.
+    pub(crate) fn command_sender(&self) -> Sender<Inbox> {
+        self.tx.clone()
+    }
+
+    /// One engine turn's intake: park up to `wait` for the first entry,
+    /// then take what is already queued behind it until [`TURN_BOUND`]
+    /// datagrams and commands are in hand. Returns the datagrams taken;
+    /// `Err` when no producer is left.
+    pub(crate) fn take_turn(
+        &self,
+        wait: Duration,
+        into: &mut Vec<Inbox>,
+    ) -> Result<u64, RecvTimeoutError> {
+        let begun = std::mem::take(&mut *self.open.lock().unwrap_or_else(PoisonError::into_inner));
+        let mut next = if !begun.is_empty() {
+            Some(Inbox::Datagrams(begun.into()))
+        } else {
+            match self.rx.recv_timeout(wait) {
+                Ok(entry) => Some(entry),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(e) => return Err(e),
+            }
+        };
+        let (mut datagrams, mut taken) = (0, 0);
+        while let Some(entry) = next {
+            let n = match &entry {
+                Inbox::Datagrams(batch) => batch.len(),
+                Inbox::Command(_) => 0,
+            };
+            datagrams += n;
+            taken += n.max(1);
+            into.push(entry);
+            next = if taken < TURN_BOUND {
+                self.rx.try_recv().ok()
+            } else {
+                None
+            };
+        }
+        self.depth.fetch_sub(datagrams as u64, Ordering::Relaxed);
+        Ok(datagrams as u64)
+    }
 }
 
-/// Create the receive queue shared between a transport and an event loop.
+/// Datagrams and commands after which a turn stops taking more, so that a
+/// flood cannot keep the engine from its tick.
+const TURN_BOUND: usize = 64;
+
+/// Create the inbox shared between a transport and an event loop.
 pub fn rx_channel() -> (RxQueue, RxReceiver) {
     let (tx, rx) = unbounded();
     let depth = Arc::new(AtomicU64::new(0));
     let received = Arc::new(AtomicU64::new(0));
     (
         RxQueue {
-            tx,
+            tx: tx.clone(),
             depth: Arc::clone(&depth),
             received: Arc::clone(&received),
         },
         RxReceiver {
             rx,
+            tx,
+            open: Mutex::default(),
             depth,
             received,
         },
@@ -147,8 +235,16 @@ impl TransportKind {
 pub trait Transport: Send {
     /// Which path this is.
     fn kind(&self) -> TransportKind;
-    /// Transmit one logical multicast datagram.
+    /// Transmit one logical multicast datagram, at once.
     fn send(&mut self, dst: McastAddr, payload: &[u8]);
+    /// Transmit one engine turn's datagrams, in order, at once. Returns the
+    /// socket writes issued.
+    fn send_batch(&mut self, frames: &[(McastAddr, Bytes)]) -> u64 {
+        for (dst, payload) in frames {
+            self.send(*dst, payload);
+        }
+        frames.len() as u64
+    }
     /// Subscribe to a group (from `Action::Join`).
     fn join(&mut self, addr: McastAddr);
     /// Unsubscribe from a group (from `Action::Leave`).
@@ -159,8 +255,12 @@ pub trait Transport: Send {
     fn shutdown(&mut self);
 }
 
-/// Shared subscription set, consulted by reader threads on every frame.
+/// Shared subscription set, consulted by reader threads on every read.
 type Subs = Arc<Mutex<HashSet<u32>>>;
+
+fn locked(subs: &Subs) -> MutexGuard<'_, HashSet<u32>> {
+    subs.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Map a protocol `McastAddr` onto a loopback-scoped 239.77.x.y group.
 /// Collisions between distinct `McastAddr`s are harmless: the frame header
@@ -296,15 +396,11 @@ impl UdpMulticastTransport {
                                 if dst == PROBE_ADDR {
                                     continue;
                                 }
-                                let subscribed = reader_subs
-                                    .lock()
-                                    .map(|s| s.contains(&dst.0))
-                                    .unwrap_or(false);
-                                if subscribed {
-                                    rxq.push(RxDatagram {
+                                if locked(&reader_subs).contains(&dst.0) {
+                                    rxq.push(vec![RxDatagram {
                                         addr: dst,
-                                        payload: Bytes::from(payload.to_vec()),
-                                    });
+                                        payload: Bytes::copy_from_slice(payload),
+                                    }]);
                                 }
                             }
                         }
@@ -346,9 +442,7 @@ impl Transport for UdpMulticastTransport {
     }
 
     fn join(&mut self, addr: McastAddr) {
-        if let Ok(mut s) = self.subs.lock() {
-            s.insert(addr.0);
-        }
+        locked(&self.subs).insert(addr.0);
         let ip = multicast_group_ip(addr);
         let refs = self.joined.entry(ip).or_insert(0);
         if *refs == 0 {
@@ -360,9 +454,7 @@ impl Transport for UdpMulticastTransport {
     }
 
     fn leave(&mut self, addr: McastAddr) {
-        if let Ok(mut s) = self.subs.lock() {
-            s.remove(&addr.0);
-        }
+        locked(&self.subs).remove(&addr.0);
         let ip = multicast_group_ip(addr);
         if let Some(refs) = self.joined.get_mut(&ip) {
             *refs = refs.saturating_sub(1);
@@ -419,58 +511,112 @@ pub struct TcpMeshTransport {
     subs: Subs,
     rxq: RxQueue,
     slots: Arc<Vec<Mutex<Option<TcpStream>>>>,
-    sent: Arc<AtomicU64>,
+    /// The frames of the write in the making; every peer gets these bytes.
+    wbuf: Vec<u8>,
+    sent: u64,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
 }
 
-/// TCP frame: u32-LE dst addr, u32-LE payload length, payload.
-fn tcp_frame(dst: McastAddr, payload: &[u8]) -> Vec<u8> {
-    let mut f = Vec::with_capacity(8 + payload.len());
-    f.extend_from_slice(&dst.0.to_le_bytes());
-    f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    f.extend_from_slice(payload);
-    f
+/// A TCP frame is a u32-LE dst addr, a u32-LE payload length and the
+/// payload; this is the two words' size.
+const TCP_HEADER: usize = 8;
+
+/// A frame that declares a longer payload marks a corrupt stream.
+const MAX_FRAME_PAYLOAD: usize = 1 << 24;
+
+/// Most bytes handed to one `write`; a batch beyond it goes out in several.
+const WRITE_CAP: usize = 64 * 1024;
+
+/// What a stream reader asks of one `read`, and its buffer's first size.
+const READ_BUF: usize = 16 * 1024;
+
+/// A frame header declared more than [`MAX_FRAME_PAYLOAD`] bytes.
+#[derive(Debug, PartialEq, Eq)]
+struct FrameTooLong;
+
+/// Hand every complete frame at the front of `buf` to `emit`, in order, and
+/// return how many bytes they took; what follows is the head of a frame
+/// still arriving. Allocates nothing: a declared length is only compared.
+fn split_frames(buf: &[u8], mut emit: impl FnMut(McastAddr, &[u8])) -> Result<usize, FrameTooLong> {
+    let mut off = 0;
+    while let Some(header) = buf[off..].first_chunk::<TCP_HEADER>() {
+        let dst = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+        let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
+        if len > MAX_FRAME_PAYLOAD {
+            return Err(FrameTooLong);
+        }
+        let Some(payload) = buf[off + TCP_HEADER..].get(..len) else {
+            break;
+        };
+        emit(McastAddr(dst), payload);
+        off += TCP_HEADER + len;
+    }
+    Ok(off)
 }
 
-/// Per-stream reader: buffers bytes and delivers every complete frame that
-/// matches the subscription set.
+/// A stream reader's buffer: what was read and is not yet a whole frame.
+struct FrameBuf {
+    buf: Vec<u8>,
+    filled: usize,
+}
+
+impl FrameBuf {
+    fn new() -> Self {
+        FrameBuf {
+            buf: vec![0; READ_BUF],
+            filled: 0,
+        }
+    }
+
+    /// Where the next `read` lands; never empty.
+    fn space(&mut self) -> &mut [u8] {
+        &mut self.buf[self.filled..]
+    }
+
+    /// `n` bytes were read into [`space`](Self::space): hand the frames they
+    /// complete to `emit` and keep the rest at the front.
+    fn advance(
+        &mut self,
+        n: usize,
+        emit: impl FnMut(McastAddr, &[u8]),
+    ) -> Result<(), FrameTooLong> {
+        self.filled += n;
+        let used = split_frames(&self.buf[..self.filled], emit)?;
+        self.buf.copy_within(used..self.filled, 0);
+        self.filled -= used;
+        if self.filled == self.buf.len() {
+            // One frame longer than the buffer: make room for it.
+            self.buf.resize(2 * self.filled, 0);
+        }
+        Ok(())
+    }
+}
+
+/// Per-stream reader: the subscribed frames each `read` completes go to the
+/// inbox as one entry, under one look at the subscription set.
 fn tcp_reader(mut stream: TcpStream, subs: Subs, rxq: RxQueue, stop: Arc<AtomicBool>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut acc: Vec<u8> = Vec::with_capacity(16 * 1024);
-    let mut tmp = [0u8; 16 * 1024];
+    let mut frames = FrameBuf::new();
     while !stop.load(Ordering::Relaxed) {
-        match stream.read(&mut tmp) {
+        match stream.read(frames.space()) {
             Ok(0) => break,
             Ok(n) => {
-                acc.extend_from_slice(&tmp[..n]);
-                let mut off = 0usize;
-                while acc.len() - off >= 8 {
-                    let dst =
-                        u32::from_le_bytes([acc[off], acc[off + 1], acc[off + 2], acc[off + 3]]);
-                    let len = u32::from_le_bytes([
-                        acc[off + 4],
-                        acc[off + 5],
-                        acc[off + 6],
-                        acc[off + 7],
-                    ]) as usize;
-                    if len > 1 << 24 {
-                        return; // corrupt stream; abandon it
-                    }
-                    if acc.len() - off - 8 < len {
-                        break;
-                    }
-                    let payload = &acc[off + 8..off + 8 + len];
-                    let subscribed = subs.lock().map(|s| s.contains(&dst)).unwrap_or(false);
-                    if subscribed {
-                        rxq.push(RxDatagram {
-                            addr: McastAddr(dst),
-                            payload: Bytes::from(payload.to_vec()),
+                let mut batch = Vec::new();
+                let subs = locked(&subs);
+                let split = frames.advance(n, |addr, payload| {
+                    if subs.contains(&addr.0) {
+                        batch.push(RxDatagram {
+                            addr,
+                            payload: Bytes::copy_from_slice(payload),
                         });
                     }
-                    off += 8 + len;
+                });
+                drop(subs);
+                if split.is_err() {
+                    return; // corrupt stream; abandon it
                 }
-                acc.drain(..off);
+                rxq.push(batch);
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
@@ -560,10 +706,32 @@ impl TcpMeshTransport {
             subs,
             rxq,
             slots,
-            sent: Arc::new(AtomicU64::new(0)),
+            wbuf: Vec::with_capacity(WRITE_CAP),
+            sent: 0,
             stop,
             threads,
         })
+    }
+
+    /// Write the `frames` frames laid into `wbuf` to every connected peer,
+    /// [`WRITE_CAP`] bytes a write, and empty it. Returns the writes issued.
+    fn write_to_peers(&mut self, frames: u64) -> u64 {
+        let mut writes = 0;
+        for slot in self.slots.iter() {
+            let Ok(mut guard) = slot.lock() else { continue };
+            let Some(stream) = guard.as_mut() else {
+                continue;
+            };
+            let mut chunks = self.wbuf.chunks(WRITE_CAP);
+            writes += chunks.len() as u64;
+            if chunks.all(|chunk| stream.write_all(chunk).is_ok()) {
+                self.sent += frames;
+            } else {
+                *guard = None; // dead peer; the sweeper will reconnect
+            }
+        }
+        self.wbuf.clear();
+        writes
     }
 }
 
@@ -573,49 +741,51 @@ impl Transport for TcpMeshTransport {
     }
 
     fn send(&mut self, dst: McastAddr, payload: &[u8]) {
-        let frame = tcp_frame(dst, payload);
-        for slot in self.slots.iter() {
-            let Ok(mut guard) = slot.lock() else { continue };
-            let ok = match guard.as_mut() {
-                Some(stream) => stream.write_all(&frame).is_ok(),
-                None => continue,
-            };
-            if ok {
-                self.sent.fetch_add(1, Ordering::Relaxed);
-            } else {
-                *guard = None; // dead peer; the sweeper will reconnect
+        self.send_batch(&[(dst, Bytes::copy_from_slice(payload))]);
+    }
+
+    fn send_batch(&mut self, frames: &[(McastAddr, Bytes)]) -> u64 {
+        let (mut writes, mut laid) = (0, 0);
+        for (dst, payload) in frames {
+            if laid > 0 && self.wbuf.len() + TCP_HEADER + payload.len() > WRITE_CAP {
+                writes += self.write_to_peers(laid);
+                laid = 0;
             }
+            self.wbuf.extend_from_slice(&dst.0.to_le_bytes());
+            self.wbuf
+                .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            self.wbuf.extend_from_slice(payload);
+            laid += 1;
         }
+        writes += self.write_to_peers(laid);
         // The kernel loops multicast back to the sender; the mesh must do
         // the same so self-addressed traffic (and loop-delivery dedupe
         // paths) behave identically on both transports.
-        let subscribed = self
-            .subs
-            .lock()
-            .map(|s| s.contains(&dst.0))
-            .unwrap_or(false);
-        if subscribed {
-            self.rxq.push(RxDatagram {
-                addr: dst,
-                payload: Bytes::from(payload.to_vec()),
-            });
-        }
+        let own = {
+            let subs = locked(&self.subs);
+            frames
+                .iter()
+                .filter(|(dst, _)| subs.contains(&dst.0))
+                .map(|(dst, payload)| RxDatagram {
+                    addr: *dst,
+                    payload: payload.clone(),
+                })
+                .collect()
+        };
+        self.rxq.push(own);
+        writes
     }
 
     fn join(&mut self, addr: McastAddr) {
-        if let Ok(mut s) = self.subs.lock() {
-            s.insert(addr.0);
-        }
+        locked(&self.subs).insert(addr.0);
     }
 
     fn leave(&mut self, addr: McastAddr) {
-        if let Ok(mut s) = self.subs.lock() {
-            s.remove(&addr.0);
-        }
+        locked(&self.subs).remove(&addr.0);
     }
 
     fn sent(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
+        self.sent
     }
 
     fn shutdown(&mut self) {
@@ -696,6 +866,7 @@ pub fn open_transport(spec: TransportSpec, rxq: RxQueue) -> io::Result<Selected>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn udp_frame_round_trip_and_rejects() {
@@ -715,5 +886,124 @@ mod tests {
             assert_eq!(ip.octets()[0], 239);
             assert_eq!(ip.octets()[1], 77);
         }
+    }
+
+    type Frame = (u32, Vec<u8>);
+
+    fn header(dst: u32, len: u32) -> Vec<u8> {
+        [dst.to_le_bytes(), len.to_le_bytes()].concat()
+    }
+
+    fn stream_of(frames: &[Frame]) -> Vec<u8> {
+        frames
+            .iter()
+            .flat_map(|(dst, payload)| {
+                [header(*dst, payload.len() as u32), payload.clone()].concat()
+            })
+            .collect()
+    }
+
+    /// Feed `stream` through a reader's buffer as reads of the sizes in
+    /// `cuts` (taken in turn, round and round) would deliver it.
+    fn read_in_cuts(
+        stream: &[u8],
+        cuts: &[usize],
+    ) -> (Vec<Frame>, Result<(), FrameTooLong>, FrameBuf) {
+        let mut frames = FrameBuf::new();
+        let mut got = Vec::new();
+        let (mut at, mut cut) = (0, 0);
+        while at < stream.len() {
+            let space = frames.space();
+            assert!(
+                !space.is_empty(),
+                "a read into no space reads as end of stream"
+            );
+            let n = cuts[cut % cuts.len()]
+                .min(space.len())
+                .min(stream.len() - at);
+            cut += 1;
+            space[..n].copy_from_slice(&stream[at..at + n]);
+            at += n;
+            let split = frames.advance(n, |addr, payload| got.push((addr.0, payload.to_vec())));
+            if split.is_err() {
+                return (got, split, frames);
+            }
+        }
+        (got, Ok(()), frames)
+    }
+
+    /// Payload lengths around everything the splitter distinguishes: none,
+    /// a few bytes, and more than one read buffer holds.
+    fn frame_strategy() -> impl Strategy<Value = Frame> {
+        let len = prop_oneof![
+            Just(0usize),
+            1usize..300,
+            READ_BUF - 16..READ_BUF + 16,
+            READ_BUF..3 * READ_BUF,
+        ];
+        (any::<u32>(), len, any::<u8>()).prop_map(|(dst, len, fill)| {
+            let payload = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+            (dst, payload)
+        })
+    }
+
+    /// Read sizes from inside a header up to several frames at once.
+    fn cuts_strategy() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(prop_oneof![1usize..12, 1usize..700, 1usize..40_000], 1..24)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_cut_anywhere_the_stream_yields_the_same_frames(
+            frames in proptest::collection::vec(frame_strategy(), 0..12),
+            cuts in cuts_strategy(),
+        ) {
+            let stream = stream_of(&frames);
+            let mut uncut = Vec::new();
+            let used = split_frames(&stream, |addr, payload| uncut.push((addr.0, payload.to_vec())));
+            prop_assert_eq!(used, Ok(stream.len()));
+            prop_assert_eq!(&uncut, &frames);
+            let (got, end, left) = read_in_cuts(&stream, &cuts);
+            prop_assert_eq!(end, Ok(()));
+            prop_assert_eq!(&got, &frames);
+            prop_assert_eq!(left.filled, 0);
+        }
+
+        #[test]
+        fn prop_arbitrary_bytes_never_panic_or_invent_data(
+            bytes in proptest::collection::vec(any::<u8>(), 0..3000),
+            cuts in cuts_strategy(),
+        ) {
+            let (got, _, _) = read_in_cuts(&bytes, &cuts);
+            let emitted: usize = got.iter().map(|(_, p)| TCP_HEADER + p.len()).sum();
+            prop_assert!(emitted <= bytes.len());
+        }
+
+        #[test]
+        fn prop_an_overlong_length_abandons_the_stream_unallocated(
+            frames in proptest::collection::vec(frame_strategy(), 0..4),
+            dst: u32,
+            over in MAX_FRAME_PAYLOAD as u32 + 1..=u32::MAX,
+            cuts in cuts_strategy(),
+        ) {
+            let mut stream = stream_of(&frames);
+            stream.extend(header(dst, over));
+            stream.extend([0xAB; 64]);
+            let room_for = |frames: &[Frame]| {
+                let longest = frames.iter().map(|(_, p)| TCP_HEADER + p.len()).max();
+                longest.unwrap_or(0).max(READ_BUF) * 2
+            };
+            let (got, end, left) = read_in_cuts(&stream, &cuts);
+            prop_assert_eq!(end, Err(FrameTooLong));
+            prop_assert_eq!(&got, &frames);
+            // Only the frames before it ever made the buffer grow.
+            prop_assert!(left.buf.len() <= room_for(&frames));
+        }
+    }
+
+    #[test]
+    fn the_length_limit_itself_is_a_frame_still_arriving() {
+        let head = header(7, MAX_FRAME_PAYLOAD as u32);
+        assert_eq!(split_frames(&head, |_, _| panic!("no frame yet")), Ok(0));
     }
 }

@@ -64,6 +64,12 @@ benchmark:
 benchmark-smoke:
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+# Ten alternated pairs of one benchmark workload, a checkout of the parent
+# commit against this one: each side's median and quartiles and the win
+# count per end-to-end metric (ROADMAP's protocol for every claim).
+bench-pairs parent workload:
+    scripts/bench-pairs.sh {{parent}} {{workload}}
+
 # Engine-saturation snapshot: sustained throughput and p99 e2e latency at
 # 3/5/7 replicas plus the 10k-connection soak (BENCH_e2e.json).
 bench-e2e:
