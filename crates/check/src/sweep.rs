@@ -427,8 +427,8 @@ impl Cell {
     /// reattach a log on the same directory, and rejoin via a sponsored
     /// §7.1 add. The checker is told about the rejoin so observer-keyed
     /// oracle state resets while the one-history oracles keep checking
-    /// across the boundary.
-    fn restart_from_log(&mut self, id: u32, sponsor: u32) {
+    /// across the boundary. Returns what the log recovered to.
+    fn restart_from_log(&mut self, id: u32, sponsor: u32) -> ftmp_store::RecoveredState {
         let dir = self
             .dlog_dir
             .clone()
@@ -468,6 +468,7 @@ impl Cell {
         self.members.insert(id);
         // §7.1: membership changes are serialized — let this one complete.
         self.net.run_for(SimDuration::from_millis(500));
+        state
     }
 
     fn leave(&mut self, leaver: u32, sponsor: u32) {
@@ -829,6 +830,98 @@ mod tests {
             v.counterexample.as_deref().unwrap_or("no counterexample")
         );
         assert!(v.delivered > 0, "workload must deliver");
+    }
+
+    /// Cut the last `k` records off the log at `dir`, at a frame boundary:
+    /// what a crash leaves of a log whose host had not reached its turn
+    /// boundary (DESIGN.md §12, durability point). Returns the records cut.
+    fn chop_log_tail(dir: &std::path::Path, k: usize) -> Vec<ftmp_store::LogRecord> {
+        let mut records = ftmp_store::recover(dir).expect("recover").records;
+        let cut = records.split_off(records.len() - k);
+        let mut bytes: u64 = cut
+            .iter()
+            .map(|r| {
+                let mut frame = Vec::new();
+                ftmp_store::record::encode_frame(r, &mut frame);
+                frame.len() as u64
+            })
+            .sum();
+        let segments = ftmp_store::log::list_segments(dir).expect("list segments");
+        for (_, path) in segments.iter().rev() {
+            let len = std::fs::metadata(path).expect("segment").len();
+            let take = bytes.min(len - ftmp_store::log::SEGMENT_HEADER as u64);
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(path)
+                .and_then(|f| f.set_len(len - take))
+                .expect("truncate segment");
+            bytes -= take;
+        }
+        assert_eq!(bytes, 0, "the log held the records cut");
+        cut
+    }
+
+    /// The crash-restart cell with the victim's log cut `k` records short
+    /// of what it delivered — the tail a buffering log loses when its host
+    /// dies between turn boundaries. The restart derives an earlier
+    /// horizon, so the donor's delta past it is longer: it must hold every
+    /// record the crash took, plus what the group delivered while the
+    /// victim was down. All seven oracles stay clean across the boundary.
+    #[test]
+    fn crash_restart_with_a_lost_log_tail_is_covered_by_the_donor_delta() {
+        const LOST: usize = 5;
+        let mut cell = build_cell(Scenario::CrashRestart, 0x5EED, 4096);
+        let donor = 1;
+        let donor_dir = ftmp_store::scratch_dir("sweep-donor");
+        let log = ftmp_store::DurableLog::open(&donor_dir, ftmp_store::LogConfig::default())
+            .expect("open donor log");
+        cell.net.with_node(donor, move |n, _, _| {
+            n.engine_mut().set_delivery_log(Box::new(log));
+        });
+        for _ in 0..12 {
+            cell.step();
+        }
+        cell.net.crash(FOUNDERS);
+        cell.crashed.insert(FOUNDERS);
+        cell.checker.retire(FOUNDERS);
+        for _ in 0..12 {
+            cell.step();
+        }
+        let victim_dir = cell.dlog_dir.clone().expect("crash-restart persists");
+        let gap = chop_log_tail(&victim_dir, LOST);
+        let state = cell.restart_from_log(FOUNDERS, donor);
+        for _ in 0..12 {
+            cell.step();
+        }
+        cell.net.run_for(SimDuration::from_secs(3));
+        let live = cell.alive();
+        assert!(live.contains(&FOUNDERS), "the victim rejoined");
+        cell.checker.finish(live);
+        assert_eq!(cell.checker.violation_count(), 0, "all seven oracles clean");
+
+        let horizon = state.horizon_of(GROUP);
+        let delta: Vec<ftmp_store::LogRecord> = ftmp_store::recover(&donor_dir)
+            .expect("recover donor")
+            .records
+            .into_iter()
+            .filter(|r| matches!(r, ftmp_store::LogRecord::Delivered(d) if d.ts > horizon))
+            .collect();
+        let lost: Vec<&ftmp_store::LogRecord> = gap
+            .iter()
+            .filter(|r| matches!(r, ftmp_store::LogRecord::Delivered(_)))
+            .collect();
+        assert!(!lost.is_empty(), "the chop took deliveries");
+        assert!(
+            lost.iter().all(|r| delta.contains(r)),
+            "the donor delta past the chopped horizon holds every lost delivery"
+        );
+        assert!(
+            delta.len() > lost.len(),
+            "and, strictly, what the group delivered while the victim was down"
+        );
+        drop(cell);
+        let _ = std::fs::remove_dir_all(&victim_dir);
+        let _ = std::fs::remove_dir_all(&donor_dir);
     }
 
     /// The overlay cell end to end: tree mode (arity 4, packing on) with a

@@ -12,6 +12,12 @@
 //! The on-disk implementation lives in `ftmp-store` (which depends on this
 //! crate, not the other way around); anything implementing the two hooks —
 //! a file log, a test counter — can ride the same seam.
+//!
+//! A third method, [`flush`](DeliveryLog::flush), marks the turn boundary:
+//! the shell calls it whenever the host takes the accumulated actions
+//! (`Processor::drain_actions*`), so a log that buffers between hooks can
+//! write once per engine turn and still promise that *no host is ever
+//! handed a delivery the log has not handed on*.
 
 use crate::actions::Delivery;
 use crate::ids::{GroupId, ProcessorId, Timestamp};
@@ -30,4 +36,9 @@ pub trait DeliveryLog: Send {
     /// A membership view was installed locally (including a joiner's own
     /// first view at join commit).
     fn on_view_change(&mut self, group: GroupId, members: &[ProcessorId], ts: Timestamp);
+
+    /// The host is taking this turn's actions: everything the two hooks
+    /// were given so far must be handed on (to the OS, for a file log)
+    /// before this returns. The default suits a log that buffers nothing.
+    fn flush(&mut self) {}
 }

@@ -327,8 +327,8 @@ mod tests {
                             relay(&mut nodes, i, pi);
                         }
                     }
-                    for i in 0..n {
-                        if let Some(parent) = tree.parent(members[i]) {
+                    for (i, &member) in members.iter().enumerate().take(n) {
+                        if let Some(parent) = tree.parent(member) {
                             let pi = tree.members().iter().position(|&m| m == parent).unwrap();
                             relay(&mut nodes, pi, i);
                         }

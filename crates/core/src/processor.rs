@@ -462,15 +462,23 @@ impl Processor {
             .is_some_and(|g| g.pgmp.reconfig.is_some())
     }
 
-    /// Drain the accumulated actions into a fresh `Vec`.
+    /// Drain the accumulated actions into a fresh `Vec`. Like
+    /// [`drain_actions_into`](Processor::drain_actions_into), this is the
+    /// delivery log's turn boundary.
     pub fn drain_actions(&mut self) -> Vec<Action> {
+        self.tap.flush_log();
         self.sink.take_all()
     }
 
     /// Drain the accumulated actions into a caller-owned scratch vector;
     /// both buffers keep their capacity (see the [`ActionSink`] contract in
     /// [`crate::actions`]). Prefer this in pump loops.
+    ///
+    /// Taking the actions is the turn boundary of an attached delivery log
+    /// ([`DeliveryLog::flush`](crate::durable::DeliveryLog::flush)): the log
+    /// has handed on every delivery in `out` before the host sees it.
     pub fn drain_actions_into(&mut self, out: &mut Vec<Action>) {
+        self.tap.flush_log();
         self.sink.drain_into(out);
     }
 

@@ -6,7 +6,8 @@
 //! consumers — the conformance observation buffer, [`Telemetry`] and the
 //! durable [`DeliveryLog`] — and each derives its own view from the same
 //! value: [`Observation::project`], [`Telemetry::on_event`], and the two
-//! `DeliveryLog` hooks fed from `Delivered` / `ViewInstalled`. All three are
+//! `DeliveryLog` hooks fed from `Delivered` / `ViewInstalled` (its third
+//! method, the turn boundary, is [`Tap::flush_log`]). All three are
 //! absent by default; `emit` is then one branch and the event is never
 //! materialized. Nothing flows back: an event is read, never answered, so no
 //! consumer can perturb the protocol (the golden trace hashes pin the wire
@@ -184,6 +185,15 @@ impl Tap {
                 }
                 _ => {}
             }
+        }
+    }
+
+    /// The host is taking the turn's actions: the delivery log's turn
+    /// boundary ([`DeliveryLog::flush`]).
+    #[inline]
+    pub(crate) fn flush_log(&mut self) {
+        if let Some(log) = &mut self.dlog {
+            log.flush();
         }
     }
 

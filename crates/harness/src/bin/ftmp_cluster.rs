@@ -149,10 +149,10 @@ fn run_member(args: &[String]) -> i32 {
     let mut recover_us = 0u64;
     if a.restart {
         let t0 = Instant::now();
-        match ftmp_store::recover(&log_dir) {
-            Ok(rec) => {
+        match ftmp_store::RecoveredState::from_log(&log_dir) {
+            Ok((state, stats)) => {
                 recover_us = t0.elapsed().as_micros() as u64;
-                recovered_records = rec.records.len() as u64;
+                recovered_records = stats.records_recovered;
                 // The recovered per-connection delivery sets tell the new
                 // incarnation what it already executed; what they can NOT
                 // tell it is which of its old in-flight requests the
@@ -161,7 +161,6 @@ fn run_member(args: &[String]) -> i32 {
                 // retry-id epoch): the new life never reuses a number, so
                 // the group's duplicate suppression — which rightly drops
                 // any reused (conn, request) — never splits the order.
-                let state = ftmp_store::RecoveredState::from_records(&rec.records);
                 let own = state
                     .per_conn
                     .get(&conn())

@@ -220,8 +220,7 @@ impl FtmpWorld {
         proto: ProtocolConfig,
         clock: ClockMode,
     ) -> ftmp_store::RecoveredState {
-        let recovered = ftmp_store::recover(dir).expect("log recovery");
-        let state = ftmp_store::RecoveredState::from_records(&recovered.records);
+        let (state, _) = ftmp_store::RecoveredState::from_log(dir).expect("log recovery");
         let mut engine = Processor::new(ProcessorId(id), proto, clock);
         engine.expect_join(self.group, self.addr);
         engine.bind_connection(world_conn(), self.group);

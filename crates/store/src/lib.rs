@@ -16,8 +16,11 @@
 //! needs to send a delta instead of a full snapshot.
 //!
 //! Module map: [`record`] the record model and CRC frame codec; [`log`]
-//! the segment writer; [`recover`](mod@recover) the crash-recovery scan;
-//! [`state`] the derived warm-start state.
+//! the buffered segment writer and its flush points (the durability
+//! point: no host is handed a delivery the OS has not been handed);
+//! [`recover`](mod@recover) the one streaming crash-recovery [`scan`] and
+//! its collector [`recover()`]; [`state`] the derived warm-start state,
+//! folded from records or straight from the scan.
 
 pub mod log;
 pub mod record;
@@ -26,7 +29,7 @@ pub mod state;
 
 pub use crate::log::{DurableLog, LogConfig};
 pub use crate::record::{DeliveredRecord, LogRecord, ViewRecord};
-pub use crate::recover::{recover, RecoverStats, Recovered};
+pub use crate::recover::{recover, scan, RecoverStats, Recovered};
 pub use crate::state::{fingerprint, RecoveredState};
 
 use std::path::PathBuf;

@@ -18,10 +18,19 @@
 //!
 //! Either way the on-disk state after recovery is exactly the recovered
 //! prefix — running recovery twice is idempotent, which the proptests pin.
+//!
+//! There is one scan routine, [`scan`]: it reads each segment into one
+//! buffer and hands every record of the prefix to a caller's closure, a
+//! delivered record's body being a slice of that buffer (no per-record
+//! allocation or copy). [`recover`] is the collector over it;
+//! [`RecoveredState::from_log`](crate::state::RecoveredState::from_log)
+//! folds the same stream without ever holding the records.
 
 use std::fs;
 use std::io;
 use std::path::Path;
+
+use bytes::Bytes;
 
 use crate::log::{list_segments, SEGMENT_HEADER, SEGMENT_MAGIC};
 use crate::record::{crc32, decode_payload, LogRecord, FRAME_HEADER, MAX_RECORD};
@@ -60,9 +69,9 @@ enum Anomaly {
     Corrupt(usize),
 }
 
-/// Scan one segment body, appending valid records to `out`. Returns the
-/// anomaly (if any) and the offset where the valid prefix ends.
-fn scan_segment(data: &[u8], out: &mut Vec<LogRecord>) -> (Anomaly, usize) {
+/// Scan one segment, handing valid records to `each`. Returns the anomaly
+/// (if any) and the offset where the valid prefix ends.
+fn scan_segment(data: &Bytes, each: &mut impl FnMut(LogRecord)) -> (Anomaly, usize) {
     if data.len() < SEGMENT_HEADER || data[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
         return (Anomaly::Corrupt(0), 0);
     }
@@ -83,12 +92,12 @@ fn scan_segment(data: &[u8], out: &mut Vec<LogRecord>) -> (Anomaly, usize) {
         if data.len() - at - FRAME_HEADER < len {
             return (Anomaly::Torn(at), at);
         }
-        let payload = &data[at + FRAME_HEADER..at + FRAME_HEADER + len];
-        if crc32(payload) != crc {
+        let payload = data.slice(at + FRAME_HEADER..at + FRAME_HEADER + len);
+        if crc32(&payload) != crc {
             return (Anomaly::Corrupt(at), at);
         }
-        match decode_payload(payload) {
-            Some(rec) => out.push(rec),
+        match decode_payload(&payload) {
+            Some(rec) => each(rec),
             None => return (Anomaly::Corrupt(at), at),
         }
         at += FRAME_HEADER + len;
@@ -121,37 +130,47 @@ fn quarantine(dir: &Path, name: &str, offset: usize, bytes: &[u8]) -> io::Result
 /// segment files hold exactly the recovered prefix; anything else has been
 /// truncated (torn tails) or moved into `dir/quarantine/` (corruption).
 pub fn recover(dir: &Path) -> io::Result<Recovered> {
-    let mut rec = Recovered {
-        records: Vec::new(),
-        stats: RecoverStats::default(),
-    };
+    let mut records = Vec::new();
+    let stats = scan(dir, |r| records.push(r))?;
+    Ok(Recovered { records, stats })
+}
+
+/// Stream the longest valid record prefix of the log at `dir` through
+/// `each`, in append order, healing the directory exactly as [`recover`]
+/// documents. Each segment is read into one buffer that its records'
+/// `giop` bodies slice; a caller that keeps a record keeps that segment's
+/// buffer alive, one that only folds it holds one segment at a time.
+pub fn scan(dir: &Path, mut each: impl FnMut(LogRecord)) -> io::Result<RecoverStats> {
+    let mut stats = RecoverStats::default();
     if !dir.exists() {
-        return Ok(rec);
+        return Ok(stats);
     }
     let segments = list_segments(dir)?;
     let mut poisoned_at: Option<usize> = None; // index of first bad segment
     for (i, (_, path)) in segments.iter().enumerate() {
-        rec.stats.segments_scanned += 1;
+        stats.segments_scanned += 1;
         if poisoned_at.is_some() {
             // Everything after the first anomaly is untrusted: move the
             // whole segment aside.
             let data = fs::read(path)?;
-            rec.stats.bytes_quarantined += data.len() as u64;
-            rec.stats.records_quarantined +=
-                count_framelike(data.get(SEGMENT_HEADER..).unwrap_or(&[]));
+            stats.bytes_quarantined += data.len() as u64;
+            stats.records_quarantined += count_framelike(data.get(SEGMENT_HEADER..).unwrap_or(&[]));
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             quarantine(dir, &name, 0, &data)?;
             fs::remove_file(path)?;
             continue;
         }
-        let data = fs::read(path)?;
-        let (anomaly, valid_end) = scan_segment(&data, &mut rec.records);
+        let data = Bytes::from(fs::read(path)?);
+        let (anomaly, valid_end) = scan_segment(&data, &mut |r| {
+            stats.records_recovered += 1;
+            each(r);
+        });
         let last = i + 1 == segments.len();
         match anomaly {
             Anomaly::None => {}
             Anomaly::Torn(at) if last => {
                 // Expected crash residue: cut it off.
-                rec.stats.bytes_truncated += (data.len() - at) as u64;
+                stats.bytes_truncated += (data.len() - at) as u64;
                 fs::OpenOptions::new()
                     .write(true)
                     .open(path)?
@@ -162,8 +181,8 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
                 // Corruption, or a torn tail with segments *after* it —
                 // either way the remainder is suspect, not residue.
                 let tail = &data[at..];
-                rec.stats.bytes_quarantined += tail.len() as u64;
-                rec.stats.records_quarantined += count_framelike(tail);
+                stats.bytes_quarantined += tail.len() as u64;
+                stats.records_quarantined += count_framelike(tail);
                 let name = path.file_name().unwrap().to_string_lossy().into_owned();
                 quarantine(dir, &name, at, tail)?;
                 if valid_end < SEGMENT_HEADER {
@@ -179,8 +198,7 @@ pub fn recover(dir: &Path) -> io::Result<Recovered> {
             }
         }
     }
-    rec.stats.records_recovered = rec.records.len() as u64;
-    Ok(rec)
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -222,6 +240,8 @@ mod tests {
             log.append(&r).unwrap();
             written.push(r);
         }
+        // Dropping the writer writes nothing: hand the tail over first.
+        log.flush().unwrap();
         written
     }
 

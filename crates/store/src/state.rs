@@ -3,10 +3,13 @@
 //! restarted member feeds back into its duplicate detectors.
 
 use std::collections::BTreeMap;
+use std::io;
+use std::path::Path;
 
 use ftmp_core::{ConnectionId, GroupId, ProcessorId, RequestNum, Timestamp};
 
 use crate::record::{encode_frame, LogRecord};
+use crate::recover::{scan, RecoverStats};
 
 /// Everything a restarted member re-derives from its log (DESIGN.md §12).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -29,19 +32,34 @@ impl RecoveredState {
     pub fn from_records(records: &[LogRecord]) -> Self {
         let mut s = RecoveredState::default();
         for r in records {
-            match r {
-                LogRecord::Delivered(d) => {
-                    s.delivered += 1;
-                    let h = s.horizon.entry(d.group).or_insert(Timestamp(0));
-                    *h = (*h).max(d.ts);
-                    s.per_conn.entry(d.conn).or_default().push(d.request_num);
-                }
-                LogRecord::ViewChange(v) => {
-                    s.last_view.insert(v.group, (v.members.clone(), v.ts));
-                }
-            }
+            s.absorb(r);
         }
         s
+    }
+
+    /// Recover the log at `dir` (see [`scan`]) straight into derived state:
+    /// the same fold as [`from_records`](Self::from_records) over the same
+    /// scan as [`recover`](crate::recover()), without materialising the
+    /// records — for a host that restarts from its log and wants only this.
+    pub fn from_log(dir: &Path) -> io::Result<(Self, RecoverStats)> {
+        let mut s = RecoveredState::default();
+        let stats = scan(dir, |r| s.absorb(&r))?;
+        Ok((s, stats))
+    }
+
+    /// The fold's step: account one more record of the prefix.
+    fn absorb(&mut self, r: &LogRecord) {
+        match r {
+            LogRecord::Delivered(d) => {
+                self.delivered += 1;
+                let h = self.horizon.entry(d.group).or_insert(Timestamp(0));
+                *h = (*h).max(d.ts);
+                self.per_conn.entry(d.conn).or_default().push(d.request_num);
+            }
+            LogRecord::ViewChange(v) => {
+                self.last_view.insert(v.group, (v.members.clone(), v.ts));
+            }
+        }
     }
 
     /// The delta-transfer start point for `group`: a donor only needs to

@@ -53,6 +53,8 @@ fn write_all(dir: &std::path::Path, records: &[LogRecord], segment_bytes: u64) {
     for r in records {
         log.append(r).unwrap();
     }
+    // A dropped writer loses its buffer; these logs are read back whole.
+    log.flush().unwrap();
 }
 
 proptest! {

@@ -9,14 +9,16 @@
 //!    donor snapshot), fetches only the donor's suffix past its persisted
 //!    horizon, rejoins under the **same** processor id, and serves
 //!    identically to the survivors.
+//! 3. The durability point: what is on disk when, relative to the host
+//!    taking the engine's actions.
 
 use bytes::Bytes;
 use ftmp::core::{
-    wire, ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
-    ProtocolEvent, RequestNum, SimProcessor,
+    wire, Action, ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId,
+    ProtocolConfig, ProtocolEvent, RequestNum, SimProcessor,
 };
 use ftmp::harness::worlds::{OrbWorld, ORB_GROUP_ADDR};
-use ftmp::net::{McastAddr, Outbox, SimConfig, SimDuration, SimNet, SimTime};
+use ftmp::net::{McastAddr, Outbox, Packet, SimConfig, SimDuration, SimNet, SimTime};
 use ftmp::orb::log::LogEntry;
 use ftmp::orb::servant::decode_i64_result;
 use ftmp::orb::{OrbEndpoint, OrbNode};
@@ -97,6 +99,107 @@ fn durable_log_does_not_perturb_the_golden_trace() {
         assert_eq!(delivered, 9, "3 sources x 3 requests at every member");
         std::fs::remove_dir_all(dir).unwrap();
     }
+}
+
+/// Deliveries and views in the log at `dir`, as a restart would find them.
+fn on_disk(dir: &std::path::Path) -> (usize, usize) {
+    let records = recover(dir).unwrap().records;
+    let delivered = records
+        .iter()
+        .filter(|r| matches!(r, LogRecord::Delivered(_)))
+        .count();
+    (delivered, records.len() - delivered)
+}
+
+/// The durability point (DESIGN.md §12), through a real engine driven by
+/// hand so that *this test* decides when the host takes its actions: no
+/// host is ever handed a delivery the OS has not been handed, and nothing
+/// stronger. `host` logs; `peer` only talks to it.
+#[test]
+fn the_durability_point_is_the_turn_boundary() {
+    let dir = scratch_dir("durability-point");
+    let founders = [ProcessorId(1), ProcessorId(2)];
+    let engine = |id: u32| {
+        let mut p = Processor::new(
+            ProcessorId(id),
+            ProtocolConfig::with_seed(5),
+            ClockMode::Lamport,
+        );
+        p.create_group(SimTime::ZERO, GROUP, ADDR, founders);
+        p.bind_connection(conn(), GROUP);
+        p
+    };
+    let (mut peer, mut host) = (engine(1), engine(2));
+    host.set_delivery_log(Box::new(
+        DurableLog::open(&dir, LogConfig::default()).unwrap(),
+    ));
+    let mut now = SimTime::ZERO;
+    let mut next_req = 0;
+    // Part of a turn at `host`: `n` fresh requests from the peer and a few
+    // of its heartbeats (so they order), every datagram handled — and the
+    // host's actions left where they are. Returns the deliveries so far.
+    let mut feed = |peer: &mut Processor, host: &mut Processor, n: u64, add: Option<u32>| {
+        for _ in 0..n {
+            next_req += 1;
+            let body = Bytes::from(vec![next_req as u8; 100]);
+            peer.multicast_request(now, conn(), RequestNum(next_req), body)
+                .unwrap();
+        }
+        if let Some(id) = add {
+            peer.add_processor(now, GROUP, ProcessorId(id));
+        }
+        for _ in 0..3 {
+            now = SimTime(now.0 + 10_000);
+            peer.tick(now);
+            for a in peer.drain_actions() {
+                if let Action::Send { addr, payload } = a {
+                    host.handle_packet(now, &Packet::new(1, addr, payload));
+                }
+            }
+            host.tick(now);
+        }
+        host.layer_totals().romp.delivered
+    };
+    let drained = |host: &mut Processor| -> usize {
+        host.drain_actions()
+            .iter()
+            .filter(|a| matches!(a, Action::Deliver(_)))
+            .count()
+    };
+
+    // Delivered inside the engine, not yet taken by the host: the log may
+    // still be holding them (it is — three small frames are far under its
+    // byte threshold).
+    let delivered = feed(&mut peer, &mut host, 3, None);
+    assert_eq!(delivered, 3, "three ordered deliveries");
+    assert_eq!(on_disk(&dir), (0, 0), "nothing was handed to the host yet");
+    // The host takes the turn's actions: every delivery it now holds is in
+    // the file, with no `sync` and the log still open.
+    assert_eq!(drained(&mut host), 3);
+    assert_eq!(on_disk(&dir), (3, 0));
+
+    // A view install does not wait for the turn: it is on disk at once,
+    // behind the deliveries that preceded it.
+    feed(&mut peer, &mut host, 2, None);
+    assert_eq!(on_disk(&dir), (3, 0));
+    feed(&mut peer, &mut host, 0, Some(3));
+    assert!(
+        host.membership(GROUP).unwrap().contains(&ProcessorId(3)),
+        "the host installed the three-member view"
+    );
+    assert_eq!(
+        on_disk(&dir),
+        (5, 1),
+        "view and what preceded it, undrained"
+    );
+    assert_eq!(drained(&mut host), 2);
+
+    // A log dropped mid-turn is a crashed log: it loses that turn, and
+    // only that turn.
+    feed(&mut peer, &mut host, 2, None);
+    drop(host);
+    assert_eq!(on_disk(&dir), (5, 1), "the undrained turn is gone, no more");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 fn counter() -> Box<dyn ftmp::orb::Servant> {
