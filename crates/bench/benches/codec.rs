@@ -188,7 +188,7 @@ fn bench_packed_container(c: &mut Criterion) {
 /// End-to-end: a three-member group pushing bursty traffic through the
 /// simulator, packing off vs on (Deadline 500 µs). Criterion measures the
 /// wall-clock CPU cost of the same delivered workload; the datagram
-/// reduction itself is reported by experiment E12 and `BENCH_pack.json`.
+/// reduction itself is reported by experiment E12.
 fn bench_packed_end_to_end(c: &mut Criterion) {
     let mut g = c.benchmark_group("packed_end_to_end");
     g.sample_size(12);

@@ -124,28 +124,24 @@ fn bench_retention(c: &mut Criterion) {
 }
 
 fn bench_dup_detector(c: &mut Criterion) {
-    let conn = ftmp_core::ConnectionId::new(
-        ftmp_core::ObjectGroupId::new(1, 1),
-        ftmp_core::ObjectGroupId::new(1, 2),
-    );
     let mut g = c.benchmark_group("dup_detector");
     g.throughput(Throughput::Elements(1000));
     g.bench_function("first_sightings_1000", |b| {
         b.iter(|| {
             let mut d = DuplicateDetector::default();
             for n in 1..=1000u64 {
-                black_box(d.first_sighting(conn, ftmp_core::RequestNum(n)));
+                black_box(d.first_sighting(ftmp_core::RequestNum(n)));
             }
         })
     });
     g.bench_function("duplicate_probes_1000", |b| {
         let mut d = DuplicateDetector::default();
         for n in 1..=1000u64 {
-            d.first_sighting(conn, ftmp_core::RequestNum(n));
+            d.first_sighting(ftmp_core::RequestNum(n));
         }
         b.iter(|| {
             for n in 1..=1000u64 {
-                black_box(d.seen(conn, ftmp_core::RequestNum(n)));
+                black_box(d.seen(ftmp_core::RequestNum(n)));
             }
         })
     });

@@ -4,13 +4,13 @@
 //! function of durable-log size. The write cost is reported alongside so
 //! the append path's overhead is visible in the same table.
 //!
-//! With `FTMP_METRICS_DIR` set, the warm-started shard set's telemetry
+//! With `FTMP_METRICS_DIR` set, the warm-started endpoint's telemetry
 //! counters (requests/replies suppressed, watermark evictions) and the
 //! recovery stats are also written to `$FTMP_METRICS_DIR/e16_metrics.json`.
 
 use bytes::Bytes;
 use ftmp_core::{ConnectionId, GroupId, ObjectGroupId, ProcessorId, RequestNum, SeqNum, Timestamp};
-use ftmp_orb::ShardSet;
+use ftmp_orb::OrbEndpoint;
 use ftmp_store::{
     recover, scratch_dir, DeliveredRecord, DurableLog, LogConfig, LogRecord, RecoverStats,
     RecoveredState, ViewRecord,
@@ -41,7 +41,7 @@ struct Row {
 /// then measure the three restart stages: recover (scan + CRC), derive
 /// (horizon + per-connection watermarks), warm start (replay the numbers
 /// through the duplicate detector's own fold).
-fn run_size(n: u64) -> (Row, ShardSet, RecoverStats) {
+fn run_size(n: u64) -> (Row, OrbEndpoint, RecoverStats) {
     let dir = scratch_dir("e16");
     let mut log = DurableLog::open(&dir, LogConfig::default()).expect("open log");
     let giop = Bytes::from(vec![0xAB; 64]);
@@ -82,10 +82,10 @@ fn run_size(n: u64) -> (Row, ShardSet, RecoverStats) {
     let state = RecoveredState::from_records(&rec.records);
     let derive_ms = t.elapsed().as_secs_f64() * 1_000.0;
     let t = Instant::now();
-    let mut shards = ShardSet::new();
+    let mut orb = OrbEndpoint::new();
     let mut warmed = 0;
     for (conn, nums) in &state.per_conn {
-        warmed += shards.warm_start_executed(*conn, nums.iter().copied());
+        warmed += orb.warm_start_executed(*conn, nums.iter().copied());
     }
     let warm_ms = t.elapsed().as_secs_f64() * 1_000.0;
 
@@ -99,8 +99,9 @@ fn run_size(n: u64) -> (Row, ShardSet, RecoverStats) {
         Timestamp(n),
         "horizon = last ts"
     );
-    assert!(
-        !shards.first_execution(conn_of(0), RequestNum(1)),
+    assert_eq!(
+        orb.warm_start_executed(conn_of(0), [RequestNum(1)]),
+        0,
         "a pre-crash request must stay suppressed after warm start"
     );
     let stats = rec.stats.clone();
@@ -118,14 +119,14 @@ fn run_size(n: u64) -> (Row, ShardSet, RecoverStats) {
             restart_ms,
             recovered_per_sec: n as f64 / (restart_ms / 1_000.0),
         },
-        shards,
+        orb,
         stats,
     )
 }
 
-fn dump_metrics(dir: &str, shards: &ShardSet, stats: &RecoverStats) -> std::io::Result<()> {
+fn dump_metrics(dir: &str, orb: &OrbEndpoint, stats: &RecoverStats) -> std::io::Result<()> {
     let mut reg = ftmp_telemetry::Registry::new();
-    shards.register_metrics(&mut reg);
+    orb.register_metrics(&mut reg);
     let id = reg.counter("e16_segments_scanned");
     reg.inc(id, u64::from(stats.segments_scanned));
     let id = reg.counter("e16_records_recovered");
@@ -143,7 +144,7 @@ fn dump_metrics(dir: &str, shards: &ShardSet, stats: &RecoverStats) -> std::io::
 
 fn main() {
     let sizes = [1_000u64, 10_000, 50_000];
-    let runs: Vec<(Row, ShardSet, RecoverStats)> = sizes.into_iter().map(run_size).collect();
+    let runs: Vec<(Row, OrbEndpoint, RecoverStats)> = sizes.into_iter().map(run_size).collect();
 
     let mut j = String::new();
     j.push_str("{\n  \"bench\": \"e16-recovery\",\n  \"rows\": [\n");
@@ -172,7 +173,7 @@ fn main() {
     println!("{j}");
 
     if let Ok(dir) = std::env::var("FTMP_METRICS_DIR") {
-        let (_, shards, stats) = runs.last().expect("at least one size");
-        dump_metrics(&dir, shards, stats).expect("write e16_metrics.json");
+        let (_, orb, stats) = runs.last().expect("at least one size");
+        dump_metrics(&dir, orb, stats).expect("write e16_metrics.json");
     }
 }

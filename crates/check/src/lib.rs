@@ -25,7 +25,7 @@
 //!   re-exports the golden FNV trace hash.
 //! - [`sweep`] — the seed × scenario matrix driver behind the conformance
 //!   test, the chaos suite, and experiment E13.
-//! - [`explore`] — the coverage-guided schedule explorer (E19): genomes of
+//! - [`mod@explore`] — the coverage-guided schedule explorer (E19): genomes of
 //!   targeted wire-class faults, a telemetry-bucket coverage map, greedy
 //!   counterexample minimization, and deterministic replay-from-genome.
 //!

@@ -12,6 +12,7 @@ use ftmp_net::{
     FaultPlan, LinkDegrade, LinkSelector, LossModel, McastAddr, NodeId, SimConfig, SimDuration,
     SimNet, SimTime,
 };
+use ftmp_telemetry::escape_json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -51,9 +52,8 @@ pub enum Scenario {
     /// ridden out under adaptive timers.
     LatencySpike,
     /// 10 000 logical connections bound to the one processor group, with
-    /// traffic spread across random connections — the sharded per-connection
-    /// path (duplicate suppression, request matching) under the full oracle
-    /// suite.
+    /// traffic spread across random connections — the engine's connection
+    /// table under the full oracle suite (no ORB endpoint sits above it).
     ConnSoak,
     /// One founder (with a durable delivery log attached) crashes
     /// mid-traffic, restarts from its log later in the run, and rejoins
@@ -296,7 +296,7 @@ impl SweepReport {
         s.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
             let cx = match &c.counterexample {
-                Some(text) => format!(", \"counterexample\": \"{}\"", json_escape(text)),
+                Some(text) => format!(", \"counterexample\": \"{}\"", escape_json(text)),
                 None => String::new(),
             };
             s.push_str(&format!(
@@ -314,24 +314,6 @@ impl SweepReport {
         s.push_str("  ]\n}\n");
         s
     }
-}
-
-/// Minimal JSON string escaping for counterexample text (the workspace has
-/// no serde).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Run the full matrix.

@@ -191,7 +191,7 @@ pub fn suppress_window(cfg: &ProtocolConfig, rtt: &RttEstimator) -> SimDuration 
 }
 
 /// Effective per-peer fail timeout: fixed `fail_timeout`, or — under
-/// adaptive timers — floored at [`SUSPICION_FACTOR`] × the peer's observed
+/// adaptive timers — floored at `SUSPICION_FACTOR` × the peer's observed
 /// interarrival envelope, so a jittery network widens suspicion before it
 /// convicts. Clamped at `MAX_SCALE × fail_timeout` to preserve liveness.
 pub fn fail_timeout_for(cfg: &ProtocolConfig, arrivals: &Interarrival) -> SimDuration {

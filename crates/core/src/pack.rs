@@ -12,7 +12,7 @@
 //!   produced *within one entry point* — a tick's NACK batch, a
 //!   retransmission burst — shares a datagram, and nothing is delayed past
 //!   the virtual instant that produced it.
-//! * [`PackPolicy::Deadline(d)`] — a staged message may wait up to `d` for
+//! * [`PackPolicy::Deadline`]`(d)` — a staged message may wait up to `d` for
 //!   company from *later* entry points; expiry is checked on every flush
 //!   window and on ticks. This is the cross-call batching that amortizes
 //!   per-datagram cost under load, at a bounded latency price.

@@ -9,13 +9,13 @@
 //! events (membership changes, fault reports, established connections).
 //!
 //! The protocol logic itself lives in the per-layer sub-state-machines, one
-//! triple per group ([`GroupState`]):
+//! triple per group (`GroupState`):
 //!
-//! * [`RmpLayer`](crate::rmp::RmpLayer) — source order, NACKs, any-holder
+//! * [`RmpLayer`] — source order, NACKs, any-holder
 //!   retention. Typed interface: [`RmpInput`] → [`RmpOutput`].
-//! * [`RompLayer`](crate::romp::RompLayer) — total order, horizons, acks.
+//! * [`RompLayer`] — total order, horizons, acks.
 //!   Typed interface: [`RompInput`] → [`RompOutput`].
-//! * [`PgmpGroup`](crate::pgmp::PgmpGroup) — membership, suspicion →
+//! * [`PgmpGroup`] — membership, suspicion →
 //!   conviction, reconfiguration. Typed interface: [`PgmpInput`] →
 //!   [`PgmpOutput`].
 //!
@@ -23,8 +23,8 @@
 //! feed ROMP; ROMP control messages feed PGMP), turns layer outputs into
 //! [`Action`]s via the reusable [`ActionSink`], and orchestrates everything
 //! that crosses layers or groups: sending, connection establishment
-//! ([`connect`]), membership reconfiguration ([`membership`]) and timers
-//! ([`timers`]).
+//! (`connect`), membership reconfiguration (`membership`) and timers
+//! (`timers`).
 //!
 //! Design notes (see DESIGN.md §4 for the full rationale):
 //!

@@ -74,7 +74,7 @@ impl ProcessorStats {
 
     /// Register the packing / suppression / reception counters into a
     /// telemetry registry so FTMP_METRICS_DIR snapshots include them
-    /// (mirrors `ShardSet::register_metrics` for the ORB shard counters).
+    /// (as `OrbEndpoint::register_metrics` does for the ORB's counters).
     pub fn register_metrics(&self, reg: &mut ftmp_telemetry::Registry) {
         let pairs: [(&str, u64); 8] = [
             ("ftmp_packed_datagrams_sent", self.packed_datagrams_sent),

@@ -19,6 +19,7 @@
 //! a failure's minimized genome is the artifact you want).
 
 use ftmp_check::{explore, matrix_coverage, CoverageMap, ExploreConfig, ExploreOutcome, Scenario};
+use ftmp_telemetry::escape_json;
 use std::path::PathBuf;
 
 fn usage() -> ! {
@@ -149,28 +150,12 @@ fn history_json(h: &[(usize, usize)]) -> String {
     format!("[{}]", pts.join(", "))
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// `results/e19.json`: config, both growth curves, the verdict, and every
 /// minimized failure (hand-rolled JSON; the workspace has no serde).
 fn bucket_list_json(cov: &CoverageMap) -> String {
     let items: Vec<String> = cov
         .iter()
-        .map(|(m, b)| format!("[\"{}\", {b}]", json_escape(m)))
+        .map(|(m, b)| format!("[\"{}\", {b}]", escape_json(m)))
         .collect();
     format!("[{}]", items.join(", "))
 }
@@ -216,7 +201,7 @@ fn report_json(
     s.push_str("  \"failures\": [\n");
     for (i, f) in outcome.failures.iter().enumerate() {
         let cx = match &f.verdict.counterexample {
-            Some(text) => format!(", \"counterexample\": \"{}\"", json_escape(text)),
+            Some(text) => format!(", \"counterexample\": \"{}\"", escape_json(text)),
             None => String::new(),
         };
         s.push_str(&format!(

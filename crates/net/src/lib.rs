@@ -2,23 +2,17 @@
 //! Deterministic multicast network substrate.
 //!
 //! The FTMP paper runs over IP Multicast on a LAN. This crate replaces that
-//! substrate with two interchangeable transports:
+//! substrate with [`sim`] — a deterministic **discrete-event simulator** with
+//! virtual time, per-receiver packet loss (i.i.d. or bursty), configurable
+//! latency distributions, reordering, crash faults and network partitions.
+//! All randomness flows from one seed, so every protocol run — including its
+//! fault injections — replays bit-for-bit. This is what the tests, property
+//! tests and the experiment harness use; real sockets are `ftmp-runtime`.
 //!
-//! * [`sim`] — a deterministic **discrete-event simulator** with virtual
-//!   time, per-receiver packet loss (i.i.d. or bursty), configurable latency
-//!   distributions, reordering, crash faults and network partitions. All
-//!   randomness flows from one seed, so every protocol run — including its
-//!   fault injections — replays bit-for-bit. This is what the tests,
-//!   property tests and the experiment harness use.
-//! * [`live`] — an in-process threaded transport (crossbeam channels acting
-//!   as multicast fan-out) for the runnable examples, where wall-clock
-//!   behaviour is the point.
-//!
-//! Both speak the same vocabulary: a [`Packet`] from a [`NodeId`] to a
-//! multicast group address [`McastAddr`], carrying opaque payload bytes.
-//! Protocol stacks stay sans-io and implement [`sim::SimNode`].
+//! The vocabulary is a [`Packet`] from a [`NodeId`] to a multicast group
+//! address [`McastAddr`], carrying opaque payload bytes. Protocol stacks
+//! stay sans-io and implement [`sim::SimNode`].
 
-pub mod live;
 pub mod models;
 pub mod sim;
 pub mod stats;

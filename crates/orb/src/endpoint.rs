@@ -1,13 +1,14 @@
 //! One processor's ORB: active replication over FTMP deliveries.
 
+use crate::conn::Connection;
 use crate::giop_map::{self, Inbound};
 use crate::log::{LogEntry, LogKind, MessageLog};
 use crate::servant::Servant;
-use crate::shard::ShardSet;
 use bytes::Bytes;
 use ftmp_core::{ConnectionId, Delivery, ObjectGroupId, ProcessorId, RequestNum};
 use ftmp_giop::{FragmentAssembler, Fragmenter};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use ftmp_telemetry::Registry;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A GIOP message the endpoint wants multicast on a connection; the host
 /// forwards it to [`ftmp_core::Processor::multicast_request`].
@@ -35,6 +36,20 @@ pub enum InvocationResult {
     },
 }
 
+impl InvocationResult {
+    /// The outcome a reply-class message carries; `None` for the rest.
+    fn of_reply(msg: Inbound) -> Option<Self> {
+        match msg {
+            Inbound::Reply { result } => Some(InvocationResult::Ok(result)),
+            Inbound::ExceptionReply { repo_id } => Some(InvocationResult::Exception(repo_id)),
+            Inbound::LocateReply { status } => Some(InvocationResult::Located {
+                here: status == ftmp_giop::LocateStatus::ObjectHere,
+            }),
+            _ => None,
+        }
+    }
+}
+
 /// A completed invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Completion {
@@ -58,15 +73,12 @@ pub struct OrbEndpoint {
     pub(crate) servants: BTreeMap<ObjectGroupId, Box<dyn Servant>>,
     /// Object keys by which each hosted servant is addressed.
     object_keys: BTreeMap<Vec<u8>, ObjectGroupId>,
-    /// Connections on which this endpoint acts as a client.
-    client_conns: BTreeSet<ConnectionId>,
-    /// All per-connection engine state — duplicate suppression, request
-    /// numbering, request/reply matching, cancellation/close marks and
-    /// latency histograms — split across hash-indexed shards so every
-    /// lookup touches exactly one shard. Ordered semantics are unchanged:
-    /// CancelRequests and CloseConnections ride the same total order as
-    /// Requests, so every replica applies them at the same position.
-    pub(crate) shards: ShardSet,
+    /// All per-connection state — duplicate suppression, request numbering,
+    /// request/reply matching, cancellation/close marks, the client role and
+    /// latency histograms — one struct per connection. CancelRequests and
+    /// CloseConnections ride the same total order as Requests, so every
+    /// replica applies them at the same position.
+    pub(crate) conns: BTreeMap<ConnectionId, Connection>,
     /// The delivery log (replay, request/reply matching).
     pub log: MessageLog,
     outbound: VecDeque<OutboundMsg>,
@@ -94,8 +106,7 @@ impl OrbEndpoint {
         OrbEndpoint {
             servants: BTreeMap::new(),
             object_keys: BTreeMap::new(),
-            client_conns: BTreeSet::new(),
-            shards: ShardSet::new(),
+            conns: BTreeMap::new(),
             log: MessageLog::default(),
             outbound: VecDeque::new(),
             completions: VecDeque::new(),
@@ -126,7 +137,12 @@ impl OrbEndpoint {
 
     /// Declare this endpoint a client on `conn`.
     pub fn register_client(&mut self, conn: ConnectionId) {
-        self.client_conns.insert(conn);
+        self.conn_mut(conn).client = true;
+    }
+
+    /// This endpoint's state for `conn`, created at first use.
+    pub(crate) fn conn_mut(&mut self, conn: ConnectionId) -> &mut Connection {
+        self.conns.entry(conn).or_default()
     }
 
     /// Access a hosted servant (state inspection in tests and examples).
@@ -145,24 +161,56 @@ impl OrbEndpoint {
     /// Duplicate-suppression counters: (requests suppressed, replies
     /// suppressed) — experiment E7.
     pub fn suppression_counts(&self) -> (u64, u64) {
-        self.shards.suppression_counts()
+        self.conns.values().fold((0, 0), |(rq, rp), c| {
+            (rq + c.executed.suppressed, rp + c.replied.suppressed)
+        })
     }
 
     /// Duplicate-detector residue numbers folded into watermarks to stay
     /// within the per-connection memory bound (0 until a connection's
     /// sparse residue overflows [`crate::dup::DEFAULT_RESIDUE_CAP`]).
     pub fn dup_evictions(&self) -> u64 {
-        self.shards.dup_evictions()
+        self.conns
+            .values()
+            .map(|c| c.executed.evictions + c.replied.evictions)
+            .sum()
     }
 
-    /// The sharded per-connection state (telemetry and tests).
-    pub fn shards(&self) -> &ShardSet {
-        &self.shards
+    /// Fold the duplicate-suppression counters into a telemetry registry
+    /// (the `FTMP_METRICS_DIR` snapshot path). Counters add, so feed a
+    /// fresh or merge-target registry.
+    pub fn register_metrics(&self, reg: &mut Registry) {
+        let (req, rep) = self.suppression_counts();
+        for (name, value) in [
+            ("orb_requests_suppressed", req),
+            ("orb_replies_suppressed", rep),
+            ("orb_dup_evictions", self.dup_evictions()),
+        ] {
+            let id = reg.counter(name);
+            reg.inc(id, value);
+        }
+    }
+
+    /// Durable-recovery warm start: re-mark recovered request numbers as
+    /// executed on `conn` (server side). The §4 watermark and sparse
+    /// residue re-derive by replaying the numbers through the detector's
+    /// own fold — there is no second fold implementation to drift. Returns
+    /// how many were fresh (a recovered log holds no duplicates, so
+    /// normally all of them).
+    pub fn warm_start_executed(
+        &mut self,
+        conn: ConnectionId,
+        nums: impl IntoIterator<Item = RequestNum>,
+    ) -> u64 {
+        let executed = &mut self.conn_mut(conn).executed;
+        nums.into_iter()
+            .map(|n| u64::from(executed.first_sighting(n)))
+            .sum()
     }
 
     /// Outstanding invocations.
     pub fn pending_count(&self) -> usize {
-        self.shards.pending_count()
+        self.conns.values().map(|c| c.pending.len()).sum()
     }
 
     /// Start an invocation on `conn` against the object named `object_key`.
@@ -174,11 +222,46 @@ impl OrbEndpoint {
         operation: &str,
         args: &[u8],
     ) -> RequestNum {
-        let num = self.shards.alloc_request(conn);
-        let giop = giop_map::make_request(num, object_key, operation, args, true);
-        self.shards.note_pending(conn, num);
-        self.push_outbound(conn, num, giop);
+        self.issue(conn, |num| {
+            giop_map::make_request(num, object_key, operation, args, true)
+        })
+    }
+
+    /// Number the next invocation on `conn` and multicast `make(num)` for
+    /// it — unless its reply is here already. A client replica that takes a
+    /// burst of ordered deliveries meets reply *N*, produced for a sibling
+    /// replica's copy of request *N*, before it has issued *N* itself; the
+    /// reply is matched on the connection whichever replica's copy produced
+    /// it, so the invocation completes at once from the log (§4: "to match
+    /// a request with its corresponding reply … when replaying messages
+    /// from a log"). Its own copy of the request is not sent: the total
+    /// order that delivered the reply delivered the request before it.
+    fn issue(
+        &mut self,
+        conn: ConnectionId,
+        make: impl FnOnce(RequestNum) -> Vec<u8>,
+    ) -> RequestNum {
+        let c = self.conn_mut(conn);
+        let num = c.alloc_request();
+        if c.replied.seen(num) {
+            if let Some(result) = self.logged_result(conn, num) {
+                self.completions.push_back(Completion {
+                    conn,
+                    request_num: num,
+                    result,
+                });
+                return num;
+            }
+        }
+        self.conn_mut(conn).pending.insert(num);
+        self.push_outbound(conn, num, make(num));
         num
+    }
+
+    /// The outcome carried by the reply logged for `(conn, num)`.
+    fn logged_result(&self, conn: ConnectionId, num: RequestNum) -> Option<InvocationResult> {
+        let reply = self.log.reply_for(conn, num)?;
+        InvocationResult::of_reply(giop_map::parse(&reply.giop).ok()?)
     }
 
     /// Activate a new or backup replica (§7.2: after a fault report "the
@@ -196,24 +279,35 @@ impl OrbEndpoint {
         mut servant: Box<dyn Servant>,
         snapshot: &[u8],
         conn: ConnectionId,
-        replay: &[crate::log::LogEntry],
+        replay: &[LogEntry],
     ) {
         servant.restore(snapshot);
-        for e in replay {
-            if e.kind != crate::log::LogKind::Request {
-                continue;
-            }
-            if !self.shards.first_execution(conn, e.request_num) {
-                continue; // already applied (overlapping replay)
-            }
-            if let Ok(Inbound::Request {
-                operation, args, ..
-            }) = giop_map::parse(&e.giop)
-            {
-                let _ = servant.invoke(&operation, &args);
-            }
+        for e in replay.iter().filter(|e| e.kind == LogKind::Request) {
+            self.replay_request(conn, servant.as_mut(), e);
         }
         self.host_replica(og, object_key, servant);
+    }
+
+    /// One step of §4's log replay: run a logged request against `servant`
+    /// unless `conn` has executed its number already (overlapping replay).
+    /// True when it was fresh.
+    fn replay_request(
+        &mut self,
+        conn: ConnectionId,
+        servant: &mut dyn Servant,
+        e: &LogEntry,
+    ) -> bool {
+        let fresh = self.conn_mut(conn).executed.first_sighting(e.request_num);
+        if let (
+            true,
+            Ok(Inbound::Request {
+                operation, args, ..
+            }),
+        ) = (fresh, giop_map::parse(&e.giop))
+        {
+            let _ = servant.invoke(&operation, &args);
+        }
+        fresh
     }
 
     /// Delta variant of [`activate_replica`] for crash→restart→rejoin
@@ -234,28 +328,16 @@ impl OrbEndpoint {
         object_key: impl Into<Vec<u8>>,
         mut servant: Box<dyn Servant>,
         conn: ConnectionId,
-        own: &[crate::log::LogEntry],
-        donor_delta: &[crate::log::LogEntry],
+        own: &[LogEntry],
+        donor_delta: &[LogEntry],
     ) {
         for e in own.iter().chain(donor_delta) {
-            match e.kind {
-                crate::log::LogKind::Request => {
-                    if !self.shards.first_execution(conn, e.request_num) {
-                        continue; // overlap at the horizon: already applied
-                    }
-                    if let Ok(Inbound::Request {
-                        operation, args, ..
-                    }) = giop_map::parse(&e.giop)
-                    {
-                        let _ = servant.invoke(&operation, &args);
-                    }
-                    self.log.append(conn, e.clone());
-                }
-                crate::log::LogKind::Reply => {
-                    if self.shards.first_reply(conn, e.request_num) {
-                        self.log.append(conn, e.clone());
-                    }
-                }
+            let fresh = match e.kind {
+                LogKind::Request => self.replay_request(conn, servant.as_mut(), e),
+                LogKind::Reply => self.conn_mut(conn).replied.first_sighting(e.request_num),
+            };
+            if fresh {
+                self.log.append(conn, e.clone());
             }
         }
         self.host_replica(og, object_key, servant);
@@ -264,11 +346,7 @@ impl OrbEndpoint {
     /// Issue a LocateRequest for `object_key` (CORBA's "where does this
     /// object live?"); completes with [`InvocationResult::Located`].
     pub fn locate(&mut self, conn: ConnectionId, object_key: &[u8]) -> RequestNum {
-        let num = self.shards.alloc_request(conn);
-        let giop = giop_map::make_locate_request(num, object_key);
-        self.shards.note_pending(conn, num);
-        self.push_outbound(conn, num, giop);
-        num
+        self.issue(conn, |num| giop_map::make_locate_request(num, object_key))
     }
 
     /// Initiate an orderly shutdown of `conn` (GIOP CloseConnection). The
@@ -276,13 +354,13 @@ impl OrbEndpoint {
     /// before it are served everywhere, requests ordered after it are
     /// dropped everywhere.
     pub fn close(&mut self, conn: ConnectionId) {
-        let num = self.shards.alloc_request(conn);
+        let num = self.conn_mut(conn).alloc_request();
         self.push_outbound(conn, num, giop_map::make_close());
     }
 
     /// Has an ordered CloseConnection been delivered for `conn`?
     pub fn is_closed(&self, conn: ConnectionId) -> bool {
-        self.shards.is_closed(conn)
+        self.conns.get(&conn).is_some_and(|c| c.closed)
     }
 
     /// Cancel an outstanding request. The CancelRequest travels in the same
@@ -290,7 +368,7 @@ impl OrbEndpoint {
     /// sees the cancel first (nobody executes) or none does (everybody
     /// executes) — never a split.
     pub fn cancel(&mut self, conn: ConnectionId, num: RequestNum) {
-        self.shards.remove_pending(conn, num);
+        self.conn_mut(conn).retire(num);
         let giop = giop_map::make_cancel(num);
         self.push_outbound(conn, num, giop);
     }
@@ -303,21 +381,9 @@ impl OrbEndpoint {
             .map(|(k, _)| k.clone())
     }
 
-    /// Crate-internal alias of [`push_outbound`] for the passive module.
-    ///
-    /// [`push_outbound`]: OrbEndpoint::push_outbound
-    pub(crate) fn push_state_outbound(
-        &mut self,
-        conn: ConnectionId,
-        num: RequestNum,
-        giop: Vec<u8>,
-    ) {
-        self.push_outbound(conn, num, giop);
-    }
-
     /// Queue a GIOP message for multicast, fragmenting when enabled and
     /// needed.
-    fn push_outbound(&mut self, conn: ConnectionId, num: RequestNum, giop: Vec<u8>) {
+    pub(crate) fn push_outbound(&mut self, conn: ConnectionId, num: RequestNum, giop: Vec<u8>) {
         if let Some(f) = &self.fragmenter {
             if giop.len() > f.max_datagram() {
                 let parts = f.split(&giop).expect("encoded GIOP always splits");
@@ -387,16 +453,14 @@ impl OrbEndpoint {
                 if og != d.conn.server {
                     return;
                 }
-                if self.shards.is_closed(d.conn) {
-                    return; // the connection closed at an earlier position
-                }
-                if self.shards.is_cancelled(d.conn, d.request_num) {
-                    return; // cancelled at an earlier total-order position
+                let c = self.conn_mut(d.conn);
+                if c.closed || c.cancelled.contains(&d.request_num) {
+                    return; // closed or cancelled at an earlier position
                 }
                 if !self.passive_gate(og, &operation, &args, d, response_expected) {
                     return; // backup in a warm-passive group, or a state op
                 }
-                if !self.shards.first_execution(d.conn, d.request_num) {
+                if !self.conn_mut(d.conn).executed.first_sighting(d.request_num) {
                     return;
                 }
                 let Some(servant) = self.servants.get_mut(&og) else {
@@ -411,12 +475,6 @@ impl OrbEndpoint {
                 }
                 self.ship_state(og, d.conn);
             }
-            Inbound::Reply { result } => {
-                self.complete(d, log_bytes, InvocationResult::Ok(result));
-            }
-            Inbound::ExceptionReply { repo_id } => {
-                self.complete(d, log_bytes, InvocationResult::Exception(repo_id));
-            }
             Inbound::LocateRequest { object_key } => {
                 // Only the located object group's replicas answer; the
                 // answering replica is deduped like a Request execution.
@@ -425,7 +483,7 @@ impl OrbEndpoint {
                     .get(object_key.as_slice())
                     .is_some_and(|og| *og == d.conn.server);
                 if self.servants.contains_key(&d.conn.server)
-                    && self.shards.first_execution(d.conn, d.request_num)
+                    && self.conn_mut(d.conn).executed.first_sighting(d.request_num)
                 {
                     let status = if here {
                         ftmp_giop::LocateStatus::ObjectHere
@@ -436,22 +494,14 @@ impl OrbEndpoint {
                     self.push_outbound(d.conn, d.request_num, reply);
                 }
             }
-            Inbound::LocateReply { status } => {
-                let here = status == ftmp_giop::LocateStatus::ObjectHere;
-                self.complete(d, log_bytes, InvocationResult::Located { here });
+            // Deterministic: ordered like everything else.
+            Inbound::CancelRequest => self.conn_mut(d.conn).cancel(d.request_num),
+            Inbound::Other(ftmp_giop::MsgType::CloseConnection) => self.conn_mut(d.conn).close(),
+            other => {
+                if let Some(result) = InvocationResult::of_reply(other) {
+                    self.complete(d, log_bytes, result);
+                }
             }
-            Inbound::CancelRequest => {
-                // Deterministic: ordered like everything else.
-                self.shards.note_cancelled(d.conn, d.request_num);
-                self.shards.remove_pending(d.conn, d.request_num);
-            }
-            Inbound::Other(ftmp_giop::MsgType::CloseConnection) => {
-                self.shards.note_closed(d.conn);
-                // Outstanding invocations on the closed connection will
-                // never complete; surface that.
-                self.shards.clear_conn_pending(d.conn);
-            }
-            Inbound::Other(_) => {}
         }
     }
 
@@ -466,13 +516,14 @@ impl OrbEndpoint {
                 giop: log_bytes,
             },
         );
-        if !self.client_conns.contains(&d.conn) {
+        let Some(c) = self.conns.get_mut(&d.conn).filter(|c| c.client) else {
             return;
-        }
-        if !self.shards.first_reply(d.conn, d.request_num) {
+        };
+        if !c.replied.first_sighting(d.request_num) {
             return; // another server replica's copy of the same reply
         }
-        if self.shards.remove_pending(d.conn, d.request_num) {
+        // Not awaited: cancelled, or early — `issue` finds it in the log.
+        if c.pending.remove(&d.request_num) {
             self.completions.push_back(Completion {
                 conn: d.conn,
                 request_num: d.request_num,

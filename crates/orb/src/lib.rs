@@ -14,17 +14,16 @@
 //!   detection and suppression across replicas (§4),
 //! * [`MessageLog`] — the per-connection message log used to match requests
 //!   with replies during replay (§4),
-//! * [`ShardSet`] — per-connection engine state (duplicate detection,
-//!   request numbering, request/reply matching, latency histograms) split
-//!   across hash-indexed [`ConnectionShard`]s so independent connections
-//!   share no lookup structure,
 //! * [`OrbEndpoint`] — one processor's ORB: active replication of hosted
-//!   servants, request numbering shared across replicas, reply matching,
+//!   servants, request numbering shared across replicas, reply matching;
+//!   everything it knows about a logical connection is one private struct
+//!   in one ordered map,
 //! * [`OrbNode`] — an [`ftmp_net::SimNode`] combining an FTMP
 //!   [`ftmp_core::Processor`] with an [`OrbEndpoint`]: a complete replicated
 //!   CORBA endpoint for the simulator (and the blueprint for the live
 //!   examples).
 
+mod conn;
 pub mod dup;
 pub mod endpoint;
 pub mod giop_map;
@@ -32,7 +31,6 @@ pub mod log;
 pub mod node;
 pub mod passive;
 pub mod servant;
-pub mod shard;
 
 pub use dup::DuplicateDetector;
 pub use endpoint::{Completion, InvocationResult, OrbEndpoint, OutboundMsg};
@@ -40,4 +38,3 @@ pub use log::MessageLog;
 pub use node::OrbNode;
 pub use passive::ReplicationStyle;
 pub use servant::{BankAccount, Counter, Servant};
-pub use shard::{ConnectionShard, ShardSet};

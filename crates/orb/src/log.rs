@@ -80,11 +80,14 @@ impl MessageLog {
     }
 
     /// Match a request with its reply: the reply logged for the same
-    /// `(connection, request number)`.
+    /// `(connection, request number)`. Scans from the tail — the caller at
+    /// run time is an invocation whose reply has just overtaken it (server
+    /// replicas' copies of one reply are identical, so which copy is found
+    /// does not matter).
     pub fn reply_for(&self, conn: ConnectionId, num: RequestNum) -> Option<&LogEntry> {
         self.entries(conn)
             .iter()
-            .find(|e| e.kind == LogKind::Reply && e.request_num == num)
+            .rfind(|e| e.kind == LogKind::Reply && e.request_num == num)
     }
 
     /// The request entry for a number.

@@ -1,8 +1,9 @@
 //! A complete replicated-CORBA endpoint for the simulator: FTMP processor
 //! below, ORB above.
 
+use crate::conn::Connection;
 use crate::endpoint::{Completion, InvocationResult, OrbEndpoint, OutboundMsg};
-use ftmp_core::{Action, ConnectionId, Delivery, Processor, ProtocolEvent, RequestNum, SendError};
+use ftmp_core::{Action, ConnectionId, Processor, ProtocolEvent, RequestNum, SendError};
 use ftmp_net::{Outbox, Packet, SimNode, SimTime};
 use ftmp_telemetry::HistogramSnapshot;
 use std::collections::VecDeque;
@@ -37,6 +38,9 @@ pub struct OrbNode {
     send_scratch: Vec<OutboundMsg>,
     /// Reusable pump scratch: drained processor actions.
     act_scratch: Vec<Action>,
+    /// Invocations are clocked from `invoke` to completion (off by default).
+    /// The node holds the switch because it is the one with a clock.
+    latency_on: bool,
 }
 
 impl OrbNode {
@@ -53,28 +57,34 @@ impl OrbNode {
             shed: 0,
             send_scratch: Vec::new(),
             act_scratch: Vec::new(),
+            latency_on: false,
         }
     }
 
     /// Start recording invocation-to-completion latency per connection.
     /// Purely observational: enabling it changes no wire behaviour. The
-    /// histograms live in the connection shards, next to the rest of each
-    /// connection's state.
+    /// histograms live next to the rest of each connection's state.
     pub fn enable_latency_telemetry(&mut self) {
-        self.orb.shards.enable_latency();
+        self.latency_on = true;
     }
 
     /// Snapshot of the request-latency histogram for one connection, if
     /// latency telemetry is enabled and the connection completed anything.
     pub fn request_latency(&self, conn: ConnectionId) -> Option<HistogramSnapshot> {
-        self.orb.shards.latency_snapshot(conn)
+        self.orb
+            .conns
+            .get(&conn)
+            .and_then(Connection::latency_snapshot)
     }
 
     /// All per-connection request-latency snapshots recorded so far.
     pub fn request_latencies(
         &self,
     ) -> impl Iterator<Item = (ConnectionId, HistogramSnapshot)> + '_ {
-        self.orb.shards.latency_snapshots()
+        self.orb
+            .conns
+            .iter()
+            .filter_map(|(id, c)| Some((*id, c.latency_snapshot()?)))
     }
 
     /// The FTMP engine.
@@ -109,7 +119,9 @@ impl OrbNode {
         out: &mut Outbox,
     ) -> RequestNum {
         let num = self.orb.invoke(conn, object_key, operation, args);
-        self.orb.shards.note_invocation_start(conn, num, now);
+        if self.latency_on {
+            self.orb.conn_mut(conn).start_clock(num, now);
+        }
         self.pump(now, out);
         num
     }
@@ -164,6 +176,7 @@ impl OrbNode {
             self.deferred.push_back(ob);
         } else {
             self.shed += 1;
+            self.orb.conn_mut(ob.conn).retire(ob.request_num);
             self.completions.push_back(Completion {
                 conn: ob.conn,
                 request_num: ob.request_num,
@@ -221,7 +234,7 @@ impl OrbNode {
                     Action::Leave(addr) => out.leave(addr),
                     Action::Deliver(d) => {
                         self.deliveries_seen += 1;
-                        self.feed_orb(&d);
+                        self.orb.on_delivery(&d);
                     }
                     Action::Event(e) => {
                         if let ProtocolEvent::MembershipChange { members, .. } = &e {
@@ -240,15 +253,13 @@ impl OrbNode {
             self.act_scratch = actions;
         }
         for c in self.orb.drain_completions() {
-            self.orb
-                .shards
-                .record_completion(c.conn, c.request_num, now);
+            if self.latency_on {
+                self.orb
+                    .conn_mut(c.conn)
+                    .record_completion(c.request_num, now);
+            }
             self.completions.push_back(c);
         }
-    }
-
-    fn feed_orb(&mut self, d: &Delivery) {
-        self.orb.on_delivery(d);
     }
 }
 
@@ -503,6 +514,11 @@ mod tests {
         assert_eq!(node.deferred_len(), 0, "deferred queue fully drained");
         let done = node.take_completions();
         assert_eq!(done.len(), FLOOD, "every invocation completed one way");
+        assert_eq!(
+            node.orb().pending_count(),
+            0,
+            "a shed invocation is no longer awaited"
+        );
         let transients = done
             .iter()
             .filter(|c| {
@@ -598,6 +614,51 @@ mod tests {
         assert_eq!(all.len(), 1, "exactly the one active connection");
         // Telemetry stays off (and free) elsewhere.
         assert!(net.node(2).unwrap().request_latency(conn()).is_none());
+    }
+
+    /// Every way out of an invocation that gets no reply stops its clock.
+    #[test]
+    fn no_start_time_survives_a_shed_a_cancel_or_a_close() {
+        let clocks = |net: &SimNet<OrbNode>| {
+            let orb = net.node(1).unwrap().orb();
+            let running = orb.conns[&conn()].clocks_running();
+            (running, orb.pending_count())
+        };
+        let cfg = ftmp_core::ProtocolConfig::with_seed(33)
+            .flow_control(ftmp_core::FlowControl::window(4, 1));
+        let mut net = build_with(33, LossModel::None, cfg);
+        wait_connected(&mut net);
+        net.run_for(SimDuration::from_millis(10));
+        net.with_node(1, |n, now, out| {
+            n.enable_latency_telemetry();
+            for _ in 0..100 {
+                n.invoke(now, conn(), b"bank", "deposit", &encode_i64_arg(1), out);
+            }
+        });
+        assert!(net.node(1).unwrap().shed_count() > 0, "the flood was shed");
+        net.run_for(SimDuration::from_millis(5_000));
+        assert_eq!(net.node_mut(1).unwrap().take_completions().len(), 100);
+        assert_eq!(clocks(&net), (0, 0), "shed or answered, none is clocked");
+        // No server hosts this key, so these two are never answered.
+        let mut nums = Vec::new();
+        net.with_node(1, |n, now, out| {
+            for _ in 0..2 {
+                nums.push(n.invoke(now, conn(), b"nobody", "deposit", &[], out));
+            }
+        });
+        assert_eq!(clocks(&net), (2, 2));
+        net.with_node(1, |n, now, out| {
+            n.orb_mut().cancel(conn(), nums[0]);
+            n.pump(now, out);
+        });
+        assert_eq!(clocks(&net), (1, 1), "a cancel stops the clock");
+        net.with_node(2, |n, now, out| {
+            n.orb_mut().close(conn());
+            n.pump(now, out);
+        });
+        net.run_for(SimDuration::from_millis(500));
+        assert!(net.node(1).unwrap().orb().is_closed(conn()));
+        assert_eq!(clocks(&net), (0, 0), "an ordered close stops the rest");
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl OrbEndpoint {
         };
         let mut shipped_on = None;
         for p in pending {
-            if !self.shards.first_execution(p.conn, p.request_num) {
+            if !self.conn_mut(p.conn).executed.first_sighting(p.request_num) {
                 continue;
             }
             let Some(servant) = self.servants.get_mut(&og) else {
@@ -112,7 +112,7 @@ impl OrbEndpoint {
                 Err(repo_id) => crate::giop_map::make_exception_reply(p.request_num, &repo_id),
             };
             if p.response_expected {
-                self.push_state_outbound(p.conn, p.request_num, reply);
+                self.push_outbound(p.conn, p.request_num, reply);
             }
             shipped_on = Some(p.conn);
         }
@@ -187,7 +187,7 @@ impl OrbEndpoint {
                 if let Some(st) = self.passive.get_mut(&og) {
                     let pending = std::mem::take(&mut st.pending);
                     for p in pending {
-                        self.shards.first_execution(p.conn, p.request_num);
+                        self.conn_mut(p.conn).executed.first_sighting(p.request_num);
                     }
                 }
             }
@@ -224,9 +224,9 @@ impl OrbEndpoint {
         let Some(key) = self.object_key_of(og) else {
             return;
         };
-        let num = self.shards.alloc_request(conn);
+        let num = self.conn_mut(conn).alloc_request();
         let giop = crate::giop_map::make_request(num, &key, STATE_OP, &snapshot, false);
-        self.push_state_outbound(conn, num, giop);
+        self.push_outbound(conn, num, giop);
     }
 }
 

@@ -12,7 +12,7 @@
 //! `begin_batch`/`end_batch` window so the Packer coalesces everything the
 //! turn sends, ticks if the tick is due, and pumps once: every
 //! `Action::Send` of the turn goes to the transport in one
-//! [`Transport::send_batch`](crate::transport::Transport::send_batch), which
+//! [`Transport::send_batch`], which
 //! on the TCP mesh is one `write` per peer. Ticks fire on a fixed cadence
 //! (default 1 ms of real time = the simulator's tick quantum) and their
 //! scheduling lag is recorded in the `runtime_timer_lag_us` histogram;

@@ -15,9 +15,9 @@
 //!   listener per member. The engine hands it one turn's frames at a time
 //!   ([`Transport::send_batch`]); they are laid into one buffer — every
 //!   peer gets the same bytes — and written with one `write` per peer per
-//!   [`WRITE_CAP`] bytes, and the local self-copies go to the inbox as one
+//!   `WRITE_CAP` bytes, and the local self-copies go to the inbox as one
 //!   entry. Each stream's reader thread splits what one `read` returned
-//!   into frames ([`split_frames`]) and pushes them as one inbox entry.
+//!   into frames (`split_frames`) and pushes them as one inbox entry.
 //!
 //! Both transports frame each datagram with the destination `McastAddr`,
 //! and the **receiver** filters against its local subscription set. That

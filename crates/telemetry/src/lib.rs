@@ -147,8 +147,9 @@ pub fn log2_bucket(v: u64) -> u8 {
     }
 }
 
-/// Escape a string for embedding in a JSON document.
-fn escape_json(s: &str) -> String {
+/// Escape a string for embedding, between quotes, in a JSON document: the
+/// workspace's one escaper (it has no serde).
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -1,7 +1,7 @@
 # Developer entry points. `just` runs `check`; `just ci` is the workflow's
-# `lint` and `test` jobs (fmt, clippy, tier-1 and workspace tests). Its other
-# jobs have their own recipes: `chaos`, `conformance`, `metrics`, `bench`,
-# `benchmark-smoke`.
+# `lint` and `test` jobs (fmt, clippy, rustdoc, tier-1 and workspace tests).
+# Its other jobs have their own recipes: `chaos`, `conformance`, `metrics`,
+# `bench`, `benchmark-smoke`.
 
 default: check
 
@@ -17,6 +17,10 @@ fmt:
 clippy:
     cargo clippy --all-targets -- -D warnings
 
+# Rustdoc with warnings denied: catches intra-doc links to deleted items.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Tier-1 tests: the root integration suites.
 test:
     cargo test -q
@@ -27,7 +31,7 @@ test-all:
 
 # The CI gate. `test-all` is what runs the golden trace-hash pins: they are
 # unit tests of ftmp-core and ftmp-check, which the root `cargo test` skips.
-ci: fmt clippy test test-all
+ci: fmt clippy doc test test-all
 
 # Wide chaos sweep, release mode (CHAOS_SEEDS seeds per test) plus the
 # 1000-seed sweep that pins the known onset convictions, then the long
@@ -50,10 +54,9 @@ experiments:
 metrics:
     FTMP_METRICS_DIR=results cargo run --release -p ftmp-harness --bin ftmp-exp -- --exp e14 --json results
 
-# Criterion microbenches, then the packing snapshot (BENCH_pack.json).
+# Criterion microbenches.
 bench:
     cargo bench -p ftmp-bench
-    cargo run --release -p ftmp-bench --bin pack_snapshot
 
 # The benchmark BENCHMARK.json describes (benchmark/BENCHMARK.md): six
 # workloads, both passes. The package is outside the root workspace.
@@ -69,11 +72,6 @@ benchmark-smoke:
 # count per end-to-end metric (ROADMAP's protocol for every claim).
 bench-pairs parent workload:
     scripts/bench-pairs.sh {{parent}} {{workload}}
-
-# Engine-saturation snapshot: sustained throughput and p99 e2e latency at
-# 3/5/7 replicas plus the 10k-connection soak (BENCH_e2e.json).
-bench-e2e:
-    cargo run --release -p ftmp-bench --bin e2e_snapshot
 
 # Crash→restart→rejoin gate (DESIGN.md §12): the durable-log integration
 # tests, the CrashRestart sweep cell, then the E16 recovery snapshot

@@ -9,12 +9,15 @@
 # 1001; pick ones not used while the change was written), the parent first
 # in odd pairs and the change first in even ones. Prints every run, then per
 # end-to-end metric of BENCHMARK.json each side's median and quartiles, the
-# pairs the change won and lost, and whether its median stays inside the
-# metric's bound. Result lines are kept under $BENCH_PAIRS_OUT (default: a
-# fresh directory under ${TMPDIR:-/tmp}).
+# pairs the change won and lost, the parent's own quartile spread as a share
+# of its median, and whether the change's median stays inside the metric's
+# bound -- "unresolved" where the parent's spread alone exceeds that bound
+# (unless every run of the change beats every run of the parent). Result
+# lines are kept under $BENCH_PAIRS_OUT (default: a fresh directory under
+# ${TMPDIR:-/tmp}).
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,15p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,18p' "$0" >&2; exit 2; }
 parent=$(cd "$1" && pwd)
 change=$(cd "$(dirname "$0")/.." && pwd)
 workload=$2
@@ -92,7 +95,7 @@ END {
         if (p !~ /"correct": true/ || failed(p) > 0) pbad++
         if (c !~ /"correct": true/ || failed(c) > 0) cbad++
     }
-    printf "%-20s %-38s %-38s %-11s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "won/lost", "verdict"
+    printf "%-20s %-38s %-38s %-9s %-11s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "won/lost", "parent IQR", "verdict"
     for (m = 1; m <= metrics; m++) {
         name = names[m]; won = lost = 0
         for (i = 1; i <= pairs; i++) {
@@ -103,12 +106,16 @@ END {
         pm = quantile(a, pairs, 0.5); p1 = quantile(a, pairs, 0.25); p3 = quantile(a, pairs, 0.75)
         cm = quantile(b, pairs, 0.5); c1 = quantile(b, pairs, 0.25); c3 = quantile(b, pairs, 0.75)
         gain = dir[name] == "higher" ? cm - pm : pm - cm
+        spread = pm ? (p3 - p1) / pm : 0
+        # After quantile() both arrays are sorted ascending.
+        clear = dir[name] == "higher" ? b[1] > a[pairs] : b[pairs] < a[1]
         if (pairs >= 10 && won * 10 >= (won + lost) * 9 && won > 0 && gain > p3 - p1) verdict = "gain"
+        else if (spread > lim[name] && !clear) verdict = "unresolved: the parent alone spreads past the bound"
         else if (-gain > lim[name] * pm) verdict = "WORSE than the bound"
         else verdict = "inside the bound"
-        printf "%-20s %-38s %-38s %-11s %s\n", name, \
+        printf "%-20s %-38s %-38s %-9s %-11s %s\n", name, \
             sprintf("%.6g [%.6g, %.6g]", pm, p1, p3), sprintf("%.6g [%.6g, %.6g]", cm, c1, c3), \
-            won "/" lost, verdict
+            won "/" lost, sprintf("%.0f%%", 100 * spread), verdict
     }
     printf "runs failing the correctness gate or with failed operations: parent %d, change %d\n", pbad, cbad
 }' "$change/BENCHMARK.json"

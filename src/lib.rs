@@ -6,7 +6,7 @@
 //!
 //! * [`cdr`] — CORBA CDR marshalling,
 //! * [`giop`] — GIOP 1.0 message set,
-//! * [`net`] — deterministic multicast network simulator + live transport,
+//! * [`net`] — deterministic multicast network simulator,
 //! * [`core`] — the FTMP stack (RMP / ROMP / PGMP),
 //! * [`orb`] — miniature fault-tolerant ORB over FTMP,
 //! * [`baselines`] — sequencer / token-ring / unicast baselines,

@@ -5,8 +5,7 @@
 //! (violating observation window plus the FTMP-filtered wire trace).
 //!
 //! The run also writes `CONFORMANCE_verdicts.json` next to the manifest —
-//! the machine-readable verdict CI uploads as an artifact (the
-//! `BENCH_pack.json` convention).
+//! the machine-readable verdict CI uploads as an artifact.
 
 use ftmp::check::{run_sweep, seed_budget, Scenario, SweepConfig};
 
