@@ -136,11 +136,6 @@ impl UnicastClient {
     pub fn take_completed(&mut self) -> Vec<(u64, Bytes)> {
         std::mem::take(&mut self.completed)
     }
-
-    /// Completed count.
-    pub fn completed_count(&self) -> usize {
-        self.completed.len()
-    }
 }
 
 impl SimNode for UnicastClient {

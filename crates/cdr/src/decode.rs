@@ -36,12 +36,6 @@ impl<'a> CdrReader<'a> {
         self.order
     }
 
-    /// Switch byte order mid-stream (a GIOP header carries the flag that
-    /// governs the rest of the message).
-    pub fn set_order(&mut self, order: ByteOrder) {
-        self.order = order;
-    }
-
     /// Logical stream offset of the next byte.
     pub fn position(&self) -> usize {
         self.base + self.pos

@@ -93,11 +93,6 @@ impl RttEstimator {
             SimDuration::from_micros(self.srtt_us + (4 * self.rttvar_us).max(RTO_GRANULARITY_US))
         })
     }
-
-    /// Number of samples folded in.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
 }
 
 /// Per-peer fresh-packet interarrival envelope: EWMA mean and deviation
@@ -133,11 +128,6 @@ impl Interarrival {
     pub fn envelope(&self) -> Option<SimDuration> {
         (self.samples >= MIN_ARRIVAL_SAMPLES)
             .then(|| SimDuration::from_micros(self.mean_us + 4 * self.dev_us))
-    }
-
-    /// Number of gap samples folded in.
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 }
 

@@ -199,23 +199,23 @@ pub struct ProtocolConfig {
     /// NACK scheduling: wait a uniformly random delay in `[0, nack_delay]`
     /// after detecting a gap before sending a RetransmitRequest, so the
     /// receivers of one multicast don't NACK in lock-step.
-    pub nack_delay: SimDuration,
+    pub(crate) nack_delay: SimDuration,
     /// Re-issue an unanswered RetransmitRequest after this long.
-    pub nack_retry: SimDuration,
+    pub(crate) nack_retry: SimDuration,
     /// After retransmitting a message, suppress further retransmissions of
     /// the same message for this long (any-holder implosion control).
-    pub retransmit_suppress: SimDuration,
+    pub(crate) retransmit_suppress: SimDuration,
     /// Who answers RetransmitRequests.
     pub retransmit_policy: RetransmitPolicy,
     /// Client retry interval for unanswered ConnectRequests (§7).
-    pub connect_retry: SimDuration,
+    pub(crate) connect_retry: SimDuration,
     /// Server/sponsor retry interval for Connect and AddProcessor messages
     /// that cannot be NACK-recovered by their beneficiaries (§7).
-    pub join_retry: SimDuration,
+    pub(crate) join_retry: SimDuration,
     /// Suspicions required for conviction.
     pub suspect_quorum: Quorum,
     /// Maximum missing-sequence span requested per RetransmitRequest.
-    pub max_nack_span: u64,
+    pub(crate) max_nack_span: u64,
     /// Seed for protocol-level randomness (NACK jitter, any-holder coin).
     pub seed: u64,
     /// Fixed constants or measurement-derived timers.
@@ -292,42 +292,6 @@ impl ProtocolConfig {
         self
     }
 
-    /// Builder-style NACK initial-jitter window override.
-    pub fn nack_delay(mut self, d: SimDuration) -> Self {
-        self.nack_delay = d;
-        self
-    }
-
-    /// Builder-style NACK re-issue delay override.
-    pub fn nack_retry(mut self, d: SimDuration) -> Self {
-        self.nack_retry = d;
-        self
-    }
-
-    /// Builder-style retransmission-suppression window override.
-    pub fn retransmit_suppress(mut self, d: SimDuration) -> Self {
-        self.retransmit_suppress = d;
-        self
-    }
-
-    /// Builder-style client ConnectRequest retry interval override.
-    pub fn connect_retry(mut self, d: SimDuration) -> Self {
-        self.connect_retry = d;
-        self
-    }
-
-    /// Builder-style sponsor join retry interval override.
-    pub fn join_retry(mut self, d: SimDuration) -> Self {
-        self.join_retry = d;
-        self
-    }
-
-    /// Builder-style maximum per-RetransmitRequest span override.
-    pub fn max_nack_span(mut self, span: u64) -> Self {
-        self.max_nack_span = span.max(1);
-        self
-    }
-
     /// Builder-style timer policy override.
     pub fn timer_policy(mut self, p: TimerPolicy) -> Self {
         self.timer_policy = p;
@@ -390,12 +354,6 @@ mod tests {
         let c = ProtocolConfig::with_seed(7)
             .heartbeat(SimDuration::from_millis(3))
             .quorum(Quorum::Fixed(1))
-            .nack_delay(SimDuration::from_millis(1))
-            .nack_retry(SimDuration::from_millis(5))
-            .retransmit_suppress(SimDuration::from_millis(2))
-            .connect_retry(SimDuration::from_millis(30))
-            .join_retry(SimDuration::from_millis(40))
-            .max_nack_span(16)
             .timer_policy(TimerPolicy::Adaptive)
             .flow_control(FlowControl::window(32, 8))
             .packing(Packing::with(
@@ -408,12 +366,6 @@ mod tests {
         assert!(ProtocolConfig::default().prompt_horizon && !c.prompt_horizon);
         assert_eq!(c.heartbeat_interval.as_millis(), 3);
         assert_eq!(c.suspect_quorum, Quorum::Fixed(1));
-        assert_eq!(c.nack_delay.as_millis(), 1);
-        assert_eq!(c.nack_retry.as_millis(), 5);
-        assert_eq!(c.retransmit_suppress.as_millis(), 2);
-        assert_eq!(c.connect_retry.as_millis(), 30);
-        assert_eq!(c.join_retry.as_millis(), 40);
-        assert_eq!(c.max_nack_span, 16);
         assert_eq!(c.timer_policy, TimerPolicy::Adaptive);
         assert!(c.flow_control.enabled);
         assert_eq!(c.flow_control.high_water, 32);

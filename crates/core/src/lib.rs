@@ -39,8 +39,9 @@
 //! (DESIGN.md §12); [`stats`]
 //! the counter types, including the per-layer
 //! [`LayerCounters`](stats::LayerCounters); [`processor`] the composition
-//! shell tying the three layers into one endpoint; [`sim_adapter`] plugs an
-//! endpoint into the simulator.
+//! shell tying the three layers into one endpoint; [`driver`] the one turn
+//! (feed, tick, drain, dispatch) every host runs that endpoint through;
+//! [`sim_adapter`] plugs an endpoint into the simulator.
 //!
 //! Each layer module exposes the same sans-io shape: a `*Layer` struct with
 //! a typed input enum consumed by `handle(...)` and a typed output enum
@@ -53,6 +54,7 @@ pub mod actions;
 pub mod adaptive;
 pub mod clock;
 pub mod config;
+pub mod driver;
 pub mod durable;
 pub mod ids;
 pub mod observe;
@@ -74,6 +76,7 @@ pub use config::{
     FlowControl, OverlayPolicy, PackPolicy, Packing, ProtocolConfig, Quorum, RetransmitPolicy,
     TimerPolicy,
 };
+pub use driver::{Driver, Host};
 pub use durable::DeliveryLog;
 pub use ids::{
     ConnectionId, FtDomainId, GroupId, ObjectGroupId, ProcessorId, RequestNum, SeqNum, Timestamp,

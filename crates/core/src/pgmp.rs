@@ -550,12 +550,6 @@ impl ConnectionTable {
             .map(|(c, _)| *c)
             .collect()
     }
-
-    /// The registration able to answer a ConnectRequest for `conn` (keyed
-    /// by the connection's server side).
-    pub fn server_for(&self, conn: ConnectionId) -> Option<&ServerRegistration> {
-        self.servers.get(&conn.server)
-    }
 }
 
 #[cfg(test)]

@@ -77,11 +77,6 @@ impl SourceRx {
         }
     }
 
-    /// Next expected contiguous sequence number.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Highest contiguously received sequence number (0 = none yet).
     pub fn contiguous(&self) -> u64 {
         self.next_seq - 1

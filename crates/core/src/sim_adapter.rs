@@ -1,19 +1,17 @@
 //! Adapter plugging a [`Processor`] into the deterministic simulator.
 //!
-//! [`SimProcessor`] implements [`ftmp_net::SimNode`]: packets and ticks are
-//! forwarded to the engine, its Send/Join/Leave actions are applied through
-//! the [`Outbox`], and its Deliver/Event actions are queued for the test or
+//! [`SimProcessor`] implements [`ftmp_net::SimNode`]: every packet, tick and
+//! pump is one [`Driver::turn`] (DESIGN.md §11) — the turn the socket
+//! runtime runs — whose Send/Join/Leave actions are applied through the
+//! [`Outbox`] and whose deliveries and events are queued for the test or
 //! experiment harness to drain between simulation steps.
 
-use crate::ids::GroupId;
+use crate::driver::{Driver, Host};
 use crate::observe::Observation;
-use crate::processor::{Action, Delivery, Processor, ProtocolEvent};
-use ftmp_net::{Outbox, Packet, SimNode, SimTime};
+use crate::processor::{Delivery, Processor, ProtocolEvent};
+use bytes::Bytes;
+use ftmp_net::{McastAddr, Outbox, Packet, SimNode, SimTime};
 use std::collections::VecDeque;
-
-/// A flow-control window edge observed by the adapter: `true` means the
-/// window closed (backpressure on), `false` that it reopened.
-pub type WindowEvent = (SimTime, GroupId, bool);
 
 /// A conformance observer callback: virtual time plus the observation
 /// (DESIGN.md §9). The observing processor's identity is fixed at
@@ -22,125 +20,127 @@ pub type Observer = Box<dyn FnMut(SimTime, Observation)>;
 
 /// A simulator-hosted FTMP endpoint.
 pub struct SimProcessor {
-    engine: Processor,
+    driver: Driver,
+    upcalls: Upcalls,
+    last_now: SimTime,
+}
+
+/// What a turn hands upward, queued until the harness takes it.
+struct Upcalls {
+    /// This endpoint's id, as the simulator knows it.
+    src: u32,
     deliveries: VecDeque<(SimTime, Delivery)>,
     events: VecDeque<(SimTime, ProtocolEvent)>,
-    window_events: VecDeque<WindowEvent>,
-    last_now: SimTime,
     observer: Option<Observer>,
-    obs_scratch: Vec<Observation>,
-    act_scratch: Vec<Action>,
+}
+
+impl Host<Outbox> for Upcalls {
+    fn send(&mut self, out: &mut Outbox, addr: McastAddr, payload: Bytes) {
+        out.send(Packet::new(self.src, addr, payload));
+    }
+    fn join(&mut self, out: &mut Outbox, addr: McastAddr) {
+        out.join(addr);
+    }
+    fn leave(&mut self, out: &mut Outbox, addr: McastAddr) {
+        out.leave(addr);
+    }
+    fn deliver(&mut self, now: SimTime, d: Delivery) {
+        self.deliveries.push_back((now, d));
+    }
+    fn event(&mut self, now: SimTime, e: ProtocolEvent) {
+        self.events.push_back((now, e));
+    }
+    fn observe(&mut self, now: SimTime, obs: Observation) {
+        if let Some(cb) = self.observer.as_mut() {
+            cb(now, obs);
+        }
+    }
 }
 
 impl SimProcessor {
     /// Wrap an engine.
     pub fn new(engine: Processor) -> Self {
         SimProcessor {
-            engine,
-            deliveries: VecDeque::new(),
-            events: VecDeque::new(),
-            window_events: VecDeque::new(),
+            upcalls: Upcalls {
+                src: engine.id().0,
+                deliveries: VecDeque::new(),
+                events: VecDeque::new(),
+                observer: None,
+            },
+            driver: Driver::new(engine),
             last_now: SimTime::ZERO,
-            observer: None,
-            obs_scratch: Vec::new(),
-            act_scratch: Vec::new(),
         }
     }
 
     /// Attach a conformance observer and enable the engine's observation
     /// recording. Every observation the engine records is forwarded to `f`
-    /// (stamped with the virtual time of the pump that drained it) in the
+    /// (stamped with the virtual time of the turn that drained it) in the
     /// exact order the engine performed the corresponding transitions.
     pub fn set_observer(&mut self, f: impl FnMut(SimTime, Observation) + 'static) {
-        self.engine.enable_observations();
-        self.observer = Some(Box::new(f));
+        self.driver.engine.enable_observations();
+        self.upcalls.observer = Some(Box::new(f));
     }
 
     /// The wrapped engine (for FT-infrastructure calls and inspection).
     pub fn engine(&self) -> &Processor {
-        &self.engine
+        &self.driver.engine
     }
 
     /// Mutable access to the engine. Call through
     /// [`ftmp_net::SimNet::with_node`] so the resulting actions are
     /// transmitted.
     pub fn engine_mut(&mut self) -> &mut Processor {
-        &mut self.engine
+        &mut self.driver.engine
     }
 
     /// Drain ordered deliveries accumulated so far, each stamped with the
     /// virtual time at which it was delivered.
     pub fn take_deliveries(&mut self) -> Vec<(SimTime, Delivery)> {
-        self.deliveries.drain(..).collect()
+        self.upcalls.deliveries.drain(..).collect()
     }
 
     /// Drain protocol events accumulated so far, stamped with delivery time.
     pub fn take_events(&mut self) -> Vec<(SimTime, ProtocolEvent)> {
-        self.events.drain(..).collect()
-    }
-
-    /// Drain flow-control window edges (`true` = closed, `false` =
-    /// reopened), stamped with the virtual time they surfaced.
-    pub fn take_window_events(&mut self) -> Vec<WindowEvent> {
-        self.window_events.drain(..).collect()
+        self.upcalls.events.drain(..).collect()
     }
 
     /// Peek at queued deliveries without draining.
     pub fn deliveries(&self) -> impl Iterator<Item = &(SimTime, Delivery)> {
-        self.deliveries.iter()
+        self.upcalls.deliveries.iter()
     }
 
-    /// Number of queued deliveries.
-    pub fn delivery_count(&self) -> usize {
-        self.deliveries.len()
+    fn turn(
+        &mut self,
+        now: SimTime,
+        tick_due: bool,
+        out: &mut Outbox,
+        feed: impl FnOnce(&mut Processor),
+    ) {
+        self.last_now = now;
+        let up = &mut self.upcalls;
+        self.driver
+            .turn(now, tick_due, up, out, |engine, _| feed(engine));
     }
 
     /// Apply the engine's pending actions to an outbox, queueing upcalls
     /// stamped with `now`.
     pub fn pump_at(&mut self, now: SimTime, out: &mut Outbox) {
-        self.last_now = now;
-        // Reusable scratch: the action spine drains into a per-adapter
-        // buffer whose capacity survives across pumps.
-        let mut actions = std::mem::take(&mut self.act_scratch);
-        self.engine.drain_actions_into(&mut actions);
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { addr, payload } => {
-                    out.send(Packet::new(self.engine.id().0, addr, payload));
-                }
-                Action::Join(addr) => out.join(addr),
-                Action::Leave(addr) => out.leave(addr),
-                Action::Deliver(d) => self.deliveries.push_back((now, d)),
-                Action::Event(e) => self.events.push_back((now, e)),
-                Action::Backpressure(g) => self.window_events.push_back((now, g, true)),
-                Action::SendReady(g) => self.window_events.push_back((now, g, false)),
-            }
-        }
-        self.act_scratch = actions;
-        if let Some(cb) = self.observer.as_mut() {
-            self.engine.drain_observations_into(&mut self.obs_scratch);
-            for o in self.obs_scratch.drain(..) {
-                cb(now, o);
-            }
-        }
+        self.turn(now, false, out, |_| {});
     }
 
     /// Apply pending actions using the last observed virtual time.
     pub fn pump(&mut self, out: &mut Outbox) {
-        let now = self.last_now;
-        self.pump_at(now, out);
+        self.pump_at(self.last_now, out);
     }
 }
 
 impl SimNode for SimProcessor {
     fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Outbox) {
-        self.engine.handle_packet(now, pkt);
-        self.pump_at(now, out);
+        self.turn(now, false, out, |engine| engine.handle_packet(now, pkt));
     }
 
     fn on_tick(&mut self, now: SimTime, out: &mut Outbox) {
-        self.engine.tick(now);
-        self.pump_at(now, out);
+        self.turn(now, true, out, |_| {});
     }
 }
 

@@ -576,11 +576,6 @@ impl Telemetry {
     pub fn conviction_dump(&self) -> Option<&str> {
         self.conviction_dump.as_deref()
     }
-
-    /// Retained flight-recorder entries, oldest first.
-    pub fn flight(&self) -> impl Iterator<Item = &FlightEntry> {
-        self.flight.iter()
-    }
 }
 
 #[cfg(test)]

@@ -252,7 +252,6 @@ fn run_member(args: &[String]) -> i32 {
         )
     };
     cfg.protocol = ProtocolConfig::default();
-    cfg.incarnation = a.incarnation;
     cfg.clock = clock.clone();
     cfg.connection = Some((conn(), GROUP));
     cfg.stop_grace = Duration::from_millis(300);

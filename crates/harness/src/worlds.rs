@@ -118,21 +118,6 @@ impl FtmpWorld {
         }
     }
 
-    /// Bind an additional logical connection to the world's group on every
-    /// live member (§7: several logical connections share the same
-    /// processor group and multicast address).
-    pub fn bind_conn(&mut self, conn: ConnectionId) {
-        let group = self.group;
-        for id in 1..=self.n {
-            if self.net.is_crashed(id) {
-                continue;
-            }
-            self.net.with_node(id, move |node, _, _| {
-                node.engine_mut().bind_connection(conn, group);
-            });
-        }
-    }
-
     /// Enable protocol telemetry (latency histograms, counters) on every
     /// member.
     pub fn enable_telemetry(&mut self) {
@@ -185,17 +170,6 @@ impl FtmpWorld {
         let checker = ftmp_check::Checker::new(self.group, &founders);
         checker.attach_all(&mut self.net, 1..=self.n);
         checker
-    }
-
-    /// Attach a durable delivery log (`ftmp-store`, DESIGN.md §12) to
-    /// member `id`: every ordered delivery and installed view persists to
-    /// `dir` from this point on. Wire traffic is unaffected.
-    pub fn enable_durable_log(&mut self, id: u32, dir: &std::path::Path) {
-        let log = ftmp_store::DurableLog::open(dir, ftmp_store::LogConfig::default())
-            .expect("open durable log");
-        self.net.with_node(id, move |node, _, _| {
-            node.engine_mut().set_delivery_log(Box::new(log));
-        });
     }
 
     /// Crash a member: it stops ticking and receives nothing until revived.
@@ -512,18 +486,6 @@ impl OrbWorld {
                 self.net
                     .node(id)
                     .map_or(0, |n| n.orb().suppression_counts().0)
-            })
-            .sum()
-    }
-
-    /// Total duplicate replies suppressed across the client replicas.
-    pub fn client_suppressed(&self) -> u64 {
-        self.clients
-            .iter()
-            .map(|&id| {
-                self.net
-                    .node(id)
-                    .map_or(0, |n| n.orb().suppression_counts().1)
             })
             .sum()
     }

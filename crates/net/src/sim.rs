@@ -302,11 +302,6 @@ impl<N: SimNode> SimNet<N> {
         self.faults = plan.rules.into_iter().map(|r| (r, 0, 0)).collect();
     }
 
-    /// Remove the installed fault plan.
-    pub fn clear_fault_plan(&mut self) {
-        self.faults.clear();
-    }
-
     /// Advance every matching rule's occurrence counter; the first rule
     /// whose `[skip, skip+count)` window is open fires on this copy.
     fn fault_op(&mut self, class: Option<u8>, src: NodeId, dst: NodeId) -> Option<FaultOp> {
@@ -553,11 +548,6 @@ impl<N: SimNode> SimNet<N> {
         };
         self.apply_outbox(id, out);
         Some(r)
-    }
-
-    /// Number of events still queued.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 }
 

@@ -150,14 +150,6 @@ impl OrbEndpoint {
         self.servants.get(&og).map(|b| b.as_ref())
     }
 
-    /// Mutable access to a hosted servant (state transfer on activation).
-    pub fn servant_mut(&mut self, og: ObjectGroupId) -> Option<&mut (dyn Servant + '_)> {
-        match self.servants.get_mut(&og) {
-            Some(b) => Some(b.as_mut()),
-            None => None,
-        }
-    }
-
     /// Duplicate-suppression counters: (requests suppressed, replies
     /// suppressed) — experiment E7.
     pub fn suppression_counts(&self) -> (u64, u64) {
@@ -546,12 +538,6 @@ impl OrbEndpoint {
     /// Drain completed invocations.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         self.completions.drain(..).collect()
-    }
-
-    /// Drain completed invocations into a caller-provided scratch vector
-    /// (appended).
-    pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
-        out.extend(self.completions.drain(..));
     }
 }
 

@@ -1,10 +1,13 @@
 //! A complete replicated-CORBA endpoint for the simulator: FTMP processor
-//! below, ORB above.
+//! below, ORB above, moved between by [`Driver::turn`] (DESIGN.md §11).
 
 use crate::conn::Connection;
 use crate::endpoint::{Completion, InvocationResult, OrbEndpoint, OutboundMsg};
-use ftmp_core::{Action, ConnectionId, Processor, ProtocolEvent, RequestNum, SendError};
-use ftmp_net::{Outbox, Packet, SimNode, SimTime};
+use bytes::Bytes;
+use ftmp_core::{
+    ConnectionId, Delivery, Driver, GroupId, Host, Processor, ProtocolEvent, RequestNum, SendError,
+};
+use ftmp_net::{McastAddr, Outbox, Packet, SimNode, SimTime};
 use ftmp_telemetry::HistogramSnapshot;
 use std::collections::VecDeque;
 
@@ -22,12 +25,17 @@ const TRANSIENT_REPO_ID: &str = "IDL:omg.org/CORBA/TRANSIENT:1.0";
 /// GIOP messages flow down as Regular multicasts; completions and protocol
 /// events queue for the harness.
 pub struct OrbNode {
-    proc: Processor,
+    driver: Driver,
+    up: Upper,
+}
+
+/// Everything above the engine: the ORB and what queues for the harness.
+struct Upper {
+    /// The processor's id, as the simulator knows it.
+    src: u32,
     orb: OrbEndpoint,
     events: VecDeque<ProtocolEvent>,
     completions: VecDeque<Completion>,
-    /// Raw deliveries (latency measurement at the harness).
-    deliveries_seen: u64,
     /// Outbound messages awaiting `Action::SendReady` (bounded).
     deferred: VecDeque<OutboundMsg>,
     /// True between `Action::Backpressure` and `Action::SendReady`.
@@ -36,139 +44,39 @@ pub struct OrbNode {
     shed: u64,
     /// Reusable pump scratch: outbound GIOP messages for this iteration.
     send_scratch: Vec<OutboundMsg>,
-    /// Reusable pump scratch: drained processor actions.
-    act_scratch: Vec<Action>,
     /// Invocations are clocked from `invoke` to completion (off by default).
     /// The node holds the switch because it is the one with a clock.
     latency_on: bool,
 }
 
-impl OrbNode {
-    /// Combine a processor and an ORB endpoint.
-    pub fn new(proc: Processor, orb: OrbEndpoint) -> Self {
-        OrbNode {
-            proc,
-            orb,
-            events: VecDeque::new(),
-            completions: VecDeque::new(),
-            deliveries_seen: 0,
-            deferred: VecDeque::new(),
-            blocked: false,
-            shed: 0,
-            send_scratch: Vec::new(),
-            act_scratch: Vec::new(),
-            latency_on: false,
+impl Host<Outbox> for Upper {
+    fn send(&mut self, out: &mut Outbox, addr: McastAddr, payload: Bytes) {
+        out.send(Packet::new(self.src, addr, payload));
+    }
+    fn join(&mut self, out: &mut Outbox, addr: McastAddr) {
+        out.join(addr);
+    }
+    fn leave(&mut self, out: &mut Outbox, addr: McastAddr) {
+        out.leave(addr);
+    }
+    fn deliver(&mut self, _now: SimTime, d: Delivery) {
+        self.orb.on_delivery(&d);
+    }
+    fn event(&mut self, _now: SimTime, e: ProtocolEvent) {
+        if let ProtocolEvent::MembershipChange { members, .. } = &e {
+            // Warm-passive groups repoint their primary (and replay pending
+            // requests) at the membership change, like every other survivor.
+            self.orb.note_membership_all(members);
         }
+        self.events.push_back(e);
     }
-
-    /// Start recording invocation-to-completion latency per connection.
-    /// Purely observational: enabling it changes no wire behaviour. The
-    /// histograms live next to the rest of each connection's state.
-    pub fn enable_latency_telemetry(&mut self) {
-        self.latency_on = true;
+    /// Deferred work is retried on the pump's next iteration.
+    fn window(&mut self, _group: GroupId, closed: bool) {
+        self.blocked = closed;
     }
+}
 
-    /// Snapshot of the request-latency histogram for one connection, if
-    /// latency telemetry is enabled and the connection completed anything.
-    pub fn request_latency(&self, conn: ConnectionId) -> Option<HistogramSnapshot> {
-        self.orb
-            .conns
-            .get(&conn)
-            .and_then(Connection::latency_snapshot)
-    }
-
-    /// All per-connection request-latency snapshots recorded so far.
-    pub fn request_latencies(
-        &self,
-    ) -> impl Iterator<Item = (ConnectionId, HistogramSnapshot)> + '_ {
-        self.orb
-            .conns
-            .iter()
-            .filter_map(|(id, c)| Some((*id, c.latency_snapshot()?)))
-    }
-
-    /// The FTMP engine.
-    pub fn proc(&self) -> &Processor {
-        &self.proc
-    }
-
-    /// Mutable FTMP engine (drive through [`ftmp_net::SimNet::with_node`]).
-    pub fn proc_mut(&mut self) -> &mut Processor {
-        &mut self.proc
-    }
-
-    /// The ORB endpoint.
-    pub fn orb(&self) -> &OrbEndpoint {
-        &self.orb
-    }
-
-    /// Mutable ORB endpoint.
-    pub fn orb_mut(&mut self) -> &mut OrbEndpoint {
-        &mut self.orb
-    }
-
-    /// Invoke an operation and pump the resulting request onto the wire.
-    /// Returns the request number to match against completions.
-    pub fn invoke(
-        &mut self,
-        now: SimTime,
-        conn: ConnectionId,
-        object_key: &[u8],
-        operation: &str,
-        args: &[u8],
-        out: &mut Outbox,
-    ) -> RequestNum {
-        let num = self.orb.invoke(conn, object_key, operation, args);
-        if self.latency_on {
-            self.orb.conn_mut(conn).start_clock(num, now);
-        }
-        self.pump(now, out);
-        num
-    }
-
-    /// Drain completed invocations.
-    pub fn take_completions(&mut self) -> Vec<Completion> {
-        self.completions.drain(..).collect()
-    }
-
-    /// Drain protocol events.
-    pub fn take_events(&mut self) -> Vec<ProtocolEvent> {
-        self.events.drain(..).collect()
-    }
-
-    /// Ordered deliveries observed so far.
-    pub fn deliveries_seen(&self) -> u64 {
-        self.deliveries_seen
-    }
-
-    /// Outbound messages currently parked behind backpressure.
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
-    }
-
-    /// Invocations shed with `TRANSIENT` since construction.
-    pub fn shed_count(&self) -> u64 {
-        self.shed
-    }
-
-    /// True between `Action::Backpressure` and `Action::SendReady`.
-    pub fn is_backpressured(&self) -> bool {
-        self.blocked
-    }
-
-    /// Datagram-packing counters of the underlying processor, as
-    /// `(packed_datagrams_sent, messages_packed, heartbeats_suppressed)`.
-    /// All zero when `cfg.packing` is disabled — the ORB behaves
-    /// identically either way; packing is invisible above the transport.
-    pub fn packing_counters(&self) -> (u64, u64, u64) {
-        let s = self.proc.stats();
-        (
-            s.packed_datagrams_sent,
-            s.messages_packed,
-            s.heartbeats_suppressed,
-        )
-    }
-
+impl Upper {
     /// Park an outbound message, or shed it with a typed `TRANSIENT`
     /// completion when the parking lot is full.
     fn defer_or_shed(&mut self, ob: OutboundMsg) {
@@ -185,93 +93,197 @@ impl OrbNode {
         }
     }
 
+    /// ORB → FTMP: deferred work first (FIFO across backpressure episodes),
+    /// then fresh outbound — but only submit while the window is open, so a
+    /// closed window parks instead of spinning. Returns whether there was
+    /// anything to submit.
+    fn submit(&mut self, engine: &mut Processor, now: SimTime) -> bool {
+        let mut to_send = std::mem::take(&mut self.send_scratch);
+        if !self.blocked {
+            to_send.extend(self.deferred.drain(..));
+        }
+        self.orb.drain_outbound_into(&mut to_send);
+        let had_outbound = !to_send.is_empty();
+        for ob in to_send.drain(..) {
+            if self.blocked {
+                self.defer_or_shed(ob);
+                continue;
+            }
+            if let Err(SendError::Backpressured) =
+                engine.multicast_request(now, ob.conn, ob.request_num, ob.giop.clone())
+            {
+                self.blocked = true;
+                self.defer_or_shed(ob);
+            }
+        }
+        self.send_scratch = to_send;
+        had_outbound
+    }
+}
+
+impl OrbNode {
+    /// Combine a processor and an ORB endpoint.
+    pub fn new(proc: Processor, orb: OrbEndpoint) -> Self {
+        OrbNode {
+            up: Upper {
+                src: proc.id().0,
+                orb,
+                events: VecDeque::new(),
+                completions: VecDeque::new(),
+                deferred: VecDeque::new(),
+                blocked: false,
+                shed: 0,
+                send_scratch: Vec::new(),
+                latency_on: false,
+            },
+            driver: Driver::new(proc),
+        }
+    }
+
+    /// Start recording invocation-to-completion latency per connection.
+    /// Purely observational: enabling it changes no wire behaviour. The
+    /// histograms live next to the rest of each connection's state.
+    pub fn enable_latency_telemetry(&mut self) {
+        self.up.latency_on = true;
+    }
+
+    /// Snapshot of the request-latency histogram for one connection, if
+    /// latency telemetry is enabled and the connection completed anything.
+    pub fn request_latency(&self, conn: ConnectionId) -> Option<HistogramSnapshot> {
+        self.up
+            .orb
+            .conns
+            .get(&conn)
+            .and_then(Connection::latency_snapshot)
+    }
+
+    /// All per-connection request-latency snapshots recorded so far.
+    pub fn request_latencies(
+        &self,
+    ) -> impl Iterator<Item = (ConnectionId, HistogramSnapshot)> + '_ {
+        self.up
+            .orb
+            .conns
+            .iter()
+            .filter_map(|(id, c)| Some((*id, c.latency_snapshot()?)))
+    }
+
+    /// The FTMP engine.
+    pub fn proc(&self) -> &Processor {
+        &self.driver.engine
+    }
+
+    /// Mutable FTMP engine (drive through [`ftmp_net::SimNet::with_node`]).
+    pub fn proc_mut(&mut self) -> &mut Processor {
+        &mut self.driver.engine
+    }
+
+    /// The ORB endpoint.
+    pub fn orb(&self) -> &OrbEndpoint {
+        &self.up.orb
+    }
+
+    /// Mutable ORB endpoint.
+    pub fn orb_mut(&mut self) -> &mut OrbEndpoint {
+        &mut self.up.orb
+    }
+
+    /// Invoke an operation and pump the resulting request onto the wire.
+    /// Returns the request number to match against completions.
+    pub fn invoke(
+        &mut self,
+        now: SimTime,
+        conn: ConnectionId,
+        object_key: &[u8],
+        operation: &str,
+        args: &[u8],
+        out: &mut Outbox,
+    ) -> RequestNum {
+        let num = self.up.orb.invoke(conn, object_key, operation, args);
+        if self.up.latency_on {
+            self.up.orb.conn_mut(conn).start_clock(num, now);
+        }
+        self.pump(now, out);
+        num
+    }
+
+    /// Drain completed invocations.
+    pub fn take_completions(&mut self) -> Vec<Completion> {
+        self.up.completions.drain(..).collect()
+    }
+
+    /// Drain protocol events.
+    pub fn take_events(&mut self) -> Vec<ProtocolEvent> {
+        self.up.events.drain(..).collect()
+    }
+
+    /// Outbound messages currently parked behind backpressure.
+    pub fn deferred_len(&self) -> usize {
+        self.up.deferred.len()
+    }
+
+    /// Invocations shed with `TRANSIENT` since construction.
+    pub fn shed_count(&self) -> u64 {
+        self.up.shed
+    }
+
+    /// True between `Action::Backpressure` and `Action::SendReady`.
+    pub fn is_backpressured(&self) -> bool {
+        self.up.blocked
+    }
+
     /// Move data between the layers and the network until quiescent.
     ///
-    /// Each iteration submits every ready outbound message inside one
-    /// processor batch (so the Packer flushes once per iteration, not once
-    /// per message) and drains actions through reusable scratch vectors —
-    /// a steady-state pump allocates nothing.
+    /// Each iteration is one [`Driver::turn`] whose feed submits every ready
+    /// outbound message, so the Packer flushes once per iteration, not once
+    /// per message; a steady-state pump allocates nothing.
     pub fn pump(&mut self, now: SimTime, out: &mut Outbox) {
+        self.pump_fed(now, out, None, false);
+    }
+
+    /// [`pump`](Self::pump), whose first turn also takes in `arrived` and
+    /// ticks if `tick_due`.
+    fn pump_fed(
+        &mut self,
+        now: SimTime,
+        out: &mut Outbox,
+        mut arrived: Option<&Packet>,
+        mut tick_due: bool,
+    ) {
         loop {
-            // ORB → FTMP: deferred work first (FIFO across backpressure
-            // episodes), then fresh outbound — but only submit while the
-            // window is open, so a closed window parks instead of spinning.
-            let mut to_send = std::mem::take(&mut self.send_scratch);
-            if !self.blocked {
-                to_send.extend(self.deferred.drain(..));
-            }
-            self.orb.drain_outbound_into(&mut to_send);
-            let had_outbound = !to_send.is_empty();
-            self.proc.begin_batch();
-            for ob in to_send.drain(..) {
-                if self.blocked {
-                    self.defer_or_shed(ob);
-                    continue;
-                }
-                if let Err(SendError::Backpressured) =
-                    self.proc
-                        .multicast_request(now, ob.conn, ob.request_num, ob.giop.clone())
-                {
-                    self.blocked = true;
-                    self.defer_or_shed(ob);
-                }
-            }
-            self.proc.end_batch(now);
-            self.send_scratch = to_send;
-            // FTMP → network + ORB.
-            let mut actions = std::mem::take(&mut self.act_scratch);
-            self.proc.drain_actions_into(&mut actions);
-            if actions.is_empty() && !had_outbound {
-                self.act_scratch = actions;
+            let mut had_outbound = false;
+            let tick = std::mem::take(&mut tick_due);
+            let acted = self
+                .driver
+                .turn(now, tick, &mut self.up, out, |engine, up| {
+                    if let Some(pkt) = arrived.take() {
+                        engine.handle_packet(now, pkt);
+                    }
+                    had_outbound = up.submit(engine, now);
+                });
+            if !acted && !had_outbound {
                 break;
             }
-            for action in actions.drain(..) {
-                match action {
-                    Action::Send { addr, payload } => {
-                        out.send(Packet::new(self.proc.id().0, addr, payload));
-                    }
-                    Action::Join(addr) => out.join(addr),
-                    Action::Leave(addr) => out.leave(addr),
-                    Action::Deliver(d) => {
-                        self.deliveries_seen += 1;
-                        self.orb.on_delivery(&d);
-                    }
-                    Action::Event(e) => {
-                        if let ProtocolEvent::MembershipChange { members, .. } = &e {
-                            // Warm-passive groups repoint their primary (and
-                            // replay pending requests) at the membership
-                            // change, like every other survivor.
-                            self.orb.note_membership_all(members);
-                        }
-                        self.events.push_back(e);
-                    }
-                    Action::Backpressure(_) => self.blocked = true,
-                    // Deferred work is retried on the next loop iteration.
-                    Action::SendReady(_) => self.blocked = false,
-                }
-            }
-            self.act_scratch = actions;
         }
-        for c in self.orb.drain_completions() {
-            if self.latency_on {
-                self.orb
+        let up = &mut self.up;
+        for c in up.orb.drain_completions() {
+            if up.latency_on {
+                up.orb
                     .conn_mut(c.conn)
                     .record_completion(c.request_num, now);
             }
-            self.completions.push_back(c);
+            up.completions.push_back(c);
         }
     }
 }
 
 impl SimNode for OrbNode {
     fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Outbox) {
-        self.proc.handle_packet(now, pkt);
-        self.pump(now, out);
+        self.pump_fed(now, out, Some(pkt), false);
     }
 
     fn on_tick(&mut self, now: SimTime, out: &mut Outbox) {
-        self.proc.tick(now);
-        self.pump(now, out);
+        self.pump_fed(now, out, None, true);
     }
 }
 

@@ -13,11 +13,13 @@
 //!   loopback, one `SO_REUSEPORT`-shared port) and [`TcpMeshTransport`]
 //!   (full-mesh fallback for multicast-less containers), behind one
 //!   [`Transport`] trait with probe-based [`open_transport`] selection.
-//! - [`node`] — the engine thread: one inbox that datagrams and commands
-//!   both wake, worked off in turns (one batch window, one pump and one
-//!   `send_batch` each), fixed-cadence ticks, peer lifecycle (founders,
-//!   joiners, sponsored adds with retry, crash-restart with an ftmp-store
-//!   delivery log attached), and runtime telemetry counters.
+//! - [`node`] — [`Node`], the endpoint without a thread or a clock: its
+//!   turn is `ftmp_core::Driver::turn` (DESIGN.md §11) with one
+//!   `send_batch` per turn, peer lifecycle (founders, joiners, sponsored
+//!   adds with retry, crash-restart with an ftmp-store delivery log
+//!   attached) and runtime telemetry counters; and [`spawn`], the thread
+//!   around it: one inbox that datagrams and commands both wake,
+//!   fixed-cadence ticks.
 //! - [`trace`] — the on-disk observation recorder whose files
 //!   `ftmp-check`'s trace replay feeds through the same seven oracles that
 //!   check simulator runs.
@@ -66,11 +68,11 @@ pub mod trace;
 pub mod transport;
 
 pub use node::{
-    spawn, Command, NodeConfig, NodeParts, Role, RuntimeClock, RuntimeHandle, RuntimeReport,
+    spawn, Command, Node, NodeConfig, NodeParts, Role, RuntimeClock, RuntimeHandle, RuntimeReport,
 };
 pub use trace::{TraceWriter, TRACE_HEADER};
 pub use transport::{
-    multicast_available, open_transport, rx_channel, RxDatagram, RxQueue, RxReceiver, Selected,
-    TcpConfig, TcpMeshTransport, Transport, TransportKind, TransportMode, TransportSpec, UdpConfig,
-    UdpMulticastTransport,
+    multicast_available, open_transport, rx_channel, Inbox, RxDatagram, RxQueue, RxReceiver,
+    Selected, TcpConfig, TcpMeshTransport, Transport, TransportKind, TransportMode, TransportSpec,
+    UdpConfig, UdpMulticastTransport,
 };

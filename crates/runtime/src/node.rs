@@ -1,25 +1,28 @@
-//! The runtime event loop: one thread owning one `Processor`, fed by a
-//! real transport, working in **turns**.
+//! The runtime's node: one [`Node`] owning one engine, worked in **turns**
+//! by a thread that only parks, reads the clocks and decides when a tick is
+//! due.
 //!
 //! Thread model per node (DESIGN.md §14): the transport owns its reader
 //! thread(s), which parse frames, filter by subscription and push what each
 //! socket read completed into the inbox as one entry; the node's handle
-//! pushes [`Command`]s into the same queue. This module's **engine thread**
-//! owns the `Processor` and parks on that one queue until the next tick is
-//! due, so anything that gives it work — a datagram, a publish, a `Stop` —
-//! wakes it at once. A turn takes what the inbox holds (up to a bound),
-//! feeds datagrams and commands to the engine under one
-//! `begin_batch`/`end_batch` window so the Packer coalesces everything the
-//! turn sends, ticks if the tick is due, and pumps once: every
-//! `Action::Send` of the turn goes to the transport in one
-//! [`Transport::send_batch`], which
-//! on the TCP mesh is one `write` per peer. Ticks fire on a fixed cadence
-//! (default 1 ms of real time = the simulator's tick quantum) and their
-//! scheduling lag is recorded in the `runtime_timer_lag_us` histogram;
-//! `runtime_engine_turns`, `runtime_turn_datagrams` and
-//! `runtime_socket_writes` say how much each wake-up and each write carried.
+//! pushes [`Command`]s into the same queue. The **engine thread** parks on
+//! that one queue until the next tick is due, so anything that gives it
+//! work — a datagram, a publish, a `Stop` — wakes it at once, takes what
+//! the inbox holds (up to a bound) and hands it to [`Node::turn`].
 //!
-//! Time: the engine feeds the `Processor` `SimTime` values derived from a
+//! A [`Node`] has no thread and no clock of its own: its turn is
+//! [`Driver::turn`] (DESIGN.md §11, where the order of a turn is stated)
+//! fed with the intake, with every `Action::Send` of the turn going to the
+//! transport in one [`Transport::send_batch`], which on the TCP mesh is one
+//! `write` per peer. Time is a parameter, so the same `Node` runs under the
+//! simulator's virtual clock behind a simulator-backed [`Transport`]
+//! (`tests/runtime_on_sim.rs`). Ticks fire on a fixed cadence (default 1 ms
+//! of real time = the simulator's tick quantum) and their scheduling lag is
+//! recorded in the `runtime_timer_lag_us` histogram; `runtime_engine_turns`,
+//! `runtime_turn_datagrams` and `runtime_socket_writes` say how much each
+//! turn and each write carried.
+//!
+//! Time: the thread feeds the node `SimTime` values derived from a
 //! monotonic clock, optionally anchored to a cluster-wide epoch
 //! ([`RuntimeClock::with_unix_epoch`]) so trace timestamps from different
 //! OS processes merge into one approximate global order. Oracle soundness
@@ -28,13 +31,14 @@
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use bytes::Bytes;
-use ftmp_core::actions::{Action, Delivery, ProtocolEvent};
+use ftmp_core::actions::{Delivery, ProtocolEvent};
 use ftmp_core::config::ProtocolConfig;
 use ftmp_core::durable::DeliveryLog;
 use ftmp_core::ids::{ConnectionId, GroupId, ProcessorId, RequestNum};
 use ftmp_core::observe::Observation;
-use ftmp_core::{ClockMode, Processor};
-use ftmp_net::{McastAddr, Packet, SimTime};
+use ftmp_core::{ClockMode, Driver, Host, Processor};
+use ftmp_net::{McastAddr, Packet, SimDuration, SimTime};
+use ftmp_telemetry::{HistId, Registry};
 use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -106,9 +110,6 @@ pub struct NodeConfig {
     pub protocol: ProtocolConfig,
     /// Founder or joiner.
     pub role: Role,
-    /// Incarnation number (0 fresh, bumped on crash-restart); recorded in
-    /// the trace header so replay can retire/rejoin across restarts.
-    pub incarnation: u32,
     /// Tick cadence (default 1 ms).
     pub tick: Duration,
     /// Time source.
@@ -134,7 +135,6 @@ impl NodeConfig {
             group_addr,
             protocol: ProtocolConfig::default(),
             role: Role::Founder { members },
-            incarnation: 0,
             tick: Duration::from_millis(1),
             clock: RuntimeClock::process_start(),
             connection: None,
@@ -197,13 +197,18 @@ pub struct RuntimeReport {
     pub trace_path: Option<PathBuf>,
 }
 
+/// A node's ordered deliveries, as they happen.
+pub type Deliveries = Receiver<(SimTime, Delivery)>;
+/// A node's protocol events (membership changes, fault reports, ...).
+pub type Events = Receiver<(SimTime, ProtocolEvent)>;
+
 /// Handle to a spawned node.
 pub struct RuntimeHandle {
     inbox: Sender<Inbox>,
     /// Ordered deliveries, as they happen.
-    pub deliveries: Receiver<(SimTime, Delivery)>,
+    pub deliveries: Deliveries,
     /// Protocol events (membership changes, fault reports, ...).
-    pub events: Receiver<(SimTime, ProtocolEvent)>,
+    pub events: Events,
     thread: JoinHandle<RuntimeReport>,
 }
 
@@ -249,23 +254,22 @@ pub struct NodeParts {
 /// Spawn the engine thread for one node.
 pub fn spawn(cfg: NodeConfig, parts: NodeParts) -> RuntimeHandle {
     let inbox = parts.rx.command_sender();
-    let (dlv_tx, dlv_rx) = unbounded();
-    let (evt_tx, evt_rx) = unbounded();
-    let name = format!("ftmp-node-P{}", cfg.id.0);
+    let (node, deliveries, events) = Node::new(cfg.clock.now(), &cfg, parts.dlog, parts.trace);
+    let (transport, rx) = (parts.transport, parts.rx);
     let thread = std::thread::Builder::new()
-        .name(name)
-        .spawn(move || run_node(cfg, parts, dlv_tx, evt_tx))
+        .name(format!("ftmp-node-P{}", cfg.id.0))
+        .spawn(move || run_node(node, &cfg, transport, &rx))
         .expect("spawn runtime node");
     RuntimeHandle {
         inbox,
-        deliveries: dlv_rx,
-        events: evt_rx,
+        deliveries,
+        events,
         thread,
     }
 }
 
 /// How often a pending AddMember is retried while the target is absent.
-const ADD_RETRY: Duration = Duration::from_millis(200);
+const ADD_RETRY: SimDuration = SimDuration::from_millis(200);
 
 /// The protocol timestamp carried by an observation, if it has one.
 ///
@@ -286,265 +290,408 @@ fn obs_ts(obs: &Observation) -> Option<u64> {
     }
 }
 
-struct Counters {
-    reg: ftmp_telemetry::Registry,
-    recv: ftmp_telemetry::CounterId,
-    sent: ftmp_telemetry::CounterId,
-    writes: ftmp_telemetry::CounterId,
-    turns: ftmp_telemetry::CounterId,
-    turn_datagrams: ftmp_telemetry::HistId,
-    depth: ftmp_telemetry::GaugeId,
-    lag: ftmp_telemetry::HistId,
-    fallback: ftmp_telemetry::CounterId,
-    ticks: ftmp_telemetry::CounterId,
-    deliveries: ftmp_telemetry::CounterId,
+/// One runtime node without its thread: the engine behind a [`Driver`],
+/// the application's channels, the trace recorder and the counters. Every
+/// input arrives through [`Node::turn`], time included, so a `Node` is as
+/// deterministic as the `Processor` inside it.
+pub struct Node {
+    driver: Driver,
+    io: Io,
 }
 
-impl Counters {
-    fn new() -> Self {
-        let mut reg = ftmp_telemetry::Registry::new();
-        let recv = reg.counter("runtime_socket_recv_datagrams");
-        let sent = reg.counter("runtime_socket_sent_datagrams");
-        let writes = reg.counter("runtime_socket_writes");
-        let turns = reg.counter("runtime_engine_turns");
-        let turn_datagrams = reg.histogram("runtime_turn_datagrams");
-        let depth = reg.gauge("runtime_recv_queue_depth");
-        let lag = reg.histogram("runtime_timer_lag_us");
-        let fallback = reg.counter("runtime_tcp_fallback_activations");
-        let ticks = reg.counter("runtime_ticks");
-        let deliveries = reg.counter("runtime_deliveries");
-        Counters {
-            reg,
-            recv,
-            sent,
-            writes,
-            turns,
-            turn_datagrams,
-            depth,
-            lag,
-            fallback,
-            ticks,
+/// Everything of a [`Node`] but its engine: the [`Host`] of its turns.
+struct Io {
+    group: GroupId,
+    deliveries: Sender<(SimTime, Delivery)>,
+    events: Sender<(SimTime, ProtocolEvent)>,
+    trace: Option<TraceWriter>,
+    /// The hybrid-logical floor (see [`obs_ts`]).
+    ts_floor: u64,
+    /// The turn's sends, handed to the transport in one batch.
+    outbox: Vec<(McastAddr, Bytes)>,
+    /// Members being sponsored in, with the time of the last attempt.
+    pending_adds: Vec<(ProcessorId, SimTime)>,
+    /// A [`Command::Stop`] has been taken in.
+    stopping: bool,
+    delivered: u64,
+    publish_rejected: u64,
+    writes: u64,
+    turns: u64,
+    ticks: u64,
+    /// The two histograms; the counts above join them in the report.
+    reg: Registry,
+    turn_datagrams: HistId,
+    timer_lag: HistId,
+}
+
+impl Io {
+    /// Never stamp anything earlier than a protocol timestamp this member
+    /// has seen.
+    fn stamp(&self, now: SimTime) -> SimTime {
+        SimTime(now.0.max(self.ts_floor))
+    }
+}
+
+impl<'t> Host<dyn Transport + 't> for Io {
+    fn send(&mut self, _: &mut (dyn Transport + 't), addr: McastAddr, payload: Bytes) {
+        self.outbox.push((addr, payload));
+    }
+    // A subscription change takes effect between the sends around it, as it
+    // would one action at a time.
+    fn join(&mut self, transport: &mut (dyn Transport + 't), addr: McastAddr) {
+        self.flush(transport);
+        transport.join(addr);
+    }
+    fn leave(&mut self, transport: &mut (dyn Transport + 't), addr: McastAddr) {
+        self.flush(transport);
+        transport.leave(addr);
+    }
+    /// Hand the turn's sends so far to the transport.
+    fn flush(&mut self, transport: &mut (dyn Transport + 't)) {
+        if !self.outbox.is_empty() {
+            self.writes += transport.send_batch(&self.outbox);
+            self.outbox.clear();
+        }
+    }
+    fn deliver(&mut self, now: SimTime, d: Delivery) {
+        self.delivered += 1;
+        let _ = self.deliveries.send((self.stamp(now), d));
+    }
+    fn event(&mut self, now: SimTime, e: ProtocolEvent) {
+        let _ = self.events.send((self.stamp(now), e));
+    }
+    fn observe(&mut self, now: SimTime, obs: Observation) {
+        if let Some(ts) = obs_ts(&obs) {
+            self.ts_floor = self.ts_floor.max(ts);
+        }
+        let at = self.stamp(now);
+        if let Some(tr) = self.trace.as_mut() {
+            let _ = tr.record(at, &obs);
+        }
+    }
+}
+
+impl Node {
+    /// Build the node `cfg` describes at time `now`, with the channels its
+    /// ordered deliveries and protocol events come out of. What founding
+    /// the group queued (its subscription above all) leaves with the first
+    /// [`turn`](Node::turn). Of `cfg`, `tick`, `clock` and `stop_grace` are
+    /// the thread's and go unread here.
+    pub fn new(
+        now: SimTime,
+        cfg: &NodeConfig,
+        dlog: Option<Box<dyn DeliveryLog>>,
+        trace: Option<TraceWriter>,
+    ) -> (Node, Deliveries, Events) {
+        // The engine runs a synchronized clock: message timestamps are
+        // floored at real (epoch-anchored) time, so cross-process trace
+        // merge order approximates true order.
+        let clock = ClockMode::Synchronized { skew_us: 0 };
+        let mut engine = Processor::new(cfg.id, cfg.protocol.clone(), clock);
+        if let Some(log) = dlog {
+            engine.set_delivery_log(log);
+        }
+        if trace.is_some() {
+            engine.enable_observations();
+        }
+        match &cfg.role {
+            Role::Founder { members } => {
+                engine.create_group(now, cfg.group, cfg.group_addr, members.iter().copied());
+            }
+            Role::Joiner => engine.expect_join(cfg.group, cfg.group_addr),
+        }
+        if let Some((conn, group)) = cfg.connection {
+            engine.bind_connection(conn, group);
+        }
+        let (deliveries, dlv_rx) = unbounded();
+        let (events, evt_rx) = unbounded();
+        let mut reg = Registry::new();
+        let io = Io {
+            group: cfg.group,
             deliveries,
-        }
+            events,
+            trace,
+            ts_floor: 0,
+            outbox: Vec::with_capacity(64),
+            pending_adds: Vec::new(),
+            stopping: false,
+            delivered: 0,
+            publish_rejected: 0,
+            writes: 0,
+            turns: 0,
+            ticks: 0,
+            turn_datagrams: reg.histogram("runtime_turn_datagrams"),
+            timer_lag: reg.histogram("runtime_timer_lag_us"),
+            reg,
+        };
+        let driver = Driver::new(engine);
+        (Node { driver, io }, dlv_rx, evt_rx)
+    }
+
+    /// The engine, for inspection.
+    pub fn engine(&self) -> &Processor {
+        &self.driver.engine
+    }
+
+    /// One turn at `now`: feed the engine everything in `intake` (left
+    /// empty), retry overdue sponsored adds and tick if `tick_due`, then
+    /// carry out what the engine asked for — every send of the turn in one
+    /// [`Transport::send_batch`], except that a subscription change splits
+    /// the batch where it occurred.
+    pub fn turn(
+        &mut self,
+        now: SimTime,
+        tick_due: bool,
+        intake: &mut Vec<Inbox>,
+        transport: &mut dyn Transport,
+    ) {
+        let (id, group) = (self.driver.engine.id().0, self.io.group);
+        let mut datagrams = 0u64;
+        let io = &mut self.io;
+        self.driver
+            .turn(now, tick_due, io, transport, |engine, io| {
+                for entry in intake.drain(..) {
+                    match entry {
+                        Inbox::Datagrams(batch) => {
+                            datagrams += batch.len() as u64;
+                            for d in batch {
+                                engine.handle_packet(now, &Packet::new(id, d.addr, d.payload));
+                            }
+                        }
+                        Inbox::Command(cmd) => match cmd {
+                            Command::Publish {
+                                conn,
+                                request,
+                                giop,
+                            } => {
+                                let sent = engine.multicast_request(now, conn, request, giop);
+                                io.publish_rejected += u64::from(sent.is_err());
+                            }
+                            Command::AddMember(p) => {
+                                engine.add_processor(now, group, p);
+                                io.pending_adds.push((p, now));
+                            }
+                            Command::RemoveMember(p) => engine.remove_processor(now, group, p),
+                            Command::Stop => io.stopping = true,
+                        },
+                    }
+                }
+                if tick_due {
+                    io.pending_adds.retain_mut(|(member, last_try)| {
+                        if engine.membership(group).is_some_and(|m| m.contains(member)) {
+                            return false;
+                        }
+                        if now.saturating_since(*last_try) >= ADD_RETRY
+                            && !engine.is_reconfiguring(group)
+                        {
+                            engine.add_processor(now, group, *member);
+                            *last_try = now;
+                        }
+                        true
+                    });
+                }
+            });
+        io.turns += 1;
+        io.ticks += u64::from(tick_due);
+        io.reg.record(io.turn_datagrams, datagrams);
+    }
+
+    /// Close the trace with its clean-shutdown marker; its path, if tracing
+    /// was on and the marker reached the disk.
+    pub fn finish_trace(&mut self, now: SimTime) -> Option<PathBuf> {
+        let at = self.io.stamp(now);
+        self.io.trace.take().and_then(|t| t.finish(at).ok())
     }
 }
 
-/// Hand the turn's sends so far to the transport; returns its socket writes.
-fn flush(transport: &mut dyn Transport, outbox: &mut Vec<(McastAddr, Bytes)>) -> u64 {
-    if outbox.is_empty() {
-        return 0;
-    }
-    let writes = transport.send_batch(outbox);
-    outbox.clear();
-    writes
-}
-
-#[allow(clippy::too_many_lines)]
+/// The thread around a [`Node`]: park on the inbox until the next tick or
+/// the end of the stop grace, then run one turn on what arrived.
 fn run_node(
-    cfg: NodeConfig,
-    parts: NodeParts,
-    dlv_tx: Sender<(SimTime, Delivery)>,
-    evt_tx: Sender<(SimTime, ProtocolEvent)>,
+    mut node: Node,
+    cfg: &NodeConfig,
+    selected: Selected,
+    rx: &RxReceiver,
 ) -> RuntimeReport {
-    let NodeParts {
-        transport,
-        rx,
-        dlog,
-        mut trace,
-    } = parts;
-    let Selected {
-        mut transport,
-        kind,
-        fell_back,
-    } = transport;
-    let mut ctr = Counters::new();
-    if fell_back {
-        ctr.reg.inc(ctr.fallback, 1);
-    }
-
-    // The engine runs a synchronized clock: message timestamps are floored
-    // at real (epoch-anchored) time, so cross-process trace merge order
-    // approximates true order.
-    let mut engine = Processor::new(cfg.id, cfg.protocol, ClockMode::Synchronized { skew_us: 0 });
-    if let Some(log) = dlog {
-        engine.set_delivery_log(log);
-    }
-    if trace.is_some() {
-        engine.enable_observations();
-    }
-    let now0 = cfg.clock.now();
-    match cfg.role {
-        Role::Founder { members } => {
-            engine.create_group(now0, cfg.group, cfg.group_addr, members);
-        }
-        Role::Joiner => engine.expect_join(cfg.group, cfg.group_addr),
-    }
-    if let Some((conn, group)) = cfg.connection {
-        engine.bind_connection(conn, group);
-    }
-
+    let mut transport = selected.transport;
+    let (clock, tick) = (&cfg.clock, cfg.tick);
     let mut intake: Vec<Inbox> = Vec::with_capacity(64);
-    let mut actions: Vec<Action> = Vec::with_capacity(256);
-    let mut outbox: Vec<(McastAddr, Bytes)> = Vec::with_capacity(64);
-    let mut observations: Vec<Observation> = Vec::with_capacity(256);
-    let mut delivered = 0u64;
-    let mut publish_rejected = 0u64;
-    let mut ticks = 0u64;
-    let mut writes = 0u64;
-    let mut depth_peak = 0u64;
-    let mut pending_adds: Vec<(ProcessorId, Instant)> = Vec::new();
-    let mut stop_at: Option<Instant> = None;
-    let mut next_tick = Instant::now() + cfg.tick;
-
-    let mut ts_floor = 0u64;
-    macro_rules! pump {
-        ($now:expr) => {{
-            let now = $now;
-            engine.drain_actions_into(&mut actions);
-            for a in actions.drain(..) {
-                match a {
-                    Action::Send { addr, payload } => outbox.push((addr, payload)),
-                    // A subscription change takes effect between the sends
-                    // around it, as it would one action at a time.
-                    Action::Join(addr) => {
-                        writes += flush(transport.as_mut(), &mut outbox);
-                        transport.join(addr);
-                    }
-                    Action::Leave(addr) => {
-                        writes += flush(transport.as_mut(), &mut outbox);
-                        transport.leave(addr);
-                    }
-                    Action::Deliver(d) => {
-                        delivered += 1;
-                        let _ = dlv_tx.send((SimTime(now.0.max(ts_floor)), d));
-                    }
-                    Action::Event(e) => {
-                        let _ = evt_tx.send((SimTime(now.0.max(ts_floor)), e));
-                    }
-                    _ => {}
-                }
-            }
-            writes += flush(transport.as_mut(), &mut outbox);
-            if let Some(tr) = trace.as_mut() {
-                engine.drain_observations_into(&mut observations);
-                for obs in observations.drain(..) {
-                    // Hybrid-logical stamp: never record an event earlier
-                    // than a protocol timestamp this member has seen.
-                    if let Some(ts) = obs_ts(&obs) {
-                        ts_floor = ts_floor.max(ts);
-                    }
-                    let _ = tr.record(SimTime(now.0.max(ts_floor)), &obs);
-                }
-            }
-        }};
-    }
-
     // What founding the group queued (its subscription above all) takes
     // effect now, not at the first wake-up.
-    pump!(now0);
-
+    node.turn(clock.now(), false, &mut intake, transport.as_mut());
+    let mut depth_peak = 0u64;
+    let mut stop_at: Option<Instant> = None;
+    let mut next_tick = Instant::now() + tick;
     loop {
-        // Park until the inbox has something, the tick is due or the stop
-        // grace has run out.
         let wake = stop_at.map_or(next_tick, |at| at.min(next_tick));
         let wait = wake.saturating_duration_since(Instant::now());
         let Ok(datagrams) = rx.take_turn(wait, &mut intake) else {
             break;
         };
-        ctr.reg.inc(ctr.turns, 1);
-        ctr.reg.record(ctr.turn_datagrams, datagrams);
         depth_peak = depth_peak.max(datagrams + rx.depth());
 
-        let now = cfg.clock.now();
-        engine.begin_batch();
-        for entry in intake.drain(..) {
-            match entry {
-                Inbox::Datagrams(batch) => {
-                    for d in batch {
-                        engine.handle_packet(now, &Packet::new(cfg.id.0, d.addr, d.payload));
-                    }
-                }
-                Inbox::Command(Command::Publish {
-                    conn,
-                    request,
-                    giop,
-                }) => {
-                    if engine.multicast_request(now, conn, request, giop).is_err() {
-                        publish_rejected += 1;
-                    }
-                }
-                Inbox::Command(Command::AddMember(p)) => {
-                    engine.add_processor(now, cfg.group, p);
-                    pending_adds.push((p, Instant::now()));
-                }
-                Inbox::Command(Command::RemoveMember(p)) => {
-                    engine.remove_processor(now, cfg.group, p);
-                }
-                Inbox::Command(Command::Stop) => {
-                    stop_at.get_or_insert_with(|| Instant::now() + cfg.stop_grace);
-                }
-            }
-        }
-        engine.end_batch(now);
-
         let now_i = Instant::now();
-        if now_i >= next_tick {
+        let tick_due = now_i >= next_tick;
+        if tick_due {
             let lag = now_i.saturating_duration_since(next_tick);
-            ctr.reg.record(ctr.lag, lag.as_micros() as u64);
-            engine.tick(now);
-            ticks += 1;
-            next_tick += cfg.tick;
-            if now_i > next_tick + cfg.tick * 50 {
+            node.io
+                .reg
+                .record(node.io.timer_lag, lag.as_micros() as u64);
+            next_tick += tick;
+            if now_i > next_tick + tick * 50 {
                 // Way behind (debugger pause, CPU stall): resynchronize
                 // rather than firing a catch-up burst.
-                next_tick = now_i + cfg.tick;
+                next_tick = now_i + tick;
             }
-
-            pending_adds.retain_mut(|(member, last_try)| {
-                let present = engine
-                    .membership(cfg.group)
-                    .is_some_and(|m| m.contains(member));
-                if present {
-                    return false;
-                }
-                if last_try.elapsed() >= ADD_RETRY && !engine.is_reconfiguring(cfg.group) {
-                    engine.add_processor(now, cfg.group, *member);
-                    *last_try = now_i;
-                }
-                true
-            });
         }
+        node.turn(clock.now(), tick_due, &mut intake, transport.as_mut());
 
-        // The turn's one pump: one `send_batch` carries everything the
-        // datagrams, the commands and the tick made the engine send.
-        pump!(now);
-
-        if stop_at.is_some_and(|at| now_i >= at) {
+        if node.io.stopping && now_i >= *stop_at.get_or_insert(now_i + cfg.stop_grace) {
             break;
         }
     }
 
-    let now = cfg.clock.now();
-    pump!(now);
+    let now = clock.now();
+    node.turn(now, false, &mut intake, transport.as_mut());
     transport.shutdown();
-    ctr.reg.inc(ctr.recv, rx.received());
-    ctr.reg.inc(ctr.sent, transport.sent());
-    ctr.reg.inc(ctr.writes, writes);
-    ctr.reg.inc(ctr.ticks, ticks);
-    ctr.reg.inc(ctr.deliveries, delivered);
+    let trace_path = node.finish_trace(now);
+    let mut io = node.io;
+    let (sent, received) = (transport.sent(), rx.received());
+    for (name, count) in [
+        ("runtime_socket_recv_datagrams", received),
+        ("runtime_socket_sent_datagrams", sent),
+        ("runtime_socket_writes", io.writes),
+        ("runtime_engine_turns", io.turns),
+        (
+            "runtime_tcp_fallback_activations",
+            u64::from(selected.fell_back),
+        ),
+        ("runtime_ticks", io.ticks),
+        ("runtime_deliveries", io.delivered),
+    ] {
+        let id = io.reg.counter(name);
+        io.reg.inc(id, count);
+    }
     // The deepest backlog any turn found waiting, its own intake included.
-    ctr.reg.set(ctr.depth, depth_peak as i64);
-    let trace_path = trace.and_then(|t| t.finish(SimTime(now.0.max(ts_floor))).ok());
+    let depth = io.reg.gauge("runtime_recv_queue_depth");
+    io.reg.set(depth, depth_peak as i64);
     RuntimeReport {
-        transport: kind,
-        fell_back,
-        delivered,
-        sent_datagrams: transport.sent(),
-        recv_datagrams: rx.received(),
-        publish_rejected,
-        ticks,
-        final_members: engine.membership(cfg.group).unwrap_or_default(),
-        metrics: ctr.reg.snapshot(),
+        transport: selected.kind,
+        fell_back: selected.fell_back,
+        delivered: io.delivered,
+        sent_datagrams: sent,
+        recv_datagrams: received,
+        publish_rejected: io.publish_rejected,
+        ticks: io.ticks,
+        final_members: node.driver.engine.membership(cfg.group).unwrap_or_default(),
+        metrics: io.reg.snapshot(),
         trace_path,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ftmp_core::ids::ObjectGroupId;
+    use ftmp_core::OverlayPolicy;
+
+    const GROUP: GroupId = GroupId(1);
+    const GROUP_ADDR: McastAddr = McastAddr(700);
+
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Join(McastAddr),
+        Leave(McastAddr),
+        Batch(Vec<McastAddr>),
+    }
+
+    /// A transport that only writes down what it was asked to do.
+    #[derive(Default)]
+    struct Tape(Vec<Call>);
+
+    impl Transport for Tape {
+        fn kind(&self) -> TransportKind {
+            TransportKind::TcpMesh
+        }
+        fn send(&mut self, dst: McastAddr, _payload: &[u8]) {
+            self.0.push(Call::Batch(vec![dst]));
+        }
+        fn send_batch(&mut self, frames: &[(McastAddr, Bytes)]) -> u64 {
+            self.0
+                .push(Call::Batch(frames.iter().map(|f| f.0).collect()));
+            1
+        }
+        fn join(&mut self, addr: McastAddr) {
+            self.0.push(Call::Join(addr));
+        }
+        fn leave(&mut self, addr: McastAddr) {
+            self.0.push(Call::Leave(addr));
+        }
+        fn sent(&self) -> u64 {
+            0
+        }
+        fn shutdown(&mut self) {}
+    }
+
+    /// In tree mode the first tick subscribes to the overlay neighbours
+    /// between what the turn's intake sent (a publish) and what the tick
+    /// then sends (the retry of a sponsored add): each side of a
+    /// subscription change is its own batch, in order.
+    #[test]
+    fn a_subscription_change_splits_the_turns_batch_where_it_occurred() {
+        let conn = ConnectionId::new(ObjectGroupId::new(1, 10), ObjectGroupId::new(1, 20));
+        let members: Vec<ProcessorId> = (1..=3).map(ProcessorId).collect();
+        let mut cfg = NodeConfig::founder(ProcessorId(1), GROUP, GROUP_ADDR, members);
+        cfg.protocol = ProtocolConfig::with_seed(3).overlay(OverlayPolicy::Tree { arity: 2 });
+        cfg.connection = Some((conn, GROUP));
+        let (mut node, _deliveries, _events) = Node::new(SimTime::ZERO, &cfg, None, None);
+
+        let mut tape = Tape::default();
+        let mut intake = vec![Inbox::Command(Command::AddMember(ProcessorId(9)))];
+        node.turn(SimTime(1_000), false, &mut intake, &mut tape);
+        assert_eq!(
+            tape.0,
+            [Call::Join(GROUP_ADDR), Call::Batch(vec![GROUP_ADDR])],
+            "founding comes first, then the add"
+        );
+
+        tape.0.clear();
+        intake.push(Inbox::Command(Command::Publish {
+            conn,
+            request: RequestNum(1),
+            giop: Bytes::from_static(b"before"),
+        }));
+        node.turn(SimTime(30_000), true, &mut intake, &mut tape);
+        assert!(intake.is_empty());
+        let calls = tape.0;
+        assert_eq!(calls[0], Call::Batch(vec![GROUP_ADDR]), "the publish");
+        let (last, joins) = calls[1..].split_last().expect("more than the publish");
+        assert!(
+            !joins.is_empty() && joins.iter().all(|c| matches!(c, Call::Join(_))),
+            "the tick's neighbourhood subscriptions, nothing sent among them: {calls:?}"
+        );
+        assert_eq!(
+            *last,
+            Call::Batch(vec![GROUP_ADDR]),
+            "what the tick sent leaves after them"
+        );
+        assert_eq!((node.io.writes, node.io.turns, node.io.ticks), (3, 2, 1));
+    }
+
+    /// The retry of a sponsored add is timed on the clock the node is
+    /// handed, not on the machine's.
+    #[test]
+    fn a_pending_add_is_retried_on_the_time_it_is_handed() {
+        let members = vec![ProcessorId(1), ProcessorId(2)];
+        let cfg = NodeConfig::founder(ProcessorId(1), GROUP, GROUP_ADDR, members);
+        let (mut node, _deliveries, _events) = Node::new(SimTime::ZERO, &cfg, None, None);
+        let mut tape = Tape::default();
+        let mut intake = vec![Inbox::Command(Command::AddMember(ProcessorId(9)))];
+        node.turn(SimTime(1_000), false, &mut intake, &mut tape);
+        let adds = |node: &Node| node.engine().stats().sent[&ftmp_core::FtmpMsgType::AddProcessor];
+        assert_eq!(adds(&node), 1);
+        node.turn(SimTime(150_000), true, &mut intake, &mut tape);
+        assert_eq!(node.io.pending_adds, [(ProcessorId(9), SimTime(1_000))]);
+        node.turn(SimTime(201_000), true, &mut intake, &mut tape);
+        assert_eq!(node.io.pending_adds, [(ProcessorId(9), SimTime(201_000))]);
     }
 }

@@ -69,8 +69,8 @@ pub struct RxDatagram {
     pub payload: Bytes,
 }
 
-/// One entry of the inbox.
-pub(crate) enum Inbox {
+/// One entry of the inbox: what a [`Node`](crate::node::Node)'s turn takes in.
+pub enum Inbox {
     /// The subscribed frames of one socket read, or one send's self-copies.
     Datagrams(Vec<RxDatagram>),
     /// A control command from the node's handle.

@@ -42,8 +42,14 @@ chaos:
 
 # Conformance sweep: the oracle suite over the full fault matrix, release
 # mode (CONFORMANCE_SEEDS seeds per scenario); writes CONFORMANCE_verdicts.json.
+# Then the runtime's own `Node` hosted on the simulator, as many seeds.
 conformance:
     CONFORMANCE_SEEDS=16 cargo test --release --test conformance
+    CONFORMANCE_SEEDS=16 cargo test --release --test runtime_on_sim
+
+# Non-test, non-blank, non-comment Rust lines per crate.
+loc:
+    scripts/loc.sh
 
 # Regenerate every experiment table (see EXPERIMENTS.md).
 experiments:
