@@ -618,10 +618,11 @@ pub fn run_cell(scenario: Scenario, seed: u64, steps: usize, trace_capacity: usi
 
 /// [`run_cell`] plus the coverage instrument: an optional targeted
 /// [`FaultPlan`] installed before the schedule runs, and the cell's merged
-/// telemetry snapshot (every live member's registry merged in id order,
-/// near-miss peak gauges taken as cross-member maxima, plus sweep- and
-/// network-level counters). The snapshot's [`buckets`] signature is the
-/// coverage map the explorer feeds on (DESIGN.md §15).
+/// metrics snapshot (every live member's
+/// [`register_metrics`](ftmp_core::Processor::register_metrics) view merged
+/// in id order, plus sweep- and network-level counters). The snapshot's
+/// [`buckets`] signature is the coverage map the explorer feeds on
+/// (DESIGN.md §15).
 ///
 /// [`buckets`]: ftmp_telemetry::Snapshot::buckets
 pub fn run_cell_instrumented(
@@ -742,34 +743,21 @@ pub fn run_cell_instrumented(
     (verdict, snapshot)
 }
 
-/// Merge the live members' telemetry registries (in id order — counters
-/// add, histograms merge, the near-miss peak gauges take the cross-member
-/// maximum) and append sweep- and network-level counters: one snapshot
-/// summarizing everything this execution made the protocol do.
+/// Merge the live members' metrics views (in id order — counters add,
+/// histograms merge, gauges take the cross-member maximum) and append
+/// sweep- and network-level counters: one snapshot summarizing everything
+/// this execution made the protocol do.
 fn aggregate_snapshot(
     cell: &Cell,
     live: &[NodeId],
     verdict: &CellVerdict,
 ) -> ftmp_telemetry::Snapshot {
     let mut agg = ftmp_telemetry::Registry::new();
-    let mut gap_peak = 0i64;
-    let mut margin_peak = 0i64;
     for &id in live {
-        let Some(n) = cell.net.node(id) else { continue };
-        let Some(tel) = n.engine().telemetry() else {
-            continue;
-        };
-        agg.merge(tel.registry());
-        let snap = tel.registry().snapshot();
-        gap_peak = gap_peak.max(snap.gauge("gap_depth_peak").unwrap_or(0));
-        margin_peak = margin_peak.max(snap.gauge("conviction_margin_permille").unwrap_or(0));
+        if let Some(n) = cell.net.node(id) {
+            n.engine().register_metrics(&mut agg);
+        }
     }
-    // Registry::merge leaves a gauge at the last member's value; the peaks
-    // are only meaningful as maxima across the group.
-    let g = agg.gauge("gap_depth_peak");
-    agg.set(g, gap_peak);
-    let g = agg.gauge("conviction_margin_permille");
-    agg.set(g, margin_peak);
     for (name, v) in [
         ("sweep_observations", verdict.observations),
         ("sweep_delivered", verdict.delivered),

@@ -439,8 +439,7 @@ impl PgmpGroup {
                     }
                     let removed: BTreeSet<ProcessorId> =
                         self.membership.difference(&proposed).copied().collect();
-                    self.counters.convictions += removed.len() as u64;
-                    self.reconfig = Some(Reconfig::new(removed, now));
+                    self.begin_or_extend_reconfig(removed, now);
                 }
                 self.counters.proposals_in += 1;
                 let membership = self.membership.clone();
@@ -456,25 +455,21 @@ impl PgmpGroup {
     /// running one (stale proposals built on the smaller removal set are
     /// invalidated).
     pub fn begin_or_extend_reconfig(&mut self, removals: BTreeSet<ProcessorId>, now: SimTime) {
-        match &mut self.reconfig {
-            Some(rc) => {
-                let before = rc.removed.len();
-                rc.removed.extend(removals.iter().copied());
-                let grew = rc.removed.len() - before;
-                if grew > 0 {
-                    self.counters.convictions += grew as u64;
-                    let keep: BTreeSet<ProcessorId> = rc.removed.clone();
-                    let membership = self.membership.clone();
-                    let _ = rc.merge_removals(
-                        &membership,
-                        &membership.difference(&keep).copied().collect(),
-                    );
-                }
-            }
-            None => {
-                self.counters.convictions += removals.len() as u64;
-                self.reconfig = Some(Reconfig::new(removals, now));
-            }
+        let extending = self.reconfig.is_some();
+        let rc = self
+            .reconfig
+            .get_or_insert_with(|| Reconfig::new(BTreeSet::new(), now));
+        let before = rc.removed.len();
+        rc.removed.extend(removals);
+        let grew = rc.removed.len() - before;
+        self.counters.convictions += grew as u64;
+        if extending && grew > 0 {
+            let keep: BTreeSet<ProcessorId> = rc.removed.clone();
+            let membership = self.membership.clone();
+            let _ = rc.merge_removals(
+                &membership,
+                &membership.difference(&keep).copied().collect(),
+            );
         }
     }
 }

@@ -69,6 +69,7 @@ use crate::wire::{self, AckVector, FtmpBody, FtmpMessage, FtmpMsgType};
 use bytes::Bytes;
 use ftmp_cdr::{ByteOrder, CdrWriter};
 use ftmp_net::{McastAddr, Packet, SimDuration, SimTime};
+use ftmp_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -273,7 +274,12 @@ pub struct Processor {
     /// Outgoing datagram coalescing (DESIGN.md §5); pass-through when
     /// `cfg.packing.enabled` is false.
     packer: Packer,
+    /// The counts whose home is the shell; [`Processor::stats`] fills in the
+    /// fields the layers keep.
     stats: ProcessorStats,
+    /// The layer counters of every group this processor has left, so
+    /// [`Processor::layer_totals`] never runs backwards.
+    departed: LayerCounters,
     /// The instrumentation tap (DESIGN.md §9): every instrumented site
     /// emits one borrowed [`Event`] here, and the conformance observations,
     /// telemetry and the durable delivery log each read that one stream.
@@ -345,6 +351,7 @@ impl Processor {
             sink: ActionSink::default(),
             packer,
             stats: ProcessorStats::default(),
+            departed: LayerCounters::default(),
             tap: Tap::default(),
             enc_body: CdrWriter::new(ByteOrder::native()),
             batch_depth: 0,
@@ -367,8 +374,9 @@ impl Processor {
         }
     }
 
-    /// Turn on telemetry (DESIGN.md §10): latency histograms, protocol
-    /// counters and the flight recorder accumulate from this point on.
+    /// Turn on telemetry (DESIGN.md §10): latency histograms, the overlay
+    /// and view-change counters and the flight recorder accumulate from this
+    /// point on.
     /// Protocol behaviour — and wire traffic — is unaffected (the golden
     /// trace-hash test pins this).
     pub fn enable_telemetry(&mut self) {
@@ -376,8 +384,8 @@ impl Processor {
         tel.get_or_insert_with(|| Box::new(Telemetry::new(self.id)));
     }
 
-    /// The telemetry state, when enabled (snapshots, registry aggregation,
-    /// flight-recorder access).
+    /// The telemetry state, when enabled (its registry, flight-recorder
+    /// access).
     pub fn telemetry(&self) -> Option<&Telemetry> {
         self.tap.tel.as_deref()
     }
@@ -412,9 +420,58 @@ impl Processor {
         self.id
     }
 
-    /// Protocol counters.
-    pub fn stats(&self) -> &ProcessorStats {
-        &self.stats
+    /// Protocol counters: the shell's own, with every field whose home is a
+    /// layer (or a group's RTT estimator) filled in from there.
+    pub fn stats(&self) -> ProcessorStats {
+        let layers = self.layer_totals();
+        let slowest = |of: fn(&RttEstimator) -> Option<SimDuration>| {
+            let read = self.groups.values().filter_map(|g| of(&g.rtt));
+            read.map(SimDuration::as_micros).max().unwrap_or(0)
+        };
+        ProcessorStats {
+            retransmissions_sent: layers.rmp.retransmits_answered
+                + self.stats.exclusion_notices_sent,
+            duplicates: layers.rmp.duplicates,
+            reconfigurations: layers.pgmp.reconfigurations,
+            discarded_at_flush: layers.romp.discarded_at_flush,
+            srtt_us: slowest(RttEstimator::srtt),
+            rttvar_us: slowest(RttEstimator::rttvar),
+            ..self.stats
+        }
+    }
+
+    /// The one metrics read-out (DESIGN.md §10): the telemetry registry's
+    /// histograms, peaks and overlay/view-change counters when telemetry is
+    /// on, then every count the engine keeps regardless, each under one
+    /// name. Counters add into `reg` and gauges rise, so a fleet calls this
+    /// once per member on one registry.
+    pub fn register_metrics(&self, reg: &mut Registry) {
+        if let Some(t) = self.telemetry() {
+            reg.merge(t.registry());
+        }
+        let (s, layers) = (self.stats(), self.layer_totals());
+        for (name, count) in [
+            ("nacks_sent", s.nacks_sent),
+            ("retransmissions_answered", layers.rmp.retransmits_answered),
+            ("rtt_samples", s.rtt_samples),
+            ("window_closes", s.backpressure_closes),
+            ("convictions", layers.pgmp.convictions),
+            ("deliveries", layers.romp.delivered + layers.romp.flushed),
+            ("packed_datagrams", s.packed_datagrams_sent),
+            ("ftmp_messages_packed", s.messages_packed),
+            ("ftmp_heartbeats_suppressed", s.heartbeats_suppressed),
+            ("ftmp_heartbeats_prompted", s.heartbeats_prompted),
+            ("ftmp_packed_rejects", s.packed_rejects),
+            ("ftmp_control_received", s.control_received()),
+            ("ftmp_retransmissions_received", s.retransmissions_received),
+        ] {
+            let id = reg.counter(name);
+            reg.inc(id, count);
+        }
+        for (name, level) in [("srtt_us", s.srtt_us), ("rttvar_us", s.rttvar_us)] {
+            let id = reg.gauge(name);
+            reg.raise(id, level as i64);
+        }
     }
 
     /// Current membership of a group, if this processor belongs to it.
@@ -435,15 +492,10 @@ impl Processor {
         })
     }
 
-    /// The per-layer counters of one group.
-    pub fn layer_counters(&self, group: GroupId) -> Option<LayerCounters> {
-        self.groups.get(&group).map(|g| g.layer_counters())
-    }
-
     /// The per-layer counters summed (high-water marks maxed) over every
-    /// group this processor currently belongs to.
+    /// group this processor belongs to or has left.
     pub fn layer_totals(&self) -> LayerCounters {
-        let mut total = LayerCounters::default();
+        let mut total = self.departed;
         for g in self.groups.values() {
             total.merge(&g.layer_counters());
         }
@@ -1149,7 +1201,7 @@ impl Processor {
             (msg, g.addr)
         };
         let encoded = self.encode_wire(&msg);
-        *self.stats.sent.entry(msg.msg_type()).or_insert(0) += 1;
+        self.stats.sent[msg.msg_type() as usize] += 1;
         let sent = Event::Sent {
             group,
             seq: msg.seq,
@@ -1202,7 +1254,7 @@ impl Processor {
             g.last_sent = now;
             g.hb_deferred_since_send = false;
         }
-        *self.stats.sent.entry(msg.msg_type()).or_insert(0) += 1;
+        self.stats.sent[msg.msg_type() as usize] += 1;
         let encoded = self.encode_wire(&msg);
         self.send_wire(now, addr, encoded.clone());
         // Self-process so our own horizon tracks our own liveness; the
@@ -1230,11 +1282,7 @@ impl Processor {
                 client_processors: client_processors.to_vec(),
             },
         };
-        *self
-            .stats
-            .sent
-            .entry(FtmpMsgType::ConnectRequest)
-            .or_insert(0) += 1;
+        self.stats.sent[FtmpMsgType::ConnectRequest as usize] += 1;
         let encoded = self.encode_wire(&msg);
         self.send_wire(now, domain_addr, encoded);
     }
@@ -1243,7 +1291,7 @@ impl Processor {
 
     fn process_message(&mut self, now: SimTime, msg: FtmpMessage, wire: Bytes, own: bool) {
         if !own {
-            *self.stats.received.entry(msg.msg_type()).or_insert(0) += 1;
+            self.stats.received[msg.msg_type() as usize] += 1;
             if msg.retransmission {
                 self.stats.retransmissions_received += 1;
             }
@@ -1326,7 +1374,7 @@ impl Processor {
         let payload = notice.clone();
         g.pgmp.notice_retx_at = now + retry;
         let addr = g.addr;
-        self.stats.retransmissions_sent += 1;
+        self.stats.exclusion_notices_sent += 1;
         self.send_wire(now, addr, payload);
     }
 
@@ -1419,20 +1467,12 @@ impl Processor {
             if let Some(sample) = g.rmp.rtt_sample_for(msg.source, now) {
                 g.rtt.observe(sample);
                 self.stats.rtt_samples += 1;
-                self.stats.srtt_us = g.rtt.srtt().map(|d| d.as_micros()).unwrap_or(0);
-                self.stats.rttvar_us = g.rtt.rttvar().map(|d| d.as_micros()).unwrap_or(0);
-                let (srtt_us, rttvar_us) = (self.stats.srtt_us, self.stats.rttvar_us);
-                self.tap.emit(now, Event::RttSample { srtt_us, rttvar_us });
             }
         }
         match g.rmp.handle(RmpInput::Reliable { msg, wire, own }) {
-            RmpOutput::Duplicate => {
-                // Our own loopback copy is an expected duplicate, not a
-                // retransmission anomaly.
-                if !own && !from_self {
-                    self.stats.duplicates += 1;
-                }
-            }
+            // Counted by RMP (our own loopback copy is an expected
+            // duplicate, not a retransmission anomaly).
+            RmpOutput::Duplicate => {}
             RmpOutput::Buffered => {
                 let buffered = Event::Buffered {
                     group: gid,
@@ -1725,7 +1765,6 @@ impl Processor {
                 } else {
                     neighborhood.unwrap_or(g.addr)
                 };
-                self.stats.retransmissions_sent += 1;
                 let answered = Event::RetransmitAnswered {
                     group: gid,
                     source: missing_from,

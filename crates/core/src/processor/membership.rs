@@ -164,8 +164,7 @@ impl Processor {
         let (removed, delivered, membership, membership_ts) = {
             let g = self.groups.get_mut(&gid).expect("group exists");
             let rc = g.pgmp.reconfig.take().expect("checked");
-            let (delivered, discarded) = g.romp.flush_with_targets(&targets, &rc.removed);
-            self.stats.discarded_at_flush += discarded as u64;
+            let delivered = g.romp.flush_with_targets(&targets, &rc.removed);
             let removed: Vec<ProcessorId> = rc.removed.iter().copied().collect();
             for r in &removed {
                 g.romp.ordering_mut().remove_member(*r);
@@ -197,7 +196,6 @@ impl Processor {
                 g.pgmp.membership_notice = g.rmp.retention_mut().retx_bytes(self.id, seq.0);
             }
             g.pgmp.counters.reconfigurations += 1;
-            self.stats.reconfigurations += 1;
             (removed, delivered, membership, g.pgmp.membership_ts)
         };
         // Emission order matters to the conformance oracles: convictions

@@ -171,6 +171,7 @@ impl Processor {
 
     pub(super) fn leave_group(&mut self, gid: GroupId) {
         if let Some(g) = self.groups.remove(&gid) {
+            self.departed.merge(&g.layer_counters());
             self.sink.push(Action::Leave(g.addr));
             if let Some(o) = g.overlay {
                 for a in o.subscribed {

@@ -212,15 +212,7 @@ fn lost_message_recovered_via_nack() {
 fn heartbeats_emitted_when_idle() {
     let (mut net, _gid) = pair();
     net.tick_all(SimTime(50_000));
-    assert!(
-        net.p(1)
-            .stats()
-            .sent
-            .get(&FtmpMsgType::Heartbeat)
-            .copied()
-            .unwrap_or(0)
-            >= 1
-    );
+    assert!(net.p(1).stats().sent_of(FtmpMsgType::Heartbeat) >= 1);
 }
 
 #[test]
@@ -231,15 +223,7 @@ fn heartbeat_suppressed_by_recent_traffic() {
         .unwrap();
     net.flush(SimTime(9_500));
     net.p(1).tick(SimTime(10_000)); // 0.5ms after the Regular
-    assert_eq!(
-        net.p(1)
-            .stats()
-            .sent
-            .get(&FtmpMsgType::Heartbeat)
-            .copied()
-            .unwrap_or(0),
-        0
-    );
+    assert_eq!(net.p(1).stats().sent_of(FtmpMsgType::Heartbeat), 0);
 }
 
 #[test]
@@ -918,7 +902,7 @@ mod prompt_tests {
         assert!(net.deliveries(1).is_empty() && net.deliveries(2).is_empty());
         assert_eq!(net.p(1).stats().heartbeats_prompted, 0);
         assert_eq!(net.p(2).stats().heartbeats_prompted, 1);
-        let timer_beats = net.p(1).stats().sent[&FtmpMsgType::Heartbeat];
+        let timer_beats = net.p(1).stats().sent_of(FtmpMsgType::Heartbeat);
         assert!(
             timer_beats <= fail_timeout / 10_000,
             "P1 kept to the heartbeat interval: {timer_beats}"
@@ -970,5 +954,239 @@ mod prompt_tests {
             net.p(2).group_metrics(gid).unwrap().head_blocked_on,
             vec![ProcessorId(2)]
         );
+    }
+}
+
+/// The metrics read-out (DESIGN.md §10): one view, each fact under one name,
+/// and the per-type counters behind `sent_of` / `received_of`.
+mod metrics_tests {
+    use super::*;
+    use crate::config::OverlayPolicy;
+
+    /// The whole view of a telemetry-enabled processor, names and kinds, as
+    /// one literal: a key that appears, disappears or changes kind fails
+    /// here before it moves a results file or the explorer's coverage map.
+    #[test]
+    fn register_metrics_names_each_fact_once() {
+        let (mut net, _gid) = pair();
+        net.p(1).enable_telemetry();
+        let mut reg = Registry::new();
+        net.p(1).register_metrics(&mut reg);
+        let snap = reg.snapshot();
+        let counters: Vec<&str> = snap.counters().map(|(n, _)| n).collect();
+        let gauges: Vec<&str> = snap.gauges().map(|(n, _)| n).collect();
+        let histograms: Vec<&str> = snap.histograms().map(|(n, _)| n).collect();
+        assert_eq!(
+            counters,
+            [
+                // The telemetry registry's own: nothing else counts these.
+                "view_changes",
+                "overlay_rebuilds",
+                "overlay_digests_sent",
+                "overlay_entries_merged",
+                "overlay_repairs_neighborhood",
+                "overlay_repairs_escalated",
+                "overlay_solicits",
+                "overlay_solicit_answers",
+                "overlay_rescues",
+                // Read from the engine, which counts them telemetry or no.
+                "nacks_sent",
+                "retransmissions_answered",
+                "rtt_samples",
+                "window_closes",
+                "convictions",
+                "deliveries",
+                "packed_datagrams",
+                "ftmp_messages_packed",
+                "ftmp_heartbeats_suppressed",
+                "ftmp_heartbeats_prompted",
+                "ftmp_packed_rejects",
+                "ftmp_control_received",
+                "ftmp_retransmissions_received",
+            ]
+        );
+        assert_eq!(
+            gauges,
+            [
+                "overlay_depth",
+                "gap_depth_peak",
+                "conviction_margin_permille",
+                "srtt_us",
+                "rttvar_us",
+            ]
+        );
+        assert_eq!(
+            histograms,
+            [
+                "rmp_recovery_us",
+                "ordering_delay_us",
+                "stability_lag_us",
+                "e2e_self_us",
+                "view_change_us",
+                "flow_stall_us",
+                "pack_msgs_per_datagram",
+                "nack_attempts",
+                "suspicion_margin_permille",
+            ]
+        );
+        // Without telemetry the always-on half is the whole view.
+        let mut bare = Registry::new();
+        net.p(2).register_metrics(&mut bare);
+        let bare = bare.snapshot();
+        assert_eq!(
+            bare.counters().map(|(n, _)| n).collect::<Vec<_>>(),
+            counters[9..]
+        );
+        assert_eq!(
+            bare.gauges().map(|(n, _)| n).collect::<Vec<_>>(),
+            gauges[3..]
+        );
+        assert_eq!(bare.histograms().count(), 0);
+    }
+
+    /// Messages per (processor, wire type), counted by the test itself.
+    type Tally = BTreeMap<(u32, FtmpMsgType), u64>;
+
+    /// [`MiniNet::flush`], counting every datagram by its decoded type as it
+    /// leaves a processor (first transmissions only: a retransmission is the
+    /// retention store's resend, not a send) and as it is handed to one.
+    /// `cut` hears no one and is heard by no one.
+    fn flush_counting(
+        net: &mut MiniNet,
+        now: SimTime,
+        cut: Option<u32>,
+        (sent, received): (&mut Tally, &mut Tally),
+    ) {
+        loop {
+            let mut packets = Vec::new();
+            for (i, p) in net.procs.iter_mut().enumerate() {
+                let src = i as u32 + 1;
+                for a in p.drain_actions() {
+                    if let Action::Send { addr, payload } = a {
+                        let msg = FtmpMessage::decode_shared(&payload).unwrap();
+                        if !msg.retransmission {
+                            *sent.entry((src, msg.msg_type())).or_default() += 1;
+                        }
+                        packets.push((src, addr, msg.msg_type(), payload));
+                    }
+                }
+            }
+            if packets.is_empty() {
+                return;
+            }
+            for (src, addr, t, payload) in packets {
+                for (j, p) in net.procs.iter_mut().enumerate() {
+                    let dst = j as u32 + 1;
+                    if src != dst && (cut == Some(src) || cut == Some(dst)) {
+                        continue;
+                    }
+                    *received.entry((dst, t)).or_default() += 1;
+                    p.handle_packet(now, &Packet::new(src, addr, payload.clone()));
+                }
+            }
+        }
+    }
+
+    /// Every processor's `sent_of` / `received_of`, all ten types, against
+    /// the tallies; returns how many of each type were sent in all.
+    fn assert_counts_match(net: &mut MiniNet, sent: &Tally, received: &Tally) -> Vec<u64> {
+        let types: Vec<FtmpMsgType> = (0..10).map(|t| FtmpMsgType::from_u8(t).unwrap()).collect();
+        for id in 1..=net.procs.len() as u32 {
+            let stats = net.p(id).stats();
+            for &t in &types {
+                let of = |tally: &Tally| tally.get(&(id, t)).copied().unwrap_or(0);
+                assert_eq!(stats.sent_of(t), of(sent), "P{id} sent {t:?}");
+                assert_eq!(stats.received_of(t), of(received), "P{id} received {t:?}");
+            }
+        }
+        let total = |t| {
+            sent.iter()
+                .filter(|((_, k), _)| *k == t)
+                .map(|(_, n)| n)
+                .sum()
+        };
+        types.into_iter().map(total).collect()
+    }
+
+    #[test]
+    fn per_type_counts_match_a_hand_count_over_all_ten_types() {
+        let gid = GroupId(1);
+        let (mut sent, mut received) = (Tally::new(), Tally::new());
+        let cfg = ProtocolConfig::with_seed(42).quorum(Quorum::Fixed(1));
+        let mut net = MiniNet::new(3, cfg);
+        for i in 1..=2u32 {
+            net.p(i)
+                .create_group(SimTime(0), gid, McastAddr(100), [1, 2].map(ProcessorId));
+            net.p(i).bind_connection(conn_ab(), gid);
+        }
+        net.p(3).expect_join(gid, McastAddr(100));
+        net.p(3).bind_connection(conn_ab(), gid);
+        let mut step = |net: &mut MiniNet, at: u64, cut: Option<u32>, tick: bool| {
+            for p in net.procs.iter_mut().filter(|_| tick) {
+                p.tick(SimTime(at));
+            }
+            flush_counting(net, SimTime(at), cut, (&mut sent, &mut received));
+        };
+        let publish = |net: &mut MiniNet, at: u64, n: u64| {
+            net.p(1)
+                .multicast_request(SimTime(at), conn_ab(), RequestNum(n), Bytes::new())
+                .unwrap();
+        };
+        step(&mut net, 0, None, false);
+        // Regular; one P2 misses, so a RetransmitRequest and its answer.
+        publish(&mut net, 1_000, 1);
+        step(&mut net, 1_000, None, false);
+        publish(&mut net, 2_000, 2);
+        step(&mut net, 2_000, Some(2), false);
+        publish(&mut net, 3_000, 3);
+        step(&mut net, 3_000, None, false);
+        step(&mut net, 6_000, None, true);
+        step(&mut net, 15_000, None, true);
+        // AddProcessor, idle Heartbeats, RemoveProcessor.
+        net.p(1).add_processor(SimTime(20_000), gid, ProcessorId(3));
+        step(&mut net, 20_000, None, false);
+        step(&mut net, 50_000, None, true);
+        net.p(1)
+            .remove_processor(SimTime(60_000), gid, ProcessorId(3));
+        step(&mut net, 60_000, None, false);
+        step(&mut net, 90_000, None, true);
+        // A ConnectRequest nobody serves, and a Connect re-addressing the
+        // connection to a second group.
+        let other = ConnectionId::new(ObjectGroupId::new(2, 1), ObjectGroupId::new(2, 2));
+        net.p(1).open_connection(
+            SimTime(100_000),
+            other,
+            vec![ProcessorId(1)],
+            McastAddr(900),
+        );
+        net.p(1)
+            .rebind_connection(SimTime(100_000), conn_ab(), GroupId(2), McastAddr(200));
+        step(&mut net, 100_000, None, false);
+        step(&mut net, 130_000, None, true);
+        // P2 falls silent: Suspect, then (quorum of one) Membership.
+        for at in (140_000..=600_000).step_by(10_000) {
+            step(&mut net, at, Some(2), true);
+        }
+        let totals = assert_counts_match(&mut net, &sent, &received);
+        assert!(
+            totals[..9].iter().all(|&n| n > 0),
+            "the run sends every flat type: {totals:?}"
+        );
+
+        // The tenth, OverlayDigest, is tree mode's heartbeat.
+        let (mut sent, mut received) = (Tally::new(), Tally::new());
+        let tree = ProtocolConfig::with_seed(42).overlay(OverlayPolicy::Tree { arity: 2 });
+        let mut net = MiniNet::new(3, tree);
+        for p in net.procs.iter_mut() {
+            p.create_group(SimTime(0), gid, McastAddr(100), [1, 2, 3].map(ProcessorId));
+        }
+        for at in (0..=50_000).step_by(10_000) {
+            for p in net.procs.iter_mut() {
+                p.tick(SimTime(at));
+            }
+            flush_counting(&mut net, SimTime(at), None, (&mut sent, &mut received));
+        }
+        let totals = assert_counts_match(&mut net, &sent, &received);
+        assert!(totals[9] > 0, "tree mode sends digests: {totals:?}");
     }
 }

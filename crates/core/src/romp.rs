@@ -515,15 +515,16 @@ impl RompLayer {
     }
 
     /// Membership-change flush (§7.2); see [`Ordering::flush_with_targets`].
+    /// The discards are counted here and nowhere else.
     pub fn flush_with_targets(
         &mut self,
         target: &BTreeMap<ProcessorId, u64>,
         removed: &std::collections::BTreeSet<ProcessorId>,
-    ) -> (Vec<FtmpMessage>, usize) {
+    ) -> Vec<FtmpMessage> {
         let (delivered, discarded) = self.ordering.flush_with_targets(target, removed);
         self.counters.flushed += delivered.len() as u64;
         self.counters.discarded_at_flush += discarded as u64;
-        (delivered, discarded)
+        delivered
     }
 
     /// The wrapped [`Ordering`] (horizons, acks, floors).

@@ -494,13 +494,9 @@ mod tests {
             GOLDEN,
             "enabling telemetry perturbed the wire traffic"
         );
-        let snap = net
-            .node(1)
-            .unwrap()
-            .engine()
-            .telemetry()
-            .expect("telemetry enabled")
-            .snapshot();
+        let mut view = ftmp_telemetry::Registry::new();
+        net.node(1).unwrap().engine().register_metrics(&mut view);
+        let snap = view.snapshot();
         let ordering = snap.histogram("ordering_delay_us").expect("registered");
         assert!(ordering.count > 0, "ordering delays recorded");
         assert!(
@@ -750,20 +746,15 @@ mod tests {
         // Digest traffic flows; standalone flat heartbeats do not.
         let digests: u64 = (1..=8u32)
             .map(|id| {
-                net.node(id).unwrap().engine().stats().received
-                    [&crate::wire::FtmpMsgType::OverlayDigest]
+                let stats = net.node(id).unwrap().engine().stats();
+                stats.received_of(crate::wire::FtmpMsgType::OverlayDigest)
             })
             .sum();
         assert!(digests > 0, "overlay digests circulated");
         let heartbeats: u64 = (1..=8u32)
             .map(|id| {
-                *net.node(id)
-                    .unwrap()
-                    .engine()
-                    .stats()
-                    .sent
-                    .get(&crate::wire::FtmpMsgType::Heartbeat)
-                    .unwrap_or(&0)
+                let stats = net.node(id).unwrap().engine().stats();
+                stats.sent_of(crate::wire::FtmpMsgType::Heartbeat)
             })
             .sum();
         assert_eq!(heartbeats, 0, "tree mode sends digests, not heartbeats");
@@ -854,12 +845,10 @@ mod tests {
         net.run_for(SimDuration::from_millis(1500));
         for id in 1..=n {
             let node = net.node_mut(id).unwrap();
-            let suspects_sent = *node
+            let suspects_sent = node
                 .engine()
                 .stats()
-                .sent
-                .get(&crate::wire::FtmpMsgType::Suspect)
-                .unwrap_or(&0);
+                .sent_of(crate::wire::FtmpMsgType::Suspect);
             assert_eq!(suspects_sent, 0, "P{id} raised a false suspicion");
             let events = node.take_events();
             assert!(

@@ -1,34 +1,48 @@
 //! Protocol counters: per-processor totals, per-group buffer snapshots and
 //! the per-layer counters each sub-state-machine maintains for itself.
+//!
+//! Every counted fact has one home (DESIGN.md §10): the layer that decides
+//! it ([`RmpCounters`], [`RompCounters`], [`PgmpCounters`]) or, for what only
+//! the shell sees, [`ProcessorStats`]. [`Processor::stats`] returns the
+//! shell's counts by value with the fields whose home is a layer filled in.
+//!
+//! [`Processor::stats`]: crate::processor::Processor::stats
 
 use crate::ids::ProcessorId;
 use crate::pgmp::PgmpCounters;
 use crate::rmp::RmpCounters;
 use crate::romp::RompCounters;
 use crate::wire::FtmpMsgType;
-use std::collections::BTreeMap;
 
 /// Per-processor protocol counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ProcessorStats {
-    /// Messages sent, by type.
-    pub sent: BTreeMap<FtmpMsgType, u64>,
+    /// Messages sent, indexed by the type's wire octet.
+    pub(crate) sent: [u64; 10],
     /// RetransmitRequests emitted.
     pub nacks_sent: u64,
-    /// Retransmissions answered.
+    /// Retransmissions put on the wire: RetransmitRequests answered
+    /// ([`RmpCounters::retransmits_answered`]) plus `exclusion_notices_sent`.
+    /// Filled by the read-out.
     pub retransmissions_sent: u64,
-    /// Duplicate reliable messages received (excludes our own loopback).
+    /// Membership messages re-sent to a processor still transmitting to a
+    /// group that excluded it.
+    pub exclusion_notices_sent: u64,
+    /// Duplicate reliable messages received (excludes our own loopback):
+    /// [`RmpCounters::duplicates`], filled by the read-out.
     pub duplicates: u64,
-    /// Ordered GIOP deliveries made.
+    /// Ordered GIOP deliveries made to the application.
     pub deliveries: u64,
-    /// Memberships installed after a fault.
+    /// Memberships installed after a fault:
+    /// [`PgmpCounters::reconfigurations`], filled by the read-out.
     pub reconfigurations: u64,
-    /// Messages discarded at a membership-change flush.
+    /// Messages discarded at a membership-change flush:
+    /// [`RompCounters::discarded_at_flush`], filled by the read-out.
     pub discarded_at_flush: u64,
     /// NACK→retransmission round-trips accepted under Karn's rule.
     pub rtt_samples: u64,
-    /// Smoothed round-trip time in microseconds, as of the most recent
-    /// accepted sample (0 until the first).
+    /// Smoothed round-trip time in microseconds (0 until the first sample):
+    /// the slowest group's estimator, filled by the read-out.
     pub srtt_us: u64,
     /// Smoothed round-trip variance in microseconds, ditto.
     pub rttvar_us: u64,
@@ -52,47 +66,33 @@ pub struct ProcessorStats {
     /// Incoming packed containers rejected whole (framing or inner decode
     /// error; no partial delivery).
     pub packed_rejects: u64,
-    /// Messages received from other processors, by type (each inner message
-    /// of a packed container counts individually). The overlay experiment
-    /// (E17) reads control-plane load from here because the SimNet sent
-    /// counter does not multiply by multicast fan-out.
-    pub received: BTreeMap<FtmpMsgType, u64>,
+    /// Messages received from other processors, indexed like `sent` (each
+    /// inner message of a packed container counts individually). The overlay
+    /// experiment (E17) reads control-plane load from here because the
+    /// SimNet sent counter does not multiply by multicast fan-out.
+    pub(crate) received: [u64; 10],
     /// Received messages that carried the retransmission flag.
     pub retransmissions_received: u64,
 }
 
 impl ProcessorStats {
+    /// Messages of type `t` this processor sent.
+    pub fn sent_of(&self, t: FtmpMsgType) -> u64 {
+        self.sent[t as usize]
+    }
+
+    /// Messages of type `t` received from other processors.
+    pub fn received_of(&self, t: FtmpMsgType) -> u64 {
+        self.received[t as usize]
+    }
+
     /// Control-plane receptions: heartbeats, overlay digests, NACKs and
     /// retransmissions — everything that is overhead rather than payload.
     pub fn control_received(&self) -> u64 {
-        let of = |t: FtmpMsgType| self.received.get(&t).copied().unwrap_or(0);
-        of(FtmpMsgType::Heartbeat)
-            + of(FtmpMsgType::OverlayDigest)
-            + of(FtmpMsgType::RetransmitRequest)
+        self.received_of(FtmpMsgType::Heartbeat)
+            + self.received_of(FtmpMsgType::OverlayDigest)
+            + self.received_of(FtmpMsgType::RetransmitRequest)
             + self.retransmissions_received
-    }
-
-    /// Register the packing / suppression / reception counters into a
-    /// telemetry registry so FTMP_METRICS_DIR snapshots include them
-    /// (as `OrbEndpoint::register_metrics` does for the ORB's counters).
-    pub fn register_metrics(&self, reg: &mut ftmp_telemetry::Registry) {
-        let pairs: [(&str, u64); 8] = [
-            ("ftmp_packed_datagrams_sent", self.packed_datagrams_sent),
-            ("ftmp_messages_packed", self.messages_packed),
-            ("ftmp_heartbeats_suppressed", self.heartbeats_suppressed),
-            ("ftmp_heartbeats_prompted", self.heartbeats_prompted),
-            ("ftmp_packed_rejects", self.packed_rejects),
-            ("ftmp_control_received", self.control_received()),
-            (
-                "ftmp_retransmissions_received",
-                self.retransmissions_received,
-            ),
-            ("ftmp_retransmissions_sent", self.retransmissions_sent),
-        ];
-        for (name, value) in pairs {
-            let id = reg.counter(name);
-            reg.inc(id, value);
-        }
     }
 }
 

@@ -73,8 +73,6 @@ pub(crate) enum Event<'a> {
         source: ProcessorId,
         seq: u64,
     },
-    /// A Karn-filtered NACK round trip was folded into the estimator.
-    RttSample { srtt_us: u64, rttvar_us: u64 },
     /// Ack evidence from a message header or a relayed digest entry.
     Acked {
         group: GroupId,

@@ -1,5 +1,9 @@
-//! Per-processor telemetry: latency histograms, protocol counters and the
-//! bounded flight recorder (DESIGN.md §10).
+//! Per-processor telemetry: latency histograms, the counters nothing else
+//! keeps, and the bounded flight recorder (DESIGN.md §10). What the engine
+//! counts whether or not anyone listens (NACKs, retransmissions, deliveries,
+//! convictions, …) is not counted again here:
+//! [`Processor::register_metrics`](crate::Processor::register_metrics) reads
+//! those from their homes and lays them beside this registry.
 //!
 //! [`Telemetry`] is one of the three consumers behind the shell's
 //! instrumentation tap (`tap.rs`, DESIGN.md §9), absent by default like the
@@ -27,7 +31,7 @@ use crate::processor::DigestDest;
 use crate::romp::OrderKey;
 use crate::tap::Event;
 use ftmp_net::SimTime;
-use ftmp_telemetry::{CounterId, GaugeId, HistId, Registry, Ring, Snapshot};
+use ftmp_telemetry::{CounterId, GaugeId, HistId, Registry, Ring};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -232,14 +236,7 @@ struct Ids {
     flow_stall_us: HistId,
     pack_msgs_per_datagram: HistId,
     nack_attempts: HistId,
-    nacks_sent: CounterId,
-    retransmissions_answered: CounterId,
-    rtt_samples: CounterId,
-    window_closes: CounterId,
-    convictions: CounterId,
     view_changes: CounterId,
-    deliveries: CounterId,
-    packed_datagrams: CounterId,
     overlay_rebuilds: CounterId,
     overlay_digests_sent: CounterId,
     overlay_entries_merged: CounterId,
@@ -248,8 +245,6 @@ struct Ids {
     overlay_solicits: CounterId,
     overlay_solicit_answers: CounterId,
     overlay_rescues: CounterId,
-    srtt_us: GaugeId,
-    rttvar_us: GaugeId,
     overlay_depth: GaugeId,
     gap_depth_peak: GaugeId,
     conviction_margin_permille: GaugeId,
@@ -292,10 +287,6 @@ pub struct Telemetry {
     flight: Ring<FlightEntry>,
     /// The flight ring rendered at the moment of the first conviction.
     conviction_dump: Option<String>,
-    /// High-water mark behind the `gap_depth_peak` gauge.
-    gap_depth_peak: u64,
-    /// High-water mark behind the `conviction_margin_permille` gauge.
-    conviction_margin_peak: i64,
 }
 
 impl Telemetry {
@@ -311,14 +302,7 @@ impl Telemetry {
             flow_stall_us: reg.histogram("flow_stall_us"),
             pack_msgs_per_datagram: reg.histogram("pack_msgs_per_datagram"),
             nack_attempts: reg.histogram("nack_attempts"),
-            nacks_sent: reg.counter("nacks_sent"),
-            retransmissions_answered: reg.counter("retransmissions_answered"),
-            rtt_samples: reg.counter("rtt_samples"),
-            window_closes: reg.counter("window_closes"),
-            convictions: reg.counter("convictions"),
             view_changes: reg.counter("view_changes"),
-            deliveries: reg.counter("deliveries"),
-            packed_datagrams: reg.counter("packed_datagrams"),
             overlay_rebuilds: reg.counter("overlay_rebuilds"),
             overlay_digests_sent: reg.counter("overlay_digests_sent"),
             overlay_entries_merged: reg.counter("overlay_entries_merged"),
@@ -327,8 +311,6 @@ impl Telemetry {
             overlay_solicits: reg.counter("overlay_solicits"),
             overlay_solicit_answers: reg.counter("overlay_solicit_answers"),
             overlay_rescues: reg.counter("overlay_rescues"),
-            srtt_us: reg.gauge("srtt_us"),
-            rttvar_us: reg.gauge("rttvar_us"),
             overlay_depth: reg.gauge("overlay_depth"),
             gap_depth_peak: reg.gauge("gap_depth_peak"),
             conviction_margin_permille: reg.gauge("conviction_margin_permille"),
@@ -341,8 +323,6 @@ impl Telemetry {
             groups: BTreeMap::new(),
             flight: Ring::new(FLIGHT_CAPACITY),
             conviction_dump: None,
-            gap_depth_peak: 0,
-            conviction_margin_peak: 0,
         }
     }
 
@@ -380,10 +360,7 @@ impl Telemetry {
             } => {
                 corr_insert(&mut self.corr(group).buffered_at, (source, seq), now);
                 self.record_event(now, FlightEvent::Buffered { group, source, seq });
-                if depth > self.gap_depth_peak {
-                    self.gap_depth_peak = depth;
-                    self.reg.set(self.ids.gap_depth_peak, depth as i64);
-                }
+                self.reg.raise(self.ids.gap_depth_peak, depth as i64);
             }
             Event::Released { group, source, seq } => {
                 // Only a message that had been buffered has a gap-repair
@@ -407,7 +384,6 @@ impl Telemetry {
                 stop,
                 attempts,
             } => {
-                self.reg.inc(self.ids.nacks_sent, 1);
                 self.reg.record(self.ids.nack_attempts, u64::from(attempts));
                 let event = FlightEvent::NackSent {
                     group,
@@ -419,19 +395,12 @@ impl Telemetry {
                 self.record_event(now, event);
             }
             Event::RetransmitAnswered { group, source, seq } => {
-                self.reg.inc(self.ids.retransmissions_answered, 1);
                 self.record_event(now, FlightEvent::RetransmitAnswered { group, source, seq });
-            }
-            Event::RttSample { srtt_us, rttvar_us } => {
-                self.reg.inc(self.ids.rtt_samples, 1);
-                self.reg.set(self.ids.srtt_us, srtt_us as i64);
-                self.reg.set(self.ids.rttvar_us, rttvar_us as i64);
             }
             Event::Enqueued { group, key } => {
                 corr_insert(&mut self.corr(group).enqueued, key, now);
             }
             Event::Ordered { group, key, seq } => {
-                self.reg.inc(self.ids.deliveries, 1);
                 let own = key.1 == self.owner;
                 let c = self.groups.entry(group).or_default();
                 if let Some(at) = c.enqueued.remove(&key) {
@@ -458,7 +427,6 @@ impl Telemetry {
                 }
             }
             Event::WindowClosed { group } => {
-                self.reg.inc(self.ids.window_closes, 1);
                 self.corr(group).window_closed_at = Some(now);
                 self.record_event(now, FlightEvent::WindowClosed { group });
             }
@@ -479,10 +447,8 @@ impl Telemetry {
             Event::ConvictionMargin { permille } => {
                 // The peak: how close the suspicion matrix came to excluding
                 // a member that survived.
-                if permille > self.conviction_margin_peak {
-                    self.conviction_margin_peak = permille;
-                    self.reg.set(self.ids.conviction_margin_permille, permille);
-                }
+                self.reg
+                    .raise(self.ids.conviction_margin_permille, permille);
             }
             Event::ReconfigStarted { group, removals } => {
                 // An extension must not reset the interval's origin.
@@ -490,7 +456,6 @@ impl Telemetry {
                 self.record_event(now, FlightEvent::ReconfigStarted { group, removals });
             }
             Event::Convicted { group, processor } => {
-                self.reg.inc(self.ids.convictions, 1);
                 self.record_event(now, FlightEvent::Convicted { group, processor });
                 // The first conviction freezes the flight recorder: it has
                 // the richest context.
@@ -514,7 +479,6 @@ impl Telemetry {
                 self.record_event(now, event);
             }
             Event::PackedSent { msgs } => {
-                self.reg.inc(self.ids.packed_datagrams, 1);
                 self.reg
                     .record(self.ids.pack_msgs_per_datagram, u64::from(msgs));
             }
@@ -547,13 +511,9 @@ impl Telemetry {
         }
     }
 
-    /// Freeze every metric.
-    pub fn snapshot(&self) -> Snapshot {
-        self.reg.snapshot()
-    }
-
-    /// The underlying registry (for cross-node aggregation via
-    /// [`Registry::merge`]).
+    /// The underlying registry: what only telemetry keeps. The engine's
+    /// whole view is [`Processor::register_metrics`](crate::Processor::register_metrics),
+    /// which merges this in.
     pub fn registry(&self) -> &Registry {
         &self.reg
     }
@@ -635,11 +595,10 @@ mod tests {
             reclaimed: 0,
         };
         at(&mut tel, 5_000, stable);
-        let s = tel.snapshot();
+        let s = tel.reg.snapshot();
         assert_eq!(s.histogram("rmp_recovery_us").unwrap().max, 600);
         assert_eq!(s.histogram("ordering_delay_us").unwrap().max, 300);
         assert_eq!(s.histogram("stability_lag_us").unwrap().max, 4_000);
-        assert_eq!(s.counter("deliveries"), Some(1));
     }
 
     #[test]
@@ -653,16 +612,22 @@ mod tests {
         };
         at(&mut tel, 50, sent(7, 12));
         at(&mut tel, 450, ordered(12, 1, 7));
-        let s = tel.snapshot();
+        let s = tel.reg.snapshot();
         assert_eq!(s.histogram("e2e_self_us").unwrap().count, 1);
         assert_eq!(s.histogram("e2e_self_us").unwrap().max, 400);
         // A peer's delivery does not count toward e2e_self, and does not
         // consume the pending own send that happens to share its seq.
         at(&mut tel, 460, sent(1, 13));
         at(&mut tel, 500, ordered(14, 2, 1));
-        assert_eq!(tel.snapshot().histogram("e2e_self_us").unwrap().count, 1);
+        assert_eq!(
+            tel.reg.snapshot().histogram("e2e_self_us").unwrap().count,
+            1
+        );
         at(&mut tel, 560, ordered(13, 1, 1));
-        assert_eq!(tel.snapshot().histogram("e2e_self_us").unwrap().count, 2);
+        assert_eq!(
+            tel.reg.snapshot().histogram("e2e_self_us").unwrap().count,
+            2
+        );
     }
 
     #[test]
@@ -681,10 +646,9 @@ mod tests {
             ts: Timestamp(99),
         };
         at(&mut tel, 30_000, installed);
-        let s = tel.snapshot();
+        let s = tel.reg.snapshot();
         assert_eq!(s.histogram("flow_stall_us").unwrap().max, 2_500);
         assert_eq!(s.histogram("view_change_us").unwrap().max, 20_000);
-        assert_eq!(s.counter("window_closes"), Some(1));
         assert_eq!(s.counter("view_changes"), Some(1));
         assert!(tel
             .render_flight()

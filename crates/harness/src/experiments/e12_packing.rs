@@ -71,7 +71,7 @@ fn collect(w: &mut FtmpWorld, sends: usize) -> RunOut {
                 .filter(|(_, e)| matches!(e, ProtocolEvent::FaultReport { .. }))
                 .count();
             let s = node.engine().stats();
-            heartbeats += s.sent.get(&FtmpMsgType::Heartbeat).copied().unwrap_or(0);
+            heartbeats += s.sent_of(FtmpMsgType::Heartbeat);
             suppressed += s.heartbeats_suppressed;
         }
     }

@@ -84,13 +84,7 @@ fn run_scenario(sim: SimConfig) -> Snapshot {
     let mut merged = Registry::new();
     for id in 1..=w.n {
         if let Some(node) = w.net.node(id) {
-            if let Some(t) = node.engine().telemetry() {
-                merged.merge(t.registry());
-            }
-            // The engine's shell counters (packing, heartbeat suppression,
-            // per-type receptions) live outside the telemetry registry;
-            // fold them in so the metrics snapshot carries both.
-            node.engine().stats().register_metrics(&mut merged);
+            node.engine().register_metrics(&mut merged);
         }
     }
     merged.snapshot()

@@ -191,7 +191,8 @@ pub struct RuntimeReport {
     pub ticks: u64,
     /// Final membership of the group as this node saw it.
     pub final_members: Vec<ProcessorId>,
-    /// Runtime-layer metrics snapshot.
+    /// Metrics snapshot: the runtime layer's `runtime_*` names and the
+    /// engine's own view ([`Processor::register_metrics`]).
     pub metrics: ftmp_telemetry::Snapshot,
     /// The finished trace file, when tracing was on.
     pub trace_path: Option<PathBuf>,
@@ -574,6 +575,9 @@ fn run_node(
     // The deepest backlog any turn found waiting, its own intake included.
     let depth = io.reg.gauge("runtime_recv_queue_depth");
     io.reg.set(depth, depth_peak as i64);
+    // Beside the runtime's own names, what the engine saw: NACKs,
+    // retransmissions, convictions, deliveries.
+    node.driver.engine.register_metrics(&mut io.reg);
     RuntimeReport {
         transport: selected.kind,
         fell_back: selected.fell_back,
@@ -687,7 +691,11 @@ mod tests {
         let mut tape = Tape::default();
         let mut intake = vec![Inbox::Command(Command::AddMember(ProcessorId(9)))];
         node.turn(SimTime(1_000), false, &mut intake, &mut tape);
-        let adds = |node: &Node| node.engine().stats().sent[&ftmp_core::FtmpMsgType::AddProcessor];
+        let adds = |node: &Node| {
+            node.engine()
+                .stats()
+                .sent_of(ftmp_core::FtmpMsgType::AddProcessor)
+        };
         assert_eq!(adds(&node), 1);
         node.turn(SimTime(150_000), true, &mut intake, &mut tape);
         assert_eq!(node.io.pending_adds, [(ProcessorId(9), SimTime(1_000))]);

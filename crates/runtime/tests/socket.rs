@@ -166,6 +166,11 @@ fn tcp_mesh_three_nodes_agree_on_total_order() {
         assert!(0 < turns.sum && turns.sum <= r.recv_datagrams);
         let deepest = r.metrics.gauge("runtime_recv_queue_depth").unwrap();
         assert!(deepest as u64 >= turns.max, "a turn's own intake counts");
+        // And what the engine saw, under the engine's own names: every
+        // ordered message (the application's deliveries among them), and
+        // how many NACKs repair took — none is a fine answer on loopback.
+        assert!(r.metrics.counter("deliveries").unwrap() >= r.delivered);
+        assert!(r.metrics.counter("nacks_sent").is_some());
     }
 }
 

@@ -87,6 +87,13 @@ impl Registry {
         self.gauges[id.0].1 = v;
     }
 
+    /// Raise a gauge to `v` if that is higher: how a peak is kept, and how
+    /// [`merge`](Registry::merge) combines two readings. Allocation-free.
+    pub fn raise(&mut self, id: GaugeId, v: i64) {
+        let g = &mut self.gauges[id.0].1;
+        *g = (*g).max(v);
+    }
+
     /// Record a histogram sample. Allocation-free.
     pub fn record(&mut self, id: HistId, v: u64) {
         self.hists[id.0].1.record(v);
@@ -98,16 +105,20 @@ impl Registry {
     }
 
     /// Merge another registry into this one by metric name: counters add,
-    /// gauges take the other's value, histograms merge bucketwise. Used to
-    /// aggregate per-node registries into one experiment-wide view.
+    /// gauges take the maximum (every gauge in the tree is a peak or a level
+    /// whose fleet reading is its worst member), histograms merge
+    /// bucketwise. Used to aggregate per-node registries into one
+    /// experiment-wide view.
     pub fn merge(&mut self, other: &Registry) {
         for (name, v) in &other.counters {
             let id = self.counter(name);
             self.inc(id, *v);
         }
         for (name, v) in &other.gauges {
-            let id = self.gauge(name);
-            self.set(id, *v);
+            match self.gauges.iter().position(|(n, _)| n == name) {
+                Some(i) => self.raise(GaugeId(i), *v),
+                None => self.gauges.push((name.clone(), *v)),
+            }
         }
         for (name, h) in &other.hists {
             let id = self.histogram(name);
@@ -314,6 +325,29 @@ mod tests {
         let s = a.snapshot();
         assert_eq!(s.counter("x"), Some(3));
         assert_eq!(s.histogram("h").unwrap().count, 1);
+    }
+
+    #[test]
+    fn merge_takes_the_maximum_of_a_gauge_whatever_the_order() {
+        let reading = |v| {
+            let mut r = Registry::new();
+            let g = r.gauge("peak");
+            r.set(g, v);
+            r
+        };
+        for order in [[7, 3, 5], [3, 5, 7], [5, 7, 3]] {
+            let mut agg = Registry::new();
+            for v in order {
+                agg.merge(&reading(v));
+            }
+            assert_eq!(agg.snapshot().gauge("peak"), Some(7));
+        }
+        // A gauge first met in a merge starts at the other's value, not at
+        // zero: readings below zero survive.
+        let mut agg = Registry::new();
+        agg.merge(&reading(-9));
+        agg.merge(&reading(-4));
+        assert_eq!(agg.snapshot().gauge("peak"), Some(-4));
     }
 
     #[test]

@@ -51,6 +51,11 @@ conformance:
 loc:
     scripts/loc.sh
 
+# The same, a checkout of the parent commit against this one:
+# `parent -> change (delta)` per crate and in total.
+loc-diff parent:
+    scripts/loc.sh . {{parent}}
+
 # Regenerate every experiment table (see EXPERIMENTS.md).
 experiments:
     cargo run --release -p ftmp-harness --bin ftmp-exp

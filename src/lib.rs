@@ -14,7 +14,9 @@
 //! * [`check`] — online conformance oracles + schedule-sweep driver,
 //! * [`store`] — durable delivered-message log with crash-restart recovery,
 //! * [`runtime`] — real-socket runtime (UDP multicast / TCP mesh) driving
-//!   the same sans-io engine over OS sockets and wall-clock time.
+//!   the same sans-io engine over OS sockets and wall-clock time,
+//! * [`telemetry`] — the metrics registry `Processor::register_metrics` and
+//!   `OrbEndpoint::register_metrics` read out into.
 //!
 //! # Example
 //!
@@ -60,3 +62,4 @@ pub use ftmp_net as net;
 pub use ftmp_orb as orb;
 pub use ftmp_runtime as runtime;
 pub use ftmp_store as store;
+pub use ftmp_telemetry as telemetry;

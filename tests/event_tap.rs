@@ -10,16 +10,23 @@
 //!    (each alone is pinned in `ftmp-core` and `durable_recovery.rs`);
 //! 2. the rendered observation stream of every member on a lossy run with
 //!    a crash, a conviction and a view change;
-//! 3. the telemetry snapshot and flight recorder of every member on a
+//! 3. the metrics snapshot and flight recorder of every member on a
 //!    lossy run without a conviction;
-//! 4. telemetry counts what a membership-change flush delivers.
+//! 4. the metrics view counts what a membership-change flush delivers.
+//!
+//! Since the telemetry registry stopped re-counting what the engine counts
+//! (DESIGN.md §10) the snapshot is read through the one view,
+//! `Processor::register_metrics`; pin 3 is still taken over the document the
+//! older commit rendered — its keys, in its order — so it holds every one of
+//! those keys to the value it had (`parent_shaped_json`).
 
 use ftmp::core::{
-    ClockMode, Delivery, DeliveryLog, GroupId, OverlayPolicy, PackPolicy, Packing, ProcessorId,
-    ProtocolConfig, Timestamp,
+    ClockMode, Delivery, DeliveryLog, GroupId, OverlayPolicy, PackPolicy, Packing, Processor,
+    ProcessorId, ProtocolConfig, Timestamp,
 };
 use ftmp::harness::worlds::FtmpWorld;
 use ftmp::net::{LossModel, SimConfig, SimDuration};
+use ftmp::telemetry::{Registry, Snapshot};
 use ftmp_check::trace_hash;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -114,8 +121,8 @@ fn all_taps_on_reproduces_the_golden_wire_trace() {
         .count();
     assert_eq!(delivered, 27, "nine deliveries observed at each member");
     for id in 1..=3u32 {
-        let snap = w.net.node(id).unwrap().engine().telemetry().unwrap();
-        assert_eq!(snap.snapshot().counter("deliveries"), Some(9));
+        let snap = view(w.net.node(id).unwrap().engine());
+        assert_eq!(snap.counter("deliveries"), Some(9));
     }
 }
 
@@ -148,14 +155,53 @@ fn hash_lines(lines: &[String]) -> (usize, u64) {
     (lines.len(), h)
 }
 
-/// FNV over every member's telemetry snapshot JSON and flight dump, plus
+/// One member's whole metrics view.
+fn view(engine: &Processor) -> Snapshot {
+    let mut reg = Registry::new();
+    engine.register_metrics(&mut reg);
+    reg.snapshot()
+}
+
+/// The snapshot document as the commit that measured the pins rendered it:
+/// the telemetry registry then also held the eight counters and two gauges
+/// named here, registered in this order. Those are filled from today's view
+/// (`view_changes` is still the registry's own and keeps its slot), the
+/// registry supplies the rest, and the view's `ftmp_*` keys, which that
+/// document never had, stay out.
+fn parent_shaped_json(engine: &Processor) -> String {
+    let view = view(engine);
+    let mut doc = Registry::new();
+    for name in [
+        "nacks_sent",
+        "retransmissions_answered",
+        "rtt_samples",
+        "window_closes",
+        "convictions",
+        "view_changes",
+        "deliveries",
+        "packed_datagrams",
+    ] {
+        let id = doc.counter(name);
+        if name != "view_changes" {
+            doc.inc(id, view.counter(name).expect(name));
+        }
+    }
+    for name in ["srtt_us", "rttvar_us"] {
+        let id = doc.gauge(name);
+        doc.set(id, view.gauge(name).expect(name));
+    }
+    doc.merge(engine.telemetry().expect("enabled").registry());
+    doc.snapshot().to_json()
+}
+
+/// FNV over every member's metrics snapshot JSON and flight dump, plus
 /// the JSON itself for the failure message.
 fn hash_telemetry(w: &FtmpWorld) -> (u64, String) {
     let mut h = FNV_SEED;
     let mut rendered = String::new();
     for id in 1..=w.n {
         let engine = w.net.node(id).unwrap().engine();
-        let json = engine.telemetry().expect("enabled").snapshot().to_json();
+        let json = parent_shaped_json(engine);
         fnv(&mut h, json.as_bytes());
         fnv(&mut h, engine.flight_dump().expect("enabled").as_bytes());
         rendered.push_str(&json);
@@ -201,8 +247,7 @@ fn telemetry_snapshot_is_pinned_on_a_lossy_run() {
     }
     w.run_ms(300);
     for id in 1..=4u32 {
-        let tel = w.net.node(id).unwrap().engine().telemetry().unwrap();
-        let snap = tel.snapshot();
+        let snap = view(w.net.node(id).unwrap().engine());
         assert_eq!(snap.counter("convictions"), Some(0), "no conviction here");
         assert!(snap.counter("nacks_sent").unwrap() > 0, "loss was repaired");
         assert!(snap.histogram("rmp_recovery_us").unwrap().count > 0);
@@ -241,8 +286,7 @@ fn packed_tree_run_pins_both_streams() {
     w.run_ms(500);
     let mut digests = 0;
     for id in 1..=8u32 {
-        let snap = w.net.node(id).unwrap().engine().telemetry().unwrap();
-        let snap = snap.snapshot();
+        let snap = view(w.net.node(id).unwrap().engine());
         assert_eq!(snap.counter("deliveries"), Some(128));
         assert_eq!(snap.counter("convictions"), Some(0));
         assert!(snap.counter("packed_datagrams").unwrap() > 0);
@@ -273,11 +317,17 @@ fn telemetry_counts_flush_deliveries() {
         let engine = w.net.node(id).unwrap().engine();
         let romp = engine.layer_totals().romp;
         flushed += romp.flushed;
-        let snap = engine.telemetry().unwrap().snapshot();
+        let snap = view(engine);
         assert_eq!(snap.counter("convictions"), Some(1), "P{id} convicted P4");
+        // `deliveries` is ROMP's own count now; what telemetry could still
+        // miss is the hook: one ordering-delay sample per ordered message.
         assert_eq!(
             snap.counter("deliveries"),
-            Some(romp.delivered + romp.flushed),
+            Some(romp.delivered + romp.flushed)
+        );
+        assert_eq!(
+            snap.histogram("ordering_delay_us").unwrap().count,
+            romp.delivered + romp.flushed,
             "P{id}: telemetry missed what the flush delivered \
              (rule {}, flush {})",
             romp.delivered,

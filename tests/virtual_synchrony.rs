@@ -255,3 +255,46 @@ fn healed_minority_learns_of_its_exclusion_and_leaves() {
     let res = w.collect();
     assert!(res.sequences[0].iter().any(|&(_, src, _)| src == 1));
 }
+
+/// Regression: `layer_totals()` summed only the groups a processor still
+/// belonged to, and leaving dropped the group with its three layers'
+/// counters — so a member excluded during a partition reported zero RMP /
+/// ROMP / PGMP totals from the moment it learned of it, while `stats()`
+/// kept counting, and any reader differencing two readings underflowed.
+#[test]
+fn an_excluded_member_keeps_its_layer_totals() {
+    let seed = 67u64;
+    let mut w = FtmpWorld::new(
+        5,
+        SimConfig::with_seed(seed),
+        ProtocolConfig::with_seed(seed),
+        ClockMode::Lamport,
+    );
+    for round in 0..20u32 {
+        w.send(round % 5 + 1, 64);
+        w.run_ms(1);
+    }
+    w.net.partition(vec![vec![1, 2, 3], vec![4, 5]]);
+    w.run_ms(2_000);
+    let totals = |w: &FtmpWorld, id| w.net.node(id).unwrap().engine().layer_totals();
+    let before = [totals(&w, 4), totals(&w, 5)];
+    w.net.heal();
+    w.run_ms(3_000);
+    for (id, before) in [(4u32, before[0]), (5, before[1])] {
+        let engine = w.net.node(id).unwrap().engine();
+        assert!(engine.membership(w.group()).is_none(), "P{id} left");
+        let after = engine.layer_totals();
+        assert!(before.rmp.msgs_in > 0 && before.romp.delivered > 0);
+        assert!(
+            after.rmp.msgs_in >= before.rmp.msgs_in,
+            "P{id} forgot what RMP took in: {} then {}",
+            before.rmp.msgs_in,
+            after.rmp.msgs_in
+        );
+        assert!(after.romp.delivered >= before.romp.delivered);
+        assert!(after.romp.queue_high_water >= before.romp.queue_high_water);
+        assert!(after.pgmp.suspect_reports_in >= before.pgmp.suspect_reports_in);
+        // What `stats()` reads from the layers went through the same door.
+        assert_eq!(engine.stats().duplicates, after.rmp.duplicates);
+    }
+}
