@@ -85,6 +85,9 @@ fn bench_rmp_window(c: &mut Criterion) {
 fn bench_retention(c: &mut Criterion) {
     let mut g = c.benchmark_group("retention");
     let wire = |m: &FtmpMessage| m.encode(ftmp_cdr::ByteOrder::native());
+    let retain = |store: &mut RetentionStore, m: &FtmpMessage, w: &bytes::Bytes| {
+        store.insert(m.source, m.seq.0, m.ts, w.clone())
+    };
     g.bench_function("insert_reclaim_1024", |b| {
         let frames: Vec<_> = (1..=1024u64)
             .map(|seq| {
@@ -96,7 +99,7 @@ fn bench_retention(c: &mut Criterion) {
         b.iter(|| {
             let mut store = RetentionStore::default();
             for (m, w) in &frames {
-                store.insert(m.clone(), w.clone());
+                retain(&mut store, m, w);
             }
             black_box(store.reclaim_stable(Timestamp(512)));
             black_box(store.len())
@@ -106,8 +109,7 @@ fn bench_retention(c: &mut Criterion) {
         let mut store = RetentionStore::default();
         for seq in 1..=1024u64 {
             let m = msg(1, seq, seq);
-            let w = wire(&m);
-            store.insert(m, w);
+            retain(&mut store, &m, &wire(&m));
         }
         let mut t = 0u64;
         b.iter(|| {
@@ -120,6 +122,32 @@ fn bench_retention(c: &mut Criterion) {
             ))
         })
     });
+    // What the receive path does per message with a backlog standing (a
+    // lagging member pins retention): one insert, one reclaim that reclaims
+    // one, one `held_by`. Flat across depths; linear in the depth when the
+    // store was one map swept by `retain`.
+    for depth in [64u64, 1024, 16384] {
+        g.bench_with_input(
+            BenchmarkId::new("steady_state", depth),
+            &depth,
+            |b, &depth| {
+                let frame = wire(&msg(1, 1, 1));
+                let mut store = RetentionStore::default();
+                let mut next = 0u64;
+                let mut step = |store: &mut RetentionStore| {
+                    next += 1;
+                    let source = ProcessorId((next % 5) as u32 + 1);
+                    store.insert(source, next, Timestamp(next), frame.clone());
+                    let reclaimed = store.reclaim_stable(Timestamp(next.saturating_sub(depth)));
+                    (reclaimed, store.held_by(source))
+                };
+                for _ in 0..depth {
+                    step(&mut store);
+                }
+                b.iter(|| black_box(step(&mut store)))
+            },
+        );
+    }
     g.finish();
 }
 

@@ -291,6 +291,16 @@ pub struct Processor {
     /// retention store and self-delivery then share) instead of a body
     /// buffer plus a growing output buffer per message.
     enc_body: CdrWriter,
+    /// [`handle_packed`](Processor::handle_packed)'s scratch — a container's
+    /// zero-copy slices and their decoded messages — kept so that splitting
+    /// a container allocates neither list again. Empty between packets.
+    rx_slices: Vec<Bytes>,
+    rx_msgs: Vec<FtmpMessage>,
+    /// While a packed container's run of same-group messages is being
+    /// admitted: that group, and whether any of them asked for its
+    /// housekeeping ([`try_deliver`](Processor::try_deliver)), which then
+    /// runs once when the run ends (DESIGN.md §5).
+    run: Option<(GroupId, bool)>,
     /// Open [`Processor::begin_batch`] nestings. While non-zero,
     /// [`flush_window`](Processor::flush_window) defers so every message
     /// submitted within the batch shares the Packer's container budget.
@@ -313,6 +323,20 @@ fn emit_wire(
         tap.emit(now, Event::PackedSent { msgs });
     }
     sink.send(addr, payload);
+}
+
+/// Split a packed container into `slices` and decode every one into `msgs`
+/// — all of it or an error, so a container is never processed in part.
+fn decode_container(
+    datagram: &Bytes,
+    slices: &mut Vec<Bytes>,
+    msgs: &mut Vec<FtmpMessage>,
+) -> Result<Option<AckVector>, wire::WireError> {
+    let vector = wire::unpack_into(datagram, slices)?;
+    for s in slices.iter() {
+        msgs.push(FtmpMessage::decode_shared(s)?);
+    }
+    Ok(vector)
 }
 
 /// `members` just took effect as `group`'s view: tell the tap, then the
@@ -354,6 +378,9 @@ impl Processor {
             departed: LayerCounters::default(),
             tap: Tap::default(),
             enc_body: CdrWriter::new(ByteOrder::native()),
+            rx_slices: Vec::new(),
+            rx_msgs: Vec::new(),
+            run: None,
             batch_depth: 0,
         }
     }
@@ -789,20 +816,27 @@ impl Processor {
     /// a framing or inner decode error rejects the entire datagram (no
     /// partial delivery), counted in `packed_rejects`.
     fn handle_packed(&mut self, now: SimTime, datagram: &Bytes) {
-        let Ok((slices, vector)) = wire::unpack(datagram) else {
-            self.stats.packed_rejects += 1;
-            return;
-        };
-        let mut msgs = Vec::with_capacity(slices.len());
-        for s in &slices {
-            match FtmpMessage::decode_shared(s) {
-                Ok(m) => msgs.push(m),
-                Err(_) => {
-                    self.stats.packed_rejects += 1;
-                    return;
-                }
-            }
+        let mut slices = std::mem::take(&mut self.rx_slices);
+        let mut msgs = std::mem::take(&mut self.rx_msgs);
+        match decode_container(datagram, &mut slices, &mut msgs) {
+            Ok(vector) => self.admit_container(now, vector, msgs.drain(..).zip(slices.drain(..))),
+            Err(_) => self.stats.packed_rejects += 1,
         }
+        // A rejected container leaves handles on the datagram behind.
+        slices.clear();
+        msgs.clear();
+        self.rx_slices = slices;
+        self.rx_msgs = msgs;
+    }
+
+    /// Process a container already validated whole: its ack vector, then
+    /// its messages in runs of one group.
+    fn admit_container(
+        &mut self,
+        now: SimTime,
+        vector: Option<AckVector>,
+        msgs: impl Iterator<Item = (FtmpMessage, Bytes)>,
+    ) {
         if let Some(v) = vector {
             if let Some(g) = self.groups.get_mut(&v.group) {
                 // Relay-safe merge: record_ack only moves forward, so a
@@ -815,18 +849,30 @@ impl Processor {
             }
         }
         // A container is one destination's queue, so nearly always one
-        // group's: the prompt rule runs once per run of same-group messages.
-        let mut run: Option<GroupId> = None;
-        for (msg, s) in msgs.into_iter().zip(slices) {
+        // group's. Every message of a same-group run is admitted — through
+        // RMP and into ROMP's queue — before the group is tidied, once, and
+        // the prompt rule runs, once.
+        for (msg, s) in msgs {
             let gid = msg.group;
-            if let Some(done) = run.replace(gid).filter(|&prev| prev != gid) {
-                self.prompt_heartbeat(now, done);
+            if self.run.map(|(of, _)| of) != Some(gid) {
+                self.end_run(now);
+                self.run = Some((gid, false));
             }
             self.process_message(now, msg, s, false);
         }
-        if let Some(gid) = run {
-            self.prompt_heartbeat(now, gid);
+        self.end_run(now);
+    }
+
+    /// Close the container run being admitted: the housekeeping its messages
+    /// asked for, then the prompt rule.
+    fn end_run(&mut self, now: SimTime) {
+        let Some((gid, asked)) = self.run.take() else {
+            return;
+        };
+        if asked {
+            self.try_deliver(now, gid);
         }
+        self.prompt_heartbeat(now, gid);
     }
 
     /// The group after `after` in id order (`None`: the first). Timer and
@@ -1452,7 +1498,7 @@ impl Processor {
         let g = self.groups.get_mut(&gid).expect("checked");
         // RMP retains first and idempotently: an arrival not yet in the
         // store is the one that retains it.
-        if self.tap.observing() && g.rmp.retention().get(rx_src, rx_seq).is_none() {
+        if self.tap.observing() && !g.rmp.retention().contains(rx_src, rx_seq) {
             let retained = Event::Retained {
                 group: gid,
                 source: rx_src,
@@ -1610,8 +1656,15 @@ impl Processor {
     }
 
     /// Run the ROMP delivery rule to exhaustion, then housekeeping: buffer
-    /// reclamation, gate release, reconfiguration completion.
+    /// reclamation, gate release, the send window, reconfiguration
+    /// completion. Asked for after every message; inside a packed
+    /// container's run the asking is only noted, and
+    /// [`end_run`](Self::end_run) does it once for the run.
     fn try_deliver(&mut self, now: SimTime, gid: GroupId) {
+        if let Some((_, asked)) = self.run.as_mut().filter(|(of, _)| *of == gid) {
+            *asked = true; // once, when the container's run ends
+            return;
+        }
         let mut delivered_any = false;
         loop {
             let Some(g) = self.groups.get_mut(&gid) else {
@@ -1721,11 +1774,13 @@ impl Processor {
                 .filter(|o| o.tree.is_neighbor(self.id, msg.source))
                 .map(|o| o.self_addr)
         });
+        // Both ends are whatever the requester wrote: nothing here may
+        // overflow on them.
         let span_cap = self
             .cfg
             .max_nack_span
-            .min(stop_seq.saturating_sub(start_seq) + 1);
-        for seq in start_seq..start_seq + span_cap {
+            .min(stop_seq.saturating_sub(start_seq).saturating_add(1));
+        for seq in (start_seq..=u64::MAX).take(span_cap as usize) {
             // During a membership change every holder must answer: the
             // reconciliation targets may name messages whose original sender
             // is the convicted processor (E9 measures the policies' cost in

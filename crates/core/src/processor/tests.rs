@@ -1190,3 +1190,120 @@ mod metrics_tests {
         assert!(totals[9] > 0, "tree mode sends digests: {totals:?}");
     }
 }
+
+/// Hostile values, not hostile bytes (ROADMAP item 1): datagrams that decode
+/// perfectly and carry an absurd number, met in the middle of an honest
+/// three-member run. Each costs bounded work, overflows nothing (these run
+/// with overflow checks on) and leaves the honest members agreeing.
+mod hostile_values {
+    use super::*;
+    use crate::rmp::MAX_NACK_RANGES;
+
+    const GID: GroupId = GroupId(1);
+    const ADDR: McastAddr = McastAddr(100);
+
+    fn trio() -> MiniNet {
+        let mut net = MiniNet::new(3, ProtocolConfig::with_seed(42));
+        net.bootstrap_group(GID, ADDR);
+        net
+    }
+
+    /// An unreliable message in `source`'s name, header sequence `seq`,
+    /// handed to every member as if it had been multicast.
+    fn inject(net: &mut MiniNet, now: SimTime, source: u32, seq: u64, body: FtmpBody) {
+        let msg = FtmpMessage {
+            retransmission: false,
+            source: ProcessorId(source),
+            group: GID,
+            seq: SeqNum(seq),
+            ts: Timestamp(1),
+            ack_ts: Timestamp::ZERO,
+            body,
+        };
+        let pkt = Packet::new(source, ADDR, msg.encode(ByteOrder::Big));
+        for id in 1..=3 {
+            net.p(id).handle_packet(now, &pkt);
+        }
+        net.flush(now);
+    }
+
+    /// 100 ms of honest traffic: a tick every 5 ms, one multicast per member
+    /// on every other tick, `hostile` run once in the middle. Returns how
+    /// many ticks ran after it.
+    fn honest_run(net: &mut MiniNet, hostile: impl FnOnce(&mut MiniNet, SimTime)) -> u64 {
+        let mut hostile = Some(hostile);
+        let mut request = 0;
+        for step in 1..=20u64 {
+            let now = SimTime(step * 5_000);
+            if step == 6 {
+                hostile.take().expect("once")(net, now);
+            }
+            if step % 2 == 0 && step <= 16 {
+                for id in 1..=3 {
+                    request += 1;
+                    let sent = net.p(id).multicast_request(
+                        now,
+                        conn_ab(),
+                        RequestNum(request),
+                        Bytes::new(),
+                    );
+                    assert!(sent.is_ok(), "P{id} at step {step}: {sent:?}");
+                }
+                net.flush(now);
+            }
+            net.tick_all(now);
+        }
+        for id in 1..=3 {
+            let order = |id| -> Vec<(ProcessorId, SeqNum)> {
+                let all = net.deliveries(id).iter();
+                all.map(|d| (d.source, d.seq)).collect()
+            };
+            assert_eq!(order(id).len(), 24, "P{id} delivered everything");
+            assert_eq!(order(id), order(1), "P{id} agrees with P1");
+        }
+        20 - 6 + 1
+    }
+
+    #[test]
+    fn a_heartbeat_citing_an_absurd_sequence_number_costs_bounded_nacks() {
+        // In a member's name (a corrupted or stale datagram) and in a
+        // stranger's (a misconfigured group address).
+        for (source, seq) in [(2, 1u64 << 60), (2, u64::MAX), (9, u64::MAX)] {
+            let mut net = trio();
+            let ticks = honest_run(&mut net, |net, now| {
+                inject(net, now, source, seq, FtmpBody::Heartbeat);
+            });
+            for id in (1..=3).filter(|&id| id != source) {
+                let nacks = net.p(id).stats().nacks_sent;
+                assert!(nacks > 0, "P{id} asks for what the header claimed");
+                assert!(
+                    nacks <= ticks * MAX_NACK_RANGES as u64,
+                    "P{id}: {nacks} requests over {ticks} ticks for seq {seq}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_retransmit_request_at_the_end_of_the_sequence_space_overflows_nothing() {
+        for (start_seq, stop_seq) in [
+            (u64::MAX - 1, u64::MAX),
+            (u64::MAX, u64::MAX),
+            (0, u64::MAX),
+            (u64::MAX, 0),
+        ] {
+            let mut net = trio();
+            honest_run(&mut net, |net, now| {
+                let body = FtmpBody::RetransmitRequest {
+                    missing_from: ProcessorId(1),
+                    start_seq,
+                    stop_seq,
+                };
+                inject(net, now, 2, 0, body);
+            });
+            let answered = net.p(1).stats().retransmissions_sent;
+            let span = ProtocolConfig::with_seed(42).max_nack_span;
+            assert!(answered <= span, "{answered} answers to one request");
+        }
+    }
+}

@@ -17,10 +17,35 @@
 //!
 //! **Zero-copy retransmission.** The retention store keeps each message's
 //! original wire bytes (an [`Bytes`] handle sharing the received datagram's
-//! buffer). A retransmission differs from the original only in one header
-//! flag bit, so the retransmission form is materialized at most once per
-//! message and every NACK answer after that is a reference-counted handle
-//! clone — no re-encoding, no buffer copy.
+//! buffer) and nothing else of it — no second decoded copy. A retransmission
+//! differs from the original only in one header flag bit, so the
+//! retransmission form is materialized at most once per message and every
+//! NACK answer after that is a reference-counted handle clone — no
+//! re-encoding, no buffer copy.
+//!
+//! **Retention that knows its own order.** [`RetentionStore`] is one queue
+//! per source, sorted by sequence number, so every operation costs what it
+//! touches: an in-order arrival is a `push_back`, a look-up a binary search,
+//! [`reclaim_stable`](RetentionStore::reclaim_stable) pops each source's
+//! front while it is stable and stops at the first entry that is not (a
+//! reclaim that reclaims nothing looks at one entry per source),
+//! [`held_by`](RetentionStore::held_by) is a length. Two properties it
+//! leans on, both tested below:
+//!
+//! * The queue is *sorted by* sequence number, never *indexed by*
+//!   `seq − base`: a wild sequence number from a confused peer costs one
+//!   entry, not an allocation sized by the number.
+//! * Reclaiming from the front relies on a source's timestamps rising with
+//!   its sequence numbers — `Clock::stamp_send` and
+//!   [`RmpLayer::allocate_seq`] are both monotone and a retransmission keeps
+//!   its stamp. An entry that breaks this is reclaimed *late*, once the
+//!   entry in front of it is stable too, never *early*.
+//!
+//! **Bounded NACK work.** Sequence numbers in headers are unauthenticated:
+//! [`SourceRx::missing_ranges`] returns at most [`MAX_NACK_RANGES`] ranges
+//! per call, earliest gaps first (the next retry asks for the rest), and
+//! its arithmetic saturates, so a Heartbeat citing `seq = u64::MAX` costs a
+//! bounded burst of requests instead of an unbounded allocation.
 //!
 //! [`wire::FtmpBody::RetransmitRequest`]: crate::wire::FtmpBody::RetransmitRequest
 
@@ -28,7 +53,39 @@ use crate::ids::{ProcessorId, SeqNum, Timestamp};
 use crate::wire::FtmpMessage;
 use bytes::Bytes;
 use ftmp_net::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+
+/// A contiguous source-ordered run released upward: the message that
+/// arrived in order, inline, then any buffered successors it released. The
+/// followers exist only after a gap fill, so the in-order fast path
+/// allocates nothing here.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Run {
+    first: FtmpMessage,
+    rest: Vec<FtmpMessage>,
+}
+
+impl Run {
+    /// Messages in the run (at least one).
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
+
+    /// The run in source order.
+    pub fn iter(&self) -> impl Iterator<Item = &FtmpMessage> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+}
+
+impl IntoIterator for Run {
+    type Item = FtmpMessage;
+    type IntoIter = std::iter::Chain<std::iter::Once<FtmpMessage>, std::vec::IntoIter<FtmpMessage>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::once(self.first).chain(self.rest)
+    }
+}
 
 /// Outcome of offering a reliable message to a [`SourceRx`].
 #[derive(Debug, PartialEq, Eq)]
@@ -39,8 +96,15 @@ pub enum RxOutcome {
     Buffered,
     /// In order; the contained run (this message plus any buffered
     /// successors it released) is delivered upward in source order.
-    Delivered(Vec<FtmpMessage>),
+    Delivered(Run),
 }
+
+/// Most ranges one [`SourceRx::missing_ranges`] call returns. A header's
+/// sequence number is unauthenticated evidence, so the work one of them can
+/// ask for is capped; honest gaps are far fewer (each range is one
+/// RetransmitRequest datagram) and what a call leaves out the next retry
+/// asks for.
+pub const MAX_NACK_RANGES: usize = 64;
 
 /// Per-(source, group) receive window.
 #[derive(Debug)]
@@ -104,17 +168,17 @@ impl SourceRx {
             return RxOutcome::Buffered;
         }
         // In order: release this message plus any contiguous run behind it.
-        let mut run = vec![msg];
+        let mut rest = Vec::new();
         self.next_seq += 1;
         while let Some(m) = self.buffer.remove(&self.next_seq) {
-            run.push(m);
+            rest.push(m);
             self.next_seq += 1;
         }
         if !self.has_gap() {
             self.nack_at = None;
             self.nack_attempts = 0;
         }
-        RxOutcome::Delivered(run)
+        RxOutcome::Delivered(Run { first: msg, rest })
     }
 
     /// Note a sequence number carried by an unreliable header (Heartbeat or
@@ -129,11 +193,10 @@ impl SourceRx {
     }
 
     /// The missing ranges `[start, stop]` (inclusive), each capped at
-    /// `max_span` sequence numbers.
+    /// `max_span` sequence numbers: the earliest [`MAX_NACK_RANGES`] of
+    /// them. `highest_seen` is whatever a header claimed, so nothing here
+    /// may overflow or grow with it.
     pub fn missing_ranges(&self, max_span: u64) -> Vec<(u64, u64)> {
-        if !self.has_gap() {
-            return Vec::new();
-        }
         let mut ranges = Vec::new();
         let mut cursor = self.next_seq;
         let mut received = self.buffer.keys().copied().peekable();
@@ -148,15 +211,27 @@ impl SourceRx {
             };
             let mut start = cursor;
             while start <= gap_end {
-                let stop = gap_end.min(start + max_span - 1);
+                if ranges.len() == MAX_NACK_RANGES {
+                    return ranges;
+                }
+                let stop = gap_end.min(start.saturating_add(max_span.saturating_sub(1)));
                 ranges.push((start, stop));
-                start = stop + 1;
+                let Some(next) = stop.checked_add(1) else {
+                    return ranges;
+                };
+                start = next;
             }
-            cursor = gap_end + 1;
-            // Skip the contiguous run of buffered messages at gap_end + 1.
-            while received.peek() == Some(&cursor) {
-                received.next();
-                cursor += 1;
+            // Step past the gap and the contiguous run of buffered messages
+            // behind it.
+            cursor = gap_end;
+            loop {
+                let Some(next) = cursor.checked_add(1) else {
+                    return ranges;
+                };
+                cursor = next;
+                if received.next_if_eq(&cursor).is_none() {
+                    break;
+                }
             }
         }
         ranges
@@ -243,21 +318,31 @@ impl SendState {
 /// timestamps prove every member has it (§6 buffer management). While
 /// retained, it can answer a RetransmitRequest from any processor.
 ///
-/// Each entry keeps the message's original wire bytes (sharing the received
-/// datagram's buffer — no copy on insert) and lazily materializes the
-/// retransmission form (same bytes with the retransmission flag bit set) at
-/// most once; subsequent retransmissions are reference-counted clones of
-/// that one buffer.
+/// One queue per source, sorted by sequence number (see the module doc for
+/// what each operation costs and the stamp-rises-with-seq invariant the
+/// front-first reclaim relies on). Each entry keeps the message's original
+/// wire bytes (sharing the received datagram's buffer — no copy on insert)
+/// and lazily materializes the retransmission form (same bytes with the
+/// retransmission flag bit set) at most once; subsequent retransmissions are
+/// reference-counted clones of that one buffer.
 #[derive(Debug, Default)]
 pub struct RetentionStore {
-    msgs: BTreeMap<(ProcessorId, u64), Retained>,
+    sources: BTreeMap<ProcessorId, VecDeque<(u64, Retained)>>,
+    /// Messages currently retained, over every source.
+    len: usize,
     /// Bytes currently retained (payload accounting for experiment E6).
     bytes: usize,
+    /// Entries [`reclaim_stable`](Self::reclaim_stable) has looked at (the
+    /// complexity guard's counter).
+    #[cfg(test)]
+    visits: usize,
 }
 
 #[derive(Debug)]
 struct Retained {
-    msg: FtmpMessage,
+    /// The message's send timestamp: stable, hence reclaimable, once every
+    /// member acknowledged past it.
+    ts: Timestamp,
     /// The message exactly as it crossed (or will cross) the wire.
     wire: Bytes,
     /// Cached retransmission form: `wire` with the retransmission flag bit
@@ -298,37 +383,72 @@ impl Retained {
     }
 }
 
+/// A queue this small is never shrunk: a quiet source's queue empties and
+/// refills with every message and must not reallocate each time.
+const QUEUE_FLOOR: usize = 16;
+
+/// Give back a queue's spare capacity once its depth has fallen to a quarter
+/// of it, so a backlog a lagging member once pinned is not held for ever;
+/// the factor-of-two slack left keeps growth and shrinking from chasing each
+/// other.
+fn shrink(q: &mut VecDeque<(u64, Retained)>) {
+    if q.capacity() > QUEUE_FLOOR && q.len() < q.capacity() / 4 {
+        q.shrink_to((2 * q.len()).max(QUEUE_FLOOR));
+    }
+}
+
 impl RetentionStore {
-    /// Retain a message together with its encoded wire bytes (idempotent).
-    pub fn insert(&mut self, msg: FtmpMessage, wire: Bytes) {
-        let key = (msg.source, msg.seq.0);
-        self.msgs.entry(key).or_insert_with(|| {
-            self.bytes += wire.len();
-            Retained {
-                msg,
-                wire,
-                retx: None,
-                last_retransmit: None,
-            }
-        });
+    /// Retain `source`'s message `seq`, stamped `ts`, as its encoded wire
+    /// bytes (idempotent): a `push_back` for an in-order arrival, a
+    /// binary-search insert otherwise.
+    pub fn insert(&mut self, source: ProcessorId, seq: u64, ts: Timestamp, wire: Bytes) {
+        let q = self.sources.entry(source).or_default();
+        let size = wire.len();
+        let entry = Retained {
+            ts,
+            wire,
+            retx: None,
+            last_retransmit: None,
+        };
+        match q.back() {
+            Some(&(last, _)) if last >= seq => match q.binary_search_by_key(&seq, |e| e.0) {
+                Ok(_) => return,
+                Err(at) => q.insert(at, (seq, entry)),
+            },
+            _ => q.push_back((seq, entry)),
+        }
+        self.len += 1;
+        self.bytes += size;
     }
 
-    /// Look up a retained message.
-    pub fn get(&self, source: ProcessorId, seq: u64) -> Option<&FtmpMessage> {
-        self.msgs.get(&(source, seq)).map(|r| &r.msg)
+    fn entry(&self, source: ProcessorId, seq: u64) -> Option<&Retained> {
+        let q = self.sources.get(&source)?;
+        let at = q.binary_search_by_key(&seq, |e| e.0).ok()?;
+        Some(&q[at].1)
+    }
+
+    fn entry_mut(&mut self, source: ProcessorId, seq: u64) -> Option<&mut Retained> {
+        let q = self.sources.get_mut(&source)?;
+        let at = q.binary_search_by_key(&seq, |e| e.0).ok()?;
+        Some(&mut q[at].1)
+    }
+
+    /// Whether `(source, seq)` is retained.
+    pub fn contains(&self, source: ProcessorId, seq: u64) -> bool {
+        self.entry(source, seq).is_some()
     }
 
     /// The retransmission-form wire bytes of a retained message, without
     /// touching the suppression window (used for proactive resends such as
     /// sponsor-join and membership-notice retries).
     pub fn retx_bytes(&mut self, source: ProcessorId, seq: u64) -> Option<Bytes> {
-        self.msgs.get_mut(&(source, seq)).map(|r| r.retx_bytes())
+        self.entry_mut(source, seq).map(Retained::retx_bytes)
     }
 
     /// The original (non-retransmission) wire bytes of a retained message —
     /// a shared handle, no copy.
     pub fn wire_bytes(&self, source: ProcessorId, seq: u64) -> Option<Bytes> {
-        self.msgs.get(&(source, seq)).map(|r| r.wire.clone())
+        self.entry(source, seq).map(|r| r.wire.clone())
     }
 
     /// Check the suppression window and, if clear, mark a retransmission of
@@ -341,7 +461,7 @@ impl RetentionStore {
         now: SimTime,
         suppress: SimDuration,
     ) -> Option<Bytes> {
-        let r = self.msgs.get_mut(&(source, seq))?;
+        let r = self.entry_mut(source, seq)?;
         if let Some(last) = r.last_retransmit {
             if now.saturating_since(last) < suppress {
                 return None;
@@ -354,48 +474,64 @@ impl RetentionStore {
     /// Reclaim every message with timestamp ≤ `stable`: all members have
     /// acknowledged receiving everything up to `stable`, so no retransmission
     /// can ever be needed (§6). Returns the number reclaimed.
+    ///
+    /// Each source's queue is popped from the front and left at its first
+    /// unstable entry, so the cost is what is reclaimed plus one look per
+    /// source. A stable entry queued behind an unstable one (stamps that do
+    /// not rise with sequence numbers) waits for it.
     pub fn reclaim_stable(&mut self, stable: Timestamp) -> usize {
-        let before = self.msgs.len();
-        let bytes = &mut self.bytes;
-        self.msgs.retain(|_, r| {
-            if r.msg.ts <= stable {
-                *bytes -= r.wire.len();
-                false
-            } else {
-                true
+        let mut reclaimed = 0;
+        for q in self.sources.values_mut() {
+            let before = reclaimed;
+            while let Some((_, r)) = q.front() {
+                #[cfg(test)]
+                {
+                    self.visits += 1;
+                }
+                if r.ts > stable {
+                    break;
+                }
+                self.bytes -= r.wire.len();
+                q.pop_front();
+                reclaimed += 1;
             }
-        });
-        before - self.msgs.len()
+            if reclaimed > before {
+                shrink(q);
+            }
+        }
+        self.len -= reclaimed;
+        reclaimed
     }
 
     /// Drop retained messages from a removed/convicted source whose
-    /// sequence numbers exceed the agreed reconciliation target.
+    /// sequence numbers exceed the agreed reconciliation target (`0`: all of
+    /// them — a restarting member's old incarnation).
     pub fn drop_beyond(&mut self, source: ProcessorId, beyond: u64) {
-        let bytes = &mut self.bytes;
-        self.msgs.retain(|(s, seq), r| {
-            if *s == source && *seq > beyond {
-                *bytes -= r.wire.len();
-                false
-            } else {
-                true
-            }
-        });
+        let Some(q) = self.sources.get_mut(&source) else {
+            return;
+        };
+        while let Some((_, r)) = q.back().filter(|e| e.0 > beyond) {
+            self.bytes -= r.wire.len();
+            self.len -= 1;
+            q.pop_back();
+        }
+        shrink(q);
     }
 
     /// Number of retained messages originated by `source` — for our own id
     /// this is the unstable send backlog the flow-control window bounds.
     pub fn held_by(&self, source: ProcessorId) -> usize {
-        self.msgs.range((source, 0)..=(source, u64::MAX)).count()
+        self.sources.get(&source).map_or(0, VecDeque::len)
     }
 
     /// Number of retained messages.
     pub fn len(&self) -> usize {
-        self.msgs.len()
+        self.len
     }
 
     /// True when nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
+        self.len == 0
     }
 
     /// Bytes currently retained.
@@ -448,7 +584,7 @@ pub enum RmpInput {
 #[derive(Debug)]
 pub enum RmpOutput {
     /// A contiguous source-ordered run released for total ordering.
-    Released(Vec<FtmpMessage>),
+    Released(Run),
     /// Out of order; buffered awaiting a gap fill. NACKs are scheduled.
     Buffered,
     /// Already held; dropped.
@@ -505,7 +641,7 @@ impl RmpLayer {
                 let source = msg.source;
                 // Retain first: any-holder retransmission must cover
                 // buffered and duplicate arrivals too (idempotent).
-                self.retention.insert(msg.clone(), wire);
+                self.retention.insert(source, msg.seq.0, msg.ts, wire);
                 let rx = self
                     .rx
                     .entry(source)
@@ -646,6 +782,9 @@ impl RmpLayer {
 }
 
 #[cfg(test)]
+mod retention_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::GroupId;
@@ -667,6 +806,10 @@ mod tests {
 
     fn wire_of(m: &FtmpMessage) -> Bytes {
         m.encode(ByteOrder::Big)
+    }
+
+    fn retain(store: &mut RetentionStore, m: &FtmpMessage) {
+        store.insert(m.source, m.seq.0, m.ts, wire_of(m));
     }
 
     #[test]
@@ -734,13 +877,38 @@ mod tests {
         assert_eq!(rx.missing_ranges(4), vec![(1, 4), (5, 8), (9, 10)]);
     }
 
+    /// A header's sequence number is a claim, not a fact: whatever it says,
+    /// one call returns a capped list, the real gap first, and overflows
+    /// nothing on the way to `u64::MAX`.
+    #[test]
+    fn missing_ranges_bounded_by_count_whatever_a_header_claims() {
+        for wild in [1u64 << 60, u64::MAX] {
+            let mut rx = SourceRx::starting_at(1);
+            rx.on_reliable(msg(1, 1, 10));
+            rx.on_reliable(msg(1, 4, 40));
+            rx.note_header_seq(SeqNum(wild));
+            let ranges = rx.missing_ranges(64);
+            assert_eq!(ranges.len(), MAX_NACK_RANGES);
+            assert_eq!(ranges[..3], [(2, 3), (5, 68), (69, 132)]);
+            assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0));
+            assert!(ranges.iter().all(|&(a, b)| a <= b && b - a < 64));
+        }
+        // The far end itself, with a span that covers everything.
+        let mut rx = SourceRx::starting_at(1);
+        rx.note_header_seq(SeqNum(u64::MAX));
+        assert_eq!(rx.missing_ranges(u64::MAX), vec![(1, u64::MAX)]);
+        assert_eq!(rx.on_reliable(msg(1, u64::MAX, 9)), RxOutcome::Buffered);
+        assert_eq!(rx.missing_ranges(u64::MAX), vec![(1, u64::MAX - 1)]);
+        assert_eq!(rx.missing_ranges(0).len(), MAX_NACK_RANGES);
+    }
+
     #[test]
     fn joiner_window_starts_after_cited_seq() {
         let mut rx = SourceRx::starting_at(6);
         assert_eq!(rx.contiguous(), 5);
         assert!(!rx.has_gap());
         match rx.on_reliable(msg(1, 6, 60)) {
-            RxOutcome::Delivered(run) => assert_eq!(run[0].seq.0, 6),
+            RxOutcome::Delivered(run) => assert_eq!(run.iter().next().unwrap().seq.0, 6),
             other => panic!("unexpected {other:?}"),
         }
         // Old traffic is a duplicate, not a gap trigger.
@@ -815,8 +983,7 @@ mod tests {
     fn retention_held_by_counts_per_source() {
         let mut store = RetentionStore::default();
         for m in [msg(1, 1, 10), msg(1, 2, 20), msg(2, 1, 15)] {
-            let w = wire_of(&m);
-            store.insert(m, w);
+            retain(&mut store, &m);
         }
         assert_eq!(store.held_by(ProcessorId(1)), 2);
         assert_eq!(store.held_by(ProcessorId(2)), 1);
@@ -836,31 +1003,28 @@ mod tests {
     fn retention_insert_get_reclaim() {
         let mut store = RetentionStore::default();
         for m in [msg(1, 1, 10), msg(1, 2, 20), msg(2, 1, 15)] {
-            let w = wire_of(&m);
-            store.insert(m, w);
+            retain(&mut store, &m);
         }
         assert_eq!(store.len(), 3);
         assert_eq!(store.bytes(), 3 * FTMP_HEADER_LEN);
-        assert!(store.get(ProcessorId(1), 2).is_some());
+        assert!(store.contains(ProcessorId(1), 2));
         // Idempotent insert does not double count.
         let dup = msg(1, 1, 10);
-        let w = wire_of(&dup);
-        store.insert(dup, w);
+        retain(&mut store, &dup);
         assert_eq!(store.bytes(), 3 * FTMP_HEADER_LEN);
         // Stability at ts 15 reclaims ts 10 and 15.
         let n = store.reclaim_stable(Timestamp(15));
         assert_eq!(n, 2);
         assert_eq!(store.len(), 1);
         assert_eq!(store.bytes(), FTMP_HEADER_LEN);
-        assert!(store.get(ProcessorId(1), 2).is_some());
+        assert!(store.contains(ProcessorId(1), 2));
     }
 
     #[test]
     fn retransmit_suppression_window() {
         let mut store = RetentionStore::default();
         let m = msg(1, 1, 10);
-        let w = wire_of(&m);
-        store.insert(m, w);
+        retain(&mut store, &m);
         let sup = SimDuration::from_millis(4);
         assert!(store
             .take_for_retransmit(ProcessorId(1), 1, SimTime(0), sup)
@@ -884,17 +1048,15 @@ mod tests {
         let mut store = RetentionStore::default();
         for seq in 1..=5 {
             let m = msg(1, seq, seq * 10);
-            let w = wire_of(&m);
-            store.insert(m, w);
+            retain(&mut store, &m);
         }
         let m = msg(2, 1, 10);
-        let w = wire_of(&m);
-        store.insert(m, w);
+        retain(&mut store, &m);
         store.drop_beyond(ProcessorId(1), 3);
         assert_eq!(store.len(), 4);
-        assert!(store.get(ProcessorId(1), 3).is_some());
-        assert!(store.get(ProcessorId(1), 4).is_none());
-        assert!(store.get(ProcessorId(2), 1).is_some());
+        assert!(store.contains(ProcessorId(1), 3));
+        assert!(!store.contains(ProcessorId(1), 4));
+        assert!(store.contains(ProcessorId(2), 1));
         assert_eq!(store.bytes(), 4 * FTMP_HEADER_LEN);
     }
 
@@ -904,7 +1066,7 @@ mod tests {
         let m = msg(1, 1, 10);
         let w = wire_of(&m);
         assert_eq!(w[FLAGS_OFFSET] & RETRANSMISSION_BIT, 0);
-        store.insert(m, w);
+        store.insert(m.source, m.seq.0, m.ts, w);
         let sup = SimDuration::from_millis(0);
         let b1 = store
             .take_for_retransmit(ProcessorId(1), 1, SimTime(0), sup)
@@ -931,7 +1093,7 @@ mod tests {
         let w = m.encode(ByteOrder::Big);
         assert_ne!(w[FLAGS_OFFSET] & RETRANSMISSION_BIT, 0);
         let wire_ptr = w.as_ref().as_ptr();
-        store.insert(m, w);
+        store.insert(m.source, m.seq.0, m.ts, w);
         let b = store.retx_bytes(ProcessorId(1), 1).unwrap();
         // Already in retransmission form: zero materialization, shares the
         // received datagram's buffer.

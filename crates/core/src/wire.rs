@@ -978,6 +978,19 @@ pub fn encode_packed(msgs: &[Bytes], trailer: Option<&[u8]>) -> Bytes {
 /// complete standalone FTMP message (what [`FtmpMessage::decode_shared`] and
 /// the retention store expect); no per-message copy is made.
 pub fn unpack(datagram: &Bytes) -> Result<(Vec<Bytes>, Option<AckVector>), WireError> {
+    let mut msgs = Vec::new();
+    let vector = unpack_into(datagram, &mut msgs)?;
+    Ok((msgs, vector))
+}
+
+/// [`unpack`] into a caller-kept vector (cleared first), so a receive path
+/// splitting one container after another allocates no slice list for each.
+/// On an error `msgs` holds no complete container and is to be cleared.
+pub(crate) fn unpack_into(
+    datagram: &Bytes,
+    msgs: &mut Vec<Bytes>,
+) -> Result<Option<AckVector>, WireError> {
+    msgs.clear();
     if datagram.len() < PACKED_PREAMBLE_LEN {
         return Err(WireError::Truncated {
             wanted: PACKED_PREAMBLE_LEN,
@@ -1008,7 +1021,7 @@ pub fn unpack(datagram: &Bytes) -> Result<(Vec<Bytes>, Option<AckVector>), WireE
             have: datagram.len(),
         });
     }
-    let mut msgs = Vec::with_capacity(count);
+    msgs.reserve_exact(count);
     let mut at = lengths_end;
     for i in 0..count {
         let lo = PACKED_PREAMBLE_LEN + i * PACKED_PER_MSG_OVERHEAD;
@@ -1040,7 +1053,7 @@ pub fn unpack(datagram: &Bytes) -> Result<(Vec<Bytes>, Option<AckVector>), WireE
         }
         None
     };
-    Ok((msgs, vector))
+    Ok(vector)
 }
 
 #[cfg(test)]

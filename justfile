@@ -84,6 +84,14 @@ benchmark-smoke:
 bench-pairs parent workload:
     scripts/bench-pairs.sh {{parent}} {{workload}}
 
+# The benchmark rows that repeat exactly at a seed (virtual-time latencies,
+# datagram, packet, allocation and suppression counts, attempted/failed), a
+# checkout of the parent commit against this one: `equal` or
+# `parent -> change` per row, non-zero exit on a move no `--expect-moved`
+# names (scripts/bench-rows.sh takes those and a workload list).
+bench-rows parent:
+    scripts/bench-rows.sh {{parent}}
+
 # Crash→restart→rejoin gate (DESIGN.md §12): the durable-log integration
 # tests, the CrashRestart sweep cell, then the E16 recovery snapshot
 # (results/e16.json + results/e16_metrics.json).

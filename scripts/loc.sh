@@ -9,9 +9,9 @@
 # line takes the item under it out of the count: one line when that line
 # ends in `;` (`mod tests;`), otherwise the rest of the file (by this
 # repository's convention an inline test module comes last), and
-# `src/**/tests.rs` is skipped whole. Lines that are blank or begin with
-# `//` (comments, rustdoc) are not code. `tests/`, `benches/`, `examples/`
-# and `benchmark/` are not counted at all.
+# `src/**/*tests.rs` (a test module in a file of its own) is skipped whole.
+# Lines that are blank or begin with `//` (comments, rustdoc) are not code.
+# `tests/`, `benches/`, `examples/` and `benchmark/` are not counted at all.
 set -eu
 
 # "<crate> <lines>" for every crate of the checkout at $1, then the total.
@@ -20,7 +20,7 @@ count() {
     total=0
     for crate in */; do
         crate=${crate%/}
-        n=$(find "$crate/src" -name '*.rs' ! -name tests.rs -exec awk '
+        n=$(find "$crate/src" -name '*.rs' ! -name '*tests.rs' -exec awk '
             FNR == 1 { counting = 1; gated = 0 }
             gated { gated = 0; if (/;$/) next; counting = 0 }
             /^#\[cfg\(test\)\]/ { gated = 1; next }

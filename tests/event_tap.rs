@@ -210,6 +210,43 @@ fn hash_telemetry(w: &FtmpWorld) -> (u64, String) {
     (h, rendered)
 }
 
+/// The two halves of [`hash_telemetry`] apart: FNV over every member's
+/// metrics document (counts and histograms: no order inside) and FNV over
+/// every member's flight dump (a ring in emission order); then the documents
+/// themselves for the failure message.
+fn hash_documents_and_flights(w: &FtmpWorld) -> (u64, u64, String) {
+    let (mut docs, mut flights) = (FNV_SEED, FNV_SEED);
+    let mut rendered = String::new();
+    for id in 1..=w.n {
+        let engine = w.net.node(id).unwrap().engine();
+        let json = parent_shaped_json(engine);
+        fnv(&mut docs, json.as_bytes());
+        fnv(
+            &mut flights,
+            engine.flight_dump().expect("enabled").as_bytes(),
+        );
+        rendered.push_str(&json);
+        rendered.push('\n');
+    }
+    (docs, flights, rendered)
+}
+
+/// FNV of every member's deliveries as `P<id> s=<source> q=<seq>`, in the
+/// order that member made them.
+fn hash_delivery_order(lines: &[String]) -> u64 {
+    let mut h = FNV_SEED;
+    for l in lines.iter().filter(|l| l.contains(" Delivered ")) {
+        let f: Vec<&str> = l.split(' ').collect();
+        // P<id> <at> Delivered g= c= r= s= q= t=
+        for part in [f[0], f[6], f[7]] {
+            assert!(part.starts_with(['P', 's', 'q']), "line shape: {l}");
+            fnv(&mut h, part.as_bytes());
+            fnv(&mut h, b" ");
+        }
+    }
+    h
+}
+
 /// Line count and FNV of every member's rendered observation lines, in
 /// emission order.
 const OBSERVATION_STREAM: (usize, u64) = (2197, 0x7349_5B6A_863F_F471);
@@ -260,11 +297,26 @@ fn telemetry_snapshot_is_pinned_on_a_lossy_run() {
     );
 }
 
-/// The same two pins on the paths the default configuration never takes:
-/// packed containers with piggybacked ack vectors, and the k-ary overlay's
-/// digests, neighborhood repair and rebuilds (eight members, 5 % loss, no
-/// conviction).
-const PACKED_TREE: ((usize, u64), u64) = ((19923, 0xF02B_6D38_D9BB_80F3), 0x1515_9F15_4931_044E);
+/// The same pins on the paths the default configuration never takes: packed
+/// containers with piggybacked ack vectors, and the k-ary overlay's digests,
+/// neighborhood repair and rebuilds (eight members, 5 % loss, no
+/// conviction). Pinned in halves, so a move says which half moved.
+///
+/// What no reordering of one container's processing can move: the eight
+/// metrics documents, the observation lines *sorted*, and each member's
+/// delivery sequence. All three were measured at the commit before a packed
+/// container's housekeeping (delivery rule, reclamation, gate, send window)
+/// moved from once per message to once per same-group run, and hold across
+/// it.
+const PACKED_TREE_DOCUMENTS: u64 = 0xE5F2_029C_E0DB_7053;
+const PACKED_TREE_SORTED_LINES: u64 = 0x50DD_9A16_D11E_40E9;
+const PACKED_TREE_DELIVERY_ORDER: u64 = 0xC7B2_BA78_69EA_A4FD;
+/// What it does move, re-pinned with that change: the observation lines in
+/// emission order (same count, same lines) and the flight-recorder rings.
+/// Inside one container every message is now admitted (`Retained`, `Acked`)
+/// before anything is delivered or reclaimed (`Delivered`, `Reclaimed`).
+const PACKED_TREE_STREAM: (usize, u64) = (19923, 0x192D_63C3_A787_05B3);
+const PACKED_TREE_FLIGHTS: u64 = 0xCFF0_1177_51CD_9368;
 
 #[test]
 fn packed_tree_run_pins_both_streams() {
@@ -293,12 +345,28 @@ fn packed_tree_run_pins_both_streams() {
         digests += snap.counter("overlay_digests_sent").unwrap();
     }
     assert!(digests > 0, "tree mode beacons digests");
-    let (h, rendered) = hash_telemetry(&w);
-    let got = (hash_lines(&lines.borrow()), h);
+    let (documents, flights, rendered) = hash_documents_and_flights(&w);
+    let mut lines = lines.borrow().clone();
+    let stream = hash_lines(&lines);
+    let delivery_order = hash_delivery_order(&lines);
+    lines.sort_unstable();
+    let sorted = hash_lines(&lines).1;
     assert_eq!(
-        got, PACKED_TREE,
-        "a stream moved: got (({}, {:#018X}), {:#018X})\n{rendered}",
-        got.0 .0, got.0 .1, got.1
+        (documents, sorted, delivery_order),
+        (
+            PACKED_TREE_DOCUMENTS,
+            PACKED_TREE_SORTED_LINES,
+            PACKED_TREE_DELIVERY_ORDER
+        ),
+        "an order-free half moved: got documents {documents:#018X}, sorted lines \
+         {sorted:#018X}, delivery order {delivery_order:#018X}\n{rendered}"
+    );
+    assert_eq!(
+        (stream, flights),
+        (PACKED_TREE_STREAM, PACKED_TREE_FLIGHTS),
+        "an emission-order half moved: got stream ({}, {:#018X}), flights {flights:#018X}",
+        stream.0,
+        stream.1
     );
 }
 
