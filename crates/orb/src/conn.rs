@@ -52,6 +52,12 @@ impl Connection {
         RequestNum(self.next_request)
     }
 
+    /// Has this endpoint allocated `num` yet? A reply to a number it has
+    /// not is an early reply, which the log keeps until it has.
+    pub(crate) fn issued(&self, num: RequestNum) -> bool {
+        num.0 <= self.next_request
+    }
+
     /// The one way out for an invocation that gets no reply (shed, or
     /// cancelled): its pending mark and its start time go together. (One
     /// that is answered leaves `pending` in `OrbEndpoint::complete` and its

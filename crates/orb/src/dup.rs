@@ -33,7 +33,7 @@ pub const DEFAULT_RESIDUE_CAP: usize = 1024;
 ///   before Y when X < Y, so the first sighting of X precedes the first
 ///   sighting of Y on every merge of those streams — a fresh number below
 ///   an already-seen one does not occur.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DuplicateDetector {
     /// Every number ≤ watermark has been seen.
     watermark: u64,
@@ -98,6 +98,23 @@ impl DuplicateDetector {
     /// Numbers retained above the contiguity watermark (memory check).
     pub fn window_size(&self) -> usize {
         self.above.len()
+    }
+
+    /// What this detector has seen, with its counters at zero: a
+    /// checkpoint's copy (`crate::log::Checkpoint`).
+    pub fn seen_copy(&self) -> DuplicateDetector {
+        DuplicateDetector {
+            suppressed: 0,
+            evictions: 0,
+            ..self.clone()
+        }
+    }
+
+    /// Take over what `cp` has seen — a checkpoint's copy, restored with the
+    /// state it belongs to. The counters stay this detector's own.
+    pub fn adopt(&mut self, cp: &DuplicateDetector) {
+        self.watermark = cp.watermark;
+        self.above.clone_from(&cp.above);
     }
 }
 
@@ -207,6 +224,29 @@ mod tests {
         for n in 1..=320 {
             assert_eq!(warm.seen(RequestNum(n)), live.seen(RequestNum(n)), "{n}");
         }
+    }
+
+    /// A checkpoint's copy carries what was seen and no counts; the detector
+    /// that adopts it decides as the original did and counts for itself.
+    #[test]
+    fn a_checkpoint_copy_is_adopted_without_its_counters() {
+        let mut donor = DuplicateDetector::with_residue_cap(2);
+        for n in [1, 2, 3, 7, 9, 12, 2] {
+            donor.first_sighting(RequestNum(n));
+        }
+        let copy = donor.seen_copy();
+        assert_eq!((copy.suppressed, copy.evictions), (0, 0));
+        let mut replica = DuplicateDetector::with_residue_cap(2);
+        replica.adopt(&copy);
+        for n in 1..=13 {
+            assert_eq!(
+                replica.seen(RequestNum(n)),
+                donor.seen(RequestNum(n)),
+                "{n}"
+            );
+        }
+        assert!(!replica.first_sighting(RequestNum(7)));
+        assert_eq!((replica.suppressed, replica.evictions), (1, 0));
     }
 
     proptest! {

@@ -2,7 +2,7 @@
 
 use crate::conn::Connection;
 use crate::giop_map::{self, Inbound};
-use crate::log::{LogEntry, LogKind, MessageLog};
+use crate::log::{Checkpoint, LogEntry, LogKind, MessageLog, Transfer};
 use crate::servant::Servant;
 use bytes::Bytes;
 use ftmp_core::{ConnectionId, Delivery, ObjectGroupId, ProcessorId, RequestNum};
@@ -79,7 +79,8 @@ pub struct OrbEndpoint {
     /// CloseConnections ride the same total order as Requests, so every
     /// replica applies them at the same position.
     pub(crate) conns: BTreeMap<ConnectionId, Connection>,
-    /// The delivery log (replay, request/reply matching).
+    /// The delivery log (replay, request/reply matching): per connection, a
+    /// checkpoint and what was delivered since.
     pub log: MessageLog,
     outbound: VecDeque<OutboundMsg>,
     completions: VecDeque<Completion>,
@@ -168,18 +169,26 @@ impl OrbEndpoint {
             .sum()
     }
 
-    /// Fold the duplicate-suppression counters into a telemetry registry
-    /// (the `FTMP_METRICS_DIR` snapshot path). Counters add, so feed a
-    /// fresh or merge-target registry.
+    /// Fold the duplicate-suppression counters and the log's size into a
+    /// telemetry registry (the `FTMP_METRICS_DIR` snapshot path). Counters
+    /// add and gauges rise, so feed a fresh or merge-target registry.
+    /// `orb_log_entries` and `orb_log_bytes` (GIOP bytes) are the most the
+    /// log has held at once, so two readings bracket everything between.
     pub fn register_metrics(&self, reg: &mut Registry) {
         let (req, rep) = self.suppression_counts();
         for (name, value) in [
             ("orb_requests_suppressed", req),
             ("orb_replies_suppressed", rep),
             ("orb_dup_evictions", self.dup_evictions()),
+            ("orb_log_checkpoints", self.log.checkpoints()),
         ] {
             let id = reg.counter(name);
             reg.inc(id, value);
+        }
+        let (entries, bytes) = self.log.peak();
+        for (name, peak) in [("orb_log_entries", entries), ("orb_log_bytes", bytes)] {
+            let id = reg.gauge(name);
+            reg.raise(id, peak as i64);
         }
     }
 
@@ -256,83 +265,109 @@ impl OrbEndpoint {
         InvocationResult::of_reply(giop_map::parse(&reply.giop).ok()?)
     }
 
+    /// The state a replica of `conn.server` is activated from, as this
+    /// endpoint has it for `conn`: the position of the last logged delivery,
+    /// the hosted servant's snapshot there and the `executed` detector —
+    /// or, at a warm-passive backup, the position of the last state update
+    /// it applied, the only one its servant's state matches. What the log
+    /// records every [`CHECKPOINT_ENTRIES`] appends, and the snapshot a
+    /// replacement can start from.
+    ///
+    /// [`CHECKPOINT_ENTRIES`]: crate::log::CHECKPOINT_ENTRIES
+    pub fn checkpoint(&self, conn: ConnectionId) -> Checkpoint {
+        let (ts, source) = self
+            .backup_point(conn.server)
+            .or_else(|| self.log.tip(conn))
+            .unwrap_or_default();
+        Checkpoint {
+            ts,
+            source,
+            state: self.servants.get(&conn.server).map(|s| s.snapshot()),
+            executed: self
+                .conns
+                .get(&conn)
+                .map(|c| c.executed.seen_copy())
+                .unwrap_or_default(),
+        }
+    }
+
+    /// Record a checkpoint on `conn` if one is due, keeping only the
+    /// replies a client replica has not yet issued from below it.
+    fn checkpoint_if_due(&mut self, conn: ConnectionId) {
+        if !self.log.due(conn) {
+            return;
+        }
+        let cp = self.checkpoint(conn);
+        let client = self.conns.get(&conn).filter(|c| c.client);
+        self.log.record_checkpoint(conn, cp, |e| {
+            e.kind == LogKind::Reply && client.is_some_and(|c| !c.issued(e.request_num))
+        });
+    }
+
     /// Activate a new or backup replica (§7.2: after a fault report "the
     /// fault tolerance infrastructure … activates new or backup replicas
-    /// for the object groups"). The fresh servant is restored from a donor
-    /// replica's `snapshot` and brought forward by deterministically
-    /// replaying the donor's logged requests delivered after the snapshot
-    /// point (§4's log replay). Replayed requests are marked executed so
-    /// stray duplicates cannot re-run them; no replies are emitted during
-    /// replay (the originals were answered by the donors).
+    /// for the object groups"), and the one way to do it. Each transfer is
+    /// applied in order: its checkpoint, if any, restores the servant's
+    /// state and the `executed` detector (so a late copy of a request the
+    /// state already reflects is suppressed, as at the donors) and becomes
+    /// this log's checkpoint; its entries replay through the exactly-once
+    /// gate (§4's log replay) — requests execute, replies warm the reply
+    /// detector, nothing is answered (the donors answered the originals) —
+    /// and are logged, so this replica can itself donate later.
+    ///
+    /// The snapshot form passes a donor's [`checkpoint`] taken earlier and
+    /// the donor's [`MessageLog::transfer`] from its timestamp; a durable
+    /// restart (DESIGN.md §12) passes its own recovered entries and the
+    /// donor's transfer from its persisted horizon. Overlap between two
+    /// transfers is harmless: a request present in both executes once.
+    ///
+    /// [`checkpoint`]: OrbEndpoint::checkpoint
     pub fn activate_replica(
         &mut self,
         og: ObjectGroupId,
         object_key: impl Into<Vec<u8>>,
-        mut servant: Box<dyn Servant>,
-        snapshot: &[u8],
+        servant: Box<dyn Servant>,
         conn: ConnectionId,
-        replay: &[LogEntry],
+        transfers: impl IntoIterator<Item = Transfer>,
     ) {
-        servant.restore(snapshot);
-        for e in replay.iter().filter(|e| e.kind == LogKind::Request) {
-            self.replay_request(conn, servant.as_mut(), e);
-        }
         self.host_replica(og, object_key, servant);
+        for t in transfers {
+            if let Some(cp) = t.checkpoint {
+                if let (Some(state), Some(s)) = (&cp.state, self.servants.get_mut(&og)) {
+                    s.restore(state);
+                }
+                self.conn_mut(conn).executed.adopt(&cp.executed);
+                self.log.record_checkpoint(conn, cp, |_| false);
+            }
+            for e in t.entries {
+                self.replay(og, conn, e);
+                self.checkpoint_if_due(conn);
+            }
+        }
     }
 
-    /// One step of §4's log replay: run a logged request against `servant`
-    /// unless `conn` has executed its number already (overlapping replay).
-    /// True when it was fresh.
-    fn replay_request(
-        &mut self,
-        conn: ConnectionId,
-        servant: &mut dyn Servant,
-        e: &LogEntry,
-    ) -> bool {
-        let fresh = self.conn_mut(conn).executed.first_sighting(e.request_num);
+    /// One step of §4's log replay: run a logged request against `og`'s
+    /// servant unless `conn` has executed its number already, or mark a
+    /// logged reply consumed; log the entry if it was fresh.
+    fn replay(&mut self, og: ObjectGroupId, conn: ConnectionId, e: LogEntry) {
+        let c = self.conn_mut(conn);
+        let fresh = match e.kind {
+            LogKind::Request => c.executed.first_sighting(e.request_num),
+            LogKind::Reply => c.replied.first_sighting(e.request_num),
+        };
+        if !fresh {
+            return;
+        }
         if let (
-            true,
             Ok(Inbound::Request {
                 operation, args, ..
             }),
-        ) = (fresh, giop_map::parse(&e.giop))
+            Some(servant),
+        ) = (giop_map::parse(&e.giop), self.servants.get_mut(&og))
         {
             let _ = servant.invoke(&operation, &args);
         }
-        fresh
-    }
-
-    /// Delta variant of [`activate_replica`] for crash→restart→rejoin
-    /// (DESIGN.md §12). The restarted replica replays its **own** durable
-    /// log first — every request it had delivered and executed before the
-    /// crash — then only the donor's *suffix* past the persisted horizon,
-    /// not a full snapshot. Both passes run through the same exactly-once
-    /// gate, so overlap at the horizon is harmless: a request present in
-    /// both streams executes once. Reply entries warm the reply-side
-    /// duplicate detector without invoking anything, and every accepted
-    /// entry is re-appended to the in-memory replay log so this replica
-    /// can itself donate later.
-    ///
-    /// [`activate_replica`]: OrbEndpoint::activate_replica
-    pub fn activate_replica_delta(
-        &mut self,
-        og: ObjectGroupId,
-        object_key: impl Into<Vec<u8>>,
-        mut servant: Box<dyn Servant>,
-        conn: ConnectionId,
-        own: &[LogEntry],
-        donor_delta: &[LogEntry],
-    ) {
-        for e in own.iter().chain(donor_delta) {
-            let fresh = match e.kind {
-                LogKind::Request => self.replay_request(conn, servant.as_mut(), e),
-                LogKind::Reply => self.conn_mut(conn).replied.first_sighting(e.request_num),
-            };
-            if fresh {
-                self.log.append(conn, e.clone());
-            }
-        }
-        self.host_replica(og, object_key, servant);
+        self.log.append(conn, e);
     }
 
     /// Issue a LocateRequest for `object_key` (CORBA's "where does this
@@ -400,7 +435,14 @@ impl OrbEndpoint {
     /// (each exactly once, however many client replicas sent them); replies
     /// complete pending invocations (each exactly once). Fragmented GIOP
     /// messages are reassembled per (connection, sender) before processing.
+    /// A checkpoint that falls due is taken once the delivery has run, so
+    /// its snapshot includes it.
     pub fn on_delivery(&mut self, d: &Delivery) {
+        self.dispatch(d);
+        self.checkpoint_if_due(d.conn);
+    }
+
+    fn dispatch(&mut self, d: &Delivery) {
         let (parsed, log_bytes) = match self.assembler.push((d.conn, d.source), &d.giop) {
             Ok(Some(msg)) => {
                 // When the completing datagram was a Fragment, the replay

@@ -13,7 +13,8 @@
 //! * [`DuplicateDetector`] — `(connection id, request number)` duplicate
 //!   detection and suppression across replicas (§4),
 //! * [`MessageLog`] — the per-connection message log used to match requests
-//!   with replies during replay (§4),
+//!   with replies during replay (§4): a [`Checkpoint`] plus a bounded
+//!   suffix, answered to a recovering replica as a [`Transfer`],
 //! * [`OrbEndpoint`] — one processor's ORB: active replication of hosted
 //!   servants, request numbering shared across replicas, reply matching;
 //!   everything it knows about a logical connection is one private struct
@@ -34,7 +35,7 @@ pub mod servant;
 
 pub use dup::DuplicateDetector;
 pub use endpoint::{Completion, InvocationResult, OrbEndpoint, OutboundMsg};
-pub use log::MessageLog;
+pub use log::{Checkpoint, MessageLog, Transfer};
 pub use node::OrbNode;
 pub use passive::ReplicationStyle;
 pub use servant::{BankAccount, Counter, Servant};

@@ -31,7 +31,7 @@
 //! the client.
 
 use crate::endpoint::OrbEndpoint;
-use ftmp_core::{Delivery, ObjectGroupId, ProcessorId};
+use ftmp_core::{Delivery, ObjectGroupId, ProcessorId, Timestamp};
 
 /// Replication style for a hosted object group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,6 +71,7 @@ impl OrbEndpoint {
                 me,
                 hosting,
                 pending: Vec::new(),
+                applied: Default::default(),
             },
         );
     }
@@ -147,6 +148,13 @@ impl OrbEndpoint {
         }
     }
 
+    /// Where a warm-passive backup of `og` last applied a state update;
+    /// `None` for a primary or an active replica, whose state is at the tip.
+    pub(crate) fn backup_point(&self, og: ObjectGroupId) -> Option<(Timestamp, ProcessorId)> {
+        let st = self.passive.get(&og)?;
+        (!self.is_primary(og)).then_some(st.applied)
+    }
+
     /// Replication style of a hosted group.
     pub fn style_of(&self, og: ObjectGroupId) -> ReplicationStyle {
         if self.passive.contains_key(&og) {
@@ -185,6 +193,7 @@ impl OrbEndpoint {
                 // executed before producing it; mark them executed so a
                 // later failover does not replay them.
                 if let Some(st) = self.passive.get_mut(&og) {
+                    st.applied = (d.ts, d.source);
                     let pending = std::mem::take(&mut st.pending);
                     for p in pending {
                         self.conn_mut(p.conn).executed.first_sighting(p.request_num);
@@ -238,6 +247,10 @@ pub(crate) struct PassiveState {
     /// Requests delivered since the last applied state update (replayed on
     /// failover).
     pub(crate) pending: Vec<PendingReq>,
+    /// Where the last applied state update was delivered: a backup's
+    /// servant state matches the log up to there and no further, so that
+    /// is where its checkpoints sit (DESIGN.md §11).
+    pub(crate) applied: (Timestamp, ProcessorId),
 }
 
 /// A backup's record of a delivered-but-not-executed request.

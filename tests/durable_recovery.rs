@@ -21,7 +21,7 @@ use ftmp::harness::worlds::{OrbWorld, ORB_GROUP_ADDR};
 use ftmp::net::{McastAddr, Outbox, Packet, SimConfig, SimDuration, SimNet, SimTime};
 use ftmp::orb::log::LogEntry;
 use ftmp::orb::servant::decode_i64_result;
-use ftmp::orb::{OrbEndpoint, OrbNode};
+use ftmp::orb::{OrbEndpoint, OrbNode, Transfer};
 use ftmp::store::{recover, scratch_dir, DurableLog, LogConfig, LogRecord, RecoveredState};
 use ftmp_check::trace_hash;
 
@@ -308,17 +308,15 @@ fn crashed_server_restarts_from_durable_log_with_delta_transfer() {
 
     let donor_node = w.net.node(donor).unwrap();
     let full = donor_node.orb().log.entries(conn).len();
-    let delta: Vec<LogEntry> = donor_node
-        .orb()
-        .log
-        .replay_after(conn, horizon)
-        .cloned()
-        .collect();
-    assert!(!delta.is_empty(), "phase-3 traffic is past the horizon");
+    let delta = donor_node.orb().log.transfer(conn, horizon);
     assert!(
-        delta.len() < full,
+        !delta.entries.is_empty(),
+        "phase-3 traffic is past the horizon"
+    );
+    assert!(
+        delta.entries.len() < full,
         "delta transfer ({} entries) must be smaller than the donor's full log ({full})",
-        delta.len()
+        delta.entries.len()
     );
 
     let mut proc = Processor::new(
@@ -337,7 +335,13 @@ fn crashed_server_restarts_from_durable_log_with_delta_transfer() {
     .unwrap();
     proc.set_delivery_log(Box::new(relog));
     let mut orb = OrbEndpoint::new();
-    orb.activate_replica_delta(og, b"obj".to_vec(), counter(), conn, &own, &delta);
+    orb.activate_replica(
+        og,
+        b"obj".to_vec(),
+        counter(),
+        conn,
+        [Transfer::from(own), delta],
+    );
     w.net.revive(victim, OrbNode::new(proc, orb));
     w.net.with_node(victim, |n, now, out| n.pump(now, out));
     // Own replay (20) plus the donor delta (5) already equals the donors'.

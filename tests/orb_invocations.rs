@@ -6,6 +6,7 @@ use ftmp::harness::worlds::OrbWorld;
 use ftmp::net::{LossModel, SimConfig};
 use ftmp::orb::servant::decode_i64_result;
 use ftmp::orb::InvocationResult;
+use ftmp::telemetry::Registry;
 
 fn counter() -> Box<dyn ftmp::orb::Servant> {
     Box::new(ftmp::orb::Counter::default())
@@ -191,11 +192,30 @@ fn client_replica_crash_is_transparent_to_the_service() {
     }
 }
 
+/// Every endpoint's `orb_log_entries` gauge: the most its log has held.
+fn log_entries(w: &OrbWorld) -> Vec<i64> {
+    w.clients
+        .iter()
+        .chain(&w.servers)
+        .map(|&id| {
+            let mut reg = Registry::new();
+            w.net.node(id).unwrap().orb().register_metrics(&mut reg);
+            reg.snapshot().gauge("orb_log_entries").unwrap()
+        })
+        .collect()
+}
+
+/// What a closed loop leaves: client 1's `(completed at µs, latency µs)`
+/// per invocation, and [`log_entries`] at the halfway point and at the end.
+struct ClosedLoop {
+    latencies: Vec<(u64, u64)>,
+    log_entries: [Vec<i64>; 2],
+}
+
 /// Drive the benchmark's `sim-orb-invoke` shape — 2 client × 3 server
 /// replicas, each client keeping 16 invocations outstanding and issuing the
-/// next the instant one completes — for `virtual_ms`, and return client 1's
-/// `(completed at µs, latency µs)` per invocation.
-fn closed_loop(seed: u64, proto: ProtocolConfig, virtual_ms: u64) -> Vec<(u64, u64)> {
+/// next the instant one completes — for `virtual_ms`.
+fn closed_loop(seed: u64, proto: ProtocolConfig, virtual_ms: u64) -> ClosedLoop {
     const OUTSTANDING: usize = 16;
     let mut w = OrbWorld::new(2, 3, SimConfig::with_seed(seed), proto, counter);
     let conn = w.conn();
@@ -217,10 +237,14 @@ fn closed_loop(seed: u64, proto: ProtocolConfig, virtual_ms: u64) -> Vec<(u64, u
         }
     }
     let mut latencies = Vec::new();
+    let mut half = None;
     while let Some(now) = w.net.step() {
         let now = now.as_micros();
         if now > begin + virtual_ms * 1_000 {
             break;
+        }
+        if half.is_none() && now > begin + virtual_ms * 500 {
+            half = Some(log_entries(&w));
         }
         for id in w.clients.clone() {
             for c in w.net.node_mut(id).unwrap().take_completions() {
@@ -233,7 +257,10 @@ fn closed_loop(seed: u64, proto: ProtocolConfig, virtual_ms: u64) -> Vec<(u64, u
             }
         }
     }
-    latencies
+    ClosedLoop {
+        latencies,
+        log_entries: [half.expect("ran past halfway"), log_entries(&w)],
+    }
 }
 
 /// The seeds on which the benchmark's `sim-orb-invoke` closed loop was seen
@@ -250,8 +277,13 @@ const LOCKING_SEEDS: [u64; 2] = [1004, 1006];
 fn closed_loop_invocations_complete_within_one_heartbeat_interval() {
     let interval = ProtocolConfig::default().heartbeat_interval.as_micros();
     for seed in LOCKING_SEEDS {
-        let warm = |l: Vec<(u64, u64)>| -> Vec<u64> {
-            let lat: Vec<u64> = l.iter().filter(|x| x.0 > 200_000).map(|x| x.1).collect();
+        let warm = |l: ClosedLoop| -> Vec<u64> {
+            let lat: Vec<u64> = l
+                .latencies
+                .iter()
+                .filter(|x| x.0 > 200_000)
+                .map(|x| x.1)
+                .collect();
             assert!(
                 lat.len() > 1_000,
                 "seed {seed}: the loop ran ({})",
@@ -283,23 +315,50 @@ fn closed_loop_invocations_complete_within_one_heartbeat_interval() {
 /// after 30.7 s of virtual time, for good. Horizon on demand has no timer
 /// phase to drift into. Half a minute of virtual time is too slow for the
 /// debug-mode tier-1 run; `just chaos` and CI's chaos job run it in release.
+///
+/// The same two runs hold the ORB log to ROADMAP 2(c)'s plateau rule at
+/// every endpoint: the most it holds over the second half is at most 1.1 ×
+/// the most over the first. The gauge is a high-water mark, so its reading
+/// at the halfway point is the first half's maximum and its reading at the
+/// end the larger of the two. A log that keeps every delivery doubles.
 #[test]
 #[ignore = "35 s of virtual time: run in release (`just chaos`)"]
 fn closed_loop_does_not_lock_into_two_heartbeat_intervals() {
     let interval = ProtocolConfig::default().heartbeat_interval.as_micros();
     let seed = 1006;
-    let tail = |l: &[(u64, u64)]| -> Vec<u64> {
-        l.iter().filter(|x| x.0 > 33_000_000).map(|x| x.1).collect()
+    let plateau = |l: &ClosedLoop| {
+        let [half, end] = &l.log_entries;
+        for (i, (h, e)) in half.iter().zip(end).enumerate() {
+            assert!(
+                *e * 10 <= *h * 11,
+                "seed {seed}: endpoint {i}'s log grew from {h} to {e} entries in the second half"
+            );
+        }
+    };
+    let tail = |l: &ClosedLoop| -> Vec<u64> {
+        l.latencies
+            .iter()
+            .filter(|x| x.0 > 33_000_000)
+            .map(|x| x.1)
+            .collect()
     };
     let timer_only = ProtocolConfig::with_seed(seed).prompt_horizon(false);
-    let locked = tail(&closed_loop(seed, timer_only, 35_000));
+    let run = closed_loop(seed, timer_only, 35_000);
+    plateau(&run);
+    let locked = tail(&run);
     assert!(
         !locked.is_empty() && locked.iter().all(|&l| l > interval * 3 / 2),
         "seed {seed}: the timer-only loop no longer locks (fastest {:?} us)",
         locked.iter().min()
     );
     let prompted = closed_loop(seed, ProtocolConfig::with_seed(seed), 35_000);
-    let slowest = prompted.iter().filter(|x| x.0 > 200_000).map(|x| x.1).max();
+    plateau(&prompted);
+    let slowest = prompted
+        .latencies
+        .iter()
+        .filter(|x| x.0 > 200_000)
+        .map(|x| x.1)
+        .max();
     assert!(
         slowest.is_some_and(|l| l < interval),
         "seed {seed}: slowest invocation {slowest:?} us under the default config"

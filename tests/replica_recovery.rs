@@ -8,7 +8,7 @@ use ftmp::core::{ProcessorId, ProtocolConfig, ProtocolEvent};
 use ftmp::harness::worlds::{OrbWorld, ORB_GROUP_ADDR};
 use ftmp::net::SimConfig;
 use ftmp::orb::servant::decode_i64_result;
-use ftmp::orb::{OrbEndpoint, OrbNode};
+use ftmp::orb::{OrbEndpoint, OrbNode, Transfer};
 
 fn counter() -> Box<dyn ftmp::orb::Servant> {
     Box::new(ftmp::orb::Counter::default())
@@ -53,24 +53,9 @@ fn crashed_replica_replaced_via_snapshot_and_log_replay() {
     }
     w.run_ms(100);
     let donor = w.servers[0];
-    let snapshot = w
-        .net
-        .node(donor)
-        .unwrap()
-        .orb()
-        .servant(og)
-        .unwrap()
-        .snapshot();
-    let snapshot_ts = w
-        .net
-        .node(donor)
-        .unwrap()
-        .orb()
-        .log
-        .entries(conn)
-        .last()
-        .map(|e| e.ts)
-        .expect("log has entries");
+    let donor_orb = w.net.node(donor).unwrap().orb();
+    donor_orb.log.tip(conn).expect("log has entries");
+    let snapshot = donor_orb.checkpoint(conn);
 
     // Phase 2: 10 more invocations (these will be replayed from the log),
     // then a server replica crashes and the survivors reconfigure.
@@ -94,16 +79,17 @@ fn crashed_replica_replaced_via_snapshot_and_log_replay() {
     // Phase 3: activate a replacement on fresh processor P9 — restore the
     // donor's snapshot, replay the donor's log after the snapshot point,
     // and join the processor group sponsored by the donor.
-    let replay: Vec<ftmp::orb::log::LogEntry> = w
+    let replay = w
         .net
         .node(donor)
         .unwrap()
         .orb()
         .log
-        .replay_after(conn, snapshot_ts)
-        .cloned()
-        .collect();
-    assert!(!replay.is_empty(), "phase-2 traffic is in the donor's log");
+        .transfer(conn, snapshot.ts);
+    assert!(
+        !replay.entries.is_empty(),
+        "phase-2 traffic is in the donor's log"
+    );
 
     let new_id = 9u32;
     let mut proc = ftmp::core::Processor::new(
@@ -114,7 +100,13 @@ fn crashed_replica_replaced_via_snapshot_and_log_replay() {
     proc.expect_join(group, ORB_GROUP_ADDR);
     proc.bind_connection(conn, group);
     let mut orb = OrbEndpoint::new();
-    orb.activate_replica(og, b"obj".to_vec(), counter(), &snapshot, conn, &replay);
+    orb.activate_replica(
+        og,
+        b"obj".to_vec(),
+        counter(),
+        conn,
+        [Transfer::from(snapshot), replay],
+    );
     w.net.add_node(new_id, OrbNode::new(proc, orb));
     w.net.with_node(new_id, |n, now, out| n.pump(now, out));
     // The replayed state already equals the donors'.
