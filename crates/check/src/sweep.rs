@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use ftmp_core::{
     wire, ClockMode, ConnectionId, GroupId, ObjectGroupId, OverlayPolicy, PackPolicy, Packing,
-    Processor, ProcessorId, ProtocolConfig, RequestNum, SimProcessor, TimerPolicy,
+    Processor, ProcessorId, ProtocolConfig, RequestNum, SimProcessor,
 };
 use ftmp_net::{
     FaultPlan, LinkDegrade, LinkSelector, LossModel, McastAddr, NodeId, SimConfig, SimDuration,
@@ -508,9 +508,7 @@ fn build_cell(scenario: Scenario, seed: u64, trace_capacity: usize) -> Cell {
                 latency_factor: 20.0,
                 extra_loss: 0.25,
             });
-            proto = proto
-                .fail_timeout_of(SimDuration::from_millis(30))
-                .timer_policy(TimerPolicy::Adaptive);
+            proto = proto.fail_timeout_of(SimDuration::from_millis(30));
         }
     }
     let proto = scenario.shape(proto);

@@ -14,18 +14,15 @@
 //!   pathological gap convicts a healthy member.
 //!
 //! The `*_for`/`*_after` helpers turn the estimates plus a
-//! [`ProtocolConfig`] into effective timer values. Under
-//! [`TimerPolicy::Fixed`] every helper returns the configured constant
-//! unchanged — bit-for-bit the pre-adaptive behaviour, so existing
-//! experiments reproduce. Under [`TimerPolicy::Adaptive`] the timers scale
-//! with the measurements, clamped to `[configured, configured × MAX_SCALE]`
-//! so a poisoned estimate can never collapse a timer to zero or stretch it
-//! without bound.
-//!
-//! [`TimerPolicy::Fixed`]: crate::config::TimerPolicy::Fixed
-//! [`TimerPolicy::Adaptive`]: crate::config::TimerPolicy::Adaptive
+//! [`ProtocolConfig`] into effective timer values. Every timer is measured:
+//! the configured constant is its floor, used as is until the estimator has
+//! samples, and the derived value is clamped to
+//! `[configured, configured × MAX_SCALE]` so a poisoned estimate can never
+//! collapse a timer to zero or stretch it without bound. (The NACK retry is
+//! the exception to the ceiling: it backs off to `fail_timeout`, past which
+//! suspicion takes over from recovery.)
 
-use crate::config::{ProtocolConfig, TimerPolicy};
+use crate::config::ProtocolConfig;
 use ftmp_net::{SimDuration, SimTime};
 
 /// Upper bound on adaptive stretching, as a multiple of the configured
@@ -45,7 +42,7 @@ pub const NACK_BACKOFF_CAP: u32 = 6;
 pub const RTO_GRANULARITY_US: u64 = 1_000;
 
 /// Suspicion margin: a peer is suspected only after
-/// `SUSPICION_FACTOR × (mean + 4·dev)` of silence under adaptive timers.
+/// `SUSPICION_FACTOR × (mean + 4·dev)` of silence.
 const SUSPICION_FACTOR: u64 = 3;
 
 /// Interarrival samples required before the envelope is trusted.
@@ -138,59 +135,51 @@ fn clamp_scaled(derived: u64, floor: SimDuration) -> SimDuration {
     SimDuration::from_micros(derived.clamp(lo, hi))
 }
 
-/// Effective NACK initial-jitter window: fixed `nack_delay`, or half the
-/// smoothed RTT under adaptive timers (SRM-style receiver decorrelation —
-/// the window only needs to spread NACKs over the time it takes the first
-/// one to be answered).
+/// Effective NACK initial-jitter window: half the smoothed RTT, floored at
+/// `nack_delay` (SRM-style receiver decorrelation — the window only needs
+/// to spread NACKs over the time it takes the first one to be answered).
 pub fn nack_jitter_max(cfg: &ProtocolConfig, rtt: &RttEstimator) -> SimDuration {
-    match (cfg.timer_policy, rtt.srtt()) {
-        (TimerPolicy::Adaptive, Some(srtt)) => clamp_scaled(srtt.as_micros() / 2, cfg.nack_delay),
-        _ => cfg.nack_delay,
+    match rtt.srtt() {
+        Some(srtt) => clamp_scaled(srtt.as_micros() / 2, cfg.nack_delay),
+        None => cfg.nack_delay,
     }
 }
 
-/// Effective NACK re-issue delay after `attempts` unanswered requests:
-/// fixed `nack_retry`, or RTO doubled per attempt (capped at
-/// [`NACK_BACKOFF_CAP`]) under adaptive timers. The backoff never exceeds
-/// `fail_timeout` — past that, suspicion takes over from recovery.
+/// Effective NACK re-issue delay after `attempts` unanswered requests: the
+/// RTO floored at `nack_retry`, doubled per attempt (capped at
+/// [`NACK_BACKOFF_CAP`]). The backoff never exceeds `fail_timeout` — past
+/// that, suspicion takes over from recovery.
 pub fn nack_retry_after(cfg: &ProtocolConfig, rtt: &RttEstimator, attempts: u32) -> SimDuration {
-    match cfg.timer_policy {
-        TimerPolicy::Fixed => cfg.nack_retry,
-        TimerPolicy::Adaptive => {
-            let base = rtt
-                .rto()
-                .map(|r| r.as_micros().max(cfg.nack_retry.as_micros()))
-                .unwrap_or(cfg.nack_retry.as_micros());
-            let backed = base.saturating_mul(1 << attempts.min(NACK_BACKOFF_CAP));
-            SimDuration::from_micros(backed.min(cfg.fail_timeout.as_micros().max(base)))
-        }
-    }
+    let base = rtt
+        .rto()
+        .map(|r| r.as_micros().max(cfg.nack_retry.as_micros()))
+        .unwrap_or(cfg.nack_retry.as_micros());
+    let backed = base.saturating_mul(1 << attempts.min(NACK_BACKOFF_CAP));
+    SimDuration::from_micros(backed.min(cfg.fail_timeout.as_micros().max(base)))
 }
 
-/// Effective retransmission-suppression window: fixed
-/// `retransmit_suppress`, or one smoothed RTT under adaptive timers (a
-/// retransmission answered within one RTT has reached everyone who will
-/// ever need it; more within that window is implosion).
+/// Effective retransmission-suppression window: one smoothed RTT, floored
+/// at `retransmit_suppress` (a retransmission answered within one RTT has
+/// reached everyone who will ever need it; more within that window is
+/// implosion).
 pub fn suppress_window(cfg: &ProtocolConfig, rtt: &RttEstimator) -> SimDuration {
-    match (cfg.timer_policy, rtt.srtt()) {
-        (TimerPolicy::Adaptive, Some(srtt)) => {
-            clamp_scaled(srtt.as_micros(), cfg.retransmit_suppress)
-        }
-        _ => cfg.retransmit_suppress,
+    match rtt.srtt() {
+        Some(srtt) => clamp_scaled(srtt.as_micros(), cfg.retransmit_suppress),
+        None => cfg.retransmit_suppress,
     }
 }
 
-/// Effective per-peer fail timeout: fixed `fail_timeout`, or — under
-/// adaptive timers — floored at `SUSPICION_FACTOR` × the peer's observed
-/// interarrival envelope, so a jittery network widens suspicion before it
-/// convicts. Clamped at `MAX_SCALE × fail_timeout` to preserve liveness.
+/// Effective per-peer fail timeout: `SUSPICION_FACTOR` × the peer's
+/// observed interarrival envelope, floored at `fail_timeout`, so a jittery
+/// network widens suspicion before it convicts. Clamped at
+/// `MAX_SCALE × fail_timeout` to preserve liveness.
 pub fn fail_timeout_for(cfg: &ProtocolConfig, arrivals: &Interarrival) -> SimDuration {
-    match (cfg.timer_policy, arrivals.envelope()) {
-        (TimerPolicy::Adaptive, Some(env)) => clamp_scaled(
+    match arrivals.envelope() {
+        Some(env) => clamp_scaled(
             SUSPICION_FACTOR.saturating_mul(env.as_micros()),
             cfg.fail_timeout,
         ),
-        _ => cfg.fail_timeout,
+        None => cfg.fail_timeout,
     }
 }
 
@@ -271,25 +260,8 @@ mod tests {
     }
 
     #[test]
-    fn fixed_policy_returns_configured_constants() {
-        let cfg = ProtocolConfig::default();
-        let mut rtt = RttEstimator::default();
-        rtt.observe(us(50_000));
-        let mut arr = Interarrival::default();
-        let mut t = SimTime::ZERO;
-        for _ in 0..20 {
-            t += us(30_000);
-            arr.observe(t);
-        }
-        assert_eq!(nack_jitter_max(&cfg, &rtt), cfg.nack_delay);
-        assert_eq!(nack_retry_after(&cfg, &rtt, 5), cfg.nack_retry);
-        assert_eq!(suppress_window(&cfg, &rtt), cfg.retransmit_suppress);
-        assert_eq!(fail_timeout_for(&cfg, &arr), cfg.fail_timeout);
-    }
-
-    #[test]
     fn adaptive_backoff_doubles_and_caps() {
-        let cfg = ProtocolConfig::default().timer_policy(TimerPolicy::Adaptive);
+        let cfg = ProtocolConfig::default();
         let rtt = RttEstimator::default(); // no samples: base = nack_retry
         let base = cfg.nack_retry.as_micros();
         assert_eq!(nack_retry_after(&cfg, &rtt, 0).as_micros(), base);
@@ -308,7 +280,7 @@ mod tests {
 
     #[test]
     fn adaptive_fail_timeout_floors_at_configured_and_caps_at_max_scale() {
-        let cfg = ProtocolConfig::default().timer_policy(TimerPolicy::Adaptive);
+        let cfg = ProtocolConfig::default();
         // Calm arrivals well under fail_timeout: the configured constant wins.
         let mut calm = Interarrival::default();
         let mut t = SimTime::ZERO;
@@ -350,15 +322,15 @@ mod tests {
             }
         }
 
-        /// Effective timers are monotone in the policy's promise: never
-        /// below the configured constant, never above MAX_SCALE times it.
+        /// Effective timers keep the floor-and-ceiling promise: never below
+        /// the configured constant, never above MAX_SCALE times it.
         #[test]
         fn prop_adaptive_timers_bounded(
             rtts in proptest::collection::vec(1u64..10_000_000, 1..40),
             gaps in proptest::collection::vec(1u64..10_000_000, 8..40),
             attempts in 0u32..64,
         ) {
-            let cfg = ProtocolConfig::default().timer_policy(TimerPolicy::Adaptive);
+            let cfg = ProtocolConfig::default();
             let mut rtt = RttEstimator::default();
             for &r in &rtts { rtt.observe(us(r)); }
             let mut arr = Interarrival::default();

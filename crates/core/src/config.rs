@@ -1,26 +1,14 @@
 //! Protocol tunables.
+//!
+//! Two choices the paper leaves open are settled in code, not here. Timers
+//! are always measured (§5's Heartbeats "measure latency"): the NACK jitter,
+//! NACK retry, retransmission suppression and fail timeout below are the
+//! *floors* from which [`crate::adaptive`] derives each effective value, never
+//! more than `MAX_SCALE` times above them. And any processor that holds a
+//! requested message may answer the RetransmitRequest (§5), each with a fixed
+//! probability besides the original sender, who always answers.
 
 use ftmp_net::SimDuration;
-
-/// Who answers a RetransmitRequest.
-///
-/// The paper (§5) allows *any* processor holding the message to retransmit
-/// it; a policy is needed to keep N holders from all answering at once. The
-/// E9 ablation experiment sweeps these.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RetransmitPolicy {
-    /// Only the original sender retransmits (classic sender-based ARQ; loses
-    /// the any-holder benefit when the sender itself is slow or dead).
-    OriginalSenderOnly,
-    /// Every holder retransmits with the given probability (expected number
-    /// of responders ≈ p × holders; decorrelates responders cheaply).
-    AnyHolder {
-        /// Per-holder response probability.
-        p: f64,
-    },
-    /// Every holder always retransmits (maximal redundancy, maximal cost).
-    AllHolders,
-}
 
 /// How many suspicions convict a processor (§7.2: "processors that enough
 /// processors suspect").
@@ -41,24 +29,6 @@ impl Quorum {
             Quorum::Fixed(n) => n.max(1),
         }
     }
-}
-
-/// How timer values are derived at runtime.
-///
-/// The paper's Heartbeats exist "to measure latency" (§5); under
-/// [`TimerPolicy::Adaptive`] the stack actually uses that measurement —
-/// NACK jitter/retry, retransmission suppression and the fail timeout all
-/// track the estimators in [`crate::adaptive`]. Under the default
-/// [`TimerPolicy::Fixed`] every timer is the configured constant,
-/// bit-for-bit the historical behaviour, so existing experiments reproduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimerPolicy {
-    /// Every timer is the configured constant (historical behaviour).
-    #[default]
-    Fixed,
-    /// Timers derived from measured RTT and heartbeat interarrival, clamped
-    /// to `[configured, configured × MAX_SCALE]`.
-    Adaptive,
 }
 
 /// Ack-timestamp-driven send-window flow control.
@@ -187,7 +157,8 @@ pub struct ProtocolConfig {
     /// within this interval (§5: "a compromise between message latency and
     /// network traffic" — experiment E1 sweeps it).
     pub heartbeat_interval: SimDuration,
-    /// Suspect a member after this long without traffic from it (§7.2).
+    /// Suspect a member after this long without traffic from it (§7.2): the
+    /// floor; a jittery peer's measured interarrival stretches it.
     pub fail_timeout: SimDuration,
     /// Suspect a member whose reported ack timestamp has not advanced for
     /// this long while our own reception frontier sits above it. Such a
@@ -198,15 +169,16 @@ pub struct ProtocolConfig {
     pub ack_stall_timeout: SimDuration,
     /// NACK scheduling: wait a uniformly random delay in `[0, nack_delay]`
     /// after detecting a gap before sending a RetransmitRequest, so the
-    /// receivers of one multicast don't NACK in lock-step.
+    /// receivers of one multicast don't NACK in lock-step (the floor of a
+    /// window that widens to half the smoothed RTT).
     pub(crate) nack_delay: SimDuration,
-    /// Re-issue an unanswered RetransmitRequest after this long.
+    /// Re-issue an unanswered RetransmitRequest after this long at first
+    /// (the floor of the RTO), doubling per unanswered retry.
     pub(crate) nack_retry: SimDuration,
     /// After retransmitting a message, suppress further retransmissions of
-    /// the same message for this long (any-holder implosion control).
+    /// the same message for this long (any-holder implosion control; the
+    /// floor of one smoothed RTT).
     pub(crate) retransmit_suppress: SimDuration,
-    /// Who answers RetransmitRequests.
-    pub retransmit_policy: RetransmitPolicy,
     /// Client retry interval for unanswered ConnectRequests (§7).
     pub(crate) connect_retry: SimDuration,
     /// Server/sponsor retry interval for Connect and AddProcessor messages
@@ -218,8 +190,6 @@ pub struct ProtocolConfig {
     pub(crate) max_nack_span: u64,
     /// Seed for protocol-level randomness (NACK jitter, any-holder coin).
     pub seed: u64,
-    /// Fixed constants or measurement-derived timers.
-    pub timer_policy: TimerPolicy,
     /// Bounded send window (disabled by default).
     pub flow_control: FlowControl,
     /// Datagram packing + ack piggybacking (disabled by default).
@@ -244,13 +214,11 @@ impl Default for ProtocolConfig {
             nack_delay: SimDuration::from_millis(2),
             nack_retry: SimDuration::from_millis(8),
             retransmit_suppress: SimDuration::from_millis(4),
-            retransmit_policy: RetransmitPolicy::AnyHolder { p: 0.4 },
             connect_retry: SimDuration::from_millis(20),
             join_retry: SimDuration::from_millis(20),
             suspect_quorum: Quorum::Majority,
             max_nack_span: 64,
             seed: 0xF7F7_0001,
-            timer_policy: TimerPolicy::Fixed,
             flow_control: FlowControl::default(),
             packing: Packing::default(),
             overlay: OverlayPolicy::Flat,
@@ -289,12 +257,6 @@ impl ProtocolConfig {
     /// Builder-style quorum override.
     pub fn quorum(mut self, q: Quorum) -> Self {
         self.suspect_quorum = q;
-        self
-    }
-
-    /// Builder-style timer policy override.
-    pub fn timer_policy(mut self, p: TimerPolicy) -> Self {
-        self.timer_policy = p;
         self
     }
 
@@ -354,7 +316,6 @@ mod tests {
         let c = ProtocolConfig::with_seed(7)
             .heartbeat(SimDuration::from_millis(3))
             .quorum(Quorum::Fixed(1))
-            .timer_policy(TimerPolicy::Adaptive)
             .flow_control(FlowControl::window(32, 8))
             .packing(Packing::with(
                 512,
@@ -366,7 +327,6 @@ mod tests {
         assert!(ProtocolConfig::default().prompt_horizon && !c.prompt_horizon);
         assert_eq!(c.heartbeat_interval.as_millis(), 3);
         assert_eq!(c.suspect_quorum, Quorum::Fixed(1));
-        assert_eq!(c.timer_policy, TimerPolicy::Adaptive);
         assert!(c.flow_control.enabled);
         assert_eq!(c.flow_control.high_water, 32);
         assert_eq!(c.flow_control.low_water, 8);

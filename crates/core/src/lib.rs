@@ -27,8 +27,8 @@
 //! [`pgmp`] the PGMP layer state machine — connections, add/remove and the
 //! suspicion → conviction → membership-change pipeline (§7); [`actions`] the
 //! emitted-effect types and the reusable [`ActionSink`](actions::ActionSink)
-//! buffer; [`adaptive`] the RTT/interarrival estimators and the derived
-//! adaptive-timer policy; [`pack`] the datagram packer coalescing outgoing
+//! buffer; [`adaptive`] the RTT/interarrival estimators and the timers
+//! derived from them; [`pack`] the datagram packer coalescing outgoing
 //! messages into MTU-sized containers with piggybacked ack vectors;
 //! the shell reports what it does as one event stream through a private
 //! tap (`tap.rs`, DESIGN.md §9) with three readers, all off by default and
@@ -72,10 +72,7 @@ pub mod wire;
 
 pub use adaptive::{Interarrival, RttEstimator};
 pub use clock::{Clock, ClockMode};
-pub use config::{
-    FlowControl, OverlayPolicy, PackPolicy, Packing, ProtocolConfig, Quorum, RetransmitPolicy,
-    TimerPolicy,
-};
+pub use config::{FlowControl, OverlayPolicy, PackPolicy, Packing, ProtocolConfig, Quorum};
 pub use driver::{Driver, Host};
 pub use durable::DeliveryLog;
 pub use ids::{

@@ -49,7 +49,7 @@ use crate::actions::ActionSink;
 pub use crate::actions::{Action, Delivery, ProtocolEvent};
 use crate::adaptive::{self, RttEstimator};
 use crate::clock::{Clock, ClockMode};
-use crate::config::{FlowControl, OverlayPolicy, ProtocolConfig, RetransmitPolicy};
+use crate::config::{FlowControl, OverlayPolicy, ProtocolConfig};
 use crate::ids::{
     ConnectionId, GroupId, ObjectGroupId, ProcessorId, RequestNum, SeqNum, Timestamp,
 };
@@ -80,6 +80,12 @@ mod ordered;
 #[cfg(test)]
 mod tests;
 mod timers;
+
+/// The chance that a holder other than the original sender answers a
+/// RetransmitRequest (§5: any processor that has the message may). About
+/// 0.4 × holders answer, which keeps most of the every-holder latency win
+/// at a fraction of its retransmissions; the original sender always answers.
+const ANY_HOLDER_P: f64 = 0.4;
 
 /// Result of asking to multicast a Regular message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1783,8 +1789,8 @@ impl Processor {
         for seq in (start_seq..=u64::MAX).take(span_cap as usize) {
             // During a membership change every holder must answer: the
             // reconciliation targets may name messages whose original sender
-            // is the convicted processor (E9 measures the policies' cost in
-            // the failure-free path; correctness of virtual synchrony cannot
+            // is the convicted processor (the coin only trims the
+            // failure-free path; correctness of virtual synchrony cannot
             // hinge on a dead sender). The same override applies after the
             // sender has been removed — a peer still reconciling can ask for
             // a dead member's message after this holder already installed
@@ -1802,13 +1808,8 @@ impl Processor {
             let respond = in_reconfig
                 || !sender_is_member
                 || neighborhood.is_some()
-                || match self.cfg.retransmit_policy {
-                    RetransmitPolicy::OriginalSenderOnly => missing_from == self.id,
-                    RetransmitPolicy::AllHolders => true,
-                    RetransmitPolicy::AnyHolder { p } => {
-                        missing_from == self.id || self.rng.gen_bool(p.clamp(0.0, 1.0))
-                    }
-                };
+                || missing_from == self.id
+                || self.rng.gen_bool(ANY_HOLDER_P);
             if !respond {
                 continue;
             }

@@ -1227,13 +1227,19 @@ mod hostile_values {
         net.flush(now);
     }
 
-    /// 100 ms of honest traffic: a tick every 5 ms, one multicast per member
-    /// on every other tick, `hostile` run once in the middle. Returns how
-    /// many ticks ran after it.
-    fn honest_run(net: &mut MiniNet, hostile: impl FnOnce(&mut MiniNet, SimTime)) -> u64 {
+    /// `steps` ticks 5 ms apart of honest traffic: one multicast per member
+    /// on every other tick up to the 16th, `hostile` run once at the 6th.
+    /// Returns, for that tick and every one after it, its time and each
+    /// member's `nacks_sent` once it ran.
+    fn honest_run(
+        net: &mut MiniNet,
+        steps: u64,
+        hostile: impl FnOnce(&mut MiniNet, SimTime),
+    ) -> Vec<(SimTime, [u64; 3])> {
         let mut hostile = Some(hostile);
         let mut request = 0;
-        for step in 1..=20u64 {
+        let mut after = Vec::new();
+        for step in 1..=steps {
             let now = SimTime(step * 5_000);
             if step == 6 {
                 hostile.take().expect("once")(net, now);
@@ -1252,6 +1258,9 @@ mod hostile_values {
                 net.flush(now);
             }
             net.tick_all(now);
+            if step >= 6 {
+                after.push((now, [1, 2, 3].map(|id| net.p(id).stats().nacks_sent)));
+            }
         }
         for id in 1..=3 {
             let order = |id| -> Vec<(ProcessorId, SeqNum)> {
@@ -1261,7 +1270,7 @@ mod hostile_values {
             assert_eq!(order(id).len(), 24, "P{id} delivered everything");
             assert_eq!(order(id), order(1), "P{id} agrees with P1");
         }
-        20 - 6 + 1
+        after
     }
 
     #[test]
@@ -1270,9 +1279,10 @@ mod hostile_values {
         // stranger's (a misconfigured group address).
         for (source, seq) in [(2, 1u64 << 60), (2, u64::MAX), (9, u64::MAX)] {
             let mut net = trio();
-            let ticks = honest_run(&mut net, |net, now| {
+            let ticks = honest_run(&mut net, 20, |net, now| {
                 inject(net, now, source, seq, FtmpBody::Heartbeat);
-            });
+            })
+            .len() as u64;
             for id in (1..=3).filter(|&id| id != source) {
                 let nacks = net.p(id).stats().nacks_sent;
                 assert!(nacks > 0, "P{id} asks for what the header claimed");
@@ -1280,6 +1290,54 @@ mod hostile_values {
                     nacks <= ticks * MAX_NACK_RANGES as u64,
                     "P{id}: {nacks} requests over {ticks} ticks for seq {seq}"
                 );
+            }
+        }
+    }
+
+    /// The claim is still believed (ROADMAP item 1(b)), so the receivers
+    /// keep asking for a second — but on `nack_retry_after`'s schedule: the
+    /// retry doubles from `nack_retry` up to `fail_timeout`, then one round
+    /// per `fail_timeout`, about twelve rounds where a fixed 8 ms retry
+    /// sent a hundred.
+    #[test]
+    fn a_wild_headers_nack_storm_backs_off_to_one_round_per_fail_timeout() {
+        let cfg = ProtocolConfig::with_seed(42);
+        let tick = SimDuration::from_millis(5);
+        for source in [2, 9] {
+            let mut net = trio();
+            let after = honest_run(&mut net, 6 + 200, |net, now| {
+                inject(net, now, source, 1 << 60, FtmpBody::Heartbeat);
+            });
+            for id in (1..=3).filter(|&id| id != source) {
+                // The honest run loses nothing: every request a receiver
+                // sends is for the wild source. A round is one tick's worth.
+                let mut rounds: Vec<(SimTime, u64)> = Vec::new();
+                let mut before = 0;
+                for &(at, nacks) in &after {
+                    let sent = nacks[id as usize - 1];
+                    if sent > before {
+                        rounds.push((at, sent - before));
+                    }
+                    before = sent;
+                }
+                assert!(
+                    (10..=14).contains(&rounds.len()),
+                    "P{id}, source {source}: {} rounds in a second",
+                    rounds.len()
+                );
+                assert!(rounds.iter().all(|&(_, n)| n <= MAX_NACK_RANGES as u64));
+                for (k, pair) in rounds.windows(2).enumerate() {
+                    let gap = pair[1].0.saturating_since(pair[0].0);
+                    let due = adaptive::nack_retry_after(&cfg, &RttEstimator::default(), k as u32);
+                    assert!(
+                        due <= gap && gap < due + tick,
+                        "P{id}, source {source}, retry {k}: {gap:?} after the last, due {due:?}"
+                    );
+                }
+                let last = rounds[rounds.len() - 1]
+                    .0
+                    .saturating_since(rounds[rounds.len() - 2].0);
+                assert_eq!(last, cfg.fail_timeout, "P{id}: one round per fail_timeout");
             }
         }
     }
@@ -1293,7 +1351,7 @@ mod hostile_values {
             (u64::MAX, 0),
         ] {
             let mut net = trio();
-            honest_run(&mut net, |net, now| {
+            honest_run(&mut net, 20, |net, now| {
                 let body = FtmpBody::RetransmitRequest {
                     missing_from: ProcessorId(1),
                     start_seq,

@@ -127,9 +127,8 @@ impl Processor {
             cur = Some(gid);
             let requests = {
                 let g = self.groups.get_mut(&gid).expect("listed");
-                // Under adaptive timers the jitter window tracks SRTT and
-                // re-issues back off exponentially per unanswered attempt;
-                // under fixed timers both are the configured constants.
+                // The jitter window tracks SRTT and re-issues back off
+                // exponentially per unanswered attempt, up to fail_timeout.
                 let jitter_max = adaptive::nack_jitter_max(&self.cfg, &g.rtt)
                     .as_micros()
                     .max(1);
@@ -220,11 +219,10 @@ impl Processor {
                     .iter()
                     .copied()
                     .filter(|&p| {
-                        // Per-peer timeout: under adaptive timers the
-                        // configured constant is stretched to cover the
-                        // peer's observed interarrival envelope, so a
-                        // latency spike widens suspicion instead of
-                        // convicting a healthy member.
+                        // Per-peer timeout: the configured constant is
+                        // stretched to cover the peer's observed
+                        // interarrival envelope, so a latency spike widens
+                        // suspicion instead of convicting a healthy member.
                         let timeout = adaptive::fail_timeout_for(&self.cfg, &g.pgmp.arrivals_of(p));
                         p != self.id
                             && !g.pgmp.my_suspects.contains(&p)

@@ -1,14 +1,13 @@
 //! E11 — adaptive timers and ack-driven flow control under duress.
 //!
-//! Two stress scenarios the fixed-timer stack was never tuned for:
+//! Two stress scenarios:
 //!
 //! * **Spike** — a scheduled [`LinkDegrade`] window multiplies the latency
 //!   samples (amplifying jitter, a congestion signature) and drops extra
 //!   packets on everything processor 4 sends. Nobody crashes, so every
-//!   `FaultReport` is a *false conviction*. Fixed timers compare heartbeat
-//!   gaps against a constant fail timeout and evict the healthy processor;
-//!   [`TimerPolicy::Adaptive`] stretches the timeout to track the observed
-//!   heartbeat-interarrival envelope and rides the spike out.
+//!   `FaultReport` is a *false conviction*. The measured fail timeout
+//!   stretches to track the observed heartbeat-interarrival envelope and
+//!   rides the spike out.
 //! * **Overload** — processor 1 floods while a lossy window starves
 //!   processor 4, stalling its ack timestamp so stability (§6) cannot
 //!   advance and the sender's retention buffer grows without bound. With
@@ -18,7 +17,7 @@
 use crate::report::Table;
 use crate::worlds::FtmpWorld;
 use ftmp_core::processor::ProtocolEvent;
-use ftmp_core::{ClockMode, FlowControl, ProcessorId, ProtocolConfig, TimerPolicy};
+use ftmp_core::{ClockMode, FlowControl, ProcessorId, ProtocolConfig};
 use ftmp_net::{LinkDegrade, LinkSelector, SimConfig, SimDuration, SimTime};
 use std::collections::BTreeSet;
 
@@ -34,11 +33,9 @@ struct SpikeOut {
 
 /// One spike run: 1 s warmup, 1 s degrade window on the victim's outbound
 /// links, then a settle period measuring how fast delivery catches up.
-fn spike_run(policy: TimerPolicy, latency_factor: f64, extra_loss: f64) -> SpikeOut {
+fn spike_run(latency_factor: f64, extra_loss: f64) -> SpikeOut {
     const SENDS: usize = 100;
-    let proto = ProtocolConfig::with_seed(0xE11)
-        .fail_timeout_of(SimDuration::from_millis(25))
-        .timer_policy(policy);
+    let proto = ProtocolConfig::with_seed(0xE11).fail_timeout_of(SimDuration::from_millis(25));
     let degrade = LinkDegrade {
         from: SimTime(1_000_000),
         until: SimTime(2_000_000),
@@ -156,7 +153,7 @@ fn overload_run(fc: bool) -> OverloadOut {
 pub fn run() -> Vec<Table> {
     let mut t = Table::new(
         "e11",
-        "Latency spikes and overload: fixed vs adaptive timers, flow control off vs on (4 members)",
+        "Latency spikes and overload: adaptive timers, flow control off vs on (4 members)",
         &[
             "scenario",
             "policy",
@@ -175,20 +172,18 @@ pub fn run() -> Vec<Table> {
         ("x50 + 40%", 50.0, 0.4),
     ];
     for &(label, factor, loss) in spikes {
-        for policy in [TimerPolicy::Fixed, TimerPolicy::Adaptive] {
-            let o = spike_run(policy, factor, loss);
-            t.row(vec![
-                "spike".into(),
-                format!("{policy:?}").to_lowercase(),
-                label.into(),
-                o.false_convictions.to_string(),
-                o.delivered.to_string(),
-                o.recovery_ms.map_or("-".into(), |m| m.to_string()),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]);
-        }
+        let o = spike_run(factor, loss);
+        t.row(vec![
+            "spike".into(),
+            "adaptive".into(),
+            label.into(),
+            o.false_convictions.to_string(),
+            o.delivered.to_string(),
+            o.recovery_ms.map_or("-".into(), |m| m.to_string()),
+            "-".into(),
+            "-".into(),
+            "-".into(),
+        ]);
     }
     for fc in [false, true] {
         let o = overload_run(fc);
@@ -212,30 +207,25 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn e11_adaptive_beats_fixed_and_flow_control_bounds_buffers() {
+    fn e11_adaptive_convicts_no_one_and_flow_control_bounds_buffers() {
         let tables = super::run();
         let rows = &tables[0].rows;
-        // Rows 0..6: spike sweep, (fixed, adaptive) per degrade setting.
-        let mut fixed_conv = 0usize;
-        let mut adaptive_conv = 0usize;
-        for pair in rows[..6].chunks(2) {
-            fixed_conv += pair[0][3].parse::<usize>().unwrap();
-            adaptive_conv += pair[1][3].parse::<usize>().unwrap();
+        // Rows 0..3: spike sweep, one per degrade setting.
+        for row in &rows[..3] {
+            assert_eq!(
+                row[3], "0",
+                "adaptive rides out every spike setting: {row:?}"
+            );
         }
-        assert!(
-            adaptive_conv < fixed_conv,
-            "adaptive ({adaptive_conv}) must falsely convict less than fixed ({fixed_conv})"
-        );
-        assert_eq!(adaptive_conv, 0, "adaptive rides out every spike setting");
-        // Rows 6..8: overload, fc off then fc on.
-        let peak_off: usize = rows[6][6].parse().unwrap();
-        let peak_on: usize = rows[7][6].parse().unwrap();
+        // Rows 3..5: overload, fc off then fc on.
+        let peak_off: usize = rows[3][6].parse().unwrap();
+        let peak_on: usize = rows[4][6].parse().unwrap();
         assert!(
             peak_on < peak_off / 2,
             "flow control must bound occupancy (off {peak_off}, on {peak_on})"
         );
-        assert!(rows[7][7].parse::<u64>().unwrap() >= 1, "window closed");
-        assert!(rows[7][8].parse::<u64>().unwrap() > 0, "sends refused");
-        assert_eq!(rows[6][8], "0", "no refusals without flow control");
+        assert!(rows[4][7].parse::<u64>().unwrap() >= 1, "window closed");
+        assert!(rows[4][8].parse::<u64>().unwrap() > 0, "sends refused");
+        assert_eq!(rows[3][8], "0", "no refusals without flow control");
     }
 }

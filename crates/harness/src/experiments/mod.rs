@@ -16,7 +16,6 @@ pub mod e5_membership;
 pub mod e6_buffers;
 pub mod e7_duplicates;
 pub mod e8_end_to_end;
-pub mod e9_retransmit_ablation;
 pub mod f1_stack;
 pub mod f2_encapsulation;
 pub mod f3_guarantees;
@@ -26,8 +25,8 @@ use crate::report::Table;
 /// All experiment ids in presentation order.
 pub fn all_ids() -> Vec<&'static str> {
     vec![
-        "f1", "f2", "f3", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11",
-        "e12", "e13", "e14",
+        "f1", "f2", "f3", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e10", "e11", "e12",
+        "e13", "e14",
     ]
 }
 
@@ -45,7 +44,6 @@ pub fn run(id: &str) -> Option<Vec<Table>> {
         "e6" => e6_buffers::run(),
         "e7" => e7_duplicates::run(),
         "e8" => e8_end_to_end::run(),
-        "e9" => e9_retransmit_ablation::run(),
         "e10" => e10_replication_styles::run(),
         "e11" => e11_adaptivity::run(),
         "e12" => e12_packing::run(),

@@ -268,8 +268,8 @@ impl OrbEndpoint {
     /// The state a replica of `conn.server` is activated from, as this
     /// endpoint has it for `conn`: the position of the last logged delivery,
     /// the hosted servant's snapshot there and the `executed` detector —
-    /// or, at a warm-passive backup, the position of the last state update
-    /// it applied, the only one its servant's state matches. What the log
+    /// or, at a warm-passive backup, the position the last state update it
+    /// applied covers, the only one its servant's state matches. What the log
     /// records every [`CHECKPOINT_ENTRIES`] appends, and the snapshot a
     /// replacement can start from.
     ///
@@ -507,7 +507,7 @@ impl OrbEndpoint {
                 if response_expected {
                     self.push_outbound(d.conn, d.request_num, reply);
                 }
-                self.ship_state(og, d.conn);
+                self.ship_state(og, d.conn, (d.ts, d.source));
             }
             Inbound::LocateRequest { object_key } => {
                 // Only the located object group's replicas answer; the

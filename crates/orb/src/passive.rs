@@ -12,8 +12,9 @@
 //!   function of the membership, so a fault report repoints the primary at
 //!   every survivor simultaneously, with no election protocol;
 //! * the primary executes the request, multicasts the Reply to the client
-//!   group, and multicasts a `_state` pseudo-request carrying its snapshot
-//!   on the same connection;
+//!   group, and multicasts on the same connection a `_state`
+//!   pseudo-request carrying its snapshot and the delivery position of the
+//!   last request that snapshot reflects;
 //! * backups skip execution and apply `_state` bodies instead.
 //!
 //! Non-determinism in the servant (timers, randomness) is therefore
@@ -22,13 +23,14 @@
 //!
 //! Failover: when a fault report removes the primary, the next-smallest
 //! survivor becomes primary at the same delivered membership change.
-//! Backups track the requests delivered since the last applied state
-//! update; the new primary replays exactly that suffix against the inherited
-//! state, emits the missing replies, and ships fresh state. If the old
-//! primary's reply did get out before the crash, the client-side duplicate
-//! detector absorbs the second copy (deterministic servants make the two
-//! replies identical) — at-least-once at the servant, exactly-once toward
-//! the client.
+//! Backups track the requests their last applied state update does not
+//! cover — a request ordered after R1 but before the state after R1 is not
+//! in that state — and the new primary replays exactly those against the
+//! inherited state, emits the missing replies, and ships fresh state. If
+//! the old primary's reply did get out before the crash, the client-side
+//! duplicate detector absorbs the second copy (deterministic servants make
+//! the two replies identical) — at-least-once at the servant, exactly-once
+//! toward the client.
 
 use crate::endpoint::OrbEndpoint;
 use ftmp_core::{Delivery, ObjectGroupId, ProcessorId, Timestamp};
@@ -78,8 +80,8 @@ impl OrbEndpoint {
 
     /// Update the hosting set after a membership change (fault report or
     /// voluntary removal). If the change makes this endpoint the primary,
-    /// it replays the requests delivered since the last applied state
-    /// update, emits their replies and ships fresh state — warm-passive
+    /// it replays the requests the last applied state update does not
+    /// cover, emits their replies and ships fresh state — warm-passive
     /// failover.
     pub fn note_membership(&mut self, og: ObjectGroupId, hosting: Vec<ProcessorId>) {
         let became_primary = {
@@ -100,7 +102,7 @@ impl OrbEndpoint {
             Some(st) => std::mem::take(&mut st.pending),
             None => return,
         };
-        let mut shipped_on = None;
+        let mut last = None;
         for p in pending {
             if !self.conn_mut(p.conn).executed.first_sighting(p.request_num) {
                 continue;
@@ -115,10 +117,10 @@ impl OrbEndpoint {
             if p.response_expected {
                 self.push_outbound(p.conn, p.request_num, reply);
             }
-            shipped_on = Some(p.conn);
+            last = Some((p.conn, p.at));
         }
-        if let Some(conn) = shipped_on {
-            self.ship_state(og, conn);
+        if let Some((conn, covered)) = last {
+            self.ship_state(og, conn, covered);
         }
     }
 
@@ -148,9 +150,10 @@ impl OrbEndpoint {
         }
     }
 
-    /// Where a warm-passive backup of `og` last applied a state update;
-    /// `None` for a primary or an active replica, whose state is at the tip.
-    pub(crate) fn backup_point(&self, og: ObjectGroupId) -> Option<(Timestamp, ProcessorId)> {
+    /// The position a warm-passive backup of `og`'s state is at: what the
+    /// last state update it applied covers. `None` for a primary or an
+    /// active replica, whose state is at the tip.
+    pub(crate) fn backup_point(&self, og: ObjectGroupId) -> Option<Position> {
         let st = self.passive.get(&og)?;
         (!self.is_primary(og)).then_some(st.applied)
     }
@@ -182,20 +185,24 @@ impl OrbEndpoint {
             Some(st) => st.me,
         };
         if operation == STATE_OP {
-            // A state update: backups apply it and clear the pending suffix
-            // it covers (it was produced after those executions, and the
-            // total order preserves that). The producing primary skips it.
+            // A state update: backups apply it and clear the pending
+            // requests it covers. The producing primary skips it.
+            let Some((covered, state)) = split_state(args) else {
+                return false;
+            };
             if d.source != me {
                 if let Some(servant) = self.servants.get_mut(&og) {
-                    servant.restore(args);
+                    servant.restore(state);
                 }
-                // The shipped state reflects every request the primary
-                // executed before producing it; mark them executed so a
-                // later failover does not replay them.
+                // The state reflects every request ordered at or below
+                // `covered` and none above it: requests the primary met
+                // before shipping it but after the one it covers stay
+                // pending, so a later failover replays them.
                 if let Some(st) = self.passive.get_mut(&og) {
-                    st.applied = (d.ts, d.source);
-                    let pending = std::mem::take(&mut st.pending);
-                    for p in pending {
+                    st.applied = covered;
+                    let split = st.pending.partition_point(|p| p.at <= covered);
+                    let done: Vec<PendingReq> = st.pending.drain(..split).collect();
+                    for p in done {
                         self.conn_mut(p.conn).executed.first_sighting(p.request_num);
                     }
                 }
@@ -207,6 +214,7 @@ impl OrbEndpoint {
         if !primary {
             // Backup: remember the request for potential failover replay.
             st.pending.push(PendingReq {
+                at: (d.ts, d.source),
                 conn: d.conn,
                 request_num: d.request_num,
                 operation: operation.to_string(),
@@ -219,8 +227,14 @@ impl OrbEndpoint {
 
     /// After the primary executes a request, ship the new state to the
     /// backups (queued like any outbound GIOP message, so it rides the same
-    /// total order as the reply).
-    pub(crate) fn ship_state(&mut self, og: ObjectGroupId, conn: ftmp_core::ConnectionId) {
+    /// total order as the reply), with `covered`, the delivery position of
+    /// the last request that state reflects.
+    pub(crate) fn ship_state(
+        &mut self,
+        og: ObjectGroupId,
+        conn: ftmp_core::ConnectionId,
+        covered: Position,
+    ) {
         if !self.passive.contains_key(&og) || !self.is_primary(og) {
             return;
         }
@@ -228,15 +242,40 @@ impl OrbEndpoint {
             return;
         };
         let snapshot = servant.snapshot();
+        let (ts, source) = covered;
+        let mut body = Vec::with_capacity(POSITION_BYTES + snapshot.len());
+        body.extend_from_slice(&ts.0.to_be_bytes());
+        body.extend_from_slice(&source.0.to_be_bytes());
+        body.extend_from_slice(&snapshot);
         // Address the pseudo-request by the group's own object key so it
         // routes through the same dispatch as real requests at the backups.
         let Some(key) = self.object_key_of(og) else {
             return;
         };
         let num = self.conn_mut(conn).alloc_request();
-        let giop = crate::giop_map::make_request(num, &key, STATE_OP, &snapshot, false);
+        let giop = crate::giop_map::make_request(num, &key, STATE_OP, &body, false);
         self.push_outbound(conn, num, giop);
     }
+}
+
+/// A delivery position `(ts, source)`: the total-order key, which the
+/// requests of one object group share whichever connection carries them.
+pub(crate) type Position = (Timestamp, ProcessorId);
+
+/// A state update's body opens with the position it covers: a big-endian
+/// `u64` timestamp and `u32` processor id; the servant's snapshot follows.
+const POSITION_BYTES: usize = 12;
+
+/// A state update's body as the position it covers and the snapshot;
+/// `None` when it is too short to carry a position.
+fn split_state(body: &[u8]) -> Option<(Position, &[u8])> {
+    let (ts, rest) = body.split_first_chunk::<8>()?;
+    let (source, state) = rest.split_first_chunk::<4>()?;
+    let at = (
+        Timestamp(u64::from_be_bytes(*ts)),
+        ProcessorId(u32::from_be_bytes(*source)),
+    );
+    Some((at, state))
 }
 
 /// Per-object-group passive-replication state.
@@ -244,18 +283,20 @@ impl OrbEndpoint {
 pub(crate) struct PassiveState {
     pub(crate) me: ProcessorId,
     pub(crate) hosting: Vec<ProcessorId>,
-    /// Requests delivered since the last applied state update (replayed on
-    /// failover).
+    /// Requests delivered and not covered by the last applied state update
+    /// (replayed on failover), in delivery order.
     pub(crate) pending: Vec<PendingReq>,
-    /// Where the last applied state update was delivered: a backup's
+    /// The position the last applied state update covers: a backup's
     /// servant state matches the log up to there and no further, so that
     /// is where its checkpoints sit (DESIGN.md §11).
-    pub(crate) applied: (Timestamp, ProcessorId),
+    pub(crate) applied: Position,
 }
 
 /// A backup's record of a delivered-but-not-executed request.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingReq {
+    /// Where it was delivered.
+    pub(crate) at: Position,
     pub(crate) conn: ftmp_core::ConnectionId,
     pub(crate) request_num: ftmp_core::RequestNum,
     pub(crate) operation: String,

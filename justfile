@@ -1,7 +1,7 @@
 # Developer entry points. `just` runs `check`; `just ci` is the workflow's
 # `lint` and `test` jobs (fmt, clippy, rustdoc, tier-1 and workspace tests).
 # Its other jobs have their own recipes: `chaos`, `conformance`, `metrics`,
-# `bench`, `benchmark-smoke`.
+# `bench`, `benchmark-smoke`, `bench-pins`.
 
 default: check
 
@@ -92,6 +92,12 @@ bench-pairs parent workload:
 # names (scripts/bench-rows.sh takes those and a workload list).
 bench-rows parent:
     scripts/bench-rows.sh {{parent}}
+
+# The same rows of this checkout against the committed pins
+# (results/ledger-pins.txt), no parent needed: CI's `ledger-pins` job. A row
+# that moves on purpose is re-pinned in that file with a comment saying why.
+bench-pins:
+    scripts/bench-rows.sh --pins results/ledger-pins.txt
 
 # Crash→restart→rejoin gate (DESIGN.md §12): the durable-log integration
 # tests, the CrashRestart sweep cell, then the E16 recovery snapshot

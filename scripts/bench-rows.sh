@@ -1,19 +1,26 @@
 #!/bin/sh
-# The benchmark rows that repeat exactly at a seed, parent against this
-# checkout: the comparison half of ROADMAP item 6(a).
+# The benchmark rows that repeat exactly at a seed, this checkout against a
+# parent checkout or against the committed pins: ROADMAP item 2(a)'s gate.
 #
 #   scripts/bench-rows.sh <parent-checkout> [--expect-moved row[,row...]] [workload...]
+#   scripts/bench-rows.sh --pins <file> [--expect-moved row[,row...]] [workload...]
 #
-# Builds `benchmark/` in both checkouts, then for each workload (default: the
-# five `sim-*`) runs one untraced and one traced pass per side at seed
-# ${BENCH_ROWS_SEED:-1999} and compares, as printed, the rows that are counts
-# or virtual time -- `order_p50_us`/`order_p99_us`, `attempted` and `failed`
-# of the untraced pass; the ledger rows listed below and `traced.attempted`/
-# `traced.failed` of the traced one. Prints `equal` or `parent -> change` per
-# row, with `better`/`worse` by the row's direction in BENCHMARK.json, and
-# exits non-zero if any row moved that no --expect-moved names. Wall-clock
-# rows are bench-pairs.sh's business, not this script's. Result lines are kept
-# under $BENCH_ROWS_OUT (default: a fresh directory under ${TMPDIR:-/tmp}).
+# Builds `benchmark/` (in both checkouts, or with --pins in this one only),
+# then for each workload (default: the five `sim-*`) runs one untraced and
+# one traced pass per side at seed ${BENCH_ROWS_SEED:-1999} and compares, as
+# printed, the rows that are counts or virtual time -- `order_p50_us`/
+# `order_p99_us`, `attempted` and `failed` of the untraced pass; the ledger
+# rows listed below and `traced.attempted`/`traced.failed` of the traced one.
+# Prints `equal` or `parent -> change` (`pinned -> change`) per row, with
+# `better`/`worse` by the row's direction in BENCHMARK.json, and exits
+# non-zero if any row moved that no --expect-moved names. Wall-clock rows are
+# bench-pairs.sh's business, not this script's. Result lines are kept under
+# $BENCH_ROWS_OUT (default: a fresh directory under ${TMPDIR:-/tmp}).
+#
+# A pin file (results/ledger-pins.txt) holds `<workload> <row> <value>`
+# lines taken at seed 1999 and BENCHMARK.json's run_seconds; `#` starts a
+# comment. A row that moves on purpose is re-pinned like a golden hash: its
+# value edited, with a comment above it saying why.
 set -eu
 
 rows="order_p50_us order_p99_us attempted failed
@@ -26,10 +33,20 @@ processor.packets_per_delivery processor.allocs_per_delivery processor.alloc_byt
 orb.requests_suppressed orb.replies_suppressed
 traced.attempted traced.failed"
 
-[ $# -ge 1 ] || { sed -n '2,17p' "$0" >&2; exit 2; }
-parent=$(cd "$1" && pwd)
+usage() { sed -n '2,23p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || usage
 change=$(cd "$(dirname "$0")/.." && pwd)
-shift
+parent=
+pins=
+if [ "$1" = --pins ]; then
+    [ $# -ge 2 ] || usage
+    pins=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
+    [ -r "$pins" ] || { echo "no pin file $2" >&2; exit 2; }
+    shift 2
+else
+    parent=$(cd "$1" && pwd)
+    shift
+fi
 expected=
 workloads=
 while [ $# -gt 0 ]; do
@@ -45,8 +62,11 @@ seed=${BENCH_ROWS_SEED:-1999}
 out=${BENCH_ROWS_OUT:-$(mktemp -d "${TMPDIR:-/tmp}/bench-rows.XXXXXX")}
 mkdir -p "$out"
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$change/BENCHMARK.json")
+sides="parent change"
+[ -z "$pins" ] || sides=change
 
-for dir in "$parent" "$change"; do
+for side in $sides; do
+    eval "dir=\$$side"
     echo "# building $dir" >&2
     (cd "$dir" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 done
@@ -59,7 +79,7 @@ pass() {
 }
 
 for w in $workloads; do
-    for side in parent change; do
+    for side in $sides; do
         eval "dir=\$$side"
         echo "# $w, $side" >&2
         pass "$dir" "$w" 0 "$out/$side-$w-untraced.json"
@@ -67,8 +87,8 @@ for w in $workloads; do
     done
 done
 
-echo "# seed $seed, $seconds s, one untraced and one traced pass a side: parent $parent, change $change"
-awk -v rows="$rows" -v workloads="$workloads" -v expected="$expected" -v out="$out" '
+echo "# seed $seed, $seconds s, one untraced and one traced pass a side: ${pins:+pins }${pins:-parent $parent}, change $change"
+awk -v rows="$rows" -v workloads="$workloads" -v expected="$expected" -v out="$out" -v pins="$pins" '
 # The value of `name` in a result line, as the benchmark printed it.
 function value(line, name,    at, rest) {
     if (name == "attempted" || name == "failed") {
@@ -90,6 +110,9 @@ function value(line, name,    at, rest) {
 }
 END {
     dir["failed"] = dir["traced.failed"] = "lower"
+    if (pins != "")
+        while ((getline pin < pins) > 0)
+            if (pin !~ /^[ \t]*(#|$)/) { split(pin, f, " "); pinned[f[1], f[2]] = f[3] }
     n = split(rows, row, /[ \n]+/)
     split(expected, e, ","); for (i in e) if (e[i] != "") may[e[i]] = 1
     nw = split(workloads, w, " ")
@@ -103,11 +126,13 @@ END {
             name = row[i]; t = 1
             if (name ~ /^traced\./) { t = 2; sub(/^traced\./, "", name) }
             else if (name ~ /\./) t = 2
-            p = value(line[1, t], name); c = value(line[2, t], name)
+            if (pins == "") p = value(line[1, t], name)
+            else p = ((w[k], row[i]) in pinned) ? pinned[w[k], row[i]] : "unpinned"
+            c = value(line[2, t], name)
             if (p == c) verdict = "equal  " p
             else {
                 verdict = p " -> " c
-                if (p != "absent" && c != "absent" && row[i] in dir)
+                if (p != "absent" && p != "unpinned" && c != "absent" && row[i] in dir)
                     verdict = verdict ((dir[row[i]] == "higher") == (c + 0 > p + 0) ? "  (better)" : "  (worse)")
                 if (row[i] in may) verdict = verdict "  expected to move"
                 else { verdict = verdict "  MOVED"; moved++ }

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use ftmp::check::Checker;
 use ftmp::core::{
     ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
-    ProtocolEvent, RequestNum, SimProcessor, TimerPolicy,
+    ProtocolEvent, RequestNum, SimProcessor,
 };
 use ftmp::net::{
     LinkDegrade, LinkSelector, LossModel, McastAddr, SimConfig, SimDuration, SimNet, SimTime,
@@ -253,7 +253,7 @@ fn run_chaos(seed: u64, loss: f64, steps: usize) {
     c.settle_and_check(seed);
 }
 
-/// Latency-spike phases under adaptive timers: three degrade windows rotate
+/// Latency-spike phases under measured timers: three degrade windows rotate
 /// the afflicted processor's outbound links (latency ×40 with amplified
 /// jitter, plus burst-like extra loss) while traffic flows. Nobody crashes,
 /// so any `FaultReport` is a false conviction — adaptive timers must ride
@@ -272,7 +272,6 @@ fn latency_spike_convictions(seed: u64, prompt_horizon: bool) -> Vec<(u64, Proce
     }
     let proto = ProtocolConfig::with_seed(seed)
         .fail_timeout_of(SimDuration::from_millis(30))
-        .timer_policy(TimerPolicy::Adaptive)
         .prompt_horizon(prompt_horizon);
     let mut c = Chaos::with(seed, sim, proto);
     // ~2.4 s of traffic (pauses average 6 ms): it flows through the first

@@ -385,10 +385,55 @@ fn a_restarted_replica_below_the_donors_checkpoint_catches_up() {
     assert_eq!(value(&restarted), value(&donor));
 }
 
+/// Requests R1 < R2 < S1 in the total order, where S1 is the primary's
+/// state after R1 only, and the primary dies before S2 is delivered: S1
+/// covers R1 and not R2, so the backup that takes over executes R2 — once —
+/// and answers it. At the parent of this test S1 cleared the backup's whole
+/// pending list and marked R2 executed, so failover never replayed it.
+#[test]
+fn a_state_update_covers_only_the_requests_it_reflects() {
+    let c = conn(1);
+    let hosting = vec![ProcessorId(3), ProcessorId(4)];
+    let (mut cli, mut primary, mut backup) = (client([c]), server(), server());
+    primary.set_warm_passive(og(), ProcessorId(3), hosting.clone());
+    backup.set_warm_passive(og(), ProcessorId(4), hosting);
+    let r1 = cli.invoke(c, b"obj", "add", &encode_i64_arg(1));
+    let r2 = cli.invoke(c, b"obj", "add", &encode_i64_arg(10));
+    let requests = cli.drain_outbound();
+    let (d1, d2) = (delivered(&requests[0], 1, 1), delivered(&requests[1], 1, 2));
+
+    primary.on_delivery(&d1);
+    let after_r1 = primary.drain_outbound();
+    assert_eq!(after_r1.len(), 2, "reply and state update");
+    assert_eq!(after_r1[0].request_num, r1);
+    primary.on_delivery(&d2);
+    assert_eq!(primary.drain_outbound().len(), 2, "S2, never delivered");
+
+    for d in [&d1, &d2, &delivered(&after_r1[1], 3, 3)] {
+        backup.on_delivery(d);
+    }
+    assert!(
+        backup.drain_outbound().is_empty(),
+        "a backup answers nothing"
+    );
+    assert_eq!(value(&backup), Some(1), "S1: the state after R1");
+
+    backup.note_membership_all(&[ProcessorId(1), ProcessorId(4)]);
+    assert!(backup.is_primary(og()));
+    assert_eq!(value(&backup), Some(11), "R2 executed once, on S1");
+    let out = backup.drain_outbound();
+    assert_eq!(out.len(), 2, "R2's reply and fresh state: {out:?}");
+    assert_eq!(out[0].request_num, r2);
+    cli.on_delivery(&delivered(&out[0], 4, 4));
+    let done = cli.drain_completions();
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].result, InvocationResult::Ok(encode_i64_arg(11)));
+}
+
 /// A warm-passive backup's servant state matches the log only up to the
-/// last state update it applied, so that is where its checkpoints sit —
-/// never at the tip — and what came after stays in the log, however long
-/// the primary is silent.
+/// request the last state update it applied covers, so that is where its
+/// checkpoints sit — never at the tip — and what came after stays in the
+/// log, however long the primary is silent.
 #[test]
 fn a_warm_passive_backups_checkpoint_stays_at_its_last_state_update() {
     let c = conn(1);
@@ -418,11 +463,11 @@ fn a_warm_passive_backups_checkpoint_stays_at_its_last_state_update() {
             let checkpoints = backup.log.checkpoints();
             backup.on_delivery(d);
             if i == 2 {
-                last_update = (d.ts, d.source);
+                last_update = (round[0].ts, round[0].source);
             }
             if backup.log.checkpoints() > checkpoints {
                 let cp = backup.log.checkpoint(c).unwrap();
-                assert_eq!(cp.at(), last_update, "at the last state update applied");
+                assert_eq!(cp.at(), last_update, "at what the last update covers");
                 let state = backup.servant(og()).unwrap().snapshot();
                 assert_eq!(cp.state.as_ref(), Some(&state));
                 below_tip += usize::from(cp.at() < (d.ts, d.source));
@@ -445,8 +490,10 @@ fn a_warm_passive_backups_checkpoint_stays_at_its_last_state_update() {
     );
     let cp = backup.log.checkpoint(c).unwrap();
     assert_eq!(cp.at(), last_update, "never at the tip");
-    assert_eq!(backup.log.entries(c).len(), SILENT, "everything after it");
+    // The last round's reply and state update, then the silence.
+    let after = SILENT + 2;
+    assert_eq!(backup.log.entries(c).len(), after, "everything after it");
     let transfer = backup.log.transfer(c, Timestamp::ZERO);
     assert_eq!(transfer.checkpoint.map(|cp| cp.at()), Some(last_update));
-    assert_eq!(transfer.entries.len(), SILENT);
+    assert_eq!(transfer.entries.len(), after);
 }
