@@ -208,6 +208,51 @@ fn lost_message_recovered_via_nack() {
     assert_eq!(d2, vec!["m1", "m2"]);
 }
 
+/// Sustained loss from a busy sender: every third Regular from P1 is lost,
+/// and so is the first retransmission of each. Every request but the first
+/// is answered — it repairs the previous loss — yet a newer loss keeps a
+/// gap open, so the stream is never contiguous. An answered request must
+/// restart the backoff; otherwise the retry climbs to `fail_timeout` while
+/// repair works.
+#[test]
+fn an_answered_nack_resets_the_backoff_under_sustained_loss() {
+    let gid = GroupId(1);
+    let mut net = MiniNet::new(3, ProtocolConfig::with_seed(42));
+    net.bootstrap_group(gid, McastAddr(100));
+    let mut retransmitted = std::collections::BTreeSet::new();
+    let mut lossy = |src: u32, payload: &Bytes| {
+        let Ok(m) = FtmpMessage::decode(payload) else {
+            return false;
+        };
+        if src != 1 || m.msg_type() != FtmpMsgType::Regular || m.seq.0 % 3 != 0 {
+            return false;
+        }
+        !m.retransmission || retransmitted.insert(m.seq.0)
+    };
+    let mut peak = 0;
+    for step in 1..=200u64 {
+        let now = SimTime(step * 5_000);
+        for k in 0..4 {
+            net.p(1)
+                .multicast_request(now, conn_ab(), RequestNum(4 * step + k), Bytes::new())
+                .unwrap();
+        }
+        net.flush_lossy(now, &mut lossy);
+        for p in &mut net.procs {
+            p.tick(now);
+        }
+        net.flush_lossy(now, &mut lossy);
+        let attempts = net.p(2).groups[&gid].rmp.nack_attempts_of(ProcessorId(1));
+        peak = peak.max(attempts);
+    }
+    let rx = net.p(2).groups[&gid].rmp.contiguous_of(ProcessorId(1));
+    assert!(rx >= 780, "repair keeps up: contiguous {rx} of 800");
+    assert!(
+        peak <= 2,
+        "backoff restarted by each answer: peak {peak} attempts"
+    );
+}
+
 #[test]
 fn heartbeats_emitted_when_idle() {
     let (mut net, _gid) = pair();

@@ -118,8 +118,8 @@ pub struct SourceRx {
     highest_seen: u64,
     /// When the next RetransmitRequest for this source's gaps is due.
     nack_at: Option<SimTime>,
-    /// RetransmitRequests issued for the current gap episode (resets when
-    /// the stream goes contiguous again); drives exponential backoff.
+    /// RetransmitRequests issued since the stream was last contiguous or a
+    /// retransmission last advanced it; drives exponential backoff.
     nack_attempts: u32,
     /// When the *first* RetransmitRequest of the episode was sent. Cleared
     /// on re-issue: per Karn's rule a round-trip measured across more than
@@ -168,6 +168,7 @@ impl SourceRx {
             return RxOutcome::Buffered;
         }
         // In order: release this message plus any contiguous run behind it.
+        let answered = msg.retransmission;
         let mut rest = Vec::new();
         self.next_seq += 1;
         while let Some(m) = self.buffer.remove(&self.next_seq) {
@@ -176,6 +177,12 @@ impl SourceRx {
         }
         if !self.has_gap() {
             self.nack_at = None;
+            self.nack_attempts = 0;
+        } else if answered {
+            // A request was answered: repair works, so the next one waits
+            // the first retry, not a backoff grown while the gap stayed
+            // open. Fresh in-order traffic does not count — a wild
+            // `highest_seen` would otherwise keep the backoff at its floor.
             self.nack_attempts = 0;
         }
         RxOutcome::Delivered(Run { first: msg, rest })
@@ -976,6 +983,26 @@ mod tests {
         assert_eq!(rx.nack_attempts(), 2);
         rx.on_reliable(msg(1, 1, 1));
         rx.on_reliable(msg(1, 2, 2));
+        assert_eq!(rx.nack_attempts(), 0);
+    }
+
+    #[test]
+    fn nack_attempts_reset_when_a_retransmission_advances_an_open_gap() {
+        let jitter = SimDuration::from_millis(0);
+        let retry = SimDuration::from_millis(8);
+        let mut rx = SourceRx::starting_at(1);
+        rx.note_header_seq(SeqNum(9));
+        assert!(!rx.nack_due(SimTime(0), jitter, retry));
+        assert!(rx.nack_due(SimTime(1_000), jitter, retry));
+        assert!(rx.nack_due(SimTime(20_000), jitter, retry));
+        // Fresh in-order traffic behind a claimed gap is not an answer.
+        rx.on_reliable(msg(1, 1, 1));
+        assert_eq!(rx.nack_attempts(), 2);
+        // A retransmission that moves the frontier is, though a gap stays.
+        let mut answer = msg(1, 2, 2);
+        answer.retransmission = true;
+        rx.on_reliable(answer);
+        assert!(rx.has_gap());
         assert_eq!(rx.nack_attempts(), 0);
     }
 

@@ -317,6 +317,44 @@ mod tests {
     }
 
     #[test]
+    fn one_flipped_payload_byte_anywhere_in_a_long_record_is_quarantined() {
+        // A record long enough for the folding kernel; the offsets sit on
+        // either side of its 64-byte fold steps and on the last byte.
+        let long = LogRecord::Delivered(DeliveredRecord {
+            group: GroupId(1),
+            conn: ConnectionId::new(ObjectGroupId::new(1, 1), ObjectGroupId::new(1, 2)),
+            request_num: RequestNum(1),
+            source: ProcessorId(1),
+            seq: SeqNum(1),
+            ts: Timestamp(7),
+            giop: Bytes::from((0..2100u32).map(|i| (i * 13) as u8).collect::<Vec<_>>()),
+        });
+        let dir = scratch_dir("flip");
+        let mut log = DurableLog::open(&dir, LogConfig::default()).unwrap();
+        log.append(&delivered(0)).unwrap();
+        log.append(&long).unwrap();
+        log.flush().unwrap();
+        drop(log);
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let clean = fs::read(&path).unwrap();
+        let at = SEGMENT_HEADER;
+        let first = u32::from_le_bytes(clean[at..at + 4].try_into().unwrap()) as usize;
+        let payload_at = at + FRAME_HEADER + first + FRAME_HEADER;
+        let len = clean.len() - payload_at;
+        assert!(len >= 2048);
+        for offset in [0, 63, 64, 127, 128, len - 1] {
+            let mut data = clean.clone();
+            data[payload_at + offset] ^= 0x01;
+            fs::write(&path, &data).unwrap();
+            let rec = recover(&dir).unwrap();
+            assert_eq!(rec.records, [delivered(0)], "offset {offset}");
+            assert_eq!(rec.stats.records_quarantined, 1, "offset {offset}");
+            fs::write(&path, &clean).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn corruption_in_an_early_segment_quarantines_later_segments() {
         let dir = scratch_dir("early");
         let written = write_log(&dir, 40, 256);

@@ -1,7 +1,7 @@
 # Developer entry points. `just` runs `check`; `just ci` is the workflow's
 # `lint` and `test` jobs (fmt, clippy, rustdoc, tier-1 and workspace tests).
 # Its other jobs have their own recipes: `chaos`, `conformance`, `metrics`,
-# `bench`, `benchmark-smoke`, `bench-pins`.
+# `bench`, `benchmark-smoke`, `bench-pins`, `panic-budget`.
 
 default: check
 
@@ -56,6 +56,11 @@ loc:
 # `parent -> change (delta)` per crate and in total.
 loc-diff parent:
     scripts/loc.sh . {{parent}}
+
+# Non-test panic sites per crate against results/panic-budget.txt: CI's
+# `panic-budget` job, non-zero exit when any crate's count rose.
+panic-budget:
+    scripts/panic-budget.sh --check results/panic-budget.txt
 
 # Regenerate every experiment table (see EXPERIMENTS.md).
 experiments:
