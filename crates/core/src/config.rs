@@ -198,10 +198,11 @@ pub struct ProtocolConfig {
     pub overlay: OverlayPolicy,
     /// Horizon on demand (DESIGN.md §4): a quiet member that finds itself
     /// holding back the head of the ordering queue heartbeats at once
-    /// (at most one extra per `heartbeat_interval / 2`) instead of waiting
-    /// for the timer. On by default; `false` is the paper's timer-only
-    /// heartbeat, kept for E1's baseline column and the historical golden
-    /// trace.
+    /// instead of waiting for the timer — at most one extra per
+    /// `heartbeat_interval / 2`, plus one per 128 datagrams received for
+    /// the group paid from its prompt budget. On by default; `false` is the
+    /// paper's timer-only heartbeat, kept for E1's baseline column and the
+    /// historical golden trace.
     pub prompt_horizon: bool,
 }
 

@@ -87,6 +87,20 @@ mod timers;
 /// at a fraction of its retransmissions; the original sender always answers.
 const ANY_HOLDER_P: f64 = 0.4;
 
+/// Horizon on demand's budget (DESIGN.md §4). A member blocking itself may
+/// prompt before the free half-interval mark by spending a token. A group
+/// earns one token per `PROMPT_EARN` datagrams received for it (loopback
+/// included), banks at most `PROMPT_CAP` and starts with none. So this
+/// path sends at most one Heartbeat per `PROMPT_EARN` datagrams received,
+/// from members and strangers alike, plus the `PROMPT_CAP` burst; the
+/// half-interval path adds its own one per `heartbeat_interval / 2`.
+const PROMPT_EARN: u32 = 128;
+/// Tokens a group may bank.
+const PROMPT_CAP: u32 = 4;
+/// The least silence before a paid prompt, so that the arrivals of one
+/// burst share a Heartbeat instead of spending a token each.
+const PROMPT_FLOOR: SimDuration = SimDuration::from_micros(500);
+
 /// Result of asking to multicast a Regular message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendOutcome {
@@ -134,6 +148,10 @@ struct GroupState {
     vector_seen_at: Option<SimTime>,
     /// One suppression is counted per send-gap, not per tick.
     hb_deferred_since_send: bool,
+    /// Datagrams received towards paid prompts, at most `PROMPT_CAP ×
+    /// PROMPT_EARN`; a prompt ahead of the half interval spends
+    /// `PROMPT_EARN` of them.
+    prompt_credit: u32,
     /// Last time ordered delivery made progress (or the queue was observed
     /// empty) — a queue stalled past half the fault-detector timeout marks
     /// this node as starving in tree mode.
@@ -161,11 +179,13 @@ struct GroupState {
 
 /// Why [`Processor::heartbeat_due`] says a Heartbeat is due: the ordinary
 /// `heartbeat_interval` timer ran out, or this member is holding back
-/// delivery and answers ahead of it (horizon on demand, DESIGN.md §4).
+/// delivery and answers ahead of it (horizon on demand, DESIGN.md §4) —
+/// for free past the half interval, or from the group's budget before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum HeartbeatDue {
     Timer,
     Prompted,
+    Budgeted,
 }
 
 /// Where an [`FtmpBody::OverlayDigest`] is bound (DESIGN.md §13): the
@@ -215,6 +235,7 @@ impl GroupState {
             pending_ordered: VecDeque::new(),
             vector_seen_at: None,
             hb_deferred_since_send: false,
+            prompt_credit: 0,
             last_progress: now,
             last_solicit_sent: now,
             last_solicit_answered: now,
@@ -811,6 +832,7 @@ impl Processor {
             self.handle_packed(now, &pkt.payload);
         } else if let Ok(msg) = FtmpMessage::decode_shared(&pkt.payload) {
             let gid = msg.group;
+            self.earn_prompt_credit(gid);
             self.process_message(now, msg, pkt.payload.clone(), false);
             self.prompt_heartbeat(now, gid);
         }
@@ -825,7 +847,14 @@ impl Processor {
         let mut slices = std::mem::take(&mut self.rx_slices);
         let mut msgs = std::mem::take(&mut self.rx_msgs);
         match decode_container(datagram, &mut slices, &mut msgs) {
-            Ok(vector) => self.admit_container(now, vector, msgs.drain(..).zip(slices.drain(..))),
+            Ok(vector) => {
+                // One credit per datagram, to its first message's group,
+                // however many runs it holds.
+                if let Some(first) = msgs.first() {
+                    self.earn_prompt_credit(first.group);
+                }
+                self.admit_container(now, vector, msgs.drain(..).zip(slices.drain(..)));
+            }
             Err(_) => self.stats.packed_rejects += 1,
         }
         // A rejected container leaves handles on the datagram behind.
@@ -909,34 +938,59 @@ impl Processor {
 
     /// The one heartbeat rule, shared by the timer and by the end of
     /// [`handle_packet`](Self::handle_packet): due once nothing was sent for
-    /// `heartbeat_interval`, or — *prompted* ahead of the timer — for more
-    /// than half of it while [`blocking_self`](Self::blocking_self) holds.
-    /// The half interval bounds a quiet member at twice its idle heartbeat
-    /// rate and means a member that keeps sending never pays.
+    /// `heartbeat_interval`, or — *prompted* ahead of the timer — while
+    /// [`blocking_self`](Self::blocking_self) holds and the silence is
+    /// longer than half the interval (free: at most twice the idle
+    /// heartbeat rate) or, paid from the group's budget, than
+    /// `PROMPT_FLOOR` (at most one per `PROMPT_EARN` datagrams received).
+    /// A member that sent within the floor never prompts.
     fn heartbeat_due(&self, g: &GroupState, now: SimTime) -> Option<HeartbeatDue> {
         let elapsed = now.saturating_since(g.last_sent);
         let interval = self.cfg.heartbeat_interval;
         if elapsed >= interval {
-            Some(HeartbeatDue::Timer)
-        } else if elapsed.as_micros() > interval.as_micros() / 2 && self.blocking_self(g) {
-            Some(HeartbeatDue::Prompted)
+            return Some(HeartbeatDue::Timer);
+        }
+        let due = if elapsed.as_micros() > interval.as_micros() / 2 {
+            HeartbeatDue::Prompted
+        } else if elapsed > PROMPT_FLOOR && g.prompt_credit >= PROMPT_EARN {
+            HeartbeatDue::Budgeted
         } else {
-            None
+            return None;
+        };
+        self.blocking_self(g).then_some(due)
+    }
+
+    /// A datagram for `gid` arrived: one credit towards a paid prompt.
+    fn earn_prompt_credit(&mut self, gid: GroupId) {
+        if let Some(g) = self.groups.get_mut(&gid) {
+            g.prompt_credit = (g.prompt_credit + 1).min(PROMPT_CAP * PROMPT_EARN);
         }
     }
 
     /// Horizon on demand: having just processed a packet for `gid`,
-    /// heartbeat at once if that group's delivery now waits on us. When the
-    /// half-interval gap has not passed yet nothing is sent here and the
-    /// timer fires the same rule later.
+    /// heartbeat at once if that group's delivery now waits on us and the
+    /// rule allows a prompt. Otherwise nothing is sent here and the timer
+    /// fires the same rule later.
     fn prompt_heartbeat(&mut self, now: SimTime, gid: GroupId) {
-        let Some(g) = self.groups.get(&gid) else {
-            return;
-        };
-        if self.heartbeat_due(g, now) == Some(HeartbeatDue::Prompted) {
-            self.stats.heartbeats_prompted += 1;
-            self.send_unreliable(now, gid, FtmpBody::Heartbeat);
+        let due = self
+            .groups
+            .get(&gid)
+            .and_then(|g| self.heartbeat_due(g, now));
+        if let Some(due @ (HeartbeatDue::Prompted | HeartbeatDue::Budgeted)) = due {
+            self.send_heartbeat(now, gid, due);
         }
+    }
+
+    /// Send the Heartbeat [`heartbeat_due`](Self::heartbeat_due) asked
+    /// for: a prompted one is counted, and a budgeted one spends a token.
+    fn send_heartbeat(&mut self, now: SimTime, gid: GroupId, due: HeartbeatDue) {
+        if due != HeartbeatDue::Timer {
+            self.stats.heartbeats_prompted += 1;
+        }
+        if let (HeartbeatDue::Budgeted, Some(g)) = (due, self.groups.get_mut(&gid)) {
+            g.prompt_credit -= PROMPT_EARN;
+        }
+        self.send_unreliable(now, gid, FtmpBody::Heartbeat);
     }
 
     /// Timer tick: heartbeats, NACKs, retries, the fault detector.

@@ -795,6 +795,29 @@ mod prompt_tests {
         (Packet::new(1, addr, payload), ts)
     }
 
+    /// `p`'s banked credit towards paid prompts in `gid`, and a setter.
+    fn credit(net: &mut MiniNet, p: u32, gid: GroupId) -> u32 {
+        net.p(p).groups[&gid].prompt_credit
+    }
+    fn set_credit(net: &mut MiniNet, p: u32, gid: GroupId, credit: u32) {
+        net.p(p).groups.get_mut(&gid).unwrap().prompt_credit = credit;
+    }
+
+    /// A Heartbeat datagram from `source` in `gid`, member or not, carrying
+    /// nothing a receiver can act on (no sequence number, stamp 1).
+    fn heartbeat_from(source: u32, gid: GroupId) -> Packet {
+        let msg = FtmpMessage {
+            retransmission: false,
+            source: ProcessorId(source),
+            group: gid,
+            seq: SeqNum(0),
+            ts: Timestamp(1),
+            ack_ts: Timestamp(0),
+            body: FtmpBody::Heartbeat,
+        };
+        Packet::new(source, McastAddr(100), msg.encode(ByteOrder::native()))
+    }
+
     #[test]
     fn quiet_blocker_heartbeats_inside_handle_packet() {
         let (mut net, gid) = pair();
@@ -895,6 +918,130 @@ mod prompt_tests {
     }
 
     #[test]
+    fn a_blocker_inside_the_half_interval_prompts_iff_it_holds_a_token() {
+        let (mut net, gid) = pair();
+        let (pkt, _) = regular_from_p1(&mut net, SimTime(6_000), 1);
+        net.p(2).handle_packet(SimTime(6_300), &pkt);
+        assert_eq!(heartbeats(&drain(net.p(2)).0).len(), 1, "the free path");
+
+        // 1 ms after its Heartbeat, past the floor: one credit short of a
+        // token, P2 holds the Regular back …
+        set_credit(&mut net, 2, gid, PROMPT_EARN - 2);
+        net.p(1).clock.observe(Timestamp(1_000));
+        let (pkt, regular_ts) = regular_from_p1(&mut net, SimTime(7_000), 2);
+        net.p(2).handle_packet(SimTime(7_300), &pkt);
+        let (sent, delivered) = drain(net.p(2));
+        assert!(sent.is_empty() && !delivered, "no token: {sent:?}");
+        assert_eq!(credit(&mut net, 2, gid), PROMPT_EARN - 1);
+        // … and the next datagram, a duplicate, buys the token it spends.
+        net.p(2).handle_packet(SimTime(7_400), &pkt);
+        let (sent, delivered) = drain(net.p(2));
+        let hb = heartbeats(&sent);
+        assert_eq!((hb.len(), sent.len()), (1, 1), "{sent:?}");
+        assert!(hb[0] > regular_ts && delivered);
+        assert_eq!(net.p(2).stats().heartbeats_prompted, 2);
+        assert_eq!(credit(&mut net, 2, gid), 0);
+
+        // A full budget does not buy a prompt inside the floor; the timer
+        // asks the same rule and pays once the floor has passed.
+        set_credit(&mut net, 2, gid, PROMPT_CAP * PROMPT_EARN);
+        net.p(1).clock.observe(Timestamp(2_000));
+        let (pkt, _) = regular_from_p1(&mut net, SimTime(7_500), 3);
+        net.p(2).handle_packet(SimTime(7_600), &pkt);
+        assert!(drain(net.p(2)).0.is_empty(), "200 us after its last send");
+        net.p(2).tick(SimTime(7_400) + PROMPT_FLOOR);
+        assert!(drain(net.p(2)).0.is_empty(), "exactly the floor");
+        net.p(2).tick(SimTime(7_401) + PROMPT_FLOOR);
+        let (sent, delivered) = drain(net.p(2));
+        assert_eq!(heartbeats(&sent).len(), 1, "{sent:?}");
+        assert!(delivered);
+        assert_eq!(credit(&mut net, 2, gid), (PROMPT_CAP - 1) * PROMPT_EARN);
+        assert_eq!(net.p(2).stats().heartbeats_prompted, 3);
+    }
+
+    #[test]
+    fn prompt_tokens_start_at_zero_accrue_per_datagram_and_stop_at_the_cap() {
+        let gid = GroupId(1);
+        let g2 = GroupId(2);
+        let mut net = MiniNet::new(2, ProtocolConfig::with_seed(42));
+        for g in [gid, g2] {
+            net.p(2).create_group(
+                SimTime(0),
+                g,
+                McastAddr(100),
+                [ProcessorId(1), ProcessorId(2)],
+            );
+        }
+        assert_eq!(credit(&mut net, 2, gid), 0);
+        let hb = heartbeat_from(1, gid);
+        for n in 1..=PROMPT_EARN {
+            net.p(2).handle_packet(SimTime(1_000), &hb);
+            assert_eq!(credit(&mut net, 2, gid), n);
+        }
+        assert_eq!(credit(&mut net, 2, gid) / PROMPT_EARN, 1, "one token");
+        for _ in 0..10 * PROMPT_CAP * PROMPT_EARN {
+            net.p(2).handle_packet(SimTime(1_000), &hb);
+        }
+        assert_eq!(credit(&mut net, 2, gid), PROMPT_CAP * PROMPT_EARN);
+        assert_eq!(credit(&mut net, 2, g2), 0, "another group's datagrams");
+
+        // A container earns once, for its first message's group, however
+        // many messages and runs it holds.
+        set_credit(&mut net, 2, gid, 0);
+        let other = heartbeat_from(1, g2).payload;
+        let container = wire::encode_packed(&[hb.payload.clone(), other, hb.payload.clone()], None);
+        net.p(2)
+            .handle_packet(SimTime(1_000), &Packet::new(1, McastAddr(100), container));
+        assert_eq!((credit(&mut net, 2, gid), credit(&mut net, 2, g2)), (1, 0));
+    }
+
+    #[test]
+    fn k_datagrams_buy_at_most_k_over_earn_plus_cap_early_prompts() {
+        // P2 is kept blocking: every 600 us P1 (its clock pushed ahead)
+        // multicasts a Regular stamped above P2's horizon. Between them P2
+        // is flooded with datagrams that carry nothing — duplicates of that
+        // Regular from a member and Heartbeats from a stranger, P9. Every
+        // Heartbeat P2 sends less than half an interval after its previous
+        // send is an early prompt, paid from the budget.
+        const FLOOD: u32 = 64;
+        let (mut net, gid) = pair();
+        let half = ProtocolConfig::default().heartbeat_interval.as_micros() / 2;
+        let stranger = heartbeat_from(9, gid);
+        let (mut received, mut early, mut free) = (0u32, 0u32, 0u32);
+        let mut t = 4_000;
+        for n in 1..=200u64 {
+            net.p(1).clock.observe(Timestamp(n * 1_000));
+            let (regular, _) = regular_from_p1(&mut net, SimTime(t), n);
+            for i in 0..=FLOOD {
+                let at = SimTime(t + u64::from(i));
+                let before = net.p(2).groups[&gid].last_sent;
+                let pkt = if i % 2 == 0 { &regular } else { &stranger };
+                net.p(2).handle_packet(at, pkt);
+                net.p(2).tick(at);
+                received += 1;
+                for _ in heartbeats(&drain(net.p(2)).0) {
+                    if at.saturating_since(before).as_micros() > half {
+                        free += 1;
+                    } else {
+                        early += 1;
+                    }
+                }
+            }
+            t += 600;
+        }
+        assert!(
+            early <= received / PROMPT_EARN + PROMPT_CAP,
+            "{received} datagrams bought {early} early prompts"
+        );
+        assert!(early >= received / PROMPT_EARN - 1, "the budget is spent");
+        assert_eq!(free, 0, "no silence reached the half interval");
+        assert_eq!(
+            net.p(2).stats().heartbeats_prompted,
+            u64::from(early + free)
+        );
+    }
+
+    #[test]
     fn recent_sender_is_not_prompted() {
         // (iii) P2 sent 2 ms ago; P1's clock runs ahead, so its Regular is
         // stamped above P2's own horizon and P2 does hold it back.
@@ -914,6 +1061,18 @@ mod prompt_tests {
             .unwrap()
             .head_blocked_on
             .contains(&ProcessorId(2)));
+        // With a full budget, a member that sent inside the floor is still
+        // not prompted.
+        set_credit(&mut net, 2, gid, PROMPT_CAP * PROMPT_EARN);
+        net.p(2)
+            .multicast_request(SimTime(23_000), conn_ab(), RequestNum(2), Bytes::new())
+            .unwrap();
+        drain(net.p(2));
+        net.p(1).clock.observe(Timestamp(2_000));
+        let (pkt, _) = regular_from_p1(&mut net, SimTime(23_400), 3);
+        net.p(2).handle_packet(SimTime(23_400), &pkt);
+        assert!(drain(net.p(2)).0.is_empty());
+        assert_eq!(net.p(2).stats().heartbeats_prompted, 0);
     }
 
     #[test]
@@ -957,13 +1116,14 @@ mod prompt_tests {
     #[test]
     fn no_prompt_during_reconfiguration_or_in_tree_mode() {
         // (v) Reconfiguration: P2 has convicted P3 and waits for P1's
-        // proposal, which we withhold.
+        // proposal, which we withhold. A full budget buys nothing here.
         let gid = GroupId(1);
         let mut net = MiniNet::new(3, ProtocolConfig::with_seed(42));
         net.bootstrap_group(gid, McastAddr(100));
         net.p(2)
             .begin_or_extend_reconfig(SimTime(1_000), gid, [ProcessorId(3)].into());
         drain(net.p(2));
+        set_credit(&mut net, 2, gid, PROMPT_CAP * PROMPT_EARN);
         assert!(net.p(2).is_reconfiguring(gid));
         net.p(1).clock.observe(Timestamp(1_000));
         let (pkt, _) = regular_from_p1(&mut net, SimTime(7_500), 1);
@@ -988,6 +1148,7 @@ mod prompt_tests {
         let cfg = ProtocolConfig::with_seed(42).overlay(OverlayPolicy::Tree { arity: 2 });
         let mut net = MiniNet::new(2, cfg);
         net.bootstrap_group(gid, McastAddr(100));
+        set_credit(&mut net, 2, gid, PROMPT_CAP * PROMPT_EARN);
         let (pkt, _) = regular_from_p1(&mut net, SimTime(6_000), 1);
         net.p(2).handle_packet(SimTime(6_300), &pkt);
         assert!(drain(net.p(2)).0.is_empty());

@@ -65,10 +65,7 @@ impl Processor {
             } else if tree_depth.is_some() {
                 self.send_overlay_digest(now, gid, DigestDest::Neighborhood);
             } else {
-                if due == HeartbeatDue::Prompted {
-                    self.stats.heartbeats_prompted += 1;
-                }
-                self.send_unreliable(now, gid, FtmpBody::Heartbeat);
+                self.send_heartbeat(now, gid, due);
             }
         }
     }

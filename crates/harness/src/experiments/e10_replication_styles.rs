@@ -102,7 +102,10 @@ fn run_style(passive: bool, m: u32, seed: u64) -> Outcome {
     // Reply multiplicity, observed at the client: each executing replica
     // multicasts its own reply; the duplicate detector suppresses all but
     // the first, so completed + suppressed = total replies on the wire —
-    // i.e. the number of replicas that executed each request.
+    // i.e. the number of replicas that executed each request. The last
+    // request completes on its first reply; its others are counted once
+    // they have been ordered too.
+    net.run_for(SimDuration::from_millis(20));
     let replies = completed as u64 + net.node(1).unwrap().orb().suppression_counts().1;
     // Failover: crash the smallest server (the passive primary), invoke 3
     // more times, count completions within the window.

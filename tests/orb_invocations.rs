@@ -269,36 +269,35 @@ fn closed_loop(seed: u64, proto: ProtocolConfig, virtual_ms: u64) -> ClosedLoop 
 const LOCKING_SEEDS: [u64; 2] = [1004, 1006];
 
 /// With the timer-only heartbeat a closed-loop invocation costs a whole
-/// heartbeat interval (request hold φ, reply hold 10 ms − φ, plus transit);
-/// with horizon on demand the servers answer the requests at once and the
-/// clients the replies at the half interval, so every invocation completes
-/// inside one interval.
+/// heartbeat interval (request hold φ, reply hold 10 ms − φ, plus transit).
+/// Horizon on demand answers every hold with a prompt from the member that
+/// blocks it, paid from the group's budget inside the half interval, so a
+/// warm invocation costs about one round trip per hold: under a quarter of
+/// the interval. Were the prompts limited to the free half-interval path,
+/// this window would fall into ~6 ms waves: on both seeds every invocation
+/// in it took longer than the quarter.
 #[test]
-fn closed_loop_invocations_complete_within_one_heartbeat_interval() {
+fn closed_loop_invocations_complete_within_a_quarter_heartbeat_interval() {
     let interval = ProtocolConfig::default().heartbeat_interval.as_micros();
     for seed in LOCKING_SEEDS {
         let warm = |l: ClosedLoop| -> Vec<u64> {
             let lat: Vec<u64> = l
                 .latencies
                 .iter()
-                .filter(|x| x.0 > 200_000)
+                .filter(|x| x.0 > 250_000)
                 .map(|x| x.1)
                 .collect();
-            assert!(
-                lat.len() > 1_000,
-                "seed {seed}: the loop ran ({})",
-                lat.len()
-            );
+            assert!(lat.len() > 100, "seed {seed}: the loop ran ({})", lat.len());
             lat
         };
-        let prompted = warm(closed_loop(seed, ProtocolConfig::with_seed(seed), 2_000));
+        let prompted = warm(closed_loop(seed, ProtocolConfig::with_seed(seed), 400));
         let slowest = prompted.iter().max().unwrap();
         assert!(
-            *slowest < interval,
+            *slowest < interval / 4,
             "seed {seed}: an invocation took {slowest} us under the default config"
         );
         let timer_only = ProtocolConfig::with_seed(seed).prompt_horizon(false);
-        let fastest = *warm(closed_loop(seed, timer_only, 2_000))
+        let fastest = *warm(closed_loop(seed, timer_only, 400))
             .iter()
             .min()
             .unwrap();
@@ -313,8 +312,10 @@ fn closed_loop_invocations_complete_within_one_heartbeat_interval() {
 /// until the servers' heartbeat leaves just before the requests arrive, and
 /// from then on every invocation waits out two intervals — on seed 1006
 /// after 30.7 s of virtual time, for good. Horizon on demand has no timer
-/// phase to drift into. Half a minute of virtual time is too slow for the
-/// debug-mode tier-1 run; `just chaos` and CI's chaos job run it in release.
+/// phase to drift into, and its budget keeps the loop out of half-interval
+/// waves: the 99th percentile stays under a quarter interval. Half a minute
+/// of virtual time is too slow for the debug-mode tier-1 run; `just chaos`
+/// and CI's chaos job run it in release.
 ///
 /// The same two runs hold the ORB log to ROADMAP 2(c)'s plateau rule at
 /// every endpoint: the most it holds over the second half is at most 1.1 ×
@@ -353,14 +354,24 @@ fn closed_loop_does_not_lock_into_two_heartbeat_intervals() {
     );
     let prompted = closed_loop(seed, ProtocolConfig::with_seed(seed), 35_000);
     plateau(&prompted);
-    let slowest = prompted
+    let mut warm: Vec<u64> = prompted
         .latencies
         .iter()
         .filter(|x| x.0 > 200_000)
         .map(|x| x.1)
-        .max();
+        .collect();
+    warm.sort_unstable();
+    let slowest = warm.last();
     assert!(
-        slowest.is_some_and(|l| l < interval),
+        slowest.is_some_and(|&l| l < interval),
         "seed {seed}: slowest invocation {slowest:?} us under the default config"
+    );
+    // When a budget runs dry the loop can fall into a few half-interval
+    // waves (about 0.5 % of these invocations) before the tokens return;
+    // it never stays there.
+    let p99 = warm[warm.len() * 99 / 100];
+    assert!(
+        p99 < interval / 4,
+        "seed {seed}: 99th percentile {p99} us under the default config"
     );
 }
