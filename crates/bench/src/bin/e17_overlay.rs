@@ -12,7 +12,9 @@
 //! modes) with a voluntary mid-run membership change, so the numbers come
 //! from runs the seven oracles certify, including a tree rebuild.
 
-use ftmp_core::{ClockMode, OverlayPolicy, PackPolicy, Packing, ProcessorId, ProtocolConfig};
+use ftmp_core::{
+    ClockMode, Command, OverlayPolicy, PackPolicy, Packing, ProcessorId, ProtocolConfig,
+};
 use ftmp_harness::worlds::FtmpWorld;
 use ftmp_net::{LossModel, SimConfig, SimDuration};
 use ftmp_telemetry::Registry;
@@ -60,12 +62,9 @@ fn run_cell(n: u32, tree: bool, check: bool) -> Cell {
         w.send(from, 64);
         if round == ROUNDS / 2 {
             if let Some(c) = &checker {
-                let group = w.group();
-                let victim = ProcessorId(n);
-                w.net.with_node(1, move |node, now, out| {
-                    node.engine_mut().remove_processor(now, group, victim);
-                    node.pump_at(now, out);
-                });
+                let remove = Command::RemoveMember(ProcessorId(n));
+                w.net
+                    .with_node(1, move |node, now, out| node.command(now, remove, out));
                 c.retire(n);
             }
         }

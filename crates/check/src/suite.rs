@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use ftmp_core::ids::{GroupId, ProcessorId, Timestamp};
 use ftmp_core::observe::Observation;
-use ftmp_core::SimProcessor;
+use ftmp_core::Node;
 use ftmp_net::{NodeId, SimNet, SimTime};
 
 use crate::obs::{Event, Oracle, Violation};
@@ -180,7 +180,7 @@ impl OracleSuite {
 }
 
 /// A shareable handle on an [`OracleSuite`], attachable to any number of
-/// [`SimProcessor`]s in a single-threaded [`SimNet`].
+/// simulator-hosted [`Node`]s in a single-threaded [`SimNet`].
 #[derive(Clone)]
 pub struct Checker {
     suite: Rc<RefCell<OracleSuite>>,
@@ -197,7 +197,7 @@ impl Checker {
 
     /// Attach to one simulated processor: enables its observation recording
     /// and routes the stream into the shared suite.
-    pub fn attach(&self, net: &mut SimNet<SimProcessor>, id: NodeId) {
+    pub fn attach(&self, net: &mut SimNet<Node>, id: NodeId) {
         let suite = Rc::clone(&self.suite);
         let node = ProcessorId(id);
         let sim = net.node_mut(id).expect("attach to existing node");
@@ -207,11 +207,7 @@ impl Checker {
     }
 
     /// Attach to every listed node.
-    pub fn attach_all(
-        &self,
-        net: &mut SimNet<SimProcessor>,
-        ids: impl IntoIterator<Item = NodeId>,
-    ) {
+    pub fn attach_all(&self, net: &mut SimNet<Node>, ids: impl IntoIterator<Item = NodeId>) {
         for id in ids {
             self.attach(net, id);
         }

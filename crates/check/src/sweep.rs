@@ -5,8 +5,8 @@
 
 use bytes::Bytes;
 use ftmp_core::{
-    wire, ClockMode, ConnectionId, GroupId, ObjectGroupId, OverlayPolicy, PackPolicy, Packing,
-    Processor, ProcessorId, ProtocolConfig, RequestNum, SimProcessor,
+    wire, ClockMode, Command, ConnectionId, GroupId, Node, ObjectGroupId, OverlayPolicy,
+    PackPolicy, Packing, Processor, ProcessorId, ProtocolConfig, RequestNum,
 };
 use ftmp_net::{
     FaultPlan, LinkDegrade, LinkSelector, LossModel, McastAddr, NodeId, SimConfig, SimDuration,
@@ -331,7 +331,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
 
 struct Cell {
     scenario: Scenario,
-    net: SimNet<SimProcessor>,
+    net: SimNet<Node>,
     checker: Checker,
     rng: SmallRng,
     members: BTreeSet<u32>,
@@ -361,16 +361,19 @@ impl Cell {
             return;
         }
         let id = alive[self.rng.gen_range(0..alive.len())];
-        let on = self.conns[self.rng.gen_range(0..self.conns.len())];
         self.next_req += 1;
-        let req = RequestNum(self.next_req);
-        let len = self.rng.gen_range(8..256usize);
-        self.net.with_node(id, move |n, now, out| {
-            let _ = n
-                .engine_mut()
-                .multicast_request(now, on, req, Bytes::from(vec![0u8; len]));
-            n.pump_at(now, out);
-        });
+        let publish = Command::Publish {
+            conn: self.conns[self.rng.gen_range(0..self.conns.len())],
+            request: RequestNum(self.next_req),
+            giop: Bytes::from(vec![0u8; self.rng.gen_range(8..256usize)]),
+        };
+        self.command(id, publish);
+    }
+
+    /// Have `id` take `cmd` in, in a turn of its own.
+    fn command(&mut self, id: u32, cmd: Command) {
+        self.net
+            .with_node(id, move |n, now, out| n.command(now, cmd, out));
     }
 
     fn step(&mut self) {
@@ -389,15 +392,10 @@ impl Cell {
         e.expect_join(GROUP, ADDR);
         e.bind_connection(conn(), GROUP);
         e.enable_telemetry();
-        self.net.add_node(joiner, SimProcessor::new(e));
+        self.net.add_node(joiner, Node::sim(e, GROUP));
         self.checker.attach(&mut self.net, joiner);
-        self.net
-            .with_node(joiner, |n, now, out| n.pump_at(now, out));
-        self.net.with_node(sponsor, move |n, now, out| {
-            n.engine_mut()
-                .add_processor(now, GROUP, ProcessorId(joiner));
-            n.pump_at(now, out);
-        });
+        self.net.with_node(joiner, |n, now, out| n.pump(now, out));
+        self.command(sponsor, Command::AddMember(ProcessorId(joiner)));
         self.members.insert(joiner);
         // §7.1: membership changes are serialized — let this one complete.
         self.net.run_for(SimDuration::from_millis(500));
@@ -438,14 +436,11 @@ impl Cell {
         let log = ftmp_store::DurableLog::open(&dir, ftmp_store::LogConfig::default())
             .expect("reopen victim log");
         e.set_delivery_log(Box::new(log));
-        self.net.revive(id, SimProcessor::new(e));
+        self.net.revive(id, Node::sim(e, GROUP));
         self.checker.attach(&mut self.net, id);
         self.checker.rejoin(id);
-        self.net.with_node(id, |n, now, out| n.pump_at(now, out));
-        self.net.with_node(sponsor, move |n, now, out| {
-            n.engine_mut().add_processor(now, GROUP, ProcessorId(id));
-            n.pump_at(now, out);
-        });
+        self.net.with_node(id, |n, now, out| n.pump(now, out));
+        self.command(sponsor, Command::AddMember(ProcessorId(id)));
         self.crashed.remove(&id);
         self.members.insert(id);
         // §7.1: membership changes are serialized — let this one complete.
@@ -454,11 +449,7 @@ impl Cell {
     }
 
     fn leave(&mut self, leaver: u32, sponsor: u32) {
-        self.net.with_node(sponsor, move |n, now, out| {
-            n.engine_mut()
-                .remove_processor(now, GROUP, ProcessorId(leaver));
-            n.pump_at(now, out);
-        });
+        self.command(sponsor, Command::RemoveMember(ProcessorId(leaver)));
         self.members.remove(&leaver);
         self.checker.retire(leaver);
         self.net.run_for(SimDuration::from_millis(500));
@@ -534,9 +525,9 @@ fn build_cell(scenario: Scenario, seed: u64, trace_capacity: usize) -> Cell {
             e.bind_connection(c, GROUP);
         }
         e.enable_telemetry();
-        net.add_node(id, SimProcessor::new(e));
+        net.add_node(id, Node::sim(e, GROUP));
         checker.attach(&mut net, id);
-        net.with_node(id, |n, now, out| n.pump_at(now, out));
+        net.with_node(id, |n, now, out| n.pump(now, out));
     }
     // The crash-restart victim persists its deliveries; a small segment
     // size makes the run span several segments.
@@ -862,8 +853,14 @@ mod tests {
             cell.step();
         }
         cell.net.run_for(SimDuration::from_secs(3));
+        let view = |id: u32| cell.net.node(id)?.engine().membership(GROUP);
+        assert!(
+            view(donor).is_some_and(|m| m.contains(&ProcessorId(FOUNDERS))),
+            "the victim rejoined: {:?}",
+            view(donor)
+        );
+        assert_eq!(view(FOUNDERS), view(donor), "and holds the donor's view");
         let live = cell.alive();
-        assert!(live.contains(&FOUNDERS), "the victim rejoined");
         cell.checker.finish(live);
         assert_eq!(cell.checker.violation_count(), 0, "all seven oracles clean");
 

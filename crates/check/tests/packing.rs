@@ -11,10 +11,10 @@
 use bytes::Bytes;
 use ftmp_core::config::{PackPolicy, Packing};
 use ftmp_core::{
-    wire, ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
-    RequestNum, SimProcessor,
+    wire, ClockMode, Command, ConnectionId, GroupId, Inbox, Node, ObjectGroupId, Processor,
+    ProcessorId, ProtocolConfig, RequestNum,
 };
-use ftmp_net::{McastAddr, Outbox, SimConfig, SimDuration, SimNet, SimTime};
+use ftmp_net::{McastAddr, SimConfig, SimDuration, SimNet, SimTime};
 
 use ftmp_check::{trace_hash, Checker};
 
@@ -45,11 +45,11 @@ enum Traffic {
 /// The golden scenario from `ftmp-core`'s trace-hash test — three members,
 /// each bursting three multicasts, 100 ms — byte-for-byte, with the
 /// conformance checker attached to every node.
-fn traced_run(cfg: ProtocolConfig) -> (SimNet<SimProcessor>, Checker) {
+fn traced_run(cfg: ProtocolConfig) -> (SimNet<Node>, Checker) {
     traced_run_of(cfg, Traffic::Burst)
 }
 
-fn traced_run_of(cfg: ProtocolConfig, traffic: Traffic) -> (SimNet<SimProcessor>, Checker) {
+fn traced_run_of(cfg: ProtocolConfig, traffic: Traffic) -> (SimNet<Node>, Checker) {
     let members: Vec<ProcessorId> = (1..=3).map(ProcessorId).collect();
     let mut net = SimNet::new(SimConfig::with_seed(7));
     net.set_classifier(wire::classify);
@@ -57,11 +57,8 @@ fn traced_run_of(cfg: ProtocolConfig, traffic: Traffic) -> (SimNet<SimProcessor>
     for id in 1..=3u32 {
         let mut engine = Processor::new(ProcessorId(id), cfg.clone(), ClockMode::Lamport);
         engine.create_group(SimTime::ZERO, GROUP, ADDR, members.clone());
-        let mut node = SimProcessor::new(engine);
-        let mut out = Outbox::default();
-        node.pump(&mut out);
-        net.add_node(id, node);
-        net.subscribe(id, ADDR);
+        net.add_node(id, Node::sim(engine, GROUP));
+        net.with_node(id, |n, now, out| n.pump(now, out));
     }
     for id in 1..=3u32 {
         net.with_node(id, |n, _, _| {
@@ -71,14 +68,17 @@ fn traced_run_of(cfg: ProtocolConfig, traffic: Traffic) -> (SimNet<SimProcessor>
     let checker = Checker::new(GROUP, &members);
     checker.attach_all(&mut net, 1..=3);
     net.enable_trace(1 << 16);
-    let send = |net: &mut SimNet<SimProcessor>, id: u32, nums: std::ops::Range<u64>| {
+    let send = |net: &mut SimNet<Node>, id: u32, nums: std::ops::Range<u64>| {
         net.with_node(id, |n, now, out| {
             for k in nums {
-                n.engine_mut()
-                    .multicast_request(now, conn(), RequestNum(k), Bytes::from(vec![id as u8; 32]))
-                    .unwrap();
+                n.intake.push(Inbox::Command(Command::Publish {
+                    conn: conn(),
+                    request: RequestNum(k),
+                    giop: Bytes::from(vec![id as u8; 32]),
+                }));
             }
-            n.pump(out);
+            n.pump(now, out);
+            assert!(matches!(n.host.published, Some(Ok(_))));
         });
     };
     match traffic {

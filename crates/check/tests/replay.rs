@@ -11,7 +11,7 @@ use ftmp_check::suite::OracleSuite;
 use ftmp_check::Event;
 use ftmp_core::config::ProtocolConfig;
 use ftmp_core::ids::{ConnectionId, GroupId, ObjectGroupId, ProcessorId, RequestNum};
-use ftmp_core::{ClockMode, Processor, SimProcessor};
+use ftmp_core::{ClockMode, Command, Inbox, Node, Processor};
 use ftmp_net::{McastAddr, SimConfig, SimDuration, SimNet, SimTime};
 use std::cell::RefCell;
 use std::path::Path;
@@ -188,7 +188,7 @@ fn sim_run_replayed_from_trace_files_matches_live_checking() {
         );
         e.create_group(SimTime::ZERO, GROUP, ADDR, founders.clone());
         e.bind_connection(conn(), GROUP);
-        net.add_node(id, SimProcessor::new(e));
+        net.add_node(id, Node::sim(e, GROUP));
         let text = Rc::clone(&texts[id as usize - 1]);
         let suite = Rc::clone(&live_suite);
         let node = ProcessorId(id);
@@ -197,21 +197,19 @@ fn sim_run_replayed_from_trace_files_matches_live_checking() {
             let _ = writeln!(text.borrow_mut(), "o {} {}", at.0, obs.encode_line());
             suite.borrow_mut().ingest(Event { at, node, obs });
         });
-        net.with_node(id, |n, now, out| n.pump_at(now, out));
+        net.with_node(id, |n, now, out| n.pump(now, out));
     }
     for id in 1u32..=3 {
         net.with_node(id, |n, now, out| {
             for k in 0..4u64 {
-                n.engine_mut()
-                    .multicast_request(
-                        now,
-                        conn(),
-                        RequestNum(u64::from(id) * 100 + k),
-                        Bytes::from(vec![id as u8; 48]),
-                    )
-                    .unwrap();
+                n.intake.push(Inbox::Command(Command::Publish {
+                    conn: conn(),
+                    request: RequestNum(u64::from(id) * 100 + k),
+                    giop: Bytes::from(vec![id as u8; 48]),
+                }));
             }
-            n.pump(out);
+            n.pump(now, out);
+            assert!(matches!(n.host.published, Some(Ok(_))));
         });
     }
     net.run_for(SimDuration::from_millis(300));

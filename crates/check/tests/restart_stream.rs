@@ -12,7 +12,7 @@ use bytes::Bytes;
 use ftmp_check::Checker;
 use ftmp_core::config::ProtocolConfig;
 use ftmp_core::ids::{ConnectionId, GroupId, ObjectGroupId, ProcessorId, RequestNum};
-use ftmp_core::{ClockMode, Processor, SimProcessor};
+use ftmp_core::{ClockMode, Command, Node, Processor};
 use ftmp_net::SimTime;
 use ftmp_net::{McastAddr, SimConfig, SimDuration, SimNet};
 
@@ -21,6 +21,19 @@ const ADDR: McastAddr = McastAddr(0x4654_4D50);
 
 fn conn() -> ConnectionId {
     ConnectionId::new(ObjectGroupId::new(1, 10), ObjectGroupId::new(1, 20))
+}
+
+/// `id` multicasts `giop` on the test connection; the engine must take it.
+fn publish(net: &mut SimNet<Node>, id: u32, request: u64, giop: Vec<u8>) {
+    net.with_node(id, |n, now, out| {
+        let publish = Command::Publish {
+            conn: conn(),
+            request: RequestNum(request),
+            giop: Bytes::from(giop),
+        };
+        n.command(now, publish, out);
+        assert!(matches!(n.host.published, Some(Ok(_))));
+    });
 }
 
 #[test]
@@ -33,20 +46,15 @@ fn survivors_deliver_the_rejoined_members_fresh_stream() {
         let mut e = Processor::new(ProcessorId(id), proto.clone(), ClockMode::Lamport);
         e.create_group(SimTime::ZERO, GROUP, ADDR, founders.clone());
         e.bind_connection(conn(), GROUP);
-        net.add_node(id, SimProcessor::new(e));
+        net.add_node(id, Node::sim(e, GROUP));
         checker.attach(&mut net, id);
-        net.with_node(id, |n, now, out| n.pump_at(now, out));
+        net.with_node(id, |n, now, out| n.pump(now, out));
     }
 
     // Pre-crash traffic so P3's old stream has a real sequence history.
     for k in 0..20u64 {
         let id = 1 + (k % 3) as u32;
-        net.with_node(id, move |n, now, out| {
-            n.engine_mut()
-                .multicast_request(now, conn(), RequestNum(1 + k), Bytes::from(vec![7u8; 32]))
-                .unwrap();
-            n.pump(out);
-        });
+        publish(&mut net, id, 1 + k, vec![7u8; 32]);
         net.run_for(SimDuration::from_millis(5));
     }
 
@@ -66,14 +74,12 @@ fn survivors_deliver_the_rejoined_members_fresh_stream() {
     let mut e = Processor::new(ProcessorId(3), proto.clone(), ClockMode::Lamport);
     e.expect_join(GROUP, ADDR);
     e.bind_connection(conn(), GROUP);
-    net.revive(3, SimProcessor::new(e));
+    net.revive(3, Node::sim(e, GROUP));
     checker.attach(&mut net, 3);
     checker.rejoin(3);
-    net.with_node(3, |n, now, out| n.pump_at(now, out));
-    net.with_node(1, |n, now, out| {
-        n.engine_mut().add_processor(now, GROUP, ProcessorId(3));
-        n.pump_at(now, out);
-    });
+    net.with_node(3, |n, now, out| n.pump(now, out));
+    let add = Command::AddMember(ProcessorId(3));
+    net.with_node(1, |n, now, out| n.command(now, add, out));
     net.run_for(SimDuration::from_millis(500));
     net.with_node(1, |n, _, _| {
         assert_eq!(
@@ -86,17 +92,7 @@ fn survivors_deliver_the_rejoined_members_fresh_stream() {
     // The restarted member publishes on its fresh stream (fresh request
     // numbers — an FT-CORBA retry-id epoch — so ORB dedupe is not in play).
     for k in 0..5u64 {
-        net.with_node(3, move |n, now, out| {
-            n.engine_mut()
-                .multicast_request(
-                    now,
-                    conn(),
-                    RequestNum(1_000 + k),
-                    Bytes::from(vec![9u8; 32]),
-                )
-                .unwrap();
-            n.pump(out);
-        });
+        publish(&mut net, 3, 1_000 + k, vec![9u8; 32]);
         net.run_for(SimDuration::from_millis(10));
     }
     net.run_for(SimDuration::from_secs(2));
@@ -116,7 +112,9 @@ fn survivors_deliver_the_rejoined_members_fresh_stream() {
         let mut fresh = 0usize;
         net.with_node(id, |n, _, _| {
             fresh = n
-                .deliveries()
+                .host
+                .deliveries
+                .iter()
                 .filter(|(_, d)| (1_000..1_005).contains(&d.request_num.0))
                 .count();
         });

@@ -39,9 +39,9 @@
 //! (DESIGN.md §12); [`stats`]
 //! the counter types, including the per-layer
 //! [`LayerCounters`](stats::LayerCounters); [`processor`] the composition
-//! shell tying the three layers into one endpoint; [`driver`] the one turn
-//! (feed, tick, drain, dispatch) every host runs that endpoint through;
-//! [`sim_adapter`] plugs an endpoint into the simulator.
+//! shell tying the three layers into one endpoint; [`node`] its one host,
+//! the simulator's and the socket runtime's alike, and the one turn (feed,
+//! tick, drain, dispatch) it is run through.
 //!
 //! Each layer module exposes the same sans-io shape: a `*Layer` struct with
 //! a typed input enum consumed by `handle(...)` and a typed output enum
@@ -54,9 +54,9 @@ pub mod actions;
 pub mod adaptive;
 pub mod clock;
 pub mod config;
-pub mod driver;
 pub mod durable;
 pub mod ids;
+pub mod node;
 pub mod observe;
 pub mod overlay;
 pub mod pack;
@@ -64,7 +64,6 @@ pub mod pgmp;
 pub mod processor;
 pub mod rmp;
 pub mod romp;
-pub mod sim_adapter;
 pub mod stats;
 mod tap;
 pub mod telemetry;
@@ -73,14 +72,13 @@ pub mod wire;
 pub use adaptive::{Interarrival, RttEstimator};
 pub use clock::{Clock, ClockMode};
 pub use config::{FlowControl, OverlayPolicy, PackPolicy, Packing, ProtocolConfig, Quorum};
-pub use driver::{Driver, Host};
 pub use durable::DeliveryLog;
 pub use ids::{
     ConnectionId, FtDomainId, GroupId, ObjectGroupId, ProcessorId, RequestNum, SeqNum, Timestamp,
 };
+pub use node::{Command, Host, Inbox, Link, Mailbox, Node, RxDatagram, SimLink};
 pub use observe::Observation;
 pub use pack::Packer;
 pub use processor::{Action, Delivery, Processor, ProtocolEvent, SendError, SendOutcome};
-pub use sim_adapter::SimProcessor;
 pub use telemetry::{FlightEntry, FlightEvent, Telemetry, FLIGHT_CAPACITY};
 pub use wire::{FtmpBody, FtmpHeader, FtmpMessage, FtmpMsgType, WireError};

@@ -1512,7 +1512,9 @@ impl Processor {
                 ..
             } = msg.body
             {
-                let g = self.groups.get(&gid).expect("checked");
+                let Some(g) = self.groups.get(&gid) else {
+                    return;
+                };
                 let quorum = self.cfg.suspect_quorum.required(membership.len());
                 // The epoch guard (membership_ts) keeps a joiner from being
                 // "excluded" by replayed proposals that predate the
@@ -1548,14 +1550,18 @@ impl Processor {
                     self.tap.emit(now, Event::PeerSilence { permille });
                 }
             }
-            let g = self.groups.get_mut(&gid).expect("checked");
+            let Some(g) = self.groups.get_mut(&gid) else {
+                return;
+            };
             g.pgmp.note_heard(msg.source, now, !msg.retransmission);
             self.maybe_send_exclusion_notice(now, gid, msg.source);
         }
         let from_self = msg.source == self.id;
         let rx_src = msg.source;
         let rx_seq = msg.seq.0;
-        let g = self.groups.get_mut(&gid).expect("checked");
+        let Some(g) = self.groups.get_mut(&gid) else {
+            return;
+        };
         // RMP retains first and idempotently: an arrival not yet in the
         // store is the one that retains it.
         if self.tap.observing() && !g.rmp.retention().contains(rx_src, rx_seq) {
@@ -1867,7 +1873,9 @@ impl Processor {
             if !respond {
                 continue;
             }
-            let g = self.groups.get_mut(&gid).expect("checked");
+            let Some(g) = self.groups.get_mut(&gid) else {
+                return;
+            };
             let suppress = adaptive::suppress_window(&self.cfg, &g.rtt);
             if let Some(payload) = g.rmp.answer_retransmit(missing_from, seq, now, suppress) {
                 let addr = if in_reconfig || !sender_is_member {

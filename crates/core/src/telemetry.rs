@@ -7,8 +7,9 @@
 //!
 //! [`Telemetry`] is one of the three consumers behind the shell's
 //! instrumentation tap (`tap.rs`, DESIGN.md §9), absent by default like the
-//! observation buffer in [`crate::observe`] — the golden trace-hash test in
-//! [`crate::sim_adapter`] proves wire traffic is bit-identical either way.
+//! observation buffer in [`crate::observe`] — the golden trace-hash tests of
+//! the simulator-hosted [`crate::node`] prove wire traffic is bit-identical
+//! either way.
 //! When enabled, `on_event` correlates the shell's events into latency
 //! series:
 //!

@@ -33,7 +33,7 @@ fn run_mode(mode: ClockMode, skews: &[i64]) -> (LatencyStats, bool) {
 }
 
 fn build_skewed(proto: ProtocolConfig, skews: &[i64]) -> FtmpWorld {
-    use ftmp_core::{GroupId, Processor, ProcessorId, SimProcessor};
+    use ftmp_core::{GroupId, Node, Processor, ProcessorId};
     use ftmp_net::{McastAddr, SimNet, SimTime};
     let group = GroupId(1);
     let addr = McastAddr(100);
@@ -47,8 +47,8 @@ fn build_skewed(proto: ProtocolConfig, skews: &[i64]) -> FtmpWorld {
         let mut engine = Processor::new(ProcessorId(id), proto.clone(), mode);
         engine.create_group(SimTime::ZERO, group, addr, members.clone());
         engine.bind_connection(crate::worlds::world_conn(), group);
-        net.add_node(id, SimProcessor::new(engine));
-        net.with_node(id, |node, now, out| node.pump_at(now, out));
+        net.add_node(id, Node::sim(engine, group));
+        net.with_node(id, |node, now, out| node.pump(now, out));
     }
     FtmpWorld::from_parts(net, 4, group)
 }

@@ -10,7 +10,7 @@
 use crate::report::Table;
 use crate::worlds::FtmpWorld;
 use ftmp_core::wire::FtmpMsgType;
-use ftmp_core::{ClockMode, ProcessorId, ProtocolConfig};
+use ftmp_core::{ClockMode, Command, ProcessorId, ProtocolConfig};
 use ftmp_net::{LossModel, SimConfig};
 
 fn layer_of(t: FtmpMsgType) -> &'static str {
@@ -38,11 +38,9 @@ pub fn run() -> Vec<Table> {
         w.run_ms(2);
     }
     // Voluntary removal of P4 by P1 (RemoveProcessor path).
-    let group = w.group();
-    w.net.with_node(1, |n, now, out| {
-        n.engine_mut().remove_processor(now, group, ProcessorId(4));
-        n.pump_at(now, out);
-    });
+    let remove = Command::RemoveMember(ProcessorId(4));
+    w.net
+        .with_node(1, |n, now, out| n.command(now, remove, out));
     w.run_ms(100);
     // Crash P3: the two remaining survivors reach the majority quorum
     // (2 of 3) and run the Suspect/Membership fault path.

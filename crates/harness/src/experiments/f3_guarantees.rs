@@ -17,7 +17,7 @@
 use crate::report::Table;
 use crate::worlds::{FtmpWorld, OrbWorld};
 use ftmp_core::wire::FtmpMsgType;
-use ftmp_core::{ClockMode, GroupId, Processor, ProcessorId, ProtocolConfig, SimProcessor};
+use ftmp_core::{ClockMode, Command, GroupId, Node, Processor, ProcessorId, ProtocolConfig};
 use ftmp_net::{LossModel, McastAddr, SimConfig, SimDuration, SimTime};
 
 fn check_regular() -> (bool, bool, bool) {
@@ -53,8 +53,8 @@ fn check_add_processor_under_loss() -> bool {
             ClockMode::Lamport,
         );
         e.create_group(SimTime::ZERO, gid, addr, members.clone());
-        net.add_node(id, SimProcessor::new(e));
-        net.with_node(id, |n, now, out| n.pump_at(now, out));
+        net.add_node(id, Node::sim(e, gid));
+        net.with_node(id, |n, now, out| n.pump(now, out));
     }
     // The joiner.
     let mut e = Processor::new(
@@ -63,12 +63,10 @@ fn check_add_processor_under_loss() -> bool {
         ClockMode::Lamport,
     );
     e.expect_join(gid, addr);
-    net.add_node(3, SimProcessor::new(e));
-    net.with_node(3, |n, now, out| n.pump_at(now, out));
-    net.with_node(1, |n, now, out| {
-        n.engine_mut().add_processor(now, gid, ProcessorId(3));
-        n.pump_at(now, out);
-    });
+    net.add_node(3, Node::sim(e, gid));
+    net.with_node(3, |n, now, out| n.pump(now, out));
+    let add = Command::AddMember(ProcessorId(3));
+    net.with_node(1, |n, now, out| n.command(now, add, out));
     net.run_for(SimDuration::from_millis(800));
     (1..=3u32).all(|id| {
         net.node(id)

@@ -4,8 +4,8 @@ use bytes::Bytes;
 use ftmp_baselines::TotalOrderNode;
 use ftmp_core::pgmp::ServerRegistration;
 use ftmp_core::{
-    ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
-    RequestNum, SendOutcome, SimProcessor,
+    ClockMode, Command, ConnectionId, GroupId, Node, ObjectGroupId, Processor, ProcessorId,
+    ProtocolConfig, RequestNum, SendOutcome,
 };
 use ftmp_net::{McastAddr, NodeId, SimConfig, SimDuration, SimNet, SimNode, SimTime};
 use ftmp_orb::{OrbEndpoint, OrbNode};
@@ -41,7 +41,7 @@ impl RunResults {
 /// An n-member FTMP processor group with a statically bound connection.
 pub struct FtmpWorld {
     /// The simulator.
-    pub net: SimNet<SimProcessor>,
+    pub net: SimNet<Node>,
     /// Member count.
     pub n: u32,
     group: GroupId,
@@ -63,8 +63,8 @@ impl FtmpWorld {
             let mut engine = Processor::new(ProcessorId(id), proto.clone(), clock);
             engine.create_group(SimTime::ZERO, group, addr, members.clone());
             engine.bind_connection(world_conn(), group);
-            net.add_node(id, SimProcessor::new(engine));
-            net.with_node(id, |node, now, out| node.pump_at(now, out));
+            net.add_node(id, Node::sim(engine, group));
+            net.with_node(id, |node, now, out| node.pump(now, out));
         }
         FtmpWorld {
             net,
@@ -79,7 +79,7 @@ impl FtmpWorld {
     /// Wrap an externally assembled simulator (custom per-node clock modes
     /// or configs); the nodes must already share `group` with the world
     /// connection bound, on the standard world multicast address (100).
-    pub fn from_parts(net: SimNet<SimProcessor>, n: u32, group: GroupId) -> Self {
+    pub fn from_parts(net: SimNet<Node>, n: u32, group: GroupId) -> Self {
         FtmpWorld {
             net,
             n,
@@ -105,15 +105,17 @@ impl FtmpWorld {
     /// matching §4's allocation rule.
     pub fn send_on(&mut self, conn: ConnectionId, from: u32, payload_len: usize) {
         self.next_req += 1;
-        let req = RequestNum(self.next_req);
-        let payload = Bytes::from(vec![0xAB; payload_len]);
+        let publish = Command::Publish {
+            conn,
+            request: RequestNum(self.next_req),
+            giop: Bytes::from(vec![0xAB; payload_len]),
+        };
         let now_us = self.net.now().as_micros();
         let sent = self.net.with_node(from, move |node, now, out| {
-            let r = node.engine_mut().multicast_request(now, conn, req, payload);
-            node.pump_at(now, out);
-            r
+            node.command(now, publish, out);
+            node.host.published.take()
         });
-        if let Some(Ok(SendOutcome::Sent { seq, .. })) = sent {
+        if let Some(Some(Ok(SendOutcome::Sent { seq, .. }))) = sent {
             self.send_times.insert((from, seq.0), now_us);
         }
     }
@@ -201,14 +203,11 @@ impl FtmpWorld {
         let log = ftmp_store::DurableLog::open(dir, ftmp_store::LogConfig::default())
             .expect("reopen durable log");
         engine.set_delivery_log(Box::new(log));
-        self.net.revive(id, SimProcessor::new(engine));
+        self.net.revive(id, Node::sim(engine, self.group));
+        self.net.with_node(id, |node, now, out| node.pump(now, out));
+        let add = Command::AddMember(ProcessorId(id));
         self.net
-            .with_node(id, |node, now, out| node.pump_at(now, out));
-        let group = self.group;
-        self.net.with_node(sponsor, move |node, now, out| {
-            node.engine_mut().add_processor(now, group, ProcessorId(id));
-            node.pump_at(now, out);
-        });
+            .with_node(sponsor, move |node, now, out| node.command(now, add, out));
         state
     }
 

@@ -1,13 +1,15 @@
 //! A complete replicated-CORBA endpoint for the simulator: FTMP processor
-//! below, ORB above, moved between by [`Driver::turn`] (DESIGN.md §11).
+//! below, ORB above, on the engine's one host, a [`Node`] (DESIGN.md §11).
+//! The ORB is that node's [`Host`]; what it sends goes through the node's
+//! intake as publishes, like every other host's.
 
 use crate::conn::Connection;
 use crate::endpoint::{Completion, InvocationResult, OrbEndpoint, OutboundMsg};
-use bytes::Bytes;
 use ftmp_core::{
-    ConnectionId, Delivery, Driver, GroupId, Host, Processor, ProtocolEvent, RequestNum, SendError,
+    Command, ConnectionId, Delivery, GroupId, Host, Inbox, Node, Processor, ProtocolEvent,
+    RequestNum, RxDatagram, SendError, SendOutcome, SimLink,
 };
-use ftmp_net::{McastAddr, Outbox, Packet, SimNode, SimTime};
+use ftmp_net::{Outbox, Packet, SimNode, SimTime};
 use ftmp_telemetry::HistogramSnapshot;
 use std::collections::VecDeque;
 
@@ -25,19 +27,19 @@ const TRANSIENT_REPO_ID: &str = "IDL:omg.org/CORBA/TRANSIENT:1.0";
 /// GIOP messages flow down as Regular multicasts; completions and protocol
 /// events queue for the harness.
 pub struct OrbNode {
-    driver: Driver,
-    up: Upper,
+    node: Node<Upper>,
 }
 
 /// Everything above the engine: the ORB and what queues for the harness.
 struct Upper {
-    /// The processor's id, as the simulator knows it.
-    src: u32,
     orb: OrbEndpoint,
     events: VecDeque<ProtocolEvent>,
     completions: VecDeque<Completion>,
     /// Outbound messages awaiting `Action::SendReady` (bounded).
     deferred: VecDeque<OutboundMsg>,
+    /// Outbound messages handed to the node as publishes, awaiting what
+    /// became of them, in order.
+    submitted: VecDeque<OutboundMsg>,
     /// True between `Action::Backpressure` and `Action::SendReady`.
     blocked: bool,
     /// Invocations shed with `TRANSIENT` because the deferred queue was full.
@@ -49,16 +51,7 @@ struct Upper {
     latency_on: bool,
 }
 
-impl Host<Outbox> for Upper {
-    fn send(&mut self, out: &mut Outbox, addr: McastAddr, payload: Bytes) {
-        out.send(Packet::new(self.src, addr, payload));
-    }
-    fn join(&mut self, out: &mut Outbox, addr: McastAddr) {
-        out.join(addr);
-    }
-    fn leave(&mut self, out: &mut Outbox, addr: McastAddr) {
-        out.leave(addr);
-    }
+impl Host for Upper {
     fn deliver(&mut self, _now: SimTime, d: Delivery) {
         self.orb.on_delivery(&d);
     }
@@ -73,6 +66,15 @@ impl Host<Outbox> for Upper {
     /// Deferred work is retried on the pump's next iteration.
     fn window(&mut self, _group: GroupId, closed: bool) {
         self.blocked = closed;
+    }
+    /// A publish the window refused is parked, and so is everything after
+    /// it until the window reopens.
+    fn published(&mut self, _request: RequestNum, outcome: Result<SendOutcome, SendError>) {
+        let ob = self.submitted.pop_front();
+        if let (Some(ob), Err(SendError::Backpressured)) = (ob, outcome) {
+            self.blocked = true;
+            self.defer_or_shed(ob);
+        }
     }
 }
 
@@ -94,10 +96,10 @@ impl Upper {
     }
 
     /// ORB → FTMP: deferred work first (FIFO across backpressure episodes),
-    /// then fresh outbound — but only submit while the window is open, so a
-    /// closed window parks instead of spinning. Returns whether there was
-    /// anything to submit.
-    fn submit(&mut self, engine: &mut Processor, now: SimTime) -> bool {
+    /// then fresh outbound, each a publish in `intake` — but only while the
+    /// window is open, so a closed window parks instead of spinning.
+    /// Returns whether there was anything to submit.
+    fn submit(&mut self, intake: &mut Vec<Inbox>) -> bool {
         let mut to_send = std::mem::take(&mut self.send_scratch);
         if !self.blocked {
             to_send.extend(self.deferred.drain(..));
@@ -109,12 +111,12 @@ impl Upper {
                 self.defer_or_shed(ob);
                 continue;
             }
-            if let Err(SendError::Backpressured) =
-                engine.multicast_request(now, ob.conn, ob.request_num, ob.giop.clone())
-            {
-                self.blocked = true;
-                self.defer_or_shed(ob);
-            }
+            intake.push(Inbox::Command(Command::Publish {
+                conn: ob.conn,
+                request: ob.request_num,
+                giop: ob.giop.clone(),
+            }));
+            self.submitted.push_back(ob);
         }
         self.send_scratch = to_send;
         had_outbound
@@ -122,21 +124,23 @@ impl Upper {
 }
 
 impl OrbNode {
-    /// Combine a processor and an ORB endpoint.
+    /// Combine a processor and an ORB endpoint. The processor's groups come
+    /// with its connections (§7) and the ORB issues no membership
+    /// commands, so the node's command group is §7's "no group", 0.
     pub fn new(proc: Processor, orb: OrbEndpoint) -> Self {
+        let upper = Upper {
+            orb,
+            events: VecDeque::new(),
+            completions: VecDeque::new(),
+            deferred: VecDeque::new(),
+            submitted: VecDeque::new(),
+            blocked: false,
+            shed: 0,
+            send_scratch: Vec::new(),
+            latency_on: false,
+        };
         OrbNode {
-            up: Upper {
-                src: proc.id().0,
-                orb,
-                events: VecDeque::new(),
-                completions: VecDeque::new(),
-                deferred: VecDeque::new(),
-                blocked: false,
-                shed: 0,
-                send_scratch: Vec::new(),
-                latency_on: false,
-            },
-            driver: Driver::new(proc),
+            node: Node::new(proc, GroupId(0), upper),
         }
     }
 
@@ -144,48 +148,42 @@ impl OrbNode {
     /// Purely observational: enabling it changes no wire behaviour. The
     /// histograms live next to the rest of each connection's state.
     pub fn enable_latency_telemetry(&mut self) {
-        self.up.latency_on = true;
+        self.node.host.latency_on = true;
     }
 
     /// Snapshot of the request-latency histogram for one connection, if
     /// latency telemetry is enabled and the connection completed anything.
     pub fn request_latency(&self, conn: ConnectionId) -> Option<HistogramSnapshot> {
-        self.up
-            .orb
-            .conns
-            .get(&conn)
-            .and_then(Connection::latency_snapshot)
+        let conns = &self.node.host.orb.conns;
+        conns.get(&conn).and_then(Connection::latency_snapshot)
     }
 
     /// All per-connection request-latency snapshots recorded so far.
     pub fn request_latencies(
         &self,
     ) -> impl Iterator<Item = (ConnectionId, HistogramSnapshot)> + '_ {
-        self.up
-            .orb
-            .conns
-            .iter()
-            .filter_map(|(id, c)| Some((*id, c.latency_snapshot()?)))
+        let conns = self.node.host.orb.conns.iter();
+        conns.filter_map(|(id, c)| Some((*id, c.latency_snapshot()?)))
     }
 
     /// The FTMP engine.
     pub fn proc(&self) -> &Processor {
-        &self.driver.engine
+        self.node.engine()
     }
 
     /// Mutable FTMP engine (drive through [`ftmp_net::SimNet::with_node`]).
     pub fn proc_mut(&mut self) -> &mut Processor {
-        &mut self.driver.engine
+        self.node.engine_mut()
     }
 
     /// The ORB endpoint.
     pub fn orb(&self) -> &OrbEndpoint {
-        &self.up.orb
+        &self.node.host.orb
     }
 
     /// Mutable ORB endpoint.
     pub fn orb_mut(&mut self) -> &mut OrbEndpoint {
-        &mut self.up.orb
+        &mut self.node.host.orb
     }
 
     /// Invoke an operation and pump the resulting request onto the wire.
@@ -199,9 +197,10 @@ impl OrbNode {
         args: &[u8],
         out: &mut Outbox,
     ) -> RequestNum {
-        let num = self.up.orb.invoke(conn, object_key, operation, args);
-        if self.up.latency_on {
-            self.up.orb.conn_mut(conn).start_clock(num, now);
+        let up = &mut self.node.host;
+        let num = up.orb.invoke(conn, object_key, operation, args);
+        if up.latency_on {
+            up.orb.conn_mut(conn).start_clock(num, now);
         }
         self.pump(now, out);
         num
@@ -209,63 +208,53 @@ impl OrbNode {
 
     /// Drain completed invocations.
     pub fn take_completions(&mut self) -> Vec<Completion> {
-        self.up.completions.drain(..).collect()
+        self.node.host.completions.drain(..).collect()
     }
 
     /// Drain protocol events.
     pub fn take_events(&mut self) -> Vec<ProtocolEvent> {
-        self.up.events.drain(..).collect()
+        self.node.host.events.drain(..).collect()
     }
 
     /// Outbound messages currently parked behind backpressure.
     pub fn deferred_len(&self) -> usize {
-        self.up.deferred.len()
+        self.node.host.deferred.len()
     }
 
     /// Invocations shed with `TRANSIENT` since construction.
     pub fn shed_count(&self) -> u64 {
-        self.up.shed
+        self.node.host.shed
     }
 
     /// True between `Action::Backpressure` and `Action::SendReady`.
     pub fn is_backpressured(&self) -> bool {
-        self.up.blocked
+        self.node.host.blocked
     }
 
     /// Move data between the layers and the network until quiescent.
     ///
-    /// Each iteration is one [`Driver::turn`] whose feed submits every ready
+    /// Each iteration is one [`Node::turn`] whose intake holds every ready
     /// outbound message, so the Packer flushes once per iteration, not once
     /// per message; a steady-state pump allocates nothing.
     pub fn pump(&mut self, now: SimTime, out: &mut Outbox) {
-        self.pump_fed(now, out, None, false);
+        self.pump_fed(now, out, false);
     }
 
-    /// [`pump`](Self::pump), whose first turn also takes in `arrived` and
-    /// ticks if `tick_due`.
-    fn pump_fed(
-        &mut self,
-        now: SimTime,
-        out: &mut Outbox,
-        mut arrived: Option<&Packet>,
-        mut tick_due: bool,
-    ) {
+    /// [`pump`](Self::pump), whose first turn ticks if `tick_due`.
+    fn pump_fed(&mut self, now: SimTime, out: &mut Outbox, mut tick_due: bool) {
+        let src = self.node.engine().id().0;
+        let mut link = SimLink { src, out };
         loop {
-            let mut had_outbound = false;
-            let tick = std::mem::take(&mut tick_due);
+            let Node { host, intake, .. } = &mut self.node;
+            let had_outbound = host.submit(intake);
             let acted = self
-                .driver
-                .turn(now, tick, &mut self.up, out, |engine, up| {
-                    if let Some(pkt) = arrived.take() {
-                        engine.handle_packet(now, pkt);
-                    }
-                    had_outbound = up.submit(engine, now);
-                });
+                .node
+                .turn(now, std::mem::take(&mut tick_due), &mut link);
             if !acted && !had_outbound {
                 break;
             }
         }
-        let up = &mut self.up;
+        let up = &mut self.node.host;
         for c in up.orb.drain_completions() {
             if up.latency_on {
                 up.orb
@@ -279,11 +268,15 @@ impl OrbNode {
 
 impl SimNode for OrbNode {
     fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Outbox) {
-        self.pump_fed(now, out, Some(pkt), false);
+        self.node.intake.push(Inbox::Datagrams(vec![RxDatagram {
+            addr: pkt.dst,
+            payload: pkt.payload.clone(),
+        }]));
+        self.pump_fed(now, out, false);
     }
 
     fn on_tick(&mut self, now: SimTime, out: &mut Outbox) {
-        self.pump_fed(now, out, None, true);
+        self.pump_fed(now, out, true);
     }
 }
 

@@ -13,13 +13,12 @@
 //!   loopback, one `SO_REUSEPORT`-shared port) and [`TcpMeshTransport`]
 //!   (full-mesh fallback for multicast-less containers), behind one
 //!   [`Transport`] trait with probe-based [`open_transport`] selection.
-//! - [`node`] — [`Node`], the endpoint without a thread or a clock: its
-//!   turn is `ftmp_core::Driver::turn` (DESIGN.md §11) with one
-//!   `send_batch` per turn, peer lifecycle (founders, joiners, sponsored
-//!   adds with retry, crash-restart with an ftmp-store delivery log
-//!   attached) and runtime telemetry counters; and [`spawn`], the thread
-//!   around it: one inbox that datagrams and commands both wake,
-//!   fixed-cadence ticks.
+//! - [`node`] — [`spawn`], the thread around the engine's one host,
+//!   `ftmp_core::Node` (DESIGN.md §11): one inbox that datagrams and
+//!   commands both wake, fixed-cadence ticks, the transport as each turn's
+//!   link (one `send_batch` per turn); and [`Io`], the node's host here:
+//!   the application's channels, the trace recorder and the hybrid-logical
+//!   floor on their timestamps, plus the runtime's telemetry counters.
 //! - [`trace`] — the on-disk observation recorder whose files
 //!   `ftmp-check`'s trace replay feeds through the same seven oracles that
 //!   check simulator runs.
@@ -68,7 +67,8 @@ pub mod trace;
 pub mod transport;
 
 pub use node::{
-    spawn, Command, Node, NodeConfig, NodeParts, Role, RuntimeClock, RuntimeHandle, RuntimeReport,
+    spawn, Command, Io, Node, NodeConfig, NodeParts, Role, RuntimeClock, RuntimeHandle,
+    RuntimeReport,
 };
 pub use trace::{TraceWriter, TRACE_HEADER};
 pub use transport::{

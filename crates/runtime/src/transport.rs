@@ -50,8 +50,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::node::Command;
 use crate::sys;
+pub use ftmp_core::node::{Inbox, RxDatagram};
 
 /// Reserved `McastAddr` used by the multicast availability probe. Never
 /// handed to the `Processor`.
@@ -59,23 +59,6 @@ pub const PROBE_ADDR: McastAddr = McastAddr(u32::MAX);
 
 /// Frame magic for UDP datagrams ("FTMR").
 const UDP_MAGIC: [u8; 4] = *b"FTMR";
-
-/// One received datagram, already filtered to a subscribed group.
-#[derive(Debug, Clone)]
-pub struct RxDatagram {
-    /// Destination group (from the frame header).
-    pub addr: McastAddr,
-    /// FTMP payload.
-    pub payload: Bytes,
-}
-
-/// One entry of the inbox: what a [`Node`](crate::node::Node)'s turn takes in.
-pub enum Inbox {
-    /// The subscribed frames of one socket read, or one send's self-copies.
-    Datagrams(Vec<RxDatagram>),
-    /// A control command from the node's handle.
-    Command(Command),
-}
 
 /// Producer half of the inbox (held by transport reader threads).
 #[derive(Clone)]
@@ -143,7 +126,8 @@ impl RxReceiver {
         self.received.load(Ordering::Relaxed)
     }
 
-    /// The handle a node's owner sends [`Command`]s through.
+    /// The handle a node's owner sends [`Command`](ftmp_core::Command)s
+    /// through.
     pub(crate) fn command_sender(&self) -> Sender<Inbox> {
         self.tx.clone()
     }

@@ -8,8 +8,8 @@
 
 use bytes::Bytes;
 use ftmp::core::{
-    ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
-    ProtocolEvent, RequestNum, SimProcessor,
+    ClockMode, Command, ConnectionId, GroupId, Node, ObjectGroupId, Processor, ProcessorId,
+    ProtocolConfig, ProtocolEvent, RequestNum,
 };
 use ftmp::net::{McastAddr, SimConfig, SimDuration, SimNet, SimTime};
 
@@ -20,17 +20,34 @@ fn conn() -> ConnectionId {
     ConnectionId::new(ObjectGroupId::new(1, 1), ObjectGroupId::new(1, 2))
 }
 
-fn send(net: &mut SimNet<SimProcessor>, id: u32, text: &str, req: u64) {
-    let payload = Bytes::from(text.to_string());
-    net.with_node(id, move |n, now, out| {
-        let _ = n
-            .engine_mut()
-            .multicast_request(now, conn(), RequestNum(req), payload);
-        n.pump_at(now, out);
-    });
+/// Have `id` take `cmd` in: publishes, adds and removes all go this way.
+fn command(net: &mut SimNet<Node>, id: u32, cmd: Command) {
+    net.with_node(id, move |n, now, out| n.command(now, cmd, out));
 }
 
-fn show_membership(net: &SimNet<SimProcessor>, ids: &[u32]) {
+fn send(net: &mut SimNet<Node>, id: u32, text: &str, req: u64) {
+    let publish = Command::Publish {
+        conn: conn(),
+        request: RequestNum(req),
+        giop: Bytes::from(text.to_string()),
+    };
+    command(net, id, publish);
+}
+
+/// A fresh processor `id`, subscribed and waiting to be added.
+fn joiner(net: &mut SimNet<Node>, id: u32) {
+    let mut e = Processor::new(
+        ProcessorId(id),
+        ProtocolConfig::with_seed(99),
+        ClockMode::Lamport,
+    );
+    e.expect_join(GROUP, ADDR);
+    e.bind_connection(conn(), GROUP);
+    net.add_node(id, Node::sim(e, GROUP));
+    net.with_node(id, |n, now, out| n.pump(now, out));
+}
+
+fn show_membership(net: &SimNet<Node>, ids: &[u32]) {
     for &id in ids {
         let m = net
             .node(id)
@@ -60,27 +77,16 @@ fn main() {
         );
         e.create_group(SimTime::ZERO, GROUP, ADDR, founders);
         e.bind_connection(conn(), GROUP);
-        net.add_node(id, SimProcessor::new(e));
-        net.with_node(id, |n, now, out| n.pump_at(now, out));
+        net.add_node(id, Node::sim(e, GROUP));
+        net.with_node(id, |n, now, out| n.pump(now, out));
     }
     println!("founded group {{P1, P2}}; sending pre-join traffic …");
     send(&mut net, 1, "pre-join message", 1);
     net.run_for(SimDuration::from_millis(50));
 
     // P3 joins, sponsored by P1.
-    let mut e = Processor::new(
-        ProcessorId(3),
-        ProtocolConfig::with_seed(99),
-        ClockMode::Lamport,
-    );
-    e.expect_join(GROUP, ADDR);
-    e.bind_connection(conn(), GROUP);
-    net.add_node(3, SimProcessor::new(e));
-    net.with_node(3, |n, now, out| n.pump_at(now, out));
-    net.with_node(1, |n, now, out| {
-        n.engine_mut().add_processor(now, GROUP, ProcessorId(3));
-        n.pump_at(now, out);
-    });
+    joiner(&mut net, 3);
+    command(&mut net, 1, Command::AddMember(ProcessorId(3)));
     net.run_for(SimDuration::from_millis(50));
     println!("\nP3 joined (sponsored by P1):");
     show_membership(&net, &[1, 2, 3]);
@@ -89,28 +95,14 @@ fn main() {
     net.run_for(SimDuration::from_millis(50));
 
     // P2 leaves voluntarily.
-    net.with_node(1, |n, now, out| {
-        n.engine_mut().remove_processor(now, GROUP, ProcessorId(2));
-        n.pump_at(now, out);
-    });
+    command(&mut net, 1, Command::RemoveMember(ProcessorId(2)));
     net.run_for(SimDuration::from_millis(50));
     println!("\nP2 removed voluntarily:");
     show_membership(&net, &[1, 2, 3]);
 
     // P4 joins, then P1 crashes: the survivors convict it.
-    let mut e = Processor::new(
-        ProcessorId(4),
-        ProtocolConfig::with_seed(99),
-        ClockMode::Lamport,
-    );
-    e.expect_join(GROUP, ADDR);
-    e.bind_connection(conn(), GROUP);
-    net.add_node(4, SimProcessor::new(e));
-    net.with_node(4, |n, now, out| n.pump_at(now, out));
-    net.with_node(3, |n, now, out| {
-        n.engine_mut().add_processor(now, GROUP, ProcessorId(4));
-        n.pump_at(now, out);
-    });
+    joiner(&mut net, 4);
+    command(&mut net, 3, Command::AddMember(ProcessorId(4)));
     net.run_for(SimDuration::from_millis(50));
     println!("\nP4 joined (sponsored by P3):");
     show_membership(&net, &[1, 3, 4]);

@@ -7,8 +7,8 @@
 
 use bytes::Bytes;
 use ftmp::core::{
-    ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
-    RequestNum, SimProcessor,
+    ClockMode, Command, ConnectionId, GroupId, Node, ObjectGroupId, Processor, ProcessorId,
+    ProtocolConfig, RequestNum,
 };
 use ftmp::net::{LossModel, McastAddr, SimConfig, SimDuration, SimNet, SimTime};
 
@@ -24,7 +24,8 @@ fn main() {
     net.set_classifier(ftmp::core::wire::classify);
 
     // Five processors, all members of one processor group, with a logical
-    // connection bound for application traffic.
+    // connection bound for application traffic. Each is hosted by a `Node`,
+    // the same host the socket runtime runs.
     let members: Vec<ProcessorId> = (1..=N).map(ProcessorId).collect();
     for id in 1..=N {
         let mut engine = Processor::new(
@@ -34,20 +35,20 @@ fn main() {
         );
         engine.create_group(SimTime::ZERO, group, addr, members.clone());
         engine.bind_connection(conn, group);
-        net.add_node(id, SimProcessor::new(engine));
-        net.with_node(id, |n, now, out| n.pump_at(now, out));
+        net.add_node(id, Node::sim(engine, group));
+        // Founding the group subscribed to it; the first turn says so.
+        net.with_node(id, |n, now, out| n.pump(now, out));
     }
 
     // Everyone multicasts concurrently; FTMP orders the lot.
     for round in 0..4u64 {
         for id in 1..=N {
-            let payload = Bytes::from(format!("msg {round} from P{id}"));
-            net.with_node(id, move |n, now, out| {
-                n.engine_mut()
-                    .multicast_request(now, conn, RequestNum(round * N as u64 + id as u64), payload)
-                    .expect("connection bound");
-                n.pump_at(now, out);
-            });
+            let publish = Command::Publish {
+                conn,
+                request: RequestNum(round * N as u64 + id as u64),
+                giop: Bytes::from(format!("msg {round} from P{id}")),
+            };
+            net.with_node(id, move |n, now, out| n.command(now, publish, out));
         }
         net.run_for(SimDuration::from_millis(10));
     }

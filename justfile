@@ -44,7 +44,8 @@ chaos:
 
 # Conformance sweep: the oracle suite over the full fault matrix, release
 # mode (CONFORMANCE_SEEDS seeds per scenario); writes CONFORMANCE_verdicts.json.
-# Then the runtime's own `Node` hosted on the simulator, as many seeds.
+# Then the runtime's node (its host, channels and trace recorder) on the
+# simulator, as many seeds.
 conformance:
     CONFORMANCE_SEEDS=16 cargo test --release --test conformance
     CONFORMANCE_SEEDS=16 cargo test --release --test runtime_on_sim
@@ -107,17 +108,18 @@ bench-pins:
 
 # Crash→restart→rejoin gate (DESIGN.md §12): the durable-log integration
 # tests, the CrashRestart sweep cell, then the E16 recovery snapshot
-# (results/e16.json + results/e16_metrics.json).
+# (results/e16.json + results/e16_metrics.json). scripts/test-some.sh fails
+# when its name filter selects no test.
 recover:
     cargo test --release --test durable_recovery
-    cargo test --release -p ftmp-check crash_restart
+    scripts/test-some.sh --release -p ftmp-check crash_restart
     FTMP_METRICS_DIR=results cargo run --release -p ftmp-bench --bin e16_recovery
 
 # Dissemination-overlay gate (DESIGN.md §13): the 64/128-member tree-mode
 # sweep cell under all seven oracles, then the E17 control-cost snapshot
 # flat vs tree at 16/64/128/256 members (results/e17.json).
 e17:
-    cargo test --release -p ftmp-check large_group
+    scripts/test-some.sh --release -p ftmp-check large_group
     cargo run --release -p ftmp-bench --bin e17_overlay
 
 # Coverage-guided exploration gate (DESIGN.md §15): the E19 comparison —

@@ -25,8 +25,8 @@
 //! ```
 //! use bytes::Bytes;
 //! use ftmp::core::{
-//!     ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId,
-//!     ProtocolConfig, RequestNum, SimProcessor,
+//!     ClockMode, Command, ConnectionId, GroupId, Node, ObjectGroupId, Processor, ProcessorId,
+//!     ProtocolConfig, RequestNum,
 //! };
 //! use ftmp::net::{LossModel, McastAddr, SimConfig, SimDuration, SimNet, SimTime};
 //!
@@ -37,15 +37,16 @@
 //!     let mut p = Processor::new(ProcessorId(id), ProtocolConfig::default(), ClockMode::Lamport);
 //!     p.create_group(SimTime::ZERO, GroupId(1), McastAddr(1), members.clone());
 //!     p.bind_connection(conn, GroupId(1));
-//!     net.add_node(id, SimProcessor::new(p));
-//!     net.with_node(id, |n, now, out| n.pump_at(now, out));
+//!     // The engine's host, the one the socket runtime runs too.
+//!     net.add_node(id, Node::sim(p, GroupId(1)));
+//!     net.with_node(id, |n, now, out| n.pump(now, out));
 //! }
-//! net.with_node(1, |n, now, out| {
-//!     n.engine_mut()
-//!         .multicast_request(now, conn, RequestNum(1), Bytes::from_static(b"hello"))
-//!         .unwrap();
-//!     n.pump_at(now, out);
-//! });
+//! let hello = Command::Publish {
+//!     conn,
+//!     request: RequestNum(1),
+//!     giop: Bytes::from_static(b"hello"),
+//! };
+//! net.with_node(1, |n, now, out| n.command(now, hello, out));
 //! net.run_for(SimDuration::from_millis(100));
 //! let delivered = net.node_mut(2).unwrap().take_deliveries();
 //! assert_eq!(delivered.len(), 1);

@@ -12,8 +12,8 @@
 use bytes::Bytes;
 use ftmp::check::Checker;
 use ftmp::core::{
-    ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
-    ProtocolEvent, RequestNum, SimProcessor,
+    ClockMode, Command, ConnectionId, GroupId, Node, ObjectGroupId, Processor, ProcessorId,
+    ProtocolConfig, ProtocolEvent, RequestNum,
 };
 use ftmp::net::{
     LinkDegrade, LinkSelector, LossModel, McastAddr, SimConfig, SimDuration, SimNet, SimTime,
@@ -40,7 +40,7 @@ fn seeds(base: u64, default_count: u64) -> std::ops::Range<u64> {
 }
 
 struct Chaos {
-    net: SimNet<SimProcessor>,
+    net: SimNet<Node>,
     checker: Checker,
     rng: SmallRng,
     members: BTreeSet<u32>,
@@ -74,9 +74,9 @@ impl Chaos {
             let mut e = Processor::new(ProcessorId(id), proto.clone(), ClockMode::Lamport);
             e.create_group(SimTime::ZERO, GROUP, ADDR, founders.clone());
             e.bind_connection(conn(), GROUP);
-            net.add_node(id, SimProcessor::new(e));
+            net.add_node(id, Node::sim(e, GROUP));
             checker.attach(&mut net, id);
-            net.with_node(id, |n, now, out| n.pump_at(now, out));
+            net.with_node(id, |n, now, out| n.pump(now, out));
         }
         Chaos {
             net,
@@ -116,17 +116,21 @@ impl Chaos {
         Some(alive[i])
     }
 
+    /// Have `id` take `cmd` in, in a turn of its own.
+    fn command(&mut self, id: u32, cmd: Command) {
+        self.net
+            .with_node(id, move |n, now, out| n.command(now, cmd, out));
+    }
+
     fn send_random(&mut self) {
         if let Some(id) = self.pick_alive() {
             self.next_req += 1;
-            let req = RequestNum(self.next_req);
-            let len = self.rng.gen_range(8..256usize);
-            self.net.with_node(id, move |n, now, out| {
-                let _ =
-                    n.engine_mut()
-                        .multicast_request(now, conn(), req, Bytes::from(vec![0u8; len]));
-                n.pump_at(now, out);
-            });
+            let publish = Command::Publish {
+                conn: conn(),
+                request: RequestNum(self.next_req),
+                giop: Bytes::from(vec![0u8; self.rng.gen_range(8..256usize)]),
+            };
+            self.command(id, publish);
         }
     }
 
@@ -159,16 +163,11 @@ impl Chaos {
                     );
                     e.expect_join(GROUP, ADDR);
                     e.bind_connection(conn(), GROUP);
-                    self.net.add_node(joiner, SimProcessor::new(e));
+                    self.net.add_node(joiner, Node::sim(e, GROUP));
                     self.checker.attach(&mut self.net, joiner);
-                    self.net
-                        .with_node(joiner, |n, now, out| n.pump_at(now, out));
+                    self.net.with_node(joiner, |n, now, out| n.pump(now, out));
                     let sponsor = self.pick_alive().expect("checked");
-                    self.net.with_node(sponsor, move |n, now, out| {
-                        n.engine_mut()
-                            .add_processor(now, GROUP, ProcessorId(joiner));
-                        n.pump_at(now, out);
-                    });
+                    self.command(sponsor, Command::AddMember(ProcessorId(joiner)));
                     self.members.insert(joiner);
                     self.joined_ever.insert(joiner);
                 }
@@ -181,11 +180,7 @@ impl Chaos {
                     let idx = self.rng.gen_range(0..alive.len());
                     let leaver = alive[idx];
                     let sponsor = alive[(idx + 1) % alive.len()];
-                    self.net.with_node(sponsor, move |n, now, out| {
-                        n.engine_mut()
-                            .remove_processor(now, GROUP, ProcessorId(leaver));
-                        n.pump_at(now, out);
-                    });
+                    self.command(sponsor, Command::RemoveMember(ProcessorId(leaver)));
                     self.members.remove(&leaver);
                     self.checker.retire(leaver);
                 }

@@ -14,11 +14,11 @@
 
 use bytes::Bytes;
 use ftmp::core::{
-    wire, Action, ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId,
-    ProtocolConfig, ProtocolEvent, RequestNum, SimProcessor,
+    wire, Action, ClockMode, Command, ConnectionId, GroupId, Inbox, Node, ObjectGroupId, Processor,
+    ProcessorId, ProtocolConfig, ProtocolEvent, RequestNum,
 };
 use ftmp::harness::worlds::{OrbWorld, ORB_GROUP_ADDR};
-use ftmp::net::{McastAddr, Outbox, Packet, SimConfig, SimDuration, SimNet, SimTime};
+use ftmp::net::{McastAddr, Packet, SimConfig, SimDuration, SimNet, SimTime};
 use ftmp::orb::log::LogEntry;
 use ftmp::orb::servant::decode_i64_result;
 use ftmp::orb::{OrbEndpoint, OrbNode, Transfer};
@@ -54,11 +54,8 @@ fn durable_log_does_not_perturb_the_golden_trace() {
         engine.create_group(SimTime::ZERO, GROUP, ADDR, members.clone());
         let log = DurableLog::open(&dirs[id as usize - 1], LogConfig::default()).unwrap();
         engine.set_delivery_log(Box::new(log));
-        let mut node = SimProcessor::new(engine);
-        let mut out = Outbox::default();
-        node.pump(&mut out);
-        net.add_node(id, node);
-        net.subscribe(id, ADDR);
+        net.add_node(id, Node::sim(engine, GROUP));
+        net.with_node(id, |n, now, out| n.pump(now, out));
     }
     for id in 1..=3u32 {
         net.with_node(id, |n, _, _| {
@@ -69,16 +66,14 @@ fn durable_log_does_not_perturb_the_golden_trace() {
     for id in 1u32..=3 {
         net.with_node(id, |n, now, out| {
             for k in 0..3u64 {
-                n.engine_mut()
-                    .multicast_request(
-                        now,
-                        conn(),
-                        RequestNum(u64::from(id) * 10 + k),
-                        Bytes::from(vec![id as u8; 32]),
-                    )
-                    .unwrap();
+                n.intake.push(Inbox::Command(Command::Publish {
+                    conn: conn(),
+                    request: RequestNum(u64::from(id) * 10 + k),
+                    giop: Bytes::from(vec![id as u8; 32]),
+                }));
             }
-            n.pump(out);
+            n.pump(now, out);
+            assert!(matches!(n.host.published, Some(Ok(_))));
         });
     }
     net.run_for(SimDuration::from_millis(100));

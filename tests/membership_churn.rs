@@ -7,8 +7,8 @@
 use bytes::Bytes;
 use ftmp::check::Checker;
 use ftmp::core::{
-    ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
-    ProtocolEvent, RequestNum, SimProcessor,
+    ClockMode, Command, ConnectionId, GroupId, Node, ObjectGroupId, Processor, ProcessorId,
+    ProtocolConfig, ProtocolEvent, RequestNum,
 };
 use ftmp::net::{LossModel, McastAddr, SimConfig, SimDuration, SimNet, SimTime};
 
@@ -19,7 +19,7 @@ fn conn() -> ConnectionId {
     ConnectionId::new(ObjectGroupId::new(1, 1), ObjectGroupId::new(1, 2))
 }
 
-fn make_net(seed: u64, loss: f64) -> SimNet<SimProcessor> {
+fn make_net(seed: u64, loss: f64) -> SimNet<Node> {
     let cfg = SimConfig::with_seed(seed).loss(if loss > 0.0 {
         LossModel::Iid { p: loss }
     } else {
@@ -31,7 +31,7 @@ fn make_net(seed: u64, loss: f64) -> SimNet<SimProcessor> {
 }
 
 fn add_founder(
-    net: &mut SimNet<SimProcessor>,
+    net: &mut SimNet<Node>,
     checker: &Checker,
     id: u32,
     founders: &[ProcessorId],
@@ -44,12 +44,14 @@ fn add_founder(
     );
     e.create_group(SimTime::ZERO, GROUP, ADDR, founders.to_vec());
     e.bind_connection(conn(), GROUP);
-    net.add_node(id, SimProcessor::new(e));
+    net.add_node(id, Node::sim(e, GROUP));
     checker.attach(net, id);
-    net.with_node(id, |n, now, out| n.pump_at(now, out));
+    net.with_node(id, |n, now, out| n.pump(now, out));
 }
 
-fn add_joiner(net: &mut SimNet<SimProcessor>, checker: &Checker, id: u32, seed: u64) {
+/// A fresh processor `id` waiting to be added; `revive` stands it in for a
+/// crashed or departed incarnation of the same id.
+fn add_joiner(net: &mut SimNet<Node>, checker: &Checker, id: u32, seed: u64, revive: bool) {
     let mut e = Processor::new(
         ProcessorId(id),
         ProtocolConfig::with_seed(seed),
@@ -57,32 +59,34 @@ fn add_joiner(net: &mut SimNet<SimProcessor>, checker: &Checker, id: u32, seed: 
     );
     e.expect_join(GROUP, ADDR);
     e.bind_connection(conn(), GROUP);
-    net.add_node(id, SimProcessor::new(e));
+    if revive {
+        net.revive(id, Node::sim(e, GROUP));
+    } else {
+        net.add_node(id, Node::sim(e, GROUP));
+    }
     checker.attach(net, id);
-    net.with_node(id, |n, now, out| n.pump_at(now, out));
+    net.with_node(id, |n, now, out| n.pump(now, out));
 }
 
-fn send(net: &mut SimNet<SimProcessor>, id: u32, req: u64) {
-    net.with_node(id, move |n, now, out| {
-        let _ = n.engine_mut().multicast_request(
-            now,
-            conn(),
-            RequestNum(req),
-            Bytes::from(vec![req as u8]),
-        );
-        n.pump_at(now, out);
-    });
+/// Have `id` take `cmd` in, in a turn of its own.
+fn command(net: &mut SimNet<Node>, id: u32, cmd: Command) {
+    net.with_node(id, move |n, now, out| n.command(now, cmd, out));
 }
 
-fn sponsor(net: &mut SimNet<SimProcessor>, sponsor_id: u32, joiner: u32) {
-    net.with_node(sponsor_id, move |n, now, out| {
-        n.engine_mut()
-            .add_processor(now, GROUP, ProcessorId(joiner));
-        n.pump_at(now, out);
-    });
+fn send(net: &mut SimNet<Node>, id: u32, req: u64) {
+    let publish = Command::Publish {
+        conn: conn(),
+        request: RequestNum(req),
+        giop: Bytes::from(vec![req as u8]),
+    };
+    command(net, id, publish);
 }
 
-fn membership_of(net: &SimNet<SimProcessor>, id: u32) -> Option<Vec<u32>> {
+fn sponsor(net: &mut SimNet<Node>, sponsor_id: u32, joiner: u32) {
+    command(net, sponsor_id, Command::AddMember(ProcessorId(joiner)));
+}
+
+fn membership_of(net: &SimNet<Node>, id: u32) -> Option<Vec<u32>> {
     net.node(id)
         .and_then(|n| n.engine().membership(GROUP))
         .map(|m| m.iter().map(|p| p.0).collect())
@@ -98,7 +102,7 @@ fn sequential_joins_grow_the_group() {
         add_founder(&mut net, &checker, id, &founders, seed);
     }
     for joiner in 3..=6u32 {
-        add_joiner(&mut net, &checker, joiner, seed);
+        add_joiner(&mut net, &checker, joiner, seed, false);
         sponsor(&mut net, 1, joiner);
         net.run_for(SimDuration::from_millis(80));
         for id in 1..=joiner {
@@ -122,7 +126,7 @@ fn joins_complete_under_loss() {
     for id in 1..=3 {
         add_founder(&mut net, &checker, id, &founders, seed);
     }
-    add_joiner(&mut net, &checker, 4, seed);
+    add_joiner(&mut net, &checker, 4, seed, false);
     sponsor(&mut net, 2, 4);
     net.run_for(SimDuration::from_millis(1_000));
     for id in 1..=4u32 {
@@ -143,25 +147,13 @@ fn leave_then_rejoin_with_fresh_state() {
     }
     net.run_for(SimDuration::from_millis(20));
     // P3 leaves.
-    net.with_node(1, |n, now, out| {
-        n.engine_mut().remove_processor(now, GROUP, ProcessorId(3));
-        n.pump_at(now, out);
-    });
+    command(&mut net, 1, Command::RemoveMember(ProcessorId(3)));
     checker.retire(3);
     net.run_for(SimDuration::from_millis(100));
     assert!(membership_of(&net, 3).is_none(), "P3 left");
     assert_eq!(membership_of(&net, 1).unwrap(), vec![1, 2]);
     // P3 rejoins cold.
-    let mut e = Processor::new(
-        ProcessorId(3),
-        ProtocolConfig::with_seed(seed),
-        ClockMode::Lamport,
-    );
-    e.expect_join(GROUP, ADDR);
-    e.bind_connection(conn(), GROUP);
-    net.revive(3, SimProcessor::new(e));
-    checker.attach(&mut net, 3);
-    net.with_node(3, |n, now, out| n.pump_at(now, out));
+    add_joiner(&mut net, &checker, 3, seed, true);
     sponsor(&mut net, 1, 3);
     net.run_for(SimDuration::from_millis(200));
     assert_eq!(membership_of(&net, 3).unwrap(), vec![1, 2, 3]);
@@ -188,7 +180,7 @@ fn joiner_delivery_suffix_matches_founders() {
         net.run_for(SimDuration::from_millis(3));
     }
     net.run_for(SimDuration::from_millis(200));
-    add_joiner(&mut net, &checker, 3, seed);
+    add_joiner(&mut net, &checker, 3, seed, false);
     sponsor(&mut net, 1, 3);
     net.run_for(SimDuration::from_millis(200));
     // Post-join traffic.
@@ -220,7 +212,7 @@ fn concurrent_traffic_during_join_stays_ordered() {
     for id in 1..=3 {
         add_founder(&mut net, &checker, id, &founders, seed);
     }
-    add_joiner(&mut net, &checker, 4, seed);
+    add_joiner(&mut net, &checker, 4, seed, false);
     // Traffic in flight while the join happens.
     for k in 0..5u64 {
         send(&mut net, (k % 3) as u32 + 1, k);
@@ -236,4 +228,50 @@ fn concurrent_traffic_during_join_stays_ordered() {
     checker.finish(1..=4);
     checker.assert_clean("concurrent traffic during join");
     assert_eq!(net.node_mut(1).unwrap().take_deliveries().len(), 15);
+}
+
+/// Regression: a re-add issued while the survivors still list the crashed
+/// incarnation. Three founders; P3 crashes, restarts as a joiner 10 ms
+/// later, and P1 is asked at once to add it back. The add has to wait out
+/// the conviction and then go through; dropping it because the stale id
+/// was still listed left the view at {P1, P2} for good.
+#[test]
+fn a_re_add_issued_before_the_conviction_completes_after_it() {
+    let seed = 26;
+    let mut net = make_net(seed, 0.0);
+    let founders = [ProcessorId(1), ProcessorId(2), ProcessorId(3)];
+    let checker = Checker::new(GROUP, &founders);
+    for id in 1..=3 {
+        add_founder(&mut net, &checker, id, &founders, seed);
+    }
+    for k in 0..6u64 {
+        send(&mut net, (k % 3) as u32 + 1, k);
+        net.run_for(SimDuration::from_millis(3));
+    }
+    net.crash(3);
+    checker.retire(3);
+    net.run_for(SimDuration::from_millis(10));
+    add_joiner(&mut net, &checker, 3, seed, true);
+    checker.rejoin(3);
+    assert_eq!(
+        membership_of(&net, 1).unwrap(),
+        vec![1, 2, 3],
+        "not convicted yet"
+    );
+    sponsor(&mut net, 1, 3);
+    net.run_for(SimDuration::from_secs(3));
+    for id in 1..=3u32 {
+        assert_eq!(
+            membership_of(&net, id),
+            Some(vec![1, 2, 3]),
+            "P{id}: P3 came back"
+        );
+    }
+    for k in 6..12u64 {
+        send(&mut net, (k % 3) as u32 + 1, k);
+        net.run_for(SimDuration::from_millis(3));
+    }
+    net.run_for(SimDuration::from_millis(500));
+    checker.finish(1..=3);
+    checker.assert_clean("re-add before conviction");
 }

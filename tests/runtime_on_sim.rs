@@ -1,7 +1,8 @@
-//! The socket runtime's [`Node`] — the code `ftmp_runtime::spawn` ships,
-//! minus its thread — hosted on the deterministic simulator through a
-//! simulator-backed [`Transport`], so it meets what the socket tests cannot
-//! give it on demand: packet loss, a crash part-way, and the seven oracles.
+//! The socket runtime's node — `NodeConfig::build`, what `ftmp_runtime::spawn`
+//! runs minus its thread — on the deterministic simulator, so it meets what
+//! the socket tests cannot give it on demand: packet loss, a crash part-way,
+//! and the seven oracles. The node is the engine's one host, so the
+//! simulator runs it as it runs every other.
 //!
 //! Three founders (`ClockMode::Synchronized`, as the runtime builds them)
 //! on a `SimNet` with 2 % i.i.d. loss, a publish load from every member,
@@ -14,11 +15,9 @@
 use bytes::Bytes;
 use ftmp::check::{read_trace_file, replay_traces, seed_budget};
 use ftmp::core::{ConnectionId, GroupId, ObjectGroupId, ProcessorId, ProtocolConfig, RequestNum};
-use ftmp::net::{
-    LossModel, McastAddr, Outbox, Packet, SimConfig, SimDuration, SimNet, SimNode, SimTime,
-};
+use ftmp::net::{LossModel, McastAddr, SimConfig, SimDuration, SimNet};
 use ftmp::runtime::node::{Command, Deliveries, Node, NodeConfig};
-use ftmp::runtime::{Inbox, RxDatagram, TraceWriter, Transport, TransportKind};
+use ftmp::runtime::TraceWriter;
 use ftmp::store::scratch_dir;
 use std::path::Path;
 
@@ -32,69 +31,6 @@ fn conn() -> ConnectionId {
     ConnectionId::new(ObjectGroupId::new(1, 10), ObjectGroupId::new(1, 20))
 }
 
-/// The simulator as a [`Transport`]: one turn's view of the node's outbox.
-struct SimTransport<'a> {
-    src: u32,
-    out: &'a mut Outbox,
-}
-
-impl Transport for SimTransport<'_> {
-    fn kind(&self) -> TransportKind {
-        TransportKind::UdpMulticast
-    }
-    fn send(&mut self, dst: McastAddr, payload: &[u8]) {
-        self.out
-            .send(Packet::new(self.src, dst, Bytes::copy_from_slice(payload)));
-    }
-    fn send_batch(&mut self, frames: &[(McastAddr, Bytes)]) -> u64 {
-        for (dst, payload) in frames {
-            self.out.send(Packet::new(self.src, *dst, payload.clone()));
-        }
-        frames.len() as u64
-    }
-    fn join(&mut self, addr: McastAddr) {
-        self.out.join(addr);
-    }
-    fn leave(&mut self, addr: McastAddr) {
-        self.out.leave(addr);
-    }
-    fn sent(&self) -> u64 {
-        0
-    }
-    fn shutdown(&mut self) {}
-}
-
-/// A runtime node as a simulator node: every packet and every tick is one
-/// [`Node::turn`], at the simulator's time.
-struct Hosted {
-    node: Node,
-    intake: Vec<Inbox>,
-    deliveries: Deliveries,
-}
-
-impl Hosted {
-    fn turn(&mut self, now: SimTime, tick_due: bool, out: &mut Outbox) {
-        let src = self.node.engine().id().0;
-        let mut transport = SimTransport { src, out };
-        self.node
-            .turn(now, tick_due, &mut self.intake, &mut transport);
-    }
-}
-
-impl SimNode for Hosted {
-    fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Outbox) {
-        self.intake.push(Inbox::Datagrams(vec![RxDatagram {
-            addr: pkt.dst,
-            payload: pkt.payload.clone(),
-        }]));
-        self.turn(now, false, out);
-    }
-
-    fn on_tick(&mut self, now: SimTime, out: &mut Outbox) {
-        self.turn(now, true, out);
-    }
-}
-
 fn fnv(h: &mut u64, v: u64) {
     for b in v.to_le_bytes() {
         *h ^= u64::from(b);
@@ -105,24 +41,19 @@ fn fnv(h: &mut u64, v: u64) {
 /// One run; returns the hash of what the survivors delivered, in order.
 fn run(seed: u64, dir: &Path) -> u64 {
     let ids: Vec<ProcessorId> = (1..=MEMBERS).map(ProcessorId).collect();
-    let mut net: SimNet<Hosted> =
+    let mut net: SimNet<Node> =
         SimNet::new(SimConfig::with_seed(seed).loss(LossModel::Iid { p: 0.02 }));
+    let mut deliveries: Vec<Deliveries> = Vec::new();
     for id in 1..=MEMBERS {
         let mut cfg = NodeConfig::founder(ProcessorId(id), GROUP, GROUP_ADDR, ids.clone());
         cfg.protocol = ProtocolConfig::with_seed(seed);
         cfg.connection = Some((conn(), GROUP));
         let trace = TraceWriter::create(dir.join(format!("node-{id}.trc")), id, 0).unwrap();
-        let (node, deliveries, _events) = Node::new(net.now(), &cfg, None, Some(trace));
-        net.add_node(
-            id,
-            Hosted {
-                node,
-                intake: Vec::new(),
-                deliveries,
-            },
-        );
+        let (node, delivered, _events) = cfg.build(net.now(), None, Some(trace));
+        net.add_node(id, node);
+        deliveries.push(delivered);
         // The founding subscription, as the runtime's thread applies it.
-        net.with_node(id, |n, now, out| n.turn(now, false, out));
+        net.with_node(id, |n, now, out| n.pump(now, out));
     }
 
     for round in 0..ROUNDS {
@@ -130,14 +61,12 @@ fn run(seed: u64, dir: &Path) -> u64 {
             net.crash(CRASHED);
         }
         for id in net.alive() {
-            net.with_node(id, |n, now, out| {
-                n.intake.push(Inbox::Command(Command::Publish {
-                    conn: conn(),
-                    request: RequestNum(u64::from(id) * 10_000 + round),
-                    giop: Bytes::from(vec![id as u8; 64]),
-                }));
-                n.turn(now, false, out);
-            });
+            let publish = Command::Publish {
+                conn: conn(),
+                request: RequestNum(u64::from(id) * 10_000 + round),
+                giop: Bytes::from(vec![id as u8; 64]),
+            };
+            net.with_node(id, |n, now, out| n.command(now, publish, out));
         }
         net.run_for(SimDuration::from_millis(2));
     }
@@ -149,15 +78,15 @@ fn run(seed: u64, dir: &Path) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let end = net.now();
     for p in &survivors {
-        let hosted = net.node_mut(p.0).unwrap();
+        let node = net.node_mut(p.0).unwrap();
         assert_eq!(
-            hosted.node.engine().membership(GROUP).unwrap(),
+            node.engine().membership(GROUP).unwrap(),
             survivors,
             "seed {seed}: P{} installed the two-member view",
             p.0
         );
         let mut n = 0u64;
-        while let Ok((_, d)) = hosted.deliveries.try_recv() {
+        while let Ok((_, d)) = deliveries[p.0 as usize - 1].try_recv() {
             for v in [
                 u64::from(p.0),
                 d.request_num.0,
@@ -173,7 +102,7 @@ fn run(seed: u64, dir: &Path) -> u64 {
             "seed {seed}: P{} delivered {n}, fewer than the survivors published",
             p.0
         );
-        hosted.node.finish_trace(end).expect("trace closed");
+        node.host.finish_trace(end).expect("trace closed");
     }
 
     // The crashed founder's trace has no end marker, like a killed process's.
