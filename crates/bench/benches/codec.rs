@@ -4,13 +4,13 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ftmp_cdr::{ByteOrder, CdrReader, CdrWriter};
+use ftmp_check::FtmpWorld;
 use ftmp_core::wire::{self, classify, AckVector, FtmpBody, FtmpMessage};
 use ftmp_core::{
     ClockMode, ConnectionId, GroupId, ObjectGroupId, PackPolicy, Packing, ProcessorId,
     ProtocolConfig, RequestNum, SeqNum, Timestamp,
 };
 use ftmp_giop::{GiopMessage, RequestHeader};
-use ftmp_harness::worlds::FtmpWorld;
 use ftmp_net::{SimConfig, SimDuration};
 use std::hint::black_box;
 

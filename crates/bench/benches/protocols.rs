@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ftmp_baselines::sequencer::{SequencerConfig, SequencerNode};
 use ftmp_baselines::token_ring::{RingConfig, TokenRingNode};
+use ftmp_check::FtmpWorld;
 use ftmp_core::{ClockMode, ProtocolConfig};
-use ftmp_harness::worlds::{BaselineWorld, FtmpWorld};
+use ftmp_harness::worlds::BaselineWorld;
 use ftmp_net::{McastAddr, SimConfig};
 use std::hint::black_box;
 

@@ -12,10 +12,8 @@
 //! modes) with a voluntary mid-run membership change, so the numbers come
 //! from runs the seven oracles certify, including a tree rebuild.
 
-use ftmp_core::{
-    ClockMode, Command, OverlayPolicy, PackPolicy, Packing, ProcessorId, ProtocolConfig,
-};
-use ftmp_harness::worlds::FtmpWorld;
+use ftmp_check::FtmpWorld;
+use ftmp_core::{ClockMode, OverlayPolicy, PackPolicy, Packing, ProtocolConfig};
 use ftmp_net::{LossModel, SimConfig, SimDuration};
 use ftmp_telemetry::Registry;
 use std::fmt::Write as _;
@@ -60,13 +58,8 @@ fn run_cell(n: u32, tree: bool, check: bool) -> Cell {
         // Rotate over the members that survive the mid-run removal.
         let from = round % (n - 1) + 1;
         w.send(from, 64);
-        if round == ROUNDS / 2 {
-            if let Some(c) = &checker {
-                let remove = Command::RemoveMember(ProcessorId(n));
-                w.net
-                    .with_node(1, move |node, now, out| node.command(now, remove, out));
-                c.retire(n);
-            }
+        if round == ROUNDS / 2 && check {
+            w.leave(n, 1);
         }
         w.run_ms(10);
     }

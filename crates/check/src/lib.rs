@@ -23,8 +23,11 @@
 //! - [`report`] — bridges [`ftmp_net::Trace`] captures into counterexample
 //!   excerpts (FTMP-classified records only, truncation flagged) and
 //!   re-exports the golden FNV trace hash.
+//! - [`world`] — [`FtmpWorld`], the one builder of a simulated FTMP group
+//!   (founders, joiners, crash, leave, restart from a durable log) that the
+//!   sweep, the experiments and the tests all build their members through.
 //! - [`sweep`] — the seed × scenario matrix driver behind the conformance
-//!   test, the chaos suite, and experiment E13.
+//!   test and experiment E13.
 //! - [`mod@explore`] — the coverage-guided schedule explorer (E19): genomes of
 //!   targeted wire-class faults, a telemetry-bucket coverage map, greedy
 //!   counterexample minimization, and deterministic replay-from-genome.
@@ -39,6 +42,7 @@ pub mod replay;
 pub mod report;
 pub mod suite;
 pub mod sweep;
+pub mod world;
 
 pub use explore::{
     explore, matrix_coverage, minimize_with, CorpusEntry, CoverageMap, ExploreConfig,
@@ -56,3 +60,4 @@ pub use sweep::{
     run_cell, run_cell_instrumented, run_sweep, seed_budget, CellVerdict, Scenario, SweepConfig,
     SweepReport,
 };
+pub use world::{world_conn, Clocks, FtmpWorld, RunResults, WorldBuilder};

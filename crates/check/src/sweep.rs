@@ -5,30 +5,21 @@
 
 use bytes::Bytes;
 use ftmp_core::{
-    wire, ClockMode, Command, ConnectionId, GroupId, Node, ObjectGroupId, OverlayPolicy,
-    PackPolicy, Packing, Processor, ProcessorId, ProtocolConfig, RequestNum,
+    ClockMode, ConnectionId, ObjectGroupId, OverlayPolicy, PackPolicy, Packing, ProtocolConfig,
 };
 use ftmp_net::{
-    FaultPlan, LinkDegrade, LinkSelector, LossModel, McastAddr, NodeId, SimConfig, SimDuration,
-    SimNet, SimTime,
+    FaultPlan, LinkDegrade, LinkSelector, LossModel, NodeId, SimConfig, SimDuration, SimTime,
 };
 use ftmp_telemetry::escape_json;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
 use crate::report;
-use crate::suite::Checker;
+use crate::world::{world_conn, FtmpWorld};
 
-const GROUP: GroupId = GroupId(1);
-const ADDR: McastAddr = McastAddr(100);
 const FOUNDERS: u32 = 4;
 /// Logical connections bound in the [`Scenario::ConnSoak`] cell.
 const SOAK_CONNS: u32 = 10_000;
-
-fn conn() -> ConnectionId {
-    ConnectionId::new(ObjectGroupId::new(1, 1), ObjectGroupId::new(1, 2))
-}
 
 /// One fault scenario of the sweep matrix (ISSUE: loss, burst,
 /// partition+heal, crash, join/leave churn, latency spikes).
@@ -329,91 +320,61 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
     report
 }
 
+/// One cell: the scenario, its workload RNG and the crash-restart victim's
+/// log directory around the simulated group.
 struct Cell {
     scenario: Scenario,
-    net: SimNet<Node>,
-    checker: Checker,
+    world: FtmpWorld,
     rng: SmallRng,
-    members: BTreeSet<u32>,
-    crashed: BTreeSet<u32>,
-    next_req: u64,
-    /// Connections the workload spreads over (one for every scenario but
-    /// ConnSoak). Request numbers stay monotone over all of them, matching
-    /// §4's allocation rule.
-    conns: Vec<ConnectionId>,
     /// Durable-log directory of the crash-restart victim, when the
     /// scenario persists deliveries.
     dlog_dir: Option<std::path::PathBuf>,
 }
 
 impl Cell {
-    fn alive(&self) -> Vec<u32> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|id| !self.crashed.contains(id))
-            .collect()
-    }
-
     fn send_random(&mut self) {
-        let alive = self.alive();
+        let alive = self.world.live();
         if alive.is_empty() {
             return;
         }
         let id = alive[self.rng.gen_range(0..alive.len())];
-        self.next_req += 1;
-        let publish = Command::Publish {
-            conn: self.conns[self.rng.gen_range(0..self.conns.len())],
-            request: RequestNum(self.next_req),
-            giop: Bytes::from(vec![0u8; self.rng.gen_range(8..256usize)]),
-        };
-        self.command(id, publish);
-    }
-
-    /// Have `id` take `cmd` in, in a turn of its own.
-    fn command(&mut self, id: u32, cmd: Command) {
-        self.net
-            .with_node(id, move |n, now, out| n.command(now, cmd, out));
+        // The workload spreads over every connection the world binds.
+        let conns = self.world.conns();
+        let conn = conns[self.rng.gen_range(0..conns.len())];
+        let giop = Bytes::from(vec![0u8; self.rng.gen_range(8..256usize)]);
+        self.world.publish(id, conn, giop);
     }
 
     fn step(&mut self) {
         self.send_random();
         let pause = self.rng.gen_range(1..10u64);
-        self.net.run_for(SimDuration::from_millis(pause));
+        self.world.run_ms(pause);
     }
 
     fn join(&mut self, joiner: u32, sponsor: u32) {
         let seed = self.rng.gen();
-        let mut e = Processor::new(
-            ProcessorId(joiner),
-            self.scenario.shape(ProtocolConfig::with_seed(seed)),
-            self.scenario.clock(joiner),
-        );
-        e.expect_join(GROUP, ADDR);
-        e.bind_connection(conn(), GROUP);
-        e.enable_telemetry();
-        self.net.add_node(joiner, Node::sim(e, GROUP));
-        self.checker.attach(&mut self.net, joiner);
-        self.net.with_node(joiner, |n, now, out| n.pump(now, out));
-        self.command(sponsor, Command::AddMember(ProcessorId(joiner)));
-        self.members.insert(joiner);
+        self.world
+            .joiner(joiner, self.scenario.shape(ProtocolConfig::with_seed(seed)));
+        self.world.sponsor(sponsor, joiner);
         // §7.1: membership changes are serialized — let this one complete.
-        self.net.run_for(SimDuration::from_millis(500));
+        self.world.run_ms(500);
     }
 
-    /// Restart a crashed member from its durable log (DESIGN.md §12):
-    /// recover the log — asserting the clean crash left nothing to
-    /// quarantine — rebuild a fresh engine under the **same** processor id,
-    /// reattach a log on the same directory, and rejoin via a sponsored
-    /// §7.1 add. The checker is told about the rejoin so observer-keyed
-    /// oracle state resets while the one-history oracles keep checking
-    /// across the boundary. Returns what the log recovered to.
+    /// Restart the crashed victim from its durable log (DESIGN.md §12),
+    /// asserting the clean crash left nothing to quarantine and every
+    /// record is a delivery or a view. The new incarnation rejoins under
+    /// the same processor id; the oracles judge it as a §7.1 joiner while
+    /// the one-history oracles keep checking across the boundary. Returns
+    /// what the log recovered to.
     fn restart_from_log(&mut self, id: u32, sponsor: u32) -> ftmp_store::RecoveredState {
         let dir = self
             .dlog_dir
             .clone()
             .expect("restart requires a durable-log scenario");
-        let recovered = ftmp_store::recover(&dir).expect("recover victim log");
+        let seed = self.rng.gen();
+        let recovered =
+            self.world
+                .restart_from_log(id, &dir, sponsor, ProtocolConfig::with_seed(seed));
         assert_eq!(
             recovered.stats.records_quarantined, 0,
             "clean crash must recover without quarantine"
@@ -422,42 +383,19 @@ impl Cell {
         assert_eq!(state.delivered + view_records(&recovered.records), {
             recovered.records.len() as u64
         });
-        let seed = self.rng.gen();
-        let mut e = Processor::new(
-            ProcessorId(id),
-            ProtocolConfig::with_seed(seed),
-            self.scenario.clock(id),
-        );
-        e.expect_join(GROUP, ADDR);
-        for &c in &self.conns {
-            e.bind_connection(c, GROUP);
-        }
-        e.enable_telemetry();
-        let log = ftmp_store::DurableLog::open(&dir, ftmp_store::LogConfig::default())
-            .expect("reopen victim log");
-        e.set_delivery_log(Box::new(log));
-        self.net.revive(id, Node::sim(e, GROUP));
-        self.checker.attach(&mut self.net, id);
-        self.checker.rejoin(id);
-        self.net.with_node(id, |n, now, out| n.pump(now, out));
-        self.command(sponsor, Command::AddMember(ProcessorId(id)));
-        self.crashed.remove(&id);
-        self.members.insert(id);
         // §7.1: membership changes are serialized — let this one complete.
-        self.net.run_for(SimDuration::from_millis(500));
+        self.world.run_ms(500);
         state
     }
 
     fn leave(&mut self, leaver: u32, sponsor: u32) {
-        self.command(sponsor, Command::RemoveMember(ProcessorId(leaver)));
-        self.members.remove(&leaver);
-        self.checker.retire(leaver);
-        self.net.run_for(SimDuration::from_millis(500));
+        self.world.leave(leaver, sponsor);
+        self.world.run_ms(500);
     }
 }
 
-/// Build one cell: the simulated 4-founder group (telemetry on, so failure
-/// reports can splice flight-recorder dumps) with the oracle suite attached.
+/// Build one cell: the simulated group (telemetry on, so failure reports
+/// can splice flight-recorder dumps) with the oracle suite attached.
 fn build_cell(scenario: Scenario, seed: u64, trace_capacity: usize) -> Cell {
     let mut sim = SimConfig::with_seed(seed);
     let mut proto = ProtocolConfig::with_seed(seed);
@@ -502,13 +440,6 @@ fn build_cell(scenario: Scenario, seed: u64, trace_capacity: usize) -> Cell {
             proto = proto.fail_timeout_of(SimDuration::from_millis(30));
         }
     }
-    let proto = scenario.shape(proto);
-    let founders_n = scenario.founders(seed);
-    let mut net = SimNet::new(sim);
-    net.set_classifier(wire::classify);
-    net.enable_trace(trace_capacity);
-    let founders: Vec<ProcessorId> = (1..=founders_n).map(ProcessorId).collect();
-    let checker = Checker::new(GROUP, &founders);
     // §7: several logical connections share one processor group and one
     // multicast address; the soak binds ten thousand of them.
     let conns: Vec<ConnectionId> = if scenario == Scenario::ConnSoak {
@@ -516,19 +447,14 @@ fn build_cell(scenario: Scenario, seed: u64, trace_capacity: usize) -> Cell {
             .map(|i| ConnectionId::new(ObjectGroupId::new(3, i), ObjectGroupId::new(4, i)))
             .collect()
     } else {
-        vec![conn()]
+        vec![world_conn()]
     };
-    for id in 1..=founders_n {
-        let mut e = Processor::new(ProcessorId(id), proto.clone(), scenario.clock(id));
-        e.create_group(SimTime::ZERO, GROUP, ADDR, founders.clone());
-        for &c in &conns {
-            e.bind_connection(c, GROUP);
-        }
-        e.enable_telemetry();
-        net.add_node(id, Node::sim(e, GROUP));
-        checker.attach(&mut net, id);
-        net.with_node(id, |n, now, out| n.pump(now, out));
-    }
+    let mut world = FtmpWorld::builder(sim, scenario.shape(proto), move |id| scenario.clock(id))
+        .conns(conns)
+        .checked()
+        .build(scenario.founders(seed));
+    world.enable_telemetry();
+    world.net.enable_trace(trace_capacity);
     // The crash-restart victim persists its deliveries; a small segment
     // size makes the run span several segments.
     let dlog_dir = (scenario == Scenario::CrashRestart).then(|| {
@@ -540,20 +466,15 @@ fn build_cell(scenario: Scenario, seed: u64, trace_capacity: usize) -> Cell {
             },
         )
         .expect("open victim log");
-        net.with_node(FOUNDERS, move |n, _, _| {
+        world.net.with_node(FOUNDERS, move |n, _, _| {
             n.engine_mut().set_delivery_log(Box::new(log));
         });
         dir
     });
     Cell {
         scenario,
-        net,
-        checker,
+        world,
         rng: SmallRng::seed_from_u64(seed ^ 0x00C0_4F0C_A11E_D5EE),
-        members: (1..=founders_n).collect(),
-        crashed: BTreeSet::new(),
-        next_req: 0,
-        conns,
         dlog_dir,
     }
 }
@@ -571,7 +492,7 @@ fn view_records(records: &[ftmp_store::LogRecord]) -> u64 {
 /// member's flight-recorder dump (the conviction-frozen dump when one was
 /// captured, else the live ring).
 fn build_counterexample(cell: &Cell, live: &[NodeId]) -> String {
-    let mut cx = cell.checker.with_suite(|s| {
+    let mut cx = cell.world.checker().with_suite(|s| {
         let mut by: std::collections::BTreeMap<&'static str, usize> = Default::default();
         for v in s.violations() {
             *by.entry(v.oracle).or_default() += 1;
@@ -583,11 +504,11 @@ fn build_counterexample(cell: &Cell, live: &[NodeId]) -> String {
             s.first_counterexample().unwrap_or_default()
         )
     });
-    if let Some(trace) = cell.net.trace() {
+    if let Some(trace) = cell.world.net.trace() {
         cx.push_str(&report::excerpt(trace, 40).to_string());
     }
     for &id in live {
-        if let Some(n) = cell.net.node(id) {
+        if let Some(n) = cell.world.net.node(id) {
             let eng = n.engine();
             if let Some(dump) = eng.conviction_dump().or_else(|| eng.flight_dump()) {
                 cx.push('\n');
@@ -623,53 +544,49 @@ pub fn run_cell_instrumented(
 ) -> (CellVerdict, ftmp_telemetry::Snapshot) {
     let mut cell = build_cell(scenario, seed, trace_capacity);
     if let Some(p) = plan {
-        cell.net.set_fault_plan(p.clone());
+        cell.world.net.set_fault_plan(p.clone());
     }
     for step in 0..steps.max(12) {
         match scenario {
             Scenario::Crash if step == steps / 3 => {
                 // Keep a live majority of 4 so conviction stays possible.
-                cell.net.crash(4);
-                cell.crashed.insert(4);
-                cell.checker.retire(4);
+                cell.world.crash(4);
             }
             Scenario::CrashRestart if step == steps / 3 => {
-                cell.net.crash(FOUNDERS);
-                cell.crashed.insert(FOUNDERS);
-                cell.checker.retire(FOUNDERS);
+                cell.world.crash(FOUNDERS);
             }
             Scenario::CrashRestart if step == (steps * 2) / 3 => {
-                let sponsor = cell.alive()[0];
+                let sponsor = cell.world.live()[0];
                 cell.restart_from_log(FOUNDERS, sponsor);
             }
             Scenario::PartitionHeal if step == steps / 4 => {
-                cell.net.partition(vec![vec![1, 2, 3], vec![4]]);
+                cell.world.net.partition(vec![vec![1, 2, 3], vec![4]]);
             }
             Scenario::AsymmetricPartition if step == steps / 4 => {
                 // P4's outbound side goes dark; its inbound side still
                 // flows, so it watches its own conviction happen live.
                 for dst in 1..=3 {
-                    cell.net.block_link(4, dst);
+                    cell.world.net.block_link(4, dst);
                 }
             }
             Scenario::AsymmetricPartition if step == (steps * 3) / 4 => {
                 for dst in 1..=3 {
-                    cell.net.unblock_link(4, dst);
+                    cell.world.net.unblock_link(4, dst);
                 }
-                cell.checker.retire(4);
+                cell.world.checker().retire(4);
             }
             Scenario::PartitionHeal if step == (steps * 3) / 4 => {
                 // The majority convicted P4 during the partition; after the
                 // heal it learns of its exclusion and leaves.
-                cell.net.heal();
-                cell.checker.retire(4);
+                cell.world.net.heal();
+                cell.world.checker().retire(4);
             }
             Scenario::Churn if step == steps / 3 => {
-                let sponsor = cell.alive()[0];
+                let sponsor = cell.world.live()[0];
                 cell.join(FOUNDERS + 1, sponsor);
             }
             Scenario::Churn if step == (steps * 2) / 3 => {
-                let alive = cell.alive();
+                let alive = cell.world.live();
                 if alive.len() >= 3 && alive.contains(&2) {
                     let sponsor = *alive.iter().find(|&&id| id != 2).expect("majority");
                     cell.leave(2, sponsor);
@@ -678,12 +595,12 @@ pub fn run_cell_instrumented(
             // Overlay churn: a join then a leave, each installing a view
             // that rebuilds every member's dissemination tree mid-traffic.
             Scenario::LargeGroup if step == steps / 3 => {
-                let sponsor = cell.alive()[0];
-                let joiner = cell.members.iter().max().copied().unwrap_or(0) + 1;
-                cell.join(joiner, sponsor);
+                let alive = cell.world.live();
+                let joiner = alive.iter().max().copied().unwrap_or(0) + 1;
+                cell.join(joiner, alive[0]);
             }
             Scenario::LargeGroup if step == (steps * 2) / 3 => {
-                let alive = cell.alive();
+                let alive = cell.world.live();
                 if alive.contains(&2) {
                     let sponsor = *alive.iter().find(|&&id| id != 2).expect("majority");
                     cell.leave(2, sponsor);
@@ -694,15 +611,18 @@ pub fn run_cell_instrumented(
         cell.step();
     }
     // Settle: drain retransmissions, complete any reconfiguration.
-    cell.net.run_for(SimDuration::from_secs(3));
+    cell.world.run_ms(3_000);
     // The processors expected to have converged: alive and still members.
+    let group = cell.world.group();
     let live: Vec<NodeId> = cell
-        .alive()
+        .world
+        .live()
         .into_iter()
         .filter(|&id| {
-            cell.net
+            cell.world
+                .net
                 .node(id)
-                .is_some_and(|n| n.engine().membership(GROUP).is_some())
+                .is_some_and(|n| n.engine().membership(group).is_some())
         })
         .collect();
     // A hostile enough schedule (explorer mutants can black-hole every
@@ -711,22 +631,23 @@ pub fn run_cell_instrumented(
     // a harness error: there is no view left to converge, so the
     // finish-time checks are vacuous, while any safety violation observed
     // *en route* has already been recorded.
+    let checker = cell.world.checker();
     if !live.is_empty() {
-        cell.checker.finish(live.iter().copied());
+        checker.finish(live.iter().copied());
     }
-    let violations = cell.checker.violation_count();
+    let violations = checker.violation_count();
     let counterexample = (violations > 0).then(|| build_counterexample(&cell, &live));
     let verdict = CellVerdict {
         scenario: scenario.name(),
         seed,
-        observations: cell.checker.observed(),
-        delivered: cell.checker.delivered(),
+        observations: checker.observed(),
+        delivered: checker.delivered(),
         violations,
         counterexample,
     };
     let snapshot = aggregate_snapshot(&cell, &live, &verdict);
     if let Some(dir) = &cell.dlog_dir {
-        drop(cell.net); // close the victim's log before deleting it
+        drop(cell.world); // close the victim's log before deleting it
         let _ = std::fs::remove_dir_all(dir);
     }
     (verdict, snapshot)
@@ -742,8 +663,9 @@ fn aggregate_snapshot(
     verdict: &CellVerdict,
 ) -> ftmp_telemetry::Snapshot {
     let mut agg = ftmp_telemetry::Registry::new();
+    let net = &cell.world.net;
     for &id in live {
-        if let Some(n) = cell.net.node(id) {
+        if let Some(n) = net.node(id) {
             n.engine().register_metrics(&mut agg);
         }
     }
@@ -751,17 +673,17 @@ fn aggregate_snapshot(
         ("sweep_observations", verdict.observations),
         ("sweep_delivered", verdict.delivered),
         ("sweep_violations", verdict.violations),
-        ("net_sent_packets", cell.net.stats().sent_packets),
-        ("net_sent_messages", cell.net.stats().sent_messages),
-        ("net_delivered", cell.net.stats().delivered),
-        ("net_lost", cell.net.stats().lost),
-        ("net_partitioned", cell.net.stats().partitioned),
-        ("net_to_crashed", cell.net.stats().to_crashed),
+        ("net_sent_packets", net.stats().sent_packets),
+        ("net_sent_messages", net.stats().sent_messages),
+        ("net_delivered", net.stats().delivered),
+        ("net_lost", net.stats().lost),
+        ("net_partitioned", net.stats().partitioned),
+        ("net_to_crashed", net.stats().to_crashed),
     ] {
         let c = agg.counter(name);
         agg.inc(c, v);
     }
-    for (kind, (packets, _bytes)) in &cell.net.stats().per_kind {
+    for (kind, (packets, _bytes)) in &net.stats().per_kind {
         let c = agg.counter(&format!("net_kind_{kind:#04x}_packets"));
         agg.inc(c, *packets);
     }
@@ -773,7 +695,7 @@ mod tests {
     use super::*;
     use crate::obs::Event;
     use ftmp_core::observe::Observation;
-    use ftmp_core::{SeqNum, Timestamp};
+    use ftmp_core::{ProcessorId, RequestNum, SeqNum, Timestamp};
 
     /// The recovery path end to end inside the sweep: a founder with a
     /// durable log crashes mid-traffic, restarts from the log, rejoins
@@ -834,15 +756,13 @@ mod tests {
         let donor_dir = ftmp_store::scratch_dir("sweep-donor");
         let log = ftmp_store::DurableLog::open(&donor_dir, ftmp_store::LogConfig::default())
             .expect("open donor log");
-        cell.net.with_node(donor, move |n, _, _| {
+        cell.world.net.with_node(donor, move |n, _, _| {
             n.engine_mut().set_delivery_log(Box::new(log));
         });
         for _ in 0..12 {
             cell.step();
         }
-        cell.net.crash(FOUNDERS);
-        cell.crashed.insert(FOUNDERS);
-        cell.checker.retire(FOUNDERS);
+        cell.world.crash(FOUNDERS);
         for _ in 0..12 {
             cell.step();
         }
@@ -852,19 +772,23 @@ mod tests {
         for _ in 0..12 {
             cell.step();
         }
-        cell.net.run_for(SimDuration::from_secs(3));
-        let view = |id: u32| cell.net.node(id)?.engine().membership(GROUP);
+        cell.world.run_ms(3_000);
+        let group = cell.world.group();
+        let view = |id: u32| cell.world.net.node(id)?.engine().membership(group);
         assert!(
             view(donor).is_some_and(|m| m.contains(&ProcessorId(FOUNDERS))),
             "the victim rejoined: {:?}",
             view(donor)
         );
         assert_eq!(view(FOUNDERS), view(donor), "and holds the donor's view");
-        let live = cell.alive();
-        cell.checker.finish(live);
-        assert_eq!(cell.checker.violation_count(), 0, "all seven oracles clean");
+        cell.world.checker().finish(cell.world.live());
+        assert_eq!(
+            cell.world.checker().violation_count(),
+            0,
+            "all seven oracles clean"
+        );
 
-        let horizon = state.horizon_of(GROUP);
+        let horizon = state.horizon_of(group);
         let delta: Vec<ftmp_store::LogRecord> = ftmp_store::recover(&donor_dir)
             .expect("recover donor")
             .records
@@ -917,27 +841,30 @@ mod tests {
         for _ in 0..5 {
             cell.step();
         }
-        cell.net.run_for(SimDuration::from_secs(1));
+        cell.world.run_ms(1_000);
         // Replay a delivery verbatim: a fabricated duplicate trips the
         // duplicate-suppression oracle through the real ingestion path.
         let ev = Event {
             at: SimTime(2_000_000),
             node: ProcessorId(1),
             obs: Observation::Delivered {
-                group: GROUP,
-                conn: conn(),
+                group: cell.world.group(),
+                conn: world_conn(),
                 request: RequestNum(9_999),
                 source: ProcessorId(1),
                 seq: SeqNum(1),
                 ts: Timestamp(1),
             },
         };
-        cell.checker.with_suite_mut(|s| {
+        cell.world.checker().with_suite_mut(|s| {
             s.ingest(ev.clone());
             s.ingest(ev);
         });
-        assert!(cell.checker.violation_count() > 0, "duplicate must trip");
-        let live: Vec<NodeId> = cell.alive();
+        assert!(
+            cell.world.checker().violation_count() > 0,
+            "duplicate must trip"
+        );
+        let live: Vec<NodeId> = cell.world.live();
         let cx = build_counterexample(&cell, &live);
         assert!(cx.contains("violation:"), "missing violation line:\n{cx}");
         assert!(

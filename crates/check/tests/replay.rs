@@ -8,21 +8,16 @@
 use bytes::Bytes;
 use ftmp_check::replay::{read_trace_dir, read_trace_file, replay_traces};
 use ftmp_check::suite::OracleSuite;
-use ftmp_check::Event;
+use ftmp_check::{world_conn, Event, FtmpWorld};
 use ftmp_core::config::ProtocolConfig;
-use ftmp_core::ids::{ConnectionId, GroupId, ObjectGroupId, ProcessorId, RequestNum};
-use ftmp_core::{ClockMode, Command, Inbox, Node, Processor};
-use ftmp_net::{McastAddr, SimConfig, SimDuration, SimNet, SimTime};
+use ftmp_core::ids::{GroupId, ProcessorId, RequestNum};
+use ftmp_core::{ClockMode, Command, Inbox};
+use ftmp_net::{SimConfig, SimTime};
 use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
 
 const GROUP: GroupId = GroupId(1);
-const ADDR: McastAddr = McastAddr(0x4654_4D50);
-
-fn conn() -> ConnectionId {
-    ConnectionId::new(ObjectGroupId::new(1, 10), ObjectGroupId::new(1, 20))
-}
 
 fn write_fixture(dir: &Path, name: &str, text: &str) -> std::path::PathBuf {
     let path = dir.join(name);
@@ -179,31 +174,27 @@ fn sim_run_replayed_from_trace_files_matches_live_checking() {
         })
         .collect();
 
-    let mut net = SimNet::new(SimConfig::with_seed(11));
+    let mut w = FtmpWorld::new(
+        3,
+        SimConfig::with_seed(11),
+        ProtocolConfig::with_seed(11),
+        ClockMode::Lamport,
+    );
     for id in 1u32..=3 {
-        let mut e = Processor::new(
-            ProcessorId(id),
-            ProtocolConfig::with_seed(11),
-            ClockMode::Lamport,
-        );
-        e.create_group(SimTime::ZERO, GROUP, ADDR, founders.clone());
-        e.bind_connection(conn(), GROUP);
-        net.add_node(id, Node::sim(e, GROUP));
         let text = Rc::clone(&texts[id as usize - 1]);
         let suite = Rc::clone(&live_suite);
         let node = ProcessorId(id);
-        net.node_mut(id).unwrap().set_observer(move |at, obs| {
+        w.net.node_mut(id).unwrap().set_observer(move |at, obs| {
             use std::fmt::Write as _;
             let _ = writeln!(text.borrow_mut(), "o {} {}", at.0, obs.encode_line());
             suite.borrow_mut().ingest(Event { at, node, obs });
         });
-        net.with_node(id, |n, now, out| n.pump(now, out));
     }
     for id in 1u32..=3 {
-        net.with_node(id, |n, now, out| {
+        w.net.with_node(id, |n, now, out| {
             for k in 0..4u64 {
                 n.intake.push(Inbox::Command(Command::Publish {
-                    conn: conn(),
+                    conn: world_conn(),
                     request: RequestNum(u64::from(id) * 100 + k),
                     giop: Bytes::from(vec![id as u8; 48]),
                 }));
@@ -212,7 +203,7 @@ fn sim_run_replayed_from_trace_files_matches_live_checking() {
             assert!(matches!(n.host.published, Some(Ok(_))));
         });
     }
-    net.run_for(SimDuration::from_millis(300));
+    w.run_ms(300);
     live_suite.borrow_mut().finish(&founders);
 
     let dir = ftmp_store::scratch_dir("replay-parity");

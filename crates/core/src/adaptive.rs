@@ -22,7 +22,7 @@
 //! the exception to the ceiling: it backs off to `fail_timeout`, past which
 //! suspicion takes over from recovery.)
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, NACK_DELAY, NACK_RETRY, RETRANSMIT_SUPPRESS};
 use ftmp_net::{SimDuration, SimTime};
 
 /// Upper bound on adaptive stretching, as a multiple of the configured
@@ -136,36 +136,36 @@ fn clamp_scaled(derived: u64, floor: SimDuration) -> SimDuration {
 }
 
 /// Effective NACK initial-jitter window: half the smoothed RTT, floored at
-/// `nack_delay` (SRM-style receiver decorrelation — the window only needs
+/// `NACK_DELAY` (SRM-style receiver decorrelation — the window only needs
 /// to spread NACKs over the time it takes the first one to be answered).
-pub fn nack_jitter_max(cfg: &ProtocolConfig, rtt: &RttEstimator) -> SimDuration {
+pub fn nack_jitter_max(rtt: &RttEstimator) -> SimDuration {
     match rtt.srtt() {
-        Some(srtt) => clamp_scaled(srtt.as_micros() / 2, cfg.nack_delay),
-        None => cfg.nack_delay,
+        Some(srtt) => clamp_scaled(srtt.as_micros() / 2, NACK_DELAY),
+        None => NACK_DELAY,
     }
 }
 
 /// Effective NACK re-issue delay after `attempts` unanswered requests: the
-/// RTO floored at `nack_retry`, doubled per attempt (capped at
+/// RTO floored at `NACK_RETRY`, doubled per attempt (capped at
 /// [`NACK_BACKOFF_CAP`]). The backoff never exceeds `fail_timeout` — past
 /// that, suspicion takes over from recovery.
 pub fn nack_retry_after(cfg: &ProtocolConfig, rtt: &RttEstimator, attempts: u32) -> SimDuration {
     let base = rtt
         .rto()
-        .map(|r| r.as_micros().max(cfg.nack_retry.as_micros()))
-        .unwrap_or(cfg.nack_retry.as_micros());
+        .map(|r| r.as_micros().max(NACK_RETRY.as_micros()))
+        .unwrap_or(NACK_RETRY.as_micros());
     let backed = base.saturating_mul(1 << attempts.min(NACK_BACKOFF_CAP));
     SimDuration::from_micros(backed.min(cfg.fail_timeout.as_micros().max(base)))
 }
 
 /// Effective retransmission-suppression window: one smoothed RTT, floored
-/// at `retransmit_suppress` (a retransmission answered within one RTT has
+/// at `RETRANSMIT_SUPPRESS` (a retransmission answered within one RTT has
 /// reached everyone who will ever need it; more within that window is
 /// implosion).
-pub fn suppress_window(cfg: &ProtocolConfig, rtt: &RttEstimator) -> SimDuration {
+pub fn suppress_window(rtt: &RttEstimator) -> SimDuration {
     match rtt.srtt() {
-        Some(srtt) => clamp_scaled(srtt.as_micros(), cfg.retransmit_suppress),
-        None => cfg.retransmit_suppress,
+        Some(srtt) => clamp_scaled(srtt.as_micros(), RETRANSMIT_SUPPRESS),
+        None => RETRANSMIT_SUPPRESS,
     }
 }
 
@@ -263,7 +263,7 @@ mod tests {
     fn adaptive_backoff_doubles_and_caps() {
         let cfg = ProtocolConfig::default();
         let rtt = RttEstimator::default(); // no samples: base = nack_retry
-        let base = cfg.nack_retry.as_micros();
+        let base = NACK_RETRY.as_micros();
         assert_eq!(nack_retry_after(&cfg, &rtt, 0).as_micros(), base);
         assert_eq!(nack_retry_after(&cfg, &rtt, 1).as_micros(), 2 * base);
         assert_eq!(nack_retry_after(&cfg, &rtt, 2).as_micros(), 4 * base);
@@ -337,20 +337,20 @@ mod tests {
             let mut t = SimTime::ZERO;
             for &g in &gaps { t += us(g); arr.observe(t); }
 
-            let j = nack_jitter_max(&cfg, &rtt).as_micros();
-            prop_assert!(j >= cfg.nack_delay.as_micros());
-            prop_assert!(j <= MAX_SCALE * cfg.nack_delay.as_micros());
+            let j = nack_jitter_max(&rtt).as_micros();
+            prop_assert!(j >= NACK_DELAY.as_micros());
+            prop_assert!(j <= MAX_SCALE * NACK_DELAY.as_micros());
 
-            let s = suppress_window(&cfg, &rtt).as_micros();
-            prop_assert!(s >= cfg.retransmit_suppress.as_micros());
-            prop_assert!(s <= MAX_SCALE * cfg.retransmit_suppress.as_micros());
+            let s = suppress_window(&rtt).as_micros();
+            prop_assert!(s >= RETRANSMIT_SUPPRESS.as_micros());
+            prop_assert!(s <= MAX_SCALE * RETRANSMIT_SUPPRESS.as_micros());
 
             let f = fail_timeout_for(&cfg, &arr).as_micros();
             prop_assert!(f >= cfg.fail_timeout.as_micros());
             prop_assert!(f <= MAX_SCALE * cfg.fail_timeout.as_micros());
 
             let r = nack_retry_after(&cfg, &rtt, attempts).as_micros();
-            prop_assert!(r >= cfg.nack_retry.as_micros());
+            prop_assert!(r >= NACK_RETRY.as_micros());
         }
     }
 }

@@ -10,6 +10,26 @@
 
 use ftmp_net::SimDuration;
 
+/// NACK scheduling: wait a uniformly random delay in `[0, NACK_DELAY]` after
+/// detecting a gap before sending a RetransmitRequest, so the receivers of
+/// one multicast don't NACK in lock-step (the floor of a window that widens
+/// to half the smoothed RTT).
+pub(crate) const NACK_DELAY: SimDuration = SimDuration::from_millis(2);
+/// Re-issue an unanswered RetransmitRequest after this long at first (the
+/// floor of the RTO), doubling per unanswered retry.
+pub(crate) const NACK_RETRY: SimDuration = SimDuration::from_millis(8);
+/// After retransmitting a message, suppress further retransmissions of the
+/// same message for this long (any-holder implosion control; the floor of
+/// one smoothed RTT).
+pub(crate) const RETRANSMIT_SUPPRESS: SimDuration = SimDuration::from_millis(4);
+/// Client retry interval for unanswered ConnectRequests (§7).
+pub(crate) const CONNECT_RETRY: SimDuration = SimDuration::from_millis(20);
+/// Server/sponsor retry interval for Connect and AddProcessor messages that
+/// cannot be NACK-recovered by their beneficiaries (§7).
+pub(crate) const JOIN_RETRY: SimDuration = SimDuration::from_millis(20);
+/// Maximum missing-sequence span requested per RetransmitRequest.
+pub(crate) const MAX_NACK_SPAN: u64 = 64;
+
 /// How many suspicions convict a processor (§7.2: "processors that enough
 /// processors suspect").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,27 +187,8 @@ pub struct ProtocolConfig {
     /// NACK repair), so the silence-based `fail_timeout` never fires; left
     /// in the group it stalls stability and pins retention forever.
     pub ack_stall_timeout: SimDuration,
-    /// NACK scheduling: wait a uniformly random delay in `[0, nack_delay]`
-    /// after detecting a gap before sending a RetransmitRequest, so the
-    /// receivers of one multicast don't NACK in lock-step (the floor of a
-    /// window that widens to half the smoothed RTT).
-    pub(crate) nack_delay: SimDuration,
-    /// Re-issue an unanswered RetransmitRequest after this long at first
-    /// (the floor of the RTO), doubling per unanswered retry.
-    pub(crate) nack_retry: SimDuration,
-    /// After retransmitting a message, suppress further retransmissions of
-    /// the same message for this long (any-holder implosion control; the
-    /// floor of one smoothed RTT).
-    pub(crate) retransmit_suppress: SimDuration,
-    /// Client retry interval for unanswered ConnectRequests (§7).
-    pub(crate) connect_retry: SimDuration,
-    /// Server/sponsor retry interval for Connect and AddProcessor messages
-    /// that cannot be NACK-recovered by their beneficiaries (§7).
-    pub(crate) join_retry: SimDuration,
     /// Suspicions required for conviction.
     pub suspect_quorum: Quorum,
-    /// Maximum missing-sequence span requested per RetransmitRequest.
-    pub(crate) max_nack_span: u64,
     /// Seed for protocol-level randomness (NACK jitter, any-holder coin).
     pub seed: u64,
     /// Bounded send window (disabled by default).
@@ -212,13 +213,7 @@ impl Default for ProtocolConfig {
             heartbeat_interval: SimDuration::from_millis(10),
             fail_timeout: SimDuration::from_millis(120),
             ack_stall_timeout: SimDuration::from_millis(600),
-            nack_delay: SimDuration::from_millis(2),
-            nack_retry: SimDuration::from_millis(8),
-            retransmit_suppress: SimDuration::from_millis(4),
-            connect_retry: SimDuration::from_millis(20),
-            join_retry: SimDuration::from_millis(20),
             suspect_quorum: Quorum::Majority,
-            max_nack_span: 64,
             seed: 0xF7F7_0001,
             flow_control: FlowControl::default(),
             packing: Packing::default(),
@@ -309,7 +304,7 @@ mod tests {
     fn defaults_are_consistent() {
         let c = ProtocolConfig::default();
         assert!(c.heartbeat_interval < c.fail_timeout);
-        assert!(c.nack_delay < c.nack_retry);
+        assert!(NACK_DELAY < NACK_RETRY);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! PGMP — the Processor Group Membership Protocol layer (§7).
 //!
 //! This module holds the PGMP sub-state-machine ([`PgmpGroup`]) — one per
-//! group, consuming typed [`PgmpInput`]s (suspect reports and membership
-//! proposals routed up from ROMP) and emitting typed [`PgmpOutput`]s — plus
-//! its bookkeeping structures. Cross-group orchestration (a conviction
+//! group, taking the suspect reports and membership proposals routed up
+//! from ROMP through [`PgmpGroup::suspect_report`] and
+//! [`PgmpGroup::proposal`] — plus its bookkeeping structures. Cross-group orchestration (a conviction
 //! removes the processor from *all* groups, §2) and the sending of
 //! Suspect/Membership/Connect messages live in [`crate::processor`].
 //!
@@ -231,57 +231,12 @@ pub struct PgmpCounters {
     pub reconfigurations: u64,
 }
 
-/// Typed input consumed by [`PgmpGroup::handle`] — the control messages
-/// ROMP routes upward plus their group-local context.
-#[derive(Debug)]
-pub enum PgmpInput {
-    /// A Suspect message from `reporter` carrying its full suspect set;
-    /// `required` is the conviction quorum for the current membership.
-    SuspectReport {
-        /// The reporting member.
-        reporter: ProcessorId,
-        /// Its complete current suspect set.
-        suspects: BTreeSet<ProcessorId>,
-        /// Votes required to convict.
-        required: usize,
-    },
-    /// A Membership proposal from `from` proposing `proposed` with its
-    /// per-source contiguous sequence numbers `seqs`.
-    Proposal {
-        /// The proposing member.
-        from: ProcessorId,
-        /// The membership it proposes.
-        proposed: BTreeSet<ProcessorId>,
-        /// Its reception evidence (per-source contiguous sequence numbers).
-        seqs: Vec<(ProcessorId, u64)>,
-        /// Arrival time (starts the reconfiguration clock when this
-        /// proposal is the first sign of one).
-        now: SimTime,
-    },
-}
-
-/// Typed output emitted by [`PgmpGroup::handle`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum PgmpOutput {
-    /// Input from a non-member (or a stale echo); dropped.
-    Ignored,
-    /// State updated; nothing convicted or completed yet.
-    Recorded,
-    /// The quorum convicted these processors — the shell must begin or
-    /// extend a reconfiguration in every group containing them (§2).
-    Convicted(Vec<ProcessorId>),
-    /// A proposal was folded into the (possibly just-started)
-    /// reconfiguration — the shell should surface the proposal's reception
-    /// evidence to RMP, re-announce if our proposal changed, and test for
-    /// completion.
-    ProposalNoted,
-}
-
 /// The PGMP sub-state-machine for one group: membership, fault-detector
 /// state, the pending reconfiguration, and join/connect retry state.
 ///
-/// Sans-io: consumes [`PgmpInput`]s, returns [`PgmpOutput`]s. Everything
-/// that crosses groups (convictions) or produces messages (announcements,
+/// Sans-io: two entry points, [`suspect_report`](Self::suspect_report) and
+/// [`proposal`](Self::proposal), each returning the one fact the shell acts
+/// on. Everything that crosses groups (convictions) or produces messages (announcements,
 /// retries) is orchestrated by the [`crate::processor`] shell, which reads
 /// and writes these fields directly — PGMP is the layer whose state is
 /// inherently entangled with the shell's send decisions.
@@ -404,51 +359,57 @@ impl PgmpGroup {
         self.arrivals.get(&peer).copied().unwrap_or_default()
     }
 
-    /// Feed one input through the layer.
-    pub fn handle(&mut self, input: PgmpInput) -> PgmpOutput {
-        match input {
-            PgmpInput::SuspectReport {
-                reporter,
-                suspects,
-                required,
-            } => {
-                if !self.membership.contains(&reporter) {
-                    return PgmpOutput::Ignored;
-                }
-                self.counters.suspect_reports_in += 1;
-                self.suspicion.record(reporter, suspects);
-                let convicted = self.suspicion.convicted(&self.membership, required);
-                if convicted.is_empty() {
-                    PgmpOutput::Recorded
-                } else {
-                    PgmpOutput::Convicted(convicted)
-                }
-            }
-            PgmpInput::Proposal {
-                from,
-                proposed,
-                seqs,
-                now,
-            } => {
-                if !self.membership.contains(&from) {
-                    return PgmpOutput::Ignored;
-                }
-                if self.reconfig.is_none() {
-                    if proposed == self.membership {
-                        return PgmpOutput::Ignored; // stale echo of the installed membership
-                    }
-                    let removed: BTreeSet<ProcessorId> =
-                        self.membership.difference(&proposed).copied().collect();
-                    self.begin_or_extend_reconfig(removed, now);
-                }
-                self.counters.proposals_in += 1;
-                let membership = self.membership.clone();
-                let rc = self.reconfig.as_mut().expect("just ensured");
-                rc.merge_removals(&membership, &proposed);
-                rc.note_proposal(from, proposed, &seqs);
-                PgmpOutput::ProposalNoted
-            }
+    /// A Suspect message from `reporter` carrying its full suspect set;
+    /// `required` is the conviction quorum for the current membership.
+    /// Returns the processors the quorum now convicts — the shell must begin
+    /// or extend a reconfiguration in every group containing them (§2) —
+    /// and nothing for a non-member's report, which is dropped.
+    pub fn suspect_report(
+        &mut self,
+        reporter: ProcessorId,
+        suspects: BTreeSet<ProcessorId>,
+        required: usize,
+    ) -> Vec<ProcessorId> {
+        if !self.membership.contains(&reporter) {
+            return Vec::new();
         }
+        self.counters.suspect_reports_in += 1;
+        self.suspicion.record(reporter, suspects);
+        self.suspicion.convicted(&self.membership, required)
+    }
+
+    /// A Membership proposal from `from` proposing `proposed`, with its
+    /// per-source contiguous sequence numbers `seqs`, arriving at `now`
+    /// (which starts the reconfiguration clock when this proposal is the
+    /// first sign of one). Returns whether it was folded into the (possibly
+    /// just-started) reconfiguration — the shell then surfaces `seqs` to
+    /// RMP, re-announces if our proposal changed and tests for completion —
+    /// or dropped: a non-member's, or a stale echo of the installed
+    /// membership.
+    pub fn proposal(
+        &mut self,
+        from: ProcessorId,
+        proposed: BTreeSet<ProcessorId>,
+        seqs: &SeqVector,
+        now: SimTime,
+    ) -> bool {
+        if !self.membership.contains(&from) {
+            return false;
+        }
+        if self.reconfig.is_none() {
+            if proposed == self.membership {
+                return false;
+            }
+            let removed: BTreeSet<ProcessorId> =
+                self.membership.difference(&proposed).copied().collect();
+            self.begin_or_extend_reconfig(removed, now);
+        }
+        self.counters.proposals_in += 1;
+        let membership = self.membership.clone();
+        let rc = self.reconfig.as_mut().expect("just ensured");
+        rc.merge_removals(&membership, &proposed);
+        rc.note_proposal(from, proposed, seqs);
+        true
     }
 
     /// Start a reconfiguration removing `removals`, or fold them into the
@@ -667,26 +628,21 @@ mod tests {
     }
 
     #[test]
-    fn pgmp_layer_suspicion_to_conviction_via_typed_inputs() {
+    fn pgmp_layer_suspicion_to_conviction() {
         let members = pset(&[1, 2, 3, 4, 5]);
         let mut g = PgmpGroup::new(members, Timestamp(10), SimTime(0));
         assert!(!g.blocked());
-        let report = |reporter: u32, suspects: &[u32]| PgmpInput::SuspectReport {
-            reporter: ProcessorId(reporter),
-            suspects: pset(suspects),
-            required: 3,
+        let mut report = |reporter: u32, suspects: &[u32]| {
+            g.suspect_report(ProcessorId(reporter), pset(suspects), 3)
         };
         // A non-member's report is dropped.
-        assert_eq!(g.handle(report(9, &[5])), PgmpOutput::Ignored);
+        assert!(report(9, &[5]).is_empty());
         // Two suspicions record but stay below the quorum of three.
-        assert_eq!(g.handle(report(1, &[5])), PgmpOutput::Recorded);
-        assert_eq!(g.handle(report(2, &[5])), PgmpOutput::Recorded);
-        assert_eq!(g.counters.suspect_reports_in, 2);
+        assert!(report(1, &[5]).is_empty());
+        assert!(report(2, &[5]).is_empty());
         // The third report convicts.
-        match g.handle(report(3, &[5, 4])) {
-            PgmpOutput::Convicted(c) => assert_eq!(c, vec![ProcessorId(5)]),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(report(3, &[5, 4]), vec![ProcessorId(5)]);
+        assert_eq!(g.counters.suspect_reports_in, 3);
         // The shell folds the conviction into a reconfiguration; ordered
         // sends block until it completes.
         g.begin_or_extend_reconfig(pset(&[5]), SimTime(1));
@@ -708,27 +664,18 @@ mod tests {
     fn pgmp_layer_proposal_starts_reconfig_and_ignores_stale_echo() {
         let members = pset(&[1, 2, 3]);
         let mut g = PgmpGroup::new(members.clone(), Timestamp(0), SimTime(0));
-        // An echo proposing the installed membership is stale.
-        assert_eq!(
-            g.handle(PgmpInput::Proposal {
-                from: ProcessorId(2),
-                proposed: members.clone(),
-                seqs: vec![],
-                now: SimTime(5),
-            }),
-            PgmpOutput::Ignored
-        );
+        // An echo proposing the installed membership is stale, and so is a
+        // non-member's proposal.
+        assert!(!g.proposal(ProcessorId(2), members.clone(), &vec![], SimTime(5)));
+        assert!(!g.proposal(ProcessorId(9), pset(&[1, 2]), &vec![], SimTime(5)));
         assert!(g.reconfig.is_none());
         // A genuine proposal starts the reconfiguration and records itself.
-        assert_eq!(
-            g.handle(PgmpInput::Proposal {
-                from: ProcessorId(2),
-                proposed: pset(&[1, 2]),
-                seqs: vec![(ProcessorId(3), 7)],
-                now: SimTime(6),
-            }),
-            PgmpOutput::ProposalNoted
-        );
+        assert!(g.proposal(
+            ProcessorId(2),
+            pset(&[1, 2]),
+            &vec![(ProcessorId(3), 7)],
+            SimTime(6)
+        ));
         let rc = g.reconfig.as_ref().unwrap();
         assert_eq!(rc.proposed(&members), pset(&[1, 2]));
         assert_eq!(rc.agreeing(&pset(&[1, 2])), 1);

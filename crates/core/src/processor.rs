@@ -16,8 +16,9 @@
 //! * [`RompLayer`] — total order, horizons, acks.
 //!   Typed interface: [`RompInput`] → [`RompOutput`].
 //! * [`PgmpGroup`] — membership, suspicion →
-//!   conviction, reconfiguration. Typed interface: [`PgmpInput`] →
-//!   [`PgmpOutput`].
+//!   conviction, reconfiguration. Two methods:
+//!   [`suspect_report`](PgmpGroup::suspect_report) → the convicted,
+//!   [`proposal`](PgmpGroup::proposal) → whether it was taken.
 //!
 //! The shell decodes packets, routes them through the layers (RMP releases
 //! feed ROMP; ROMP control messages feed PGMP), turns layer outputs into
@@ -49,17 +50,16 @@ use crate::actions::ActionSink;
 pub use crate::actions::{Action, Delivery, ProtocolEvent};
 use crate::adaptive::{self, RttEstimator};
 use crate::clock::{Clock, ClockMode};
-use crate::config::{FlowControl, OverlayPolicy, ProtocolConfig};
+use crate::config::{
+    FlowControl, OverlayPolicy, ProtocolConfig, CONNECT_RETRY, JOIN_RETRY, MAX_NACK_SPAN,
+};
 use crate::ids::{
     ConnectionId, GroupId, ObjectGroupId, ProcessorId, RequestNum, SeqNum, Timestamp,
 };
 use crate::observe::Observation;
 use crate::overlay::{overlay_addr, OverlayTree};
 use crate::pack::Packer;
-use crate::pgmp::{
-    ConnectionTable, PendingConnect, PgmpGroup, PgmpInput, PgmpOutput, ServerRegistration,
-    SponsorJoin,
-};
+use crate::pgmp::{ConnectionTable, PendingConnect, PgmpGroup, ServerRegistration, SponsorJoin};
 use crate::rmp::{RmpInput, RmpLayer, RmpOutput};
 use crate::romp::{RompInput, RompLayer, RompOutput, WindowEdge};
 pub use crate::stats::{GroupMetrics, LayerCounters, ProcessorStats};
@@ -100,6 +100,13 @@ const PROMPT_CAP: u32 = 4;
 /// The least silence before a paid prompt, so that the arrivals of one
 /// burst share a Heartbeat instead of spending a token each.
 const PROMPT_FLOOR: SimDuration = SimDuration::from_micros(500);
+
+/// Admission's ceiling on a received header's `ts` and `ack_ts` (DESIGN.md
+/// §4, "A stamp at the end of time"): a message stamped at or above it is
+/// dropped before anything observes it. A Lamport clock raised to
+/// `u64::MAX` by one such header overflowed at its next send. Honest stamps
+/// never come near: 2^62 µs is about 146 000 years of synchronized clock.
+pub(crate) const STAMP_CEILING: u64 = 1 << 62;
 
 /// Result of asking to multicast a Regular message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -691,7 +698,7 @@ impl Processor {
             new_member,
             SponsorJoin {
                 retx,
-                next_retry: now + self.cfg.join_retry,
+                next_retry: now + JOIN_RETRY,
             },
         );
         self.flush_window(now);
@@ -729,7 +736,7 @@ impl Processor {
             PendingConnect {
                 client_processors: client_processors.clone(),
                 domain_addr,
-                next_retry: now + self.cfg.connect_retry,
+                next_retry: now + CONNECT_RETRY,
             },
         );
         self.send_connect_request(now, conn, &client_processors, domain_addr);
@@ -1397,6 +1404,11 @@ impl Processor {
 
     fn process_message(&mut self, now: SimTime, msg: FtmpMessage, wire: Bytes, own: bool) {
         if !own {
+            // One compare for both stamps: the ceiling is a power of two.
+            if (msg.ts.0 | msg.ack_ts.0) >= STAMP_CEILING {
+                self.stats.stamps_dropped_implausible += 1;
+                return;
+            }
             self.stats.received[msg.msg_type() as usize] += 1;
             if msg.retransmission {
                 self.stats.retransmissions_received += 1;
@@ -1464,7 +1476,6 @@ impl Processor {
     /// (rate-limited): the excluded processor may have been partitioned
     /// through the change and cannot recover the original reliable copies.
     fn maybe_send_exclusion_notice(&mut self, now: SimTime, gid: GroupId, source: ProcessorId) {
-        let retry = self.cfg.join_retry;
         let Some(g) = self.groups.get_mut(&gid) else {
             return;
         };
@@ -1478,7 +1489,7 @@ impl Processor {
             return;
         }
         let payload = notice.clone();
-        g.pgmp.notice_retx_at = now + retry;
+        g.pgmp.notice_retx_at = now + JOIN_RETRY;
         let addr = g.addr;
         self.stats.exclusion_notices_sent += 1;
         self.send_wire(now, addr, payload);
@@ -1842,10 +1853,7 @@ impl Processor {
         });
         // Both ends are whatever the requester wrote: nothing here may
         // overflow on them.
-        let span_cap = self
-            .cfg
-            .max_nack_span
-            .min(stop_seq.saturating_sub(start_seq).saturating_add(1));
+        let span_cap = MAX_NACK_SPAN.min(stop_seq.saturating_sub(start_seq).saturating_add(1));
         for seq in (start_seq..=u64::MAX).take(span_cap as usize) {
             // During a membership change every holder must answer: the
             // reconciliation targets may name messages whose original sender
@@ -1876,7 +1884,7 @@ impl Processor {
             let Some(g) = self.groups.get_mut(&gid) else {
                 return;
             };
-            let suppress = adaptive::suppress_window(&self.cfg, &g.rtt);
+            let suppress = adaptive::suppress_window(&g.rtt);
             if let Some(payload) = g.rmp.answer_retransmit(missing_from, seq, now, suppress) {
                 let addr = if in_reconfig || !sender_is_member {
                     g.addr

@@ -112,7 +112,7 @@ impl Processor {
         g.pgmp.connect_retx = Some(ConnectRetx {
             retx,
             domain_addr,
-            next_retry: now + self.cfg.join_retry,
+            next_retry: now + JOIN_RETRY,
         });
         // The new group's other members are not subscribed yet: the Connect
         // must also travel on the domain address they all listen to.

@@ -2,7 +2,7 @@
 //! reconfiguration protocol (§7.2) that re-establishes virtual synchrony.
 //!
 //! The membership *state* lives in [`PgmpGroup`](crate::pgmp::PgmpGroup);
-//! this module is the shell glue that turns its typed outputs into sends,
+//! this module is the shell glue that turns what it decides into sends,
 //! flushes and events, and coordinates the cross-layer steps a completed
 //! reconfiguration requires (ROMP flush, RMP retention trimming).
 
@@ -19,11 +19,7 @@ impl Processor {
     ) {
         let g = self.groups.get_mut(&gid).expect("group exists");
         let required = self.cfg.suspect_quorum.required(g.pgmp.membership.len());
-        let out = g.pgmp.handle(PgmpInput::SuspectReport {
-            reporter,
-            suspects,
-            required,
-        });
+        let convicted = g.pgmp.suspect_report(reporter, suspects, required);
         if self.tap.measuring() && required > 0 {
             // Near-miss signal: the unconvicted member closest to the
             // conviction quorum, in permille (1000‰ = convicted).
@@ -39,7 +35,7 @@ impl Processor {
                 self.tap.emit(now, Event::ConvictionMargin { permille });
             }
         }
-        if let PgmpOutput::Convicted(convicted) = out {
+        if !convicted.is_empty() {
             self.convict(now, &convicted);
         }
     }
@@ -119,13 +115,7 @@ impl Processor {
     ) {
         {
             let g = self.groups.get_mut(&gid).expect("group exists");
-            let out = g.pgmp.handle(PgmpInput::Proposal {
-                from,
-                proposed,
-                seqs: seqs.clone(),
-                now,
-            });
-            if matches!(out, PgmpOutput::Ignored) {
+            if !g.pgmp.proposal(from, proposed, &seqs, now) {
                 return;
             }
             // Make the peer's reception evidence visible to RMP so NACKs

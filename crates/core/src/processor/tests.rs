@@ -1417,13 +1417,25 @@ mod hostile_values {
     /// An unreliable message in `source`'s name, header sequence `seq`,
     /// handed to every member as if it had been multicast.
     fn inject(net: &mut MiniNet, now: SimTime, source: u32, seq: u64, body: FtmpBody) {
+        inject_stamped(net, now, source, seq, (1, 0), body);
+    }
+
+    /// [`inject`] with the header's `(ts, ack_ts)` given.
+    fn inject_stamped(
+        net: &mut MiniNet,
+        now: SimTime,
+        source: u32,
+        seq: u64,
+        (ts, ack_ts): (u64, u64),
+        body: FtmpBody,
+    ) {
         let msg = FtmpMessage {
             retransmission: false,
             source: ProcessorId(source),
             group: GID,
             seq: SeqNum(seq),
-            ts: Timestamp(1),
-            ack_ts: Timestamp::ZERO,
+            ts: Timestamp(ts),
+            ack_ts: Timestamp(ack_ts),
             body,
         };
         let pkt = Packet::new(source, ADDR, msg.encode(ByteOrder::Big));
@@ -1500,6 +1512,30 @@ mod hostile_values {
         }
     }
 
+    /// A header stamped at the end of time, in a member's name and in a
+    /// stranger's: before admission dropped it, `Clock::observe` raised
+    /// every receiver's clock to `u64::MAX` and its next send overflowed.
+    /// Now every receiver drops it unobserved, counts it, and the honest
+    /// run delivers all 24 messages in agreement.
+    #[test]
+    fn a_header_stamped_at_the_end_of_time_is_dropped_unobserved() {
+        for source in [2, 9] {
+            for stamps in [(u64::MAX, u64::MAX), (u64::MAX, 0), (1, u64::MAX)] {
+                let mut net = trio();
+                honest_run(&mut net, 20, |net, now| {
+                    inject_stamped(net, now, source, 0, stamps, FtmpBody::Heartbeat);
+                });
+                for id in 1..=3 {
+                    assert_eq!(
+                        net.p(id).stats().stamps_dropped_implausible,
+                        1,
+                        "P{id}, source {source}, stamps {stamps:?}"
+                    );
+                }
+            }
+        }
+    }
+
     /// The claim is still believed (ROADMAP item 1(b)), so the receivers
     /// keep asking for a second — but on `nack_retry_after`'s schedule: the
     /// retry doubles from `nack_retry` up to `fail_timeout`, then one round
@@ -1566,7 +1602,7 @@ mod hostile_values {
                 inject(net, now, 2, 0, body);
             });
             let answered = net.p(1).stats().retransmissions_sent;
-            let span = ProtocolConfig::with_seed(42).max_nack_span;
+            let span = MAX_NACK_SPAN;
             assert!(answered <= span, "{answered} answers to one request");
         }
     }

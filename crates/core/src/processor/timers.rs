@@ -118,7 +118,7 @@ impl Processor {
     }
 
     pub(super) fn tick_nacks(&mut self, now: SimTime) {
-        let max_span = self.cfg.max_nack_span;
+        let max_span = MAX_NACK_SPAN;
         let mut cur = None;
         while let Some(gid) = self.next_group(cur) {
             cur = Some(gid);
@@ -126,9 +126,7 @@ impl Processor {
                 let g = self.groups.get_mut(&gid).expect("listed");
                 // The jitter window tracks SRTT and re-issues back off
                 // exponentially per unanswered attempt, up to fail_timeout.
-                let jitter_max = adaptive::nack_jitter_max(&self.cfg, &g.rtt)
-                    .as_micros()
-                    .max(1);
+                let jitter_max = adaptive::nack_jitter_max(&g.rtt).as_micros().max(1);
                 let cfg = &self.cfg;
                 let rtt = g.rtt;
                 let rng = &mut self.rng;
@@ -275,7 +273,7 @@ impl Processor {
             .collect();
         for (conn, procs, addr) in retries {
             if let Some(p) = self.conns.pending.get_mut(&conn) {
-                p.next_retry = now + self.cfg.connect_retry;
+                p.next_retry = now + CONNECT_RETRY;
             }
             self.send_connect_request(now, conn, &procs, addr);
         }
@@ -298,7 +296,7 @@ impl Processor {
             let addr = g.addr;
             for sj in g.pgmp.sponsor_joins.values_mut() {
                 if now >= sj.next_retry {
-                    sj.next_retry = now + self.cfg.join_retry;
+                    sj.next_retry = now + JOIN_RETRY;
                     resend.push((addr, sj.retx.clone()));
                 }
             }
@@ -312,7 +310,7 @@ impl Processor {
                 g.pgmp.connect_retx = None;
             } else if let Some(cr) = &mut g.pgmp.connect_retx {
                 if now >= cr.next_retry {
-                    cr.next_retry = now + self.cfg.join_retry;
+                    cr.next_retry = now + JOIN_RETRY;
                     // Wire order matches the pre-packing shell exactly: the
                     // domain-address copy leaves first, then the queued
                     // group-address resends.

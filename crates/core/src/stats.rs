@@ -73,6 +73,10 @@ pub struct ProcessorStats {
     pub(crate) received: [u64; 10],
     /// Received messages that carried the retransmission flag.
     pub retransmissions_received: u64,
+    /// Received messages dropped at admission, unobserved, because their
+    /// `ts` or `ack_ts` is at or above the 2^62 ceiling (DESIGN.md §4, "A
+    /// stamp at the end of time").
+    pub stamps_dropped_implausible: u64,
 }
 
 impl ProcessorStats {

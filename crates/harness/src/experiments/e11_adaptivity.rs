@@ -15,7 +15,7 @@
 //!   mark, admission is refused (counted), and peak occupancy stays bounded.
 
 use crate::report::Table;
-use crate::worlds::FtmpWorld;
+use ftmp_check::FtmpWorld;
 use ftmp_core::processor::ProtocolEvent;
 use ftmp_core::{ClockMode, FlowControl, ProcessorId, ProtocolConfig};
 use ftmp_net::{LinkDegrade, LinkSelector, SimConfig, SimDuration, SimTime};

@@ -17,7 +17,7 @@
 //!   least halve; nobody may be falsely convicted.
 
 use crate::report::Table;
-use crate::worlds::FtmpWorld;
+use ftmp_check::FtmpWorld;
 use ftmp_core::processor::ProtocolEvent;
 use ftmp_core::{ClockMode, FtmpMsgType, PackPolicy, Packing, ProtocolConfig};
 use ftmp_net::{SimConfig, SimDuration};

@@ -23,7 +23,7 @@
 //! written to `$FTMP_METRICS_DIR/e14_metrics.json` for CI trending.
 
 use crate::report::Table;
-use crate::worlds::FtmpWorld;
+use ftmp_check::FtmpWorld;
 use ftmp_core::{ClockMode, ProtocolConfig};
 use ftmp_net::{LossModel, SimConfig};
 use ftmp_telemetry::{Registry, Snapshot};
@@ -68,10 +68,7 @@ fn scenarios() -> Vec<(&'static str, SimConfig)> {
 /// across all processors into one snapshot.
 fn run_scenario(sim: SimConfig) -> Snapshot {
     let mut w = FtmpWorld::new(3, sim, ProtocolConfig::with_seed(0xE14), ClockMode::Lamport);
-    for id in 1..=w.n {
-        w.net
-            .with_node(id, |n, _, _| n.engine_mut().enable_telemetry());
-    }
+    w.enable_telemetry();
     for round in 0..60u32 {
         let from = round % 3 + 1;
         for k in 0..3usize {

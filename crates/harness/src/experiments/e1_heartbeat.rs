@@ -9,7 +9,7 @@
 
 use crate::metrics::{fmt_rate, LatencyStats};
 use crate::report::Table;
-use crate::worlds::FtmpWorld;
+use ftmp_check::FtmpWorld;
 use ftmp_core::wire::FtmpMsgType;
 use ftmp_core::{ClockMode, ProtocolConfig};
 use ftmp_net::{SimConfig, SimDuration};

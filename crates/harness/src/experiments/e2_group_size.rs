@@ -9,9 +9,10 @@
 
 use crate::metrics::LatencyStats;
 use crate::report::Table;
-use crate::worlds::{BaselineWorld, FtmpWorld};
+use crate::worlds::BaselineWorld;
 use ftmp_baselines::sequencer::{SequencerConfig, SequencerNode};
 use ftmp_baselines::token_ring::{RingConfig, TokenRingNode};
+use ftmp_check::FtmpWorld;
 use ftmp_core::{ClockMode, ProtocolConfig};
 use ftmp_net::{McastAddr, SimConfig, SimDuration};
 

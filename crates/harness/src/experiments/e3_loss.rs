@@ -6,7 +6,7 @@
 
 use crate::metrics::LatencyStats;
 use crate::report::Table;
-use crate::worlds::FtmpWorld;
+use ftmp_check::FtmpWorld;
 use ftmp_core::{ClockMode, ProtocolConfig};
 use ftmp_net::{LossModel, SimConfig, SimDuration};
 

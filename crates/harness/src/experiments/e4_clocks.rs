@@ -8,49 +8,15 @@
 
 use crate::metrics::LatencyStats;
 use crate::report::Table;
-use crate::worlds::FtmpWorld;
+use ftmp_check::{Clocks, FtmpWorld};
 use ftmp_core::{ClockMode, ProtocolConfig};
 use ftmp_net::{SimConfig, SimDuration};
 
-fn run_mode(mode: ClockMode, skews: &[i64]) -> (LatencyStats, bool) {
+fn run_mode(clocks: impl Clocks + 'static) -> (LatencyStats, bool) {
     let proto = ProtocolConfig::with_seed(0xE4).heartbeat(SimDuration::from_millis(5));
-    let mut w = FtmpWorld::new(4, SimConfig::with_seed(0xE4), proto.clone(), mode);
-    // Apply per-node skew in synchronized mode by rebuilding node clocks:
-    // the world constructor uses one mode for all; emulate per-node skew by
-    // selecting the skew for node i from `skews` (cycled).
-    if let ClockMode::Synchronized { .. } = mode {
-        for id in 1..=4u32 {
-            let skew = skews[(id as usize - 1) % skews.len()];
-            let _ = skew; // per-node skew is configured at construction below
-        }
-        // Rebuild with per-node modes.
-        let mut w2 = build_skewed(proto, skews);
-        run_load(&mut w2);
-        return finish(w2);
-    }
+    let mut w = FtmpWorld::new(4, SimConfig::with_seed(0xE4), proto, clocks);
     run_load(&mut w);
     finish(w)
-}
-
-fn build_skewed(proto: ProtocolConfig, skews: &[i64]) -> FtmpWorld {
-    use ftmp_core::{GroupId, Node, Processor, ProcessorId};
-    use ftmp_net::{McastAddr, SimNet, SimTime};
-    let group = GroupId(1);
-    let addr = McastAddr(100);
-    let members: Vec<ProcessorId> = (1..=4).map(ProcessorId).collect();
-    let mut net = SimNet::new(SimConfig::with_seed(0xE4));
-    net.set_classifier(ftmp_core::wire::classify);
-    for id in 1..=4u32 {
-        let mode = ClockMode::Synchronized {
-            skew_us: skews[(id as usize - 1) % skews.len()],
-        };
-        let mut engine = Processor::new(ProcessorId(id), proto.clone(), mode);
-        engine.create_group(SimTime::ZERO, group, addr, members.clone());
-        engine.bind_connection(crate::worlds::world_conn(), group);
-        net.add_node(id, Node::sim(engine, group));
-        net.with_node(id, |node, now, out| node.pump(now, out));
-    }
-    FtmpWorld::from_parts(net, 4, group)
 }
 
 fn run_load(w: &mut FtmpWorld) {
@@ -80,28 +46,25 @@ pub fn run() -> Vec<Table> {
         "Timestamp source: Lamport vs synchronized clocks (asymmetric senders)",
         &["clock mode", "mean latency", "p50", "p99", "order agrees"],
     );
-    let cases: Vec<(String, ClockMode, Vec<i64>)> = vec![
-        ("Lamport".into(), ClockMode::Lamport, vec![0]),
+    // Synchronized clocks skew member `id` by `skews[id - 1]`.
+    let cases: [(&str, Option<[i64; 4]>); 4] = [
+        ("Lamport", None),
+        ("synchronized, 0 skew", Some([0; 4])),
+        ("synchronized, +/-250 us skew", Some([250, -250, 125, -125])),
         (
-            "synchronized, 0 skew".into(),
-            ClockMode::Synchronized { skew_us: 0 },
-            vec![0, 0, 0, 0],
-        ),
-        (
-            "synchronized, +/-250 us skew".into(),
-            ClockMode::Synchronized { skew_us: 0 },
-            vec![250, -250, 125, -125],
-        ),
-        (
-            "synchronized, +/-2 ms skew".into(),
-            ClockMode::Synchronized { skew_us: 0 },
-            vec![2_000, -2_000, 1_000, -1_000],
+            "synchronized, +/-2 ms skew",
+            Some([2_000, -2_000, 1_000, -1_000]),
         ),
     ];
-    for (label, mode, skews) in cases {
-        let (stats, ok) = run_mode(mode, &skews);
+    for (label, skews) in cases {
+        let (stats, ok) = match skews {
+            None => run_mode(ClockMode::Lamport),
+            Some(skews) => run_mode(move |id: u32| ClockMode::Synchronized {
+                skew_us: skews[id as usize - 1],
+            }),
+        };
         t.row(vec![
-            label,
+            label.into(),
             format!("{} ms", stats.mean_ms()),
             format!("{:.2} ms", stats.p50_us as f64 / 1000.0),
             format!("{:.2} ms", stats.p99_us as f64 / 1000.0),

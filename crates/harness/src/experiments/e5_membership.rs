@@ -8,7 +8,7 @@
 //! sizes and detector timeouts.
 
 use crate::report::Table;
-use crate::worlds::FtmpWorld;
+use ftmp_check::FtmpWorld;
 use ftmp_core::{ClockMode, ProtocolConfig, ProtocolEvent};
 use ftmp_net::{SimConfig, SimDuration};
 

@@ -9,7 +9,7 @@
 //! stability).
 
 use crate::report::Table;
-use crate::worlds::FtmpWorld;
+use ftmp_check::FtmpWorld;
 use ftmp_core::{ClockMode, ProtocolConfig};
 use ftmp_net::{LossModel, SimConfig, SimDuration};
 

@@ -8,7 +8,7 @@
 //! nominal.
 
 use crate::report::Table;
-use crate::worlds::FtmpWorld;
+use ftmp_check::FtmpWorld;
 use ftmp_core::wire::FtmpMsgType;
 use ftmp_core::{ClockMode, Command, ProcessorId, ProtocolConfig};
 use ftmp_net::{LossModel, SimConfig};

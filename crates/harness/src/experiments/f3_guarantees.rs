@@ -15,10 +15,11 @@
 //! * Suspect/Membership under loss + crash: survivors converge.
 
 use crate::report::Table;
-use crate::worlds::{FtmpWorld, OrbWorld};
+use crate::worlds::OrbWorld;
+use ftmp_check::FtmpWorld;
 use ftmp_core::wire::FtmpMsgType;
-use ftmp_core::{ClockMode, Command, GroupId, Node, Processor, ProcessorId, ProtocolConfig};
-use ftmp_net::{LossModel, McastAddr, SimConfig, SimDuration, SimTime};
+use ftmp_core::{ClockMode, ProtocolConfig};
+use ftmp_net::{LossModel, SimConfig};
 
 fn check_regular() -> (bool, bool, bool) {
     let sim = SimConfig::with_seed(0xF3).loss(LossModel::Iid { p: 0.10 });
@@ -42,37 +43,17 @@ fn check_regular() -> (bool, bool, bool) {
 
 fn check_add_processor_under_loss() -> bool {
     let sim = SimConfig::with_seed(0xF31).loss(LossModel::Iid { p: 0.10 });
-    let gid = GroupId(1);
-    let addr = McastAddr(100);
-    let mut net = ftmp_net::SimNet::new(sim);
-    let members: Vec<ProcessorId> = vec![ProcessorId(1), ProcessorId(2)];
-    for id in 1..=2u32 {
-        let mut e = Processor::new(
-            ProcessorId(id),
-            ProtocolConfig::with_seed(7),
-            ClockMode::Lamport,
-        );
-        e.create_group(SimTime::ZERO, gid, addr, members.clone());
-        net.add_node(id, Node::sim(e, gid));
-        net.with_node(id, |n, now, out| n.pump(now, out));
-    }
-    // The joiner.
-    let mut e = Processor::new(
-        ProcessorId(3),
-        ProtocolConfig::with_seed(7),
-        ClockMode::Lamport,
-    );
-    e.expect_join(gid, addr);
-    net.add_node(3, Node::sim(e, gid));
-    net.with_node(3, |n, now, out| n.pump(now, out));
-    let add = Command::AddMember(ProcessorId(3));
-    net.with_node(1, |n, now, out| n.command(now, add, out));
-    net.run_for(SimDuration::from_millis(800));
+    let proto = ProtocolConfig::with_seed(7);
+    let mut w = FtmpWorld::new(2, sim, proto.clone(), ClockMode::Lamport);
+    w.joiner(3, proto);
+    w.sponsor(1, 3);
+    w.run_ms(800);
     (1..=3u32).all(|id| {
-        net.node(id)
+        w.net
+            .node(id)
             .unwrap()
             .engine()
-            .membership(gid)
+            .membership(w.group())
             .is_some_and(|m| m.len() == 3)
     })
 }

@@ -1,248 +1,17 @@
-//! Pre-wired simulation worlds the experiments sweep over.
+//! Pre-wired simulation worlds the experiments sweep over, beside
+//! `ftmp-check`'s [`FtmpWorld`](ftmp_check::FtmpWorld): the baselines' and
+//! the replicated ORB's.
 
 use bytes::Bytes;
 use ftmp_baselines::TotalOrderNode;
+use ftmp_check::RunResults;
 use ftmp_core::pgmp::ServerRegistration;
 use ftmp_core::{
-    ClockMode, Command, ConnectionId, GroupId, Node, ObjectGroupId, Processor, ProcessorId,
-    ProtocolConfig, RequestNum, SendOutcome,
+    ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
 };
-use ftmp_net::{McastAddr, NodeId, SimConfig, SimDuration, SimNet, SimNode, SimTime};
+use ftmp_net::{McastAddr, NodeId, SimConfig, SimDuration, SimNet, SimNode};
 use ftmp_orb::{OrbEndpoint, OrbNode};
 use std::collections::HashMap;
-
-/// The connection id the plain-multicast worlds bind statically.
-pub fn world_conn() -> ConnectionId {
-    ConnectionId::new(ObjectGroupId::new(1, 1), ObjectGroupId::new(1, 2))
-}
-
-/// Results drained from a world: per-node delivery sequences and
-/// send→deliver latency samples (µs) across all receivers.
-#[derive(Debug, Default)]
-pub struct RunResults {
-    /// Per node: `(order key…, source, local seq)` in delivery order.
-    pub sequences: Vec<Vec<(u64, u32, u64)>>,
-    /// One sample per (message, receiver) pair.
-    pub latencies_us: Vec<u64>,
-}
-
-impl RunResults {
-    /// True when every node delivered the identical sequence.
-    pub fn all_agree(&self) -> bool {
-        self.sequences.windows(2).all(|w| w[0] == w[1])
-    }
-
-    /// Messages delivered at node 0.
-    pub fn delivered(&self) -> usize {
-        self.sequences.first().map_or(0, Vec::len)
-    }
-}
-
-/// An n-member FTMP processor group with a statically bound connection.
-pub struct FtmpWorld {
-    /// The simulator.
-    pub net: SimNet<Node>,
-    /// Member count.
-    pub n: u32,
-    group: GroupId,
-    addr: McastAddr,
-    send_times: HashMap<(u32, u64), u64>,
-    next_req: u64,
-}
-
-impl FtmpWorld {
-    /// Build the world: group `G1` at address 100 with members `1..=n`.
-    pub fn new(n: u32, sim_cfg: SimConfig, proto: ProtocolConfig, clock: ClockMode) -> Self {
-        let group = GroupId(1);
-        let addr = McastAddr(100);
-        let members: Vec<ProcessorId> = (1..=n).map(ProcessorId).collect();
-        let mut net = SimNet::new(sim_cfg);
-        net.set_classifier(ftmp_core::wire::classify);
-        net.set_message_counter(ftmp_core::wire::message_count);
-        for id in 1..=n {
-            let mut engine = Processor::new(ProcessorId(id), proto.clone(), clock);
-            engine.create_group(SimTime::ZERO, group, addr, members.clone());
-            engine.bind_connection(world_conn(), group);
-            net.add_node(id, Node::sim(engine, group));
-            net.with_node(id, |node, now, out| node.pump(now, out));
-        }
-        FtmpWorld {
-            net,
-            n,
-            group,
-            addr,
-            send_times: HashMap::new(),
-            next_req: 0,
-        }
-    }
-
-    /// Wrap an externally assembled simulator (custom per-node clock modes
-    /// or configs); the nodes must already share `group` with the world
-    /// connection bound, on the standard world multicast address (100).
-    pub fn from_parts(net: SimNet<Node>, n: u32, group: GroupId) -> Self {
-        FtmpWorld {
-            net,
-            n,
-            group,
-            addr: McastAddr(100),
-            send_times: HashMap::new(),
-            next_req: 0,
-        }
-    }
-
-    /// The group id.
-    pub fn group(&self) -> GroupId {
-        self.group
-    }
-
-    /// Multicast one Regular message of `payload_len` bytes from `from`.
-    pub fn send(&mut self, from: u32, payload_len: usize) {
-        self.send_on(world_conn(), from, payload_len);
-    }
-
-    /// Multicast one Regular message on a specific bound connection.
-    /// Request numbers stay monotone over all connections of the world,
-    /// matching §4's allocation rule.
-    pub fn send_on(&mut self, conn: ConnectionId, from: u32, payload_len: usize) {
-        self.next_req += 1;
-        let publish = Command::Publish {
-            conn,
-            request: RequestNum(self.next_req),
-            giop: Bytes::from(vec![0xAB; payload_len]),
-        };
-        let now_us = self.net.now().as_micros();
-        let sent = self.net.with_node(from, move |node, now, out| {
-            node.command(now, publish, out);
-            node.host.published.take()
-        });
-        if let Some(Some(Ok(SendOutcome::Sent { seq, .. }))) = sent {
-            self.send_times.insert((from, seq.0), now_us);
-        }
-    }
-
-    /// Enable protocol telemetry (latency histograms, counters) on every
-    /// member.
-    pub fn enable_telemetry(&mut self) {
-        for id in 1..=self.n {
-            self.net
-                .with_node(id, |node, _, _| node.engine_mut().enable_telemetry());
-        }
-    }
-
-    /// Advance virtual time.
-    pub fn run_ms(&mut self, ms: u64) {
-        self.net.run_for(SimDuration::from_millis(ms));
-    }
-
-    /// Advance virtual time by microseconds.
-    pub fn run_us(&mut self, us: u64) {
-        self.net.run_for(SimDuration::from_micros(us));
-    }
-
-    /// Drain deliveries from every live node into [`RunResults`].
-    pub fn collect(&mut self) -> RunResults {
-        let mut res = RunResults::default();
-        for id in 1..=self.n {
-            if self.net.is_crashed(id) {
-                continue;
-            }
-            let Some(node) = self.net.node_mut(id) else {
-                continue;
-            };
-            let mut seq = Vec::new();
-            for (at, d) in node.take_deliveries() {
-                seq.push((d.ts.0, d.source.0, d.seq.0));
-                if let Some(sent) = self.send_times.get(&(d.source.0, d.seq.0)) {
-                    res.latencies_us.push(at.as_micros().saturating_sub(*sent));
-                }
-            }
-            res.sequences.push(seq);
-        }
-        res
-    }
-
-    /// Attach a conformance [`Checker`](ftmp_check::Checker) with the
-    /// standard oracle suite to every member; the returned handle shares
-    /// state with the running world, so call
-    /// [`finish`](ftmp_check::Checker::finish) /
-    /// [`assert_clean`](ftmp_check::Checker::assert_clean) once the
-    /// workload settles.
-    pub fn attach_checker(&mut self) -> ftmp_check::Checker {
-        let founders: Vec<ProcessorId> = (1..=self.n).map(ProcessorId).collect();
-        let checker = ftmp_check::Checker::new(self.group, &founders);
-        checker.attach_all(&mut self.net, 1..=self.n);
-        checker
-    }
-
-    /// Crash a member: it stops ticking and receives nothing until revived.
-    pub fn crash(&mut self, id: u32) {
-        self.net.crash(id);
-    }
-
-    /// Restart a crashed member from its durable log directory
-    /// (crash→restart→rejoin, DESIGN.md §12). Recovers the log — torn tail
-    /// truncated, corruption quarantined — re-derives the delivered
-    /// horizon, builds a fresh engine under the same processor id that
-    /// expects to be re-added (§7.1 join), reattaches a durable log on the
-    /// same directory (new segment), revives the node and has `sponsor`
-    /// re-add it. Returns the recovered state so the caller can drive
-    /// delta state transfer from the horizon. The §7.1 add still needs
-    /// simulated time to complete — run the world afterwards.
-    pub fn restart_from_log(
-        &mut self,
-        id: u32,
-        dir: &std::path::Path,
-        sponsor: u32,
-        proto: ProtocolConfig,
-        clock: ClockMode,
-    ) -> ftmp_store::RecoveredState {
-        let (state, _) = ftmp_store::RecoveredState::from_log(dir).expect("log recovery");
-        let mut engine = Processor::new(ProcessorId(id), proto, clock);
-        engine.expect_join(self.group, self.addr);
-        engine.bind_connection(world_conn(), self.group);
-        let log = ftmp_store::DurableLog::open(dir, ftmp_store::LogConfig::default())
-            .expect("reopen durable log");
-        engine.set_delivery_log(Box::new(log));
-        self.net.revive(id, Node::sim(engine, self.group));
-        self.net.with_node(id, |node, now, out| node.pump(now, out));
-        let add = Command::AddMember(ProcessorId(id));
-        self.net
-            .with_node(sponsor, move |node, now, out| node.command(now, add, out));
-        state
-    }
-
-    /// The member ids still alive (not crashed) in this world.
-    pub fn live(&self) -> Vec<NodeId> {
-        (1..=self.n)
-            .filter(|&id| !self.net.is_crashed(id))
-            .collect()
-    }
-
-    /// Aggregate the per-layer counters (RMP/ROMP/PGMP) across all live
-    /// members; counts sum, high-water marks max.
-    pub fn layer_totals(&self) -> ftmp_core::processor::LayerCounters {
-        let mut total = ftmp_core::processor::LayerCounters::default();
-        for (_, node) in self.net.nodes() {
-            total.merge(&node.engine().layer_totals());
-        }
-        total
-    }
-
-    /// Aggregate protocol stats across members: (nacks, retransmissions,
-    /// duplicates).
-    pub fn recovery_stats(&self) -> (u64, u64, u64) {
-        let mut nacks = 0;
-        let mut retrans = 0;
-        let mut dups = 0;
-        for (_, node) in self.net.nodes() {
-            let s = node.engine().stats();
-            nacks += s.nacks_sent;
-            retrans += s.retransmissions_sent;
-            dups += s.duplicates;
-        }
-        (nacks, retrans, dups)
-    }
-}
 
 /// A baseline total-order world, generic over the engine.
 pub struct BaselineWorld<N: SimNode + TotalOrderNode> {
@@ -494,24 +263,6 @@ impl OrbWorld {
 mod tests {
     use super::*;
     use ftmp_baselines::sequencer::{SequencerConfig, SequencerNode};
-
-    #[test]
-    fn ftmp_world_round_trip() {
-        let mut w = FtmpWorld::new(
-            3,
-            SimConfig::with_seed(1),
-            ProtocolConfig::with_seed(1),
-            ClockMode::Lamport,
-        );
-        w.send(1, 64);
-        w.send(2, 64);
-        w.run_ms(100);
-        let res = w.collect();
-        assert!(res.all_agree());
-        assert_eq!(res.delivered(), 2);
-        assert!(!res.latencies_us.is_empty());
-        assert!(res.latencies_us.iter().all(|&l| l < 100_000));
-    }
 
     #[test]
     fn baseline_world_round_trip() {

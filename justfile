@@ -1,7 +1,7 @@
 # Developer entry points. `just` runs `check`; `just ci` is the workflow's
 # `lint` and `test` jobs (fmt, clippy, rustdoc, tier-1 and workspace tests).
 # Its other jobs have their own recipes: `chaos`, `conformance`, `metrics`,
-# `bench`, `benchmark-smoke`, `bench-pins`, `panic-budget`.
+# `bench`, `benchmark-smoke`, `bench-pins`, `panic-budget`, `results-fresh`.
 
 default: check
 
@@ -63,6 +63,13 @@ loc-diff parent:
 # `panic-budget` job, non-zero exit when any crate's count rose.
 panic-budget:
     scripts/panic-budget.sh --check results/panic-budget.txt
+
+# The committed results must reproduce: regenerate the 20 `ftmp-exp` tables
+# and E19's two files into a temporary directory and fail on the first that
+# differs, naming it (E16-E18 carry wall-clock fields and stay out). CI's
+# `results-fresh` job; about two minutes warm.
+results-fresh:
+    scripts/results-fresh.sh
 
 # Regenerate every experiment table (see EXPERIMENTS.md).
 experiments:

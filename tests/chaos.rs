@@ -10,24 +10,13 @@
 //! wider in release mode.
 
 use bytes::Bytes;
-use ftmp::check::Checker;
-use ftmp::core::{
-    ClockMode, Command, ConnectionId, GroupId, Node, ObjectGroupId, Processor, ProcessorId,
-    ProtocolConfig, ProtocolEvent, RequestNum,
-};
-use ftmp::net::{
-    LinkDegrade, LinkSelector, LossModel, McastAddr, SimConfig, SimDuration, SimNet, SimTime,
-};
+use ftmp::check::{world_conn, FtmpWorld};
+use ftmp::core::{ClockMode, GroupId, ProcessorId, ProtocolConfig, ProtocolEvent};
+use ftmp::net::{LinkDegrade, LinkSelector, LossModel, SimConfig, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
 const GROUP: GroupId = GroupId(1);
-const ADDR: McastAddr = McastAddr(100);
-
-fn conn() -> ConnectionId {
-    ConnectionId::new(ObjectGroupId::new(1, 1), ObjectGroupId::new(1, 2))
-}
 
 /// `base..base + CHAOS_SEEDS` (defaulting to `default_count` seeds).
 fn seeds(base: u64, default_count: u64) -> std::ops::Range<u64> {
@@ -40,19 +29,14 @@ fn seeds(base: u64, default_count: u64) -> std::ops::Range<u64> {
 }
 
 struct Chaos {
-    net: SimNet<Node>,
-    checker: Checker,
+    world: FtmpWorld,
     rng: SmallRng,
-    members: BTreeSet<u32>,
-    joined_ever: BTreeSet<u32>,
-    crashed: BTreeSet<u32>,
-    next_req: u64,
     next_id: u32,
     /// Membership operations are serialized, as the paper's §7.1 requires
     /// of the fault tolerance infrastructure ("must ensure that any
     /// necessary change to the membership of the processor group has been
     /// completed" before the next change).
-    last_membership_op: ftmp::net::SimTime,
+    last_membership_op: SimTime,
 }
 
 impl Chaos {
@@ -66,49 +50,27 @@ impl Chaos {
     }
 
     fn with(seed: u64, sim: SimConfig, proto: ProtocolConfig) -> Self {
-        let mut net = SimNet::new(sim);
-        net.set_classifier(ftmp::core::wire::classify);
-        let founders: Vec<ProcessorId> = (1..=4).map(ProcessorId).collect();
-        let checker = Checker::new(GROUP, &founders);
-        for id in 1..=4u32 {
-            let mut e = Processor::new(ProcessorId(id), proto.clone(), ClockMode::Lamport);
-            e.create_group(SimTime::ZERO, GROUP, ADDR, founders.clone());
-            e.bind_connection(conn(), GROUP);
-            net.add_node(id, Node::sim(e, GROUP));
-            checker.attach(&mut net, id);
-            net.with_node(id, |n, now, out| n.pump(now, out));
-        }
         Chaos {
-            net,
-            checker,
+            world: FtmpWorld::builder(sim, proto, ClockMode::Lamport)
+                .checked()
+                .build(4),
             rng: SmallRng::seed_from_u64(seed ^ 0xC4405),
-            members: (1..=4).collect(),
-            joined_ever: (1..=4).collect(),
-            crashed: BTreeSet::new(),
-            next_req: 0,
             next_id: 5,
-            last_membership_op: ftmp::net::SimTime::ZERO,
+            last_membership_op: SimTime::ZERO,
         }
     }
 
     fn membership_op_allowed(&self) -> bool {
-        self.net
+        self.world
+            .net
             .now()
             .saturating_since(self.last_membership_op)
             .as_millis()
             >= 400
     }
 
-    fn alive(&self) -> Vec<u32> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|id| !self.crashed.contains(id))
-            .collect()
-    }
-
     fn pick_alive(&mut self) -> Option<u32> {
-        let alive = self.alive();
+        let alive = self.world.live();
         if alive.is_empty() {
             return None;
         }
@@ -116,21 +78,10 @@ impl Chaos {
         Some(alive[i])
     }
 
-    /// Have `id` take `cmd` in, in a turn of its own.
-    fn command(&mut self, id: u32, cmd: Command) {
-        self.net
-            .with_node(id, move |n, now, out| n.command(now, cmd, out));
-    }
-
     fn send_random(&mut self) {
         if let Some(id) = self.pick_alive() {
-            self.next_req += 1;
-            let publish = Command::Publish {
-                conn: conn(),
-                request: RequestNum(self.next_req),
-                giop: Bytes::from(vec![0u8; self.rng.gen_range(8..256usize)]),
-            };
-            self.command(id, publish);
+            let giop = Bytes::from(vec![0u8; self.rng.gen_range(8..256usize)]);
+            self.world.publish(id, world_conn(), giop);
         }
     }
 
@@ -139,7 +90,7 @@ impl Chaos {
     fn step_send_only(&mut self) {
         self.send_random();
         let pause = self.rng.gen_range(1..12u64);
-        self.net.run_for(SimDuration::from_millis(pause));
+        self.world.net.run_for(SimDuration::from_millis(pause));
     }
 
     fn step(&mut self) {
@@ -151,67 +102,52 @@ impl Chaos {
             }
             // 12%: a new processor joins.
             70..=81 => {
-                if self.alive().len() >= 2 && self.next_id < 12 && self.membership_op_allowed() {
-                    self.last_membership_op = self.net.now();
+                if self.world.live().len() >= 2 && self.next_id < 12 && self.membership_op_allowed()
+                {
+                    self.last_membership_op = self.world.net.now();
                     let joiner = self.next_id;
                     self.next_id += 1;
                     let seed = self.rng.gen();
-                    let mut e = Processor::new(
-                        ProcessorId(joiner),
-                        ProtocolConfig::with_seed(seed),
-                        ClockMode::Lamport,
-                    );
-                    e.expect_join(GROUP, ADDR);
-                    e.bind_connection(conn(), GROUP);
-                    self.net.add_node(joiner, Node::sim(e, GROUP));
-                    self.checker.attach(&mut self.net, joiner);
-                    self.net.with_node(joiner, |n, now, out| n.pump(now, out));
+                    self.world.joiner(joiner, ProtocolConfig::with_seed(seed));
                     let sponsor = self.pick_alive().expect("checked");
-                    self.command(sponsor, Command::AddMember(ProcessorId(joiner)));
-                    self.members.insert(joiner);
-                    self.joined_ever.insert(joiner);
+                    self.world.sponsor(sponsor, joiner);
                 }
             }
             // 10%: a voluntary leave.
             82..=91 => {
-                let alive = self.alive();
+                let alive = self.world.live();
                 if alive.len() >= 3 && self.membership_op_allowed() {
-                    self.last_membership_op = self.net.now();
+                    self.last_membership_op = self.world.net.now();
                     let idx = self.rng.gen_range(0..alive.len());
                     let leaver = alive[idx];
                     let sponsor = alive[(idx + 1) % alive.len()];
-                    self.command(sponsor, Command::RemoveMember(ProcessorId(leaver)));
-                    self.members.remove(&leaver);
-                    self.checker.retire(leaver);
+                    self.world.leave(leaver, sponsor);
                 }
             }
             // 8%: a crash — but keep a live majority of the current
             // membership so conviction stays possible.
             _ => {
-                let alive = self.alive();
+                let alive = self.world.live();
                 if alive.len() >= 4 && self.membership_op_allowed() {
-                    self.last_membership_op = self.net.now();
+                    self.last_membership_op = self.world.net.now();
                     let idx = self.rng.gen_range(0..alive.len());
-                    let victim = alive[idx];
-                    self.net.crash(victim);
-                    self.crashed.insert(victim);
-                    self.checker.retire(victim);
+                    self.world.crash(alive[idx]);
                 }
             }
         }
         let pause = self.rng.gen_range(1..12u64);
-        self.net.run_for(SimDuration::from_millis(pause));
+        self.world.net.run_for(SimDuration::from_millis(pause));
     }
 
     fn settle_and_check(&mut self, seed: u64) {
-        self.net.run_for(SimDuration::from_secs(5));
-        let live = self.alive();
+        self.world.net.run_for(SimDuration::from_secs(5));
+        let live = self.world.live();
         assert!(!live.is_empty(), "seed {seed}: everyone died?");
         // Memberships converge among final live processors that are still
         // group members — state the oracles do not track.
         let mut memberships = Vec::new();
         for &id in &live {
-            if let Some(m) = self.net.node(id).unwrap().engine().membership(GROUP) {
+            if let Some(m) = self.world.net.node(id).unwrap().engine().membership(GROUP) {
                 memberships.push((id, m));
             }
         }
@@ -231,10 +167,11 @@ impl Chaos {
         // online; finish() settles the end-of-run convergence obligations
         // for the processors still holding membership.
         let members: Vec<u32> = memberships.iter().map(|&(id, _)| id).collect();
-        self.checker.finish(members);
-        self.checker.assert_clean(&format!("chaos seed {seed}"));
+        let checker = self.world.checker();
+        checker.finish(members);
+        checker.assert_clean(&format!("chaos seed {seed}"));
         assert!(
-            self.checker.delivered() > 0,
+            checker.delivered() > 0,
             "seed {seed}: the oracles saw no deliveries — observer wiring broken"
         );
     }
@@ -277,7 +214,7 @@ fn latency_spike_convictions(seed: u64, prompt_horizon: bool) -> Vec<(u64, Proce
     c.settle_and_check(seed);
     let mut convictions = Vec::new();
     for id in 1..=4u32 {
-        if let Some(node) = c.net.node_mut(id) {
+        if let Some(node) = c.world.net.node_mut(id) {
             for (at, e) in node.take_events() {
                 if let ProtocolEvent::FaultReport { processor, .. } = e {
                     convictions.push((at.as_micros(), processor));

@@ -14,16 +14,16 @@
 
 use bytes::Bytes;
 use ftmp::core::{
-    wire, Action, ClockMode, Command, ConnectionId, GroupId, Inbox, Node, ObjectGroupId, Processor,
-    ProcessorId, ProtocolConfig, ProtocolEvent, RequestNum,
+    Action, ClockMode, Command, ConnectionId, GroupId, Inbox, Processor, ProcessorId,
+    ProtocolConfig, ProtocolEvent, RequestNum,
 };
 use ftmp::harness::worlds::{OrbWorld, ORB_GROUP_ADDR};
-use ftmp::net::{McastAddr, Packet, SimConfig, SimDuration, SimNet, SimTime};
+use ftmp::net::{McastAddr, Packet, SimConfig, SimTime};
 use ftmp::orb::log::LogEntry;
 use ftmp::orb::servant::decode_i64_result;
 use ftmp::orb::{OrbEndpoint, OrbNode, Transfer};
 use ftmp::store::{recover, scratch_dir, DurableLog, LogConfig, LogRecord, RecoveredState};
-use ftmp_check::trace_hash;
+use ftmp_check::{trace_hash, world_conn, FtmpWorld};
 
 const GROUP: GroupId = GroupId(1);
 const ADDR: McastAddr = McastAddr(100);
@@ -31,43 +31,30 @@ const ADDR: McastAddr = McastAddr(100);
 /// The hash `ftmp-core`'s golden test pins for this exact scenario.
 const GOLDEN: u64 = 0x40E7_EDBA_EE0B_E021;
 
-fn conn() -> ConnectionId {
-    ConnectionId::new(ObjectGroupId::new(1, 1), ObjectGroupId::new(1, 2))
-}
-
 #[test]
 fn durable_log_does_not_perturb_the_golden_trace() {
     // The golden scenario from `ftmp-core`'s trace-hash test — three
     // members, each bursting three multicasts, 100 ms — byte-for-byte,
     // with a real on-disk log attached to every node.
-    let members: Vec<ProcessorId> = (1..=3).map(ProcessorId).collect();
-    let mut net = SimNet::new(SimConfig::with_seed(7));
-    net.set_classifier(wire::classify);
-    net.set_message_counter(wire::message_count);
+    let mut w = FtmpWorld::new(
+        3,
+        SimConfig::with_seed(7),
+        ProtocolConfig::with_seed(7),
+        ClockMode::Lamport,
+    );
     let dirs: Vec<std::path::PathBuf> = (1..=3).map(|_| scratch_dir("golden-dlog")).collect();
     for id in 1..=3u32 {
-        let mut engine = Processor::new(
-            ProcessorId(id),
-            ProtocolConfig::with_seed(7),
-            ClockMode::Lamport,
-        );
-        engine.create_group(SimTime::ZERO, GROUP, ADDR, members.clone());
         let log = DurableLog::open(&dirs[id as usize - 1], LogConfig::default()).unwrap();
-        engine.set_delivery_log(Box::new(log));
-        net.add_node(id, Node::sim(engine, GROUP));
-        net.with_node(id, |n, now, out| n.pump(now, out));
-    }
-    for id in 1..=3u32 {
-        net.with_node(id, |n, _, _| {
-            n.engine_mut().bind_connection(conn(), GROUP);
+        w.net.with_node(id, move |n, _, _| {
+            n.engine_mut().set_delivery_log(Box::new(log));
         });
     }
-    net.enable_trace(1 << 16);
+    w.net.enable_trace(1 << 16);
     for id in 1u32..=3 {
-        net.with_node(id, |n, now, out| {
+        w.net.with_node(id, |n, now, out| {
             for k in 0..3u64 {
                 n.intake.push(Inbox::Command(Command::Publish {
-                    conn: conn(),
+                    conn: world_conn(),
                     request: RequestNum(u64::from(id) * 10 + k),
                     giop: Bytes::from(vec![id as u8; 32]),
                 }));
@@ -76,14 +63,14 @@ fn durable_log_does_not_perturb_the_golden_trace() {
             assert!(matches!(n.host.published, Some(Ok(_))));
         });
     }
-    net.run_for(SimDuration::from_millis(100));
+    w.run_ms(100);
     assert_eq!(
-        trace_hash(net.trace().expect("trace enabled")),
+        trace_hash(w.net.trace().expect("trace enabled")),
         GOLDEN,
         "attaching a durable delivery log changed the wire trace"
     );
     // The logs are real: every node persisted all nine deliveries.
-    drop(net);
+    drop(w);
     for dir in &dirs {
         let rec = recover(dir).unwrap();
         let delivered = rec
@@ -121,7 +108,7 @@ fn the_durability_point_is_the_turn_boundary() {
             ClockMode::Lamport,
         );
         p.create_group(SimTime::ZERO, GROUP, ADDR, founders);
-        p.bind_connection(conn(), GROUP);
+        p.bind_connection(world_conn(), GROUP);
         p
     };
     let (mut peer, mut host) = (engine(1), engine(2));
@@ -137,7 +124,7 @@ fn the_durability_point_is_the_turn_boundary() {
         for _ in 0..n {
             next_req += 1;
             let body = Bytes::from(vec![next_req as u8; 100]);
-            peer.multicast_request(now, conn(), RequestNum(next_req), body)
+            peer.multicast_request(now, world_conn(), RequestNum(next_req), body)
                 .unwrap();
         }
         if let Some(id) = add {

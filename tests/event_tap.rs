@@ -20,11 +20,11 @@
 //! older commit rendered — its keys, in its order — so it holds every one of
 //! those keys to the value it had (`parent_shaped_json`).
 
+use ftmp::check::FtmpWorld;
 use ftmp::core::{
     ClockMode, Delivery, DeliveryLog, GroupId, OverlayPolicy, PackPolicy, Packing, Processor,
     ProcessorId, ProtocolConfig, Timestamp,
 };
-use ftmp::harness::worlds::FtmpWorld;
 use ftmp::net::{LossModel, SimConfig, SimDuration};
 use ftmp::telemetry::{Registry, Snapshot};
 use ftmp_check::trace_hash;

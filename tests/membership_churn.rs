@@ -5,161 +5,97 @@
 //! assertions the oracles cannot see.
 
 use bytes::Bytes;
-use ftmp::check::Checker;
-use ftmp::core::{
-    ClockMode, Command, ConnectionId, GroupId, Node, ObjectGroupId, Processor, ProcessorId,
-    ProtocolConfig, ProtocolEvent, RequestNum,
-};
-use ftmp::net::{LossModel, McastAddr, SimConfig, SimDuration, SimNet, SimTime};
+use ftmp::check::{world_conn, FtmpWorld};
+use ftmp::core::{ClockMode, Command, ProtocolConfig, ProtocolEvent, RequestNum};
+use ftmp::net::{LossModel, SimConfig};
 
-const GROUP: GroupId = GroupId(1);
-const ADDR: McastAddr = McastAddr(100);
-
-fn conn() -> ConnectionId {
-    ConnectionId::new(ObjectGroupId::new(1, 1), ObjectGroupId::new(1, 2))
-}
-
-fn make_net(seed: u64, loss: f64) -> SimNet<Node> {
+/// `founders` members under the oracles, at `seed`, with `loss` on every
+/// link.
+fn world(seed: u64, loss: f64, founders: u32) -> FtmpWorld {
     let cfg = SimConfig::with_seed(seed).loss(if loss > 0.0 {
         LossModel::Iid { p: loss }
     } else {
         LossModel::None
     });
-    let mut net = SimNet::new(cfg);
-    net.set_classifier(ftmp::core::wire::classify);
-    net
+    FtmpWorld::builder(cfg, ProtocolConfig::with_seed(seed), ClockMode::Lamport)
+        .checked()
+        .build(founders)
 }
 
-fn add_founder(
-    net: &mut SimNet<Node>,
-    checker: &Checker,
-    id: u32,
-    founders: &[ProcessorId],
-    seed: u64,
-) {
-    let mut e = Processor::new(
-        ProcessorId(id),
-        ProtocolConfig::with_seed(seed),
-        ClockMode::Lamport,
-    );
-    e.create_group(SimTime::ZERO, GROUP, ADDR, founders.to_vec());
-    e.bind_connection(conn(), GROUP);
-    net.add_node(id, Node::sim(e, GROUP));
-    checker.attach(net, id);
-    net.with_node(id, |n, now, out| n.pump(now, out));
+/// A fresh processor `id` waiting to be added; one the simulator already
+/// knows stands in for its crashed or departed incarnation.
+fn add_joiner(w: &mut FtmpWorld, id: u32, seed: u64) {
+    w.joiner(id, ProtocolConfig::with_seed(seed));
 }
 
-/// A fresh processor `id` waiting to be added; `revive` stands it in for a
-/// crashed or departed incarnation of the same id.
-fn add_joiner(net: &mut SimNet<Node>, checker: &Checker, id: u32, seed: u64, revive: bool) {
-    let mut e = Processor::new(
-        ProcessorId(id),
-        ProtocolConfig::with_seed(seed),
-        ClockMode::Lamport,
-    );
-    e.expect_join(GROUP, ADDR);
-    e.bind_connection(conn(), GROUP);
-    if revive {
-        net.revive(id, Node::sim(e, GROUP));
-    } else {
-        net.add_node(id, Node::sim(e, GROUP));
-    }
-    checker.attach(net, id);
-    net.with_node(id, |n, now, out| n.pump(now, out));
-}
-
-/// Have `id` take `cmd` in, in a turn of its own.
-fn command(net: &mut SimNet<Node>, id: u32, cmd: Command) {
-    net.with_node(id, move |n, now, out| n.command(now, cmd, out));
-}
-
-fn send(net: &mut SimNet<Node>, id: u32, req: u64) {
+fn send(w: &mut FtmpWorld, id: u32, req: u64) {
     let publish = Command::Publish {
-        conn: conn(),
+        conn: world_conn(),
         request: RequestNum(req),
         giop: Bytes::from(vec![req as u8]),
     };
-    command(net, id, publish);
+    w.command(id, publish);
 }
 
-fn sponsor(net: &mut SimNet<Node>, sponsor_id: u32, joiner: u32) {
-    command(net, sponsor_id, Command::AddMember(ProcessorId(joiner)));
-}
-
-fn membership_of(net: &SimNet<Node>, id: u32) -> Option<Vec<u32>> {
-    net.node(id)
-        .and_then(|n| n.engine().membership(GROUP))
+fn membership_of(w: &FtmpWorld, id: u32) -> Option<Vec<u32>> {
+    w.net
+        .node(id)
+        .and_then(|n| n.engine().membership(w.group()))
         .map(|m| m.iter().map(|p| p.0).collect())
 }
 
 #[test]
 fn sequential_joins_grow_the_group() {
     let seed = 21;
-    let mut net = make_net(seed, 0.0);
-    let founders = [ProcessorId(1), ProcessorId(2)];
-    let checker = Checker::new(GROUP, &founders);
-    for id in 1..=2 {
-        add_founder(&mut net, &checker, id, &founders, seed);
-    }
+    let mut w = world(seed, 0.0, 2);
     for joiner in 3..=6u32 {
-        add_joiner(&mut net, &checker, joiner, seed, false);
-        sponsor(&mut net, 1, joiner);
-        net.run_for(SimDuration::from_millis(80));
+        add_joiner(&mut w, joiner, seed);
+        w.sponsor(1, joiner);
+        w.run_ms(80);
         for id in 1..=joiner {
             assert_eq!(
-                membership_of(&net, id).unwrap().len(),
+                membership_of(&w, id).unwrap().len(),
                 joiner as usize,
                 "P{id} after P{joiner} joined"
             );
         }
     }
-    checker.finish(1..=6);
-    checker.assert_clean("sequential joins");
+    w.checker().finish(1..=6);
+    w.checker().assert_clean("sequential joins");
 }
 
 #[test]
 fn joins_complete_under_loss() {
     let seed = 22;
-    let mut net = make_net(seed, 0.15);
-    let founders = [ProcessorId(1), ProcessorId(2), ProcessorId(3)];
-    let checker = Checker::new(GROUP, &founders);
-    for id in 1..=3 {
-        add_founder(&mut net, &checker, id, &founders, seed);
-    }
-    add_joiner(&mut net, &checker, 4, seed, false);
-    sponsor(&mut net, 2, 4);
-    net.run_for(SimDuration::from_millis(1_000));
+    let mut w = world(seed, 0.15, 3);
+    add_joiner(&mut w, 4, seed);
+    w.sponsor(2, 4);
+    w.run_ms(1_000);
     for id in 1..=4u32 {
-        assert_eq!(membership_of(&net, id).unwrap().len(), 4, "P{id}");
+        assert_eq!(membership_of(&w, id).unwrap().len(), 4, "P{id}");
     }
-    checker.finish(1..=4);
-    checker.assert_clean("join under loss");
+    w.checker().finish(1..=4);
+    w.checker().assert_clean("join under loss");
 }
 
 #[test]
 fn leave_then_rejoin_with_fresh_state() {
     let seed = 23;
-    let mut net = make_net(seed, 0.0);
-    let founders = [ProcessorId(1), ProcessorId(2), ProcessorId(3)];
-    let checker = Checker::new(GROUP, &founders);
-    for id in 1..=3 {
-        add_founder(&mut net, &checker, id, &founders, seed);
-    }
-    net.run_for(SimDuration::from_millis(20));
+    let mut w = world(seed, 0.0, 3);
+    w.run_ms(20);
     // P3 leaves.
-    command(&mut net, 1, Command::RemoveMember(ProcessorId(3)));
-    checker.retire(3);
-    net.run_for(SimDuration::from_millis(100));
-    assert!(membership_of(&net, 3).is_none(), "P3 left");
-    assert_eq!(membership_of(&net, 1).unwrap(), vec![1, 2]);
+    w.leave(3, 1);
+    w.run_ms(100);
+    assert!(membership_of(&w, 3).is_none(), "P3 left");
+    assert_eq!(membership_of(&w, 1).unwrap(), vec![1, 2]);
     // P3 rejoins cold.
-    add_joiner(&mut net, &checker, 3, seed, true);
-    sponsor(&mut net, 1, 3);
-    net.run_for(SimDuration::from_millis(200));
-    assert_eq!(membership_of(&net, 3).unwrap(), vec![1, 2, 3]);
-    checker.finish(1..=3);
-    checker.assert_clean("leave then rejoin");
-    let evs = net.node_mut(3).unwrap().take_events();
+    add_joiner(&mut w, 3, seed);
+    w.sponsor(1, 3);
+    w.run_ms(200);
+    assert_eq!(membership_of(&w, 3).unwrap(), vec![1, 2, 3]);
+    w.checker().finish(1..=3);
+    w.checker().assert_clean("leave then rejoin");
+    let evs = w.net.node_mut(3).unwrap().take_events();
     assert!(evs
         .iter()
         .any(|(_, e)| matches!(e, ProtocolEvent::JoinedGroup { .. })));
@@ -168,34 +104,29 @@ fn leave_then_rejoin_with_fresh_state() {
 #[test]
 fn joiner_delivery_suffix_matches_founders() {
     let seed = 24;
-    let mut net = make_net(seed, 0.05);
-    let founders = [ProcessorId(1), ProcessorId(2)];
-    let checker = Checker::new(GROUP, &founders);
-    for id in 1..=2 {
-        add_founder(&mut net, &checker, id, &founders, seed);
-    }
+    let mut w = world(seed, 0.05, 2);
     // Pre-join traffic.
     for k in 0..10u64 {
-        send(&mut net, (k % 2) as u32 + 1, k);
-        net.run_for(SimDuration::from_millis(3));
+        send(&mut w, (k % 2) as u32 + 1, k);
+        w.run_ms(3);
     }
-    net.run_for(SimDuration::from_millis(200));
-    add_joiner(&mut net, &checker, 3, seed, false);
-    sponsor(&mut net, 1, 3);
-    net.run_for(SimDuration::from_millis(200));
+    w.run_ms(200);
+    add_joiner(&mut w, 3, seed);
+    w.sponsor(1, 3);
+    w.run_ms(200);
     // Post-join traffic.
     for k in 10..25u64 {
-        send(&mut net, (k % 3) as u32 + 1, k);
-        net.run_for(SimDuration::from_millis(3));
+        send(&mut w, (k % 3) as u32 + 1, k);
+        w.run_ms(3);
     }
-    net.run_for(SimDuration::from_millis(800));
+    w.run_ms(800);
     // The total-order oracle holds the joiner to exactly the founders'
     // suffix (a mid-log entry must track the agreed order from there on);
     // the counts below pin that the suffix was strict and non-empty.
-    checker.finish(1..=3);
-    checker.assert_clean("joiner suffix");
-    let founder_count = net.node_mut(1).unwrap().take_deliveries().len();
-    let joiner_count = net.node_mut(3).unwrap().take_deliveries().len();
+    w.checker().finish(1..=3);
+    w.checker().assert_clean("joiner suffix");
+    let founder_count = w.net.node_mut(1).unwrap().take_deliveries().len();
+    let joiner_count = w.net.node_mut(3).unwrap().take_deliveries().len();
     assert_eq!(founder_count, 25, "founders saw everything");
     assert!(
         joiner_count > 0 && joiner_count < 25,
@@ -206,28 +137,23 @@ fn joiner_delivery_suffix_matches_founders() {
 #[test]
 fn concurrent_traffic_during_join_stays_ordered() {
     let seed = 25;
-    let mut net = make_net(seed, 0.05);
-    let founders = [ProcessorId(1), ProcessorId(2), ProcessorId(3)];
-    let checker = Checker::new(GROUP, &founders);
-    for id in 1..=3 {
-        add_founder(&mut net, &checker, id, &founders, seed);
-    }
-    add_joiner(&mut net, &checker, 4, seed, false);
+    let mut w = world(seed, 0.05, 3);
+    add_joiner(&mut w, 4, seed);
     // Traffic in flight while the join happens.
     for k in 0..5u64 {
-        send(&mut net, (k % 3) as u32 + 1, k);
+        send(&mut w, (k % 3) as u32 + 1, k);
     }
-    sponsor(&mut net, 1, 4);
+    w.sponsor(1, 4);
     for k in 5..15u64 {
-        send(&mut net, (k % 3) as u32 + 1, k);
-        net.run_for(SimDuration::from_millis(2));
+        send(&mut w, (k % 3) as u32 + 1, k);
+        w.run_ms(2);
     }
-    net.run_for(SimDuration::from_millis(800));
+    w.run_ms(800);
     // Founder agreement and the consistency of the joiner's suffix are the
     // total-order oracle's job; the count pins that nothing was lost.
-    checker.finish(1..=4);
-    checker.assert_clean("concurrent traffic during join");
-    assert_eq!(net.node_mut(1).unwrap().take_deliveries().len(), 15);
+    w.checker().finish(1..=4);
+    w.checker().assert_clean("concurrent traffic during join");
+    assert_eq!(w.net.node_mut(1).unwrap().take_deliveries().len(), 15);
 }
 
 /// Regression: a re-add issued while the survivors still list the crashed
@@ -238,40 +164,33 @@ fn concurrent_traffic_during_join_stays_ordered() {
 #[test]
 fn a_re_add_issued_before_the_conviction_completes_after_it() {
     let seed = 26;
-    let mut net = make_net(seed, 0.0);
-    let founders = [ProcessorId(1), ProcessorId(2), ProcessorId(3)];
-    let checker = Checker::new(GROUP, &founders);
-    for id in 1..=3 {
-        add_founder(&mut net, &checker, id, &founders, seed);
-    }
+    let mut w = world(seed, 0.0, 3);
     for k in 0..6u64 {
-        send(&mut net, (k % 3) as u32 + 1, k);
-        net.run_for(SimDuration::from_millis(3));
+        send(&mut w, (k % 3) as u32 + 1, k);
+        w.run_ms(3);
     }
-    net.crash(3);
-    checker.retire(3);
-    net.run_for(SimDuration::from_millis(10));
-    add_joiner(&mut net, &checker, 3, seed, true);
-    checker.rejoin(3);
+    w.crash(3);
+    w.run_ms(10);
+    add_joiner(&mut w, 3, seed);
     assert_eq!(
-        membership_of(&net, 1).unwrap(),
+        membership_of(&w, 1).unwrap(),
         vec![1, 2, 3],
         "not convicted yet"
     );
-    sponsor(&mut net, 1, 3);
-    net.run_for(SimDuration::from_secs(3));
+    w.sponsor(1, 3);
+    w.run_ms(3_000);
     for id in 1..=3u32 {
         assert_eq!(
-            membership_of(&net, id),
+            membership_of(&w, id),
             Some(vec![1, 2, 3]),
             "P{id}: P3 came back"
         );
     }
     for k in 6..12u64 {
-        send(&mut net, (k % 3) as u32 + 1, k);
-        net.run_for(SimDuration::from_millis(3));
+        send(&mut w, (k % 3) as u32 + 1, k);
+        w.run_ms(3);
     }
-    net.run_for(SimDuration::from_millis(500));
-    checker.finish(1..=3);
-    checker.assert_clean("re-add before conviction");
+    w.run_ms(500);
+    w.checker().finish(1..=3);
+    w.checker().assert_clean("re-add before conviction");
 }

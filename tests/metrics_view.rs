@@ -6,8 +6,8 @@
 //! the two read-outs is exactly those notices — some in a partition that
 //! heals, none under plain loss.
 
+use ftmp::check::FtmpWorld;
 use ftmp::core::{ClockMode, ProtocolConfig};
-use ftmp::harness::worlds::FtmpWorld;
 use ftmp::net::{LossModel, SimConfig};
 
 /// Per member: (retransmissions sent, RetransmitRequests answered,

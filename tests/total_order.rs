@@ -8,8 +8,8 @@
 //! counts.
 
 use ftmp::check::Checker;
+use ftmp::check::FtmpWorld;
 use ftmp::core::{ClockMode, ProtocolConfig};
-use ftmp::harness::worlds::FtmpWorld;
 use ftmp::net::{LatencyModel, LossModel, SimConfig, SimDuration};
 
 fn workload(w: &mut FtmpWorld, msgs: u64) {

@@ -5,8 +5,8 @@
 //! oracle suite; the test bodies keep the membership-state and protocol-
 //! event assertions the oracles cannot see.
 
+use ftmp::check::FtmpWorld;
 use ftmp::core::{ClockMode, ProtocolConfig, ProtocolEvent};
-use ftmp::harness::worlds::FtmpWorld;
 use ftmp::net::{LossModel, SimConfig};
 
 /// Crash one member mid-traffic at a seed-dependent moment; assert the
