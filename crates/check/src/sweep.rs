@@ -451,8 +451,8 @@ fn build_cell(scenario: Scenario, seed: u64, trace_capacity: usize) -> Cell {
     };
     let mut world = FtmpWorld::builder(sim, scenario.shape(proto), move |id| scenario.clock(id))
         .conns(conns)
-        .checked()
         .build(scenario.founders(seed));
+    world.attach_checker();
     world.enable_telemetry();
     world.net.enable_trace(trace_capacity);
     // The crash-restart victim persists its deliveries; a small segment

@@ -70,14 +70,12 @@ impl<F: Fn(u32) -> ClockMode> Clocks for F {
 }
 
 /// What a world is built with beyond [`FtmpWorld::new`]'s arguments:
-/// the connections every member binds and whether the oracles watch from
-/// the founders' first turn.
+/// the connections every member binds.
 pub struct WorldBuilder {
     sim_cfg: SimConfig,
     proto: ProtocolConfig,
     clocks: Box<dyn Clocks>,
     conns: Vec<ConnectionId>,
-    checked: bool,
 }
 
 impl WorldBuilder {
@@ -86,13 +84,6 @@ impl WorldBuilder {
     /// processor group).
     pub fn conns(mut self, conns: Vec<ConnectionId>) -> Self {
         self.conns = conns;
-        self
-    }
-
-    /// Attach the world's [`Checker`] to each member as it is built, before
-    /// its first turn, founders included.
-    pub fn checked(mut self) -> Self {
-        self.checked = true;
         self
     }
 
@@ -113,7 +104,7 @@ impl WorldBuilder {
             clocks: self.clocks,
             telemetry: false,
             checker: Checker::new(group, &founders),
-            checked: self.checked,
+            checked: false,
             members: (1..=n).collect(),
             send_times: HashMap::new(),
             next_req: 0,
@@ -170,7 +161,6 @@ impl FtmpWorld {
             proto,
             clocks: Box::new(clock),
             conns: vec![world_conn()],
-            checked: false,
         }
     }
 
@@ -211,8 +201,8 @@ impl FtmpWorld {
         self.group
     }
 
-    /// The world's checker. It watches only once attached, by
-    /// [`WorldBuilder::checked`] or [`attach_checker`](Self::attach_checker).
+    /// The world's checker. It watches only once
+    /// [`attach_checker`](Self::attach_checker) has attached it.
     pub fn checker(&self) -> &Checker {
         &self.checker
     }
@@ -460,8 +450,8 @@ mod tests {
             ClockMode::Lamport,
         )
         .conns(conns.clone())
-        .checked()
         .build(4);
+        w.attach_checker();
         let dir = ftmp_store::scratch_dir("world-restart");
         let log = ftmp_store::DurableLog::open(&dir, ftmp_store::LogConfig::default())
             .expect("open the log");

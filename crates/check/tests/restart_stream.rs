@@ -32,9 +32,13 @@ fn publish(w: &mut FtmpWorld, id: u32, request: u64, giop: Vec<u8>) {
 #[test]
 fn survivors_deliver_the_rejoined_members_fresh_stream() {
     let proto = ProtocolConfig::with_seed(7);
-    let mut w = FtmpWorld::builder(SimConfig::with_seed(7), proto.clone(), ClockMode::Lamport)
-        .checked()
-        .build(3);
+    let mut w = FtmpWorld::new(
+        3,
+        SimConfig::with_seed(7),
+        proto.clone(),
+        ClockMode::Lamport,
+    );
+    w.attach_checker();
     let group = w.group();
 
     // Pre-crash traffic so P3's old stream has a real sequence history.

@@ -13,6 +13,20 @@
 use crate::ids::Timestamp;
 use ftmp_net::SimTime;
 
+/// Admission's ceiling on a received header's `ts` and `ack_ts` (DESIGN.md
+/// §4, "A stamp at the end of time"): a message stamped at or above it is
+/// dropped before anything observes it. A Lamport clock raised to
+/// `u64::MAX` by one such header overflowed at its next send. Honest stamps
+/// never come near: 2^62 µs is about 146 000 years of synchronized clock.
+pub(crate) const STAMP_CEILING: u64 = 1 << 62;
+
+/// How far ahead of a receiver's clock a received stamp may be: 2^48 µs is
+/// about nine years, more than any honest skew, idle spell or Lamport
+/// count. An admitted stamp raises every receiver's clock, and the senders'
+/// next stamps must exceed it; a fixed ceiling alone would let one stamp
+/// just under it lift every next stamp over it, where every peer drops it.
+pub(crate) const STAMP_REACH: u64 = 1 << 48;
+
 /// Timestamp generation mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClockMode {
@@ -54,14 +68,26 @@ impl Clock {
     /// than every previous stamp and every observed stamp, and — in
     /// synchronized mode — at least the skewed physical time.
     pub fn stamp_send(&mut self, now: SimTime) -> Timestamp {
-        let mut next = self.current + 1;
-        if let ClockMode::Synchronized { skew_us } = self.mode {
-            let phys = now.as_micros() as i64 + skew_us;
-            let phys = phys.max(0) as u64;
-            next = next.max(phys);
-        }
+        let next = (self.current + 1).max(self.physical(now));
         self.current = next;
         Timestamp(next)
+    }
+
+    /// The skewed physical time at `now` in synchronized mode, 0 otherwise.
+    fn physical(&self, now: SimTime) -> u64 {
+        match self.mode {
+            ClockMode::Lamport => 0,
+            ClockMode::Synchronized { skew_us } => (now.as_micros() as i64 + skew_us).max(0) as u64,
+        }
+    }
+
+    /// The least stamp a received header may not carry at `now`:
+    /// [`STAMP_REACH`] past the later of this clock and its physical time,
+    /// and never past [`STAMP_CEILING`]. One admitted stamp therefore
+    /// leaves the ceiling at least 2^14 such jumps away.
+    pub fn reach(&self, now: SimTime) -> u64 {
+        let floor = self.current.max(self.physical(now));
+        floor.saturating_add(STAMP_REACH).min(STAMP_CEILING)
     }
 
     /// Observe a received message's timestamp: Lamport receive rule,
@@ -129,6 +155,18 @@ mod tests {
             Timestamp(1),
             "falls back to pure Lamport when physical < 0"
         );
+    }
+
+    #[test]
+    fn reach_runs_ahead_of_the_clock_and_its_physical_time_up_to_the_ceiling() {
+        let mut c = Clock::new(ClockMode::Lamport);
+        assert_eq!(c.reach(SimTime(1_000)), STAMP_REACH);
+        c.observe(Timestamp(7));
+        assert_eq!(c.reach(SimTime(1_000)), 7 + STAMP_REACH);
+        c.observe(Timestamp(STAMP_CEILING - STAMP_REACH / 2));
+        assert_eq!(c.reach(SimTime(1_000)), STAMP_CEILING);
+        let idle = Clock::new(ClockMode::Synchronized { skew_us: 5 });
+        assert_eq!(idle.reach(SimTime(1_000)), 1_005 + STAMP_REACH);
     }
 
     proptest! {

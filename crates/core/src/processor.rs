@@ -101,13 +101,6 @@ const PROMPT_CAP: u32 = 4;
 /// burst share a Heartbeat instead of spending a token each.
 const PROMPT_FLOOR: SimDuration = SimDuration::from_micros(500);
 
-/// Admission's ceiling on a received header's `ts` and `ack_ts` (DESIGN.md
-/// §4, "A stamp at the end of time"): a message stamped at or above it is
-/// dropped before anything observes it. A Lamport clock raised to
-/// `u64::MAX` by one such header overflowed at its next send. Honest stamps
-/// never come near: 2^62 µs is about 146 000 years of synchronized clock.
-pub(crate) const STAMP_CEILING: u64 = 1 << 62;
-
 /// Result of asking to multicast a Regular message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendOutcome {
@@ -1404,8 +1397,7 @@ impl Processor {
 
     fn process_message(&mut self, now: SimTime, msg: FtmpMessage, wire: Bytes, own: bool) {
         if !own {
-            // One compare for both stamps: the ceiling is a power of two.
-            if (msg.ts.0 | msg.ack_ts.0) >= STAMP_CEILING {
+            if msg.ts.0.max(msg.ack_ts.0) >= self.clock.reach(now) {
                 self.stats.stamps_dropped_implausible += 1;
                 return;
             }

@@ -2,6 +2,7 @@
 //! `Processor` API over a tiny in-memory network.
 
 use super::*;
+use crate::clock::{STAMP_CEILING, STAMP_REACH};
 use crate::config::Quorum;
 
 pub(super) fn conn_ab() -> ConnectionId {
@@ -1512,25 +1513,40 @@ mod hostile_values {
         }
     }
 
-    /// A header stamped at the end of time, in a member's name and in a
-    /// stranger's: before admission dropped it, `Clock::observe` raised
-    /// every receiver's clock to `u64::MAX` and its next send overflowed.
-    /// Now every receiver drops it unobserved, counts it, and the honest
-    /// run delivers all 24 messages in agreement.
+    /// A header stamped out of reach, in a member's name and in a
+    /// stranger's. At the end of time: before admission dropped it,
+    /// `Clock::observe` raised every receiver's clock to `u64::MAX` and its
+    /// next send overflowed. Just under the 2^62 ceiling: admitted, it
+    /// raised every clock so that every next stamp reached the ceiling and
+    /// every peer dropped it — Heartbeats, Suspects and proposals included —
+    /// leaving the group silent for good. Now every receiver drops both
+    /// unobserved and counts them. One stamped `STAMP_REACH` ahead is
+    /// admitted and the members' clocks rise past it. The honest run
+    /// delivers all 24 messages in agreement in every case.
     #[test]
-    fn a_header_stamped_at_the_end_of_time_is_dropped_unobserved() {
+    fn a_header_stamped_out_of_reach_is_dropped_unobserved() {
+        let end = u64::MAX;
+        let under = STAMP_CEILING - 1;
+        let cases = [
+            ((end, end), 1),
+            ((end, 0), 1),
+            ((1, end), 1),
+            ((under, under), 1),
+            ((STAMP_REACH, STAMP_REACH), 0),
+        ];
         for source in [2, 9] {
-            for stamps in [(u64::MAX, u64::MAX), (u64::MAX, 0), (1, u64::MAX)] {
+            for (stamps, dropped) in cases {
                 let mut net = trio();
                 honest_run(&mut net, 20, |net, now| {
                     inject_stamped(net, now, source, 0, stamps, FtmpBody::Heartbeat);
                 });
                 for id in 1..=3 {
-                    assert_eq!(
-                        net.p(id).stats().stamps_dropped_implausible,
-                        1,
-                        "P{id}, source {source}, stamps {stamps:?}"
-                    );
+                    let p = net.p(id);
+                    let case = format!("P{id}, source {source}, stamps {stamps:?}");
+                    assert_eq!(p.stats().stamps_dropped_implausible, dropped, "{case}");
+                    if dropped == 0 {
+                        assert!(p.clock.current() > Timestamp(stamps.0), "{case}");
+                    }
                 }
             }
         }

@@ -65,9 +65,10 @@ panic-budget:
     scripts/panic-budget.sh --check results/panic-budget.txt
 
 # The committed results must reproduce: regenerate the 20 `ftmp-exp` tables
-# and E19's two files into a temporary directory and fail on the first that
-# differs, naming it (E16-E18 carry wall-clock fields and stay out). CI's
-# `results-fresh` job; about two minutes warm.
+# and E19's two files into a temporary directory and fail on the first
+# committed file that differs or has no fresh copy, naming it (E16-E18 carry
+# wall-clock fields and stay out). CI's `results-fresh` job; about two
+# minutes warm.
 results-fresh:
     scripts/results-fresh.sh
 

@@ -50,10 +50,10 @@ impl Chaos {
     }
 
     fn with(seed: u64, sim: SimConfig, proto: ProtocolConfig) -> Self {
+        let mut world = FtmpWorld::new(4, sim, proto, ClockMode::Lamport);
+        world.attach_checker();
         Chaos {
-            world: FtmpWorld::builder(sim, proto, ClockMode::Lamport)
-                .checked()
-                .build(4),
+            world,
             rng: SmallRng::seed_from_u64(seed ^ 0xC4405),
             next_id: 5,
             last_membership_op: SimTime::ZERO,

@@ -17,9 +17,14 @@ fn world(seed: u64, loss: f64, founders: u32) -> FtmpWorld {
     } else {
         LossModel::None
     });
-    FtmpWorld::builder(cfg, ProtocolConfig::with_seed(seed), ClockMode::Lamport)
-        .checked()
-        .build(founders)
+    let mut w = FtmpWorld::new(
+        founders,
+        cfg,
+        ProtocolConfig::with_seed(seed),
+        ClockMode::Lamport,
+    );
+    w.attach_checker();
+    w
 }
 
 /// A fresh processor `id` waiting to be added; one the simulator already
