@@ -82,8 +82,8 @@ impl Clock {
     }
 
     /// The least stamp a received header may not carry at `now`:
-    /// [`STAMP_REACH`] past the later of this clock and its physical time,
-    /// and never past [`STAMP_CEILING`]. One admitted stamp therefore
+    /// `STAMP_REACH` past the later of this clock and its physical time,
+    /// and never past `STAMP_CEILING`. One admitted stamp therefore
     /// leaves the ceiling at least 2^14 such jumps away.
     pub fn reach(&self, now: SimTime) -> u64 {
         let floor = self.current.max(self.physical(now));

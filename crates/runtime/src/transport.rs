@@ -45,6 +45,7 @@ use bytes::Bytes;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -519,10 +520,14 @@ const READ_BUF: usize = 16 * 1024;
 #[derive(Debug, PartialEq, Eq)]
 struct FrameTooLong;
 
-/// Hand every complete frame at the front of `buf` to `emit`, in order, and
-/// return how many bytes they took; what follows is the head of a frame
-/// still arriving. Allocates nothing: a declared length is only compared.
-fn split_frames(buf: &[u8], mut emit: impl FnMut(McastAddr, &[u8])) -> Result<usize, FrameTooLong> {
+/// Hand every complete frame at the front of `buf` to `emit` — its
+/// destination and where its payload lies in `buf` — in order, and return
+/// how many bytes they took; what follows is the head of a frame still
+/// arriving. Allocates nothing: a declared length is only compared.
+fn split_frames(
+    buf: &[u8],
+    mut emit: impl FnMut(McastAddr, Range<usize>),
+) -> Result<usize, FrameTooLong> {
     let mut off = 0;
     while let Some(header) = buf[off..].first_chunk::<TCP_HEADER>() {
         let dst = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
@@ -530,11 +535,12 @@ fn split_frames(buf: &[u8], mut emit: impl FnMut(McastAddr, &[u8])) -> Result<us
         if len > MAX_FRAME_PAYLOAD {
             return Err(FrameTooLong);
         }
-        let Some(payload) = buf[off + TCP_HEADER..].get(..len) else {
+        let start = off + TCP_HEADER;
+        if buf.len() - start < len {
             break;
-        };
-        emit(McastAddr(dst), payload);
-        off += TCP_HEADER + len;
+        }
+        emit(McastAddr(dst), start..start + len);
+        off = start + len;
     }
     Ok(off)
 }
@@ -543,6 +549,9 @@ fn split_frames(buf: &[u8], mut emit: impl FnMut(McastAddr, &[u8])) -> Result<us
 struct FrameBuf {
     buf: Vec<u8>,
     filled: usize,
+    /// The kept frames of the read being split; a field, so that a read
+    /// allocates no list of its own.
+    kept: Vec<(McastAddr, Range<usize>)>,
 }
 
 impl FrameBuf {
@@ -550,6 +559,7 @@ impl FrameBuf {
         FrameBuf {
             buf: vec![0; READ_BUF],
             filled: 0,
+            kept: Vec::new(),
         }
     }
 
@@ -558,27 +568,48 @@ impl FrameBuf {
         &mut self.buf[self.filled..]
     }
 
-    /// `n` bytes were read into [`space`](Self::space): hand the frames they
-    /// complete to `emit` and keep the rest at the front.
+    /// `n` bytes were read into [`space`](Self::space): copy the frames they
+    /// complete into one buffer, return each frame `keep` accepts as a slice
+    /// of it, and keep the partial tail at the front. The buffer holds the
+    /// completed frames only — a retained payload pins no more than one
+    /// read's worth of them — and is not made when no frame is kept.
     fn advance(
         &mut self,
         n: usize,
-        emit: impl FnMut(McastAddr, &[u8]),
-    ) -> Result<(), FrameTooLong> {
+        keep: impl Fn(McastAddr) -> bool,
+    ) -> Result<Vec<RxDatagram>, FrameTooLong> {
         self.filled += n;
-        let used = split_frames(&self.buf[..self.filled], emit)?;
+        self.kept.clear();
+        let used = split_frames(&self.buf[..self.filled], |addr, payload| {
+            if keep(addr) {
+                self.kept.push((addr, payload));
+            }
+        })?;
+        let batch = if self.kept.is_empty() {
+            Vec::new()
+        } else {
+            let frames = Bytes::copy_from_slice(&self.buf[..used]);
+            self.kept
+                .drain(..)
+                .map(|(addr, payload)| RxDatagram {
+                    addr,
+                    payload: frames.slice(payload),
+                })
+                .collect()
+        };
         self.buf.copy_within(used..self.filled, 0);
         self.filled -= used;
         if self.filled == self.buf.len() {
             // One frame longer than the buffer: make room for it.
             self.buf.resize(2 * self.filled, 0);
         }
-        Ok(())
+        Ok(batch)
     }
 }
 
 /// Per-stream reader: the subscribed frames each `read` completes go to the
-/// inbox as one entry, under one look at the subscription set.
+/// inbox as one entry, under one look at the subscription set, their
+/// payloads slices of one copy of what the read completed.
 fn tcp_reader(mut stream: TcpStream, subs: Subs, rxq: RxQueue, stop: Arc<AtomicBool>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut frames = FrameBuf::new();
@@ -586,20 +617,12 @@ fn tcp_reader(mut stream: TcpStream, subs: Subs, rxq: RxQueue, stop: Arc<AtomicB
         match stream.read(frames.space()) {
             Ok(0) => break,
             Ok(n) => {
-                let mut batch = Vec::new();
                 let subs = locked(&subs);
-                let split = frames.advance(n, |addr, payload| {
-                    if subs.contains(&addr.0) {
-                        batch.push(RxDatagram {
-                            addr,
-                            payload: Bytes::copy_from_slice(payload),
-                        });
-                    }
-                });
+                let split = frames.advance(n, |addr| subs.contains(&addr.0));
                 drop(subs);
-                if split.is_err() {
+                let Ok(batch) = split else {
                     return; // corrupt stream; abandon it
-                }
+                };
                 rxq.push(batch);
             }
             Err(e)
@@ -888,14 +911,20 @@ mod tests {
     }
 
     /// Feed `stream` through a reader's buffer as reads of the sizes in
-    /// `cuts` (taken in turn, round and round) would deliver it.
+    /// `cuts` (taken in turn, round and round) would deliver it, keeping
+    /// every frame. Checks each read's batch against the stretch of the
+    /// stream the read completed: its payloads lie back to back in memory,
+    /// one frame header apart, so they are slices of one buffer, and their
+    /// frames add up to that stretch, so the batch is every frame the read
+    /// completed. A read that meets [`FrameTooLong`] ends the feed with the
+    /// stretch of the stream it took.
     fn read_in_cuts(
         stream: &[u8],
         cuts: &[usize],
-    ) -> (Vec<Frame>, Result<(), FrameTooLong>, FrameBuf) {
+    ) -> (Vec<Frame>, Result<(), Range<usize>>, FrameBuf) {
         let mut frames = FrameBuf::new();
         let mut got = Vec::new();
-        let (mut at, mut cut) = (0, 0);
+        let (mut at, mut cut, mut consumed) = (0, 0, 0);
         while at < stream.len() {
             let space = frames.space();
             assert!(
@@ -908,10 +937,25 @@ mod tests {
             cut += 1;
             space[..n].copy_from_slice(&stream[at..at + n]);
             at += n;
-            let split = frames.advance(n, |addr, payload| got.push((addr.0, payload.to_vec())));
-            if split.is_err() {
-                return (got, split, frames);
+            let batch = match frames.advance(n, |_| true) {
+                Ok(batch) => batch,
+                Err(FrameTooLong) => return (got, Err(at - n..at), frames),
+            };
+            let completed = at - frames.filled - consumed;
+            consumed += completed;
+            let framed: usize = batch.iter().map(|d| TCP_HEADER + d.payload.len()).sum();
+            assert_eq!(
+                framed, completed,
+                "the batch is every frame the read completed"
+            );
+            for pair in batch.windows(2) {
+                assert_eq!(
+                    (pair[1].payload.as_ptr() as usize).wrapping_sub(TCP_HEADER),
+                    pair[0].payload.as_ptr_range().end as usize,
+                    "a payload outside its read's buffer"
+                );
             }
+            got.extend(batch.iter().map(|d| (d.addr.0, d.payload.to_vec())));
         }
         (got, Ok(()), frames)
     }
@@ -944,7 +988,7 @@ mod tests {
         ) {
             let stream = stream_of(&frames);
             let mut uncut = Vec::new();
-            let used = split_frames(&stream, |addr, payload| uncut.push((addr.0, payload.to_vec())));
+            let used = split_frames(&stream, |addr, payload| uncut.push((addr.0, stream[payload].to_vec())));
             prop_assert_eq!(used, Ok(stream.len()));
             prop_assert_eq!(&uncut, &frames);
             let (got, end, left) = read_in_cuts(&stream, &cuts);
@@ -972,17 +1016,46 @@ mod tests {
         ) {
             let mut stream = stream_of(&frames);
             stream.extend(header(dst, over));
+            let overlong = stream.len() - 1;
             stream.extend([0xAB; 64]);
             let room_for = |frames: &[Frame]| {
                 let longest = frames.iter().map(|(_, p)| TCP_HEADER + p.len()).max();
                 longest.unwrap_or(0).max(READ_BUF) * 2
             };
             let (got, end, left) = read_in_cuts(&stream, &cuts);
-            prop_assert_eq!(end, Err(FrameTooLong));
-            prop_assert_eq!(&got, &frames);
+            let Err(read) = end else {
+                panic!("the stream was not abandoned");
+            };
+            // The read that completes the overlong header is the one that
+            // fails, and it yields nothing; every frame an earlier read
+            // completed arrived.
+            prop_assert!(read.contains(&overlong), "{read:?} failed, not the read of byte {overlong}");
+            let mut ends = frames.iter().scan(0, |end, (_, p)| {
+                *end += TCP_HEADER + p.len();
+                Some(*end)
+            });
+            let before = ends.position(|end| end > read.start).unwrap_or(frames.len());
+            prop_assert_eq!(&got, &frames[..before]);
             // Only the frames before it ever made the buffer grow.
             prop_assert!(left.buf.len() <= room_for(&frames));
         }
+    }
+
+    #[test]
+    fn only_kept_frames_reach_the_batch() {
+        let stream = stream_of(&[(1, vec![0xA; 5]), (2, vec![0xB; 7]), (3, vec![0xC; 3])]);
+        let read = |keep: fn(McastAddr) -> bool| {
+            let mut frames = FrameBuf::new();
+            frames.space()[..stream.len()].copy_from_slice(&stream);
+            frames.advance(stream.len(), keep).unwrap()
+        };
+        let batch = read(|addr| addr.0 == 2);
+        assert_eq!(batch.len(), 1);
+        assert_eq!(
+            (batch[0].addr, &batch[0].payload[..]),
+            (McastAddr(2), &[0xB; 7][..])
+        );
+        assert!(read(|_| false).is_empty());
     }
 
     #[test]

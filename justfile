@@ -1,5 +1,6 @@
 # Developer entry points. `just` runs `check`; `just ci` is the workflow's
-# `lint` and `test` jobs (fmt, clippy, rustdoc, tier-1 and workspace tests).
+# `lint` and `test` jobs (fmt, clippy, rustdoc, tier-1, workspace and
+# vendored-crate tests).
 # Its other jobs have their own recipes: `chaos`, `conformance`, `metrics`,
 # `bench`, `benchmark-smoke`, `bench-pins`, `panic-budget`, `results-fresh`.
 
@@ -29,9 +30,14 @@ test:
 test-all:
     cargo test --workspace -q
 
+# The vendored stand-ins' own tests (the channel's wake rule among them):
+# `--workspace` skips patched path dependencies, so they are named.
+test-vendor:
+    cargo test --release -p crossbeam -p bytes
+
 # The CI gate. `test-all` is what runs the golden trace-hash pins: they are
 # unit tests of ftmp-core and ftmp-check, which the root `cargo test` skips.
-ci: fmt clippy doc test test-all
+ci: fmt clippy doc test test-all test-vendor
 
 # Wide chaos sweep, release mode (CHAOS_SEEDS seeds per test) plus the
 # 1000-seed sweep that pins the known onset convictions, then the long
