@@ -103,6 +103,15 @@ impl Oracle for Reliability {
         }
     }
 
+    fn retire(&mut self, node: ProcessorId) {
+        // A retired observer installs no later view, so its summaries would
+        // outlive a source's readmission and keep that source's previous
+        // incarnation in the union. Its deliveries stay in the union; it is
+        // no longer held to the suffix (`finish` checks the live only).
+        self.nodes.retain(|(observer, _, _), _| *observer != node);
+        self.views.retain(|(observer, _), _| *observer != node);
+    }
+
     fn rejoin(&mut self, node: ProcessorId) {
         // Reset what the restarted processor *observed* — its new
         // incarnation starts mid-stream like a joiner. What it *sourced*

@@ -436,8 +436,8 @@ mod tests {
     }
 
     /// The lifecycle end to end under the oracles: a joiner sponsored in, a
-    /// crash, a restart from the durable log the victim kept, rebinding
-    /// every connection the world binds, and a voluntary leave.
+    /// voluntary leave, a crash, and a restart from the durable log the
+    /// victim kept, rebinding every connection the world binds.
     #[test]
     fn join_leave_crash_and_restart_from_a_log_run_clean() {
         let conns = vec![
@@ -470,6 +470,12 @@ mod tests {
         w.sponsor(1, 5);
         w.run_ms(500);
         traffic(&mut w);
+        // The leave comes first: P2 retires still holding summaries of
+        // P4's first incarnation, which must not keep its old stream in the
+        // reliability oracle's union once P4 is readmitted.
+        w.leave(2, 1);
+        w.run_ms(500);
+        traffic(&mut w);
         w.crash(4);
         w.run_ms(800);
         traffic(&mut w);
@@ -479,9 +485,6 @@ mod tests {
             !recovered.records.is_empty(),
             "the victim logged deliveries"
         );
-        w.run_ms(500);
-        traffic(&mut w);
-        w.leave(2, 1);
         w.run_ms(500);
         traffic(&mut w);
         w.run_ms(1_000);

@@ -231,6 +231,18 @@ pub struct PgmpCounters {
     pub reconfigurations: u64,
 }
 
+/// One member's ack-progress watermark (see [`PgmpGroup::ack_progress`]).
+#[derive(Debug, Clone, Copy)]
+pub struct AckProgress {
+    /// The member's last reported ack timestamp.
+    pub ack: Timestamp,
+    /// When `ack` last advanced or was last level with our own frontier.
+    pub since: SimTime,
+    /// Level with our own frontier at the last sweep, so every tick until
+    /// the next sweep would have refreshed `since` (DESIGN.md §4).
+    pub caught_up: bool,
+}
+
 /// The PGMP sub-state-machine for one group: membership, fault-detector
 /// state, the pending reconfiguration, and join/connect retry state.
 ///
@@ -298,7 +310,7 @@ pub struct PgmpGroup {
     /// ack stops advancing while we hold data above it is data-unreachable
     /// (a one-way blackhole the silence-based fail timeout can never see);
     /// the fault detector suspects it after `ack_stall_timeout`.
-    pub ack_progress: BTreeMap<ProcessorId, (Timestamp, SimTime)>,
+    pub ack_progress: BTreeMap<ProcessorId, AckProgress>,
     /// This layer's traffic counters.
     pub counters: PgmpCounters,
 }

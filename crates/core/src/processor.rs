@@ -75,11 +75,15 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 mod connect;
+#[cfg(test)]
+mod idle_tests;
 mod membership;
 mod ordered;
 #[cfg(test)]
 mod tests;
 mod timers;
+
+use timers::NextDue;
 
 /// The chance that a holder other than the original sender answers a
 /// RetransmitRequest (§5: any processor that has the message may). About
@@ -175,6 +179,9 @@ struct GroupState {
     /// (re)built on the tick after a view installs (DESIGN.md §13). Always
     /// `None` under [`OverlayPolicy::Flat`].
     overlay: Option<OverlayState>,
+    /// The NACK jitter draws the last sweep made for this group — how many,
+    /// and their bound — which an idle tick repeats.
+    nack_draws: (u32, u64),
 }
 
 /// Why [`Processor::heartbeat_due`] says a Heartbeat is due: the ordinary
@@ -243,6 +250,7 @@ impl GroupState {
             last_rescue_sent: now,
             vec_cache: None,
             overlay: None,
+            nack_draws: (0, 0),
         }
     }
 
@@ -332,6 +340,15 @@ pub struct Processor {
     /// [`flush_window`](Processor::flush_window) defers so every message
     /// submitted within the batch shares the Packer's container budget.
     batch_depth: u32,
+    /// The idle-tick rule (DESIGN.md §4 "Adaptive timers"): the earliest
+    /// time the last sweep found any timer duty could act. A tick before it
+    /// skips the sweep; [`wake`](Processor::wake) clears it.
+    idle_until: Option<SimTime>,
+    /// When the last tick ran, swept or idle.
+    last_tick: SimTime,
+    /// Sweep on every tick: the reference the idle path is tested against.
+    #[cfg(test)]
+    sweep_always: bool,
 }
 
 /// Emit one wire datagram, counting containers as they leave.
@@ -409,6 +426,10 @@ impl Processor {
             rx_msgs: Vec::new(),
             run: None,
             batch_depth: 0,
+            idle_until: None,
+            last_tick: SimTime::ZERO,
+            #[cfg(test)]
+            sweep_always: false,
         }
     }
 
@@ -600,6 +621,10 @@ impl Processor {
 
     /// Close a batch opened by [`begin_batch`](Processor::begin_batch); the
     /// outermost close flushes every due Packer queue.
+    ///
+    /// Closing a batch leaves the idle deadline standing: the flush moves
+    /// only the packer, which no timer duty reads, and a sweep inside the
+    /// batch that left datagrams in the packer did not go idle.
     pub fn end_batch(&mut self, now: SimTime) {
         debug_assert!(self.batch_depth > 0, "end_batch without begin_batch");
         self.batch_depth = self.batch_depth.saturating_sub(1);
@@ -619,6 +644,7 @@ impl Processor {
         addr: McastAddr,
         members: impl IntoIterator<Item = ProcessorId>,
     ) {
+        self.wake();
         let members: BTreeSet<ProcessorId> = members.into_iter().collect();
         debug_assert!(members.contains(&self.id), "creator must be a member");
         let romp = RompLayer::new(members.iter().copied(), Timestamp(0));
@@ -639,6 +665,7 @@ impl Processor {
 
     /// Prepare to be added to `group` (subscribe and wait for AddProcessor).
     pub fn expect_join(&mut self, group: GroupId, addr: McastAddr) {
+        self.wake();
         self.expecting_joins.insert(group, addr);
         self.sink.push(Action::Join(addr));
     }
@@ -647,6 +674,7 @@ impl Processor {
     /// retransmits the AddProcessor until the joiner is heard, and pins its
     /// retention buffer meanwhile.
     pub fn add_processor(&mut self, now: SimTime, group: GroupId, new_member: ProcessorId) {
+        self.wake();
         let Some(g) = self.groups.get(&group) else {
             return;
         };
@@ -700,6 +728,7 @@ impl Processor {
     /// Remove a non-faulty `member` from `group` (§7.1); takes effect when
     /// the RemoveProcessor message is ordered.
     pub fn remove_processor(&mut self, now: SimTime, group: GroupId, member: ProcessorId) {
+        self.wake();
         if self.groups.get(&group).is_some_and(|g| {
             g.pgmp.membership.contains(&member)
                 && g.pgmp.reconfig.is_none()
@@ -720,6 +749,7 @@ impl Processor {
         client_processors: Vec<ProcessorId>,
         domain_addr: McastAddr,
     ) {
+        self.wake();
         if self.conns.group_of(conn).is_some() {
             return;
         }
@@ -745,6 +775,7 @@ impl Processor {
         registration: ServerRegistration,
         domain_addr: McastAddr,
     ) {
+        self.wake();
         self.sink.push(Action::Join(domain_addr));
         self.conns.servers.insert(og, registration);
         self.conns.server_domain_addrs.insert(og, domain_addr);
@@ -754,6 +785,7 @@ impl Processor {
     /// configured connections, bypassing the ConnectRequest/Connect
     /// handshake; every member must apply the same binding).
     pub fn bind_connection(&mut self, conn: ConnectionId, group: GroupId) {
+        self.wake();
         self.conns.bind(conn, group);
     }
 
@@ -770,6 +802,7 @@ impl Processor {
         new_group: GroupId,
         new_addr: McastAddr,
     ) {
+        self.wake();
         let Some(old) = self.conns.group_of(conn) else {
             return;
         };
@@ -798,6 +831,7 @@ impl Processor {
         request_num: RequestNum,
         giop: Bytes,
     ) -> Result<SendOutcome, SendError> {
+        self.wake();
         let group = self.conns.group_of(conn).ok_or(SendError::NotConnected)?;
         let g = self.groups.get_mut(&group).ok_or(SendError::NotMember)?;
         if !g.romp.window().is_open() {
@@ -828,6 +862,7 @@ impl Processor {
     /// (not copied) into the retention store; a packed container is split
     /// into zero-copy per-message slices of the same buffer.
     pub fn handle_packet(&mut self, now: SimTime, pkt: &Packet) {
+        self.wake();
         if wire::is_packed(&pkt.payload) {
             self.handle_packed(now, &pkt.payload);
         } else if let Ok(msg) = FtmpMessage::decode_shared(&pkt.payload) {
@@ -960,6 +995,25 @@ impl Processor {
         self.blocking_self(g).then_some(due)
     }
 
+    /// When [`heartbeat_due`](Self::heartbeat_due), false at `now`, can
+    /// next turn true with no packet arriving and nothing sent: at the
+    /// timer, or at the first prompt the rule allows if this member blocks
+    /// itself. Past the half interval, or past the floor with a token,
+    /// `heartbeat_due` has just found it not blocking, so only the timer is
+    /// left and `blocking_self` is not asked twice.
+    fn heartbeat_next(&self, g: &GroupState, now: SimTime) -> SimTime {
+        let interval = self.cfg.heartbeat_interval;
+        let half = SimDuration::from_micros(interval.as_micros() / 2);
+        let timer = g.last_sent + interval;
+        let elapsed = now.saturating_since(g.last_sent);
+        let budgeted = g.prompt_credit >= PROMPT_EARN;
+        if elapsed > half || (budgeted && elapsed > PROMPT_FLOOR) || !self.blocking_self(g) {
+            return timer;
+        }
+        let wait = if budgeted { PROMPT_FLOOR } else { half };
+        timer.min(g.last_sent + wait + SimDuration::from_micros(1))
+    }
+
     /// A datagram for `gid` arrived: one credit towards a paid prompt.
     fn earn_prompt_credit(&mut self, gid: GroupId) {
         if let Some(g) = self.groups.get_mut(&gid) {
@@ -993,16 +1047,68 @@ impl Processor {
         self.send_unreliable(now, gid, FtmpBody::Heartbeat);
     }
 
-    /// Timer tick: heartbeats, NACKs, retries, the fault detector.
+    /// Timer tick: heartbeats, NACKs, retries, the fault detector. A tick
+    /// before the last sweep's deadline is idle (DESIGN.md §4): nothing can
+    /// be due, so it only repeats the sweep's RNG draws.
     pub fn tick(&mut self, now: SimTime) {
+        let idle = self.idle_until.is_some_and(|t| now < t);
+        #[cfg(test)]
+        let idle = idle && !self.sweep_always;
+        if idle {
+            // The sweep's NACK pass draws one jitter per remote receive
+            // window on every tick, gap or not, so an idle tick draws the
+            // same to leave the stream where a sweep would.
+            for g in self.groups.values() {
+                let (draws, jitter_max) = g.nack_draws;
+                for _ in 0..draws {
+                    let _: u64 = self.rng.gen_range(0..=jitter_max);
+                }
+            }
+        } else {
+            self.sweep(now);
+        }
+        self.last_tick = now;
+    }
+
+    /// Every timer duty, each lowering the deadline the next tick compares
+    /// against. Tree mode, a sweep that produced any action and a packer
+    /// left holding datagrams never go idle: what was sent may have moved
+    /// state a duty earlier in the same sweep already read, and the packer
+    /// flushes on time. The fault detector's `Ordering::ack_ts()` records
+    /// `last_ack_floor`, which an idle tick skips: no horizon moves between
+    /// sweeps, so the value it would write is already there.
+    fn sweep(&mut self, now: SimTime) {
+        let mut next = NextDue::default();
+        let actions = self.sink.len();
+        if self.cfg.overlay != OverlayPolicy::Flat {
+            next.at(now);
+        }
         self.ensure_overlay(now);
-        self.tick_heartbeats(now);
+        self.tick_heartbeats(now, &mut next);
         self.tick_overlay_solicits(now);
-        self.tick_nacks(now);
-        self.tick_fault_detector(now);
-        self.tick_retries(now);
-        self.tick_provisional_joins(now);
+        self.tick_nacks(now, &mut next);
+        self.tick_fault_detector(now, &mut next);
+        self.tick_retries(now, &mut next);
+        self.tick_provisional_joins(now, &mut next);
         self.flush_window(now);
+        if self.sink.len() != actions || !self.packer.is_empty() {
+            next.at(now);
+        }
+        self.idle_until = Some(next.0);
+    }
+
+    /// Leave the idle path: the next tick sweeps. Every entry point that can
+    /// change what a timer duty reads calls this.
+    fn wake(&mut self) {
+        self.idle_until = None;
+    }
+
+    /// One group's state for a white-box test to change by hand; wakes the
+    /// processor, as an entry point would.
+    #[cfg(test)]
+    fn group_mut(&mut self, gid: GroupId) -> &mut GroupState {
+        self.wake();
+        self.groups.get_mut(&gid).expect("test group exists")
     }
 
     // --- dissemination overlay (DESIGN.md §13) ------------------------------

@@ -519,7 +519,7 @@ fn sends_queued_behind_a_gate_survive_a_closed_send_window() {
     let cfg = ProtocolConfig::with_seed(42).flow_control(FlowControl::window(2, 1));
     let mut net = MiniNet::new(2, cfg);
     net.bootstrap_group(gid, McastAddr(100));
-    net.p(1).groups.get_mut(&gid).unwrap().pgmp.gate = Some(Timestamp(1));
+    net.p(1).group_mut(gid).pgmp.gate = Some(Timestamp(1));
     for k in 1..=5u64 {
         let out = net
             .p(1)
@@ -801,7 +801,7 @@ mod prompt_tests {
         net.p(p).groups[&gid].prompt_credit
     }
     fn set_credit(net: &mut MiniNet, p: u32, gid: GroupId, credit: u32) {
-        net.p(p).groups.get_mut(&gid).unwrap().prompt_credit = credit;
+        net.p(p).group_mut(gid).prompt_credit = credit;
     }
 
     /// A Heartbeat datagram from `source` in `gid`, member or not, carrying
@@ -1140,7 +1140,7 @@ mod prompt_tests {
             .head_blocked_on
             .contains(&ProcessorId(2)));
         // The same state outside a reconfiguration does prompt.
-        let g = net.p(2).groups.get_mut(&gid).unwrap();
+        let g = net.p(2).group_mut(gid);
         assert!(matches!(g.pgmp.reconfig.take(), Some(Reconfig { .. })));
         net.p(2).tick(SimTime(8_001));
         assert_eq!(heartbeats(&drain(net.p(2)).0).len(), 1);

@@ -7,9 +7,34 @@
 
 use super::*;
 use crate::adaptive;
+use crate::pgmp::AckProgress;
+
+/// The earliest time any duty of a sweep could next act (DESIGN.md §4
+/// "Adaptive timers"). Each duty lowers it as it goes; it starts at the
+/// end of time, where it stays if nothing is scheduled at all.
+#[derive(Debug)]
+pub(super) struct NextDue(pub(super) SimTime);
+
+impl Default for NextDue {
+    fn default() -> Self {
+        NextDue(SimTime(u64::MAX))
+    }
+}
+
+impl NextDue {
+    /// A duty could act at `at`.
+    pub(super) fn at(&mut self, at: SimTime) {
+        self.0 = self.0.min(at);
+    }
+
+    /// A duty acts once strictly more than `d` has passed since `t`.
+    fn past(&mut self, t: SimTime, d: SimDuration) {
+        self.at(t + d + SimDuration::from_micros(1));
+    }
+}
 
 impl Processor {
-    pub(super) fn tick_heartbeats(&mut self, now: SimTime) {
+    pub(super) fn tick_heartbeats(&mut self, now: SimTime, next: &mut NextDue) {
         // With packing on, a heartbeat that would carry no news is deferred
         // (DESIGN.md §5). Every condition below is a safety gate: the
         // ordering queue must be empty and the retention store drained —
@@ -24,7 +49,9 @@ impl Processor {
         let mut cur = None;
         while let Some(gid) = self.next_group(cur) {
             cur = Some(gid);
-            let Some(due) = self.heartbeat_due(&self.groups[&gid], now) else {
+            let g = &self.groups[&gid];
+            let Some(due) = self.heartbeat_due(g, now) else {
+                next.at(self.heartbeat_next(g, now));
                 continue;
             };
             // Tree mode divides the cap by the worst-case relay distance: a
@@ -58,6 +85,12 @@ impl Processor {
             };
             if defer {
                 let g = self.groups.get_mut(&gid).expect("listed");
+                // Deferred until our silence or the peers' vector grows
+                // stale; only a packet or a send can end it sooner.
+                next.at(g.last_sent + hold);
+                if let Some(seen) = g.vector_seen_at {
+                    next.at(seen + hold);
+                }
                 if !g.hb_deferred_since_send {
                     g.hb_deferred_since_send = true;
                     self.stats.heartbeats_suppressed += 1;
@@ -117,7 +150,7 @@ impl Processor {
         }
     }
 
-    pub(super) fn tick_nacks(&mut self, now: SimTime) {
+    pub(super) fn tick_nacks(&mut self, now: SimTime, next: &mut NextDue) {
         let max_span = MAX_NACK_SPAN;
         let mut cur = None;
         while let Some(gid) = self.next_group(cur) {
@@ -130,12 +163,19 @@ impl Processor {
                 let cfg = &self.cfg;
                 let rtt = g.rtt;
                 let rng = &mut self.rng;
-                g.rmp.nack_requests(
+                let mut draws = 0;
+                let requests = g.rmp.nack_requests(
                     now,
                     max_span,
-                    || SimDuration::from_micros(rng.gen_range(0..=jitter_max)),
+                    || {
+                        draws += 1;
+                        SimDuration::from_micros(rng.gen_range(0..=jitter_max))
+                    },
                     |attempts| adaptive::nack_retry_after(cfg, &rtt, attempts),
-                )
+                    &mut next.0,
+                );
+                g.nack_draws = (draws, jitter_max);
+                requests
             };
             for (src, ranges) in requests {
                 for (a, b) in ranges {
@@ -176,7 +216,10 @@ impl Processor {
         }
     }
 
-    pub(super) fn tick_fault_detector(&mut self, now: SimTime) {
+    pub(super) fn tick_fault_detector(&mut self, now: SimTime, next: &mut NextDue) {
+        // The last tick before this one, swept or idle: the refresh every
+        // idle tick owed a caught-up member's ack progress.
+        let last_tick = self.last_tick;
         let mut cur = None;
         while let Some(gid) = self.next_group(cur) {
             cur = Some(gid);
@@ -195,13 +238,24 @@ impl Processor {
                     if p == self.id {
                         continue;
                     }
-                    let entry = g.pgmp.ack_progress.entry(p).or_insert((ack, now));
-                    if ack > entry.0 || ack >= own_ack {
-                        *entry = (ack, now);
-                    } else if !g.pgmp.my_suspects.contains(&p)
-                        && now.saturating_since(entry.1) > self.cfg.ack_stall_timeout
-                    {
-                        out.push(p);
+                    let entry = g.pgmp.ack_progress.entry(p).or_insert(AckProgress {
+                        ack,
+                        since: now,
+                        caught_up: false,
+                    });
+                    if entry.caught_up {
+                        entry.since = last_tick;
+                    }
+                    entry.caught_up = ack >= own_ack;
+                    if ack > entry.ack || entry.caught_up {
+                        entry.ack = ack;
+                        entry.since = now;
+                    } else if !g.pgmp.my_suspects.contains(&p) {
+                        if now.saturating_since(entry.since) > self.cfg.ack_stall_timeout {
+                            out.push(p);
+                        } else {
+                            next.past(entry.since, self.cfg.ack_stall_timeout);
+                        }
                     }
                 }
                 out
@@ -214,17 +268,19 @@ impl Processor {
                     .iter()
                     .copied()
                     .filter(|&p| {
+                        if p == self.id || g.pgmp.my_suspects.contains(&p) {
+                            return false;
+                        }
                         // Per-peer timeout: the configured constant is
                         // stretched to cover the peer's observed
                         // interarrival envelope, so a latency spike widens
                         // suspicion instead of convicting a healthy member.
                         let timeout = adaptive::fail_timeout_for(&self.cfg, &g.pgmp.arrivals_of(p));
-                        p != self.id
-                            && !g.pgmp.my_suspects.contains(&p)
-                            && g.pgmp
-                                .last_heard
-                                .get(&p)
-                                .is_some_and(|&t| now.saturating_since(t) > timeout)
+                        let Some(&t) = g.pgmp.last_heard.get(&p) else {
+                            return false;
+                        };
+                        next.past(t, timeout);
+                        now.saturating_since(t) > timeout
                     })
                     .collect::<Vec<ProcessorId>>();
                 for p in stalled {
@@ -235,9 +291,11 @@ impl Processor {
                 // Standing suspicions are re-announced periodically so a
                 // peer that discarded an earlier report (stale epoch, or a
                 // quorum that was one vote short) still converges.
-                let resend_due = !g.pgmp.my_suspects.is_empty()
-                    && now.saturating_since(g.pgmp.last_suspect_sent).as_micros()
-                        > self.cfg.fail_timeout.as_micros() / 2;
+                let resend_due = !g.pgmp.my_suspects.is_empty() && {
+                    let half = SimDuration::from_micros(self.cfg.fail_timeout.as_micros() / 2);
+                    next.past(g.pgmp.last_suspect_sent, half);
+                    now.saturating_since(g.pgmp.last_suspect_sent) > half
+                };
                 (newly, resend_due)
             };
             if newly.is_empty() && !resend_due {
@@ -262,13 +320,16 @@ impl Processor {
         }
     }
 
-    pub(super) fn tick_retries(&mut self, now: SimTime) {
+    pub(super) fn tick_retries(&mut self, now: SimTime, next: &mut NextDue) {
         // Client ConnectRequest retries.
         let retries: Vec<(ConnectionId, Vec<ProcessorId>, McastAddr)> = self
             .conns
             .pending
             .iter()
-            .filter(|(_, p)| now >= p.next_retry)
+            .filter(|(_, p)| {
+                next.at(p.next_retry);
+                now >= p.next_retry
+            })
             .map(|(c, p)| (*c, p.client_processors.clone(), p.domain_addr))
             .collect();
         for (conn, procs, addr) in retries {
@@ -299,13 +360,14 @@ impl Processor {
                     sj.next_retry = now + JOIN_RETRY;
                     resend.push((addr, sj.retx.clone()));
                 }
+                next.at(sj.next_retry);
             }
             // Primary Connect retransmissions until all members heard.
-            let all_heard = g
-                .pgmp
-                .membership
-                .iter()
-                .all(|p| *p == self.id || g.pgmp.heard_any.contains(p));
+            let all_heard = g.pgmp.connect_retx.is_some()
+                && g.pgmp
+                    .membership
+                    .iter()
+                    .all(|p| *p == self.id || g.pgmp.heard_any.contains(p));
             if all_heard {
                 g.pgmp.connect_retx = None;
             } else if let Some(cr) = &mut g.pgmp.connect_retx {
@@ -319,6 +381,7 @@ impl Processor {
                     }
                     resend.push((addr, cr.retx.clone()));
                 }
+                next.at(cr.next_retry);
             }
             for (to, bytes) in resend {
                 self.send_wire(now, to, bytes);
@@ -329,15 +392,16 @@ impl Processor {
     /// A provisional join that never commits (the sponsor died before our
     /// AddProcessor was ordered and no member adopted us) must not wedge the
     /// processor forever.
-    pub(super) fn tick_provisional_joins(&mut self, now: SimTime) {
+    pub(super) fn tick_provisional_joins(&mut self, now: SimTime, next: &mut NextDue) {
         let limit = SimDuration::from_micros(self.cfg.fail_timeout.as_micros() * 4);
         let orphaned: Vec<GroupId> = self
             .groups
             .iter()
             .filter(|(_, g)| {
-                g.pgmp
-                    .provisional_since
-                    .is_some_and(|t| now.saturating_since(t) > limit)
+                g.pgmp.provisional_since.is_some_and(|t| {
+                    next.past(t, limit);
+                    now.saturating_since(t) > limit
+                })
             })
             .map(|(gid, _)| *gid)
             .collect();

@@ -722,15 +722,18 @@ impl RmpLayer {
 
     /// Run the NACK schedulers for every remote source and collect the
     /// missing ranges whose RetransmitRequests are due now. `jitter` is
-    /// sampled once per firing source (randomness stays in the shell);
+    /// drawn once per remote window on every call, gap or not (randomness
+    /// stays in the shell, and its idle tick repeats the draws);
     /// `retry` maps the window's current attempt count to its next re-issue
-    /// delay, which is how the shell injects exponential backoff.
+    /// delay, which is how the shell injects exponential backoff. `next_due`
+    /// is lowered to the earliest time a window with a gap checks again.
     pub fn nack_requests(
         &mut self,
         now: SimTime,
         max_span: u64,
         mut jitter: impl FnMut() -> SimDuration,
         mut retry: impl FnMut(u32) -> SimDuration,
+        next_due: &mut SimTime,
     ) -> Vec<(ProcessorId, Vec<(u64, u64)>)> {
         let self_id = self.self_id;
         let mut due = Vec::new();
@@ -744,6 +747,9 @@ impl RmpLayer {
                 if !ranges.is_empty() {
                     due.push((source, ranges));
                 }
+            }
+            if let Some(at) = rx.nack_at {
+                *next_due = (*next_due).min(at);
             }
         }
         due
@@ -1193,11 +1199,13 @@ mod tests {
         let retry = |_attempts: u32| SimDuration::from_millis(8);
         let zero_jitter = || SimDuration::from_millis(0);
         // First pass arms the per-source NACK timer.
+        let mut next = SimTime(u64::MAX);
         assert!(layer
-            .nack_requests(SimTime(0), 64, zero_jitter, retry)
+            .nack_requests(SimTime(0), 64, zero_jitter, retry, &mut next)
             .is_empty());
+        assert_eq!(next, SimTime(0), "armed with no jitter");
         // Second pass fires: seq 2 is missing.
-        let due = layer.nack_requests(SimTime(1), 64, zero_jitter, retry);
+        let due = layer.nack_requests(SimTime(1), 64, zero_jitter, retry, &mut next);
         assert_eq!(due, vec![(ProcessorId(1), vec![(2, 2)])]);
         // Any holder answers from retention, counting the retransmit.
         let sup = SimDuration::from_millis(4);

@@ -12,12 +12,15 @@
 # pairs the change won and lost, the parent's own quartile spread as a share
 # of its median, and whether the change's median stays inside the metric's
 # bound -- "unresolved" where the parent's spread alone exceeds that bound
-# (unless every run of the change beats every run of the parent). Result
-# lines are kept under $BENCH_PAIRS_OUT (default: a fresh directory under
-# ${TMPDIR:-/tmp}).
+# (unless every run of the change beats every run of the parent). The last
+# line is one JSON object for results/trajectory.jsonl: this checkout's
+# commit (`git describe --always --dirty`), the workload, the seeds, the
+# median box_speed over every run, and the change side's median and
+# quartiles per end-to-end metric. Result lines are kept under
+# $BENCH_PAIRS_OUT (default: a fresh directory under ${TMPDIR:-/tmp}).
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,18p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
 parent=$(cd "$1" && pwd)
 change=$(cd "$(dirname "$0")/.." && pwd)
 workload=$2
@@ -32,11 +35,13 @@ for dir in "$parent" "$change"; do
     (cd "$dir" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 done
 
-# One untraced pass; its result object (the last stdout line) lands in $3.
+# One untraced pass; its result object (the last stdout line) lands in $3,
+# its box_speed note in $3.speed.
 pass() {
     (cd "$1" && ./benchmark/target/release/ftmp-benchmark \
-        --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0) |
-        tail -n 1 >"$3"
+        --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0) >"$3.out"
+    tail -n 1 "$3.out" >"$3"
+    sed -n "s/^$workload box_speed \([^ ]*\) .*/\1/p" "$3.out" >"$3.speed"
 }
 
 i=1
@@ -54,7 +59,9 @@ done
 
 echo
 echo "# $workload, $pairs alternated pairs, seeds $seed0..$((seed0 + pairs - 1)), $seconds s: parent $parent, change $change"
-awk -v pairs="$pairs" -v out="$out" '
+echo "# result lines: $out"
+commit=$(git -C "$change" describe --always --dirty 2>/dev/null || echo unknown)
+awk -v pairs="$pairs" -v out="$out" -v workload="$workload" -v seed0="$seed0" -v commit="$commit" '
 function value(line, name,    at, rest) {
     at = index(line, "\"" name "\": {\"value\": ")
     if (!at) return "nan"
@@ -94,6 +101,8 @@ END {
         pl[i] = p; cl[i] = c
         if (p !~ /"correct": true/ || failed(p) > 0) pbad++
         if (c !~ /"correct": true/ || failed(c) > 0) cbad++
+        getline speed[i] < (out "/parent-" i ".json.speed")
+        getline speed[pairs + i] < (out "/change-" i ".json.speed")
     }
     printf "%-20s %-38s %-38s %-9s %-11s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "won/lost", "parent IQR", "verdict"
     for (m = 1; m <= metrics; m++) {
@@ -116,7 +125,10 @@ END {
         printf "%-20s %-38s %-38s %-9s %-11s %s\n", name, \
             sprintf("%.6g [%.6g, %.6g]", pm, p1, p3), sprintf("%.6g [%.6g, %.6g]", cm, c1, c3), \
             won "/" lost, sprintf("%.0f%%", 100 * spread), verdict
+        traj = traj sprintf("%s\"%s\": {\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}", \
+            m > 1 ? ", " : "", name, cm, c1, c3)
     }
     printf "runs failing the correctness gate or with failed operations: parent %d, change %d\n", pbad, cbad
+    printf "{\"commit\": \"%s\", \"workload\": \"%s\", \"seeds\": [%d, %d], \"box_speed\": %.4g, \"change\": {%s}}\n", \
+        commit, workload, seed0, seed0 + pairs - 1, quantile(speed, 2 * pairs, 0.5), traj
 }' "$change/BENCHMARK.json"
-echo "# result lines: $out"
