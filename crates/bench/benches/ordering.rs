@@ -5,7 +5,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use ftmp_core::rmp::{RetentionStore, SourceRx};
 use ftmp_core::romp::Ordering;
 use ftmp_core::wire::FtmpBody;
-use ftmp_core::{FtmpMessage, GroupId, ProcessorId, SeqNum, Timestamp};
+use ftmp_core::{
+    ConnectionId, FtmpMessage, GroupId, ObjectGroupId, ProcessorId, RequestNum, SeqNum, Timestamp,
+};
 use ftmp_net::{SimDuration, SimTime};
 use ftmp_orb::DuplicateDetector;
 use std::hint::black_box;
@@ -30,6 +32,7 @@ fn bench_ordering_queue(c: &mut Criterion) {
             BenchmarkId::new("enqueue_deliver_256", members),
             &members,
             |b, &n| {
+                let mut out = Vec::new();
                 b.iter(|| {
                     let mut ord = Ordering::new((1..=n).map(ProcessorId), Timestamp(0));
                     let mut delivered = 0usize;
@@ -42,13 +45,65 @@ fn bench_ordering_queue(c: &mut Criterion) {
                         for p in 1..=n {
                             ord.advance_horizon(ProcessorId(p), Timestamp(ts));
                         }
-                        delivered += ord.deliverable().len();
+                        ord.deliver_into(&mut out);
+                        delivered += out.len();
+                        out.clear();
                     }
                     black_box(delivered)
                 })
             },
         );
     }
+    // `sim-fanin-64`'s shape: five members take turns to send a burst of
+    // 64 B Regular messages, and each member's horizon is the stamp of the
+    // last message heard from it, so the four other members' bursts stand
+    // queued behind the one that trails. A pass delivers after every
+    // message.
+    const SOURCES: u32 = 5;
+    const BURST: u64 = 8;
+    const ROUNDS: u64 = 32;
+    let conn = ConnectionId::new(ObjectGroupId::new(1, 7), ObjectGroupId::new(1, 8));
+    let giop = bytes::Bytes::from(vec![0u8; 64]);
+    let mut ts = 0u64;
+    let stream: Vec<FtmpMessage> = (0..ROUNDS * u64::from(SOURCES))
+        .flat_map(|turn| {
+            let src = (turn % u64::from(SOURCES)) as u32 + 1;
+            let first = turn / u64::from(SOURCES) * BURST + 1;
+            (first..first + BURST)
+                .map(|seq| {
+                    ts += 1;
+                    FtmpMessage {
+                        body: FtmpBody::Regular {
+                            conn,
+                            request_num: RequestNum(seq),
+                            giop: giop.clone(),
+                        },
+                        ..msg(src, seq, ts)
+                    }
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    g.throughput(Throughput::Elements(stream.len() as u64));
+    g.bench_with_input(
+        BenchmarkId::new("backlog", SOURCES),
+        &stream,
+        |b, stream| {
+            let mut out = Vec::new();
+            b.iter(|| {
+                let mut ord = Ordering::new((1..=SOURCES).map(ProcessorId), Timestamp(0));
+                let mut delivered = 0usize;
+                for m in stream {
+                    ord.advance_horizon(m.source, m.ts);
+                    ord.enqueue(m.clone());
+                    ord.deliver_into(&mut out);
+                    delivered += out.len();
+                    out.clear();
+                }
+                black_box(delivered)
+            })
+        },
+    );
     g.finish();
 }
 

@@ -331,6 +331,9 @@ pub struct Processor {
     /// a container allocates neither list again. Empty between packets.
     rx_slices: Vec<Bytes>,
     rx_msgs: Vec<FtmpMessage>,
+    /// [`try_deliver`](Processor::try_deliver)'s scratch: the messages one
+    /// pass of the delivery rule released. Empty between passes.
+    ordered: Vec<FtmpMessage>,
     /// While a packed container's run of same-group messages is being
     /// admitted: that group, and whether any of them asked for its
     /// housekeeping ([`try_deliver`](Processor::try_deliver)), which then
@@ -424,6 +427,7 @@ impl Processor {
             enc_body: CdrWriter::new(ByteOrder::native()),
             rx_slices: Vec::new(),
             rx_msgs: Vec::new(),
+            ordered: Vec::new(),
             run: None,
             batch_depth: 0,
             idle_until: None,
@@ -1841,10 +1845,8 @@ impl Processor {
             return;
         }
         let mut delivered_any = false;
-        loop {
-            let Some(g) = self.groups.get_mut(&gid) else {
-                return;
-            };
+        let mut batch = std::mem::take(&mut self.ordered);
+        while let Some(g) = self.groups.get_mut(&gid) {
             // §7.2: ordered delivery pauses while a reconfiguration is in
             // progress. The membership flush delivers exactly up to the
             // agreed per-source targets; a survivor that kept delivering a
@@ -1855,15 +1857,16 @@ impl Processor {
             if g.pgmp.reconfig.is_some() {
                 break;
             }
-            let batch = g.romp.deliverable();
+            g.romp.deliver_into(&mut batch);
             if batch.is_empty() {
                 break;
             }
             delivered_any = true;
-            for m in batch {
+            for m in batch.drain(..) {
                 self.handle_ordered(now, gid, m);
             }
         }
+        self.ordered = batch;
         let Some(g) = self.groups.get_mut(&gid) else {
             return;
         };

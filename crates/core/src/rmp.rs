@@ -392,13 +392,13 @@ impl Retained {
 
 /// A queue this small is never shrunk: a quiet source's queue empties and
 /// refills with every message and must not reallocate each time.
-const QUEUE_FLOOR: usize = 16;
+pub(crate) const QUEUE_FLOOR: usize = 16;
 
 /// Give back a queue's spare capacity once its depth has fallen to a quarter
 /// of it, so a backlog a lagging member once pinned is not held for ever;
 /// the factor-of-two slack left keeps growth and shrinking from chasing each
 /// other.
-fn shrink(q: &mut VecDeque<(u64, Retained)>) {
+pub(crate) fn shrink<T>(q: &mut VecDeque<T>) {
     if q.capacity() > QUEUE_FLOOR && q.len() < q.capacity() / 4 {
         q.shrink_to((2 * q.len()).max(QUEUE_FLOOR));
     }

@@ -17,23 +17,56 @@
 //! timestamp ≤ ack from everyone". The minimum of all members' *reported*
 //! acks is the stability point: messages at or below it can never be asked
 //! for again and leave the retention buffer (§6 buffer management).
+//!
+//! **The queue knows its own order.** What arrives here is already sorted
+//! per source — RMP releases each stream gap-free and a source's stamps rise
+//! with its sequence numbers — so the undelivered messages are one
+//! stamp-sorted FIFO per source, merged at the head: an index holds the
+//! delivery position of each non-empty FIFO's front, and its first key is
+//! the next message in total order. An arrival is a `push_back` and a
+//! delivery a `pop_front`, with one index pop per run of a source's messages
+//! that sorts ahead of every other front. A stamp that falls or repeats
+//! within a source (only a confused peer sends one) takes a binary-search
+//! insert, and an equal stamp replaces the queued message, so the delivered
+//! order is the one a single map over `(timestamp, source)` gives for every
+//! input (DESIGN.md §4, "The ordering queue knows its own order").
 
 use crate::config::FlowControl;
 use crate::ids::{ProcessorId, Timestamp};
+use crate::rmp::shrink;
 use crate::wire::FtmpMessage;
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+#[cfg(test)]
+mod queue_tests;
 
 /// A totally-ordered delivery position: `(timestamp, source)`.
 pub type OrderKey = (Timestamp, ProcessorId);
 
+/// Where `p`'s entry is in a list kept sorted by processor id, or where it
+/// would go. Per-member state is a sorted list rather than a map: a group
+/// has a handful to a few dozen members, and the minimum horizon, read on
+/// every delivery pass, is then a scan of one contiguous slice.
+fn find<T>(entries: &[(ProcessorId, T)], p: ProcessorId) -> Result<usize, usize> {
+    entries.binary_search_by_key(&p, |e| e.0)
+}
+
 /// The ordering state for one group.
 #[derive(Debug)]
 pub struct Ordering {
-    /// Ordered-but-undelivered messages keyed by delivery position.
-    queue: BTreeMap<OrderKey, FtmpMessage>,
-    /// Per-member contiguous timestamp horizon.
-    horizon: BTreeMap<ProcessorId, Timestamp>,
+    /// Ordered-but-undelivered messages, one queue per source (sorted by
+    /// source), each in ascending stamp order with no two stamps equal. A
+    /// source that left the view keeps its queue only while something is
+    /// queued in it.
+    queues: Vec<(ProcessorId, VecDeque<FtmpMessage>)>,
+    /// The delivery position of every non-empty queue's front: its first
+    /// key is the head of the total order.
+    fronts: BTreeSet<OrderKey>,
+    /// Messages queued over every source.
+    queued: usize,
+    /// Per-member contiguous timestamp horizon, sorted by member.
+    horizon: Vec<(ProcessorId, Timestamp)>,
     /// Per-member latest reported ack timestamp.
     reported_ack: BTreeMap<ProcessorId, Timestamp>,
     /// Bumped whenever `reported_ack` actually changes; the packing layer
@@ -42,7 +75,7 @@ pub struct Ordering {
     /// Position of the last delivered message (deliveries only move up).
     last_delivered: OrderKey,
     /// The highest ack timestamp ever returned by [`ack_ts`](Self::ack_ts):
-    /// the floor advertised while the horizon map is transiently empty
+    /// the floor advertised while the horizon list is transiently empty
     /// (every peer removed), so the wire ack never regresses to zero.
     last_ack_floor: Cell<u64>,
     /// Same monotone floor for [`stable_ts`](Self::stable_ts).
@@ -66,10 +99,14 @@ impl Ordering {
         horizon_floor: Timestamp,
         floor_key: OrderKey,
     ) -> Self {
-        let horizon: BTreeMap<ProcessorId, Timestamp> =
+        let mut horizon: Vec<(ProcessorId, Timestamp)> =
             members.into_iter().map(|p| (p, horizon_floor)).collect();
+        horizon.sort_unstable();
+        horizon.dedup_by_key(|e| e.0);
         Ordering {
-            queue: BTreeMap::new(),
+            queues: Vec::new(),
+            fronts: BTreeSet::new(),
+            queued: 0,
             horizon,
             reported_ack: BTreeMap::new(),
             ack_version: 0,
@@ -82,8 +119,8 @@ impl Ordering {
     /// Add a member at a given horizon floor (AddProcessor position, §7.1).
     /// Its reported ack starts at zero, pinning retention until it speaks.
     pub fn add_member(&mut self, p: ProcessorId, floor: Timestamp) {
-        if let std::collections::btree_map::Entry::Vacant(v) = self.horizon.entry(p) {
-            v.insert(floor);
+        if let Err(at) = find(&self.horizon, p) {
+            self.horizon.insert(at, (p, floor));
             // The effective per-member ack vector just changed — the joiner
             // reads as zero until it reports — so memoized encodings of it
             // are stale.
@@ -94,7 +131,14 @@ impl Ordering {
     /// Remove a member (RemoveProcessor or conviction); its horizon no
     /// longer gates delivery and its acks no longer gate stability.
     pub fn remove_member(&mut self, p: ProcessorId) {
-        let was_member = self.horizon.remove(&p).is_some();
+        let was_member = find(&self.horizon, p)
+            .map(|at| self.horizon.remove(at))
+            .is_ok();
+        if let Ok(at) = find(&self.queues, p) {
+            if self.queues[at].1.is_empty() {
+                self.queues.remove(at);
+            }
+        }
         if self.reported_ack.remove(&p).is_some() || was_member {
             self.ack_version += 1;
         }
@@ -102,18 +146,19 @@ impl Ordering {
 
     /// Current members known to ordering.
     pub fn members(&self) -> impl Iterator<Item = &ProcessorId> {
-        self.horizon.keys()
+        self.horizon.iter().map(|(p, _)| p)
     }
 
     /// This processor's horizon for `p`.
     pub fn horizon_of(&self, p: ProcessorId) -> Option<Timestamp> {
-        self.horizon.get(&p).copied()
+        find(&self.horizon, p).ok().map(|at| self.horizon[at].1)
     }
 
     /// Record that `p`'s stream has contiguously reached `ts` (an in-order
     /// reliable message, or a gap-free Heartbeat).
     pub fn advance_horizon(&mut self, p: ProcessorId, ts: Timestamp) {
-        if let Some(h) = self.horizon.get_mut(&p) {
+        if let Ok(at) = find(&self.horizon, p) {
+            let h = &mut self.horizon[at].1;
             if ts > *h {
                 *h = ts;
             }
@@ -138,12 +183,12 @@ impl Ordering {
 
     /// The ack timestamp to stamp on outgoing messages: the minimum horizon
     /// across members (we have everything ≤ this from everyone). While the
-    /// horizon map is transiently empty — every peer convicted or removed,
+    /// horizon list is transiently empty — every peer convicted or removed,
     /// just before the survivor's own entry is reinstalled — the value holds
     /// at the highest ack previously advertised (at least the last-delivered
     /// position) instead of collapsing to zero, so wire acks stay monotone.
     pub fn ack_ts(&self) -> Timestamp {
-        let v = match self.horizon.values().copied().min() {
+        let v = match self.horizon.iter().map(|&(_, h)| h).min() {
             Some(t) => t.0,
             None => self.last_ack_floor.get().max(self.last_delivered.0 .0),
         };
@@ -159,8 +204,8 @@ impl Ordering {
     pub fn stable_ts(&self) -> Timestamp {
         let v = match self
             .horizon
-            .keys()
-            .map(|p| self.reported_ack.get(p).copied().unwrap_or(Timestamp(0)))
+            .iter()
+            .map(|(p, _)| self.reported_ack.get(p).copied().unwrap_or(Timestamp(0)))
             .min()
         {
             Some(t) => t.0,
@@ -176,7 +221,7 @@ impl Ordering {
     /// reported: a joiner appears immediately (at zero, pinning retention)
     /// and a removed member drops out of the advertised vector.
     pub fn reported_acks(&self) -> impl Iterator<Item = (ProcessorId, Timestamp)> + '_ {
-        self.horizon.keys().map(|p| {
+        self.horizon.iter().map(|(p, _)| {
             (
                 *p,
                 self.reported_ack.get(p).copied().unwrap_or(Timestamp(0)),
@@ -192,49 +237,101 @@ impl Ordering {
 
     /// Enqueue a totally-ordered message at its delivery position. Messages
     /// at or below the join/creation floor are ignored (the state snapshot
-    /// covers them).
+    /// covers them). A message at a position already queued replaces it.
     pub fn enqueue(&mut self, msg: FtmpMessage) {
         let key = (msg.ts, msg.source);
         if key <= self.last_delivered {
             return;
         }
-        self.queue.insert(key, msg);
+        let at = find(&self.queues, msg.source).unwrap_or_else(|at| {
+            self.queues.insert(at, (msg.source, VecDeque::new()));
+            at
+        });
+        let q = &mut self.queues[at].1;
+        match q.back() {
+            None => {
+                self.fronts.insert(key);
+                q.push_back(msg);
+            }
+            Some(back) if back.ts < msg.ts => q.push_back(msg),
+            // A stamp that falls or repeats: only a confused peer sends one.
+            Some(_) => match q.binary_search_by_key(&msg.ts, |m| m.ts) {
+                Ok(at) => {
+                    q[at] = msg;
+                    return;
+                }
+                Err(at) => {
+                    if let Some(front) = q.front().filter(|_| at == 0) {
+                        self.fronts.remove(&(front.ts, msg.source));
+                        self.fronts.insert(key);
+                    }
+                    q.insert(at, msg);
+                }
+            },
+        }
+        self.queued += 1;
     }
 
-    /// Pop every message the delivery rule now allows, in order.
-    pub fn deliverable(&mut self) -> Vec<FtmpMessage> {
-        let mut out = Vec::new();
-        while let Some((&(ts, src), _)) = self.queue.first_key_value() {
-            let ok = self.horizon.values().all(|&h| h >= ts);
-            if !ok {
+    /// Append to `out`, in order, every message the delivery rule now
+    /// allows.
+    pub fn deliver_into(&mut self, out: &mut Vec<FtmpMessage>) {
+        // Nothing below moves a horizon, so its minimum is read once; with
+        // no members left, nothing holds the queue back.
+        let limit = self.horizon.iter().map(|&(_, h)| h).min();
+        let held = |ts: Timestamp| limit.is_some_and(|h| h < ts);
+        while let Some(&(ts, src)) = self.fronts.first() {
+            if held(ts) {
                 break;
             }
-            let ((k, s), msg) = self.queue.pop_first().expect("peeked");
-            // Monotone max: after a membership-change flush, messages a
-            // faster survivor multicast post-flush can sit below the flush
-            // ceiling; they deliver here (same relative order at every
-            // survivor) without regressing the duplicate-suppression floor.
-            self.last_delivered = self.last_delivered.max((k, s));
-            debug_assert_eq!((k, s), (ts, src));
-            out.push(msg);
+            self.fronts.pop_first();
+            let Ok(at) = find(&self.queues, src) else {
+                continue;
+            };
+            let q = &mut self.queues[at].1;
+            // The run of this source's queue that sorts before every other
+            // front delivers without going back through the index.
+            let next = self.fronts.first().copied();
+            while let Some(front) = q.front() {
+                let key = (front.ts, src);
+                if held(key.0) || next.is_some_and(|n| n < key) {
+                    self.fronts.insert(key);
+                    break;
+                }
+                let Some(msg) = q.pop_front() else {
+                    break;
+                };
+                self.queued -= 1;
+                // Monotone max: after a membership-change flush, messages a
+                // faster survivor multicast post-flush can sit below the
+                // flush ceiling; they deliver here (same relative order at
+                // every survivor) without regressing the
+                // duplicate-suppression floor.
+                self.last_delivered = self.last_delivered.max(key);
+                out.push(msg);
+            }
+            if q.is_empty() && find(&self.horizon, src).is_err() {
+                self.queues.remove(at);
+            } else {
+                shrink(q);
+            }
         }
-        out
     }
 
     /// Timestamp of the head of the queue, the next message to deliver.
     fn head_ts(&self) -> Option<Timestamp> {
-        self.queue.first_key_value().map(|(&(ts, _), _)| ts)
+        self.fronts.first().map(|&(ts, _)| ts)
     }
 
     /// The members holding back the head of the queue: those whose horizon
     /// is still below its timestamp. Empty exactly when
-    /// [`deliverable`](Self::deliverable) would pop (or the queue is empty).
+    /// [`deliver_into`](Self::deliver_into) would pop (or the queue is
+    /// empty).
     pub fn head_blockers(&self) -> impl Iterator<Item = ProcessorId> + '_ {
         let head = self.head_ts();
         self.horizon
             .iter()
-            .filter(move |&(_, &h)| head.is_some_and(|ts| h < ts))
-            .map(|(&p, _)| p)
+            .filter(move |&&(_, h)| head.is_some_and(|ts| h < ts))
+            .map(|&(p, _)| p)
     }
 
     /// Is `p` one of the [`head_blockers`](Self::head_blockers)? Two
@@ -260,30 +357,51 @@ impl Ordering {
     pub fn flush_with_targets(
         &mut self,
         target: &BTreeMap<ProcessorId, u64>,
-        removed: &std::collections::BTreeSet<ProcessorId>,
+        removed: &BTreeSet<ProcessorId>,
     ) -> (Vec<FtmpMessage>, usize) {
         let mut delivered = Vec::new();
         let mut discarded = 0;
-        let keys: Vec<OrderKey> = self.queue.keys().copied().collect();
-        for key in keys {
-            let msg = self.queue.get(&key).expect("key just listed");
-            let within = target.get(&msg.source).is_some_and(|&t| msg.seq.0 <= t);
-            if within {
-                let msg = self.queue.remove(&key).expect("present");
-                self.last_delivered = self.last_delivered.max(key);
-                delivered.push(msg);
-            } else if removed.contains(&msg.source) {
-                self.queue.remove(&key);
-                discarded += 1;
+        for &mut (src, ref mut q) in &mut self.queues {
+            let Some(front) = q.front() else {
+                continue;
+            };
+            self.fronts.remove(&(front.ts, src));
+            let target = target.get(&src).copied();
+            // One turn of the queue: what stays goes round to the back in
+            // the order it was in.
+            for _ in 0..q.len() {
+                let Some(msg) = q.pop_front() else {
+                    break;
+                };
+                if target.is_some_and(|t| msg.seq.0 <= t) {
+                    delivered.push(msg);
+                } else if removed.contains(&src) {
+                    discarded += 1;
+                } else {
+                    // A survivor's post-reconfiguration message; keep queued.
+                    q.push_back(msg);
+                }
             }
-            // else: a survivor's post-reconfiguration message; keep queued.
+            if let Some(front) = q.front() {
+                self.fronts.insert((front.ts, src));
+            }
+            shrink(q);
+        }
+        let horizon = &self.horizon;
+        self.queues
+            .retain(|&(p, ref q)| !q.is_empty() || find(horizon, p).is_ok());
+        self.queued -= delivered.len() + discarded;
+        // Each source's part is in stamp order; positions are distinct.
+        delivered.sort_unstable_by_key(|m| (m.ts, m.source));
+        if let Some(last) = delivered.last() {
+            self.last_delivered = self.last_delivered.max((last.ts, last.source));
         }
         (delivered, discarded)
     }
 
     /// Number of queued, undelivered messages (experiment E6).
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queued
     }
 
     /// Per source, the smallest sequence number still queued (received but
@@ -292,14 +410,12 @@ impl Ordering {
     /// has been ordered by the processor originating the message"): for a
     /// source with a queued message, the ordered prefix ends just before it.
     pub fn min_queued_seq_per_source(&self) -> BTreeMap<ProcessorId, u64> {
-        let mut out: BTreeMap<ProcessorId, u64> = BTreeMap::new();
-        for msg in self.queue.values() {
-            let e = out.entry(msg.source).or_insert(u64::MAX);
-            if msg.seq.0 < *e {
-                *e = msg.seq.0;
-            }
-        }
-        out
+        // The front's, unless a confused peer's stamps fell: a scan of the
+        // queue, at AddProcessor only.
+        self.queues
+            .iter()
+            .filter_map(|&(p, ref q)| q.iter().map(|m| m.seq.0).min().map(|s| (p, s)))
+            .collect()
     }
 
     /// The position of the last delivered message.
@@ -311,7 +427,7 @@ impl Ordering {
     /// Connect-gating condition of §7 ("not allowed to transmit … until it
     /// has received from every member a message with a higher timestamp").
     pub fn gate_released(&self, gate: Timestamp) -> bool {
-        !self.horizon.is_empty() && self.horizon.values().all(|&h| h > gate)
+        !self.horizon.is_empty() && self.horizon.iter().all(|&(_, h)| h > gate)
     }
 }
 
@@ -507,10 +623,19 @@ impl RompLayer {
         }
     }
 
-    /// Pop every message the delivery rule now allows, in total order.
+    /// Append to `out` every message the delivery rule now allows, in
+    /// total order.
+    pub fn deliver_into(&mut self, out: &mut Vec<FtmpMessage>) {
+        let before = out.len();
+        self.ordering.deliver_into(out);
+        self.counters.delivered += (out.len() - before) as u64;
+    }
+
+    /// [`deliver_into`](Self::deliver_into) a fresh `Vec`, for a caller
+    /// that keeps no buffer of its own.
     pub fn deliverable(&mut self) -> Vec<FtmpMessage> {
-        let out = self.ordering.deliverable();
-        self.counters.delivered += out.len() as u64;
+        let mut out = Vec::new();
+        self.deliver_into(&mut out);
         out
     }
 
@@ -519,7 +644,7 @@ impl RompLayer {
     pub fn flush_with_targets(
         &mut self,
         target: &BTreeMap<ProcessorId, u64>,
-        removed: &std::collections::BTreeSet<ProcessorId>,
+        removed: &BTreeSet<ProcessorId>,
     ) -> Vec<FtmpMessage> {
         let (delivered, discarded) = self.ordering.flush_with_targets(target, removed);
         self.counters.flushed += delivered.len() as u64;
@@ -564,6 +689,15 @@ mod tests {
 
     fn members(n: u32) -> Vec<ProcessorId> {
         (1..=n).map(ProcessorId).collect()
+    }
+
+    impl Ordering {
+        /// [`Ordering::deliver_into`] a fresh `Vec`: the tests' shorthand.
+        pub(super) fn deliverable(&mut self) -> Vec<FtmpMessage> {
+            let mut out = Vec::new();
+            self.deliver_into(&mut out);
+            out
+        }
     }
 
     #[test]
@@ -846,8 +980,7 @@ mod tests {
         target.insert(ProcessorId(1), 6u64);
         target.insert(ProcessorId(2), 0u64);
         target.insert(ProcessorId(3), 1u64);
-        let removed: std::collections::BTreeSet<ProcessorId> =
-            [ProcessorId(3)].into_iter().collect();
+        let removed: BTreeSet<ProcessorId> = [ProcessorId(3)].into_iter().collect();
         let (delivered, discarded) = ord.flush_with_targets(&target, &removed);
         let seqs: Vec<(u64, u32)> = delivered.iter().map(|x| (x.ts.0, x.source.0)).collect();
         assert_eq!(seqs, vec![(10, 1), (20, 1)]);
@@ -868,8 +1001,7 @@ mod tests {
         target.insert(ProcessorId(1), 12u64);
         target.insert(ProcessorId(2), 12u64);
         target.insert(ProcessorId(3), 8u64);
-        let removed: std::collections::BTreeSet<ProcessorId> =
-            [ProcessorId(3)].into_iter().collect();
+        let removed: BTreeSet<ProcessorId> = [ProcessorId(3)].into_iter().collect();
         let (delivered, discarded) = ord.flush_with_targets(&target, &removed);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].source, ProcessorId(1));
