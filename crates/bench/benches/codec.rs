@@ -114,7 +114,7 @@ fn bench_ftmp_wire(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("decode_regular", payload),
             &bytes,
-            |b, e| b.iter(|| black_box(FtmpMessage::decode(e).unwrap())),
+            |b, e| b.iter(|| black_box(FtmpMessage::decode_shared(e).unwrap())),
         );
     }
     let hb = FtmpMessage {
@@ -177,10 +177,6 @@ fn bench_packed_container(c: &mut Criterion) {
     g.bench_function("encode_reused_scratch", |b| {
         let mut scratch = CdrWriter::new(ByteOrder::native());
         b.iter(|| black_box(msg.encode_with_scratch(ByteOrder::native(), &mut scratch)))
-    });
-    g.bench_function("decode_shared_regular", |b| {
-        let bytes = msg.encode(ByteOrder::native());
-        b.iter(|| black_box(FtmpMessage::decode_shared(&bytes).unwrap()))
     });
     g.finish();
 }

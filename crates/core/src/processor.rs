@@ -65,7 +65,7 @@ use crate::romp::{RompInput, RompLayer, RompOutput, WindowEdge};
 pub use crate::stats::{GroupMetrics, LayerCounters, ProcessorStats};
 use crate::tap::{Event, Tap};
 use crate::telemetry::Telemetry;
-use crate::wire::{self, AckVector, FtmpBody, FtmpMessage, FtmpMsgType};
+use crate::wire::{self, AckVector, FtmpBody, FtmpHeader, FtmpMessage, FtmpMsgType};
 use bytes::Bytes;
 use ftmp_cdr::{ByteOrder, CdrWriter};
 use ftmp_net::{McastAddr, Packet, SimDuration, SimTime};
@@ -327,10 +327,11 @@ pub struct Processor {
     /// buffer plus a growing output buffer per message.
     enc_body: CdrWriter,
     /// [`handle_packed`](Processor::handle_packed)'s scratch — a container's
-    /// zero-copy slices and their decoded messages — kept so that splitting
-    /// a container allocates neither list again. Empty between packets.
+    /// zero-copy slices, then its admitted messages with their slices — kept
+    /// so that splitting a container allocates neither list again. Empty
+    /// between packets.
     rx_slices: Vec<Bytes>,
-    rx_msgs: Vec<FtmpMessage>,
+    rx_msgs: Vec<(FtmpMessage, Bytes)>,
     /// [`try_deliver`](Processor::try_deliver)'s scratch: the messages one
     /// pass of the delivery rule released. Empty between passes.
     ordered: Vec<FtmpMessage>,
@@ -372,16 +373,31 @@ fn emit_wire(
     sink.send(addr, payload);
 }
 
-/// Split a packed container into `slices` and decode every one into `msgs`
-/// — all of it or an error, so a container is never processed in part.
+/// Admission (DESIGN.md §4, "A stamp at the end of time"): `wire`'s header,
+/// then its body only when the header is plausible. `Ok(None)`: stamped at
+/// or past the receiver's [`Clock::reach`], dropped unread.
+fn admit(wire: &Bytes, reach: u64) -> Result<Option<FtmpMessage>, wire::WireError> {
+    let (h, body) = FtmpHeader::decode(wire)?;
+    if h.ts.0.max(h.ack_ts.0) >= reach {
+        return Ok(None);
+    }
+    FtmpMessage::from_header(&h, body, wire).map(Some)
+}
+
+/// Split a packed container into `slices`, then [`admit`] every message into
+/// `msgs` beside its slice — all of it or an error, so a container is never
+/// processed in part.
 fn decode_container(
     datagram: &Bytes,
+    reach: u64,
     slices: &mut Vec<Bytes>,
-    msgs: &mut Vec<FtmpMessage>,
+    msgs: &mut Vec<(FtmpMessage, Bytes)>,
 ) -> Result<Option<AckVector>, wire::WireError> {
     let vector = wire::unpack_into(datagram, slices)?;
-    for s in slices.iter() {
-        msgs.push(FtmpMessage::decode_shared(s)?);
+    for s in slices.drain(..) {
+        if let Some(msg) = admit(&s, reach)? {
+            msgs.push((msg, s));
+        }
     }
     Ok(vector)
 }
@@ -869,30 +885,39 @@ impl Processor {
         self.wake();
         if wire::is_packed(&pkt.payload) {
             self.handle_packed(now, &pkt.payload);
-        } else if let Ok(msg) = FtmpMessage::decode_shared(&pkt.payload) {
-            let gid = msg.group;
-            self.earn_prompt_credit(gid);
-            self.process_message(now, msg, pkt.payload.clone(), false);
-            self.prompt_heartbeat(now, gid);
+        } else {
+            match admit(&pkt.payload, self.clock.reach(now)) {
+                Ok(Some(msg)) => {
+                    let gid = msg.group;
+                    self.earn_prompt_credit(gid);
+                    self.process_message(now, msg, pkt.payload.clone(), false);
+                    self.prompt_heartbeat(now, gid);
+                }
+                Ok(None) => self.stats.stamps_dropped_implausible += 1,
+                Err(_) => {} // not FTMP or corrupt: ignored
+            }
         }
-        // not FTMP or corrupt: ignored above
         self.flush_window(now);
     }
 
     /// A packed container: validate it *whole* before processing anything —
-    /// a framing or inner decode error rejects the entire datagram (no
-    /// partial delivery), counted in `packed_rejects`.
+    /// a framing error, or a body decode error of an admitted message,
+    /// rejects the entire datagram (no partial delivery), counted in
+    /// `packed_rejects`. An implausible message is dropped unread.
     fn handle_packed(&mut self, now: SimTime, datagram: &Bytes) {
         let mut slices = std::mem::take(&mut self.rx_slices);
         let mut msgs = std::mem::take(&mut self.rx_msgs);
-        match decode_container(datagram, &mut slices, &mut msgs) {
+        let reach = self.clock.reach(now);
+        match decode_container(datagram, reach, &mut slices, &mut msgs) {
             Ok(vector) => {
+                let count = wire::message_count(datagram) as usize;
+                self.stats.stamps_dropped_implausible += (count - msgs.len()) as u64;
                 // One credit per datagram, to its first message's group,
                 // however many runs it holds.
-                if let Some(first) = msgs.first() {
+                if let Some((first, _)) = msgs.first() {
                     self.earn_prompt_credit(first.group);
                 }
-                self.admit_container(now, vector, msgs.drain(..).zip(slices.drain(..)));
+                self.admit_container(now, vector, msgs.drain(..));
             }
             Err(_) => self.stats.packed_rejects += 1,
         }
@@ -1507,10 +1532,6 @@ impl Processor {
 
     fn process_message(&mut self, now: SimTime, msg: FtmpMessage, wire: Bytes, own: bool) {
         if !own {
-            if msg.ts.0.max(msg.ack_ts.0) >= self.clock.reach(now) {
-                self.stats.stamps_dropped_implausible += 1;
-                return;
-            }
             self.stats.received[msg.msg_type() as usize] += 1;
             if msg.retransmission {
                 self.stats.retransmissions_received += 1;

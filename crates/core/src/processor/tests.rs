@@ -222,7 +222,7 @@ fn an_answered_nack_resets_the_backoff_under_sustained_loss() {
     net.bootstrap_group(gid, McastAddr(100));
     let mut retransmitted = std::collections::BTreeSet::new();
     let mut lossy = |src: u32, payload: &Bytes| {
-        let Ok(m) = FtmpMessage::decode(payload) else {
+        let Ok(m) = FtmpMessage::decode_shared(payload) else {
             return false;
         };
         if src != 1 || m.msg_type() != FtmpMsgType::Regular || m.seq.0 % 3 != 0 {
@@ -1549,6 +1549,120 @@ mod hostile_values {
                     }
                 }
             }
+        }
+    }
+
+    /// Hands `payload`, in P1's name, to P2 and P3 only.
+    fn to_p2_and_p3(net: &mut MiniNet, now: SimTime, payload: Bytes) {
+        for id in 2..=3 {
+            net.p(id)
+                .handle_packet(now, &Packet::new(1, ADDR, payload.clone()));
+        }
+        net.flush(now);
+    }
+
+    fn retained_bytes(net: &mut MiniNet, id: u32) -> usize {
+        net.p(id).group_metrics(GID).unwrap().retention_bytes
+    }
+
+    /// The bytes after a header's declared size are no part of the message.
+    /// Were they accepted, the whole buffer would be retained and counted,
+    /// and every retransmission would resend it. The same message without
+    /// them is the control: retained at its own size, then delivered.
+    #[test]
+    fn a_message_with_trailing_bytes_is_neither_retained_nor_delivered() {
+        let mut net = trio();
+        let exact = FtmpMessage {
+            retransmission: false,
+            source: ProcessorId(1),
+            group: GID,
+            seq: SeqNum(1),
+            ts: Timestamp(1),
+            ack_ts: Timestamp(0),
+            body: FtmpBody::Regular {
+                conn: conn_ab(),
+                request_num: RequestNum(1),
+                giop: Bytes::from_static(b"GIOP"),
+            },
+        }
+        .encode(ByteOrder::Big);
+        let mut junk = exact.to_vec();
+        junk.extend_from_slice(&[0xA5; 4000]);
+        to_p2_and_p3(&mut net, SimTime(1_000), Bytes::from(junk));
+        for id in 2..=3 {
+            assert_eq!(retained_bytes(&mut net, id), 0, "P{id}");
+        }
+        net.tick_all(SimTime(20_000));
+        for id in 2..=3 {
+            assert!(net.deliveries(id).is_empty(), "P{id}");
+        }
+        to_p2_and_p3(&mut net, SimTime(21_000), exact.clone());
+        for id in 2..=3 {
+            assert_eq!(retained_bytes(&mut net, id), exact.len(), "P{id}");
+            assert_eq!(net.deliveries(id).len(), 1, "P{id} delivered the control");
+        }
+    }
+
+    /// Admission reads the header alone. A container whose first message is
+    /// stamped out of reach *and* carries a body that does not decode loses
+    /// that message, unread, and its honest neighbour is delivered. Were
+    /// the body read first, its error would reject the container whole.
+    #[test]
+    fn an_implausible_message_is_dropped_before_its_body_is_read() {
+        let mut net = trio();
+        let now = SimTime(1_000);
+        net.p(2)
+            .multicast_request(now, conn_ab(), RequestNum(1), Bytes::from_static(b"x"))
+            .unwrap();
+        let sent: Vec<Bytes> = net
+            .p(2)
+            .drain_actions()
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::Send { payload, .. } => Some(payload),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent.len(), 1, "P2 sends only the Regular");
+        // Stamped at the end of time, its GIOP length prefix wild.
+        let mut corrupt = FtmpMessage {
+            retransmission: false,
+            source: ProcessorId(3),
+            group: GID,
+            seq: SeqNum(1),
+            ts: Timestamp(u64::MAX),
+            ack_ts: Timestamp(0),
+            body: FtmpBody::Regular {
+                conn: conn_ab(),
+                request_num: RequestNum(1),
+                giop: Bytes::from_static(b"GIOP"),
+            },
+        }
+        .encode(ByteOrder::Big)
+        .to_vec();
+        let prefix = wire::FTMP_HEADER_LEN + 24;
+        corrupt[prefix..prefix + 4].copy_from_slice(&[0xFF; 4]);
+        let corrupt = Bytes::from(corrupt);
+        assert!(FtmpHeader::decode(&corrupt).is_ok());
+        assert!(FtmpMessage::decode_shared(&corrupt).is_err());
+        let container = wire::encode_packed(&[corrupt, sent[0].clone()], None);
+        for id in [1, 3] {
+            net.p(id)
+                .handle_packet(now, &Packet::new(2, ADDR, container.clone()));
+        }
+        net.flush(now);
+        net.tick_all(SimTime(20_000));
+        for id in 1..=3 {
+            let p = net.p(id);
+            assert_eq!(p.stats().retransmissions_sent, 0, "P{id}: nothing repaired");
+            let delivered = net.deliveries(id);
+            assert_eq!(delivered.len(), 1, "P{id} delivered the honest Regular");
+            assert_eq!(delivered[0].source, ProcessorId(2));
+        }
+        for id in [1, 3] {
+            let stats = net.p(id).stats();
+            assert_eq!(stats.stamps_dropped_implausible, 1, "P{id}");
+            assert_eq!(stats.packed_rejects, 0, "P{id}");
         }
     }
 

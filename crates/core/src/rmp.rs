@@ -50,7 +50,7 @@
 //! [`wire::FtmpBody::RetransmitRequest`]: crate::wire::FtmpBody::RetransmitRequest
 
 use crate::ids::{ProcessorId, SeqNum, Timestamp};
-use crate::wire::FtmpMessage;
+use crate::wire::{self, FtmpMessage};
 use bytes::Bytes;
 use ftmp_net::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
@@ -359,34 +359,13 @@ struct Retained {
     last_retransmit: Option<SimTime>,
 }
 
-/// Byte offset of the flags octet in the FTMP header.
-const FLAGS_OFFSET: usize = 5;
-/// Retransmission flag bit within the flags octet.
-const RETRANSMISSION_BIT: u8 = 0x02;
-
 impl Retained {
     /// The retransmission form of the wire bytes, built at most once.
     fn retx_bytes(&mut self) -> Bytes {
-        if let Some(b) = &self.retx {
-            return b.clone();
-        }
-        let b = if self
-            .wire
-            .get(FLAGS_OFFSET)
-            .is_some_and(|f| f & RETRANSMISSION_BIT != 0)
-        {
-            // Received as a retransmission already: the wire form IS the
-            // retransmission form; share the same buffer.
-            self.wire.clone()
-        } else {
-            let mut v = self.wire.to_vec();
-            if let Some(f) = v.get_mut(FLAGS_OFFSET) {
-                *f |= RETRANSMISSION_BIT;
-            }
-            Bytes::from(v)
-        };
-        self.retx = Some(b.clone());
-        b
+        let wire = &self.wire;
+        self.retx
+            .get_or_insert_with(|| wire::retransmission_form(wire))
+            .clone()
     }
 }
 
@@ -801,7 +780,7 @@ mod retention_tests;
 mod tests {
     use super::*;
     use crate::ids::GroupId;
-    use crate::wire::{FtmpBody, FTMP_HEADER_LEN};
+    use crate::wire::{FtmpBody, FtmpHeader, FTMP_HEADER_LEN};
     use ftmp_cdr::ByteOrder;
     use proptest::prelude::*;
 
@@ -819,6 +798,11 @@ mod tests {
 
     fn wire_of(m: &FtmpMessage) -> Bytes {
         m.encode(ByteOrder::Big)
+    }
+
+    /// The retransmission flag `wire`'s header carries.
+    fn retransmission(wire: &[u8]) -> bool {
+        FtmpHeader::decode(wire).unwrap().0.retransmission
     }
 
     fn retain(store: &mut RetentionStore, m: &FtmpMessage) {
@@ -1098,15 +1082,14 @@ mod tests {
         let mut store = RetentionStore::default();
         let m = msg(1, 1, 10);
         let w = wire_of(&m);
-        assert_eq!(w[FLAGS_OFFSET] & RETRANSMISSION_BIT, 0);
+        assert!(!retransmission(&w));
         store.insert(m.source, m.seq.0, m.ts, w);
         let sup = SimDuration::from_millis(0);
         let b1 = store
             .take_for_retransmit(ProcessorId(1), 1, SimTime(0), sup)
             .unwrap();
-        assert_ne!(b1[FLAGS_OFFSET] & RETRANSMISSION_BIT, 0);
         // Round-trips as the same message with the retransmission flag.
-        let decoded = FtmpMessage::decode(&b1).unwrap();
+        let decoded = FtmpMessage::decode_shared(&b1).unwrap();
         assert!(decoded.retransmission);
         assert_eq!(decoded.seq, SeqNum(1));
         // The second answer is the SAME buffer — pointer-equal, no copy.
@@ -1124,7 +1107,7 @@ mod tests {
         let mut m = msg(1, 1, 10);
         m.retransmission = true;
         let w = m.encode(ByteOrder::Big);
-        assert_ne!(w[FLAGS_OFFSET] & RETRANSMISSION_BIT, 0);
+        assert!(retransmission(&w));
         let wire_ptr = w.as_ref().as_ptr();
         store.insert(m.source, m.seq.0, m.ts, w);
         let b = store.retx_bytes(ProcessorId(1), 1).unwrap();
@@ -1212,7 +1195,7 @@ mod tests {
         let b = layer
             .answer_retransmit(ProcessorId(1), 1, SimTime(2), sup)
             .unwrap();
-        assert!(FtmpMessage::decode(&b).unwrap().retransmission);
+        assert!(retransmission(&b));
         assert_eq!(layer.counters().retransmits_answered, 1);
         // Suppression window blocks an immediate second answer.
         assert!(layer

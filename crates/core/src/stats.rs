@@ -63,8 +63,9 @@ pub struct ProcessorStats {
     /// back the head of its own ordering queue (horizon on demand,
     /// DESIGN.md §4).
     pub heartbeats_prompted: u64,
-    /// Incoming packed containers rejected whole (framing or inner decode
-    /// error; no partial delivery).
+    /// Incoming packed containers rejected whole (a framing error, or a
+    /// body that does not decode in an admitted message; no partial
+    /// delivery).
     pub packed_rejects: u64,
     /// Messages received from other processors, indexed like `sent` (each
     /// inner message of a packed container counts individually). The overlay
@@ -73,9 +74,10 @@ pub struct ProcessorStats {
     pub(crate) received: [u64; 10],
     /// Received messages that carried the retransmission flag.
     pub retransmissions_received: u64,
-    /// Received messages dropped at admission, unobserved, because their
-    /// `ts` or `ack_ts` is at or above the 2^62 ceiling (DESIGN.md §4, "A
-    /// stamp at the end of time").
+    /// Received messages dropped at admission, unobserved and with their
+    /// bodies unread, because their `ts` or `ack_ts` is at or past the
+    /// receiver's `Clock::reach` (DESIGN.md §4, "A stamp at the end of
+    /// time").
     pub stamps_dropped_implausible: u64,
 }
 

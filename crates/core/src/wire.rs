@@ -47,8 +47,9 @@ pub const MSG_TYPE_OFFSET: usize = 6;
 
 /// Message-type octet marking a *packed container* (DESIGN.md §5): several
 /// complete FTMP messages in one datagram. Deliberately outside the
-/// [`FtmpMsgType`] range so a plain [`FtmpMessage::decode`] rejects a
-/// container with `BadMsgType` instead of misreading it, while
+/// [`FtmpMsgType`] range so [`FtmpHeader::decode`] (and with it
+/// [`FtmpMessage::decode_shared`]) rejects a container with `BadMsgType`
+/// instead of misreading it, while
 /// [`classify`] labels container traffic without any change.
 pub const PACKED_MSG_TYPE: u8 = 0x50; // 'P'
 
@@ -154,24 +155,15 @@ pub enum FtmpMsgType {
 }
 
 impl FtmpMsgType {
-    /// Decode a message-type octet.
+    /// Decode a message-type octet: its position in [`FtmpMsgType::ALL`].
     pub fn from_u8(v: u8) -> Result<Self, WireError> {
-        Ok(match v {
-            0 => FtmpMsgType::Regular,
-            1 => FtmpMsgType::RetransmitRequest,
-            2 => FtmpMsgType::Heartbeat,
-            3 => FtmpMsgType::ConnectRequest,
-            4 => FtmpMsgType::Connect,
-            5 => FtmpMsgType::AddProcessor,
-            6 => FtmpMsgType::RemoveProcessor,
-            7 => FtmpMsgType::Suspect,
-            8 => FtmpMsgType::Membership,
-            9 => FtmpMsgType::OverlayDigest,
-            other => return Err(WireError::BadMsgType(other)),
-        })
+        Self::ALL
+            .get(usize::from(v))
+            .copied()
+            .ok_or(WireError::BadMsgType(v))
     }
 
-    /// All types in wire order.
+    /// All types in wire order: a type's octet is its index here.
     pub const ALL: [FtmpMsgType; 10] = [
         FtmpMsgType::Regular,
         FtmpMsgType::RetransmitRequest,
@@ -236,6 +228,15 @@ pub struct FtmpHeader {
     pub ack_ts: Timestamp,
 }
 
+/// Offset of the flags octet.
+const FLAGS_OFFSET: usize = 5;
+
+/// Flags bit: the header's multi-byte fields and the body are little-endian.
+const FLAG_LITTLE_ENDIAN: u8 = 0x01;
+
+/// Flags bit: a retransmission (§3.2).
+const FLAG_RETRANSMISSION: u8 = 0x02;
+
 impl FtmpHeader {
     fn put_u32(buf: &mut [u8], order: ByteOrder, v: u32) {
         let b = match order {
@@ -253,36 +254,40 @@ impl FtmpHeader {
         buf.copy_from_slice(&b);
     }
 
-    fn get_u32(buf: &[u8], order: ByteOrder) -> u32 {
-        let a: [u8; 4] = buf.try_into().expect("length checked");
-        match order {
-            ByteOrder::Big => u32::from_be_bytes(a),
-            ByteOrder::Little => u32::from_le_bytes(a),
-        }
+    /// The next field off the front of `rest`.
+    fn get_u32(rest: &mut &[u8], order: ByteOrder) -> Option<u32> {
+        let (a, tail) = rest.split_first_chunk()?;
+        *rest = tail;
+        Some(match order {
+            ByteOrder::Big => u32::from_be_bytes(*a),
+            ByteOrder::Little => u32::from_le_bytes(*a),
+        })
     }
 
-    fn get_u64(buf: &[u8], order: ByteOrder) -> u64 {
-        let a: [u8; 8] = buf.try_into().expect("length checked");
-        match order {
-            ByteOrder::Big => u64::from_be_bytes(a),
-            ByteOrder::Little => u64::from_le_bytes(a),
-        }
+    /// The next field off the front of `rest`.
+    fn get_u64(rest: &mut &[u8], order: ByteOrder) -> Option<u64> {
+        let (a, tail) = rest.split_first_chunk()?;
+        *rest = tail;
+        Some(match order {
+            ByteOrder::Big => u64::from_be_bytes(*a),
+            ByteOrder::Little => u64::from_le_bytes(*a),
+        })
     }
 
     /// Serialize into exactly [`FTMP_HEADER_LEN`] bytes.
-    pub fn encode(&self) -> [u8; FTMP_HEADER_LEN] {
+    fn encode(&self) -> [u8; FTMP_HEADER_LEN] {
         let mut b = [0u8; FTMP_HEADER_LEN];
         b[0..4].copy_from_slice(&FTMP_MAGIC);
         b[4] = FTMP_VERSION;
         let mut flags = 0u8;
         if self.order.as_flag() {
-            flags |= 0x01;
+            flags |= FLAG_LITTLE_ENDIAN;
         }
         if self.retransmission {
-            flags |= 0x02;
+            flags |= FLAG_RETRANSMISSION;
         }
-        b[5] = flags;
-        b[6] = self.msg_type as u8;
+        b[FLAGS_OFFSET] = flags;
+        b[MSG_TYPE_OFFSET] = self.msg_type as u8;
         b[7] = 0;
         Self::put_u32(&mut b[8..12], self.order, self.size);
         Self::put_u32(&mut b[12..16], self.order, self.source.0);
@@ -293,45 +298,61 @@ impl FtmpHeader {
         b
     }
 
-    /// Parse a header; returns it and the body slice (validated against the
-    /// declared size).
+    /// Parse a header; returns it and the body slice. The declared size
+    /// must be the buffer's length exactly: a message has no trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<(FtmpHeader, &[u8]), WireError> {
-        if bytes.len() < FTMP_HEADER_LEN {
-            return Err(WireError::Truncated {
-                wanted: FTMP_HEADER_LEN,
-                have: bytes.len(),
-            });
+        let truncated = WireError::Truncated {
+            wanted: FTMP_HEADER_LEN,
+            have: bytes.len(),
+        };
+        let Some((fixed, body)) = bytes.split_first_chunk::<FTMP_HEADER_LEN>() else {
+            return Err(truncated);
+        };
+        let [m0, m1, m2, m3, version, flags, msg_type, _, ref fields @ ..] = *fixed;
+        if [m0, m1, m2, m3] != FTMP_MAGIC {
+            return Err(WireError::BadMagic([m0, m1, m2, m3]));
         }
-        let magic = [bytes[0], bytes[1], bytes[2], bytes[3]];
-        if magic != FTMP_MAGIC {
-            return Err(WireError::BadMagic(magic));
+        if version != FTMP_VERSION {
+            return Err(WireError::BadVersion(version));
         }
-        if bytes[4] != FTMP_VERSION {
-            return Err(WireError::BadVersion(bytes[4]));
-        }
-        let flags = bytes[5];
-        let order = ByteOrder::from_flag(flags & 0x01 != 0);
-        let retransmission = flags & 0x02 != 0;
-        let msg_type = FtmpMsgType::from_u8(bytes[MSG_TYPE_OFFSET])?;
-        let size = Self::get_u32(&bytes[8..12], order);
-        if (size as usize) < FTMP_HEADER_LEN || size as usize > bytes.len() {
+        let order = ByteOrder::from_flag(flags & FLAG_LITTLE_ENDIAN != 0);
+        let msg_type = FtmpMsgType::from_u8(msg_type)?;
+        let r = &mut &fields[..];
+        let header = (|| {
+            Some(FtmpHeader {
+                order,
+                retransmission: flags & FLAG_RETRANSMISSION != 0,
+                msg_type,
+                size: Self::get_u32(r, order)?,
+                source: ProcessorId(Self::get_u32(r, order)?),
+                group: GroupId(Self::get_u32(r, order)?),
+                seq: SeqNum(Self::get_u64(r, order)?),
+                ts: Timestamp(Self::get_u64(r, order)?),
+                ack_ts: Timestamp(Self::get_u64(r, order)?),
+            })
+        })()
+        .ok_or(truncated)?;
+        if header.size as usize != bytes.len() {
             return Err(WireError::SizeMismatch {
-                declared: size,
+                declared: header.size,
                 actual: bytes.len(),
             });
         }
-        let header = FtmpHeader {
-            order,
-            retransmission,
-            msg_type,
-            size,
-            source: ProcessorId(Self::get_u32(&bytes[12..16], order)),
-            group: GroupId(Self::get_u32(&bytes[16..20], order)),
-            seq: SeqNum(Self::get_u64(&bytes[20..28], order)),
-            ts: Timestamp(Self::get_u64(&bytes[28..36], order)),
-            ack_ts: Timestamp(Self::get_u64(&bytes[36..44], order)),
-        };
-        Ok((header, &bytes[FTMP_HEADER_LEN..size as usize]))
+        Ok((header, body))
+    }
+}
+
+/// `wire` as a retransmission: the same buffer when its flag is already
+/// set, else a copy with the flag set and nothing else changed (§5: "the
+/// retransmitted message is identical to the original").
+pub(crate) fn retransmission_form(wire: &Bytes) -> Bytes {
+    match wire.get(FLAGS_OFFSET) {
+        Some(f) if f & FLAG_RETRANSMISSION == 0 => {
+            let mut v = wire.to_vec();
+            v[FLAGS_OFFSET] |= FLAG_RETRANSMISSION;
+            Bytes::from(v)
+        }
+        _ => wire.clone(),
     }
 }
 
@@ -384,14 +405,6 @@ impl CdrDecode for ConnectionId {
 /// `(processor, highest contiguous sequence number)` pairs carried by
 /// AddProcessor and Membership bodies.
 pub type SeqVector = Vec<(ProcessorId, u64)>;
-
-fn encode_seqs(w: &mut CdrWriter, seqs: &SeqVector) {
-    w.write_u32(seqs.len() as u32);
-    for (p, s) in seqs {
-        p.encode(w);
-        w.write_u64(*s);
-    }
-}
 
 fn decode_seqs(r: &mut CdrReader<'_>) -> Result<SeqVector, CdrError> {
     let len = r.read_seq_len(12)?;
@@ -621,7 +634,7 @@ impl FtmpBody {
             } => {
                 w.write_u64(membership_ts.0);
                 membership.encode(w);
-                encode_seqs(w, seqs);
+                seqs.encode(w);
                 new_member.encode(w);
             }
             FtmpBody::RemoveProcessor { member } => {
@@ -642,7 +655,7 @@ impl FtmpBody {
             } => {
                 w.write_u64(membership_ts.0);
                 membership.encode(w);
-                encode_seqs(w, seqs);
+                seqs.encode(w);
                 new_membership.encode(w);
             }
             FtmpBody::OverlayDigest { solicit, entries } => {
@@ -652,13 +665,44 @@ impl FtmpBody {
         }
     }
 
-    fn decode(msg_type: FtmpMsgType, r: &mut CdrReader<'_>) -> Result<FtmpBody, CdrError> {
-        Ok(match msg_type {
-            FtmpMsgType::Regular => FtmpBody::Regular {
-                conn: ConnectionId::decode(r)?,
-                request_num: RequestNum(r.read_u64()?),
-                giop: Bytes::from(r.read_octet_seq()?),
-            },
+    /// The one body decoder: decodes `body`, the bytes of `wire` after its
+    /// already decoded header `h`. A Regular's GIOP payload is a zero-copy
+    /// [`Bytes`] slice of `wire`, so the receive path keeps exactly one
+    /// buffer per datagram. Inlined, with [`FtmpMessage::from_header`], into
+    /// each caller, so that a Regular decodes in the caller's frame: behind
+    /// a call it cost about 15 ns more on the codec bench, and as much again
+    /// when its arm did not return from inside.
+    #[inline(always)]
+    pub(crate) fn decode(h: &FtmpHeader, body: &[u8], wire: &Bytes) -> Result<FtmpBody, WireError> {
+        let mut r = CdrReader::new(body, h.order);
+        let body = match h.msg_type {
+            FtmpMsgType::Regular => {
+                let conn = ConnectionId::decode(&mut r)?;
+                let request_num = RequestNum(r.read_u64()?);
+                let len = r.read_seq_len(1)?;
+                let start = FTMP_HEADER_LEN + r.position();
+                r.read_bytes(len)?;
+                r.expect_exhausted()?;
+                return Ok(FtmpBody::Regular {
+                    conn,
+                    request_num,
+                    giop: wire.slice(start..start + len),
+                });
+            }
+            control => Self::decode_control(control, &mut r)?,
+        };
+        r.expect_exhausted()?;
+        Ok(body)
+    }
+
+    /// [`decode`](Self::decode) for the other nine types, out of line: in
+    /// one frame with them, a Regular (the receive path's common case)
+    /// decoded about 15 ns slower on the codec bench.
+    #[inline(never)]
+    fn decode_control(t: FtmpMsgType, r: &mut CdrReader<'_>) -> Result<FtmpBody, WireError> {
+        Ok(match t {
+            // Decoded by `decode` itself.
+            FtmpMsgType::Regular => return Err(WireError::BadMsgType(t as u8)),
             FtmpMsgType::RetransmitRequest => FtmpBody::RetransmitRequest {
                 missing_from: ProcessorId::decode(r)?,
                 start_seq: r.read_u64()?,
@@ -730,39 +774,24 @@ impl FtmpMessage {
 
     /// Encode as header + body in the given byte order.
     pub fn encode(&self, order: ByteOrder) -> Bytes {
-        self.encode_flagged(order, self.retransmission, &mut self.body_writer(order))
+        let mut scratch = CdrWriter::with_capacity(order, self.body.size_hint());
+        self.encode_with_scratch(order, &mut scratch)
     }
 
-    /// Encode using a caller-owned body scratch writer, returning the wire
-    /// bytes from one exact-size allocation.
+    /// The one encode routine: the body into a caller-owned scratch writer,
+    /// then header + body into one exact-size allocation.
     ///
     /// The scratch keeps its buffer across calls, so a steady-state sender
     /// pays a single output allocation per message (the `Bytes` the Send
     /// action, retention store and self-delivery all then share) instead of
     /// a body buffer plus a growing output buffer.
     pub fn encode_with_scratch(&self, order: ByteOrder, scratch: &mut CdrWriter) -> Bytes {
-        self.encode_flagged(order, self.retransmission, scratch)
-    }
-
-    /// A one-shot body writer for the entry points without a scratch.
-    fn body_writer(&self, order: ByteOrder) -> CdrWriter {
-        CdrWriter::with_capacity(order, self.body.size_hint())
-    }
-
-    /// The one encode routine: body into `scratch`, then header + body into
-    /// an exact-size output.
-    fn encode_flagged(
-        &self,
-        order: ByteOrder,
-        retransmission: bool,
-        scratch: &mut CdrWriter,
-    ) -> Bytes {
         scratch.reset(order);
         self.body.encode(scratch);
         let body = scratch.as_bytes();
         let header = FtmpHeader {
             order,
-            retransmission,
+            retransmission: self.retransmission,
             msg_type: self.msg_type(),
             size: (FTMP_HEADER_LEN + body.len()) as u32,
             source: self.source,
@@ -777,60 +806,31 @@ impl FtmpMessage {
         out.freeze()
     }
 
-    /// The message a decoded header and body make up.
-    fn from_parts(h: &FtmpHeader, body: FtmpBody) -> FtmpMessage {
-        FtmpMessage {
+    /// The message `wire` holds, under its already decoded header `h` and
+    /// with `body` the bytes after it: the body decode that runs once
+    /// admission has let the header in.
+    #[inline(always)]
+    pub(crate) fn from_header(
+        h: &FtmpHeader,
+        body: &[u8],
+        wire: &Bytes,
+    ) -> Result<FtmpMessage, WireError> {
+        Ok(FtmpMessage {
             retransmission: h.retransmission,
             source: h.source,
             group: h.group,
             seq: h.seq,
             ts: h.ts,
             ack_ts: h.ack_ts,
-            body,
-        }
+            body: FtmpBody::decode(h, body, wire)?,
+        })
     }
 
-    /// Decode a complete message.
-    pub fn decode(bytes: &[u8]) -> Result<FtmpMessage, WireError> {
-        let (h, body) = FtmpHeader::decode(bytes)?;
-        let mut r = CdrReader::new(body, h.order);
-        let body = FtmpBody::decode(h.msg_type, &mut r)?;
-        r.expect_exhausted()?;
-        Ok(Self::from_parts(&h, body))
-    }
-
-    /// Decode from a shared buffer. Identical to [`FtmpMessage::decode`]
-    /// except that a Regular body's GIOP payload becomes a zero-copy
-    /// [`Bytes`] slice of `bytes` instead of a fresh allocation — the
-    /// receive hot path keeps exactly one buffer per datagram.
+    /// Decode a complete message from a shared buffer: its header, then its
+    /// body (a Regular's GIOP payload a zero-copy slice of `bytes`).
     pub fn decode_shared(bytes: &Bytes) -> Result<FtmpMessage, WireError> {
         let (h, body) = FtmpHeader::decode(bytes)?;
-        if h.msg_type != FtmpMsgType::Regular {
-            return Self::decode(bytes);
-        }
-        let mut r = CdrReader::new(body, h.order);
-        let conn = ConnectionId::decode(&mut r)?;
-        let request_num = RequestNum(r.read_u64()?);
-        let len = r.read_seq_len(1)?;
-        let start = FTMP_HEADER_LEN + r.position();
-        r.read_bytes(len)?;
-        r.expect_exhausted()?;
-        let body = FtmpBody::Regular {
-            conn,
-            request_num,
-            giop: bytes.slice(start..start + len),
-        };
-        Ok(Self::from_parts(&h, body))
-    }
-
-    /// Re-encode as a retransmission: identical message, retransmission
-    /// flag set (§5: "the retransmitted message is identical to the
-    /// original"). No clone of the message (or its payload) is made; when
-    /// the original wire bytes are still at hand, prefer
-    /// [`crate::rmp::RetentionStore::retx_bytes`], which flips the flag on a
-    /// shared copy of the received buffer instead of re-encoding at all.
-    pub fn as_retransmission(&self, order: ByteOrder) -> Bytes {
-        self.encode_flagged(order, true, &mut self.body_writer(order))
+        Self::from_header(&h, body, bytes)
     }
 }
 
@@ -887,35 +887,29 @@ pub fn encode_ack_vector(v: &AckVector) -> Bytes {
 }
 
 /// Decode a container trailer; the slice must hold exactly one vector.
-pub fn decode_ack_vector(bytes: &[u8]) -> Result<AckVector, WireError> {
-    if bytes.len() < 6 {
+fn decode_ack_vector(bytes: &[u8]) -> Result<AckVector, WireError> {
+    let Some((&[g0, g1, g2, g3, n0, n1], entries)) = bytes.split_first_chunk::<6>() else {
         return Err(WireError::Truncated {
             wanted: 6,
             have: bytes.len(),
         });
-    }
-    let group = GroupId(u32::from_be_bytes(bytes[0..4].try_into().expect("len")));
-    let n = u16::from_be_bytes(bytes[4..6].try_into().expect("len")) as usize;
-    let want = 6 + 12 * n;
-    if bytes.len() != want {
+    };
+    let n = u16::from_be_bytes([n0, n1]) as usize;
+    let (entries, rest) = entries.as_chunks::<12>();
+    if entries.len() != n || !rest.is_empty() {
         return Err(WireError::SizeMismatch {
-            declared: want as u32,
+            declared: (6 + 12 * n) as u32,
             actual: bytes.len(),
         });
     }
-    let mut entries = Vec::with_capacity(n);
-    for i in 0..n {
-        let at = 6 + 12 * i;
-        entries.push((
-            ProcessorId(u32::from_be_bytes(
-                bytes[at..at + 4].try_into().expect("len"),
-            )),
-            Timestamp(u64::from_be_bytes(
-                bytes[at + 4..at + 12].try_into().expect("len"),
-            )),
-        ));
-    }
-    Ok(AckVector { group, entries })
+    let entries = entries.iter().map(|&[p0, p1, p2, p3, ref t @ ..]| {
+        let p = u32::from_be_bytes([p0, p1, p2, p3]);
+        (ProcessorId(p), Timestamp(u64::from_be_bytes(*t)))
+    });
+    Ok(AckVector {
+        group: GroupId(u32::from_be_bytes([g0, g1, g2, g3])),
+        entries: entries.collect(),
+    })
 }
 
 /// Is this payload a packed container?
@@ -975,8 +969,8 @@ pub fn encode_packed(msgs: &[Bytes], trailer: Option<&[u8]>) -> Bytes {
 ///
 /// All framing is validated up front and any inconsistency rejects the whole
 /// datagram — a partial container is never delivered. The slices are each a
-/// complete standalone FTMP message (what [`FtmpMessage::decode_shared`] and
-/// the retention store expect); no per-message copy is made.
+/// complete standalone FTMP message (what [`FtmpHeader::decode`] and the
+/// retention store expect); no per-message copy is made.
 pub fn unpack(datagram: &Bytes) -> Result<(Vec<Bytes>, Option<AckVector>), WireError> {
     let mut msgs = Vec::new();
     let vector = unpack_into(datagram, &mut msgs)?;
@@ -1077,10 +1071,15 @@ mod tests {
         ConnectionId::new(ObjectGroupId::new(1, 10), ObjectGroupId::new(2, 20))
     }
 
+    /// The decoder the receive path runs, over a copy of `bytes`.
+    fn decode(bytes: &[u8]) -> Result<FtmpMessage, WireError> {
+        FtmpMessage::decode_shared(&Bytes::copy_from_slice(bytes))
+    }
+
     fn rt(m: &FtmpMessage) {
         for order in [ByteOrder::Big, ByteOrder::Little] {
             let bytes = m.encode(order);
-            let back = FtmpMessage::decode(&bytes).unwrap();
+            let back = FtmpMessage::decode_shared(&bytes).unwrap();
             assert_eq!(&back, m);
         }
     }
@@ -1198,13 +1197,15 @@ mod tests {
     fn retransmission_flag_only_difference() {
         let m = msg(FtmpBody::Heartbeat);
         let orig = m.encode(ByteOrder::Big);
-        let retrans = m.as_retransmission(ByteOrder::Big);
-        let back = FtmpMessage::decode(&retrans).unwrap();
+        let retrans = retransmission_form(&orig);
+        let back = FtmpMessage::decode_shared(&retrans).unwrap();
         assert!(back.retransmission);
         // Identical except the flags octet.
         assert_eq!(orig.len(), retrans.len());
         let diffs: Vec<usize> = (0..orig.len()).filter(|&i| orig[i] != retrans[i]).collect();
-        assert_eq!(diffs, vec![5]);
+        assert_eq!(diffs, vec![FLAGS_OFFSET]);
+        // Already flagged: the same buffer, not a copy.
+        assert_eq!(retransmission_form(&retrans).as_ptr(), retrans.as_ptr());
     }
 
     #[test]
@@ -1230,28 +1231,19 @@ mod tests {
     #[test]
     fn corrupt_inputs_rejected() {
         assert!(matches!(
-            FtmpMessage::decode(&[0u8; 10]),
+            decode(&[0u8; 10]),
             Err(WireError::Truncated { .. })
         ));
         let m = msg(FtmpBody::Heartbeat);
         let mut bytes = encode_mut(&m, ByteOrder::Big);
         bytes[0] = b'X';
-        assert!(matches!(
-            FtmpMessage::decode(&bytes),
-            Err(WireError::BadMagic(_))
-        ));
+        assert!(matches!(decode(&bytes), Err(WireError::BadMagic(_))));
         let mut bytes = encode_mut(&m, ByteOrder::Big);
         bytes[4] = 0x20;
-        assert!(matches!(
-            FtmpMessage::decode(&bytes),
-            Err(WireError::BadVersion(0x20))
-        ));
+        assert!(matches!(decode(&bytes), Err(WireError::BadVersion(0x20))));
         let mut bytes = encode_mut(&m, ByteOrder::Big);
         bytes[MSG_TYPE_OFFSET] = 99;
-        assert!(matches!(
-            FtmpMessage::decode(&bytes),
-            Err(WireError::BadMsgType(99))
-        ));
+        assert!(matches!(decode(&bytes), Err(WireError::BadMsgType(99))));
     }
 
     #[test]
@@ -1264,9 +1256,32 @@ mod tests {
         let bytes = encode_mut(&m, ByteOrder::Big);
         // Truncate mid-body.
         assert!(matches!(
-            FtmpMessage::decode(&bytes[..bytes.len() - 4]),
+            decode(&bytes[..bytes.len() - 4]),
             Err(WireError::SizeMismatch { .. })
         ));
+    }
+
+    /// Bytes after the declared size are not part of the message: were
+    /// they accepted, they would be retained, counted and resent with every
+    /// retransmission.
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let m = msg(FtmpBody::Regular {
+            conn: conn(),
+            request_num: RequestNum(1),
+            giop: Bytes::from_static(b"0123456789"),
+        });
+        for order in [ByteOrder::Big, ByteOrder::Little] {
+            let mut bytes = encode_mut(&m, order);
+            let declared = bytes.len() as u32;
+            bytes.extend_from_slice(&[0xA5; 4000]);
+            let mismatch = WireError::SizeMismatch {
+                declared,
+                actual: bytes.len(),
+            };
+            assert_eq!(FtmpHeader::decode(&bytes), Err(mismatch.clone()));
+            assert_eq!(decode(&bytes), Err(mismatch));
+        }
     }
 
     #[test]
@@ -1290,7 +1305,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_shared_is_zero_copy_and_equivalent() {
+    fn regular_giop_is_a_zero_copy_slice() {
         let m = msg(FtmpBody::Regular {
             conn: conn(),
             request_num: RequestNum(5),
@@ -1298,21 +1313,15 @@ mod tests {
         });
         for order in [ByteOrder::Big, ByteOrder::Little] {
             let bytes = m.encode(order);
-            let shared = FtmpMessage::decode_shared(&bytes).unwrap();
-            assert_eq!(shared, FtmpMessage::decode(&bytes).unwrap());
-            let FtmpBody::Regular { giop, .. } = &shared.body else {
+            let back = FtmpMessage::decode_shared(&bytes).unwrap();
+            assert_eq!(back, m);
+            let FtmpBody::Regular { giop, .. } = &back.body else {
                 panic!("regular body");
             };
             // The GIOP payload points into the datagram buffer, not a copy.
             let range = bytes.as_ptr() as usize..bytes.as_ptr() as usize + bytes.len();
             assert!(range.contains(&(giop.as_ptr() as usize)));
         }
-        // Non-regular types delegate to plain decode.
-        let hb = msg(FtmpBody::Heartbeat).encode(ByteOrder::Big);
-        assert_eq!(
-            FtmpMessage::decode_shared(&hb).unwrap(),
-            FtmpMessage::decode(&hb).unwrap()
-        );
     }
 
     // -- Packed-container tests ---------------------------------------------
@@ -1375,7 +1384,7 @@ mod tests {
     fn plain_decode_rejects_container() {
         let packed = encode_packed(&[hb(1, 1)], None);
         assert!(matches!(
-            FtmpMessage::decode(&packed),
+            decode(&packed),
             Err(WireError::BadMsgType(PACKED_MSG_TYPE))
         ));
     }
@@ -1555,7 +1564,7 @@ mod tests {
             };
             let order = ByteOrder::from_flag(little);
             let bytes = m.encode(order);
-            prop_assert_eq!(FtmpMessage::decode(&bytes).unwrap(), m);
+            prop_assert_eq!(decode(&bytes).unwrap(), m);
         }
 
         #[test]
@@ -1571,32 +1580,48 @@ mod tests {
                 new_membership: members.iter().copied().map(ProcessorId).collect(),
             });
             let order = ByteOrder::from_flag(little);
-            prop_assert_eq!(FtmpMessage::decode(&m.encode(order)).unwrap(), m);
+            prop_assert_eq!(decode(&m.encode(order)).unwrap(), m);
         }
 
         #[test]
-        fn prop_decode_garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-            let _ = FtmpMessage::decode(&bytes);
+        fn prop_decode_garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..1024)) {
+            let _ = decode(&bytes);
             let _ = classify(&bytes);
         }
 
+        /// A flipped bit in a Regular (the zero-copy arm), a Membership or a
+        /// Connect is rejected or decodes; it never panics.
         #[test]
         fn prop_decode_bitflip_never_panics(
-            flip_byte in 0usize..120,
+            which in 0usize..3,
+            flip_byte in 0usize..160,
             flip_bit in 0u8..8,
         ) {
-            let m = msg(FtmpBody::Connect {
-                conn: conn(),
-                group: GroupId(1),
-                mcast_addr: 2,
-                membership_ts: Timestamp(3),
-                membership: vec![ProcessorId(1), ProcessorId(2)],
-            });
-            let mut bytes = m.encode(ByteOrder::Big).to_vec();
+            let body = match which {
+                0 => FtmpBody::Regular {
+                    conn: conn(),
+                    request_num: RequestNum(4),
+                    giop: Bytes::from_static(b"GIOP....payload"),
+                },
+                1 => FtmpBody::Membership {
+                    membership_ts: Timestamp(80),
+                    membership: vec![ProcessorId(1), ProcessorId(2), ProcessorId(5)],
+                    seqs: vec![(ProcessorId(1), 100), (ProcessorId(2), 90)],
+                    new_membership: vec![ProcessorId(1), ProcessorId(2)],
+                },
+                _ => FtmpBody::Connect {
+                    conn: conn(),
+                    group: GroupId(1),
+                    mcast_addr: 2,
+                    membership_ts: Timestamp(3),
+                    membership: vec![ProcessorId(1), ProcessorId(2)],
+                },
+            };
+            let mut bytes = msg(body).encode(ByteOrder::Big).to_vec();
             if flip_byte < bytes.len() {
                 bytes[flip_byte] ^= 1 << flip_bit;
             }
-            let _ = FtmpMessage::decode(&bytes);
+            let _ = decode(&bytes);
         }
     }
 }
@@ -1707,7 +1732,7 @@ mod body_proptests {
             };
             let order = ByteOrder::from_flag(little);
             let bytes = msg.encode(order);
-            prop_assert_eq!(FtmpMessage::decode(&bytes).unwrap(), msg);
+            prop_assert_eq!(FtmpMessage::decode_shared(&bytes).unwrap(), msg);
         }
 
         /// Encoded size always matches the header's declared size, and the

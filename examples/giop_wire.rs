@@ -94,7 +94,7 @@ fn main() {
     );
 
     // Round-trip sanity.
-    let back = FtmpMessage::decode(&wire).expect("decodes");
+    let back = FtmpMessage::decode_shared(&wire).expect("decodes");
     match back.body {
         FtmpBody::Regular {
             giop: g,
