@@ -17,11 +17,13 @@ pub struct CdrReader<'a> {
 
 impl<'a> CdrReader<'a> {
     /// Create a reader at stream offset 0.
+    #[inline]
     pub fn new(buf: &'a [u8], order: ByteOrder) -> Self {
         Self::with_base(buf, order, 0)
     }
 
     /// Create a reader whose first byte sits at stream offset `base`.
+    #[inline]
     pub fn with_base(buf: &'a [u8], order: ByteOrder, base: usize) -> Self {
         CdrReader {
             buf,
@@ -42,6 +44,7 @@ impl<'a> CdrReader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -52,6 +55,7 @@ impl<'a> CdrReader<'a> {
     }
 
     /// Error unless the reader consumed the whole buffer.
+    #[inline]
     pub fn expect_exhausted(&self) -> Result<(), CdrError> {
         if self.is_exhausted() {
             Ok(())
@@ -61,6 +65,7 @@ impl<'a> CdrReader<'a> {
     }
 
     /// Skip padding up to the given alignment.
+    #[inline]
     pub fn align(&mut self, align: usize) -> Result<(), CdrError> {
         debug_assert!(align.is_power_of_two() && align <= 8);
         let pos = self.position();
@@ -76,6 +81,7 @@ impl<'a> CdrReader<'a> {
         Ok(())
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CdrError> {
         if n > self.remaining() {
             return Err(CdrError::UnexpectedEof {
@@ -90,11 +96,13 @@ impl<'a> CdrReader<'a> {
     }
 
     /// Read `n` raw bytes with no alignment.
+    #[inline]
     pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], CdrError> {
         self.take(n)
     }
 
     /// CORBA `octet`.
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8, CdrError> {
         Ok(self.take(1)?[0])
     }
@@ -105,6 +113,7 @@ impl<'a> CdrReader<'a> {
     }
 
     /// CORBA `boolean`: strict, only 0 and 1 are accepted.
+    #[inline]
     pub fn read_bool(&mut self) -> Result<bool, CdrError> {
         match self.read_u8()? {
             0 => Ok(false),
@@ -129,6 +138,7 @@ impl<'a> CdrReader<'a> {
     }
 
     /// CORBA `unsigned long`.
+    #[inline]
     pub fn read_u32(&mut self) -> Result<u32, CdrError> {
         self.align(4)?;
         let b = self.take(4)?;
@@ -170,13 +180,16 @@ impl<'a> CdrReader<'a> {
         Ok(f64::from_bits(self.read_u64()?))
     }
 
-    /// CORBA `string` (length includes the terminating NUL).
-    pub fn read_string(&mut self) -> Result<String, CdrError> {
+    /// CORBA `string` (length includes the terminating NUL), borrowed from
+    /// the stream: the prefix is checked against the bytes left, then the
+    /// NUL terminator, then UTF-8.
+    #[inline]
+    pub fn read_str(&mut self) -> Result<&'a str, CdrError> {
         let len = self.read_u32()? as usize;
         if len == 0 {
             // CORBA strings are never zero-length on the wire (the NUL is
             // always counted) but some ORBs emit 0 for empty; accept it.
-            return Ok(String::new());
+            return Ok("");
         }
         if len > self.remaining() {
             return Err(CdrError::LengthOverrun {
@@ -189,11 +202,18 @@ impl<'a> CdrReader<'a> {
         if nul != [0] || body.contains(&0) {
             return Err(CdrError::BadString);
         }
-        String::from_utf8(body.to_vec()).map_err(|_| CdrError::InvalidUtf8)
+        std::str::from_utf8(body).map_err(|_| CdrError::InvalidUtf8)
     }
 
-    /// CORBA `sequence<octet>`.
-    pub fn read_octet_seq(&mut self) -> Result<Vec<u8>, CdrError> {
+    /// CORBA `string`, copied out: [`CdrReader::read_str`] plus the copy.
+    pub fn read_string(&mut self) -> Result<String, CdrError> {
+        self.read_str().map(str::to_owned)
+    }
+
+    /// CORBA `sequence<octet>`, borrowed from the stream; the length prefix
+    /// is checked against the bytes left.
+    #[inline]
+    pub fn read_octet_slice(&mut self) -> Result<&'a [u8], CdrError> {
         let len = self.read_u32()? as usize;
         if len > self.remaining() {
             return Err(CdrError::LengthOverrun {
@@ -201,11 +221,18 @@ impl<'a> CdrReader<'a> {
                 available: self.remaining(),
             });
         }
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
+    }
+
+    /// CORBA `sequence<octet>`, copied out: [`CdrReader::read_octet_slice`]
+    /// plus the copy.
+    pub fn read_octet_seq(&mut self) -> Result<Vec<u8>, CdrError> {
+        self.read_octet_slice().map(<[u8]>::to_vec)
     }
 
     /// Read a sequence length prefix, validating it against a per-element
     /// minimum size so corrupt prefixes cannot trigger huge allocations.
+    #[inline]
     pub fn read_seq_len(&mut self, min_elem_size: usize) -> Result<usize, CdrError> {
         let len = self.read_u32()? as usize;
         if len.saturating_mul(min_elem_size.max(1)) > self.remaining() {
@@ -270,6 +297,20 @@ mod tests {
             |w| w.write_string("object_key/α"),
             |r| assert_eq!(r.read_string().unwrap(), "object_key/α"),
         );
+    }
+
+    #[test]
+    fn borrowed_reads_point_into_the_stream() {
+        let mut w = CdrWriter::new(ByteOrder::Little);
+        w.write_string("op");
+        w.write_octet_seq(&[7, 8, 9]);
+        let bytes = w.into_bytes();
+        let mut r = CdrReader::new(&bytes, ByteOrder::Little);
+        let s = r.read_str().unwrap();
+        let o = r.read_octet_slice().unwrap();
+        assert_eq!((s, o), ("op", &[7u8, 8, 9][..]));
+        assert!(std::ptr::eq(o.as_ptr(), bytes[bytes.len() - 3..].as_ptr()));
+        assert!(r.is_exhausted());
     }
 
     #[test]

@@ -21,6 +21,7 @@ pub struct CdrWriter {
 
 impl CdrWriter {
     /// Create a writer starting at stream offset 0.
+    #[inline]
     pub fn new(order: ByteOrder) -> Self {
         Self::with_base(order, 0)
     }
@@ -28,6 +29,7 @@ impl CdrWriter {
     /// Create a writer whose first byte sits at stream offset `base`.
     ///
     /// Alignment is computed against `base + buf.len()`.
+    #[inline]
     pub fn with_base(order: ByteOrder, base: usize) -> Self {
         CdrWriter {
             buf: Vec::new(),
@@ -39,6 +41,7 @@ impl CdrWriter {
     /// Create a writer at stream offset 0 with `capacity` bytes
     /// pre-reserved, for callers that can bound the encoded size up front
     /// (no buffer growth during the encode).
+    #[inline]
     pub fn with_capacity(order: ByteOrder, capacity: usize) -> Self {
         CdrWriter {
             buf: Vec::with_capacity(capacity),
@@ -64,11 +67,13 @@ impl CdrWriter {
     }
 
     /// Current logical stream offset (where the next byte will land).
+    #[inline]
     pub fn position(&self) -> usize {
         self.base + self.buf.len()
     }
 
     /// Number of bytes written into this writer's own buffer.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -79,6 +84,7 @@ impl CdrWriter {
     }
 
     /// Consume the writer, returning the encoded bytes.
+    #[inline]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
@@ -91,6 +97,7 @@ impl CdrWriter {
     /// Insert padding so the next primitive of size `align` is naturally
     /// aligned. CDR pads with zero octets; their value is formally
     /// unspecified but zero keeps streams canonical and comparable.
+    #[inline]
     pub fn align(&mut self, align: usize) {
         debug_assert!(align.is_power_of_two() && align <= 8);
         let pos = self.position();
@@ -101,11 +108,13 @@ impl CdrWriter {
     }
 
     /// Append raw bytes with no alignment (octet sequences).
+    #[inline]
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// CORBA `octet`.
+    #[inline]
     pub fn write_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -116,6 +125,7 @@ impl CdrWriter {
     }
 
     /// CORBA `boolean`: one octet, 0 or 1.
+    #[inline]
     pub fn write_bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
@@ -135,6 +145,7 @@ impl CdrWriter {
     }
 
     /// CORBA `unsigned long`.
+    #[inline]
     pub fn write_u32(&mut self, v: u32) {
         self.align(4);
         match self.order {
@@ -174,6 +185,7 @@ impl CdrWriter {
 
     /// CORBA `string`: `unsigned long` length *including* the terminating
     /// NUL, then the octets, then the NUL.
+    #[inline]
     pub fn write_string(&mut self, s: &str) {
         self.write_u32(s.len() as u32 + 1);
         self.buf.extend_from_slice(s.as_bytes());
@@ -181,6 +193,7 @@ impl CdrWriter {
     }
 
     /// CORBA `sequence<octet>`: `unsigned long` count then raw octets.
+    #[inline]
     pub fn write_octet_seq(&mut self, bytes: &[u8]) {
         self.write_u32(bytes.len() as u32);
         self.buf.extend_from_slice(bytes);
@@ -203,6 +216,7 @@ impl CdrWriter {
     /// Overwrite 4 bytes at buffer index `at` (from [`reserve_u32`]) with `v`.
     ///
     /// [`reserve_u32`]: CdrWriter::reserve_u32
+    #[inline]
     pub fn patch_u32(&mut self, at: usize, v: u32) {
         let bytes = match self.order {
             ByteOrder::Big => v.to_be_bytes(),

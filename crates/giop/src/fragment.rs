@@ -10,8 +10,8 @@
 //! sender — but we key by sender to support many concurrent sources.
 
 use crate::header::{GiopHeader, GiopVersion, MsgType, GIOP_HEADER_LEN};
-use crate::message::GiopMessage;
 use crate::GiopError;
+use bytes::Bytes;
 use ftmp_cdr::{ByteOrder, CdrWriter};
 use std::collections::HashMap;
 
@@ -36,7 +36,7 @@ impl Fragmenter {
         self.max_datagram
     }
 
-    /// Split a fully-encoded GIOP message (from [`GiopMessage::encode`])
+    /// Split a fully-encoded GIOP message (from [`crate::GiopMessage::encode`])
     /// into one or more datagrams.
     ///
     /// Returns the original bytes untouched when they already fit.
@@ -81,21 +81,19 @@ impl Fragmenter {
 /// Per-sender reassembly of fragmented GIOP messages.
 ///
 /// `K` identifies the sender (FTMP uses the source processor id). Feed every
-/// datagram to [`push`]; complete messages come back decoded.
+/// datagram to [`push`]; complete messages come back as bytes, undecoded —
+/// the datagram itself when it was not fragmented, the reassembled message
+/// otherwise — for [`crate::GiopView::decode`] to read.
 ///
 /// [`push`]: FragmentAssembler::push
 #[derive(Debug)]
 pub struct FragmentAssembler<K: std::hash::Hash + Eq + Clone> {
-    pending: HashMap<K, Pending>,
+    /// Accumulated bytes per sender: the first fragment's header and the
+    /// body so far.
+    pending: HashMap<K, Vec<u8>>,
     /// Upper bound on a reassembled message, guarding memory against a
     /// malfunctioning sender that never clears its "more" flag.
     max_message: usize,
-}
-
-#[derive(Debug)]
-struct Pending {
-    /// Accumulated bytes: original header + body so far.
-    buf: Vec<u8>,
 }
 
 impl<K: std::hash::Hash + Eq + Clone> FragmentAssembler<K> {
@@ -114,73 +112,62 @@ impl<K: std::hash::Hash + Eq + Clone> FragmentAssembler<K> {
 
     /// Feed one datagram from `sender`. Returns `Ok(Some(message))` when the
     /// datagram completes a message (fragmented or not), `Ok(None)` while
-    /// more fragments are needed.
-    pub fn push(&mut self, sender: K, datagram: &[u8]) -> Result<Option<GiopMessage>, GiopError> {
-        let (hdr, body) = GiopHeader::decode(datagram)?;
-        match (hdr.msg_type, self.pending.contains_key(&sender)) {
-            (MsgType::Fragment, false) => Err(GiopError::OrphanFragment(0)),
-            (MsgType::Fragment, true) => {
-                let done = {
-                    let p = self.pending.get_mut(&sender).expect("checked");
-                    if p.buf.len() + body.len() > self.max_message {
-                        let limit = self.max_message;
-                        self.pending.remove(&sender);
-                        return Err(GiopError::FragmentOverflow {
-                            request_id: 0,
-                            limit,
-                        });
-                    }
-                    p.buf.extend_from_slice(body);
-                    !hdr.more_fragments
-                };
-                if done {
-                    let p = self.pending.remove(&sender).expect("checked");
-                    Ok(Some(Self::finish(p.buf)?))
-                } else {
-                    Ok(None)
-                }
+    /// more fragments are needed. Only the fixed header is read here, and
+    /// it must declare exactly the datagram's length.
+    pub fn push(&mut self, sender: K, datagram: Bytes) -> Result<Option<Bytes>, GiopError> {
+        let (hdr, body) = GiopHeader::decode(&datagram)?;
+        let fragment = hdr.msg_type == MsgType::Fragment;
+        if !fragment && !hdr.more_fragments {
+            // A whole message: nobody's partial state is touched unless
+            // this sender has some, which a new message abandons (the
+            // source-ordered channel means a conforming sender never
+            // leaves one).
+            if !self.pending.is_empty() {
+                self.pending.remove(&sender);
             }
-            (_, pending) => {
-                if pending {
-                    // A new message started while another was incomplete:
-                    // the source-ordered channel guarantees this cannot
-                    // happen with a conforming sender; drop the stale state.
-                    self.pending.remove(&sender);
-                }
-                if hdr.more_fragments {
-                    if datagram.len() > self.max_message {
-                        return Err(GiopError::FragmentOverflow {
-                            request_id: 0,
-                            limit: self.max_message,
-                        });
-                    }
-                    self.pending.insert(
-                        sender,
-                        Pending {
-                            buf: datagram.to_vec(),
-                        },
-                    );
-                    Ok(None)
-                } else {
-                    Ok(Some(GiopMessage::decode(datagram)?))
-                }
-            }
+            return Ok(Some(datagram));
         }
+        if !fragment {
+            // The first fragment of a message.
+            self.pending.remove(&sender);
+            if datagram.len() > self.max_message {
+                return Err(GiopError::FragmentOverflow {
+                    request_id: 0,
+                    limit: self.max_message,
+                });
+            }
+            self.pending.insert(sender, datagram.to_vec());
+            return Ok(None);
+        }
+        let Some(mut buf) = self.pending.remove(&sender) else {
+            return Err(GiopError::OrphanFragment(0));
+        };
+        if buf.len() + body.len() > self.max_message {
+            return Err(GiopError::FragmentOverflow {
+                request_id: 0,
+                limit: self.max_message,
+            });
+        }
+        buf.extend_from_slice(body);
+        if hdr.more_fragments {
+            self.pending.insert(sender, buf);
+            return Ok(None);
+        }
+        Self::finish(&mut buf);
+        Ok(Some(Bytes::from(buf)))
     }
 
-    /// Rewrite the accumulated bytes into a well-formed unfragmented message
-    /// and decode it.
-    fn finish(mut buf: Vec<u8>) -> Result<GiopMessage, GiopError> {
+    /// Rewrite the accumulated bytes' header into an unfragmented
+    /// message's: the more-fragments flag cleared, the final size patched.
+    fn finish(buf: &mut [u8]) {
         let size = (buf.len() - GIOP_HEADER_LEN) as u32;
         let order = ByteOrder::from_flag(buf[6] & 0x01 != 0);
-        // Clear the more-fragments flag and patch the final size.
         buf[6] &= !0x02;
         let size_bytes = match order {
             ByteOrder::Big => size.to_be_bytes(),
             ByteOrder::Little => size.to_le_bytes(),
         };
         buf[8..12].copy_from_slice(&size_bytes);
-        GiopMessage::decode(&buf)
     }
 
     /// Drop any partial state for `sender` (e.g. it left the group).
@@ -192,8 +179,21 @@ impl<K: std::hash::Hash + Eq + Clone> FragmentAssembler<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::GiopMessage;
     use crate::request::RequestHeader;
     use proptest::prelude::*;
+
+    /// Push `datagram` and decode what completes.
+    fn feed<K: std::hash::Hash + Eq + Clone>(
+        asm: &mut FragmentAssembler<K>,
+        sender: K,
+        datagram: &[u8],
+    ) -> Result<Option<GiopMessage>, GiopError> {
+        Ok(match asm.push(sender, Bytes::copy_from_slice(datagram))? {
+            Some(bytes) => Some(GiopMessage::decode(&bytes)?),
+            None => None,
+        })
+    }
 
     fn big_request(body_len: usize) -> GiopMessage {
         GiopMessage::Request {
@@ -217,7 +217,42 @@ mod tests {
         assert_eq!(frags.len(), 1);
         assert_eq!(frags[0], encoded);
         let mut asm = FragmentAssembler::new(1 << 20);
-        assert_eq!(asm.push(1u32, &frags[0]).unwrap(), Some(msg));
+        assert_eq!(feed(&mut asm, 1u32, &frags[0]).unwrap(), Some(msg));
+        // The datagram itself comes back, not a copy.
+        let datagram = Bytes::from(encoded);
+        let out = asm.push(1u32, datagram.clone()).unwrap().unwrap();
+        assert_eq!(out.as_ptr(), datagram.as_ptr());
+        assert_eq!(asm.pending_senders(), 0);
+    }
+
+    /// A first fragment longer than its header declares is refused, so its
+    /// trailing octets never reach the reassembled body; the fragments
+    /// after it are orphans.
+    #[test]
+    fn a_first_fragment_with_trailing_bytes_is_refused() {
+        let msg = big_request(200);
+        let frags = Fragmenter::new(64)
+            .split(&msg.encode(ByteOrder::Big))
+            .unwrap();
+        let mut asm = FragmentAssembler::new(1 << 20);
+        let mut first = frags[0].clone();
+        first.extend([0xEE; 5]);
+        assert!(matches!(
+            feed(&mut asm, 1u32, &first),
+            Err(GiopError::SizeMismatch { .. })
+        ));
+        for f in &frags[1..] {
+            assert!(matches!(
+                feed(&mut asm, 1u32, f),
+                Err(GiopError::OrphanFragment(_))
+            ));
+        }
+        // The same datagrams without the junk reassemble exactly.
+        let mut out = None;
+        for f in &frags {
+            out = feed(&mut asm, 1u32, f).unwrap().or(out);
+        }
+        assert_eq!(out, Some(msg));
     }
 
     #[test]
@@ -233,7 +268,7 @@ mod tests {
             let mut asm = FragmentAssembler::new(1 << 20);
             let mut result = None;
             for f in &frags {
-                if let Some(m) = asm.push(7u32, f).unwrap() {
+                if let Some(m) = feed(&mut asm, 7u32, f).unwrap() {
                     result = Some(m);
                 }
             }
@@ -251,7 +286,7 @@ mod tests {
         let mut asm = FragmentAssembler::new(1 << 20);
         // Skip the first datagram; the second is an orphan Fragment.
         assert!(matches!(
-            asm.push(1u32, &frags[1]),
+            feed(&mut asm, 1u32, &frags[1]),
             Err(GiopError::OrphanFragment(_))
         ));
     }
@@ -265,7 +300,7 @@ mod tests {
         let mut asm = FragmentAssembler::new(1000);
         let mut saw_overflow = false;
         for f in &frags {
-            match asm.push(1u32, f) {
+            match feed(&mut asm, 1u32, f) {
                 Err(GiopError::FragmentOverflow { .. }) => {
                     saw_overflow = true;
                     break;
@@ -295,13 +330,13 @@ mod tests {
         loop {
             let mut progressed = false;
             if let Some(f) = i1.next() {
-                if let Some(m) = asm.push(1u32, f).unwrap() {
+                if let Some(m) = feed(&mut asm, 1u32, f).unwrap() {
                     done.push(m);
                 }
                 progressed = true;
             }
             if let Some(f) = i2.next() {
-                if let Some(m) = asm.push(2u32, f).unwrap() {
+                if let Some(m) = feed(&mut asm, 2u32, f).unwrap() {
                     done.push(m);
                 }
                 progressed = true;
@@ -321,7 +356,7 @@ mod tests {
             .split(&msg.encode(ByteOrder::Big))
             .unwrap();
         let mut asm = FragmentAssembler::new(1 << 20);
-        asm.push(1u32, &frags[0]).unwrap();
+        feed(&mut asm, 1u32, &frags[0]).unwrap();
         assert_eq!(asm.pending_senders(), 1);
         asm.forget(&1u32);
         assert_eq!(asm.pending_senders(), 0);
@@ -342,7 +377,7 @@ mod tests {
             let mut out = None;
             for f in &frags {
                 prop_assert!(f.len() <= budget.max(GIOP_HEADER_LEN + 4));
-                if let Some(m) = asm.push(0u8, f).unwrap() {
+                if let Some(m) = feed(&mut asm, 0u8, f).unwrap() {
                     out = Some(m);
                 }
             }

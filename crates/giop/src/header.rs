@@ -1,7 +1,7 @@
 //! The fixed 12-byte GIOP message header.
 
 use crate::GiopError;
-use ftmp_cdr::{ByteOrder, CdrReader, CdrWriter};
+use ftmp_cdr::{ByteOrder, CdrWriter};
 
 /// The four magic octets opening every GIOP message.
 pub const GIOP_MAGIC: [u8; 4] = *b"GIOP";
@@ -54,6 +54,7 @@ pub enum MsgType {
 
 impl MsgType {
     /// Decode a message-type octet.
+    #[inline]
     pub fn from_u8(v: u8) -> Result<Self, GiopError> {
         Ok(match v {
             0 => MsgType::Request,
@@ -131,8 +132,12 @@ impl GiopHeader {
         w.write_u32(self.size);
     }
 
-    /// Decode from the front of `bytes`; returns the header and the body
-    /// slice (exactly `size` bytes).
+    /// Decode a whole message's header; returns it and the body slice.
+    /// `bytes` must be exactly one message: the header's `size` must equal
+    /// the bytes after it, or the decode fails with
+    /// [`GiopError::SizeMismatch`] — a body cut short cannot be read, and
+    /// trailing octets are not carried along into a log or a reassembly.
+    #[inline]
     pub fn decode(bytes: &[u8]) -> Result<(GiopHeader, &[u8]), GiopError> {
         if bytes.len() < GIOP_HEADER_LEN {
             return Err(GiopError::Cdr(ftmp_cdr::CdrError::UnexpectedEof {
@@ -153,10 +158,13 @@ impl GiopHeader {
         let order = ByteOrder::from_flag(flags & 0x01 != 0);
         let more_fragments = flags & 0x02 != 0;
         let msg_type = MsgType::from_u8(bytes[7])?;
-        let mut r = CdrReader::with_base(&bytes[8..12], order, 8);
-        let size = r.read_u32().map_err(GiopError::Cdr)?;
+        let size = [bytes[8], bytes[9], bytes[10], bytes[11]];
+        let size = match order {
+            ByteOrder::Big => u32::from_be_bytes(size),
+            ByteOrder::Little => u32::from_le_bytes(size),
+        };
         let body = &bytes[GIOP_HEADER_LEN..];
-        if body.len() < size as usize {
+        if body.len() != size as usize {
             return Err(GiopError::SizeMismatch {
                 declared: size,
                 actual: body.len(),
@@ -170,7 +178,7 @@ impl GiopHeader {
                 msg_type,
                 size,
             },
-            &body[..size as usize],
+            body,
         ))
     }
 }
@@ -231,6 +239,27 @@ mod tests {
                 actual: 0
             }
         ));
+    }
+
+    /// A datagram longer than its header declares is refused, not cut to
+    /// size: the trailing octets would otherwise ride into the log.
+    #[test]
+    fn trailing_bytes_rejected() {
+        for order in [ByteOrder::Big, ByteOrder::Little] {
+            let mut w = CdrWriter::new(order);
+            GiopHeader::new(MsgType::Request, order, 4).encode(&mut w);
+            let mut bytes = w.into_bytes();
+            bytes.extend([0u8; 4]);
+            assert!(GiopHeader::decode(&bytes).is_ok());
+            bytes.push(0xEE);
+            assert_eq!(
+                GiopHeader::decode(&bytes).unwrap_err(),
+                GiopError::SizeMismatch {
+                    declared: 4,
+                    actual: 5
+                }
+            );
+        }
     }
 
     #[test]

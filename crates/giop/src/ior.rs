@@ -140,10 +140,15 @@ impl CdrEncode for Ior {
 
 impl CdrDecode for Ior {
     fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(Ior {
-            type_id: r.read_string()?,
-            profiles: Vec::<TaggedProfile>::decode(r)?,
-        })
+        let type_id = r.read_string()?;
+        // A profile is at least eight octets (its tag and its data's
+        // length): the count is held to that before anything is reserved.
+        let count = r.read_seq_len(8)?;
+        let mut profiles = Vec::with_capacity(count);
+        for _ in 0..count {
+            profiles.push(TaggedProfile::decode(r)?);
+        }
+        Ok(Ior { type_id, profiles })
     }
 }
 

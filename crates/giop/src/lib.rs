@@ -19,6 +19,7 @@ pub mod header;
 pub mod ior;
 pub mod message;
 pub mod request;
+pub mod view;
 
 pub use fragment::{FragmentAssembler, Fragmenter};
 pub use header::{GiopHeader, GiopVersion, MsgType, GIOP_HEADER_LEN, GIOP_MAGIC};
@@ -28,6 +29,7 @@ pub use request::{
     LocateReplyHeader, LocateRequestHeader, LocateStatus, ReplyHeader, ReplyStatus, RequestHeader,
     ServiceContext,
 };
+pub use view::{GiopView, ReplyView, RequestView, ServiceContexts};
 
 use std::fmt;
 

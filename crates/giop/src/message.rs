@@ -1,12 +1,10 @@
 //! Whole-message GIOP encode/decode.
 
-use crate::header::{GiopHeader, MsgType, GIOP_HEADER_LEN};
-use crate::request::{
-    decode_exact, CancelRequestHeader, LocateReplyHeader, LocateRequestHeader, ReplyHeader,
-    RequestHeader,
-};
+use crate::header::MsgType;
+use crate::request::{LocateReplyHeader, LocateRequestHeader, ReplyHeader, RequestHeader};
+use crate::view::{GiopView, ReplyView, RequestView, ServiceContexts};
 use crate::GiopError;
-use ftmp_cdr::{ByteOrder, CdrEncode, CdrWriter};
+use ftmp_cdr::ByteOrder;
 
 /// A complete GIOP message: typed header plus opaque CDR body octets.
 ///
@@ -61,16 +59,7 @@ pub enum GiopMessage {
 impl GiopMessage {
     /// The wire message type of this message.
     pub fn msg_type(&self) -> MsgType {
-        match self {
-            GiopMessage::Request { .. } => MsgType::Request,
-            GiopMessage::Reply { .. } => MsgType::Reply,
-            GiopMessage::CancelRequest { .. } => MsgType::CancelRequest,
-            GiopMessage::LocateRequest(_) => MsgType::LocateRequest,
-            GiopMessage::LocateReply { .. } => MsgType::LocateReply,
-            GiopMessage::CloseConnection => MsgType::CloseConnection,
-            GiopMessage::MessageError => MsgType::MessageError,
-            GiopMessage::Fragment { .. } => MsgType::Fragment,
-        }
+        self.as_view().msg_type()
     }
 
     /// The request id carried by this message, if its type has one.
@@ -85,107 +74,62 @@ impl GiopMessage {
         }
     }
 
-    /// Encode this message as a complete GIOP stream (12-byte header + body)
-    /// in the given byte order.
-    pub fn encode(&self, order: ByteOrder) -> Vec<u8> {
-        let mut w = CdrWriter::new(order);
-        let mut hdr = GiopHeader::new(self.msg_type(), order, 0);
-        if let GiopMessage::Fragment { more, .. } = self {
-            hdr.version = crate::header::GiopVersion::V1_1;
-            hdr.more_fragments = *more;
-        }
-        hdr.encode(&mut w);
-        debug_assert_eq!(w.len(), GIOP_HEADER_LEN);
+    /// This message as a [`GiopView`] borrowing its fields.
+    pub fn as_view(&self) -> GiopView<'_> {
         match self {
-            GiopMessage::Request { header, body } => {
-                header.encode(&mut w);
-                w.write_bytes(body);
-            }
-            GiopMessage::Reply { header, body } => {
-                header.encode(&mut w);
-                w.write_bytes(body);
-            }
-            GiopMessage::CancelRequest { request_id } => {
-                CancelRequestHeader {
-                    request_id: *request_id,
-                }
-                .encode(&mut w);
-            }
-            GiopMessage::LocateRequest(h) => h.encode(&mut w),
-            GiopMessage::LocateReply { header, body } => {
-                header.encode(&mut w);
-                w.write_bytes(body);
-            }
-            GiopMessage::CloseConnection | GiopMessage::MessageError => {}
-            GiopMessage::Fragment { body, .. } => w.write_bytes(body),
+            GiopMessage::Request { header: h, body } => GiopView::Request {
+                header: RequestView {
+                    service_context: ServiceContexts::Owned(&h.service_context),
+                    request_id: h.request_id,
+                    response_expected: h.response_expected,
+                    object_key: &h.object_key,
+                    operation: &h.operation,
+                    requesting_principal: &h.requesting_principal,
+                },
+                body,
+            },
+            GiopMessage::Reply { header: h, body } => GiopView::Reply {
+                header: ReplyView {
+                    service_context: ServiceContexts::Owned(&h.service_context),
+                    request_id: h.request_id,
+                    reply_status: h.reply_status,
+                },
+                body,
+            },
+            GiopMessage::CancelRequest { request_id } => GiopView::CancelRequest {
+                request_id: *request_id,
+            },
+            GiopMessage::LocateRequest(h) => GiopView::LocateRequest {
+                request_id: h.request_id,
+                object_key: &h.object_key,
+            },
+            GiopMessage::LocateReply { header, body } => GiopView::LocateReply {
+                header: *header,
+                body,
+            },
+            GiopMessage::CloseConnection => GiopView::CloseConnection,
+            GiopMessage::MessageError => GiopView::MessageError,
+            GiopMessage::Fragment { body, more } => GiopView::Fragment { body, more: *more },
         }
-        let size = (w.len() - GIOP_HEADER_LEN) as u32;
-        w.patch_u32(8, size);
-        w.into_bytes()
     }
 
-    /// Decode a complete GIOP message from `bytes`.
-    ///
-    /// Bodies are split from their typed headers by decoding the header with
-    /// a base-offset reader and taking the rest of the declared size as the
-    /// body.
+    /// Encode this message as a complete GIOP stream (12-byte header + body)
+    /// in the given byte order: [`GiopView::encode`] on [`Self::as_view`].
+    pub fn encode(&self, order: ByteOrder) -> Vec<u8> {
+        self.as_view().encode(order)
+    }
+
+    /// Decode a complete GIOP message from `bytes`: [`GiopView::decode`],
+    /// then [`GiopView::to_owned`].
     pub fn decode(bytes: &[u8]) -> Result<GiopMessage, GiopError> {
-        let (hdr, body) = GiopHeader::decode(bytes)?;
-        let order = hdr.order;
-        let split = |consumed: usize| -> Vec<u8> { body[consumed..].to_vec() };
-        Ok(match hdr.msg_type {
-            MsgType::Request => {
-                let mut r = ftmp_cdr::CdrReader::with_base(body, order, GIOP_HEADER_LEN);
-                let header = <RequestHeader as ftmp_cdr::CdrDecode>::decode(&mut r)
-                    .map_err(GiopError::Cdr)?;
-                let consumed = r.position() - GIOP_HEADER_LEN;
-                GiopMessage::Request {
-                    header,
-                    body: split(consumed),
-                }
-            }
-            MsgType::Reply => {
-                let mut r = ftmp_cdr::CdrReader::with_base(body, order, GIOP_HEADER_LEN);
-                let header =
-                    <ReplyHeader as ftmp_cdr::CdrDecode>::decode(&mut r).map_err(GiopError::Cdr)?;
-                let consumed = r.position() - GIOP_HEADER_LEN;
-                GiopMessage::Reply {
-                    header,
-                    body: split(consumed),
-                }
-            }
-            MsgType::CancelRequest => {
-                let h: CancelRequestHeader = decode_exact(body, order, GIOP_HEADER_LEN)?;
-                GiopMessage::CancelRequest {
-                    request_id: h.request_id,
-                }
-            }
-            MsgType::LocateRequest => {
-                GiopMessage::LocateRequest(decode_exact(body, order, GIOP_HEADER_LEN)?)
-            }
-            MsgType::LocateReply => {
-                let mut r = ftmp_cdr::CdrReader::with_base(body, order, GIOP_HEADER_LEN);
-                let header = <LocateReplyHeader as ftmp_cdr::CdrDecode>::decode(&mut r)
-                    .map_err(GiopError::Cdr)?;
-                let consumed = r.position() - GIOP_HEADER_LEN;
-                GiopMessage::LocateReply {
-                    header,
-                    body: split(consumed),
-                }
-            }
-            MsgType::CloseConnection => GiopMessage::CloseConnection,
-            MsgType::MessageError => GiopMessage::MessageError,
-            MsgType::Fragment => GiopMessage::Fragment {
-                body: body.to_vec(),
-                more: hdr.more_fragments,
-            },
-        })
+        GiopView::decode(bytes).map(|v| v.to_owned())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::{GiopHeader, GIOP_HEADER_LEN};
     use crate::request::{ReplyStatus, ServiceContext};
     use proptest::prelude::*;
 

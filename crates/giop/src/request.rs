@@ -1,6 +1,8 @@
-//! Message-type-specific GIOP headers (Request, Reply, Locate*, …).
+//! Message-type-specific GIOP headers (Request, Reply, Locate*, …), owned.
+//!
+//! These are the fields of a [`crate::GiopMessage`]; the wire form is read
+//! and written by [`crate::GiopView`], the crate's one codec.
 
-use crate::GiopError;
 use ftmp_cdr::{CdrDecode, CdrEncode, CdrError, CdrReader, CdrWriter};
 
 /// One entry of a GIOP service context list.
@@ -18,22 +20,6 @@ pub struct ServiceContext {
     pub context_data: Vec<u8>,
 }
 
-impl CdrEncode for ServiceContext {
-    fn encode(&self, w: &mut CdrWriter) {
-        w.write_u32(self.context_id);
-        w.write_octet_seq(&self.context_data);
-    }
-}
-
-impl CdrDecode for ServiceContext {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(ServiceContext {
-            context_id: r.read_u32()?,
-            context_data: r.read_octet_seq()?,
-        })
-    }
-}
-
 /// GIOP 1.0 Request header (CORBA 2.2 §13.4.2).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RequestHeader {
@@ -49,30 +35,6 @@ pub struct RequestHeader {
     pub operation: String,
     /// Requesting principal (deprecated in later CORBA; kept for 1.0 layout).
     pub requesting_principal: Vec<u8>,
-}
-
-impl CdrEncode for RequestHeader {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.service_context.encode(w);
-        w.write_u32(self.request_id);
-        w.write_bool(self.response_expected);
-        w.write_octet_seq(&self.object_key);
-        w.write_string(&self.operation);
-        w.write_octet_seq(&self.requesting_principal);
-    }
-}
-
-impl CdrDecode for RequestHeader {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(RequestHeader {
-            service_context: Vec::<ServiceContext>::decode(r)?,
-            request_id: r.read_u32()?,
-            response_expected: r.read_bool()?,
-            object_key: r.read_octet_seq()?,
-            operation: r.read_string()?,
-            requesting_principal: r.read_octet_seq()?,
-        })
-    }
 }
 
 /// Reply outcome (CORBA 2.2 §13.4.3).
@@ -130,24 +92,6 @@ pub struct ReplyHeader {
     pub reply_status: ReplyStatus,
 }
 
-impl CdrEncode for ReplyHeader {
-    fn encode(&self, w: &mut CdrWriter) {
-        self.service_context.encode(w);
-        w.write_u32(self.request_id);
-        self.reply_status.encode(w);
-    }
-}
-
-impl CdrDecode for ReplyHeader {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(ReplyHeader {
-            service_context: Vec::<ServiceContext>::decode(r)?,
-            request_id: r.read_u32()?,
-            reply_status: ReplyStatus::decode(r)?,
-        })
-    }
-}
-
 /// LocateRequest header: "where does this object live?".
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LocateRequestHeader {
@@ -155,22 +99,6 @@ pub struct LocateRequestHeader {
     pub request_id: u32,
     /// Object key being located.
     pub object_key: Vec<u8>,
-}
-
-impl CdrEncode for LocateRequestHeader {
-    fn encode(&self, w: &mut CdrWriter) {
-        w.write_u32(self.request_id);
-        w.write_octet_seq(&self.object_key);
-    }
-}
-
-impl CdrDecode for LocateRequestHeader {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(LocateRequestHeader {
-            request_id: r.read_u32()?,
-            object_key: r.read_octet_seq()?,
-        })
-    }
 }
 
 /// LocateReply status.
@@ -215,7 +143,7 @@ impl CdrDecode for LocateStatus {
 }
 
 /// LocateReply header.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LocateReplyHeader {
     /// Matches the LocateRequest's id.
     pub request_id: u32,
@@ -223,118 +151,10 @@ pub struct LocateReplyHeader {
     pub locate_status: LocateStatus,
 }
 
-impl CdrEncode for LocateReplyHeader {
-    fn encode(&self, w: &mut CdrWriter) {
-        w.write_u32(self.request_id);
-        self.locate_status.encode(w);
-    }
-}
-
-impl CdrDecode for LocateReplyHeader {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(LocateReplyHeader {
-            request_id: r.read_u32()?,
-            locate_status: LocateStatus::decode(r)?,
-        })
-    }
-}
-
-/// CancelRequest header: just the request id being cancelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CancelRequestHeader {
-    /// The request id the client abandons.
-    pub request_id: u32,
-}
-
-impl CdrEncode for CancelRequestHeader {
-    fn encode(&self, w: &mut CdrWriter) {
-        w.write_u32(self.request_id);
-    }
-}
-
-impl CdrDecode for CancelRequestHeader {
-    fn decode(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        Ok(CancelRequestHeader {
-            request_id: r.read_u32()?,
-        })
-    }
-}
-
-/// Convenience: decode a header type expecting it to consume the buffer.
-pub fn decode_exact<T: CdrDecode>(
-    bytes: &[u8],
-    order: ftmp_cdr::ByteOrder,
-    base: usize,
-) -> Result<T, GiopError> {
-    let mut r = CdrReader::with_base(bytes, order, base);
-    let v = T::decode(&mut r)?;
-    r.expect_exhausted()?;
-    Ok(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftmp_cdr::{from_bytes, to_bytes, ByteOrder};
-    use proptest::prelude::*;
-
-    fn sample_request() -> RequestHeader {
-        RequestHeader {
-            service_context: vec![ServiceContext {
-                context_id: 0x4654_0001, // "FT\0\1"
-                context_data: vec![1, 2, 3],
-            }],
-            request_id: 77,
-            response_expected: true,
-            object_key: b"bank/account/42".to_vec(),
-            operation: "deposit".into(),
-            requesting_principal: vec![],
-        }
-    }
-
-    #[test]
-    fn request_header_round_trip() {
-        for order in [ByteOrder::Big, ByteOrder::Little] {
-            let h = sample_request();
-            let bytes = to_bytes(&h, order);
-            let back: RequestHeader = from_bytes(&bytes, order).unwrap();
-            assert_eq!(back, h);
-        }
-    }
-
-    #[test]
-    fn reply_header_round_trip() {
-        let h = ReplyHeader {
-            service_context: vec![],
-            request_id: 77,
-            reply_status: ReplyStatus::UserException,
-        };
-        let bytes = to_bytes(&h, ByteOrder::Big);
-        let back: ReplyHeader = from_bytes(&bytes, ByteOrder::Big).unwrap();
-        assert_eq!(back, h);
-    }
-
-    #[test]
-    fn locate_round_trips() {
-        let lr = LocateRequestHeader {
-            request_id: 9,
-            object_key: vec![0xAB; 7],
-        };
-        let bytes = to_bytes(&lr, ByteOrder::Little);
-        assert_eq!(
-            from_bytes::<LocateRequestHeader>(&bytes, ByteOrder::Little).unwrap(),
-            lr
-        );
-        let lp = LocateReplyHeader {
-            request_id: 9,
-            locate_status: LocateStatus::ObjectForward,
-        };
-        let bytes = to_bytes(&lp, ByteOrder::Big);
-        assert_eq!(
-            from_bytes::<LocateReplyHeader>(&bytes, ByteOrder::Big).unwrap(),
-            lp
-        );
-    }
 
     #[test]
     fn bad_reply_status_rejected() {
@@ -352,48 +172,5 @@ mod tests {
     fn bad_locate_status_rejected() {
         let bytes = to_bytes(&3u32, ByteOrder::Big);
         assert!(from_bytes::<LocateStatus>(&bytes, ByteOrder::Big).is_err());
-    }
-
-    #[test]
-    fn decode_exact_rejects_trailing() {
-        let h = CancelRequestHeader { request_id: 5 };
-        let mut bytes = to_bytes(&h, ByteOrder::Big);
-        bytes.push(0);
-        assert!(decode_exact::<CancelRequestHeader>(&bytes, ByteOrder::Big, 0).is_err());
-    }
-
-    proptest! {
-        #[test]
-        fn prop_request_header_round_trip(
-            request_id: u32,
-            response_expected: bool,
-            object_key in proptest::collection::vec(any::<u8>(), 0..32),
-            operation in "[a-zA-Z_][a-zA-Z0-9_]{0,24}",
-            little: bool,
-        ) {
-            let order = ByteOrder::from_flag(little);
-            let h = RequestHeader {
-                service_context: vec![],
-                request_id,
-                response_expected,
-                object_key,
-                operation,
-                requesting_principal: vec![],
-            };
-            let bytes = to_bytes(&h, order);
-            prop_assert_eq!(from_bytes::<RequestHeader>(&bytes, order).unwrap(), h);
-        }
-
-        #[test]
-        fn prop_service_context_round_trip(
-            id: u32,
-            data in proptest::collection::vec(any::<u8>(), 0..64),
-            little: bool,
-        ) {
-            let order = ByteOrder::from_flag(little);
-            let sc = ServiceContext { context_id: id, context_data: data };
-            let bytes = to_bytes(&sc, order);
-            prop_assert_eq!(from_bytes::<ServiceContext>(&bytes, order).unwrap(), sc);
-        }
     }
 }

@@ -67,6 +67,12 @@ impl DuplicateDetector {
     /// Record `num`. Returns `true` the first time (process it) and `false`
     /// for every duplicate (suppress it).
     pub fn first_sighting(&mut self, num: RequestNum) -> bool {
+        if self.above.is_empty() && Some(num.0) == self.watermark.checked_add(1) {
+            // The next number in order with nothing above the watermark:
+            // the common case, and no residue to insert into or absorb.
+            self.watermark = num.0;
+            return true;
+        }
         if self.seen(num) {
             self.suppressed += 1;
             return false;
@@ -249,7 +255,99 @@ mod tests {
         assert_eq!((replica.suppressed, replica.evictions), (1, 0));
     }
 
+    /// The detector before its in-order fast path, kept as the model: every
+    /// first sighting goes into a plain set, the run above the watermark is
+    /// absorbed, and the smallest numbers are evicted past the cap.
+    #[derive(Clone)]
+    struct SetModel {
+        watermark: u64,
+        above: BTreeSet<u64>,
+        cap: usize,
+        suppressed: u64,
+        evictions: u64,
+    }
+
+    impl SetModel {
+        fn first_sighting(&mut self, n: u64) -> bool {
+            if n <= self.watermark || self.above.contains(&n) {
+                self.suppressed += 1;
+                return false;
+            }
+            self.above.insert(n);
+            self.absorb();
+            while self.above.len() > self.cap {
+                self.watermark = self.above.pop_first().unwrap();
+                self.evictions += 1;
+                self.absorb();
+            }
+            true
+        }
+
+        fn absorb(&mut self) {
+            while self.above.remove(&(self.watermark + 1)) {
+                self.watermark += 1;
+            }
+        }
+    }
+
     proptest! {
+        /// The detector against the set model on sequences that run in
+        /// order, skip ahead, repeat recent numbers and overflow the cap,
+        /// with checkpoint copies taken and adopted in between: the same
+        /// answers, watermark, residue, and counts after every step.
+        #[test]
+        fn prop_detector_matches_the_set_model(
+            ops in proptest::collection::vec((0u8..12, 0u64..6), 0..400),
+            cap in 1usize..8,
+        ) {
+            let mut d = DuplicateDetector::with_residue_cap(cap);
+            let mut m = SetModel {
+                watermark: 0,
+                above: BTreeSet::new(),
+                cap,
+                suppressed: 0,
+                evictions: 0,
+            };
+            let mut cursor = 0u64;
+            let mut saved: Option<(DuplicateDetector, SetModel)> = None;
+            for (kind, arg) in ops {
+                let n = match kind {
+                    0..=6 => {
+                        cursor += 1;
+                        Some(cursor)
+                    }
+                    7 => {
+                        cursor += 2 + arg;
+                        Some(cursor)
+                    }
+                    8 | 9 => Some(cursor.saturating_sub(arg).max(1)),
+                    10 => {
+                        let copy = d.seen_copy();
+                        prop_assert_eq!((copy.suppressed, copy.evictions), (0, 0));
+                        saved = Some((copy, m.clone()));
+                        None
+                    }
+                    _ => {
+                        if let Some((copy, at)) = &saved {
+                            d.adopt(copy);
+                            m.watermark = at.watermark;
+                            m.above.clone_from(&at.above);
+                        }
+                        None
+                    }
+                };
+                if let Some(n) = n {
+                    prop_assert_eq!(d.first_sighting(RequestNum(n)), m.first_sighting(n));
+                }
+                prop_assert_eq!(d.watermark, m.watermark);
+                prop_assert_eq!(d.window_size(), m.above.len());
+                prop_assert_eq!((d.suppressed, d.evictions), (m.suppressed, m.evictions));
+            }
+            prop_assert_eq!(d.watermark, m.watermark);
+            prop_assert_eq!(&d.above, &m.above);
+            prop_assert_eq!((d.suppressed, d.evictions), (m.suppressed, m.evictions));
+        }
+
         /// Exactly one sighting per distinct number, however arrivals repeat
         /// and interleave.
         #[test]

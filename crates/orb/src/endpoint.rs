@@ -37,11 +37,14 @@ pub enum InvocationResult {
 }
 
 impl InvocationResult {
-    /// The outcome a reply-class message carries; `None` for the rest.
-    fn of_reply(msg: Inbound) -> Option<Self> {
+    /// The outcome a reply-class message carries, copied out of it; `None`
+    /// for the rest.
+    fn of_reply(msg: Inbound<'_>) -> Option<Self> {
         match msg {
-            Inbound::Reply { result } => Some(InvocationResult::Ok(result)),
-            Inbound::ExceptionReply { repo_id } => Some(InvocationResult::Exception(repo_id)),
+            Inbound::Reply { result } => Some(InvocationResult::Ok(result.to_vec())),
+            Inbound::ExceptionReply { repo_id } => {
+                Some(InvocationResult::Exception(repo_id.to_owned()))
+            }
             Inbound::LocateReply { status } => Some(InvocationResult::Located {
                 here: status == ftmp_giop::LocateStatus::ObjectHere,
             }),
@@ -365,7 +368,7 @@ impl OrbEndpoint {
             Some(servant),
         ) = (giop_map::parse(&e.giop), self.servants.get_mut(&og))
         {
-            let _ = servant.invoke(&operation, &args);
+            let _ = servant.invoke(operation, args);
         }
         self.log.append(conn, e);
     }
@@ -443,113 +446,116 @@ impl OrbEndpoint {
     }
 
     fn dispatch(&mut self, d: &Delivery) {
-        let (parsed, log_bytes) = match self.assembler.push((d.conn, d.source), &d.giop) {
-            Ok(Some(msg)) => {
-                // When the completing datagram was a Fragment, the replay
-                // log must hold the reassembled message, not the tail piece.
-                let reassembled =
-                    d.giop.len() > 7 && d.giop[7] == ftmp_giop::MsgType::Fragment as u8;
-                let log_bytes = if reassembled {
-                    Bytes::from(msg.encode(ftmp_cdr::ByteOrder::native()))
-                } else {
-                    d.giop.clone()
-                };
-                match giop_map::reduce(msg) {
-                    Ok(p) => (p, log_bytes),
-                    Err(_) => return,
-                }
-            }
-            Ok(None) => return, // more fragments to come
-            Err(_) => return,   // not GIOP / orphan fragment; ignore
+        // The datagram itself, or the message its fragment completes: what
+        // is read in place below and what the log keeps.
+        let Ok(Some(giop)) = self.assembler.push((d.conn, d.source), d.giop.clone()) else {
+            return; // more fragments to come, or not GIOP / orphan fragment
         };
-        match parsed {
-            Inbound::Request {
+        let kind = match giop_map::parse(&giop) {
+            Ok(Inbound::Request {
                 object_key,
                 operation,
                 args,
                 response_expected,
-            } => {
-                self.log.append(
-                    d.conn,
-                    LogEntry {
-                        request_num: d.request_num,
-                        kind: LogKind::Request,
-                        source: d.source,
-                        ts: d.ts,
-                        giop: log_bytes,
-                    },
-                );
-                // Deliveries reach both groups (§4); only the server group's
-                // replicas execute, and only the first copy does.
-                let Some(og) = self.object_keys.get(object_key.as_slice()).copied() else {
-                    return;
-                };
-                if og != d.conn.server {
-                    return;
-                }
-                let c = self.conn_mut(d.conn);
-                if c.closed || c.cancelled.contains(&d.request_num) {
-                    return; // closed or cancelled at an earlier position
-                }
-                if !self.passive_gate(og, &operation, &args, d, response_expected) {
-                    return; // backup in a warm-passive group, or a state op
-                }
-                if !self.conn_mut(d.conn).executed.first_sighting(d.request_num) {
-                    return;
-                }
-                let Some(servant) = self.servants.get_mut(&og) else {
-                    return;
-                };
-                let reply = match servant.invoke(&operation, &args) {
-                    Ok(result) => giop_map::make_reply(d.request_num, &result),
-                    Err(repo_id) => giop_map::make_exception_reply(d.request_num, &repo_id),
-                };
-                if response_expected {
-                    self.push_outbound(d.conn, d.request_num, reply);
-                }
-                self.ship_state(og, d.conn, (d.ts, d.source));
+            }) => {
+                self.serve(d, object_key, operation, args, response_expected);
+                LogKind::Request
             }
-            Inbound::LocateRequest { object_key } => {
-                // Only the located object group's replicas answer; the
-                // answering replica is deduped like a Request execution.
-                let here = self
-                    .object_keys
-                    .get(object_key.as_slice())
-                    .is_some_and(|og| *og == d.conn.server);
-                if self.servants.contains_key(&d.conn.server)
-                    && self.conn_mut(d.conn).executed.first_sighting(d.request_num)
-                {
-                    let status = if here {
-                        ftmp_giop::LocateStatus::ObjectHere
-                    } else {
-                        ftmp_giop::LocateStatus::UnknownObject
-                    };
-                    let reply = giop_map::make_locate_reply(d.request_num, status);
-                    self.push_outbound(d.conn, d.request_num, reply);
-                }
+            Ok(
+                reply @ (Inbound::Reply { .. }
+                | Inbound::ExceptionReply { .. }
+                | Inbound::LocateReply { .. }),
+            ) => {
+                self.complete(d, reply);
+                LogKind::Reply
             }
+            Ok(Inbound::LocateRequest { object_key }) => return self.answer_locate(d, object_key),
             // Deterministic: ordered like everything else.
-            Inbound::CancelRequest => self.conn_mut(d.conn).cancel(d.request_num),
-            Inbound::Other(ftmp_giop::MsgType::CloseConnection) => self.conn_mut(d.conn).close(),
-            other => {
-                if let Some(result) = InvocationResult::of_reply(other) {
-                    self.complete(d, log_bytes, result);
-                }
+            Ok(Inbound::CancelRequest) => return self.conn_mut(d.conn).cancel(d.request_num),
+            Ok(Inbound::Other(ftmp_giop::MsgType::CloseConnection)) => {
+                return self.conn_mut(d.conn).close()
             }
-        }
-    }
-
-    fn complete(&mut self, d: &Delivery, log_bytes: Bytes, result: InvocationResult) {
+            Ok(Inbound::Other(_)) | Err(_) => return,
+        };
         self.log.append(
             d.conn,
             LogEntry {
                 request_num: d.request_num,
-                kind: LogKind::Reply,
+                kind,
                 source: d.source,
                 ts: d.ts,
-                giop: log_bytes,
+                giop,
             },
         );
+    }
+
+    /// Execute a delivered request on its hosted servant and queue the
+    /// reply — if this endpoint hosts the connection's server group and
+    /// this is the first copy.
+    fn serve(
+        &mut self,
+        d: &Delivery,
+        object_key: &[u8],
+        operation: &str,
+        args: &[u8],
+        response_expected: bool,
+    ) {
+        // Deliveries reach both groups (§4); only the server group's
+        // replicas execute, and only the first copy does.
+        let Some(og) = self.object_keys.get(object_key).copied() else {
+            return;
+        };
+        if og != d.conn.server {
+            return;
+        }
+        let c = self.conn_mut(d.conn);
+        if c.closed || c.cancelled.contains(&d.request_num) {
+            return; // closed or cancelled at an earlier position
+        }
+        if !self.passive_gate(og, operation, args, d, response_expected) {
+            return; // backup in a warm-passive group, or a state op
+        }
+        if !self.conn_mut(d.conn).executed.first_sighting(d.request_num) {
+            return;
+        }
+        let Some(servant) = self.servants.get_mut(&og) else {
+            return;
+        };
+        let reply = match servant.invoke(operation, args) {
+            Ok(result) => giop_map::make_reply(d.request_num, &result),
+            Err(repo_id) => giop_map::make_exception_reply(d.request_num, &repo_id),
+        };
+        if response_expected {
+            self.push_outbound(d.conn, d.request_num, reply);
+        }
+        self.ship_state(og, d.conn, (d.ts, d.source));
+    }
+
+    /// Answer a LocateRequest: only the located object group's replicas
+    /// answer, and the answering replica is deduped like a Request
+    /// execution.
+    fn answer_locate(&mut self, d: &Delivery, object_key: &[u8]) {
+        let here = self
+            .object_keys
+            .get(object_key)
+            .is_some_and(|og| *og == d.conn.server);
+        if self.servants.contains_key(&d.conn.server)
+            && self.conn_mut(d.conn).executed.first_sighting(d.request_num)
+        {
+            let status = if here {
+                ftmp_giop::LocateStatus::ObjectHere
+            } else {
+                ftmp_giop::LocateStatus::UnknownObject
+            };
+            let reply = giop_map::make_locate_reply(d.request_num, status);
+            self.push_outbound(d.conn, d.request_num, reply);
+        }
+    }
+
+    /// Complete the invocation a reply-class delivery answers, if it is the
+    /// first copy of a reply this client replica awaits: only then is its
+    /// outcome copied out of the delivery.
+    fn complete(&mut self, d: &Delivery, reply: Inbound<'_>) {
         let Some(c) = self.conns.get_mut(&d.conn).filter(|c| c.client) else {
             return;
         };
@@ -557,7 +563,10 @@ impl OrbEndpoint {
             return; // another server replica's copy of the same reply
         }
         // Not awaited: cancelled, or early — `issue` finds it in the log.
-        if c.pending.remove(&d.request_num) {
+        if !c.pending.remove(&d.request_num) {
+            return;
+        }
+        if let Some(result) = InvocationResult::of_reply(reply) {
             self.completions.push_back(Completion {
                 conn: d.conn,
                 request_num: d.request_num,
@@ -636,7 +645,7 @@ mod tests {
         // The servant ran exactly once.
         let parsed = giop_map::parse(&out[0].giop).unwrap();
         match parsed {
-            Inbound::Reply { result } => assert_eq!(decode_i64_result(&result), Some(110)),
+            Inbound::Reply { result } => assert_eq!(decode_i64_result(result), Some(110)),
             other => panic!("expected reply, got {other:?}"),
         }
     }
@@ -802,6 +811,50 @@ mod tests {
         // The log holds the complete reassembled request, not the tail.
         let logged = server.log.request_for(conn(), num).unwrap();
         assert!(logged.giop.len() > 2_000);
+    }
+
+    /// A request followed by octets its GIOP header does not declare is
+    /// refused whole: not executed, not answered, not logged (so never
+    /// donated in a transfer or written to a durable log).
+    #[test]
+    fn a_request_with_trailing_bytes_is_neither_executed_nor_logged() {
+        let mut server = server_endpoint();
+        let mut giop =
+            giop_map::make_request(RequestNum(1), b"bank", "deposit", &encode_i64_arg(10), true);
+        giop.extend([0xEE; 64]);
+        server.on_delivery(&delivery(1, 1, 10, giop));
+        assert!(server.drain_outbound().is_empty(), "not answered");
+        assert_eq!(server.log.len(), 0, "not logged");
+        assert_eq!(server.suppression_counts(), (0, 0));
+        // The same request without the junk runs once, from a fresh balance.
+        let giop =
+            giop_map::make_request(RequestNum(1), b"bank", "deposit", &encode_i64_arg(10), true);
+        server.on_delivery(&delivery(1, 2, 11, giop));
+        let out = server.drain_outbound();
+        match giop_map::parse(&out[0].giop).unwrap() {
+            Inbound::Reply { result } => assert_eq!(decode_i64_result(result), Some(110)),
+            other => panic!("expected reply, got {other:?}"),
+        }
+    }
+
+    /// A first fragment carrying octets past its declared size is refused,
+    /// and the rest of its message are orphans: nothing is reassembled
+    /// around the junk. (Split at 64 octets, the first fragment ends inside
+    /// the arguments, where spliced junk would still execute.)
+    #[test]
+    fn a_first_fragment_with_trailing_bytes_reassembles_nothing() {
+        let mut server = server_endpoint();
+        let mut args = encode_i64_arg(10);
+        args.resize(200, 0);
+        let request = giop_map::make_request(RequestNum(1), b"bank", "deposit", &args, true);
+        let mut parts = ftmp_giop::Fragmenter::new(64).split(&request).unwrap();
+        assert!(parts.len() > 1);
+        parts[0].extend([0xEE; 5]);
+        for (i, p) in parts.into_iter().enumerate() {
+            server.on_delivery(&delivery(1, 1, 10 + i as u64, p));
+        }
+        assert!(server.drain_outbound().is_empty());
+        assert_eq!(server.log.len(), 0);
     }
 
     #[test]

@@ -8,9 +8,25 @@
 //! request number — enough for a conventional ORB on the receiving side to
 //! match replies, while FTMP's pair provides the group-wide identity.
 
-use ftmp_cdr::ByteOrder;
+use ftmp_cdr::{ByteOrder, CdrReader, CdrWriter};
 use ftmp_core::RequestNum;
-use ftmp_giop::{GiopMessage, ReplyHeader, ReplyStatus, RequestHeader};
+use ftmp_giop::{
+    GiopError, GiopView, LocateReplyHeader, LocateStatus, MsgType, ReplyStatus, ReplyView,
+    RequestView, ServiceContexts,
+};
+
+/// The repository id an exception reply reads as when its body holds none.
+const UNKNOWN_EXCEPTION: &str = "IDL:CORBA/UNKNOWN:1.0";
+
+/// The GIOP request id for an FTMP request number: its low 32 bits.
+fn request_id(num: RequestNum) -> u32 {
+    num.0 as u32
+}
+
+/// Encode `view` in this host's byte order.
+fn encode(view: GiopView<'_>) -> Vec<u8> {
+    view.encode(ByteOrder::native())
+}
 
 /// Build a GIOP Request for `operation` on the object named `object_key`.
 pub fn make_request(
@@ -20,153 +36,139 @@ pub fn make_request(
     args: &[u8],
     response_expected: bool,
 ) -> Vec<u8> {
-    GiopMessage::Request {
-        header: RequestHeader {
-            service_context: vec![],
-            request_id: request_num.0 as u32,
+    encode(GiopView::Request {
+        header: RequestView {
+            service_context: ServiceContexts::NONE,
+            request_id: request_id(request_num),
             response_expected,
-            object_key: object_key.to_vec(),
-            operation: operation.to_string(),
-            requesting_principal: vec![],
+            object_key,
+            operation,
+            requesting_principal: &[],
         },
-        body: args.to_vec(),
-    }
-    .encode(ByteOrder::native())
+        body: args,
+    })
+}
+
+/// A GIOP Reply with `status` and `body`.
+fn reply(request_num: RequestNum, reply_status: ReplyStatus, body: &[u8]) -> Vec<u8> {
+    encode(GiopView::Reply {
+        header: ReplyView {
+            service_context: ServiceContexts::NONE,
+            request_id: request_id(request_num),
+            reply_status,
+        },
+        body,
+    })
 }
 
 /// Build a GIOP Reply carrying a successful result.
 pub fn make_reply(request_num: RequestNum, result: &[u8]) -> Vec<u8> {
-    GiopMessage::Reply {
-        header: ReplyHeader {
-            service_context: vec![],
-            request_id: request_num.0 as u32,
-            reply_status: ReplyStatus::NoException,
-        },
-        body: result.to_vec(),
-    }
-    .encode(ByteOrder::native())
+    reply(request_num, ReplyStatus::NoException, result)
 }
 
 /// Build a GIOP Reply carrying a user exception (repository id string as the
 /// body prefix, per the CORBA exception marshalling convention).
 pub fn make_exception_reply(request_num: RequestNum, repo_id: &str) -> Vec<u8> {
-    let mut w = ftmp_cdr::CdrWriter::new(ByteOrder::native());
+    let mut w = CdrWriter::new(ByteOrder::native());
     w.write_string(repo_id);
-    GiopMessage::Reply {
-        header: ReplyHeader {
-            service_context: vec![],
-            request_id: request_num.0 as u32,
-            reply_status: ReplyStatus::UserException,
-        },
-        body: w.into_bytes(),
-    }
-    .encode(ByteOrder::native())
+    reply(request_num, ReplyStatus::UserException, w.as_bytes())
 }
 
-/// A parsed inbound GIOP message, reduced to what the ORB endpoint needs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Inbound {
+/// A parsed inbound GIOP message, reduced to what the ORB endpoint needs;
+/// every field borrows from the bytes it was parsed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inbound<'a> {
     /// A method invocation.
     Request {
         /// Target object key.
-        object_key: Vec<u8>,
+        object_key: &'a [u8],
         /// Operation name.
-        operation: String,
+        operation: &'a str,
         /// CDR-encoded arguments.
-        args: Vec<u8>,
+        args: &'a [u8],
         /// Whether a Reply must be produced.
         response_expected: bool,
     },
     /// A successful result.
     Reply {
         /// CDR-encoded result.
-        result: Vec<u8>,
+        result: &'a [u8],
     },
     /// A user or system exception.
     ExceptionReply {
         /// Exception repository id (best-effort decode).
-        repo_id: String,
+        repo_id: &'a str,
     },
     /// An object-location query.
     LocateRequest {
         /// The key being located.
-        object_key: Vec<u8>,
+        object_key: &'a [u8],
     },
     /// An object-location answer.
     LocateReply {
         /// Whether the object is served here.
-        status: ftmp_giop::LocateStatus,
+        status: LocateStatus,
     },
     /// Cancellation of an outstanding request.
     CancelRequest,
     /// Any other GIOP message type (CloseConnection, MessageError, …).
-    Other(ftmp_giop::MsgType),
+    Other(MsgType),
 }
 
 /// Build a GIOP LocateRequest.
 pub fn make_locate_request(request_num: RequestNum, object_key: &[u8]) -> Vec<u8> {
-    GiopMessage::LocateRequest(ftmp_giop::LocateRequestHeader {
-        request_id: request_num.0 as u32,
-        object_key: object_key.to_vec(),
+    encode(GiopView::LocateRequest {
+        request_id: request_id(request_num),
+        object_key,
     })
-    .encode(ByteOrder::native())
 }
 
 /// Build a GIOP LocateReply.
-pub fn make_locate_reply(request_num: RequestNum, status: ftmp_giop::LocateStatus) -> Vec<u8> {
-    GiopMessage::LocateReply {
-        header: ftmp_giop::LocateReplyHeader {
-            request_id: request_num.0 as u32,
+pub fn make_locate_reply(request_num: RequestNum, status: LocateStatus) -> Vec<u8> {
+    encode(GiopView::LocateReply {
+        header: LocateReplyHeader {
+            request_id: request_id(request_num),
             locate_status: status,
         },
-        body: vec![],
-    }
-    .encode(ByteOrder::native())
+        body: &[],
+    })
 }
 
 /// Build a GIOP CancelRequest.
 pub fn make_cancel(request_num: RequestNum) -> Vec<u8> {
-    GiopMessage::CancelRequest {
-        request_id: request_num.0 as u32,
-    }
-    .encode(ByteOrder::native())
+    encode(GiopView::CancelRequest {
+        request_id: request_id(request_num),
+    })
 }
 
 /// Build a GIOP CloseConnection.
 pub fn make_close() -> Vec<u8> {
-    GiopMessage::CloseConnection.encode(ByteOrder::native())
+    encode(GiopView::CloseConnection)
 }
 
-/// Parse an inbound GIOP byte stream.
-pub fn parse(bytes: &[u8]) -> Result<Inbound, ftmp_giop::GiopError> {
-    reduce(GiopMessage::decode(bytes)?)
-}
-
-/// Reduce an already-decoded GIOP message (e.g. from fragment reassembly)
-/// to the ORB's inbound view.
-pub fn reduce(msg: GiopMessage) -> Result<Inbound, ftmp_giop::GiopError> {
-    Ok(match msg {
-        GiopMessage::Request { header, body } => Inbound::Request {
+/// Parse an inbound GIOP message in place: one [`GiopView::decode`], and
+/// nothing copied.
+pub fn parse(bytes: &[u8]) -> Result<Inbound<'_>, GiopError> {
+    Ok(match GiopView::decode(bytes)? {
+        GiopView::Request { header, body } => Inbound::Request {
             object_key: header.object_key,
             operation: header.operation,
             args: body,
             response_expected: header.response_expected,
         },
-        GiopMessage::Reply { header, body } => match header.reply_status {
+        GiopView::Reply { header, body } => match header.reply_status {
             ReplyStatus::NoException => Inbound::Reply { result: body },
-            _ => {
-                let repo_id = ftmp_cdr::from_bytes::<String>(&body, ByteOrder::native())
-                    .unwrap_or_else(|_| "IDL:CORBA/UNKNOWN:1.0".to_string());
-                Inbound::ExceptionReply { repo_id }
-            }
+            _ => Inbound::ExceptionReply {
+                repo_id: CdrReader::new(body, ByteOrder::native())
+                    .read_str()
+                    .unwrap_or(UNKNOWN_EXCEPTION),
+            },
         },
-        GiopMessage::LocateRequest(h) => Inbound::LocateRequest {
-            object_key: h.object_key,
-        },
-        GiopMessage::LocateReply { header, .. } => Inbound::LocateReply {
+        GiopView::LocateRequest { object_key, .. } => Inbound::LocateRequest { object_key },
+        GiopView::LocateReply { header, .. } => Inbound::LocateReply {
             status: header.locate_status,
         },
-        GiopMessage::CancelRequest { .. } => Inbound::CancelRequest,
+        GiopView::CancelRequest { .. } => Inbound::CancelRequest,
         other => Inbound::Other(other.msg_type()),
     })
 }
@@ -187,7 +189,7 @@ mod tests {
             } => {
                 assert_eq!(object_key, b"bank/1");
                 assert_eq!(operation, "deposit");
-                assert_eq!(args, vec![1, 2, 3]);
+                assert_eq!(args, [1, 2, 3]);
                 assert!(response_expected);
             }
             other => panic!("wrong parse {other:?}"),
@@ -197,10 +199,7 @@ mod tests {
     #[test]
     fn reply_round_trip() {
         let bytes = make_reply(RequestNum(9), &[7, 7]);
-        assert_eq!(
-            parse(&bytes).unwrap(),
-            Inbound::Reply { result: vec![7, 7] }
-        );
+        assert_eq!(parse(&bytes).unwrap(), Inbound::Reply { result: &[7, 7] });
     }
 
     #[test]
@@ -216,7 +215,7 @@ mod tests {
 
     #[test]
     fn other_messages_pass_through() {
-        let bytes = GiopMessage::CloseConnection.encode(ByteOrder::Big);
+        let bytes = ftmp_giop::GiopMessage::CloseConnection.encode(ByteOrder::Big);
         assert_eq!(
             parse(&bytes).unwrap(),
             Inbound::Other(ftmp_giop::MsgType::CloseConnection)

@@ -2,7 +2,7 @@
 # Alternated pairs of one benchmark workload, parent against this checkout:
 # the protocol ROADMAP.md prescribes for every performance claim.
 #
-#   scripts/bench-pairs.sh <parent-checkout> <workload> [pairs] [first-seed]
+#   scripts/bench-pairs.sh <parent-checkout> <workload> [pairs] [first-seed] [pr]
 #
 # Builds `benchmark/` in both checkouts, then runs <pairs> (default 10)
 # untraced passes of <workload> on each side, seeds <first-seed>.. (default
@@ -13,19 +13,23 @@
 # of its median, and whether the change's median stays inside the metric's
 # bound -- "unresolved" where the parent's spread alone exceeds that bound
 # (unless every run of the change beats every run of the parent). The last
-# line is one JSON object for results/trajectory.jsonl: this checkout's
-# commit (`git describe --always --dirty`), the workload, the seeds, the
-# median box_speed over every run, and the change side's median and
-# quartiles per end-to-end metric. Result lines are kept under
+# line is one JSON object for results/trajectory.jsonl: the change's "pr"
+# (the [pr] argument, else $BENCH_PAIRS_PR, else null), the "parent"
+# (`git -C <parent-checkout> describe --always`, so make that checkout with
+# `git clone`), the workload, the seeds, the median box_speed over every
+# run, and per end-to-end metric the median and quartiles of both sides,
+# "parent_side" and "change": medians drift between sessions, so only the
+# two sides of one line compare. Result lines are kept under
 # $BENCH_PAIRS_OUT (default: a fresh directory under ${TMPDIR:-/tmp}).
 set -eu
 
-[ $# -ge 2 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,26p' "$0" >&2; exit 2; }
 parent=$(cd "$1" && pwd)
 change=$(cd "$(dirname "$0")/.." && pwd)
 workload=$2
 pairs=${3:-10}
 seed0=${4:-1001}
+pr=${5:-${BENCH_PAIRS_PR:-}}
 out=${BENCH_PAIRS_OUT:-$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")}
 mkdir -p "$out"
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$change/BENCHMARK.json")
@@ -60,8 +64,8 @@ done
 echo
 echo "# $workload, $pairs alternated pairs, seeds $seed0..$((seed0 + pairs - 1)), $seconds s: parent $parent, change $change"
 echo "# result lines: $out"
-commit=$(git -C "$change" describe --always --dirty 2>/dev/null || echo unknown)
-awk -v pairs="$pairs" -v out="$out" -v workload="$workload" -v seed0="$seed0" -v commit="$commit" '
+base=$(git -C "$parent" describe --always 2>/dev/null || echo unknown)
+awk -v pairs="$pairs" -v out="$out" -v workload="$workload" -v seed0="$seed0" -v pr="$pr" -v base="$base" '
 function value(line, name,    at, rest) {
     at = index(line, "\"" name "\": {\"value\": ")
     if (!at) return "nan"
@@ -125,10 +129,14 @@ END {
         printf "%-20s %-38s %-38s %-9s %-11s %s\n", name, \
             sprintf("%.6g [%.6g, %.6g]", pm, p1, p3), sprintf("%.6g [%.6g, %.6g]", cm, c1, c3), \
             won "/" lost, sprintf("%.0f%%", 100 * spread), verdict
+        sep = m > 1 ? ", " : ""
+        ptraj = ptraj sprintf("%s\"%s\": {\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}", \
+            sep, name, pm, p1, p3)
         traj = traj sprintf("%s\"%s\": {\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}", \
-            m > 1 ? ", " : "", name, cm, c1, c3)
+            sep, name, cm, c1, c3)
     }
     printf "runs failing the correctness gate or with failed operations: parent %d, change %d\n", pbad, cbad
-    printf "{\"commit\": \"%s\", \"workload\": \"%s\", \"seeds\": [%d, %d], \"box_speed\": %.4g, \"change\": {%s}}\n", \
-        commit, workload, seed0, seed0 + pairs - 1, quantile(speed, 2 * pairs, 0.5), traj
+    printf "{\"pr\": %s, \"parent\": \"%s\", \"workload\": \"%s\", \"seeds\": [%d, %d], \"box_speed\": %.4g, \"parent_side\": {%s}, \"change\": {%s}}\n", \
+        pr == "" ? "null" : "\"" pr "\"", base, workload, seed0, seed0 + pairs - 1, \
+        quantile(speed, 2 * pairs, 0.5), ptraj, traj
 }' "$change/BENCHMARK.json"
