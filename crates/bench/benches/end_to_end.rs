@@ -5,8 +5,8 @@
 //! its duplicate, and a client logging a request it does not execute.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ftmp_check::{orb_conn, OrbWorld};
 use ftmp_core::ProtocolConfig;
-use ftmp_harness::worlds::OrbWorld;
 use ftmp_net::{SimConfig, SimDuration};
 use ftmp_orb::servant::encode_i64_arg;
 use ftmp_orb::{giop_map, OrbEndpoint};
@@ -47,8 +47,8 @@ fn bench_invocation_rtt(c: &mut Criterion) {
 
 fn bench_orb_layer(c: &mut Criterion) {
     let mut g = c.benchmark_group("orb_layer");
-    let og = ftmp_core::ObjectGroupId::new(2, 7);
-    let conn = ftmp_core::ConnectionId::new(ftmp_core::ObjectGroupId::new(1, 1), og);
+    let conn = orb_conn();
+    let og = conn.server;
     g.bench_function("serve_request", |b| {
         let mut server = OrbEndpoint::new();
         server.host_replica(og, b"obj".to_vec(), Box::new(ftmp_orb::Counter::default()));

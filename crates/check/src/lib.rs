@@ -26,6 +26,10 @@
 //! - [`world`] — [`FtmpWorld`], the one builder of a simulated FTMP group
 //!   (founders, joiners, crash, leave, restart from a durable log) that the
 //!   sweep, the experiments and the tests all build their members through.
+//! - [`orb_world`] — [`OrbWorld`], its sibling for replicated objects: the
+//!   one builder of a simulated ORB group (client and server replicas,
+//!   active or warm-passive, crash, activation back in through the add
+//!   path).
 //! - [`sweep`] — the seed × scenario matrix driver behind the conformance
 //!   test and experiment E13.
 //! - [`mod@explore`] — the coverage-guided schedule explorer (E19): genomes of
@@ -38,6 +42,7 @@
 pub mod explore;
 pub mod obs;
 pub mod oracles;
+pub mod orb_world;
 pub mod replay;
 pub mod report;
 pub mod suite;
@@ -52,6 +57,9 @@ pub use obs::{Event, Key, Oracle, Violation};
 pub use oracles::{
     CausalOrder, DuplicateSuppression, ReclamationSafety, Reliability, SourceOrder, TotalOrder,
     VirtualSynchrony,
+};
+pub use orb_world::{
+    orb_conn, OrbWorld, OBJECT_KEY, ORB_DOMAIN_ADDR, ORB_GROUP_ADDR, ORB_POOL_GROUP,
 };
 pub use replay::{read_trace_dir, read_trace_file, replay_traces, ReplayReport, TraceFile};
 pub use report::{excerpt, kind_name, trace_hash, TraceExcerpt};

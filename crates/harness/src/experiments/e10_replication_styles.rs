@@ -11,25 +11,13 @@
 
 use crate::metrics::LatencyStats;
 use crate::report::Table;
-use ftmp_core::pgmp::ServerRegistration;
-use ftmp_core::{
-    ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
-};
-use ftmp_net::{McastAddr, SimConfig, SimDuration, SimNet};
-use ftmp_orb::servant::{encode_i64_arg, BankAccount};
-use ftmp_orb::{OrbEndpoint, OrbNode};
+use ftmp_check::OrbWorld;
+use ftmp_core::ProtocolConfig;
+use ftmp_net::{SimConfig, SimDuration, SimTime};
+use ftmp_orb::servant::BankAccount;
+use ftmp_orb::ReplicationStyle;
 
-const DOMAIN: McastAddr = McastAddr(500);
-const GROUP: McastAddr = McastAddr(600);
 const ROUNDS: usize = 30;
-
-fn og_server() -> ObjectGroupId {
-    ObjectGroupId::new(2, 7)
-}
-
-fn conn() -> ConnectionId {
-    ConnectionId::new(ObjectGroupId::new(1, 1), og_server())
-}
 
 struct Outcome {
     rtt: LatencyStats,
@@ -39,88 +27,54 @@ struct Outcome {
     failover_completed: usize,
 }
 
-fn run_style(passive: bool, m: u32, seed: u64) -> Outcome {
-    let mut net = SimNet::new(SimConfig::with_seed(seed));
-    net.set_classifier(ftmp_core::wire::classify);
-    let servers: Vec<ProcessorId> = (2..=m + 1).map(ProcessorId).collect();
-    for id in 1..=m + 1 {
-        let mut proc = Processor::new(
-            ProcessorId(id),
-            ProtocolConfig::with_seed(seed).heartbeat(SimDuration::from_millis(2)),
-            ClockMode::Lamport,
-        );
-        let mut orb = OrbEndpoint::new();
-        if id == 1 {
-            orb.register_client(conn());
-        } else {
-            orb.host_replica(
-                og_server(),
-                b"acct".to_vec(),
-                Box::new(BankAccount::with_balance(0)),
-            );
-            if passive {
-                orb.set_warm_passive(og_server(), ProcessorId(id), servers.clone());
-            }
-            proc.register_server(
-                og_server(),
-                ServerRegistration {
-                    processors: servers.clone(),
-                    pool: vec![(GroupId(10), GROUP)],
-                },
-                DOMAIN,
-            );
-        }
-        net.add_node(id, OrbNode::new(proc, orb));
-        net.with_node(id, |n, now, out| n.pump(now, out));
-    }
-    net.with_node(1, |n, now, out| {
-        n.proc_mut()
-            .open_connection(now, conn(), vec![ProcessorId(1)], DOMAIN);
-        n.pump(now, out);
-    });
-    net.run_for(SimDuration::from_millis(100));
-    net.reset_stats();
+fn run_style(style: ReplicationStyle, m: u32, seed: u64) -> Outcome {
+    let mut w = OrbWorld::with_style(
+        1,
+        m,
+        SimConfig::with_seed(seed),
+        ProtocolConfig::with_seed(seed).heartbeat(SimDuration::from_millis(2)),
+        style,
+        || Box::new(BankAccount::with_balance(0)),
+    );
+    // The timed rounds start 100 ms into the run, however soon the
+    // handshake completed.
+    w.net
+        .run_until(SimTime::ZERO + SimDuration::from_millis(100));
+    w.net.reset_stats();
 
     let mut lats = Vec::new();
     let mut completed = 0usize;
     for _ in 0..ROUNDS {
-        let t0 = net.now();
-        net.with_node(1, |n, now, out| {
-            n.invoke(now, conn(), b"acct", "deposit", &encode_i64_arg(1), out);
-        });
+        let t0 = w.net.now();
+        w.invoke_all("deposit", 1);
         for _ in 0..200 {
-            net.run_for(SimDuration::from_micros(200));
-            let done = net.with_node(1, |n, _, _| n.take_completions()).unwrap();
+            w.net.run_for(SimDuration::from_micros(200));
+            let (done, _) = w.drain_completions();
             if !done.is_empty() {
                 completed += done.len();
-                lats.push(net.now().saturating_since(t0).as_micros());
+                lats.push(w.net.now().saturating_since(t0).as_micros());
                 break;
             }
         }
     }
-    let wire_bytes = net.stats().sent_bytes;
+    let wire_bytes = w.net.stats().sent_bytes;
     // Reply multiplicity, observed at the client: each executing replica
     // multicasts its own reply; the duplicate detector suppresses all but
     // the first, so completed + suppressed = total replies on the wire —
     // i.e. the number of replicas that executed each request. The last
     // request completes on its first reply; its others are counted once
     // they have been ordered too.
-    net.run_for(SimDuration::from_millis(20));
-    let replies = completed as u64 + net.node(1).unwrap().orb().suppression_counts().1;
+    w.run_ms(20);
+    let replies = completed as u64 + w.net.node(1).unwrap().orb().suppression_counts().1;
     // Failover: crash the smallest server (the passive primary), invoke 3
     // more times, count completions within the window.
-    net.crash(2);
+    w.crash(2);
     for _ in 0..3 {
-        net.with_node(1, |n, now, out| {
-            n.invoke(now, conn(), b"acct", "deposit", &encode_i64_arg(1), out);
-        });
-        net.run_for(SimDuration::from_millis(30));
+        w.invoke_all("deposit", 1);
+        w.run_ms(30);
     }
-    net.run_for(SimDuration::from_millis(1_500));
-    let failover_completed = net
-        .with_node(1, |n, _, _| n.take_completions())
-        .unwrap()
-        .len();
+    w.run_ms(1_500);
+    let failover_completed = w.drain_completions().0.len();
     Outcome {
         rtt: LatencyStats::from_samples(&lats),
         replies,
@@ -147,14 +101,13 @@ pub fn run() -> Vec<Table> {
         ],
     );
     for &m in &[2u32, 3] {
-        for &passive in &[false, true] {
-            let o = run_style(passive, m, 0xE10 + m as u64 + u64::from(passive));
+        for (seed, style, name) in [
+            (0, ReplicationStyle::Active, "active"),
+            (1, ReplicationStyle::WarmPassive, "warm-passive"),
+        ] {
+            let o = run_style(style, m, 0xE10 + u64::from(m) + seed);
             t.row(vec![
-                if passive {
-                    "warm-passive".into()
-                } else {
-                    "active".to_string()
-                },
+                name.into(),
                 m.to_string(),
                 format!("{} ms", o.rtt.mean_ms()),
                 format!("{:.2} ms", o.rtt.p99_us as f64 / 1000.0),

@@ -8,9 +8,10 @@
 //! and verifies exactly-once execution.
 
 use crate::report::Table;
-use crate::worlds::OrbWorld;
+use ftmp_check::OrbWorld;
 use ftmp_core::ProtocolConfig;
 use ftmp_net::SimConfig;
+use ftmp_orb::Counter;
 
 /// Run E7.
 pub fn run() -> Vec<Table> {
@@ -33,9 +34,9 @@ pub fn run() -> Vec<Table> {
             m,
             SimConfig::with_seed(seed),
             ProtocolConfig::with_seed(seed),
-            || Box::new(ftmp_orb::Counter::default()),
+            || Box::new(Counter::default()),
         );
-        let rounds = 25;
+        let rounds = 25i64;
         for _ in 0..rounds {
             w.invoke_all("add", 1);
             w.run_ms(30);
@@ -43,18 +44,10 @@ pub fn run() -> Vec<Table> {
         w.run_ms(300);
         let (done, _) = w.drain_completions();
         // Exactly-once execution: every server's counter equals rounds.
-        let og = w.conn().server;
-        let exec_ok = w.servers.clone().iter().all(|&id| {
-            let snap = w
-                .net
-                .node(id)
-                .unwrap()
-                .orb()
-                .servant(og)
-                .unwrap()
-                .snapshot();
-            ftmp_cdr::from_bytes::<i64>(&snap, ftmp_cdr::ByteOrder::Big).unwrap() == rounds as i64
-        });
+        let exec_ok = w
+            .servers
+            .iter()
+            .all(|&id| w.state::<Counter>(id).value() == rounds);
         let req_sup = w.server_suppressed();
         let reply_sup = w
             .net

@@ -9,8 +9,8 @@
 
 use crate::metrics::LatencyStats;
 use crate::report::Table;
-use crate::worlds::OrbWorld;
 use ftmp_baselines::unicast::{UnicastClient, UnicastEndpoint, UnicastServer};
+use ftmp_check::OrbWorld;
 use ftmp_core::ProtocolConfig;
 use ftmp_net::{LossModel, McastAddr, SimConfig, SimDuration, SimNet, SimTime};
 

@@ -15,8 +15,7 @@
 //! * Suspect/Membership under loss + crash: survivors converge.
 
 use crate::report::Table;
-use crate::worlds::OrbWorld;
-use ftmp_check::FtmpWorld;
+use ftmp_check::{FtmpWorld, OrbWorld};
 use ftmp_core::wire::FtmpMsgType;
 use ftmp_core::{ClockMode, ProtocolConfig};
 use ftmp_net::{LossModel, SimConfig};

@@ -22,4 +22,4 @@ pub mod worlds;
 
 pub use metrics::LatencyStats;
 pub use report::Table;
-pub use worlds::{BaselineWorld, OrbWorld};
+pub use worlds::BaselineWorld;

@@ -1,7 +1,9 @@
 //! A complete replicated-CORBA endpoint for the simulator: FTMP processor
 //! below, ORB above, on the engine's one host, a [`Node`] (DESIGN.md §11).
 //! The ORB is that node's [`Host`]; what it sends goes through the node's
-//! intake as publishes, like every other host's.
+//! intake as publishes, like every other host's, and the fault tolerance
+//! infrastructure's membership commands (a replica sponsored back in, §7.1)
+//! act on the server pool's processor group.
 
 use crate::conn::Connection;
 use crate::endpoint::{Completion, InvocationResult, OrbEndpoint, OutboundMsg};
@@ -125,9 +127,9 @@ impl Upper {
 
 impl OrbNode {
     /// Combine a processor and an ORB endpoint. The processor's groups come
-    /// with its connections (§7) and the ORB issues no membership
-    /// commands, so the node's command group is §7's "no group", 0.
-    pub fn new(proc: Processor, orb: OrbEndpoint) -> Self {
+    /// with its connections (§7); membership [`command`](Self::command)s act
+    /// on `group`, the processor group the server pool hands out.
+    pub fn new(proc: Processor, group: GroupId, orb: OrbEndpoint) -> Self {
         let upper = Upper {
             orb,
             events: VecDeque::new(),
@@ -140,8 +142,18 @@ impl OrbNode {
             latency_on: false,
         };
         OrbNode {
-            node: Node::new(proc, GroupId(0), upper),
+            node: Node::new(proc, group, upper),
         }
+    }
+
+    /// Take a membership command in with a pump of its own: an add is
+    /// retried until the group lists the member (§7.1). Publishes go
+    /// through [`invoke`](Self::invoke), which matches each to its outbound
+    /// message.
+    pub fn command(&mut self, now: SimTime, cmd: Command, out: &mut Outbox) {
+        debug_assert!(!matches!(cmd, Command::Publish { .. }));
+        self.node.intake.push(Inbox::Command(cmd));
+        self.pump(now, out);
     }
 
     /// Start recording invocation-to-completion latency per connection.
@@ -291,6 +303,7 @@ mod tests {
 
     const DOMAIN_ADDR: McastAddr = McastAddr(500);
     const GROUP_ADDR: McastAddr = McastAddr(600);
+    const POOL: GroupId = GroupId(10);
 
     fn og_client() -> ObjectGroupId {
         ObjectGroupId::new(1, 1)
@@ -330,12 +343,12 @@ mod tests {
                     og_server(),
                     ServerRegistration {
                         processors: servers.to_vec(),
-                        pool: vec![(GroupId(10), GROUP_ADDR)],
+                        pool: vec![(POOL, GROUP_ADDR)],
                     },
                     DOMAIN_ADDR,
                 );
             }
-            let node = OrbNode::new(proc, orb);
+            let node = OrbNode::new(proc, POOL, orb);
             net.add_node(id, node);
             // Apply the initial actions (servers join the domain address).
             net.with_node(id, |n, now, out| n.pump(now, out));

@@ -7,22 +7,15 @@
 //! ```
 
 use ftmp::cdr::ByteOrder;
-use ftmp::core::pgmp::ServerRegistration;
-use ftmp::core::{
-    ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
-};
+use ftmp::check::{orb_conn, OrbWorld, OBJECT_KEY, ORB_DOMAIN_ADDR};
+use ftmp::core::ProtocolConfig;
 use ftmp::giop::{FtmpProfile, IiopProfile, Ior};
-use ftmp::net::{McastAddr, SimConfig, SimDuration, SimNet};
+use ftmp::net::SimConfig;
 use ftmp::orb::servant::encode_i64_arg;
-use ftmp::orb::{InvocationResult, OrbEndpoint, OrbNode};
-
-const DOMAIN: McastAddr = McastAddr(500);
-const GROUP: McastAddr = McastAddr(600);
+use ftmp::orb::{Counter, InvocationResult};
 
 fn main() {
-    let og_client = ObjectGroupId::new(1, 1);
-    let og_server = ObjectGroupId::new(2, 7);
-    let conn = ConnectionId::new(og_client, og_server);
+    let conn = orb_conn();
 
     // 1. The server publishes a fault-tolerant IOR: an IIOP fallback profile
     //    plus the FTMP group profile naming the fault-tolerance domain.
@@ -33,13 +26,13 @@ fn main() {
             version_minor: 0,
             host: "replica1.example.org".into(),
             port: 2809,
-            object_key: b"counter".to_vec(),
+            object_key: OBJECT_KEY.to_vec(),
         },
         FtmpProfile {
-            domain: og_server.domain.0,
-            object_group: og_server.group,
-            domain_mcast_addr: DOMAIN.0,
-            object_key: b"counter".to_vec(),
+            domain: conn.server.domain.0,
+            object_group: conn.server.group,
+            domain_mcast_addr: ORB_DOMAIN_ADDR.0,
+            object_key: OBJECT_KEY.to_vec(),
         },
         ByteOrder::Big,
     );
@@ -57,56 +50,31 @@ fn main() {
         "client resolved: type {} -> domain {} object group {} via multicast {:#x}\n",
         parsed.type_id, profile.domain, profile.object_group, profile.domain_mcast_addr
     );
+    assert_eq!(profile.domain_mcast_addr, ORB_DOMAIN_ADDR.0);
+    let key = profile.object_key.clone();
 
-    // 3. Build the world: one client, two server replicas, fragmentation on.
-    let mut net = SimNet::new(SimConfig::with_seed(5));
-    net.set_classifier(ftmp::core::wire::classify);
-    let servers = [ProcessorId(2), ProcessorId(3)];
-    for id in 1..=3u32 {
-        let mut proc = Processor::new(
-            ProcessorId(id),
-            ProtocolConfig::with_seed(5),
-            ClockMode::Lamport,
-        );
-        let mut orb = OrbEndpoint::new();
-        orb.enable_fragmentation(512);
-        if id == 1 {
-            orb.register_client(conn);
-        } else {
-            orb.host_replica(
-                og_server,
-                profile.object_key.clone(),
-                Box::new(ftmp::orb::Counter::default()),
-            );
-            proc.register_server(
-                og_server,
-                ServerRegistration {
-                    processors: servers.to_vec(),
-                    pool: vec![(GroupId(10), GROUP)],
-                },
-                McastAddr(profile.domain_mcast_addr),
-            );
-        }
-        net.add_node(id, OrbNode::new(proc, orb));
-        net.with_node(id, |n, now, out| n.pump(now, out));
+    // 3. Build the world: one client, two server replicas, connected through
+    //    the domain address; then fragmentation on at every endpoint.
+    let mut w = OrbWorld::new(
+        1,
+        2,
+        SimConfig::with_seed(5),
+        ProtocolConfig::with_seed(5),
+        || Box::new(Counter::default()),
+    );
+    for id in 1..=3 {
+        w.net
+            .with_node(id, |n, _, _| n.orb_mut().enable_fragmentation(512));
     }
-    net.with_node(1, |n, now, out| {
-        n.proc_mut()
-            .open_connection(now, conn, vec![ProcessorId(1)], DOMAIN);
-        n.pump(now, out);
-    });
-    net.run_for(SimDuration::from_millis(100));
 
     // 4. LocateRequest: is the object served by this group?
-    net.with_node(1, move |n, _, out| {
-        n.orb_mut().locate(conn, b"counter");
-        let now = ftmp::net::SimTime::ZERO;
-        let _ = now;
-        n.pump(ftmp::net::SimTime::ZERO, out);
+    let located = key.clone();
+    w.net.with_node(1, move |n, now, out| {
+        n.orb_mut().locate(conn, &located);
+        n.pump(now, out);
     });
-    net.with_node(1, |n, now, out| n.pump(now, out));
-    net.run_for(SimDuration::from_millis(100));
-    for c in net.node_mut(1).unwrap().take_completions() {
+    w.run_ms(100);
+    for c in w.net.node_mut(1).unwrap().take_completions() {
         println!("locate -> {:?}", c.result);
     }
 
@@ -114,13 +82,14 @@ fn main() {
     //    datagrams (an i64 delta followed by padding the servant ignores).
     let mut big_args = encode_i64_arg(1);
     big_args.extend(vec![0u8; 4096]);
-    net.with_node(1, move |n, now, out| {
-        let num = n.orb_mut().invoke(conn, b"counter", "add", &big_args);
+    let k = key.clone();
+    w.net.with_node(1, move |n, now, out| {
+        let num = n.orb_mut().invoke(conn, &k, "add", &big_args);
         println!("\ninvoked add() with 4 KiB of arguments as request {num:?} (fragmented)");
         n.pump(now, out);
     });
-    net.run_for(SimDuration::from_millis(150));
-    for c in net.node_mut(1).unwrap().take_completions() {
+    w.run_ms(150);
+    for c in w.net.node_mut(1).unwrap().take_completions() {
         match c.result {
             InvocationResult::Exception(e) => {
                 println!("  completed with expected marshalling exception: {e}")
@@ -136,31 +105,16 @@ fn main() {
     //    never a split. (A cancel that is ordered *before* the request —
     //    e.g. from another replica — deterministically suppresses it at
     //    every server instead; the unit tests exercise that interleaving.)
-    net.with_node(1, move |n, now, out| {
-        let num = n
-            .orb_mut()
-            .invoke(conn, b"counter", "add", &encode_i64_arg(100));
+    w.net.with_node(1, move |n, now, out| {
+        let num = n.orb_mut().invoke(conn, &key, "add", &encode_i64_arg(100));
         n.orb_mut().cancel(conn, num);
         println!("\ninvoked add(100) as request {num:?} and cancelled it immediately");
         n.pump(now, out);
     });
-    net.run_for(SimDuration::from_millis(150));
-    let snap2 = net
-        .node(2)
-        .unwrap()
-        .orb()
-        .servant(og_server)
-        .unwrap()
-        .snapshot();
-    let snap3 = net
-        .node(3)
-        .unwrap()
-        .orb()
-        .servant(og_server)
-        .unwrap()
-        .snapshot();
-    assert_eq!(snap2, snap3, "replicas agree");
-    let value = ftmp::orb::servant::decode_i64_result(&snap2).unwrap();
+    w.run_ms(150);
+    let [c2, c3] = [2, 3].map(|id| w.state::<Counter>(id));
+    assert_eq!(c2, c3, "replicas agree");
+    let value = c2.value();
     println!(
         "replica counters after the late cancel: {value} (identical on both replicas; \
          the trailing cancel could not overtake its own request)"

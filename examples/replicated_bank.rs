@@ -6,85 +6,30 @@
 //! cargo run --example replicated_bank
 //! ```
 
-use ftmp::core::pgmp::ServerRegistration;
-use ftmp::core::{
-    ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
-};
-use ftmp::net::{LossModel, McastAddr, SimConfig, SimDuration, SimNet};
-use ftmp::orb::servant::{decode_i64_result, encode_i64_arg};
-use ftmp::orb::{BankAccount, InvocationResult, OrbEndpoint, OrbNode};
-
-const DOMAIN: McastAddr = McastAddr(500);
-const GROUP: McastAddr = McastAddr(600);
-
-fn balance_of(net: &SimNet<OrbNode>, id: u32, og: ObjectGroupId) -> i64 {
-    let snap = net.node(id).unwrap().orb().servant(og).unwrap().snapshot();
-    ftmp_cdr::CdrReader::new(&snap, ftmp_cdr::ByteOrder::Big)
-        .read_i64()
-        .unwrap()
-}
+use ftmp::check::OrbWorld;
+use ftmp::core::{ProcessorId, ProtocolConfig, ProtocolEvent};
+use ftmp::net::{LossModel, SimConfig};
+use ftmp::orb::servant::decode_i64_result;
+use ftmp::orb::{BankAccount, InvocationResult};
 
 fn main() {
-    let og_client = ObjectGroupId::new(1, 1);
-    let og_server = ObjectGroupId::new(2, 7);
-    let conn = ConnectionId::new(og_client, og_server);
-    let clients = [1u32, 2];
-    let servers = [3u32, 4, 5];
-
-    let mut net = SimNet::new(SimConfig::with_seed(7).loss(LossModel::Iid { p: 0.02 }));
-    net.set_classifier(ftmp::core::wire::classify);
-    let server_pids: Vec<ProcessorId> = servers.iter().map(|&i| ProcessorId(i)).collect();
-    for id in 1..=5u32 {
-        let mut proc = Processor::new(
-            ProcessorId(id),
-            ProtocolConfig::with_seed(7),
-            ClockMode::Lamport,
-        );
-        let mut orb = OrbEndpoint::new();
-        if clients.contains(&id) {
-            orb.register_client(conn);
-        } else {
-            orb.host_replica(
-                og_server,
-                b"bank".to_vec(),
-                Box::new(BankAccount::with_balance(1_000)),
-            );
-            proc.register_server(
-                og_server,
-                ServerRegistration {
-                    processors: server_pids.clone(),
-                    pool: vec![(GroupId(10), GROUP)],
-                },
-                DOMAIN,
-            );
-        }
-        net.add_node(id, OrbNode::new(proc, orb));
-        net.with_node(id, |n, now, out| n.pump(now, out));
-    }
-    // Clients solicit the connection; the server primary answers.
-    for &id in &clients {
-        net.with_node(id, move |n, now, out| {
-            n.proc_mut()
-                .open_connection(now, conn, vec![ProcessorId(1), ProcessorId(2)], DOMAIN);
-            n.pump(now, out);
-        });
-    }
-    net.run_for(SimDuration::from_millis(100));
-    println!(
-        "connection established: {}",
-        net.node(1).unwrap().proc().connection_group(conn).is_some()
+    // Two client replicas (P1, P2) and three server replicas (P3..P5),
+    // connected before `new` returns: the clients solicit the connection
+    // and the server primary answers.
+    let mut w = OrbWorld::new(
+        2,
+        3,
+        SimConfig::with_seed(7).loss(LossModel::Iid { p: 0.02 }),
+        ProtocolConfig::with_seed(7),
+        || Box::new(BankAccount::with_balance(1_000)),
     );
+    let ms = w.net.now().as_micros() / 1_000;
+    println!("connection established after {ms} ms");
 
-    let invoke = |net: &mut SimNet<OrbNode>, op: &str, amount: i64| {
-        for &id in &clients {
-            let op = op.to_string();
-            net.with_node(id, move |n, now, out| {
-                n.invoke(now, conn, b"bank", &op, &encode_i64_arg(amount), out);
-            });
-        }
-        net.run_for(SimDuration::from_millis(60));
-        let done = net.node_mut(1).unwrap().take_completions();
-        for c in done {
+    let invoke = |w: &mut OrbWorld, op: &str, amount: i64| {
+        w.invoke_all(op, amount);
+        w.run_ms(60);
+        for c in w.net.node_mut(1).unwrap().take_completions() {
             match c.result {
                 InvocationResult::Ok(bytes) => println!(
                     "  {op}({amount}) -> balance {}",
@@ -97,31 +42,27 @@ fn main() {
     };
 
     println!("\nnormal operation (2 client replicas, 3 server replicas):");
-    invoke(&mut net, "deposit", 250);
-    invoke(&mut net, "withdraw", 100);
+    invoke(&mut w, "deposit", 250);
+    invoke(&mut w, "withdraw", 100);
 
     println!("\ncrashing server replica P5 …");
-    net.crash(5);
-    net.run_for(SimDuration::from_millis(800)); // detection + reconfiguration
+    w.crash(5);
+    w.run_ms(800); // detection + reconfiguration
 
     println!("service continues on the surviving replicas:");
-    invoke(&mut net, "deposit", 50);
-    invoke(&mut net, "withdraw", 1_000_000); // raises InsufficientFunds
+    invoke(&mut w, "deposit", 50);
+    invoke(&mut w, "withdraw", 1_000_000); // raises InsufficientFunds
 
     println!("\nfinal replica states:");
-    for &id in &servers[..2] {
-        println!(
-            "  server P{id}: balance {}",
-            balance_of(&net, id, og_server)
-        );
+    let balance = |w: &OrbWorld, id| w.state::<BankAccount>(id).balance();
+    for id in [3, 4] {
+        println!("  server P{id}: balance {}", balance(&w, id));
     }
-    assert_eq!(
-        balance_of(&net, 3, og_server),
-        balance_of(&net, 4, og_server)
-    );
-    let events = net.node_mut(3).unwrap().take_events();
+    assert_eq!(balance(&w, 3), balance(&w, 4), "the survivors agree");
+    let events = w.net.node_mut(3).unwrap().take_events();
     let fault_reported = events.iter().any(|e| {
-        matches!(e, ftmp::core::ProtocolEvent::FaultReport { processor, .. } if *processor == ProcessorId(5))
+        matches!(e, ProtocolEvent::FaultReport { processor, .. } if *processor == ProcessorId(5))
     });
     println!("fault report for P5 raised: {fault_reported}");
+    assert!(fault_reported, "the survivors reported the crash");
 }

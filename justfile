@@ -1,6 +1,6 @@
 # Developer entry points. `just` runs `check`; `just ci` is the workflow's
 # `lint` and `test` jobs (fmt, clippy, rustdoc, tier-1, workspace and
-# vendored-crate tests).
+# vendored-crate tests, the ORB examples).
 # Its other jobs have their own recipes: `chaos`, `conformance`, `metrics`,
 # `bench`, `benchmark-smoke`, `bench-pins`, `panic-budget`, `results-fresh`.
 
@@ -26,6 +26,12 @@ doc:
 test:
     cargo test -q
 
+# The two ORB examples, release mode: each asserts that the server
+# replicas agree, so running them is a test.
+examples:
+    cargo run --release --example replicated_bank
+    cargo run --release --example corba_features
+
 # Everything, including per-crate unit tests.
 test-all:
     cargo test --workspace -q
@@ -37,7 +43,7 @@ test-vendor:
 
 # The CI gate. `test-all` is what runs the golden trace-hash pins: they are
 # unit tests of ftmp-core and ftmp-check, which the root `cargo test` skips.
-ci: fmt clippy doc test test-all test-vendor
+ci: fmt clippy doc test test-all test-vendor examples
 
 # Wide chaos sweep, release mode (CHAOS_SEEDS seeds per test) plus the
 # 1000-seed sweep that pins the known onset convictions, then the long

@@ -13,15 +13,14 @@
 //!    taking the engine's actions.
 
 use bytes::Bytes;
+use ftmp::check::{orb_conn, OrbWorld, ORB_POOL_GROUP};
 use ftmp::core::{
     Action, ClockMode, Command, ConnectionId, GroupId, Inbox, Processor, ProcessorId,
     ProtocolConfig, ProtocolEvent, RequestNum,
 };
-use ftmp::harness::worlds::{OrbWorld, ORB_GROUP_ADDR};
 use ftmp::net::{McastAddr, Packet, SimConfig, SimTime};
 use ftmp::orb::log::LogEntry;
-use ftmp::orb::servant::decode_i64_result;
-use ftmp::orb::{OrbEndpoint, OrbNode, Transfer};
+use ftmp::orb::{Counter, Transfer};
 use ftmp::store::{recover, scratch_dir, DurableLog, LogConfig, LogRecord, RecoveredState};
 use ftmp_check::{trace_hash, world_conn, FtmpWorld};
 
@@ -185,19 +184,7 @@ fn the_durability_point_is_the_turn_boundary() {
 }
 
 fn counter() -> Box<dyn ftmp::orb::Servant> {
-    Box::new(ftmp::orb::Counter::default())
-}
-
-fn counter_value(w: &OrbWorld, id: u32) -> i64 {
-    let snap = w
-        .net
-        .node(id)
-        .unwrap()
-        .orb()
-        .servant(w.conn().server)
-        .unwrap()
-        .snapshot();
-    decode_i64_result(&snap).unwrap()
+    Box::new(Counter::default())
 }
 
 /// Recovered Delivered records for `conn`, classified back into replayable
@@ -223,15 +210,7 @@ fn crashed_server_restarts_from_durable_log_with_delta_transfer() {
         ProtocolConfig::with_seed(71),
         counter,
     );
-    let conn = w.conn();
-    let og = conn.server;
-    let group = w
-        .net
-        .node(1)
-        .unwrap()
-        .proc()
-        .connection_group(conn)
-        .expect("established");
+    let conn = orb_conn();
 
     // The victim server persists its deliveries from here on; a small
     // segment size makes the run span several segments.
@@ -254,10 +233,10 @@ fn crashed_server_restarts_from_durable_log_with_delta_transfer() {
         w.run_ms(15);
     }
     w.run_ms(100);
-    assert_eq!(counter_value(&w, victim), 20);
+    assert_eq!(w.state::<Counter>(victim).value(), 20);
 
     // Phase 2: the victim crashes; the survivors convict and reconfigure.
-    w.net.crash(victim);
+    w.crash(victim);
     w.run_ms(1_000);
     let donor = w.servers[0];
     let events = w.net.node_mut(donor).unwrap().take_events();
@@ -283,7 +262,7 @@ fn crashed_server_restarts_from_durable_log_with_delta_transfer() {
     let recovered = recover(&dir).unwrap();
     assert_eq!(recovered.stats.records_quarantined, 0, "clean crash");
     let state = RecoveredState::from_records(&recovered.records);
-    let horizon = state.horizon_of(group);
+    let horizon = state.horizon_of(ORB_POOL_GROUP);
     assert!(horizon.0 > 0, "the victim persisted a delivery horizon");
     let own = own_entries(&recovered.records, conn);
     assert!(own.len() >= 20, "all 20 requests persisted: {}", own.len());
@@ -301,41 +280,18 @@ fn crashed_server_restarts_from_durable_log_with_delta_transfer() {
         delta.entries.len()
     );
 
-    let mut proc = Processor::new(
-        ProcessorId(victim),
-        ProtocolConfig::with_seed(72),
-        ClockMode::Lamport,
-    );
-    proc.expect_join(group, ORB_GROUP_ADDR);
-    proc.bind_connection(conn, group);
-    let relog = DurableLog::open(
-        &dir,
-        LogConfig {
-            segment_bytes: 2048,
-        },
-    )
-    .unwrap();
-    proc.set_delivery_log(Box::new(relog));
-    let mut orb = OrbEndpoint::new();
-    orb.activate_replica(
-        og,
-        b"obj".to_vec(),
-        counter(),
-        conn,
-        [Transfer::from(own), delta],
-    );
-    w.net.revive(victim, OrbNode::new(proc, orb));
-    w.net.with_node(victim, |n, now, out| n.pump(now, out));
+    // A new incarnation under the old processor id, logging to the same
+    // directory, sponsored back in by the donor.
+    w.activate(victim, [Transfer::from(own), delta], Some(&dir), donor);
     // Own replay (20) plus the donor delta (5) already equals the donors'.
-    assert_eq!(counter_value(&w, victim), 25, "own replay + delta = 25");
-
-    // The donor sponsors the rejoin under the old processor id.
-    w.net.with_node(donor, move |n, now, out| {
-        n.proc_mut().add_processor(now, group, ProcessorId(victim));
-        n.pump(now, out);
-    });
+    assert_eq!(
+        w.state::<Counter>(victim).value(),
+        25,
+        "own replay + delta = 25"
+    );
     w.run_ms(500);
-    let members = w.net.node(donor).unwrap().proc().membership(group).unwrap();
+    let donor_node = w.net.node(donor).unwrap();
+    let members = donor_node.proc().membership(ORB_POOL_GROUP).unwrap();
     assert!(
         members.contains(&ProcessorId(victim)),
         "restarted member rejoined: {members:?}"
@@ -348,7 +304,7 @@ fn crashed_server_restarts_from_durable_log_with_delta_transfer() {
     }
     w.run_ms(500);
     for &id in &[w.servers[0], w.servers[1], victim] {
-        assert_eq!(counter_value(&w, id), 30, "server P{id}");
+        assert_eq!(w.state::<Counter>(id).value(), 30, "server P{id}");
     }
     // The client saw every invocation complete exactly once.
     let (done, _) = w.drain_completions();

@@ -1,27 +1,15 @@
 //! Integration: replicated CORBA invocations through the whole stack —
 //! connection establishment, exactly-once execution, loss, crashes.
 
+use ftmp::check::{orb_conn, OrbWorld, OBJECT_KEY};
 use ftmp::core::ProtocolConfig;
-use ftmp::harness::worlds::OrbWorld;
 use ftmp::net::{LossModel, SimConfig};
 use ftmp::orb::servant::decode_i64_result;
-use ftmp::orb::InvocationResult;
+use ftmp::orb::{Counter, InvocationResult};
 use ftmp::telemetry::Registry;
 
 fn counter() -> Box<dyn ftmp::orb::Servant> {
-    Box::new(ftmp::orb::Counter::default())
-}
-
-fn counter_value(w: &OrbWorld, id: u32) -> i64 {
-    let snap = w
-        .net
-        .node(id)
-        .unwrap()
-        .orb()
-        .servant(w.conn().server)
-        .unwrap()
-        .snapshot();
-    decode_i64_result(&snap).unwrap()
+    Box::new(Counter::default())
 }
 
 #[test]
@@ -43,7 +31,7 @@ fn hundred_invocations_exactly_once() {
     assert_eq!(lats.len(), 100);
     for id in w.servers.clone() {
         assert_eq!(
-            counter_value(&w, id),
+            w.state::<Counter>(id).value(),
             100,
             "server P{id} executed each op once"
         );
@@ -69,7 +57,7 @@ fn invocations_under_heavy_loss() {
     let (done, _) = w.drain_completions();
     assert_eq!(done.len(), 30);
     for id in w.servers.clone() {
-        assert_eq!(counter_value(&w, id), 60);
+        assert_eq!(w.state::<Counter>(id).value(), 60);
     }
 }
 
@@ -123,7 +111,7 @@ fn server_crash_mid_stream_preserves_exactly_once() {
         w.run_ms(15);
     }
     let victim = *w.servers.last().unwrap();
-    w.net.crash(victim);
+    w.crash(victim);
     // Keep invoking while the survivors reconfigure.
     for _ in 0..10 {
         w.invoke_all("add", 1);
@@ -140,7 +128,7 @@ fn server_crash_mid_stream_preserves_exactly_once() {
         if id == victim {
             continue;
         }
-        assert_eq!(counter_value(&w, id), 20, "survivor P{id} state");
+        assert_eq!(w.state::<Counter>(id).value(), 20, "survivor P{id} state");
     }
 }
 
@@ -160,11 +148,10 @@ fn client_replica_crash_is_transparent_to_the_service() {
     // One client replica dies; the duplicates from the others keep the
     // requests flowing.
     let victim = *w.clients.last().unwrap();
-    w.net.crash(victim);
+    w.crash(victim);
     w.run_ms(1_000);
     for _ in 0..5 {
         // Only the surviving clients invoke now.
-        let conn = w.conn();
         for &id in &w.clients.clone() {
             if id == victim {
                 continue;
@@ -172,8 +159,8 @@ fn client_replica_crash_is_transparent_to_the_service() {
             w.net.with_node(id, move |node, now, out| {
                 node.invoke(
                     now,
-                    conn,
-                    b"obj",
+                    orb_conn(),
+                    OBJECT_KEY,
                     "add",
                     &ftmp::orb::servant::encode_i64_arg(1),
                     out,
@@ -185,7 +172,7 @@ fn client_replica_crash_is_transparent_to_the_service() {
     w.run_ms(1_000);
     for id in w.servers.clone() {
         assert_eq!(
-            counter_value(&w, id),
+            w.state::<Counter>(id).value(),
             10,
             "server P{id} applied all 10 adds once"
         );
@@ -218,12 +205,11 @@ struct ClosedLoop {
 fn closed_loop(seed: u64, proto: ProtocolConfig, virtual_ms: u64) -> ClosedLoop {
     const OUTSTANDING: usize = 16;
     let mut w = OrbWorld::new(2, 3, SimConfig::with_seed(seed), proto, counter);
-    let conn = w.conn();
     let invoke = |w: &mut OrbWorld, id: u32| -> u64 {
         w.net
             .with_node(id, move |node, now, out| {
                 let arg = ftmp::orb::servant::encode_i64_arg(1);
-                node.invoke(now, conn, b"obj", "add", &arg, out)
+                node.invoke(now, orb_conn(), OBJECT_KEY, "add", &arg, out)
             })
             .expect("client exists")
             .0

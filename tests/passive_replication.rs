@@ -3,162 +3,80 @@
 //! (The FT-CORBA-style extension of the paper's active-replication model;
 //! see `ftmp_orb::passive`.)
 
-use ftmp::core::pgmp::ServerRegistration;
-use ftmp::core::{
-    ClockMode, ConnectionId, GroupId, ObjectGroupId, Processor, ProcessorId, ProtocolConfig,
-};
-use ftmp::net::{McastAddr, SimConfig, SimDuration, SimNet};
-use ftmp::orb::servant::{decode_i64_result, encode_i64_arg, BankAccount};
-use ftmp::orb::{InvocationResult, OrbEndpoint, OrbNode, ReplicationStyle};
-
-const DOMAIN: McastAddr = McastAddr(500);
-const GROUP: McastAddr = McastAddr(600);
-
-fn og_server() -> ObjectGroupId {
-    ObjectGroupId::new(2, 7)
-}
-
-fn conn() -> ConnectionId {
-    ConnectionId::new(ObjectGroupId::new(1, 1), og_server())
-}
+use ftmp::check::{orb_conn, OrbWorld};
+use ftmp::core::ProtocolConfig;
+use ftmp::net::SimConfig;
+use ftmp::orb::servant::{decode_i64_result, BankAccount};
+use ftmp::orb::{InvocationResult, ReplicationStyle};
 
 /// 1 client (P1) + 3 warm-passive server replicas (P2..P4).
-fn build(seed: u64) -> SimNet<OrbNode> {
-    let mut net = SimNet::new(SimConfig::with_seed(seed));
-    net.set_classifier(ftmp::core::wire::classify);
-    let servers: Vec<ProcessorId> = (2..=4).map(ProcessorId).collect();
-    for id in 1..=4u32 {
-        let mut proc = Processor::new(
-            ProcessorId(id),
-            ProtocolConfig::with_seed(seed),
-            ClockMode::Lamport,
-        );
-        let mut orb = OrbEndpoint::new();
-        if id == 1 {
-            orb.register_client(conn());
-        } else {
-            orb.host_replica(
-                og_server(),
-                b"acct".to_vec(),
-                Box::new(BankAccount::with_balance(1_000)),
-            );
-            orb.set_warm_passive(og_server(), ProcessorId(id), servers.clone());
-            proc.register_server(
-                og_server(),
-                ServerRegistration {
-                    processors: servers.clone(),
-                    pool: vec![(GroupId(10), GROUP)],
-                },
-                DOMAIN,
-            );
-        }
-        net.add_node(id, OrbNode::new(proc, orb));
-        net.with_node(id, |n, now, out| n.pump(now, out));
-    }
-    net.with_node(1, |n, now, out| {
-        n.proc_mut()
-            .open_connection(now, conn(), vec![ProcessorId(1)], DOMAIN);
-        n.pump(now, out);
-    });
-    net.run_for(SimDuration::from_millis(100));
-    assert!(
-        net.node(1)
-            .unwrap()
-            .proc()
-            .connection_group(conn())
-            .is_some(),
-        "connection established"
-    );
-    net
+fn build(seed: u64) -> OrbWorld {
+    OrbWorld::with_style(
+        1,
+        3,
+        SimConfig::with_seed(seed),
+        ProtocolConfig::with_seed(seed),
+        ReplicationStyle::WarmPassive,
+        || Box::new(BankAccount::with_balance(1_000)),
+    )
 }
-
-fn account_of(net: &SimNet<OrbNode>, id: u32) -> (i64, u64) {
-    let snap = net
-        .node(id)
-        .unwrap()
-        .orb()
-        .servant(og_server())
-        .unwrap()
-        .snapshot();
-    let mut acct = BankAccount::default();
-    acct.restore(&snap);
-    (acct.balance(), acct.ops_applied)
-}
-
-use ftmp::orb::Servant;
 
 #[test]
 fn only_the_primary_executes_and_backups_track_state() {
-    let mut net = build(81);
+    let mut w = build(81);
     for i in 0..10i64 {
-        net.with_node(1, move |n, now, out| {
-            n.invoke(
-                now,
-                conn(),
-                b"acct",
-                "deposit",
-                &encode_i64_arg(10 + i),
-                out,
-            );
-        });
-        net.run_for(SimDuration::from_millis(20));
+        w.invoke_all("deposit", 10 + i);
+        w.run_ms(20);
     }
-    net.run_for(SimDuration::from_millis(200));
+    w.run_ms(200);
     // All replicas converge on the same balance…
-    let (b2, ops2) = account_of(&net, 2);
-    let (b3, ops3) = account_of(&net, 3);
-    let (b4, ops4) = account_of(&net, 4);
-    assert_eq!(b2, 1_000 + (10..20).sum::<i64>());
-    assert_eq!(b2, b3);
-    assert_eq!(b3, b4);
+    let [a2, a3, a4] = [2, 3, 4].map(|id| w.state::<BankAccount>(id));
+    assert_eq!(a2.balance(), 1_000 + (10..20).sum::<i64>());
+    assert_eq!(a2.balance(), a3.balance());
+    assert_eq!(a3.balance(), a4.balance());
     // …but only the primary (P2, smallest id) actually executed; the
     // backups' states came from shipped snapshots, so the op counter they
     // carry is the primary's.
-    assert_eq!(ops2, 10, "primary executed everything");
-    assert_eq!(ops3, 10, "backup state is the shipped snapshot");
-    assert_eq!(ops4, 10);
-    assert!(net.node(2).unwrap().orb().is_primary(og_server()));
-    assert!(!net.node(3).unwrap().orb().is_primary(og_server()));
+    assert_eq!(a2.ops_applied, 10, "primary executed everything");
+    assert_eq!(a3.ops_applied, 10, "backup state is the shipped snapshot");
+    assert_eq!(a4.ops_applied, 10);
+    assert!(w.net.node(2).unwrap().orb().is_primary(orb_conn().server));
+    assert!(!w.net.node(3).unwrap().orb().is_primary(orb_conn().server));
     assert_eq!(
-        net.node(3).unwrap().orb().style_of(og_server()),
+        w.net.node(3).unwrap().orb().style_of(orb_conn().server),
         ReplicationStyle::WarmPassive
     );
     // The client completed everything exactly once.
-    let done = net.node_mut(1).unwrap().take_completions();
-    assert_eq!(done.len(), 10);
+    assert_eq!(w.drain_completions().0.len(), 10);
 }
 
 #[test]
 fn primary_failover_replays_pending_and_answers() {
-    let mut net = build(82);
+    let mut w = build(82);
     // Normal operation.
     for _ in 0..5 {
-        net.with_node(1, |n, now, out| {
-            n.invoke(now, conn(), b"acct", "deposit", &encode_i64_arg(100), out);
-        });
-        net.run_for(SimDuration::from_millis(20));
+        w.invoke_all("deposit", 100);
+        w.run_ms(20);
     }
-    net.run_for(SimDuration::from_millis(100));
-    let _ = net.node_mut(1).unwrap().take_completions();
+    w.run_ms(100);
+    w.drain_completions();
 
     // The primary crashes. Requests issued while the survivors are still
     // detecting the fault get ordered and buffered as pending at backups.
-    net.crash(2);
+    w.crash(2);
     for _ in 0..3 {
-        net.with_node(1, |n, now, out| {
-            n.invoke(now, conn(), b"acct", "deposit", &encode_i64_arg(1), out);
-        });
-        net.run_for(SimDuration::from_millis(30));
+        w.invoke_all("deposit", 1);
+        w.run_ms(30);
     }
     // Fault detection, conviction, membership change, failover replay.
-    net.run_for(SimDuration::from_millis(1_500));
+    w.run_ms(1_500);
     assert!(
-        net.node(3).unwrap().orb().is_primary(og_server()),
+        w.net.node(3).unwrap().orb().is_primary(orb_conn().server),
         "P3 took over as primary"
     );
     // The client received replies for the in-flight requests (replayed by
     // the new primary).
-    let done = net.node_mut(1).unwrap().take_completions();
+    let done = w.net.node_mut(1).unwrap().take_completions();
     assert_eq!(done.len(), 3, "in-flight requests answered after failover");
     for c in &done {
         match &c.result {
@@ -169,47 +87,35 @@ fn primary_failover_replays_pending_and_answers() {
         }
     }
     // Survivors agree on the final balance: 1000 + 5*100 + 3*1.
-    let (b3, _) = account_of(&net, 3);
-    let (b4, _) = account_of(&net, 4);
-    assert_eq!(b3, 1_503);
-    assert_eq!(b3, b4);
+    let balance = |id| w.state::<BankAccount>(id).balance();
+    assert_eq!(balance(3), 1_503);
+    assert_eq!(balance(3), balance(4));
 
     // Service continues under the new primary.
-    net.with_node(1, |n, now, out| {
-        n.invoke(now, conn(), b"acct", "withdraw", &encode_i64_arg(3), out);
-    });
-    net.run_for(SimDuration::from_millis(200));
-    let done = net.node_mut(1).unwrap().take_completions();
-    assert_eq!(done.len(), 1);
-    let (b3, _) = account_of(&net, 3);
-    assert_eq!(b3, 1_500);
+    w.invoke_all("withdraw", 3);
+    w.run_ms(200);
+    assert_eq!(w.drain_completions().0.len(), 1);
+    assert_eq!(w.state::<BankAccount>(3).balance(), 1_500);
 }
 
 #[test]
 fn double_failover_survives() {
-    let mut net = build(83);
-    net.with_node(1, |n, now, out| {
-        n.invoke(now, conn(), b"acct", "deposit", &encode_i64_arg(7), out);
-    });
-    net.run_for(SimDuration::from_millis(100));
-    net.crash(2);
-    net.run_for(SimDuration::from_millis(1_200));
-    net.with_node(1, |n, now, out| {
-        n.invoke(now, conn(), b"acct", "deposit", &encode_i64_arg(7), out);
-    });
-    net.run_for(SimDuration::from_millis(200));
-    net.crash(3);
-    net.run_for(SimDuration::from_millis(1_500));
-    assert!(net.node(4).unwrap().orb().is_primary(og_server()));
-    net.with_node(1, |n, now, out| {
-        n.invoke(now, conn(), b"acct", "deposit", &encode_i64_arg(7), out);
-    });
-    net.run_for(SimDuration::from_millis(300));
-    let (b4, _) = account_of(&net, 4);
+    let mut w = build(83);
+    w.invoke_all("deposit", 7);
+    w.run_ms(100);
+    w.crash(2);
+    w.run_ms(1_200);
+    w.invoke_all("deposit", 7);
+    w.run_ms(200);
+    w.crash(3);
+    w.run_ms(1_500);
+    assert!(w.net.node(4).unwrap().orb().is_primary(orb_conn().server));
+    w.invoke_all("deposit", 7);
+    w.run_ms(300);
     assert_eq!(
-        b4, 1_021,
+        w.state::<BankAccount>(4).balance(),
+        1_021,
         "three deposits applied exactly once across two failovers"
     );
-    let done = net.node_mut(1).unwrap().take_completions();
-    assert_eq!(done.len(), 3);
+    assert_eq!(w.drain_completions().0.len(), 3);
 }

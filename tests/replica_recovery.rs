@@ -4,26 +4,20 @@
 //! a donor's snapshot plus log replay. The replacement then serves
 //! identically to the survivors.
 
+use ftmp::check::{orb_conn, OrbWorld, ORB_POOL_GROUP};
 use ftmp::core::{ProcessorId, ProtocolConfig, ProtocolEvent};
-use ftmp::harness::worlds::{OrbWorld, ORB_GROUP_ADDR};
 use ftmp::net::SimConfig;
-use ftmp::orb::servant::decode_i64_result;
-use ftmp::orb::{OrbEndpoint, OrbNode, Transfer};
+use ftmp::orb::{Counter, Transfer};
 
 fn counter() -> Box<dyn ftmp::orb::Servant> {
-    Box::new(ftmp::orb::Counter::default())
+    Box::new(Counter::default())
 }
 
-fn counter_value(w: &OrbWorld, id: u32) -> i64 {
-    let snap = w
-        .net
-        .node(id)
-        .unwrap()
-        .orb()
-        .servant(w.conn().server)
-        .unwrap()
-        .snapshot();
-    decode_i64_result(&snap).unwrap()
+/// `id` is in `at`'s view of the server pool's group.
+fn joined(w: &OrbWorld, at: u32, id: u32) -> bool {
+    let proc = w.net.node(at).unwrap().proc();
+    proc.membership(ORB_POOL_GROUP)
+        .is_some_and(|m| m.contains(&ProcessorId(id)))
 }
 
 #[test]
@@ -35,15 +29,7 @@ fn crashed_replica_replaced_via_snapshot_and_log_replay() {
         ProtocolConfig::with_seed(71),
         counter,
     );
-    let conn = w.conn();
-    let og = conn.server;
-    let group = w
-        .net
-        .node(1)
-        .unwrap()
-        .proc()
-        .connection_group(conn)
-        .expect("established");
+    let conn = orb_conn();
 
     // Phase 1: 10 invocations, then capture a snapshot at the donor (P2,
     // the first server).
@@ -65,7 +51,7 @@ fn crashed_replica_replaced_via_snapshot_and_log_replay() {
     }
     w.run_ms(100);
     let victim = *w.servers.last().unwrap();
-    w.net.crash(victim);
+    w.crash(victim);
     w.run_ms(1_000);
     let events = w.net.node_mut(donor).unwrap().take_events();
     assert!(
@@ -92,45 +78,17 @@ fn crashed_replica_replaced_via_snapshot_and_log_replay() {
     );
 
     let new_id = 9u32;
-    let mut proc = ftmp::core::Processor::new(
-        ProcessorId(new_id),
-        ProtocolConfig::with_seed(71),
-        ftmp::core::ClockMode::Lamport,
-    );
-    proc.expect_join(group, ORB_GROUP_ADDR);
-    proc.bind_connection(conn, group);
-    let mut orb = OrbEndpoint::new();
-    orb.activate_replica(
-        og,
-        b"obj".to_vec(),
-        counter(),
-        conn,
-        [Transfer::from(snapshot), replay],
-    );
-    w.net.add_node(new_id, OrbNode::new(proc, orb));
-    w.net.with_node(new_id, |n, now, out| n.pump(now, out));
+    w.activate(new_id, [Transfer::from(snapshot), replay], None, donor);
     // The replayed state already equals the donors'.
-    let snap = w
-        .net
-        .node(new_id)
-        .unwrap()
-        .orb()
-        .servant(og)
-        .unwrap()
-        .snapshot();
-    assert_eq!(decode_i64_result(&snap), Some(20), "snapshot + replay = 20");
-
-    // The donor sponsors the join.
-    w.net.with_node(donor, move |n, now, out| {
-        n.proc_mut().add_processor(now, group, ProcessorId(new_id));
-        n.pump(now, out);
-    });
-    w.run_ms(500);
-    let members = w.net.node(donor).unwrap().proc().membership(group).unwrap();
-    assert!(
-        members.contains(&ProcessorId(new_id)),
-        "replacement joined: {members:?}"
+    assert_eq!(
+        w.state::<Counter>(new_id).value(),
+        20,
+        "snapshot + replay = 20"
     );
+
+    // The donor's add completes.
+    w.run_ms(500);
+    assert!(joined(&w, donor, new_id), "the replacement joined");
 
     // Phase 4: more invocations; the replacement applies them like everyone.
     for _ in 0..5 {
@@ -139,22 +97,53 @@ fn crashed_replica_replaced_via_snapshot_and_log_replay() {
     }
     w.run_ms(500);
     for &id in &[w.servers[0], w.servers[1]] {
-        assert_eq!(counter_value(&w, id), 25, "survivor P{id}");
+        assert_eq!(w.state::<Counter>(id).value(), 25, "survivor P{id}");
     }
-    let snap = w
-        .net
-        .node(new_id)
-        .unwrap()
-        .orb()
-        .servant(og)
-        .unwrap()
-        .snapshot();
     assert_eq!(
-        decode_i64_result(&snap),
-        Some(25),
+        w.state::<Counter>(new_id).value(),
+        25,
         "the replacement replica tracks the group"
     );
     // And the client saw every invocation complete exactly once.
     let (done, _) = w.drain_completions();
     assert_eq!(done.len(), 25);
+}
+
+/// A replica activated again under its old id the instant it crashed: the
+/// donor's add lands while the old incarnation is still listed, so it waits
+/// out the conviction and is retried (§7.1) instead of being lost.
+#[test]
+fn a_replica_sponsored_back_as_it_crashes_rejoins_and_tracks_the_group() {
+    let mut w = OrbWorld::new(
+        1,
+        3,
+        SimConfig::with_seed(73),
+        ProtocolConfig::with_seed(73),
+        counter,
+    );
+    for _ in 0..10 {
+        w.invoke_all("add", 1);
+        w.run_ms(15);
+    }
+    w.run_ms(100);
+    let (donor, victim) = (w.servers[0], w.servers[2]);
+    w.crash(victim);
+    let snapshot = w.net.node(donor).unwrap().orb().checkpoint(orb_conn());
+    w.activate(victim, [Transfer::from(snapshot)], None, donor);
+    assert_eq!(
+        w.state::<Counter>(victim).value(),
+        10,
+        "the snapshot's state"
+    );
+    w.run_ms(3_000);
+    assert!(joined(&w, donor, victim), "the new incarnation rejoined");
+    for _ in 0..5 {
+        w.invoke_all("add", 1);
+        w.run_ms(40);
+    }
+    w.run_ms(500);
+    for id in w.servers.clone() {
+        assert_eq!(w.state::<Counter>(id).value(), 15, "server P{id}");
+    }
+    assert_eq!(w.drain_completions().0.len(), 15);
 }
