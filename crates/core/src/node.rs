@@ -183,6 +183,8 @@ pub struct Node<U = Mailbox> {
     actions: Vec<Action>,
     frames: Vec<(McastAddr, Bytes)>,
     observations: Vec<Observation>,
+    /// The last datagram batch a turn emptied, for the next arrival.
+    spare: Vec<RxDatagram>,
 }
 
 impl<U: Host> Node<U> {
@@ -200,6 +202,7 @@ impl<U: Host> Node<U> {
             actions: Vec::new(),
             frames: Vec::new(),
             observations: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -228,11 +231,12 @@ impl<U: Host> Node<U> {
         let id = self.engine.id().0;
         for entry in intake.drain(..) {
             match entry {
-                Inbox::Datagrams(batch) => {
-                    for d in batch {
+                Inbox::Datagrams(mut batch) => {
+                    for d in batch.drain(..) {
                         let pkt = Packet::new(id, d.addr, d.payload);
                         self.engine.handle_packet(now, &pkt);
                     }
+                    self.spare = batch;
                 }
                 Inbox::Command(cmd) => self.take(now, cmd),
             }
@@ -299,6 +303,17 @@ impl<U: Host> Node<U> {
         }
     }
 
+    /// Queue `pkt` for the next turn, in the batch buffer the last turn
+    /// emptied: a simulator arrival taken in without an allocation.
+    pub fn take_datagram(&mut self, pkt: &Packet) {
+        let mut batch = std::mem::take(&mut self.spare);
+        batch.push(RxDatagram {
+            addr: pkt.dst,
+            payload: pkt.payload.clone(),
+        });
+        self.intake.push(Inbox::Datagrams(batch));
+    }
+
     /// A turn on the simulator at `now` with nothing new to take in: what
     /// calls on the engine queued leaves now.
     pub fn pump(&mut self, now: SimTime, out: &mut Outbox) {
@@ -327,10 +342,7 @@ fn send_batch<L: Link + ?Sized>(link: &mut L, frames: &mut Vec<(McastAddr, Bytes
 
 impl<U: Host> SimNode for Node<U> {
     fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Outbox) {
-        self.intake.push(Inbox::Datagrams(vec![RxDatagram {
-            addr: pkt.dst,
-            payload: pkt.payload.clone(),
-        }]));
+        self.take_datagram(pkt);
         self.sim_turn(now, false, out);
     }
 

@@ -38,7 +38,7 @@ pub type NodeId = u32;
 pub struct McastAddr(pub u32);
 
 /// One datagram on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Packet {
     /// Originating node.
     pub src: NodeId,

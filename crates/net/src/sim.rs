@@ -1,6 +1,6 @@
 //! The discrete-event multicast simulator.
 
-use crate::models::{FaultOp, FaultPlan, LossState, SimConfig};
+use crate::models::{FaultOp, FaultPlan, LossModel, LossState, SimConfig};
 use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent, TraceRecord};
@@ -8,7 +8,10 @@ use crate::{McastAddr, NodeId, Packet};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+
+#[cfg(test)]
+mod model_tests;
 
 /// A protocol endpoint driven by the simulator.
 ///
@@ -61,7 +64,11 @@ impl Outbox {
     }
 }
 
-#[derive(Debug)]
+/// A scheduled event. The queue orders events by `(time, seq)`, `seq`
+/// counting up as they are scheduled, so ties run first in, first out;
+/// `seq` is never repeated, so the event itself never takes part in the
+/// order.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     Arrival { node: NodeId, pkt: Packet },
     Tick { node: NodeId },
@@ -71,23 +78,28 @@ enum Event {
 ///
 /// Generic over the node type so FTMP processors, baseline protocol engines
 /// and test stubs all run on the same substrate.
+///
+/// The queue holds the events themselves, so scheduling one and taking it
+/// off hashes nothing and allocates nothing beyond the heap's own growth;
+/// the receiver list and the [`Outbox`] are scratch the network reuses.
 pub struct SimNet<N: SimNode> {
     cfg: SimConfig,
     nodes: BTreeMap<NodeId, N>,
-    subs: HashMap<McastAddr, BTreeSet<NodeId>>,
-    queue: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    events: HashMap<u64, Event>,
+    subs: BTreeMap<McastAddr, BTreeSet<NodeId>>,
+    queue: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
     next_seq: u64,
     now: SimTime,
     rng: SmallRng,
-    loss_states: HashMap<NodeId, LossState>,
-    crashed: HashSet<NodeId>,
+    /// Burst-loss state per receiver, touched only when the loss model
+    /// draws.
+    loss_states: BTreeMap<NodeId, LossState>,
+    crashed: BTreeSet<NodeId>,
     /// When set, nodes in different partition cells cannot communicate.
-    partition: Option<Vec<HashSet<NodeId>>>,
+    partition: Option<Vec<BTreeSet<NodeId>>>,
     /// Directed links currently blocked (asymmetric partition): a packet
     /// from `a` never reaches `b` while `(a, b)` is present, while `b → a`
     /// traffic is untouched.
-    blocked: HashSet<(NodeId, NodeId)>,
+    blocked: BTreeSet<(NodeId, NodeId)>,
     /// Installed fault plan plus per-rule (seen, fired) occurrence counters.
     faults: Vec<(crate::models::FaultRule, u64, u64)>,
     stats: NetStats,
@@ -95,6 +107,10 @@ pub struct SimNet<N: SimNode> {
     msg_counter: Option<MessageCounter>,
     trace: Option<Trace>,
     tap: Option<WireTap>,
+    /// Scratch: the receivers of the datagram being fanned out.
+    receivers: Vec<NodeId>,
+    /// Scratch: what the node being called produces.
+    outbox: Outbox,
 }
 
 /// A wire tap: invoked once per transmitted datagram — before fan-out, so
@@ -117,22 +133,23 @@ impl<N: SimNode> SimNet<N> {
         SimNet {
             cfg,
             nodes: BTreeMap::new(),
-            subs: HashMap::new(),
+            subs: BTreeMap::new(),
             queue: BinaryHeap::new(),
-            events: HashMap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             rng,
-            loss_states: HashMap::new(),
-            crashed: HashSet::new(),
+            loss_states: BTreeMap::new(),
+            crashed: BTreeSet::new(),
             partition: None,
-            blocked: HashSet::new(),
+            blocked: BTreeSet::new(),
             faults: Vec::new(),
             stats: NetStats::default(),
             classifier: None,
             msg_counter: None,
             trace: None,
             tap: None,
+            receivers: Vec::new(),
+            outbox: Outbox::default(),
         }
     }
 
@@ -263,9 +280,14 @@ impl<N: SimNode> SimNet<N> {
 
     /// Undo a crash, replacing the node's state machine (a recovered
     /// processor restarts cold and rejoins via PGMP, it does not resume).
+    /// Its ticks start again one interval from now: a tick its last
+    /// incarnation left queued is taken off the queue, so the node runs one
+    /// tick stream however soon after a crash it comes back.
     pub fn revive(&mut self, id: NodeId, fresh: N) {
         self.crashed.remove(&id);
         self.nodes.insert(id, fresh);
+        self.queue
+            .retain(|Reverse((_, _, e))| *e != Event::Tick { node: id });
         let t = self.now + self.cfg.tick_interval;
         self.push_event(t, Event::Tick { node: id });
     }
@@ -337,11 +359,10 @@ impl<N: SimNode> SimNet<N> {
         }
     }
 
-    fn push_event(&mut self, at: SimTime, ev: Event) {
+    fn push_event(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Reverse((at, seq, seq)));
-        self.events.insert(seq, ev);
+        self.queue.push(Reverse((at, seq, event)));
     }
 
     /// Inject a datagram as if `src` transmitted it now (external stimulus).
@@ -357,12 +378,9 @@ impl<N: SimNode> SimNet<N> {
         if let Some(tap) = &mut self.tap {
             tap(self.now, pkt.src, pkt.dst, &pkt.payload);
         }
-        let receivers: Vec<NodeId> = self
-            .subs
-            .get(&pkt.dst)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        for rcv in receivers {
+        let mut receivers = std::mem::take(&mut self.receivers);
+        receivers.extend(self.subs.get(&pkt.dst).into_iter().flatten());
+        for &rcv in &receivers {
             if self.crashed.contains(&rcv) {
                 self.stats.to_crashed += 1;
                 self.trace_event(
@@ -402,11 +420,14 @@ impl<N: SimNode> SimNet<N> {
                 // Kernel loopback: lossless, near-instant.
                 self.cfg.loopback_latency
             } else {
-                let lost = self
-                    .loss_states
-                    .entry(rcv)
-                    .or_default()
-                    .sample(&self.cfg.loss, &mut self.rng);
+                let lost = match &self.cfg.loss {
+                    LossModel::None => false,
+                    model => self
+                        .loss_states
+                        .entry(rcv)
+                        .or_default()
+                        .sample(model, &mut self.rng),
+                };
                 if lost {
                     self.stats.lost += 1;
                     self.trace_event(pkt.src, pkt.dst, pkt.len(), kind, TraceEvent::Lose(rcv));
@@ -463,19 +484,21 @@ impl<N: SimNode> SimNet<N> {
                 );
             }
         }
+        receivers.clear();
+        self.receivers = receivers;
     }
 
-    /// Apply an outbox produced by node `id`: joins/leaves first (so a node
-    /// that joins a group receives its own immediately-following multicast),
-    /// then the sends.
-    fn apply_outbox(&mut self, id: NodeId, out: Outbox) {
-        for addr in out.joins {
+    /// Apply an outbox produced by node `id`, emptying it: joins/leaves
+    /// first (so a node that joins a group receives its own
+    /// immediately-following multicast), then the sends.
+    fn apply_outbox(&mut self, id: NodeId, out: &mut Outbox) {
+        for addr in out.joins.drain(..) {
             self.subscribe(id, addr);
         }
-        for addr in out.leaves {
+        for addr in out.leaves.drain(..) {
             self.unsubscribe(id, addr);
         }
-        for pkt in out.sends {
+        for pkt in out.sends.drain(..) {
             self.fan_out(pkt);
         }
     }
@@ -483,12 +506,11 @@ impl<N: SimNode> SimNet<N> {
     /// Process the next event. Returns the event's time, or `None` when the
     /// queue is empty.
     pub fn step(&mut self) -> Option<SimTime> {
-        let Reverse((at, seq, _)) = self.queue.pop()?;
-        let ev = self.events.remove(&seq).expect("event body");
+        let Reverse((at, _, event)) = self.queue.pop()?;
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        let mut out = Outbox::default();
-        let actor = match ev {
+        let mut out = std::mem::take(&mut self.outbox);
+        let actor = match event {
             Event::Arrival { node, pkt } => {
                 if self.crashed.contains(&node) {
                     self.stats.to_crashed += 1;
@@ -509,17 +531,15 @@ impl<N: SimNode> SimNet<N> {
                 node
             }
         };
-        self.apply_outbox(actor, out);
+        self.apply_outbox(actor, &mut out);
+        self.outbox = out;
         Some(at)
     }
 
     /// Run until virtual time reaches `deadline` (events at exactly
     /// `deadline` are processed).
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(Reverse((at, _, _))) = self.queue.peek() {
-            if *at > deadline {
-                break;
-            }
+        while self.queue.peek().is_some_and(|Reverse(e)| e.0 <= deadline) {
             self.step();
         }
         if self.now < deadline {
@@ -541,12 +561,11 @@ impl<N: SimNode> SimNet<N> {
         f: impl FnOnce(&mut N, SimTime, &mut Outbox) -> R,
     ) -> Option<R> {
         let now = self.now;
-        let mut out = Outbox::default();
-        let r = {
-            let n = self.nodes.get_mut(&id)?;
-            f(n, now, &mut out)
-        };
-        self.apply_outbox(id, out);
+        let n = self.nodes.get_mut(&id)?;
+        let mut out = std::mem::take(&mut self.outbox);
+        let r = f(n, now, &mut out);
+        self.apply_outbox(id, &mut out);
+        self.outbox = out;
         Some(r)
     }
 }
@@ -652,6 +671,29 @@ mod tests {
         net.run_for(SimDuration::from_millis(5));
         assert!(net.node(2).unwrap().ticks > 0);
         assert!(!net.is_crashed(2));
+    }
+
+    #[test]
+    fn a_node_revived_before_its_old_tick_fires_runs_one_tick_stream() {
+        let mut net = echo_net(LossModel::None);
+        let fresh = |id| Echo {
+            id,
+            ..Echo::default()
+        };
+        // Ticks fall on whole milliseconds; node 2's next one, at 2 ms, is
+        // still queued when it comes back at 1.6 ms.
+        net.run_for(SimDuration::from_micros(1_500));
+        net.crash(2);
+        net.run_for(SimDuration::from_micros(100));
+        net.revive(2, fresh(2));
+        let peer = net.node(0).unwrap().ticks;
+        net.run_for(SimDuration::from_millis(10));
+        assert_eq!(net.node(0).unwrap().ticks - peer, 10);
+        assert_eq!(net.node(2).unwrap().ticks, 10, "one stream, from 2.6 ms");
+        // Reviving a live node replaces its tick stream too.
+        net.revive(1, fresh(1));
+        net.run_for(SimDuration::from_millis(10));
+        assert_eq!(net.node(1).unwrap().ticks, 10);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 /// message-type byte), letting the experiment harness report traffic broken
 /// down by Regular vs Heartbeat vs RetransmitRequest etc. without the
 /// simulator knowing anything about FTMP.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Datagrams handed to the network by senders.
     pub sent_packets: u64,

@@ -9,7 +9,7 @@ use crate::conn::Connection;
 use crate::endpoint::{Completion, InvocationResult, OrbEndpoint, OutboundMsg};
 use ftmp_core::{
     Command, ConnectionId, Delivery, GroupId, Host, Inbox, Node, Processor, ProtocolEvent,
-    RequestNum, RxDatagram, SendError, SendOutcome, SimLink,
+    RequestNum, SendError, SendOutcome, SimLink,
 };
 use ftmp_net::{Outbox, Packet, SimNode, SimTime};
 use ftmp_telemetry::HistogramSnapshot;
@@ -280,10 +280,7 @@ impl OrbNode {
 
 impl SimNode for OrbNode {
     fn on_packet(&mut self, now: SimTime, pkt: &Packet, out: &mut Outbox) {
-        self.node.intake.push(Inbox::Datagrams(vec![RxDatagram {
-            addr: pkt.dst,
-            payload: pkt.payload.clone(),
-        }]));
+        self.node.take_datagram(pkt);
         self.pump_fed(now, out, false);
     }
 

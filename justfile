@@ -112,6 +112,12 @@ benchmark-smoke:
 bench-pairs parent workload:
     scripts/bench-pairs.sh {{parent}} {{workload}}
 
+# The benchmark trajectory (results/trajectory.jsonl) as text: one table
+# per workload x metric, PR by PR, parent and change side by side. Never a
+# gate. `scripts/trajectory.sh <file> <workload...>` narrows it.
+trajectory:
+    scripts/trajectory.sh
+
 # The benchmark rows that repeat exactly at a seed (virtual-time latencies,
 # datagram, packet, allocation and suppression counts, attempted/failed), a
 # checkout of the parent commit against this one: `equal` or
