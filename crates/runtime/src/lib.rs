@@ -4,8 +4,9 @@
 //! `Processor` is sans-io, the simulator feeds it virtual time, and the
 //! oracles check the observation stream. This crate is the other half of
 //! the sans-io bargain: the **same** engine, byte-for-byte the same wire
-//! messages, driven by real OS sockets and real time (std + threads only —
-//! no async runtime is vendored, and none is needed at these rates).
+//! messages, driven by real OS sockets and real time (std, `ppoll` and one
+//! thread per node — no async runtime is vendored, and none is needed at
+//! these rates).
 //!
 //! The pieces:
 //!
@@ -14,7 +15,8 @@
 //!   (full-mesh fallback for multicast-less containers), behind one
 //!   [`Transport`] trait with probe-based [`open_transport`] selection.
 //! - [`node`] — [`spawn`], the thread around the engine's one host,
-//!   `ftmp_core::Node` (DESIGN.md §11): one inbox that datagrams and
+//!   `ftmp_core::Node` (DESIGN.md §11): the one thread that reads and
+//!   writes the node's sockets, parked in one `ppoll` that datagrams and
 //!   commands both wake, fixed-cadence ticks, the transport as each turn's
 //!   link (one `send_batch` per turn); and [`Io`], the node's host here:
 //!   the application's channels, the trace recorder and the hybrid-logical
@@ -22,7 +24,8 @@
 //! - [`trace`] — the on-disk observation recorder whose files
 //!   `ftmp-check`'s trace replay feeds through the same seven oracles that
 //!   check simulator runs.
-//! - [`sys`] — the three raw socket options `std::net` is missing.
+//! - [`sys`] — the three raw socket options `std::net` is missing, and
+//!   `ppoll`.
 //!
 //! ## A three-node group over real sockets
 //!

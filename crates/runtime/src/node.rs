@@ -1,14 +1,17 @@
 //! The runtime's node: the engine's one host, [`ftmp_core::Node`], worked
-//! in **turns** by a thread that only parks, reads the clocks and decides
-//! when a tick is due.
+//! in **turns** by a thread that parks on its sockets, reads them, reads
+//! the clocks and decides when a tick is due.
 //!
-//! Thread model per node (DESIGN.md §14): the transport owns its reader
-//! thread(s), which parse frames, filter by subscription and push what each
-//! socket read completed into the inbox as one entry; the node's handle
-//! pushes [`Command`]s into the same queue. The **engine thread** parks on
-//! that one queue until the next tick is due, so anything that gives it
-//! work — a datagram, a publish, a `Stop` — wakes it at once, takes what
-//! the inbox holds (up to a bound) into the node's intake and runs a turn.
+//! Thread model per node (DESIGN.md §14): one **engine thread**, plus the
+//! TCP mesh's dialling thread, which only fills empty outbound slots. The
+//! engine thread owns the node's sockets through the inbox
+//! ([`RxReceiver`]): it parks in one `ppoll` on them and on the inbox's
+//! self-pipe until the next tick is due, reads each ready socket once into
+//! the node's intake, takes the commands the node's handle posted (up to a
+//! bound) and runs a turn. A publish or a `Stop` rings the pipe only when
+//! the engine has announced that it parks, so anything that gives the
+//! engine work wakes it at once, and a busy engine costs its callers no
+//! syscall.
 //!
 //! The node's feed, its add retry and its batching are core's; this module
 //! supplies what needs a thread or a socket. [`NodeConfig::build`] builds
@@ -38,7 +41,7 @@ use ftmp_core::config::ProtocolConfig;
 use ftmp_core::durable::DeliveryLog;
 use ftmp_core::ids::{ConnectionId, GroupId, ProcessorId, RequestNum};
 use ftmp_core::observe::Observation;
-use ftmp_core::{ClockMode, Host, Inbox, Link, Processor, SendError, SendOutcome};
+use ftmp_core::{ClockMode, Host, Link, Processor, SendError, SendOutcome};
 use ftmp_net::{McastAddr, SimTime};
 use ftmp_telemetry::Registry;
 use std::path::PathBuf;
@@ -46,7 +49,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::trace::TraceWriter;
-use crate::transport::{RxReceiver, Selected, Transport, TransportKind};
+use crate::transport::{Commands, RxReceiver, Selected, Transport, TransportKind};
 
 /// Monotonic `SimTime` source, optionally anchored to a shared epoch.
 #[derive(Debug, Clone)]
@@ -187,7 +190,7 @@ pub type Events = Receiver<(SimTime, ProtocolEvent)>;
 
 /// Handle to a spawned node.
 pub struct RuntimeHandle {
-    inbox: Sender<Inbox>,
+    commands: Commands,
     /// Ordered deliveries, as they happen.
     pub deliveries: Deliveries,
     /// Protocol events (membership changes, fault reports, ...).
@@ -196,9 +199,9 @@ pub struct RuntimeHandle {
 }
 
 impl RuntimeHandle {
-    /// Send a control command. Ignores send failure after the node exited.
+    /// Send a control command. After the node exited it is dropped unread.
     pub fn command(&self, cmd: Command) {
-        let _ = self.inbox.send(Inbox::Command(cmd));
+        self.commands.send(cmd);
     }
 
     /// Multicast an ordered request.
@@ -226,7 +229,8 @@ impl RuntimeHandle {
 pub struct NodeParts {
     /// The opened transport (from [`crate::transport::open_transport`]).
     pub transport: Selected,
-    /// Consumer half of the transport's receive queue.
+    /// The inbox the transport was opened on, through which the engine
+    /// thread reads its sockets.
     pub rx: RxReceiver,
     /// Optional durable delivery log (ftmp-store) for crash-restart.
     pub dlog: Option<Box<dyn DeliveryLog>>,
@@ -236,7 +240,7 @@ pub struct NodeParts {
 
 /// Spawn the engine thread for one node.
 pub fn spawn(cfg: NodeConfig, parts: NodeParts) -> RuntimeHandle {
-    let inbox = parts.rx.command_sender();
+    let commands = parts.rx.command_sender();
     let (node, deliveries, events) = cfg.build(cfg.clock.now(), parts.dlog, parts.trace);
     let (transport, rx) = (parts.transport, parts.rx);
     let thread = std::thread::Builder::new()
@@ -244,7 +248,7 @@ pub fn spawn(cfg: NodeConfig, parts: NodeParts) -> RuntimeHandle {
         .spawn(move || run_node(node, &cfg, transport, &rx))
         .expect("spawn runtime node");
     RuntimeHandle {
-        inbox,
+        commands,
         deliveries,
         events,
         thread,
@@ -389,7 +393,7 @@ impl Link for Wire<'_> {
 }
 
 /// The thread around a [`Node`]: park on the inbox until the next tick or
-/// the end of the stop grace, then run one turn on what arrived.
+/// the end of the stop grace, then run one turn on what it read.
 fn run_node(
     mut node: Node,
     cfg: &NodeConfig,
@@ -426,10 +430,8 @@ fn run_node(
     loop {
         let wake = stop_at.map_or(next_tick, |at| at.min(next_tick));
         let wait = wake.saturating_duration_since(Instant::now());
-        let Ok(datagrams) = rx.take_turn(wait, &mut node.intake) else {
-            break;
-        };
-        depth_peak = depth_peak.max(datagrams + rx.depth());
+        let datagrams = rx.take_turn(wait, &mut node.intake);
+        depth_peak = depth_peak.max(datagrams);
 
         let now_i = Instant::now();
         let lag = (now_i >= next_tick).then(|| now_i.saturating_duration_since(next_tick));
@@ -468,7 +470,7 @@ fn run_node(
         let id = reg.counter(name);
         reg.inc(id, count);
     }
-    // The deepest backlog any turn found waiting, its own intake included.
+    // The most datagrams any turn took in.
     let depth = reg.gauge("runtime_recv_queue_depth");
     reg.set(depth, depth_peak as i64);
     // Beside the runtime's own names, what the engine saw: NACKs,

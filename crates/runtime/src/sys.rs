@@ -1,8 +1,11 @@
-//! Raw-socket shims for the handful of options `std::net` does not expose.
+//! Raw-socket shims for the handful of calls `std::net` does not expose.
 //!
 //! The workspace is offline (no libc crate), but `std` already links the
-//! platform C library, so on Linux the needed calls are declared directly
-//! with `extern "C"`. Three options matter to the runtime:
+//! platform C library, so the needed calls are declared directly with
+//! `extern "C"`. One of them is the engine thread's only wait: `ppoll(2)`
+//! (`poll(2)` off Linux) over the node's sockets and its wake-up pipe,
+//! with a `timespec` timeout that keeps a 1 ms tick at microsecond
+//! resolution. Three socket options matter to the runtime:
 //!
 //! - `SO_REUSEADDR`/`SO_REUSEPORT` on the shared UDP multicast port, so
 //!   every member process (and every in-process node in tests) can bind the
@@ -19,11 +22,70 @@
 
 use std::io;
 use std::net::{SocketAddrV4, TcpListener, UdpSocket};
+use std::time::Duration;
+
+/// `struct pollfd`, the same on every unix.
+#[repr(C)]
+pub(crate) struct PollFd {
+    pub fd: i32,
+    pub events: i16,
+    pub revents: i16,
+}
+
+/// Data to read (or a connection to accept).
+pub(crate) const POLLIN: i16 = 0x1;
+/// Room to write.
+pub(crate) const POLLOUT: i16 = 0x4;
+
+impl PollFd {
+    pub fn new(fd: i32, events: i16) -> Self {
+        PollFd {
+            fd,
+            events,
+            revents: 0,
+        }
+    }
+}
+
+/// Wait up to `timeout` for an event on any of `fds`; returns how many have
+/// one (their `revents`, which the call sets for every entry). A signal ends
+/// the wait early with none.
+pub(crate) fn poll(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+    #[cfg(target_os = "linux")]
+    let rc = linux::wait(fds, timeout);
+    #[cfg(not(target_os = "linux"))]
+    let rc = other::wait(fds, timeout);
+    if rc < 0 {
+        let err = io::Error::last_os_error();
+        return match err.kind() {
+            io::ErrorKind::Interrupted => Ok(0),
+            _ => Err(err),
+        };
+    }
+    Ok(rc as usize)
+}
+
+#[cfg(not(target_os = "linux"))]
+mod other {
+    use super::PollFd;
+    use core::ffi::{c_int, c_uint};
+    use std::time::Duration;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_uint, timeout_ms: c_int) -> c_int;
+    }
+
+    /// Millisecond `poll(2)`, the timeout rounded up.
+    pub fn wait(fds: &mut [PollFd], timeout: Duration) -> c_int {
+        let ms = timeout.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int;
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as c_uint, ms) }
+    }
+}
 
 #[cfg(target_os = "linux")]
 mod linux {
     use super::*;
-    use core::ffi::{c_int, c_void};
+    use core::ffi::{c_int, c_long, c_ulong, c_void};
     use std::os::unix::io::{AsRawFd, FromRawFd};
 
     const AF_INET: c_int = 2;
@@ -57,6 +119,34 @@ mod linux {
         fn bind(fd: c_int, addr: *const c_void, len: u32) -> c_int;
         fn listen(fd: c_int, backlog: c_int) -> c_int;
         fn close(fd: c_int) -> c_int;
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
+    }
+
+    /// `struct timespec`.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+
+    pub fn wait(fds: &mut [PollFd], timeout: Duration) -> c_int {
+        let ts = Timespec {
+            tv_sec: timeout.as_secs().min(c_long::MAX as u64) as c_long,
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        };
+        unsafe {
+            ppoll(
+                fds.as_mut_ptr(),
+                fds.len() as c_ulong,
+                &ts,
+                std::ptr::null(),
+            )
+        }
     }
 
     fn check(rc: c_int, fd: Option<c_int>) -> io::Result<()> {
@@ -192,6 +282,20 @@ mod tests {
         // Binding the *same* port a second time is the whole point.
         let _b = udp_socket_shared(SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, port))
             .expect("second socket on the same port");
+    }
+
+    #[test]
+    fn poll_waits_out_its_timeout_or_reports_the_ready_descriptor() {
+        use std::io::Write;
+        use std::os::fd::AsRawFd;
+        let (rx, mut tx) = std::io::pipe().expect("pipe");
+        let mut fds = [PollFd::new(rx.as_raw_fd(), POLLIN)];
+        let waited = std::time::Instant::now();
+        assert_eq!(poll(&mut fds, Duration::from_millis(30)).unwrap(), 0);
+        assert!(waited.elapsed() >= Duration::from_millis(25));
+        tx.write_all(&[1]).expect("write");
+        assert_eq!(poll(&mut fds, Duration::from_secs(5)).unwrap(), 1);
+        assert_eq!(fds[0].revents & POLLIN, POLLIN);
     }
 
     #[test]

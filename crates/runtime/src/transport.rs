@@ -1,6 +1,6 @@
-//! The two real transports behind the runtime event loop, and the one
-//! queue — the **inbox** — through which everything reaches the engine
-//! thread.
+//! The two real transports under the runtime node, and the **inbox**: the
+//! one place where a node's engine thread waits, reads its sockets and
+//! takes its commands.
 //!
 //! The sans-io `Processor` addresses everything by [`McastAddr`] — an
 //! opaque 32-bit multicast group. A [`Transport`] maps that address space
@@ -14,10 +14,12 @@
 //!   loopback multicast (most containers): a full mesh of TCP streams, one
 //!   listener per member. The engine hands it one turn's frames at a time
 //!   ([`Transport::send_batch`]); they are laid into one buffer — every
-//!   peer gets the same bytes — and written with one `write` per peer per
-//!   `WRITE_CAP` bytes, and the local self-copies go to the inbox as one
-//!   entry. Each stream's reader thread splits what one `read` returned
-//!   into frames (`split_frames`) and pushes them as one inbox entry.
+//!   peer gets the same bytes — and written with one nonblocking `write`
+//!   per peer per `WRITE_CAP` bytes. What the kernel does not take waits in
+//!   that peer's backlog until its stream has room; a backlog past
+//!   `BACKLOG_CAP` drops the stream, and the dialling thread — the
+//!   transport's one thread — dials a fresh one. The sender's self-copies
+//!   go to the inbox as one entry of the next read.
 //!
 //! Both transports frame each datagram with the destination `McastAddr`,
 //! and the **receiver** filters against its local subscription set. That
@@ -27,31 +29,39 @@
 //! every joined group's traffic to every socket, and a TCP stream carries
 //! all groups).
 //!
-//! The inbox ([`rx_channel`]) carries received datagrams, in the batches
-//! the readers found them in, and — once a node runs on it — the node's
-//! control commands, so that a publish wakes a parked engine exactly as a
-//! datagram does. [`RxReceiver`]'s public accessors hand out datagrams one
-//! at a time for callers that drive a transport bare.
+//! The inbox ([`rx_channel`]) owns the receiving. A transport hands it its
+//! read half when it opens — a clone of the UDP socket, or the TCP
+//! listener — and from then on the thread that reads the inbox is the only
+//! one that touches those sockets: one `ppoll` waits on them, on every
+//! stream the listener accepted, on every outbound stream with a backlog,
+//! and on a self-pipe; each ready socket gets one read, whose subscribed
+//! frames become one entry. The node's commands wait in the inbox's queue,
+//! and their sender writes to the pipe only when the reader has announced
+//! that it is parking ([`RxReceiver`] states the rule). The engine's turn
+//! and the one-at-a-time accessors for callers that drive a transport bare
+//! run the same read routine.
 //!
 //! Selection is probe-based: [`open_transport`] in `Auto` mode stands up
 //! the UDP path and sends itself a probe datagram; only if the probe comes
 //! back is multicast trusted. Any failure — no multicast route, join
 //! refused, probe lost — falls back to TCP.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::RecvTimeoutError;
+use ftmp_core::node::Command;
 use ftmp_net::McastAddr;
 
 use bytes::Bytes;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, PipeReader, PipeWriter, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream, UdpSocket};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::sys;
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 pub use ftmp_core::node::{Inbox, RxDatagram};
 
 /// Reserved `McastAddr` used by the multicast availability probe. Never
@@ -61,53 +71,171 @@ pub const PROBE_ADDR: McastAddr = McastAddr(u32::MAX);
 /// Frame magic for UDP datagrams ("FTMR").
 const UDP_MAGIC: [u8; 4] = *b"FTMR";
 
-/// Producer half of the inbox (held by transport reader threads).
-#[derive(Clone)]
-pub struct RxQueue {
-    tx: Sender<Inbox>,
-    depth: Arc<AtomicU64>,
-    received: Arc<AtomicU64>,
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl RxQueue {
-    /// Enqueue `batch` as one entry: one lock, one wake-up of the engine.
-    fn push(&self, batch: Vec<RxDatagram>) {
-        if batch.is_empty() {
-            return;
+/// What the inbox's producers and its reader share.
+struct Shared {
+    /// The read half a transport handed over, until the first read takes it.
+    half: Mutex<Option<ReadHalf>>,
+    /// What reaches the reader without a socket.
+    posted: Mutex<Posted>,
+    /// The reader is parking: the next post rings the bell.
+    parked: AtomicBool,
+    /// The self-pipe's two ends: a post writes one byte to `bell` to wake
+    /// a parked reader, whose `ppoll` watches `bell_rx`.
+    bell: PipeWriter,
+    bell_rx: PipeReader,
+}
+
+/// What reaches the reader without a socket.
+#[derive(Default)]
+struct Posted {
+    /// The node owner's commands, in order.
+    commands: VecDeque<Command>,
+    /// The TCP mesh's self-copies of what it sent.
+    own: Vec<RxDatagram>,
+}
+
+impl Shared {
+    /// Post to the reader, and wake it if it is parked or about to be.
+    ///
+    /// The wake rule: the reader raises `parked` and then looks at
+    /// `posted` once more before it parks. A post is made under `posted`'s
+    /// lock and reads the flag after releasing it, so either the reader's
+    /// look comes later and finds the post, or it came earlier — after the
+    /// flag went up — and the post finds the flag and rings. Only the post
+    /// that lowers the flag writes, so a park costs at most one byte, and a
+    /// post to a running reader costs no syscall.
+    fn post(&self, add: impl FnOnce(&mut Posted)) {
+        add(&mut lock(&self.posted));
+        if self.parked.swap(false, Ordering::SeqCst) {
+            let _ = (&self.bell).write(&[1]);
         }
-        let n = batch.len() as u64;
-        self.depth.fetch_add(n, Ordering::Relaxed);
-        self.received.fetch_add(n, Ordering::Relaxed);
-        let _ = self.tx.send(Inbox::Datagrams(batch));
+    }
+
+    /// Move what was posted into `into`: the self-copies as one entry, then
+    /// up to [`TURN_BOUND`] commands. Returns the datagrams moved and
+    /// whether anything was.
+    fn take_posted(&self, into: &mut Vec<Inbox>) -> (u64, bool) {
+        let mut posted = lock(&self.posted);
+        let own = std::mem::take(&mut posted.own);
+        let datagrams = own.len();
+        if datagrams > 0 {
+            into.push(Inbox::Datagrams(own));
+        }
+        let commands = posted.commands.len().min(TURN_BOUND);
+        into.extend(posted.commands.drain(..commands).map(Inbox::Command));
+        (datagrams as u64, datagrams + commands > 0)
     }
 }
 
-/// Consumer half of the inbox (held by the event loop).
+/// A transport's side of the inbox: where it hands over its read half when
+/// it opens, and posts the self-copies of what it sends.
+#[derive(Clone)]
+pub struct RxQueue {
+    shared: Arc<Shared>,
+}
+
+impl RxQueue {
+    fn hand_over(&self, half: ReadHalf) {
+        *lock(&self.shared.half) = Some(half);
+    }
+}
+
+/// The reading side of the inbox, held by the engine thread.
+///
+/// Each read parks in one `ppoll` on the transport's sockets and the
+/// self-pipe — not at all when something is already posted — then reads
+/// every ready socket once. Before it parks it raises the `parked` flag
+/// and looks at the posted commands once more; a command posted after that
+/// look finds the flag and writes one byte to the pipe, so no command
+/// waits for the poll's timeout.
 pub struct RxReceiver {
-    rx: Receiver<Inbox>,
-    /// Producer handle for the node's commands.
-    tx: Sender<Inbox>,
-    /// The rest of a batch the one-at-a-time accessors have begun.
-    open: Mutex<VecDeque<RxDatagram>>,
-    depth: Arc<AtomicU64>,
-    received: Arc<AtomicU64>,
+    shared: Arc<Shared>,
+    reader: Mutex<Reader>,
+}
+
+/// The reading side's own state.
+#[derive(Default)]
+struct Reader {
+    half: Option<ReadHalf>,
+    fds: Vec<PollFd>,
+    /// The rest of a read the one-at-a-time accessors have begun.
+    open: VecDeque<RxDatagram>,
+    /// A read's entries, for the one-at-a-time accessors.
+    entries: Vec<Inbox>,
+    received: u64,
+}
+
+impl Reader {
+    /// The one read routine: park up to `wait` — not at all when something
+    /// was posted — then read each ready socket once, and take what was
+    /// posted, into `into`. Returns the datagrams taken.
+    fn read(&mut self, shared: &Shared, wait: Duration, into: &mut Vec<Inbox>) -> u64 {
+        if self.half.is_none() {
+            self.half = lock(&shared.half).take();
+        }
+        // Announce the park, then look once more (the wake rule, `Shared::post`).
+        shared.parked.store(true, Ordering::SeqCst);
+        let (mut datagrams, posted) = shared.take_posted(into);
+        let wait = if posted {
+            shared.parked.store(false, Ordering::SeqCst);
+            Duration::ZERO
+        } else {
+            wait
+        };
+        self.fds.clear();
+        self.fds
+            .push(PollFd::new(shared.bell_rx.as_raw_fd(), POLLIN));
+        if let Some(half) = &mut self.half {
+            half.register(&mut self.fds);
+        }
+        let ready = sys::poll(&mut self.fds, wait);
+        shared.parked.store(false, Ordering::SeqCst);
+        match ready {
+            Ok(0) => return datagrams,
+            Ok(_) => {}
+            Err(_) => {
+                // A wait that fails (out of memory, say) must not spin.
+                std::thread::sleep(wait);
+                return datagrams;
+            }
+        }
+        if self.fds[0].revents != 0 {
+            let _ = (&shared.bell_rx).read(&mut [0; 64]);
+            datagrams += shared.take_posted(into).0;
+        }
+        if let Some(half) = &mut self.half {
+            datagrams += half.read_ready(&self.fds[1..], into);
+        }
+        datagrams
+    }
 }
 
 impl RxReceiver {
     /// Block up to `timeout` for the next datagram.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<RxDatagram, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
-        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut reader = lock(&self.reader);
+        let reader = &mut *reader;
         loop {
-            if let Some(d) = open.pop_front() {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
+            if let Some(d) = reader.open.pop_front() {
                 return Ok(d);
             }
             let left = deadline.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(left)? {
-                Inbox::Datagrams(batch) => open.extend(batch),
-                // Only a node sends commands, and it took this receiver.
-                Inbox::Command(_) => {}
+            let mut entries = std::mem::take(&mut reader.entries);
+            reader.received += reader.read(&self.shared, left, &mut entries);
+            for entry in entries.drain(..) {
+                // Only a node posts commands, and it took this receiver.
+                if let Inbox::Datagrams(batch) = entry {
+                    reader.open.extend(batch);
+                }
+            }
+            reader.entries = entries;
+            if reader.open.is_empty() && Instant::now() >= deadline {
+                return Err(RecvTimeoutError::Timeout);
             }
         }
     }
@@ -117,84 +245,197 @@ impl RxReceiver {
         self.recv_timeout(Duration::ZERO).ok()
     }
 
-    /// Current queue depth (datagrams received but not yet consumed).
+    /// Datagrams the one-at-a-time accessors have read but not yet handed
+    /// out.
     pub fn depth(&self) -> u64 {
-        self.depth.load(Ordering::Relaxed)
+        lock(&self.reader).open.len() as u64
     }
 
-    /// Total datagrams ever enqueued by the transport.
+    /// Total datagrams ever read (after the subscription filter), the
+    /// self-copies included.
     pub fn received(&self) -> u64 {
-        self.received.load(Ordering::Relaxed)
+        lock(&self.reader).received
     }
 
-    /// The handle a node's owner sends [`Command`](ftmp_core::Command)s
-    /// through.
-    pub(crate) fn command_sender(&self) -> Sender<Inbox> {
-        self.tx.clone()
+    /// The handle a node's owner posts [`Command`]s through.
+    pub(crate) fn command_sender(&self) -> Commands {
+        Commands(Arc::clone(&self.shared))
     }
 
-    /// One engine turn's intake: park up to `wait` for the first entry,
-    /// then take what is already queued behind it until [`TURN_BOUND`]
-    /// datagrams and commands are in hand. Returns the datagrams taken;
-    /// `Err` when no producer is left.
-    pub(crate) fn take_turn(
-        &self,
-        wait: Duration,
-        into: &mut Vec<Inbox>,
-    ) -> Result<u64, RecvTimeoutError> {
-        let begun = std::mem::take(&mut *self.open.lock().unwrap_or_else(PoisonError::into_inner));
-        let mut next = if !begun.is_empty() {
-            Some(Inbox::Datagrams(begun.into()))
-        } else {
-            match self.rx.recv_timeout(wait) {
-                Ok(entry) => Some(entry),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(e) => return Err(e),
-            }
-        };
-        let (mut datagrams, mut taken) = (0, 0);
-        while let Some(entry) = next {
-            let n = match &entry {
-                Inbox::Datagrams(batch) => batch.len(),
-                Inbox::Command(_) => 0,
-            };
-            datagrams += n;
-            taken += n.max(1);
-            into.push(entry);
-            next = if taken < TURN_BOUND {
-                self.rx.try_recv().ok()
-            } else {
-                None
-            };
-        }
-        self.depth.fetch_sub(datagrams as u64, Ordering::Relaxed);
-        Ok(datagrams as u64)
+    /// One engine turn's intake: park up to `wait` unless something is
+    /// posted, then read each ready socket once and take the self-copies
+    /// and up to [`TURN_BOUND`] commands. Returns the datagrams taken.
+    pub(crate) fn take_turn(&self, wait: Duration, into: &mut Vec<Inbox>) -> u64 {
+        let mut reader = lock(&self.reader);
+        let n = reader.read(&self.shared, wait, into);
+        reader.received += n;
+        n
     }
 }
 
-/// Datagrams and commands after which a turn stops taking more, so that a
-/// flood cannot keep the engine from its tick.
+/// Where a node's owner posts [`Command`]s.
+#[derive(Clone)]
+pub(crate) struct Commands(Arc<Shared>);
+
+impl Commands {
+    /// Post `cmd`; rings the bell only if the engine is parked.
+    pub(crate) fn send(&self, cmd: Command) {
+        self.0.post(|posted| posted.commands.push_back(cmd));
+    }
+}
+
+/// Commands after which a turn stops taking more, so that a flood of them
+/// cannot keep the engine from its tick. (A turn reads each socket once, so
+/// datagrams are bounded by the read buffers.)
 const TURN_BOUND: usize = 64;
 
 /// Create the inbox shared between a transport and an event loop.
 pub fn rx_channel() -> (RxQueue, RxReceiver) {
-    let (tx, rx) = unbounded();
-    let depth = Arc::new(AtomicU64::new(0));
-    let received = Arc::new(AtomicU64::new(0));
+    let (bell_rx, bell) = io::pipe().expect("create the inbox's self-pipe");
+    let shared = Arc::new(Shared {
+        half: Mutex::default(),
+        posted: Mutex::default(),
+        parked: AtomicBool::new(false),
+        bell,
+        bell_rx,
+    });
     (
         RxQueue {
-            tx: tx.clone(),
-            depth: Arc::clone(&depth),
-            received: Arc::clone(&received),
+            shared: Arc::clone(&shared),
         },
         RxReceiver {
-            rx,
-            tx,
-            open: Mutex::default(),
-            depth,
-            received,
+            shared,
+            reader: Mutex::default(),
         },
     )
+}
+
+/// The sockets a transport hands the inbox, and the reader's state for
+/// them.
+enum ReadHalf {
+    Udp {
+        sock: UdpSocket,
+        subs: Subs,
+        buf: Vec<u8>,
+    },
+    Tcp {
+        listener: TcpListener,
+        subs: Subs,
+        /// The accepted streams, in `ppoll` order.
+        inbound: Vec<Inbound>,
+        /// The transport's outbound streams, polled while they have a
+        /// backlog; `flushing` lists the polled ones' slots.
+        peers: Peers,
+        flushing: Vec<usize>,
+    },
+}
+
+impl ReadHalf {
+    /// Add what to wait for to `fds`.
+    fn register(&mut self, fds: &mut Vec<PollFd>) {
+        match self {
+            ReadHalf::Udp { sock, .. } => fds.push(PollFd::new(sock.as_raw_fd(), POLLIN)),
+            ReadHalf::Tcp {
+                listener,
+                inbound,
+                peers,
+                flushing,
+                ..
+            } => {
+                fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+                fds.extend(
+                    inbound
+                        .iter()
+                        .map(|s| PollFd::new(s.stream.as_raw_fd(), POLLIN)),
+                );
+                flushing.clear();
+                for (i, slot) in peers.iter().enumerate() {
+                    if let Some(stream) = lock(slot).waiting() {
+                        fds.push(PollFd::new(stream.as_raw_fd(), POLLOUT));
+                        flushing.push(i);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Serve what `ppoll` found ready (`fds`, in [`register`](Self::register)'s
+    /// order): one read per ready socket, its subscribed frames one entry of
+    /// `into`; new connections accepted; backlogs flushed. Returns the
+    /// datagrams read.
+    fn read_ready(&mut self, fds: &[PollFd], into: &mut Vec<Inbox>) -> u64 {
+        match self {
+            ReadHalf::Udp { sock, subs, buf } => {
+                if fds[0].revents == 0 {
+                    return 0;
+                }
+                read_datagrams(sock, subs, buf, into)
+            }
+            ReadHalf::Tcp {
+                listener,
+                subs,
+                inbound,
+                peers,
+                flushing,
+            } => {
+                let (reads, flushes) = fds[1..].split_at(inbound.len());
+                let mut datagrams = 0;
+                let mut ready = reads.iter();
+                inbound.retain_mut(|s| {
+                    let polled = ready.next().is_some_and(|fd| fd.revents != 0);
+                    !polled || s.read(subs, into).map(|n| datagrams += n).is_some()
+                });
+                for (fd, &i) in flushes.iter().zip(flushing.iter()) {
+                    let mut peer = lock(&peers[i]);
+                    let same = peer.stream.as_ref().map(AsRawFd::as_raw_fd) == Some(fd.fd);
+                    if fd.revents != 0 && same && peer.flush().is_err() {
+                        peer.vacate();
+                    }
+                }
+                if fds[0].revents != 0 {
+                    accept_all(listener, inbound);
+                }
+                datagrams
+            }
+        }
+    }
+}
+
+/// The datagrams waiting on `sock`, up to [`TURN_BOUND`], that are for a
+/// subscribed group, as one entry of `into`.
+fn read_datagrams(sock: &UdpSocket, subs: &Subs, buf: &mut [u8], into: &mut Vec<Inbox>) -> u64 {
+    let subs = lock(subs);
+    let mut batch = Vec::new();
+    for _ in 0..TURN_BOUND {
+        // `WouldBlock`: drained. Another error: the next `ppoll` says more.
+        let Ok(n) = sock.recv(buf) else { break };
+        if let Some((dst, payload)) = parse_udp_frame(&buf[..n]) {
+            if dst != PROBE_ADDR && subs.contains(&dst.0) {
+                batch.push(RxDatagram {
+                    addr: dst,
+                    payload: Bytes::copy_from_slice(payload),
+                });
+            }
+        }
+    }
+    let n = batch.len() as u64;
+    if n > 0 {
+        into.push(Inbox::Datagrams(batch));
+    }
+    n
+}
+
+/// Accept every pending connection, nonblocking.
+fn accept_all(listener: &TcpListener, inbound: &mut Vec<Inbound>) {
+    // `WouldBlock`: none left. Another error: the next `ppoll` says more.
+    while let Ok((stream, _)) = listener.accept() {
+        if stream.set_nonblocking(true).is_ok() {
+            inbound.push(Inbound {
+                stream,
+                frames: FrameBuf::new(),
+            });
+        }
+    }
 }
 
 /// Which real transport is carrying the group traffic.
@@ -236,16 +477,14 @@ pub trait Transport: Send {
     fn leave(&mut self, addr: McastAddr);
     /// Wire-level datagrams/frames written so far.
     fn sent(&self) -> u64;
-    /// Stop reader/connector threads. Idempotent.
+    /// Stop the transport's thread (the TCP mesh's dialler); the sockets
+    /// close when the transport and its inbox are dropped. Idempotent.
     fn shutdown(&mut self);
 }
 
-/// Shared subscription set, consulted by reader threads on every read.
+/// The subscription set: the transport's `join`/`leave` write it, the
+/// inbox's reads filter on it.
 type Subs = Arc<Mutex<HashSet<u32>>>;
-
-fn locked(subs: &Subs) -> MutexGuard<'_, HashSet<u32>> {
-    subs.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Map a protocol `McastAddr` onto a loopback-scoped 239.77.x.y group.
 /// Collisions between distinct `McastAddr`s are harmless: the frame header
@@ -300,8 +539,6 @@ pub struct UdpMulticastTransport {
     /// `McastAddr`s may fold to the same 239.77.x.y group).
     joined: HashMap<Ipv4Addr, u32>,
     sent: u64,
-    stop: Arc<AtomicBool>,
-    reader: Option<JoinHandle<()>>,
 }
 
 /// Join `PROBE_ADDR`'s group and wait for our own probe datagram to come
@@ -357,7 +594,8 @@ pub fn multicast_available(cfg: &UdpConfig) -> bool {
 
 impl UdpMulticastTransport {
     /// Bind the shared port, prove multicast works with a self-probe, and
-    /// start the reader thread. Any failure means "use the TCP fallback".
+    /// hand a nonblocking clone of the socket to the inbox. Any failure
+    /// means "use the TCP fallback".
     pub fn open(cfg: &UdpConfig, rxq: RxQueue) -> io::Result<Self> {
         let sock = sys::udp_socket_shared(SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, cfg.port))?;
         sock.set_multicast_loop_v4(true)?;
@@ -365,47 +603,22 @@ impl UdpMulticastTransport {
         probe_multicast(&sock, cfg.port, cfg.probe_timeout)?;
 
         let subs: Subs = Arc::default();
-        let stop = Arc::new(AtomicBool::new(false));
-        let reader_sock = sock.try_clone()?;
-        reader_sock.set_read_timeout(Some(Duration::from_millis(100)))?;
-        let reader_subs = Arc::clone(&subs);
-        let reader_stop = Arc::clone(&stop);
-        let reader = std::thread::Builder::new()
-            .name("ftmp-udp-rx".into())
-            .spawn(move || {
-                let mut buf = vec![0u8; 65_536];
-                while !reader_stop.load(Ordering::Relaxed) {
-                    match reader_sock.recv_from(&mut buf) {
-                        Ok((n, _)) => {
-                            if let Some((dst, payload)) = parse_udp_frame(&buf[..n]) {
-                                if dst == PROBE_ADDR {
-                                    continue;
-                                }
-                                if locked(&reader_subs).contains(&dst.0) {
-                                    rxq.push(vec![RxDatagram {
-                                        addr: dst,
-                                        payload: Bytes::copy_from_slice(payload),
-                                    }]);
-                                }
-                            }
-                        }
-                        Err(e)
-                            if e.kind() == io::ErrorKind::WouldBlock
-                                || e.kind() == io::ErrorKind::TimedOut => {}
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn udp reader");
-
+        // The clone shares the socket's file description, so the sends
+        // are nonblocking too: a datagram the kernel has no room for is
+        // lost, as any may be.
+        let read = sock.try_clone()?;
+        read.set_nonblocking(true)?;
+        rxq.hand_over(ReadHalf::Udp {
+            sock: read,
+            subs: Arc::clone(&subs),
+            buf: vec![0; 65_536],
+        });
         Ok(UdpMulticastTransport {
             sock,
             port: cfg.port,
             subs,
             joined: HashMap::new(),
             sent: 0,
-            stop,
-            reader: Some(reader),
         })
     }
 }
@@ -427,7 +640,7 @@ impl Transport for UdpMulticastTransport {
     }
 
     fn join(&mut self, addr: McastAddr) {
-        locked(&self.subs).insert(addr.0);
+        lock(&self.subs).insert(addr.0);
         let ip = multicast_group_ip(addr);
         let refs = self.joined.entry(ip).or_insert(0);
         if *refs == 0 {
@@ -439,7 +652,7 @@ impl Transport for UdpMulticastTransport {
     }
 
     fn leave(&mut self, addr: McastAddr) {
-        locked(&self.subs).remove(&addr.0);
+        lock(&self.subs).remove(&addr.0);
         let ip = multicast_group_ip(addr);
         if let Some(refs) = self.joined.get_mut(&ip) {
             *refs = refs.saturating_sub(1);
@@ -454,18 +667,7 @@ impl Transport for UdpMulticastTransport {
         self.sent
     }
 
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for UdpMulticastTransport {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+    fn shutdown(&mut self) {}
 }
 
 /// Configuration for the TCP mesh fallback.
@@ -495,12 +697,91 @@ impl TcpConfig {
 pub struct TcpMeshTransport {
     subs: Subs,
     rxq: RxQueue,
-    slots: Arc<Vec<Mutex<Option<TcpStream>>>>,
+    peers: Peers,
     /// The frames of the write in the making; every peer gets these bytes.
     wbuf: Vec<u8>,
     sent: u64,
     stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    dialler: Option<JoinHandle<()>>,
+}
+
+/// One slot per configured peer, shared by the writer, the inbox (which
+/// polls a stream with a backlog) and the dialling thread (which fills an
+/// empty slot).
+type Peers = Arc<[Mutex<Peer>]>;
+
+/// One outbound stream and what the kernel has not yet taken of it.
+#[derive(Default)]
+struct Peer {
+    stream: Option<TcpStream>,
+    /// Bytes waiting for room in the stream, from `at` on: whole frames but
+    /// for the first, which may have begun.
+    backlog: Vec<u8>,
+    at: usize,
+}
+
+impl Peer {
+    /// The stream, when bytes wait for room in it.
+    fn waiting(&self) -> Option<&TcpStream> {
+        self.stream
+            .as_ref()
+            .filter(|_| self.at < self.backlog.len())
+    }
+
+    /// Write `bytes` behind what waits, and keep what the kernel does not
+    /// take. `Err` when the stream failed or the backlog would pass
+    /// [`BACKLOG_CAP`]: the caller vacates the slot.
+    fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let Some(stream) = self.stream.as_mut() else {
+            return Ok(());
+        };
+        if self.at == self.backlog.len() {
+            let n = write_some(stream, bytes)?;
+            self.backlog.extend_from_slice(&bytes[n..]);
+            return Ok(());
+        }
+        if self.backlog.len() - self.at + bytes.len() > BACKLOG_CAP {
+            return Err(io::Error::other("the peer's backlog passed its bound"));
+        }
+        self.backlog.extend_from_slice(bytes);
+        self.flush()
+    }
+
+    /// Hand the kernel what it takes of the backlog.
+    fn flush(&mut self) -> io::Result<()> {
+        let Some(stream) = self.stream.as_mut() else {
+            return Ok(());
+        };
+        self.at += write_some(stream, &self.backlog[self.at..])?;
+        if self.at == self.backlog.len() {
+            self.backlog.clear();
+            self.at = 0;
+            if self.backlog.capacity() > 2 * WRITE_CAP {
+                self.backlog = Vec::new();
+            }
+        } else if 2 * self.at >= self.backlog.len() {
+            self.backlog.drain(..self.at);
+            self.at = 0;
+        }
+        Ok(())
+    }
+
+    /// Drop the stream and what waits for it, so that the dialler's next
+    /// stream starts at a frame boundary.
+    fn vacate(&mut self) {
+        *self = Peer::default();
+    }
+}
+
+/// One `write`; a full socket buffer takes nothing.
+fn write_some(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    loop {
+        match stream.write(bytes) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(0),
+            done => return done,
+        }
+    }
 }
 
 /// A TCP frame is a u32-LE dst addr, a u32-LE payload length and the
@@ -510,11 +791,17 @@ const TCP_HEADER: usize = 8;
 /// A frame that declares a longer payload marks a corrupt stream.
 const MAX_FRAME_PAYLOAD: usize = 1 << 24;
 
-/// Most bytes handed to one `write`; a batch beyond it goes out in several.
+/// Most bytes a batch lays into one write; a batch beyond it goes out in
+/// several.
 const WRITE_CAP: usize = 64 * 1024;
 
-/// What a stream reader asks of one `read`, and its buffer's first size.
+/// What the inbox asks of one `read` of a stream, and its buffer's first
+/// size.
 const READ_BUF: usize = 16 * 1024;
+
+/// Most bytes a peer's stream may keep waiting beyond what its kernel
+/// buffers hold, before the stream is dropped and redialled.
+const BACKLOG_CAP: usize = 4 << 20;
 
 /// A frame header declared more than [`MAX_FRAME_PAYLOAD`] bytes.
 #[derive(Debug, PartialEq, Eq)]
@@ -545,7 +832,7 @@ fn split_frames(
     Ok(off)
 }
 
-/// A stream reader's buffer: what was read and is not yet a whole frame.
+/// A stream's read buffer: what was read and is not yet a whole frame.
 struct FrameBuf {
     buf: Vec<u8>,
     filled: usize,
@@ -607,134 +894,111 @@ impl FrameBuf {
     }
 }
 
-/// Per-stream reader: the subscribed frames each `read` completes go to the
-/// inbox as one entry, under one look at the subscription set, their
-/// payloads slices of one copy of what the read completed.
-fn tcp_reader(mut stream: TcpStream, subs: Subs, rxq: RxQueue, stop: Arc<AtomicBool>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut frames = FrameBuf::new();
-    while !stop.load(Ordering::Relaxed) {
-        match stream.read(frames.space()) {
-            Ok(0) => break,
-            Ok(n) => {
-                let subs = locked(&subs);
-                let split = frames.advance(n, |addr| subs.contains(&addr.0));
-                drop(subs);
-                let Ok(batch) = split else {
-                    return; // corrupt stream; abandon it
-                };
-                rxq.push(batch);
-            }
+/// An accepted stream, and what it has read of a frame still arriving.
+struct Inbound {
+    stream: TcpStream,
+    frames: FrameBuf,
+}
+
+impl Inbound {
+    /// One read; the subscribed frames it completes enter `into` as one
+    /// entry, under one look at the subscription set, their payloads slices
+    /// of one copy of what the read completed. Returns how many; `None`
+    /// when the stream is done — closed, failed or corrupt.
+    fn read(&mut self, subs: &Subs, into: &mut Vec<Inbox>) -> Option<u64> {
+        let n = match self.stream.read(self.frames.space()) {
+            Ok(0) => return None,
+            Ok(n) => n,
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
+                if e.kind() == io::ErrorKind::WouldBlock
+                    || e.kind() == io::ErrorKind::Interrupted =>
+            {
+                return Some(0)
             }
-            Err(_) => break,
+            Err(_) => return None,
+        };
+        let subs = lock(subs);
+        let batch = self.frames.advance(n, |addr| subs.contains(&addr.0)).ok()?;
+        let kept = batch.len() as u64;
+        if kept > 0 {
+            into.push(Inbox::Datagrams(batch));
         }
+        Some(kept)
+    }
+}
+
+/// The dialling thread: every `reconnect`, fill each empty slot with a
+/// fresh nonblocking stream to its peer. Unreachable peers are retried
+/// until `stop`.
+fn dial(addrs: &[SocketAddr], peers: &[Mutex<Peer>], stop: &AtomicBool, reconnect: Duration) {
+    while !stop.load(Ordering::Relaxed) {
+        for (addr, slot) in addrs.iter().zip(peers) {
+            if lock(slot).stream.is_some() {
+                continue;
+            }
+            let Ok(stream) = TcpStream::connect_timeout(addr, Duration::from_millis(150)) else {
+                continue;
+            };
+            if stream.set_nonblocking(true).is_ok() {
+                let _ = stream.set_nodelay(true);
+                lock(slot).stream = Some(stream);
+            }
+        }
+        std::thread::sleep(reconnect);
     }
 }
 
 impl TcpMeshTransport {
-    /// Start the accept loop and the reconnect sweeper.
+    /// Hand the listener to the inbox and start the dialling thread.
     pub fn open(cfg: TcpConfig, rxq: RxQueue) -> io::Result<Self> {
+        let TcpConfig {
+            listener,
+            peers: addrs,
+            reconnect,
+        } = cfg;
+        listener.set_nonblocking(true)?;
         let subs: Subs = Arc::default();
         let stop = Arc::new(AtomicBool::new(false));
-        let slots: Arc<Vec<Mutex<Option<TcpStream>>>> =
-            Arc::new(cfg.peers.iter().map(|_| Mutex::new(None)).collect());
-        let mut threads = Vec::new();
-
-        cfg.listener.set_nonblocking(true)?;
-        {
-            let (listener, subs, rxq, stop) = (
-                cfg.listener,
-                Arc::clone(&subs),
-                rxq.clone(),
-                Arc::clone(&stop),
-            );
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ftmp-tcp-accept".into())
-                    .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            match listener.accept() {
-                                Ok((stream, _)) => {
-                                    let _ = stream.set_nonblocking(false);
-                                    let (subs, rxq, stop) =
-                                        (Arc::clone(&subs), rxq.clone(), Arc::clone(&stop));
-                                    // Reader threads exit on stream close or
-                                    // stop; they are not joined individually.
-                                    let _ = std::thread::Builder::new()
-                                        .name("ftmp-tcp-rx".into())
-                                        .spawn(move || tcp_reader(stream, subs, rxq, stop));
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                    std::thread::sleep(Duration::from_millis(20));
-                                }
-                                Err(_) => break,
-                            }
-                        }
-                    })
-                    .expect("spawn tcp accept"),
-            );
-        }
-        {
-            let (peers, slots, stop, reconnect) = (
-                cfg.peers.clone(),
-                Arc::clone(&slots),
-                Arc::clone(&stop),
-                cfg.reconnect,
-            );
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ftmp-tcp-connect".into())
-                    .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            for (i, peer) in peers.iter().enumerate() {
-                                let vacant = slots[i].lock().map(|s| s.is_none()).unwrap_or(false);
-                                if !vacant {
-                                    continue;
-                                }
-                                if let Ok(stream) =
-                                    TcpStream::connect_timeout(peer, Duration::from_millis(150))
-                                {
-                                    let _ = stream.set_nodelay(true);
-                                    if let Ok(mut slot) = slots[i].lock() {
-                                        *slot = Some(stream);
-                                    }
-                                }
-                            }
-                            std::thread::sleep(reconnect);
-                        }
-                    })
-                    .expect("spawn tcp connect"),
-            );
-        }
-
+        let peers: Peers = addrs.iter().map(|_| Mutex::default()).collect();
+        let dialler = {
+            let (peers, stop) = (Arc::clone(&peers), Arc::clone(&stop));
+            std::thread::Builder::new()
+                .name("ftmp-tcp-connect".into())
+                .spawn(move || dial(&addrs, &peers, &stop, reconnect))?
+        };
+        rxq.hand_over(ReadHalf::Tcp {
+            listener,
+            subs: Arc::clone(&subs),
+            inbound: Vec::new(),
+            peers: Arc::clone(&peers),
+            flushing: Vec::new(),
+        });
         Ok(TcpMeshTransport {
             subs,
             rxq,
-            slots,
+            peers,
             wbuf: Vec::with_capacity(WRITE_CAP),
             sent: 0,
             stop,
-            threads,
+            dialler: Some(dialler),
         })
     }
 
     /// Write the `frames` frames laid into `wbuf` to every connected peer,
-    /// [`WRITE_CAP`] bytes a write, and empty it. Returns the writes issued.
+    /// one nonblocking `write` each, and empty it. Returns the writes
+    /// issued.
     fn write_to_peers(&mut self, frames: u64) -> u64 {
         let mut writes = 0;
-        for slot in self.slots.iter() {
-            let Ok(mut guard) = slot.lock() else { continue };
-            let Some(stream) = guard.as_mut() else {
+        for slot in self.peers.iter() {
+            let mut peer = lock(slot);
+            if peer.stream.is_none() || self.wbuf.is_empty() {
                 continue;
-            };
-            let mut chunks = self.wbuf.chunks(WRITE_CAP);
-            writes += chunks.len() as u64;
-            if chunks.all(|chunk| stream.write_all(chunk).is_ok()) {
+            }
+            writes += 1;
+            if peer.send(&self.wbuf).is_ok() {
                 self.sent += frames;
             } else {
-                *guard = None; // dead peer; the sweeper will reconnect
+                peer.vacate(); // the dialler redials
             }
         }
         self.wbuf.clear();
@@ -768,27 +1032,31 @@ impl Transport for TcpMeshTransport {
         // The kernel loops multicast back to the sender; the mesh must do
         // the same so self-addressed traffic (and loop-delivery dedupe
         // paths) behave identically on both transports.
-        let own = {
-            let subs = locked(&self.subs);
-            frames
-                .iter()
-                .filter(|(dst, _)| subs.contains(&dst.0))
-                .map(|(dst, payload)| RxDatagram {
-                    addr: *dst,
-                    payload: payload.clone(),
-                })
-                .collect()
-        };
-        self.rxq.push(own);
+        let subs = lock(&self.subs);
+        let mut own = frames.iter().filter(|(dst, _)| subs.contains(&dst.0));
+        if let Some(first) = own.next() {
+            self.rxq.shared.post(|posted| {
+                posted
+                    .own
+                    .extend(
+                        std::iter::once(first)
+                            .chain(own)
+                            .map(|(dst, payload)| RxDatagram {
+                                addr: *dst,
+                                payload: payload.clone(),
+                            }),
+                    );
+            });
+        }
         writes
     }
 
     fn join(&mut self, addr: McastAddr) {
-        locked(&self.subs).insert(addr.0);
+        lock(&self.subs).insert(addr.0);
     }
 
     fn leave(&mut self, addr: McastAddr) {
-        locked(&self.subs).remove(&addr.0);
+        lock(&self.subs).remove(&addr.0);
     }
 
     fn sent(&self) -> u64 {
@@ -797,8 +1065,8 @@ impl Transport for TcpMeshTransport {
 
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        for h in self.threads.drain(..) {
-            let _ = h.join();
+        if let Some(dialler) = self.dialler.take() {
+            let _ = dialler.join();
         }
     }
 }

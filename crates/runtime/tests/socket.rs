@@ -1,8 +1,10 @@
 //! Real-socket integration tests.
 //!
 //! The TCP-mesh tests are always on: they need nothing but loopback TCP,
-//! which every CI container has — the agreement run, the wake-up regression
-//! (a publish must not wait for the tick) and `send_batch`'s integrity. The UDP multicast test is gated behind
+//! which every CI container has — the agreement run, the wake-up
+//! regressions (a publish must not wait for the tick, from one thread or
+//! many), a peer that never reads, and `send_batch`'s integrity. The UDP
+//! multicast test is gated behind
 //! `FTMP_SOCKET_TESTS=1` *and* a live multicast probe, because loopback
 //! multicast is typically unavailable in containers — that combination is
 //! exactly why the runtime has a fallback path, and the fallback-selection
@@ -13,7 +15,9 @@ use ftmp_core::ids::{ConnectionId, GroupId, ObjectGroupId, ProcessorId, RequestN
 use ftmp_net::{McastAddr, SimDuration};
 use ftmp_runtime::transport::Transport;
 use ftmp_runtime::{node, sys, transport};
-use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 fn conn() -> ConnectionId {
@@ -214,6 +218,193 @@ fn publish_on_a_silent_group_does_not_wait_for_the_tick() {
         stopping.elapsed() < WINDOW,
         "`Stop` waited for the tick too"
     );
+}
+
+/// Commands posted from many threads at once while the engine parks and
+/// wakes between rounds of them: none may wait for the tick. A lone member
+/// delivers a publish in the turn after the one that takes it in, so with
+/// the tick far beyond the window only the engine's own look at the queue
+/// once it has announced that it parks, or the bell a later post rings,
+/// can bring a publish in. A post that lands while a turn runs is the case
+/// the look exists for: without it the engine parks on that post until the
+/// tick.
+#[test]
+fn commands_from_many_threads_never_wait_for_the_tick() {
+    const TICK: Duration = Duration::from_secs(20);
+    const WINDOW: Duration = Duration::from_secs(2);
+    const THREADS: u64 = 8;
+    const ROUNDS: u64 = 200;
+    let h = spawn_group_with(1, None, |cfg| cfg.tick = TICK).remove(0);
+    let start = Barrier::new(THREADS as usize + 1);
+    let mut stalled = None;
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (h, start) = (&h, &start);
+            s.spawn(move || {
+                for round in 0..ROUNDS {
+                    start.wait();
+                    h.publish(
+                        conn(),
+                        RequestNum(round * THREADS + t + 1),
+                        Bytes::from_static(b"burst"),
+                    );
+                }
+            });
+        }
+        // No panic in here: the publishers would wait at the barrier for
+        // good. After a stall the rounds still run, unchecked.
+        for round in 0..ROUNDS {
+            start.wait();
+            for _ in 0..THREADS {
+                if stalled.is_none() && h.deliveries.recv_timeout(WINDOW).is_err() {
+                    stalled = Some(round);
+                }
+            }
+        }
+    });
+    assert_eq!(stalled, None, "a publish of this round waited for the tick");
+    let stopping = Instant::now();
+    std::thread::scope(|s| {
+        s.spawn(|| h.command(node::Command::Stop));
+    });
+    let report = h.join();
+    assert!(
+        stopping.elapsed() < WINDOW,
+        "`Stop` from another thread waited for the tick"
+    );
+    assert_eq!(report.delivered, THREADS * ROUNDS);
+}
+
+/// Give the streams `listener` accepts a fixed 64 KiB receive buffer, which
+/// the kernel does not grow: a peer that never reads then holds only that
+/// much, on any host's TCP settings.
+#[cfg(target_os = "linux")]
+fn fixed_receive_buffer(listener: &TcpListener) {
+    use std::ffi::{c_int, c_void};
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn setsockopt(fd: c_int, level: c_int, name: c_int, val: *const c_void, len: u32) -> c_int;
+    }
+    const SOL_SOCKET: c_int = 1;
+    const SO_RCVBUF: c_int = 8;
+    let size: c_int = 64 * 1024;
+    let rc = unsafe {
+        setsockopt(
+            listener.as_raw_fd(),
+            SOL_SOCKET,
+            SO_RCVBUF,
+            (&size as *const c_int).cast(),
+            std::mem::size_of::<c_int>() as u32,
+        )
+    };
+    assert_eq!(rc, 0, "SO_RCVBUF: {}", std::io::Error::last_os_error());
+}
+
+/// A connected peer that accepts and never reads cannot stop the engine:
+/// what the kernel does not take waits in a bounded backlog, so every
+/// publish is delivered and the tick keeps its cadence while the peer stays
+/// connected; a backlog past its bound drops the stream, and the dialler
+/// dials the peer again. (With blocking writes the engine sat in `write` once the
+/// socket buffers filled: no delivery, no tick, no heartbeat. The peer
+/// closes its streams after a deadline, which unblocks such an engine, so
+/// the test fails rather than hangs.)
+#[test]
+#[cfg(target_os = "linux")]
+fn a_peer_that_never_reads_cannot_wedge_the_engine() {
+    const PUBLISHES: u64 = 600;
+    const BODY: usize = 60 * 1024;
+    const WINDOW: Duration = Duration::from_secs(10);
+    let deaf = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("deaf listener");
+    let deaf_addr = deaf.local_addr().expect("deaf address");
+    deaf.set_nonblocking(true).expect("nonblocking accept");
+    fixed_receive_buffer(&deaf);
+    let held: Arc<Mutex<Vec<TcpStream>>> = Arc::default();
+    let done = Arc::new(AtomicBool::new(false));
+    // Accept every stream the node dials (it redials one it dropped), keep
+    // them all open and read nothing, until the test is done or the
+    // deadline passes.
+    let deaf_peer = {
+        let (held, done) = (Arc::clone(&held), Arc::clone(&done));
+        let deadline = Instant::now() + WINDOW + Duration::from_secs(5);
+        std::thread::spawn(move || {
+            while !done.load(Ordering::Relaxed) && Instant::now() < deadline {
+                match deaf.accept() {
+                    Ok((stream, _)) => held.lock().unwrap().push(stream),
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                }
+            }
+            held.lock().unwrap().clear();
+        })
+    };
+
+    let listener =
+        sys::tcp_listener_reuse(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0)).expect("listener");
+    let (rxq, rx) = transport::rx_channel();
+    let selected = transport::open_transport(
+        transport::TransportSpec {
+            mode: transport::TransportMode::TcpMesh,
+            udp: transport::UdpConfig::default(),
+            tcp: Some(transport::TcpConfig::new(listener, vec![deaf_addr])),
+        },
+        rxq,
+    )
+    .expect("open transport");
+    let mut cfg =
+        node::NodeConfig::founder(ProcessorId(1), GROUP, GROUP_ADDR, vec![ProcessorId(1)]);
+    cfg.connection = Some((conn(), GROUP));
+    let spawned = Instant::now();
+    let h = node::spawn(
+        cfg,
+        node::NodeParts {
+            transport: selected,
+            rx,
+            dlog: None,
+            trace: None,
+        },
+    );
+    let up = Instant::now() + Duration::from_secs(5);
+    while held.lock().unwrap().is_empty() {
+        assert!(Instant::now() < up, "the node never dialled its peer");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let deadline = Instant::now() + WINDOW;
+    for k in 1..=PUBLISHES {
+        h.publish(conn(), RequestNum(k), Bytes::from(vec![k as u8; BODY]));
+    }
+    let mut delivered = 0;
+    while delivered < PUBLISHES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if h.deliveries.recv_timeout(left).is_err() {
+            break;
+        }
+        delivered += 1;
+    }
+    // The stream whose backlog passed its bound was dropped, and the
+    // dialler dials the peer again while it still holds the old one.
+    while held.lock().unwrap().len() < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let dialled = held.lock().unwrap().len();
+    let report = h.stop();
+    let lived = spawned.elapsed();
+    done.store(true, Ordering::Relaxed);
+    deaf_peer.join().expect("deaf peer thread");
+
+    assert_eq!(
+        delivered, PUBLISHES,
+        "{delivered} of {PUBLISHES} delivered in {WINDOW:?} ({} rejected)",
+        report.publish_rejected
+    );
+    // The tick is 1 ms; a quarter of the cadence is far above a wedged
+    // engine's few hundred ticks in ten seconds.
+    let cadence = lived.as_millis() as u64;
+    assert!(
+        report.ticks >= cadence / 4,
+        "{} ticks in {lived:?}",
+        report.ticks
+    );
+    assert!(dialled >= 2, "the overfull stream was not redialled");
 }
 
 fn loopback_mesh_endpoint(

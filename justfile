@@ -159,7 +159,9 @@ explore:
 # Real-socket cluster gate (DESIGN.md §14): the runtime's socket tests,
 # then the E18 multi-process cluster — 3 founders + a live join + a
 # kill -9/durable-log restart over UDP multicast (auto TCP fallback),
-# traces replayed through all seven oracles (results/e18.json).
+# traces replayed through all seven oracles (results/e18.json) — and once
+# more over the forced TCP mesh (results/e18-tcp.json), as CI runs it.
 cluster:
     FTMP_SOCKET_TESTS=1 cargo test --release -p ftmp-runtime
     cargo run --release -p ftmp-harness --bin ftmp-cluster
+    cargo run --release -p ftmp-harness --bin ftmp-cluster -- --tcp --out results/e18-tcp.json
