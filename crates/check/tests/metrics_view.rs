@@ -27,6 +27,20 @@
 //! partition cell sends two more Heartbeats. In the loss cell the earlier
 //! Heartbeats shift the random draws: one NACK fewer, and the RTT gauges and
 //! recovery latencies that follow from it.
+//!
+//! Both were re-pinned again when NACK jitter became drawn once per gap
+//! episode instead of once per receive window on every tick (DESIGN.md §4):
+//! the random stream no longer follows the tick count, so the loss cell's
+//! NACK times move (19 RetransmitRequests, not 15, and the repairs, RTT
+//! gauge and latencies behind them), and the partition cell sends one more
+//! datagram of kind 0x01, with the ordering latencies that follow.
+//!
+//! The loss cell was re-pinned once more when a Heartbeat that reveals a gap
+//! became held until the gap fills, instead of dropped (DESIGN.md §4): its
+//! horizon now advances on the repair, so deliveries come sooner (ordering
+//! delay 1 033 190 → 996 010 µs in sum, its maximum 19 372 → 15 917 µs), and
+//! one fewer data datagram is sent. The partition cell has no gap and did
+//! not move.
 
 use ftmp_check::{run_cell_instrumented, Scenario};
 
@@ -40,9 +54,9 @@ struct Pinned {
 
 const IID_LOSS: Pinned = Pinned {
     counters: &[
-        ("nacks_sent", 15),
-        ("retransmissions_answered", 23),
-        ("rtt_samples", 11),
+        ("nacks_sent", 19),
+        ("retransmissions_answered", 30),
+        ("rtt_samples", 15),
         ("window_closes", 0),
         ("convictions", 0),
         ("view_changes", 0),
@@ -56,41 +70,41 @@ const IID_LOSS: Pinned = Pinned {
         ("overlay_solicits", 0),
         ("overlay_solicit_answers", 0),
         ("overlay_rescues", 0),
-        ("sweep_observations", 7398),
+        ("sweep_observations", 7390),
         ("sweep_delivered", 240),
         ("sweep_violations", 0),
-        ("net_sent_packets", 1434),
-        ("net_sent_messages", 1434),
-        ("net_delivered", 5407),
-        ("net_lost", 326),
+        ("net_sent_packets", 1438),
+        ("net_sent_messages", 1438),
+        ("net_delivered", 5421),
+        ("net_lost", 327),
         ("net_partitioned", 0),
         ("net_to_crashed", 0),
-        ("net_kind_0x00_packets", 83),
-        ("net_kind_0x01_packets", 15),
-        ("net_kind_0x02_packets", 1336),
+        ("net_kind_0x00_packets", 90),
+        ("net_kind_0x01_packets", 19),
+        ("net_kind_0x02_packets", 1329),
     ],
     gauges: &[
-        ("srtt_us", 676),   // the older commit read 0: P4's estimator alone
+        ("srtt_us", 678),   // the older commit read 0: P4's estimator alone
         ("rttvar_us", 324), // the older commit read 0: P4's estimator alone
         ("overlay_depth", 0),
-        ("gap_depth_peak", 1),
+        ("gap_depth_peak", 2),
         ("conviction_margin_permille", 0),
     ],
     histograms: &[
-        ("rmp_recovery_us", [5, 19414, 3882, 4095, 7426, 7426, 7426]),
+        ("rmp_recovery_us", [10, 26508, 2650, 3418, 3418, 3418, 3418]),
         (
             "ordering_delay_us",
-            [240, 1075045, 4479, 4095, 16383, 16383, 22713],
+            [240, 996010, 4150, 4095, 15917, 15917, 15917],
         ),
         (
             "stability_lag_us",
-            [240, 2073851, 8641, 8191, 16383, 30374, 30374],
+            [240, 2211380, 9214, 8191, 32767, 32767, 39012],
         ),
-        ("e2e_self_us", [60, 338022, 5633, 8191, 16383, 22713, 22713]),
+        ("e2e_self_us", [60, 323519, 5391, 8191, 15917, 15917, 15917]),
         ("view_change_us", [0, 0, 0, 0, 0, 0, 0]),
         ("flow_stall_us", [0, 0, 0, 0, 0, 0, 0]),
         ("pack_msgs_per_datagram", [0, 0, 0, 0, 0, 0, 0]),
-        ("nack_attempts", [15, 17, 1, 1, 2, 2, 2]),
+        ("nack_attempts", [19, 21, 1, 1, 2, 2, 2]),
         ("suspicion_margin_permille", [0, 0, 0, 0, 0, 0, 0]),
     ],
 };
@@ -113,17 +127,17 @@ const PARTITION_HEAL: Pinned = Pinned {
         ("overlay_solicits", 0),
         ("overlay_solicit_answers", 0),
         ("overlay_rescues", 0),
-        ("sweep_observations", 5145),
+        ("sweep_observations", 5153),
         ("sweep_delivered", 162),
         ("sweep_violations", 0),
-        ("net_sent_packets", 1165),
-        ("net_sent_messages", 1165),
-        ("net_delivered", 3516),
+        ("net_sent_packets", 1166),
+        ("net_sent_messages", 1166),
+        ("net_delivered", 3523),
         ("net_lost", 0),
         ("net_partitioned", 123),
         ("net_to_crashed", 0),
         ("net_kind_0x00_packets", 57),
-        ("net_kind_0x01_packets", 89),
+        ("net_kind_0x01_packets", 90),
         ("net_kind_0x02_packets", 1008),
         ("net_kind_0x07_packets", 5),
         ("net_kind_0x08_packets", 6),
@@ -139,15 +153,15 @@ const PARTITION_HEAL: Pinned = Pinned {
         ("rmp_recovery_us", [0, 0, 0, 0, 0, 0, 0]),
         (
             "ordering_delay_us",
-            [147, 3775077, 25680, 4095, 121968, 121968, 121968],
+            [147, 3780284, 25716, 8191, 121968, 121968, 121968],
         ),
         (
             "stability_lag_us",
-            [147, 1199237, 8158, 8191, 16383, 121599, 121599],
+            [147, 1205107, 8198, 8191, 16383, 121599, 121599],
         ),
         (
             "e2e_self_us",
-            [47, 1266144, 26939, 8191, 121968, 121968, 121968],
+            [47, 1268430, 26987, 8191, 121968, 121968, 121968],
         ),
         ("view_change_us", [3, 1302, 434, 481, 481, 481, 481]),
         ("flow_stall_us", [0, 0, 0, 0, 0, 0, 0]),

@@ -6,7 +6,7 @@
 //! and timer ticks and emits [`Action`]s (datagrams to send, messages to
 //! deliver, membership events to report). The same state machine runs under
 //! the deterministic simulator ([`ftmp_net::sim`]) for tests and experiments,
-//! and under the threaded live transport for the examples.
+//! and over real UDP or TCP sockets under `ftmp-runtime`'s node.
 //!
 //! Layering follows Fig. 1 of the paper:
 //!

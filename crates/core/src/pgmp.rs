@@ -236,10 +236,14 @@ pub struct PgmpCounters {
 pub struct AckProgress {
     /// The member's last reported ack timestamp.
     pub ack: Timestamp,
-    /// When `ack` last advanced or was last level with our own frontier.
+    /// The sweep that last saw `ack` advance or level with our own
+    /// frontier, or first found it behind after being level: the ack-stall
+    /// clock runs from here.
     pub since: SimTime,
-    /// Level with our own frontier at the last sweep, so every tick until
-    /// the next sweep would have refreshed `since` (DESIGN.md §4).
+    /// Level with our own frontier at the last sweep. The sweep that then
+    /// finds it behind stamps `since` with its own time, so the stall is
+    /// counted from a sweep, whatever the host ticked in between
+    /// (DESIGN.md §4).
     pub caught_up: bool,
 }
 

@@ -179,9 +179,6 @@ struct GroupState {
     /// (re)built on the tick after a view installs (DESIGN.md §13). Always
     /// `None` under [`OverlayPolicy::Flat`].
     overlay: Option<OverlayState>,
-    /// The NACK jitter draws the last sweep made for this group — how many,
-    /// and their bound — which an idle tick repeats.
-    nack_draws: (u32, u64),
 }
 
 /// Why [`Processor::heartbeat_due`] says a Heartbeat is due: the ordinary
@@ -250,7 +247,6 @@ impl GroupState {
             last_rescue_sent: now,
             vec_cache: None,
             overlay: None,
-            nack_draws: (0, 0),
         }
     }
 
@@ -348,8 +344,6 @@ pub struct Processor {
     /// time the last sweep found any timer duty could act. A tick before it
     /// skips the sweep; [`wake`](Processor::wake) clears it.
     idle_until: Option<SimTime>,
-    /// When the last tick ran, swept or idle.
-    last_tick: SimTime,
     /// Sweep on every tick: the reference the idle path is tested against.
     #[cfg(test)]
     sweep_always: bool,
@@ -447,7 +441,6 @@ impl Processor {
             run: None,
             batch_depth: 0,
             idle_until: None,
-            last_tick: SimTime::ZERO,
             #[cfg(test)]
             sweep_always: false,
         }
@@ -1078,25 +1071,14 @@ impl Processor {
 
     /// Timer tick: heartbeats, NACKs, retries, the fault detector. A tick
     /// before the last sweep's deadline is idle (DESIGN.md §4): nothing can
-    /// be due, so it only repeats the sweep's RNG draws.
+    /// be due, so it does nothing at all.
     pub fn tick(&mut self, now: SimTime) {
         let idle = self.idle_until.is_some_and(|t| now < t);
         #[cfg(test)]
         let idle = idle && !self.sweep_always;
-        if idle {
-            // The sweep's NACK pass draws one jitter per remote receive
-            // window on every tick, gap or not, so an idle tick draws the
-            // same to leave the stream where a sweep would.
-            for g in self.groups.values() {
-                let (draws, jitter_max) = g.nack_draws;
-                for _ in 0..draws {
-                    let _: u64 = self.rng.gen_range(0..=jitter_max);
-                }
-            }
-        } else {
+        if !idle {
             self.sweep(now);
         }
-        self.last_tick = now;
     }
 
     /// Every timer duty, each lowering the deadline the next tick compares
@@ -1264,20 +1246,16 @@ impl Processor {
                 continue;
             }
             let prev = g.romp.ordering().horizon_of(p);
-            let contiguous = match g.rmp.handle(RmpInput::HeaderSeq {
-                source: p,
-                seq: SeqNum(seq),
-            }) {
-                RmpOutput::Noted { contiguous } => contiguous,
-                _ => unreachable!("HeaderSeq input yields Noted"),
-            };
-            let advance = contiguous >= seq;
+            let advance = g.rmp.note_header(p, SeqNum(seq)) >= seq;
             g.romp.handle(RompInput::Evidence {
                 source: p,
                 ts,
                 ack_ts: ack,
                 advance,
             });
+            if !advance {
+                g.romp.ordering_mut().hold_evidence(p, seq, ts);
+            }
             // Per-source send timestamps are strictly increasing, so a
             // strictly larger relayed horizon proves p produced traffic
             // since we last heard (directly or transitively) from it.
@@ -1569,19 +1547,18 @@ impl Processor {
             self.clock.observe(msg.ts);
             g.pgmp.note_heard(msg.source, now, true);
         }
-        let contiguous = match g.rmp.handle(RmpInput::HeaderSeq {
-            source: msg.source,
-            seq: msg.seq,
-        }) {
-            RmpOutput::Noted { contiguous } => contiguous,
-            _ => unreachable!("HeaderSeq input yields Noted"),
-        };
+        let advance = g.rmp.note_header(msg.source, msg.seq) >= msg.seq.0;
         g.romp.handle(RompInput::Evidence {
             source: msg.source,
             ts: msg.ts,
             ack_ts: msg.ack_ts,
-            advance: contiguous >= msg.seq.0,
+            advance,
         });
+        if !advance {
+            g.romp
+                .ordering_mut()
+                .hold_evidence(msg.source, msg.seq.0, msg.ts);
+        }
         let acked = Event::Acked {
             group: msg.group,
             member: msg.source,

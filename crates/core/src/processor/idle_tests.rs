@@ -1,12 +1,13 @@
 //! The idle tick against the full sweep (DESIGN.md §4 "Adaptive timers").
 //!
-//! Two copies of one small group run the same random schedule — loss,
+//! Three copies of one small group run the same random schedule — loss,
 //! reordering, duplication, sends, irregular ticks with long quiet gaps, a
 //! crash, a one-way loss that stalls a member's acks, a sponsored join and
-//! a Connect nobody answers. In one copy every processor skips ticks before
-//! its deadline; in the other every tick sweeps. After every step both must
-//! have produced the same actions, the same `stats()` and the same next RNG
-//! draw.
+//! a Connect nobody answers. They differ only in their host ([`Host`]): one
+//! never calls `tick` before a processor's deadline, one calls it on every
+//! tick and lets the processor skip, and one sweeps on every tick. After
+//! every step all three must have produced the same actions, the same
+//! `stats()` and the same next RNG draw.
 
 use super::*;
 use crate::config::{PackPolicy, Packing};
@@ -54,10 +55,23 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// What the skipping copies' processors did, summed over every schedule.
+/// How a copy's host ticks its processors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Host {
+    /// Calls `tick` only from a processor's deadline on, as a host that
+    /// sleeps until then would.
+    Deadline,
+    /// Calls `tick` on every tick; a tick before the deadline is idle.
+    Ticking,
+    /// Every tick sweeps (`sweep_always`): the reference.
+    Sweeping,
+}
+
+/// What the deadline copies' processors did, summed over every schedule.
 #[derive(Debug, Default)]
 struct Seen {
     ticks: u64,
+    /// Ticks before the deadline: never made by a deadline host.
     idle: u64,
     convictions: u64,
     joins: u64,
@@ -72,6 +86,7 @@ struct Seen {
 
 /// One copy of the group and its network.
 struct World {
+    host: Host,
     procs: Vec<Processor>,
     subs: Vec<BTreeSet<McastAddr>>,
     up: Vec<bool>,
@@ -99,16 +114,17 @@ impl World {
         founders: usize,
         cfg: &ProtocolConfig,
         (net_seed, loss, batched): (u64, f64, bool),
-        sweep: bool,
+        host: Host,
     ) -> Self {
         let n = founders + 1;
         let mut procs: Vec<Processor> = (1..=n as u32)
             .map(|id| Processor::new(ProcessorId(id), cfg.clone(), ClockMode::Lamport))
             .collect();
         for p in &mut procs {
-            p.sweep_always = sweep;
+            p.sweep_always = host == Host::Sweeping;
         }
         let mut w = World {
+            host,
             procs,
             subs: vec![BTreeSet::new(); n],
             up: vec![true; n],
@@ -213,7 +229,8 @@ impl World {
         self.drain(i);
     }
 
-    /// Deliver everything due by `until` in due order, then tick.
+    /// Deliver everything due by `until` in due order, then tick as this
+    /// copy's host does.
     fn advance(&mut self, until: SimTime) {
         let spare = self.founders;
         if self.joining && self.subs[spare].is_empty() {
@@ -238,8 +255,11 @@ impl World {
             }
             let p = &self.procs[i];
             self.seen.ticks += 1;
-            if p.idle_until.is_some_and(|t| until < t) && !p.sweep_always {
+            if p.idle_until.is_some_and(|t| until < t) && self.host != Host::Sweeping {
                 self.seen.idle += 1;
+                if self.host == Host::Deadline {
+                    continue;
+                }
             }
             let suspects =
                 |p: &Processor| p.groups.get(&GID).map_or(0, |g| g.pgmp.my_suspects.len());
@@ -323,8 +343,8 @@ impl World {
     }
 }
 
-/// Run `ops` on both copies, comparing them after every step, and add
-/// what the skipping copy saw to `seen`.
+/// Run `ops` on the three copies, comparing each with the reference after
+/// every step, and add what the deadline copy saw to `seen`.
 fn run_case(
     ops: &[Op],
     founders: usize,
@@ -332,34 +352,47 @@ fn run_case(
     net: (u64, f64, bool),
     seen: &mut Seen,
 ) {
-    let mut idle = World::new(founders, cfg, net, false);
-    let mut full = World::new(founders, cfg, net, true);
-    idle.seen = std::mem::take(seen);
-    assert_eq!(idle.log, full.log);
+    let mut full = World::new(founders, cfg, net, Host::Sweeping);
+    let mut others = [Host::Deadline, Host::Ticking].map(|h| World::new(founders, cfg, net, h));
+    others[0].seen = std::mem::take(seen);
+    for w in &mut others {
+        assert_eq!(w.log, full.log);
+        w.log.clear();
+    }
+    full.log.clear();
     for (step, op) in ops.iter().enumerate() {
-        idle.apply(op);
         full.apply(op);
-        assert_eq!(
-            idle.log, full.log,
-            "actions differ after step {step} {op:?}"
-        );
-        assert_eq!(
-            idle.state(),
-            full.state(),
-            "state differs after step {step} {op:?}"
-        );
-        idle.log.clear();
+        for w in &mut others {
+            w.apply(op);
+            let host = w.host;
+            assert_eq!(
+                w.log, full.log,
+                "{host:?}: actions differ after step {step} {op:?}"
+            );
+            assert_eq!(
+                w.state(),
+                full.state(),
+                "{host:?}: state differs after step {step} {op:?}"
+            );
+            w.log.clear();
+        }
         full.log.clear();
     }
     assert_eq!(full.seen.idle, 0, "the reference sweeps on every tick");
-    idle.seen.nacks += idle.procs.iter().map(|p| p.stats().nacks_sent).sum::<u64>();
-    *seen = idle.seen;
+    let [mut deadline, _] = others;
+    deadline.seen.nacks += deadline
+        .procs
+        .iter()
+        .map(|p| p.stats().nacks_sent)
+        .sum::<u64>();
+    *seen = deadline.seen;
 }
 
 /// Every step of every schedule: the same actions, counters and RNG stream
-/// with idle ticks as with a sweep on every tick. One property run over
-/// `SCHEDULES` generated schedules, so that the coverage below is asserted
-/// over all of them together.
+/// whether the host skips the ticks before the deadline, makes them idle,
+/// or sweeps on every tick. One property run over `SCHEDULES` generated
+/// schedules, so that the coverage below is asserted over all of them
+/// together.
 #[test]
 fn idle_ticks_change_nothing_a_sweep_would_not() {
     const SCHEDULES: usize = 160;
@@ -389,7 +422,7 @@ fn idle_ticks_change_nothing_a_sweep_would_not() {
         let loss = [0.0, 0.02, 0.1, 0.3][loss];
         run_case(&ops, founders, &cfg, (seed, loss, batched == 1), &mut seen);
     }
-    // Not vacuous: most ticks were idle, and every path ran.
+    // Not vacuous: the deadline host skipped most ticks, and every path ran.
     assert!(seen.idle * 100 >= seen.ticks * 60, "{seen:?}");
     assert!(seen.convictions > 0 && seen.stalls > 0, "{seen:?}");
     assert!(seen.joins > 0 && seen.join_retries > 0, "{seen:?}");

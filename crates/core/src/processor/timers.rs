@@ -163,19 +163,13 @@ impl Processor {
                 let cfg = &self.cfg;
                 let rtt = g.rtt;
                 let rng = &mut self.rng;
-                let mut draws = 0;
-                let requests = g.rmp.nack_requests(
+                g.rmp.nack_requests(
                     now,
                     max_span,
-                    || {
-                        draws += 1;
-                        SimDuration::from_micros(rng.gen_range(0..=jitter_max))
-                    },
+                    || SimDuration::from_micros(rng.gen_range(0..=jitter_max)),
                     |attempts| adaptive::nack_retry_after(cfg, &rtt, attempts),
                     &mut next.0,
-                );
-                g.nack_draws = (draws, jitter_max);
-                requests
+                )
             };
             for (src, ranges) in requests {
                 for (a, b) in ranges {
@@ -217,9 +211,6 @@ impl Processor {
     }
 
     pub(super) fn tick_fault_detector(&mut self, now: SimTime, next: &mut NextDue) {
-        // The last tick before this one, swept or idle: the refresh every
-        // idle tick owed a caught-up member's ack progress.
-        let last_tick = self.last_tick;
         let mut cur = None;
         while let Some(gid) = self.next_group(cur) {
             cur = Some(gid);
@@ -244,7 +235,7 @@ impl Processor {
                         caught_up: false,
                     });
                     if entry.caught_up {
-                        entry.since = last_tick;
+                        entry.since = now;
                     }
                     entry.caught_up = ack >= own_ack;
                     if ack > entry.ack || entry.caught_up {

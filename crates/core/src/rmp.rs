@@ -246,11 +246,13 @@ impl SourceRx {
 
     /// NACK scheduler: called on gap detection and on ticks. Returns true
     /// when a RetransmitRequest should be emitted now; reschedules itself
-    /// with period `retry`.
+    /// with period `retry`. `initial_jitter` is called only when a gap
+    /// episode arms, so a window without a gap, or one already armed,
+    /// draws nothing.
     pub fn nack_due(
         &mut self,
         now: SimTime,
-        initial_jitter: SimDuration,
+        initial_jitter: impl FnOnce() -> SimDuration,
         retry: SimDuration,
     ) -> bool {
         if !self.has_gap() {
@@ -260,7 +262,7 @@ impl SourceRx {
         }
         match self.nack_at {
             None => {
-                self.nack_at = Some(now + initial_jitter);
+                self.nack_at = Some(now + initial_jitter());
                 false
             }
             Some(at) if now >= at => {
@@ -651,17 +653,21 @@ impl RmpLayer {
                     }
                 }
             }
-            RmpInput::HeaderSeq { source, seq } => {
-                let rx = self
-                    .rx
-                    .entry(source)
-                    .or_insert_with(|| SourceRx::starting_at(1));
-                rx.note_header_seq(seq);
-                RmpOutput::Noted {
-                    contiguous: rx.contiguous(),
-                }
-            }
+            RmpInput::HeaderSeq { source, seq } => RmpOutput::Noted {
+                contiguous: self.note_header(source, seq),
+            },
         }
+    }
+
+    /// [`RmpInput::HeaderSeq`]: note that `source` has sent up to `seq`, and
+    /// return its highest contiguously received sequence number.
+    pub fn note_header(&mut self, source: ProcessorId, seq: SeqNum) -> u64 {
+        let rx = self
+            .rx
+            .entry(source)
+            .or_insert_with(|| SourceRx::starting_at(1));
+        rx.note_header_seq(seq);
+        rx.contiguous()
     }
 
     /// Seed a receive window for `source` expecting the stream to start at
@@ -701,11 +707,11 @@ impl RmpLayer {
 
     /// Run the NACK schedulers for every remote source and collect the
     /// missing ranges whose RetransmitRequests are due now. `jitter` is
-    /// drawn once per remote window on every call, gap or not (randomness
-    /// stays in the shell, and its idle tick repeats the draws);
-    /// `retry` maps the window's current attempt count to its next re-issue
-    /// delay, which is how the shell injects exponential backoff. `next_due`
-    /// is lowered to the earliest time a window with a gap checks again.
+    /// called once per gap episode, when the episode arms (randomness stays
+    /// in the shell); `retry` maps the window's current attempt count to its
+    /// next re-issue delay, which is how the shell injects exponential
+    /// backoff. `next_due` is lowered to the earliest time a window with a
+    /// gap checks again.
     pub fn nack_requests(
         &mut self,
         now: SimTime,
@@ -721,7 +727,7 @@ impl RmpLayer {
                 continue;
             }
             let r = retry(rx.nack_attempts());
-            if rx.nack_due(now, jitter(), r) {
+            if rx.nack_due(now, &mut jitter, r) {
                 let ranges = rx.missing_ranges(max_span);
                 if !ranges.is_empty() {
                     due.push((source, ranges));
@@ -919,18 +925,18 @@ mod tests {
         let jitter = SimDuration::from_millis(2);
         let retry = SimDuration::from_millis(8);
         // First call arms the timer, does not fire.
-        assert!(!rx.nack_due(SimTime(0), jitter, retry));
+        assert!(!rx.nack_due(SimTime(0), || jitter, retry));
         // Before the jitter elapses: no fire.
-        assert!(!rx.nack_due(SimTime(1_000), jitter, retry));
+        assert!(!rx.nack_due(SimTime(1_000), || jitter, retry));
         // After: fire once, rearmed at +retry.
-        assert!(rx.nack_due(SimTime(2_500), jitter, retry));
-        assert!(!rx.nack_due(SimTime(3_000), jitter, retry));
-        assert!(rx.nack_due(SimTime(11_000), jitter, retry));
+        assert!(rx.nack_due(SimTime(2_500), || jitter, retry));
+        assert!(!rx.nack_due(SimTime(3_000), || jitter, retry));
+        assert!(rx.nack_due(SimTime(11_000), || jitter, retry));
         // Gap fills: no more NACKs.
         rx.on_reliable(msg(1, 1, 1));
         rx.on_reliable(msg(1, 2, 2));
         rx.on_reliable(msg(1, 3, 3));
-        assert!(!rx.nack_due(SimTime(30_000), jitter, retry));
+        assert!(!rx.nack_due(SimTime(30_000), || jitter, retry));
     }
 
     #[test]
@@ -940,8 +946,8 @@ mod tests {
         // One outstanding request: the answer is an unambiguous sample.
         let mut rx = SourceRx::starting_at(1);
         rx.note_header_seq(SeqNum(2));
-        assert!(!rx.nack_due(SimTime(0), jitter, retry)); // arm
-        assert!(rx.nack_due(SimTime(1_000), jitter, retry)); // fire #1
+        assert!(!rx.nack_due(SimTime(0), || jitter, retry)); // arm
+        assert!(rx.nack_due(SimTime(1_000), || jitter, retry)); // fire #1
         let s = rx.rtt_sample(SimTime(4_500)).expect("one NACK outstanding");
         assert_eq!(s.as_micros(), 3_500);
         // The sample is consumed: a second retransmission gives nothing.
@@ -950,9 +956,9 @@ mod tests {
         // Two outstanding requests: ambiguous, Karn discards.
         let mut rx = SourceRx::starting_at(1);
         rx.note_header_seq(SeqNum(2));
-        assert!(!rx.nack_due(SimTime(0), jitter, retry));
-        assert!(rx.nack_due(SimTime(1_000), jitter, retry)); // fire #1
-        assert!(rx.nack_due(SimTime(20_000), jitter, retry)); // fire #2
+        assert!(!rx.nack_due(SimTime(0), || jitter, retry));
+        assert!(rx.nack_due(SimTime(1_000), || jitter, retry)); // fire #1
+        assert!(rx.nack_due(SimTime(20_000), || jitter, retry)); // fire #2
         assert!(rx.rtt_sample(SimTime(21_000)).is_none());
 
         // No gap (suppression-window echo of someone else's NACK): no sample.
@@ -967,9 +973,9 @@ mod tests {
         let retry = SimDuration::from_millis(8);
         let mut rx = SourceRx::starting_at(1);
         rx.note_header_seq(SeqNum(2));
-        assert!(!rx.nack_due(SimTime(0), jitter, retry));
-        assert!(rx.nack_due(SimTime(1_000), jitter, retry));
-        assert!(rx.nack_due(SimTime(20_000), jitter, retry));
+        assert!(!rx.nack_due(SimTime(0), || jitter, retry));
+        assert!(rx.nack_due(SimTime(1_000), || jitter, retry));
+        assert!(rx.nack_due(SimTime(20_000), || jitter, retry));
         assert_eq!(rx.nack_attempts(), 2);
         rx.on_reliable(msg(1, 1, 1));
         rx.on_reliable(msg(1, 2, 2));
@@ -982,9 +988,9 @@ mod tests {
         let retry = SimDuration::from_millis(8);
         let mut rx = SourceRx::starting_at(1);
         rx.note_header_seq(SeqNum(9));
-        assert!(!rx.nack_due(SimTime(0), jitter, retry));
-        assert!(rx.nack_due(SimTime(1_000), jitter, retry));
-        assert!(rx.nack_due(SimTime(20_000), jitter, retry));
+        assert!(!rx.nack_due(SimTime(0), || jitter, retry));
+        assert!(rx.nack_due(SimTime(1_000), || jitter, retry));
+        assert!(rx.nack_due(SimTime(20_000), || jitter, retry));
         // Fresh in-order traffic behind a claimed gap is not an answer.
         rx.on_reliable(msg(1, 1, 1));
         assert_eq!(rx.nack_attempts(), 2);
@@ -1202,6 +1208,54 @@ mod tests {
             .answer_retransmit(ProcessorId(1), 1, SimTime(3), sup)
             .is_none());
         assert_eq!(layer.counters().retransmits_answered, 1);
+    }
+
+    #[test]
+    fn nack_jitter_is_drawn_once_per_gap_episode() {
+        let mut layer = RmpLayer::new(ProcessorId(9));
+        // Source 1 claims seq 3 and nothing has arrived: a gap. Source 2's
+        // window is level: no gap.
+        layer.handle(RmpInput::HeaderSeq {
+            source: ProcessorId(1),
+            seq: SeqNum(3),
+        });
+        let m = msg(2, 1, 10);
+        let w = wire_of(&m);
+        layer.handle(RmpInput::Reliable {
+            msg: m,
+            wire: w,
+            own: false,
+        });
+        let retry = |_attempts: u32| SimDuration::from_millis(8);
+        let mut draws = 0;
+        let mut pass = |layer: &mut RmpLayer, at: u64| {
+            let mut next = SimTime(u64::MAX);
+            let mut jitter = || {
+                draws += 1;
+                SimDuration::from_millis(2)
+            };
+            let due = layer.nack_requests(SimTime(at), 64, &mut jitter, retry, &mut next);
+            (due.len(), std::mem::take(&mut draws))
+        };
+        assert_eq!(pass(&mut layer, 0), (0, 1), "the episode arms: one draw");
+        assert_eq!(pass(&mut layer, 1_000), (0, 0), "armed, not yet due");
+        assert_eq!(pass(&mut layer, 2_500), (1, 0), "first request");
+        assert_eq!(pass(&mut layer, 11_000), (1, 0), "a re-issue");
+        for seq in 1..=3 {
+            let m = msg(1, seq, seq);
+            let w = wire_of(&m);
+            layer.handle(RmpInput::Reliable {
+                msg: m,
+                wire: w,
+                own: false,
+            });
+        }
+        assert_eq!(pass(&mut layer, 12_000), (0, 0), "gap closed");
+        layer.handle(RmpInput::HeaderSeq {
+            source: ProcessorId(1),
+            seq: SeqNum(5),
+        });
+        assert_eq!(pass(&mut layer, 13_000), (0, 1), "a new episode arms");
     }
 
     proptest! {

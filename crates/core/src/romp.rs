@@ -10,7 +10,9 @@
 //! each source stamps strictly increasing timestamps and RMP delivers its
 //! stream gap-free, nothing that could sort before *m* can still arrive.
 //! Heartbeats advance horizons when their carried sequence number matches
-//! the contiguous front (otherwise they first reveal a gap to RMP).
+//! the contiguous front. One that reveals a gap to RMP is held instead, and
+//! advances the horizon once its stream is contiguous up to the sequence
+//! number it carried.
 //!
 //! **Ack timestamps.** Every outgoing message carries
 //! `ack = min over members of horizon` — "I have received everything with
@@ -67,6 +69,14 @@ pub struct Ordering {
     queued: usize,
     /// Per-member contiguous timestamp horizon, sorted by member.
     horizon: Vec<(ProcessorId, Timestamp)>,
+    /// Per member, the latest header evidence `(seq, ts)` that arrived
+    /// while its stream had a gap at or below `seq`. The header proves the
+    /// source stamps everything after `seq` above `ts`, so the horizon
+    /// takes `ts` as soon as `seq` is released in order. Dropping it would
+    /// leave the horizon at the last message's stamp until the member
+    /// speaks again: up to a heartbeat interval in which every member may
+    /// wait on it without any of them knowing to prompt.
+    held: BTreeMap<ProcessorId, (u64, Timestamp)>,
     /// Per-member latest reported ack timestamp.
     reported_ack: BTreeMap<ProcessorId, Timestamp>,
     /// Bumped whenever `reported_ack` actually changes; the packing layer
@@ -108,6 +118,7 @@ impl Ordering {
             fronts: BTreeSet::new(),
             queued: 0,
             horizon,
+            held: BTreeMap::new(),
             reported_ack: BTreeMap::new(),
             ack_version: 0,
             last_delivered: floor_key,
@@ -139,6 +150,7 @@ impl Ordering {
                 self.queues.remove(at);
             }
         }
+        self.held.remove(&p);
         if self.reported_ack.remove(&p).is_some() || was_member {
             self.ack_version += 1;
         }
@@ -162,6 +174,26 @@ impl Ordering {
             if ts > *h {
                 *h = ts;
             }
+        }
+    }
+
+    /// A header from `p` cited `seq` at stamp `ts` while `p`'s stream has a
+    /// gap at or below `seq`: hold it until [`released`](Self::released)
+    /// reaches `seq`. Only the latest evidence per member is kept, and none
+    /// for a non-member, whose horizon nothing advances.
+    pub fn hold_evidence(&mut self, p: ProcessorId, seq: u64, ts: Timestamp) {
+        if find(&self.horizon, p).is_ok() && self.held.get(&p).is_none_or(|h| ts > h.1) {
+            self.held.insert(p, (seq, ts));
+        }
+    }
+
+    /// `p`'s message `seq`, stamped `ts`, was released in source order:
+    /// the horizon takes `ts`, and any held evidence `seq` now covers.
+    pub fn released(&mut self, p: ProcessorId, seq: u64, ts: Timestamp) {
+        self.advance_horizon(p, ts);
+        if let Some(&(_, held)) = self.held.get(&p).filter(|h| seq >= h.0) {
+            self.held.remove(&p);
+            self.advance_horizon(p, held);
         }
     }
 
@@ -596,7 +628,7 @@ impl RompLayer {
             RompInput::SourceOrdered(msg) => {
                 self.counters.msgs_in += 1;
                 self.ordering.record_ack(msg.source, msg.ack_ts);
-                self.ordering.advance_horizon(msg.source, msg.ts);
+                self.ordering.released(msg.source, msg.seq.0, msg.ts);
                 if msg.msg_type().is_totally_ordered() {
                     self.ordering.enqueue(msg);
                     self.counters.queue_high_water = self
@@ -801,6 +833,30 @@ mod tests {
         assert!(ord.deliverable().is_empty(), "blocked by silent P3");
         ord.remove_member(ProcessorId(3));
         assert_eq!(ord.deliverable().len(), 1);
+    }
+
+    /// A Heartbeat that overtakes the message it cites (P2's seq 3,
+    /// stamped 20; the Heartbeat is stamped 25) is held, not dropped: once
+    /// seq 3 is released the horizon takes the Heartbeat's stamp, and P1's
+    /// message at 22 delivers without P2 speaking again.
+    #[test]
+    fn gapped_heartbeat_evidence_is_held_until_its_seq_is_released() {
+        let mut ord = Ordering::new(members(2), Timestamp(0));
+        ord.enqueue(m(1, 1, 22));
+        ord.advance_horizon(ProcessorId(1), Timestamp(22));
+        ord.released(ProcessorId(2), 2, Timestamp(15));
+        ord.hold_evidence(ProcessorId(2), 3, Timestamp(25));
+        assert!(ord.deliverable().is_empty(), "seq 3 is still missing");
+        ord.released(ProcessorId(2), 3, Timestamp(20));
+        assert_eq!(ord.horizon_of(ProcessorId(2)), Some(Timestamp(25)));
+        assert_eq!(ord.deliverable().len(), 1);
+        // The latest evidence is held, and it waits for the seq it cites.
+        ord.hold_evidence(ProcessorId(2), 5, Timestamp(40));
+        ord.hold_evidence(ProcessorId(2), 4, Timestamp(30));
+        ord.released(ProcessorId(2), 4, Timestamp(28));
+        assert_eq!(ord.horizon_of(ProcessorId(2)), Some(Timestamp(28)));
+        ord.released(ProcessorId(2), 5, Timestamp(35));
+        assert_eq!(ord.horizon_of(ProcessorId(2)), Some(Timestamp(40)));
     }
 
     #[test]

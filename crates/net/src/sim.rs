@@ -1106,8 +1106,7 @@ mod trace_tests {
         assert_eq!(sends, 40);
         assert_eq!(losses + delivers, 40, "every copy is accounted for");
         assert!(losses > 5 && delivers > 5, "loss model visibly active");
-        let dump = trace.dump(|k| format!("k{k}"));
-        assert!(dump.contains("N1 > G1"));
+        assert!(trace.records().all(|r| r.src == 1 && r.dst == McastAddr(1)));
     }
 
     #[test]

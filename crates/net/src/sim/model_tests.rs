@@ -559,7 +559,6 @@ trait Net {
     fn send_from(&mut self, id: NodeId, pkt: Packet);
     fn run_until(&mut self, deadline: SimTime);
     fn now(&self) -> SimTime;
-    fn stats(&self) -> NetStats;
 }
 
 macro_rules! net_verbs {
@@ -581,9 +580,6 @@ macro_rules! net_verbs {
         }
         fn now(&self) -> SimTime {
             self.now
-        }
-        fn stats(&self) -> NetStats {
-            self.stats.clone()
         }
         fn send_from(&mut self, id: NodeId, pkt: Packet) {
             self.with_node(id, |_, _, out| out.send(pkt));

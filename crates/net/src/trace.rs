@@ -3,15 +3,14 @@
 //! Debugging a group protocol usually means asking "what was on the wire
 //! between t₁ and t₂, from whom, of what kind?". [`Trace`] answers that: a
 //! ring buffer of [`TraceRecord`]s (send and per-receiver delivery/drop
-//! events) that the simulator fills when tracing is enabled, with a
-//! tcpdump-ish text dump. The classifier octet (FTMP's message type, when
-//! the classifier is installed) makes the dump protocol-aware without the
-//! simulator knowing the protocol.
+//! events) that the simulator fills when tracing is enabled. The classifier
+//! octet (FTMP's message type, when the classifier is installed) makes the
+//! records protocol-aware without the simulator knowing the protocol;
+//! `ftmp-check`'s counterexample reports render them.
 
 use crate::time::SimTime;
 use crate::{McastAddr, NodeId};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// What happened to a datagram (or one of its per-receiver copies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,67 +42,6 @@ pub struct TraceRecord {
     pub kind: Option<u8>,
     /// The event.
     pub event: TraceEvent,
-}
-
-impl TraceRecord {
-    /// Encode as one space-separated text line (the shared trace schema:
-    /// the same format whether the record came from the simulator ring or a
-    /// real-socket runtime's recorder). Round-trips through [`parse_line`].
-    ///
-    /// [`parse_line`]: TraceRecord::parse_line
-    pub fn to_line(&self) -> String {
-        let kind = match self.kind {
-            Some(k) => k.to_string(),
-            None => "-".to_string(),
-        };
-        let ev = match self.event {
-            TraceEvent::Send => "send".to_string(),
-            TraceEvent::Deliver(n) => format!("deliver:{n}"),
-            TraceEvent::Lose(n) => format!("lose:{n}"),
-            TraceEvent::Partition(n) => format!("partition:{n}"),
-            TraceEvent::ToCrashed(n) => format!("tocrashed:{n}"),
-        };
-        format!(
-            "{} {} {} {} {} {}",
-            self.at.0, self.src, self.dst.0, self.len, kind, ev
-        )
-    }
-
-    /// Parse a line produced by [`to_line`]. Returns `None` on malformed
-    /// input (so a torn final line in a crash-truncated file is skippable).
-    ///
-    /// [`to_line`]: TraceRecord::to_line
-    pub fn parse_line(line: &str) -> Option<TraceRecord> {
-        let mut toks = line.split_ascii_whitespace();
-        let at = SimTime(toks.next()?.parse().ok()?);
-        let src: NodeId = toks.next()?.parse().ok()?;
-        let dst = McastAddr(toks.next()?.parse().ok()?);
-        let len: usize = toks.next()?.parse().ok()?;
-        let kind = match toks.next()? {
-            "-" => None,
-            k => Some(k.parse().ok()?),
-        };
-        let ev_tok = toks.next()?;
-        if toks.next().is_some() {
-            return None;
-        }
-        let event = match ev_tok.split_once(':') {
-            None if ev_tok == "send" => TraceEvent::Send,
-            Some(("deliver", n)) => TraceEvent::Deliver(n.parse().ok()?),
-            Some(("lose", n)) => TraceEvent::Lose(n.parse().ok()?),
-            Some(("partition", n)) => TraceEvent::Partition(n.parse().ok()?),
-            Some(("tocrashed", n)) => TraceEvent::ToCrashed(n.parse().ok()?),
-            _ => return None,
-        };
-        Some(TraceRecord {
-            at,
-            src,
-            dst,
-            len,
-            kind,
-            event,
-        })
-    }
 }
 
 /// A bounded ring of trace records.
@@ -158,28 +96,6 @@ impl Trace {
     pub fn of_kind(&self, kind: u8) -> impl Iterator<Item = &TraceRecord> {
         self.ring.iter().filter(move |r| r.kind == Some(kind))
     }
-
-    /// Render a tcpdump-style text dump, optionally labelling kinds through
-    /// `kind_name`.
-    pub fn dump(&self, kind_name: impl Fn(u8) -> String) -> String {
-        let mut out = String::new();
-        for r in &self.ring {
-            let kind = r.kind.map(&kind_name).unwrap_or_else(|| "?".to_string());
-            let ev = match r.event {
-                TraceEvent::Send => "send".to_string(),
-                TraceEvent::Deliver(n) => format!("-> N{n}"),
-                TraceEvent::Lose(n) => format!("LOST -> N{n}"),
-                TraceEvent::Partition(n) => format!("PART -> N{n}"),
-                TraceEvent::ToCrashed(n) => format!("DEAD -> N{n}"),
-            };
-            let _ = writeln!(
-                out,
-                "{} N{} > G{} {} len={} {}",
-                r.at, r.src, r.dst.0, kind, r.len, ev
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -217,40 +133,5 @@ mod tests {
         t.push(rec(3, 1, None, TraceEvent::Send));
         assert_eq!(t.of_kind(2).count(), 1);
         assert_eq!(t.of_kind(9).count(), 0);
-    }
-
-    #[test]
-    fn record_line_codec_round_trips() {
-        let records = vec![
-            rec(1_000, 3, Some(2), TraceEvent::Send),
-            rec(1_500, 3, None, TraceEvent::Deliver(4)),
-            rec(1_600, 3, Some(0), TraceEvent::Lose(5)),
-            rec(1_700, 3, Some(7), TraceEvent::Partition(6)),
-            rec(1_800, 3, Some(7), TraceEvent::ToCrashed(9)),
-        ];
-        for r in records {
-            let line = r.to_line();
-            let back = TraceRecord::parse_line(&line)
-                .unwrap_or_else(|| panic!("parse failed for {line:?}"));
-            assert_eq!(back.at, r.at);
-            assert_eq!(back.src, r.src);
-            assert_eq!(back.dst, r.dst);
-            assert_eq!(back.len, r.len);
-            assert_eq!(back.kind, r.kind);
-            assert_eq!(back.event, r.event);
-        }
-        assert!(TraceRecord::parse_line("1000 3 1").is_none());
-        assert!(TraceRecord::parse_line("1000 3 1 64 - warp:4").is_none());
-        assert!(TraceRecord::parse_line("1000 3 1 64 - send extra").is_none());
-    }
-
-    #[test]
-    fn dump_is_readable() {
-        let mut t = Trace::new(10);
-        t.push(rec(1_000, 3, Some(2), TraceEvent::Send));
-        t.push(rec(1_500, 3, Some(2), TraceEvent::Lose(4)));
-        let s = t.dump(|k| format!("type{k}"));
-        assert!(s.contains("N3 > G1 type2 len=64 send"));
-        assert!(s.contains("LOST -> N4"));
     }
 }

@@ -16,7 +16,7 @@ fmt:
 
 # Lints, warnings denied.
 clippy:
-    cargo clippy --all-targets -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc with warnings denied: catches intra-doc links to deleted items.
 doc:
@@ -47,7 +47,7 @@ ci: fmt clippy doc test test-all test-vendor examples
 
 # Wide chaos sweep, release mode (CHAOS_SEEDS seeds per test) plus the
 # 1000-seed sweep that pins the known onset convictions, then the long
-# closed-loop ORB run (35 s virtual) that pins the two-interval lock, keeps
+# closed-loop ORB run (45 s virtual) that pins the two-interval lock, keeps
 # the loop out of half-interval waves and holds the ORB log to the plateau
 # rule.
 chaos:
@@ -55,7 +55,9 @@ chaos:
     cargo test --release --test orb_invocations -- --ignored
 
 # Conformance sweep: the oracle suite over the full fault matrix, release
-# mode (CONFORMANCE_SEEDS seeds per scenario); writes CONFORMANCE_verdicts.json.
+# mode (CONFORMANCE_SEEDS seeds per scenario); writes the per-cell verdicts
+# to target/tmp/CONFORMANCE_verdicts.json (results/e13.json is the committed
+# conformance result).
 # Then the runtime's node (its host, channels and trace recorder) on the
 # simulator, as many seeds.
 conformance:

@@ -253,19 +253,21 @@ fn chaos_heavy_loss_short() {
 /// row has heard nothing for `fail_timeout` (30 ms, three heartbeats) before
 /// a single late arrival could have widened its interarrival envelope, and
 /// when all three peers do so inside the same few milliseconds the quorum
-/// convicts a live member. Every case below is 29–45 ms after an onset and
-/// names that spike's victim. The suite skips exactly these seeds and
+/// convicts a live member. Every case below is 25–36 ms after an onset,
+/// inside [`is_onset_conviction`]'s band, and names that spike's victim. The
+/// suite skips exactly these seeds and
 /// `chaos_latency_spike_onset_convictions_are_the_known_ones` asserts they
 /// still fail, so a detector that rides the onset out turns that test red
 /// and this list goes away. The seeds move whenever a change shifts the
-/// simulator's random draws.
-const ONSET_CONVICTION_SEEDS: [u64; 3] = [675, 767, 908];
+/// simulator's random draws or what a processor does with a packet; both
+/// lists are what the sweep below finds.
+const ONSET_CONVICTION_SEEDS: [u64; 3] = [563, 817, 1319];
 
 /// The same failure in the timer-only protocol (`prompt_horizon` off, what
 /// the repo ran before horizon on demand): prompted heartbeats draw on the
 /// simulator's random stream, so the cases sit on other seeds, at about the
-/// same rate (1 against 3 in 1000).
-const ONSET_CONVICTION_SEEDS_TIMER_ONLY: [u64; 1] = [1088];
+/// same rate (2 against 3 in 1000).
+const ONSET_CONVICTION_SEEDS_TIMER_ONLY: [u64; 2] = [1350, 1355];
 
 #[test]
 fn chaos_latency_spikes_no_false_convictions() {
@@ -278,14 +280,24 @@ fn chaos_latency_spikes_no_false_convictions() {
     }
 }
 
+/// The earliest a survivor can convict at an onset, in µs after it: the
+/// fail timeout (30 ms), counted from the victim's last datagram before the
+/// onset. Traffic has stopped or pauses, so that datagram may be a
+/// Heartbeat, and one leaves on the first 1 ms tick at least
+/// `heartbeat_interval` (10 ms) after the last send: it left at most 11 ms
+/// before the onset, and a peer that hears nothing later suspects the
+/// victim no earlier than 30 − 11 = 19 ms after the onset.
+const ONSET_EARLIEST_US: u64 = 30_000 - (10_000 + 1_000);
+
 /// A false conviction of the known kind: at every survivor, of the victim
-/// of the spike that set in 29–45 ms earlier (spike `i` degrades P`i+1`'s
-/// outbound links from 0.5 + `i` s).
+/// of the spike that set in between [`ONSET_EARLIEST_US`] and 45 ms earlier
+/// (spike `i` degrades P`i+1`'s outbound links from 0.5 + `i` s).
 fn is_onset_conviction(convictions: &[(u64, ProcessorId)]) -> bool {
     convictions.len() == 3
         && convictions.iter().all(|&(at, who)| {
             let since_onset = at.checked_sub(500_000 + u64::from(who.0 - 1) * 1_000_000);
-            (1..=3).contains(&who.0) && since_onset.is_some_and(|d| (29_000..45_000).contains(&d))
+            (1..=3).contains(&who.0)
+                && since_onset.is_some_and(|d| (ONSET_EARLIEST_US..45_000).contains(&d))
         })
 }
 

@@ -249,7 +249,13 @@ fn hash_delivery_order(lines: &[String]) -> u64 {
 
 /// Line count and FNV of every member's rendered observation lines, in
 /// emission order.
-const OBSERVATION_STREAM: (usize, u64) = (2197, 0x7349_5B6A_863F_F471);
+///
+/// Re-pinned when NACK jitter became drawn per gap episode (DESIGN.md §4):
+/// the random stream no longer advances on every tick, so this lossy run's
+/// NACK times, and the repairs behind them, move. Re-pinned again, same
+/// line count, when a Heartbeat overtaken by the message it cites became
+/// held until that message arrives: the horizons it carries advance then.
+const OBSERVATION_STREAM: (usize, u64) = (2210, 0x2BE7_6927_B311_7C90);
 
 #[test]
 fn observation_stream_is_pinned_through_crash_conviction_and_view_change() {
@@ -274,7 +280,10 @@ fn observation_stream_is_pinned_through_crash_conviction_and_view_change() {
 /// Re-pinned when horizon on demand gained its prompt budget (DESIGN.md
 /// §4): prompts paid inside the half interval change this run's Heartbeats,
 /// so its ordering delays and, through the random stream, its NACKs move.
-const TELEMETRY_SNAPSHOT: u64 = 0x6A44_5C9A_D4C1_5F24;
+///
+/// Re-pinned when NACK jitter became drawn per gap episode: the random
+/// stream no longer advances on every tick, so the NACKs move again.
+const TELEMETRY_SNAPSHOT: u64 = 0x3950_3F26_D9A3_95B9;
 
 #[test]
 fn telemetry_snapshot_is_pinned_on_a_lossy_run() {
@@ -310,16 +319,24 @@ fn telemetry_snapshot_is_pinned_on_a_lossy_run() {
 /// delivery sequence. All three were measured at the commit before a packed
 /// container's housekeeping (delivery rule, reclamation, gate, send window)
 /// moved from once per message to once per same-group run, and hold across
-/// it.
-const PACKED_TREE_DOCUMENTS: u64 = 0xE5F2_029C_E0DB_7053;
-const PACKED_TREE_SORTED_LINES: u64 = 0x50DD_9A16_D11E_40E9;
-const PACKED_TREE_DELIVERY_ORDER: u64 = 0xC7B2_BA78_69EA_A4FD;
+/// it. All five were re-pinned when NACK jitter became drawn per gap
+/// episode: the random stream no longer advances on every tick, so this
+/// lossy run's repairs, and what they carry, move. All five again when
+/// header evidence that arrives during a gap became held until the gap
+/// fills: a digest entry for a member whose stream has a gap now advances
+/// its horizon once the gap fills, so deliveries and repairs move.
+const PACKED_TREE_DOCUMENTS: u64 = 0x9422_F25D_AEE1_A0C2;
+const PACKED_TREE_SORTED_LINES: u64 = 0xDB36_0E6F_9BF1_2AB0;
+const PACKED_TREE_DELIVERY_ORDER: u64 = 0x8210_46DB_9090_4613;
 /// What it does move, re-pinned with that change: the observation lines in
 /// emission order (same count, same lines) and the flight-recorder rings.
 /// Inside one container every message is now admitted (`Retained`, `Acked`)
 /// before anything is delivered or reclaimed (`Delivered`, `Reclaimed`).
-const PACKED_TREE_STREAM: (usize, u64) = (19923, 0x192D_63C3_A787_05B3);
-const PACKED_TREE_FLIGHTS: u64 = 0xCFF0_1177_51CD_9368;
+/// Both re-pinned again with the three above, for the per-episode NACK
+/// jitter: 20578 lines, against 19923; and for the held header evidence,
+/// with the same line count.
+const PACKED_TREE_STREAM: (usize, u64) = (20578, 0x77B0_8898_7421_FB9C);
+const PACKED_TREE_FLIGHTS: u64 = 0xB931_DD0F_6698_5DD2;
 
 #[test]
 fn packed_tree_run_pins_both_streams() {

@@ -297,11 +297,17 @@ fn closed_loop_invocations_complete_within_a_quarter_heartbeat_interval() {
 /// The bug the benchmark found, pinned: left to the timer, the loop drifts
 /// until the servers' heartbeat leaves just before the requests arrive, and
 /// from then on every invocation waits out two intervals — on seed 1006
-/// after 30.7 s of virtual time, for good. Horizon on demand has no timer
-/// phase to drift into, and its budget keeps the loop out of half-interval
-/// waves: the 99th percentile stays under a quarter interval. Half a minute
-/// of virtual time is too slow for the debug-mode tier-1 run; `just chaos`
-/// and CI's chaos job run it in release.
+/// after 40.1 s of virtual time, for good. Where the lock sets in moves with
+/// the simulator's random stream, so the run and its tail are set from that
+/// measured onset: 45 s, the tail from 43 s. No other seed of 1001–1380
+/// locks within 35 s. Horizon on demand has no timer phase to drift into,
+/// and its budget keeps the loop out of half-interval waves: the 99th
+/// percentile stays under a quarter interval. No invocation takes a whole
+/// interval: over seeds 1001–1080 the slowest of each 35 s run is at most
+/// 8.2 ms, because a Heartbeat overtaken by a reordered message is held
+/// until that message arrives (DESIGN.md §4). Most of a minute of virtual
+/// time is too slow for the debug-mode tier-1 run; `just chaos` and CI's
+/// chaos job run it in release.
 ///
 /// The same two runs hold the ORB log to ROADMAP 2(c)'s plateau rule at
 /// every endpoint: the most it holds over the second half is at most 1.1 ×
@@ -309,7 +315,7 @@ fn closed_loop_invocations_complete_within_a_quarter_heartbeat_interval() {
 /// at the halfway point is the first half's maximum and its reading at the
 /// end the larger of the two. A log that keeps every delivery doubles.
 #[test]
-#[ignore = "35 s of virtual time: run in release (`just chaos`)"]
+#[ignore = "45 s of virtual time: run in release (`just chaos`)"]
 fn closed_loop_does_not_lock_into_two_heartbeat_intervals() {
     let interval = ProtocolConfig::default().heartbeat_interval.as_micros();
     let seed = 1006;
@@ -325,12 +331,12 @@ fn closed_loop_does_not_lock_into_two_heartbeat_intervals() {
     let tail = |l: &ClosedLoop| -> Vec<u64> {
         l.latencies
             .iter()
-            .filter(|x| x.0 > 33_000_000)
+            .filter(|x| x.0 > 43_000_000)
             .map(|x| x.1)
             .collect()
     };
     let timer_only = ProtocolConfig::with_seed(seed).prompt_horizon(false);
-    let run = closed_loop(seed, timer_only, 35_000);
+    let run = closed_loop(seed, timer_only, 45_000);
     plateau(&run);
     let locked = tail(&run);
     assert!(
@@ -338,7 +344,7 @@ fn closed_loop_does_not_lock_into_two_heartbeat_intervals() {
         "seed {seed}: the timer-only loop no longer locks (fastest {:?} us)",
         locked.iter().min()
     );
-    let prompted = closed_loop(seed, ProtocolConfig::with_seed(seed), 35_000);
+    let prompted = closed_loop(seed, ProtocolConfig::with_seed(seed), 45_000);
     plateau(&prompted);
     let mut warm: Vec<u64> = prompted
         .latencies
