@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ftmp_core::rmp::{RetentionStore, SourceRx};
-use ftmp_core::romp::Ordering;
+use ftmp_core::romp::{Ordering, RompInput, RompLayer};
 use ftmp_core::wire::FtmpBody;
 use ftmp_core::{
     ConnectionId, FtmpMessage, GroupId, ObjectGroupId, ProcessorId, RequestNum, SeqNum, Timestamp,
@@ -104,6 +104,27 @@ fn bench_ordering_queue(c: &mut Criterion) {
             })
         },
     );
+    // `sim-fanin-64`'s hold: four members send in turn while the fifth is
+    // quiet, so the head waits on one member and a pass after a message
+    // delivers nothing. Per message: the layer's `handle`, then one pass.
+    let held: Vec<FtmpMessage> = stream
+        .iter()
+        .filter(|m| m.source != ProcessorId(SOURCES))
+        .take(256)
+        .cloned()
+        .collect();
+    g.throughput(Throughput::Elements(held.len() as u64));
+    g.bench_with_input(BenchmarkId::new("held_head", SOURCES), &held, |b, held| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            let mut romp = RompLayer::new((1..=SOURCES).map(ProcessorId), Timestamp(0));
+            for m in held {
+                black_box(romp.handle(RompInput::SourceOrdered(m.clone())));
+                romp.deliver_into(&mut out);
+            }
+            black_box(out.len())
+        })
+    });
     g.finish();
 }
 
@@ -159,6 +180,20 @@ fn bench_retention(c: &mut Criterion) {
             black_box(store.reclaim_stable(Timestamp(512)));
             black_box(store.len())
         })
+    });
+    // A reclaim at a stability point that has not moved since the last one,
+    // over five sources of 2 000 retained entries: what every packet asked
+    // for while a member's ack stands still.
+    g.bench_function("reclaim_unmoved_5x2000", |b| {
+        let frame = wire(&msg(1, 1, 1));
+        let mut store = RetentionStore::default();
+        for seq in 1..=2_000u64 {
+            for src in 1..=5u32 {
+                store.insert(ProcessorId(src), seq, Timestamp(100 + seq), frame.clone());
+            }
+        }
+        store.reclaim_stable(Timestamp(100));
+        b.iter(|| black_box(store.reclaim_stable(black_box(Timestamp(100)))))
     });
     g.bench_function("take_for_retransmit", |b| {
         let mut store = RetentionStore::default();

@@ -1579,13 +1579,16 @@ impl Processor {
         let Some(g) = self.groups.get_mut(&gid) else {
             return;
         };
-        if g.pgmp.membership.contains(&source) || g.pgmp.reconfig.is_some() {
-            return;
-        }
+        // The two field reads first: the membership look-up is the one that
+        // costs, and with no notice to send or its retry not yet due, every
+        // packet would pay it for nothing.
         let Some(notice) = &g.pgmp.membership_notice else {
             return;
         };
-        if now < g.pgmp.notice_retx_at {
+        if now < g.pgmp.notice_retx_at
+            || g.pgmp.membership.contains(&source)
+            || g.pgmp.reconfig.is_some()
+        {
             return;
         }
         let payload = notice.clone();
@@ -1899,11 +1902,15 @@ impl Processor {
     /// Feed this group's own unstable-retention occupancy (messages we sent
     /// that are not yet stable everywhere — what the members' ack
     /// timestamps bound) into the flow-control window, surfacing edges as
-    /// [`Action::Backpressure`] / [`Action::SendReady`].
+    /// [`Action::Backpressure`] / [`Action::SendReady`]. With flow control
+    /// off the window has no edges, and nothing is looked up.
     fn update_send_window(&mut self, now: SimTime, gid: GroupId) {
         let Some(g) = self.groups.get_mut(&gid) else {
             return;
         };
+        if !g.romp.window().enforced() {
+            return;
+        }
         let occupancy = g.rmp.retention().held_by(self.id);
         match g.romp.update_window(occupancy) {
             Some(WindowEdge::Closed) => {

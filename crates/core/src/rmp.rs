@@ -341,6 +341,10 @@ pub struct RetentionStore {
     len: usize,
     /// Bytes currently retained (payload accounting for experiment E6).
     bytes: usize,
+    /// The stability point of the last full reclaim pass, while every
+    /// source's front is still known to be stamped above it: `None` once an
+    /// entry was inserted at or below it or an entry was dropped.
+    swept: Option<Timestamp>,
     /// Entries [`reclaim_stable`](Self::reclaim_stable) has looked at (the
     /// complexity guard's counter).
     #[cfg(test)]
@@ -405,6 +409,9 @@ impl RetentionStore {
             },
             _ => q.push_back((seq, entry)),
         }
+        if self.swept.is_some_and(|s| ts <= s) {
+            self.swept = None;
+        }
         self.len += 1;
         self.bytes += size;
     }
@@ -467,7 +474,23 @@ impl RetentionStore {
     /// unstable entry, so the cost is what is reclaimed plus one look per
     /// source. A stable entry queued behind an unstable one (stamps that do
     /// not rise with sequence numbers) waits for it.
+    ///
+    /// Skip rule: a pass leaves every front stamped above the point it ran
+    /// at, and only stability passing that point, an insert at or below
+    /// it, or a drop can change that; with none of them since the last
+    /// pass, this returns 0 without looking at any queue. A pass at a lower
+    /// point (a joiner's zero ack pulls stability down) lowers the mark.
     pub fn reclaim_stable(&mut self, stable: Timestamp) -> usize {
+        if self.swept.is_some_and(|s| stable <= s) {
+            debug_assert!(
+                self.sources
+                    .values()
+                    .all(|q| q.front().is_none_or(|(_, r)| r.ts > stable)),
+                "a skipped reclaim would reclaim"
+            );
+            return 0;
+        }
+        self.swept = Some(stable);
         let mut reclaimed = 0;
         for q in self.sources.values_mut() {
             let before = reclaimed;
@@ -501,6 +524,7 @@ impl RetentionStore {
         while let Some((_, r)) = q.back().filter(|e| e.0 > beyond) {
             self.bytes -= r.wire.len();
             self.len -= 1;
+            self.swept = None;
             q.pop_back();
         }
         shrink(q);

@@ -315,3 +315,102 @@ fn a_drained_queue_gives_its_capacity_back() {
     }
     assert_eq!(store.sources[&p].capacity(), floor);
 }
+
+/// The reference a skipped reclaim is checked against: a pass over every
+/// queue whatever happened since the last one.
+fn reclaim_full(store: &mut RetentionStore, stable: Timestamp) -> usize {
+    store.swept = None;
+    store.reclaim_stable(stable)
+}
+
+/// One side of the reclaim differential: the stability point a group's
+/// ordering state reports, and the store it reclaims.
+struct Side {
+    ord: crate::romp::Ordering,
+    store: RetentionStore,
+}
+
+impl Side {
+    fn new() -> Self {
+        Side {
+            ord: crate::romp::Ordering::new((1..SOURCES).map(ProcessorId), Timestamp(0)),
+            store: RetentionStore::default(),
+        }
+    }
+}
+
+/// The skip rule of `reclaim_stable` and the memoized stability point that
+/// feeds it (DESIGN.md §4, "What a packet recomputes"), against a twin that
+/// recomputes the point and sweeps every queue at every step. Steps: an
+/// in-order arrival, a late copy of anything sent so far (stamped at or
+/// below the point once that passed it), an ack, a join (its zero ack pulls
+/// the point down until it reports), a removal, a drop of a source's tail.
+/// After every step both reclaim, and agree on what they reclaimed, `len`,
+/// `bytes` and `stable_ts`.
+#[test]
+fn a_reclaim_on_change_equals_the_full_reclaim() {
+    const SCHEDULES: usize = 200;
+    let schedule = proptest::collection::vec((0u8..12, 1u32..=SOURCES, 0u64..1_000), 20..300);
+    let mut rng = proptest::test_runner::rng_for(concat!(module_path!(), "::on_change"));
+    let (mut skipped, mut reclaimed, mut late, mut dropped_to) = (0, 0, 0, 0);
+    for _ in 0..SCHEDULES {
+        let steps = schedule.generate(&mut rng);
+        let (mut fast, mut full) = (Side::new(), Side::new());
+        let mut high: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut stable = Timestamp(0);
+        for (kind, src, a) in steps {
+            let p = ProcessorId(src);
+            let top = high.get(&src).copied().unwrap_or(0);
+            match kind {
+                0..=3 => {
+                    high.insert(src, top + 1);
+                    for side in [&mut fast, &mut full] {
+                        side.store
+                            .insert(p, top + 1, rising(src, top + 1), wire(src, top + 1));
+                    }
+                }
+                4 if top > 0 => {
+                    let seq = 1 + a % top;
+                    late += usize::from(rising(src, seq) <= stable);
+                    for side in [&mut fast, &mut full] {
+                        side.store.insert(p, seq, rising(src, seq), wire(src, seq));
+                    }
+                }
+                5..=7 => {
+                    let ack = Timestamp(a % (8 * (top + 2)));
+                    fast.ord.record_ack(p, ack);
+                    full.ord.record_ack(p, ack);
+                }
+                8 => {
+                    fast.ord.add_member(p, Timestamp(0));
+                    full.ord.add_member(p, Timestamp(0));
+                }
+                9 => {
+                    fast.ord.remove_member(p);
+                    full.ord.remove_member(p);
+                }
+                10 => {
+                    let beyond = a % (top + 1);
+                    fast.store.drop_beyond(p, beyond);
+                    full.store.drop_beyond(p, beyond);
+                }
+                _ => {}
+            }
+            let now = fast.ord.stable_ts();
+            assert_eq!(now, full.ord.stable_ts_full(), "stable_ts");
+            dropped_to += usize::from(now < stable);
+            stable = now;
+            skipped += usize::from(fast.store.swept.is_some_and(|s| now <= s));
+            let n = fast.store.reclaim_stable(now);
+            assert_eq!(n, reclaim_full(&mut full.store, now), "reclaimed");
+            reclaimed += n;
+            assert_eq!(fast.store.len(), full.store.len(), "len");
+            assert_eq!(fast.store.bytes(), full.store.bytes(), "bytes");
+        }
+    }
+    // The schedules reached what they are for.
+    assert!(skipped > 10_000, "only {skipped} reclaims skipped");
+    assert!(reclaimed > 2_500, "only {reclaimed} entries reclaimed");
+    assert!(late > 300, "only {late} inserts at or below the point");
+    assert!(dropped_to > 200, "the point fell only {dropped_to} times");
+}

@@ -90,6 +90,14 @@ pub struct Ordering {
     last_ack_floor: Cell<u64>,
     /// Same monotone floor for [`stable_ts`](Self::stable_ts).
     last_stable_floor: Cell<u64>,
+    /// The last stability point computed over a non-empty horizon list,
+    /// with the [`ack_version`](Self::ack_version) it was computed at.
+    stable_memo: Cell<Option<(u64, Timestamp)>>,
+    /// Set by every change that can alter whether the head of the queue
+    /// may go — an enqueue ahead of it, a horizon that rises from below it,
+    /// a join, a removal, a flush — and cleared by a delivery pass: while
+    /// it is clear, a pass would deliver nothing.
+    stale: bool,
 }
 
 impl Ordering {
@@ -124,6 +132,8 @@ impl Ordering {
             last_delivered: floor_key,
             last_ack_floor: Cell::new(0),
             last_stable_floor: Cell::new(0),
+            stable_memo: Cell::new(None),
+            stale: false,
         }
     }
 
@@ -132,6 +142,7 @@ impl Ordering {
     pub fn add_member(&mut self, p: ProcessorId, floor: Timestamp) {
         if let Err(at) = find(&self.horizon, p) {
             self.horizon.insert(at, (p, floor));
+            self.stale = true;
             // The effective per-member ack vector just changed — the joiner
             // reads as zero until it reports — so memoized encodings of it
             // are stale.
@@ -151,6 +162,7 @@ impl Ordering {
             }
         }
         self.held.remove(&p);
+        self.stale |= was_member;
         if self.reported_ack.remove(&p).is_some() || was_member {
             self.ack_version += 1;
         }
@@ -170,9 +182,11 @@ impl Ordering {
     /// reliable message, or a gap-free Heartbeat).
     pub fn advance_horizon(&mut self, p: ProcessorId, ts: Timestamp) {
         if let Ok(at) = find(&self.horizon, p) {
-            let h = &mut self.horizon[at].1;
-            if ts > *h {
-                *h = ts;
+            let h = self.horizon[at].1;
+            if ts > h {
+                self.horizon[at].1 = ts;
+                // Only a member the head waits on can unblock it.
+                self.stale |= self.head_ts().is_some_and(|head| h < head);
             }
         }
     }
@@ -233,18 +247,38 @@ impl Ordering {
     /// zero (deliberately conservative: a joiner pins retention, §7.1).
     /// Empty-horizon behaviour matches [`ack_ts`](Self::ack_ts): the value
     /// floors at what was already declared stable rather than regressing.
+    ///
+    /// Skip rule: the minimum over members is memoized against
+    /// [`ack_version`](Self::ack_version), which moves with every change to
+    /// the reported acks or to the member set, so it is recomputed only
+    /// when one of them changed.
     pub fn stable_ts(&self) -> Timestamp {
-        let v = match self
-            .horizon
-            .iter()
-            .map(|(p, _)| self.reported_ack.get(p).copied().unwrap_or(Timestamp(0)))
-            .min()
-        {
-            Some(t) => t.0,
-            None => self.last_stable_floor.get().max(self.last_delivered.0 .0),
+        let v = if self.horizon.is_empty() {
+            self.last_stable_floor.get().max(self.last_delivered.0 .0)
+        } else {
+            match self.stable_memo.get() {
+                Some((version, t)) if version == self.ack_version => {
+                    debug_assert_eq!(t, self.min_reported_ack(), "stale stability memo");
+                    t.0
+                }
+                _ => {
+                    let t = self.min_reported_ack();
+                    self.stable_memo.set(Some((self.ack_version, t)));
+                    t.0
+                }
+            }
         };
         self.last_stable_floor.set(v);
         Timestamp(v)
+    }
+
+    /// The lowest ack reported by a member (zero for one that has not
+    /// reported); zero for an empty member list.
+    fn min_reported_ack(&self) -> Timestamp {
+        self.reported_acks()
+            .map(|(_, t)| t)
+            .min()
+            .unwrap_or(Timestamp(0))
     }
 
     /// The per-member reported ack timestamps — the piggyback ack vector
@@ -275,6 +309,8 @@ impl Ordering {
         if key <= self.last_delivered {
             return;
         }
+        // Behind a head that waits, a message waits too.
+        self.stale |= self.fronts.first().is_none_or(|&head| key < head);
         let at = find(&self.queues, msg.source).unwrap_or_else(|at| {
             self.queues.insert(at, (msg.source, VecDeque::new()));
             at
@@ -306,7 +342,18 @@ impl Ordering {
 
     /// Append to `out`, in order, every message the delivery rule now
     /// allows.
+    ///
+    /// Skip rule: a pass runs to exhaustion, after which only an enqueue
+    /// that sorts ahead of the head, the rise of a horizon the head waits
+    /// on, a join, a removal or a flush can change whether the head may go;
+    /// each of them marks the queue stale, and a pass over a queue that is
+    /// not stale returns at once.
     pub fn deliver_into(&mut self, out: &mut Vec<FtmpMessage>) {
+        if !self.stale {
+            debug_assert!(!self.head_deliverable(), "a skipped pass would deliver");
+            return;
+        }
+        self.stale = false;
         // Nothing below moves a horizon, so its minimum is read once; with
         // no members left, nothing holds the queue back.
         let limit = self.horizon.iter().map(|&(_, h)| h).min();
@@ -354,6 +401,12 @@ impl Ordering {
         self.fronts.first().map(|&(ts, _)| ts)
     }
 
+    /// Whether the delivery rule would pop the head now: the full check a
+    /// skipped pass stands for.
+    fn head_deliverable(&self) -> bool {
+        self.head_ts().is_some() && self.head_blockers().next().is_none()
+    }
+
     /// The members holding back the head of the queue: those whose horizon
     /// is still below its timestamp. Empty exactly when
     /// [`deliver_into`](Self::deliver_into) would pop (or the queue is
@@ -393,6 +446,7 @@ impl Ordering {
     ) -> (Vec<FtmpMessage>, usize) {
         let mut delivered = Vec::new();
         let mut discarded = 0;
+        self.stale = true;
         for &mut (src, ref mut q) in &mut self.queues {
             let Some(front) = q.front() else {
                 continue;
@@ -463,6 +517,16 @@ impl Ordering {
     }
 }
 
+#[cfg(test)]
+impl Ordering {
+    /// The reference the stability memo is checked against: the minimum
+    /// recomputed whatever the memo holds.
+    pub(crate) fn stable_ts_full(&self) -> Timestamp {
+        self.stable_memo.set(None);
+        self.stable_ts()
+    }
+}
+
 /// A send-window edge reported by [`SendWindow::update`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowEdge {
@@ -496,6 +560,12 @@ impl SendWindow {
     /// A window enforcing the given policy (starts open).
     pub fn new(fc: FlowControl) -> Self {
         SendWindow { fc, open: true }
+    }
+
+    /// Whether the policy is enforced at all; when it is not,
+    /// [`update`](Self::update) never reports an edge.
+    pub fn enforced(&self) -> bool {
+        self.fc.enabled
     }
 
     /// True when ordered sends may be admitted.

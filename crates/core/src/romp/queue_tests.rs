@@ -339,3 +339,128 @@ fn per_source_queues_match_the_map_they_replaced() {
     );
     assert!(deep > 4 * QUEUE_FLOOR, "deepest queue only {deep}");
 }
+
+/// The reference a change-driven pass is checked against: a pass that runs
+/// whether or not anything changed since the last one.
+fn deliver_full(ord: &mut Ordering, out: &mut Vec<FtmpMessage>) {
+    ord.stale = true;
+    ord.deliver_into(out);
+}
+
+/// What one step other than a send or a flush does to a queue.
+fn apply(ord: &mut Ordering, op: &Op) {
+    match *op {
+        Op::Horizon { p, ts } => ord.advance_horizon(ProcessorId(p), Timestamp(ts)),
+        Op::HorizonAll { ts } => {
+            for p in 1..=SOURCES {
+                ord.advance_horizon(ProcessorId(p), Timestamp(ts));
+            }
+        }
+        Op::Ack { p, ts } => ord.record_ack(ProcessorId(p), Timestamp(ts)),
+        Op::Add { p, floor } => ord.add_member(ProcessorId(p), Timestamp(floor)),
+        Op::Remove { p } => ord.remove_member(ProcessorId(p)),
+        Op::Send { .. } | Op::Burst { .. } | Op::Deliver | Op::Flush { .. } => {}
+    }
+}
+
+/// The skip rules against the work they skip (DESIGN.md §4, "What a packet
+/// recomputes"): one queue runs the change-driven delivery pass and the
+/// memoized stability point, its twin a full pass and a fresh minimum at
+/// every step. The schedules are the model test's; a quarter of the steps
+/// run no pass, so changes also pile up before one. After every step both
+/// deliver the same messages and agree on `last_delivered`, `queue_len` and
+/// `stable_ts`.
+#[test]
+fn a_pass_on_change_equals_the_full_pass() {
+    const SCHEDULES: usize = 300;
+    let schedule = (proptest::collection::vec((op(), 0u8..4), 20..160), 0u64..30);
+    let mut rng = proptest::test_runner::rng_for(concat!(module_path!(), "::on_change"));
+    let (mut skipped, mut delivered, mut memo_hits, mut fell) = (0, 0, 0, 0);
+    for _ in 0..SCHEDULES {
+        let (ops, floor) = schedule.generate(&mut rng);
+        let founders: Vec<ProcessorId> = (1..SOURCES).map(ProcessorId).collect();
+        let mut fast = Ordering::new(founders.clone(), Timestamp(floor));
+        let mut full = Ordering::new(founders, Timestamp(floor));
+        let mut last_ts = [floor; SOURCES as usize + 1];
+        let mut seq = [0u64; SOURCES as usize + 1];
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (op, pass) in ops {
+            let mut sent = Vec::new();
+            match op {
+                Op::Send { src, kind, dt } => {
+                    let last = last_ts[src as usize];
+                    let ts = match kind {
+                        0..=5 => last + dt,
+                        6 => last,
+                        7 => last.saturating_sub(dt),
+                        _ => floor.saturating_sub(dt % 3),
+                    };
+                    last_ts[src as usize] = last.max(ts);
+                    sent.push((src, ts));
+                    fell += usize::from(ts <= last);
+                }
+                Op::Burst { src, n } => {
+                    for _ in 0..n {
+                        last_ts[src as usize] += 1;
+                        sent.push((src, last_ts[src as usize]));
+                    }
+                }
+                Op::Flush {
+                    ref targets,
+                    removed,
+                } => {
+                    let target: BTreeMap<ProcessorId, u64> = (1..=SOURCES)
+                        .zip(targets)
+                        .filter(|&(_, &t)| t < 20)
+                        .map(|(p, &t)| (ProcessorId(p), t))
+                        .collect();
+                    let removed: BTreeSet<ProcessorId> = (1..=SOURCES)
+                        .filter(|p| removed & (1 << (p - 1)) != 0)
+                        .map(ProcessorId)
+                        .collect();
+                    let (a, a_discarded) = fast.flush_with_targets(&target, &removed);
+                    let (b, b_discarded) = full.flush_with_targets(&target, &removed);
+                    assert_eq!(ids(&a), ids(&b), "flush delivered");
+                    assert_eq!(a_discarded, b_discarded, "flush discarded");
+                }
+                ref op => {
+                    apply(&mut fast, op);
+                    apply(&mut full, op);
+                }
+            }
+            for (src, ts) in sent {
+                seq[src as usize] += 1;
+                let m = msg(src, seq[src as usize], ts);
+                fast.enqueue(m.clone());
+                full.enqueue(m);
+            }
+            if pass > 0 || matches!(op, Op::Deliver) {
+                skipped += usize::from(!fast.stale);
+                got.clear();
+                want.clear();
+                fast.deliver_into(&mut got);
+                deliver_full(&mut full, &mut want);
+                assert_eq!(ids(&got), ids(&want), "delivery pass");
+                delivered += got.len();
+            }
+            memo_hits += usize::from(
+                fast.stable_memo
+                    .get()
+                    .is_some_and(|(v, _)| v == fast.ack_version),
+            );
+            assert_eq!(fast.stable_ts(), full.stable_ts_full(), "stable_ts");
+            assert_eq!(
+                fast.last_delivered(),
+                full.last_delivered(),
+                "last_delivered"
+            );
+            assert_eq!(fast.queue_len(), full.queue_len(), "queue_len");
+        }
+    }
+    // Both kinds of step were reached: passes skipped, passes that deliver,
+    // the memo served, and stamps that fall or repeat.
+    assert!(skipped > 5_000, "only {skipped} passes skipped");
+    assert!(delivered > 5_000, "only {delivered} messages delivered");
+    assert!(memo_hits > 5_000, "the memo served only {memo_hits} reads");
+    assert!(fell > 1_000, "only {fell} stamps fell or repeated");
+}
