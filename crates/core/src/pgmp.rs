@@ -369,6 +369,17 @@ impl PgmpGroup {
         self.heard_any.insert(source);
     }
 
+    /// `member` left the view, by conviction or by a voluntary leave: drop
+    /// the fault detector's per-member state, so that an incarnation
+    /// rejoining under the same id starts with no silence record, no
+    /// suspicion, no arrival envelope and no ack-stall clock of its own.
+    pub fn forget(&mut self, member: ProcessorId) {
+        self.last_heard.remove(&member);
+        self.my_suspects.remove(&member);
+        self.arrivals.remove(&member);
+        self.ack_progress.remove(&member);
+    }
+
     /// The fresh-packet interarrival estimator for `peer` (a default,
     /// unwarmed estimator when nothing has been heard yet).
     pub fn arrivals_of(&self, peer: ProcessorId) -> Interarrival {

@@ -158,10 +158,7 @@ impl Processor {
             let removed: Vec<ProcessorId> = rc.removed.iter().copied().collect();
             for r in &removed {
                 g.romp.ordering_mut().remove_member(*r);
-                g.pgmp.last_heard.remove(r);
-                g.pgmp.my_suspects.remove(r);
-                g.pgmp.arrivals.remove(r);
-                g.pgmp.ack_progress.remove(r);
+                g.pgmp.forget(*r);
                 if let Some(t) = targets.get(r) {
                     g.rmp.retention_mut().drop_beyond(*r, *t);
                 }

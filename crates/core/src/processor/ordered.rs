@@ -156,9 +156,7 @@ impl Processor {
                         }
                         g.pgmp.membership_ts = m.ts;
                         g.romp.ordering_mut().remove_member(member);
-                        g.pgmp.last_heard.remove(&member);
-                        g.pgmp.my_suspects.remove(&member);
-                        g.pgmp.arrivals.remove(&member);
+                        g.pgmp.forget(member);
                         g.pgmp.suspicion.retain_members(&g.pgmp.membership);
                         let (members, ts) = (&g.pgmp.membership, g.pgmp.membership_ts);
                         install_view(&mut self.tap, &mut self.sink, now, gid, members, ts);

@@ -356,6 +356,116 @@ fn remove_processor_leaves_group_at_removed_member() {
         .any(|e| matches!(e, ProtocolEvent::LeftGroup { .. })));
 }
 
+/// A member that leaves voluntarily and rejoins under the same id starts
+/// with a fresh ack-stall clock: the fault detector may suspect it only
+/// once its new incarnation's ack has stood still for `ack_stall_timeout`.
+/// The old incarnation's watermark — lagging, as it always is in a group
+/// that heartbeats, and by the rejoin older than the timeout — would
+/// otherwise have P1 suspect the joiner at the first sweep after it orders
+/// the AddProcessor, before the joiner's first header reaches it.
+#[test]
+fn a_rejoined_member_gets_a_fresh_ack_stall_clock() {
+    type Keep<'a> = &'a dyn Fn(u32, u32, &Bytes) -> bool;
+    let gid = GroupId(1);
+    let cfg = ProtocolConfig::with_seed(42);
+    let stall = cfg.ack_stall_timeout;
+    let mut net = MiniNet::new(3, cfg);
+    net.bootstrap_group(gid, McastAddr(100));
+    let p3 = ProcessorId(3);
+    // One 1 ms step: P1 sends when `send`, everyone ticks, and the wire
+    // carries what `keep(from, to, datagram)` lets through (loopback
+    // always).
+    let mut now = SimTime(0);
+    let mut run = |net: &mut MiniNet, ms: u64, send: bool, keep: Keep| {
+        for _ in 0..ms {
+            now = now + SimDuration::from_millis(1);
+            if send {
+                let _ = net.p(1).multicast_request(
+                    now,
+                    conn_ab(),
+                    RequestNum(now.as_micros()),
+                    Bytes::from_static(b"req"),
+                );
+            }
+            for p in &mut net.procs {
+                p.tick(now);
+            }
+            loop {
+                let mut packets = Vec::new();
+                for (i, p) in net.procs.iter_mut().enumerate() {
+                    for a in p.drain_actions() {
+                        if let Action::Send { addr, payload } = a {
+                            packets.push((i as u32 + 1, addr, payload));
+                        }
+                    }
+                }
+                if packets.is_empty() {
+                    break;
+                }
+                for (src, addr, payload) in packets {
+                    for (j, p) in net.procs.iter_mut().enumerate() {
+                        let dst = j as u32 + 1;
+                        if dst == src || keep(src, dst, &payload) {
+                            p.handle_packet(now, &Packet::new(src, addr, payload.clone()));
+                        }
+                    }
+                }
+            }
+        }
+        now
+    };
+    let all = |_: u32, _: u32, _: &Bytes| true;
+    // P1's data stops reaching P3, repairs included; P3 still hears the
+    // heartbeats, keeps its own, and its ack stands still.
+    let data_lost = |_: u32, to: u32, d: &Bytes| {
+        to != 3
+            || FtmpMessage::decode_shared(d).map_or(true, |m| m.msg_type() != FtmpMsgType::Regular)
+    };
+    // P1 has suspected P3, or already convicted it.
+    let suspects_p3 = |net: &MiniNet| {
+        let g = &net.procs[0].groups[&gid];
+        g.pgmp.my_suspects.contains(&p3) || !g.pgmp.membership.contains(&p3)
+    };
+    run(&mut net, 50, true, &all);
+    // P3 stops hearing P2 for a while, so its ack falls behind; it leaves
+    // while it lags.
+    let at = run(&mut net, 60, true, &|from, to, _| !(from == 2 && to == 3));
+    net.p(3).remove_processor(at, gid, p3);
+    run(&mut net, 50, false, &all);
+    assert!(net.p(3).membership(gid).is_none(), "P3 left");
+    assert_eq!(net.p(1).membership(gid).unwrap().len(), 2);
+    // Away for longer than the stall timeout, then sponsored back in while
+    // its packets do not reach P1 yet.
+    let back = run(&mut net, stall.as_millis() + 100, false, &all);
+    net.p(3).expect_join(gid, McastAddr(100));
+    net.p(1).add_processor(back, gid, p3);
+    let p3_unheard = |from: u32, to: u32, _: &Bytes| !(from == 3 && to == 1);
+    let readded = (0..50).find(|_| {
+        run(&mut net, 1, false, &p3_unheard);
+        net.procs[0].groups[&gid].pgmp.membership.contains(&p3)
+    });
+    assert!(readded.is_some(), "P1 re-added P3");
+    for _ in 0..5 {
+        let t = run(&mut net, 1, false, &p3_unheard);
+        assert!(!suspects_p3(&net), "P1 suspected the rejoined P3 at {t:?}");
+    }
+    let rejoined = run(&mut net, 20, false, &all);
+    // The new incarnation stalls the same way.
+    let mut first = None;
+    for _ in 0..stall.as_millis() + 200 {
+        let t = run(&mut net, 1, true, &data_lost);
+        if first.is_none() && suspects_p3(&net) {
+            first = Some(t);
+        }
+    }
+    let first = first.expect("P1 suspects the stalled P3");
+    assert!(
+        first.saturating_since(rejoined) > stall,
+        "P1 suspected P3 {:?} after the rejoin, inside the stall timeout",
+        first.saturating_since(rejoined)
+    );
+}
+
 #[test]
 fn add_processor_joins_third_member() {
     let gid = GroupId(1);
