@@ -83,7 +83,7 @@ mod ordered;
 mod tests;
 mod timers;
 
-use timers::NextDue;
+use timers::{DetectorGate, NextDue};
 
 /// The chance that a holder other than the original sender answers a
 /// RetransmitRequest (§5: any processor that has the message may). About
@@ -179,6 +179,9 @@ struct GroupState {
     /// (re)built on the tick after a view installs (DESIGN.md §13). Always
     /// `None` under [`OverlayPolicy::Flat`].
     overlay: Option<OverlayState>,
+    /// What the fault detector's scans read when they last ran, so a sweep
+    /// skips a scan that cannot act (DESIGN.md §4 "The busy tick").
+    detector: DetectorGate,
 }
 
 /// Why [`Processor::heartbeat_due`] says a Heartbeat is due: the ordinary
@@ -247,6 +250,7 @@ impl GroupState {
             last_rescue_sent: now,
             vec_cache: None,
             overlay: None,
+            detector: DetectorGate::default(),
         }
     }
 
@@ -288,6 +292,16 @@ impl GroupState {
             pgmp: self.pgmp.counters,
         }
     }
+}
+
+/// The groups one sweep walks (DESIGN.md §4 "The busy tick"): their ids,
+/// listed once when the sweep begins, then walked by every duty in turn
+/// through [`Processor::walk`].
+#[derive(Debug, Default)]
+struct SweepList {
+    ids: Vec<GroupId>,
+    /// [`Processor::groups_made`] when `ids` was listed.
+    made: u64,
 }
 
 /// One FTMP endpoint.
@@ -344,9 +358,20 @@ pub struct Processor {
     /// time the last sweep found any timer duty could act. A tick before it
     /// skips the sweep; [`wake`](Processor::wake) clears it.
     idle_until: Option<SimTime>,
-    /// Sweep on every tick: the reference the idle path is tested against.
+    /// Bumped whenever a group is created, so a sweep's walk can tell that
+    /// its list of ids is short of one.
+    groups_made: u64,
+    /// [`sweep`](Processor::sweep)'s scratch: the ids of the groups it
+    /// walks, listed once per sweep. Empty between sweeps.
+    sweep_groups: SweepList,
+    /// Sweep on every tick and run every duty in full: the reference the
+    /// idle path and the duties' gates are tested against.
     #[cfg(test)]
     sweep_always: bool,
+    /// How often each gated duty skipped (the busy-tick differential's
+    /// coverage).
+    #[cfg(test)]
+    skips: timers::Skips,
 }
 
 /// Emit one wire datagram, counting containers as they leave.
@@ -441,8 +466,12 @@ impl Processor {
             run: None,
             batch_depth: 0,
             idle_until: None,
+            groups_made: 0,
+            sweep_groups: SweepList::default(),
             #[cfg(test)]
             sweep_always: false,
+            #[cfg(test)]
+            skips: timers::Skips::default(),
         }
     }
 
@@ -661,18 +690,16 @@ impl Processor {
         let members: BTreeSet<ProcessorId> = members.into_iter().collect();
         debug_assert!(members.contains(&self.id), "creator must be a member");
         let romp = RompLayer::new(members.iter().copied(), Timestamp(0));
-        self.groups.insert(
-            group,
-            GroupState::new(
-                self.id,
-                addr,
-                members,
-                Timestamp(0),
-                romp,
-                now,
-                self.cfg.flow_control,
-            ),
+        let gs = GroupState::new(
+            self.id,
+            addr,
+            members,
+            Timestamp(0),
+            romp,
+            now,
+            self.cfg.flow_control,
         );
+        self.insert_group(group, gs);
         self.sink.push(Action::Join(addr));
     }
 
@@ -967,18 +994,6 @@ impl Processor {
         self.prompt_heartbeat(now, gid);
     }
 
-    /// The group after `after` in id order (`None`: the first). Timer and
-    /// per-packet duties walk `groups` with this cursor, so a walk allocates
-    /// nothing and its body is free to send, deliver and leave groups.
-    fn next_group(&self, after: Option<GroupId>) -> Option<GroupId> {
-        use std::ops::Bound::{Excluded, Unbounded};
-        let from = after.map_or(Unbounded, Excluded);
-        self.groups
-            .range((from, Unbounded))
-            .next()
-            .map(|(&gid, _)| gid)
-    }
-
     /// True while this member is itself holding back the head of `g`'s
     /// ordering queue. No peer's horizon for us can be ahead of our own, so
     /// we are then a blocker at every other member too, and only a message
@@ -1088,24 +1103,75 @@ impl Processor {
     /// flushes on time. The fault detector's `Ordering::ack_ts()` records
     /// `last_ack_floor`, which an idle tick skips: no horizon moves between
     /// sweeps, so the value it would write is already there.
+    ///
+    /// The duties walk one list of group ids, taken here once, and each
+    /// returns early when it has nothing to do (DESIGN.md §4 "The busy
+    /// tick").
     fn sweep(&mut self, now: SimTime) {
         let mut next = NextDue::default();
         let actions = self.sink.len();
         if self.cfg.overlay != OverlayPolicy::Flat {
             next.at(now);
         }
-        self.ensure_overlay(now);
-        self.tick_heartbeats(now, &mut next);
-        self.tick_overlay_solicits(now);
-        self.tick_nacks(now, &mut next);
-        self.tick_fault_detector(now, &mut next);
-        self.tick_retries(now, &mut next);
-        self.tick_provisional_joins(now, &mut next);
+        let mut list = std::mem::take(&mut self.sweep_groups);
+        list.ids.extend(self.groups.keys().copied());
+        list.made = self.groups_made;
+        self.ensure_overlay(now, &mut list);
+        self.tick_heartbeats(now, &mut list, &mut next);
+        self.tick_overlay_solicits(now, &mut list);
+        self.tick_nacks(now, &mut list, &mut next);
+        self.tick_fault_detector(now, &mut list, &mut next);
+        self.tick_retries(now, &mut list, &mut next);
+        self.tick_provisional_joins(now, &mut list, &mut next);
+        list.ids.clear();
+        self.sweep_groups = list;
         self.flush_window(now);
         if self.sink.len() != actions || !self.packer.is_empty() {
             next.at(now);
         }
         self.idle_until = Some(next.0);
+    }
+
+    /// The next id of a duty's walk over `list`, `at` its position: the
+    /// group a cursor over `groups` would visit next, or one it has left
+    /// since (the duty skips those). A duty can create a group (its own
+    /// reliable send can deliver a Connect); the walk then re-reads the ids
+    /// past the last one it visited, and the next duty lists them all
+    /// again, as a cursor would have found them.
+    fn walk(&self, list: &mut SweepList, at: &mut usize) -> Option<GroupId> {
+        if list.made != self.groups_made {
+            use std::ops::Bound::{Excluded, Unbounded};
+            let from = at
+                .checked_sub(1)
+                .map_or(Unbounded, |i| Excluded(list.ids[i]));
+            list.ids.truncate(*at);
+            list.ids
+                .extend(self.groups.range((from, Unbounded)).map(|(&g, _)| g));
+            if *at == 0 {
+                list.made = self.groups_made;
+            }
+        }
+        let gid = *list.ids.get(*at)?;
+        *at += 1;
+        Some(gid)
+    }
+
+    /// Make `gid`'s state the group's, counting the creation for
+    /// [`walk`](Self::walk).
+    fn insert_group(&mut self, gid: GroupId, gs: GroupState) {
+        self.groups_made += 1;
+        self.groups.insert(gid, gs);
+    }
+
+    /// Every duty runs in full, whatever its gate says: the reference.
+    #[cfg(test)]
+    fn forced(&self) -> bool {
+        self.sweep_always
+    }
+
+    #[cfg(not(test))]
+    fn forced(&self) -> bool {
+        false
     }
 
     /// Leave the idle path: the next tick sweeps. Every entry point that can
@@ -1131,14 +1197,15 @@ impl Processor {
     /// outsider), so the overlay is reconciled lazily here — at most one
     /// tick behind, and during that window the stale tree still only routes
     /// control traffic, never reliable data.
-    fn ensure_overlay(&mut self, now: SimTime) {
+    fn ensure_overlay(&mut self, now: SimTime, list: &mut SweepList) {
         let OverlayPolicy::Tree { arity } = self.cfg.overlay else {
             return;
         };
-        let mut cur = None;
-        while let Some(gid) = self.next_group(cur) {
-            cur = Some(gid);
-            let g = self.groups.get_mut(&gid).expect("listed");
+        let mut at = 0;
+        while let Some(gid) = self.walk(list, &mut at) {
+            let Some(g) = self.groups.get_mut(&gid) else {
+                continue;
+            };
             let stale = g.overlay.as_ref().is_none_or(|o| {
                 o.view_ts != g.pgmp.membership_ts || o.members != g.pgmp.membership
             });

@@ -71,18 +71,16 @@ impl Processor {
         };
         self.conns.promised.insert(conn, gid);
         let romp = RompLayer::new(union.iter().copied(), Timestamp(0));
-        self.groups.insert(
-            gid,
-            GroupState::new(
-                self.id,
-                addr,
-                union,
-                Timestamp(0),
-                romp,
-                now,
-                self.cfg.flow_control,
-            ),
+        let gs = GroupState::new(
+            self.id,
+            addr,
+            union,
+            Timestamp(0),
+            romp,
+            now,
+            self.cfg.flow_control,
         );
+        self.insert_group(gid, gs);
         self.sink.push(Action::Join(addr));
         let body = {
             let g = self.groups.get(&gid).expect("just inserted");
@@ -154,7 +152,7 @@ impl Processor {
             self.cfg.flow_control,
         );
         gs.pgmp.gate = Some(msg.ts);
-        self.groups.insert(gid, gs);
+        self.insert_group(gid, gs);
         self.sink.push(Action::Join(McastAddr(mcast_addr)));
         self.conns.pending.remove(&conn);
         self.conns.promised.insert(conn, gid);
@@ -209,7 +207,7 @@ impl Processor {
         for (src, cited) in seqs {
             gs.rmp.seed_window(*src, cited + 1);
         }
-        self.groups.insert(gid, gs);
+        self.insert_group(gid, gs);
         // Consume the AddProcessor itself through the normal path (it is the
         // sponsor's next message after its cited sequence number).
         self.handle_reliable(now, msg, wire, false);

@@ -1,4 +1,6 @@
-//! The idle tick against the full sweep (DESIGN.md §4 "Adaptive timers").
+//! The idle tick against the full sweep (DESIGN.md §4 "Adaptive timers"),
+//! and the busy tick's gated duties against the full duties (§4 "The busy
+//! tick").
 //!
 //! Three copies of one small group run the same random schedule — loss,
 //! reordering, duplication, sends, irregular ticks with long quiet gaps, a
@@ -8,7 +10,13 @@
 //! tick and lets the processor skip, and one sweeps on every tick. After
 //! every step all three must have produced the same actions, the same
 //! `stats()` and the same next RNG draw.
+//!
+//! The busy-tick differential runs two of them — a gated copy that ticks on
+//! every tick, and the reference, whose every sweep runs every duty in full
+//! — over schedules that add a voluntary leave and rejoin and the tree
+//! overlay, and compares the fault detector's state as well.
 
+use super::timers::Skips;
 use super::*;
 use crate::config::{PackPolicy, Packing};
 use proptest::prelude::*;
@@ -37,6 +45,10 @@ enum Op {
     Join,
     /// A member opens a connection to `NOWHERE`.
     Connect(usize),
+    /// A founder leaves the group of its own accord.
+    Leave(usize),
+    /// A founder that left is sponsored back in under the same id.
+    Rejoin(usize),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -52,6 +64,18 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Join),
         Just(Op::Join),
         (0usize..4).prop_map(Op::Connect),
+    ]
+}
+
+/// [`op`]'s schedules plus voluntary leaves and rejoins.
+fn busy_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        op(),
+        op(),
+        op(),
+        op(),
+        (0usize..4).prop_map(Op::Leave),
+        (0usize..4).prop_map(Op::Rejoin),
     ]
 }
 
@@ -82,6 +106,9 @@ struct Seen {
     nacks: u64,
     /// Suspicions of a member heard within the fail timeout: ack stalls.
     stalls: u64,
+    /// Voluntary leaves that took effect, and rejoins after one.
+    leaves: u64,
+    rejoins: u64,
 }
 
 /// One copy of the group and its network.
@@ -91,6 +118,8 @@ struct World {
     subs: Vec<BTreeSet<McastAddr>>,
     up: Vec<bool>,
     deaf: Vec<bool>,
+    /// Founders that left of their own accord and are not back yet.
+    left: Vec<bool>,
     founders: usize,
     /// A join of the spare processor has been sponsored.
     joining: bool,
@@ -129,6 +158,7 @@ impl World {
             subs: vec![BTreeSet::new(); n],
             up: vec![true; n],
             deaf: vec![false; n],
+            left: vec![false; n],
             founders,
             joining: false,
             batched,
@@ -160,7 +190,13 @@ impl World {
                     self.transmit(i, addr, payload);
                 }
                 Action::Event(ProtocolEvent::FaultReport { .. }) => self.seen.convictions += 1,
+                Action::Event(ProtocolEvent::JoinedGroup { .. }) if i < self.founders => {
+                    self.seen.rejoins += 1
+                }
                 Action::Event(ProtocolEvent::JoinedGroup { .. }) => self.seen.joins += 1,
+                Action::Event(ProtocolEvent::LeftGroup { .. }) if self.left[i] => {
+                    self.seen.leaves += 1
+                }
                 Action::Join(addr) => {
                     self.subs[i].insert(addr);
                 }
@@ -280,7 +316,7 @@ impl World {
     }
 
     fn apply(&mut self, op: &Op) {
-        let live = |w: &World, m: usize| (m < w.founders && w.up[m]).then_some(m);
+        let live = |w: &World, m: usize| (m < w.founders && w.up[m] && !w.left[m]).then_some(m);
         match *op {
             Op::Advance(dt) => self.advance(self.now + SimDuration::from_micros(dt)),
             Op::Quiet(n) => {
@@ -331,6 +367,35 @@ impl World {
                     self.drain(m);
                 }
             }
+            Op::Leave(m) => {
+                // One leaver at a time, and never the last hearing founder.
+                let hearing = (0..self.founders)
+                    .filter(|&i| self.up[i] && !self.deaf[i] && !self.left[i])
+                    .count();
+                if let (Some(m), false, true) = (
+                    live(self, m % self.founders),
+                    self.left.contains(&true),
+                    hearing > 2,
+                ) {
+                    let me = ProcessorId(m as u32 + 1);
+                    self.left[m] = true;
+                    self.procs[m].remove_processor(self.now, GID, me);
+                    self.drain(m);
+                }
+            }
+            Op::Rejoin(m) => {
+                let m = m % self.founders;
+                let sponsor = (0..self.founders)
+                    .find(|&i| self.up[i] && !self.deaf[i] && !self.left[i] && i != m);
+                let gone = !self.procs[m].groups.contains_key(&GID);
+                if let (true, true, Some(s)) = (self.left[m], gone, sponsor) {
+                    self.left[m] = false;
+                    self.procs[m].expect_join(GID, ADDR);
+                    self.drain(m);
+                    self.procs[s].add_processor(self.now, GID, ProcessorId(m as u32 + 1));
+                    self.drain(s);
+                }
+            }
         }
     }
 
@@ -339,6 +404,31 @@ impl World {
         self.procs
             .iter()
             .map(|p| format!("{:?} next draw {}", p.stats(), p.rng.clone().gen::<u64>()))
+            .collect()
+    }
+
+    /// Per processor: the fault detector's state. `since` is left out for
+    /// an entry level with our frontier: a full scan restamps it on every
+    /// sweep, a gated one only when something changed, and the next scan
+    /// restamps it again before anything reads it.
+    fn detector(&self) -> Vec<String> {
+        self.procs
+            .iter()
+            .map(|p| {
+                let Some(g) = p.groups.get(&GID) else {
+                    return String::from("no group");
+                };
+                let progress: Vec<_> = g
+                    .pgmp
+                    .ack_progress
+                    .iter()
+                    .map(|(q, a)| (q, a.ack, a.caught_up, (!a.caught_up).then_some(a.since)))
+                    .collect();
+                format!(
+                    "suspects {:?} heard {:?} progress {progress:?}",
+                    g.pgmp.my_suspects, g.pgmp.last_heard
+                )
+            })
             .collect()
     }
 }
@@ -426,6 +516,127 @@ fn idle_ticks_change_nothing_a_sweep_would_not() {
     assert!(seen.idle * 100 >= seen.ticks * 60, "{seen:?}");
     assert!(seen.convictions > 0 && seen.stalls > 0, "{seen:?}");
     assert!(seen.joins > 0 && seen.join_retries > 0, "{seen:?}");
+    assert!(
+        seen.connect_requests > seen.connects && seen.nacks > 0,
+        "{seen:?}"
+    );
+}
+
+/// Every step of every schedule: the same actions, counters, RNG stream and
+/// fault-detector state whether each sweep's duties are gated or all run in
+/// full, and after every tick at which a gated processor swept, a deadline
+/// no later than the reference's. The schedules add voluntary leaves and
+/// rejoins to the idle test's, and run flat and tree overlays with packing
+/// off and on. Debug builds also assert at every skip that the full duty
+/// would have done nothing. The skip counts are printed (`--nocapture`).
+#[test]
+fn gated_duties_change_nothing_a_full_sweep_would_not() {
+    const SCHEDULES: usize = 120;
+    let schedule = (
+        proptest::collection::vec(busy_op(), 10..60),
+        3usize..=4,
+        any::<u64>(),
+        0usize..4,
+        0usize..3,
+        0usize..3,
+    );
+    let mut rng = proptest::test_runner::rng_for(concat!(module_path!(), "::gated_duties"));
+    let mut seen = Seen::default();
+    let mut skips = Skips::default();
+    for _ in 0..SCHEDULES {
+        let (ops, founders, seed, loss, packing, overlay) = schedule.generate(&mut rng);
+        let mut cfg = ProtocolConfig::with_seed(seed)
+            .fail_timeout_of(SimDuration::from_millis(60))
+            .ack_stall_of(SimDuration::from_millis(150));
+        if packing > 0 {
+            cfg = cfg.packing(Packing::with(1400, PackPolicy::Immediate));
+        }
+        if overlay == 0 {
+            cfg = cfg.overlay(OverlayPolicy::Tree { arity: 2 });
+        }
+        let loss = [0.0, 0.02, 0.1, 0.3][loss];
+        let net = (seed, loss, packing == 2);
+        let mut full = World::new(founders, &cfg, net, Host::Sweeping);
+        let mut gated = World::new(founders, &cfg, net, Host::Ticking);
+        gated.seen = std::mem::take(&mut seen);
+        for (step, op) in ops.iter().enumerate() {
+            let before: Vec<bool> = gated
+                .procs
+                .iter()
+                .map(|p| p.idle_until.is_none_or(|t| t <= gated.now))
+                .collect();
+            full.apply(op);
+            gated.apply(op);
+            assert_eq!(
+                gated.log, full.log,
+                "actions differ after step {step} {op:?}"
+            );
+            assert_eq!(
+                gated.state(),
+                full.state(),
+                "state differs after step {step} {op:?}"
+            );
+            assert_eq!(
+                gated.detector(),
+                full.detector(),
+                "detector differs after step {step} {op:?}"
+            );
+            if matches!(op, Op::Advance(_)) {
+                for (i, (g, f)) in gated.procs.iter().zip(&full.procs).enumerate() {
+                    if before[i] && gated.up[i] {
+                        assert!(
+                            g.idle_until <= f.idle_until,
+                            "P{} deadline {:?} later than the reference's {:?} after step {step}",
+                            i + 1,
+                            g.idle_until,
+                            f.idle_until
+                        );
+                    }
+                }
+            }
+            gated.log.clear();
+            full.log.clear();
+        }
+        seen = gated.seen;
+        for p in &gated.procs {
+            seen.nacks += p.stats().nacks_sent;
+            let k = p.skips;
+            skips.solicits += k.solicits;
+            skips.retries += k.retries;
+            skips.connect_retries += k.connect_retries;
+            skips.nacks += k.nacks;
+            skips.silence += k.silence;
+            skips.ack_stall += k.ack_stall;
+        }
+    }
+    eprintln!("{skips:?}\n{seen:?}");
+    // Not vacuous: every gate skipped, and every path it guards ran.
+    let Skips {
+        solicits,
+        retries,
+        connect_retries,
+        nacks,
+        silence,
+        ack_stall,
+    } = skips;
+    assert!(
+        [
+            solicits,
+            retries,
+            connect_retries,
+            nacks,
+            silence,
+            ack_stall
+        ]
+        .iter()
+        .all(|&n| n > 0),
+        "{skips:?}"
+    );
+    assert!(seen.convictions > 0 && seen.stalls > 0, "{seen:?}");
+    assert!(
+        seen.leaves > 0 && seen.rejoins > 0 && seen.joins > 0,
+        "{seen:?}"
+    );
     assert!(
         seen.connect_requests > seen.connects && seen.nacks > 0,
         "{seen:?}"

@@ -77,7 +77,7 @@ impl Processor {
                             self.cfg.flow_control,
                         );
                         gs.pgmp.gate = Some(m.ts);
-                        self.groups.insert(target, gs);
+                        self.insert_group(target, gs);
                         self.sink.push(Action::Join(McastAddr(mcast_addr)));
                     }
                     if self.groups.contains_key(&target) {

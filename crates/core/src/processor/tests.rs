@@ -378,7 +378,7 @@ fn a_rejoined_member_gets_a_fresh_ack_stall_clock() {
     let mut now = SimTime(0);
     let mut run = |net: &mut MiniNet, ms: u64, send: bool, keep: Keep| {
         for _ in 0..ms {
-            now = now + SimDuration::from_millis(1);
+            now += SimDuration::from_millis(1);
             if send {
                 let _ = net.p(1).multicast_request(
                     now,

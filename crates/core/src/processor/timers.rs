@@ -4,10 +4,19 @@
 //!
 //! Every resend here is a `Bytes` handle prepared when the message was first
 //! sent — ticking never re-encodes.
+//!
+//! A sweep runs every duty, but each returns early when it has nothing to
+//! do: no overlay, no pending retry, no window with a gap, no member that
+//! can be overdue, no ack-stall input that moved (DESIGN.md §4 "The busy
+//! tick"). Under `debug_assertions` every such skip asserts that the full
+//! duty would have done nothing.
 
 use super::*;
 use crate::adaptive;
 use crate::pgmp::AckProgress;
+
+/// One microsecond: a duty acts once strictly more than its timeout passed.
+const TICK: SimDuration = SimDuration::from_micros(1);
 
 /// The earliest time any duty of a sweep could next act (DESIGN.md §4
 /// "Adaptive timers"). Each duty lowers it as it goes; it starts at the
@@ -29,12 +38,199 @@ impl NextDue {
 
     /// A duty acts once strictly more than `d` has passed since `t`.
     fn past(&mut self, t: SimTime, d: SimDuration) {
-        self.at(t + d + SimDuration::from_micros(1));
+        self.at(t + d + TICK);
+    }
+}
+
+/// What the fault detector's two scans read when they last ran. A scan is
+/// skipped while its gate holds; the first scan of a new group always runs.
+#[derive(Debug, Default)]
+pub(super) struct DetectorGate {
+    /// No member but this one can be overdue before this time: the earliest
+    /// `last_heard` of the others at the last silence scan (that scan's own
+    /// time if there was none), plus `fail_timeout`, plus 1 µs.
+    /// `last_heard` only rises and a new entry is stamped with the time it
+    /// is made, so the bound stays a lower one until the next scan.
+    silent_from: SimTime,
+    /// The ack-stall scan's inputs when it last ran: `ack_version`, our own
+    /// ack, the view's timestamp and the number of members we suspect.
+    ack_inputs: Option<(u64, Timestamp, Timestamp, usize)>,
+    /// The earliest time a lagging, unsuspected member's stall runs out, as
+    /// of that scan.
+    ack_due: SimTime,
+}
+
+/// How often each gated duty skipped (test builds only).
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+pub(super) struct Skips {
+    pub(super) solicits: u64,
+    pub(super) retries: u64,
+    pub(super) connect_retries: u64,
+    pub(super) nacks: u64,
+    pub(super) silence: u64,
+    pub(super) ack_stall: u64,
+}
+
+/// One pass of the ack-progress detector over `progress` (see
+/// [`Processor::tick_fault_detector`]): the members whose stall ran out,
+/// and the earliest time another one's will.
+fn ack_stall_pass(
+    progress: &mut BTreeMap<ProcessorId, AckProgress>,
+    acks: impl Iterator<Item = (ProcessorId, Timestamp)>,
+    own_ack: Timestamp,
+    suspects: &BTreeSet<ProcessorId>,
+    me: ProcessorId,
+    stall: SimDuration,
+    now: SimTime,
+) -> (Vec<ProcessorId>, SimTime) {
+    let mut out = Vec::new();
+    let mut due = SimTime(u64::MAX);
+    for (p, ack) in acks {
+        if p == me {
+            continue;
+        }
+        let entry = progress.entry(p).or_insert(AckProgress {
+            ack,
+            since: now,
+            caught_up: false,
+        });
+        if entry.caught_up {
+            entry.since = now;
+        }
+        entry.caught_up = ack >= own_ack;
+        if ack > entry.ack || entry.caught_up {
+            entry.ack = ack;
+            entry.since = now;
+        }
+        if entry.caught_up || suspects.contains(&p) {
+            continue;
+        }
+        if now.saturating_since(entry.since) > stall {
+            out.push(p);
+        } else {
+            due = due.min(entry.since + stall + TICK);
+        }
+    }
+    (out, due)
+}
+
+impl GroupState {
+    /// The ack-progress detector. Skipped while none of its inputs moved
+    /// since it last ran and no lagging entry's stall can have run out:
+    /// it would then only restamp `since` on entries level with our
+    /// frontier, and the first pass after any change restamps them again
+    /// before anything reads them. `ack_ts()` is read either way: it
+    /// records `last_ack_floor`.
+    fn ack_stalls(
+        &mut self,
+        me: ProcessorId,
+        stall: SimDuration,
+        now: SimTime,
+        forced: bool,
+        next: &mut NextDue,
+    ) -> Option<Vec<ProcessorId>> {
+        let ord = self.romp.ordering();
+        let own_ack = ord.ack_ts();
+        let suspects = &self.pgmp.my_suspects;
+        let inputs = (
+            ord.ack_version(),
+            own_ack,
+            self.pgmp.membership_ts,
+            suspects.len(),
+        );
+        let gate = &mut self.detector;
+        if !forced && gate.ack_inputs == Some(inputs) && now < gate.ack_due {
+            #[cfg(debug_assertions)]
+            {
+                let mut probe = self.pgmp.ack_progress.clone();
+                let acks = ord.reported_acks();
+                let (out, due) =
+                    ack_stall_pass(&mut probe, acks, own_ack, suspects, me, stall, now);
+                debug_assert!(
+                    out.is_empty() && due == gate.ack_due,
+                    "a skipped ack-stall scan would act"
+                );
+            }
+            next.at(gate.ack_due);
+            return None;
+        }
+        let acks = ord.reported_acks();
+        let progress = &mut self.pgmp.ack_progress;
+        let (out, due) = ack_stall_pass(progress, acks, own_ack, suspects, me, stall, now);
+        gate.ack_inputs = Some(inputs);
+        gate.ack_due = due;
+        next.at(due);
+        Some(out)
+    }
+
+    /// The silence detector: every unsuspected member not heard for its
+    /// adaptive fail timeout. Skipped before the gate's bound, where no
+    /// member can be overdue: `fail_timeout_for` never returns less than
+    /// `fail_timeout`. While skipped it lowers the deadline to the bound,
+    /// which is never later than the scan's own per-member deadlines.
+    fn silent_members(
+        &mut self,
+        me: ProcessorId,
+        cfg: &ProtocolConfig,
+        now: SimTime,
+        forced: bool,
+        next: &mut NextDue,
+    ) -> Option<Vec<ProcessorId>> {
+        let pgmp = &self.pgmp;
+        if !forced && now < self.detector.silent_from {
+            debug_assert!(
+                pgmp.membership.iter().all(|&p| {
+                    let timeout = adaptive::fail_timeout_for(cfg, &pgmp.arrivals_of(p));
+                    p == me
+                        || pgmp.my_suspects.contains(&p)
+                        || pgmp
+                            .last_heard
+                            .get(&p)
+                            .is_none_or(|&t| now.saturating_since(t) <= timeout)
+                }),
+                "a skipped silence scan would act"
+            );
+            next.at(self.detector.silent_from);
+            return None;
+        }
+        let mut earliest = now;
+        let silent = pgmp
+            .membership
+            .iter()
+            .copied()
+            .filter(|&p| {
+                if p == me {
+                    return false;
+                }
+                let Some(&t) = pgmp.last_heard.get(&p) else {
+                    return false;
+                };
+                earliest = earliest.min(t);
+                if pgmp.my_suspects.contains(&p) {
+                    return false;
+                }
+                // Per-peer timeout: the configured constant is stretched to
+                // cover the peer's observed interarrival envelope, so a
+                // latency spike widens suspicion instead of convicting a
+                // healthy member.
+                let timeout = adaptive::fail_timeout_for(cfg, &pgmp.arrivals_of(p));
+                next.past(t, timeout);
+                now.saturating_since(t) > timeout
+            })
+            .collect();
+        self.detector.silent_from = earliest + cfg.fail_timeout + TICK;
+        Some(silent)
     }
 }
 
 impl Processor {
-    pub(super) fn tick_heartbeats(&mut self, now: SimTime, next: &mut NextDue) {
+    pub(super) fn tick_heartbeats(
+        &mut self,
+        now: SimTime,
+        list: &mut SweepList,
+        next: &mut NextDue,
+    ) {
         // With packing on, a heartbeat that would carry no news is deferred
         // (DESIGN.md §5). Every condition below is a safety gate: the
         // ordering queue must be empty and the retention store drained —
@@ -46,10 +242,11 @@ impl Processor {
         // us beaconing. The deferral never exceeds half the fault-detector
         // timeout, so liveness and suspicion behaviour are untouched.
         let hold_flat = SimDuration::from_micros(self.cfg.fail_timeout.as_micros() / 2);
-        let mut cur = None;
-        while let Some(gid) = self.next_group(cur) {
-            cur = Some(gid);
-            let g = &self.groups[&gid];
+        let mut at = 0;
+        while let Some(gid) = self.walk(list, &mut at) {
+            let Some(g) = self.groups.get(&gid) else {
+                continue;
+            };
             let Some(due) = self.heartbeat_due(g, now) else {
                 next.at(self.heartbeat_next(g, now));
                 continue;
@@ -115,33 +312,45 @@ impl Processor {
     /// on the flat group address; every member answers with its own digest
     /// there (see `handle_overlay_digest`), and one round of answers carries
     /// every live member's fresh header past any severed tree edge. Costs
-    /// nothing in steady state and nothing in flat mode.
-    pub(super) fn tick_overlay_solicits(&mut self, now: SimTime) {
+    /// nothing in steady state and nothing in flat mode, where no group has
+    /// an overlay.
+    pub(super) fn tick_overlay_solicits(&mut self, now: SimTime, list: &mut SweepList) {
+        if self.cfg.overlay == OverlayPolicy::Flat && !self.forced() {
+            debug_assert!(self.groups.values().all(|g| g.overlay.is_none()));
+            #[cfg(test)]
+            {
+                self.skips.solicits += 1;
+            }
+            return;
+        }
         let hold = SimDuration::from_micros(self.cfg.fail_timeout.as_micros() / 2);
-        let due: Vec<GroupId> = self
-            .groups
-            .iter()
-            .filter(|(_, g)| {
-                g.overlay.is_some() && now.saturating_since(g.last_solicit_sent) >= hold
-            })
-            .filter(|(_, g)| {
-                let stalled = g.romp.ordering().queue_len() > 0
-                    && now.saturating_since(g.last_progress) >= hold;
-                // Only unsuspected peers count: once suspicion fires the
-                // fault path owns the peer, and solicitation's job is to
-                // stop liveness gaps from *becoming* suspicion.
-                let starving = g.pgmp.membership.iter().any(|&p| {
-                    p != self.id
-                        && !g.pgmp.my_suspects.contains(&p)
-                        && g.pgmp
-                            .last_heard
-                            .get(&p)
-                            .is_some_and(|&t| now.saturating_since(t) >= hold)
-                });
-                stalled || starving
-            })
-            .map(|(gid, _)| *gid)
-            .collect();
+        let mut due = Vec::new();
+        let mut at = 0;
+        while let Some(gid) = self.walk(list, &mut at) {
+            let Some(g) = self.groups.get(&gid) else {
+                continue;
+            };
+            let quiet = g.overlay.is_none() || now.saturating_since(g.last_solicit_sent) < hold;
+            if quiet {
+                continue;
+            }
+            let stalled =
+                g.romp.ordering().queue_len() > 0 && now.saturating_since(g.last_progress) >= hold;
+            // Only unsuspected peers count: once suspicion fires the fault
+            // path owns the peer, and solicitation's job is to stop liveness
+            // gaps from *becoming* suspicion.
+            let starving = g.pgmp.membership.iter().any(|&p| {
+                p != self.id
+                    && !g.pgmp.my_suspects.contains(&p)
+                    && g.pgmp
+                        .last_heard
+                        .get(&p)
+                        .is_some_and(|&t| now.saturating_since(t) >= hold)
+            });
+            if stalled || starving {
+                due.push(gid);
+            }
+        }
         for gid in due {
             if let Some(g) = self.groups.get_mut(&gid) {
                 g.last_solicit_sent = now;
@@ -150,13 +359,22 @@ impl Processor {
         }
     }
 
-    pub(super) fn tick_nacks(&mut self, now: SimTime, next: &mut NextDue) {
+    pub(super) fn tick_nacks(&mut self, now: SimTime, list: &mut SweepList, next: &mut NextDue) {
         let max_span = MAX_NACK_SPAN;
-        let mut cur = None;
-        while let Some(gid) = self.next_group(cur) {
-            cur = Some(gid);
+        let forced = self.forced();
+        let mut at = 0;
+        while let Some(gid) = self.walk(list, &mut at) {
             let requests = {
-                let g = self.groups.get_mut(&gid).expect("listed");
+                let Some(g) = self.groups.get_mut(&gid) else {
+                    continue;
+                };
+                if !forced && !g.rmp.nacks_pending() {
+                    #[cfg(test)]
+                    {
+                        self.skips.nacks += 1;
+                    }
+                    continue;
+                }
                 // The jitter window tracks SRTT and re-issues back off
                 // exponentially per unanswered attempt, up to fail_timeout.
                 let jitter_max = adaptive::nack_jitter_max(&g.rtt).as_micros().max(1);
@@ -210,10 +428,23 @@ impl Processor {
         }
     }
 
-    pub(super) fn tick_fault_detector(&mut self, now: SimTime, next: &mut NextDue) {
-        let mut cur = None;
-        while let Some(gid) = self.next_group(cur) {
-            cur = Some(gid);
+    /// The fault detector, per group: members silent past their fail
+    /// timeout, members whose ack has stalled, and the periodic
+    /// re-announcement of standing suspicions. The first two scans are
+    /// gated (see [`GroupState::silent_members`] and
+    /// [`GroupState::ack_stalls`]).
+    pub(super) fn tick_fault_detector(
+        &mut self,
+        now: SimTime,
+        list: &mut SweepList,
+        next: &mut NextDue,
+    ) {
+        let forced = self.forced();
+        let mut at = 0;
+        while let Some(gid) = self.walk(list, &mut at) {
+            let Some(g) = self.groups.get_mut(&gid) else {
+                continue;
+            };
             // Ack-progress detector: a member still heartbeating (so the
             // silence timeout below never fires) whose reported ack sits
             // below our own reception frontier and has not moved for
@@ -221,85 +452,35 @@ impl Processor {
             // one-way loss towards it swallows originals and NACK repairs
             // alike. Left in place it stalls stability and pins retention
             // group-wide, so it is suspected like any silent member.
-            let stalled: Vec<ProcessorId> = {
-                let g = self.groups.get_mut(&gid).expect("listed");
-                let own_ack = g.romp.ordering().ack_ts();
-                let mut out = Vec::new();
-                for (p, ack) in g.romp.ordering().reported_acks() {
-                    if p == self.id {
-                        continue;
-                    }
-                    let entry = g.pgmp.ack_progress.entry(p).or_insert(AckProgress {
-                        ack,
-                        since: now,
-                        caught_up: false,
-                    });
-                    if entry.caught_up {
-                        entry.since = now;
-                    }
-                    entry.caught_up = ack >= own_ack;
-                    if ack > entry.ack || entry.caught_up {
-                        entry.ack = ack;
-                        entry.since = now;
-                    } else if !g.pgmp.my_suspects.contains(&p) {
-                        if now.saturating_since(entry.since) > self.cfg.ack_stall_timeout {
-                            out.push(p);
-                        } else {
-                            next.past(entry.since, self.cfg.ack_stall_timeout);
-                        }
-                    }
+            let stalled = g.ack_stalls(self.id, self.cfg.ack_stall_timeout, now, forced, next);
+            let silent = g.silent_members(self.id, &self.cfg, now, forced, next);
+            #[cfg(test)]
+            {
+                self.skips.ack_stall += u64::from(stalled.is_none());
+                self.skips.silence += u64::from(silent.is_none());
+            }
+            let mut newly = silent.unwrap_or_default();
+            for p in stalled.into_iter().flatten() {
+                if !newly.contains(&p) {
+                    newly.push(p);
                 }
-                out
-            };
-            let (newly, resend_due): (Vec<ProcessorId>, bool) = {
-                let g = self.groups.get(&gid).expect("listed");
-                let mut newly = g
-                    .pgmp
-                    .membership
-                    .iter()
-                    .copied()
-                    .filter(|&p| {
-                        if p == self.id || g.pgmp.my_suspects.contains(&p) {
-                            return false;
-                        }
-                        // Per-peer timeout: the configured constant is
-                        // stretched to cover the peer's observed
-                        // interarrival envelope, so a latency spike widens
-                        // suspicion instead of convicting a healthy member.
-                        let timeout = adaptive::fail_timeout_for(&self.cfg, &g.pgmp.arrivals_of(p));
-                        let Some(&t) = g.pgmp.last_heard.get(&p) else {
-                            return false;
-                        };
-                        next.past(t, timeout);
-                        now.saturating_since(t) > timeout
-                    })
-                    .collect::<Vec<ProcessorId>>();
-                for p in stalled {
-                    if !newly.contains(&p) {
-                        newly.push(p);
-                    }
-                }
-                // Standing suspicions are re-announced periodically so a
-                // peer that discarded an earlier report (stale epoch, or a
-                // quorum that was one vote short) still converges.
-                let resend_due = !g.pgmp.my_suspects.is_empty() && {
-                    let half = SimDuration::from_micros(self.cfg.fail_timeout.as_micros() / 2);
-                    next.past(g.pgmp.last_suspect_sent, half);
-                    now.saturating_since(g.pgmp.last_suspect_sent) > half
-                };
-                (newly, resend_due)
+            }
+            // Standing suspicions are re-announced periodically so a peer
+            // that discarded an earlier report (stale epoch, or a quorum
+            // that was one vote short) still converges.
+            let resend_due = !g.pgmp.my_suspects.is_empty() && {
+                let half = SimDuration::from_micros(self.cfg.fail_timeout.as_micros() / 2);
+                next.past(g.pgmp.last_suspect_sent, half);
+                now.saturating_since(g.pgmp.last_suspect_sent) > half
             };
             if newly.is_empty() && !resend_due {
                 continue;
             }
-            let body = {
-                let g = self.groups.get_mut(&gid).expect("listed");
-                g.pgmp.my_suspects.extend(newly.iter().copied());
-                g.pgmp.last_suspect_sent = now;
-                FtmpBody::Suspect {
-                    membership_ts: g.pgmp.membership_ts,
-                    suspects: g.pgmp.my_suspects.iter().copied().collect(),
-                }
+            g.pgmp.my_suspects.extend(newly.iter().copied());
+            g.pgmp.last_suspect_sent = now;
+            let body = FtmpBody::Suspect {
+                membership_ts: g.pgmp.membership_ts,
+                suspects: g.pgmp.my_suspects.iter().copied().collect(),
             };
             for &suspect in &newly {
                 let group = gid;
@@ -311,29 +492,45 @@ impl Processor {
         }
     }
 
-    pub(super) fn tick_retries(&mut self, now: SimTime, next: &mut NextDue) {
+    pub(super) fn tick_retries(&mut self, now: SimTime, list: &mut SweepList, next: &mut NextDue) {
+        let forced = self.forced();
         // Client ConnectRequest retries.
-        let retries: Vec<(ConnectionId, Vec<ProcessorId>, McastAddr)> = self
-            .conns
-            .pending
-            .iter()
-            .filter(|(_, p)| {
-                next.at(p.next_retry);
-                now >= p.next_retry
-            })
-            .map(|(c, p)| (*c, p.client_processors.clone(), p.domain_addr))
-            .collect();
-        for (conn, procs, addr) in retries {
-            if let Some(p) = self.conns.pending.get_mut(&conn) {
-                p.next_retry = now + CONNECT_RETRY;
+        if self.conns.pending.is_empty() && !forced {
+            #[cfg(test)]
+            {
+                self.skips.connect_retries += 1;
             }
-            self.send_connect_request(now, conn, &procs, addr);
+        } else {
+            let retries: Vec<(ConnectionId, Vec<ProcessorId>, McastAddr)> = self
+                .conns
+                .pending
+                .iter()
+                .filter(|(_, p)| {
+                    next.at(p.next_retry);
+                    now >= p.next_retry
+                })
+                .map(|(c, p)| (*c, p.client_processors.clone(), p.domain_addr))
+                .collect();
+            for (conn, procs, addr) in retries {
+                if let Some(p) = self.conns.pending.get_mut(&conn) {
+                    p.next_retry = now + CONNECT_RETRY;
+                }
+                self.send_connect_request(now, conn, &procs, addr);
+            }
         }
-        // Sponsor AddProcessor retransmissions until the joiner is heard.
-        let mut cur = None;
-        while let Some(gid) = self.next_group(cur) {
-            cur = Some(gid);
-            let g = self.groups.get_mut(&gid).expect("listed");
+        let mut at = 0;
+        while let Some(gid) = self.walk(list, &mut at) {
+            let Some(g) = self.groups.get_mut(&gid) else {
+                continue;
+            };
+            if g.pgmp.sponsor_joins.is_empty() && g.pgmp.connect_retx.is_none() && !forced {
+                #[cfg(test)]
+                {
+                    self.skips.retries += 1;
+                }
+                continue;
+            }
+            // Sponsor AddProcessor retransmissions until the joiner is heard.
             let mut resend: Vec<(McastAddr, Bytes)> = Vec::new();
             let heard: Vec<ProcessorId> = g
                 .pgmp
@@ -382,22 +579,25 @@ impl Processor {
 
     /// A provisional join that never commits (the sponsor died before our
     /// AddProcessor was ordered and no member adopted us) must not wedge the
-    /// processor forever.
-    pub(super) fn tick_provisional_joins(&mut self, now: SimTime, next: &mut NextDue) {
+    /// processor forever. One field test per group.
+    pub(super) fn tick_provisional_joins(
+        &mut self,
+        now: SimTime,
+        list: &mut SweepList,
+        next: &mut NextDue,
+    ) {
         let limit = SimDuration::from_micros(self.cfg.fail_timeout.as_micros() * 4);
-        let orphaned: Vec<GroupId> = self
-            .groups
-            .iter()
-            .filter(|(_, g)| {
+        let mut at = 0;
+        while let Some(gid) = self.walk(list, &mut at) {
+            let orphaned = self.groups.get(&gid).is_some_and(|g| {
                 g.pgmp.provisional_since.is_some_and(|t| {
                     next.past(t, limit);
                     now.saturating_since(t) > limit
                 })
-            })
-            .map(|(gid, _)| *gid)
-            .collect();
-        for gid in orphaned {
-            self.leave_group(gid);
+            });
+            if orphaned {
+                self.leave_group(gid);
+            }
         }
     }
 }

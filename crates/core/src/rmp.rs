@@ -621,6 +621,12 @@ pub struct RmpLayer {
     rx: BTreeMap<ProcessorId, SourceRx>,
     retention: RetentionStore,
     counters: RmpCounters,
+    /// Some window of a remote source may have a gap or an armed NACK. Set
+    /// whenever a reliable message or a header leaves a window with a gap;
+    /// cleared only by a [`nack_requests`](Self::nack_requests) pass that
+    /// leaves every window with neither. While clear, such a pass would do
+    /// nothing (DESIGN.md §4 "The busy tick").
+    nacks_pending: bool,
 }
 
 impl RmpLayer {
@@ -632,6 +638,7 @@ impl RmpLayer {
             rx: BTreeMap::new(),
             retention: RetentionStore::default(),
             counters: RmpCounters::default(),
+            nacks_pending: false,
         }
     }
 
@@ -658,7 +665,9 @@ impl RmpLayer {
                     .rx
                     .entry(source)
                     .or_insert_with(|| SourceRx::starting_at(1));
-                match rx.on_reliable(msg) {
+                let outcome = rx.on_reliable(msg);
+                self.nacks_pending |= rx.has_gap();
+                match outcome {
                     RxOutcome::Duplicate => {
                         if !own && source != self.self_id {
                             self.counters.duplicates += 1;
@@ -691,6 +700,7 @@ impl RmpLayer {
             .entry(source)
             .or_insert_with(|| SourceRx::starting_at(1));
         rx.note_header_seq(seq);
+        self.nacks_pending |= rx.has_gap();
         rx.contiguous()
     }
 
@@ -729,6 +739,20 @@ impl RmpLayer {
             .collect()
     }
 
+    /// False only while no remote source's window has a gap or an armed
+    /// NACK, so that a [`nack_requests`](Self::nack_requests) pass would
+    /// draw no jitter, issue nothing and lower no deadline.
+    pub fn nacks_pending(&self) -> bool {
+        debug_assert!(
+            self.nacks_pending
+                || self.rx.iter().all(|(&source, rx)| {
+                    source == self.self_id || (!rx.has_gap() && rx.nack_at.is_none())
+                }),
+            "a skipped NACK pass would act"
+        );
+        self.nacks_pending
+    }
+
     /// Run the NACK schedulers for every remote source and collect the
     /// missing ranges whose RetransmitRequests are due now. `jitter` is
     /// called once per gap episode, when the episode arms (randomness stays
@@ -746,6 +770,7 @@ impl RmpLayer {
     ) -> Vec<(ProcessorId, Vec<(u64, u64)>)> {
         let self_id = self.self_id;
         let mut due = Vec::new();
+        let mut pending = false;
         for (&source, rx) in self.rx.iter_mut() {
             if source == self_id {
                 continue;
@@ -759,8 +784,10 @@ impl RmpLayer {
             }
             if let Some(at) = rx.nack_at {
                 *next_due = (*next_due).min(at);
+                pending = true;
             }
         }
+        self.nacks_pending = pending;
         due
     }
 
