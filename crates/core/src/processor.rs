@@ -2008,7 +2008,9 @@ impl Processor {
             return;
         };
         let gid = msg.group;
-        if !self.groups.contains_key(&gid) {
+        // Our own request, looped back: we asked because we lack those
+        // messages, and another holder answers.
+        if msg.source == self.id || !self.groups.contains_key(&gid) {
             return;
         }
         // Tree mode: a request from a tree neighbor is neighborhood repair —

@@ -466,6 +466,47 @@ fn a_rejoined_member_gets_a_fresh_ack_stall_clock() {
     );
 }
 
+/// A processor's own RetransmitRequest comes back to it like any multicast.
+/// It asked because it lacked those messages, so it does not answer its own
+/// request, and it draws no any-holder coin for it either: a draw would
+/// spend its random stream on nothing.
+#[test]
+fn an_own_retransmit_request_is_not_answered_or_drawn_for() {
+    let (mut net, gid) = pair();
+    let now = SimTime(1_000);
+    for k in 0..20 {
+        let giop = Bytes::from_static(b"req");
+        let _ = net
+            .p(1)
+            .multicast_request(now, conn_ab(), RequestNum(k), giop);
+    }
+    net.flush(now);
+    // By the time P2's request for P1's 1..=20 loops back, P2 holds them all.
+    let request = FtmpMessage {
+        retransmission: false,
+        source: ProcessorId(2),
+        group: gid,
+        seq: SeqNum(0),
+        ts: Timestamp(1),
+        ack_ts: Timestamp(0),
+        body: FtmpBody::RetransmitRequest {
+            missing_from: ProcessorId(1),
+            start_seq: 1,
+            stop_seq: 20,
+        },
+    };
+    let pkt = Packet::new(2, McastAddr(100), request.encode(ByteOrder::Big));
+    let p2 = net.p(2);
+    let draw = p2.rng.clone().gen::<u64>();
+    p2.handle_packet(now, &pkt);
+    assert_eq!(p2.stats().retransmissions_sent, 0, "P2 answered itself");
+    assert_eq!(
+        p2.rng.clone().gen::<u64>(),
+        draw,
+        "P2 drew for its own request"
+    );
+}
+
 #[test]
 fn add_processor_joins_third_member() {
     let gid = GroupId(1);

@@ -260,14 +260,17 @@ fn chaos_heavy_loss_short() {
 /// still fail, so a detector that rides the onset out turns that test red
 /// and this list goes away. The seeds move whenever a change shifts the
 /// simulator's random draws or what a processor does with a packet; both
-/// lists are what the sweep below finds.
-const ONSET_CONVICTION_SEEDS: [u64; 3] = [563, 817, 1319];
+/// lists are what the sweep below finds. Re-derived when a processor
+/// stopped drawing the any-holder coin for its own looped-back
+/// RetransmitRequests (563, 817, 1319 before).
+const ONSET_CONVICTION_SEEDS: [u64; 3] = [834, 894, 1302];
 
 /// The same failure in the timer-only protocol (`prompt_horizon` off, what
 /// the repo ran before horizon on demand): prompted heartbeats draw on the
 /// simulator's random stream, so the cases sit on other seeds, at about the
-/// same rate (2 against 3 in 1000).
-const ONSET_CONVICTION_SEEDS_TIMER_ONLY: [u64; 2] = [1350, 1355];
+/// same rate (1 against 3 in 1000; 1350 and 1355 before the same
+/// re-derivation).
+const ONSET_CONVICTION_SEEDS_TIMER_ONLY: [u64; 1] = [1141];
 
 #[test]
 fn chaos_latency_spikes_no_false_convictions() {

@@ -255,7 +255,10 @@ fn hash_delivery_order(lines: &[String]) -> u64 {
 /// NACK times, and the repairs behind them, move. Re-pinned again, same
 /// line count, when a Heartbeat overtaken by the message it cites became
 /// held until that message arrives: the horizons it carries advance then.
-const OBSERVATION_STREAM: (usize, u64) = (2210, 0x2BE7_6927_B311_7C90);
+/// Re-pinned again, same line count, when a processor stopped drawing the
+/// any-holder coin for its own looped-back RetransmitRequests: the random
+/// stream moves, and the repairs with it.
+const OBSERVATION_STREAM: (usize, u64) = (2210, 0xDDE2_5C1B_A2E3_C9DD);
 
 #[test]
 fn observation_stream_is_pinned_through_crash_conviction_and_view_change() {
@@ -283,7 +286,10 @@ fn observation_stream_is_pinned_through_crash_conviction_and_view_change() {
 ///
 /// Re-pinned when NACK jitter became drawn per gap episode: the random
 /// stream no longer advances on every tick, so the NACKs move again.
-const TELEMETRY_SNAPSHOT: u64 = 0x3950_3F26_D9A3_95B9;
+///
+/// Re-pinned when a processor stopped drawing the any-holder coin for its
+/// own looped-back RetransmitRequests: the random stream moves again.
+const TELEMETRY_SNAPSHOT: u64 = 0xFC77_E206_5756_A7F4;
 
 #[test]
 fn telemetry_snapshot_is_pinned_on_a_lossy_run() {
