@@ -260,11 +260,7 @@ impl Processor {
             // end-to-end staleness bound at fail_timeout/2 regardless of
             // tree depth (the regression test holds a quiet leaf at 64
             // members).
-            let tree_depth = self
-                .groups
-                .get(&gid)
-                .and_then(|g| g.overlay.as_ref())
-                .map(|o| o.tree.depth());
+            let tree_depth = g.overlay.as_ref().map(|o| o.tree.depth());
             let hold = match tree_depth {
                 None => hold_flat,
                 Some(d) => SimDuration::from_micros(
@@ -272,16 +268,16 @@ impl Processor {
                         .max(self.cfg.heartbeat_interval.as_micros()),
                 ),
             };
-            let defer = self.cfg.packing.enabled && {
-                let g = self.groups.get(&gid).expect("listed");
-                now.saturating_since(g.last_sent) < hold
-                    && g.romp.ordering().queue_len() == 0
-                    && g.rmp.retention().is_empty()
-                    && g.vector_seen_at
-                        .is_some_and(|t| now.saturating_since(t) < hold)
-            };
+            let defer = self.cfg.packing.enabled
+                && now.saturating_since(g.last_sent) < hold
+                && g.romp.ordering().queue_len() == 0
+                && g.rmp.retention().is_empty()
+                && g.vector_seen_at
+                    .is_some_and(|t| now.saturating_since(t) < hold);
             if defer {
-                let g = self.groups.get_mut(&gid).expect("listed");
+                let Some(g) = self.groups.get_mut(&gid) else {
+                    continue;
+                };
                 // Deferred until our silence or the peers' vector grows
                 // stale; only a packet or a send can end it sooner.
                 next.at(g.last_sent + hold);
