@@ -6,13 +6,14 @@
 #   scripts/loc.sh <checkout> <parent>  parent -> change (delta), per crate
 #
 # Counts `crates/<name>/src/**/*.rs`. A `#[cfg(test)]` at the start of a
-# line takes the item under it out of the count: one line when that line
-# ends in `;` (`mod tests;`), otherwise the rest of the file (by this
-# repository's convention an inline test module comes last), and
-# `src/**/*tests.rs` (a test module in a file of its own) is skipped whole.
-# Lines that are blank or begin with `//` (comments, rustdoc) are not code.
+# line takes the item under it out of the count, wherever in the file it
+# is (scripts/non-test.awk), and `src/**/*tests.rs` (a test module in a
+# file of its own) is skipped whole. Lines that are blank or begin with
+# `//` (comments, rustdoc) are not code.
 # `tests/`, `benches/`, `examples/` and `benchmark/` are not counted at all.
 set -eu
+
+non_test=$(cd "$(dirname "$0")" && pwd)/non-test.awk
 
 # "<crate> <lines>" for every crate of the checkout at $1, then the total.
 count() {
@@ -20,12 +21,8 @@ count() {
     total=0
     for crate in */; do
         crate=${crate%/}
-        n=$(find "$crate/src" -name '*.rs' ! -name '*tests.rs' -exec awk '
-            FNR == 1 { counting = 1; gated = 0 }
-            gated { gated = 0; if (/;$/) next; counting = 0 }
-            /^#\[cfg\(test\)\]/ { gated = 1; next }
-            counting && !/^[[:space:]]*(\/\/|$)/ { n++ }
-            END { print n + 0 }' {} +)
+        n=$(find "$crate/src" -name '*.rs' ! -name '*tests.rs' -exec awk -f "$non_test" {} + |
+            awk '!/^[[:space:]]*(\/\/|$)/ { n++ } END { print n + 0 }')
         echo "$crate $n"
         total=$((total + n))
     done

@@ -9,9 +9,9 @@
 #                                           exit 1 if any crate's rose
 #
 # Test code is skipped as scripts/loc.sh skips it: `src/**/*tests.rs`
-# whole, and from a `#[cfg(test)]` at the start of a line the rest of the
-# file (or one line when that line ends in `;`). Lines that begin with
-# `//` (comments, rustdoc) and the text after a ` // ` are not code.
+# whole, and the item under a `#[cfg(test)]` at the start of a line
+# (scripts/non-test.awk). Lines that begin with `//` (comments, rustdoc)
+# and the text after a ` // ` are not code.
 set -eu
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -20,17 +20,14 @@ count() {
     cd "$root/crates"
     for crate in */; do
         crate=${crate%/}
-        n=$(find "$crate/src" -name '*.rs' ! -name '*tests.rs' -exec awk '
-            FNR == 1 { counting = 1; gated = 0 }
-            gated { gated = 0; if (/;$/) next; counting = 0 }
-            /^#\[cfg\(test\)\]/ { gated = 1; next }
-            !counting || /^[[:space:]]*\/\// { next }
+        n=$(find "$crate/src" -name '*.rs' ! -name '*tests.rs' -exec awk -f "$root/scripts/non-test.awk" {} + | awk '
+            /^[[:space:]]*\/\// { next }
             {
                 line = $0
                 sub(/[[:space:]]\/\/ .*/, "", line)
                 n += gsub(/\.unwrap\(|\.expect\(|(^|[^_[:alnum:]])(panic|unreachable)!/, "", line)
             }
-            END { print n + 0 }' {} +)
+            END { print n + 0 }')
         echo "$crate $n"
     done
 }
