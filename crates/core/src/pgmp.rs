@@ -39,11 +39,6 @@ impl SuspicionMatrix {
         self.by_reporter.insert(reporter, suspects);
     }
 
-    /// The suspect set last reported by `reporter`.
-    pub fn reported_by(&self, reporter: ProcessorId) -> Option<&BTreeSet<ProcessorId>> {
-        self.by_reporter.get(&reporter)
-    }
-
     /// Number of current members suspecting `q`.
     pub fn suspicion_count(&self, q: ProcessorId, membership: &BTreeSet<ProcessorId>) -> usize {
         self.by_reporter
@@ -71,11 +66,6 @@ impl SuspicionMatrix {
         for set in self.by_reporter.values_mut() {
             set.retain(|q| membership.contains(q));
         }
-    }
-
-    /// Forget everything (after a membership change completes).
-    pub fn clear(&mut self) {
-        self.by_reporter.clear();
     }
 }
 
@@ -231,7 +221,30 @@ pub struct PgmpCounters {
     pub reconfigurations: u64,
 }
 
-/// One member's ack-progress watermark (see [`PgmpGroup::ack_progress`]).
+/// One peer's row in the fault detector. A row is made for every member
+/// when it enters the view and for any source a fresh packet arrives from,
+/// and goes when the member leaves the view ([`PgmpGroup::forget`]).
+#[derive(Debug, Clone, Default)]
+pub struct Peer {
+    /// The last time a fresh (non-retransmitted) packet arrived, or the
+    /// time the view that holds the member was installed, whichever is
+    /// later.
+    pub last_heard: SimTime,
+    /// The fresh-packet interarrival envelope (heartbeat cadence plus
+    /// jitter); under adaptive timers the fail timeout floors at a multiple
+    /// of it, so latency spikes widen suspicion instead of convicting.
+    pub arrivals: Interarrival,
+    /// The ack-progress watermark, from the first ack-stall scan that read
+    /// the member. A member whose heartbeats keep arriving but whose ack
+    /// stops advancing while we hold data above it is data-unreachable (a
+    /// one-way blackhole the silence-based fail timeout can never see); the
+    /// fault detector suspects it after `ack_stall_timeout`.
+    pub ack_progress: Option<AckProgress>,
+    /// Whether this endpoint currently suspects the peer.
+    pub suspected: bool,
+}
+
+/// One member's ack-progress watermark (see [`Peer::ack_progress`]).
 #[derive(Debug, Clone, Copy)]
 pub struct AckProgress {
     /// The member's last reported ack timestamp.
@@ -262,13 +275,11 @@ pub struct PgmpGroup {
     pub membership: BTreeSet<ProcessorId>,
     /// Timestamp of the current membership.
     pub membership_ts: Timestamp,
-    /// Per-member last time a fresh (non-retransmitted) packet arrived.
-    pub last_heard: BTreeMap<ProcessorId, SimTime>,
+    /// The fault detector's rows, one per peer.
+    pub peers: BTreeMap<ProcessorId, Peer>,
     /// Members from which at least one packet has arrived (drives the
     /// Connect / AddProcessor retransmission loops).
     pub heard_any: BTreeSet<ProcessorId>,
-    /// Processors this endpoint currently suspects.
-    pub my_suspects: BTreeSet<ProcessorId>,
     /// When our suspect set was last announced.
     pub last_suspect_sent: SimTime,
     /// Who suspects whom.
@@ -304,17 +315,6 @@ pub struct PgmpGroup {
     pub membership_notice: Option<Bytes>,
     /// Earliest time the notice may be re-sent.
     pub notice_retx_at: SimTime,
-    /// Per-member fresh-packet interarrival envelope (heartbeat cadence plus
-    /// jitter); under adaptive timers the fail timeout floors at a multiple
-    /// of it, so latency spikes widen suspicion instead of convicting.
-    pub arrivals: BTreeMap<ProcessorId, Interarrival>,
-    /// Per-member ack-progress watermark: the member's last reported ack
-    /// timestamp, and when it last advanced or was last level with our own
-    /// reception frontier. A member whose heartbeats keep arriving but whose
-    /// ack stops advancing while we hold data above it is data-unreachable
-    /// (a one-way blackhole the silence-based fail timeout can never see);
-    /// the fault detector suspects it after `ack_stall_timeout`.
-    pub ack_progress: BTreeMap<ProcessorId, AckProgress>,
     /// This layer's traffic counters.
     pub counters: PgmpCounters,
 }
@@ -323,13 +323,16 @@ impl PgmpGroup {
     /// Membership state for a group whose members are all presumed live at
     /// `now`.
     pub fn new(membership: BTreeSet<ProcessorId>, membership_ts: Timestamp, now: SimTime) -> Self {
-        let last_heard = membership.iter().map(|&p| (p, now)).collect();
+        let heard = Peer {
+            last_heard: now,
+            ..Peer::default()
+        };
+        let peers = membership.iter().map(|&p| (p, heard.clone())).collect();
         PgmpGroup {
             membership,
             membership_ts,
-            last_heard,
+            peers,
             heard_any: BTreeSet::new(),
-            my_suspects: BTreeSet::new(),
             last_suspect_sent: SimTime::ZERO,
             suspicion: SuspicionMatrix::default(),
             reconfig: None,
@@ -341,8 +344,6 @@ impl PgmpGroup {
             last_announce_seq: None,
             membership_notice: None,
             notice_retx_at: SimTime::ZERO,
-            arrivals: BTreeMap::new(),
-            ack_progress: BTreeMap::new(),
             counters: PgmpCounters::default(),
         }
     }
@@ -363,27 +364,33 @@ impl PgmpGroup {
     /// false for retransmissions, which prove retention, not liveness.
     pub fn note_heard(&mut self, source: ProcessorId, now: SimTime, fresh: bool) {
         if fresh {
-            self.last_heard.insert(source, now);
-            self.arrivals.entry(source).or_default().observe(now);
+            self.stamp(source, now).arrivals.observe(now);
         }
         self.heard_any.insert(source);
     }
 
-    /// `member` left the view, by conviction or by a voluntary leave: drop
-    /// the fault detector's per-member state, so that an incarnation
-    /// rejoining under the same id starts with no silence record, no
-    /// suspicion, no arrival envelope and no ack-stall clock of its own.
-    pub fn forget(&mut self, member: ProcessorId) {
-        self.last_heard.remove(&member);
-        self.my_suspects.remove(&member);
-        self.arrivals.remove(&member);
-        self.ack_progress.remove(&member);
+    /// `peer` was heard, or entered the view, at `now`: its silence is
+    /// counted from here. Its row, made if it had none.
+    pub fn stamp(&mut self, peer: ProcessorId, now: SimTime) -> &mut Peer {
+        let row = self.peers.entry(peer).or_default();
+        row.last_heard = now;
+        row
     }
 
-    /// The fresh-packet interarrival estimator for `peer` (a default,
-    /// unwarmed estimator when nothing has been heard yet).
-    pub fn arrivals_of(&self, peer: ProcessorId) -> Interarrival {
-        self.arrivals.get(&peer).copied().unwrap_or_default()
+    /// `member` left the view, by conviction or by a voluntary leave: drop
+    /// its row, so that an incarnation rejoining under the same id starts
+    /// with no silence record, no suspicion, no arrival envelope and no
+    /// ack-stall clock of its own.
+    pub fn forget(&mut self, member: ProcessorId) {
+        self.peers.remove(&member);
+    }
+
+    /// The processors this endpoint currently suspects, in id order.
+    pub fn suspects(&self) -> impl Iterator<Item = ProcessorId> + '_ {
+        self.peers
+            .iter()
+            .filter(|(_, r)| r.suspected)
+            .map(|(&p, _)| p)
     }
 
     /// A Suspect message from `reporter` carrying its full suspect set;
@@ -574,8 +581,8 @@ mod tests {
         m.record(ProcessorId(3), pset(&[1]));
         let survivors = pset(&[1, 2]);
         m.retain_members(&survivors);
-        assert!(m.reported_by(ProcessorId(3)).is_none());
-        assert!(m.reported_by(ProcessorId(1)).unwrap().is_empty());
+        assert!(!m.by_reporter.contains_key(&ProcessorId(3)));
+        assert!(m.by_reporter[&ProcessorId(1)].is_empty());
     }
 
     #[test]

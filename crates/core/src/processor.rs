@@ -83,6 +83,7 @@ mod ordered;
 mod tests;
 mod timers;
 
+use membership::ViewChange;
 use timers::{DetectorGate, NextDue};
 
 /// The chance that a holder other than the original sender answers a
@@ -222,15 +223,19 @@ struct OverlayState {
 }
 
 impl GroupState {
+    /// A group whose view is `members` at `membership_ts`, every member
+    /// presumed live at `now`. Ordering starts at the creation floor: a
+    /// joiner's pre-join deliveries are held back by its `app_floor`, not
+    /// by ordering.
     fn new(
         self_id: ProcessorId,
         addr: McastAddr,
         members: BTreeSet<ProcessorId>,
         membership_ts: Timestamp,
-        mut romp: RompLayer,
         now: SimTime,
         fc: FlowControl,
     ) -> Self {
+        let mut romp = RompLayer::new(members.iter().copied(), Timestamp(0));
         romp.set_flow_control(fc);
         GroupState {
             addr,
@@ -275,14 +280,6 @@ impl GroupState {
             out.entry(p).or_insert(contig);
         }
         out
-    }
-
-    fn seq_vector(&self) -> Vec<(ProcessorId, u64)> {
-        self.contiguous_seqs().into_iter().collect()
-    }
-
-    fn blocked(&self) -> bool {
-        self.pgmp.blocked()
     }
 
     fn layer_counters(&self) -> LayerCounters {
@@ -689,13 +686,11 @@ impl Processor {
         self.wake();
         let members: BTreeSet<ProcessorId> = members.into_iter().collect();
         debug_assert!(members.contains(&self.id), "creator must be a member");
-        let romp = RompLayer::new(members.iter().copied(), Timestamp(0));
         let gs = GroupState::new(
             self.id,
             addr,
             members,
             Timestamp(0),
-            romp,
             now,
             self.cfg.flow_control,
         );
@@ -878,7 +873,7 @@ impl Processor {
             self.stats.sends_refused += 1;
             return Err(SendError::Backpressured);
         }
-        if g.blocked() {
+        if g.pgmp.blocked() {
             g.pending_ordered.push_back((conn, request_num, giop));
             return Ok(SendOutcome::Queued);
         }
@@ -1259,7 +1254,6 @@ impl Processor {
             DigestDest::Neighborhood => o.self_addr,
             DigestDest::Solicit | DigestDest::Answer => g.addr,
         };
-        let acks: BTreeMap<ProcessorId, Timestamp> = g.romp.ordering().reported_acks().collect();
         let entries: wire::DigestVector = g
             .pgmp
             .membership
@@ -1267,7 +1261,7 @@ impl Processor {
             .filter(|&&p| p != self.id)
             .map(|&p| {
                 let horizon = g.romp.ordering().horizon_of(p).unwrap_or(Timestamp::ZERO);
-                let ack = acks.get(&p).copied().unwrap_or(Timestamp::ZERO);
+                let ack = g.romp.ordering().reported_ack_of(p).unwrap_or_default();
                 (p, g.rmp.contiguous_of(p), horizon, ack)
             })
             .collect();
@@ -1448,7 +1442,9 @@ impl Processor {
                 return Some(bytes.clone());
             }
         }
-        let entries: Vec<(ProcessorId, Timestamp)> = g.romp.ordering().reported_acks().collect();
+        // The vector's exact size: one allocation, as the encoding is.
+        let mut entries = Vec::with_capacity(g.pgmp.membership.len());
+        entries.extend(g.romp.ordering().reported_acks());
         if entries.is_empty() {
             return None;
         }
@@ -1718,14 +1714,12 @@ impl Processor {
             // suspicion; only notable silences (≥250‰) are recorded.
             if self.tap.measuring() && !msg.retransmission && msg.source != self.id {
                 let permille = self.groups.get(&gid).and_then(|g| {
-                    let last = *g.pgmp.last_heard.get(&msg.source)?;
-                    let timeout = crate::adaptive::fail_timeout_for(
-                        &self.cfg,
-                        &g.pgmp.arrivals_of(msg.source),
-                    )
-                    .as_micros()
-                    .max(1);
-                    Some(now.saturating_since(last).as_micros().saturating_mul(1000) / timeout)
+                    let peer = g.pgmp.peers.get(&msg.source)?;
+                    let timeout = crate::adaptive::fail_timeout_for(&self.cfg, &peer.arrivals)
+                        .as_micros()
+                        .max(1);
+                    let silence = now.saturating_since(peer.last_heard).as_micros();
+                    Some(silence.saturating_mul(1000) / timeout)
                 });
                 if let Some(permille) = permille.filter(|&p| p >= 250) {
                     self.tap.emit(now, Event::PeerSilence { permille });

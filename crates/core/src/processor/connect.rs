@@ -70,13 +70,11 @@ impl Processor {
             return; // pool exhausted; the client will keep retrying
         };
         self.conns.promised.insert(conn, gid);
-        let romp = RompLayer::new(union.iter().copied(), Timestamp(0));
         let gs = GroupState::new(
             self.id,
             addr,
             union,
             Timestamp(0),
-            romp,
             now,
             self.cfg.flow_control,
         );
@@ -141,13 +139,11 @@ impl Processor {
             return;
         }
         self.clock.observe(msg.ts);
-        let romp = RompLayer::new(members.iter().copied(), Timestamp(0));
         let mut gs = GroupState::new(
             self.id,
             McastAddr(mcast_addr),
             members,
             Timestamp(0),
-            romp,
             now,
             self.cfg.flow_control,
         );
@@ -188,20 +184,7 @@ impl Processor {
         // therefore start at zero and ordering runs normally; only Regular
         // deliveries at or below the join position are suppressed, because
         // the application state snapshot covers them.
-        let romp = RompLayer::with_floor_key(
-            members.iter().copied(),
-            Timestamp(0),
-            (Timestamp(0), ProcessorId(u32::MAX)),
-        );
-        let mut gs = GroupState::new(
-            self.id,
-            addr,
-            members,
-            msg.ts,
-            romp,
-            now,
-            self.cfg.flow_control,
-        );
+        let mut gs = GroupState::new(self.id, addr, members, msg.ts, now, self.cfg.flow_control);
         gs.pgmp.app_floor = Some((msg.ts, msg.source));
         gs.pgmp.provisional_since = Some(now);
         for (src, cited) in seqs {

@@ -298,19 +298,19 @@ impl World {
                 }
             }
             let suspects =
-                |p: &Processor| p.groups.get(&GID).map_or(0, |g| g.pgmp.my_suspects.len());
+                |p: &Processor| p.groups.get(&GID).map_or(0, |g| g.pgmp.suspects().count());
             let before = suspects(&self.procs[i]);
             self.turn(i, until, |p| p.tick(until));
             let p = &self.procs[i];
             if suspects(p) > before {
                 let g = &p.groups[&GID];
-                let heard = |q: &ProcessorId| {
+                let heard = |q: ProcessorId| {
                     g.pgmp
-                        .last_heard
-                        .get(q)
-                        .is_some_and(|&t| until.saturating_since(t) < p.cfg.fail_timeout)
+                        .peers
+                        .get(&q)
+                        .is_some_and(|r| until.saturating_since(r.last_heard) < p.cfg.fail_timeout)
                 };
-                self.seen.stalls += g.pgmp.my_suspects.iter().filter(|q| heard(q)).count() as u64;
+                self.seen.stalls += g.pgmp.suspects().filter(|&q| heard(q)).count() as u64;
             }
         }
     }
@@ -418,16 +418,21 @@ impl World {
                 let Some(g) = p.groups.get(&GID) else {
                     return String::from("no group");
                 };
+                let suspects: Vec<_> = g.pgmp.suspects().collect();
+                let heard: Vec<_> = g
+                    .pgmp
+                    .peers
+                    .iter()
+                    .map(|(q, r)| (q, r.last_heard))
+                    .collect();
                 let progress: Vec<_> = g
                     .pgmp
-                    .ack_progress
+                    .peers
                     .iter()
+                    .filter_map(|(q, r)| Some((q, r.ack_progress?)))
                     .map(|(q, a)| (q, a.ack, a.caught_up, (!a.caught_up).then_some(a.since)))
                     .collect();
-                format!(
-                    "suspects {:?} heard {:?} progress {progress:?}",
-                    g.pgmp.my_suspects, g.pgmp.last_heard
-                )
+                format!("suspects {suspects:?} heard {heard:?} progress {progress:?}")
             })
             .collect()
     }

@@ -8,6 +8,88 @@
 
 use super::*;
 
+/// A view change, as [`GroupState::change_view`] applies it. The three
+/// differ in what they leave behind.
+pub(super) enum ViewChange<'a> {
+    /// An AddProcessor reached its position: the member joins.
+    Join(ProcessorId),
+    /// A RemoveProcessor reached its position: the member leaves, and a
+    /// tombstone of what we held of it stays behind.
+    Leave(ProcessorId),
+    /// A reconfiguration completed: the removed go, each one's retention
+    /// cut at its flush target, and every survivor's silence is counted
+    /// afresh.
+    Convict(&'a BTreeSet<ProcessorId>, &'a BTreeMap<ProcessorId, u64>),
+}
+
+impl GroupState {
+    /// The one place a view changes: every layer's per-member state for the
+    /// members that join or leave, then the membership and its timestamp
+    /// `ts`. The caller emits the view.
+    pub(super) fn change_view(&mut self, now: SimTime, ts: Timestamp, change: ViewChange) {
+        match change {
+            ViewChange::Join(p) => {
+                // The added id may be a crashed member rejoining (§7.1
+                // restart): its new incarnation allocates sequence numbers
+                // from 1 again. Reset our receive window — the old
+                // incarnation's window would reject the fresh stream as
+                // stale duplicates — and drop any retention left from the
+                // old stream, whose (source, seq) keys would shadow the new
+                // incarnation's messages.
+                self.rmp.seed_window(p, 1);
+                self.rmp.retention_mut().drop_beyond(p, 0);
+                self.romp.ordering_mut().add_member(p, ts);
+                self.pgmp.membership.insert(p);
+                self.pgmp.stamp(p, now);
+            }
+            ViewChange::Leave(p) => {
+                // Ordering this remove required our horizon for the leaver
+                // to pass the remove's timestamp; tombstone that proof
+                // before the row drops, so a laggard that missed the
+                // leaver's final heartbeats can be rescued
+                // (`maybe_rescue_laggard`).
+                let ord = self.romp.ordering();
+                let horizon = ord.horizon_of(p).unwrap_or(ts);
+                let ack = ord.reported_ack_of(p).unwrap_or_default();
+                let contiguous = self.rmp.contiguous_of(p);
+                self.departed.push_back((p, contiguous, horizon, ack));
+                if self.departed.len() > 8 {
+                    self.departed.pop_front();
+                }
+                self.remove(p);
+            }
+            ViewChange::Convict(removed, targets) => {
+                for &p in removed {
+                    self.remove(p);
+                    if let Some(&t) = targets.get(&p) {
+                        self.rmp.retention_mut().drop_beyond(p, t);
+                    }
+                }
+                for p in self.pgmp.membership.clone() {
+                    self.pgmp.stamp(p, now);
+                }
+            }
+        }
+        self.pgmp.membership_ts = ts;
+        debug_assert!(
+            self.romp
+                .ordering()
+                .members()
+                .eq(self.pgmp.membership.iter().copied()),
+            "ordering's members are not the view"
+        );
+    }
+
+    /// `p` leaves the view: its ordering row stops gating, its fault
+    /// detector row goes, and nobody's suspicion of it or by it counts.
+    fn remove(&mut self, p: ProcessorId) {
+        self.romp.ordering_mut().remove_member(p);
+        self.pgmp.forget(p);
+        self.pgmp.membership.remove(&p);
+        self.pgmp.suspicion.retain_members(&self.pgmp.membership);
+    }
+}
+
 impl Processor {
     /// A peer's (or our own) Suspect message reached source order.
     pub(super) fn on_suspect_report(
@@ -94,7 +176,7 @@ impl Processor {
             FtmpBody::Membership {
                 membership_ts: g.pgmp.membership_ts,
                 membership: g.pgmp.membership.iter().copied().collect(),
-                seqs: g.seq_vector(),
+                seqs: g.contiguous_seqs().into_iter().collect(),
                 new_membership: proposed.into_iter().collect(),
             }
         };
@@ -155,28 +237,13 @@ impl Processor {
             let g = self.groups.get_mut(&gid).expect("group exists");
             let rc = g.pgmp.reconfig.take().expect("checked");
             let delivered = g.romp.flush_with_targets(&targets, &rc.removed);
-            let removed: Vec<ProcessorId> = rc.removed.iter().copied().collect();
-            for r in &removed {
-                g.romp.ordering_mut().remove_member(*r);
-                g.pgmp.forget(*r);
-                if let Some(t) = targets.get(r) {
-                    g.rmp.retention_mut().drop_beyond(*r, *t);
-                }
-            }
-            g.pgmp.membership = proposed;
-            let flushed_ts = delivered.last().map(|m| m.ts).unwrap_or(Timestamp(0));
-            g.pgmp.membership_ts = Timestamp(
-                flushed_ts
-                    .0
-                    .max(g.pgmp.membership_ts.0)
-                    .max(g.romp.ordering().last_delivered().0 .0)
-                    + 1,
-            );
+            let flushed_ts = delivered.last().map_or(Timestamp(0), |m| m.ts);
+            let ts = flushed_ts.max(g.pgmp.membership_ts);
+            let ts = Timestamp(ts.max(g.romp.ordering().last_delivered().0).0 + 1);
+            g.change_view(now, ts, ViewChange::Convict(&rc.removed, &targets));
+            debug_assert_eq!(g.pgmp.membership, proposed);
+            let removed: Vec<ProcessorId> = rc.removed.into_iter().collect();
             let membership = g.pgmp.membership.clone();
-            g.pgmp.suspicion.retain_members(&membership);
-            for p in &membership {
-                g.pgmp.last_heard.insert(*p, now);
-            }
             if let Some(seq) = g.pgmp.last_announce_seq {
                 // The zero-copy exclusion notice: a shared handle on the
                 // retained announcement's retransmission form.

@@ -66,13 +66,11 @@ impl Processor {
                     // Re-addressing: migrate the connection to a new group.
                     let members: BTreeSet<ProcessorId> = membership.iter().copied().collect();
                     if members.contains(&self.id) && !self.groups.contains_key(&target) {
-                        let romp = RompLayer::new(members.iter().copied(), Timestamp(0));
                         let mut gs = GroupState::new(
                             self.id,
                             McastAddr(mcast_addr),
                             members,
                             m.ts,
-                            romp,
                             now,
                             self.cfg.flow_control,
                         );
@@ -111,19 +109,8 @@ impl Processor {
                     self.flush_pending(now, gid);
                     return;
                 }
-                if new_member != self.id && g.pgmp.membership.insert(new_member) {
-                    g.pgmp.membership_ts = m.ts;
-                    // The added id may be a crashed member rejoining (§7.1
-                    // restart): its new incarnation allocates sequence
-                    // numbers from 1 again. Reset our receive window — the
-                    // old incarnation's window would reject the fresh
-                    // stream as stale duplicates — and drop any retention
-                    // left from the old stream, whose (source, seq) keys
-                    // would shadow the new incarnation's messages.
-                    g.rmp.seed_window(new_member, 1);
-                    g.rmp.retention_mut().drop_beyond(new_member, 0);
-                    g.romp.ordering_mut().add_member(new_member, m.ts);
-                    g.pgmp.last_heard.insert(new_member, now);
+                if new_member != self.id && !g.pgmp.membership.contains(&new_member) {
+                    g.change_view(now, m.ts, ViewChange::Join(new_member));
                     let (members, ts) = (&g.pgmp.membership, g.pgmp.membership_ts);
                     install_view(&mut self.tap, &mut self.sink, now, gid, members, ts);
                 }
@@ -135,29 +122,8 @@ impl Processor {
                     let Some(g) = self.groups.get_mut(&gid) else {
                         return;
                     };
-                    if g.pgmp.membership.remove(&member) {
-                        // Ordering this remove required our horizon for the
-                        // leaver to pass the remove's timestamp; tombstone
-                        // that proof before the slot drops, so a laggard
-                        // that missed the leaver's final heartbeats can be
-                        // rescued (`maybe_rescue_laggard`).
-                        let horizon = g.romp.ordering().horizon_of(member).unwrap_or(m.ts);
-                        let ack = g
-                            .romp
-                            .ordering()
-                            .reported_acks()
-                            .find(|&(p, _)| p == member)
-                            .map(|(_, a)| a)
-                            .unwrap_or(Timestamp::ZERO);
-                        g.departed
-                            .push_back((member, g.rmp.contiguous_of(member), horizon, ack));
-                        if g.departed.len() > 8 {
-                            g.departed.pop_front();
-                        }
-                        g.pgmp.membership_ts = m.ts;
-                        g.romp.ordering_mut().remove_member(member);
-                        g.pgmp.forget(member);
-                        g.pgmp.suspicion.retain_members(&g.pgmp.membership);
+                    if g.pgmp.membership.contains(&member) {
+                        g.change_view(now, m.ts, ViewChange::Leave(member));
                         let (members, ts) = (&g.pgmp.membership, g.pgmp.membership_ts);
                         install_view(&mut self.tap, &mut self.sink, now, gid, members, ts);
                     }
@@ -190,7 +156,7 @@ impl Processor {
             let Some(g) = self.groups.get_mut(&gid) else {
                 return;
             };
-            if g.blocked() || !g.romp.window().is_open() {
+            if g.pgmp.blocked() || !g.romp.window().is_open() {
                 return;
             }
             let Some((conn, request_num, giop)) = g.pending_ordered.pop_front() else {

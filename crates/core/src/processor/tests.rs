@@ -424,7 +424,7 @@ fn a_rejoined_member_gets_a_fresh_ack_stall_clock() {
     // P1 has suspected P3, or already convicted it.
     let suspects_p3 = |net: &MiniNet| {
         let g = &net.procs[0].groups[&gid];
-        g.pgmp.my_suspects.contains(&p3) || !g.pgmp.membership.contains(&p3)
+        g.pgmp.suspects().any(|q| q == p3) || !g.pgmp.membership.contains(&p3)
     };
     run(&mut net, 50, true, &all);
     // P3 stops hearing P2 for a while, so its ack falls behind; it leaves

@@ -13,7 +13,7 @@
 
 use super::*;
 use crate::adaptive;
-use crate::pgmp::AckProgress;
+use crate::pgmp::{AckProgress, Peer};
 
 /// One microsecond: a duty acts once strictly more than its timeout passed.
 const TICK: SimDuration = SimDuration::from_micros(1);
@@ -72,14 +72,13 @@ pub(super) struct Skips {
     pub(super) ack_stall: u64,
 }
 
-/// One pass of the ack-progress detector over `progress` (see
+/// One pass of the ack-progress detector over the `peers`' rows (see
 /// [`Processor::tick_fault_detector`]): the members whose stall ran out,
 /// and the earliest time another one's will.
 fn ack_stall_pass(
-    progress: &mut BTreeMap<ProcessorId, AckProgress>,
+    peers: &mut BTreeMap<ProcessorId, Peer>,
     acks: impl Iterator<Item = (ProcessorId, Timestamp)>,
     own_ack: Timestamp,
-    suspects: &BTreeSet<ProcessorId>,
     me: ProcessorId,
     stall: SimDuration,
     now: SimTime,
@@ -87,10 +86,11 @@ fn ack_stall_pass(
     let mut out = Vec::new();
     let mut due = SimTime(u64::MAX);
     for (p, ack) in acks {
-        if p == me {
+        // Every member has a row from the moment it enters the view.
+        let Some(peer) = peers.get_mut(&p).filter(|_| p != me) else {
             continue;
-        }
-        let entry = progress.entry(p).or_insert(AckProgress {
+        };
+        let entry = peer.ack_progress.get_or_insert(AckProgress {
             ack,
             since: now,
             caught_up: false,
@@ -103,7 +103,7 @@ fn ack_stall_pass(
             entry.ack = ack;
             entry.since = now;
         }
-        if entry.caught_up || suspects.contains(&p) {
+        if entry.caught_up || peer.suspected {
             continue;
         }
         if now.saturating_since(entry.since) > stall {
@@ -132,21 +132,19 @@ impl GroupState {
     ) -> Option<Vec<ProcessorId>> {
         let ord = self.romp.ordering();
         let own_ack = ord.ack_ts();
-        let suspects = &self.pgmp.my_suspects;
         let inputs = (
             ord.ack_version(),
             own_ack,
             self.pgmp.membership_ts,
-            suspects.len(),
+            self.pgmp.suspects().count(),
         );
         let gate = &mut self.detector;
         if !forced && gate.ack_inputs == Some(inputs) && now < gate.ack_due {
             #[cfg(debug_assertions)]
             {
-                let mut probe = self.pgmp.ack_progress.clone();
+                let mut probe = self.pgmp.peers.clone();
                 let acks = ord.reported_acks();
-                let (out, due) =
-                    ack_stall_pass(&mut probe, acks, own_ack, suspects, me, stall, now);
+                let (out, due) = ack_stall_pass(&mut probe, acks, own_ack, me, stall, now);
                 debug_assert!(
                     out.is_empty() && due == gate.ack_due,
                     "a skipped ack-stall scan would act"
@@ -156,8 +154,7 @@ impl GroupState {
             return None;
         }
         let acks = ord.reported_acks();
-        let progress = &mut self.pgmp.ack_progress;
-        let (out, due) = ack_stall_pass(progress, acks, own_ack, suspects, me, stall, now);
+        let (out, due) = ack_stall_pass(&mut self.pgmp.peers, acks, own_ack, me, stall, now);
         gate.ack_inputs = Some(inputs);
         gate.ack_due = due;
         next.at(due);
@@ -181,13 +178,11 @@ impl GroupState {
         if !forced && now < self.detector.silent_from {
             debug_assert!(
                 pgmp.membership.iter().all(|&p| {
-                    let timeout = adaptive::fail_timeout_for(cfg, &pgmp.arrivals_of(p));
                     p == me
-                        || pgmp.my_suspects.contains(&p)
-                        || pgmp
-                            .last_heard
-                            .get(&p)
-                            .is_none_or(|&t| now.saturating_since(t) <= timeout)
+                        || pgmp.peers.get(&p).is_none_or(|peer| {
+                            let timeout = adaptive::fail_timeout_for(cfg, &peer.arrivals);
+                            peer.suspected || now.saturating_since(peer.last_heard) <= timeout
+                        })
                 }),
                 "a skipped silence scan would act"
             );
@@ -200,21 +195,19 @@ impl GroupState {
             .iter()
             .copied()
             .filter(|&p| {
-                if p == me {
-                    return false;
-                }
-                let Some(&t) = pgmp.last_heard.get(&p) else {
+                let Some(peer) = pgmp.peers.get(&p).filter(|_| p != me) else {
                     return false;
                 };
+                let t = peer.last_heard;
                 earliest = earliest.min(t);
-                if pgmp.my_suspects.contains(&p) {
+                if peer.suspected {
                     return false;
                 }
                 // Per-peer timeout: the configured constant is stretched to
                 // cover the peer's observed interarrival envelope, so a
                 // latency spike widens suspicion instead of convicting a
                 // healthy member.
-                let timeout = adaptive::fail_timeout_for(cfg, &pgmp.arrivals_of(p));
+                let timeout = adaptive::fail_timeout_for(cfg, &peer.arrivals);
                 next.past(t, timeout);
                 now.saturating_since(t) > timeout
             })
@@ -337,11 +330,9 @@ impl Processor {
             // gaps from *becoming* suspicion.
             let starving = g.pgmp.membership.iter().any(|&p| {
                 p != self.id
-                    && !g.pgmp.my_suspects.contains(&p)
-                    && g.pgmp
-                        .last_heard
-                        .get(&p)
-                        .is_some_and(|&t| now.saturating_since(t) >= hold)
+                    && g.pgmp.peers.get(&p).is_some_and(|peer| {
+                        !peer.suspected && now.saturating_since(peer.last_heard) >= hold
+                    })
             });
             if stalled || starving {
                 due.push(gid);
@@ -464,7 +455,7 @@ impl Processor {
             // Standing suspicions are re-announced periodically so a peer
             // that discarded an earlier report (stale epoch, or a quorum
             // that was one vote short) still converges.
-            let resend_due = !g.pgmp.my_suspects.is_empty() && {
+            let resend_due = g.pgmp.suspects().next().is_some() && {
                 let half = SimDuration::from_micros(self.cfg.fail_timeout.as_micros() / 2);
                 next.past(g.pgmp.last_suspect_sent, half);
                 now.saturating_since(g.pgmp.last_suspect_sent) > half
@@ -472,11 +463,15 @@ impl Processor {
             if newly.is_empty() && !resend_due {
                 continue;
             }
-            g.pgmp.my_suspects.extend(newly.iter().copied());
+            for p in &newly {
+                if let Some(peer) = g.pgmp.peers.get_mut(p) {
+                    peer.suspected = true;
+                }
+            }
             g.pgmp.last_suspect_sent = now;
             let body = FtmpBody::Suspect {
                 membership_ts: g.pgmp.membership_ts,
-                suspects: g.pgmp.my_suspects.iter().copied().collect(),
+                suspects: g.pgmp.suspects().collect(),
             };
             for &suspect in &newly {
                 let group = gid;

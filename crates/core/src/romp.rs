@@ -46,41 +46,68 @@ mod queue_tests;
 /// A totally-ordered delivery position: `(timestamp, source)`.
 pub type OrderKey = (Timestamp, ProcessorId);
 
-/// Where `p`'s entry is in a list kept sorted by processor id, or where it
-/// would go. Per-member state is a sorted list rather than a map: a group
-/// has a handful to a few dozen members, and the minimum horizon, read on
-/// every delivery pass, is then a scan of one contiguous slice.
+/// Where `p`'s row is in a list kept sorted by processor id, or where it
+/// would go. The rows are a sorted list rather than a map: a group has a
+/// handful to a few dozen members, and the minimum horizon, read on every
+/// delivery pass, is then a scan of one contiguous slice.
 fn find<T>(entries: &[(ProcessorId, T)], p: ProcessorId) -> Result<usize, usize> {
     entries.binary_search_by_key(&p, |e| e.0)
 }
 
-/// The ordering state for one group.
-#[derive(Debug)]
-pub struct Ordering {
-    /// Ordered-but-undelivered messages, one queue per source (sorted by
-    /// source), each in ascending stamp order with no two stamps equal. A
-    /// source that left the view keeps its queue only while something is
-    /// queued in it.
-    queues: Vec<(ProcessorId, VecDeque<FtmpMessage>)>,
-    /// The delivery position of every non-empty queue's front: its first
-    /// key is the head of the total order.
-    fronts: BTreeSet<OrderKey>,
-    /// Messages queued over every source.
-    queued: usize,
-    /// Per-member contiguous timestamp horizon, sorted by member.
-    horizon: Vec<(ProcessorId, Timestamp)>,
-    /// Per member, the latest header evidence `(seq, ts)` that arrived
-    /// while its stream had a gap at or below `seq`. The header proves the
+/// One source's row: everything ordering keeps about it.
+#[derive(Debug, Default)]
+struct Source {
+    /// Ordered-but-undelivered messages, in ascending stamp order with no
+    /// two stamps equal.
+    queue: VecDeque<FtmpMessage>,
+    /// The contiguous timestamp horizon; `None` for a source outside the
+    /// view: a departed member whose queue still drains, or a non-member
+    /// whose header carried an ack (a joiner heard before its AddProcessor
+    /// is ordered here keeps that ack when it joins).
+    horizon: Option<Timestamp>,
+    /// The latest header evidence `(seq, ts)` that arrived while a
+    /// member's stream had a gap at or below `seq`. The header proves the
     /// source stamps everything after `seq` above `ts`, so the horizon
     /// takes `ts` as soon as `seq` is released in order. Dropping it would
     /// leave the horizon at the last message's stamp until the member
     /// speaks again: up to a heartbeat interval in which every member may
     /// wait on it without any of them knowing to prompt.
-    held: BTreeMap<ProcessorId, (u64, Timestamp)>,
-    /// Per-member latest reported ack timestamp.
-    reported_ack: BTreeMap<ProcessorId, Timestamp>,
-    /// Bumped whenever `reported_ack` actually changes; the packing layer
-    /// memoizes the encoded piggyback ack vector against this.
+    held: Option<(u64, Timestamp)>,
+    /// The latest ack timestamp the source reported.
+    ack: Option<Timestamp>,
+}
+
+/// `p`'s row in `rows`, made empty if it has none.
+fn row_mut(rows: &mut Vec<(ProcessorId, Source)>, p: ProcessorId) -> &mut Source {
+    let at = find(rows, p).unwrap_or_else(|at| {
+        rows.insert(at, (p, Source::default()));
+        at
+    });
+    &mut rows[at].1
+}
+
+impl Source {
+    /// Nothing left to keep: not a member, nothing queued, no ack.
+    fn spent(&self) -> bool {
+        self.horizon.is_none() && self.queue.is_empty() && self.ack.is_none()
+    }
+}
+
+/// The ordering state for one group.
+#[derive(Debug)]
+pub struct Ordering {
+    /// One row per source, sorted by source: every member, plus a
+    /// non-member while something is queued from it or its ack is kept
+    /// (until it joins or is removed).
+    rows: Vec<(ProcessorId, Source)>,
+    /// The delivery position of every non-empty queue's front: its first
+    /// key is the head of the total order.
+    fronts: BTreeSet<OrderKey>,
+    /// Messages queued over every source.
+    queued: usize,
+    /// Bumped whenever [`reported_acks`](Self::reported_acks) actually
+    /// changes; the packing layer memoizes the encoded piggyback ack vector
+    /// against this.
     ack_version: u64,
     /// Position of the last delivered message (deliveries only move up).
     last_delivered: OrderKey,
@@ -117,17 +144,14 @@ impl Ordering {
         horizon_floor: Timestamp,
         floor_key: OrderKey,
     ) -> Self {
-        let mut horizon: Vec<(ProcessorId, Timestamp)> =
-            members.into_iter().map(|p| (p, horizon_floor)).collect();
-        horizon.sort_unstable();
-        horizon.dedup_by_key(|e| e.0);
+        let mut rows = Vec::new();
+        for p in members {
+            row_mut(&mut rows, p).horizon = Some(horizon_floor);
+        }
         Ordering {
-            queues: Vec::new(),
+            rows,
             fronts: BTreeSet::new(),
             queued: 0,
-            horizon,
-            held: BTreeMap::new(),
-            reported_ack: BTreeMap::new(),
             ack_version: 0,
             last_delivered: floor_key,
             last_ack_floor: Cell::new(0),
@@ -140,8 +164,9 @@ impl Ordering {
     /// Add a member at a given horizon floor (AddProcessor position, §7.1).
     /// Its reported ack starts at zero, pinning retention until it speaks.
     pub fn add_member(&mut self, p: ProcessorId, floor: Timestamp) {
-        if let Err(at) = find(&self.horizon, p) {
-            self.horizon.insert(at, (p, floor));
+        let row = row_mut(&mut self.rows, p);
+        if row.horizon.is_none() {
+            row.horizon = Some(floor);
             self.stale = true;
             // The effective per-member ack vector just changed — the joiner
             // reads as zero until it reports — so memoized encodings of it
@@ -151,40 +176,51 @@ impl Ordering {
     }
 
     /// Remove a member (RemoveProcessor or conviction); its horizon no
-    /// longer gates delivery and its acks no longer gate stability.
+    /// longer gates delivery and its acks no longer gate stability. Its row
+    /// stays while its queue drains.
     pub fn remove_member(&mut self, p: ProcessorId) {
-        let was_member = find(&self.horizon, p)
-            .map(|at| self.horizon.remove(at))
-            .is_ok();
-        if let Ok(at) = find(&self.queues, p) {
-            if self.queues[at].1.is_empty() {
-                self.queues.remove(at);
-            }
+        let Ok(at) = find(&self.rows, p) else {
+            return;
+        };
+        let row = &mut self.rows[at].1;
+        let was_member = row.horizon.take().is_some();
+        row.held = None;
+        let had_ack = row.ack.take().is_some();
+        if row.spent() {
+            self.rows.remove(at);
         }
-        self.held.remove(&p);
         self.stale |= was_member;
-        if self.reported_ack.remove(&p).is_some() || was_member {
+        if had_ack || was_member {
             self.ack_version += 1;
         }
     }
 
+    /// Every member with its horizon, in id order.
+    fn horizons(&self) -> impl Iterator<Item = (ProcessorId, Timestamp)> + '_ {
+        self.rows
+            .iter()
+            .filter_map(|(p, row)| row.horizon.map(|h| (*p, h)))
+    }
+
     /// Current members known to ordering.
-    pub fn members(&self) -> impl Iterator<Item = &ProcessorId> {
-        self.horizon.iter().map(|(p, _)| p)
+    pub fn members(&self) -> impl Iterator<Item = ProcessorId> + '_ {
+        self.horizons().map(|(p, _)| p)
     }
 
     /// This processor's horizon for `p`.
     pub fn horizon_of(&self, p: ProcessorId) -> Option<Timestamp> {
-        find(&self.horizon, p).ok().map(|at| self.horizon[at].1)
+        find(&self.rows, p)
+            .ok()
+            .and_then(|at| self.rows[at].1.horizon)
     }
 
     /// Record that `p`'s stream has contiguously reached `ts` (an in-order
     /// reliable message, or a gap-free Heartbeat).
     pub fn advance_horizon(&mut self, p: ProcessorId, ts: Timestamp) {
-        if let Ok(at) = find(&self.horizon, p) {
-            let h = self.horizon[at].1;
-            if ts > h {
-                self.horizon[at].1 = ts;
+        if let Ok(at) = find(&self.rows, p) {
+            let horizon = &mut self.rows[at].1.horizon;
+            if let Some(h) = horizon.filter(|&h| ts > h) {
+                *horizon = Some(ts);
                 // Only a member the head waits on can unblock it.
                 self.stale |= self.head_ts().is_some_and(|head| h < head);
             }
@@ -196,8 +232,11 @@ impl Ordering {
     /// reaches `seq`. Only the latest evidence per member is kept, and none
     /// for a non-member, whose horizon nothing advances.
     pub fn hold_evidence(&mut self, p: ProcessorId, seq: u64, ts: Timestamp) {
-        if find(&self.horizon, p).is_ok() && self.held.get(&p).is_none_or(|h| ts > h.1) {
-            self.held.insert(p, (seq, ts));
+        if let Ok(at) = find(&self.rows, p) {
+            let row = &mut self.rows[at].1;
+            if row.horizon.is_some() && row.held.is_none_or(|h| ts > h.1) {
+                row.held = Some((seq, ts));
+            }
         }
     }
 
@@ -205,25 +244,19 @@ impl Ordering {
     /// the horizon takes `ts`, and any held evidence `seq` now covers.
     pub fn released(&mut self, p: ProcessorId, seq: u64, ts: Timestamp) {
         self.advance_horizon(p, ts);
-        if let Some(&(_, held)) = self.held.get(&p).filter(|h| seq >= h.0) {
-            self.held.remove(&p);
-            self.advance_horizon(p, held);
+        let at = find(&self.rows, p).ok();
+        let held = at.and_then(|at| self.rows[at].1.held.take_if(|h| seq >= h.0));
+        if let Some((_, ts)) = held {
+            self.advance_horizon(p, ts);
         }
     }
 
     /// Record an ack timestamp reported by `p` (any header from `p`).
     pub fn record_ack(&mut self, p: ProcessorId, ack: Timestamp) {
-        match self.reported_ack.entry(p) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(ack);
-                self.ack_version += 1;
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                if ack > *o.get() {
-                    o.insert(ack);
-                    self.ack_version += 1;
-                }
-            }
+        let row = row_mut(&mut self.rows, p);
+        if row.ack.is_none_or(|old| ack > old) {
+            row.ack = Some(ack);
+            self.ack_version += 1;
         }
     }
 
@@ -234,7 +267,7 @@ impl Ordering {
     /// at the highest ack previously advertised (at least the last-delivered
     /// position) instead of collapsing to zero, so wire acks stay monotone.
     pub fn ack_ts(&self) -> Timestamp {
-        let v = match self.horizon.iter().map(|&(_, h)| h).min() {
+        let v = match self.horizons().map(|(_, h)| h).min() {
             Some(t) => t.0,
             None => self.last_ack_floor.get().max(self.last_delivered.0 .0),
         };
@@ -253,7 +286,7 @@ impl Ordering {
     /// the reported acks or to the member set, so it is recomputed only
     /// when one of them changed.
     pub fn stable_ts(&self) -> Timestamp {
-        let v = if self.horizon.is_empty() {
+        let v = if self.horizons().next().is_none() {
             self.last_stable_floor.get().max(self.last_delivered.0 .0)
         } else {
             match self.stable_memo.get() {
@@ -287,12 +320,16 @@ impl Ordering {
     /// reported: a joiner appears immediately (at zero, pinning retention)
     /// and a removed member drops out of the advertised vector.
     pub fn reported_acks(&self) -> impl Iterator<Item = (ProcessorId, Timestamp)> + '_ {
-        self.horizon.iter().map(|(p, _)| {
-            (
-                *p,
-                self.reported_ack.get(p).copied().unwrap_or(Timestamp(0)),
-            )
-        })
+        self.rows
+            .iter()
+            .filter(|(_, row)| row.horizon.is_some())
+            .map(|(p, row)| (*p, row.ack.unwrap_or(Timestamp(0))))
+    }
+
+    /// Member `p`'s entry in [`reported_acks`](Self::reported_acks).
+    pub fn reported_ack_of(&self, p: ProcessorId) -> Option<Timestamp> {
+        let row = &self.rows[find(&self.rows, p).ok()?].1;
+        row.horizon.map(|_| row.ack.unwrap_or_default())
     }
 
     /// Monotone counter bumped whenever [`reported_acks`](Self::reported_acks)
@@ -311,11 +348,7 @@ impl Ordering {
         }
         // Behind a head that waits, a message waits too.
         self.stale |= self.fronts.first().is_none_or(|&head| key < head);
-        let at = find(&self.queues, msg.source).unwrap_or_else(|at| {
-            self.queues.insert(at, (msg.source, VecDeque::new()));
-            at
-        });
-        let q = &mut self.queues[at].1;
+        let q = &mut row_mut(&mut self.rows, msg.source).queue;
         match q.back() {
             None => {
                 self.fronts.insert(key);
@@ -356,17 +389,18 @@ impl Ordering {
         self.stale = false;
         // Nothing below moves a horizon, so its minimum is read once; with
         // no members left, nothing holds the queue back.
-        let limit = self.horizon.iter().map(|&(_, h)| h).min();
+        let limit = self.horizons().map(|(_, h)| h).min();
         let held = |ts: Timestamp| limit.is_some_and(|h| h < ts);
         while let Some(&(ts, src)) = self.fronts.first() {
             if held(ts) {
                 break;
             }
             self.fronts.pop_first();
-            let Ok(at) = find(&self.queues, src) else {
+            let Ok(at) = find(&self.rows, src) else {
                 continue;
             };
-            let q = &mut self.queues[at].1;
+            let row = &mut self.rows[at].1;
+            let q = &mut row.queue;
             // The run of this source's queue that sorts before every other
             // front delivers without going back through the index.
             let next = self.fronts.first().copied();
@@ -388,10 +422,10 @@ impl Ordering {
                 self.last_delivered = self.last_delivered.max(key);
                 out.push(msg);
             }
-            if q.is_empty() && find(&self.horizon, src).is_err() {
-                self.queues.remove(at);
+            if row.spent() {
+                self.rows.remove(at);
             } else {
-                shrink(q);
+                shrink(&mut row.queue);
             }
         }
     }
@@ -413,10 +447,9 @@ impl Ordering {
     /// empty).
     pub fn head_blockers(&self) -> impl Iterator<Item = ProcessorId> + '_ {
         let head = self.head_ts();
-        self.horizon
-            .iter()
-            .filter(move |&&(_, h)| head.is_some_and(|ts| h < ts))
-            .map(|&(p, _)| p)
+        self.horizons()
+            .filter(move |&(_, h)| head.is_some_and(|ts| h < ts))
+            .map(|(p, _)| p)
     }
 
     /// Is `p` one of the [`head_blockers`](Self::head_blockers)? Two
@@ -447,7 +480,8 @@ impl Ordering {
         let mut delivered = Vec::new();
         let mut discarded = 0;
         self.stale = true;
-        for &mut (src, ref mut q) in &mut self.queues {
+        for (src, row) in &mut self.rows {
+            let (src, q) = (*src, &mut row.queue);
             let Some(front) = q.front() else {
                 continue;
             };
@@ -473,9 +507,7 @@ impl Ordering {
             }
             shrink(q);
         }
-        let horizon = &self.horizon;
-        self.queues
-            .retain(|&(p, ref q)| !q.is_empty() || find(horizon, p).is_ok());
+        self.rows.retain(|(_, row)| !row.spent());
         self.queued -= delivered.len() + discarded;
         // Each source's part is in stamp order; positions are distinct.
         delivered.sort_unstable_by_key(|m| (m.ts, m.source));
@@ -498,9 +530,9 @@ impl Ordering {
     pub fn min_queued_seq_per_source(&self) -> BTreeMap<ProcessorId, u64> {
         // The front's, unless a confused peer's stamps fell: a scan of the
         // queue, at AddProcessor only.
-        self.queues
+        self.rows
             .iter()
-            .filter_map(|&(p, ref q)| q.iter().map(|m| m.seq.0).min().map(|s| (p, s)))
+            .filter_map(|(p, row)| row.queue.iter().map(|m| m.seq.0).min().map(|s| (*p, s)))
             .collect()
     }
 
@@ -513,7 +545,7 @@ impl Ordering {
     /// Connect-gating condition of §7 ("not allowed to transmit … until it
     /// has received from every member a message with a higher timestamp").
     pub fn gate_released(&self, gate: Timestamp) -> bool {
-        !self.horizon.is_empty() && self.horizon.iter().all(|&(_, h)| h > gate)
+        self.members().next().is_some() && self.horizons().all(|(_, h)| h > gate)
     }
 }
 
@@ -658,20 +690,6 @@ impl RompLayer {
     pub fn new(members: impl IntoIterator<Item = ProcessorId>, floor: Timestamp) -> Self {
         RompLayer {
             ordering: Ordering::new(members, floor),
-            counters: RompCounters::default(),
-            window: SendWindow::default(),
-        }
-    }
-
-    /// Ordering state whose delivery floor is an exact total-order position
-    /// (joiner, §7.1).
-    pub fn with_floor_key(
-        members: impl IntoIterator<Item = ProcessorId>,
-        horizon_floor: Timestamp,
-        floor_key: OrderKey,
-    ) -> Self {
-        RompLayer {
-            ordering: Ordering::with_floor_key(members, horizon_floor, floor_key),
             counters: RompCounters::default(),
             window: SendWindow::default(),
         }

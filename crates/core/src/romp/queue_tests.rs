@@ -191,11 +191,9 @@ fn ids(msgs: &[FtmpMessage]) -> Vec<(u64, u32, u64)> {
 fn check_bookkeeping(ord: &Ordering) {
     let mut fronts = BTreeSet::new();
     let mut queued = 0;
-    for &(p, ref q) in &ord.queues {
-        assert!(
-            !q.is_empty() || find(&ord.horizon, p).is_ok(),
-            "departed source {p:?} keeps an empty queue"
-        );
+    for &(p, ref row) in &ord.rows {
+        let q = &row.queue;
+        assert!(!row.spent(), "departed source {p:?} keeps an empty row");
         assert!(
             q.iter().zip(q.iter().skip(1)).all(|(a, b)| a.ts < b.ts),
             "queue of {p:?} is not in strictly ascending stamp order"
@@ -327,7 +325,13 @@ fn per_source_queues_match_the_map_they_replaced() {
             );
             assert_eq!(ord.last_delivered(), model.last_delivered, "last_delivered");
             check_bookkeeping(&ord);
-            deep = deep.max(ord.queues.iter().map(|(_, q)| q.len()).max().unwrap_or(0));
+            deep = deep.max(
+                ord.rows
+                    .iter()
+                    .map(|(_, r)| r.queue.len())
+                    .max()
+                    .unwrap_or(0),
+            );
         }
     }
     // The schedules reached what they are for.
