@@ -94,7 +94,7 @@ impl RttEstimator {
 
 /// Per-peer fresh-packet interarrival envelope: EWMA mean and deviation
 /// over the gaps between non-retransmitted arrivals.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Interarrival {
     last_at: Option<SimTime>,
     mean_us: u64,

@@ -2,6 +2,7 @@
 //! `Processor` API over a tiny in-memory network.
 
 use super::*;
+use crate::adaptive::Interarrival;
 use crate::clock::{STAMP_CEILING, STAMP_REACH};
 use crate::config::Quorum;
 
@@ -356,15 +357,29 @@ fn remove_processor_leaves_group_at_removed_member() {
         .any(|e| matches!(e, ProtocolEvent::LeftGroup { .. })));
 }
 
-/// A member that leaves voluntarily and rejoins under the same id starts
-/// with a fresh ack-stall clock: the fault detector may suspect it only
-/// once its new incarnation's ack has stood still for `ack_stall_timeout`.
-/// The old incarnation's watermark — lagging, as it always is in a group
-/// that heartbeats, and by the rejoin older than the timeout — would
-/// otherwise have P1 suspect the joiner at the first sweep after it orders
-/// the AddProcessor, before the joiner's first header reaches it.
+/// A member that leaves the view, voluntarily or by conviction, and rejoins
+/// under the same id starts fresh in every layer. Right after P1 orders the
+/// AddProcessor, before the joiner's first header reaches it, P1 holds:
+/// - ROMP: the horizon at the Add's stamp, no held evidence, a zero ack;
+/// - PGMP: silence counted from the Add, no arrivals, no ack progress and
+///   no suspicion;
+/// - RMP: a window that expects sequence number 1, and no retention (here
+///   stability has reclaimed the old stream before the Add; the view
+///   change's own `drop_beyond` is not what this run checks).
+///
+/// In particular the fault detector may suspect the joiner only once its
+/// new incarnation's ack has stood still for `ack_stall_timeout`. The old
+/// incarnation's watermark — lagging, as it always is in a group that
+/// heartbeats, and by the rejoin older than the timeout — would otherwise
+/// have P1 suspect the joiner at the first sweep after the Add.
 #[test]
 fn a_rejoined_member_gets_a_fresh_ack_stall_clock() {
+    for convict in [false, true] {
+        rejoin_starts_fresh(convict);
+    }
+}
+
+fn rejoin_starts_fresh(convict: bool) {
     type Keep<'a> = &'a dyn Fn(u32, u32, &Bytes) -> bool;
     let gid = GroupId(1);
     let cfg = ProtocolConfig::with_seed(42);
@@ -426,12 +441,19 @@ fn a_rejoined_member_gets_a_fresh_ack_stall_clock() {
         let g = &net.procs[0].groups[&gid];
         g.pgmp.suspects().any(|q| q == p3) || !g.pgmp.membership.contains(&p3)
     };
+    let p3_unheard = |from: u32, to: u32, _: &Bytes| from != 3 || to == 3;
     run(&mut net, 50, true, &all);
-    // P3 stops hearing P2 for a while, so its ack falls behind; it leaves
-    // while it lags.
-    let at = run(&mut net, 60, true, &|from, to, _| !(from == 2 && to == 3));
-    net.p(3).remove_processor(at, gid, p3);
-    run(&mut net, 50, false, &all);
+    if convict {
+        // P3 falls silent to the others, who convict it; it still hears
+        // them, learns of its exclusion and leaves.
+        run(&mut net, 400, true, &p3_unheard);
+    } else {
+        // P3 stops hearing P2 for a while, so its ack falls behind; it
+        // leaves while it lags.
+        let at = run(&mut net, 60, true, &|from, to, _| !(from == 2 && to == 3));
+        net.p(3).remove_processor(at, gid, p3);
+        run(&mut net, 50, false, &all);
+    }
     assert!(net.p(3).membership(gid).is_none(), "P3 left");
     assert_eq!(net.p(1).membership(gid).unwrap().len(), 2);
     // Away for longer than the stall timeout, then sponsored back in while
@@ -439,14 +461,34 @@ fn a_rejoined_member_gets_a_fresh_ack_stall_clock() {
     let back = run(&mut net, stall.as_millis() + 100, false, &all);
     net.p(3).expect_join(gid, McastAddr(100));
     net.p(1).add_processor(back, gid, p3);
-    let p3_unheard = |from: u32, to: u32, _: &Bytes| !(from == 3 && to == 1);
-    let readded = (0..50).find(|_| {
-        run(&mut net, 1, false, &p3_unheard);
-        net.procs[0].groups[&gid].pgmp.membership.contains(&p3)
+    let p3_unheard_by_p1 = |from: u32, to: u32, _: &Bytes| !(from == 3 && to == 1);
+    let readded = (0..50).find_map(|_| {
+        let t = run(&mut net, 1, false, &p3_unheard_by_p1);
+        net.procs[0].groups[&gid]
+            .pgmp
+            .membership
+            .contains(&p3)
+            .then_some(t)
     });
-    assert!(readded.is_some(), "P1 re-added P3");
+    let readded = readded.expect("P1 re-added P3");
+    let g = &net.procs[0].groups[&gid];
+    let ord = g.romp.ordering();
+    assert_eq!(
+        ord.horizon_of(p3),
+        Some(g.pgmp.membership_ts),
+        "ROMP horizon"
+    );
+    assert_eq!(ord.held_of(p3), None, "ROMP held evidence");
+    assert_eq!(ord.reported_ack_of(p3), Some(Timestamp::ZERO), "ROMP ack");
+    let peer = &g.pgmp.peers[&p3];
+    assert_eq!(peer.last_heard, readded, "PGMP last heard");
+    assert_eq!(peer.arrivals, Interarrival::default(), "PGMP arrivals");
+    assert!(peer.ack_progress.is_none(), "PGMP ack progress");
+    assert!(!peer.suspected, "PGMP suspicion");
+    assert_eq!(g.rmp.contiguous_of(p3), 0, "RMP window");
+    assert_eq!(g.rmp.retention().held_by(p3), 0, "RMP retention");
     for _ in 0..5 {
-        let t = run(&mut net, 1, false, &p3_unheard);
+        let t = run(&mut net, 1, false, &p3_unheard_by_p1);
         assert!(!suspects_p3(&net), "P1 suspected the rejoined P3 at {t:?}");
     }
     let rejoined = run(&mut net, 20, false, &all);

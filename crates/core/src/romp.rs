@@ -557,6 +557,12 @@ impl Ordering {
         self.stable_memo.set(None);
         self.stable_ts()
     }
+
+    /// The header evidence held for `p`, if any (see
+    /// [`hold_evidence`](Self::hold_evidence)).
+    pub(crate) fn held_of(&self, p: ProcessorId) -> Option<(u64, Timestamp)> {
+        find(&self.rows, p).ok().and_then(|at| self.rows[at].1.held)
+    }
 }
 
 /// A send-window edge reported by [`SendWindow::update`].
