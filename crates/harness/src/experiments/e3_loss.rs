@@ -7,15 +7,34 @@
 use crate::metrics::LatencyStats;
 use crate::report::Table;
 use ftmp_check::FtmpWorld;
+use ftmp_core::processor::LayerCounters;
 use ftmp_core::{ClockMode, ProtocolConfig};
 use ftmp_net::{LossModel, SimConfig, SimDuration};
 
-fn run_one(loss: LossModel, label: &str, t: &mut Table, layers: &mut Table) {
-    let proto = ProtocolConfig::with_seed(0xE3).heartbeat(SimDuration::from_millis(5));
-    let sim = SimConfig::with_seed(0xE3).loss(loss);
+/// Seeds per row: one seed's tail moves by half when nothing but the
+/// random stream changes, so each row is read over several.
+const SEEDS: u64 = 7;
+/// Rounds of one 128-byte message from each of the 4 members.
+const ROUNDS: usize = 50;
+const EXPECTED: usize = ROUNDS * 4;
+
+/// What one seed of one row measured.
+struct Run {
+    loss_rate: f64,
+    mean_us: f64,
+    p99_us: u64,
+    /// NACKs, retransmissions, duplicate receptions.
+    recovery: (u64, u64, u64),
+    delivered: usize,
+    complete: bool,
+    layers: LayerCounters,
+}
+
+fn run_seed(loss: LossModel, seed: u64) -> Run {
+    let proto = ProtocolConfig::with_seed(seed).heartbeat(SimDuration::from_millis(5));
+    let sim = SimConfig::with_seed(seed).loss(loss);
     let mut w = FtmpWorld::new(4, sim, proto, ClockMode::Lamport);
-    let rounds = 50u64;
-    for _ in 0..rounds {
+    for _ in 0..ROUNDS {
         for id in 1..=4u32 {
             w.send(id, 128);
         }
@@ -24,33 +43,60 @@ fn run_one(loss: LossModel, label: &str, t: &mut Table, layers: &mut Table) {
     w.run_ms(1_000);
     let res = w.collect();
     let stats = LatencyStats::from_samples(&res.latencies_us);
-    let (nacks, retrans, dups) = w.recovery_stats();
-    let expected = rounds as usize * 4;
-    let complete = res.delivered() == expected && res.all_agree();
+    Run {
+        loss_rate: w.net.stats().loss_rate(),
+        mean_us: stats.mean_us,
+        p99_us: stats.p99_us,
+        recovery: w.recovery_stats(),
+        delivered: res.delivered(),
+        complete: res.delivered() == EXPECTED && res.all_agree(),
+        layers: w.layer_totals(),
+    }
+}
+
+/// The median of `v` (the upper one of an even count), and its min and max.
+fn spread<T: PartialOrd + Copy>(mut v: Vec<T>) -> (T, T, T) {
+    v.sort_by(|a, b| a.partial_cmp(b).expect("comparable"));
+    (v[v.len() / 2], v[0], v[v.len() - 1])
+}
+
+fn run_one(loss: LossModel, label: &str, t: &mut Table, layers: &mut Table) {
+    let runs: Vec<Run> = (0..SEEDS)
+        .map(|k| run_seed(loss.clone(), 0xE3 + k))
+        .collect();
+    let med = |f: fn(&Run) -> u64| spread(runs.iter().map(f).collect()).0.to_string();
+    let (rate, _, _) = spread(runs.iter().map(|r| r.loss_rate).collect());
+    let (mean, mean_lo, mean_hi) = spread(runs.iter().map(|r| r.mean_us / 1000.0).collect());
+    let (p99, p99_lo, p99_hi) = spread(runs.iter().map(|r| r.p99_us as f64 / 1000.0).collect());
+    let failed: Vec<&Run> = runs.iter().filter(|r| !r.complete).collect();
     t.row(vec![
         label.to_string(),
-        format!("{:.3}", w.net.stats().loss_rate()),
-        format!("{} ms", stats.mean_ms()),
-        format!("{:.2} ms", stats.p99_us as f64 / 1000.0),
-        nacks.to_string(),
-        retrans.to_string(),
-        dups.to_string(),
-        if complete {
-            "PASS".into()
-        } else {
-            format!("FAIL ({}/{expected})", res.delivered())
+        format!("{rate:.3}"),
+        format!("{mean:.3} ms"),
+        format!("{mean_lo:.3}–{mean_hi:.3}"),
+        format!("{p99:.2} ms"),
+        format!("{p99_lo:.2}–{p99_hi:.2}"),
+        med(|r| r.recovery.0),
+        med(|r| r.recovery.1),
+        med(|r| r.recovery.2),
+        match failed.first() {
+            None => "PASS".into(),
+            Some(r) => format!(
+                "FAIL ({} of {SEEDS} seeds; {}/{EXPECTED})",
+                failed.len(),
+                r.delivered
+            ),
         },
     ]);
-    let lt = w.layer_totals();
     layers.row(vec![
         label.to_string(),
-        lt.rmp.msgs_in.to_string(),
-        lt.rmp.msgs_out.to_string(),
-        lt.rmp.duplicates.to_string(),
-        lt.rmp.retransmits_answered.to_string(),
-        lt.rmp.reorder_depth_max.to_string(),
-        lt.romp.delivered.to_string(),
-        lt.romp.queue_high_water.to_string(),
+        med(|r| r.layers.rmp.msgs_in),
+        med(|r| r.layers.rmp.msgs_out),
+        med(|r| r.layers.rmp.duplicates),
+        med(|r| r.layers.rmp.retransmits_answered),
+        med(|r| r.layers.rmp.reorder_depth_max),
+        med(|r| r.layers.romp.delivered),
+        med(|r| r.layers.romp.queue_high_water),
     ]);
 }
 
@@ -58,12 +104,14 @@ fn run_one(loss: LossModel, label: &str, t: &mut Table, layers: &mut Table) {
 pub fn run() -> Vec<Table> {
     let mut t = Table::new(
         "e3",
-        "Loss sweep: recovery latency and NACK traffic (4 members, 200 msgs)",
+        "Loss sweep: recovery latency and NACK traffic (4 members, 200 msgs, median of 7 seeds)",
         &[
             "loss model",
             "measured rate",
             "mean latency",
+            "mean min–max",
             "p99 latency",
+            "p99 min–max",
             "NACKs",
             "retransmissions",
             "dup rx",
@@ -72,7 +120,7 @@ pub fn run() -> Vec<Table> {
     );
     let mut layers = Table::new(
         "e3-layers",
-        "Loss sweep: per-layer counters summed over the 4 members",
+        "Loss sweep: per-layer counters summed over the 4 members (median of 7 seeds)",
         &[
             "loss model",
             "rmp in",
@@ -104,6 +152,7 @@ pub fn run() -> Vec<Table> {
         &mut t,
         &mut layers,
     );
+    t.note("every cell but the ranges is the median over seeds 0xE3..0xE9; a row passes only when every seed delivers everything");
     t.note("mean latency degrades gracefully; p99 absorbs the NACK round trips");
     t.note("dup rx counts extra copies received (any-holder redundancy + crossed retransmissions)");
     layers.note("rmp released == romp delivered at quiescence: every source-ordered message reaches total order");
@@ -120,7 +169,7 @@ mod tests {
         assert!(!rendered.contains("FAIL"), "{rendered}");
         // NACK count must grow with loss.
         let rows = &tables[0].rows;
-        let nacks = |i: usize| -> u64 { rows[i][4].parse().unwrap() };
+        let nacks = |i: usize| -> u64 { rows[i][6].parse().unwrap() };
         assert_eq!(nacks(0), 0, "no loss, no NACKs");
         assert!(nacks(4) > nacks(1), "20% loss NACKs more than 1%");
     }
