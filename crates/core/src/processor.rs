@@ -578,6 +578,10 @@ impl Processor {
             ("ftmp_packed_rejects", s.packed_rejects),
             ("ftmp_control_received", s.control_received()),
             ("ftmp_retransmissions_received", s.retransmissions_received),
+            (
+                "ftmp_stamps_dropped_implausible",
+                s.stamps_dropped_implausible,
+            ),
         ] {
             let id = reg.counter(name);
             reg.inc(id, count);

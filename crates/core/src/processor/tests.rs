@@ -1403,6 +1403,7 @@ mod metrics_tests {
                 "ftmp_packed_rejects",
                 "ftmp_control_received",
                 "ftmp_retransmissions_received",
+                "ftmp_stamps_dropped_implausible",
             ]
         );
         assert_eq!(
