@@ -56,7 +56,7 @@ fn run_seed(loss: LossModel, seed: u64) -> Run {
 
 /// The median of `v` (the upper one of an even count), and its min and max.
 fn spread<T: PartialOrd + Copy>(mut v: Vec<T>) -> (T, T, T) {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("comparable"));
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     (v[v.len() / 2], v[0], v[v.len() - 1])
 }
 
