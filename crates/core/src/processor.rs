@@ -1435,7 +1435,7 @@ impl Processor {
     /// group address, or in tree mode our own neighborhood address, so
     /// aggregated vectors ride packed overlay containers to the tree
     /// neighbors too. Domain addresses have no group and get no trailer.
-    /// Re-encoded only when the underlying `reported_ack` map changed.
+    /// Re-encoded only when the reported acks changed (`ack_version`).
     fn piggyback_vector(&mut self, addr: McastAddr) -> Option<Bytes> {
         let (gid, g) = self.groups.iter_mut().find(|(_, g)| {
             g.addr == addr || g.overlay.as_ref().is_some_and(|o| o.self_addr == addr)
@@ -1446,7 +1446,8 @@ impl Processor {
                 return Some(bytes.clone());
             }
         }
-        // The vector's exact size: one allocation, as the encoding is.
+        // Sized to the view up front: one allocation, where collecting the
+        // filtered rows would grow the vector as it goes.
         let mut entries = Vec::with_capacity(g.pgmp.membership.len());
         entries.extend(g.romp.ordering().reported_acks());
         if entries.is_empty() {

@@ -46,14 +46,6 @@ mod queue_tests;
 /// A totally-ordered delivery position: `(timestamp, source)`.
 pub type OrderKey = (Timestamp, ProcessorId);
 
-/// Where `p`'s row is in a list kept sorted by processor id, or where it
-/// would go. The rows are a sorted list rather than a map: a group has a
-/// handful to a few dozen members, and the minimum horizon, read on every
-/// delivery pass, is then a scan of one contiguous slice.
-fn find<T>(entries: &[(ProcessorId, T)], p: ProcessorId) -> Result<usize, usize> {
-    entries.binary_search_by_key(&p, |e| e.0)
-}
-
 /// One source's row: everything ordering keeps about it.
 #[derive(Debug, Default)]
 struct Source {
@@ -77,15 +69,6 @@ struct Source {
     ack: Option<Timestamp>,
 }
 
-/// `p`'s row in `rows`, made empty if it has none.
-fn row_mut(rows: &mut Vec<(ProcessorId, Source)>, p: ProcessorId) -> &mut Source {
-    let at = find(rows, p).unwrap_or_else(|at| {
-        rows.insert(at, (p, Source::default()));
-        at
-    });
-    &mut rows[at].1
-}
-
 impl Source {
     /// Nothing left to keep: not a member, nothing queued, no ack.
     fn spent(&self) -> bool {
@@ -96,10 +79,17 @@ impl Source {
 /// The ordering state for one group.
 #[derive(Debug)]
 pub struct Ordering {
-    /// One row per source, sorted by source: every member, plus a
-    /// non-member while something is queued from it or its ack is kept
-    /// (until it joins or is removed).
-    rows: Vec<(ProcessorId, Source)>,
+    /// The sources that have a row, sorted: `rows[i]` is `ids[i]`'s. The
+    /// rows are sorted lists rather than a map, since a group has a handful
+    /// to a few dozen members and the minimum horizon, read on every
+    /// delivery pass, is then one scan. The ids are a list of their own so
+    /// that the search for a row, made for every message, reads one short
+    /// slice rather than a whole row per probe (DESIGN.md §4, "One row per
+    /// member").
+    ids: Vec<ProcessorId>,
+    /// One row per source: every member, plus a non-member while something
+    /// is queued from it or its ack is kept (until it joins or is removed).
+    rows: Vec<Source>,
     /// The delivery position of every non-empty queue's front: its first
     /// key is the head of the total order.
     fronts: BTreeSet<OrderKey>,
@@ -144,12 +134,9 @@ impl Ordering {
         horizon_floor: Timestamp,
         floor_key: OrderKey,
     ) -> Self {
-        let mut rows = Vec::new();
-        for p in members {
-            row_mut(&mut rows, p).horizon = Some(horizon_floor);
-        }
-        Ordering {
-            rows,
+        let mut ord = Ordering {
+            ids: Vec::new(),
+            rows: Vec::new(),
             fronts: BTreeSet::new(),
             queued: 0,
             ack_version: 0,
@@ -158,13 +145,27 @@ impl Ordering {
             last_stable_floor: Cell::new(0),
             stable_memo: Cell::new(None),
             stale: false,
+        };
+        for p in members {
+            ord.add_member(p, horizon_floor);
         }
+        ord
+    }
+
+    /// Where `p`'s row is, made empty if it had none.
+    fn row_at(&mut self, p: ProcessorId) -> usize {
+        self.ids.binary_search(&p).unwrap_or_else(|at| {
+            self.ids.insert(at, p);
+            self.rows.insert(at, Source::default());
+            at
+        })
     }
 
     /// Add a member at a given horizon floor (AddProcessor position, §7.1).
     /// Its reported ack starts at zero, pinning retention until it speaks.
     pub fn add_member(&mut self, p: ProcessorId, floor: Timestamp) {
-        let row = row_mut(&mut self.rows, p);
+        let at = self.row_at(p);
+        let row = &mut self.rows[at];
         if row.horizon.is_none() {
             row.horizon = Some(floor);
             self.stale = true;
@@ -179,14 +180,15 @@ impl Ordering {
     /// longer gates delivery and its acks no longer gate stability. Its row
     /// stays while its queue drains.
     pub fn remove_member(&mut self, p: ProcessorId) {
-        let Ok(at) = find(&self.rows, p) else {
+        let Ok(at) = self.ids.binary_search(&p) else {
             return;
         };
-        let row = &mut self.rows[at].1;
+        let row = &mut self.rows[at];
         let was_member = row.horizon.take().is_some();
         row.held = None;
         let had_ack = row.ack.take().is_some();
         if row.spent() {
+            self.ids.remove(at);
             self.rows.remove(at);
         }
         self.stale |= was_member;
@@ -197,9 +199,8 @@ impl Ordering {
 
     /// Every member with its horizon, in id order.
     fn horizons(&self) -> impl Iterator<Item = (ProcessorId, Timestamp)> + '_ {
-        self.rows
-            .iter()
-            .filter_map(|(p, row)| row.horizon.map(|h| (*p, h)))
+        let rows = self.ids.iter().zip(&self.rows);
+        rows.filter_map(|(&p, row)| row.horizon.map(|h| (p, h)))
     }
 
     /// Current members known to ordering.
@@ -209,16 +210,15 @@ impl Ordering {
 
     /// This processor's horizon for `p`.
     pub fn horizon_of(&self, p: ProcessorId) -> Option<Timestamp> {
-        find(&self.rows, p)
-            .ok()
-            .and_then(|at| self.rows[at].1.horizon)
+        let at = self.ids.binary_search(&p).ok()?;
+        self.rows[at].horizon
     }
 
     /// Record that `p`'s stream has contiguously reached `ts` (an in-order
     /// reliable message, or a gap-free Heartbeat).
     pub fn advance_horizon(&mut self, p: ProcessorId, ts: Timestamp) {
-        if let Ok(at) = find(&self.rows, p) {
-            let horizon = &mut self.rows[at].1.horizon;
+        if let Ok(at) = self.ids.binary_search(&p) {
+            let horizon = &mut self.rows[at].horizon;
             if let Some(h) = horizon.filter(|&h| ts > h) {
                 *horizon = Some(ts);
                 // Only a member the head waits on can unblock it.
@@ -232,8 +232,8 @@ impl Ordering {
     /// reaches `seq`. Only the latest evidence per member is kept, and none
     /// for a non-member, whose horizon nothing advances.
     pub fn hold_evidence(&mut self, p: ProcessorId, seq: u64, ts: Timestamp) {
-        if let Ok(at) = find(&self.rows, p) {
-            let row = &mut self.rows[at].1;
+        if let Ok(at) = self.ids.binary_search(&p) {
+            let row = &mut self.rows[at];
             if row.horizon.is_some() && row.held.is_none_or(|h| ts > h.1) {
                 row.held = Some((seq, ts));
             }
@@ -244,8 +244,8 @@ impl Ordering {
     /// the horizon takes `ts`, and any held evidence `seq` now covers.
     pub fn released(&mut self, p: ProcessorId, seq: u64, ts: Timestamp) {
         self.advance_horizon(p, ts);
-        let at = find(&self.rows, p).ok();
-        let held = at.and_then(|at| self.rows[at].1.held.take_if(|h| seq >= h.0));
+        let at = self.ids.binary_search(&p).ok();
+        let held = at.and_then(|at| self.rows[at].held.take_if(|h| seq >= h.0));
         if let Some((_, ts)) = held {
             self.advance_horizon(p, ts);
         }
@@ -253,7 +253,8 @@ impl Ordering {
 
     /// Record an ack timestamp reported by `p` (any header from `p`).
     pub fn record_ack(&mut self, p: ProcessorId, ack: Timestamp) {
-        let row = row_mut(&mut self.rows, p);
+        let at = self.row_at(p);
+        let row = &mut self.rows[at];
         if row.ack.is_none_or(|old| ack > old) {
             row.ack = Some(ack);
             self.ack_version += 1;
@@ -320,15 +321,14 @@ impl Ordering {
     /// reported: a joiner appears immediately (at zero, pinning retention)
     /// and a removed member drops out of the advertised vector.
     pub fn reported_acks(&self) -> impl Iterator<Item = (ProcessorId, Timestamp)> + '_ {
-        self.rows
-            .iter()
-            .filter(|(_, row)| row.horizon.is_some())
-            .map(|(p, row)| (*p, row.ack.unwrap_or(Timestamp(0))))
+        let rows = self.ids.iter().zip(&self.rows);
+        rows.filter(|(_, row)| row.horizon.is_some())
+            .map(|(&p, row)| (p, row.ack.unwrap_or(Timestamp(0))))
     }
 
     /// Member `p`'s entry in [`reported_acks`](Self::reported_acks).
     pub fn reported_ack_of(&self, p: ProcessorId) -> Option<Timestamp> {
-        let row = &self.rows[find(&self.rows, p).ok()?].1;
+        let row = &self.rows[self.ids.binary_search(&p).ok()?];
         row.horizon.map(|_| row.ack.unwrap_or_default())
     }
 
@@ -348,7 +348,8 @@ impl Ordering {
         }
         // Behind a head that waits, a message waits too.
         self.stale |= self.fronts.first().is_none_or(|&head| key < head);
-        let q = &mut row_mut(&mut self.rows, msg.source).queue;
+        let at = self.row_at(msg.source);
+        let q = &mut self.rows[at].queue;
         match q.back() {
             None => {
                 self.fronts.insert(key);
@@ -396,10 +397,10 @@ impl Ordering {
                 break;
             }
             self.fronts.pop_first();
-            let Ok(at) = find(&self.rows, src) else {
+            let Ok(at) = self.ids.binary_search(&src) else {
                 continue;
             };
-            let row = &mut self.rows[at].1;
+            let row = &mut self.rows[at];
             let q = &mut row.queue;
             // The run of this source's queue that sorts before every other
             // front delivers without going back through the index.
@@ -423,6 +424,7 @@ impl Ordering {
                 out.push(msg);
             }
             if row.spent() {
+                self.ids.remove(at);
                 self.rows.remove(at);
             } else {
                 shrink(&mut row.queue);
@@ -480,8 +482,8 @@ impl Ordering {
         let mut delivered = Vec::new();
         let mut discarded = 0;
         self.stale = true;
-        for (src, row) in &mut self.rows {
-            let (src, q) = (*src, &mut row.queue);
+        for (&src, row) in self.ids.iter().zip(&mut self.rows) {
+            let q = &mut row.queue;
             let Some(front) = q.front() else {
                 continue;
             };
@@ -507,7 +509,9 @@ impl Ordering {
             }
             shrink(q);
         }
-        self.rows.retain(|(_, row)| !row.spent());
+        let mut spent = self.rows.iter().map(Source::spent);
+        self.ids.retain(|_| spent.next() == Some(false));
+        self.rows.retain(|row| !row.spent());
         self.queued -= delivered.len() + discarded;
         // Each source's part is in stamp order; positions are distinct.
         delivered.sort_unstable_by_key(|m| (m.ts, m.source));
@@ -530,9 +534,8 @@ impl Ordering {
     pub fn min_queued_seq_per_source(&self) -> BTreeMap<ProcessorId, u64> {
         // The front's, unless a confused peer's stamps fell: a scan of the
         // queue, at AddProcessor only.
-        self.rows
-            .iter()
-            .filter_map(|(p, row)| row.queue.iter().map(|m| m.seq.0).min().map(|s| (*p, s)))
+        let rows = self.ids.iter().zip(&self.rows);
+        rows.filter_map(|(&p, row)| row.queue.iter().map(|m| m.seq.0).min().map(|s| (p, s)))
             .collect()
     }
 
@@ -561,7 +564,8 @@ impl Ordering {
     /// The header evidence held for `p`, if any (see
     /// [`hold_evidence`](Self::hold_evidence)).
     pub(crate) fn held_of(&self, p: ProcessorId) -> Option<(u64, Timestamp)> {
-        find(&self.rows, p).ok().and_then(|at| self.rows[at].1.held)
+        let at = self.ids.binary_search(&p).ok()?;
+        self.rows[at].held
     }
 }
 

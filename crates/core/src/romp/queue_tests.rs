@@ -191,7 +191,9 @@ fn ids(msgs: &[FtmpMessage]) -> Vec<(u64, u32, u64)> {
 fn check_bookkeeping(ord: &Ordering) {
     let mut fronts = BTreeSet::new();
     let mut queued = 0;
-    for &(p, ref row) in &ord.rows {
+    assert_eq!(ord.ids.len(), ord.rows.len(), "ids and rows out of step");
+    assert!(ord.ids.windows(2).all(|w| w[0] < w[1]), "ids out of order");
+    for (&p, row) in ord.ids.iter().zip(&ord.rows) {
         let q = &row.queue;
         assert!(!row.spent(), "departed source {p:?} keeps an empty row");
         assert!(
@@ -325,13 +327,7 @@ fn per_source_queues_match_the_map_they_replaced() {
             );
             assert_eq!(ord.last_delivered(), model.last_delivered, "last_delivered");
             check_bookkeeping(&ord);
-            deep = deep.max(
-                ord.rows
-                    .iter()
-                    .map(|(_, r)| r.queue.len())
-                    .max()
-                    .unwrap_or(0),
-            );
+            deep = deep.max(ord.rows.iter().map(|r| r.queue.len()).max().unwrap_or(0));
         }
     }
     // The schedules reached what they are for.
