@@ -8,7 +8,7 @@ use crate::{McastAddr, NodeId, Packet};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 #[cfg(test)]
 mod model_tests;
@@ -64,14 +64,14 @@ impl Outbox {
     }
 }
 
-/// A scheduled event. The queue orders events by `(time, seq)`, `seq`
-/// counting up as they are scheduled, so ties run first in, first out;
-/// `seq` is never repeated, so the event itself never takes part in the
-/// order.
+/// A datagram copy in flight to `node`. The heap orders arrivals by
+/// `(time, seq)`, `seq` counting up as events are scheduled, so ties run
+/// first in, first out; `seq` is never repeated, so the arrival itself
+/// never takes part in the order.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
-    Arrival { node: NodeId, pkt: Packet },
-    Tick { node: NodeId },
+struct Arrival {
+    node: NodeId,
+    pkt: Packet,
 }
 
 /// The deterministic discrete-event multicast network.
@@ -79,14 +79,20 @@ enum Event {
 /// Generic over the node type so FTMP processors, baseline protocol engines
 /// and test stubs all run on the same substrate.
 ///
-/// The queue holds the events themselves, so scheduling one and taking it
-/// off hashes nothing and allocates nothing beyond the heap's own growth;
-/// the receiver list and the [`Outbox`] are scratch the network reuses.
+/// Arrivals wait in a heap and ticks in a FIFO beside it, both ordered by
+/// `(time, seq)`; [`step`](SimNet::step) takes whichever head is first.
+/// Every tick is armed one interval from the current time, which never
+/// falls, so the FIFO is in order as it is filled. Scheduling an event and
+/// taking it off hashes nothing and allocates nothing beyond the two
+/// queues' own growth; the receiver list and the [`Outbox`] are scratch the
+/// network reuses.
 pub struct SimNet<N: SimNode> {
     cfg: SimConfig,
     nodes: BTreeMap<NodeId, N>,
     subs: BTreeMap<McastAddr, BTreeSet<NodeId>>,
-    queue: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
+    queue: BinaryHeap<Reverse<(SimTime, u64, Arrival)>>,
+    /// The queued ticks, one per live node, in `(time, seq)` order.
+    ticks: VecDeque<(SimTime, u64, NodeId)>,
     next_seq: u64,
     now: SimTime,
     rng: SmallRng,
@@ -135,6 +141,7 @@ impl<N: SimNode> SimNet<N> {
             nodes: BTreeMap::new(),
             subs: BTreeMap::new(),
             queue: BinaryHeap::new(),
+            ticks: VecDeque::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             rng,
@@ -227,8 +234,7 @@ impl<N: SimNode> SimNet<N> {
     pub fn add_node(&mut self, id: NodeId, node: N) {
         let prev = self.nodes.insert(id, node);
         assert!(prev.is_none(), "node {id} already exists");
-        let t = self.now + self.cfg.tick_interval;
-        self.push_event(t, Event::Tick { node: id });
+        self.push_tick(self.now + self.cfg.tick_interval, id);
     }
 
     /// Immutable access to a node's state machine.
@@ -281,15 +287,13 @@ impl<N: SimNode> SimNet<N> {
     /// Undo a crash, replacing the node's state machine (a recovered
     /// processor restarts cold and rejoins via PGMP, it does not resume).
     /// Its ticks start again one interval from now: a tick its last
-    /// incarnation left queued is taken off the queue, so the node runs one
-    /// tick stream however soon after a crash it comes back.
+    /// incarnation left queued is taken off the tick FIFO, so the node runs
+    /// one tick stream however soon after a crash it comes back.
     pub fn revive(&mut self, id: NodeId, fresh: N) {
         self.crashed.remove(&id);
         self.nodes.insert(id, fresh);
-        self.queue
-            .retain(|Reverse((_, _, e))| *e != Event::Tick { node: id });
-        let t = self.now + self.cfg.tick_interval;
-        self.push_event(t, Event::Tick { node: id });
+        self.ticks.retain(|&(_, _, node)| node != id);
+        self.push_tick(self.now + self.cfg.tick_interval, id);
     }
 
     /// Split the network into isolated cells; traffic crosses cells only
@@ -359,10 +363,36 @@ impl<N: SimNode> SimNet<N> {
         }
     }
 
-    fn push_event(&mut self, at: SimTime, event: Event) {
+    fn next_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Reverse((at, seq, event)));
+        seq
+    }
+
+    fn push_arrival(&mut self, at: SimTime, node: NodeId, pkt: Packet) {
+        let seq = self.next_seq();
+        self.queue.push(Reverse((at, seq, Arrival { node, pkt })));
+    }
+
+    /// Queue `node`'s next tick. Ticks are armed at `now + tick_interval`
+    /// and `now` never falls, so appending keeps the FIFO in order.
+    fn push_tick(&mut self, at: SimTime, node: NodeId) {
+        let seq = self.next_seq();
+        debug_assert!(
+            self.ticks.back().is_none_or(|&(last, ..)| last <= at),
+            "a tick armed before one already queued"
+        );
+        self.ticks.push_back((at, seq, node));
+    }
+
+    /// The time of the next event, a tick or an arrival.
+    fn next_at(&self) -> Option<SimTime> {
+        let tick = self.ticks.front().map(|&(at, ..)| at);
+        let arrival = self.queue.peek().map(|Reverse((at, ..))| *at);
+        match (tick, arrival) {
+            (Some(t), Some(a)) => Some(t.min(a)),
+            (t, a) => t.or(a),
+        }
     }
 
     /// Inject a datagram as if `src` transmitted it now (external stimulus).
@@ -466,22 +496,10 @@ impl<N: SimNode> SimNet<N> {
             };
             let at = self.now + delay;
             self.trace_event(pkt.src, pkt.dst, pkt.len(), kind, TraceEvent::Deliver(rcv));
-            self.push_event(
-                at,
-                Event::Arrival {
-                    node: rcv,
-                    pkt: pkt.clone(),
-                },
-            );
+            self.push_arrival(at, rcv, pkt.clone());
             if let Some(FaultOp::Duplicate(extra)) = fault {
                 self.trace_event(pkt.src, pkt.dst, pkt.len(), kind, TraceEvent::Deliver(rcv));
-                self.push_event(
-                    at + extra,
-                    Event::Arrival {
-                        node: rcv,
-                        pkt: pkt.clone(),
-                    },
-                );
+                self.push_arrival(at + extra, rcv, pkt.clone());
             }
         }
         receivers.clear();
@@ -506,32 +524,40 @@ impl<N: SimNode> SimNet<N> {
     /// Process the next event. Returns the event's time, or `None` when the
     /// queue is empty.
     pub fn step(&mut self) -> Option<SimTime> {
-        let Reverse((at, _, event)) = self.queue.pop()?;
+        let tick_first = match (self.ticks.front(), self.queue.peek()) {
+            (None, None) => return None,
+            (Some(&(t, ts, _)), Some(Reverse((a, aseq, _)))) => (t, ts) < (*a, *aseq),
+            (tick, _) => tick.is_some(),
+        };
+        let (at, node, arrival) = if tick_first {
+            let (at, _, node) = self.ticks.pop_front()?;
+            (at, node, None)
+        } else {
+            let Reverse((at, _, Arrival { node, pkt })) = self.queue.pop()?;
+            (at, node, Some(pkt))
+        };
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         let mut out = std::mem::take(&mut self.outbox);
-        let actor = match event {
-            Event::Arrival { node, pkt } => {
+        match arrival {
+            Some(pkt) => {
                 if self.crashed.contains(&node) {
                     self.stats.to_crashed += 1;
                 } else if let Some(n) = self.nodes.get_mut(&node) {
                     self.stats.delivered += 1;
                     n.on_packet(at, &pkt, &mut out);
                 }
-                node
             }
-            Event::Tick { node } => {
+            None => {
                 if !self.crashed.contains(&node) {
                     if let Some(n) = self.nodes.get_mut(&node) {
                         n.on_tick(at, &mut out);
                     }
-                    let t = at + self.cfg.tick_interval;
-                    self.push_event(t, Event::Tick { node });
+                    self.push_tick(at + self.cfg.tick_interval, node);
                 }
-                node
             }
-        };
-        self.apply_outbox(actor, &mut out);
+        }
+        self.apply_outbox(node, &mut out);
         self.outbox = out;
         Some(at)
     }
@@ -539,7 +565,7 @@ impl<N: SimNode> SimNet<N> {
     /// Run until virtual time reaches `deadline` (events at exactly
     /// `deadline` are processed).
     pub fn run_until(&mut self, deadline: SimTime) {
-        while self.queue.peek().is_some_and(|Reverse(e)| e.0 <= deadline) {
+        while self.next_at().is_some_and(|at| at <= deadline) {
             self.step();
         }
         if self.now < deadline {

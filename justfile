@@ -37,9 +37,12 @@ test-all:
     cargo test --workspace -q
 
 # The vendored stand-ins' own tests (the channel's wake rule among them):
-# `--workspace` skips patched path dependencies, so they are named.
+# `--workspace` skips patched path dependencies, so they are named. `bytes`
+# runs once more without `--release`, so debug assertions cover its unsafe
+# core.
 test-vendor:
     cargo test --release -p crossbeam -p bytes
+    cargo test -p bytes
 
 # The CI gate. `test-all` is what runs the golden trace-hash pins: they are
 # unit tests of ftmp-core and ftmp-check, which the root `cargo test` skips.
