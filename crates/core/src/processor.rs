@@ -339,6 +339,9 @@ pub struct Processor {
     /// between packets.
     rx_slices: Vec<Bytes>,
     rx_msgs: Vec<(FtmpMessage, Bytes)>,
+    /// The container trailer being admitted, decoded into the entry list
+    /// the last one left, so a trailer allocates nothing either.
+    rx_vector: AckVector,
     /// [`try_deliver`](Processor::try_deliver)'s scratch: the messages one
     /// pass of the delivery rule released. Empty between passes.
     ordered: Vec<FtmpMessage>,
@@ -400,22 +403,24 @@ fn admit(wire: &Bytes, reach: u64) -> Result<Option<FtmpMessage>, wire::WireErro
     FtmpMessage::from_header(&h, body, wire).map(Some)
 }
 
-/// Split a packed container into `slices`, then [`admit`] every message into
-/// `msgs` beside its slice — all of it or an error, so a container is never
-/// processed in part.
+/// Split a packed container into `slices` and its trailer into `vector`,
+/// then [`admit`] every message into `msgs` beside its slice — all of it or
+/// an error, so a container is never processed in part. True when the
+/// container carried a trailer.
 fn decode_container(
     datagram: &Bytes,
     reach: u64,
     slices: &mut Vec<Bytes>,
     msgs: &mut Vec<(FtmpMessage, Bytes)>,
-) -> Result<Option<AckVector>, wire::WireError> {
-    let vector = wire::unpack_into(datagram, slices)?;
+    vector: &mut AckVector,
+) -> Result<bool, wire::WireError> {
+    let trailer = wire::unpack_into(datagram, slices, vector)?;
     for s in slices.drain(..) {
         if let Some(msg) = admit(&s, reach)? {
             msgs.push((msg, s));
         }
     }
-    Ok(vector)
+    Ok(trailer)
 }
 
 /// `members` just took effect as `group`'s view: tell the tap, then the
@@ -459,6 +464,7 @@ impl Processor {
             enc_body: CdrWriter::new(ByteOrder::native()),
             rx_slices: Vec::new(),
             rx_msgs: Vec::new(),
+            rx_vector: AckVector::default(),
             ordered: Vec::new(),
             run: None,
             batch_depth: 0,
@@ -926,9 +932,10 @@ impl Processor {
     fn handle_packed(&mut self, now: SimTime, datagram: &Bytes) {
         let mut slices = std::mem::take(&mut self.rx_slices);
         let mut msgs = std::mem::take(&mut self.rx_msgs);
+        let mut vector = std::mem::take(&mut self.rx_vector);
         let reach = self.clock.reach(now);
-        match decode_container(datagram, reach, &mut slices, &mut msgs) {
-            Ok(vector) => {
+        match decode_container(datagram, reach, &mut slices, &mut msgs, &mut vector) {
+            Ok(trailer) => {
                 let count = wire::message_count(datagram) as usize;
                 self.stats.stamps_dropped_implausible += (count - msgs.len()) as u64;
                 // One credit per datagram, to its first message's group,
@@ -936,7 +943,7 @@ impl Processor {
                 if let Some((first, _)) = msgs.first() {
                     self.earn_prompt_credit(first.group);
                 }
-                self.admit_container(now, vector, msgs.drain(..));
+                self.admit_container(now, trailer.then_some(&vector), msgs.drain(..));
             }
             Err(_) => self.stats.packed_rejects += 1,
         }
@@ -945,6 +952,7 @@ impl Processor {
         msgs.clear();
         self.rx_slices = slices;
         self.rx_msgs = msgs;
+        self.rx_vector = vector;
     }
 
     /// Process a container already validated whole: its ack vector, then
@@ -952,7 +960,7 @@ impl Processor {
     fn admit_container(
         &mut self,
         now: SimTime,
-        vector: Option<AckVector>,
+        vector: Option<&AckVector>,
         msgs: impl Iterator<Item = (FtmpMessage, Bytes)>,
     ) {
         if let Some(v) = vector {
@@ -963,7 +971,7 @@ impl Processor {
                     g.romp.ordering_mut().record_ack(p, ack);
                 }
                 g.vector_seen_at = Some(now);
-                self.tap.emit(now, Event::AckVector(&v));
+                self.tap.emit(now, Event::AckVector(v));
             }
         }
         // A container is one destination's queue, so nearly always one

@@ -217,8 +217,7 @@ impl World {
             _ => {}
         };
         if wire::is_packed(payload) {
-            let mut slices = Vec::new();
-            if wire::unpack_into(payload, &mut slices).is_ok() {
+            if let Ok((slices, _)) = wire::unpack(payload) {
                 for s in &slices {
                     if let Ok(m) = FtmpMessage::decode_shared(s) {
                         one(&m);

@@ -866,7 +866,7 @@ pub fn classify(payload: &[u8]) -> Option<u8> {
 /// A piggybacked ack-timestamp vector: the sender's view of each member's
 /// acknowledgment timestamp for one group, carried as a container trailer so
 /// receivers learn ack progress without standalone Heartbeats (§6).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AckVector {
     /// The group the timestamps refer to.
     pub group: GroupId,
@@ -887,7 +887,15 @@ pub fn encode_ack_vector(v: &AckVector) -> Bytes {
 }
 
 /// Decode a container trailer; the slice must hold exactly one vector.
+#[cfg(test)]
 fn decode_ack_vector(bytes: &[u8]) -> Result<AckVector, WireError> {
+    let mut v = AckVector::default();
+    decode_ack_vector_into(bytes, &mut v).map(|()| v)
+}
+
+/// Decode a container trailer into `v`, reusing its entry list; the slice
+/// must hold exactly one vector. On an error `v` is left unspecified.
+fn decode_ack_vector_into(bytes: &[u8], v: &mut AckVector) -> Result<(), WireError> {
     let Some((&[g0, g1, g2, g3, n0, n1], entries)) = bytes.split_first_chunk::<6>() else {
         return Err(WireError::Truncated {
             wanted: 6,
@@ -906,10 +914,10 @@ fn decode_ack_vector(bytes: &[u8]) -> Result<AckVector, WireError> {
         let p = u32::from_be_bytes([p0, p1, p2, p3]);
         (ProcessorId(p), Timestamp(u64::from_be_bytes(*t)))
     });
-    Ok(AckVector {
-        group: GroupId(u32::from_be_bytes([g0, g1, g2, g3])),
-        entries: entries.collect(),
-    })
+    v.group = GroupId(u32::from_be_bytes([g0, g1, g2, g3]));
+    v.entries.clear();
+    v.entries.extend(entries);
+    Ok(())
 }
 
 /// Is this payload a packed container?
@@ -973,17 +981,21 @@ pub fn encode_packed(msgs: &[Bytes], trailer: Option<&[u8]>) -> Bytes {
 /// retention store expect); no per-message copy is made.
 pub fn unpack(datagram: &Bytes) -> Result<(Vec<Bytes>, Option<AckVector>), WireError> {
     let mut msgs = Vec::new();
-    let vector = unpack_into(datagram, &mut msgs)?;
-    Ok((msgs, vector))
+    let mut vector = AckVector::default();
+    let trailer = unpack_into(datagram, &mut msgs, &mut vector)?;
+    Ok((msgs, trailer.then_some(vector)))
 }
 
-/// [`unpack`] into a caller-kept vector (cleared first), so a receive path
-/// splitting one container after another allocates no slice list for each.
-/// On an error `msgs` holds no complete container and is to be cleared.
+/// [`unpack`] into a caller-kept slice list (cleared first) and ack vector,
+/// so a receive path splitting one container after another allocates
+/// neither for each. True when the container carried a trailer, which is
+/// then in `vector`; otherwise `vector` is unspecified. On an error `msgs`
+/// holds no complete container and is to be cleared.
 pub(crate) fn unpack_into(
     datagram: &Bytes,
     msgs: &mut Vec<Bytes>,
-) -> Result<Option<AckVector>, WireError> {
+    vector: &mut AckVector,
+) -> Result<bool, WireError> {
     msgs.clear();
     if datagram.len() < PACKED_PREAMBLE_LEN {
         return Err(WireError::Truncated {
@@ -1035,19 +1047,18 @@ pub(crate) fn unpack_into(
         msgs.push(datagram.slice(at..at + len));
         at += len;
     }
-    let vector = if datagram[5] & PACKED_ACK_VECTOR_BIT != 0 {
-        // decode_ack_vector requires exact consumption of the remainder.
-        Some(decode_ack_vector(&datagram[at..])?)
-    } else {
-        if at != datagram.len() {
-            return Err(WireError::SizeMismatch {
-                declared: at as u32,
-                actual: datagram.len(),
-            });
-        }
-        None
-    };
-    Ok(vector)
+    if datagram[5] & PACKED_ACK_VECTOR_BIT != 0 {
+        // The trailer decoder requires exact consumption of the remainder.
+        decode_ack_vector_into(&datagram[at..], vector)?;
+        return Ok(true);
+    }
+    if at != datagram.len() {
+        return Err(WireError::SizeMismatch {
+            declared: at as u32,
+            actual: datagram.len(),
+        });
+    }
+    Ok(false)
 }
 
 #[cfg(test)]
