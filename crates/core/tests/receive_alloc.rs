@@ -94,7 +94,7 @@ impl Group {
         g
     }
 
-    /// Member `from`'s sends of one batch, each request `BATCH` times.
+    /// Member `from` publishes `BATCH` requests in one batch; its sends.
     fn publish(&mut self, now: SimTime, from: usize) -> Vec<Packet> {
         let p = &mut self.procs[from];
         p.begin_batch();

@@ -389,10 +389,7 @@ impl<N: SimNode> SimNet<N> {
     fn next_at(&self) -> Option<SimTime> {
         let tick = self.ticks.front().map(|&(at, ..)| at);
         let arrival = self.queue.peek().map(|Reverse((at, ..))| *at);
-        match (tick, arrival) {
-            (Some(t), Some(a)) => Some(t.min(a)),
-            (t, a) => t.or(a),
-        }
+        tick.into_iter().chain(arrival).min()
     }
 
     /// Inject a datagram as if `src` transmitted it now (external stimulus).
