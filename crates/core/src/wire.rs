@@ -886,16 +886,9 @@ pub fn encode_ack_vector(v: &AckVector) -> Bytes {
     out.freeze()
 }
 
-/// Decode a container trailer; the slice must hold exactly one vector.
-#[cfg(test)]
-fn decode_ack_vector(bytes: &[u8]) -> Result<AckVector, WireError> {
-    let mut v = AckVector::default();
-    decode_ack_vector_into(bytes, &mut v).map(|()| v)
-}
-
 /// Decode a container trailer into `v`, reusing its entry list; the slice
 /// must hold exactly one vector. On an error `v` is left unspecified.
-fn decode_ack_vector_into(bytes: &[u8], v: &mut AckVector) -> Result<(), WireError> {
+fn decode_ack_vector(bytes: &[u8], v: &mut AckVector) -> Result<(), WireError> {
     let Some((&[g0, g1, g2, g3, n0, n1], entries)) = bytes.split_first_chunk::<6>() else {
         return Err(WireError::Truncated {
             wanted: 6,
@@ -1049,7 +1042,7 @@ pub(crate) fn unpack_into(
     }
     if datagram[5] & PACKED_ACK_VECTOR_BIT != 0 {
         // The trailer decoder requires exact consumption of the remainder.
-        decode_ack_vector_into(&datagram[at..], vector)?;
+        decode_ack_vector(&datagram[at..], vector)?;
         return Ok(true);
     }
     if at != datagram.len() {
@@ -1463,19 +1456,29 @@ mod tests {
 
     #[test]
     fn ack_vector_round_trips() {
+        let decode = |bytes: &[u8]| {
+            let mut v = AckVector::default();
+            decode_ack_vector(bytes, &mut v).map(|()| v)
+        };
         let v = vector();
         let bytes = encode_ack_vector(&v);
-        assert_eq!(decode_ack_vector(&bytes).unwrap(), v);
+        assert_eq!(decode(&bytes).unwrap(), v);
         let empty = AckVector {
             group: GroupId(0),
             entries: vec![],
         };
-        assert_eq!(
-            decode_ack_vector(&encode_ack_vector(&empty)).unwrap(),
-            empty
-        );
-        assert!(decode_ack_vector(&bytes[..bytes.len() - 1]).is_err());
-        assert!(decode_ack_vector(&[]).is_err());
+        assert_eq!(decode(&encode_ack_vector(&empty)).unwrap(), empty);
+        assert!(decode(&bytes[..bytes.len() - 1]).is_err());
+        assert!(decode(&[]).is_err());
+        // Decoding into a vector that held a longer one leaves only the new.
+        let mut reused = AckVector {
+            group: GroupId(9),
+            entries: [v.entries.clone(), v.entries.clone()].concat(),
+        };
+        decode_ack_vector(&encode_ack_vector(&empty), &mut reused).unwrap();
+        assert_eq!(reused, empty);
+        decode_ack_vector(&bytes, &mut reused).unwrap();
+        assert_eq!(reused, v);
     }
 
     proptest! {
