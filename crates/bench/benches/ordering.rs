@@ -1,8 +1,8 @@
-//! Protocol hot paths: the ROMP ordering queue, RMP receive window,
-//! retention store and duplicate detector.
+//! Protocol hot paths: the ROMP ordering queue, RMP's per-source logs
+//! (receive window and retention) and the duplicate detector.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ftmp_core::rmp::{RetentionStore, SourceRx};
+use ftmp_core::rmp::{RmpLayer, RxOutcome};
 use ftmp_core::romp::{Ordering, RompInput, RompLayer};
 use ftmp_core::wire::FtmpBody;
 use ftmp_core::{
@@ -128,83 +128,92 @@ fn bench_ordering_queue(c: &mut Criterion) {
     g.finish();
 }
 
+/// `src`'s message `seq`, stamped `ts`, with its wire bytes.
+fn frame(src: u32, seq: u64, ts: u64) -> (FtmpMessage, bytes::Bytes) {
+    let m = msg(src, seq, ts);
+    let w = m.encode(ftmp_cdr::ByteOrder::native());
+    (m, w)
+}
+
+/// Offer a frame to `layer` as a peer's message.
+fn receive(layer: &mut RmpLayer, (m, w): &(FtmpMessage, bytes::Bytes)) -> RxOutcome {
+    layer.receive(m.clone(), w.clone(), false).0
+}
+
 fn bench_rmp_window(c: &mut Criterion) {
     let mut g = c.benchmark_group("rmp_window");
     g.throughput(Throughput::Elements(1024));
+    let frames: Vec<_> = (1..=1024u64).map(|seq| frame(1, seq, seq)).collect();
     g.bench_function("in_order_1024", |b| {
         b.iter(|| {
-            let mut rx = SourceRx::starting_at(1);
-            for seq in 1..=1024u64 {
-                black_box(rx.on_reliable(msg(1, seq, seq)));
+            let mut layer = RmpLayer::new(ProcessorId(9));
+            for f in &frames {
+                black_box(receive(&mut layer, f));
             }
         })
     });
     g.bench_function("reversed_1024", |b| {
         b.iter(|| {
-            let mut rx = SourceRx::starting_at(1);
-            for seq in (1..=1024u64).rev() {
-                black_box(rx.on_reliable(msg(1, seq, seq)));
+            let mut layer = RmpLayer::new(ProcessorId(9));
+            for f in frames.iter().rev() {
+                black_box(receive(&mut layer, f));
             }
         })
     });
+    // A NACK pass over one source's sparse stream: with no jitter and no
+    // retry delay every pass asks for the missing ranges again.
     g.bench_function("missing_ranges_sparse", |b| {
-        let mut rx = SourceRx::starting_at(1);
+        let mut layer = RmpLayer::new(ProcessorId(9));
         for seq in (1..2048u64).step_by(3) {
-            rx.on_reliable(msg(1, seq, seq));
+            receive(&mut layer, &frame(1, seq, seq));
         }
-        rx.note_header_seq(SeqNum(2048));
-        b.iter(|| black_box(rx.missing_ranges(64)))
+        layer.note_header(ProcessorId(1), SeqNum(2048));
+        let zero = || SimDuration::from_micros(0);
+        let mut next = SimTime(u64::MAX);
+        layer.nack_requests(SimTime(0), 64, zero, |_| zero(), &mut next);
+        b.iter(|| black_box(layer.nack_requests(SimTime(0), 64, zero, |_| zero(), &mut next)))
     });
     g.finish();
 }
 
 fn bench_retention(c: &mut Criterion) {
     let mut g = c.benchmark_group("retention");
-    let wire = |m: &FtmpMessage| m.encode(ftmp_cdr::ByteOrder::native());
-    let retain = |store: &mut RetentionStore, m: &FtmpMessage, w: &bytes::Bytes| {
-        store.insert(m.source, m.seq.0, m.ts, w.clone())
-    };
     g.bench_function("insert_reclaim_1024", |b| {
-        let frames: Vec<_> = (1..=1024u64)
-            .map(|seq| {
-                let m = msg((seq % 8) as u32 + 1, seq, seq);
-                let w = wire(&m);
-                (m, w)
-            })
+        // Eight sources in turn, each stream in order.
+        let frames: Vec<_> = (0..1024u64)
+            .map(|i| frame((i % 8) as u32 + 1, i / 8 + 1, i + 1))
             .collect();
         b.iter(|| {
-            let mut store = RetentionStore::default();
-            for (m, w) in &frames {
-                retain(&mut store, m, w);
+            let mut layer = RmpLayer::new(ProcessorId(9));
+            for f in &frames {
+                receive(&mut layer, f);
             }
-            black_box(store.reclaim_stable(Timestamp(512)));
-            black_box(store.len())
+            black_box(layer.reclaim_stable(Timestamp(512)));
+            black_box(layer.retained_len())
         })
     });
     // A reclaim at a stability point that has not moved since the last one,
-    // over five sources of 2 000 retained entries: what every packet asked
+    // over five sources of 2 000 retained messages: what every packet asked
     // for while a member's ack stands still.
     g.bench_function("reclaim_unmoved_5x2000", |b| {
-        let frame = wire(&msg(1, 1, 1));
-        let mut store = RetentionStore::default();
+        let mut layer = RmpLayer::new(ProcessorId(9));
         for seq in 1..=2_000u64 {
             for src in 1..=5u32 {
-                store.insert(ProcessorId(src), seq, Timestamp(100 + seq), frame.clone());
+                receive(&mut layer, &frame(src, seq, 100 + seq));
             }
         }
-        store.reclaim_stable(Timestamp(100));
-        b.iter(|| black_box(store.reclaim_stable(black_box(Timestamp(100)))))
+        layer.reclaim_stable(Timestamp(100));
+        b.iter(|| black_box(layer.reclaim_stable(black_box(Timestamp(100)))))
     });
     g.bench_function("take_for_retransmit", |b| {
-        let mut store = RetentionStore::default();
+        let mut layer = RmpLayer::new(ProcessorId(9));
         for seq in 1..=1024u64 {
-            let m = msg(1, seq, seq);
-            retain(&mut store, &m, &wire(&m));
+            receive(&mut layer, &frame(1, seq, seq));
         }
         let mut t = 0u64;
         b.iter(|| {
             t += 10_000;
-            black_box(store.take_for_retransmit(
+            black_box(layer.answer_retransmit(
                 ProcessorId(1),
                 t % 1024 + 1,
                 SimTime(t),
@@ -213,28 +222,29 @@ fn bench_retention(c: &mut Criterion) {
         })
     });
     // What the receive path does per message with a backlog standing (a
-    // lagging member pins retention): one insert, one reclaim that reclaims
-    // one, one `held_by`. Flat across depths; linear in the depth when the
-    // store was one map swept by `retain`.
+    // lagging member pins retention): one arrival, one reclaim that
+    // reclaims one, one `held_by`. Flat across depths; linear in the depth
+    // when retention was one map swept by `retain`.
     for depth in [64u64, 1024, 16384] {
         g.bench_with_input(
             BenchmarkId::new("steady_state", depth),
             &depth,
             |b, &depth| {
-                let frame = wire(&msg(1, 1, 1));
-                let mut store = RetentionStore::default();
+                let wire = frame(1, 1, 1).1;
+                let mut layer = RmpLayer::new(ProcessorId(9));
                 let mut next = 0u64;
-                let mut step = |store: &mut RetentionStore| {
+                let mut step = |layer: &mut RmpLayer| {
+                    let source = (next % 5) as u32 + 1;
                     next += 1;
-                    let source = ProcessorId((next % 5) as u32 + 1);
-                    store.insert(source, next, Timestamp(next), frame.clone());
-                    let reclaimed = store.reclaim_stable(Timestamp(next.saturating_sub(depth)));
-                    (reclaimed, store.held_by(source))
+                    let m = msg(source, next.div_ceil(5), next);
+                    layer.receive(m, wire.clone(), false);
+                    let reclaimed = layer.reclaim_stable(Timestamp(next.saturating_sub(depth)));
+                    (reclaimed, layer.held_by(ProcessorId(source)))
                 };
                 for _ in 0..depth {
-                    step(&mut store);
+                    step(&mut layer);
                 }
-                b.iter(|| black_box(step(&mut store)))
+                b.iter(|| black_box(step(&mut layer)))
             },
         );
     }

@@ -12,7 +12,9 @@
 //! triple per group (`GroupState`):
 //!
 //! * [`RmpLayer`] — source order, NACKs, any-holder
-//!   retention. Typed interface: [`RmpInput`] → [`RmpOutput`].
+//!   retention, one log per source. Typed interface:
+//!   [`receive`](RmpLayer::receive) → [`RxOutcome`],
+//!   [`note_header`](RmpLayer::note_header) → the contiguous cursor.
 //! * [`RompLayer`] — total order, horizons, acks.
 //!   Typed interface: [`RompInput`] → [`RompOutput`].
 //! * [`PgmpGroup`] — membership, suspicion →
@@ -60,7 +62,7 @@ use crate::observe::Observation;
 use crate::overlay::{overlay_addr, OverlayTree};
 use crate::pack::Packer;
 use crate::pgmp::{ConnectionTable, PendingConnect, PgmpGroup, ServerRegistration, SponsorJoin};
-use crate::rmp::{RmpInput, RmpLayer, RmpOutput};
+use crate::rmp::{RmpLayer, RxOutcome};
 use crate::romp::{RompInput, RompLayer, RompOutput, WindowEdge};
 pub use crate::stats::{GroupMetrics, LayerCounters, ProcessorStats};
 use crate::tap::{Event, Tap};
@@ -137,7 +139,8 @@ pub enum SendError {
 #[derive(Debug)]
 struct GroupState {
     addr: McastAddr,
-    /// RMP: send counter, per-source receive windows, retention store.
+    /// RMP: send counter and one log per source (receive window and
+    /// retention in one).
     rmp: RmpLayer,
     /// ROMP: the total-order queue, horizons and acks.
     romp: RompLayer,
@@ -608,8 +611,8 @@ impl Processor {
     /// Buffer metrics for a group (experiment E6).
     pub fn group_metrics(&self, group: GroupId) -> Option<GroupMetrics> {
         self.groups.get(&group).map(|g| GroupMetrics {
-            retention_msgs: g.rmp.retention().len(),
-            retention_bytes: g.rmp.retention().bytes(),
+            retention_msgs: g.rmp.retained_len(),
+            retention_bytes: g.rmp.retained_bytes(),
             ordering_queue: g.romp.ordering().queue_len(),
             rx_buffered: g.rmp.buffered_total(),
             head_blocked_on: g.romp.ordering().head_blockers().collect(),
@@ -756,7 +759,6 @@ impl Processor {
         let g = self.groups.get_mut(&group).expect("group exists");
         let retx = g
             .rmp
-            .retention_mut()
             .retx_bytes(self.id, seq.0)
             .expect("just sent and retained");
         g.pgmp.heard_any.remove(&new_member);
@@ -1745,22 +1747,10 @@ impl Processor {
             self.maybe_send_exclusion_notice(now, gid, msg.source);
         }
         let from_self = msg.source == self.id;
-        let rx_src = msg.source;
-        let rx_seq = msg.seq.0;
+        let (rx_src, rx_seq, rx_ts) = (msg.source, msg.seq, msg.ts);
         let Some(g) = self.groups.get_mut(&gid) else {
             return;
         };
-        // RMP retains first and idempotently: an arrival not yet in the
-        // store is the one that retains it.
-        if self.tap.observing() && !g.rmp.retention().contains(rx_src, rx_seq) {
-            let retained = Event::Retained {
-                group: gid,
-                source: rx_src,
-                seq: msg.seq,
-                ts: msg.ts,
-            };
-            self.tap.emit(now, retained);
-        }
         // A retransmission answering our own single outstanding NACK is an
         // RTT sample (Karn's rule enforced by the receive window).
         if msg.retransmission && !own && !from_self {
@@ -1769,20 +1759,32 @@ impl Processor {
                 self.stats.rtt_samples += 1;
             }
         }
-        match g.rmp.handle(RmpInput::Reliable { msg, wire, own }) {
+        let (outcome, retained) = g.rmp.receive(msg, wire, own);
+        // RMP retains idempotently: the arrival that retained the message
+        // is the one reported, before what the window made of it.
+        if retained && self.tap.observing() {
+            let retained = Event::Retained {
+                group: gid,
+                source: rx_src,
+                seq: rx_seq,
+                ts: rx_ts,
+            };
+            self.tap.emit(now, retained);
+        }
+        match outcome {
             // Counted by RMP (our own loopback copy is an expected
             // duplicate, not a retransmission anomaly).
-            RmpOutput::Duplicate => {}
-            RmpOutput::Buffered => {
+            RxOutcome::Duplicate => {}
+            RxOutcome::Buffered => {
                 let buffered = Event::Buffered {
                     group: gid,
                     source: rx_src,
-                    seq: rx_seq,
+                    seq: rx_seq.0,
                     depth: g.rmp.buffered_total() as u64,
                 };
                 self.tap.emit(now, buffered);
             }
-            RmpOutput::Released(run) => {
+            RxOutcome::Delivered(run) => {
                 for m in run {
                     if !self.groups.contains_key(&gid) {
                         break; // an earlier message in the run made us leave
@@ -1796,7 +1798,6 @@ impl Processor {
                     self.source_ordered(now, gid, m);
                 }
             }
-            RmpOutput::Noted { .. } => unreachable!("Reliable input never yields Noted"),
         }
         self.try_deliver(now, gid);
     }
@@ -1953,7 +1954,7 @@ impl Processor {
         }
         if !g.pgmp.reclaim_pinned() {
             let stable_ts = g.romp.ordering().stable_ts();
-            let reclaimed = g.rmp.retention_mut().reclaim_stable(stable_ts);
+            let reclaimed = g.rmp.reclaim_stable(stable_ts);
             let stable = Event::Stable {
                 group: gid,
                 stable_ts,
@@ -1985,7 +1986,7 @@ impl Processor {
         if !g.romp.window().enforced() {
             return;
         }
-        let occupancy = g.rmp.retention().held_by(self.id);
+        let occupancy = g.rmp.held_by(self.id);
         match g.romp.update_window(occupancy) {
             Some(WindowEdge::Closed) => {
                 self.stats.backpressure_closes += 1;

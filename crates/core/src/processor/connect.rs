@@ -95,16 +95,8 @@ impl Processor {
         g.pgmp.gate = Some(self.clock.current());
         // Shared handles into the retention store: the original form for the
         // initial domain-address copy, the retransmission form for retries.
-        let wire = g
-            .rmp
-            .retention()
-            .wire_bytes(self.id, seq.0)
-            .expect("just retained");
-        let retx = g
-            .rmp
-            .retention_mut()
-            .retx_bytes(self.id, seq.0)
-            .expect("just retained");
+        let wire = g.rmp.wire_bytes(self.id, seq.0).expect("just retained");
+        let retx = g.rmp.retx_bytes(self.id, seq.0).expect("just retained");
         g.pgmp.connect_retx = Some(ConnectRetx {
             retx,
             domain_addr,

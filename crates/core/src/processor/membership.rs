@@ -31,13 +31,11 @@ impl GroupState {
             ViewChange::Join(p) => {
                 // The added id may be a crashed member rejoining (§7.1
                 // restart): its new incarnation allocates sequence numbers
-                // from 1 again. Reset our receive window — the old
-                // incarnation's window would reject the fresh stream as
-                // stale duplicates — and drop any retention left from the
-                // old stream, whose (source, seq) keys would shadow the new
+                // from 1 again. Start its log afresh — the old incarnation's
+                // cursor would reject the fresh stream as stale duplicates,
+                // and its retained (source, seq) slots would shadow the new
                 // incarnation's messages.
                 self.rmp.seed_window(p, 1);
-                self.rmp.retention_mut().drop_beyond(p, 0);
                 self.romp.ordering_mut().add_member(p, ts);
                 self.pgmp.membership.insert(p);
                 self.pgmp.stamp(p, now);
@@ -62,7 +60,7 @@ impl GroupState {
                 for &p in removed {
                     self.remove(p);
                     if let Some(&t) = targets.get(&p) {
-                        self.rmp.retention_mut().drop_beyond(p, t);
+                        self.rmp.drop_beyond(p, t);
                     }
                 }
                 for p in self.pgmp.membership.clone() {
@@ -203,10 +201,7 @@ impl Processor {
             // Make the peer's reception evidence visible to RMP so NACKs
             // recover anything it has that we lack.
             for (src, seq) in &seqs {
-                g.rmp.handle(RmpInput::HeaderSeq {
-                    source: *src,
-                    seq: SeqNum(*seq),
-                });
+                g.rmp.note_header(*src, SeqNum(*seq));
             }
         }
         self.announce_membership(now, gid);
@@ -247,7 +242,7 @@ impl Processor {
             if let Some(seq) = g.pgmp.last_announce_seq {
                 // The zero-copy exclusion notice: a shared handle on the
                 // retained announcement's retransmission form.
-                g.pgmp.membership_notice = g.rmp.retention_mut().retx_bytes(self.id, seq.0);
+                g.pgmp.membership_notice = g.rmp.retx_bytes(self.id, seq.0);
             }
             g.pgmp.counters.reconfigurations += 1;
             (removed, delivered, membership, g.pgmp.membership_ts)

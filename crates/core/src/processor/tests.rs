@@ -363,9 +363,9 @@ fn remove_processor_leaves_group_at_removed_member() {
 /// - ROMP: the horizon at the Add's stamp, no held evidence, a zero ack;
 /// - PGMP: silence counted from the Add, no arrivals, no ack progress and
 ///   no suspicion;
-/// - RMP: a window that expects sequence number 1, and no retention (here
-///   stability has reclaimed the old stream before the Add; the view
-///   change's own `drop_beyond` is not what this run checks).
+/// - RMP: a log that expects sequence number 1, and no retention (here
+///   stability has reclaimed the old stream before the Add; that the view
+///   change's reset drops what is left is not what this run checks).
 ///
 /// In particular the fault detector may suspect the joiner only once its
 /// new incarnation's ack has stood still for `ack_stall_timeout`. The old
@@ -486,7 +486,7 @@ fn rejoin_starts_fresh(convict: bool) {
     assert!(peer.ack_progress.is_none(), "PGMP ack progress");
     assert!(!peer.suspected, "PGMP suspicion");
     assert_eq!(g.rmp.contiguous_of(p3), 0, "RMP window");
-    assert_eq!(g.rmp.retention().held_by(p3), 0, "RMP retention");
+    assert_eq!(g.rmp.held_by(p3), 0, "RMP retention");
     for _ in 0..5 {
         let t = run(&mut net, 1, false, &p3_unheard_by_p1);
         assert!(!suspects_p3(&net), "P1 suspected the rejoined P3 at {t:?}");

@@ -264,7 +264,7 @@ impl Processor {
             let defer = self.cfg.packing.enabled
                 && now.saturating_since(g.last_sent) < hold
                 && g.romp.ordering().queue_len() == 0
-                && g.rmp.retention().is_empty()
+                && g.rmp.retained_len() == 0
                 && g.vector_seen_at
                     .is_some_and(|t| now.saturating_since(t) < hold);
             if defer {

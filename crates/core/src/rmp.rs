@@ -8,43 +8,71 @@
 //! message may answer a NACK — the *any-holder* retransmission that
 //! distinguishes FTMP from sender-based ARQ.
 //!
-//! This module holds the RMP sub-state-machine ([`RmpLayer`]): the
-//! per-source receive windows ([`SourceRx`]), the send counter
-//! ([`SendState`]) and the any-holder [`RetentionStore`]. The layer consumes
-//! typed [`RmpInput`]s (reliable messages and header sequence evidence) and
-//! emits typed [`RmpOutput`]s upward to ROMP; the
-//! [`crate::processor`] shell wires it to the clock and the network.
+//! This module holds the RMP sub-state-machine ([`RmpLayer`]): the send
+//! counter and one log per source. The layer consumes typed
+//! [`RmpInput`]s (reliable messages and header sequence evidence) and emits
+//! typed [`RmpOutput`]s upward to ROMP; the [`crate::processor`] shell calls
+//! the typed methods behind them ([`RmpLayer::receive`],
+//! [`RmpLayer::note_header`]) and wires the layer to the clock and the
+//! network.
 //!
-//! **Zero-copy retransmission.** The retention store keeps each message's
-//! original wire bytes (an [`Bytes`] handle sharing the received datagram's
-//! buffer) and nothing else of it — no second decoded copy. A retransmission
-//! differs from the original only in one header flag bit, so the
-//! retransmission form is materialized at most once per message and every
-//! NACK answer after that is a reference-counted handle clone — no
+//! **One log per source.** Everything RMP holds of a source's stream is one
+//! queue of slots sorted by sequence number, with two cursors: the next
+//! sequence number expected in order (everything below it was released)
+//! and the highest one any header has cited. A slot below the contiguous
+//! cursor is a released message kept for any-holder retransmission until
+//! the ack timestamps make it stable (§6); a slot above it is an early
+//! arrival, kept for retransmission too, that waits for the gap in front of
+//! it to fill and is decoded again from its wire bytes when released. Each
+//! reliable message lives in exactly one slot. What each operation costs:
+//!
+//! * an in-order arrival is a `push_back`, and the early arrivals it
+//!   releases are the slots right behind it, walked once;
+//! * an early arrival, a duplicate and a retransmission look-up are a
+//!   binary search;
+//! * [`reclaim_stable`](RmpLayer::reclaim_stable) pops each source's front
+//!   while it is stable and stops at the first slot that is not (a reclaim
+//!   that reclaims nothing looks at one slot per source), and skips every
+//!   log when stability has not passed the last pass or nothing is
+//!   retained;
+//! * [`held_by`](RmpLayer::held_by), [`buffered_total`](RmpLayer::buffered_total)
+//!   and [`retained_len`](RmpLayer::retained_len) are kept counts;
+//!   [`retained_bytes`](RmpLayer::retained_bytes), read by the metrics
+//!   only, walks the slots.
+//!
+//! The log is *sorted by* sequence number, never *indexed by* `seq − base`:
+//! a wild sequence number from a confused peer costs one slot, not an
+//! allocation sized by the number. Reclaiming from the front relies on a
+//! source's timestamps rising with its sequence numbers — `Clock::stamp_send`
+//! and [`RmpLayer::allocate_seq`] are both monotone and a retransmission
+//! keeps its stamp. A slot that breaks this is reclaimed *late*, once the
+//! slot in front of it is stable too, never *early*.
+//!
+//! **Retained, or only waiting.** Retention (what answers a request and
+//! counts in `held_by`) and the receive window (what is released in order)
+//! let go of a message at different times in two cases, and the log keeps
+//! both by letting a slot lose its retention part while it stays: a
+//! stability point past a hole (a source no longer in the view, whose
+//! stamps stability no longer waits for) reclaims early arrivals from
+//! retention, and a conviction's cut at the agreed reconciliation target
+//! ([`drop_beyond`](RmpLayer::drop_beyond)) drops everything above it from
+//! retention. In both, an early arrival stops being retained but keeps
+//! waiting in the window: it is still no gap to NACK, a copy of it is still
+//! a duplicate (which retains it again), and a gap fill still releases it,
+//! taking the slot out of the log.
+//!
+//! **Zero-copy retransmission.** A slot keeps the message's original wire
+//! bytes (a [`Bytes`] handle sharing the received datagram's buffer) and
+//! nothing else of it — no decoded copy, not even of an early arrival. A
+//! retransmission differs from the original only in one header flag bit, so
+//! the retransmission form is materialized at most once per message and
+//! every NACK answer after that is a reference-counted handle clone — no
 //! re-encoding, no buffer copy.
 //!
-//! **Retention that knows its own order.** [`RetentionStore`] is one queue
-//! per source, sorted by sequence number, so every operation costs what it
-//! touches: an in-order arrival is a `push_back`, a look-up a binary search,
-//! [`reclaim_stable`](RetentionStore::reclaim_stable) pops each source's
-//! front while it is stable and stops at the first entry that is not (a
-//! reclaim that reclaims nothing looks at one entry per source),
-//! [`held_by`](RetentionStore::held_by) is a length. Two properties it
-//! leans on, both tested below:
-//!
-//! * The queue is *sorted by* sequence number, never *indexed by*
-//!   `seq − base`: a wild sequence number from a confused peer costs one
-//!   entry, not an allocation sized by the number.
-//! * Reclaiming from the front relies on a source's timestamps rising with
-//!   its sequence numbers — `Clock::stamp_send` and
-//!   [`RmpLayer::allocate_seq`] are both monotone and a retransmission keeps
-//!   its stamp. An entry that breaks this is reclaimed *late*, once the
-//!   entry in front of it is stable too, never *early*.
-//!
 //! **Bounded NACK work.** Sequence numbers in headers are unauthenticated:
-//! [`SourceRx::missing_ranges`] returns at most [`MAX_NACK_RANGES`] ranges
-//! per call, earliest gaps first (the next retry asks for the rest), and
-//! its arithmetic saturates, so a Heartbeat citing `seq = u64::MAX` costs a
+//! a NACK pass asks for at most [`MAX_NACK_RANGES`] ranges per source,
+//! earliest gaps first (the next retry asks for the rest), and its
+//! arithmetic saturates, so a Heartbeat citing `seq = u64::MAX` costs a
 //! bounded burst of requests instead of an unbounded allocation.
 //!
 //! [`wire::FtmpBody::RetransmitRequest`]: crate::wire::FtmpBody::RetransmitRequest
@@ -87,7 +115,8 @@ impl IntoIterator for Run {
     }
 }
 
-/// Outcome of offering a reliable message to a [`SourceRx`].
+/// What the receive window made of a reliable message
+/// ([`RmpLayer::receive`]).
 #[derive(Debug, PartialEq, Eq)]
 pub enum RxOutcome {
     /// Already received (retransmission or duplicate); dropped.
@@ -99,23 +128,77 @@ pub enum RxOutcome {
     Delivered(Run),
 }
 
-/// Most ranges one [`SourceRx::missing_ranges`] call returns. A header's
-/// sequence number is unauthenticated evidence, so the work one of them can
-/// ask for is capped; honest gaps are far fewer (each range is one
-/// RetransmitRequest datagram) and what a call leaves out the next retry
-/// asks for.
+/// Most ranges one NACK pass asks of a source. A header's sequence number
+/// is unauthenticated evidence, so the work one of them can ask for is
+/// capped; honest gaps are far fewer (each range is one RetransmitRequest
+/// datagram) and what a pass leaves out the next retry asks for.
 pub const MAX_NACK_RANGES: usize = 64;
 
-/// Per-(source, group) receive window.
+/// One message of a source's stream, as its log holds it: 80 bytes, what
+/// a retention entry was before the log.
 #[derive(Debug)]
-pub struct SourceRx {
+struct Slot {
+    seq: u64,
+    /// The message's send timestamp: stable, hence reclaimable, once every
+    /// member acknowledged past it.
+    ts: Timestamp,
+    /// The message exactly as it crossed (or will cross) the wire. An early
+    /// arrival is decoded from it again when a gap fill releases it.
+    wire: Bytes,
+    /// Retention's part: `None` for an early arrival retention let go of
+    /// while it still waits in the window (the module doc's "Retained, or
+    /// only waiting").
+    kept: Option<Kept>,
+}
+
+/// What a retained slot keeps for answering requests.
+#[derive(Debug, Default)]
+struct Kept {
+    /// Cached retransmission form: `wire` with the retransmission flag bit
+    /// set. Built on first use; cheap handle clones after that.
+    retx: Option<Bytes>,
+    /// Last time we retransmitted it (implosion suppression).
+    last_retransmit: Option<SimTime>,
+}
+
+impl Slot {
+    /// The retransmission form of a retained slot's wire bytes, built at
+    /// most once.
+    fn retx_bytes(&mut self) -> Option<Bytes> {
+        let (wire, kept) = (&self.wire, self.kept.as_mut()?);
+        let retx = kept
+            .retx
+            .get_or_insert_with(|| wire::retransmission_form(wire));
+        Some(retx.clone())
+    }
+}
+
+/// A queue this small is never shrunk: a quiet source's queue empties and
+/// refills with every message and must not reallocate each time.
+pub(crate) const QUEUE_FLOOR: usize = 16;
+
+/// Give back a queue's spare capacity once its depth has fallen to a quarter
+/// of it, so a backlog a lagging member once pinned is not held for ever;
+/// the factor-of-two slack left keeps growth and shrinking from chasing each
+/// other.
+pub(crate) fn shrink<T>(q: &mut VecDeque<T>) {
+    if q.capacity() > QUEUE_FLOOR && q.len() < q.capacity() / 4 {
+        q.shrink_to((2 * q.len()).max(QUEUE_FLOOR));
+    }
+}
+
+/// One source's stream in one group: its slots sorted by sequence number,
+/// the two cursors and the NACK schedule for its gaps.
+#[derive(Debug, Default)]
+struct SourceLog {
+    slots: VecDeque<Slot>,
     /// Next sequence number expected in contiguous order.
     next_seq: u64,
-    /// Out-of-order messages awaiting earlier ones.
-    buffer: BTreeMap<u64, FtmpMessage>,
     /// Highest sequence number seen in any header from this source
     /// (including Heartbeats), i.e. how far the source has provably sent.
     highest_seen: u64,
+    /// Retained slots.
+    held: usize,
     /// When the next RetransmitRequest for this source's gaps is due.
     nack_at: Option<SimTime>,
     /// RetransmitRequests issued since the stream was last contiguous or a
@@ -125,56 +208,86 @@ pub struct SourceRx {
     /// on re-issue: per Karn's rule a round-trip measured across more than
     /// one outstanding request is ambiguous and must be discarded.
     nack_sent_at: Option<SimTime>,
+    /// Slots reclaim passes have looked at (the complexity guard's counter).
+    #[cfg(test)]
+    visits: usize,
 }
 
-impl SourceRx {
-    /// A window expecting the stream to start at `first_seq` (1 for a
-    /// founding member; `cited + 1` for a joiner, §7.1).
-    pub fn starting_at(first_seq: u64) -> Self {
-        SourceRx {
+impl SourceLog {
+    /// A log expecting the stream to start at `first_seq` (1 for a founding
+    /// member; `cited + 1` for a joiner, §7.1).
+    fn starting_at(first_seq: u64) -> Self {
+        SourceLog {
             next_seq: first_seq,
-            buffer: BTreeMap::new(),
             highest_seen: first_seq.saturating_sub(1),
-            nack_at: None,
-            nack_attempts: 0,
-            nack_sent_at: None,
+            ..SourceLog::default()
         }
     }
 
     /// Highest contiguously received sequence number (0 = none yet).
-    pub fn contiguous(&self) -> u64 {
+    fn contiguous(&self) -> u64 {
         self.next_seq - 1
     }
 
-    /// Highest sequence number evidenced by any header.
-    pub fn highest_seen(&self) -> u64 {
-        self.highest_seen
+    /// True when messages are known to be missing.
+    fn has_gap(&self) -> bool {
+        self.highest_seen >= self.next_seq
     }
 
-    /// Number of buffered out-of-order messages.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
+    /// Index of the first early arrival (the first slot above the cursor).
+    fn early_from(&self) -> usize {
+        self.slots.partition_point(|s| s.seq < self.next_seq)
     }
 
-    /// Offer a reliable message bearing `seq`.
-    pub fn on_reliable(&mut self, msg: FtmpMessage) -> RxOutcome {
+    /// Where the slot for `seq` sits.
+    fn find(&self, seq: u64) -> Option<usize> {
+        self.slots.binary_search_by_key(&seq, |s| s.seq).ok()
+    }
+
+    /// Offer a reliable message with its wire bytes: what the window made
+    /// of it, and whether this copy is the one that retained it.
+    fn receive(&mut self, msg: FtmpMessage, wire: Bytes) -> (RxOutcome, bool) {
         let seq = msg.seq.0;
         self.highest_seen = self.highest_seen.max(seq);
-        if seq < self.next_seq || self.buffer.contains_key(&seq) {
-            return RxOutcome::Duplicate;
+        let at = match self.slots.back() {
+            Some(last) if last.seq >= seq => self.slots.binary_search_by_key(&seq, |s| s.seq),
+            _ => Err(self.slots.len()),
+        };
+        let at = match at {
+            Ok(at) if self.slots[at].kept.is_some() => return (RxOutcome::Duplicate, false),
+            Ok(at) => {
+                // An early arrival retention let go of while it waited:
+                // this copy retains it again.
+                self.slots[at].kept = Some(Kept::default());
+                self.held += 1;
+                return (RxOutcome::Duplicate, true);
+            }
+            Err(at) => at,
+        };
+        self.held += 1;
+        let kept = Some(Kept::default());
+        let slot = Slot {
+            seq,
+            ts: msg.ts,
+            wire,
+            kept,
+        };
+        self.slots.insert(at, slot);
+        if seq < self.next_seq {
+            // A late copy of a reclaimed message, retained again.
+            return (RxOutcome::Duplicate, true);
         }
         if seq > self.next_seq {
-            self.buffer.insert(seq, msg);
-            return RxOutcome::Buffered;
+            return (RxOutcome::Buffered, true);
         }
-        // In order: release this message plus any contiguous run behind it.
+        // In order: release this message plus the early arrivals right
+        // behind it.
         let answered = msg.retransmission;
-        let mut rest = Vec::new();
         self.next_seq += 1;
-        while let Some(m) = self.buffer.remove(&self.next_seq) {
-            rest.push(m);
-            self.next_seq += 1;
-        }
+        let rest = match self.slots.get(at + 1) {
+            Some(s) if s.seq == self.next_seq => self.release_early(at + 1),
+            _ => Vec::new(),
+        };
         if !self.has_gap() {
             self.nack_at = None;
             self.nack_attempts = 0;
@@ -185,30 +298,43 @@ impl SourceRx {
             // `highest_seen` would otherwise keep the backoff at its floor.
             self.nack_attempts = 0;
         }
-        RxOutcome::Delivered(Run { first: msg, rest })
+        (RxOutcome::Delivered(Run { first: msg, rest }), true)
     }
 
-    /// Note a sequence number carried by an unreliable header (Heartbeat or
-    /// RetransmitRequest): evidence of how far the source has sent.
-    pub fn note_header_seq(&mut self, seq: SeqNum) {
-        self.highest_seen = self.highest_seen.max(seq.0);
-    }
-
-    /// True when messages are known to be missing.
-    pub fn has_gap(&self) -> bool {
-        self.highest_seen >= self.next_seq
+    /// Release the run of early arrivals from slot `from` on, decoding each
+    /// again from its bytes (they decoded on arrival). Out of line: only a
+    /// gap fill comes here, and the decoder would crowd the in-order path.
+    #[cold]
+    fn release_early(&mut self, mut from: usize) -> Vec<FtmpMessage> {
+        let (mut run, mut let_go) = (Vec::new(), false);
+        while let Some(s) = self.slots.get(from).filter(|s| s.seq == self.next_seq) {
+            let m = FtmpMessage::decode_shared(&s.wire);
+            debug_assert!(m.is_ok(), "a held message does not decode");
+            run.extend(m.ok());
+            let_go |= s.kept.is_none();
+            self.next_seq += 1;
+            from += 1;
+        }
+        if let_go {
+            self.forget_released();
+        }
+        run
     }
 
     /// The missing ranges `[start, stop]` (inclusive), each capped at
     /// `max_span` sequence numbers: the earliest [`MAX_NACK_RANGES`] of
     /// them. `highest_seen` is whatever a header claimed, so nothing here
     /// may overflow or grow with it.
-    pub fn missing_ranges(&self, max_span: u64) -> Vec<(u64, u64)> {
+    fn missing_ranges(&self, max_span: u64) -> Vec<(u64, u64)> {
         let mut ranges = Vec::new();
         let mut cursor = self.next_seq;
-        let mut received = self.buffer.keys().copied().peekable();
+        let mut received = self
+            .slots
+            .range(self.early_from()..)
+            .map(|s| s.seq)
+            .peekable();
         while cursor <= self.highest_seen {
-            // Skip past buffered (already received) sequence numbers.
+            // Skip past early (already received) sequence numbers.
             while received.peek().is_some_and(|&s| s < cursor) {
                 received.next();
             }
@@ -228,7 +354,7 @@ impl SourceRx {
                 };
                 start = next;
             }
-            // Step past the gap and the contiguous run of buffered messages
+            // Step past the gap and the contiguous run of early arrivals
             // behind it.
             cursor = gap_end;
             loop {
@@ -247,9 +373,9 @@ impl SourceRx {
     /// NACK scheduler: called on gap detection and on ticks. Returns true
     /// when a RetransmitRequest should be emitted now; reschedules itself
     /// with period `retry`. `initial_jitter` is called only when a gap
-    /// episode arms, so a window without a gap, or one already armed,
-    /// draws nothing.
-    pub fn nack_due(
+    /// episode arms, so a log without a gap, or one already armed, draws
+    /// nothing.
+    fn nack_due(
         &mut self,
         now: SimTime,
         initial_jitter: impl FnOnce() -> SimDuration,
@@ -270,285 +396,69 @@ impl SourceRx {
                 self.nack_attempts += 1;
                 // Karn's rule: time only the first request of the episode;
                 // a re-issue makes any later answer ambiguous.
-                self.nack_sent_at = if self.nack_attempts == 1 {
-                    Some(now)
-                } else {
-                    None
-                };
+                self.nack_sent_at = (self.nack_attempts == 1).then_some(now);
                 true
             }
             Some(_) => false,
         }
     }
 
-    /// RetransmitRequests issued for the current gap episode.
-    pub fn nack_attempts(&self) -> u32 {
-        self.nack_attempts
-    }
-
-    /// Offer an RTT sample: a retransmission addressed at this window's gap
-    /// arrived at `now`. Returns the NACK→retransmission round-trip only
-    /// when exactly one request is outstanding (Karn's rule) and the gap is
-    /// still open (the retransmission answers *this* episode, not a
-    /// suppression-window echo of someone else's). Consumes the sample.
-    pub fn rtt_sample(&mut self, now: SimTime) -> Option<SimDuration> {
-        if !self.has_gap() || self.nack_attempts != 1 {
-            return None;
-        }
-        self.nack_sent_at
-            .take()
-            .map(|sent| now.saturating_since(sent))
-    }
-}
-
-/// Per-group send counter.
-#[derive(Debug, Default)]
-pub struct SendState {
-    last: u64,
-}
-
-impl SendState {
-    /// Allocate the next sequence number (first is 1).
-    pub fn allocate(&mut self) -> SeqNum {
-        self.last += 1;
-        SeqNum(self.last)
-    }
-
-    /// The sequence number of the most recent reliable message, carried by
-    /// Heartbeats and RetransmitRequests (§5).
-    pub fn last(&self) -> SeqNum {
-        SeqNum(self.last)
-    }
-}
-
-/// The any-holder retransmission buffer for one group.
-///
-/// Every reliable message — ours or anyone's — is retained until the ack
-/// timestamps prove every member has it (§6 buffer management). While
-/// retained, it can answer a RetransmitRequest from any processor.
-///
-/// One queue per source, sorted by sequence number (see the module doc for
-/// what each operation costs and the stamp-rises-with-seq invariant the
-/// front-first reclaim relies on). Each entry keeps the message's original
-/// wire bytes (sharing the received datagram's buffer — no copy on insert)
-/// and lazily materializes the retransmission form (same bytes with the
-/// retransmission flag bit set) at most once; subsequent retransmissions are
-/// reference-counted clones of that one buffer.
-#[derive(Debug, Default)]
-pub struct RetentionStore {
-    sources: BTreeMap<ProcessorId, VecDeque<(u64, Retained)>>,
-    /// Messages currently retained, over every source.
-    len: usize,
-    /// Bytes currently retained (payload accounting for experiment E6).
-    bytes: usize,
-    /// The stability point of the last full reclaim pass, while every
-    /// source's front is still known to be stamped above it: `None` once an
-    /// entry was inserted at or below it or an entry was dropped.
-    swept: Option<Timestamp>,
-    /// Entries [`reclaim_stable`](Self::reclaim_stable) has looked at (the
-    /// complexity guard's counter).
-    #[cfg(test)]
-    visits: usize,
-}
-
-#[derive(Debug)]
-struct Retained {
-    /// The message's send timestamp: stable, hence reclaimable, once every
-    /// member acknowledged past it.
-    ts: Timestamp,
-    /// The message exactly as it crossed (or will cross) the wire.
-    wire: Bytes,
-    /// Cached retransmission form: `wire` with the retransmission flag bit
-    /// set. Built on first use; cheap handle clones after that.
-    retx: Option<Bytes>,
-    /// Last time we retransmitted it (implosion suppression).
-    last_retransmit: Option<SimTime>,
-}
-
-impl Retained {
-    /// The retransmission form of the wire bytes, built at most once.
-    fn retx_bytes(&mut self) -> Bytes {
-        let wire = &self.wire;
-        self.retx
-            .get_or_insert_with(|| wire::retransmission_form(wire))
-            .clone()
-    }
-}
-
-/// A queue this small is never shrunk: a quiet source's queue empties and
-/// refills with every message and must not reallocate each time.
-pub(crate) const QUEUE_FLOOR: usize = 16;
-
-/// Give back a queue's spare capacity once its depth has fallen to a quarter
-/// of it, so a backlog a lagging member once pinned is not held for ever;
-/// the factor-of-two slack left keeps growth and shrinking from chasing each
-/// other.
-pub(crate) fn shrink<T>(q: &mut VecDeque<T>) {
-    if q.capacity() > QUEUE_FLOOR && q.len() < q.capacity() / 4 {
-        q.shrink_to((2 * q.len()).max(QUEUE_FLOOR));
-    }
-}
-
-impl RetentionStore {
-    /// Retain `source`'s message `seq`, stamped `ts`, as its encoded wire
-    /// bytes (idempotent): a `push_back` for an in-order arrival, a
-    /// binary-search insert otherwise.
-    pub fn insert(&mut self, source: ProcessorId, seq: u64, ts: Timestamp, wire: Bytes) {
-        let q = self.sources.entry(source).or_default();
-        let size = wire.len();
-        let entry = Retained {
-            ts,
-            wire,
-            retx: None,
-            last_retransmit: None,
-        };
-        match q.back() {
-            Some(&(last, _)) if last >= seq => match q.binary_search_by_key(&seq, |e| e.0) {
-                Ok(_) => return,
-                Err(at) => q.insert(at, (seq, entry)),
-            },
-            _ => q.push_back((seq, entry)),
-        }
-        if self.swept.is_some_and(|s| ts <= s) {
-            self.swept = None;
-        }
-        self.len += 1;
-        self.bytes += size;
-    }
-
-    fn entry(&self, source: ProcessorId, seq: u64) -> Option<&Retained> {
-        let q = self.sources.get(&source)?;
-        let at = q.binary_search_by_key(&seq, |e| e.0).ok()?;
-        Some(&q[at].1)
-    }
-
-    fn entry_mut(&mut self, source: ProcessorId, seq: u64) -> Option<&mut Retained> {
-        let q = self.sources.get_mut(&source)?;
-        let at = q.binary_search_by_key(&seq, |e| e.0).ok()?;
-        Some(&mut q[at].1)
-    }
-
-    /// Whether `(source, seq)` is retained.
-    pub fn contains(&self, source: ProcessorId, seq: u64) -> bool {
-        self.entry(source, seq).is_some()
-    }
-
-    /// The retransmission-form wire bytes of a retained message, without
-    /// touching the suppression window (used for proactive resends such as
-    /// sponsor-join and membership-notice retries).
-    pub fn retx_bytes(&mut self, source: ProcessorId, seq: u64) -> Option<Bytes> {
-        self.entry_mut(source, seq).map(Retained::retx_bytes)
-    }
-
-    /// The original (non-retransmission) wire bytes of a retained message —
-    /// a shared handle, no copy.
-    pub fn wire_bytes(&self, source: ProcessorId, seq: u64) -> Option<Bytes> {
-        self.entry(source, seq).map(|r| r.wire.clone())
-    }
-
-    /// Check the suppression window and, if clear, mark a retransmission of
-    /// `(source, seq)` at `now` and return the ready-to-send wire bytes
-    /// (retransmission flag set, buffer shared — no copy in steady state).
-    pub fn take_for_retransmit(
-        &mut self,
-        source: ProcessorId,
-        seq: u64,
-        now: SimTime,
-        suppress: SimDuration,
-    ) -> Option<Bytes> {
-        let r = self.entry_mut(source, seq)?;
-        if let Some(last) = r.last_retransmit {
-            if now.saturating_since(last) < suppress {
-                return None;
-            }
-        }
-        r.last_retransmit = Some(now);
-        Some(r.retx_bytes())
-    }
-
-    /// Reclaim every message with timestamp ≤ `stable`: all members have
-    /// acknowledged receiving everything up to `stable`, so no retransmission
-    /// can ever be needed (§6). Returns the number reclaimed.
-    ///
-    /// Each source's queue is popped from the front and left at its first
-    /// unstable entry, so the cost is what is reclaimed plus one look per
-    /// source. A stable entry queued behind an unstable one (stamps that do
-    /// not rise with sequence numbers) waits for it.
-    ///
-    /// Skip rule: a pass leaves every front stamped above the point it ran
-    /// at, and only stability passing that point, an insert at or below
-    /// it, or a drop can change that; with none of them since the last
-    /// pass, this returns 0 without looking at any queue. A pass at a lower
-    /// point (a joiner's zero ack pulls stability down) lowers the mark.
-    pub fn reclaim_stable(&mut self, stable: Timestamp) -> usize {
-        if self.swept.is_some_and(|s| stable <= s) {
-            debug_assert!(
-                self.sources
-                    .values()
-                    .all(|q| q.front().is_none_or(|(_, r)| r.ts > stable)),
-                "a skipped reclaim would reclaim"
-            );
-            return 0;
-        }
-        self.swept = Some(stable);
+    /// Reclaim every retained slot stamped at or below `stable`, front
+    /// first, stopping at the first retained slot that is not: released
+    /// slots leave the log, early arrivals stop being retained and keep
+    /// waiting. Returns the number reclaimed.
+    fn reclaim_stable(&mut self, stable: Timestamp) -> usize {
         let mut reclaimed = 0;
-        for q in self.sources.values_mut() {
-            let before = reclaimed;
-            while let Some((_, r)) = q.front() {
+        while let Some(s) = self.slots.front().filter(|s| s.seq < self.next_seq) {
+            #[cfg(test)]
+            {
+                self.visits += 1;
+            }
+            if s.ts > stable {
+                break;
+            }
+            self.slots.pop_front();
+            reclaimed += 1;
+        }
+        if reclaimed > 0 {
+            shrink(&mut self.slots);
+        }
+        if self.slots.front().is_some_and(|s| s.seq > self.next_seq) {
+            // Every released slot went: a stability point past a hole.
+            for s in self.slots.iter_mut().filter(|s| s.kept.is_some()) {
                 #[cfg(test)]
                 {
                     self.visits += 1;
                 }
-                if r.ts > stable {
+                if s.ts > stable {
                     break;
                 }
-                self.bytes -= r.wire.len();
-                q.pop_front();
+                s.kept = None;
                 reclaimed += 1;
             }
-            if reclaimed > before {
-                shrink(q);
-            }
         }
-        self.len -= reclaimed;
+        self.held -= reclaimed;
         reclaimed
     }
 
-    /// Drop retained messages from a removed/convicted source whose
-    /// sequence numbers exceed the agreed reconciliation target (`0`: all of
-    /// them — a restarting member's old incarnation).
-    pub fn drop_beyond(&mut self, source: ProcessorId, beyond: u64) {
-        let Some(q) = self.sources.get_mut(&source) else {
-            return;
-        };
-        while let Some((_, r)) = q.back().filter(|e| e.0 > beyond) {
-            self.bytes -= r.wire.len();
-            self.len -= 1;
-            self.swept = None;
-            q.pop_back();
+    /// Drop from retention every slot above `beyond`: released ones leave
+    /// the log, early arrivals keep waiting unretained. Returns the number
+    /// dropped.
+    fn drop_beyond(&mut self, beyond: u64) -> usize {
+        let mut dropped = 0;
+        for s in self.slots.iter_mut().filter(|s| s.seq > beyond) {
+            dropped += usize::from(s.kept.take().is_some());
         }
-        shrink(q);
+        self.forget_released();
+        shrink(&mut self.slots);
+        self.held -= dropped;
+        dropped
     }
 
-    /// Number of retained messages originated by `source` — for our own id
-    /// this is the unstable send backlog the flow-control window bounds.
-    pub fn held_by(&self, source: ProcessorId) -> usize {
-        self.sources.get(&source).map_or(0, VecDeque::len)
-    }
-
-    /// Number of retained messages.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Bytes currently retained.
-    pub fn bytes(&self) -> usize {
-        self.bytes
+    /// Take out of the log the released slots retention let go of.
+    fn forget_released(&mut self) {
+        let next = self.next_seq;
+        self.slots.retain(|s| s.kept.is_some() || s.seq >= next);
     }
 }
 
@@ -562,7 +472,7 @@ pub struct RmpCounters {
     pub msgs_out: u64,
     /// Duplicate arrivals discarded (own loopbacks excluded).
     pub duplicates: u64,
-    /// RetransmitRequests answered from the retention store.
+    /// RetransmitRequests answered from retention.
     pub retransmits_answered: u64,
     /// High-water mark of out-of-order messages buffered at once.
     pub reorder_depth_max: u64,
@@ -609,22 +519,35 @@ pub enum RmpOutput {
     },
 }
 
-/// The RMP sub-state-machine for one group: send counter, per-source
-/// receive windows and the any-holder retention store.
+/// The RMP sub-state-machine for one group: send counter and one log per
+/// source (receive window and any-holder retention in one).
+///
+/// Every reliable message — ours or anyone's — is retained until the ack
+/// timestamps prove every member has it (§6 buffer management). While
+/// retained, it can answer a RetransmitRequest from any processor.
 ///
 /// Sans-io: consumes [`RmpInput`]s, returns [`RmpOutput`]s; the composition
 /// shell turns NACK schedules and retransmission answers into datagrams.
 #[derive(Debug)]
 pub struct RmpLayer {
     self_id: ProcessorId,
-    send: SendState,
-    rx: BTreeMap<ProcessorId, SourceRx>,
-    retention: RetentionStore,
+    /// The sequence number of our most recent reliable send (0: none).
+    last_seq: u64,
+    logs: BTreeMap<ProcessorId, SourceLog>,
+    /// Retained slots, over every source: read on every heartbeat a member
+    /// might defer, so kept rather than summed.
+    len: usize,
+    /// Early arrivals waiting, over every source.
+    buffered: usize,
+    /// The stability point of the last full reclaim pass, while every
+    /// log's first retained slot is still known to be stamped above it:
+    /// `None` once a slot was retained at or below it or one was dropped.
+    swept: Option<Timestamp>,
     counters: RmpCounters,
-    /// Some window of a remote source may have a gap or an armed NACK. Set
-    /// whenever a reliable message or a header leaves a window with a gap;
+    /// Some log of a remote source may have a gap or an armed NACK. Set
+    /// whenever a reliable message or a header leaves a log with a gap;
     /// cleared only by a [`nack_requests`](Self::nack_requests) pass that
-    /// leaves every window with neither. While clear, such a pass would do
+    /// leaves every log with neither. While clear, such a pass would do
     /// nothing (DESIGN.md §4 "The busy tick").
     nacks_pending: bool,
 }
@@ -634,9 +557,11 @@ impl RmpLayer {
     pub fn new(self_id: ProcessorId) -> Self {
         RmpLayer {
             self_id,
-            send: SendState::default(),
-            rx: BTreeMap::new(),
-            retention: RetentionStore::default(),
+            last_seq: 0,
+            logs: BTreeMap::new(),
+            len: 0,
+            buffered: 0,
+            swept: None,
             counters: RmpCounters::default(),
             nacks_pending: false,
         }
@@ -644,109 +569,131 @@ impl RmpLayer {
 
     /// Allocate the next send sequence number (first is 1).
     pub fn allocate_seq(&mut self) -> SeqNum {
-        self.send.allocate()
+        self.last_seq += 1;
+        SeqNum(self.last_seq)
     }
 
-    /// The sequence number of our most recent reliable send.
+    /// The sequence number of our most recent reliable send, carried by
+    /// Heartbeats and RetransmitRequests (§5).
     pub fn last_seq(&self) -> SeqNum {
-        self.send.last()
+        SeqNum(self.last_seq)
     }
 
-    /// Feed one input through the layer.
+    /// Feed one input through the layer: [`receive`](Self::receive) or
+    /// [`note_header`](Self::note_header).
     pub fn handle(&mut self, input: RmpInput) -> RmpOutput {
         match input {
-            RmpInput::Reliable { msg, wire, own } => {
-                self.counters.msgs_in += 1;
-                let source = msg.source;
-                // Retain first: any-holder retransmission must cover
-                // buffered and duplicate arrivals too (idempotent).
-                self.retention.insert(source, msg.seq.0, msg.ts, wire);
-                let rx = self
-                    .rx
-                    .entry(source)
-                    .or_insert_with(|| SourceRx::starting_at(1));
-                let outcome = rx.on_reliable(msg);
-                self.nacks_pending |= rx.has_gap();
-                match outcome {
-                    RxOutcome::Duplicate => {
-                        if !own && source != self.self_id {
-                            self.counters.duplicates += 1;
-                        }
-                        RmpOutput::Duplicate
-                    }
-                    RxOutcome::Buffered => {
-                        let depth: u64 = self.rx.values().map(|r| r.buffered() as u64).sum();
-                        self.counters.reorder_depth_max =
-                            self.counters.reorder_depth_max.max(depth);
-                        RmpOutput::Buffered
-                    }
-                    RxOutcome::Delivered(run) => {
-                        self.counters.msgs_out += run.len() as u64;
-                        RmpOutput::Released(run)
-                    }
-                }
-            }
+            RmpInput::Reliable { msg, wire, own } => match self.receive(msg, wire, own).0 {
+                RxOutcome::Duplicate => RmpOutput::Duplicate,
+                RxOutcome::Buffered => RmpOutput::Buffered,
+                RxOutcome::Delivered(run) => RmpOutput::Released(run),
+            },
             RmpInput::HeaderSeq { source, seq } => RmpOutput::Noted {
                 contiguous: self.note_header(source, seq),
             },
         }
     }
 
+    fn log(&mut self, source: ProcessorId) -> &mut SourceLog {
+        self.logs
+            .entry(source)
+            .or_insert_with(|| SourceLog::starting_at(1))
+    }
+
+    /// [`RmpInput::Reliable`]: offer a reliable message and the wire bytes
+    /// it arrived in (its encoding: an early arrival is decoded from them
+    /// again when a gap fill releases it). Returns what the receive window
+    /// made of it, and whether this arrival retained it (the first copy of
+    /// a message not held, whatever the window says: any-holder
+    /// retransmission covers buffered and duplicate arrivals too).
+    pub fn receive(&mut self, msg: FtmpMessage, wire: Bytes, own: bool) -> (RxOutcome, bool) {
+        self.counters.msgs_in += 1;
+        let (source, ts) = (msg.source, msg.ts);
+        let log = self.log(source);
+        let (outcome, retained) = log.receive(msg, wire);
+        self.nacks_pending |= log.has_gap();
+        self.len += usize::from(retained);
+        if retained && self.swept.is_some_and(|s| ts <= s) {
+            self.swept = None;
+        }
+        match &outcome {
+            RxOutcome::Duplicate => {
+                if !own && source != self.self_id {
+                    self.counters.duplicates += 1;
+                }
+            }
+            RxOutcome::Buffered => {
+                self.buffered += 1;
+                self.counters.reorder_depth_max =
+                    self.counters.reorder_depth_max.max(self.buffered as u64);
+            }
+            RxOutcome::Delivered(run) => {
+                self.buffered -= run.len() - 1;
+                self.counters.msgs_out += run.len() as u64;
+            }
+        }
+        (outcome, retained)
+    }
+
     /// [`RmpInput::HeaderSeq`]: note that `source` has sent up to `seq`, and
     /// return its highest contiguously received sequence number.
     pub fn note_header(&mut self, source: ProcessorId, seq: SeqNum) -> u64 {
-        let rx = self
-            .rx
-            .entry(source)
-            .or_insert_with(|| SourceRx::starting_at(1));
-        rx.note_header_seq(seq);
-        self.nacks_pending |= rx.has_gap();
-        rx.contiguous()
+        let log = self.log(source);
+        log.highest_seen = log.highest_seen.max(seq.0);
+        let (gap, contiguous) = (log.has_gap(), log.contiguous());
+        self.nacks_pending |= gap;
+        contiguous
     }
 
-    /// Seed a receive window for `source` expecting the stream to start at
-    /// `first_seq` (joiner reconciliation, §7.1).
+    /// Start `source`'s log afresh, expecting the stream to start at
+    /// `first_seq`: a joiner's reconciliation (§7.1), or a member re-added
+    /// under the same id, whose new incarnation counts from 1 again and
+    /// whose old `(source, seq)` slots would shadow the new stream's.
+    /// Everything held of the old stream goes.
     pub fn seed_window(&mut self, source: ProcessorId, first_seq: u64) {
-        self.rx.insert(source, SourceRx::starting_at(first_seq));
+        let Some(old) = self.logs.insert(source, SourceLog::starting_at(first_seq)) else {
+            return;
+        };
+        // The old slots go whole, so no log is left with a first retained
+        // slot at or below the reclaim mark: the mark stands.
+        self.buffered -= old.slots.len() - old.early_from();
+        self.len -= old.held;
     }
 
     /// Highest contiguously received sequence number from `source` (0 when
     /// nothing is known about it).
     pub fn contiguous_of(&self, source: ProcessorId) -> u64 {
-        self.rx.get(&source).map(|rx| rx.contiguous()).unwrap_or(0)
+        self.logs.get(&source).map_or(0, SourceLog::contiguous)
     }
 
     /// RetransmitRequests issued for `source`'s current gap episode (0 when
     /// the stream is contiguous or unknown). Read by the telemetry hooks
     /// right after [`nack_requests`](Self::nack_requests) issues a request.
     pub fn nack_attempts_of(&self, source: ProcessorId) -> u32 {
-        self.rx
-            .get(&source)
-            .map(|rx| rx.nack_attempts())
-            .unwrap_or(0)
+        self.logs.get(&source).map_or(0, |log| log.nack_attempts)
     }
 
     /// Total out-of-order messages buffered across all sources.
     pub fn buffered_total(&self) -> usize {
-        self.rx.values().map(|rx| rx.buffered()).sum()
+        self.buffered
     }
 
     /// Highest contiguous sequence number for every source ever heard.
     pub fn contiguous_map(&self) -> BTreeMap<ProcessorId, u64> {
-        self.rx
+        self.logs
             .iter()
-            .map(|(&p, rx)| (p, rx.contiguous()))
+            .map(|(&p, log)| (p, log.contiguous()))
             .collect()
     }
 
-    /// False only while no remote source's window has a gap or an armed
+    /// False only while no remote source's log has a gap or an armed
     /// NACK, so that a [`nack_requests`](Self::nack_requests) pass would
     /// draw no jitter, issue nothing and lower no deadline.
     pub fn nacks_pending(&self) -> bool {
         debug_assert!(
             self.nacks_pending
-                || self.rx.iter().all(|(&source, rx)| {
-                    source == self.self_id || (!rx.has_gap() && rx.nack_at.is_none())
+                || self.logs.iter().all(|(&source, log)| {
+                    source == self.self_id || (!log.has_gap() && log.nack_at.is_none())
                 }),
             "a skipped NACK pass would act"
         );
@@ -756,9 +703,9 @@ impl RmpLayer {
     /// Run the NACK schedulers for every remote source and collect the
     /// missing ranges whose RetransmitRequests are due now. `jitter` is
     /// called once per gap episode, when the episode arms (randomness stays
-    /// in the shell); `retry` maps the window's current attempt count to its
+    /// in the shell); `retry` maps the log's current attempt count to its
     /// next re-issue delay, which is how the shell injects exponential
-    /// backoff. `next_due` is lowered to the earliest time a window with a
+    /// backoff. `next_due` is lowered to the earliest time a log with a
     /// gap checks again.
     pub fn nack_requests(
         &mut self,
@@ -771,18 +718,18 @@ impl RmpLayer {
         let self_id = self.self_id;
         let mut due = Vec::new();
         let mut pending = false;
-        for (&source, rx) in self.rx.iter_mut() {
+        for (&source, log) in self.logs.iter_mut() {
             if source == self_id {
                 continue;
             }
-            let r = retry(rx.nack_attempts());
-            if rx.nack_due(now, &mut jitter, r) {
-                let ranges = rx.missing_ranges(max_span);
+            let r = retry(log.nack_attempts);
+            if log.nack_due(now, &mut jitter, r) {
+                let ranges = log.missing_ranges(max_span);
                 if !ranges.is_empty() {
                     due.push((source, ranges));
                 }
             }
-            if let Some(at) = rx.nack_at {
+            if let Some(at) = log.nack_at {
                 *next_due = (*next_due).min(at);
                 pending = true;
             }
@@ -791,15 +738,24 @@ impl RmpLayer {
         due
     }
 
-    /// Offer an RTT sample for a retransmission just received from
-    /// `source`'s stream (see [`SourceRx::rtt_sample`]).
+    /// Offer an RTT sample: a retransmission of `source`'s stream arrived
+    /// at `now`. Returns the NACK→retransmission round-trip only when
+    /// exactly one request is outstanding (Karn's rule) and the gap is
+    /// still open (the retransmission answers *this* episode, not a
+    /// suppression-window echo of someone else's). Consumes the sample.
     pub fn rtt_sample_for(&mut self, source: ProcessorId, now: SimTime) -> Option<SimDuration> {
-        self.rx.get_mut(&source)?.rtt_sample(now)
+        let log = self.logs.get_mut(&source)?;
+        if !log.has_gap() || log.nack_attempts != 1 {
+            return None;
+        }
+        let sent = log.nack_sent_at.take()?;
+        Some(now.saturating_since(sent))
     }
 
-    /// Answer a RetransmitRequest for `(source, seq)` from the retention
-    /// store, honoring the implosion-suppression window. Returns the
-    /// ready-to-send retransmission bytes.
+    /// Answer a RetransmitRequest for `(source, seq)` from retention,
+    /// honoring the implosion-suppression window: if clear, mark a
+    /// retransmission at `now` and return the ready-to-send bytes
+    /// (retransmission flag set, buffer shared — no copy in steady state).
     pub fn answer_retransmit(
         &mut self,
         source: ProcessorId,
@@ -807,21 +763,110 @@ impl RmpLayer {
         now: SimTime,
         suppress: SimDuration,
     ) -> Option<Bytes> {
-        let b = self
-            .retention
-            .take_for_retransmit(source, seq, now, suppress)?;
+        let log = self.logs.get_mut(&source)?;
+        let at = log.find(seq)?;
+        let slot = &mut log.slots[at];
+        let kept = slot.kept.as_mut()?;
+        if kept
+            .last_retransmit
+            .is_some_and(|last| now.saturating_since(last) < suppress)
+        {
+            return None;
+        }
+        kept.last_retransmit = Some(now);
         self.counters.retransmits_answered += 1;
-        Some(b)
+        slot.retx_bytes()
     }
 
-    /// The any-holder retention store (reclamation and notice lookups).
-    pub fn retention(&self) -> &RetentionStore {
-        &self.retention
+    /// The retransmission-form wire bytes of a retained message, without
+    /// touching the suppression window (used for proactive resends such as
+    /// sponsor-join and membership-notice retries).
+    pub fn retx_bytes(&mut self, source: ProcessorId, seq: u64) -> Option<Bytes> {
+        let log = self.logs.get_mut(&source)?;
+        let at = log.find(seq)?;
+        log.slots[at].retx_bytes()
     }
 
-    /// Mutable access to the retention store.
-    pub fn retention_mut(&mut self) -> &mut RetentionStore {
-        &mut self.retention
+    /// The original (non-retransmission) wire bytes of a retained message —
+    /// a shared handle, no copy.
+    pub fn wire_bytes(&self, source: ProcessorId, seq: u64) -> Option<Bytes> {
+        let log = self.logs.get(&source)?;
+        let slot = &log.slots[log.find(seq)?];
+        slot.kept.as_ref().map(|_| slot.wire.clone())
+    }
+
+    /// Reclaim every retained message with timestamp ≤ `stable`: all
+    /// members have acknowledged receiving everything up to `stable`, so no
+    /// retransmission can ever be needed (§6). Returns the number
+    /// reclaimed.
+    ///
+    /// Each log is reclaimed from the front and left at its first unstable
+    /// retained slot, so the cost is what is reclaimed plus one look per
+    /// source. A stable slot behind an unstable one (stamps that do not
+    /// rise with sequence numbers) waits for it.
+    ///
+    /// Skip rule: a pass leaves every log's first retained slot stamped
+    /// above the point it ran at, and only stability passing that point, a
+    /// slot retained at or below it, or a drop can change that; with none
+    /// of them since the last pass, or nothing retained at all, this
+    /// returns 0 without looking at any log (a log is kept for every
+    /// source heard, retaining or not). A pass at a lower point (a
+    /// joiner's zero ack pulls stability down) lowers the mark.
+    pub fn reclaim_stable(&mut self, stable: Timestamp) -> usize {
+        if self.len == 0 || self.swept.is_some_and(|s| stable <= s) {
+            debug_assert!(
+                self.logs.values().all(|log| {
+                    let first = log.slots.iter().find(|s| s.kept.is_some());
+                    first.is_none_or(|s| s.ts > stable)
+                }),
+                "a skipped reclaim would reclaim"
+            );
+            return 0;
+        }
+        self.swept = Some(stable);
+        let reclaimed = self
+            .logs
+            .values_mut()
+            .filter(|log| log.held > 0)
+            .map(|log| log.reclaim_stable(stable))
+            .sum();
+        self.len -= reclaimed;
+        reclaimed
+    }
+
+    /// Drop what is retained of a convicted source above the agreed
+    /// reconciliation target `beyond` (the module doc's "Retained, or only
+    /// waiting": early arrivals above it keep waiting in the window).
+    pub fn drop_beyond(&mut self, source: ProcessorId, beyond: u64) {
+        let Some(log) = self.logs.get_mut(&source) else {
+            return;
+        };
+        let dropped = log.drop_beyond(beyond);
+        if dropped > 0 {
+            self.len -= dropped;
+            self.swept = None;
+        }
+    }
+
+    /// Number of retained messages originated by `source` — for our own id
+    /// this is the unstable send backlog the flow-control window bounds.
+    pub fn held_by(&self, source: ProcessorId) -> usize {
+        self.logs.get(&source).map_or(0, |log| log.held)
+    }
+
+    /// Number of retained messages, over every source.
+    pub fn retained_len(&self) -> usize {
+        self.len
+    }
+
+    /// Bytes currently retained (payload accounting for experiment E6):
+    /// a walk over every slot, for the metrics only.
+    pub fn retained_bytes(&self) -> usize {
+        let slots = self.logs.values().flat_map(|log| &log.slots);
+        slots
+            .filter(|s| s.kept.is_some())
+            .map(|s| s.wire.len())
+            .sum()
     }
 
     /// This layer's traffic counters.
@@ -862,73 +907,91 @@ mod tests {
         FtmpHeader::decode(wire).unwrap().0.retransmission
     }
 
-    fn retain(store: &mut RetentionStore, m: &FtmpMessage) {
-        store.insert(m.source, m.seq.0, m.ts, wire_of(m));
+    /// Header evidence that `log`'s source has sent up to `seq`.
+    fn claim(log: &mut SourceLog, seq: SeqNum) {
+        log.highest_seen = log.highest_seen.max(seq.0);
+    }
+
+    /// Offer `m` to one source's log.
+    fn offer(log: &mut SourceLog, m: FtmpMessage) -> RxOutcome {
+        let wire = wire_of(&m);
+        log.receive(m, wire).0
+    }
+
+    /// Offer `m` to a layer as a peer's message.
+    fn retain(layer: &mut RmpLayer, m: &FtmpMessage) -> RxOutcome {
+        layer.receive(m.clone(), wire_of(m), false).0
+    }
+
+    fn held(layer: &RmpLayer, src: u32, seq: u64) -> bool {
+        layer.wire_bytes(ProcessorId(src), seq).is_some()
     }
 
     #[test]
     fn in_order_stream_delivers_immediately() {
-        let mut rx = SourceRx::starting_at(1);
+        let mut log = SourceLog::starting_at(1);
         for seq in 1..=5 {
-            match rx.on_reliable(msg(1, seq, seq * 10)) {
+            match offer(&mut log, msg(1, seq, seq * 10)) {
                 RxOutcome::Delivered(run) => assert_eq!(run.len(), 1),
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert_eq!(rx.contiguous(), 5);
-        assert!(!rx.has_gap());
+        assert_eq!(log.contiguous(), 5);
+        assert!(!log.has_gap());
     }
 
     #[test]
     fn gap_buffers_then_releases_run() {
-        let mut rx = SourceRx::starting_at(1);
-        assert_eq!(rx.on_reliable(msg(1, 2, 20)), RxOutcome::Buffered);
-        assert_eq!(rx.on_reliable(msg(1, 3, 30)), RxOutcome::Buffered);
-        assert!(rx.has_gap());
-        match rx.on_reliable(msg(1, 1, 10)) {
+        let mut log = SourceLog::starting_at(1);
+        assert_eq!(offer(&mut log, msg(1, 2, 20)), RxOutcome::Buffered);
+        assert_eq!(offer(&mut log, msg(1, 3, 30)), RxOutcome::Buffered);
+        assert!(log.has_gap());
+        match offer(&mut log, msg(1, 1, 10)) {
             RxOutcome::Delivered(run) => {
                 let seqs: Vec<u64> = run.iter().map(|m| m.seq.0).collect();
                 assert_eq!(seqs, vec![1, 2, 3]);
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(!rx.has_gap());
-        assert_eq!(rx.buffered(), 0);
+        assert!(!log.has_gap());
+        assert_eq!(log.early_from(), log.slots.len(), "nothing waits");
+        assert!(log.slots.iter().all(|s| s.kept.is_some()));
     }
 
     #[test]
     fn duplicates_detected() {
-        let mut rx = SourceRx::starting_at(1);
-        rx.on_reliable(msg(1, 1, 10));
-        assert_eq!(rx.on_reliable(msg(1, 1, 10)), RxOutcome::Duplicate);
-        rx.on_reliable(msg(1, 3, 30));
-        assert_eq!(rx.on_reliable(msg(1, 3, 30)), RxOutcome::Duplicate);
+        let mut log = SourceLog::starting_at(1);
+        offer(&mut log, msg(1, 1, 10));
+        assert_eq!(offer(&mut log, msg(1, 1, 10)), RxOutcome::Duplicate);
+        offer(&mut log, msg(1, 3, 30));
+        assert_eq!(offer(&mut log, msg(1, 3, 30)), RxOutcome::Duplicate);
+        assert_eq!(log.slots.len(), 2, "one slot per message");
     }
 
     #[test]
     fn heartbeat_seq_reveals_gap() {
-        let mut rx = SourceRx::starting_at(1);
-        rx.on_reliable(msg(1, 1, 10));
-        assert!(!rx.has_gap());
-        rx.note_header_seq(SeqNum(4));
-        assert!(rx.has_gap());
-        assert_eq!(rx.missing_ranges(64), vec![(2, 4)]);
+        let mut log = SourceLog::starting_at(1);
+        offer(&mut log, msg(1, 1, 10));
+        assert!(!log.has_gap());
+        claim(&mut log, SeqNum(4));
+        assert!(log.has_gap());
+        assert_eq!(log.missing_ranges(64), vec![(2, 4)]);
     }
 
     #[test]
     fn missing_ranges_split_around_buffered() {
-        let mut rx = SourceRx::starting_at(1);
-        rx.on_reliable(msg(1, 3, 30));
-        rx.on_reliable(msg(1, 6, 60));
-        rx.note_header_seq(SeqNum(8));
-        assert_eq!(rx.missing_ranges(64), vec![(1, 2), (4, 5), (7, 8)]);
+        let mut log = SourceLog::starting_at(1);
+        offer(&mut log, msg(1, 3, 30));
+        offer(&mut log, msg(1, 6, 60));
+        claim(&mut log, SeqNum(8));
+        assert_eq!(log.missing_ranges(64), vec![(1, 2), (4, 5), (7, 8)]);
     }
 
     #[test]
     fn missing_ranges_capped_by_span() {
-        let mut rx = SourceRx::starting_at(1);
-        rx.note_header_seq(SeqNum(10));
-        assert_eq!(rx.missing_ranges(4), vec![(1, 4), (5, 8), (9, 10)]);
+        let mut log = SourceLog::starting_at(1);
+        claim(&mut log, SeqNum(10));
+        assert_eq!(log.missing_ranges(4), vec![(1, 4), (5, 8), (9, 10)]);
     }
 
     /// A header's sequence number is a claim, not a fact: whatever it says,
@@ -937,237 +1000,240 @@ mod tests {
     #[test]
     fn missing_ranges_bounded_by_count_whatever_a_header_claims() {
         for wild in [1u64 << 60, u64::MAX] {
-            let mut rx = SourceRx::starting_at(1);
-            rx.on_reliable(msg(1, 1, 10));
-            rx.on_reliable(msg(1, 4, 40));
-            rx.note_header_seq(SeqNum(wild));
-            let ranges = rx.missing_ranges(64);
+            let mut log = SourceLog::starting_at(1);
+            offer(&mut log, msg(1, 1, 10));
+            offer(&mut log, msg(1, 4, 40));
+            claim(&mut log, SeqNum(wild));
+            let ranges = log.missing_ranges(64);
             assert_eq!(ranges.len(), MAX_NACK_RANGES);
             assert_eq!(ranges[..3], [(2, 3), (5, 68), (69, 132)]);
             assert!(ranges.windows(2).all(|w| w[0].1 < w[1].0));
             assert!(ranges.iter().all(|&(a, b)| a <= b && b - a < 64));
         }
         // The far end itself, with a span that covers everything.
-        let mut rx = SourceRx::starting_at(1);
-        rx.note_header_seq(SeqNum(u64::MAX));
-        assert_eq!(rx.missing_ranges(u64::MAX), vec![(1, u64::MAX)]);
-        assert_eq!(rx.on_reliable(msg(1, u64::MAX, 9)), RxOutcome::Buffered);
-        assert_eq!(rx.missing_ranges(u64::MAX), vec![(1, u64::MAX - 1)]);
-        assert_eq!(rx.missing_ranges(0).len(), MAX_NACK_RANGES);
+        let mut log = SourceLog::starting_at(1);
+        claim(&mut log, SeqNum(u64::MAX));
+        assert_eq!(log.missing_ranges(u64::MAX), vec![(1, u64::MAX)]);
+        assert_eq!(offer(&mut log, msg(1, u64::MAX, 9)), RxOutcome::Buffered);
+        assert_eq!(log.missing_ranges(u64::MAX), vec![(1, u64::MAX - 1)]);
+        assert_eq!(log.missing_ranges(0).len(), MAX_NACK_RANGES);
     }
 
     #[test]
     fn joiner_window_starts_after_cited_seq() {
-        let mut rx = SourceRx::starting_at(6);
-        assert_eq!(rx.contiguous(), 5);
-        assert!(!rx.has_gap());
-        match rx.on_reliable(msg(1, 6, 60)) {
+        let mut log = SourceLog::starting_at(6);
+        assert_eq!(log.contiguous(), 5);
+        assert!(!log.has_gap());
+        match offer(&mut log, msg(1, 6, 60)) {
             RxOutcome::Delivered(run) => assert_eq!(run.iter().next().unwrap().seq.0, 6),
             other => panic!("unexpected {other:?}"),
         }
         // Old traffic is a duplicate, not a gap trigger.
-        assert_eq!(rx.on_reliable(msg(1, 2, 20)), RxOutcome::Duplicate);
+        assert_eq!(offer(&mut log, msg(1, 2, 20)), RxOutcome::Duplicate);
     }
 
     #[test]
     fn nack_scheduling_jitter_then_retry() {
-        let mut rx = SourceRx::starting_at(1);
-        rx.note_header_seq(SeqNum(3));
+        let mut log = SourceLog::starting_at(1);
+        claim(&mut log, SeqNum(3));
         let jitter = SimDuration::from_millis(2);
         let retry = SimDuration::from_millis(8);
         // First call arms the timer, does not fire.
-        assert!(!rx.nack_due(SimTime(0), || jitter, retry));
+        assert!(!log.nack_due(SimTime(0), || jitter, retry));
         // Before the jitter elapses: no fire.
-        assert!(!rx.nack_due(SimTime(1_000), || jitter, retry));
+        assert!(!log.nack_due(SimTime(1_000), || jitter, retry));
         // After: fire once, rearmed at +retry.
-        assert!(rx.nack_due(SimTime(2_500), || jitter, retry));
-        assert!(!rx.nack_due(SimTime(3_000), || jitter, retry));
-        assert!(rx.nack_due(SimTime(11_000), || jitter, retry));
+        assert!(log.nack_due(SimTime(2_500), || jitter, retry));
+        assert!(!log.nack_due(SimTime(3_000), || jitter, retry));
+        assert!(log.nack_due(SimTime(11_000), || jitter, retry));
         // Gap fills: no more NACKs.
-        rx.on_reliable(msg(1, 1, 1));
-        rx.on_reliable(msg(1, 2, 2));
-        rx.on_reliable(msg(1, 3, 3));
-        assert!(!rx.nack_due(SimTime(30_000), || jitter, retry));
+        offer(&mut log, msg(1, 1, 1));
+        offer(&mut log, msg(1, 2, 2));
+        offer(&mut log, msg(1, 3, 3));
+        assert!(!log.nack_due(SimTime(30_000), || jitter, retry));
     }
 
     #[test]
     fn karn_rule_samples_only_single_outstanding_nack() {
-        let jitter = SimDuration::from_millis(0);
-        let retry = SimDuration::from_millis(8);
+        let p = ProcessorId(1);
+        let pass = |layer: &mut RmpLayer, at: u64| {
+            let zero = || SimDuration::from_millis(0);
+            let retry = |_| SimDuration::from_millis(8);
+            let mut next = SimTime(u64::MAX);
+            layer
+                .nack_requests(SimTime(at), 64, zero, retry, &mut next)
+                .len()
+        };
         // One outstanding request: the answer is an unambiguous sample.
-        let mut rx = SourceRx::starting_at(1);
-        rx.note_header_seq(SeqNum(2));
-        assert!(!rx.nack_due(SimTime(0), || jitter, retry)); // arm
-        assert!(rx.nack_due(SimTime(1_000), || jitter, retry)); // fire #1
-        let s = rx.rtt_sample(SimTime(4_500)).expect("one NACK outstanding");
-        assert_eq!(s.as_micros(), 3_500);
+        let mut layer = RmpLayer::new(ProcessorId(9));
+        layer.note_header(p, SeqNum(2));
+        assert_eq!(pass(&mut layer, 0), 0, "arm");
+        assert_eq!(pass(&mut layer, 1_000), 1, "fire #1");
+        let s = layer.rtt_sample_for(p, SimTime(4_500));
+        assert_eq!(s.expect("one NACK outstanding").as_micros(), 3_500);
         // The sample is consumed: a second retransmission gives nothing.
-        assert!(rx.rtt_sample(SimTime(5_000)).is_none());
+        assert!(layer.rtt_sample_for(p, SimTime(5_000)).is_none());
 
         // Two outstanding requests: ambiguous, Karn discards.
-        let mut rx = SourceRx::starting_at(1);
-        rx.note_header_seq(SeqNum(2));
-        assert!(!rx.nack_due(SimTime(0), || jitter, retry));
-        assert!(rx.nack_due(SimTime(1_000), || jitter, retry)); // fire #1
-        assert!(rx.nack_due(SimTime(20_000), || jitter, retry)); // fire #2
-        assert!(rx.rtt_sample(SimTime(21_000)).is_none());
+        let mut layer = RmpLayer::new(ProcessorId(9));
+        layer.note_header(p, SeqNum(2));
+        pass(&mut layer, 0);
+        assert_eq!(pass(&mut layer, 1_000), 1, "fire #1");
+        assert_eq!(pass(&mut layer, 20_000), 1, "fire #2");
+        assert!(layer.rtt_sample_for(p, SimTime(21_000)).is_none());
 
         // No gap (suppression-window echo of someone else's NACK): no sample.
-        let mut rx = SourceRx::starting_at(1);
-        rx.on_reliable(msg(1, 1, 1));
-        assert!(rx.rtt_sample(SimTime(9_000)).is_none());
+        let mut layer = RmpLayer::new(ProcessorId(9));
+        retain(&mut layer, &msg(1, 1, 1));
+        assert!(layer.rtt_sample_for(p, SimTime(9_000)).is_none());
     }
 
     #[test]
     fn nack_attempts_reset_when_gap_closes() {
         let jitter = SimDuration::from_millis(0);
         let retry = SimDuration::from_millis(8);
-        let mut rx = SourceRx::starting_at(1);
-        rx.note_header_seq(SeqNum(2));
-        assert!(!rx.nack_due(SimTime(0), || jitter, retry));
-        assert!(rx.nack_due(SimTime(1_000), || jitter, retry));
-        assert!(rx.nack_due(SimTime(20_000), || jitter, retry));
-        assert_eq!(rx.nack_attempts(), 2);
-        rx.on_reliable(msg(1, 1, 1));
-        rx.on_reliable(msg(1, 2, 2));
-        assert_eq!(rx.nack_attempts(), 0);
+        let mut log = SourceLog::starting_at(1);
+        claim(&mut log, SeqNum(2));
+        assert!(!log.nack_due(SimTime(0), || jitter, retry));
+        assert!(log.nack_due(SimTime(1_000), || jitter, retry));
+        assert!(log.nack_due(SimTime(20_000), || jitter, retry));
+        assert_eq!(log.nack_attempts, 2);
+        offer(&mut log, msg(1, 1, 1));
+        offer(&mut log, msg(1, 2, 2));
+        assert_eq!(log.nack_attempts, 0);
     }
 
     #[test]
     fn nack_attempts_reset_when_a_retransmission_advances_an_open_gap() {
         let jitter = SimDuration::from_millis(0);
         let retry = SimDuration::from_millis(8);
-        let mut rx = SourceRx::starting_at(1);
-        rx.note_header_seq(SeqNum(9));
-        assert!(!rx.nack_due(SimTime(0), || jitter, retry));
-        assert!(rx.nack_due(SimTime(1_000), || jitter, retry));
-        assert!(rx.nack_due(SimTime(20_000), || jitter, retry));
+        let mut log = SourceLog::starting_at(1);
+        claim(&mut log, SeqNum(9));
+        assert!(!log.nack_due(SimTime(0), || jitter, retry));
+        assert!(log.nack_due(SimTime(1_000), || jitter, retry));
+        assert!(log.nack_due(SimTime(20_000), || jitter, retry));
         // Fresh in-order traffic behind a claimed gap is not an answer.
-        rx.on_reliable(msg(1, 1, 1));
-        assert_eq!(rx.nack_attempts(), 2);
+        offer(&mut log, msg(1, 1, 1));
+        assert_eq!(log.nack_attempts, 2);
         // A retransmission that moves the frontier is, though a gap stays.
         let mut answer = msg(1, 2, 2);
         answer.retransmission = true;
-        rx.on_reliable(answer);
-        assert!(rx.has_gap());
-        assert_eq!(rx.nack_attempts(), 0);
+        offer(&mut log, answer);
+        assert!(log.has_gap());
+        assert_eq!(log.nack_attempts, 0);
     }
 
     #[test]
     fn retention_held_by_counts_per_source() {
-        let mut store = RetentionStore::default();
+        let mut layer = RmpLayer::new(ProcessorId(9));
         for m in [msg(1, 1, 10), msg(1, 2, 20), msg(2, 1, 15)] {
-            retain(&mut store, &m);
+            retain(&mut layer, &m);
         }
-        assert_eq!(store.held_by(ProcessorId(1)), 2);
-        assert_eq!(store.held_by(ProcessorId(2)), 1);
-        assert_eq!(store.held_by(ProcessorId(3)), 0);
+        assert_eq!(layer.held_by(ProcessorId(1)), 2);
+        assert_eq!(layer.held_by(ProcessorId(2)), 1);
+        assert_eq!(layer.held_by(ProcessorId(3)), 0);
     }
 
     #[test]
-    fn send_state_counts_from_one() {
-        let mut s = SendState::default();
-        assert_eq!(s.last(), SeqNum(0));
-        assert_eq!(s.allocate(), SeqNum(1));
-        assert_eq!(s.allocate(), SeqNum(2));
-        assert_eq!(s.last(), SeqNum(2));
+    fn send_sequence_numbers_count_from_one() {
+        let mut layer = RmpLayer::new(ProcessorId(9));
+        assert_eq!(layer.last_seq(), SeqNum(0));
+        assert_eq!(layer.allocate_seq(), SeqNum(1));
+        assert_eq!(layer.allocate_seq(), SeqNum(2));
+        assert_eq!(layer.last_seq(), SeqNum(2));
     }
 
     #[test]
     fn retention_insert_get_reclaim() {
-        let mut store = RetentionStore::default();
+        let mut layer = RmpLayer::new(ProcessorId(9));
         for m in [msg(1, 1, 10), msg(1, 2, 20), msg(2, 1, 15)] {
-            retain(&mut store, &m);
+            assert!(layer.receive(m.clone(), wire_of(&m), false).1, "retained");
         }
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.bytes(), 3 * FTMP_HEADER_LEN);
-        assert!(store.contains(ProcessorId(1), 2));
-        // Idempotent insert does not double count.
+        assert_eq!(layer.retained_len(), 3);
+        assert_eq!(layer.retained_bytes(), 3 * FTMP_HEADER_LEN);
+        assert!(held(&layer, 1, 2));
+        // A second copy is not retained again and does not double count.
         let dup = msg(1, 1, 10);
-        retain(&mut store, &dup);
-        assert_eq!(store.bytes(), 3 * FTMP_HEADER_LEN);
+        assert!(!layer.receive(dup.clone(), wire_of(&dup), false).1);
+        assert_eq!(layer.retained_bytes(), 3 * FTMP_HEADER_LEN);
         // Stability at ts 15 reclaims ts 10 and 15.
-        let n = store.reclaim_stable(Timestamp(15));
+        let n = layer.reclaim_stable(Timestamp(15));
         assert_eq!(n, 2);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.bytes(), FTMP_HEADER_LEN);
-        assert!(store.contains(ProcessorId(1), 2));
+        assert_eq!(layer.retained_len(), 1);
+        assert_eq!(layer.retained_bytes(), FTMP_HEADER_LEN);
+        assert!(held(&layer, 1, 2));
+        // A late copy of a reclaimed message is retained again.
+        assert!(layer.receive(dup.clone(), wire_of(&dup), false).1);
+        assert_eq!(layer.retained_len(), 2);
     }
 
     #[test]
     fn retransmit_suppression_window() {
-        let mut store = RetentionStore::default();
-        let m = msg(1, 1, 10);
-        retain(&mut store, &m);
+        let mut layer = RmpLayer::new(ProcessorId(9));
+        retain(&mut layer, &msg(1, 1, 10));
         let sup = SimDuration::from_millis(4);
-        assert!(store
-            .take_for_retransmit(ProcessorId(1), 1, SimTime(0), sup)
-            .is_some());
+        let mut answer = |at| layer.answer_retransmit(ProcessorId(1), 1, SimTime(at), sup);
+        assert!(answer(0).is_some());
         // Within the window: suppressed.
-        assert!(store
-            .take_for_retransmit(ProcessorId(1), 1, SimTime(2_000), sup)
-            .is_none());
+        assert!(answer(2_000).is_none());
         // After: allowed again.
-        assert!(store
-            .take_for_retransmit(ProcessorId(1), 1, SimTime(5_000), sup)
-            .is_some());
+        assert!(answer(5_000).is_some());
         // Unknown message: none.
-        assert!(store
-            .take_for_retransmit(ProcessorId(9), 1, SimTime(0), sup)
+        assert!(layer
+            .answer_retransmit(ProcessorId(9), 1, SimTime(0), sup)
             .is_none());
+        assert_eq!(layer.counters().retransmits_answered, 2);
     }
 
     #[test]
     fn drop_beyond_discards_tail() {
-        let mut store = RetentionStore::default();
+        let mut layer = RmpLayer::new(ProcessorId(9));
         for seq in 1..=5 {
-            let m = msg(1, seq, seq * 10);
-            retain(&mut store, &m);
+            retain(&mut layer, &msg(1, seq, seq * 10));
         }
-        let m = msg(2, 1, 10);
-        retain(&mut store, &m);
-        store.drop_beyond(ProcessorId(1), 3);
-        assert_eq!(store.len(), 4);
-        assert!(store.contains(ProcessorId(1), 3));
-        assert!(!store.contains(ProcessorId(1), 4));
-        assert!(store.contains(ProcessorId(2), 1));
-        assert_eq!(store.bytes(), 4 * FTMP_HEADER_LEN);
+        retain(&mut layer, &msg(2, 1, 10));
+        layer.drop_beyond(ProcessorId(1), 3);
+        assert_eq!(layer.retained_len(), 4);
+        assert!(held(&layer, 1, 3));
+        assert!(!held(&layer, 1, 4));
+        assert!(held(&layer, 2, 1));
+        assert_eq!(layer.retained_bytes(), 4 * FTMP_HEADER_LEN);
     }
 
     #[test]
     fn retransmission_bytes_built_once_then_shared() {
-        let mut store = RetentionStore::default();
+        let mut layer = RmpLayer::new(ProcessorId(9));
         let m = msg(1, 1, 10);
         let w = wire_of(&m);
         assert!(!retransmission(&w));
-        store.insert(m.source, m.seq.0, m.ts, w);
+        layer.receive(m, w, false);
         let sup = SimDuration::from_millis(0);
-        let b1 = store
-            .take_for_retransmit(ProcessorId(1), 1, SimTime(0), sup)
+        let b1 = layer
+            .answer_retransmit(ProcessorId(1), 1, SimTime(0), sup)
             .unwrap();
         // Round-trips as the same message with the retransmission flag.
         let decoded = FtmpMessage::decode_shared(&b1).unwrap();
         assert!(decoded.retransmission);
         assert_eq!(decoded.seq, SeqNum(1));
         // The second answer is the SAME buffer — pointer-equal, no copy.
-        let b2 = store
-            .take_for_retransmit(ProcessorId(1), 1, SimTime(10_000), sup)
+        let b2 = layer
+            .answer_retransmit(ProcessorId(1), 1, SimTime(10_000), sup)
             .unwrap();
         assert_eq!(b1.as_ref().as_ptr(), b2.as_ref().as_ptr());
-        let b3 = store.retx_bytes(ProcessorId(1), 1).unwrap();
+        let b3 = layer.retx_bytes(ProcessorId(1), 1).unwrap();
         assert_eq!(b1.as_ref().as_ptr(), b3.as_ref().as_ptr());
     }
 
     #[test]
     fn received_retransmission_reuses_wire_buffer_directly() {
-        let mut store = RetentionStore::default();
+        let mut layer = RmpLayer::new(ProcessorId(9));
         let mut m = msg(1, 1, 10);
         m.retransmission = true;
         let w = m.encode(ByteOrder::Big);
         assert!(retransmission(&w));
         let wire_ptr = w.as_ref().as_ptr();
-        store.insert(m.source, m.seq.0, m.ts, w);
-        let b = store.retx_bytes(ProcessorId(1), 1).unwrap();
+        layer.receive(m, w, false);
+        let b = layer.retx_bytes(ProcessorId(1), 1).unwrap();
         // Already in retransmission form: zero materialization, shares the
         // received datagram's buffer.
         assert_eq!(b.as_ref().as_ptr(), wire_ptr);
@@ -1192,6 +1258,7 @@ mod tests {
             offer(&mut layer, msg(1, 3, 30)),
             RmpOutput::Buffered
         ));
+        assert_eq!(layer.buffered_total(), 2);
         // Header evidence shows seq 3 exists; contiguous is still 0.
         match layer.handle(RmpInput::HeaderSeq {
             source: ProcessorId(1),
@@ -1208,6 +1275,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        assert_eq!(layer.buffered_total(), 0);
         assert!(matches!(
             offer(&mut layer, msg(1, 2, 20)),
             RmpOutput::Duplicate
@@ -1222,20 +1290,8 @@ mod tests {
     #[test]
     fn rmp_layer_nacks_then_answers_retransmit() {
         let mut layer = RmpLayer::new(ProcessorId(2));
-        let m = msg(1, 1, 10);
-        let w = wire_of(&m);
-        layer.handle(RmpInput::Reliable {
-            msg: m,
-            wire: w,
-            own: false,
-        });
-        let m3 = msg(1, 3, 30);
-        let w3 = wire_of(&m3);
-        layer.handle(RmpInput::Reliable {
-            msg: m3,
-            wire: w3,
-            own: false,
-        });
+        retain(&mut layer, &msg(1, 1, 10));
+        retain(&mut layer, &msg(1, 3, 30));
         let retry = |_attempts: u32| SimDuration::from_millis(8);
         let zero_jitter = || SimDuration::from_millis(0);
         // First pass arms the per-source NACK timer.
@@ -1265,18 +1321,9 @@ mod tests {
     fn nack_jitter_is_drawn_once_per_gap_episode() {
         let mut layer = RmpLayer::new(ProcessorId(9));
         // Source 1 claims seq 3 and nothing has arrived: a gap. Source 2's
-        // window is level: no gap.
-        layer.handle(RmpInput::HeaderSeq {
-            source: ProcessorId(1),
-            seq: SeqNum(3),
-        });
-        let m = msg(2, 1, 10);
-        let w = wire_of(&m);
-        layer.handle(RmpInput::Reliable {
-            msg: m,
-            wire: w,
-            own: false,
-        });
+        // log is level: no gap.
+        layer.note_header(ProcessorId(1), SeqNum(3));
+        retain(&mut layer, &msg(2, 1, 10));
         let retry = |_attempts: u32| SimDuration::from_millis(8);
         let mut draws = 0;
         let mut pass = |layer: &mut RmpLayer, at: u64| {
@@ -1293,19 +1340,10 @@ mod tests {
         assert_eq!(pass(&mut layer, 2_500), (1, 0), "first request");
         assert_eq!(pass(&mut layer, 11_000), (1, 0), "a re-issue");
         for seq in 1..=3 {
-            let m = msg(1, seq, seq);
-            let w = wire_of(&m);
-            layer.handle(RmpInput::Reliable {
-                msg: m,
-                wire: w,
-                own: false,
-            });
+            retain(&mut layer, &msg(1, seq, seq));
         }
         assert_eq!(pass(&mut layer, 12_000), (0, 0), "gap closed");
-        layer.handle(RmpInput::HeaderSeq {
-            source: ProcessorId(1),
-            seq: SeqNum(5),
-        });
+        layer.note_header(ProcessorId(1), SeqNum(5));
         assert_eq!(pass(&mut layer, 13_000), (0, 1), "a new episode arms");
     }
 
@@ -1314,10 +1352,10 @@ mod tests {
         /// 1..=n in order, with no duplicates.
         #[test]
         fn prop_source_order_restored(perm in proptest::sample::subsequence((1u64..=20).collect::<Vec<_>>(), 20).prop_shuffle()) {
-            let mut rx = SourceRx::starting_at(1);
+            let mut log = SourceLog::starting_at(1);
             let mut delivered = Vec::new();
             for seq in perm {
-                if let RxOutcome::Delivered(run) = rx.on_reliable(msg(1, seq, seq)) {
+                if let RxOutcome::Delivered(run) = offer(&mut log, msg(1, seq, seq)) {
                     delivered.extend(run.into_iter().map(|m| m.seq.0));
                 }
             }
@@ -1329,10 +1367,10 @@ mod tests {
         fn prop_duplicates_never_redeliver(
             arrivals in proptest::collection::vec(1u64..=10, 0..60),
         ) {
-            let mut rx = SourceRx::starting_at(1);
+            let mut log = SourceLog::starting_at(1);
             let mut delivered = Vec::new();
             for seq in arrivals {
-                if let RxOutcome::Delivered(run) = rx.on_reliable(msg(1, seq, seq)) {
+                if let RxOutcome::Delivered(run) = offer(&mut log, msg(1, seq, seq)) {
                     delivered.extend(run.into_iter().map(|m| m.seq.0));
                 }
             }
@@ -1349,21 +1387,20 @@ mod tests {
             received in proptest::collection::btree_set(1u64..40, 0..25),
             highest in 1u64..40,
         ) {
-            let mut rx = SourceRx::starting_at(1);
+            let mut log = SourceLog::starting_at(1);
             for &seq in &received {
-                rx.on_reliable(msg(1, seq, seq));
+                offer(&mut log, msg(1, seq, seq));
             }
-            rx.note_header_seq(SeqNum(highest));
-            let ranges = rx.missing_ranges(1_000);
+            claim(&mut log, SeqNum(highest));
+            let ranges = log.missing_ranges(1_000);
             let mut missing = std::collections::BTreeSet::new();
             for (a, b) in &ranges {
                 for s in *a..=*b {
                     missing.insert(s);
                 }
             }
-            let hi = rx.highest_seen();
-            for s in 1..=hi {
-                let have = s <= rx.contiguous() || received.contains(&s);
+            for s in 1..=log.highest_seen {
+                let have = s <= log.contiguous() || received.contains(&s);
                 prop_assert_eq!(missing.contains(&s), !have, "seq {}", s);
             }
         }

@@ -2,9 +2,12 @@
 //! group receives a packed container of Regulars with its ack-vector
 //! trailer, or one bare Regular, through `Processor::handle_packet` and
 //! `drain_actions_into`. Neither allocates: the slices share the datagram,
-//! the retention store and the ordering queue reuse their room, and the
+//! RMP's per-source logs and the ordering queue reuse their room, and the
 //! trailer is decoded into the entry list the last one left. Some of the
-//! packets counted release deliveries, so delivery is counted too.
+//! packets counted release deliveries, so delivery is counted too. Out of
+//! order, an early arrival waits in its source's log without allocating,
+//! and the retransmission that fills its gap allocates only the run it
+//! releases.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,8 +15,8 @@ use std::cell::Cell;
 use bytes::Bytes;
 use ftmp_core::wire;
 use ftmp_core::{
-    Action, ClockMode, ConnectionId, GroupId, ObjectGroupId, PackPolicy, Packing, Processor,
-    ProcessorId, ProtocolConfig, RequestNum,
+    Action, ClockMode, ConnectionId, FtmpBody, FtmpMessage, GroupId, ObjectGroupId, PackPolicy,
+    Packing, Processor, ProcessorId, ProtocolConfig, RequestNum,
 };
 use ftmp_net::{McastAddr, Packet, SimTime};
 
@@ -172,6 +175,54 @@ impl Group {
         provoked
     }
 
+    /// Member `i` receives `pkt`: what that allocated, and its sends.
+    fn counted(&mut self, now: SimTime, i: usize, pkt: &Packet) -> (usize, Vec<Packet>) {
+        let before = ALLOCS.with(Cell::get);
+        self.procs[i].handle_packet(now, pkt);
+        self.procs[i].drain_actions_into(&mut self.actions);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        (allocs, self.sends_of(i))
+    }
+
+    /// Member 2 publishes a batch that member 1 receives out of order:
+    /// the second request first, then (after member 1's NACK and member
+    /// 2's answer) the retransmission of the first, then the rest. What
+    /// member 1's two counted receives allocated.
+    fn gap_fill(&mut self, now: SimTime) -> [usize; 2] {
+        let batch = self.publish(now, 1);
+        for i in 1..self.procs.len() {
+            for pkt in &batch {
+                self.procs[i].handle_packet(now, pkt);
+            }
+        }
+        let (early, _) = self.counted(now, 0, &batch[1]);
+        let mut t = now;
+        let request = loop {
+            t = SimTime(t.0 + 100);
+            self.procs[0].tick(t);
+            let nack = self.sends_of(0).into_iter().find(|p| {
+                let m = FtmpMessage::decode_shared(&p.payload).expect("a bare message");
+                matches!(m.body, FtmpBody::RetransmitRequest { .. })
+            });
+            if let Some(nack) = nack {
+                break nack;
+            }
+            assert!(t.0 - now.0 < 50_000, "member 1 NACKs its gap");
+        };
+        self.procs[1].handle_packet(t, &request);
+        let answer = self
+            .sends_of(1)
+            .into_iter()
+            .find(|p| FtmpMessage::decode_shared(&p.payload).is_ok_and(|m| m.retransmission))
+            .expect("member 2 answers from retention");
+        let (fill, _) = self.counted(t, 0, &answer);
+        for pkt in &batch[2..] {
+            self.procs[0].handle_packet(t, pkt);
+        }
+        self.settle(t);
+        [early, fill]
+    }
+
     /// One round at `now`: every member publishes a batch, the group
     /// settles, every member ticks, the group settles again.
     fn round(&mut self, now: SimTime, watch: Option<(usize, &mut Vec<Counted>)>) {
@@ -210,6 +261,27 @@ fn measure(packing: bool) -> Vec<Counted> {
         "the counted receives release deliveries"
     );
     counts
+}
+
+/// An early arrival allocates nothing and the fill only the released run's
+/// `Vec`, the first episode too. Before the per-source logs the first early
+/// arrival allocated the window's `BTreeMap` node (`[1, 1]`, then `[0, 1]`
+/// once the empty map kept it).
+#[test]
+fn an_early_arrival_and_its_gap_fill_allocate_only_the_released_run() {
+    let mut g = Group::new(false);
+    for r in 1..=WARM_ROUNDS {
+        g.round(SimTime(r * 1_000), None);
+    }
+    let mut now = WARM_ROUNDS * 1_000;
+    let mut counts = Vec::new();
+    for _ in 0..3 {
+        now += 100_000;
+        counts.push(g.gap_fill(SimTime(now)));
+        g.round(SimTime(now + 60_000), None);
+    }
+    println!("allocations (early arrival, gap fill): {counts:?}");
+    assert_eq!(counts, [[0, 1]; 3]);
 }
 
 #[test]
