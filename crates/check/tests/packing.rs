@@ -21,7 +21,8 @@ const GOLDEN: u64 = 0x40E7_EDBA_EE0B_E021;
 
 /// The hash `ftmp-core` pins for its paced scenario (one sender among quiet
 /// members) under the default configuration, horizon on demand included.
-const GOLDEN_PROMPTED: u64 = 0xB486_CABB_BC5F_89A5;
+/// Re-pinned with it when every random draw became a keyed hash of what it decides (`ftmp_net::draw`).
+const GOLDEN_PROMPTED: u64 = 0x39A7_D7A0_9214_81A9;
 
 /// Which of `ftmp-core`'s two pinned scenarios to drive.
 #[derive(Clone, Copy)]

@@ -70,10 +70,9 @@ use crate::telemetry::Telemetry;
 use crate::wire::{self, AckVector, FtmpBody, FtmpHeader, FtmpMessage, FtmpMsgType};
 use bytes::Bytes;
 use ftmp_cdr::{ByteOrder, CdrWriter};
+use ftmp_net::draw::{self, draw};
 use ftmp_net::{McastAddr, Packet, SimDuration, SimTime};
 use ftmp_telemetry::Registry;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 mod connect;
@@ -310,7 +309,6 @@ pub struct Processor {
     cfg: ProtocolConfig,
     order: ByteOrder,
     clock: Clock,
-    rng: SmallRng,
     groups: BTreeMap<GroupId, GroupState>,
     conns: ConnectionTable,
     /// Groups we expect to be added to: group → its multicast address.
@@ -447,15 +445,12 @@ fn install_view(
 impl Processor {
     /// Create an endpoint.
     pub fn new(id: ProcessorId, cfg: ProtocolConfig, clock_mode: ClockMode) -> Self {
-        let rng =
-            SmallRng::seed_from_u64(cfg.seed ^ u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let packer = Packer::new(cfg.packing.mtu, cfg.packing.policy);
         Processor {
             id,
             cfg,
             order: ByteOrder::native(),
             clock: Clock::new(clock_mode),
-            rng,
             groups: BTreeMap::new(),
             conns: ConnectionTable::default(),
             expecting_joins: BTreeMap::new(),
@@ -2018,9 +2013,9 @@ impl Processor {
         let gid = msg.group;
         // Our own request, looped back: we asked because we lack those
         // messages, and another holder answers.
-        if msg.source == self.id || !self.groups.contains_key(&gid) {
+        let Some(g) = self.groups.get(&gid).filter(|_| msg.source != self.id) else {
             return;
-        }
+        };
         // Tree mode: a request from a tree neighbor is neighborhood repair —
         // we are one of the few processors that even heard it, so we must
         // answer (no any-holder coin), and the answer goes to our own
@@ -2028,40 +2023,40 @@ impl Processor {
         // escalated to the group address keep the flat policy and the flat
         // group-address answer; so does anything during a reconfiguration,
         // where reconciliation must reach every survivor.
-        let neighborhood: Option<McastAddr> = self.groups.get(&gid).and_then(|g| {
-            g.overlay
-                .as_ref()
-                .filter(|o| o.tree.is_neighbor(self.id, msg.source))
-                .map(|o| o.self_addr)
-        });
+        let neighborhood: Option<McastAddr> = g
+            .overlay
+            .as_ref()
+            .filter(|o| o.tree.is_neighbor(self.id, msg.source))
+            .map(|o| o.self_addr);
+        // During a membership change every holder must answer: the
+        // reconciliation targets may name messages whose original sender is
+        // the convicted processor (the coin only trims the failure-free
+        // path; correctness of virtual synchrony cannot hinge on a dead
+        // sender). The same override applies after the sender has been
+        // removed — a peer still reconciling can ask for a dead member's
+        // message after this holder already installed the new membership.
+        let everyone = g.pgmp.reconfig.is_some() || !g.pgmp.membership.contains(&missing_from);
+        let addr = if everyone {
+            g.addr
+        } else {
+            neighborhood.unwrap_or(g.addr)
+        };
+        let answer = everyone || neighborhood.is_some() || missing_from == self.id;
         // Both ends are whatever the requester wrote: nothing here may
         // overflow on them.
         let span_cap = MAX_NACK_SPAN.min(stop_seq.saturating_sub(start_seq).saturating_add(1));
         for seq in (start_seq..=u64::MAX).take(span_cap as usize) {
-            // During a membership change every holder must answer: the
-            // reconciliation targets may name messages whose original sender
-            // is the convicted processor (the coin only trims the
-            // failure-free path; correctness of virtual synchrony cannot
-            // hinge on a dead sender). The same override applies after the
-            // sender has been removed — a peer still reconciling can ask for
-            // a dead member's message after this holder already installed
-            // the new membership.
-            let (in_reconfig, sender_is_member) = self
-                .groups
-                .get(&gid)
-                .map(|g| {
-                    (
-                        g.pgmp.reconfig.is_some(),
-                        g.pgmp.membership.contains(&missing_from),
-                    )
-                })
-                .unwrap_or((false, true));
-            let respond = in_reconfig
-                || !sender_is_member
-                || neighborhood.is_some()
-                || missing_from == self.id
-                || self.rng.gen_bool(ANY_HOLDER_P);
-            if !respond {
+            // The coin is this holder's for this message, this requester
+            // and this request: a re-ask draws afresh.
+            let holder = draw::pair(self.id.0, gid.0);
+            let key = [
+                draw::ANY_HOLDER,
+                holder,
+                draw::pair(missing_from.0, msg.source.0),
+                seq,
+                msg.ts.0,
+            ];
+            if !answer && !draw::gen_bool(draw(self.cfg.seed, &key), ANY_HOLDER_P) {
                 continue;
             }
             let Some(g) = self.groups.get_mut(&gid) else {
@@ -2069,11 +2064,6 @@ impl Processor {
             };
             let suppress = adaptive::suppress_window(&g.rtt);
             if let Some(payload) = g.rmp.answer_retransmit(missing_from, seq, now, suppress) {
-                let addr = if in_reconfig || !sender_is_member {
-                    g.addr
-                } else {
-                    neighborhood.unwrap_or(g.addr)
-                };
                 let answered = Event::RetransmitAnswered {
                     group: gid,
                     source: missing_from,

@@ -364,14 +364,20 @@ impl Processor {
                 }
                 // The jitter window tracks SRTT and re-issues back off
                 // exponentially per unanswered attempt, up to fail_timeout.
+                // The jitter is this member's for this gap episode: its
+                // source, its first missing seq and the attempt.
                 let jitter_max = adaptive::nack_jitter_max(&g.rtt).as_micros().max(1);
                 let cfg = &self.cfg;
                 let rtt = g.rtt;
-                let rng = &mut self.rng;
+                let me = draw::pair(self.id.0, gid.0);
                 g.rmp.nack_requests(
                     now,
                     max_span,
-                    || SimDuration::from_micros(rng.gen_range(0..=jitter_max)),
+                    |src, seq, attempt| {
+                        let key = [draw::NACK_JITTER, me, draw::pair(src.0, attempt), seq];
+                        let x = draw(cfg.seed, &key);
+                        SimDuration::from_micros(draw::gen_range(x, 0, jitter_max))
+                    },
                     |attempts| adaptive::nack_retry_after(cfg, &rtt, attempts),
                     &mut next.0,
                 )

@@ -373,12 +373,12 @@ impl SourceLog {
     /// NACK scheduler: called on gap detection and on ticks. Returns true
     /// when a RetransmitRequest should be emitted now; reschedules itself
     /// with period `retry`. `initial_jitter` is called only when a gap
-    /// episode arms, so a log without a gap, or one already armed, draws
-    /// nothing.
+    /// episode arms, with the first missing seq and the attempt count, so
+    /// a log without a gap, or one already armed, draws nothing.
     fn nack_due(
         &mut self,
         now: SimTime,
-        initial_jitter: impl FnOnce() -> SimDuration,
+        initial_jitter: impl FnOnce(u64, u32) -> SimDuration,
         retry: SimDuration,
     ) -> bool {
         if !self.has_gap() {
@@ -388,7 +388,7 @@ impl SourceLog {
         }
         match self.nack_at {
             None => {
-                self.nack_at = Some(now + initial_jitter());
+                self.nack_at = Some(now + initial_jitter(self.next_seq, self.nack_attempts));
                 false
             }
             Some(at) if now >= at => {
@@ -711,7 +711,7 @@ impl RmpLayer {
         &mut self,
         now: SimTime,
         max_span: u64,
-        mut jitter: impl FnMut() -> SimDuration,
+        mut jitter: impl FnMut(ProcessorId, u64, u32) -> SimDuration,
         mut retry: impl FnMut(u32) -> SimDuration,
         next_due: &mut SimTime,
     ) -> Vec<(ProcessorId, Vec<(u64, u64)>)> {
@@ -723,7 +723,7 @@ impl RmpLayer {
                 continue;
             }
             let r = retry(log.nack_attempts);
-            if log.nack_due(now, &mut jitter, r) {
+            if log.nack_due(now, |seq, attempt| jitter(source, seq, attempt), r) {
                 let ranges = log.missing_ranges(max_span);
                 if !ranges.is_empty() {
                     due.push((source, ranges));
@@ -1039,25 +1039,25 @@ mod tests {
         let jitter = SimDuration::from_millis(2);
         let retry = SimDuration::from_millis(8);
         // First call arms the timer, does not fire.
-        assert!(!log.nack_due(SimTime(0), || jitter, retry));
+        assert!(!log.nack_due(SimTime(0), |_, _| jitter, retry));
         // Before the jitter elapses: no fire.
-        assert!(!log.nack_due(SimTime(1_000), || jitter, retry));
+        assert!(!log.nack_due(SimTime(1_000), |_, _| jitter, retry));
         // After: fire once, rearmed at +retry.
-        assert!(log.nack_due(SimTime(2_500), || jitter, retry));
-        assert!(!log.nack_due(SimTime(3_000), || jitter, retry));
-        assert!(log.nack_due(SimTime(11_000), || jitter, retry));
+        assert!(log.nack_due(SimTime(2_500), |_, _| jitter, retry));
+        assert!(!log.nack_due(SimTime(3_000), |_, _| jitter, retry));
+        assert!(log.nack_due(SimTime(11_000), |_, _| jitter, retry));
         // Gap fills: no more NACKs.
         offer(&mut log, msg(1, 1, 1));
         offer(&mut log, msg(1, 2, 2));
         offer(&mut log, msg(1, 3, 3));
-        assert!(!log.nack_due(SimTime(30_000), || jitter, retry));
+        assert!(!log.nack_due(SimTime(30_000), |_, _| jitter, retry));
     }
 
     #[test]
     fn karn_rule_samples_only_single_outstanding_nack() {
         let p = ProcessorId(1);
         let pass = |layer: &mut RmpLayer, at: u64| {
-            let zero = || SimDuration::from_millis(0);
+            let zero = |_, _, _| SimDuration::from_millis(0);
             let retry = |_| SimDuration::from_millis(8);
             let mut next = SimTime(u64::MAX);
             layer
@@ -1094,9 +1094,9 @@ mod tests {
         let retry = SimDuration::from_millis(8);
         let mut log = SourceLog::starting_at(1);
         claim(&mut log, SeqNum(2));
-        assert!(!log.nack_due(SimTime(0), || jitter, retry));
-        assert!(log.nack_due(SimTime(1_000), || jitter, retry));
-        assert!(log.nack_due(SimTime(20_000), || jitter, retry));
+        assert!(!log.nack_due(SimTime(0), |_, _| jitter, retry));
+        assert!(log.nack_due(SimTime(1_000), |_, _| jitter, retry));
+        assert!(log.nack_due(SimTime(20_000), |_, _| jitter, retry));
         assert_eq!(log.nack_attempts, 2);
         offer(&mut log, msg(1, 1, 1));
         offer(&mut log, msg(1, 2, 2));
@@ -1109,9 +1109,9 @@ mod tests {
         let retry = SimDuration::from_millis(8);
         let mut log = SourceLog::starting_at(1);
         claim(&mut log, SeqNum(9));
-        assert!(!log.nack_due(SimTime(0), || jitter, retry));
-        assert!(log.nack_due(SimTime(1_000), || jitter, retry));
-        assert!(log.nack_due(SimTime(20_000), || jitter, retry));
+        assert!(!log.nack_due(SimTime(0), |_, _| jitter, retry));
+        assert!(log.nack_due(SimTime(1_000), |_, _| jitter, retry));
+        assert!(log.nack_due(SimTime(20_000), |_, _| jitter, retry));
         // Fresh in-order traffic behind a claimed gap is not an answer.
         offer(&mut log, msg(1, 1, 1));
         assert_eq!(log.nack_attempts, 2);
@@ -1293,7 +1293,7 @@ mod tests {
         retain(&mut layer, &msg(1, 1, 10));
         retain(&mut layer, &msg(1, 3, 30));
         let retry = |_attempts: u32| SimDuration::from_millis(8);
-        let zero_jitter = || SimDuration::from_millis(0);
+        let zero_jitter = |_, _, _| SimDuration::from_millis(0);
         // First pass arms the per-source NACK timer.
         let mut next = SimTime(u64::MAX);
         assert!(layer
@@ -1328,7 +1328,7 @@ mod tests {
         let mut draws = 0;
         let mut pass = |layer: &mut RmpLayer, at: u64| {
             let mut next = SimTime(u64::MAX);
-            let mut jitter = || {
+            let mut jitter = |_, _, _| {
                 draws += 1;
                 SimDuration::from_millis(2)
             };

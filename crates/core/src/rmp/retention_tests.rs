@@ -270,7 +270,14 @@ fn layer_nacks(layer: &mut RmpLayer, now: SimTime, max_span: u64) -> NackPass {
     let due = layer.nack_requests(
         now,
         max_span,
-        || jitter(*draws.next().expect("a draw per arming source")),
+        |src, _, _| {
+            assert_eq!(
+                draws.next(),
+                Some(&src),
+                "a draw per arming source, in order"
+            );
+            jitter(src)
+        },
         retry,
         &mut next,
     );

@@ -75,7 +75,7 @@ pub fn run() -> Vec<Table> {
     }
     t.note("latency is send -> ordered delivery, sampled at every receiver");
     t.note("timer only (prompt_horizon = false, the paper's protocol): with one sparse sender, ordering waits for every member's next heartbeat: latency tracks the interval, traffic tracks its inverse");
-    t.note("on demand (the default): a quiet member that is holding back delivery heartbeats at once if it sent nothing for half an interval, or sooner by spending a token of its group's prompt budget (one per 128 datagrams received), else as soon as that half has passed: the hold is one round trip at best and interval / 2 at worst (p99 = interval / 2 + 1.4 ms), for the same packet rate while the timer, not the sender, sets the heartbeat cadence; the 50 ms send period is a multiple of most intervals here, so the timer heartbeat tends to leave just before the message arrives (the worst phase), and at long intervals the sparse traffic rarely banks a token");
+    t.note("on demand (the default): a quiet member that is holding back delivery heartbeats at once if it sent nothing for half an interval, or sooner by spending a token of its group's prompt budget (one per 128 datagrams received), else as soon as that half has passed: the hold is one round trip at best and interval / 2 at worst (p99 = interval / 2 + 1.3 ms), for the same packet rate while the timer, not the sender, sets the heartbeat cadence; the 50 ms send period is a multiple of most intervals here, so the timer heartbeat tends to leave just before the message arrives (the worst phase), and at long intervals the sparse traffic rarely banks a token");
     vec![t]
 }
 

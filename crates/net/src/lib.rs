@@ -5,14 +5,16 @@
 //! substrate with [`sim`] — a deterministic **discrete-event simulator** with
 //! virtual time, per-receiver packet loss (i.i.d. or bursty), configurable
 //! latency distributions, reordering, crash faults and network partitions.
-//! All randomness flows from one seed, so every protocol run — including its
-//! fault injections — replays bit-for-bit. This is what the tests, property
+//! All randomness flows from one seed through [`draw`], each draw a keyed hash
+//! of the decision it makes, so every protocol run — including its fault
+//! injections — replays bit-for-bit. This is what the tests, property
 //! tests and the experiment harness use; real sockets are `ftmp-runtime`.
 //!
 //! The vocabulary is a [`Packet`] from a [`NodeId`] to a multicast group
 //! address [`McastAddr`], carrying opaque payload bytes. Protocol stacks
 //! stay sans-io and implement [`sim::SimNode`].
 
+pub mod draw;
 pub mod models;
 pub mod sim;
 pub mod stats;

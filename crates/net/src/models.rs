@@ -1,10 +1,9 @@
 //! Network behaviour models: latency, loss, scheduled link degradation,
 //! and the overall configuration.
 
+use crate::draw::{self, gen_bool};
 use crate::time::{SimDuration, SimTime};
 use crate::NodeId;
-use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// Latency experienced by each (packet, receiver) pair.
 ///
@@ -42,16 +41,17 @@ impl LatencyModel {
         }
     }
 
-    /// Sample one one-way delay.
-    pub fn sample(&self, rng: &mut SmallRng) -> SimDuration {
+    /// The one-way delay the draw `x` picks.
+    pub fn sample(&self, x: u64) -> SimDuration {
         match self {
             LatencyModel::Constant(d) => *d,
             LatencyModel::Uniform { min, max } => {
                 debug_assert!(max >= min);
-                SimDuration(rng.gen_range(min.0..=max.0))
+                SimDuration(draw::gen_range(x, min.0, max.0))
             }
             LatencyModel::ExpTail { base, mean_tail } => {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                // In (0, 1]: the logarithm stays finite.
+                let u = 1.0 - draw::unit(x);
                 let tail = (-u.ln()) * mean_tail.0 as f64;
                 SimDuration(base.0 + tail as u64)
             }
@@ -84,27 +84,29 @@ pub enum LossModel {
     },
 }
 
-impl LossModel {
-    /// Average loss rate implied by the model (stationary, for reporting).
-    pub fn mean_rate(&self) -> f64 {
-        match self {
-            LossModel::None => 0.0,
-            LossModel::Iid { p } => *p,
-            LossModel::Burst {
-                p_good,
-                p_bad,
-                p_enter_bad,
-                p_exit_bad,
-            } => {
-                let denom = p_enter_bad + p_exit_bad;
-                if denom == 0.0 {
-                    *p_good
-                } else {
-                    let frac_bad = p_enter_bad / denom;
-                    p_good * (1.0 - frac_bad) + p_bad * frac_bad
-                }
-            }
-        }
+/// One datagram copy offered to one directed link: the key of every draw
+/// the simulator makes for it. `ordinal` counts the copies offered to the
+/// link before this one, so a copy's fate depends on its own link's
+/// traffic only.
+#[derive(Debug, Clone, Copy)]
+pub struct LinkCopy {
+    /// The network's seed ([`SimConfig::seed`]).
+    pub seed: u64,
+    /// Sending node.
+    pub src: NodeId,
+    /// Receiving node.
+    pub dst: NodeId,
+    /// Copies offered to `src → dst` before this one.
+    pub ordinal: u64,
+}
+
+impl LinkCopy {
+    /// This copy's draw for the decision `tag` (one of [`crate::draw`]'s).
+    pub fn draw(&self, tag: u64) -> u64 {
+        draw::draw(
+            self.seed,
+            &[tag, draw::pair(self.src, self.dst), self.ordinal],
+        )
     }
 }
 
@@ -115,26 +117,25 @@ pub struct LossState {
 }
 
 impl LossState {
-    /// Sample whether the next packet to this receiver is lost.
-    pub fn sample(&mut self, model: &LossModel, rng: &mut SmallRng) -> bool {
+    /// Whether `copy` is lost. A burst model first flips the receiver's
+    /// state on the copy's own draw, so the state is per receiver while
+    /// every draw is per link.
+    pub fn sample(&mut self, model: &LossModel, copy: &LinkCopy) -> bool {
         match model {
             LossModel::None => false,
-            LossModel::Iid { p } => rng.gen_bool(p.clamp(0.0, 1.0)),
+            LossModel::Iid { p } => gen_bool(copy.draw(draw::LOSS), *p),
             LossModel::Burst {
                 p_good,
                 p_bad,
                 p_enter_bad,
                 p_exit_bad,
             } => {
-                if self.in_bad {
-                    if rng.gen_bool(p_exit_bad.clamp(0.0, 1.0)) {
-                        self.in_bad = false;
-                    }
-                } else if rng.gen_bool(p_enter_bad.clamp(0.0, 1.0)) {
-                    self.in_bad = true;
+                let flip = if self.in_bad { p_exit_bad } else { p_enter_bad };
+                if gen_bool(copy.draw(draw::BURST_FLIP), *flip) {
+                    self.in_bad = !self.in_bad;
                 }
                 let p = if self.in_bad { *p_bad } else { *p_good };
-                rng.gen_bool(p.clamp(0.0, 1.0))
+                gen_bool(copy.draw(draw::LOSS), p)
             }
         }
     }
@@ -258,17 +259,6 @@ pub struct LinkDegrade {
 }
 
 impl LinkDegrade {
-    /// A latency-spike window over the given links.
-    pub fn spike(from: SimTime, until: SimTime, links: LinkSelector, latency_factor: f64) -> Self {
-        LinkDegrade {
-            from,
-            until,
-            links,
-            latency_factor,
-            extra_loss: 0.0,
-        }
-    }
-
     /// A lossy window over the given links (latency untouched).
     pub fn lossy(from: SimTime, until: SimTime, links: LinkSelector, extra_loss: f64) -> Self {
         LinkDegrade {
@@ -280,14 +270,10 @@ impl LinkDegrade {
         }
     }
 
-    /// Is the window active at `now`?
-    pub fn active(&self, now: SimTime) -> bool {
-        self.from <= now && now < self.until
-    }
-
-    /// Is the window active at `now` *and* covering `src → dst`?
+    /// Is the window active at `now` (`until` exclusive) *and* covering
+    /// `src → dst`?
     pub fn applies(&self, now: SimTime, src: NodeId, dst: NodeId) -> bool {
-        self.active(now) && self.links.covers(src, dst)
+        (self.from..self.until).contains(&now) && self.links.covers(src, dst)
     }
 }
 
@@ -353,18 +339,27 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> SmallRng {
-        SmallRng::seed_from_u64(42)
+    /// The copies `0..n` offered to link 1 → 2 under seed 42.
+    fn copies(n: u64) -> impl DoubleEndedIterator<Item = LinkCopy> {
+        (0..n).map(|ordinal| LinkCopy {
+            seed: 42,
+            src: 1,
+            dst: 2,
+            ordinal,
+        })
+    }
+
+    /// The latency draws of the copies `0..n`.
+    fn draws(n: u64) -> impl DoubleEndedIterator<Item = u64> {
+        copies(n).map(|c| c.draw(draw::LATENCY))
     }
 
     #[test]
     fn constant_latency_is_constant() {
         let m = LatencyModel::Constant(SimDuration::from_micros(100));
-        let mut r = rng();
-        for _ in 0..10 {
-            assert_eq!(m.sample(&mut r).as_micros(), 100);
+        for x in draws(10) {
+            assert_eq!(m.sample(x).as_micros(), 100);
         }
     }
 
@@ -374,9 +369,8 @@ mod tests {
             min: SimDuration::from_micros(10),
             max: SimDuration::from_micros(20),
         };
-        let mut r = rng();
-        for _ in 0..1000 {
-            let d = m.sample(&mut r).as_micros();
+        for x in draws(1000) {
+            let d = m.sample(x).as_micros();
             assert!((10..=20).contains(&d));
         }
     }
@@ -384,10 +378,9 @@ mod tests {
     #[test]
     fn exp_tail_latency_at_least_base() {
         let m = LatencyModel::lan();
-        let mut r = rng();
         let mut sum = 0u64;
-        for _ in 0..1000 {
-            let d = m.sample(&mut r).as_micros();
+        for x in draws(1000) {
+            let d = m.sample(x).as_micros();
             assert!(d >= 250);
             sum += d;
         }
@@ -400,8 +393,7 @@ mod tests {
     fn iid_loss_rate_approximates_p() {
         let model = LossModel::Iid { p: 0.2 };
         let mut st = LossState::default();
-        let mut r = rng();
-        let lost = (0..10_000).filter(|_| st.sample(&model, &mut r)).count();
+        let lost = copies(10_000).filter(|c| st.sample(&model, c)).count();
         let rate = lost as f64 / 10_000.0;
         assert!((0.17..0.23).contains(&rate), "rate {rate}");
     }
@@ -415,8 +407,7 @@ mod tests {
             p_exit_bad: 0.1,
         };
         let mut st = LossState::default();
-        let mut r = rng();
-        let outcomes: Vec<bool> = (0..20_000).map(|_| st.sample(&model, &mut r)).collect();
+        let outcomes: Vec<bool> = copies(20_000).map(|c| st.sample(&model, &c)).collect();
         let lost = outcomes.iter().filter(|&&l| l).count();
         // Stationary rate ~ 0.001*(10/11) + 0.5*(1/11) ≈ 0.046.
         let rate = lost as f64 / outcomes.len() as f64;
@@ -430,31 +421,21 @@ mod tests {
     }
 
     #[test]
-    fn mean_rate_matches_models() {
-        assert_eq!(LossModel::None.mean_rate(), 0.0);
-        assert_eq!(LossModel::Iid { p: 0.25 }.mean_rate(), 0.25);
-        let b = LossModel::Burst {
-            p_good: 0.0,
-            p_bad: 1.0,
-            p_enter_bad: 0.1,
-            p_exit_bad: 0.3,
-        };
-        assert!((b.mean_rate() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
     fn link_degrade_window_and_selector() {
         use crate::time::SimTime;
-        let d = LinkDegrade::spike(
-            SimTime(1_000),
-            SimTime(2_000),
-            LinkSelector::To(vec![4]),
-            8.0,
-        );
-        assert!(!d.active(SimTime(999)));
-        assert!(d.active(SimTime(1_000)));
-        assert!(d.active(SimTime(1_999)));
-        assert!(!d.active(SimTime(2_000)), "end is exclusive");
+        let d = LinkDegrade {
+            latency_factor: 8.0,
+            ..LinkDegrade::lossy(
+                SimTime(1_000),
+                SimTime(2_000),
+                LinkSelector::To(vec![4]),
+                0.0,
+            )
+        };
+        assert!(!d.applies(SimTime(999), 1, 4));
+        assert!(d.applies(SimTime(1_000), 1, 4));
+        assert!(d.applies(SimTime(1_999), 1, 4));
+        assert!(!d.applies(SimTime(2_000), 1, 4), "end is exclusive");
         assert!(d.applies(SimTime(1_500), 1, 4));
         assert!(!d.applies(SimTime(1_500), 4, 1), "To() keys on receiver");
         let from = LinkDegrade::lossy(SimTime(0), SimTime(10), LinkSelector::From(vec![2]), 0.5);
@@ -464,16 +445,11 @@ mod tests {
     }
 
     #[test]
-    fn determinism_same_seed_same_samples() {
+    fn a_copy_draws_the_same_whenever_it_is_asked() {
         let m = LatencyModel::lan();
-        let a: Vec<u64> = {
-            let mut r = SmallRng::seed_from_u64(7);
-            (0..100).map(|_| m.sample(&mut r).as_micros()).collect()
-        };
-        let b: Vec<u64> = {
-            let mut r = SmallRng::seed_from_u64(7);
-            (0..100).map(|_| m.sample(&mut r).as_micros()).collect()
-        };
-        assert_eq!(a, b);
+        let a: Vec<u64> = draws(100).map(|x| m.sample(x).as_micros()).collect();
+        let b: Vec<u64> = draws(100).rev().map(|x| m.sample(x).as_micros()).collect();
+        assert!(a.iter().eq(b.iter().rev()));
+        assert!(a.windows(2).any(|w| w[0] != w[1]), "latency varies");
     }
 }

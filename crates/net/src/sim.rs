@@ -1,12 +1,11 @@
 //! The discrete-event multicast simulator.
 
-use crate::models::{FaultOp, FaultPlan, LossModel, LossState, SimConfig};
+use crate::draw::{self, gen_bool};
+use crate::models::{FaultOp, FaultPlan, LinkCopy, LossModel, LossState, SimConfig};
 use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent, TraceRecord};
-use crate::{McastAddr, NodeId, Packet};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::{McastAddr, NodeId, Packet, SimDuration};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
@@ -95,7 +94,9 @@ pub struct SimNet<N: SimNode> {
     ticks: VecDeque<(SimTime, u64, NodeId)>,
     next_seq: u64,
     now: SimTime,
-    rng: SmallRng,
+    /// Per directed link, the copies offered to it so far: the ordinal in
+    /// each copy's draw key ([`LinkCopy`]).
+    ordinals: BTreeMap<(NodeId, NodeId), u64>,
     /// Burst-loss state per receiver, touched only when the loss model
     /// draws.
     loss_states: BTreeMap<NodeId, LossState>,
@@ -135,7 +136,6 @@ pub type MessageCounter = fn(&[u8]) -> u32;
 impl<N: SimNode> SimNet<N> {
     /// Create an empty network with the given configuration.
     pub fn new(cfg: SimConfig) -> Self {
-        let rng = SmallRng::seed_from_u64(cfg.seed);
         SimNet {
             cfg,
             nodes: BTreeMap::new(),
@@ -144,7 +144,7 @@ impl<N: SimNode> SimNet<N> {
             ticks: VecDeque::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            rng,
+            ordinals: BTreeMap::new(),
             loss_states: BTreeMap::new(),
             crashed: BTreeSet::new(),
             partition: None,
@@ -195,20 +195,13 @@ impl<N: SimNode> SimNet<N> {
         self.tap = None;
     }
 
-    fn trace_event(
-        &mut self,
-        src: NodeId,
-        dst: McastAddr,
-        len: usize,
-        kind: Option<u8>,
-        event: TraceEvent,
-    ) {
+    fn trace_event(&mut self, pkt: &Packet, kind: Option<u8>, event: TraceEvent) {
         if let Some(t) = &mut self.trace {
             t.push(TraceRecord {
                 at: self.now,
-                src,
-                dst,
-                len,
+                src: pkt.src,
+                dst: pkt.dst,
+                len: pkt.len(),
                 kind,
                 event,
             });
@@ -401,106 +394,104 @@ impl<N: SimNode> SimNet<N> {
         let kind = self.classifier.and_then(|f| f(&pkt.payload));
         self.stats.record_send(pkt.len(), kind);
         self.stats.sent_messages += u64::from(self.msg_counter.map_or(1, |f| f(&pkt.payload)));
-        self.trace_event(pkt.src, pkt.dst, pkt.len(), kind, TraceEvent::Send);
+        self.trace_event(&pkt, kind, TraceEvent::Send);
         if let Some(tap) = &mut self.tap {
             tap(self.now, pkt.src, pkt.dst, &pkt.payload);
         }
         let mut receivers = std::mem::take(&mut self.receivers);
         receivers.extend(self.subs.get(&pkt.dst).into_iter().flatten());
         for &rcv in &receivers {
-            if self.crashed.contains(&rcv) {
-                self.stats.to_crashed += 1;
-                self.trace_event(
-                    pkt.src,
-                    pkt.dst,
-                    pkt.len(),
-                    kind,
-                    TraceEvent::ToCrashed(rcv),
-                );
-                continue;
-            }
-            if !self.can_reach(pkt.src, rcv) {
-                self.stats.partitioned += 1;
-                self.trace_event(
-                    pkt.src,
-                    pkt.dst,
-                    pkt.len(),
-                    kind,
-                    TraceEvent::Partition(rcv),
-                );
-                continue;
-            }
-            // Targeted schedule faults fire before the stochastic models
-            // and consume no randomness, so a plan replays bit-identically.
-            // Loopback copies are exempt, like loss and degrades.
-            let fault = if rcv == pkt.src {
-                None
-            } else {
-                self.fault_op(kind, pkt.src, rcv)
-            };
-            if fault == Some(FaultOp::Drop) {
-                self.stats.lost += 1;
-                self.trace_event(pkt.src, pkt.dst, pkt.len(), kind, TraceEvent::Lose(rcv));
-                continue;
-            }
-            let delay = if rcv == pkt.src {
-                // Kernel loopback: lossless, near-instant.
-                self.cfg.loopback_latency
-            } else {
-                let lost = match &self.cfg.loss {
-                    LossModel::None => false,
-                    model => self
-                        .loss_states
-                        .entry(rcv)
-                        .or_default()
-                        .sample(model, &mut self.rng),
-                };
-                if lost {
-                    self.stats.lost += 1;
-                    self.trace_event(pkt.src, pkt.dst, pkt.len(), kind, TraceEvent::Lose(rcv));
-                    continue;
-                }
-                // Scheduled degradations: active windows covering this link
-                // stack multiplicatively on latency and drop independently.
-                let mut latency_factor = 1.0f64;
-                let mut dropped = false;
-                for d in &self.cfg.degrades {
-                    if !d.applies(self.now, pkt.src, rcv) {
-                        continue;
-                    }
-                    latency_factor *= d.latency_factor.max(0.0);
-                    if d.extra_loss > 0.0 && self.rng.gen_bool(d.extra_loss.clamp(0.0, 1.0)) {
-                        dropped = true;
+            match self.fate(kind, pkt.src, rcv) {
+                Err(dropped) => self.trace_event(&pkt, kind, dropped),
+                Ok((delay, duplicate)) => {
+                    let at = self.now + delay;
+                    self.trace_event(&pkt, kind, TraceEvent::Deliver(rcv));
+                    self.push_arrival(at, rcv, pkt.clone());
+                    if let Some(extra) = duplicate {
+                        self.trace_event(&pkt, kind, TraceEvent::Deliver(rcv));
+                        self.push_arrival(at + extra, rcv, pkt.clone());
                     }
                 }
-                if dropped {
-                    self.stats.lost += 1;
-                    self.trace_event(pkt.src, pkt.dst, pkt.len(), kind, TraceEvent::Lose(rcv));
-                    continue;
-                }
-                let base = self.cfg.latency.sample(&mut self.rng);
-                if latency_factor == 1.0 {
-                    base
-                } else {
-                    crate::SimDuration::from_micros(
-                        (base.as_micros() as f64 * latency_factor).round() as u64,
-                    )
-                }
-            };
-            let delay = match fault {
-                Some(FaultOp::Delay(extra)) => delay + extra,
-                _ => delay,
-            };
-            let at = self.now + delay;
-            self.trace_event(pkt.src, pkt.dst, pkt.len(), kind, TraceEvent::Deliver(rcv));
-            self.push_arrival(at, rcv, pkt.clone());
-            if let Some(FaultOp::Duplicate(extra)) = fault {
-                self.trace_event(pkt.src, pkt.dst, pkt.len(), kind, TraceEvent::Deliver(rcv));
-                self.push_arrival(at + extra, rcv, pkt.clone());
             }
         }
         receivers.clear();
         self.receivers = receivers;
+    }
+
+    /// The fate of the copy of a datagram of class `kind` that `src` offers
+    /// to `rcv`: its delay, plus a duplicate's extra delay when a fault
+    /// duplicates it, or how it was dropped. Counts the drops.
+    fn fate(
+        &mut self,
+        kind: Option<u8>,
+        src: NodeId,
+        rcv: NodeId,
+    ) -> Result<(SimDuration, Option<SimDuration>), TraceEvent> {
+        // Every copy offered to a link takes its next ordinal, so one lost
+        // to a crash, a partition or a fault shifts nothing after it.
+        let ordinal = self.ordinals.entry((src, rcv)).or_default();
+        let copy = LinkCopy {
+            seed: self.cfg.seed,
+            src,
+            dst: rcv,
+            ordinal: *ordinal,
+        };
+        *ordinal += 1;
+        if self.crashed.contains(&rcv) {
+            self.stats.to_crashed += 1;
+            return Err(TraceEvent::ToCrashed(rcv));
+        }
+        if !self.can_reach(src, rcv) {
+            self.stats.partitioned += 1;
+            return Err(TraceEvent::Partition(rcv));
+        }
+        if rcv == src {
+            // Kernel loopback: lossless, near-instant, exempt from faults
+            // and degrades.
+            return Ok((self.cfg.loopback_latency, None));
+        }
+        // Targeted schedule faults fire before the stochastic models and
+        // draw nothing, so a plan replays bit-identically. Active degrade
+        // windows covering the link stack multiplicatively on latency and
+        // drop independently.
+        let fault = self.fault_op(kind, src, rcv);
+        let now = self.now;
+        let degrades = || {
+            self.cfg
+                .degrades
+                .iter()
+                .enumerate()
+                .filter(move |(_, d)| d.applies(now, src, rcv))
+        };
+        let lost = fault == Some(FaultOp::Drop)
+            || match &self.cfg.loss {
+                LossModel::None => false,
+                model => self
+                    .loss_states
+                    .entry(rcv)
+                    .or_default()
+                    .sample(model, &copy),
+            }
+            || degrades().any(|(i, d)| {
+                d.extra_loss > 0.0
+                    && gen_bool(copy.draw(draw::DEGRADE_LOSS + i as u64), d.extra_loss)
+            });
+        if lost {
+            self.stats.lost += 1;
+            return Err(TraceEvent::Lose(rcv));
+        }
+        let factor: f64 = degrades().map(|(_, d)| d.latency_factor.max(0.0)).product();
+        let base = self.cfg.latency.sample(copy.draw(draw::LATENCY));
+        let delay = if factor == 1.0 {
+            base
+        } else {
+            SimDuration::from_micros((base.as_micros() as f64 * factor).round() as u64)
+        };
+        Ok(match fault {
+            Some(FaultOp::Delay(extra)) => (delay + extra, None),
+            Some(FaultOp::Duplicate(extra)) => (delay, Some(extra)),
+            _ => (delay, None),
+        })
     }
 
     /// Apply an outbox produced by node `id`, emptying it: joins/leaves
@@ -740,12 +731,15 @@ mod tests {
     fn degrade_window_multiplies_latency_on_selected_links() {
         use crate::models::{LinkDegrade, LinkSelector};
         let mut net = echo_net(LossModel::None);
-        net.add_degrade(LinkDegrade::spike(
-            SimTime(0),
-            SimTime(1_000_000),
-            LinkSelector::To(vec![1]),
-            4.0,
-        ));
+        net.add_degrade(LinkDegrade {
+            latency_factor: 4.0,
+            ..LinkDegrade::lossy(
+                SimTime(0),
+                SimTime(1_000_000),
+                LinkSelector::To(vec![1]),
+                0.0,
+            )
+        });
         net.inject(Packet::new(0, McastAddr(1), vec![1]));
         net.run_for(SimDuration::from_millis(10));
         // Into node 1: 500µs × 4; into node 2: untouched.
@@ -998,15 +992,18 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_replays_identically_and_consumes_no_rng() {
+    fn a_fault_plan_moves_no_other_links_draws() {
         use crate::models::{FaultOp, FaultPlan, FaultRule};
+        // Node 0 multicasts 50 datagrams over 30 % loss and the LAN's
+        // random latency; the plan drops three copies on 0 → 1 outright.
+        // What each node saw from node 0: (arrival µs, payload).
         let run = |with_plan: bool| {
             let cfg = SimConfig {
                 loss: LossModel::Iid { p: 0.3 },
                 ..SimConfig::with_seed(11)
             };
             let mut net = SimNet::new(cfg);
-            for id in 0..2u32 {
+            for id in 0..3u32 {
                 net.add_node(
                     id,
                     Echo {
@@ -1019,32 +1016,49 @@ mod tests {
             if with_plan {
                 net.set_fault_plan(FaultPlan::empty().rule(FaultRule {
                     class: None,
-                    src: None,
+                    src: Some(0),
                     dst: Some(1),
                     skip: 2,
-                    count: 1,
-                    op: FaultOp::Delay(SimDuration::from_millis(2)),
+                    count: 3,
+                    op: FaultOp::Drop,
                 }));
             }
             for i in 0..50u8 {
                 net.inject(Packet::new(0, McastAddr(1), vec![i]));
             }
             net.run_for(SimDuration::from_millis(20));
-            net.node(1)
-                .unwrap()
-                .seen
-                .iter()
-                .map(|(at, p)| (at.as_micros(), p.payload.to_vec()))
-                .collect::<Vec<_>>()
+            let seen = |id| -> Vec<(u64, u8)> {
+                net.node(id)
+                    .unwrap()
+                    .seen
+                    .iter()
+                    .filter(|(_, p)| p.src == 0)
+                    .map(|(at, p)| (at.as_micros(), p.payload[0]))
+                    .collect()
+            };
+            (seen(1), seen(2))
         };
-        assert_eq!(run(true), run(true), "plan replay is deterministic");
-        // A pure-delay plan must not shift the loss model's RNG stream:
-        // the surviving payload set matches the no-plan run exactly.
-        let with: std::collections::BTreeSet<Vec<u8>> =
-            run(true).into_iter().map(|(_, p)| p).collect();
-        let without: std::collections::BTreeSet<Vec<u8>> =
-            run(false).into_iter().map(|(_, p)| p).collect();
-        assert_eq!(with, without);
+        let (with_1, with_2) = run(true);
+        assert_eq!(
+            (with_1.clone(), with_2.clone()),
+            run(true),
+            "plan replay is deterministic"
+        );
+        let (without_1, without_2) = run(false);
+        // The other link keeps every fate and every arrival time.
+        assert_eq!(with_2, without_2);
+        // The faulted link keeps the fate and time of every copy the plan
+        // left alone: the three it dropped still took their ordinals.
+        let untouched: Vec<(u64, u8)> = without_1
+            .into_iter()
+            .filter(|&(_, i)| !(2..5).contains(&i))
+            .collect();
+        assert_eq!(with_1, untouched);
+        assert!(
+            with_2.len() < 50 && with_2.len() > 20,
+            "loss drew: {}",
+            with_2.len()
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! revived before its old tick fires, which ran two tick streams, in a form
 //! of its own: a tick carries its node's incarnation, and one of an earlier
 //! incarnation is dropped, where the new core takes the stale tick off the
-//! queue. Tracing and the wire tap, which schedule nothing, are left out.
+//! queue. It draws each copy's fate under the same key, counting each
+//! link's copies in a map of its own. Tracing and the wire tap, which
+//! schedule nothing, are left out.
 //!
 //! Both run the same random schedule — node sets, subscriptions, latency
 //! and loss models, fault plans, degrade windows, crash and revive,
@@ -43,7 +45,7 @@ struct ModelNet<N: SimNode> {
     events: HashMap<u64, ModelEvent>,
     next_seq: u64,
     now: SimTime,
-    rng: SmallRng,
+    ordinals: HashMap<(NodeId, NodeId), u64>,
     loss_states: HashMap<NodeId, LossState>,
     crashed: HashSet<NodeId>,
     partition: Option<Vec<HashSet<NodeId>>>,
@@ -55,7 +57,6 @@ struct ModelNet<N: SimNode> {
 
 impl<N: SimNode> ModelNet<N> {
     fn new(cfg: SimConfig) -> Self {
-        let rng = SmallRng::seed_from_u64(cfg.seed);
         ModelNet {
             cfg,
             nodes: BTreeMap::new(),
@@ -65,7 +66,7 @@ impl<N: SimNode> ModelNet<N> {
             events: HashMap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            rng,
+            ordinals: HashMap::new(),
             loss_states: HashMap::new(),
             crashed: HashSet::new(),
             partition: None,
@@ -161,6 +162,14 @@ impl<N: SimNode> ModelNet<N> {
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default();
         for rcv in receivers {
+            let ordinal = self.ordinals.entry((pkt.src, rcv)).or_default();
+            let copy = LinkCopy {
+                seed: self.cfg.seed,
+                src: pkt.src,
+                dst: rcv,
+                ordinal: *ordinal,
+            };
+            *ordinal += 1;
             if self.crashed.contains(&rcv) {
                 self.stats.to_crashed += 1;
                 continue;
@@ -185,19 +194,20 @@ impl<N: SimNode> ModelNet<N> {
                     .loss_states
                     .entry(rcv)
                     .or_default()
-                    .sample(&self.cfg.loss, &mut self.rng);
+                    .sample(&self.cfg.loss, &copy);
                 if lost {
                     self.stats.lost += 1;
                     continue;
                 }
                 let mut latency_factor = 1.0f64;
                 let mut dropped = false;
-                for d in &self.cfg.degrades {
+                for (i, d) in self.cfg.degrades.iter().enumerate() {
                     if !d.applies(self.now, pkt.src, rcv) {
                         continue;
                     }
                     latency_factor *= d.latency_factor.max(0.0);
-                    if d.extra_loss > 0.0 && self.rng.gen_bool(d.extra_loss.clamp(0.0, 1.0)) {
+                    let x = copy.draw(draw::DEGRADE_LOSS + i as u64);
+                    if d.extra_loss > 0.0 && gen_bool(x, d.extra_loss) {
                         dropped = true;
                     }
                 }
@@ -205,7 +215,7 @@ impl<N: SimNode> ModelNet<N> {
                     self.stats.lost += 1;
                     continue;
                 }
-                let base = self.cfg.latency.sample(&mut self.rng);
+                let base = self.cfg.latency.sample(copy.draw(draw::LATENCY));
                 if latency_factor == 1.0 {
                     base
                 } else {

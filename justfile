@@ -79,9 +79,12 @@ loc-diff parent:
 # Non-test panic sites per crate against results/panic-budget.txt: CI's
 # `panic-budget` job, non-zero exit when any crate's count rose. First the
 # counters read their fixture (test items mid-file) and must get it right.
+# Then the same rule keeps random state out of the engine, the simulator,
+# the ORB and the runtime (every draw there is keyed, `ftmp_net::draw`).
 panic-budget:
     scripts/ruler-check.sh
     scripts/panic-budget.sh --check results/panic-budget.txt
+    scripts/no-rng.sh
 
 # The committed results must reproduce: regenerate the 20 `ftmp-exp` tables
 # and E19's two files into a temporary directory and fail on the first

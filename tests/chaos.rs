@@ -262,15 +262,20 @@ fn chaos_heavy_loss_short() {
 /// simulator's random draws or what a processor does with a packet; both
 /// lists are what the sweep below finds. Re-derived when a processor
 /// stopped drawing the any-holder coin for its own looped-back
-/// RetransmitRequests (563, 817, 1319 before).
-const ONSET_CONVICTION_SEEDS: [u64; 3] = [834, 894, 1302];
+/// RetransmitRequests (563, 817, 1319 before), and again when every random
+/// draw became keyed on what it decides (834, 894, 1302 before). The seeds
+/// no longer move with a change elsewhere in the run, only with one to
+/// what a link or a member decides.
+const ONSET_CONVICTION_SEEDS: [u64; 7] = [416, 434, 648, 675, 782, 786, 1374];
 
 /// The same failure in the timer-only protocol (`prompt_horizon` off, what
-/// the repo ran before horizon on demand): prompted heartbeats draw on the
-/// simulator's random stream, so the cases sit on other seeds, at about the
-/// same rate (1 against 3 in 1000; 1350 and 1355 before the same
-/// re-derivation).
-const ONSET_CONVICTION_SEEDS_TIMER_ONLY: [u64; 1] = [1141];
+/// the repo ran before horizon on demand): prompted heartbeats change what
+/// each link carries, so the cases sit on other seeds, at about the same
+/// rate (4 against 7 in 1000; 1141 before keyed draws, 1350 and 1355
+/// before the coin's re-derivation). With the old random streams a sweep of
+/// seeds 1400..3400 found 5 and 9 cases in the two modes: a few in a
+/// thousand either way.
+const ONSET_CONVICTION_SEEDS_TIMER_ONLY: [u64; 4] = [654, 802, 934, 1087];
 
 #[test]
 fn chaos_latency_spikes_no_false_convictions() {

@@ -257,8 +257,10 @@ fn hash_delivery_order(lines: &[String]) -> u64 {
 /// held until that message arrives: the horizons it carries advance then.
 /// Re-pinned again, same line count, when a processor stopped drawing the
 /// any-holder coin for its own looped-back RetransmitRequests: the random
-/// stream moves, and the repairs with it.
-const OBSERVATION_STREAM: (usize, u64) = (2210, 0xDDE2_5C1B_A2E3_C9DD);
+/// stream moves, and the repairs with it. Re-pinned when every random draw became a keyed hash of what it decides (`ftmp_net::draw`): every
+/// loss, latency, jitter and coin of this run is drawn afresh (2184 lines,
+/// against 2210).
+const OBSERVATION_STREAM: (usize, u64) = (2184, 0x52BB_FED7_6D4D_5672);
 
 #[test]
 fn observation_stream_is_pinned_through_crash_conviction_and_view_change() {
@@ -289,7 +291,10 @@ fn observation_stream_is_pinned_through_crash_conviction_and_view_change() {
 ///
 /// Re-pinned when a processor stopped drawing the any-holder coin for its
 /// own looped-back RetransmitRequests: the random stream moves again.
-const TELEMETRY_SNAPSHOT: u64 = 0xFC77_E206_5756_A7F4;
+///
+/// Re-pinned when every random draw became a keyed hash of what it decides (`ftmp_net::draw`): every loss, latency, jitter and coin is
+/// drawn afresh.
+const TELEMETRY_SNAPSHOT: u64 = 0xA786_9D1E_3811_4D19;
 
 #[test]
 fn telemetry_snapshot_is_pinned_on_a_lossy_run() {
@@ -330,19 +335,22 @@ fn telemetry_snapshot_is_pinned_on_a_lossy_run() {
 /// lossy run's repairs, and what they carry, move. All five again when
 /// header evidence that arrives during a gap became held until the gap
 /// fills: a digest entry for a member whose stream has a gap now advances
-/// its horizon once the gap fills, so deliveries and repairs move.
-const PACKED_TREE_DOCUMENTS: u64 = 0x9422_F25D_AEE1_A0C2;
-const PACKED_TREE_SORTED_LINES: u64 = 0xDB36_0E6F_9BF1_2AB0;
-const PACKED_TREE_DELIVERY_ORDER: u64 = 0x8210_46DB_9090_4613;
+/// its horizon once the gap fills, so deliveries and repairs move. All
+/// five again when every random draw became a keyed hash of what it decides (`ftmp_net::draw`): every loss, latency, jitter and coin is drawn
+/// afresh.
+const PACKED_TREE_DOCUMENTS: u64 = 0x4F9A_411C_C1DE_A156;
+const PACKED_TREE_SORTED_LINES: u64 = 0xFC1E_133D_9136_3E03;
+const PACKED_TREE_DELIVERY_ORDER: u64 = 0xE5A3_27CC_E260_48B1;
 /// What it does move, re-pinned with that change: the observation lines in
 /// emission order (same count, same lines) and the flight-recorder rings.
 /// Inside one container every message is now admitted (`Retained`, `Acked`)
 /// before anything is delivered or reclaimed (`Delivered`, `Reclaimed`).
 /// Both re-pinned again with the three above, for the per-episode NACK
 /// jitter: 20578 lines, against 19923; and for the held header evidence,
-/// with the same line count.
-const PACKED_TREE_STREAM: (usize, u64) = (20578, 0x77B0_8898_7421_FB9C);
-const PACKED_TREE_FLIGHTS: u64 = 0xB931_DD0F_6698_5DD2;
+/// with the same line count; and for keyed draws: 19916 lines, against
+/// 20578.
+const PACKED_TREE_STREAM: (usize, u64) = (19916, 0xB974_F0EB_75FA_7DB3);
+const PACKED_TREE_FLIGHTS: u64 = 0xF605_FA94_75E5_55DC;
 
 #[test]
 fn packed_tree_run_pins_both_streams() {

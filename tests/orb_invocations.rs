@@ -298,8 +298,10 @@ fn closed_loop_invocations_complete_within_a_quarter_heartbeat_interval() {
 /// The seeds of the timer-only drift sweep, the virtual length of each run,
 /// and the LAN it runs on: the default one with a 150 µs mean queueing tail
 /// instead of 100 µs. On the default LAN the loop drifts into the
-/// two-interval wait rarely (one seed of 1001–1380 within 35 s, seed 1006
-/// at 40.1 s) and then for good; with the wider tail it does so within
+/// two-interval wait rarely and then for good: with every random draw
+/// keyed on what it decides (DESIGN.md §2), on no seed of 1001–1380 within
+/// 35 s, and not on seed 1006 within 120 s (before, one seed of 1001–1380
+/// within 35 s, and seed 1006 at 40.1 s); with the wider tail it does so within
 /// seconds on most seeds, in episodes of one to nine seconds. Measured at
 /// the commit that introduced the sweep: a run of at least one second on 12
 /// of these 16 seeds.
