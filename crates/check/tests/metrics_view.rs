@@ -55,6 +55,13 @@
 //! 18, and loses 351 copies, not 329; the partition cell keeps its 87
 //! RetransmitRequests and its datagram counts, and its latencies move with
 //! the new latency draws.
+//!
+//! The partition cell was re-pinned when a source that left the view
+//! stopped being asked for what lies above its cut: all 87 of its
+//! RetransmitRequests asked the convicted P4, still talking from the far
+//! side, for its stream above the flush target, at every backoff. Now none
+//! do, and the cell sends 87 fewer datagrams. The loss cell has no view
+//! change and did not move.
 
 use ftmp_check::{run_cell_instrumented, Scenario};
 
@@ -125,7 +132,7 @@ const IID_LOSS: Pinned = Pinned {
 
 const PARTITION_HEAL: Pinned = Pinned {
     counters: &[
-        ("nacks_sent", 87),
+        ("nacks_sent", 0),
         ("retransmissions_answered", 0),
         ("rtt_samples", 0),
         ("window_closes", 0),
@@ -141,17 +148,17 @@ const PARTITION_HEAL: Pinned = Pinned {
         ("overlay_solicits", 0),
         ("overlay_solicit_answers", 0),
         ("overlay_rescues", 0),
-        ("sweep_observations", 5153),
+        ("sweep_observations", 4807),
         ("sweep_delivered", 162),
         ("sweep_violations", 0),
-        ("net_sent_packets", 1166),
-        ("net_sent_messages", 1166),
-        ("net_delivered", 3523),
+        ("net_sent_packets", 1079),
+        ("net_sent_messages", 1079),
+        ("net_delivered", 3262),
         ("net_lost", 0),
         ("net_partitioned", 123),
         ("net_to_crashed", 0),
         ("net_kind_0x00_packets", 57),
-        ("net_kind_0x01_packets", 90),
+        ("net_kind_0x01_packets", 3),
         ("net_kind_0x02_packets", 1008),
         ("net_kind_0x07_packets", 5),
         ("net_kind_0x08_packets", 6),
@@ -167,20 +174,20 @@ const PARTITION_HEAL: Pinned = Pinned {
         ("rmp_recovery_us", [0, 0, 0, 0, 0, 0, 0]),
         (
             "ordering_delay_us",
-            [147, 3788414, 25771, 8191, 122019, 122019, 122019],
+            [147, 3790104, 25783, 8191, 122019, 122019, 122019],
         ),
         (
             "stability_lag_us",
-            [147, 1206319, 8206, 8191, 16383, 121650, 121650],
+            [147, 1240832, 8441, 8191, 16383, 121650, 121650],
         ),
         (
             "e2e_self_us",
-            [47, 1271704, 27057, 8191, 122019, 122019, 122019],
+            [47, 1272713, 27079, 8191, 122019, 122019, 122019],
         ),
         ("view_change_us", [3, 1324, 441, 685, 685, 685, 685]),
         ("flow_stall_us", [0, 0, 0, 0, 0, 0, 0]),
         ("pack_msgs_per_datagram", [0, 0, 0, 0, 0, 0, 0]),
-        ("nack_attempts", [87, 1305, 15, 15, 29, 29, 29]),
+        ("nack_attempts", [0, 0, 0, 0, 0, 0, 0]),
         ("suspicion_margin_permille", [0, 0, 0, 0, 0, 0, 0]),
     ],
 };

@@ -13,11 +13,12 @@ use super::*;
 pub(super) enum ViewChange<'a> {
     /// An AddProcessor reached its position: the member joins.
     Join(ProcessorId),
-    /// A RemoveProcessor reached its position: the member leaves, and a
-    /// tombstone of what we held of it stays behind.
+    /// A RemoveProcessor reached its position: the member leaves, its
+    /// stream cut at our contiguous cursor, and a tombstone of what we held
+    /// of it stays behind.
     Leave(ProcessorId),
-    /// A reconfiguration completed: the removed go, each one's retention
-    /// cut at its flush target, and every survivor's silence is counted
+    /// A reconfiguration completed: the removed go, each one's stream cut
+    /// at its flush target, and every survivor's silence is counted
     /// afresh.
     Convict(&'a BTreeSet<ProcessorId>, &'a BTreeMap<ProcessorId, u64>),
 }
@@ -50,6 +51,7 @@ impl GroupState {
                 let horizon = ord.horizon_of(p).unwrap_or(ts);
                 let ack = ord.reported_ack_of(p).unwrap_or_default();
                 let contiguous = self.rmp.contiguous_of(p);
+                self.rmp.drop_beyond(p, contiguous);
                 self.departed.push_back((p, contiguous, horizon, ack));
                 if self.departed.len() > 8 {
                     self.departed.pop_front();

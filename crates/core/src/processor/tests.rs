@@ -1924,3 +1924,74 @@ mod hostile_values {
         }
     }
 }
+
+/// A member convicted with a gap open above its cut is asked for nothing
+/// once the view that removes it installs, not even after it speaks again
+/// (it may be alive on the far side of a partition): the survivors flushed
+/// its stream to the cut and dropped what lay above, so no request for it
+/// could be answered. Before, the gap stayed armed, or armed again at the
+/// member's next header, and was asked for at every backoff, and
+/// `nacks_pending` never cleared.
+#[test]
+fn a_convicted_member_with_a_gap_is_not_nacked_after_its_removal() {
+    let gid = GroupId(1);
+    let cfg = ProtocolConfig::with_seed(1).quorum(Quorum::Fixed(2));
+    let fail_timeout = cfg.fail_timeout.as_micros();
+    let mut net = MiniNet::new(2, cfg);
+    // P3 is a member on paper only: it says one thing below, then nothing.
+    let members = [ProcessorId(1), ProcessorId(2), ProcessorId(3)];
+    for i in 1..=2u32 {
+        net.p(i)
+            .create_group(SimTime(0), gid, McastAddr(100), members);
+        net.p(i).bind_connection(conn_ab(), gid);
+    }
+    net.flush(SimTime(0));
+    // P3's Heartbeat claims seq 3, none of which arrives: a gap above
+    // anything the survivors can flush to.
+    let heartbeat = |seq| {
+        let msg = FtmpMessage {
+            retransmission: false,
+            source: ProcessorId(3),
+            group: gid,
+            seq: SeqNum(seq),
+            ts: Timestamp(5),
+            ack_ts: Timestamp(0),
+            body: FtmpBody::Heartbeat,
+        };
+        Packet::new(3, McastAddr(100), msg.encode(ByteOrder::Big))
+    };
+    let mut now = SimTime(1_000);
+    for i in 1..=2 {
+        net.p(i).handle_packet(now, &heartbeat(3));
+    }
+    net.flush(now);
+    let removed = |net: &mut MiniNet| (1..=2).all(|i| net.p(i).membership(gid).unwrap().len() == 2);
+    while !removed(&mut net) {
+        now = now + SimDuration::from_millis(1);
+        net.tick_all(now);
+        assert!(now.as_micros() < 10 * fail_timeout, "P3 was never removed");
+    }
+    let installed = now;
+    for i in 1..=2 {
+        net.p(i).handle_packet(now, &heartbeat(6));
+    }
+    let mut asked = 0;
+    while now.saturating_since(installed).as_micros() < 10 * fail_timeout {
+        now = now + SimDuration::from_millis(1);
+        for i in 1..=2 {
+            net.p(i).tick(now);
+        }
+        net.flush_lossy(now, &mut |_, payload| {
+            let request = FtmpMessage::decode_shared(payload).map(|m| m.body);
+            if let Ok(FtmpBody::RetransmitRequest { missing_from, .. }) = request {
+                asked += usize::from(missing_from == ProcessorId(3));
+            }
+            false
+        });
+    }
+    assert_eq!(asked, 0, "RetransmitRequests for the removed P3");
+    for i in 1..=2 {
+        let g = &net.p(i).groups[&gid];
+        assert!(!g.rmp.nacks_pending(), "P{i} still has a NACK pending");
+    }
+}

@@ -59,7 +59,10 @@
 //! retention. In both, an early arrival stops being retained but keeps
 //! waiting in the window: it is still no gap to NACK, a copy of it is still
 //! a duplicate (which retains it again), and a gap fill still releases it,
-//! taking the slot out of the log.
+//! taking the slot out of the log. A cut is also the log's ceiling: a source
+//! that left the view, by conviction or by a voluntary leave (cut at our
+//! contiguous cursor), is asked for nothing above it again, whatever it
+//! still sends.
 //!
 //! **Zero-copy retransmission.** A slot keeps the message's original wire
 //! bytes (a [`Bytes`] handle sharing the received datagram's buffer) and
@@ -195,8 +198,13 @@ struct SourceLog {
     /// Next sequence number expected in contiguous order.
     next_seq: u64,
     /// Highest sequence number seen in any header from this source
-    /// (including Heartbeats), i.e. how far the source has provably sent.
+    /// (including Heartbeats), i.e. how far the source has provably sent,
+    /// up to `ceiling`.
     highest_seen: u64,
+    /// The highest sequence number worth asking for: `u64::MAX` while the
+    /// source is in the view, its cut once it has left, so that what it
+    /// still sends arms nothing above the cut.
+    ceiling: u64,
     /// Retained slots.
     held: usize,
     /// When the next RetransmitRequest for this source's gaps is due.
@@ -220,6 +228,7 @@ impl SourceLog {
         SourceLog {
             next_seq: first_seq,
             highest_seen: first_seq.saturating_sub(1),
+            ceiling: u64::MAX,
             ..SourceLog::default()
         }
     }
@@ -248,7 +257,7 @@ impl SourceLog {
     /// of it, and whether this copy is the one that retained it.
     fn receive(&mut self, msg: FtmpMessage, wire: Bytes) -> (RxOutcome, bool) {
         let seq = msg.seq.0;
-        self.highest_seen = self.highest_seen.max(seq);
+        self.highest_seen = self.highest_seen.max(seq).min(self.ceiling);
         let at = match self.slots.back() {
             Some(last) if last.seq >= seq => self.slots.binary_search_by_key(&seq, |s| s.seq),
             _ => Err(self.slots.len()),
@@ -639,7 +648,7 @@ impl RmpLayer {
     /// return its highest contiguously received sequence number.
     pub fn note_header(&mut self, source: ProcessorId, seq: SeqNum) -> u64 {
         let log = self.log(source);
-        log.highest_seen = log.highest_seen.max(seq.0);
+        log.highest_seen = log.highest_seen.max(seq.0).min(log.ceiling);
         let (gap, contiguous) = (log.has_gap(), log.contiguous());
         self.nacks_pending |= gap;
         contiguous
@@ -834,13 +843,20 @@ impl RmpLayer {
         reclaimed
     }
 
-    /// Drop what is retained of a convicted source above the agreed
-    /// reconciliation target `beyond` (the module doc's "Retained, or only
-    /// waiting": early arrivals above it keep waiting in the window).
+    /// `source` left the view with its stream cut at `beyond` (a leaver's
+    /// contiguous cursor, a convicted source's agreed reconciliation
+    /// target): what is retained above the cut goes (the module doc's
+    /// "Retained, or only waiting": early arrivals keep waiting in the
+    /// window), and nothing above it is asked for again, whatever the source
+    /// still sends. A gap below the cut stays armed, the slots at or below
+    /// it keep answering others until stability reclaims them, and a re-add
+    /// under the same id starts a fresh log.
     pub fn drop_beyond(&mut self, source: ProcessorId, beyond: u64) {
         let Some(log) = self.logs.get_mut(&source) else {
             return;
         };
+        log.ceiling = beyond.max(log.contiguous());
+        log.highest_seen = log.highest_seen.min(log.ceiling);
         let dropped = log.drop_beyond(beyond);
         if dropped > 0 {
             self.len -= dropped;

@@ -26,6 +26,9 @@ struct Window {
     next_seq: u64,
     buffer: BTreeMap<u64, FtmpMessage>,
     highest_seen: u64,
+    /// The cut a departed source's headers no longer raise `highest_seen`
+    /// past.
+    ceiling: u64,
     nack_at: Option<SimTime>,
     nack_attempts: u32,
     nack_sent_at: Option<SimTime>,
@@ -37,6 +40,7 @@ impl Window {
             next_seq: first,
             buffer: BTreeMap::new(),
             highest_seen: first - 1,
+            ceiling: u64::MAX,
             nack_at: None,
             nack_attempts: 0,
             nack_sent_at: None,
@@ -49,7 +53,7 @@ impl Window {
 
     fn receive(&mut self, msg: FtmpMessage) -> RxOutcome {
         let seq = msg.seq.0;
-        self.highest_seen = self.highest_seen.max(seq);
+        self.highest_seen = self.highest_seen.max(seq).min(self.ceiling);
         if seq < self.next_seq || self.buffer.contains_key(&seq) {
             return RxOutcome::Duplicate;
         }
@@ -189,6 +193,10 @@ impl Model {
     }
 
     fn drop_beyond(&mut self, source: ProcessorId, beyond: u64) {
+        if let Some(w) = self.windows.get_mut(&source) {
+            w.ceiling = beyond.max(w.next_seq - 1);
+            w.highest_seen = w.highest_seen.min(w.ceiling);
+        }
         self.drop_where(|p, seq, _| p == source && seq > beyond);
     }
 
@@ -208,7 +216,7 @@ impl Model {
     /// A rejoin: a fresh window, nothing retained of the old stream.
     fn reset(&mut self, p: ProcessorId) {
         self.windows.insert(p, Window::starting_at(1));
-        self.drop_beyond(p, 0);
+        self.drop_where(|q, _, _| q == p);
     }
 
     fn held_by(&self, source: ProcessorId) -> usize {
@@ -430,7 +438,7 @@ impl Pair {
                     _ => sent + a % 3,
                 };
                 let want = self.model.window(p);
-                want.highest_seen = want.highest_seen.max(seq);
+                want.highest_seen = want.highest_seen.max(seq).min(want.ceiling);
                 let want = (want.next_seq - 1, want.has_gap());
                 let got = self.layer.note_header(p, SeqNum(seq));
                 assert_eq!(got, want.0, "P{src} contiguous");
@@ -582,7 +590,10 @@ fn the_log_equals_the_window_and_the_map() {
         seen.retained_again > 1_000 && seen.let_go > 1_000,
         "{seen:?}"
     );
-    assert!(seen.nacks > 1_000 && seen.resets > 200, "{seen:?}");
+    // A conviction cut is a ceiling on what is asked for, so a cut source
+    // that goes on sending in these schedules arms no NACK above it: 860
+    // passes ask, where 1378 did while a cut left the gap armed.
+    assert!(seen.nacks > 800 && seen.resets > 200, "{seen:?}");
 }
 
 proptest! {
@@ -660,7 +671,8 @@ fn a_stability_point_past_a_hole_keeps_the_early_arrival_waiting() {
 
 /// Retention and the window disagree where a conviction cuts a source at
 /// the agreed target: released slots above it leave the log, early
-/// arrivals above it stay in the window unretained.
+/// arrivals above it stay in the window unretained. Nothing above the cut
+/// is asked for, but a fill that does arrive still releases the run.
 #[test]
 fn a_conviction_cut_keeps_the_early_arrivals_waiting() {
     let mut layer = RmpLayer::new(SELF);
@@ -674,7 +686,7 @@ fn a_conviction_cut_keeps_the_early_arrivals_waiting() {
     assert_eq!((layer.held_by(p), layer.retained_len()), (2, 2));
     assert!(layer.wire_bytes(p, 3).is_none() && layer.wire_bytes(p, 6).is_none());
     assert_eq!((layer.contiguous_of(p), layer.buffered_total()), (3, 2));
-    assert_eq!(layer.logs[&p].missing_ranges(64), [(4, 5)]);
+    assert!(layer.logs[&p].missing_ranges(64).is_empty());
     assert_eq!(receive(&mut layer, 2, 7, 70), (RxOutcome::Duplicate, true));
     receive(&mut layer, 2, 4, 40);
     let (released, _) = receive(&mut layer, 2, 5, 50);
