@@ -94,10 +94,12 @@ pub struct SimNet<N: SimNode> {
     ticks: VecDeque<(SimTime, u64, NodeId)>,
     next_seq: u64,
     now: SimTime,
-    /// Per receiver: its burst-loss state, which only the loss model
-    /// touches, and per sender the copies offered so far (the ordinal in
-    /// each copy's draw key, [`LinkCopy`]).
-    links: BTreeMap<NodeId, (LossState, Vec<(NodeId, u64)>)>,
+    /// Per directed link, the copies offered to it so far: the ordinal in
+    /// each copy's draw key ([`LinkCopy`]).
+    ordinals: BTreeMap<(NodeId, NodeId), u64>,
+    /// Burst-loss state per receiver, touched only when the loss model
+    /// draws.
+    loss_states: BTreeMap<NodeId, LossState>,
     crashed: BTreeSet<NodeId>,
     /// When set, nodes in different partition cells cannot communicate.
     partition: Option<Vec<BTreeSet<NodeId>>>,
@@ -142,7 +144,8 @@ impl<N: SimNode> SimNet<N> {
             ticks: VecDeque::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            links: BTreeMap::new(),
+            ordinals: BTreeMap::new(),
+            loss_states: BTreeMap::new(),
             crashed: BTreeSet::new(),
             partition: None,
             blocked: BTreeSet::new(),
@@ -426,18 +429,14 @@ impl<N: SimNode> SimNet<N> {
     ) -> Result<(SimDuration, Option<SimDuration>), TraceEvent> {
         // Every copy offered to a link takes its next ordinal, so one lost
         // to a crash, a partition or a fault shifts nothing after it.
-        let (_, from) = self.links.entry(rcv).or_default();
-        let at = from.iter().position(|&(s, _)| s == src).unwrap_or_else(|| {
-            from.push((src, 0));
-            from.len() - 1
-        });
+        let ordinal = self.ordinals.entry((src, rcv)).or_default();
         let copy = LinkCopy {
             seed: self.cfg.seed,
             src,
             dst: rcv,
-            ordinal: from[at].1,
+            ordinal: *ordinal,
         };
-        from[at].1 += 1;
+        *ordinal += 1;
         if self.crashed.contains(&rcv) {
             self.stats.to_crashed += 1;
             return Err(TraceEvent::ToCrashed(rcv));
@@ -467,7 +466,11 @@ impl<N: SimNode> SimNet<N> {
         let lost = fault == Some(FaultOp::Drop)
             || match &self.cfg.loss {
                 LossModel::None => false,
-                model => self.links.entry(rcv).or_default().0.sample(model, &copy),
+                model => self
+                    .loss_states
+                    .entry(rcv)
+                    .or_default()
+                    .sample(model, &copy),
             }
             || degrades().any(|(i, d)| {
                 d.extra_loss > 0.0
