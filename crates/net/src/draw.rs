@@ -15,7 +15,9 @@ pub const NACK_JITTER: u64 = 1;
 /// The any-holder coin: does this holder answer this request for this
 /// message.
 pub const ANY_HOLDER: u64 = 2;
-/// The simulator's loss draw for one copy on one link.
+/// The simulator's loss draw for one copy on one link. The three tags of
+/// every copy's draws, `LOSS` to [`LATENCY`], stay consecutive:
+/// [`LinkCopy`](crate::models::LinkCopy) folds their key prefixes by range.
 pub const LOSS: u64 = 3;
 /// The simulator's Gilbert–Elliott state flip for one copy.
 pub const BURST_FLIP: u64 = 4;
@@ -38,10 +40,16 @@ fn mix(mut z: u64) -> u64 {
 /// value every time it is asked for.
 #[inline]
 pub fn draw(seed: u64, key: &[u64]) -> u64 {
+    key.iter().fold(extend(0, seed), |h, &k| extend(h, k))
+}
+
+/// `draw(seed, key ++ [last])` from `h = draw(seed, key)`: a key's leading
+/// words folded once finish each draw under them in one round, where
+/// [`draw`] takes a round per word.
+#[inline]
+pub fn extend(h: u64, last: u64) -> u64 {
     const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-    key.iter().fold(mix(seed.wrapping_add(GAMMA)), |h, &k| {
-        mix((h ^ k).wrapping_add(GAMMA))
-    })
+    mix((h ^ last).wrapping_add(GAMMA))
 }
 
 /// Two 32-bit ids as one key word.
@@ -87,6 +95,15 @@ mod tests {
             draw(7, &[LOSS, 2, 1]),
             "order counts"
         );
+    }
+
+    #[test]
+    fn extending_a_key_finishes_its_draw() {
+        let h = draw(7, &[LATENCY, pair(1, 2)]);
+        for last in [0, 1, 99, u64::MAX] {
+            assert_eq!(extend(h, last), draw(7, &[LATENCY, pair(1, 2), last]));
+        }
+        assert_eq!(extend(draw(7, &[]), LOSS), draw(7, &[LOSS]));
     }
 
     #[test]

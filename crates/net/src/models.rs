@@ -85,28 +85,43 @@ pub enum LossModel {
 }
 
 /// One datagram copy offered to one directed link: the key of every draw
-/// the simulator makes for it. `ordinal` counts the copies offered to the
-/// link before this one, so a copy's fate depends on its own link's
-/// traffic only.
+/// the simulator makes for it is `[tag, pair(src, dst), ordinal]` under the
+/// network's seed ([`SimConfig::seed`]). `ordinal` counts the copies offered
+/// to the link before this one, so a copy's fate depends on its own link's
+/// traffic only. The leading words of the tags every copy draws, those from
+/// [`draw::LOSS`] to [`draw::LATENCY`], are folded once for the link, so
+/// each of those draws takes one round.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkCopy {
-    /// The network's seed ([`SimConfig::seed`]).
-    pub seed: u64,
-    /// Sending node.
-    pub src: NodeId,
-    /// Receiving node.
-    pub dst: NodeId,
-    /// Copies offered to `src → dst` before this one.
+    seed: u64,
+    link: u64,
+    folded: [u64; 3],
+    /// Copies offered to the link before this one.
     pub ordinal: u64,
 }
 
 impl LinkCopy {
+    /// The first copy offered to the link `src → dst` under `seed`.
+    pub fn first(seed: u64, src: NodeId, dst: NodeId) -> Self {
+        let link = draw::pair(src, dst);
+        let folded = std::array::from_fn(|i| draw::draw(seed, &[draw::LOSS + i as u64, link]));
+        LinkCopy {
+            seed,
+            link,
+            folded,
+            ordinal: 0,
+        }
+    }
+
     /// This copy's draw for the decision `tag` (one of [`crate::draw`]'s).
+    #[inline]
     pub fn draw(&self, tag: u64) -> u64 {
-        draw::draw(
-            self.seed,
-            &[tag, draw::pair(self.src, self.dst), self.ordinal],
-        )
+        match tag {
+            draw::LOSS..=draw::LATENCY => {
+                draw::extend(self.folded[(tag - draw::LOSS) as usize], self.ordinal)
+            }
+            _ => draw::draw(self.seed, &[tag, self.link, self.ordinal]),
+        }
     }
 }
 
@@ -116,12 +131,12 @@ pub struct LossState {
     in_bad: bool,
 }
 
-impl LossState {
+impl LossModel {
     /// Whether `copy` is lost. A burst model first flips the receiver's
-    /// state on the copy's own draw, so the state is per receiver while
-    /// every draw is per link.
-    pub fn sample(&mut self, model: &LossModel, copy: &LinkCopy) -> bool {
-        match model {
+    /// state, which `state` is asked for only then, on the copy's own draw,
+    /// so the state is per receiver while every draw is per link.
+    pub fn loses<'s>(&self, copy: &LinkCopy, state: impl FnOnce() -> &'s mut LossState) -> bool {
+        match self {
             LossModel::None => false,
             LossModel::Iid { p } => gen_bool(copy.draw(draw::LOSS), *p),
             LossModel::Burst {
@@ -130,11 +145,12 @@ impl LossState {
                 p_enter_bad,
                 p_exit_bad,
             } => {
-                let flip = if self.in_bad { p_exit_bad } else { p_enter_bad };
+                let st = state();
+                let flip = if st.in_bad { p_exit_bad } else { p_enter_bad };
                 if gen_bool(copy.draw(draw::BURST_FLIP), *flip) {
-                    self.in_bad = !self.in_bad;
+                    st.in_bad = !st.in_bad;
                 }
-                let p = if self.in_bad { *p_bad } else { *p_good };
+                let p = if st.in_bad { *p_bad } else { *p_good };
                 gen_bool(copy.draw(draw::LOSS), p)
             }
         }
@@ -207,10 +223,8 @@ impl FaultRule {
     /// Does this rule's filter cover a copy of the given class on
     /// `src → dst`? (Occurrence windows are tracked by the simulator.)
     pub fn matches(&self, class: Option<u8>, src: NodeId, dst: NodeId) -> bool {
-        (match self.class {
-            None => true,
-            Some(c) => class == Some(c),
-        }) && self.src.is_none_or(|s| s == src)
+        self.class.is_none_or(|c| class == Some(c))
+            && self.src.is_none_or(|s| s == src)
             && self.dst.is_none_or(|d| d == dst)
     }
 }
@@ -224,11 +238,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Plan with no rules (injects nothing).
-    pub fn empty() -> Self {
-        FaultPlan::default()
-    }
-
     /// Append a rule.
     pub fn rule(mut self, r: FaultRule) -> Self {
         self.rules.push(r);
@@ -342,17 +351,28 @@ mod tests {
 
     /// The copies `0..n` offered to link 1 → 2 under seed 42.
     fn copies(n: u64) -> impl DoubleEndedIterator<Item = LinkCopy> {
-        (0..n).map(|ordinal| LinkCopy {
-            seed: 42,
-            src: 1,
-            dst: 2,
-            ordinal,
-        })
+        let first = LinkCopy::first(42, 1, 2);
+        (0..n).map(move |ordinal| LinkCopy { ordinal, ..first })
     }
 
     /// The latency draws of the copies `0..n`.
     fn draws(n: u64) -> impl DoubleEndedIterator<Item = u64> {
         copies(n).map(|c| c.draw(draw::LATENCY))
+    }
+
+    #[test]
+    fn a_copy_draws_its_whole_key() {
+        for c in copies(3) {
+            for tag in [
+                draw::LOSS,
+                draw::BURST_FLIP,
+                draw::LATENCY,
+                draw::DEGRADE_LOSS + 2,
+            ] {
+                let key = [tag, draw::pair(1, 2), c.ordinal];
+                assert_eq!(c.draw(tag), draw::draw(42, &key), "tag {tag}");
+            }
+        }
     }
 
     #[test]
@@ -393,7 +413,9 @@ mod tests {
     fn iid_loss_rate_approximates_p() {
         let model = LossModel::Iid { p: 0.2 };
         let mut st = LossState::default();
-        let lost = copies(10_000).filter(|c| st.sample(&model, c)).count();
+        let lost = copies(10_000)
+            .filter(|c| model.loses(c, || &mut st))
+            .count();
         let rate = lost as f64 / 10_000.0;
         assert!((0.17..0.23).contains(&rate), "rate {rate}");
     }
@@ -407,7 +429,9 @@ mod tests {
             p_exit_bad: 0.1,
         };
         let mut st = LossState::default();
-        let outcomes: Vec<bool> = copies(20_000).map(|c| st.sample(&model, &c)).collect();
+        let outcomes: Vec<bool> = copies(20_000)
+            .map(|c| model.loses(&c, || &mut st))
+            .collect();
         let lost = outcomes.iter().filter(|&&l| l).count();
         // Stationary rate ~ 0.001*(10/11) + 0.5*(1/11) ≈ 0.046.
         let rate = lost as f64 / outcomes.len() as f64;

@@ -1,7 +1,7 @@
 //! The discrete-event multicast simulator.
 
 use crate::draw::{self, gen_bool};
-use crate::models::{FaultOp, FaultPlan, LinkCopy, LossModel, LossState, SimConfig};
+use crate::models::{FaultOp, FaultPlan, LinkCopy, LossState, SimConfig};
 use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent, TraceRecord};
@@ -94,11 +94,10 @@ pub struct SimNet<N: SimNode> {
     ticks: VecDeque<(SimTime, u64, NodeId)>,
     next_seq: u64,
     now: SimTime,
-    /// Per directed link, the copies offered to it so far: the ordinal in
-    /// each copy's draw key ([`LinkCopy`]).
-    ordinals: BTreeMap<(NodeId, NodeId), u64>,
-    /// Burst-loss state per receiver, touched only when the loss model
-    /// draws.
+    /// Per directed link, the next copy offered to it: its ordinal counts
+    /// the copies offered so far.
+    links: BTreeMap<(NodeId, NodeId), LinkCopy>,
+    /// Burst-loss state per receiver, touched only under a burst model.
     loss_states: BTreeMap<NodeId, LossState>,
     crashed: BTreeSet<NodeId>,
     /// When set, nodes in different partition cells cannot communicate.
@@ -144,7 +143,7 @@ impl<N: SimNode> SimNet<N> {
             ticks: VecDeque::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            ordinals: BTreeMap::new(),
+            links: BTreeMap::new(),
             loss_states: BTreeMap::new(),
             crashed: BTreeSet::new(),
             partition: None,
@@ -338,12 +337,6 @@ impl<N: SimNode> SimNet<N> {
         op
     }
 
-    /// Schedule a link degradation at runtime (in addition to any windows
-    /// configured up front in [`SimConfig::degrade`]).
-    pub fn add_degrade(&mut self, d: crate::LinkDegrade) {
-        self.cfg.degrades.push(d);
-    }
-
     fn can_reach(&self, a: NodeId, b: NodeId) -> bool {
         if a != b && self.blocked.contains(&(a, b)) {
             return false;
@@ -429,14 +422,13 @@ impl<N: SimNode> SimNet<N> {
     ) -> Result<(SimDuration, Option<SimDuration>), TraceEvent> {
         // Every copy offered to a link takes its next ordinal, so one lost
         // to a crash, a partition or a fault shifts nothing after it.
-        let ordinal = self.ordinals.entry((src, rcv)).or_default();
-        let copy = LinkCopy {
-            seed: self.cfg.seed,
-            src,
-            dst: rcv,
-            ordinal: *ordinal,
-        };
-        *ordinal += 1;
+        let seed = self.cfg.seed;
+        let next = self
+            .links
+            .entry((src, rcv))
+            .or_insert_with(|| LinkCopy::first(seed, src, rcv));
+        let copy = *next;
+        next.ordinal += 1;
         if self.crashed.contains(&rcv) {
             self.stats.to_crashed += 1;
             return Err(TraceEvent::ToCrashed(rcv));
@@ -463,15 +455,9 @@ impl<N: SimNode> SimNet<N> {
                 .enumerate()
                 .filter(move |(_, d)| d.applies(now, src, rcv))
         };
+        let loss = &self.cfg.loss;
         let lost = fault == Some(FaultOp::Drop)
-            || match &self.cfg.loss {
-                LossModel::None => false,
-                model => self
-                    .loss_states
-                    .entry(rcv)
-                    .or_default()
-                    .sample(model, &copy),
-            }
+            || loss.loses(&copy, || self.loss_states.entry(rcv).or_default())
             || degrades().any(|(i, d)| {
                 d.extra_loss > 0.0
                     && gen_bool(copy.draw(draw::DEGRADE_LOSS + i as u64), d.extra_loss)
@@ -731,7 +717,7 @@ mod tests {
     fn degrade_window_multiplies_latency_on_selected_links() {
         use crate::models::{LinkDegrade, LinkSelector};
         let mut net = echo_net(LossModel::None);
-        net.add_degrade(LinkDegrade {
+        net.cfg.degrades.push(LinkDegrade {
             latency_factor: 4.0,
             ..LinkDegrade::lossy(
                 SimTime(0),
@@ -751,7 +737,7 @@ mod tests {
     fn degrade_window_expires_and_drops_with_extra_loss() {
         use crate::models::{LinkDegrade, LinkSelector};
         let mut net = echo_net(LossModel::None);
-        net.add_degrade(LinkDegrade {
+        net.cfg.degrades.push(LinkDegrade {
             from: SimTime(0),
             until: SimTime(2_000),
             links: LinkSelector::All,
@@ -912,7 +898,7 @@ mod tests {
         // Classify by first payload octet.
         net.set_classifier(|p| p.first().copied());
         // Drop the 2nd and 3rd class-7 copies into node 1.
-        net.set_fault_plan(FaultPlan::empty().rule(FaultRule {
+        net.set_fault_plan(FaultPlan::default().rule(FaultRule {
             class: Some(7),
             src: None,
             dst: Some(1),
@@ -956,7 +942,7 @@ mod tests {
         let mut net = echo_net(LossModel::None);
         net.set_classifier(|p| p.first().copied());
         net.set_fault_plan(
-            FaultPlan::empty()
+            FaultPlan::default()
                 .rule(FaultRule {
                     class: Some(1),
                     src: None,
@@ -1014,7 +1000,7 @@ mod tests {
                 net.subscribe(id, McastAddr(1));
             }
             if with_plan {
-                net.set_fault_plan(FaultPlan::empty().rule(FaultRule {
+                net.set_fault_plan(FaultPlan::default().rule(FaultRule {
                     class: None,
                     src: Some(0),
                     dst: Some(1),

@@ -163,12 +163,8 @@ impl<N: SimNode> ModelNet<N> {
             .unwrap_or_default();
         for rcv in receivers {
             let ordinal = self.ordinals.entry((pkt.src, rcv)).or_default();
-            let copy = LinkCopy {
-                seed: self.cfg.seed,
-                src: pkt.src,
-                dst: rcv,
-                ordinal: *ordinal,
-            };
+            let mut copy = LinkCopy::first(self.cfg.seed, pkt.src, rcv);
+            copy.ordinal = *ordinal;
             *ordinal += 1;
             if self.crashed.contains(&rcv) {
                 self.stats.to_crashed += 1;
@@ -190,11 +186,8 @@ impl<N: SimNode> ModelNet<N> {
             let delay = if rcv == pkt.src {
                 self.cfg.loopback_latency
             } else {
-                let lost = self
-                    .loss_states
-                    .entry(rcv)
-                    .or_default()
-                    .sample(&self.cfg.loss, &copy);
+                let state = self.loss_states.entry(rcv).or_default();
+                let lost = self.cfg.loss.loses(&copy, || state);
                 if lost {
                     self.stats.lost += 1;
                     continue;
@@ -615,7 +608,7 @@ impl Net for SimNet<Probe> {
         SimNet::unblock_link(self, a, b)
     }
     fn add_degrade(&mut self, d: LinkDegrade) {
-        SimNet::add_degrade(self, d)
+        self.cfg.degrades.push(d);
     }
     fn inject(&mut self, pkt: Packet) {
         SimNet::inject(self, pkt)

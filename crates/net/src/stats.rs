@@ -46,12 +46,7 @@ impl NetStats {
 
     /// Fraction of (packet, receiver) attempts lost to the loss model.
     pub fn loss_rate(&self) -> f64 {
-        let attempts = self.delivered + self.lost;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.lost as f64 / attempts as f64
-        }
+        self.lost as f64 / (self.delivered + self.lost).max(1) as f64
     }
 
     /// Sent packets of a given classifier kind.
