@@ -512,7 +512,7 @@ fn rejoin_starts_fresh(convict: bool) {
 /// It asked because it lacked those messages, so it does not answer its own
 /// request and has no any-holder coin to toss for it.
 #[test]
-fn an_own_retransmit_request_is_not_answered_or_drawn_for() {
+fn an_own_retransmit_request_is_not_answered() {
     let (mut net, gid) = pair();
     let now = SimTime(1_000);
     for k in 0..20 {
