@@ -168,10 +168,11 @@ fn bench_rmp_window(c: &mut Criterion) {
             receive(&mut layer, &frame(1, seq, seq));
         }
         layer.note_header(ProcessorId(1), SeqNum(2048));
-        let zero = || SimDuration::from_micros(0);
+        let zero = |_, _, _| SimDuration::from_micros(0);
+        let retry = |_| SimDuration::from_micros(0);
         let mut next = SimTime(u64::MAX);
-        layer.nack_requests(SimTime(0), 64, zero, |_| zero(), &mut next);
-        b.iter(|| black_box(layer.nack_requests(SimTime(0), 64, zero, |_| zero(), &mut next)))
+        layer.nack_requests(SimTime(0), 64, zero, retry, &mut next);
+        b.iter(|| black_box(layer.nack_requests(SimTime(0), 64, zero, retry, &mut next)))
     });
     g.finish();
 }

@@ -1967,7 +1967,7 @@ fn a_convicted_member_with_a_gap_is_not_nacked_after_its_removal() {
     net.flush(now);
     let removed = |net: &mut MiniNet| (1..=2).all(|i| net.p(i).membership(gid).unwrap().len() == 2);
     while !removed(&mut net) {
-        now = now + SimDuration::from_millis(1);
+        now += SimDuration::from_millis(1);
         net.tick_all(now);
         assert!(now.as_micros() < 10 * fail_timeout, "P3 was never removed");
     }
@@ -1977,7 +1977,7 @@ fn a_convicted_member_with_a_gap_is_not_nacked_after_its_removal() {
     }
     let mut asked = 0;
     while now.saturating_since(installed).as_micros() < 10 * fail_timeout {
-        now = now + SimDuration::from_millis(1);
+        now += SimDuration::from_millis(1);
         for i in 1..=2 {
             net.p(i).tick(now);
         }
