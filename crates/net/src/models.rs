@@ -125,17 +125,12 @@ impl LinkCopy {
     }
 }
 
-/// Per-receiver loss state (for burst models).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LossState {
-    in_bad: bool,
-}
-
 impl LossModel {
     /// Whether `copy` is lost. A burst model first flips the receiver's
-    /// state, which `state` is asked for only then, on the copy's own draw,
-    /// so the state is per receiver while every draw is per link.
-    pub fn loses<'s>(&self, copy: &LinkCopy, state: impl FnOnce() -> &'s mut LossState) -> bool {
+    /// state (`in_bad`: is it in the bad state, asked for only then) on the
+    /// copy's own draw, so the state is per receiver while every draw is
+    /// per link.
+    pub fn loses<'s>(&self, copy: &LinkCopy, in_bad: impl FnOnce() -> &'s mut bool) -> bool {
         match self {
             LossModel::None => false,
             LossModel::Iid { p } => gen_bool(copy.draw(draw::LOSS), *p),
@@ -145,12 +140,12 @@ impl LossModel {
                 p_enter_bad,
                 p_exit_bad,
             } => {
-                let st = state();
-                let flip = if st.in_bad { p_exit_bad } else { p_enter_bad };
+                let bad = in_bad();
+                let flip = if *bad { p_exit_bad } else { p_enter_bad };
                 if gen_bool(copy.draw(draw::BURST_FLIP), *flip) {
-                    st.in_bad = !st.in_bad;
+                    *bad = !*bad;
                 }
-                let p = if st.in_bad { *p_bad } else { *p_good };
+                let p = if *bad { *p_bad } else { *p_good };
                 gen_bool(copy.draw(draw::LOSS), p)
             }
         }
@@ -412,9 +407,9 @@ mod tests {
     #[test]
     fn iid_loss_rate_approximates_p() {
         let model = LossModel::Iid { p: 0.2 };
-        let mut st = LossState::default();
+        let mut in_bad = false;
         let lost = copies(10_000)
-            .filter(|c| model.loses(c, || &mut st))
+            .filter(|c| model.loses(c, || &mut in_bad))
             .count();
         let rate = lost as f64 / 10_000.0;
         assert!((0.17..0.23).contains(&rate), "rate {rate}");
@@ -428,9 +423,9 @@ mod tests {
             p_enter_bad: 0.01,
             p_exit_bad: 0.1,
         };
-        let mut st = LossState::default();
+        let mut in_bad = false;
         let outcomes: Vec<bool> = copies(20_000)
-            .map(|c| model.loses(&c, || &mut st))
+            .map(|c| model.loses(&c, || &mut in_bad))
             .collect();
         let lost = outcomes.iter().filter(|&&l| l).count();
         // Stationary rate ~ 0.001*(10/11) + 0.5*(1/11) ≈ 0.046.

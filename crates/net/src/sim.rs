@@ -1,7 +1,7 @@
 //! The discrete-event multicast simulator.
 
 use crate::draw::{self, gen_bool};
-use crate::models::{FaultOp, FaultPlan, LinkCopy, LossState, SimConfig};
+use crate::models::{FaultOp, FaultPlan, LinkCopy, SimConfig};
 use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent, TraceRecord};
@@ -97,8 +97,9 @@ pub struct SimNet<N: SimNode> {
     /// Per directed link, the next copy offered to it: its ordinal counts
     /// the copies offered so far.
     links: BTreeMap<(NodeId, NodeId), LinkCopy>,
-    /// Burst-loss state per receiver, touched only under a burst model.
-    loss_states: BTreeMap<NodeId, LossState>,
+    /// Burst-loss state per receiver, whether it is in the bad state;
+    /// touched only under a burst model.
+    loss_states: BTreeMap<NodeId, bool>,
     crashed: BTreeSet<NodeId>,
     /// When set, nodes in different partition cells cannot communicate.
     partition: Option<Vec<BTreeSet<NodeId>>>,

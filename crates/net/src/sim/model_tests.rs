@@ -46,7 +46,7 @@ struct ModelNet<N: SimNode> {
     next_seq: u64,
     now: SimTime,
     ordinals: HashMap<(NodeId, NodeId), u64>,
-    loss_states: HashMap<NodeId, LossState>,
+    loss_states: HashMap<NodeId, bool>,
     crashed: HashSet<NodeId>,
     partition: Option<Vec<HashSet<NodeId>>>,
     blocked: HashSet<(NodeId, NodeId)>,
