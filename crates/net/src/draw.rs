@@ -17,7 +17,7 @@ pub const NACK_JITTER: u64 = 1;
 pub const ANY_HOLDER: u64 = 2;
 /// The simulator's loss draw for one copy on one link. The three tags of
 /// every copy's draws, `LOSS` to [`LATENCY`], stay consecutive:
-/// [`LinkCopy`](crate::models::LinkCopy) folds their key prefixes by range.
+/// the simulator's `LinkCopy` folds their key prefixes by range.
 pub const LOSS: u64 = 3;
 /// The simulator's Gilbert–Elliott state flip for one copy.
 pub const BURST_FLIP: u64 = 4;

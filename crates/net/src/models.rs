@@ -92,17 +92,17 @@ pub enum LossModel {
 /// [`draw::LOSS`] to [`draw::LATENCY`], are folded once for the link, so
 /// each of those draws takes one round.
 #[derive(Debug, Clone, Copy)]
-pub struct LinkCopy {
+pub(crate) struct LinkCopy {
     seed: u64,
     link: u64,
     folded: [u64; 3],
     /// Copies offered to the link before this one.
-    pub ordinal: u64,
+    pub(crate) ordinal: u64,
 }
 
 impl LinkCopy {
     /// The first copy offered to the link `src → dst` under `seed`.
-    pub fn first(seed: u64, src: NodeId, dst: NodeId) -> Self {
+    pub(crate) fn first(seed: u64, src: NodeId, dst: NodeId) -> Self {
         let link = draw::pair(src, dst);
         let folded = std::array::from_fn(|i| draw::draw(seed, &[draw::LOSS + i as u64, link]));
         LinkCopy {
@@ -115,7 +115,7 @@ impl LinkCopy {
 
     /// This copy's draw for the decision `tag` (one of [`crate::draw`]'s).
     #[inline]
-    pub fn draw(&self, tag: u64) -> u64 {
+    pub(crate) fn draw(&self, tag: u64) -> u64 {
         match tag {
             draw::LOSS..=draw::LATENCY => {
                 draw::extend(self.folded[(tag - draw::LOSS) as usize], self.ordinal)
@@ -130,7 +130,7 @@ impl LossModel {
     /// state (`in_bad`: is it in the bad state, asked for only then) on the
     /// copy's own draw, so the state is per receiver while every draw is
     /// per link.
-    pub fn loses<'s>(&self, copy: &LinkCopy, in_bad: impl FnOnce() -> &'s mut bool) -> bool {
+    pub(crate) fn loses<'s>(&self, copy: &LinkCopy, in_bad: impl FnOnce() -> &'s mut bool) -> bool {
         match self {
             LossModel::None => false,
             LossModel::Iid { p } => gen_bool(copy.draw(draw::LOSS), *p),
