@@ -122,10 +122,10 @@ pub enum Command {
     },
     /// Sponsor `ProcessorId` into the group (§7.1), retrying until the
     /// group lists it. That covers first joins and post-crash re-adds: an
-    /// id the group still lists — an incarnation not yet convicted — must
-    /// first leave the view, then come back. An add for a member that is
-    /// listed and never leaves stays pending, and is never retried, until
-    /// the node is dropped.
+    /// id the group still lists — an incarnation not yet convicted — is
+    /// kept by the engine until a settled view no longer lists it, then
+    /// added. An add for a member that is listed and never leaves stays
+    /// kept until the node is dropped.
     AddMember(ProcessorId),
     /// Voluntarily remove a member (or self-leave).
     RemoveMember(ProcessorId),
@@ -136,35 +136,36 @@ pub enum Command {
 /// How often a pending add is retried while the member is absent.
 const ADD_RETRY: SimDuration = SimDuration::from_millis(200);
 
-/// A member being sponsored in.
+/// A member being sponsored in. The engine keeps an add asked while the
+/// view is unsettled or lists the id; what is left here is the retry of an
+/// add that went out and did not take (its AddProcessor discarded at a view
+/// change's flush).
 #[derive(Debug, PartialEq)]
 struct PendingAdd {
     member: ProcessorId,
+    /// When the add last left the engine, or was last kept by it.
     last_try: SimTime,
-    /// The group has been seen without the member since the command: its
-    /// listing from then on is the add's, not a stale incarnation's.
-    absent_seen: bool,
 }
 
 impl PendingAdd {
     /// One tick's look at the add; false once it is complete.
     fn tick(&mut self, engine: &mut Processor, group: GroupId, now: SimTime) -> bool {
-        if listed(engine, group, self.member) {
-            return !self.absent_seen;
+        if engine.holds_add(group, self.member) {
+            self.last_try = now;
+            return true;
         }
-        self.absent_seen = true;
-        if now.saturating_since(self.last_try) >= ADD_RETRY && !engine.is_reconfiguring(group) {
+        if engine
+            .membership(group)
+            .is_some_and(|m| m.contains(&self.member))
+        {
+            return false;
+        }
+        if now.saturating_since(self.last_try) >= ADD_RETRY {
             engine.add_processor(now, group, self.member);
             self.last_try = now;
         }
         true
     }
-}
-
-fn listed(engine: &Processor, group: GroupId, member: ProcessorId) -> bool {
-    engine
-        .membership(group)
-        .is_some_and(|m| m.contains(&member))
 }
 
 /// One engine, its intake and its [`Host`] `U`, plus the scratch a turn
@@ -290,12 +291,10 @@ impl<U: Host> Node<U> {
                 self.host.published(request, outcome);
             }
             Command::AddMember(member) => {
-                let absent_seen = !listed(engine, group, member);
                 engine.add_processor(now, group, member);
                 self.adds.push(PendingAdd {
                     member,
                     last_try: now,
-                    absent_seen,
                 });
             }
             Command::RemoveMember(member) => engine.remove_processor(now, group, member),

@@ -669,7 +669,6 @@ fn a_pending_add_is_retried_on_the_time_it_is_handed() {
     let pending = |last_try| PendingAdd {
         member: ProcessorId(9),
         last_try: SimTime(last_try),
-        absent_seen: true,
     };
     node.turn(SimTime(150_000), true, &mut tape);
     assert_eq!(node.adds, [pending(1_000)]);
@@ -678,7 +677,8 @@ fn a_pending_add_is_retried_on_the_time_it_is_handed() {
 }
 
 /// An add for an id the group still lists — a crashed incarnation not yet
-/// convicted — is neither tried nor finished while the id stays listed.
+/// convicted — is neither sent nor finished while the id stays listed: the
+/// engine keeps it, and the node waits on the engine.
 #[test]
 fn an_add_for_a_listed_member_waits_for_it_to_leave() {
     let mut node = founder(ProtocolConfig::default(), 1..=3);
@@ -689,12 +689,12 @@ fn an_add_for_a_listed_member_waits_for_it_to_leave() {
     node.turn(SimTime(500_000), true, &mut tape);
     let stats = node.engine().stats();
     assert_eq!(stats.sent_of(wire::FtmpMsgType::AddProcessor), 0);
+    assert!(node.engine().holds_add(GROUP, ProcessorId(3)));
     assert_eq!(
         node.adds,
         [PendingAdd {
             member: ProcessorId(3),
-            last_try: SimTime(1_000),
-            absent_seen: false,
+            last_try: SimTime(500_000),
         }],
         "still pending: the listing is the old incarnation's"
     );

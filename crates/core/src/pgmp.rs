@@ -290,6 +290,10 @@ pub struct PgmpGroup {
     pub gate: Option<Timestamp>,
     /// Joins this processor sponsors, keyed by joiner.
     pub sponsor_joins: BTreeMap<ProcessorId, SponsorJoin>,
+    /// Adds asked for while the view was unsettled or still listed the id
+    /// (a re-add before the old incarnation's conviction): each is sent by
+    /// the retry duty once a settled view no longer lists it.
+    pub pending_adds: BTreeSet<ProcessorId>,
     /// The Connect this primary keeps retransmitting.
     pub connect_retx: Option<ConnectRetx>,
     /// A joiner's application-delivery floor: Regular messages ordered at
@@ -338,6 +342,7 @@ impl PgmpGroup {
             reconfig: None,
             gate: None,
             sponsor_joins: BTreeMap::new(),
+            pending_adds: BTreeSet::new(),
             connect_retx: None,
             app_floor: None,
             provisional_since: None,

@@ -636,6 +636,14 @@ impl Processor {
             .is_some_and(|g| g.pgmp.reconfig.is_some())
     }
 
+    /// True while `group` keeps an add of `member` until a settled view no
+    /// longer lists it (see [`add_processor`](Self::add_processor)).
+    pub fn holds_add(&self, group: GroupId, member: ProcessorId) -> bool {
+        self.groups
+            .get(&group)
+            .is_some_and(|g| g.pgmp.pending_adds.contains(&member))
+    }
+
     /// Drain the accumulated actions into a fresh `Vec`. Like
     /// [`drain_actions_into`](Processor::drain_actions_into), this is the
     /// delivery log's turn boundary.
@@ -715,19 +723,26 @@ impl Processor {
 
     /// Sponsor the addition of `new_member` to `group` (§7.1). The sponsor
     /// retransmits the AddProcessor until the joiner is heard, and pins its
-    /// retention buffer meanwhile.
+    /// retention buffer meanwhile. Asked while the view is unsettled, or
+    /// while it still lists the id (a crashed incarnation not yet
+    /// convicted), the add is kept and sent once a settled view no longer
+    /// lists it.
     pub fn add_processor(&mut self, now: SimTime, group: GroupId, new_member: ProcessorId) {
         self.wake();
-        let Some(g) = self.groups.get(&group) else {
+        let Some(g) = self.groups.get_mut(&group) else {
             return;
         };
+        if g.pgmp.sponsor_joins.contains_key(&new_member) {
+            return;
+        }
         if g.pgmp.membership.contains(&new_member)
-            || g.pgmp.sponsor_joins.contains_key(&new_member)
             || g.pgmp.reconfig.is_some()
             || g.pgmp.provisional_since.is_some()
         {
-            return; // the FT infrastructure retries after the membership settles
+            g.pgmp.pending_adds.insert(new_member);
+            return;
         }
+        g.pgmp.pending_adds.remove(&new_member);
         // Cite the *ordered* cut (§7.1): for each source, the last sequence
         // number whose message this sponsor has ordered. Messages beyond the
         // cut — including membership operations not yet reflected in the

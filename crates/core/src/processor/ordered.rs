@@ -110,6 +110,8 @@ impl Processor {
                     return;
                 }
                 if new_member != self.id && !g.pgmp.membership.contains(&new_member) {
+                    // The id is back in: a kept add of it is answered.
+                    g.pgmp.pending_adds.remove(&new_member);
                     g.change_view(now, m.ts, ViewChange::Join(new_member));
                     let (members, ts) = (&g.pgmp.membership, g.pgmp.membership_ts);
                     install_view(&mut self.tap, &mut self.sink, now, gid, members, ts);

@@ -520,7 +520,11 @@ impl Processor {
             let Some(g) = self.groups.get_mut(&gid) else {
                 continue;
             };
-            if g.pgmp.sponsor_joins.is_empty() && g.pgmp.connect_retx.is_none() && !forced {
+            if g.pgmp.sponsor_joins.is_empty()
+                && g.pgmp.connect_retx.is_none()
+                && g.pgmp.pending_adds.is_empty()
+                && !forced
+            {
                 #[cfg(test)]
                 {
                     self.skips.retries += 1;
@@ -568,8 +572,24 @@ impl Processor {
                 }
                 next.at(cr.next_retry);
             }
+            // Kept adds whose id a settled view no longer lists.
+            let settled = g.pgmp.reconfig.is_none() && g.pgmp.provisional_since.is_none();
+            let ready: Vec<ProcessorId> = if settled {
+                let membership = &g.pgmp.membership;
+                g.pgmp
+                    .pending_adds
+                    .iter()
+                    .copied()
+                    .filter(|j| !membership.contains(j))
+                    .collect()
+            } else {
+                Vec::new()
+            };
             for (to, bytes) in resend {
                 self.send_wire(now, to, bytes);
+            }
+            for j in ready {
+                self.add_processor(now, gid, j);
             }
         }
     }

@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use ftmp::check::{world_conn, FtmpWorld};
-use ftmp::core::{ClockMode, Command, ProtocolConfig, ProtocolEvent, RequestNum};
+use ftmp::core::{ClockMode, Command, ProcessorId, ProtocolConfig, ProtocolEvent, RequestNum};
 use ftmp::net::{LossModel, SimConfig};
 
 /// `founders` members under the oracles, at `seed`, with `loss` on every
@@ -198,4 +198,49 @@ fn a_re_add_issued_before_the_conviction_completes_after_it() {
     w.run_ms(500);
     w.checker().finish(1..=3);
     w.checker().assert_clean("re-add before conviction");
+}
+
+/// The same re-add asked of the engine once, with no host retrying it (a
+/// host that calls `Processor::add_processor` itself, as the benchmark's
+/// does): the sponsor's PGMP keeps the request while the stale incarnation
+/// is listed and sends it once a settled view no longer lists the id.
+/// Dropped before, the restarted member never delivered.
+#[test]
+fn an_engine_asked_once_to_re_add_a_listed_id_adds_it_after_the_conviction() {
+    let seed = 32;
+    let mut w = world(seed, 0.0, 3);
+    for k in 0..6u64 {
+        send(&mut w, (k % 3) as u32 + 1, k);
+        w.run_ms(3);
+    }
+    w.crash(3);
+    w.run_ms(50);
+    add_joiner(&mut w, 3, seed);
+    let group = w.group();
+    w.net.with_node(1, |n, now, out| {
+        n.engine_mut().add_processor(now, group, ProcessorId(3));
+        n.pump(now, out);
+    });
+    assert_eq!(
+        membership_of(&w, 1).unwrap(),
+        vec![1, 2, 3],
+        "asked before the conviction"
+    );
+    w.run_ms(1_000);
+    for id in 1..=3u32 {
+        assert_eq!(
+            membership_of(&w, id),
+            Some(vec![1, 2, 3]),
+            "P{id}: P3 came back"
+        );
+    }
+    for k in 6..12u64 {
+        send(&mut w, (k % 3) as u32 + 1, k);
+        w.run_ms(3);
+    }
+    w.run_ms(500);
+    let delivered = w.net.node_mut(3).map_or(0, |n| n.take_deliveries().len());
+    assert!(delivered >= 6, "the restarted member delivered {delivered}");
+    w.checker().finish(1..=3);
+    w.checker().assert_clean("engine re-add before conviction");
 }
