@@ -22,7 +22,7 @@
 //! the exception to the ceiling: it backs off to `fail_timeout`, past which
 //! suspicion takes over from recovery.)
 
-use crate::config::{ProtocolConfig, NACK_DELAY, NACK_RETRY, RETRANSMIT_SUPPRESS};
+use crate::config::{ProtocolConfig, NACK_RETRY, RETRANSMIT_SUPPRESS};
 use ftmp_net::{SimDuration, SimTime};
 
 /// Upper bound on adaptive stretching, as a multiple of the configured
@@ -38,8 +38,11 @@ pub const NACK_BACKOFF_CAP: u32 = 6;
 /// [`RttEstimator::rto`] is floored at this, so a steady stream of
 /// identical samples — which decays the integer RTTVAR toward zero —
 /// can never collapse the RTO onto bare SRTT and re-issue NACKs on the
-/// first jitter blip.
+/// first jitter blip. It is also the floor of [`nack_jitter_max`].
 pub const RTO_GRANULARITY_US: u64 = 1_000;
+
+/// [`RTO_GRANULARITY_US`] as a duration.
+const GRANULARITY: SimDuration = SimDuration::from_micros(RTO_GRANULARITY_US);
 
 /// Suspicion margin: a peer is suspected only after
 /// `SUSPICION_FACTOR × (mean + 4·dev)` of silence.
@@ -136,12 +139,16 @@ fn clamp_scaled(derived: u64, floor: SimDuration) -> SimDuration {
 }
 
 /// Effective NACK initial-jitter window: half the smoothed RTT, floored at
-/// `NACK_DELAY` (SRM-style receiver decorrelation — the window only needs
-/// to spread NACKs over the time it takes the first one to be answered).
+/// the clock granularity `G` (SRM-style receiver decorrelation — the window
+/// only needs to spread NACKs over the time it takes the first one to be
+/// answered). A gap episode arms on a tick, so a window under one tick
+/// fires on the next one whatever its draw: with ticks `G` apart and SRTT/2
+/// under `G`, a gap seen at `t` is first asked for by `t + 2G` (DESIGN.md
+/// §4 "The first request").
 pub fn nack_jitter_max(rtt: &RttEstimator) -> SimDuration {
     match rtt.srtt() {
-        Some(srtt) => clamp_scaled(srtt.as_micros() / 2, NACK_DELAY),
-        None => NACK_DELAY,
+        Some(srtt) => clamp_scaled(srtt.as_micros() / 2, GRANULARITY),
+        None => GRANULARITY,
     }
 }
 
@@ -338,8 +345,8 @@ mod tests {
             for &g in &gaps { t += us(g); arr.observe(t); }
 
             let j = nack_jitter_max(&rtt).as_micros();
-            prop_assert!(j >= NACK_DELAY.as_micros());
-            prop_assert!(j <= MAX_SCALE * NACK_DELAY.as_micros());
+            prop_assert!(j >= RTO_GRANULARITY_US);
+            prop_assert!(j <= MAX_SCALE * RTO_GRANULARITY_US);
 
             let s = suppress_window(&rtt).as_micros();
             prop_assert!(s >= RETRANSMIT_SUPPRESS.as_micros());

@@ -1,20 +1,16 @@
 //! Protocol tunables.
 //!
 //! Two choices the paper leaves open are settled in code, not here. Timers
-//! are always measured (§5's Heartbeats "measure latency"): the NACK jitter,
-//! NACK retry, retransmission suppression and fail timeout below are the
-//! *floors* from which [`crate::adaptive`] derives each effective value, never
-//! more than `MAX_SCALE` times above them. And any processor that holds a
+//! are always measured (§5's Heartbeats "measure latency"): the NACK retry,
+//! retransmission suppression and fail timeout below, and the clock
+//! granularity for the NACK jitter, are the *floors* from which
+//! [`crate::adaptive`] derives each effective value, never more than
+//! `MAX_SCALE` times above them. And any processor that holds a
 //! requested message may answer the RetransmitRequest (§5), each with a fixed
 //! probability besides the original sender, who always answers.
 
 use ftmp_net::SimDuration;
 
-/// NACK scheduling: wait a uniformly random delay in `[0, NACK_DELAY]` after
-/// detecting a gap before sending a RetransmitRequest, so the receivers of
-/// one multicast don't NACK in lock-step (the floor of a window that widens
-/// to half the smoothed RTT).
-pub(crate) const NACK_DELAY: SimDuration = SimDuration::from_millis(2);
 /// Re-issue an unanswered RetransmitRequest after this long at first (the
 /// floor of the RTO), doubling per unanswered retry.
 pub(crate) const NACK_RETRY: SimDuration = SimDuration::from_millis(8);
@@ -304,7 +300,7 @@ mod tests {
     fn defaults_are_consistent() {
         let c = ProtocolConfig::default();
         assert!(c.heartbeat_interval < c.fail_timeout);
-        assert!(NACK_DELAY < NACK_RETRY);
+        assert!(crate::adaptive::RTO_GRANULARITY_US < NACK_RETRY.as_micros());
     }
 
     #[test]

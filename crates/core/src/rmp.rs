@@ -297,14 +297,14 @@ impl SourceLog {
             Some(s) if s.seq == self.next_seq => self.release_early(at + 1),
             _ => Vec::new(),
         };
-        if !self.has_gap() {
+        if !self.has_gap() || answered {
+            // The episode is over. An answered request ends it too, though a
+            // gap stays: repair works, so what is still missing re-arms at
+            // the next pass and is asked for within the first retry, not at
+            // a deadline the backoff grew while the gap stayed open. Fresh
+            // in-order traffic does not count — a wild `highest_seen` would
+            // otherwise keep the backoff at its floor.
             self.nack_at = None;
-            self.nack_attempts = 0;
-        } else if answered {
-            // A request was answered: repair works, so the next one waits
-            // the first retry, not a backoff grown while the gap stayed
-            // open. Fresh in-order traffic does not count — a wild
-            // `highest_seen` would otherwise keep the backoff at its floor.
             self.nack_attempts = 0;
         }
         (RxOutcome::Delivered(Run { first: msg, rest }), true)
@@ -1137,6 +1137,43 @@ mod tests {
         offer(&mut log, answer);
         assert!(log.has_gap());
         assert_eq!(log.nack_attempts, 0);
+    }
+
+    /// A gap backed off to the cap, then a retransmission that advances the
+    /// frontier but leaves a second gap: repair works, so the next request
+    /// falls due within the first retry, not at the deadline the backoff
+    /// set before the answer.
+    #[test]
+    fn a_repair_that_leaves_a_gap_asks_again_within_the_first_retry() {
+        let first = SimDuration::from_millis(8);
+        let retry = |attempts: u32| {
+            let cap = crate::adaptive::NACK_BACKOFF_CAP;
+            SimDuration::from_micros(first.as_micros() << attempts.min(cap))
+        };
+        let jitter = |_, _| SimDuration::from_micros(500);
+        let tick = SimDuration::from_millis(1);
+        let mut log = SourceLog::starting_at(1);
+        claim(&mut log, SeqNum(9));
+        let mut now = SimTime(0);
+        while log.nack_attempts <= crate::adaptive::NACK_BACKOFF_CAP {
+            now = now + tick;
+            log.nack_due(now, jitter, retry(log.nack_attempts));
+        }
+        let mut answer = msg(1, 1, 1);
+        answer.retransmission = true;
+        offer(&mut log, answer);
+        assert!(log.has_gap());
+        let repaired = now;
+        let asked = (1..=first.as_micros() / tick.as_micros()).find_map(|k| {
+            now = repaired + SimDuration::from_micros(k * tick.as_micros());
+            log.nack_due(now, jitter, retry(log.nack_attempts))
+                .then_some(now.saturating_since(repaired))
+        });
+        assert!(
+            asked.is_some_and(|d| d <= first),
+            "asked again after {asked:?}, deadline {:?}",
+            log.nack_at.map(|t| t.saturating_since(repaired))
+        );
     }
 
     #[test]

@@ -68,10 +68,8 @@ impl Window {
             rest.push(m);
             self.next_seq += 1;
         }
-        if !self.has_gap() {
+        if !self.has_gap() || answered {
             self.nack_at = None;
-            self.nack_attempts = 0;
-        } else if answered {
             self.nack_attempts = 0;
         }
         RxOutcome::Delivered(Run { first: msg, rest })
@@ -599,9 +597,10 @@ fn the_log_equals_the_window_and_the_map() {
         "{seen:?}"
     );
     // A conviction cut is a ceiling on what is asked for, so a cut source
-    // that goes on sending in these schedules arms no NACK above it: 860
-    // passes ask, where 1378 did while a cut left the gap armed.
-    assert!(seen.nacks > 850 && seen.resets > 200, "{seen:?}");
+    // that goes on sending in these schedules arms no NACK above it: 825
+    // passes ask, where 1378 did while a cut left the gap armed (860 before
+    // an answered repair re-armed the gap, which spends a pass arming).
+    assert!(seen.nacks > 815 && seen.resets > 200, "{seen:?}");
 }
 
 proptest! {
