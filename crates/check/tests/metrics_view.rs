@@ -62,6 +62,18 @@
 //! side, for its stream above the flush target, at every backoff. Now none
 //! do, and the cell sends 87 fewer datagrams. The loss cell has no view
 //! change and did not move.
+//!
+//! The loss cell was re-pinned when the first RetransmitRequest for a gap
+//! moved one tick earlier (its window floored at the 1 ms clock
+//! granularity, not 2 ms) and an answered repair that leaves a gap re-armed
+//! it (DESIGN.md §4 "The first request"). The cell still sends 19
+//! RetransmitRequests; the repairs come sooner (6 timed recoveries, mean
+//! 2 655 → 2 076 µs) and 32 retransmissions answer them, not 26. What each
+//! member sends moves each link's datagram ordinals, so the 353 losses (351
+//! before) fall on other datagrams: 6 more Regular datagrams (the
+//! retransmissions) and one more Heartbeat leave, and the ordering delay
+//! reads 1 057 064 µs in sum, not 932 400 (its maximum 14 335 → 17 254 µs),
+//! one seed's draw. The partition cell has no gap and did not move.
 
 use ftmp_check::{run_cell_instrumented, Scenario};
 
@@ -76,7 +88,7 @@ struct Pinned {
 const IID_LOSS: Pinned = Pinned {
     counters: &[
         ("nacks_sent", 19),
-        ("retransmissions_answered", 26),
+        ("retransmissions_answered", 32),
         ("rtt_samples", 19),
         ("window_closes", 0),
         ("convictions", 0),
@@ -91,37 +103,37 @@ const IID_LOSS: Pinned = Pinned {
         ("overlay_solicits", 0),
         ("overlay_solicit_answers", 0),
         ("overlay_rescues", 0),
-        ("sweep_observations", 7399),
+        ("sweep_observations", 7402),
         ("sweep_delivered", 240),
         ("sweep_violations", 0),
-        ("net_sent_packets", 1438),
-        ("net_sent_messages", 1438),
-        ("net_delivered", 5401),
-        ("net_lost", 351),
+        ("net_sent_packets", 1445),
+        ("net_sent_messages", 1445),
+        ("net_delivered", 5427),
+        ("net_lost", 353),
         ("net_partitioned", 0),
         ("net_to_crashed", 0),
-        ("net_kind_0x00_packets", 86),
+        ("net_kind_0x00_packets", 92),
         ("net_kind_0x01_packets", 19),
-        ("net_kind_0x02_packets", 1333),
+        ("net_kind_0x02_packets", 1334),
     ],
     gauges: &[
-        ("srtt_us", 807),   // the older commit read 0: P4's estimator alone
-        ("rttvar_us", 384), // the older commit read 0: P4's estimator alone
+        ("srtt_us", 694),   // the older commit read 0: P4's estimator alone
+        ("rttvar_us", 223), // the older commit read 0: P4's estimator alone
         ("overlay_depth", 0),
         ("gap_depth_peak", 2),
         ("conviction_margin_permille", 0),
     ],
     histograms: &[
-        ("rmp_recovery_us", [7, 18589, 2655, 3566, 3566, 3566, 3566]),
+        ("rmp_recovery_us", [6, 12457, 2076, 2715, 2715, 2715, 2715]),
         (
             "ordering_delay_us",
-            [240, 932400, 3885, 4095, 14335, 14335, 14335],
+            [240, 1057064, 4404, 4095, 16383, 16383, 17254],
         ),
         (
             "stability_lag_us",
-            [240, 2015058, 8396, 8191, 21607, 21607, 21607],
+            [240, 2092026, 8716, 8191, 16383, 23436, 23436],
         ),
-        ("e2e_self_us", [60, 301695, 5028, 8191, 12786, 12786, 12786]),
+        ("e2e_self_us", [60, 348225, 5803, 8191, 13741, 13741, 13741]),
         ("view_change_us", [0, 0, 0, 0, 0, 0, 0]),
         ("flow_stall_us", [0, 0, 0, 0, 0, 0, 0]),
         ("pack_msgs_per_datagram", [0, 0, 0, 0, 0, 0, 0]),
