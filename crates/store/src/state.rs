@@ -71,16 +71,19 @@ impl RecoveredState {
 
 /// FNV-1a fingerprint of a record sequence's canonical encoding. Two
 /// recoveries yield identical state iff their fingerprints match — the
-/// proptests' definition of "byte-identical recovered state".
+/// proptests' definition of "byte-identical recovered state". Folded frame
+/// by frame through one scratch buffer, so hashing a log costs one frame of
+/// memory, not a copy of the log.
 pub fn fingerprint(records: &[LogRecord]) -> u64 {
-    let mut buf = Vec::new();
-    for r in records {
-        encode_frame(r, &mut buf);
-    }
+    let mut frame = Vec::new();
     let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in buf {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    for r in records {
+        frame.clear();
+        encode_frame(r, &mut frame);
+        for &b in &frame {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
     }
     h
 }
