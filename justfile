@@ -2,7 +2,8 @@
 # `lint` and `test` jobs (fmt, clippy, rustdoc, tier-1, workspace and
 # vendored-crate tests, the ORB examples).
 # Its other jobs have their own recipes: `chaos`, `conformance`, `metrics`,
-# `bench`, `benchmark-smoke`, `bench-pins`, `panic-budget`, `results-fresh`.
+# `bench`, `benchmark-smoke` (with `seed-sweep`), `bench-pins`, `panic-budget`,
+# `results-fresh`.
 
 default: check
 
@@ -115,6 +116,13 @@ benchmark:
 # Every benchmark workload at 1/200 scale, both passes, correctness gate on.
 benchmark-smoke:
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+# The benchmark's reduced-scale seed sweep: sim-durable-restart-1k,
+# sim-loss-1k and sim-orb-invoke at 0.3 s for seeds 1-64 (about two
+# minutes), naming every workload and seed whose run fails its check. A
+# step of CI's `benchmark-smoke` job.
+seed-sweep:
+    scripts/seed-sweep.sh
 
 # Ten alternated pairs of one benchmark workload, a checkout of the parent
 # commit against this one: each side's median and quartiles and the win
