@@ -260,6 +260,9 @@ struct GroupCorr {
     own_sent: BTreeMap<u64, SimTime>,
     /// Out-of-order arrivals awaiting source-order release.
     buffered_at: BTreeMap<(ProcessorId, u64), SimTime>,
+    /// The ordinal of the last RetransmitRequest sent for each source's
+    /// open gap; dropped when a source's first early arrival opens a gap.
+    nack_ordinal: BTreeMap<ProcessorId, u32>,
     /// Messages enqueued at their total-order position, awaiting delivery.
     enqueued: BTreeMap<OrderKey, SimTime>,
     /// Delivered messages awaiting the stability point (ts ascending).
@@ -288,6 +291,10 @@ pub struct Telemetry {
     flight: Ring<FlightEntry>,
     /// The flight ring rendered at the moment of the first conviction.
     conviction_dump: Option<String>,
+    /// The longest gap repair so far (`rmp_recovery_us`' maximum, µs) and
+    /// the ordinal of the last RetransmitRequest sent for its source when
+    /// it completed (0: repaired on another member's request).
+    longest_repair: Option<(u64, u32)>,
 }
 
 impl Telemetry {
@@ -324,6 +331,7 @@ impl Telemetry {
             groups: BTreeMap::new(),
             flight: Ring::new(FLIGHT_CAPACITY),
             conviction_dump: None,
+            longest_repair: None,
         }
     }
 
@@ -359,15 +367,24 @@ impl Telemetry {
                 seq,
                 depth,
             } => {
-                corr_insert(&mut self.corr(group).buffered_at, (source, seq), now);
+                let c = self.corr(group);
+                if c.buffered_at.range((source, 0)..).next().map(|e| e.0 .0) != Some(source) {
+                    c.nack_ordinal.remove(&source);
+                }
+                corr_insert(&mut c.buffered_at, (source, seq), now);
                 self.record_event(now, FlightEvent::Buffered { group, source, seq });
                 self.reg.raise(self.ids.gap_depth_peak, depth as i64);
             }
             Event::Released { group, source, seq } => {
                 // Only a message that had been buffered has a gap-repair
                 // latency.
-                if let Some(at) = self.corr(group).buffered_at.remove(&(source, seq)) {
+                let c = self.corr(group);
+                if let Some(at) = c.buffered_at.remove(&(source, seq)) {
                     let us = since(at);
+                    let nacks = c.nack_ordinal.get(&source).copied().unwrap_or(0);
+                    if self.longest_repair.is_none_or(|(longest, _)| us > longest) {
+                        self.longest_repair = Some((us, nacks));
+                    }
                     self.reg.record(self.ids.rmp_recovery_us, us);
                     let event = FlightEvent::Recovered {
                         group,
@@ -386,6 +403,7 @@ impl Telemetry {
                 attempts,
             } => {
                 self.reg.record(self.ids.nack_attempts, u64::from(attempts));
+                self.corr(group).nack_ordinal.insert(source, attempts);
                 let event = FlightEvent::NackSent {
                     group,
                     source,
@@ -537,6 +555,13 @@ impl Telemetry {
     pub fn conviction_dump(&self) -> Option<&str> {
         self.conviction_dump.as_deref()
     }
+
+    /// The longest gap repair so far, in µs (`rmp_recovery_us`' maximum),
+    /// with the NACK ordinal of the last request this member had sent for
+    /// that source when it completed: how far the backoff had climbed.
+    pub fn longest_repair(&self) -> Option<(u64, u32)> {
+        self.longest_repair
+    }
 }
 
 #[cfg(test)]
@@ -600,6 +625,38 @@ mod tests {
         assert_eq!(s.histogram("rmp_recovery_us").unwrap().max, 600);
         assert_eq!(s.histogram("ordering_delay_us").unwrap().max, 300);
         assert_eq!(s.histogram("stability_lag_us").unwrap().max, 4_000);
+    }
+
+    /// The longest repair keeps the ordinal of the last request sent for
+    /// its source; a gap repaired on another member's request reads 0.
+    #[test]
+    fn the_longest_repair_carries_its_nack_ordinal() {
+        let mut tel = tel(1);
+        let nack = |attempts| Event::Nack {
+            group: G,
+            source: P2,
+            start: 5,
+            stop: 5,
+            attempts,
+        };
+        let released = |seq| Event::Released {
+            group: G,
+            source: P2,
+            seq,
+        };
+        at(&mut tel, 100, buffered(6));
+        at(&mut tel, 1_000, nack(1));
+        at(&mut tel, 9_000, nack(2));
+        at(&mut tel, 25_100, released(6));
+        assert_eq!(tel.longest_repair(), Some((25_000, 2)));
+        // A shorter repair does not replace it; a longer one, asked for by
+        // someone else, does, with no ordinal of its own.
+        at(&mut tel, 30_000, buffered(8));
+        at(&mut tel, 31_000, released(8));
+        assert_eq!(tel.longest_repair(), Some((25_000, 2)));
+        at(&mut tel, 40_000, buffered(10));
+        at(&mut tel, 70_000, released(10));
+        assert_eq!(tel.longest_repair(), Some((30_000, 0)));
     }
 
     #[test]

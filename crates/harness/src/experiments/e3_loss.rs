@@ -28,12 +28,17 @@ struct Run {
     delivered: usize,
     complete: bool,
     layers: LayerCounters,
+    /// The longest single-gap repair at any member (µs) and the NACK
+    /// ordinal of the last request sent for it (telemetry's
+    /// `longest_repair`).
+    longest_repair: Option<(u64, u32)>,
 }
 
 fn run_seed(loss: LossModel, seed: u64) -> Run {
     let proto = ProtocolConfig::with_seed(seed).heartbeat(SimDuration::from_millis(5));
     let sim = SimConfig::with_seed(seed).loss(loss);
     let mut w = FtmpWorld::new(4, sim, proto, ClockMode::Lamport);
+    w.enable_telemetry();
     for _ in 0..ROUNDS {
         for id in 1..=4u32 {
             w.send(id, 128);
@@ -43,6 +48,9 @@ fn run_seed(loss: LossModel, seed: u64) -> Run {
     w.run_ms(1_000);
     let res = w.collect();
     let stats = LatencyStats::from_samples(&res.latencies_us);
+    let longest_repair = (1..=4)
+        .filter_map(|id| w.net.node(id)?.engine().telemetry()?.longest_repair())
+        .max_by_key(|&(us, _)| us);
     Run {
         loss_rate: w.net.stats().loss_rate(),
         mean_us: stats.mean_us,
@@ -51,6 +59,7 @@ fn run_seed(loss: LossModel, seed: u64) -> Run {
         delivered: res.delivered(),
         complete: res.delivered() == EXPECTED && res.all_agree(),
         layers: w.layer_totals(),
+        longest_repair,
     }
 }
 
@@ -69,6 +78,11 @@ fn run_one(loss: LossModel, label: &str, t: &mut Table, layers: &mut Table) {
     let (mean, mean_lo, mean_hi) = spread(runs.iter().map(|r| r.mean_us / 1000.0).collect());
     let (p99, p99_lo, p99_hi) = spread(runs.iter().map(|r| r.p99_us as f64 / 1000.0).collect());
     let failed: Vec<&Run> = runs.iter().filter(|r| !r.complete).collect();
+    let worst = runs.iter().max_by_key(|r| r.p99_us);
+    let longest = match worst.and_then(|r| r.longest_repair) {
+        Some((us, nacks)) => format!("{:.1} ms, {nacks}", us as f64 / 1000.0),
+        None => "–".into(),
+    };
     t.row(vec![
         label.to_string(),
         format!("{rate:.3}"),
@@ -79,6 +93,7 @@ fn run_one(loss: LossModel, label: &str, t: &mut Table, layers: &mut Table) {
         med(|r| r.recovery.0),
         med(|r| r.recovery.1),
         med(|r| r.recovery.2),
+        longest,
         match failed.first() {
             None => "PASS".into(),
             Some(r) => format!(
@@ -115,6 +130,7 @@ pub fn run() -> Vec<Table> {
             "NACKs",
             "retransmissions",
             "dup rx",
+            "worst seed's longest repair, NACKs",
             "all delivered",
         ],
     );
@@ -155,6 +171,7 @@ pub fn run() -> Vec<Table> {
     t.note("every cell but the ranges is the median over seeds 0xE3..0xE9; a row passes only when every seed delivers everything");
     t.note("mean latency degrades gracefully; p99 absorbs the NACK round trips");
     t.note("dup rx counts extra copies received (any-holder redundancy + crossed retransmissions)");
+    t.note("the worst seed is the one with the highest p99; its longest repair is one gap's first out-of-order arrival to its release at any member, beside the ordinal of the last NACK sent for it: the backoff tail behind that p99");
     layers.note("rmp released == romp delivered at quiescence: every source-ordered message reaches total order");
     layers.note("reorder depth and the romp queue high-water grow with loss: gaps park messages in both layers");
     vec![t, layers]
