@@ -1156,7 +1156,7 @@ mod tests {
         claim(&mut log, SeqNum(9));
         let mut now = SimTime(0);
         while log.nack_attempts <= crate::adaptive::NACK_BACKOFF_CAP {
-            now = now + tick;
+            now += tick;
             log.nack_due(now, jitter, retry(log.nack_attempts));
         }
         let mut answer = msg(1, 1, 1);
