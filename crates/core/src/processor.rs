@@ -629,13 +629,6 @@ impl Processor {
         self.conns.group_of(conn)
     }
 
-    /// True while a reconfiguration is running in `group`.
-    pub fn is_reconfiguring(&self, group: GroupId) -> bool {
-        self.groups
-            .get(&group)
-            .is_some_and(|g| g.pgmp.reconfig.is_some())
-    }
-
     /// True while `group` keeps an add of `member` until a settled view no
     /// longer lists it (see [`add_processor`](Self::add_processor)).
     pub fn holds_add(&self, group: GroupId, member: ProcessorId) -> bool {

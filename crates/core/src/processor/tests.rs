@@ -1311,7 +1311,7 @@ mod prompt_tests {
             .begin_or_extend_reconfig(SimTime(1_000), gid, [ProcessorId(3)].into());
         drain(net.p(2));
         set_credit(&mut net, 2, gid, PROMPT_CAP * PROMPT_EARN);
-        assert!(net.p(2).is_reconfiguring(gid));
+        assert!(net.p(2).groups[&gid].pgmp.reconfig.is_some());
         net.p(1).clock.observe(Timestamp(1_000));
         let (pkt, _) = regular_from_p1(&mut net, SimTime(7_500), 1);
         net.p(2).handle_packet(SimTime(7_500), &pkt);
