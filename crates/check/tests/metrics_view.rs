@@ -74,6 +74,16 @@
 //! retransmissions) and one more Heartbeat leave, and the ordering delay
 //! reads 1 057 064 µs in sum, not 932 400 (its maximum 14 335 → 17 254 µs),
 //! one seed's draw. The partition cell has no gap and did not move.
+//!
+//! The partition cell was re-pinned when a suspicion of silence became
+//! withdrawn once the suspect is heard again (DESIGN.md §4, "Hardening
+//! decisions"): after the heal a member hears across the former partition
+//! and announces its smaller suspect set, one more Suspect datagram (kind
+//! 0x07: 6, not 5). The 3 RetransmitRequests (kind 0x01) the cell sent are
+//! no longer sent, a gap one message deep now opens at one member
+//! (`gap_depth_peak` 1, not 0), and the cell sends 1077 datagrams, not
+//! 1079. Its convictions, view changes, deliveries and latencies held. The
+//! loss cell has no suspicion and did not move.
 
 use ftmp_check::{run_cell_instrumented, Scenario};
 
@@ -160,26 +170,25 @@ const PARTITION_HEAL: Pinned = Pinned {
         ("overlay_solicits", 0),
         ("overlay_solicit_answers", 0),
         ("overlay_rescues", 0),
-        ("sweep_observations", 4807),
+        ("sweep_observations", 4798),
         ("sweep_delivered", 162),
         ("sweep_violations", 0),
-        ("net_sent_packets", 1079),
-        ("net_sent_messages", 1079),
-        ("net_delivered", 3262),
+        ("net_sent_packets", 1077),
+        ("net_sent_messages", 1077),
+        ("net_delivered", 3254),
         ("net_lost", 0),
         ("net_partitioned", 123),
         ("net_to_crashed", 0),
         ("net_kind_0x00_packets", 57),
-        ("net_kind_0x01_packets", 3),
         ("net_kind_0x02_packets", 1008),
-        ("net_kind_0x07_packets", 5),
+        ("net_kind_0x07_packets", 6),
         ("net_kind_0x08_packets", 6),
     ],
     gauges: &[
         ("srtt_us", 0),
         ("rttvar_us", 0),
         ("overlay_depth", 0),
-        ("gap_depth_peak", 0),
+        ("gap_depth_peak", 1),
         ("conviction_margin_permille", 666),
     ],
     histograms: &[

@@ -9,8 +9,7 @@
 //!    against one Packer budget (DESIGN.md §5);
 //! 2. **feed** the engine what the intake holds — datagrams and
 //!    [`Command`]s (publishes, membership changes) — in arrival order;
-//! 3. if a tick is due, retry the sponsored adds that are overdue, then
-//!    tick;
+//! 3. if a tick is due, tick;
 //! 4. close the window, flushing every due Packer queue;
 //! 5. take the turn's actions — the delivery log's turn boundary
 //!    (DESIGN.md §12): the log has handed on every delivery before the
@@ -30,15 +29,14 @@
 //! transport and channels from a parking thread; on the simulator it is a
 //! [`SimNode`] whose sends go to the [`Outbox`] ([`SimLink`]) and whose
 //! upcalls wait in a [`Mailbox`]; the ORB's `OrbNode` puts an ORB above it.
-//! The feed, the add retry and the batching are the code below for all of
-//! them.
+//! The feed and the batching are the code below for all of them.
 
 use crate::actions::{Action, Delivery, ProtocolEvent};
 use crate::ids::{ConnectionId, GroupId, ProcessorId, RequestNum};
 use crate::observe::Observation;
 use crate::processor::{Processor, SendError, SendOutcome};
 use bytes::Bytes;
-use ftmp_net::{McastAddr, Outbox, Packet, SimDuration, SimNode, SimTime};
+use ftmp_net::{McastAddr, Outbox, Packet, SimNode, SimTime};
 use std::collections::VecDeque;
 
 /// The network below a node: the simulator's [`Outbox`] ([`SimLink`]), the
@@ -120,52 +118,16 @@ pub enum Command {
         /// Request body.
         giop: Bytes,
     },
-    /// Sponsor `ProcessorId` into the group (§7.1), retrying until the
-    /// group lists it. That covers first joins and post-crash re-adds: an
-    /// id the group still lists — an incarnation not yet convicted — is
-    /// kept by the engine until a settled view no longer lists it, then
-    /// added. An add for a member that is listed and never leaves stays
-    /// kept until the node is dropped.
+    /// Sponsor `ProcessorId` into the group (§7.1): first joins and
+    /// post-crash re-adds. The engine does the retrying
+    /// ([`Processor::add_processor`]): an id the group still lists — an
+    /// incarnation not yet convicted — is added once a settled view no
+    /// longer lists it, unless the listed incarnation is heard first.
     AddMember(ProcessorId),
     /// Voluntarily remove a member (or self-leave).
     RemoveMember(ProcessorId),
     /// Begin orderly shutdown; the node only notes it ([`Node::stopping`]).
     Stop,
-}
-
-/// How often a pending add is retried while the member is absent.
-const ADD_RETRY: SimDuration = SimDuration::from_millis(200);
-
-/// A member being sponsored in. The engine keeps an add asked while the
-/// view is unsettled or lists the id; what is left here is the retry of an
-/// add that went out and did not take (its AddProcessor discarded at a view
-/// change's flush).
-#[derive(Debug, PartialEq)]
-struct PendingAdd {
-    member: ProcessorId,
-    /// When the add last left the engine, or was last kept by it.
-    last_try: SimTime,
-}
-
-impl PendingAdd {
-    /// One tick's look at the add; false once it is complete.
-    fn tick(&mut self, engine: &mut Processor, group: GroupId, now: SimTime) -> bool {
-        if engine.holds_add(group, self.member) {
-            self.last_try = now;
-            return true;
-        }
-        if engine
-            .membership(group)
-            .is_some_and(|m| m.contains(&self.member))
-        {
-            return false;
-        }
-        if now.saturating_since(self.last_try) >= ADD_RETRY {
-            engine.add_processor(now, group, self.member);
-            self.last_try = now;
-        }
-        true
-    }
 }
 
 /// One engine, its intake and its [`Host`] `U`, plus the scratch a turn
@@ -179,7 +141,6 @@ pub struct Node<U = Mailbox> {
     pub intake: Vec<Inbox>,
     /// The group membership commands act on.
     group: GroupId,
-    adds: Vec<PendingAdd>,
     stopping: bool,
     actions: Vec<Action>,
     frames: Vec<(McastAddr, Bytes)>,
@@ -198,7 +159,6 @@ impl<U: Host> Node<U> {
             host,
             intake: Vec::new(),
             group,
-            adds: Vec::new(),
             stopping: false,
             actions: Vec::new(),
             frames: Vec::new(),
@@ -244,9 +204,7 @@ impl<U: Host> Node<U> {
         }
         self.intake = intake;
         if tick_due {
-            let (engine, group) = (&mut self.engine, self.group);
-            self.adds.retain_mut(|add| add.tick(engine, group, now));
-            engine.tick(now);
+            self.engine.tick(now);
         }
         self.engine.end_batch(now);
         self.engine.drain_actions_into(&mut self.actions);
@@ -290,13 +248,7 @@ impl<U: Host> Node<U> {
                 let outcome = engine.multicast_request(now, conn, request, giop);
                 self.host.published(request, outcome);
             }
-            Command::AddMember(member) => {
-                engine.add_processor(now, group, member);
-                self.adds.push(PendingAdd {
-                    member,
-                    last_try: now,
-                });
-            }
+            Command::AddMember(member) => engine.add_processor(now, group, member),
             Command::RemoveMember(member) => engine.remove_processor(now, group, member),
             Command::Stop => self.stopping = true,
         }

@@ -651,34 +651,9 @@ fn a_subscription_change_splits_the_turns_batch_where_it_occurred() {
     );
 }
 
-/// The retry of a sponsored add is timed on the clock the node is
-/// handed, not on the machine's.
-#[test]
-fn a_pending_add_is_retried_on_the_time_it_is_handed() {
-    let mut node = founder(ProtocolConfig::default(), 1..=2);
-    let mut tape = Tape::default();
-    node.intake
-        .push(Inbox::Command(Command::AddMember(ProcessorId(9))));
-    node.turn(SimTime(1_000), false, &mut tape);
-    let adds = |node: &Node| {
-        node.engine()
-            .stats()
-            .sent_of(wire::FtmpMsgType::AddProcessor)
-    };
-    assert_eq!(adds(&node), 1);
-    let pending = |last_try| PendingAdd {
-        member: ProcessorId(9),
-        last_try: SimTime(last_try),
-    };
-    node.turn(SimTime(150_000), true, &mut tape);
-    assert_eq!(node.adds, [pending(1_000)]);
-    node.turn(SimTime(201_000), true, &mut tape);
-    assert_eq!(node.adds, [pending(201_000)]);
-}
-
 /// An add for an id the group still lists — a crashed incarnation not yet
-/// convicted — is neither sent nor finished while the id stays listed: the
-/// engine keeps it, and the node waits on the engine.
+/// convicted — is not sent while the id stays listed: the engine keeps it
+/// (`tests/membership_churn.rs` follows it through the conviction).
 #[test]
 fn an_add_for_a_listed_member_waits_for_it_to_leave() {
     let mut node = founder(ProtocolConfig::default(), 1..=3);
@@ -689,15 +664,6 @@ fn an_add_for_a_listed_member_waits_for_it_to_leave() {
     node.turn(SimTime(500_000), true, &mut tape);
     let stats = node.engine().stats();
     assert_eq!(stats.sent_of(wire::FtmpMsgType::AddProcessor), 0);
-    assert!(node.engine().holds_add(GROUP, ProcessorId(3)));
-    assert_eq!(
-        node.adds,
-        [PendingAdd {
-            member: ProcessorId(3),
-            last_try: SimTime(500_000),
-        }],
-        "still pending: the listing is the old incarnation's"
-    );
 }
 
 /// Everything a turn can hand a host, a link or a log, in one comparable

@@ -240,8 +240,20 @@ pub struct Peer {
     /// one-way blackhole the silence-based fail timeout can never see); the
     /// fault detector suspects it after `ack_stall_timeout`.
     pub ack_progress: Option<AckProgress>,
-    /// Whether this endpoint currently suspects the peer.
-    pub suspected: bool,
+    /// Whether, and why, this endpoint currently suspects the peer.
+    pub suspected: Option<Suspicion>,
+}
+
+/// Why an endpoint suspects a peer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Suspicion {
+    /// Silent past its fail timeout. A fresh packet from it withdraws the
+    /// suspicion: a member heard again is not the crash the timeout
+    /// guessed, only late.
+    Silence,
+    /// Heard, but its ack has stalled below our frontier; hearing it again
+    /// proves nothing, so the suspicion stands until the view drops it.
+    AckStall,
 }
 
 /// One member's ack-progress watermark (see [`Peer::ack_progress`]).
@@ -282,6 +294,9 @@ pub struct PgmpGroup {
     pub heard_any: BTreeSet<ProcessorId>,
     /// When our suspect set was last announced.
     pub last_suspect_sent: SimTime,
+    /// A suspicion was withdrawn since the last announcement: the fault
+    /// detector announces the smaller set on its next pass.
+    pub withdrawn: bool,
     /// Who suspects whom.
     pub suspicion: SuspicionMatrix,
     /// The running reconfiguration, if any.
@@ -292,7 +307,8 @@ pub struct PgmpGroup {
     pub sponsor_joins: BTreeMap<ProcessorId, SponsorJoin>,
     /// Adds asked for while the view was unsettled or still listed the id
     /// (a re-add before the old incarnation's conviction): each is sent by
-    /// the retry duty once a settled view no longer lists it.
+    /// the retry duty once a settled view no longer lists it, and dropped
+    /// if the id is heard first (see [`note_heard`](Self::note_heard)).
     pub pending_adds: BTreeSet<ProcessorId>,
     /// The Connect this primary keeps retransmitting.
     pub connect_retx: Option<ConnectRetx>,
@@ -338,6 +354,7 @@ impl PgmpGroup {
             peers,
             heard_any: BTreeSet::new(),
             last_suspect_sent: SimTime::ZERO,
+            withdrawn: false,
             suspicion: SuspicionMatrix::default(),
             reconfig: None,
             gate: None,
@@ -366,10 +383,23 @@ impl PgmpGroup {
     }
 
     /// Record that a packet from `source` arrived at `now`. `fresh` is
-    /// false for retransmissions, which prove retention, not liveness.
+    /// false for retransmissions, which prove retention, not liveness. A
+    /// fresh packet withdraws a suspicion of silence, unless a conviction
+    /// is already removing the source, and drops a kept add of the source:
+    /// the incarnation the view lists is alive, so the add is not a re-add.
     pub fn note_heard(&mut self, source: ProcessorId, now: SimTime, fresh: bool) {
         if fresh {
-            self.stamp(source, now).arrivals.observe(now);
+            self.pending_adds.remove(&source);
+            let removing = self
+                .reconfig
+                .as_ref()
+                .is_some_and(|rc| rc.removed.contains(&source));
+            let row = self.stamp(source, now);
+            row.arrivals.observe(now);
+            if row.suspected == Some(Suspicion::Silence) && !removing {
+                row.suspected = None;
+                self.withdrawn = true;
+            }
         }
         self.heard_any.insert(source);
     }
@@ -394,7 +424,7 @@ impl PgmpGroup {
     pub fn suspects(&self) -> impl Iterator<Item = ProcessorId> + '_ {
         self.peers
             .iter()
-            .filter(|(_, r)| r.suspected)
+            .filter(|(_, r)| r.suspected.is_some())
             .map(|(&p, _)| p)
     }
 

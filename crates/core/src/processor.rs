@@ -629,14 +629,6 @@ impl Processor {
         self.conns.group_of(conn)
     }
 
-    /// True while `group` keeps an add of `member` until a settled view no
-    /// longer lists it (see [`add_processor`](Self::add_processor)).
-    pub fn holds_add(&self, group: GroupId, member: ProcessorId) -> bool {
-        self.groups
-            .get(&group)
-            .is_some_and(|g| g.pgmp.pending_adds.contains(&member))
-    }
-
     /// Drain the accumulated actions into a fresh `Vec`. Like
     /// [`drain_actions_into`](Processor::drain_actions_into), this is the
     /// delivery log's turn boundary.
@@ -719,7 +711,9 @@ impl Processor {
     /// retention buffer meanwhile. Asked while the view is unsettled, or
     /// while it still lists the id (a crashed incarnation not yet
     /// convicted), the add is kept and sent once a settled view no longer
-    /// lists it.
+    /// lists it; a fresh packet from the id drops it first, since the
+    /// listed incarnation is then alive. One call is enough: the host
+    /// retries nothing.
     pub fn add_processor(&mut self, now: SimTime, group: GroupId, new_member: ProcessorId) {
         self.wake();
         let Some(g) = self.groups.get_mut(&group) else {

@@ -484,7 +484,7 @@ fn rejoin_starts_fresh(convict: bool) {
     assert_eq!(peer.last_heard, readded, "PGMP last heard");
     assert_eq!(peer.arrivals, Interarrival::default(), "PGMP arrivals");
     assert!(peer.ack_progress.is_none(), "PGMP ack progress");
-    assert!(!peer.suspected, "PGMP suspicion");
+    assert!(peer.suspected.is_none(), "PGMP suspicion");
     assert_eq!(g.rmp.contiguous_of(p3), 0, "RMP window");
     assert_eq!(g.rmp.held_by(p3), 0, "RMP retention");
     for _ in 0..5 {

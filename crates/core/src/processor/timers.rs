@@ -13,7 +13,7 @@
 
 use super::*;
 use crate::adaptive;
-use crate::pgmp::{AckProgress, Peer};
+use crate::pgmp::{AckProgress, Peer, Suspicion};
 
 /// One microsecond: a duty acts once strictly more than its timeout passed.
 const TICK: SimDuration = SimDuration::from_micros(1);
@@ -103,7 +103,7 @@ fn ack_stall_pass(
             entry.ack = ack;
             entry.since = now;
         }
-        if entry.caught_up || peer.suspected {
+        if entry.caught_up || peer.suspected.is_some() {
             continue;
         }
         if now.saturating_since(entry.since) > stall {
@@ -181,7 +181,8 @@ impl GroupState {
                     p == me
                         || pgmp.peers.get(&p).is_none_or(|peer| {
                             let timeout = adaptive::fail_timeout_for(cfg, &peer.arrivals);
-                            peer.suspected || now.saturating_since(peer.last_heard) <= timeout
+                            peer.suspected.is_some()
+                                || now.saturating_since(peer.last_heard) <= timeout
                         })
                 }),
                 "a skipped silence scan would act"
@@ -200,7 +201,7 @@ impl GroupState {
                 };
                 let t = peer.last_heard;
                 earliest = earliest.min(t);
-                if peer.suspected {
+                if peer.suspected.is_some() {
                     return false;
                 }
                 // Per-peer timeout: the configured constant is stretched to
@@ -331,7 +332,7 @@ impl Processor {
             let starving = g.pgmp.membership.iter().any(|&p| {
                 p != self.id
                     && g.pgmp.peers.get(&p).is_some_and(|peer| {
-                        !peer.suspected && now.saturating_since(peer.last_heard) >= hold
+                        peer.suspected.is_none() && now.saturating_since(peer.last_heard) >= hold
                     })
             });
             if stalled || starving {
@@ -452,8 +453,9 @@ impl Processor {
                 self.skips.ack_stall += u64::from(stalled.is_none());
                 self.skips.silence += u64::from(silent.is_none());
             }
+            let stalled = stalled.unwrap_or_default();
             let mut newly = silent.unwrap_or_default();
-            for p in stalled.into_iter().flatten() {
+            for &p in &stalled {
                 if !newly.contains(&p) {
                     newly.push(p);
                 }
@@ -466,12 +468,19 @@ impl Processor {
                 next.past(g.pgmp.last_suspect_sent, half);
                 now.saturating_since(g.pgmp.last_suspect_sent) > half
             };
-            if newly.is_empty() && !resend_due {
+            // A withdrawn suspicion is announced at once, so the others stop
+            // counting it toward a quorum (`PgmpGroup::note_heard`).
+            let withdrawn = std::mem::take(&mut g.pgmp.withdrawn);
+            if newly.is_empty() && !resend_due && !withdrawn {
                 continue;
             }
             for p in &newly {
                 if let Some(peer) = g.pgmp.peers.get_mut(p) {
-                    peer.suspected = true;
+                    peer.suspected = Some(if stalled.contains(p) {
+                        Suspicion::AckStall
+                    } else {
+                        Suspicion::Silence
+                    });
                 }
             }
             g.pgmp.last_suspect_sent = now;

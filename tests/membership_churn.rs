@@ -244,3 +244,37 @@ fn an_engine_asked_once_to_re_add_a_listed_id_adds_it_after_the_conviction() {
     w.checker().finish(1..=3);
     w.checker().assert_clean("engine re-add before conviction");
 }
+
+/// An add asked for a member that is listed and alive (a host's duplicate
+/// call) is dropped once the member is heard: when that member later
+/// leaves of its own accord, the sponsor does not add it back.
+#[test]
+fn an_add_for_a_live_member_does_not_bring_it_back_after_it_leaves() {
+    let seed = 27;
+    let mut w = world(seed, 0.0, 3);
+    for k in 0..6u64 {
+        send(&mut w, (k % 3) as u32 + 1, k);
+        w.run_ms(3);
+    }
+    let group = w.group();
+    w.net.with_node(1, |n, now, out| {
+        n.engine_mut().add_processor(now, group, ProcessorId(3));
+        n.pump(now, out);
+    });
+    w.run_ms(50);
+    w.leave(3, 1);
+    w.run_ms(1_000);
+    assert!(membership_of(&w, 3).is_none(), "P3 left");
+    for id in 1..=2u32 {
+        assert_eq!(membership_of(&w, id), Some(vec![1, 2]), "P{id}");
+    }
+    let adds = w.net.node(1).map_or(0, |n| {
+        n.engine()
+            .stats()
+            .sent_of(ftmp::core::wire::FtmpMsgType::AddProcessor)
+    });
+    assert_eq!(adds, 0, "P1 sent an AddProcessor for the departed P3");
+    w.checker().finish(1..=2);
+    w.checker()
+        .assert_clean("add for a live member, then a leave");
+}
