@@ -312,18 +312,23 @@ fn telemetry_snapshot_is_pinned_on_a_lossy_run() {
         w.run_ms(1);
     }
     w.run_ms(300);
-    // Repair shows at the group level: a member that never sees a gap (P2
-    // here since the first request moved a tick earlier) sends no NACK.
-    let mut nacks = 0;
-    let mut recoveries = 0;
     for id in 1..=4u32 {
         let snap = view(w.net.node(id).unwrap().engine());
         assert_eq!(snap.counter("convictions"), Some(0), "no conviction here");
-        nacks += snap.counter("nacks_sent").unwrap();
-        recoveries += snap.histogram("rmp_recovery_us").unwrap().count;
+        // P2 sends no NACK in this run since the first request moved a
+        // tick earlier; the other three each repair a loss.
+        if id != 2 {
+            assert!(
+                snap.counter("nacks_sent").unwrap() > 0,
+                "P{id}: loss was repaired"
+            );
+            assert!(
+                snap.histogram("rmp_recovery_us").unwrap().count > 0,
+                "P{id}"
+            );
+        }
         assert!(snap.histogram("stability_lag_us").unwrap().count > 0);
     }
-    assert!(nacks > 0 && recoveries > 0, "loss was repaired");
     let (h, rendered) = hash_telemetry(&w);
     assert_eq!(
         h, TELEMETRY_SNAPSHOT,
