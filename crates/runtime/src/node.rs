@@ -13,7 +13,7 @@
 //! engine work wakes it at once, and a busy engine costs its callers no
 //! syscall.
 //!
-//! The node's feed, its add retry and its batching are core's; this module
+//! The node's feed and its batching are core's; this module
 //! supplies what needs a thread or a socket. [`NodeConfig::build`] builds
 //! the engine with a synchronized clock and hands the node an [`Io`] host:
 //! the application's channels, the trace recorder and the hybrid-logical
