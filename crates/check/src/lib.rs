@@ -17,7 +17,7 @@
 //! - [`suite`] — [`OracleSuite`] fans each event to every oracle and keeps
 //!   a bounded context ring; [`Checker`] is the `Rc`-shared handle that
 //!   attaches the suite to simulated processors.
-//! - [`replay`] — reads the trace files `ftmp-runtime` records during
+//! - [`replay`] — reads the trace logs `ftmp-runtime` records during
 //!   real-socket runs and feeds them through the same suite, so sim and
 //!   real transports are judged by identical oracles.
 //! - [`report`] — bridges [`ftmp_net::Trace`] captures into counterexample

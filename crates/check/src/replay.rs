@@ -1,10 +1,10 @@
-//! Trace-file replay: run the seven oracles over recorded real-socket
+//! Trace-log replay: run the seven oracles over recorded real-socket
 //! traces.
 //!
-//! The `ftmp-runtime` trace recorder writes one file per (node,
-//! incarnation): a header line, `o <at_us> <observation>` lines in exact
-//! local emission order, and an `end` marker on clean shutdown. This
-//! module reads those files back and feeds them through the same
+//! The `ftmp-runtime` trace recorder writes one `ftmp-store` trace log per
+//! (node, incarnation): an open record, one record per observation in
+//! exact local emission order, and a close record on clean shutdown. This
+//! module reads those logs back and feeds them through the same
 //! [`OracleSuite`] that checks simulator runs — the replay path is what
 //! makes a multi-process cluster run *checkable*, and hence what makes the
 //! sim-vs-real parity claim testable.
@@ -19,20 +19,23 @@
 //! order, with [`OracleSuite::retire`]/[`OracleSuite::rejoin`] called at
 //! each boundary — same as the simulator's crash-restart scenario does.
 //!
-//! Torn tails: a kill -9'd member's trace may end mid-line. The reader
-//! accepts a final unparsable line (counted, not fatal) but rejects
-//! malformed lines elsewhere, mirroring the durable log's torn-tail rule.
+//! Torn tails: a kill -9'd member's trace may end mid-frame. The reader is
+//! the store's own segment walk, so the durable log's torn-tail rule holds:
+//! a cut-off last frame is counted, not fatal; a bad frame anywhere else is
+//! an error. Reading never heals or otherwise changes a trace.
 
 use ftmp_core::ids::{GroupId, ProcessorId};
 use ftmp_core::observe::Observation;
 use ftmp_net::SimTime;
+use ftmp_store::trace;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::obs::Event;
 use crate::suite::OracleSuite;
 
-/// One parsed trace file: a single (node, incarnation) observation stream.
+/// One trace log read back: a single (node, incarnation) observation
+/// stream.
 #[derive(Debug, Clone)]
 pub struct TraceFile {
     /// Recording processor.
@@ -41,88 +44,30 @@ pub struct TraceFile {
     pub incarnation: u32,
     /// Observations in exact local emission order.
     pub events: Vec<(SimTime, Observation)>,
-    /// True when the `end` marker was present (clean shutdown).
+    /// True when the close record was present (clean shutdown).
     pub clean_end: bool,
-    /// True when a torn final line was skipped (crash mid-write).
+    /// True when a frame cut off by a crash mid-`write` ended the log.
     pub torn_tail: bool,
 }
 
-/// Parse one trace file (see `ftmp-runtime`'s recorder for the format).
+/// Read one trace log (`ftmp_store::trace`, which `ftmp-runtime`'s
+/// recorder writes) without changing it. A log with no close record
+/// belongs to a crashed incarnation; a frame cut off at its end is counted
+/// in [`TraceFile::torn_tail`]; any other anomaly is an `InvalidData`
+/// error.
 pub fn read_trace_file(path: &Path) -> io::Result<TraceFile> {
-    let text = std::fs::read_to_string(path)?;
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| bad(format!("{}: empty trace", path.display())))?;
-    let mut node = None;
-    let mut inc = None;
-    let mut toks = header.split_ascii_whitespace();
-    if toks.next() != Some("ftmp-trace") || toks.next() != Some("v1") {
-        return Err(bad(format!(
-            "{}: not an ftmp-trace v1 file",
-            path.display()
-        )));
-    }
-    for tok in toks {
-        match tok.split_once('=') {
-            Some(("node", v)) => node = v.parse::<u32>().ok(),
-            Some(("inc", v)) => inc = v.parse::<u32>().ok(),
-            _ => {}
-        }
-    }
-    let node =
-        ProcessorId(node.ok_or_else(|| bad(format!("{}: header missing node", path.display())))?);
-    let incarnation = inc.ok_or_else(|| bad(format!("{}: header missing inc", path.display())))?;
-
     let mut events = Vec::new();
-    let mut clean_end = false;
-    let mut torn_tail = false;
-    let rest: Vec<&str> = lines.collect();
-    for (i, line) in rest.iter().enumerate() {
-        let parsed = (|| {
-            let (tag, body) = line.split_once(' ')?;
-            match tag {
-                "o" => {
-                    let (at, obs) = body.split_once(' ')?;
-                    Some(Some((
-                        SimTime(at.parse().ok()?),
-                        Observation::parse_line(obs)?,
-                    )))
-                }
-                "end" => {
-                    body.trim().parse::<u64>().ok()?;
-                    Some(None)
-                }
-                _ => None,
-            }
-        })();
-        match parsed {
-            Some(Some(ev)) => events.push(ev),
-            Some(None) => {
-                clean_end = true;
-                break;
-            }
-            None if i + 1 == rest.len() => torn_tail = true, // crash cut the tail
-            None => {
-                return Err(bad(format!(
-                    "{}: malformed line {}: {line:?}",
-                    path.display(),
-                    i + 2
-                )))
-            }
-        }
-    }
+    let info = trace::read(path, |at, obs| events.push((SimTime(at), obs)))?;
     Ok(TraceFile {
-        node,
-        incarnation,
+        node: info.node,
+        incarnation: info.incarnation,
         events,
-        clean_end,
-        torn_tail,
+        clean_end: info.clean_end,
+        torn_tail: info.torn_tail,
     })
 }
 
-/// Read every `*.trc` file in a directory.
+/// Read every `*.trc` trace log in a directory.
 pub fn read_trace_dir(dir: &Path) -> io::Result<Vec<TraceFile>> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -151,7 +96,7 @@ pub struct ReplayReport {
     pub by_oracle: Vec<(&'static str, usize)>,
     /// Human-readable first counterexample, if any.
     pub first_counterexample: Option<String>,
-    /// True when any file ended without its `end` marker *and* was not
+    /// True when any trace ended without its close record *and* was not
     /// superseded by a later incarnation of the same node (i.e. a crash the
     /// schedule didn't expect).
     pub unexpected_truncation: bool,
@@ -164,7 +109,7 @@ impl ReplayReport {
     }
 }
 
-/// Replay trace files through [`OracleSuite::standard`].
+/// Replay trace logs through [`OracleSuite::standard`].
 ///
 /// `live` is the membership expected to have converged at the end of the
 /// run (passed to the reliability/convergence finish checks); nodes whose

@@ -84,6 +84,17 @@
 //! (`gap_depth_peak` 1, not 0), and the cell sends 1077 datagrams, not
 //! 1079. Its convictions, view changes, deliveries and latencies held. The
 //! loss cell has no suspicion and did not move.
+//!
+//! The partition cell was re-pinned when a departed source's stream became
+//! sealed at its cut (DESIGN.md §4): what the convicted P4 sends from the
+//! far side above its flush target is refused, not retained. Three
+//! observations go (4795, not 4798: an arrival's `Retained` is the only one
+//! a refusal removes), and the early arrival above the cut that one member
+//! held — the gap one message deep above — is no longer held
+//! (`gap_depth_peak` 0, not 1): held, a fill would have released it past
+//! the cut, the fault the seal mends.
+//! Every datagram count, delivery and latency held. The loss cell has no
+//! view change and did not move.
 
 use ftmp_check::{run_cell_instrumented, Scenario};
 
@@ -170,7 +181,7 @@ const PARTITION_HEAL: Pinned = Pinned {
         ("overlay_solicits", 0),
         ("overlay_solicit_answers", 0),
         ("overlay_rescues", 0),
-        ("sweep_observations", 4798),
+        ("sweep_observations", 4795),
         ("sweep_delivered", 162),
         ("sweep_violations", 0),
         ("net_sent_packets", 1077),
@@ -188,7 +199,7 @@ const PARTITION_HEAL: Pinned = Pinned {
         ("srtt_us", 0),
         ("rttvar_us", 0),
         ("overlay_depth", 0),
-        ("gap_depth_peak", 1),
+        ("gap_depth_peak", 0),
         ("conviction_margin_permille", 666),
     ],
     histograms: &[

@@ -20,7 +20,8 @@
 //!    except that a subscription change splits the batch where it occurred,
 //!    so it takes effect between the sends around it;
 //! 7. hand on the observations the turn recorded, if the engine records
-//!    them.
+//!    them, in one [`Host::observe`] call (a trace writer's one `write` a
+//!    turn).
 //!
 //! A node has no thread and no clock: time is a parameter of every turn,
 //! so it is as deterministic as the engine inside it. Where its datagrams
@@ -38,6 +39,7 @@ use crate::processor::{Processor, SendError, SendOutcome};
 use bytes::Bytes;
 use ftmp_net::{McastAddr, Outbox, Packet, SimNode, SimTime};
 use std::collections::VecDeque;
+use std::vec::Drain;
 
 /// The network below a node: the simulator's [`Outbox`] ([`SimLink`]), the
 /// runtime's transport.
@@ -60,9 +62,11 @@ pub trait Host {
     /// [`Action::Backpressure`], reopened on [`Action::SendReady`]. Hosts
     /// that never fill the window ignore it.
     fn window(&mut self, _group: GroupId, _closed: bool) {}
-    /// One recorded observation; none unless the engine records them
-    /// ([`Processor::enable_observations`]).
-    fn observe(&mut self, _now: SimTime, _obs: Observation) {}
+    /// The observations the turn recorded, in recording order, at the end
+    /// of every turn; there are none unless the engine records them
+    /// ([`Processor::enable_observations`]). What the host does not take
+    /// is dropped.
+    fn observe(&mut self, _now: SimTime, _observations: Drain<'_, Observation>) {}
     /// What became of a [`Command::Publish`], as the turn fed it.
     fn published(&mut self, _request: RequestNum, _outcome: Result<SendOutcome, SendError>) {}
 }
@@ -230,9 +234,7 @@ impl<U: Host> Node<U> {
         // slow to record, are handed on.
         send_batch(link, &mut self.frames);
         self.engine.drain_observations_into(&mut self.observations);
-        for obs in self.observations.drain(..) {
-            self.host.observe(now, obs);
-        }
+        self.host.observe(now, self.observations.drain(..));
         acted
     }
 
@@ -325,9 +327,9 @@ impl Host for Mailbox {
     fn event(&mut self, now: SimTime, e: ProtocolEvent) {
         self.events.push_back((now, e));
     }
-    fn observe(&mut self, now: SimTime, obs: Observation) {
+    fn observe(&mut self, now: SimTime, observations: Drain<'_, Observation>) {
         if let Some(cb) = self.observer.as_mut() {
-            cb(now, obs);
+            observations.for_each(|obs| cb(now, obs));
         }
     }
     fn published(&mut self, _request: RequestNum, outcome: Result<SendOutcome, SendError>) {

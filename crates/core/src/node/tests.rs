@@ -719,8 +719,8 @@ impl Host for Recorder {
     fn window(&mut self, g: GroupId, closed: bool) {
         self.push(Rec::Window(g, closed));
     }
-    fn observe(&mut self, _now: SimTime, _obs: Observation) {
-        self.push(Rec::Observed);
+    fn observe(&mut self, _now: SimTime, observations: std::vec::Drain<'_, Observation>) {
+        observations.for_each(|_| self.push(Rec::Observed));
     }
 }
 

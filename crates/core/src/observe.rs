@@ -16,12 +16,13 @@
 //! enabled is an event projected into the owned value kept here. The
 //! default wire behaviour (pinned by the golden trace-hash test) and the
 //! hot-path allocation profile are untouched.
+//!
+//! On disk — a socket runtime's trace, replayed by `ftmp-check` — the
+//! stream is a log of `ftmp-store`'s segments and frames, one binary
+//! record per observation (`ftmp_store::trace`).
 
-use crate::ids::{
-    ConnectionId, GroupId, ObjectGroupId, ProcessorId, RequestNum, SeqNum, Timestamp,
-};
+use crate::ids::{ConnectionId, GroupId, ProcessorId, RequestNum, SeqNum, Timestamp};
 use crate::tap::Event;
-use std::fmt::Write as _;
 
 /// One externally meaningful protocol event, as seen by a single processor.
 ///
@@ -177,284 +178,5 @@ impl Observation {
             },
             _ => return,
         });
-    }
-
-    /// The group this observation belongs to.
-    pub fn group(&self) -> GroupId {
-        match self {
-            Observation::Delivered { group, .. }
-            | Observation::ViewInstalled { group, .. }
-            | Observation::Sent { group, .. }
-            | Observation::Acked { group, .. }
-            | Observation::Retained { group, .. }
-            | Observation::Reclaimed { group, .. }
-            | Observation::Suspected { group, .. }
-            | Observation::Convicted { group, .. } => *group,
-        }
-    }
-
-    /// Short label for reports.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Observation::Delivered { .. } => "Delivered",
-            Observation::ViewInstalled { .. } => "ViewInstalled",
-            Observation::Sent { .. } => "Sent",
-            Observation::Acked { .. } => "Acked",
-            Observation::Retained { .. } => "Retained",
-            Observation::Reclaimed { .. } => "Reclaimed",
-            Observation::Suspected { .. } => "Suspected",
-            Observation::Convicted { .. } => "Convicted",
-        }
-    }
-
-    /// Encode as one space-separated text line (the on-disk trace schema
-    /// shared by the real-socket runtime's recorder and `ftmp-check`'s
-    /// trace-file replay). Round-trips exactly through [`parse_line`].
-    ///
-    /// [`parse_line`]: Observation::parse_line
-    pub fn encode_line(&self) -> String {
-        let mut s = String::with_capacity(64);
-        s.push_str(self.kind());
-        let _ = match self {
-            Observation::Delivered {
-                group,
-                conn,
-                request,
-                source,
-                seq,
-                ts,
-            } => write!(
-                s,
-                " g={} c={} r={} s={} q={} t={}",
-                group.0,
-                encode_conn(conn),
-                request.0,
-                source.0,
-                seq.0,
-                ts.0
-            ),
-            Observation::ViewInstalled { group, members, ts } => {
-                let list = members
-                    .iter()
-                    .map(|p| p.0.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",");
-                write!(s, " g={} t={} m={}", group.0, ts.0, list)
-            }
-            Observation::Sent { group, seq, ts } => {
-                write!(s, " g={} q={} t={}", group.0, seq.0, ts.0)
-            }
-            Observation::Acked { group, member, ts } => {
-                write!(s, " g={} p={} t={}", group.0, member.0, ts.0)
-            }
-            Observation::Retained {
-                group,
-                source,
-                seq,
-                ts,
-            } => write!(s, " g={} s={} q={} t={}", group.0, source.0, seq.0, ts.0),
-            Observation::Reclaimed {
-                group,
-                stable_ts,
-                count,
-            } => write!(s, " g={} t={} n={}", group.0, stable_ts.0, count),
-            Observation::Suspected { group, suspect } => {
-                write!(s, " g={} p={}", group.0, suspect.0)
-            }
-            Observation::Convicted { group, convicted } => {
-                write!(s, " g={} p={}", group.0, convicted.0)
-            }
-        };
-        s
-    }
-
-    /// Parse a line produced by [`encode_line`]. Returns `None` on any
-    /// malformed input (unknown kind, missing or unparsable field) — a torn
-    /// final line in a crash-truncated trace file parses as `None` rather
-    /// than panicking.
-    ///
-    /// [`encode_line`]: Observation::encode_line
-    pub fn parse_line(line: &str) -> Option<Observation> {
-        let mut toks = line.split_ascii_whitespace();
-        let kind = toks.next()?;
-        let mut fields = Fields::default();
-        for tok in toks {
-            let (k, v) = tok.split_once('=')?;
-            match k {
-                "g" => fields.g = Some(v.parse().ok()?),
-                "c" => fields.c = Some(parse_conn(v)?),
-                "r" => fields.r = Some(v.parse().ok()?),
-                "s" => fields.s = Some(v.parse().ok()?),
-                "q" => fields.q = Some(v.parse().ok()?),
-                "t" => fields.t = Some(v.parse().ok()?),
-                "p" => fields.p = Some(v.parse().ok()?),
-                "n" => fields.n = Some(v.parse().ok()?),
-                "m" => {
-                    let mut members = Vec::new();
-                    if !v.is_empty() {
-                        for part in v.split(',') {
-                            members.push(ProcessorId(part.parse().ok()?));
-                        }
-                    }
-                    fields.m = Some(members);
-                }
-                _ => return None,
-            }
-        }
-        let g = GroupId(fields.g?);
-        Some(match kind {
-            "Delivered" => Observation::Delivered {
-                group: g,
-                conn: fields.c?,
-                request: RequestNum(fields.r?),
-                source: ProcessorId(fields.s?),
-                seq: SeqNum(fields.q?),
-                ts: Timestamp(fields.t?),
-            },
-            "ViewInstalled" => Observation::ViewInstalled {
-                group: g,
-                members: fields.m?,
-                ts: Timestamp(fields.t?),
-            },
-            "Sent" => Observation::Sent {
-                group: g,
-                seq: SeqNum(fields.q?),
-                ts: Timestamp(fields.t?),
-            },
-            "Acked" => Observation::Acked {
-                group: g,
-                member: ProcessorId(fields.p?),
-                ts: Timestamp(fields.t?),
-            },
-            "Retained" => Observation::Retained {
-                group: g,
-                source: ProcessorId(fields.s?),
-                seq: SeqNum(fields.q?),
-                ts: Timestamp(fields.t?),
-            },
-            "Reclaimed" => Observation::Reclaimed {
-                group: g,
-                stable_ts: Timestamp(fields.t?),
-                count: fields.n?,
-            },
-            "Suspected" => Observation::Suspected {
-                group: g,
-                suspect: ProcessorId(fields.p?),
-            },
-            "Convicted" => Observation::Convicted {
-                group: g,
-                convicted: ProcessorId(fields.p?),
-            },
-            _ => return None,
-        })
-    }
-}
-
-/// Key=value scratch for [`Observation::parse_line`].
-#[derive(Default)]
-struct Fields {
-    g: Option<u32>,
-    c: Option<ConnectionId>,
-    r: Option<u64>,
-    s: Option<u32>,
-    q: Option<u64>,
-    t: Option<u64>,
-    p: Option<u32>,
-    n: Option<usize>,
-    m: Option<Vec<ProcessorId>>,
-}
-
-/// `ConnectionId` as `cd.cg-sd.sg` (client domain.group - server
-/// domain.group).
-fn encode_conn(c: &ConnectionId) -> String {
-    format!(
-        "{}.{}-{}.{}",
-        c.client.domain.0, c.client.group, c.server.domain.0, c.server.group
-    )
-}
-
-fn parse_conn(v: &str) -> Option<ConnectionId> {
-    let (client, server) = v.split_once('-')?;
-    let parse_og = |s: &str| -> Option<ObjectGroupId> {
-        let (d, g) = s.split_once('.')?;
-        Some(ObjectGroupId::new(d.parse().ok()?, g.parse().ok()?))
-    };
-    Some(ConnectionId::new(parse_og(client)?, parse_og(server)?))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn samples() -> Vec<Observation> {
-        let conn = ConnectionId::new(ObjectGroupId::new(1, 10), ObjectGroupId::new(2, 20));
-        vec![
-            Observation::Delivered {
-                group: GroupId(1),
-                conn,
-                request: RequestNum(42),
-                source: ProcessorId(3),
-                seq: SeqNum(7),
-                ts: Timestamp(99),
-            },
-            Observation::ViewInstalled {
-                group: GroupId(1),
-                members: vec![ProcessorId(1), ProcessorId(2), ProcessorId(3)],
-                ts: Timestamp(5),
-            },
-            Observation::ViewInstalled {
-                group: GroupId(1),
-                members: vec![],
-                ts: Timestamp(6),
-            },
-            Observation::Sent {
-                group: GroupId(1),
-                seq: SeqNum(8),
-                ts: Timestamp(100),
-            },
-            Observation::Acked {
-                group: GroupId(1),
-                member: ProcessorId(2),
-                ts: Timestamp(90),
-            },
-            Observation::Retained {
-                group: GroupId(1),
-                source: ProcessorId(2),
-                seq: SeqNum(4),
-                ts: Timestamp(88),
-            },
-            Observation::Reclaimed {
-                group: GroupId(1),
-                stable_ts: Timestamp(80),
-                count: 12,
-            },
-            Observation::Suspected {
-                group: GroupId(1),
-                suspect: ProcessorId(9),
-            },
-            Observation::Convicted {
-                group: GroupId(1),
-                convicted: ProcessorId(9),
-            },
-        ]
-    }
-
-    #[test]
-    fn line_codec_round_trips_every_variant() {
-        for obs in samples() {
-            let line = obs.encode_line();
-            let back = Observation::parse_line(&line)
-                .unwrap_or_else(|| panic!("parse failed for {line:?}"));
-            assert_eq!(back, obs, "round-trip mismatch for {line:?}");
-        }
-    }
-
-    #[test]
-    fn parse_rejects_torn_and_malformed_lines() {
-        assert_eq!(Observation::parse_line(""), None);
-        assert_eq!(Observation::parse_line("Delivered g=1 c=1.10-"), None);
-        assert_eq!(Observation::parse_line("Nonsense g=1"), None);
-        assert_eq!(Observation::parse_line("Delivered g=1"), None);
-        assert_eq!(Observation::parse_line("Sent g=1 q=2 t=notanum"), None);
     }
 }

@@ -50,19 +50,22 @@
 //!
 //! **Retained, or only waiting.** Retention (what answers a request and
 //! counts in `held_by`) and the receive window (what is released in order)
-//! let go of a message at different times in two cases, and the log keeps
-//! both by letting a slot lose its retention part while it stays: a
-//! stability point past a hole (a source no longer in the view, whose
-//! stamps stability no longer waits for) reclaims early arrivals from
-//! retention, and a conviction's cut at the agreed reconciliation target
-//! ([`drop_beyond`](RmpLayer::drop_beyond)) drops everything above it from
-//! retention. In both, an early arrival stops being retained but keeps
-//! waiting in the window: it is still no gap to NACK, a copy of it is still
-//! a duplicate (which retains it again), and a gap fill still releases it,
-//! taking the slot out of the log. A cut is also the log's ceiling: a source
-//! that left the view, by conviction or by a voluntary leave (cut at our
-//! contiguous cursor), is asked for nothing above it again, whatever it
-//! still sends.
+//! let go of a message at different times where a stability point passes
+//! a hole (a source no longer in the view, whose stamps stability no
+//! longer waits for): it reclaims early arrivals from retention, and the
+//! log keeps both by letting a slot lose its retention part while it
+//! stays. Such an early arrival is still no gap to NACK, a copy of it is
+//! still a duplicate (which retains it again), and a gap fill still
+//! releases it, taking the slot out of the log.
+//!
+//! **A cut seals the stream.** A source that left the view — by conviction,
+//! cut at the agreed reconciliation target, or by a voluntary leave, cut at
+//! our contiguous cursor ([`drop_beyond`](RmpLayer::drop_beyond)) — is
+//! sealed at the cut, or at our cursor if that is past it: everything held
+//! above the cut leaves the log, and whatever arrives above the seal
+//! afterwards is refused as a duplicate and asked for by no NACK. No
+//! survivor delivers past the agreed target, so a member that did would
+//! break the total order.
 //!
 //! **Zero-copy retransmission.** A slot keeps the message's original wire
 //! bytes (a [`Bytes`] handle sharing the received datagram's buffer) and
@@ -122,7 +125,8 @@ impl IntoIterator for Run {
 /// ([`RmpLayer::receive`]).
 #[derive(Debug, PartialEq, Eq)]
 pub enum RxOutcome {
-    /// Already received (retransmission or duplicate); dropped.
+    /// Already received (retransmission or duplicate), or past a departed
+    /// source's seal; dropped.
     Duplicate,
     /// Out of order; buffered awaiting the gap fill.
     Buffered,
@@ -201,9 +205,10 @@ struct SourceLog {
     /// (including Heartbeats), i.e. how far the source has provably sent,
     /// up to `ceiling`.
     highest_seen: u64,
-    /// The highest sequence number worth asking for: `u64::MAX` while the
-    /// source is in the view, its cut once it has left, so that what it
-    /// still sends arms nothing above the cut.
+    /// The seal: the highest sequence number taken in or asked for.
+    /// `u64::MAX` while the source is in the view, its cut (or our cursor,
+    /// if that is past it) once it has left, so that what it still sends
+    /// above the cut is refused and arms nothing.
     ceiling: u64,
     /// Retained slots.
     held: usize,
@@ -258,6 +263,10 @@ impl SourceLog {
     fn receive(&mut self, msg: FtmpMessage, wire: Bytes) -> (RxOutcome, bool) {
         let seq = msg.seq.0;
         self.highest_seen = self.highest_seen.max(seq).min(self.ceiling);
+        if seq > self.ceiling {
+            // Past a departed source's seal: no survivor delivers it.
+            return (RxOutcome::Duplicate, false);
+        }
         let at = match self.slots.back() {
             Some(last) if last.seq >= seq => self.slots.binary_search_by_key(&seq, |s| s.seq),
             _ => Err(self.slots.len()),
@@ -450,18 +459,25 @@ impl SourceLog {
         reclaimed
     }
 
-    /// Drop from retention every slot above `beyond`: released ones leave
-    /// the log, early arrivals keep waiting unretained. Returns the number
-    /// dropped.
-    fn drop_beyond(&mut self, beyond: u64) -> usize {
+    /// Seal the stream at `beyond`, or at the cursor if that is past it
+    /// (what was released stays released): every slot above `beyond` leaves
+    /// retention, every slot above the seal leaves the log, and nothing
+    /// above the seal is taken in or asked for again. Returns the retained
+    /// slots dropped and the early arrivals that left the log.
+    fn seal(&mut self, beyond: u64) -> (usize, usize) {
+        self.ceiling = beyond.max(self.contiguous());
+        self.highest_seen = self.highest_seen.min(self.ceiling);
         let mut dropped = 0;
         for s in self.slots.iter_mut().filter(|s| s.seq > beyond) {
             dropped += usize::from(s.kept.take().is_some());
         }
+        let sealed = self.slots.partition_point(|s| s.seq <= self.ceiling);
+        let waiting = self.slots.len() - sealed;
+        self.slots.truncate(sealed);
         self.forget_released();
         shrink(&mut self.slots);
         self.held -= dropped;
-        dropped
+        (dropped, waiting)
     }
 
     /// Take out of the log the released slots retention let go of.
@@ -845,19 +861,18 @@ impl RmpLayer {
 
     /// `source` left the view with its stream cut at `beyond` (a leaver's
     /// contiguous cursor, a convicted source's agreed reconciliation
-    /// target): what is retained above the cut goes (the module doc's
-    /// "Retained, or only waiting": early arrivals keep waiting in the
-    /// window), and nothing above it is asked for again, whatever the source
-    /// still sends. A gap below the cut stays armed, the slots at or below
-    /// it keep answering others until stability reclaims them, and a re-add
-    /// under the same id starts a fresh log.
+    /// target): the stream is sealed there (the module doc's "A cut seals
+    /// the stream"). What is held above the cut goes, and nothing above it
+    /// is taken in or asked for again, whatever the source still sends. A
+    /// gap below the cut stays armed, the slots at or below it keep
+    /// answering others until stability reclaims them, and a re-add under
+    /// the same id starts a fresh log.
     pub fn drop_beyond(&mut self, source: ProcessorId, beyond: u64) {
         let Some(log) = self.logs.get_mut(&source) else {
             return;
         };
-        log.ceiling = beyond.max(log.contiguous());
-        log.highest_seen = log.highest_seen.min(log.ceiling);
-        let dropped = log.drop_beyond(beyond);
+        let (dropped, waiting) = log.seal(beyond);
+        self.buffered -= waiting;
         if dropped > 0 {
             self.len -= dropped;
             self.swept = None;

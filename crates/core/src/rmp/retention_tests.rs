@@ -26,8 +26,9 @@ struct Window {
     next_seq: u64,
     buffer: BTreeMap<u64, FtmpMessage>,
     highest_seen: u64,
-    /// The cut of a departed source: nothing above it is asked for, so
-    /// neither arrivals nor headers raise `highest_seen` past it.
+    /// The seal of a departed source: nothing above it is taken in or
+    /// asked for, so neither arrivals nor headers raise `highest_seen` past
+    /// it.
     ceiling: u64,
     nack_at: Option<SimTime>,
     nack_attempts: u32,
@@ -54,7 +55,7 @@ impl Window {
     fn receive(&mut self, msg: FtmpMessage) -> RxOutcome {
         let seq = msg.seq.0;
         self.highest_seen = self.highest_seen.max(seq).min(self.ceiling);
-        if seq < self.next_seq || self.buffer.contains_key(&seq) {
+        if seq < self.next_seq || seq > self.ceiling || self.buffer.contains_key(&seq) {
             return RxOutcome::Duplicate;
         }
         if seq > self.next_seq {
@@ -150,7 +151,8 @@ impl Model {
     fn receive(&mut self, msg: FtmpMessage, wire: Bytes) -> (RxOutcome, bool) {
         self.counters.msgs_in += 1;
         let (p, seq, ts) = (msg.source, msg.seq.0, msg.ts);
-        let retained = !self.msgs.contains_key(&(p, seq));
+        let sealed = seq > self.window(p).ceiling;
+        let retained = !sealed && !self.msgs.contains_key(&(p, seq));
         if retained {
             self.bytes += wire.len();
             self.msgs.insert((p, seq), (ts, wire, None));
@@ -190,10 +192,15 @@ impl Model {
         self.drop_where(|_, _, ts| ts <= stable)
     }
 
+    /// A departed source's cut: sealed at `beyond`, or at the cursor if
+    /// that is past it. What is retained above `beyond` goes, and so does
+    /// what waits above the seal.
     fn drop_beyond(&mut self, source: ProcessorId, beyond: u64) {
         if let Some(w) = self.windows.get_mut(&source) {
-            w.ceiling = beyond;
-            w.highest_seen = w.highest_seen.min(beyond);
+            let seal = beyond.max(w.next_seq - 1);
+            w.ceiling = seal;
+            w.highest_seen = w.highest_seen.min(seal);
+            w.buffer.retain(|&seq, _| seq <= seal);
         }
         self.drop_where(|p, seq, _| p == source && seq > beyond);
     }
@@ -569,7 +576,7 @@ fn scrambled(src: u32, seq: u64) -> Timestamp {
 /// the log and the two structures could disagree on.
 #[test]
 fn the_log_equals_the_window_and_the_map() {
-    const SCHEDULES: usize = 320;
+    const SCHEDULES: usize = 640;
     let mut rng = proptest::test_runner::rng_for(concat!(module_path!(), "::log"));
     let mut seen = Seen::default();
     for _ in 0..SCHEDULES {
@@ -596,11 +603,13 @@ fn the_log_equals_the_window_and_the_map() {
         seen.retained_again > 1_000 && seen.let_go > 1_000,
         "{seen:?}"
     );
-    // A conviction cut is a ceiling on what is asked for, so a cut source
-    // that goes on sending in these schedules arms no NACK above it. An
-    // answered repair re-arms its gap, which spends a pass arming: the first
-    // 300 schedules ask in 825 passes, where they asked in 860 before that
-    // rule and in 1378 while a cut left the gap armed. All 320 ask in 902.
+    // A cut seals a source: what it goes on sending in these schedules is
+    // refused and arms no NACK. An answered repair re-arms its gap, which
+    // spends a pass arming. Since the seal a cut source is quiet until it
+    // rejoins, so a schedule reaches less: 320 schedules saw runs 868 ->
+    // 441, early arrivals 8736 -> 3894 and gap fills of let-go slots 715 ->
+    // 333, so there are 640 of them now, against the same floors: runs
+    // 825, early 8056, freed 619, NACK passes 2184, resets 716.
     assert!(seen.nacks > 850 && seen.resets > 200, "{seen:?}");
 }
 
@@ -677,12 +686,49 @@ fn a_stability_point_past_a_hole_keeps_the_early_arrival_waiting() {
     assert_eq!((layer.held_by(p), layer.buffered_total()), (1, 0));
 }
 
-/// Retention and the window disagree where a conviction cuts a source at
-/// the agreed target: released slots above it leave the log, early
-/// arrivals above it stay in the window unretained. Nothing above the cut
-/// is asked for, but a fill that does arrive still releases the run.
+/// A departed source's stream is sealed at its cut: what arrives above it
+/// afterwards is refused, in order or not, and no fill releases a run past
+/// it. Minimised from the latency-spike chaos run at seed 2713, where a
+/// survivor took in and delivered the convicted source's next message,
+/// which no other survivor delivered (a total-order violation).
 #[test]
-fn a_conviction_cut_keeps_the_early_arrivals_waiting() {
+fn a_cut_seals_the_stream() {
+    let p = ProcessorId(2);
+    let mut layer = RmpLayer::new(SELF);
+    for seq in 1..=3 {
+        receive(&mut layer, 2, seq, seq * 10);
+    }
+    layer.drop_beyond(p, 3);
+    assert_eq!(receive(&mut layer, 2, 4, 40), (RxOutcome::Duplicate, false));
+    assert_eq!(layer.contiguous_of(p), 3);
+    assert_eq!((layer.held_by(p), layer.buffered_total()), (3, 0));
+
+    // The agreed target above our cursor: the gap below it is filled, the
+    // run stops at the seal, and what waited above the seal is gone.
+    let mut layer = RmpLayer::new(SELF);
+    receive(&mut layer, 2, 1, 10);
+    for seq in [3, 4, 6] {
+        assert_eq!(receive(&mut layer, 2, seq, seq * 10).0, RxOutcome::Buffered);
+    }
+    layer.drop_beyond(p, 4);
+    assert_eq!((layer.held_by(p), layer.buffered_total()), (3, 2));
+    assert!(layer.wire_bytes(p, 6).is_none());
+    let (released, _) = receive(&mut layer, 2, 2, 20);
+    assert_eq!(seqs(released), [2, 3, 4]);
+    assert_eq!(receive(&mut layer, 2, 5, 50), (RxOutcome::Duplicate, false));
+    assert_eq!(receive(&mut layer, 2, 6, 60), (RxOutcome::Duplicate, false));
+    assert_eq!((layer.contiguous_of(p), layer.buffered_total()), (4, 0));
+    let kept: Vec<u64> = layer.logs[&p].slots.iter().map(|s| s.seq).collect();
+    assert_eq!(kept, [1, 2, 3, 4]);
+}
+
+/// A conviction cuts a source at the agreed target, under our cursor
+/// here: released slots above the target leave the log with their
+/// retention, the early arrivals above the seal (our cursor) leave too, and
+/// neither a copy of one nor a fill is taken in. (This test used to pin a
+/// fill releasing the run past the cut: the fault the seal mends.)
+#[test]
+fn a_conviction_cut_takes_what_waits_above_it_out() {
     let mut layer = RmpLayer::new(SELF);
     let p = ProcessorId(2);
     for seq in 1..=3 {
@@ -693,21 +739,21 @@ fn a_conviction_cut_keeps_the_early_arrivals_waiting() {
     layer.drop_beyond(p, 2);
     assert_eq!((layer.held_by(p), layer.retained_len()), (2, 2));
     assert!(layer.wire_bytes(p, 3).is_none() && layer.wire_bytes(p, 6).is_none());
-    assert_eq!((layer.contiguous_of(p), layer.buffered_total()), (3, 2));
+    assert_eq!((layer.contiguous_of(p), layer.buffered_total()), (3, 0));
     assert!(layer.logs[&p].missing_ranges(64).is_empty());
-    assert_eq!(receive(&mut layer, 2, 7, 70), (RxOutcome::Duplicate, true));
-    receive(&mut layer, 2, 4, 40);
-    let (released, _) = receive(&mut layer, 2, 5, 50);
-    assert_eq!(seqs(released), [5, 6, 7]);
+    for seq in [7, 4, 5] {
+        let refused = receive(&mut layer, 2, seq, seq * 10);
+        assert_eq!(refused, (RxOutcome::Duplicate, false), "{seq}");
+    }
     let kept: Vec<u64> = layer.logs[&p].slots.iter().map(|s| s.seq).collect();
-    assert_eq!(kept, [1, 2, 4, 5, 7], "6 was let go; 7 was retained again");
-    assert_eq!(layer.held_by(p), 5);
+    assert_eq!(kept, [1, 2]);
+    assert_eq!((layer.contiguous_of(p), layer.held_by(p)), (3, 2));
 }
 
-/// A cut is a ceiling on what is asked for. A conviction's agreed target
-/// may lie above our cursor: the gap below it is still asked for, nothing
-/// above it is, whatever the source still sends. A leave cuts at our
-/// cursor, so nothing is asked for at all.
+/// A cut is a seal on what is taken in and asked for. A conviction's
+/// agreed target may lie above our cursor: the gap below it is still asked
+/// for, nothing above it is, whatever the source still sends. A leave cuts
+/// at our cursor, so nothing is asked for at all.
 #[test]
 fn a_cut_asks_only_for_the_gap_below_it() {
     let p = ProcessorId(2);
@@ -729,7 +775,12 @@ fn a_cut_asks_only_for_the_gap_below_it() {
     let left = cut_at(None);
     assert!(left.logs[&p].missing_ranges(64).is_empty());
     assert!(!left.logs[&p].has_gap());
-    assert_eq!(left.buffered_total(), 2, "6 and 11 still wait");
+    // 6 left the log with the cut and 11 was refused. (Both used to wait
+    // for a fill that would have released them past the cut.)
+    for layer in [&convicted, &left] {
+        assert_eq!(layer.buffered_total(), 0);
+        assert!(layer.logs[&p].slots.iter().all(|s| s.seq <= 4));
+    }
 }
 
 #[test]
@@ -759,7 +810,7 @@ fn a_wild_sequence_number_costs_one_slot() {
     layer.drop_beyond(p, 1 << 60);
     assert_eq!((layer.retained_len(), layer.held_by(p)), (1, 1));
     assert!(layer.wire_bytes(p, 1 << 60).is_some());
-    assert_eq!(layer.buffered_total(), 2, "both still wait in the window");
+    assert_eq!(layer.buffered_total(), 1, "the one above the seal left");
 }
 
 fn visits(layer: &mut RmpLayer) -> usize {

@@ -18,7 +18,8 @@
 //! ```
 //!
 //! Each member records its observation stream with `ftmp-runtime`'s trace
-//! writer; the parent replays every trace file through
+//! writer (an `ftmp-store` trace log); the parent replays every trace
+//! through
 //! `ftmp_check::replay` and requires all seven oracles clean. A simulator
 //! CrashRestart cell runs alongside as the parity baseline, and everything
 //! lands in `results/e18.json`.

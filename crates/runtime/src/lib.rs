@@ -21,9 +21,10 @@
 //!   link (one `send_batch` per turn); and [`Io`], the node's host here:
 //!   the application's channels, the trace recorder and the hybrid-logical
 //!   floor on their timestamps, plus the runtime's telemetry counters.
-//! - [`trace`] — the on-disk observation recorder whose files
-//!   `ftmp-check`'s trace replay feeds through the same seven oracles that
-//!   check simulator runs.
+//! - [`TraceWriter`] — the on-disk observation recorder, `ftmp-store`'s
+//!   trace log (one `write` per engine turn), whose logs `ftmp-check`'s
+//!   trace replay feeds through the same seven oracles that check
+//!   simulator runs.
 //! - [`sys`] — the three raw socket options `std::net` is missing, and
 //!   `ppoll`.
 //!
@@ -66,14 +67,13 @@
 
 pub mod node;
 pub mod sys;
-pub mod trace;
 pub mod transport;
 
+pub use ftmp_store::trace::TraceWriter;
 pub use node::{
     spawn, Command, Io, Node, NodeConfig, NodeParts, Role, RuntimeClock, RuntimeHandle,
     RuntimeReport,
 };
-pub use trace::{TraceWriter, TRACE_HEADER};
 pub use transport::{
     multicast_available, open_transport, rx_channel, Inbox, RxDatagram, RxQueue, RxReceiver,
     Selected, TcpConfig, TcpMeshTransport, Transport, TransportKind, TransportMode, TransportSpec,

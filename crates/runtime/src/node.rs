@@ -43,12 +43,13 @@ use ftmp_core::ids::{ConnectionId, GroupId, ProcessorId, RequestNum};
 use ftmp_core::observe::Observation;
 use ftmp_core::{ClockMode, Host, Link, Processor, SendError, SendOutcome};
 use ftmp_net::{McastAddr, SimTime};
+use ftmp_store::trace::TraceWriter;
 use ftmp_telemetry::Registry;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::vec::Drain;
 
-use crate::trace::TraceWriter;
 use crate::transport::{Commands, RxReceiver, Selected, Transport, TransportKind};
 
 /// Monotonic `SimTime` source, optionally anchored to a shared epoch.
@@ -179,7 +180,7 @@ pub struct RuntimeReport {
     /// Metrics snapshot: the runtime layer's `runtime_*` names and the
     /// engine's own view ([`Processor::register_metrics`]).
     pub metrics: ftmp_telemetry::Snapshot,
-    /// The finished trace file, when tracing was on.
+    /// The finished trace log's directory, when tracing was on.
     pub trace_path: Option<PathBuf>,
 }
 
@@ -255,22 +256,22 @@ pub fn spawn(cfg: NodeConfig, parts: NodeParts) -> RuntimeHandle {
     }
 }
 
-/// The protocol timestamp carried by an observation, if it has one.
+/// The protocol timestamp carried by an observation, 0 if it has none.
 ///
 /// Used as a hybrid-logical floor on recorded trace times: protocol
 /// timestamps are cluster-coherent (Lamport-bumped on every receive), so
 /// flooring a member's recorded `at` by every timestamp it has observed
 /// bounds cross-process trace skew at one message latency even when the
 /// members' wall clocks disagree.
-fn obs_ts(obs: &Observation) -> Option<u64> {
+fn obs_ts(obs: &Observation) -> u64 {
     match obs {
         Observation::Delivered { ts, .. }
         | Observation::ViewInstalled { ts, .. }
         | Observation::Sent { ts, .. }
         | Observation::Acked { ts, .. }
-        | Observation::Retained { ts, .. } => Some(ts.0),
-        Observation::Reclaimed { stable_ts, .. } => Some(stable_ts.0),
-        _ => None,
+        | Observation::Retained { ts, .. } => ts.0,
+        Observation::Reclaimed { stable_ts, .. } => stable_ts.0,
+        _ => 0,
     }
 }
 
@@ -302,7 +303,7 @@ impl Io {
     /// was on and the marker reached the disk.
     pub fn finish_trace(&mut self, now: SimTime) -> Option<PathBuf> {
         let at = self.stamp(now);
-        self.trace.take().and_then(|t| t.finish(at).ok())
+        self.trace.take().and_then(|t| t.finish(at.0).ok())
     }
 }
 
@@ -314,13 +315,14 @@ impl Host for Io {
     fn event(&mut self, now: SimTime, e: ProtocolEvent) {
         let _ = self.events.send((self.stamp(now), e));
     }
-    fn observe(&mut self, now: SimTime, obs: Observation) {
-        if let Some(ts) = obs_ts(&obs) {
-            self.ts_floor = self.ts_floor.max(ts);
-        }
-        let at = self.stamp(now);
+    fn observe(&mut self, now: SimTime, observations: Drain<'_, Observation>) {
         if let Some(tr) = self.trace.as_mut() {
-            let _ = tr.record(at, &obs);
+            for obs in observations {
+                self.ts_floor = self.ts_floor.max(obs_ts(&obs));
+                let _ = tr.record(now.0.max(self.ts_floor), &obs);
+            }
+            // The turn's one `write`.
+            let _ = tr.flush();
         }
     }
     fn published(&mut self, _request: RequestNum, outcome: Result<SendOutcome, SendError>) {

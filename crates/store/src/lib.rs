@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
-//! # ftmp-store — the durable delivered-message log
+//! # ftmp-store — the durable delivered-message log, and the on-disk
+//! # observation trace
 //!
 //! An append-only, CRC-framed, segment-rotated on-disk log of what a
 //! processor *delivered* (ordered messages and membership views), written
@@ -15,17 +16,25 @@
 //! the delivery *horizon* past which a donor's §7.2 state transfer only
 //! needs to send a delta instead of a full snapshot.
 //!
-//! Module map: [`record`] the record model and CRC frame codec; [`log`]
-//! the buffered segment writer and its flush points (the durability
-//! point: no host is handed a delivery the OS has not been handed);
-//! [`recover`](mod@recover) the one streaming crash-recovery [`scan`] and
-//! its collector [`recover()`]; [`state`] the derived warm-start state,
-//! folded from records or straight from the scan.
+//! The same segments and frames carry a second stream: a runtime
+//! process's observation trace (DESIGN.md §9), which `ftmp-check` replays
+//! through its oracles. One frame, one CRC and one torn-tail rule serve
+//! both; only the payload codec differs.
+//!
+//! Module map: [`record`] the CRC frame and the delivery log's record
+//! codec; [`log`] the buffered segment writer and its flush points (the
+//! durability point: no host is handed a delivery the OS has not been
+//! handed); [`recover`](mod@recover) the segment scan, the one streaming
+//! crash-recovery [`scan`] over it and its collector [`recover()`];
+//! [`state`] the derived warm-start state, folded from records or straight
+//! from the scan; [`trace`] the observation record codec, its writer and
+//! its read-only reader.
 
 pub mod log;
 pub mod record;
 pub mod recover;
 pub mod state;
+pub mod trace;
 
 pub use crate::log::{DurableLog, LogConfig};
 pub use crate::record::{DeliveredRecord, LogRecord, ViewRecord};

@@ -1,4 +1,5 @@
-//! The append-only segment writer.
+//! The append-only segment writer: the delivery log's, and under the
+//! observation record codec the trace's ([`trace`](crate::trace)).
 //!
 //! A log is a directory of segment files named `seg-NNNNNNNN.log`. Each
 //! segment opens with a 12-byte header (`FTMPSEG\x01` magic + its sequence
@@ -27,7 +28,7 @@ use std::path::{Path, PathBuf};
 use ftmp_core::durable::DeliveryLog;
 use ftmp_core::{Delivery, GroupId, ProcessorId, Timestamp};
 
-use crate::record::{encode_frame, DeliveredRecord, LogRecord, ViewRecord};
+use crate::record::{encode_payload, frame, DeliveredRecord, LogRecord, ViewRecord};
 
 /// Segment-file magic: seven ASCII bytes + a format version.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"FTMPSEG\x01";
@@ -185,6 +186,16 @@ impl DurableLog {
     /// reached [`FLUSH_BYTES`] or `r` is a view change. An error means
     /// records were lost; [`io_errors`](Self::io_errors) has counted them.
     pub fn append(&mut self, r: &LogRecord) -> io::Result<()> {
+        let result = self.append_with(|out| encode_payload(r, out));
+        if matches!(r, LogRecord::ViewChange(_)) {
+            return result.and(self.flush());
+        }
+        result
+    }
+
+    /// [`append`](Self::append) for any record codec: the frame around the
+    /// payload `payload` appends, without the view-change flush point.
+    pub(crate) fn append_with(&mut self, payload: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
         let mut result = Ok(());
         if self.seg_len >= self.cfg.segment_bytes || self.torn {
             result = self.flush();
@@ -196,19 +207,19 @@ impl DurableLog {
                     self.torn = false;
                 }
                 Err(e) => {
-                    // Nowhere to put `r`. The segment is still full or
-                    // torn, so the next append tries again.
+                    // Nowhere to put the record. The segment is still full
+                    // or torn, so the next append tries again.
                     self.io_errors += 1;
                     return Err(e);
                 }
             }
         }
         let start = self.buf.len();
-        encode_frame(r, &mut self.buf);
+        frame(&mut self.buf, payload);
         self.seg_len += (self.buf.len() - start) as u64;
         self.buffered += 1;
         self.appended += 1;
-        if self.buf.len() >= FLUSH_BYTES || matches!(r, LogRecord::ViewChange(_)) {
+        if self.buf.len() >= FLUSH_BYTES {
             result = result.and(self.flush());
         }
         result

@@ -1,6 +1,9 @@
-//! Record model and frame codec for the durable log.
+//! The self-checking frame both on-disk streams share, and the durable
+//! log's record codec.
 //!
-//! Every record travels in a self-checking frame:
+//! Every record — a [`LogRecord`] of the delivery log, a
+//! [`TraceRecord`](crate::trace::TraceRecord) of an observation trace —
+//! travels in the same frame:
 //!
 //! ```text
 //!   [len: u32 LE] [crc: u32 LE] [payload: len bytes]
@@ -251,11 +254,11 @@ mod fold {
 
 // --- encode
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -290,9 +293,14 @@ pub fn encode_payload(r: &LogRecord, out: &mut Vec<u8>) {
 
 /// Append the full self-checking frame (`[len][crc][payload]`) of `r`.
 pub fn encode_frame(r: &LogRecord, out: &mut Vec<u8>) {
+    frame(out, |out| encode_payload(r, out));
+}
+
+/// Append a frame around the payload `payload` appends to `out`.
+pub(crate) fn frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
     out.extend_from_slice(&[0u8; FRAME_HEADER]);
-    encode_payload(r, out);
+    payload(out);
     let payload = &out[start + FRAME_HEADER..];
     let len = payload.len() as u32;
     let crc = crc32(payload);
@@ -302,28 +310,52 @@ pub fn encode_frame(r: &LogRecord, out: &mut Vec<u8>) {
 
 // --- decode
 
-struct Cursor<'a> {
+/// A strict little-endian reader over a payload: every read past the end
+/// is `None`.
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     at: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Option<u8> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Cursor { buf, at: 0 }
+    }
+
+    /// True once every byte has been read.
+    pub(crate) fn done(&self) -> bool {
+        self.at == self.buf.len()
+    }
+
+    pub(crate) fn u8(&mut self) -> Option<u8> {
         let v = *self.buf.get(self.at)?;
         self.at += 1;
         Some(v)
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    pub(crate) fn u32(&mut self) -> Option<u32> {
         let b = self.buf.get(self.at..self.at + 4)?;
         self.at += 4;
         Some(u32::from_le_bytes(b.try_into().ok()?))
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    pub(crate) fn u64(&mut self) -> Option<u64> {
         let b = self.buf.get(self.at..self.at + 8)?;
         self.at += 8;
         Some(u64::from_le_bytes(b.try_into().ok()?))
+    }
+
+    /// `n` processor ids that fill the rest of the payload exactly; checked
+    /// before allocating, so a corrupt count costs nothing.
+    pub(crate) fn ids(&mut self, n: usize) -> Option<Vec<ProcessorId>> {
+        if n.checked_mul(4) != Some(self.buf.len() - self.at) {
+            return None;
+        }
+        let mut ids = Vec::with_capacity(n);
+        for _ in 0..n {
+            ids.push(ProcessorId(self.u32()?));
+        }
+        Some(ids)
     }
 
     /// The next `n` bytes as a range of the buffer.
@@ -340,10 +372,7 @@ impl<'a> Cursor<'a> {
 /// the payload). A delivered record's `giop` is a slice of `payload`, not
 /// a copy: it shares (and keeps alive) the buffer `payload` views.
 pub fn decode_payload(payload: &Bytes) -> Option<LogRecord> {
-    let mut c = Cursor {
-        buf: payload,
-        at: 0,
-    };
+    let mut c = Cursor::new(payload);
     let rec = match c.u8()? {
         KIND_DELIVERED => {
             let group = GroupId(c.u32()?);
@@ -369,20 +398,12 @@ pub fn decode_payload(payload: &Bytes) -> Option<LogRecord> {
             let group = GroupId(c.u32()?);
             let ts = Timestamp(c.u64()?);
             let n = c.u32()? as usize;
-            // The ids fill the rest of the payload exactly; checked before
-            // allocating, so a corrupt count costs nothing.
-            if n.checked_mul(4) != Some(payload.len() - c.at) {
-                return None;
-            }
-            let mut members = Vec::with_capacity(n);
-            for _ in 0..n {
-                members.push(ProcessorId(c.u32()?));
-            }
+            let members = c.ids(n)?;
             LogRecord::ViewChange(ViewRecord { group, members, ts })
         }
         _ => return None,
     };
-    (c.at == payload.len()).then_some(rec)
+    c.done().then_some(rec)
 }
 
 #[cfg(test)]

@@ -19,12 +19,17 @@
 //! Either way the on-disk state after recovery is exactly the recovered
 //! prefix — running recovery twice is idempotent, which the proptests pin.
 //!
-//! There is one scan routine, [`scan`]: it reads each segment into one
-//! buffer and hands every record of the prefix to a caller's closure, a
-//! delivered record's body being a slice of that buffer (no per-record
-//! allocation or copy). [`recover`] is the collector over it;
-//! [`RecoveredState::from_log`](crate::state::RecoveredState::from_log)
-//! folds the same stream without ever holding the records.
+//! There is one frame walk per segment, `scan_segment`: it reads the
+//! frames of one segment's buffer, checks each CRC and hands every payload
+//! a codec accepts to a caller's closure, and it changes nothing on disk.
+//! [`scan`] runs it under the delivery log's codec and heals the directory
+//! as above, a delivered record's body being a slice of the segment's
+//! buffer (no per-record allocation or copy). [`recover`] is the collector
+//! over it; [`RecoveredState::from_log`](crate::state::RecoveredState::from_log)
+//! folds the same stream without ever holding the records. An observation
+//! trace is read by the same walk under its own codec
+//! ([`trace::read`](crate::trace::read)), and never healed: it belongs to
+//! another process, so its reader reports an anomaly instead.
 
 use std::fs;
 use std::io;
@@ -32,8 +37,8 @@ use std::path::Path;
 
 use bytes::Bytes;
 
-use crate::log::{list_segments, SEGMENT_HEADER, SEGMENT_MAGIC};
-use crate::record::{crc32, decode_payload, LogRecord, FRAME_HEADER, MAX_RECORD};
+use crate::log::{list_segments, segment_name, SEGMENT_HEADER, SEGMENT_MAGIC};
+use crate::record::{crc32, decode_payload, Cursor, LogRecord, FRAME_HEADER, MAX_RECORD};
 
 /// What recovery found and did.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -60,7 +65,8 @@ pub struct Recovered {
     pub stats: RecoverStats,
 }
 
-enum Anomaly {
+/// Where a segment's valid prefix ends.
+pub(crate) enum Anomaly {
     /// Clean end of segment.
     None,
     /// Partial frame at end of file (offset where it starts).
@@ -69,51 +75,53 @@ enum Anomaly {
     Corrupt(usize),
 }
 
-/// Scan one segment, handing valid records to `each`. Returns the anomaly
-/// (if any) and the offset where the valid prefix ends.
-fn scan_segment(data: &Bytes, each: &mut impl FnMut(LogRecord)) -> (Anomaly, usize) {
+/// Scan one segment, handing each record `decode` makes of a valid frame's
+/// payload to `each`; a payload it rejects is corruption. Reads nothing
+/// outside `data` and changes nothing on disk.
+pub(crate) fn scan_segment<T>(
+    data: &Bytes,
+    decode: impl Fn(&Bytes) -> Option<T>,
+    mut each: impl FnMut(T),
+) -> Anomaly {
     if data.len() < SEGMENT_HEADER || data[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        return (Anomaly::Corrupt(0), 0);
+        return Anomaly::Corrupt(0);
     }
     let mut at = SEGMENT_HEADER;
-    loop {
-        if at == data.len() {
-            return (Anomaly::None, at);
-        }
-        if data.len() - at < FRAME_HEADER {
-            return (Anomaly::Torn(at), at);
-        }
-        let len = u32::from_le_bytes(data[at..at + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(data[at + 4..at + 8].try_into().unwrap());
+    while at < data.len() {
+        let mut header = Cursor::new(&data[at..]);
+        let (Some(len), Some(crc)) = (header.u32(), header.u32()) else {
+            return Anomaly::Torn(at);
+        };
         if len > MAX_RECORD {
-            return (Anomaly::Corrupt(at), at);
+            return Anomaly::Corrupt(at);
         }
-        let len = len as usize;
-        if data.len() - at - FRAME_HEADER < len {
-            return (Anomaly::Torn(at), at);
+        let end = at + FRAME_HEADER + len as usize;
+        if end > data.len() {
+            return Anomaly::Torn(at);
         }
-        let payload = data.slice(at + FRAME_HEADER..at + FRAME_HEADER + len);
+        let payload = data.slice(at + FRAME_HEADER..end);
         if crc32(&payload) != crc {
-            return (Anomaly::Corrupt(at), at);
+            return Anomaly::Corrupt(at);
         }
-        match decode_payload(&payload) {
+        match decode(&payload) {
             Some(rec) => each(rec),
-            None => return (Anomaly::Corrupt(at), at),
+            None => return Anomaly::Corrupt(at),
         }
-        at += FRAME_HEADER + len;
+        at = end;
     }
+    Anomaly::None
 }
 
 /// Best-effort count of frame-shaped records in a quarantined region.
 fn count_framelike(mut data: &[u8]) -> u64 {
     let mut n = 0;
-    while data.len() >= FRAME_HEADER {
-        let len = u32::from_le_bytes(data[..4].try_into().unwrap());
-        if len > MAX_RECORD || (data.len() - FRAME_HEADER) < len as usize {
+    while let Some(len) = Cursor::new(data).u32() {
+        let end = FRAME_HEADER + len as usize;
+        if len > MAX_RECORD || data.len() < end {
             break;
         }
         n += 1;
-        data = &data[FRAME_HEADER + len as usize..];
+        data = &data[end..];
     }
     n
 }
@@ -146,22 +154,22 @@ pub fn scan(dir: &Path, mut each: impl FnMut(LogRecord)) -> io::Result<RecoverSt
         return Ok(stats);
     }
     let segments = list_segments(dir)?;
-    let mut poisoned_at: Option<usize> = None; // index of first bad segment
-    for (i, (_, path)) in segments.iter().enumerate() {
+    let mut poisoned = false;
+    for (i, (seq, path)) in segments.iter().enumerate() {
         stats.segments_scanned += 1;
-        if poisoned_at.is_some() {
+        let name = segment_name(*seq);
+        if poisoned {
             // Everything after the first anomaly is untrusted: move the
             // whole segment aside.
             let data = fs::read(path)?;
             stats.bytes_quarantined += data.len() as u64;
             stats.records_quarantined += count_framelike(data.get(SEGMENT_HEADER..).unwrap_or(&[]));
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
             quarantine(dir, &name, 0, &data)?;
             fs::remove_file(path)?;
             continue;
         }
         let data = Bytes::from(fs::read(path)?);
-        let (anomaly, valid_end) = scan_segment(&data, &mut |r| {
+        let anomaly = scan_segment(&data, decode_payload, |r| {
             stats.records_recovered += 1;
             each(r);
         });
@@ -174,8 +182,8 @@ pub fn scan(dir: &Path, mut each: impl FnMut(LogRecord)) -> io::Result<RecoverSt
                 fs::OpenOptions::new()
                     .write(true)
                     .open(path)?
-                    .set_len(valid_end as u64)?;
-                poisoned_at = Some(i);
+                    .set_len(at as u64)?;
+                poisoned = true;
             }
             Anomaly::Torn(at) | Anomaly::Corrupt(at) => {
                 // Corruption, or a torn tail with segments *after* it —
@@ -183,18 +191,17 @@ pub fn scan(dir: &Path, mut each: impl FnMut(LogRecord)) -> io::Result<RecoverSt
                 let tail = &data[at..];
                 stats.bytes_quarantined += tail.len() as u64;
                 stats.records_quarantined += count_framelike(tail);
-                let name = path.file_name().unwrap().to_string_lossy().into_owned();
                 quarantine(dir, &name, at, tail)?;
-                if valid_end < SEGMENT_HEADER {
+                if at < SEGMENT_HEADER {
                     // Even the header was bad: nothing in this file to keep.
                     fs::remove_file(path)?;
                 } else {
                     fs::OpenOptions::new()
                         .write(true)
                         .open(path)?
-                        .set_len(valid_end as u64)?;
+                        .set_len(at as u64)?;
                 }
-                poisoned_at = Some(i);
+                poisoned = true;
             }
         }
     }

@@ -50,7 +50,8 @@ test-vendor:
 ci: fmt clippy doc test test-all test-vendor examples
 
 # Wide chaos sweep, release mode (CHAOS_SEEDS seeds per test) plus the
-# 1000-seed sweep that pins the known onset convictions, then the long
+# 1000-seed sweep that pins the known onset convictions and the oracle
+# sweep of the latency-spike scenario over seeds 1400..3400, then the long
 # closed-loop ORB run (45 s virtual) that pins the two-interval lock, keeps
 # the loop out of half-interval waves and holds the ORB log to the plateau
 # rule.

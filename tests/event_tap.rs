@@ -22,8 +22,8 @@
 
 use ftmp::check::FtmpWorld;
 use ftmp::core::{
-    ClockMode, Delivery, DeliveryLog, GroupId, OverlayPolicy, PackPolicy, Packing, Processor,
-    ProcessorId, ProtocolConfig, Timestamp,
+    ClockMode, Delivery, DeliveryLog, GroupId, Observation, OverlayPolicy, PackPolicy, Packing,
+    Processor, ProcessorId, ProtocolConfig, Timestamp,
 };
 use ftmp::net::{LossModel, SimConfig, SimDuration};
 use ftmp::telemetry::{Registry, Snapshot};
@@ -61,7 +61,63 @@ impl DeliveryLog for CountingLog {
     }
 }
 
-/// Every member records its observations as `P<id> <at µs> <line>`.
+/// An observation as the pins below render it: its kind, then its fields
+/// as `key=value` (a connection `c=cd.cg-sd.sg`, a member list `m=1,2`).
+fn render(o: &Observation) -> String {
+    match o {
+        Observation::Delivered {
+            group,
+            conn: c,
+            request,
+            source,
+            seq,
+            ts,
+        } => format!(
+            "Delivered g={} c={}.{}-{}.{} r={} s={} q={} t={}",
+            group.0,
+            c.client.domain.0,
+            c.client.group,
+            c.server.domain.0,
+            c.server.group,
+            request.0,
+            source.0,
+            seq.0,
+            ts.0
+        ),
+        Observation::ViewInstalled { group, members, ts } => {
+            let m: Vec<String> = members.iter().map(|p| p.0.to_string()).collect();
+            format!("ViewInstalled g={} t={} m={}", group.0, ts.0, m.join(","))
+        }
+        Observation::Sent { group, seq, ts } => {
+            format!("Sent g={} q={} t={}", group.0, seq.0, ts.0)
+        }
+        Observation::Acked { group, member, ts } => {
+            format!("Acked g={} p={} t={}", group.0, member.0, ts.0)
+        }
+        Observation::Retained {
+            group,
+            source,
+            seq,
+            ts,
+        } => format!(
+            "Retained g={} s={} q={} t={}",
+            group.0, source.0, seq.0, ts.0
+        ),
+        Observation::Reclaimed {
+            group,
+            stable_ts,
+            count,
+        } => format!("Reclaimed g={} t={} n={}", group.0, stable_ts.0, count),
+        Observation::Suspected { group, suspect } => {
+            format!("Suspected g={} p={}", group.0, suspect.0)
+        }
+        Observation::Convicted { group, convicted } => {
+            format!("Convicted g={} p={}", group.0, convicted.0)
+        }
+    }
+}
+
+/// Every member records its observations as `P<id> <at µs> <rendering>`.
 fn record_observations(w: &mut FtmpWorld) -> Rc<RefCell<Vec<String>>> {
     let lines: Rc<RefCell<Vec<String>>> = Rc::default();
     for id in 1..=w.n {
@@ -69,7 +125,7 @@ fn record_observations(w: &mut FtmpWorld) -> Rc<RefCell<Vec<String>>> {
         w.net.with_node(id, move |node, _, _| {
             node.set_observer(move |at, o| {
                 sink.borrow_mut()
-                    .push(format!("P{id} {} {}", at.as_micros(), o.encode_line()));
+                    .push(format!("P{id} {} {}", at.as_micros(), render(&o)));
             });
         });
     }
