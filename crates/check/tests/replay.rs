@@ -17,7 +17,7 @@ use ftmp_core::ids::{
 use ftmp_core::observe::Observation;
 use ftmp_core::{ClockMode, Command, Inbox};
 use ftmp_net::{SimConfig, SimTime};
-use ftmp_store::log::{list_segments, SEGMENT_HEADER};
+use ftmp_store::log::{list_segments, segment_name, SEGMENT_HEADER, SEGMENT_MAGIC};
 use ftmp_store::record::FRAME_HEADER;
 use ftmp_store::trace::TraceWriter;
 use ftmp_store::{DurableLog, LogConfig};
@@ -109,6 +109,22 @@ fn reads_open_events_close_and_torn_tail() {
         len - 5,
         "replay healed"
     );
+
+    // A kill -9 can land between creating the next segment and writing its
+    // header: an empty last segment, or part of a header, is a torn tail.
+    for cut in [0, 5] {
+        let rotated = write_trace(&dir, &format!("rotated-{cut}.trc"), (4, 0), &events, None);
+        let next = rotated.join(segment_name(list_segments(&rotated).unwrap()[0].0 + 1));
+        std::fs::write(&next, &SEGMENT_MAGIC[..cut]).unwrap();
+        let f = read_trace_file(&rotated).expect("read a cut-off header");
+        assert_eq!(f.events.len(), 2);
+        assert!(f.torn_tail && !f.clean_end, "cut at {cut}");
+        assert_eq!(
+            std::fs::read(&next).unwrap(),
+            &SEGMENT_MAGIC[..cut],
+            "replay healed"
+        );
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 

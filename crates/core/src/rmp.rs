@@ -63,9 +63,9 @@
 //! our contiguous cursor ([`drop_beyond`](RmpLayer::drop_beyond)) — is
 //! sealed at the cut, or at our cursor if that is past it: everything held
 //! above the cut leaves the log, and whatever arrives above the seal
-//! afterwards is refused as a duplicate and asked for by no NACK. No
-//! survivor delivers past the agreed target, so a member that did would
-//! break the total order.
+//! afterwards is refused as a duplicate and asked for by no NACK. A source
+//! never heard from is sealed in an empty log. No survivor delivers past
+//! the agreed target, so a member that did would break the total order.
 //!
 //! **Zero-copy retransmission.** A slot keeps the message's original wire
 //! bytes (a [`Bytes`] handle sharing the received datagram's buffer) and
@@ -866,12 +866,11 @@ impl RmpLayer {
     /// is taken in or asked for again, whatever the source still sends. A
     /// gap below the cut stays armed, the slots at or below it keep
     /// answering others until stability reclaims them, and a re-add under
-    /// the same id starts a fresh log.
+    /// the same id starts a fresh log. A source never heard from is sealed
+    /// too, in a log of its own: else its first arrival would open a
+    /// fresh, unsealed one and be released here alone.
     pub fn drop_beyond(&mut self, source: ProcessorId, beyond: u64) {
-        let Some(log) = self.logs.get_mut(&source) else {
-            return;
-        };
-        let (dropped, waiting) = log.seal(beyond);
+        let (dropped, waiting) = self.log(source).seal(beyond);
         self.buffered -= waiting;
         if dropped > 0 {
             self.len -= dropped;

@@ -196,12 +196,11 @@ impl Model {
     /// that is past it. What is retained above `beyond` goes, and so does
     /// what waits above the seal.
     fn drop_beyond(&mut self, source: ProcessorId, beyond: u64) {
-        if let Some(w) = self.windows.get_mut(&source) {
-            let seal = beyond.max(w.next_seq - 1);
-            w.ceiling = seal;
-            w.highest_seen = w.highest_seen.min(seal);
-            w.buffer.retain(|&seq, _| seq <= seal);
-        }
+        let w = self.window(source);
+        let seal = beyond.max(w.next_seq - 1);
+        w.ceiling = seal;
+        w.highest_seen = w.highest_seen.min(seal);
+        w.buffer.retain(|&seq, _| seq <= seal);
         self.drop_where(|p, seq, _| p == source && seq > beyond);
     }
 
@@ -720,6 +719,25 @@ fn a_cut_seals_the_stream() {
     assert_eq!((layer.contiguous_of(p), layer.buffered_total()), (4, 0));
     let kept: Vec<u64> = layer.logs[&p].slots.iter().map(|s| s.seq).collect();
     assert_eq!(kept, [1, 2, 3, 4]);
+}
+
+/// A source convicted before we heard anything from it is sealed all the
+/// same: its first arrival must not open a fresh, unsealed log and be
+/// released here while every survivor that did hold a log refuses it.
+#[test]
+fn a_cut_seals_a_source_never_heard_from() {
+    let p = ProcessorId(2);
+    let mut layer = RmpLayer::new(SELF);
+    layer.drop_beyond(p, 0);
+    assert_eq!(receive(&mut layer, 2, 1, 10), (RxOutcome::Duplicate, false));
+    assert_eq!(receive(&mut layer, 2, 2, 20), (RxOutcome::Duplicate, false));
+    assert_eq!((layer.contiguous_of(p), layer.held_by(p)), (0, 0));
+    assert_eq!((layer.retained_len(), layer.buffered_total()), (0, 0));
+
+    // A re-add under the same id still starts a fresh, open log.
+    layer.seed_window(p, 1);
+    let (released, retained) = receive(&mut layer, 2, 1, 30);
+    assert_eq!((seqs(released), retained), (vec![1], true));
 }
 
 /// A conviction cuts a source at the agreed target, under our cursor

@@ -62,6 +62,14 @@ pub fn segment_name(seq: u32) -> String {
     format!("seg-{seq:08}.log")
 }
 
+/// The header that opens segment `seq`.
+pub(crate) fn segment_header(seq: u32) -> [u8; SEGMENT_HEADER] {
+    let mut header = [0u8; SEGMENT_HEADER];
+    header[..SEGMENT_MAGIC.len()].copy_from_slice(&SEGMENT_MAGIC);
+    header[SEGMENT_MAGIC.len()..].copy_from_slice(&seq.to_le_bytes());
+    header
+}
+
 /// Parse a segment file name back to its sequence number.
 pub fn parse_segment_name(name: &str) -> Option<u32> {
     let rest = name.strip_prefix("seg-")?.strip_suffix(".log")?;
@@ -149,10 +157,7 @@ impl DurableLog {
             .create_new(true)
             .write(true)
             .open(&path)?;
-        let mut header = [0u8; SEGMENT_HEADER];
-        header[..SEGMENT_MAGIC.len()].copy_from_slice(&SEGMENT_MAGIC);
-        header[SEGMENT_MAGIC.len()..].copy_from_slice(&seq.to_le_bytes());
-        if let Err(e) = file.write_all(&header) {
+        if let Err(e) = file.write_all(&segment_header(seq)) {
             let _ = fs::remove_file(&path);
             return Err(e);
         }

@@ -23,10 +23,10 @@
 //! process's trace survives up to its last completed turn, like the
 //! delivery log. [`read`] walks the segments with the recovery scan's frame
 //! walk but never heals them: the trace is another process's evidence. A
-//! frame cut off at the end of the last segment is a crash's residue
-//! (reported, not fatal); any other anomaly — a CRC mismatch, a payload
-//! this codec rejects, a record before the open record or after the close
-//! record — is an error.
+//! frame cut off at the end of the last segment, or a last segment whose
+//! header was cut off, is a crash's residue (reported, not fatal); any
+//! other anomaly — a CRC mismatch, a payload this codec rejects, a record
+//! before the open record or after the close record — is an error.
 
 use std::fs;
 use std::io::{self, ErrorKind};
@@ -36,7 +36,7 @@ use bytes::Bytes;
 use ftmp_core::observe::Observation;
 use ftmp_core::{ConnectionId, GroupId, ObjectGroupId, ProcessorId, RequestNum, SeqNum, Timestamp};
 
-use crate::log::{list_segments, DurableLog, LogConfig};
+use crate::log::{list_segments, segment_header, DurableLog, LogConfig};
 use crate::record::{put_u32, put_u64, Cursor};
 use crate::recover::{scan_segment, Anomaly};
 
@@ -264,9 +264,15 @@ pub fn read(dir: &Path, mut each: impl FnMut(u64, Observation)) -> io::Result<Tr
                 _ => misplaced = true,
             },
         );
+        let last = i + 1 == segments.len();
         match anomaly {
             Anomaly::None => {}
-            Anomaly::Torn(_) if i + 1 == segments.len() => torn_tail = true,
+            Anomaly::Torn(_) if last => torn_tail = true,
+            // Killed between creating the last segment and writing its
+            // header out: a torn tail too.
+            Anomaly::Corrupt(0) if last && segment_header(*seq).starts_with(&data) => {
+                torn_tail = true;
+            }
             Anomaly::Torn(at) | Anomaly::Corrupt(at) => {
                 return Err(bad(&format!("segment {seq} is corrupt at byte {at}")));
             }
